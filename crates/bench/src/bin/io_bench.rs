@@ -82,12 +82,11 @@ fn build_store(dir: &Path, n: usize, perm: &Permutation) -> MmapStore {
 /// a batch's rows onto few pages.
 fn run_epoch(store: &dyn FeatureStore, batches: &[Vec<VertexId>]) -> StoreStats {
     let before = store.stats();
-    let mut row = vec![0.0f32; DIM];
+    let mut out = Vec::new();
     for nodes in batches {
         store.begin_epoch();
-        for &v in nodes {
-            store.read_row_into(v, &mut row);
-        }
+        out.resize(nodes.len() * DIM, 0.0f32);
+        store.gather_into(nodes, &mut out);
     }
     store.stats().since(&before)
 }

@@ -137,6 +137,8 @@ fn to_csr_adj_with_self(hop: &HopAdj) -> Arc<CsrAdj> {
 pub struct Forward {
     /// The autograd tape holding the whole forward computation.
     pub tape: Tape,
+    /// Leaf node holding the input features `x`.
+    pub input: NodeId,
     /// Seed-vertex logits node.
     pub logits: NodeId,
     /// Leaf node per parameter, in [`GnnModel::params_mut`] order.
@@ -147,6 +149,12 @@ impl Forward {
     /// The logits matrix (`num_seeds × num_classes`).
     pub fn logits_value(&self) -> &Matrix {
         self.tape.value(self.logits)
+    }
+
+    /// Ends the pass and hands back the input feature matrix passed to
+    /// [`GnnModel::forward`], so its buffer can hold the next batch.
+    pub fn into_input(mut self) -> Matrix {
+        self.tape.take_value(self.input)
     }
 }
 
@@ -290,7 +298,8 @@ impl GnnModel {
 
         let mut tape = Tape::new();
         let mut param_nodes = Vec::new();
-        let mut h = tape.input(x);
+        let input = tape.input(x);
+        let mut h = input;
         let num_layers = self.layers.len();
         for (li, layer) in self.layers.iter().enumerate() {
             let hop = mfg.layer_adj(li + 1);
@@ -419,6 +428,7 @@ impl GnnModel {
 
         Forward {
             tape,
+            input,
             logits: h,
             param_nodes,
         }

@@ -9,7 +9,7 @@ use crate::{Arch, GnnModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spp_graph::{Dataset, VertexId};
-use spp_pool::WorkerPool;
+use spp_pool::{even_ranges, WorkerPool};
 use spp_sampler::{batch_stream_seed, Fanouts, Mfg, MinibatchIter, NodeWiseSampler};
 use spp_store::FeatureStore;
 use spp_tensor::{Adam, Matrix, Optimizer};
@@ -87,6 +87,17 @@ pub struct TrainReport {
     pub val_accuracy: f64,
     /// Final test accuracy (minibatch inference).
     pub test_accuracy: f64,
+}
+
+/// One prepared minibatch. `x`'s storage is the batch's recycled slot:
+/// it travels into the tape as the model input and is taken back
+/// ([`crate::Forward::into_input`]) to hold a later batch, so the epoch
+/// and evaluate loops own at most one feature buffer per in-flight
+/// batch instead of allocating one per minibatch.
+struct Batch {
+    mfg: Mfg,
+    x: Matrix,
+    labels: Arc<Vec<u32>>,
 }
 
 /// Trains a [`GnnModel`] on a [`Dataset`] with node-wise sampling.
@@ -180,14 +191,20 @@ impl<'a> Trainer<'a> {
 
     /// [`Trainer::gather_features`] reading rows through any
     /// [`FeatureStore`]. For a resident f32 matrix this produces the
-    /// exact bytes of the historical gather path.
+    /// exact bytes of the historical gather path. Allocates the result;
+    /// the training and evaluation loops recycle batch slots instead.
     pub fn gather_features_from(feats: &dyn FeatureStore, mfg: &Mfg) -> Matrix {
+        Self::gather_into_slot(feats, mfg, vec![0.0f32; mfg.num_nodes() * feats.dim()])
+    }
+
+    /// Gathers the MFG's feature rows into `slot` — a recycled buffer
+    /// of any length and content; every element of the result is
+    /// overwritten — and wraps it as the batch's input matrix.
+    fn gather_into_slot(feats: &dyn FeatureStore, mfg: &Mfg, mut slot: Vec<f32>) -> Matrix {
         let dim = feats.dim();
-        let mut flat = vec![0.0f32; mfg.num_nodes() * dim];
-        for (i, &v) in mfg.nodes.iter().enumerate() {
-            feats.read_row_into(v, &mut flat[i * dim..(i + 1) * dim]);
-        }
-        Matrix::from_flat(mfg.num_nodes(), dim, flat)
+        slot.resize(mfg.num_nodes() * dim, 0.0);
+        feats.gather_into(&mfg.nodes, &mut slot);
+        Matrix::from_flat(mfg.num_nodes(), dim, slot)
     }
 
     /// Runs the full training loop, then evaluates on val and test.
@@ -214,25 +231,26 @@ impl<'a> Trainer<'a> {
             .map_or_else(WorkerPool::global, WorkerPool::new)
     }
 
-    /// Samples one minibatch's MFG and gathers its features and labels —
-    /// the preparation work that runs concurrently across batches. The
-    /// RNG stream is a pure function of `(seed, epoch, batch_idx)`, so
-    /// the output does not depend on which worker runs this or when.
+    /// Samples one minibatch's MFG and gathers its features (into the
+    /// recycled `slot`) and labels — the preparation work that runs
+    /// concurrently across batches. `stream_seed` is the batch's
+    /// [`batch_stream_seed`], a pure function of `(seed, epoch, batch)`,
+    /// so the output does not depend on which worker runs this, when, or
+    /// what the slot held before.
     fn prepare_batch(
         ds: &Dataset,
         feats: &dyn FeatureStore,
         sampler: &NodeWiseSampler<'_>,
-        seed: u64,
-        epoch: u64,
-        batch_idx: u64,
+        stream_seed: u64,
         batch: &[VertexId],
-    ) -> (Mfg, Matrix, Arc<Vec<u32>>) {
-        let mut rng = StdRng::seed_from_u64(batch_stream_seed(seed, epoch, batch_idx));
+        slot: Vec<f32>,
+    ) -> Batch {
+        let mut rng = StdRng::seed_from_u64(stream_seed);
         let mfg = sampler.sample(batch, &mut rng);
-        let x = Self::gather_features_from(feats, &mfg);
+        let x = Self::gather_into_slot(feats, &mfg, slot);
         let labels: Arc<Vec<u32>> =
             Arc::new(mfg.seeds().iter().map(|&v| ds.labels[v as usize]).collect());
-        (mfg, x, labels)
+        Batch { mfg, x, labels }
     }
 
     /// Runs one epoch of minibatch SGD; returns loss stats.
@@ -263,41 +281,47 @@ impl<'a> Trainer<'a> {
         let mut batches = 0usize;
         // Prepare one wave of batches ahead of the sequential model
         // updates; wave size = worker budget keeps at most one wave of
-        // MFGs and gathered features resident.
+        // MFGs and gathered features resident. Lane `j` of every wave
+        // reuses lane `j`'s feature buffer from the wave before.
         let _epoch_span = spp_telemetry::span!("gnn.trainer.epoch");
         let batches_counter = spp_telemetry::metrics::counter("gnn.trainer.batches");
-        for (wave_idx, wave) in batch_list.chunks(pool.workers().max(1)).enumerate() {
-            let base = wave_idx * pool.workers().max(1);
-            let prepped = {
+        let width = pool.workers().max(1);
+        let mut lanes: Vec<Option<Batch>> = (0..width).map(|_| None).collect();
+        let cuts: Vec<usize> = (1..=width).collect();
+        for (wave_idx, wave) in batch_list.chunks(width).enumerate() {
+            let base = wave_idx * width;
+            let lanes = &mut lanes[..wave.len()];
+            {
                 let _prep = spp_telemetry::span!("gnn.trainer.wave_prep");
-                pool.run_jobs(wave.len(), |j| {
-                    Self::prepare_batch(
-                        ds,
-                        feats,
-                        &sampler,
-                        seed,
-                        epoch,
-                        (base + j) as u64,
-                        &wave[j],
-                    )
-                })
-            };
+                pool.par_chunks(lanes, &cuts[..wave.len()], |j, _, lane| {
+                    let slot = lane[0].take().map_or_else(Vec::new, |b| b.x.into_flat());
+                    let stream = batch_stream_seed(seed, epoch, (base + j) as u64);
+                    lane[0] = Some(Self::prepare_batch(
+                        ds, feats, &sampler, stream, &wave[j], slot,
+                    ));
+                });
+            }
             let _update = spp_telemetry::span!("gnn.trainer.wave_update");
-            batches_counter.add(prepped.len() as u64);
-            for (j, (mfg, x, labels)) in prepped.into_iter().enumerate() {
+            batches_counter.add(wave.len() as u64);
+            for (j, lane) in lanes.iter_mut().enumerate() {
+                let Some(batch) = lane else { continue };
                 let mut model_rng = StdRng::seed_from_u64(batch_stream_seed(
                     seed ^ MODEL_STREAM_SALT,
                     epoch,
                     (base + j) as u64,
                 ));
-                let mut fwd = self.model.forward(x, &mfg, true, &mut model_rng);
-                let loss = fwd.tape.softmax_cross_entropy(fwd.logits, labels);
+                let x = std::mem::replace(&mut batch.x, Matrix::empty());
+                let mut fwd = self.model.forward(x, &batch.mfg, true, &mut model_rng);
+                let loss = fwd
+                    .tape
+                    .softmax_cross_entropy(fwd.logits, Arc::clone(&batch.labels));
                 total_loss += fwd.tape.value(loss).get(0, 0) as f64;
                 fwd.tape.backward(loss);
                 self.model.accumulate_grads(&fwd);
                 let mut params = self.model.params_mut();
                 opt.step(&mut params);
                 batches += 1;
+                batch.x = fwd.into_input();
             }
         }
         EpochStats {
@@ -346,17 +370,26 @@ impl<'a> Trainer<'a> {
         let ds = self.ds;
         let feats: &dyn FeatureStore = self.store.unwrap_or(&self.ds.features);
         let model = &self.model;
-        let per_batch = self.pool().run_jobs(batch_list.len(), |b| {
-            let mut rng = StdRng::seed_from_u64(batch_stream_seed(seed, 0, b as u64));
-            let mfg = sampler.sample(&batch_list[b], &mut rng);
-            let x = Self::gather_features_from(feats, &mfg);
-            let fwd = model.forward(x, &mfg, false, &mut rng);
-            let preds = predictions(fwd.logits_value());
-            let labels: Vec<u32> = mfg.seeds().iter().map(|&v| ds.labels[v as usize]).collect();
-            (preds, labels)
+        // One job per contiguous batch range, each recycling one feature
+        // slot across its batches; ranges merge back in batch order.
+        let pool = self.pool();
+        let ranges = even_ranges(batch_list.len(), pool.workers().min(batch_list.len()));
+        let per_range = pool.run_jobs(ranges.len(), |r| {
+            let mut slot = Vec::new();
+            let mut out = Vec::with_capacity(ranges[r].len());
+            for b in ranges[r].clone() {
+                let stream = batch_stream_seed(seed, 0, b as u64);
+                let Batch { mfg, x, labels } =
+                    Self::prepare_batch(ds, feats, &sampler, stream, &batch_list[b], slot);
+                // Evaluation mode: dropout is off, so no stream is drawn.
+                let fwd = model.forward(x, &mfg, false, &mut StdRng::seed_from_u64(0));
+                out.push((predictions(fwd.logits_value()), labels));
+                slot = fwd.into_input().into_flat();
+            }
+            out
         });
         let mut meter = AccuracyMeter::new();
-        for (preds, labels) in &per_batch {
+        for (preds, labels) in per_range.iter().flatten() {
             meter.update(preds, labels);
         }
         meter.value()
@@ -470,6 +503,23 @@ mod tests {
             assert_eq!(reference.val_accuracy, got.val_accuracy);
             assert_eq!(reference.test_accuracy, got.test_accuracy);
         }
+    }
+
+    #[test]
+    fn recycled_slot_never_shows_stale_rows() {
+        // A slot that held a large batch (and NaN garbage beyond it) is
+        // handed to a small batch: the result must equal a fresh gather.
+        let ds = SyntheticSpec::new("t", 300, 8.0, 6, 3).seed(8).build();
+        let sampler = NodeWiseSampler::new(&ds.graph, Fanouts::new(vec![6, 6]));
+        let large = sampler.sample(&ds.split.train[..20], &mut StdRng::seed_from_u64(1));
+        let small = sampler.sample(&ds.split.train[..3], &mut StdRng::seed_from_u64(2));
+        assert!(small.num_nodes() < large.num_nodes());
+        let mut slot = Trainer::gather_into_slot(&ds.features, &large, Vec::new()).into_flat();
+        slot.extend([f32::NAN; 64]);
+        let reused = Trainer::gather_into_slot(&ds.features, &small, slot);
+        let fresh = Trainer::gather_features_from(&ds.features, &small);
+        assert_eq!(reused.shape(), fresh.shape());
+        assert_eq!(reused.as_flat(), fresh.as_flat());
     }
 
     #[test]

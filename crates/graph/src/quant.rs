@@ -16,9 +16,10 @@
 //!   `min` and `scale = (max − min)/255` as `f32` plus one `i8` code per
 //!   element; absolute error is ≤ `scale/2`.
 //!
-//! Both decode paths are branch-free 8-lane chunked loops writing into a
-//! caller-provided buffer ([`QuantizedFeatures::read_row_into`]), so
-//! cache gathers stay allocation-free (the H1 hot-path rule).
+//! Both decode paths are branch-free slice loops ([`decode_f16_slice`],
+//! [`decode_i8_slice`] — shared with the paged store's row codec) writing
+//! into a caller-provided buffer ([`QuantizedFeatures::read_row_into`]),
+//! so cache gathers stay allocation-free (the H1 hot-path rule).
 //!
 //! Determinism: encoding is a pure element-wise function of the input
 //! bits, and decoding a pure function of the stored code — no
@@ -27,9 +28,6 @@
 //! `f32` storage.
 
 use crate::dataset::FeatureMatrix;
-
-/// Lane width of the chunked encode/decode loops.
-const LANES: usize = 8;
 
 /// Storage format for a feature tier or the remote-fetch wire.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -119,23 +117,62 @@ pub fn f32_to_f16_bits(x: f32) -> u16 {
 
 /// Converts IEEE binary16 bits back to `f32` (exact — every f16 value is
 /// representable in f32).
+///
+/// Select form, no data-dependent branch: the three exponent classes
+/// (normal, zero/subnormal, Inf/NaN) are all computed and blended with
+/// masks, so slice loops over it vectorize. Subnormals renormalize
+/// through an FP subtract of two *normal* operands (`2⁻¹⁴·(1 + m/1024) −
+/// 2⁻¹⁴`), which — unlike scaling the raw bits by 2¹¹² — never feeds the
+/// FPU a denormal and so never takes a microcode assist.
 #[inline]
 pub fn f16_bits_to_f32(h: u16) -> f32 {
     const MAGIC_BITS: u32 = 113 << 23;
     const SHIFTED_EXP: u32 = 0x7c00 << 13;
 
-    let mut bits = ((h as u32) & 0x7fff) << 13;
-    let exp = bits & SHIFTED_EXP;
-    bits = bits.wrapping_add((127 - 15) << 23);
-    if exp == SHIFTED_EXP {
-        // Inf / NaN: re-adjust to the f32 all-ones exponent.
-        bits = bits.wrapping_add((128 - 16) << 23);
-    } else if exp == 0 {
-        // Zero / subnormal: renormalize through an FP subtract.
-        bits = bits.wrapping_add(1 << 23);
-        bits = (f32::from_bits(bits) - f32::from_bits(MAGIC_BITS)).to_bits();
-    }
+    let em = ((h as u32) & 0x7fff) << 13;
+    let exp = em & SHIFTED_EXP;
+    // Normal: rebias the exponent; Inf/NaN: rebias again to all-ones.
+    let inf_nan = u32::from(exp == SHIFTED_EXP).wrapping_neg();
+    let rebased = em + ((127 - 15) << 23) + (inf_nan & ((128 - 16) << 23));
+    let renorm = (f32::from_bits(em + MAGIC_BITS) - f32::from_bits(MAGIC_BITS)).to_bits();
+    let subnormal = u32::from(exp == 0).wrapping_neg();
+    let bits = (renorm & subnormal) | (rebased & !subnormal);
     f32::from_bits(bits | ((h as u32 & 0x8000) << 16))
+}
+
+/// Decodes binary16 codes into `out`, one element per code — the one
+/// f16 slice decoder behind both the in-RAM tier (`&[u16]` codes) and
+/// the paged store's little-endian row bytes.
+///
+/// # Panics
+///
+/// Panics if `codes` does not yield exactly `out.len()` items.
+#[inline]
+pub fn decode_f16_slice(codes: impl ExactSizeIterator<Item = u16>, out: &mut [f32]) {
+    assert_eq!(codes.len(), out.len(), "f16 decode length mismatch");
+    for (o, h) in out.iter_mut().zip(codes) {
+        *o = f16_bits_to_f32(h);
+    }
+}
+
+/// Decodes per-row affine `i8` codes (`(code + 128) · scale + min`)
+/// into `out` — shared by the in-RAM tier and the paged store, whose
+/// code bytes are the same `i8`s viewed as `u8`.
+///
+/// # Panics
+///
+/// Panics if `codes` does not yield exactly `out.len()` items.
+#[inline]
+pub fn decode_i8_slice(
+    codes: impl ExactSizeIterator<Item = i8>,
+    min: f32,
+    scale: f32,
+    out: &mut [f32],
+) {
+    assert_eq!(codes.len(), out.len(), "i8 decode length mismatch");
+    for (o, c) in out.iter_mut().zip(codes) {
+        *o = (c as i32 + 128) as f32 * scale + min;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -260,7 +297,7 @@ impl QuantizedFeatures {
         }
     }
 
-    /// Decodes slot `slot` into `out` (8-lane chunked, allocation-free).
+    /// Decodes slot `slot` into `out` (allocation-free).
     ///
     /// # Panics
     ///
@@ -273,40 +310,14 @@ impl QuantizedFeatures {
         match &self.storage {
             Storage::F32(d) => out.copy_from_slice(&d[slot * dim..(slot + 1) * dim]),
             Storage::F16(d) => {
-                let src = &d[slot * dim..(slot + 1) * dim];
-                let mut out_chunks = out.chunks_exact_mut(LANES);
-                let mut src_chunks = src.chunks_exact(LANES);
-                for (o8, s8) in (&mut out_chunks).zip(&mut src_chunks) {
-                    for l in 0..LANES {
-                        o8[l] = f16_bits_to_f32(s8[l]);
-                    }
-                }
-                for (o, &s) in out_chunks
-                    .into_remainder()
-                    .iter_mut()
-                    .zip(src_chunks.remainder())
-                {
-                    *o = f16_bits_to_f32(s);
-                }
+                decode_f16_slice(d[slot * dim..(slot + 1) * dim].iter().copied(), out);
             }
-            Storage::I8 { codes, min, scale } => {
-                let src = &codes[slot * dim..(slot + 1) * dim];
-                let (lo, s) = (min[slot], scale[slot]);
-                let mut out_chunks = out.chunks_exact_mut(LANES);
-                let mut src_chunks = src.chunks_exact(LANES);
-                for (o8, s8) in (&mut out_chunks).zip(&mut src_chunks) {
-                    for l in 0..LANES {
-                        o8[l] = (s8[l] as i32 + 128) as f32 * s + lo;
-                    }
-                }
-                for (o, &c) in out_chunks
-                    .into_remainder()
-                    .iter_mut()
-                    .zip(src_chunks.remainder())
-                {
-                    *o = (c as i32 + 128) as f32 * s + lo;
-                }
-            }
+            Storage::I8 { codes, min, scale } => decode_i8_slice(
+                codes[slot * dim..(slot + 1) * dim].iter().copied(),
+                min[slot],
+                scale[slot],
+                out,
+            ),
         }
     }
 
@@ -352,6 +363,47 @@ pub fn wire_roundtrip(row: &mut [f32], scheme: QuantScheme) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The branching scalar decoder the select form replaced, kept as
+    /// the reference the exhaustive test compares against.
+    fn f16_bits_to_f32_branching(h: u16) -> f32 {
+        const MAGIC_BITS: u32 = 113 << 23;
+        const SHIFTED_EXP: u32 = 0x7c00 << 13;
+        let mut bits = ((h as u32) & 0x7fff) << 13;
+        let exp = bits & SHIFTED_EXP;
+        bits = bits.wrapping_add((127 - 15) << 23);
+        if exp == SHIFTED_EXP {
+            bits = bits.wrapping_add((128 - 16) << 23);
+        } else if exp == 0 {
+            bits = bits.wrapping_add(1 << 23);
+            bits = (f32::from_bits(bits) - f32::from_bits(MAGIC_BITS)).to_bits();
+        }
+        f32::from_bits(bits | ((h as u32 & 0x8000) << 16))
+    }
+
+    #[test]
+    fn select_form_decodes_all_65536_patterns_to_the_same_bits() {
+        // Scalar and slice entry points, every pattern: NaN payloads,
+        // ±0, subnormals, ±Inf included.
+        let codes: Vec<u16> = (0..=u16::MAX).collect();
+        let mut sliced = vec![0.0f32; codes.len()];
+        decode_f16_slice(codes.iter().copied(), &mut sliced);
+        for (&h, &got) in codes.iter().zip(&sliced) {
+            let want = f16_bits_to_f32_branching(h).to_bits();
+            assert_eq!(f16_bits_to_f32(h).to_bits(), want, "scalar h={h:#06x}");
+            assert_eq!(got.to_bits(), want, "slice h={h:#06x}");
+        }
+    }
+
+    #[test]
+    fn i8_slice_decodes_every_code() {
+        let codes: Vec<i8> = (i8::MIN..=i8::MAX).collect();
+        let mut out = vec![0.0f32; 256];
+        decode_i8_slice(codes.iter().copied(), -1.5, 0.25, &mut out);
+        for (k, &v) in out.iter().enumerate() {
+            assert_eq!(v.to_bits(), (k as f32 * 0.25 + -1.5).to_bits(), "code {k}");
+        }
+    }
 
     #[test]
     fn f16_round_trip_is_exact_for_all_half_values() {

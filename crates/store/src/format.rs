@@ -8,7 +8,8 @@
 //! * `pages.bin` — `num_pages` fixed-size pages of `page_bytes` bytes.
 //!   Rows never span pages (`page_bytes = page_rows × row_bytes`); the
 //!   last page is zero-padded. Row `v` lives at byte offset
-//!   `(v / page_rows) * page_bytes + (v % page_rows) * row_bytes`.
+//!   `(v / page_rows) * page_bytes + (v % page_rows) * row_bytes`
+//!   `= v * row_bytes`.
 //!
 //! Row encodings are little-endian and reuse the exact arithmetic of
 //! [`spp_graph::QuantizedFeatures`] (DESIGN.md §14), so a store round
@@ -24,7 +25,7 @@
 //! or truncated store must never panic the reader (the SPPD contract
 //! from `spp_graph::io` extended to store artifacts).
 
-use spp_graph::quant::{f16_bits_to_f32, f32_to_f16_bits};
+use spp_graph::quant::{decode_f16_slice, decode_i8_slice, f32_to_f16_bits};
 use spp_graph::QuantScheme;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -138,10 +139,13 @@ impl StoreMeta {
         v / self.page_rows
     }
 
-    /// Byte offset of row `v` inside `pages.bin`.
+    /// Byte offset of row `v` inside `pages.bin`. Pages hold whole rows
+    /// with no padding between them (`page_bytes = page_rows ×
+    /// row_bytes`; only the last page is padded, after its rows), so
+    /// page and in-page offsets collapse to `v × row_bytes`.
     #[inline]
     pub fn row_offset(&self, v: usize) -> usize {
-        self.page_of(v) * self.page_bytes() + (v % self.page_rows) * self.row_bytes()
+        v * self.row_bytes()
     }
 
     /// Writes `header.bin` under `dir`.
@@ -292,8 +296,8 @@ pub fn encode_row(scheme: QuantScheme, row: &[f32], out: &mut [u8]) {
 }
 
 /// Decodes one on-disk row into `out` (allocation-free; the paged-read
-/// hot path funnels here). The `i8`/`f16` arithmetic mirrors
-/// [`spp_graph::QuantizedFeatures::read_row_into`] exactly.
+/// hot path funnels here). The `i8`/`f16` arithmetic is the slice codec
+/// [`spp_graph::QuantizedFeatures::read_row_into`] decodes through.
 ///
 /// # Panics
 ///
@@ -310,17 +314,16 @@ pub fn decode_row(scheme: QuantScheme, bytes: &[u8], out: &mut [f32]) {
                 *o = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
             }
         }
-        QuantScheme::F16 => {
-            for (o, b) in out.iter_mut().zip(bytes.chunks_exact(2)) {
-                *o = f16_bits_to_f32(u16::from_le_bytes([b[0], b[1]]));
-            }
-        }
+        QuantScheme::F16 => decode_f16_slice(
+            bytes
+                .chunks_exact(2)
+                .map(|b| u16::from_le_bytes([b[0], b[1]])),
+            out,
+        ),
         QuantScheme::I8 => {
             let lo = f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
             let s = f32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-            for (o, &b) in out.iter_mut().zip(&bytes[8..]) {
-                *o = ((b as i8) as i32 + 128) as f32 * s + lo;
-            }
+            decode_i8_slice(bytes[8..].iter().map(|&b| b as i8), lo, s, out);
         }
     }
 }

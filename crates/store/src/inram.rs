@@ -4,10 +4,12 @@
 //! This is the upper-bound baseline for the out-of-core experiments
 //! (every page touch is tracked, but reads never hit the filesystem)
 //! and the reference backend for the Mmap bit-identity tests — both
-//! decode through [`format::decode_row`] over the identical page
-//! layout.
+//! go through the same page-run walker ([`crate::runs`]) and
+//! [`format::decode_row`] over the identical page layout; a run here is
+//! a borrowed slice of the resident payload instead of a read.
 
 use crate::format::{self, StoreMeta};
+use crate::runs::{gather_runs, Payload};
 use crate::tracker::PageTracker;
 use crate::{FeatureStore, StoreStats};
 use spp_graph::{FeatureMatrix, QuantScheme, VertexId};
@@ -73,6 +75,12 @@ impl InRamStore {
     }
 }
 
+impl Payload for [u8] {
+    fn run_bytes<'a>(&'a self, off: usize, len: usize, _buf: &'a mut Vec<u8>) -> &'a [u8] {
+        &self[off..off + len]
+    }
+}
+
 impl FeatureStore for InRamStore {
     fn num_rows(&self) -> usize {
         self.meta.rows
@@ -91,12 +99,14 @@ impl FeatureStore for InRamStore {
     /// Panics if `v` is out of range or `out.len() != dim`.
     // spp-hot(store.read_row.inram)
     fn read_row_into(&self, v: VertexId, out: &mut [f32]) {
-        let v = v as usize;
-        assert!(v < self.meta.rows, "row {v} out of range");
-        self.tracker.record(self.meta.page_of(v));
-        let off = self.meta.row_offset(v);
-        let bytes = &self.pages[off..off + self.meta.row_bytes()];
-        format::decode_row(self.meta.scheme, bytes, out);
+        self.gather_into(&[v], out);
+    }
+
+    /// # Panics
+    ///
+    /// Panics if any id is out of range or `out.len() != ids.len() × dim`.
+    fn gather_into(&self, ids: &[VertexId], out: &mut [f32]) {
+        gather_runs(&self.meta, &self.tracker, self.pages.as_slice(), ids, out);
     }
 
     fn begin_epoch(&self) {

@@ -39,6 +39,7 @@ pub mod builder;
 pub mod format;
 pub mod inram;
 pub mod mmap;
+mod runs;
 pub mod stream;
 pub mod tracker;
 
@@ -49,13 +50,15 @@ pub use mmap::MmapStore;
 pub use stream::StreamingCsrBuilder;
 
 use spp_graph::{FeatureMatrix, Permutation, QuantScheme, VertexId};
+use std::cell::RefCell;
 
 /// Cumulative page-touch totals for one store (see
 /// [`tracker::PageTracker`]); per-epoch figures are deltas between
 /// snapshots.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Row reads that touched a page (one per `read_row_into`).
+    /// Row reads that touched a page (one per requested row, whether
+    /// read singly or through a batched `gather_into`).
     pub pages_read: u64,
     /// Page touches that missed the epoch's modeled resident set.
     pub pages_faulted: u64,
@@ -101,8 +104,9 @@ impl StoreStats {
 /// Random access to feature rows, independent of where the bytes live.
 ///
 /// Implementations decode into caller buffers without allocating, so
-/// batch gathers can reuse scratch (the hot-path contract pinned by the
-/// `store.read_row` hot-path roots and the alloc-count test).
+/// batch gathers can reuse one output slot (the hot-path contract pinned
+/// by the `store.read_row.*` / `store.gather.mmap` hot-path roots and
+/// the alloc-count test).
 pub trait FeatureStore: Send + Sync {
     /// Number of feature rows.
     fn num_rows(&self) -> usize;
@@ -120,13 +124,32 @@ pub trait FeatureStore: Send + Sync {
     /// Panics if `v` is out of range or `out.len() != self.dim()`.
     fn read_row_into(&self, v: VertexId, out: &mut [f32]);
 
+    /// Decodes rows `ids` into `out`, row `i` of `out` = row `ids[i]` —
+    /// the read primitive: every batch consumer (the default
+    /// [`FeatureStore::gather`], trainer batch preparation, `io_bench`)
+    /// goes through it, and this default body is the workspace's one
+    /// per-row gather loop. Paged backends override it with page-run
+    /// reads ([`MmapStore`]: one positioned read per run of adjacent
+    /// touched pages) whose [`StoreStats`] are exactly those of the
+    /// per-row loop. An empty `ids` is a no-op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != ids.len() × dim` ("gather output length
+    /// mismatch") or any id is out of range.
+    fn gather_into(&self, ids: &[VertexId], out: &mut [f32]) {
+        let dim = self.dim();
+        assert_eq!(out.len(), ids.len() * dim, "gather output length mismatch");
+        for (&v, row) in ids.iter().zip(out.chunks_exact_mut(dim)) {
+            self.read_row_into(v, row);
+        }
+    }
+
     /// Gathers `ids` into a dense matrix (row `i` = row `ids[i]`).
     fn gather(&self, ids: &[VertexId]) -> FeatureMatrix {
-        let mut m = FeatureMatrix::zeros(ids.len(), self.dim());
-        for (i, &v) in ids.iter().enumerate() {
-            self.read_row_into(v, m.row_mut(i as VertexId));
-        }
-        m
+        let mut flat = vec![0.0f32; ids.len() * self.dim()];
+        self.gather_into(ids, &mut flat);
+        FeatureMatrix::from_flat(flat, self.dim())
     }
 
     /// Starts a new access epoch (drops the modeled resident set).
@@ -176,6 +199,12 @@ pub struct PermutedStore<'a> {
     perm: &'a Permutation,
 }
 
+thread_local! {
+    /// Per-thread physical-id list of the [`PermutedStore`] gather in
+    /// flight, grown once to the largest batch.
+    static MAPPED_IDS: RefCell<Vec<VertexId>> = const { RefCell::new(Vec::new()) };
+}
+
 impl<'a> PermutedStore<'a> {
     /// Wraps `inner` (built in `perm`'s new-id order) for access by
     /// old ids.
@@ -209,6 +238,24 @@ impl FeatureStore for PermutedStore<'_> {
     // spp-hot(store.read_row.permuted)
     fn read_row_into(&self, v: VertexId, out: &mut [f32]) {
         self.inner.read_row_into(self.perm.to_new(v), out);
+    }
+
+    /// Maps the whole id list once and forwards it, so a reordered
+    /// paged store keeps its page-run reads.
+    // spp-hot(store.gather.permuted)
+    fn gather_into(&self, ids: &[VertexId], out: &mut [f32]) {
+        // Taken out of the cell while in use, so a nested view's gather
+        // on this thread finds an (empty) buffer instead of a live borrow.
+        let mut mapped = MAPPED_IDS.take();
+        mapped.clear();
+        let rows = self.perm.len();
+        let physical = ids.iter().map(|&v| {
+            assert!((v as usize) < rows, "row {v} out of range");
+            self.perm.to_new(v)
+        });
+        mapped.extend(physical); // spp-hot: alloc(thread-local, grown once)
+        self.inner.gather_into(&mapped, out);
+        MAPPED_IDS.set(mapped);
     }
 
     fn begin_epoch(&self) {

@@ -9,23 +9,49 @@
 //! deterministic epoch tracker instead of the OS page cache (see
 //! [`crate::tracker`] for why).
 //!
-//! The row scratch is thread-local and grown once per thread, so after
-//! warmup a row read performs zero heap allocations — pinned by the
-//! `alloc_count` integration test and the `store.read_row.mmap` hot
-//! root.
+//! Reads are batch-granular: [`FeatureStore::gather_into`] hands the
+//! whole id list to the page-run walker ([`crate::runs`]), which issues
+//! **one positioned read per run of adjacent touched pages** (first to
+//! last requested row of the run) instead of one per row, and decodes
+//! every row from the run buffer straight into the caller's output. A
+//! sampled minibatch touches most pages of a hot region, so a batch of
+//! tens of thousands of rows costs a few hundred syscalls.
+//! `read_row_into` is the one-id case of the same walk. Tracker totals
+//! are exactly those of per-row reads (the walker's accounting
+//! invariant).
+//!
+//! The walker's key and run buffers are thread-local and grown once per
+//! thread, so after warmup a gather performs zero heap allocations —
+//! pinned by the `alloc` integration test and the `store.gather.mmap` /
+//! `store.read_row.mmap` hot roots.
+//!
+//! Unhappy path: the payload size is validated at `open`; if the file
+//! shrinks or becomes unreadable afterwards, the first affected run
+//! panics with its offset and length — a gather never returns rows it
+//! could not read.
 
 use crate::format::{self, StoreMeta};
+use crate::runs::{gather_runs, Payload};
 use crate::tracker::PageTracker;
 use crate::{FeatureStore, StoreStats};
 use spp_graph::{QuantScheme, VertexId};
-use std::cell::RefCell;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
-thread_local! {
-    /// Per-thread encoded-row buffer, grown to `row_bytes` on first use.
-    static ROW_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+impl Payload for File {
+    fn run_bytes<'a>(&'a self, off: usize, len: usize, buf: &'a mut Vec<u8>) -> &'a [u8] {
+        // Thread-local and only ever grown, so steady-state runs reuse it.
+        if buf.len() < len {
+            buf.resize(len, 0);
+        }
+        let read = self.read_exact_at(&mut buf[..len], off as u64);
+        assert!(
+            read.is_ok(),
+            "store payload read of {len} bytes at offset {off} failed: {read:?}"
+        );
+        &buf[..len]
+    }
 }
 
 /// Paged feature rows left on disk and fetched per read.
@@ -87,21 +113,17 @@ impl FeatureStore for MmapStore {
     /// so a failure here means the file changed underneath us).
     // spp-hot(store.read_row.mmap)
     fn read_row_into(&self, v: VertexId, out: &mut [f32]) {
-        let v = v as usize;
-        assert!(v < self.meta.rows, "row {v} out of range");
-        self.tracker.record(self.meta.page_of(v));
-        let row_bytes = self.meta.row_bytes();
-        let off = self.meta.row_offset(v) as u64;
-        ROW_SCRATCH.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            buf.resize(row_bytes, 0);
-            let read = self.file.read_exact_at(&mut buf[..row_bytes], off);
-            assert!(
-                read.is_ok(),
-                "store payload read failed at offset {off}: {read:?}"
-            );
-            format::decode_row(self.meta.scheme, &buf[..row_bytes], out);
-        });
+        self.gather_into(&[v], out);
+    }
+
+    /// # Panics
+    ///
+    /// Panics if any id is out of range or `out.len() != ids.len() × dim`
+    /// (both before any read is issued), or if a run's positioned read
+    /// fails.
+    // spp-hot(store.gather.mmap)
+    fn gather_into(&self, ids: &[VertexId], out: &mut [f32]) {
+        gather_runs(&self.meta, &self.tracker, &self.file, ids, out);
     }
 
     fn begin_epoch(&self) {

@@ -59,21 +59,31 @@ impl PageTracker {
 
     /// Records one read touching `page`. Returns `true` when the touch
     /// was a fault (first touch this epoch).
-    // spp-hot(store.page_touch)
     #[inline]
     pub fn record(&self, page: usize) -> bool {
+        self.record_rows(page, 1)
+    }
+
+    /// Records `n ≥ 1` row reads that all touch `page` — the batched
+    /// form the page-run walker uses: one stamp update and one add per
+    /// tally however many rows the page serves. Totals equal `n` calls
+    /// of [`PageTracker::record`]: at most the first touch of the epoch
+    /// faults, the other `n − 1` (or all `n`) are hits. Returns `true`
+    /// when the page faulted.
+    // spp-hot(store.page_touch)
+    #[inline]
+    pub fn record_rows(&self, page: usize, n: u64) -> bool {
         let epoch = self.epoch.load_relaxed(); // spp-sync: relaxed(epoch only advances between quiesced epochs; any recent value yields valid counts)
-        self.pages_read.fetch_add_relaxed(1); // spp-sync: relaxed(monotonic tally; no ordering dependents)
-        self.c_read.inc();
+        self.pages_read.fetch_add_relaxed(n); // spp-sync: relaxed(monotonic tally; no ordering dependents)
+        self.c_read.add(n);
         let prev = self.stamps[page].fetch_max_relaxed(epoch); // spp-sync: relaxed(fetch_max serializes racing first-touches; exactly one caller sees prev < epoch)
         let fault = prev < epoch;
         if fault {
             self.pages_faulted.fetch_add_relaxed(1); // spp-sync: relaxed(monotonic tally; no ordering dependents)
             self.c_fault.inc();
             self.c_bytes.add(self.page_bytes);
-        } else {
-            self.c_hit.inc();
         }
+        self.c_hit.add(n - u64::from(fault));
         fault
     }
 
@@ -105,6 +115,8 @@ impl PageTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use spp_graph::QuantScheme;
 
     fn tracker(pages: usize) -> PageTracker {
@@ -133,6 +145,79 @@ mod tests {
         t.begin_epoch();
         assert!(t.record(1), "new epoch must re-fault");
         assert_eq!(t.stats().pages_faulted, 2);
+    }
+
+    /// Seeded page multiset with duplicates.
+    fn page_multiset(seed: u64, len: usize, pages: usize) -> Vec<usize> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..len).map(|_| rng.gen_range(0..pages)).collect()
+    }
+
+    /// Charges `touches` the way the page-run walker does: sorted, one
+    /// `record_rows` per distinct page.
+    fn record_batched(t: &PageTracker, touches: &[usize]) {
+        let mut sorted = touches.to_vec();
+        sorted.sort_unstable();
+        for group in sorted.chunk_by(|a, b| a == b) {
+            t.record_rows(group[0], group.len() as u64);
+        }
+    }
+
+    #[test]
+    fn batched_accounting_equals_per_row_accounting() {
+        for seed in 0..16u64 {
+            let (per_row, batched) = (tracker(24), tracker(24));
+            for epoch in 0..2u64 {
+                let touches = page_multiset(seed * 2 + epoch, 300, 24);
+                for &p in &touches {
+                    per_row.record(p);
+                }
+                // Several batches per epoch, so pages repeat across calls.
+                for batch in touches.chunks(70) {
+                    record_batched(&batched, batch);
+                }
+                assert_eq!(
+                    per_row.stats(),
+                    batched.stats(),
+                    "seed {seed} epoch {epoch}"
+                );
+                per_row.begin_epoch();
+                batched.begin_epoch();
+            }
+        }
+    }
+
+    #[test]
+    fn batched_accounting_equals_per_row_accounting_across_8_threads() {
+        let (per_row, batched) = (tracker(32), tracker(32));
+        for epoch in 0..2u64 {
+            let shares: Vec<Vec<usize>> = (0..8)
+                .map(|w| page_multiset(epoch * 8 + w, 500, 32))
+                .collect();
+            std::thread::scope(|s| {
+                for share in &shares {
+                    let (per_row, batched) = (&per_row, &batched);
+                    s.spawn(move || {
+                        for &p in share {
+                            per_row.record(p);
+                        }
+                        for batch in share.chunks(90) {
+                            record_batched(batched, batch);
+                        }
+                    });
+                }
+            });
+            let st = batched.stats();
+            assert_eq!(per_row.stats(), st, "epoch {epoch}");
+            assert_eq!(st.pages_read, (epoch + 1) * 8 * 500);
+            assert_eq!(
+                st.pages_faulted,
+                (epoch + 1) * 32,
+                "every page once per epoch"
+            );
+            per_row.begin_epoch();
+            batched.begin_epoch();
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Pins the paged-gather hot-path contract: after warmup, reading rows
-//! through any backend performs zero heap allocations per read (the
-//! `spp-hot(store.read_row.*)` roots). A counting global allocator
+//! through any backend — one at a time or a batch per `gather_into` —
+//! performs zero heap allocations (the `spp-hot(store.read_row.*)` and
+//! `spp-hot(store.gather.mmap)` roots). A counting global allocator
 //! makes the claim a hard test instead of a code-review convention.
 
 // Tests assert by panicking; the workspace panic-family denies apply
@@ -63,9 +64,18 @@ fn row_reads_do_not_allocate_after_warmup() {
         let mmap = MmapStore::open(&dir).unwrap();
         let perm = Permutation::identity(rows);
         let permuted = PermutedStore::new(&mmap, &perm);
-        let stores: [(&str, &dyn FeatureStore); 3] =
-            [("inram", &inram), ("mmap", &mmap), ("permuted", &permuted)];
+        let stores: [(&str, &dyn FeatureStore); 4] = [
+            ("matrix", &feats),
+            ("inram", &inram),
+            ("mmap", &mmap),
+            ("permuted", &permuted),
+        ];
         let mut out = vec![0.0f32; dim];
+        // Unsorted with duplicates, spanning every page.
+        let batch: Vec<u32> = (0..2 * rows as u32)
+            .map(|i| (i * 37) % rows as u32)
+            .collect();
+        let mut batch_out = vec![0.0f32; batch.len() * dim];
         for (name, store) in stores {
             // Warmup: first read may size thread-local scratch.
             for v in 0..rows as u32 {
@@ -80,6 +90,21 @@ fn row_reads_do_not_allocate_after_warmup() {
                 after - before,
                 0,
                 "{name}/{scheme:?}: row reads allocated after warmup"
+            );
+
+            // Batched reads: the first gather sizes the thread-local key
+            // and run buffers (and the view's id map); smaller, equal and
+            // differently ordered batches after it reuse them.
+            store.gather_into(&batch, &mut batch_out);
+            let before = allocs();
+            for round in 0..4 {
+                let ids = &batch[round * 7..];
+                store.gather_into(ids, &mut batch_out[..ids.len() * dim]);
+            }
+            assert_eq!(
+                allocs() - before,
+                0,
+                "{name}/{scheme:?}: gather_into allocated after warmup"
             );
         }
     }

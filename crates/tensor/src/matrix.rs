@@ -173,6 +173,12 @@ impl Matrix {
         &mut self.data
     }
 
+    /// Consumes the matrix, returning its row-major buffer (the inverse
+    /// of [`Matrix::from_flat`]) so callers can recycle the storage.
+    pub fn into_flat(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Matrix product `self @ other` with an ikj loop order (streams the
     /// output row, cache-friendly for row-major data), on the global
     /// worker pool.

@@ -135,6 +135,14 @@ impl Tape {
         &self.nodes[id.0].value
     }
 
+    /// Moves a node's forward value out of the tape, leaving an empty
+    /// matrix behind — for callers that lent the tape a large input
+    /// buffer and want the storage back once the pass is over. Ops
+    /// recorded or differentiated after this see the empty value.
+    pub fn take_value(&mut self, id: NodeId) -> Matrix {
+        std::mem::replace(&mut self.nodes[id.0].value, Matrix::empty())
+    }
+
     /// The gradient of a node after [`Tape::backward`], if it received one.
     pub fn grad(&self, id: NodeId) -> Option<&Matrix> {
         self.nodes[id.0].grad.as_ref()
