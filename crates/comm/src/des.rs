@@ -72,6 +72,12 @@ impl DesEngine {
         self.trace = Some(Vec::new());
     }
 
+    /// True once [`DesEngine::enable_trace`] was called — lets callers
+    /// skip building labels nobody will read.
+    pub fn tracing(&self) -> bool {
+        self.trace.is_some()
+    }
+
     /// The recorded trace (empty if tracing was never enabled).
     pub fn trace(&self) -> &[TraceEntry] {
         self.trace.as_deref().unwrap_or(&[])

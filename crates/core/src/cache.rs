@@ -58,43 +58,24 @@ impl CacheBuilder {
         StaticCache::from_members(&ranking[..cap])
     }
 
-    /// Like [`CacheBuilder::build`], additionally materializing the
-    /// dense O(1) membership index over the builder's full vertex-id
-    /// space (see [`StaticCache::with_dense_index`]). This is the
-    /// representation the serving hot loop wants: membership tests per
-    /// MFG vertex become a single array load instead of a hash probe.
-    pub fn build_dense(&self, ranking: &[VertexId]) -> StaticCache {
-        self.build(ranking).with_dense_index(self.num_vertices)
-    }
-
     /// Builds caches for all partitions.
     pub fn build_all(&self, rankings: &[Vec<VertexId>]) -> Vec<StaticCache> {
         rankings.iter().map(|r| self.build(r)).collect()
     }
 }
 
-/// Sentinel slot value marking "not cached" in the dense index.
-const NO_SLOT: u32 = u32::MAX;
-
 /// One machine's static cache of remote vertex features: a membership
 /// index mapping cached global vertex ids to cache slots (the lookup
 /// the paper performs per remote vertex, §4.2).
 ///
-/// Membership has two interchangeable representations: a sorted
-/// `(vertex, slot)` array probed by binary search (the default — fully
-/// ordered, so every traversal of the structure is deterministic by
-/// construction; §9 / DESIGN §17), and an optional *dense* slot array
-/// indexed by vertex id ([`StaticCache::with_dense_index`]) that turns
-/// `contains` / `slot_of` into one bounds-checked array load — the O(1)
-/// path the online serving hot loop uses, at `4·N` bytes per machine.
+/// Membership is a sorted `(vertex, slot)` array probed by binary search
+/// — fully ordered, so every traversal of the structure is
+/// deterministic by construction (§9 / DESIGN §17).
 #[derive(Clone, Debug, Default)]
 pub struct StaticCache {
     /// `(vertex, slot)` pairs sorted by vertex id.
     index: Vec<(VertexId, u32)>,
     members: Vec<VertexId>,
-    /// `dense[v] == slot` for members, [`NO_SLOT`] otherwise; `None`
-    /// until [`StaticCache::with_dense_index`] materializes it.
-    dense: Option<Vec<u32>>,
 }
 
 impl StaticCache {
@@ -121,32 +102,7 @@ impl StaticCache {
         Self {
             index,
             members: members.to_vec(),
-            dense: None,
         }
-    }
-
-    /// Materializes the dense membership index over a vertex-id space of
-    /// `num_vertices`, making `contains` / `slot_of` a single array load.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any member id is `>= num_vertices`.
-    pub fn with_dense_index(mut self, num_vertices: usize) -> Self {
-        let mut dense = vec![NO_SLOT; num_vertices];
-        for (slot, &v) in self.members.iter().enumerate() {
-            assert!(
-                (v as usize) < num_vertices,
-                "cache member {v} outside dense id space {num_vertices}"
-            );
-            dense[v as usize] = slot as u32;
-        }
-        self.dense = Some(dense);
-        self
-    }
-
-    /// True if the dense membership index is materialized.
-    pub fn has_dense_index(&self) -> bool {
-        self.dense.is_some()
     }
 
     /// Number of cached vertices.
@@ -162,26 +118,16 @@ impl StaticCache {
     /// The cache slot of `v`, if cached.
     #[inline]
     pub fn slot_of(&self, v: VertexId) -> Option<u32> {
-        match &self.dense {
-            Some(d) => match d.get(v as usize) {
-                Some(&s) if s != NO_SLOT => Some(s),
-                _ => None,
-            },
-            None => self
-                .index
-                .binary_search_by_key(&v, |&(id, _)| id)
-                .ok()
-                .map(|i| self.index[i].1),
-        }
+        self.index
+            .binary_search_by_key(&v, |&(id, _)| id)
+            .ok()
+            .map(|i| self.index[i].1)
     }
 
     /// True if `v` is cached.
     #[inline]
     pub fn contains(&self, v: VertexId) -> bool {
-        match &self.dense {
-            Some(d) => d.get(v as usize).is_some_and(|&s| s != NO_SLOT),
-            None => self.index.binary_search_by_key(&v, |&(id, _)| id).is_ok(),
-        }
+        self.index.binary_search_by_key(&v, |&(id, _)| id).is_ok()
     }
 
     /// Cached vertex ids in slot order.
@@ -242,60 +188,6 @@ mod tests {
     fn memory_accounting() {
         let c = StaticCache::from_members(&[0, 1, 2]);
         assert_eq!(c.memory_bytes(128), 3 * 128 * 4);
-    }
-
-    #[test]
-    fn dense_index_agrees_with_sorted_index_on_random_rankings() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        let n = 512usize;
-        let mut rng = StdRng::seed_from_u64(0xD15E);
-        for trial in 0..20 {
-            // Random ranking: a shuffled prefix of the id space.
-            let mut ids: Vec<VertexId> = (0..n as VertexId).collect();
-            for i in (1..ids.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                ids.swap(i, j);
-            }
-            let take = rng.gen_range(0..=n);
-            let sparse = StaticCache::from_members(&ids[..take]);
-            let dense = sparse.clone().with_dense_index(n);
-            assert!(dense.has_dense_index() && !sparse.has_dense_index());
-            for v in 0..n as VertexId {
-                assert_eq!(
-                    sparse.contains(v),
-                    dense.contains(v),
-                    "trial {trial}: contains({v}) diverged"
-                );
-                assert_eq!(
-                    sparse.slot_of(v),
-                    dense.slot_of(v),
-                    "trial {trial}: slot_of({v}) diverged"
-                );
-            }
-            // Out-of-range ids are absent in both representations.
-            assert!(!dense.contains(n as VertexId + 7));
-            assert!(!sparse.contains(n as VertexId + 7));
-        }
-    }
-
-    #[test]
-    fn build_dense_matches_build() {
-        let b = CacheBuilder::new(0.5, 20, 2); // capacity 5
-        let ranking: Vec<VertexId> = vec![9, 8, 7, 6, 5, 4, 3];
-        let sparse = b.build(&ranking);
-        let dense = b.build_dense(&ranking);
-        assert_eq!(sparse.members(), dense.members());
-        assert!(dense.has_dense_index());
-        assert_eq!(dense.slot_of(7), Some(2));
-        assert!(!dense.contains(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "outside dense id space")]
-    fn dense_index_rejects_out_of_range_members() {
-        StaticCache::from_members(&[1, 2, 99]).with_dense_index(10);
     }
 
     #[test]

@@ -5,12 +5,22 @@
 //! a static cache of remote features. Given a sampled MFG's node list the
 //! store classifies every vertex into local-GPU / local-CPU / cached /
 //! remote-by-owner — exactly the split SALIENT++'s batch-preparation
-//! pipeline performs right after sampling — and can gather the full
-//! feature tensor given a remote-fetch callback.
+//! pipeline performs right after sampling — and gathers the full feature
+//! tensor given a remote-fetch callback.
+//!
+//! This module is the one owner of "where does vertex `v`'s row live on
+//! this machine and how is it read". A batch is classified once
+//! ([`PartitionedFeatureStore::plan`]); the distributed engine uses the
+//! plan to build its requests and the server to probe its overlay, and
+//! both hand the same plan to [`PartitionedFeatureStore::gather_planned`]
+//! for the reads. Rows enter through one constructor from any
+//! `spp_store::FeatureStore` — the resident matrix and the paged
+//! out-of-core stores are backends of the same path.
 
 use crate::cache::StaticCache;
 use crate::reorder::ReorderedLayout;
 use spp_graph::{FeatureMatrix, QuantScheme, QuantizedFeatures, VertexId};
+use spp_store::FeatureStore;
 use spp_tensor::Matrix;
 
 /// Where a vertex's features live relative to one machine.
@@ -75,12 +85,19 @@ pub struct PartitionedFeatureStore {
 }
 
 impl PartitionedFeatureStore {
-    /// Builds machine `part`'s store.
+    /// Builds machine `part`'s store, reading rows through `feats`.
     ///
-    /// `features` must be the *reordered* (new-id-indexed) full feature
-    /// matrix; only the machine's own rows and the cached rows are copied
-    /// out, mirroring a real deployment where each machine materializes
-    /// only its slice.
+    /// `feats` must be addressed by *reordered* (new) ids and cover all
+    /// vertices: the resident reordered matrix, or an out-of-core store
+    /// (DESIGN.md §16; one built in original-id order wants a
+    /// `spp_store::PermutedStore` wrapper). Only the machine's own rows
+    /// and its cache members are read and copied out, mirroring a real
+    /// deployment where each machine materializes only its slice.
+    ///
+    /// `cache_scheme` is the storage scheme of the static cache tier:
+    /// `F32` keeps rows bit-for-bit; `F16`/`I8` store compressed rows
+    /// that are dequantized on every cached-row gather
+    /// (allocation-free).
     ///
     /// # Panics
     ///
@@ -89,62 +106,19 @@ impl PartitionedFeatureStore {
     pub fn build(
         part: u32,
         layout: &ReorderedLayout,
-        features: &FeatureMatrix,
-        beta: f64,
-        cache: StaticCache,
-    ) -> Self {
-        Self::build_quantized(part, layout, features, beta, cache, QuantScheme::F32)
-    }
-
-    /// [`PartitionedFeatureStore::build`] with an explicit storage
-    /// scheme for the static cache tier. `F32` reproduces the seed
-    /// behavior bit-for-bit; `F16`/`I8` store compressed rows that are
-    /// dequantized on every cached-row gather (allocation-free).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`PartitionedFeatureStore::build`].
-    pub fn build_quantized(
-        part: u32,
-        layout: &ReorderedLayout,
-        features: &FeatureMatrix,
-        beta: f64,
-        cache: StaticCache,
-        cache_scheme: QuantScheme,
-    ) -> Self {
-        // A plain matrix is the degenerate (fully resident, f32) store;
-        // the store-reading path copies rows bit-for-bit, so this
-        // delegation preserves the historical behavior exactly.
-        Self::build_from_store(part, layout, features, beta, cache, cache_scheme)
-    }
-
-    /// [`PartitionedFeatureStore::build_quantized`] reading rows through
-    /// a [`spp_store::FeatureStore`] instead of a resident matrix — the
-    /// out-of-core path (DESIGN.md §16). `features` must be addressed by
-    /// *reordered* (new) ids, like the matrix variant; a store built in
-    /// original-id order wants a `spp_store::PermutedStore` wrapper.
-    /// Only the machine's local slice and its cache members are ever
-    /// read, so a build touches a fraction of the store's pages.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`PartitionedFeatureStore::build`].
-    pub fn build_from_store(
-        part: u32,
-        layout: &ReorderedLayout,
-        features: &dyn spp_store::FeatureStore,
+        feats: &dyn FeatureStore,
         beta: f64,
         cache: StaticCache,
         cache_scheme: QuantScheme,
     ) -> Self {
         assert_eq!(
-            features.num_rows(),
+            feats.num_rows(),
             layout.num_vertices(),
             "feature store must cover all vertices"
         );
         let range = layout.part_range(part);
         let ids: Vec<VertexId> = (range.start as VertexId..range.end as VertexId).collect();
-        let local = features.gather(&ids);
+        let local = feats.gather(&ids);
         let gpu_rows = layout.gpu_rows(part, beta);
         for &v in cache.members() {
             assert!(
@@ -153,7 +127,7 @@ impl PartitionedFeatureStore {
             );
         }
         let cache_feats =
-            QuantizedFeatures::from_matrix(&features.gather(cache.members()), cache_scheme);
+            QuantizedFeatures::from_matrix(&feats.gather(cache.members()), cache_scheme);
         Self {
             part,
             layout: layout.clone(),
@@ -256,16 +230,37 @@ impl PartitionedFeatureStore {
         self.local.gather(&local_ids)
     }
 
-    /// Gathers the full feature tensor for an MFG node list, fetching
-    /// remote features through `fetch(owner, ids) -> FeatureMatrix`
-    /// (rows aligned with `ids`). Output rows align with `nodes`.
+    /// Gathers the full feature tensor for an MFG node list: classifies
+    /// it and hands the plan to
+    /// [`PartitionedFeatureStore::gather_planned`]. A caller that
+    /// already holds the batch's plan calls that directly.
     // spp-hot(feature.gather)
-    pub fn gather<F>(&self, nodes: &[VertexId], mut fetch: F) -> Matrix
+    pub fn gather<F>(&self, nodes: &[VertexId], fetch: F) -> Matrix
+    where
+        F: FnMut(u32, &[VertexId]) -> FeatureMatrix,
+    {
+        self.gather_planned(nodes, &self.plan(nodes), fetch)
+    }
+
+    /// Reads every row `plan` lists into a `nodes.len() × dim` tensor
+    /// whose rows align with `nodes`: local rows from the partition
+    /// slice, cache hits decoded from the static tier, and each owner's
+    /// remote rows through one `fetch(owner, ids) -> FeatureMatrix` call
+    /// (rows aligned with `ids`).
+    ///
+    /// `plan` must be [`PartitionedFeatureStore::plan`] of `nodes`,
+    /// possibly with entries removed from `remote`: a position no bucket
+    /// lists is left zero for the caller to fill (the serving overlay
+    /// answers part of the remote residue itself).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fetch response has the wrong row count or dimension.
+    pub fn gather_planned<F>(&self, nodes: &[VertexId], plan: &BatchPlan, mut fetch: F) -> Matrix
     where
         F: FnMut(u32, &[VertexId]) -> FeatureMatrix,
     {
         let d = self.dim();
-        let plan = self.plan(nodes);
         let mut out = Matrix::zeros(nodes.len(), d);
         for &pos in plan.local_gpu.iter().chain(&plan.local_cpu) {
             let li = self.layout.local_index(nodes[pos as usize]);
@@ -312,7 +307,8 @@ mod tests {
             feats.row_mut(v).copy_from_slice(&[v as f32, v as f32]);
         }
         let cache = StaticCache::from_members(cache_members);
-        let store = PartitionedFeatureStore::build(0, &layout, &feats, beta, cache);
+        let store =
+            PartitionedFeatureStore::build(0, &layout, &feats, beta, cache, QuantScheme::F32);
         (store, feats)
     }
 
@@ -350,6 +346,22 @@ mod tests {
         for (i, &v) in nodes.iter().enumerate() {
             assert_eq!(out.row(i), feats.row(v), "row {i} mismatch");
         }
+    }
+
+    #[test]
+    fn gather_planned_fills_only_what_the_plan_lists() {
+        let (store, feats) = fixture(0.5, &[3]);
+        let nodes = vec![5, 0, 4];
+        let mut plan = store.plan(&nodes);
+        // The caller answers vertex 5 from a tier of its own.
+        plan.remote[1].retain(|&(_, v)| v != 5);
+        let out = store.gather_planned(&nodes, &plan, |owner, ids| {
+            assert_eq!((owner, ids), (1, &[4][..]));
+            feats.gather(ids)
+        });
+        assert_eq!(out.row(0), [0.0, 0.0]);
+        assert_eq!(out.row(1), feats.row(0));
+        assert_eq!(out.row(2), feats.row(4));
     }
 
     #[test]
@@ -415,15 +427,10 @@ mod tests {
                 .copy_from_slice(&[v as f32 / 3.0, -(v as f32) / 7.0]);
         }
         let cache = StaticCache::from_members(&[3, 4]);
-        let f32_store = PartitionedFeatureStore::build(0, &layout, &feats, 0.0, cache.clone());
-        let f16_store = PartitionedFeatureStore::build_quantized(
-            0,
-            &layout,
-            &feats,
-            0.0,
-            cache,
-            QuantScheme::F16,
-        );
+        let build =
+            |scheme| PartitionedFeatureStore::build(0, &layout, &feats, 0.0, cache.clone(), scheme);
+        let f32_store = build(QuantScheme::F32);
+        let f16_store = build(QuantScheme::F16);
         assert_eq!(f16_store.cache_scheme(), QuantScheme::F16);
         assert_eq!(f32_store.cache_scheme(), QuantScheme::F32);
         // Cache tier bytes halve; local rows are unchanged.

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use spp_core::feature_store::{FeatureLocation, PartitionedFeatureStore};
 use spp_core::{CacheBuilder, ReorderedLayout, StaticCache, SweepStrategy, VipModel};
 use spp_graph::generate::GeneratorConfig;
-use spp_graph::{FeatureMatrix, VertexId};
+use spp_graph::{FeatureMatrix, QuantScheme, VertexId};
 use spp_partition::simple::block_partition;
 use spp_pool::WorkerPool;
 use spp_sampler::Fanouts;
@@ -179,6 +179,7 @@ proptest! {
             &feats,
             beta,
             StaticCache::from_members(&remote),
+            QuantScheme::F32,
         );
         let mut counts = [0usize; 4];
         for v in 0..n as u32 {

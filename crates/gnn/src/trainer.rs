@@ -128,11 +128,11 @@ pub struct Trainer<'a> {
     ds: &'a Dataset,
     cfg: TrainConfig,
     model: GnnModel,
-    /// Optional out-of-core feature source. When set, batch feature
-    /// gathers read rows through this store instead of `ds.features`;
-    /// the in-RAM matrix remains the source of truth for dimensions and
-    /// full-batch inference. An f32 store yields bit-identical training.
-    store: Option<&'a dyn FeatureStore>,
+    /// Where minibatch feature rows are read from: `ds.features` unless
+    /// [`Trainer::with_feature_store`] replaced it. The dataset's matrix
+    /// remains the source of truth for dimensions and full-batch
+    /// inference. Any f32 store yields bit-identical training.
+    feats: &'a dyn FeatureStore,
 }
 
 impl<'a> Trainer<'a> {
@@ -148,13 +148,13 @@ impl<'a> Trainer<'a> {
             ds,
             cfg,
             model,
-            store: None,
+            feats: &ds.features,
         }
     }
 
     /// Reads minibatch features through `store` instead of the dataset's
-    /// resident matrix (the out-of-core training path, DESIGN.md §16).
-    /// The store must be addressed by the same vertex ids as the dataset.
+    /// resident matrix (out-of-core training, DESIGN.md §16). The store
+    /// must be addressed by the same vertex ids as the dataset.
     ///
     /// # Panics
     ///
@@ -170,7 +170,7 @@ impl<'a> Trainer<'a> {
             self.ds.features.dim(),
             "feature store dim must match the dataset"
         );
-        self.store = Some(store);
+        self.feats = store;
         self
     }
 
@@ -190,17 +190,17 @@ impl<'a> Trainer<'a> {
     }
 
     /// [`Trainer::gather_features`] reading rows through any
-    /// [`FeatureStore`]. For a resident f32 matrix this produces the
-    /// exact bytes of the historical gather path. Allocates the result;
-    /// the training and evaluation loops recycle batch slots instead.
+    /// [`FeatureStore`]. Allocates the result; the training and
+    /// evaluation loops recycle batch slots instead.
     pub fn gather_features_from(feats: &dyn FeatureStore, mfg: &Mfg) -> Matrix {
         Self::gather_into_slot(feats, mfg, vec![0.0f32; mfg.num_nodes() * feats.dim()])
     }
 
     /// Gathers the MFG's feature rows into `slot` — a recycled buffer
     /// of any length and content; every element of the result is
-    /// overwritten — and wraps it as the batch's input matrix.
-    fn gather_into_slot(feats: &dyn FeatureStore, mfg: &Mfg, mut slot: Vec<f32>) -> Matrix {
+    /// overwritten — and wraps it as the batch's input matrix. Take the
+    /// buffer back with `Forward::into_input` + `Matrix::into_flat`.
+    pub fn gather_into_slot(feats: &dyn FeatureStore, mfg: &Mfg, mut slot: Vec<f32>) -> Matrix {
         let dim = feats.dim();
         slot.resize(mfg.num_nodes() * dim, 0.0);
         feats.gather_into(&mfg.nodes, &mut slot);
@@ -274,7 +274,7 @@ impl<'a> Trainer<'a> {
         )
         .collect();
         let ds = self.ds;
-        let feats: &dyn FeatureStore = self.store.unwrap_or(&self.ds.features);
+        let feats = self.feats;
         feats.begin_epoch();
         let seed = self.cfg.seed;
         let mut total_loss = 0.0f64;
@@ -368,7 +368,7 @@ impl<'a> Trainer<'a> {
         let batch_list: Vec<Vec<VertexId>> =
             MinibatchIter::new(ids, self.cfg.batch_size, seed, 0).collect();
         let ds = self.ds;
-        let feats: &dyn FeatureStore = self.store.unwrap_or(&self.ds.features);
+        let feats = self.feats;
         let model = &self.model;
         // One job per contiguous batch range, each recycling one feature
         // slot across its batches; ranges merge back in batch order.

@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spp_comm::{run_machines, AllToAll};
 use spp_gnn::metrics::{predictions, AccuracyMeter};
-use spp_gnn::{Arch, GnnModel, MODEL_STREAM_SALT};
+use spp_gnn::{Arch, GnnModel, Trainer, MODEL_STREAM_SALT};
 use spp_graph::{quant, FeatureMatrix, QuantScheme, VertexId};
 use spp_sampler::{batch_stream_seed, Mfg, MinibatchIter, NodeWiseSampler};
 use spp_telemetry::metrics::{self, Counter};
@@ -31,6 +31,85 @@ enum Payload {
     Grads(Vec<f32>),
     /// Nothing (idle machine / empty request).
     Empty,
+}
+
+/// The feature exchange the machine threads of one run share: each
+/// round is a requests all-to-all followed by a responses all-to-all
+/// over the same (barriered, hence reusable) channel.
+struct FeatureExchange<'a> {
+    setup: &'a DistributedSetup,
+    /// Precision of feature rows on the wire.
+    wire: QuantScheme,
+    channel: AllToAll<Payload>,
+}
+
+impl<'a> FeatureExchange<'a> {
+    fn new(setup: &'a DistributedSetup, wire: QuantScheme) -> Self {
+        Self {
+            setup,
+            wire,
+            channel: AllToAll::new(setup.num_machines()),
+        }
+    }
+
+    /// Machine `rank`'s side of one round. Classifies `mfg`'s nodes
+    /// once, sends each owner the ids the plan lists for it, serves the
+    /// peers' requests from the local store, and gathers the batch
+    /// tensor from the responses under the same plan. Returns the tensor
+    /// and the number of rows fetched, or `None` for a machine without a
+    /// batch this round — which still takes part in both barriers.
+    /// `on_send(peer, bytes)` is told every payload this machine sends.
+    fn round(
+        &self,
+        rank: usize,
+        mfg: Option<&Mfg>,
+        mut on_send: impl FnMut(usize, u64),
+    ) -> Option<(Matrix, usize)> {
+        let store = &self.setup.stores[rank];
+        let plan = mfg.map(|m| store.plan(&m.nodes));
+        let mut outgoing: Vec<Payload> = (0..self.setup.num_machines())
+            .map(|_| Payload::Empty)
+            .collect();
+        for (owner, reqs) in plan.iter().flat_map(|p| p.remote.iter().enumerate()) {
+            if !reqs.is_empty() {
+                on_send(owner, 4 * reqs.len() as u64);
+                outgoing[owner] = Payload::Ids(reqs.iter().map(|&(_, v)| v).collect());
+            }
+        }
+        let incoming = self.channel.exchange(rank, outgoing);
+
+        let served: Vec<Payload> = incoming
+            .into_iter()
+            .enumerate()
+            .map(|(requester, msg)| match msg {
+                Payload::Ids(ids) => {
+                    let mut f = store.serve(&ids);
+                    // Encode/decode at the owner (a no-op for f32): every
+                    // requester receives identical decoded rows, keeping
+                    // replicas in lockstep.
+                    for r in 0..f.num_rows() {
+                        quant::wire_roundtrip(f.row_mut(r as VertexId), self.wire);
+                    }
+                    let bytes = f.num_rows() * self.wire.row_bytes(f.dim());
+                    on_send(requester, bytes as u64);
+                    Payload::Feats(f)
+                }
+                _ => Payload::Empty,
+            })
+            .collect();
+        let mut received = self.channel.exchange(rank, served);
+
+        let (mfg, plan) = (mfg?, plan?);
+        #[allow(clippy::panic)]
+        let x = store.gather_planned(&mfg.nodes, &plan, |owner, _| {
+            match std::mem::replace(&mut received[owner as usize], Payload::Empty) {
+                Payload::Feats(f) => f,
+                // spp-lint: allow(l1-no-panic): the exchange deposits one response per owner in the batch plan; a missing one is a protocol bug, not a runtime condition
+                _ => panic!("missing response from owner {owner}"),
+            }
+        });
+        Some((x, plan.num_remote()))
+    }
 }
 
 /// Distributed training configuration.
@@ -107,25 +186,6 @@ impl<'a> DistributedTrainer<'a> {
         dims
     }
 
-    /// Gathers one MFG's features on machine `rank`, using prefetched
-    /// all-to-all responses.
-    fn assemble(
-        setup: &DistributedSetup,
-        rank: usize,
-        nodes: &[VertexId],
-        responses: &mut [Option<FeatureMatrix>],
-    ) -> Matrix {
-        setup.stores[rank].gather(nodes, |owner, ids| {
-            #[allow(clippy::expect_used)]
-            let f = responses[owner as usize]
-                .take()
-                // spp-lint: allow(l1-no-panic): prefetch deposits one response per owner in the batch plan; a missing one is a protocol bug, not a runtime condition
-                .expect("missing response from owner");
-            assert_eq!(f.num_rows(), ids.len(), "response row count mismatch");
-            f
-        })
-    }
-
     /// Runs the full training loop; returns the report and the final
     /// model (identical on all machines; machine 0's copy is returned).
     // spp-det(runtime.engine_train)
@@ -133,11 +193,10 @@ impl<'a> DistributedTrainer<'a> {
         let k = self.setup.num_machines();
         let dims = self.dims();
         let rounds_per_epoch = self.setup.rounds_per_epoch();
-        let requests_x = AllToAll::<Payload>::new(k);
-        let feats_x = AllToAll::<Payload>::new(k);
         let grads_x = AllToAll::<Payload>::new(k);
         let setup = self.setup;
         let cfg = &self.config;
+        let exchange = FeatureExchange::new(setup, cfg.wire_scheme);
         // Per-machine-pair byte counters (Figure 1's comm-volume view).
         // Registered lazily only when telemetry is on, so disabled runs
         // never touch the registry. `Counter` is a Copy index; the matrix
@@ -198,67 +257,19 @@ impl<'a> DistributedTrainer<'a> {
                 for round in 0..rounds_per_epoch {
                     let mfg = prefetched.next();
 
-                    // Phase 1: exchange feature requests.
-                    let plan = mfg.as_ref().map(|m| setup.stores[rank].plan(&m.nodes));
-                    let mut outgoing: Vec<Payload> = (0..k).map(|_| Payload::Empty).collect();
-                    if let Some(p) = &plan {
-                        remote_fetches += p.num_remote();
-                        for (owner, reqs) in p.remote.iter().enumerate() {
-                            if !reqs.is_empty() {
-                                if let Some(cc) = comm_counters {
-                                    cc[rank][owner].add(4 * reqs.len() as u64);
-                                }
-                                sent[epoch as usize * k + owner] += 4 * reqs.len() as u64;
-                                outgoing[owner] =
-                                    Payload::Ids(reqs.iter().map(|&(_, v)| v).collect());
-                            }
+                    // Phases 1–2: request, serve and receive features.
+                    let gathered = exchange.round(rank, mfg.as_ref(), |peer, bytes| {
+                        if let Some(cc) = comm_counters {
+                            cc[rank][peer].add(bytes);
                         }
-                    }
-                    let incoming = requests_x.exchange(rank, outgoing);
-
-                    // Phase 2: serve and exchange features.
-                    let responses: Vec<Payload> = incoming
-                        .into_iter()
-                        .enumerate()
-                        .map(|(requester, msg)| match msg {
-                            Payload::Ids(ids) => {
-                                let mut f = setup.stores[rank].serve(&ids);
-                                // Encode/decode at the owner: every
-                                // requester receives identical decoded
-                                // rows, keeping replicas in lockstep.
-                                if cfg.wire_scheme != QuantScheme::F32 {
-                                    for r in 0..f.num_rows() {
-                                        quant::wire_roundtrip(
-                                            f.row_mut(r as VertexId),
-                                            cfg.wire_scheme,
-                                        );
-                                    }
-                                }
-                                let row_bytes = cfg.wire_scheme.row_bytes(f.dim());
-                                if let Some(cc) = comm_counters {
-                                    cc[rank][requester].add((f.num_rows() * row_bytes) as u64);
-                                }
-                                sent[epoch as usize * k + requester] +=
-                                    (f.num_rows() * row_bytes) as u64;
-                                Payload::Feats(f)
-                            }
-                            _ => Payload::Empty,
-                        })
-                        .collect();
-                    let mut received: Vec<Option<FeatureMatrix>> = feats_x
-                        .exchange(rank, responses)
-                        .into_iter()
-                        .map(|msg| match msg {
-                            Payload::Feats(f) => Some(f),
-                            _ => None,
-                        })
-                        .collect();
+                        sent[epoch as usize * k + peer] += bytes;
+                    });
 
                     // Local compute: forward/backward.
                     let mut grads: Option<Vec<f32>> = None;
                     let mut loss_val = 0.0f64;
-                    if let Some(m) = &mfg {
-                        let x = Self::assemble(setup, rank, &m.nodes, &mut received);
+                    if let (Some(m), Some((x, fetched))) = (&mfg, gathered) {
+                        remote_fetches += fetched;
                         let labels: Arc<Vec<u32>> = Arc::new(
                             m.seeds()
                                 .iter()
@@ -388,14 +399,16 @@ impl<'a> DistributedTrainer<'a> {
         let sampler = NodeWiseSampler::new(&ds.graph, self.setup.config.fanouts.clone());
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xe7a1);
         let mut meter = AccuracyMeter::new();
+        // One feature buffer, recycled from batch to batch.
+        let mut slot: Vec<f32> = Vec::new();
         for batch in MinibatchIter::new(ids, self.setup.config.batch_size.max(64), 1, 0) {
             let mfg = sampler.sample(&batch, &mut rng);
-            let f = ds.features.gather(&mfg.nodes);
-            let x = Matrix::from_flat(mfg.num_nodes(), ds.features.dim(), f.as_flat().to_vec());
+            let x = Trainer::gather_into_slot(&ds.features, &mfg, slot);
             let fwd = model.forward(x, &mfg, false, &mut rng);
             let preds = predictions(fwd.logits_value());
             let labels: Vec<u32> = mfg.seeds().iter().map(|&v| ds.labels[v as usize]).collect();
             meter.update(&preds, &labels);
+            slot = fwd.into_input().into_flat();
         }
         meter.value()
     }
@@ -406,8 +419,7 @@ impl<'a> DistributedTrainer<'a> {
     pub fn verify_gather(&self, seed: u64) -> usize {
         let k = self.setup.num_machines();
         let setup = self.setup;
-        let requests_x = AllToAll::<Payload>::new(k);
-        let feats_x = AllToAll::<Payload>::new(k);
+        let exchange = FeatureExchange::new(setup, QuantScheme::F32);
         let checked = run_machines(k, |rank| {
             let sampler = NodeWiseSampler::new(&setup.dataset.graph, setup.config.fanouts.clone());
             let mut rng = StdRng::seed_from_u64(seed ^ rank as u64);
@@ -417,33 +429,10 @@ impl<'a> DistributedTrainer<'a> {
                 .copied()
                 .collect();
             let mfg = (!batch.is_empty()).then(|| sampler.sample(&batch, &mut rng));
-            let plan = mfg.as_ref().map(|m| setup.stores[rank].plan(&m.nodes));
-            let mut outgoing: Vec<Payload> = (0..k).map(|_| Payload::Empty).collect();
-            if let Some(p) = &plan {
-                for (owner, reqs) in p.remote.iter().enumerate() {
-                    if !reqs.is_empty() {
-                        outgoing[owner] = Payload::Ids(reqs.iter().map(|&(_, v)| v).collect());
-                    }
-                }
-            }
-            let incoming = requests_x.exchange(rank, outgoing);
-            let responses: Vec<Payload> = incoming
-                .into_iter()
-                .map(|msg| match msg {
-                    Payload::Ids(ids) => Payload::Feats(setup.stores[rank].serve(&ids)),
-                    _ => Payload::Empty,
-                })
-                .collect();
-            let mut received: Vec<Option<FeatureMatrix>> = feats_x
-                .exchange(rank, responses)
-                .into_iter()
-                .map(|msg| match msg {
-                    Payload::Feats(f) => Some(f),
-                    _ => None,
-                })
-                .collect();
-            let Some(m) = &mfg else { return 0 };
-            let x = Self::assemble(setup, rank, &m.nodes, &mut received);
+            let gathered = exchange.round(rank, mfg.as_ref(), |_, _| {});
+            let (Some(m), Some((x, _))) = (&mfg, gathered) else {
+                return 0;
+            };
             for (i, &v) in m.nodes.iter().enumerate() {
                 assert_eq!(
                     x.row(i),
@@ -525,6 +514,24 @@ mod tests {
             "test accuracy {} too low",
             report.test_accuracy
         );
+    }
+
+    /// Golden fingerprint captured on the commit before `train` and
+    /// `verify_gather` shared one planned exchange (PR 15): f16 wire
+    /// rows, a non-empty cache, two machines.
+    #[test]
+    fn f16_wire_training_matches_golden_fingerprint() {
+        let s = setup(2, 0.05);
+        let cfg = DistTrainConfig {
+            epochs: 2,
+            wire_scheme: QuantScheme::F16,
+            ..DistTrainConfig::default()
+        };
+        let (report, _) = DistributedTrainer::new(&s, cfg).train();
+        let loss_bits: Vec<u64> = report.epoch_losses.iter().map(|l| l.to_bits()).collect();
+        assert_eq!(loss_bits, [4612668619112631501u64, 4603128347361280000]);
+        assert_eq!(report.remote_fetches, 593);
+        assert_eq!(report.comm.total_bytes(), 109_884);
     }
 
     #[test]

@@ -95,28 +95,23 @@ pub struct DistributedSetup {
 }
 
 impl DistributedSetup {
-    /// Partitions, analyzes, reorders, and caches.
+    /// Partitions, analyzes, reorders, and caches, filling each
+    /// machine's feature slices from the dataset's resident matrix.
     ///
     /// # Panics
     ///
     /// Panics if `config.policy` is [`CachePolicy::Oracle`] (the oracle
     /// needs measured access counts — use [`DistributedSetup::build_with_rankings`]).
     pub fn build(ds: &Dataset, config: SetupConfig) -> Self {
-        assert!(
-            config.policy != CachePolicy::Oracle,
-            "oracle policy needs measured counts; use build_with_rankings"
-        );
-        let (partitioning, train_of_part) = Self::partition(ds, &config);
-        let rankings = Self::policy_rankings(ds, &config, &partitioning, &train_of_part);
-        Self::assemble(ds, config, partitioning, train_of_part, rankings)
+        Self::build_with_feature_store(ds, config, &ds.features)
     }
 
-    /// Like [`DistributedSetup::build`] but filling each machine's
-    /// feature slices (local partition rows and static-cache rows) from
-    /// an out-of-core [`FeatureStore`] addressed by *original* vertex
-    /// ids, instead of the dataset's resident matrix (DESIGN.md §16).
-    /// Each machine touches only its own pages; with an f32 store the
-    /// deployment is bit-identical to [`DistributedSetup::build`].
+    /// [`DistributedSetup::build`] filling each machine's feature slices
+    /// (local partition rows and static-cache rows) from any
+    /// [`FeatureStore`] addressed by *original* vertex ids — e.g. an
+    /// out-of-core store (DESIGN.md §16). Each machine touches only its
+    /// own pages; an f32 store yields a deployment bit-identical to the
+    /// resident matrix's.
     ///
     /// # Panics
     ///
@@ -143,14 +138,7 @@ impl DistributedSetup {
         );
         let (partitioning, train_of_part) = Self::partition(ds, &config);
         let rankings = Self::policy_rankings(ds, &config, &partitioning, &train_of_part);
-        Self::assemble_from(
-            ds,
-            config,
-            partitioning,
-            train_of_part,
-            rankings,
-            Some(store),
-        )
+        Self::assemble(ds, config, partitioning, train_of_part, rankings, store)
     }
 
     /// Per-machine cache rankings under `config.policy` (original ids).
@@ -186,7 +174,14 @@ impl DistributedSetup {
         rankings: Vec<Vec<VertexId>>,
     ) -> Self {
         let (partitioning, train_of_part) = Self::partition(ds, &config);
-        Self::assemble(ds, config, partitioning, train_of_part, rankings)
+        Self::assemble(
+            ds,
+            config,
+            partitioning,
+            train_of_part,
+            rankings,
+            &ds.features,
+        )
     }
 
     /// Partitions the original dataset and splits its training set by part.
@@ -202,23 +197,14 @@ impl DistributedSetup {
         (partitioning, train_of_part)
     }
 
+    /// `feats` holds the feature rows, addressed by original ids.
     fn assemble(
         ds: &Dataset,
         config: SetupConfig,
         partitioning: Partitioning,
         train_of_part: Vec<Vec<VertexId>>,
         rankings: Vec<Vec<VertexId>>,
-    ) -> Self {
-        Self::assemble_from(ds, config, partitioning, train_of_part, rankings, None)
-    }
-
-    fn assemble_from(
-        ds: &Dataset,
-        config: SetupConfig,
-        partitioning: Partitioning,
-        train_of_part: Vec<Vec<VertexId>>,
-        rankings: Vec<Vec<VertexId>>,
-        feature_source: Option<&dyn FeatureStore>,
+        feats: &dyn FeatureStore,
     ) -> Self {
         // Local ordering scores: each partition ranks its own vertices by
         // its local VIP values.
@@ -232,11 +218,10 @@ impl DistributedSetup {
 
         let dataset = ds.permuted(layout.perm());
 
-        // When reading from an external store (original-id order), view
-        // it through the inverse layout permutation so machine builds
-        // address it by new ids: view.read(new) = store.read(to_old(new)).
+        // Machine builds address rows by new ids; `feats` is in
+        // original-id order: view.read(new) = feats.read(to_old(new)).
         let inv = layout.perm().inverse();
-        let view = feature_source.map(|src| PermutedStore::new(src, &inv));
+        let view = PermutedStore::new(feats, &inv);
 
         let cache_builder = CacheBuilder::new(config.alpha, ds.num_vertices(), config.num_machines);
         let stores: Vec<PartitionedFeatureStore> = (0..config.num_machines as u32)
@@ -245,14 +230,10 @@ impl DistributedSetup {
                 let mut ranking = rankings[p as usize].clone();
                 layout.perm().relabel(&mut ranking);
                 let cache = cache_builder.build(&ranking);
-                let feats: &dyn FeatureStore = match &view {
-                    Some(v) => v,
-                    None => &dataset.features,
-                };
-                PartitionedFeatureStore::build_from_store(
+                PartitionedFeatureStore::build(
                     p,
                     &layout,
-                    feats,
+                    &view,
                     config.beta,
                     cache,
                     config.cache_scheme,

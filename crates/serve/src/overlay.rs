@@ -10,8 +10,9 @@
 //!
 //! Concurrency contract: [`DynamicOverlay::probe`] is read-only (hit and
 //! miss tallies are relaxed atomics) and safe to call from the worker
-//! pool's classification sweep; all mutation — [`DynamicOverlay::touch`],
-//! [`DynamicOverlay::insert`] — takes `&mut self` and happens on the
+//! pool's probe of a batch's remote residue; all mutation —
+//! [`DynamicOverlay::touch`], [`DynamicOverlay::insert`] — takes
+//! `&mut self` and happens on the
 //! control thread in deterministic batch order. Eviction order is
 //! therefore a pure function of the operation sequence, never of timing.
 
@@ -144,8 +145,8 @@ impl DynamicOverlay {
         }
     }
 
-    /// Lookup without touching the counters (accounting happens once,
-    /// at classification; the gather pass re-reads via `peek`).
+    /// Lookup without touching the counters (the server counts each
+    /// lookup once, in `probe`; this is for tests and replays).
     #[inline]
     pub fn peek(&self, v: VertexId) -> Option<u32> {
         self.slot_of.get(&v).copied()

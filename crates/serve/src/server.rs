@@ -16,10 +16,21 @@
 //! times, cache tier classification and overlay eviction order, every
 //! completion's latency, label, and logits checksum. The load-bearing
 //! rules: batching triggers are pure functions of arrival times; each
-//! batch samples from its own [`batch_stream_seed`] stream; tier
-//! classification runs on the worker pool but merges in node order, and
-//! all overlay mutation happens sequentially afterwards (touches in node
-//! order, admissions in fetch order, deferred until the gather finished).
+//! batch samples from its own [`batch_stream_seed`] stream; a batch is
+//! planned once, the overlay probe of the plan's remote residue runs on
+//! the worker pool but merges in node order, and all overlay mutation
+//! happens sequentially afterwards (touches in node order, admissions in
+//! fetch order, after the gather read every hit).
+//!
+//! # One feature-row path
+//!
+//! Where a vertex's row lives on this machine is decided by
+//! `PartitionedFeatureStore::plan` alone (local GPU / local CPU / static
+//! tier / remote by owner). The server owns only the overlay: it probes
+//! the plan's remote residue, moves the hits out of the plan, lets
+//! `gather_planned` read everything the plan still lists — remote rows
+//! through the one `remote` [`FeatureStore`], the resident matrix by
+//! default — and fills the overlay hits into the same tensor.
 
 use crate::batcher::{BatchPolicy, CloseTrigger, MicroBatch, MicroBatcher};
 use crate::loadgen::PopularitySampler;
@@ -28,9 +39,9 @@ use crate::queue::{AdmissionQueue, InferenceRequest, Rejection};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spp_comm::{DesEngine, ResourceId};
-use spp_core::{PartitionedFeatureStore, ReorderedLayout, StaticCache};
+use spp_core::PartitionedFeatureStore;
 use spp_gnn::GnnModel;
-use spp_graph::{quant, FeatureMatrix, QuantScheme, VertexId};
+use spp_graph::{quant, QuantScheme, VertexId};
 use spp_pool::WorkerPool;
 use spp_runtime::{CostModel, DistributedSetup};
 use spp_sampler::{batch_stream_seed, Fanouts, NodeWiseSampler};
@@ -62,7 +73,7 @@ pub struct ServeConfig {
     pub fanouts: Fanouts,
     /// Master seed for per-batch sampling streams.
     pub seed: u64,
-    /// Worker pool for batch classification.
+    /// Worker pool for the overlay probe of a batch's remote residue.
     pub pool: WorkerPool,
     /// Cost model driving the virtual-time pipeline.
     pub cost: CostModel,
@@ -324,44 +335,14 @@ pub struct ClosedLoopConfig {
     pub seed: u64,
 }
 
-/// Where a batch node's features come from (serving-time view: the
-/// static tier plus the overlay).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Tier {
-    LocalGpu,
-    LocalCpu,
-    Static,
-    Overlay,
-    Fetch,
-}
-
-/// Classifies one MFG node against local storage and both cache tiers.
-/// Per-node kernel of the batch classification pass; runs under
+/// Overlay lookup of one remote-residue entry `(position, owner,
+/// vertex)` — the per-entry kernel of the residue probe. Runs under
 /// [`WorkerPool::par_map`], so it must stay allocation- and lock-free.
 // spp-hot(serve.classify)
 // spp-det(serve.classify)
 #[inline]
-fn classify_node(
-    layout: &ReorderedLayout,
-    part: u32,
-    gpu_rows: usize,
-    cache: &StaticCache,
-    overlay: &DynamicOverlay,
-    v: VertexId,
-) -> Tier {
-    if layout.is_local(v, part) {
-        if layout.local_index(v) < gpu_rows {
-            Tier::LocalGpu
-        } else {
-            Tier::LocalCpu
-        }
-    } else if cache.contains(v) {
-        Tier::Static
-    } else if overlay.probe(v).is_some() {
-        Tier::Overlay
-    } else {
-        Tier::Fetch
-    }
+fn probe_entry(overlay: &DynamicOverlay, entry: &(u32, u32, VertexId)) -> Option<u32> {
+    overlay.probe(entry.2)
 }
 
 /// Telemetry handles, resolved once (no-ops while telemetry is off).
@@ -425,16 +406,11 @@ fn argmax(row: &[f32]) -> usize {
 pub struct InferenceServer<'a> {
     model: &'a GnnModel,
     store: &'a PartitionedFeatureStore,
-    peers: &'a [PartitionedFeatureStore],
-    /// Optional out-of-core source for remote-fetch rows (new-id
-    /// addressed). When set, cache/overlay misses read the owner's rows
-    /// through this store instead of the peer's resident
-    /// [`PartitionedFeatureStore`]; wire-byte accounting is unchanged.
-    remote_store: Option<&'a dyn FeatureStore>,
+    /// Where fetched rows are read (new-id addressed, standing in for
+    /// the owners): the deployment's resident matrix unless
+    /// [`InferenceServer::with_remote_store`] replaced it.
+    remote: &'a dyn FeatureStore,
     cfg: ServeConfig,
-    /// Dense-indexed clone of the store's static cache for O(1)
-    /// membership in the per-node classification loop.
-    static_cache: StaticCache,
     overlay: DynamicOverlay,
     sampler: NodeWiseSampler<'a>,
     queue: AdmissionQueue,
@@ -486,7 +462,6 @@ impl<'a> InferenceServer<'a> {
             "model depth must match serving fanouts"
         );
         let num_vertices = store.layout().num_vertices();
-        let static_cache = store.cache().clone().with_dense_index(num_vertices);
         let policy = BatchPolicy::new(cfg.max_batch_size, cfg.max_delay);
         let mut des = DesEngine::new();
         if tel::enabled() {
@@ -499,8 +474,7 @@ impl<'a> InferenceServer<'a> {
         Self {
             model,
             store,
-            peers: &setup.stores,
-            remote_store: None,
+            remote: &setup.dataset.features,
             overlay: DynamicOverlay::with_scheme(
                 cfg.overlay_capacity,
                 store.dim(),
@@ -510,7 +484,6 @@ impl<'a> InferenceServer<'a> {
             queue: AdmissionQueue::new(cfg.queue_capacity, num_vertices),
             batcher: MicroBatcher::new(policy),
             cfg,
-            static_cache,
             des,
             res_cpu,
             res_net,
@@ -528,11 +501,11 @@ impl<'a> InferenceServer<'a> {
         }
     }
 
-    /// Serves remote-fetch rows from an out-of-core [`FeatureStore`]
-    /// (addressed by the deployment's reordered ids) instead of peer
-    /// machines' resident stores — modeling owners that page features
-    /// from disk (DESIGN.md §16). Tier classification, wire-byte
-    /// accounting, and the DES timeline are unchanged; an f32 store
+    /// Reads fetched rows from `remote` (addressed by the deployment's
+    /// reordered ids) instead of the resident matrix — e.g. an
+    /// out-of-core store modeling owners that page features from disk
+    /// (DESIGN.md §16). Tier classification, wire-byte accounting, and
+    /// the DES timeline do not depend on the backend; an f32 store
     /// serves bit-identical rows.
     ///
     /// # Panics
@@ -549,7 +522,7 @@ impl<'a> InferenceServer<'a> {
             self.store.dim(),
             "remote store dim must match the feature dim"
         );
-        self.remote_store = Some(remote);
+        self.remote = remote;
         self
     }
 
@@ -721,113 +694,106 @@ impl<'a> InferenceServer<'a> {
         let mut rng = StdRng::seed_from_u64(batch_stream_seed(self.cfg.seed, 0, batch.id));
         let mfg = self.sampler.sample(&seeds, &mut rng);
 
-        // Classify every MFG node against local storage and both cache
-        // tiers. Runs on the worker pool; the merge is index-ordered and
-        // the overlay's hit/miss tallies are per-probe atomics, so the
-        // result is independent of the worker count.
-        let layout = self.store.layout();
-        let part = self.store.part();
-        let gpu_rows = self.store.gpu_rows();
-        let cache = &self.static_cache;
-        let overlay = &self.overlay;
-        let tiers: Vec<Tier> = self.cfg.pool.par_map(&mfg.nodes, 512, |_, &v| {
-            classify_node(layout, part, gpu_rows, cache, overlay, v)
-        });
-        let (mut n_gpu, mut n_cpu, mut n_static, mut n_overlay, mut n_fetch) =
-            (0usize, 0usize, 0usize, 0usize, 0usize);
-        for t in &tiers {
-            match t {
-                Tier::LocalGpu => n_gpu += 1,
-                Tier::LocalCpu => n_cpu += 1,
-                Tier::Static => n_static += 1,
-                Tier::Overlay => n_overlay += 1,
-                Tier::Fetch => n_fetch += 1,
-            }
-        }
-        let n_local = n_gpu + n_cpu;
-
-        // Recency maintenance: overlay hits become most-recently-used,
-        // in node order (sequential — part of the eviction-order
-        // determinism contract).
-        for (&v, t) in mfg.nodes.iter().zip(&tiers) {
-            if *t == Tier::Overlay {
-                self.overlay.touch(v);
-            }
-        }
-
-        // Gather the feature tensor. The store's own plan knows only the
-        // static tier; the overlay interposes inside the fetch callback,
-        // serving hits from memory and batching true misses to the
-        // owner's store. Admissions are deferred until the gather is
-        // done, so the overlay the callback reads is exactly the overlay
-        // classification probed.
-        let dim = self.store.dim();
+        // Classify once: local rows, the static tier, and the remote
+        // residue by owner. The overlay answers part of the residue, so
+        // probe it — read-only, on the worker pool, in node order (the
+        // hit/miss tallies are per-probe atomics, so the result does not
+        // depend on the worker count) — and give the plan back only the
+        // true misses. Hits become most-recently-used, sequentially and
+        // in node order: part of the eviction-order determinism
+        // contract.
         let store = self.store;
-        let peers = self.peers;
-        let remote_store = self.remote_store;
+        let mut plan = store.plan(&mfg.nodes);
+        let mut residue: Vec<(u32, u32, VertexId)> = Vec::with_capacity(plan.num_remote());
+        for (owner, reqs) in plan.remote.iter_mut().enumerate() {
+            residue.extend(reqs.drain(..).map(|(pos, v)| (pos, owner as u32, v)));
+        }
+        residue.sort_unstable();
         let overlay = &self.overlay;
+        let slots = self
+            .cfg
+            .pool
+            .par_map(&residue, 512, |_, entry| probe_entry(overlay, entry));
+        let mut hits: Vec<(u32, u32)> = Vec::new();
+        for (&(pos, owner, v), slot) in residue.iter().zip(slots) {
+            match slot {
+                Some(slot) => {
+                    self.overlay.touch(v);
+                    hits.push((pos, slot));
+                }
+                None => plan.remote[owner as usize].push((pos, v)),
+            }
+        }
+
+        // Gather the feature tensor: the store reads what the plan still
+        // lists, fetching each owner's misses with one read through
+        // `remote`; overlay hits are decoded by their probed slot.
+        // Admissions wait until every hit is read, so the overlay read
+        // here is exactly the overlay the probe saw.
+        let dim = store.dim();
+        let remote = self.remote;
         let wire = self.cfg.wire_scheme;
-        let wire_row_bytes = self.cfg.wire_scheme.row_bytes(dim);
-        let mut to_admit: Vec<(VertexId, Vec<f32>)> = Vec::new();
-        let mut owner_bytes: Vec<(u32, u64)> = Vec::new();
-        let x = store.gather(&mfg.nodes, |owner, ids| {
-            let mut m = FeatureMatrix::zeros(ids.len(), dim);
-            let mut need: Vec<(usize, VertexId)> = Vec::new();
-            for (i, &v) in ids.iter().enumerate() {
-                if let Some(slot) = overlay.peek(v) {
-                    overlay.read_row_into(slot, m.row_mut(i as u32));
-                } else {
-                    need.push((i, v));
-                }
+        let mut x = store.gather_planned(&mfg.nodes, &plan, |owner, ids| {
+            for &v in ids {
+                debug_assert_eq!(
+                    store.layout().owner_of(v),
+                    owner,
+                    "row {v} asked of a non-owner"
+                );
             }
-            if !need.is_empty() {
-                let req_ids: Vec<VertexId> = need.iter().map(|&(_, v)| v).collect();
-                owner_bytes.push((owner, (req_ids.len() * wire_row_bytes) as u64));
-                let served = match remote_store {
-                    Some(rs) => {
-                        // The owner pages the rows from its out-of-core
-                        // store; same ids, same wire accounting.
-                        let mut sm = FeatureMatrix::zeros(req_ids.len(), dim);
-                        for (r, &v) in req_ids.iter().enumerate() {
-                            rs.read_row_into(v, sm.row_mut(r as u32));
-                        }
-                        sm
-                    }
-                    None => peers[owner as usize].serve(&req_ids),
-                };
-                for (r, &(i, v)) in need.iter().enumerate() {
-                    let out = m.row_mut(i as u32);
-                    out.copy_from_slice(served.row(r as VertexId));
-                    // The wire codec is applied at the requester: the row
-                    // the model (and the overlay admission) sees is what
-                    // survived the quantized transfer.
-                    quant::wire_roundtrip(out, wire);
-                    to_admit.push((v, out.to_vec()));
-                }
+            let mut rows = remote.gather(ids);
+            // The wire codec is applied at the requester: the row the
+            // model (and the overlay admission) sees is what survived
+            // the quantized transfer.
+            for r in 0..ids.len() {
+                quant::wire_roundtrip(rows.row_mut(r as VertexId), wire);
             }
-            m
+            rows
         });
-        debug_assert_eq!(to_admit.len(), n_fetch, "classification/gather drift");
-        for (v, row) in &to_admit {
-            self.overlay.insert(*v, row);
+        for &(pos, slot) in &hits {
+            self.overlay.read_row_into(slot, x.row_mut(pos as usize));
         }
-        for (owner, bytes) in owner_bytes {
-            self.fetch_events.push((batch.close_time, owner, bytes));
+        // Fetched wire bytes, computed once: the comm events, the DES
+        // network leg, `bytes_fetched` and the `serve.net.bytes` counter
+        // all bill this.
+        let wire_row_bytes = wire.row_bytes(dim);
+        let mut fetched_bytes = 0u64;
+        for (owner, reqs) in plan.remote.iter().enumerate() {
+            if reqs.is_empty() {
+                continue;
+            }
+            let bytes = (reqs.len() * wire_row_bytes) as u64;
+            self.fetch_events
+                .push((batch.close_time, owner as u32, bytes));
+            fetched_bytes += bytes;
+            for &(pos, v) in reqs {
+                self.overlay.insert(v, x.row(pos as usize));
+            }
         }
+        let (n_cpu, n_static) = (plan.local_cpu.len(), plan.cached.len());
+        let n_local = plan.local_gpu.len() + n_cpu;
+        let (n_overlay, n_fetch) = (hits.len(), plan.num_remote());
+        // Rows staged through host RAM before the device copy: CPU-resident
+        // locals, overlay rows (host memory), and freshly fetched rows.
+        // Static-tier and GPU-resident rows are already on device.
+        let host_rows = n_cpu + n_overlay + n_fetch;
 
         // Virtual-time pipeline: sample (CPU, released at the batch's
         // close time) → remote fetch (NIC) → slice + host-to-device copy
         // (copy engine) → forward (GPU). Serial DES resources pipeline
         // consecutive batches exactly like the training simulator.
-        let bytes = (n_fetch * wire_row_bytes) as f64;
-        // Rows staged through host RAM before the device copy: CPU-resident
-        // locals, overlay rows (host memory), and freshly fetched rows.
-        // Static-tier and GPU-resident rows are already on device.
-        let host_rows = n_cpu + n_overlay + n_fetch;
         let l = mfg.num_hops();
         let layer_rows: Vec<usize> = (1..=l).map(|layer| mfg.sizes[l - layer + 1]).collect();
         let cost = &self.cfg.cost;
-        let label = |s: &str| format!("serve.{s} b{}", batch.id);
+        // Labels are only ever read back from the DES trace.
+        let traced = self.des.tracing();
+        let label = |s: &str| {
+            if traced {
+                format!("serve.{s} b{}", batch.id)
+            } else {
+                String::new()
+            }
+        };
         let t_sample = self.des.submit_labeled_released(
             self.res_cpu,
             cost.sample_time(mfg.num_edges()),
@@ -836,10 +802,10 @@ impl<'a> InferenceServer<'a> {
             batch.close_time,
         );
         let mut dep = t_sample;
-        if bytes > 0.0 {
+        if fetched_bytes > 0 {
             dep = self.des.submit_labeled(
                 self.res_net,
-                cost.network.transfer_time(bytes),
+                cost.network.transfer_time(fetched_bytes as f64),
                 &[dep],
                 &label("fetch"),
             );
@@ -883,7 +849,7 @@ impl<'a> InferenceServer<'a> {
         // Accounting.
         self.local += n_local as u64;
         self.static_hits += n_static as u64;
-        self.bytes_fetched += (n_fetch * wire_row_bytes) as u64;
+        self.bytes_fetched += fetched_bytes;
         self.batches.push(BatchRecord {
             id: batch.id,
             size: batch.requests.len(),
@@ -903,7 +869,7 @@ impl<'a> InferenceServer<'a> {
             m.overlay_evictions.add(evictions - self.reported_evictions);
             self.reported_evictions = evictions;
             m.misses.add(n_fetch as u64);
-            m.net_bytes.add((n_fetch * dim * 4) as u64);
+            m.net_bytes.add(fetched_bytes);
             for req in &batch.requests {
                 let lat_ns = ((finish - req.arrival) * 1e9).max(0.0) as u64;
                 m.latency_ns.observe(lat_ns);
@@ -974,7 +940,7 @@ impl<'a> InferenceServer<'a> {
             overlay_scheme: self.cfg.overlay_scheme,
             feature_dim: self.store.dim(),
             part: self.store.part(),
-            machines: self.peers.len(),
+            machines: self.store.layout().num_parts(),
             fetch_events: self.fetch_events,
         }
     }

@@ -22,8 +22,8 @@ use spp_pool::WorkerPool;
 use spp_runtime::{DistributedSetup, SetupConfig};
 use spp_sampler::{Fanouts, NodeWiseSampler};
 use spp_serve::{
-    generate_open_loop, DynamicOverlay, InferenceServer, InsertOutcome, RejectReason, ServeConfig,
-    ServeReport, TraceConfig,
+    generate_open_loop, CacheStats, DynamicOverlay, InferenceServer, InsertOutcome, RejectReason,
+    ServeConfig, ServeReport, TraceConfig,
 };
 
 proptest! {
@@ -41,7 +41,7 @@ proptest! {
         trace in proptest::collection::vec(0u32..120, 1..300),
     ) {
         let members: Vec<VertexId> = (0..num_static as u32).map(|i| i * 3).collect();
-        let cache = StaticCache::from_members(&members).with_dense_index(512);
+        let cache = StaticCache::from_members(&members);
         let mut overlay = DynamicOverlay::new(capacity, 4);
         for &v in &trace {
             if cache.contains(v) {
@@ -204,11 +204,23 @@ fn deployment(ds: &Dataset) -> DistributedSetup {
 }
 
 fn serve_with_pool(setup: &DistributedSetup, model: &GnnModel, workers: usize) -> ServeReport {
+    serve_with_scheme(setup, model, workers, QuantScheme::F32)
+}
+
+/// The fixture trace with `scheme` on both the overlay and the wire.
+fn serve_with_scheme(
+    setup: &DistributedSetup,
+    model: &GnnModel,
+    workers: usize,
+    scheme: QuantScheme,
+) -> ServeReport {
     let cfg = ServeConfig {
         max_batch_size: 8,
         max_delay: 0.01,
         queue_capacity: 64,
         overlay_capacity: 24,
+        overlay_scheme: scheme,
+        wire_scheme: scheme,
         fanouts: Fanouts::new(vec![4, 3]),
         seed: 3,
         pool: WorkerPool::new(workers),
@@ -247,6 +259,46 @@ fn serving_is_bit_identical_across_worker_counts() {
     let c = one.cache;
     assert_eq!(c.static_hits + c.overlay_hits + c.misses, c.lookups);
     assert!(c.overlay_hits > 0, "skewed trace must warm the overlay");
+}
+
+/// What a refactor of the batch loop must reproduce exactly: cache
+/// accounting, the XOR of every completion's logits checksum, the
+/// virtual makespan's bits and the batch count.
+fn fingerprint(r: &ServeReport) -> (CacheStats, u64, u64, usize) {
+    let xor = r.completions.iter().fold(0, |acc, c| acc ^ c.checksum);
+    (r.cache, xor, r.makespan.to_bits(), r.batches.len())
+}
+
+/// Golden fingerprints of the fixture trace, captured on the commit
+/// before the server's classify-then-gather loop became plan once /
+/// probe the residue / `gather_planned` (PR 15). The f16 run also pins
+/// where the wire codec is applied and what the overlay admits.
+#[test]
+fn fixture_trace_matches_golden_fingerprints() {
+    let (ds, model) = fixture();
+    let setup = deployment(&ds);
+    let f32_cache = CacheStats {
+        lookups: 686,
+        local: 1344,
+        static_hits: 101,
+        overlay_hits: 154,
+        misses: 431,
+        evictions: 407,
+        insertions: 431,
+        bytes_fetched: 13792,
+    };
+    assert_eq!(
+        fingerprint(&serve_with_scheme(&setup, &model, 2, QuantScheme::F32)),
+        (f32_cache, 14562535920250502133, 4595516403005056794, 38)
+    );
+    let f16_cache = CacheStats {
+        bytes_fetched: f32_cache.bytes_fetched / 2,
+        ..f32_cache
+    };
+    assert_eq!(
+        fingerprint(&serve_with_scheme(&setup, &model, 2, QuantScheme::F16)),
+        (f16_cache, 826889499939779611, 4595516399315707979, 38)
+    );
 }
 
 /// Quantized overlay + wire tiers change row *contents*, never tier

@@ -3,15 +3,20 @@
 //!
 //! Every crate so far keeps graph + features in RAM (`spp_graph::Dataset`),
 //! which caps experiments at ~1000×-reduced scale. This crate lifts the
-//! feature matrix onto disk behind the [`FeatureStore`] trait:
+//! feature matrix onto disk behind the [`FeatureStore`] trait — the one
+//! interface the trainer, the deployment builder, the partitioned
+//! per-machine store and the inference server read feature rows
+//! through. Its backends:
 //!
+//! * `spp_graph::FeatureMatrix` — the resident f32 matrix, no paging,
+//!   no tracking; what every consumer reads by default.
 //! * [`InRamStore`] — pages held in one resident byte buffer (the
 //!   upper-bound baseline, and the reference for bit-identity tests).
 //! * [`MmapStore`] — pages read on demand from `pages.bin` via
 //!   positioned reads (`read_exact_at`), with an epoch-scoped
 //!   [`tracker::PageTracker`] modeling residency deterministically.
 //!
-//! Both backends decode through the same codecs ([`format::decode_row`]),
+//! Both paged backends decode through the same codecs ([`format::decode_row`]),
 //! so they are bitwise-identical per scheme by construction; tests pin
 //! it anyway. [`StoreBuilder`] writes stores deterministically —
 //! independent of chunk size and worker count — and
@@ -163,10 +168,10 @@ pub trait FeatureStore: Send + Sync {
     }
 }
 
-/// A plain in-RAM matrix is the degenerate store: full-precision rows,
-/// no paging, no tracking. This is what lets store-threaded code paths
-/// (`PartitionedFeatureStore::build_from_store`, trainer gathers) stay
-/// bit-identical to the historical `&FeatureMatrix` paths.
+/// A plain in-RAM matrix is the resident backend: full-precision rows,
+/// no paging, no tracking. Consumers default to it and swap in a paged
+/// store through the same `&dyn FeatureStore`, so there is one code
+/// path whichever backend serves the rows.
 impl FeatureStore for FeatureMatrix {
     fn num_rows(&self) -> usize {
         FeatureMatrix::num_rows(self)

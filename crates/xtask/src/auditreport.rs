@@ -1,21 +1,27 @@
-//! Rendering and summarization for `cargo xtask audit-hotpaths`.
+//! Rendering and summarization for the two call-graph audits,
+//! `cargo xtask audit-hotpaths` and `cargo xtask audit-determinism`.
 //!
 //! The `--json` document is the committed baseline format
-//! (`results/hotpath_baseline.json`): hot-root inventory with
-//! reachable-set size and call-graph depth, the escape-site inventory,
-//! cold boundaries, findings, and the `unannotated_escapes` counter
-//! that benches trend (ISSUE 6). JSON is hand-rolled like
-//! [`crate::report`] — the offline workspace carries no serde.
+//! (`results/hotpath_baseline.json` / `results/determinism_baseline.json`):
+//! root inventory with reachable-set size and call-graph depth, the
+//! escape-site inventory, cold boundaries, findings, and the
+//! `unannotated_escapes` counter that benches trend (ISSUE 6). The two
+//! passes differ only in what [`AuditKind`] names — the key prefix
+//! (`hot_roots` / `det_roots`), the rule-id table and which stop
+//! annotation bounds traversal — so [`crate::baseline`] diffs both with
+//! one key extractor. JSON is hand-rolled like [`crate::report`] — the
+//! offline workspace carries no serde.
 
 use crate::callgraph::{CallGraph, Reached};
 use crate::hotrules::HotReport;
-use crate::items::{FileItems, HOT_RULE_IDS};
+use crate::items::{AuditKind, FileItems};
+use crate::report::json_escape;
 use std::collections::BTreeMap;
 
-/// One hot root with its reachability summary.
+/// One declared root with its reachability summary.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct RootSummary {
-    /// Declared root name (`// spp-hot(<name>)`).
+    /// Declared root name (`// spp-hot(<name>)` / `// spp-det(<name>)`).
     pub name: String,
     /// Qualified fn name.
     pub func: String,
@@ -30,7 +36,8 @@ pub struct RootSummary {
     pub max_depth: usize,
 }
 
-/// One cold boundary (`// spp-hot: stop(..)`) hit by traversal.
+/// One cold boundary (`// spp-hot: stop(..)` / `// spp-det: stop(..)`)
+/// hit by traversal.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct StopSite {
     pub path: String,
@@ -41,6 +48,7 @@ pub struct StopSite {
 /// Everything the audit produces; rendered to text or JSON.
 #[derive(Debug)]
 pub struct AuditOutput {
+    pub kind: AuditKind,
     pub roots: Vec<RootSummary>,
     pub stops: Vec<StopSite>,
     pub reachable_functions: usize,
@@ -52,6 +60,7 @@ pub struct AuditOutput {
 /// traversal actually started from (a subset of the declared roots when
 /// `--root` filters), so partial views report only what they audited.
 pub fn summarize(
+    kind: AuditKind,
     files: &[FileItems],
     graph: &CallGraph,
     root_nodes: &[usize],
@@ -68,7 +77,7 @@ pub fn summarize(
     let mut roots = Vec::new();
     for &ri in root_nodes {
         let n = &graph.nodes[ri];
-        let name = n.item.hot_root.clone().unwrap_or_default();
+        let name = n.item.root_for(kind).unwrap_or_default().to_string();
         let (reachable, max_depth) = per_root.get(name.as_str()).copied().unwrap_or((0, 0));
         roots.push(RootSummary {
             name,
@@ -84,38 +93,23 @@ pub fn summarize(
         .iter()
         .filter_map(|r| {
             let n = &graph.nodes[r.node];
-            n.item.stop.as_ref().map(|reason| StopSite {
+            n.item.stop_for(kind).map(|reason| StopSite {
                 path: files[n.file].rel_path.clone(),
                 func: n.item.qual.clone(),
-                reason: reason.clone(),
+                reason: reason.to_string(),
             })
         })
         .collect();
     stops.sort();
     stops.dedup();
     AuditOutput {
+        kind,
         roots,
         stops,
         reachable_functions: reach.len(),
         report,
         files_scanned,
     }
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Human-readable report.
@@ -148,8 +142,9 @@ pub fn render_text(out: &AuditOutput) -> String {
         s.push_str(&format!("stop {} ({}): {}\n", st.func, st.path, st.reason));
     }
     s.push_str(&format!(
-        "audit-hotpaths: {} root(s), {} reachable fn(s), {} finding(s), \
+        "{}: {} root(s), {} reachable fn(s), {} finding(s), \
          {} escape(s), {} stop(s) in {} file(s) scanned\n",
+        out.kind.command(),
         out.roots.len(),
         out.reachable_functions,
         out.report.findings.len(),
@@ -178,8 +173,10 @@ pub fn render_json(out: &AuditOutput) -> String {
             )
         })
         .collect();
-    let mut counts: BTreeMap<&str, usize> = HOT_RULE_IDS.iter().map(|&r| (r, 0)).collect();
-    counts.insert("hot-annotation", 0);
+    let prefix = out.kind.prefix();
+    let annotation_rule = format!("{prefix}-annotation");
+    let mut counts: BTreeMap<&str, usize> = out.kind.rule_ids().iter().map(|&r| (r, 0)).collect();
+    counts.insert(&annotation_rule, 0);
     for f in &out.report.findings {
         *counts.entry(f.rule.as_str()).or_insert(0) += 1;
     }
@@ -231,7 +228,7 @@ pub fn render_json(out: &AuditOutput) -> String {
         })
         .collect();
     format!(
-        "{{\n  \"hot_roots\": [\n{}\n  ],\n  \"hot_root_count\": {},\n  \
+        "{{\n  \"{prefix}_roots\": [\n{}\n  ],\n  \"{prefix}_root_count\": {},\n  \
          \"reachable_functions\": {},\n  \"findings\": [\n{}\n  ],\n  \
          \"counts\": {{\n{}\n  }},\n  \"escapes\": [\n{}\n  ],\n  \
          \"stops\": [\n{}\n  ],\n  \"unannotated_escapes\": {},\n  \
@@ -253,8 +250,9 @@ mod tests {
     use super::*;
     use crate::hotrules::{EscapeSite, HotFinding};
 
-    fn sample() -> AuditOutput {
+    fn sample(kind: AuditKind, rule: &str) -> AuditOutput {
         AuditOutput {
+            kind,
             roots: vec![RootSummary {
                 name: "core.hop_update".to_string(),
                 func: "hop_update".to_string(),
@@ -273,7 +271,7 @@ mod tests {
                 findings: vec![HotFinding {
                     path: "crates/a/src/lib.rs".to_string(),
                     line: 4,
-                    rule: "h1-alloc".to_string(),
+                    rule: rule.to_string(),
                     func: "deep".to_string(),
                     root: "core.hop_update".to_string(),
                     message: "`.push(` allocates".to_string(),
@@ -281,7 +279,7 @@ mod tests {
                 escapes: vec![EscapeSite {
                     path: "crates/b/src/lib.rs".to_string(),
                     line: 9,
-                    rules: "h1-alloc".to_string(),
+                    rules: rule.to_string(),
                     reason: "amortized".to_string(),
                 }],
             },
@@ -291,23 +289,39 @@ mod tests {
 
     #[test]
     fn text_has_roots_findings_and_summary() {
-        let t = render_text(&sample());
+        let t = render_text(&sample(AuditKind::Hot, "h1-alloc"));
         assert!(t.contains("root core.hop_update = hop_update"));
         assert!(t.contains("crates/a/src/lib.rs:4: [h1-alloc] in `deep` (via core.hop_update)"));
         assert!(t.contains("escape [h1-alloc] amortized"));
         assert!(t.contains("stop pool_metrics"));
-        assert!(t.contains("1 root(s), 3 reachable fn(s), 1 finding(s)"));
+        assert!(t.contains("audit-hotpaths: 1 root(s), 3 reachable fn(s), 1 finding(s)"));
+        let t = render_text(&sample(AuditKind::Det, "d1-unordered-iter"));
+        assert!(t.contains("audit-determinism: 1 root(s), 3 reachable fn(s), 1 finding(s)"));
     }
 
     #[test]
     fn json_counts_and_counters() {
-        let j = render_json(&sample());
+        let j = render_json(&sample(AuditKind::Hot, "h1-alloc"));
+        assert!(j.contains("\"hot_roots\": ["));
         assert!(j.contains("\"hot_root_count\": 1"));
         assert!(j.contains("\"reachable_functions\": 3"));
         assert!(j.contains("\"h1-alloc\": 1"));
         assert!(j.contains("\"h4-float-order\": 0"));
+        assert!(j.contains("\"hot-annotation\": 0"));
         assert!(j.contains("\"unannotated_escapes\": 1"));
         assert!(j.contains("\"files_scanned\": 5"));
+        assert!(crate::json::parse(&j).is_ok());
+    }
+
+    #[test]
+    fn det_json_uses_det_keys_and_rule_table() {
+        let j = render_json(&sample(AuditKind::Det, "d1-unordered-iter"));
+        assert!(j.contains("\"det_roots\": ["));
+        assert!(j.contains("\"det_root_count\": 1"));
+        assert!(j.contains("\"d1-unordered-iter\": 1"));
+        assert!(j.contains("\"d5-float-order\": 0"));
+        assert!(j.contains("\"det-annotation\": 0"));
+        assert!(!j.contains("h1-alloc"));
         assert!(crate::json::parse(&j).is_ok());
     }
 }

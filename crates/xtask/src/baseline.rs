@@ -21,6 +21,7 @@
 //! name/fn, escapes by file/rules/reason, stops by file/fn/reason), so
 //! unrelated edits that shift lines don't churn the baseline.
 
+use crate::items::AuditKind;
 use crate::json::{self, Json};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -42,14 +43,12 @@ pub fn lint_baseline_path(root: &Path) -> PathBuf {
     root.join("results/lint_baseline.json")
 }
 
-/// Baseline path for the hot-path gate.
-pub fn hotpath_baseline_path(root: &Path) -> PathBuf {
-    root.join("results/hotpath_baseline.json")
-}
-
-/// Baseline path for the determinism gate.
-pub fn det_baseline_path(root: &Path) -> PathBuf {
-    root.join("results/determinism_baseline.json")
+/// Baseline path for a call-graph audit gate.
+pub fn audit_baseline_path(root: &Path, kind: AuditKind) -> PathBuf {
+    root.join(match kind {
+        AuditKind::Hot => "results/hotpath_baseline.json",
+        AuditKind::Det => "results/determinism_baseline.json",
+    })
 }
 
 /// Compares two entry multisets; reports stale (baseline-only) and new
@@ -179,21 +178,22 @@ fn graph_audit_keys(
     (roots, escapes, stops, findings)
 }
 
-/// Shared comparison body for the two call-graph audits.
-fn check_graph_audit_baseline(
-    baseline_path: &Path,
+/// Compares current `audit-hotpaths --json` / `audit-determinism
+/// --json` output against the committed baseline under `root`.
+pub fn check_audit_baseline(
+    root: &Path,
+    kind: AuditKind,
     current_json: &str,
-    roots_key: &str,
-    root_label: &str,
 ) -> Result<BaselineStatus, String> {
-    let Some(base) = load(baseline_path)? else {
+    let Some(base) = load(&audit_baseline_path(root, kind))? else {
         return Ok(BaselineStatus::Missing);
     };
     let cur = json::parse(current_json).map_err(|e| format!("current output: {e}"))?;
-    let (br, be, bs, bf) = graph_audit_keys(&base, roots_key);
-    let (cr, ce, cs, cf) = graph_audit_keys(&cur, roots_key);
+    let roots_key = format!("{}_roots", kind.prefix());
+    let (br, be, bs, bf) = graph_audit_keys(&base, &roots_key);
+    let (cr, ce, cs, cf) = graph_audit_keys(&cur, &roots_key);
     let mut diffs = Vec::new();
-    diff_multiset(root_label, &br, &cr, &mut diffs);
+    diff_multiset(&format!("{} root", kind.prefix()), &br, &cr, &mut diffs);
     diff_multiset("escape", &be, &ce, &mut diffs);
     diff_multiset("stop", &bs, &cs, &mut diffs);
     diff_multiset("finding", &bf, &cf, &mut diffs);
@@ -202,28 +202,6 @@ fn check_graph_audit_baseline(
     } else {
         Ok(BaselineStatus::Drift(diffs))
     }
-}
-
-/// Compares current `audit-hotpaths --json` output against the
-/// committed baseline under `root`.
-pub fn check_hotpath_baseline(root: &Path, current_json: &str) -> Result<BaselineStatus, String> {
-    check_graph_audit_baseline(
-        &hotpath_baseline_path(root),
-        current_json,
-        "hot_roots",
-        "hot root",
-    )
-}
-
-/// Compares current `audit-determinism --json` output against the
-/// committed baseline under `root`.
-pub fn check_det_baseline(root: &Path, current_json: &str) -> Result<BaselineStatus, String> {
-    check_graph_audit_baseline(
-        &det_baseline_path(root),
-        current_json,
-        "det_roots",
-        "det root",
-    )
 }
 
 /// Writes `contents` to `path`, creating parent directories.
@@ -299,14 +277,16 @@ mod tests {
         std::fs::write(dir.join("results/determinism_baseline.json"), base).unwrap();
         let moved = base.replace("\"line\": 140", "\"line\": 155");
         assert_eq!(
-            check_det_baseline(&dir, &moved).unwrap(),
+            check_audit_baseline(&dir, AuditKind::Det, &moved).unwrap(),
             BaselineStatus::Clean
         );
         let dropped = base.replace(
             r#"{"name": "a.root", "fn": "root", "file": "a.rs", "line": 2, "reachable": 1, "max_depth": 0}"#,
             "",
         );
-        let BaselineStatus::Drift(diffs) = check_det_baseline(&dir, &dropped).unwrap() else {
+        let BaselineStatus::Drift(diffs) =
+            check_audit_baseline(&dir, AuditKind::Det, &dropped).unwrap()
+        else {
             panic!("expected drift");
         };
         assert!(diffs.iter().any(|d| d.contains("stale det root")));
@@ -326,14 +306,16 @@ mod tests {
         std::fs::write(dir.join("results/hotpath_baseline.json"), base).unwrap();
         let moved = base.replace("\"line\": 5", "\"line\": 50");
         assert_eq!(
-            check_hotpath_baseline(&dir, &moved).unwrap(),
+            check_audit_baseline(&dir, AuditKind::Hot, &moved).unwrap(),
             BaselineStatus::Clean
         );
         let dropped = base.replace(
             r#"{"file": "a.rs", "line": 5, "rules": "h1-alloc", "reason": "amortized"}"#,
             "",
         );
-        let BaselineStatus::Drift(diffs) = check_hotpath_baseline(&dir, &dropped).unwrap() else {
+        let BaselineStatus::Drift(diffs) =
+            check_audit_baseline(&dir, AuditKind::Hot, &dropped).unwrap()
+        else {
             panic!("expected drift");
         };
         assert!(diffs.iter().any(|d| d.contains("stale escape")));

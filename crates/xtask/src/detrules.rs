@@ -31,7 +31,9 @@
 //! suppresses nothing is itself a finding.
 
 use crate::callgraph::{CallGraph, Reached};
-use crate::hotrules::{line_owner, token_hits, EscapeSite, HotFinding, FLOAT_ACC_TOKENS};
+use crate::hotrules::{
+    line_owner, token_hits, EscapeSite, HotFinding, HotReport, FLOAT_ACC_TOKENS,
+};
 use crate::items::{AuditKind, FileItems};
 use crate::rules::{hash_collection_names, hash_iteration};
 use crate::scan::SourceFile;
@@ -74,16 +76,6 @@ fn ambient_sanctioned(path: &str) -> bool {
         || path == "crates/comm/src/des.rs"
 }
 
-/// Output of the transitive determinism pass. Findings reuse the
-/// generic record shape of the hotpath pass.
-#[derive(Debug, Default)]
-pub struct DetReport {
-    /// Unsuppressed violations plus annotation problems, sorted.
-    pub findings: Vec<HotFinding>,
-    /// Escapes that fired, sorted; the baseline inventory.
-    pub escapes: Vec<EscapeSite>,
-}
-
 /// Checks every reached fn against D1–D5.
 ///
 /// `files` and `scanned` are parallel (same indices as the graph's
@@ -93,7 +85,7 @@ pub fn check_reachable(
     scanned: &[SourceFile],
     graph: &CallGraph,
     reach: &[Reached],
-) -> DetReport {
+) -> HotReport {
     let mut findings: Vec<HotFinding> = Vec::new();
     let mut used_escapes: BTreeSet<(usize, usize)> = BTreeSet::new(); // (file, escape idx)
 
@@ -284,11 +276,11 @@ pub fn check_reachable(
     findings.dedup();
     escapes.sort();
     escapes.dedup();
-    DetReport { findings, escapes }
+    HotReport { findings, escapes }
 }
 
 /// Convenience: det roots + det traversal + check, in one call.
-pub fn audit(files: &[FileItems], scanned: &[SourceFile], graph: &CallGraph) -> DetReport {
+pub fn audit(files: &[FileItems], scanned: &[SourceFile], graph: &CallGraph) -> HotReport {
     let roots = graph.roots_for(AuditKind::Det);
     let reach = graph.reach_for(&roots, AuditKind::Det);
     check_reachable(files, scanned, graph, &reach)
@@ -300,7 +292,7 @@ mod tests {
     use crate::items::parse_items;
     use crate::scan::scan_source;
 
-    fn analyze(sources: &[(&str, &str)]) -> DetReport {
+    fn analyze(sources: &[(&str, &str)]) -> HotReport {
         let scanned: Vec<SourceFile> = sources.iter().map(|(p, s)| scan_source(p, s)).collect();
         let files: Vec<FileItems> = scanned
             .iter()

@@ -132,7 +132,8 @@ pub(crate) fn line_owner(file: &FileItems, line_idx: usize) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-/// Output of the transitive check pass.
+/// Output of a transitive check pass (the determinism pass reuses the
+/// record shapes).
 #[derive(Debug, Default)]
 pub struct HotReport {
     /// Unsuppressed violations plus annotation problems, sorted.

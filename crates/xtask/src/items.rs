@@ -53,6 +53,33 @@ pub enum AuditKind {
     Det,
 }
 
+impl AuditKind {
+    /// The family's key prefix: `spp-<prefix>` annotations,
+    /// `<prefix>_roots` in the report, the `<prefix>-annotation` rule.
+    pub fn prefix(self) -> &'static str {
+        match self {
+            AuditKind::Hot => "hot",
+            AuditKind::Det => "det",
+        }
+    }
+
+    /// The `cargo xtask` subcommand that runs the pass.
+    pub fn command(self) -> &'static str {
+        match self {
+            AuditKind::Hot => "audit-hotpaths",
+            AuditKind::Det => "audit-determinism",
+        }
+    }
+
+    /// Rule ids of the pass, in report order.
+    pub fn rule_ids(self) -> &'static [&'static str] {
+        match self {
+            AuditKind::Hot => &HOT_RULE_IDS,
+            AuditKind::Det => &DET_RULE_IDS,
+        }
+    }
+}
+
 /// One call site inside a function body.
 #[derive(Debug, Clone)]
 pub struct CallSite {

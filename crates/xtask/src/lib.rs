@@ -5,14 +5,14 @@
 //! - the line-level invariant linter (rules L1–L8, [`rules`] /
 //!   [`report`]), run by `cargo xtask lint`;
 //! - the transitive hot-path analyzer (rules H1–H4, [`items`] /
-//!   [`callgraph`] / [`hotrules`] / [`hotreport`]), run by
+//!   [`callgraph`] / [`hotrules`] / [`auditreport`]), run by
 //!   `cargo xtask audit-hotpaths`. It parses function items and call
 //!   sites out of the cleaned source, builds an intra-workspace call
 //!   graph, and checks every function reachable from a declared
 //!   `// spp-hot(<name>)` root for allocation, panic, blocking, and
 //!   float-ordering hazards (DESIGN.md §13);
 //! - the transitive determinism analyzer (rules D1–D5, [`detrules`] /
-//!   [`detreport`]), run by `cargo xtask audit-determinism`. It walks
+//!   [`auditreport`]), run by `cargo xtask audit-determinism`. It walks
 //!   the same call graph from `// spp-det(<name>)` roots and checks
 //!   every reachable function for the source constructs that break the
 //!   §9 bit-identity contract: unordered hash iteration, unseeded RNG,
@@ -34,12 +34,11 @@
     )
 )]
 
+pub mod auditreport;
 pub mod baseline;
 pub mod benchdiff;
 pub mod callgraph;
-pub mod detreport;
 pub mod detrules;
-pub mod hotreport;
 pub mod hotrules;
 pub mod items;
 pub mod json;

@@ -57,7 +57,7 @@ use spp_xtask::callgraph::CallGraph;
 use spp_xtask::items::{AuditKind, FileItems};
 use spp_xtask::scan::SourceFile;
 use spp_xtask::{
-    benchdiff, detreport, detrules, hotreport, hotrules, items, json, report, rules, scan, walk,
+    auditreport, benchdiff, detrules, hotrules, items, json, report, rules, scan, walk,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -172,7 +172,7 @@ fn run_lint(json_out: bool, root: Option<PathBuf>, refresh: bool) -> ExitCode {
     }
 }
 
-/// Scans and parses the whole workspace for the hot-path analyzer.
+/// Scans and parses the whole workspace for the call-graph audits.
 fn parse_workspace(root: &Path) -> Result<(Vec<SourceFile>, Vec<FileItems>), String> {
     let sources = walk::read_targets(root)?;
     let mut scanned = Vec::with_capacity(sources.len());
@@ -185,45 +185,55 @@ fn parse_workspace(root: &Path) -> Result<(Vec<SourceFile>, Vec<FileItems>), Str
     Ok((scanned, parsed))
 }
 
-fn run_audit_hotpaths(
+/// Runs one of the two call-graph audits (`audit-hotpaths` /
+/// `audit-determinism`).
+fn run_audit(
+    kind: AuditKind,
     json_out: bool,
     root_filter: Option<String>,
     dir: Option<PathBuf>,
     refresh: bool,
 ) -> ExitCode {
+    let cmd = kind.command();
     let Some(root) = walk::workspace_root(dir) else {
-        eprintln!("audit-hotpaths: cannot determine workspace root");
+        eprintln!("{cmd}: cannot determine workspace root");
         return ExitCode::from(2);
     };
     let (scanned, parsed) = match parse_workspace(&root) {
         Ok(v) => v,
         Err(e) => {
-            eprintln!("audit-hotpaths: {e}");
+            eprintln!("{cmd}: {e}");
             return ExitCode::from(2);
         }
     };
     let graph = CallGraph::build(&parsed);
-    let mut roots = graph.roots();
+    let mut roots = graph.roots_for(kind);
     if let Some(name) = &root_filter {
-        roots.retain(|&i| graph.nodes[i].item.hot_root.as_deref() == Some(name.as_str()));
+        roots.retain(|&i| graph.nodes[i].item.root_for(kind) == Some(name.as_str()));
         if roots.is_empty() {
-            eprintln!("audit-hotpaths: no hot root named `{name}`; declared roots:");
-            for i in graph.roots() {
-                if let Some(n) = &graph.nodes[i].item.hot_root {
+            eprintln!(
+                "{cmd}: no {} root named `{name}`; declared roots:",
+                kind.prefix()
+            );
+            for i in graph.roots_for(kind) {
+                if let Some(n) = graph.nodes[i].item.root_for(kind) {
                     eprintln!("  {n}");
                 }
             }
             return ExitCode::from(2);
         }
     }
-    let reach = graph.reach(&roots);
-    let rep = hotrules::check_reachable(&parsed, &scanned, &graph, &reach);
-    let out = hotreport::summarize(&parsed, &graph, &roots, &reach, scanned.len(), rep);
-    let rendered_json = hotreport::render_json(&out);
+    let reach = graph.reach_for(&roots, kind);
+    let rep = match kind {
+        AuditKind::Hot => hotrules::check_reachable(&parsed, &scanned, &graph, &reach),
+        AuditKind::Det => detrules::check_reachable(&parsed, &scanned, &graph, &reach),
+    };
+    let out = auditreport::summarize(kind, &parsed, &graph, &roots, &reach, scanned.len(), rep);
+    let rendered_json = auditreport::render_json(&out);
     if json_out {
         print!("{rendered_json}");
     } else {
-        print!("{}", hotreport::render_text(&out));
+        print!("{}", auditreport::render_text(&out));
     }
     let clean = out.report.findings.is_empty();
     // Partial traversals (--root) see a subset of escapes/roots, so the
@@ -231,99 +241,18 @@ fn run_audit_hotpaths(
     let drift = if root_filter.is_some() {
         false
     } else if refresh {
-        if let Err(e) = baseline::refresh(&baseline::hotpath_baseline_path(&root), &rendered_json) {
-            eprintln!("audit-hotpaths: refreshing baseline: {e}");
+        let path = baseline::audit_baseline_path(&root, kind);
+        if let Err(e) = baseline::refresh(&path, &rendered_json) {
+            eprintln!("{cmd}: refreshing baseline: {e}");
             return ExitCode::from(2);
         }
-        eprintln!(
-            "audit-hotpaths: baseline refreshed at {}",
-            baseline::hotpath_baseline_path(&root).display()
-        );
+        eprintln!("{cmd}: baseline refreshed at {}", path.display());
         false
     } else {
-        match baseline::check_hotpath_baseline(&root, &rendered_json) {
-            Ok(status) => report_drift(
-                "audit-hotpaths",
-                status,
-                "audit-hotpaths --refresh-baseline",
-            ),
+        match baseline::check_audit_baseline(&root, kind, &rendered_json) {
+            Ok(status) => report_drift(cmd, status, &format!("{cmd} --refresh-baseline")),
             Err(e) => {
-                eprintln!("audit-hotpaths: baseline check: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    };
-    if clean && !drift {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-fn run_audit_determinism(
-    json_out: bool,
-    root_filter: Option<String>,
-    dir: Option<PathBuf>,
-    refresh: bool,
-) -> ExitCode {
-    let Some(root) = walk::workspace_root(dir) else {
-        eprintln!("audit-determinism: cannot determine workspace root");
-        return ExitCode::from(2);
-    };
-    let (scanned, parsed) = match parse_workspace(&root) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("audit-determinism: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let graph = CallGraph::build(&parsed);
-    let mut roots = graph.roots_for(AuditKind::Det);
-    if let Some(name) = &root_filter {
-        roots.retain(|&i| graph.nodes[i].item.det_root.as_deref() == Some(name.as_str()));
-        if roots.is_empty() {
-            eprintln!("audit-determinism: no det root named `{name}`; declared roots:");
-            for i in graph.roots_for(AuditKind::Det) {
-                if let Some(n) = &graph.nodes[i].item.det_root {
-                    eprintln!("  {n}");
-                }
-            }
-            return ExitCode::from(2);
-        }
-    }
-    let reach = graph.reach_for(&roots, AuditKind::Det);
-    let rep = detrules::check_reachable(&parsed, &scanned, &graph, &reach);
-    let out = detreport::summarize(&parsed, &graph, &roots, &reach, scanned.len(), rep);
-    let rendered_json = detreport::render_json(&out);
-    if json_out {
-        print!("{rendered_json}");
-    } else {
-        print!("{}", detreport::render_text(&out));
-    }
-    let clean = out.report.findings.is_empty();
-    // Partial traversals (--root) see a subset of escapes/roots, so the
-    // full-workspace baseline does not apply.
-    let drift = if root_filter.is_some() {
-        false
-    } else if refresh {
-        if let Err(e) = baseline::refresh(&baseline::det_baseline_path(&root), &rendered_json) {
-            eprintln!("audit-determinism: refreshing baseline: {e}");
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "audit-determinism: baseline refreshed at {}",
-            baseline::det_baseline_path(&root).display()
-        );
-        false
-    } else {
-        match baseline::check_det_baseline(&root, &rendered_json) {
-            Ok(status) => report_drift(
-                "audit-determinism",
-                status,
-                "audit-determinism --refresh-baseline",
-            ),
-            Err(e) => {
-                eprintln!("audit-determinism: baseline check: {e}");
+                eprintln!("{cmd}: baseline check: {e}");
                 return ExitCode::from(2);
             }
         }
@@ -795,7 +724,12 @@ fn main() -> ExitCode {
             }
             run_lint(json, root, refresh)
         }
-        "audit-hotpaths" => {
+        "audit-hotpaths" | "audit-determinism" => {
+            let kind = if cmd == "audit-hotpaths" {
+                AuditKind::Hot
+            } else {
+                AuditKind::Det
+            };
             let mut json = false;
             let mut root_filter = None;
             let mut dir = None;
@@ -816,30 +750,7 @@ fn main() -> ExitCode {
                     _ => return usage(),
                 }
             }
-            run_audit_hotpaths(json, root_filter, dir, refresh)
-        }
-        "audit-determinism" => {
-            let mut json = false;
-            let mut root_filter = None;
-            let mut dir = None;
-            let mut refresh = false;
-            let mut it = args.iter().skip(1);
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--json" => json = true,
-                    "--refresh-baseline" => refresh = true,
-                    "--root" => match it.next() {
-                        Some(r) => root_filter = Some(r.clone()),
-                        None => return usage(),
-                    },
-                    "--dir" => match it.next() {
-                        Some(d) => dir = Some(PathBuf::from(d)),
-                        None => return usage(),
-                    },
-                    _ => return usage(),
-                }
-            }
-            run_audit_determinism(json, root_filter, dir, refresh)
+            run_audit(kind, json, root_filter, dir, refresh)
         }
         "check-interleavings" => run_check_interleavings(&args[1..]),
         "validate-trace" => {

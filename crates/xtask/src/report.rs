@@ -21,7 +21,7 @@
 use crate::rules::{Finding, RelaxedSite, RULE_IDS};
 use std::collections::BTreeMap;
 
-fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
