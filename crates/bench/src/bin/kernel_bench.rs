@@ -139,7 +139,6 @@ struct KernelResult {
     name: &'static str,
     seed_gflops: f64,
     blocked_gflops: f64,
-    sparse_gflops: f64,
 }
 
 fn main() {
@@ -160,7 +159,7 @@ fn main() {
 
     let gflop_mm = 2.0 * (M * K * N) as f64 / 1e9;
 
-    // A·B — seed scalar, blocked dense, sparsity dispatch on dense data.
+    // A·B — seed scalar vs blocked.
     let t_seed = time_best(reps, || {
         seed_matmul(black_box(&a), M, K, black_box(&b_mm), N, &mut out_mm);
         black_box(&out_mm);
@@ -169,16 +168,10 @@ fn main() {
         kernels::matmul_rows_dense(black_box(&a), K, black_box(&b_mm), N, &mut out_mm);
         black_box(&out_mm);
     });
-    let t_sparse = time_best(reps, || {
-        out_mm.iter_mut().for_each(|o| *o = 0.0);
-        kernels::matmul_rows_sparse(black_box(&a), K, black_box(&b_mm), N, &mut out_mm);
-        black_box(&out_mm);
-    });
     let matmul = KernelResult {
         name: "matmul",
         seed_gflops: gflop_mm / t_seed,
         blocked_gflops: gflop_mm / t_blocked,
-        sparse_gflops: gflop_mm / t_sparse,
     };
 
     // Aᵀ·B over the full column range (M×K)ᵀ @ (M×N).
@@ -192,16 +185,10 @@ fn main() {
         kernels::t_matmul_cols_dense(black_box(&a), K, black_box(&b_mn), N, M, 0, &mut out_tm);
         black_box(&out_tm);
     });
-    let t_sparse = time_best(reps, || {
-        out_tm.iter_mut().for_each(|o| *o = 0.0);
-        kernels::t_matmul_cols_sparse(black_box(&a), K, black_box(&b_mn), N, M, 0, &mut out_tm);
-        black_box(&out_tm);
-    });
     let t_matmul = KernelResult {
         name: "t_matmul",
         seed_gflops: gflop_tm / t_seed,
         blocked_gflops: gflop_tm / t_blocked,
-        sparse_gflops: gflop_tm / t_sparse,
     };
 
     // A·Bᵀ — (M×K) @ (N×K)ᵀ; the blocked form is the partitioned dot.
@@ -218,18 +205,11 @@ fn main() {
         name: "matmul_t",
         seed_gflops: gflop_mt / t_seed,
         blocked_gflops: gflop_mt / t_blocked,
-        sparse_gflops: gflop_mt / t_blocked, // no sparse variant: dots skip nothing
     };
 
     let mut table = Table::new(
         "compute kernels (best-of-reps)",
-        &[
-            "kernel",
-            "seed GFLOP/s",
-            "blocked GFLOP/s",
-            "sparse GFLOP/s",
-            "speedup",
-        ],
+        &["kernel", "seed GFLOP/s", "blocked GFLOP/s", "speedup"],
     );
     let results = [&matmul, &t_matmul, &matmul_t];
     for r in results {
@@ -237,7 +217,6 @@ fn main() {
             r.name.to_string(),
             format!("{:.2}", r.seed_gflops),
             format!("{:.2}", r.blocked_gflops),
-            format!("{:.2}", r.sparse_gflops),
             format!("{:.2}x", r.blocked_gflops / r.seed_gflops),
         ]);
     }
@@ -358,10 +337,9 @@ fn main() {
         report.field(
             &format!("{}_gflops", r.name),
             format!(
-                "{{\"seed\": {:.3}, \"blocked\": {:.3}, \"sparse\": {:.3}, \"speedup\": {:.3}}}",
+                "{{\"seed\": {:.3}, \"blocked\": {:.3}, \"speedup\": {:.3}}}",
                 r.seed_gflops,
                 r.blocked_gflops,
-                r.sparse_gflops,
                 r.blocked_gflops / r.seed_gflops
             ),
         );

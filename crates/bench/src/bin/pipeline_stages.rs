@@ -70,9 +70,10 @@ fn main() {
         "Appendix D pipeline: per-stage busy time per machine-epoch (papers, 8 GPUs)",
         &["stage", "a=0", "a=0.32", "change"],
     );
-    for (i, name) in STAGE_NAMES.iter().enumerate() {
-        let b = e_bare.busy.stage(i + 1) / k as f64;
-        let c = e_cached.busy.stage(i + 1) / k as f64;
+    // `PipelineStage::ALL` lists the ten Appendix-D stages first.
+    for (name, stage) in STAGE_NAMES.iter().zip(PipelineStage::ALL) {
+        let b = e_bare.busy.get(stage) / k as f64;
+        let c = e_cached.busy.get(stage) / k as f64;
         t.row(vec![
             name.to_string(),
             fmt_secs(b),

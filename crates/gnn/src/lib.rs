@@ -45,5 +45,5 @@ pub mod metrics;
 pub mod model;
 pub mod trainer;
 
-pub use model::{Arch, Forward, GnnModel};
+pub use model::{model_dims, Arch, Forward, GnnModel};
 pub use trainer::{EpochStats, TrainConfig, TrainReport, Trainer, MODEL_STREAM_SALT};

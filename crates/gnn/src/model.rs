@@ -158,6 +158,15 @@ impl Forward {
     }
 }
 
+/// Layer widths `[feature_dim, hidden × (hops - 1), classes]` of the
+/// `hops`-layer model every trainer and timing simulation builds.
+pub fn model_dims(feature_dim: usize, hidden: usize, hops: usize, classes: usize) -> Vec<usize> {
+    let mut dims = vec![feature_dim];
+    dims.extend(std::iter::repeat_n(hidden, hops - 1));
+    dims.push(classes);
+    dims
+}
+
 /// A multi-layer GNN.
 ///
 /// `dims` is `[input_dim, hidden..., num_classes]`; the number of layers

@@ -5,7 +5,7 @@
 //! gradients; integration tests compare against this implementation.
 
 use crate::metrics::{predictions, AccuracyMeter};
-use crate::{Arch, GnnModel};
+use crate::{model_dims, Arch, GnnModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spp_graph::{Dataset, VertexId};
@@ -136,13 +136,14 @@ pub struct Trainer<'a> {
 }
 
 impl<'a> Trainer<'a> {
-    /// Builds a trainer; model dims are
-    /// `[feature_dim, hidden × (L-1), num_classes]`.
+    /// Builds a trainer over [`model_dims`].
     pub fn new(ds: &'a Dataset, cfg: TrainConfig) -> Self {
-        let l = cfg.fanouts.num_hops();
-        let mut dims = vec![ds.features.dim()];
-        dims.extend(std::iter::repeat_n(cfg.hidden_dim, l - 1));
-        dims.push(ds.num_classes);
+        let dims = model_dims(
+            ds.features.dim(),
+            cfg.hidden_dim,
+            cfg.fanouts.num_hops(),
+            ds.num_classes,
+        );
         let model = GnnModel::new(cfg.arch, &dims, cfg.seed).with_dropout(cfg.dropout);
         Self {
             ds,

@@ -14,7 +14,12 @@
 //!   assumed). Relative error for normal values is ≤ 2⁻¹¹.
 //! * [`QuantScheme::I8`] — per-row affine quantization: each row stores
 //!   `min` and `scale = (max − min)/255` as `f32` plus one `i8` code per
-//!   element; absolute error is ≤ `scale/2`.
+//!   element; absolute error is ≤ `scale/2`. One codebook
+//!   ([`i8_codebook`]) and one code rounding ([`i8_code`]) serve the
+//!   in-RAM tier, the wire round trip and the paged store's row codec.
+//!   Non-finite elements are defined once, there: the range is taken
+//!   over the finite elements, `NaN`/`-inf` store as `min`, `+inf` as
+//!   `max`, and finite elements of such a row keep the error bound.
 //!
 //! Both decode paths are branch-free slice loops ([`decode_f16_slice`],
 //! [`decode_i8_slice`] — shared with the paged store's row codec) writing
@@ -171,8 +176,42 @@ pub fn decode_i8_slice(
 ) {
     assert_eq!(codes.len(), out.len(), "i8 decode length mismatch");
     for (o, c) in out.iter_mut().zip(codes) {
-        *o = (c as i32 + 128) as f32 * scale + min;
+        *o = i8_value(c, min, scale);
     }
+}
+
+/// The value a stored `i8` code stands for.
+#[inline]
+fn i8_value(code: i8, min: f32, scale: f32) -> f32 {
+    (code as i32 + 128) as f32 * scale + min
+}
+
+/// The per-row affine codebook `(lo, scale, inv)` every `i8` encoder
+/// uses: `lo`/`hi` are taken over the row's *finite* elements (`0, 0`
+/// when it has none), `scale = (hi − lo)/255`, and `inv = 1/scale` (`0`
+/// for a constant row).
+#[inline]
+pub fn i8_codebook(row: &[f32]) -> (f32, f32, f32) {
+    let (lo, hi) = row
+        .iter()
+        .filter(|v| v.is_finite())
+        .fold((f32::INFINITY, f32::NEG_INFINITY), |(l, h), &v| {
+            (l.min(v), h.max(v))
+        });
+    let (lo, hi) = if lo > hi { (0.0, 0.0) } else { (lo, hi) };
+    let scale = (hi - lo) / 255.0;
+    let inv = if scale > 0.0 { 1.0 / scale } else { 0.0 };
+    (lo, scale, inv)
+}
+
+/// The stored code of `v` under [`i8_codebook`]'s `(lo, _, inv)`: codes
+/// `0..=255` shifted to `-128..=127`, rounded to nearest so a finite
+/// element decodes within `scale/2`. Non-finite input is defined too:
+/// `NaN` and `-inf` encode as `lo`, `+inf` as `hi` (the saturating
+/// float-to-int cast sends `NaN` to code 0).
+#[inline]
+pub fn i8_code(v: f32, lo: f32, inv: f32) -> i8 {
+    (((v - lo) * inv).round().clamp(0.0, 255.0) as i32 - 128) as i8
 }
 
 // ---------------------------------------------------------------------
@@ -277,21 +316,11 @@ impl QuantizedFeatures {
                 }
             }
             Storage::I8 { codes, min, scale } => {
-                let (lo, hi) = row
-                    .iter()
-                    .fold((f32::INFINITY, f32::NEG_INFINITY), |(l, h), &v| {
-                        (l.min(v), h.max(v))
-                    });
-                let (lo, hi) = if lo > hi { (0.0, 0.0) } else { (lo, hi) };
-                let s = (hi - lo) / 255.0;
+                let (lo, s, inv) = i8_codebook(row);
                 min[slot] = lo;
                 scale[slot] = s;
-                let inv = if s > 0.0 { 1.0 / s } else { 0.0 };
                 for (q, &v) in codes[slot * dim..(slot + 1) * dim].iter_mut().zip(row) {
-                    // Codes 0..=255 shifted to -128..=127; rounding to
-                    // nearest keeps |error| <= scale/2.
-                    let code = ((v - lo) * inv).round().clamp(0.0, 255.0) as i32 - 128;
-                    *q = code as i8;
+                    *q = i8_code(v, lo, inv);
                 }
             }
         }
@@ -344,17 +373,9 @@ pub fn wire_roundtrip(row: &mut [f32], scheme: QuantScheme) {
             }
         }
         QuantScheme::I8 => {
-            let (lo, hi) = row
-                .iter()
-                .fold((f32::INFINITY, f32::NEG_INFINITY), |(l, h), &v| {
-                    (l.min(v), h.max(v))
-                });
-            let (lo, hi) = if lo > hi { (0.0, 0.0) } else { (lo, hi) };
-            let s = (hi - lo) / 255.0;
-            let inv = if s > 0.0 { 1.0 / s } else { 0.0 };
+            let (lo, scale, inv) = i8_codebook(row);
             for v in row.iter_mut() {
-                let code = ((*v - lo) * inv).round().clamp(0.0, 255.0);
-                *v = code * s + lo;
+                *v = i8_value(i8_code(*v, lo, inv), lo, scale);
             }
         }
     }

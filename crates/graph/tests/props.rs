@@ -194,6 +194,52 @@ proptest! {
         }
     }
 
+    /// Rows with `NaN` / `±inf` elements: the tier and the wire round
+    /// trip agree bit-for-bit, `NaN` and `-inf` decode to the row's
+    /// finite minimum, `+inf` to what its finite maximum decodes to, and
+    /// the finite elements keep the half-step bound of the finite range.
+    #[test]
+    fn i8_defines_non_finite_elements(
+        finite in prop::collection::vec(-100.0f32..100.0, 0..48),
+        injected in prop::collection::vec((0usize..64, 0usize..3), 1..8),
+    ) {
+        use spp_graph::quant::wire_roundtrip;
+        use spp_graph::{QuantScheme, QuantizedFeatures};
+        let mut row = finite.clone();
+        for &(at, kind) in &injected {
+            let v = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][kind];
+            row.insert(at.min(row.len()), v);
+        }
+        let dim = row.len();
+        let mut q = QuantizedFeatures::with_rows(1, dim, QuantScheme::I8);
+        q.set_row(0, &row);
+        let mut tier = vec![0.0f32; dim];
+        q.read_row_into(0, &mut tier);
+        let mut wire = row.clone();
+        wire_roundtrip(&mut wire, QuantScheme::I8);
+        let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&tier), bits(&wire));
+
+        // No finite element: the codebook is (0, 0) and all decode to 0.
+        let (lo, hi) = if finite.is_empty() {
+            (0.0, 0.0)
+        } else {
+            let range = (f32::INFINITY, f32::NEG_INFINITY);
+            finite.iter().fold(range, |(l, h), &v| (l.min(v), h.max(v)))
+        };
+        let top = row.iter().position(|&v| v == hi).map_or(lo, |i| tier[i]);
+        let tol = (hi - lo) / 255.0 * 0.5001 + (hi - lo).abs() * 1e-6 + 1e-6;
+        for (&v, &back) in row.iter().zip(&tier) {
+            if v.is_finite() {
+                prop_assert!((v - back).abs() <= tol, "{v} vs {back} (tol {tol})");
+            } else if v == f32::INFINITY {
+                prop_assert_eq!(back.to_bits(), top.to_bits(), "+inf");
+            } else {
+                prop_assert_eq!(back.to_bits(), lo.to_bits(), "{}", v);
+            }
+        }
+    }
+
     /// Encoding is deterministic and set_row slots are independent.
     #[test]
     fn quantized_rows_are_independent_and_deterministic(

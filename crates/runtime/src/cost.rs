@@ -151,6 +151,18 @@ impl CostModel {
     }
 }
 
+/// Gradient bytes for a GraphSAGE stack over `dims`, scaled by the
+/// ratio of the simulated batch size to the paper's per-GPU batch
+/// (1024). Model size does not shrink with the mini datasets, so
+/// without this the per-batch gradient-traffic-to-compute ratio would
+/// be inflated ~100x relative to the paper's testbed, making the
+/// all-reduce a phantom bottleneck.
+pub fn grad_bytes(dims: &[usize], batch_size: usize) -> f64 {
+    const PAPER_BATCH: f64 = 1024.0;
+    let params: usize = dims.windows(2).map(|w| 2 * w[0] * w[1] + w[1]).sum();
+    params as f64 * 4.0 * (batch_size as f64 / PAPER_BATCH).min(1.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -178,20 +178,12 @@ impl<'a> DistributedTrainer<'a> {
         Self { setup, config }
     }
 
-    fn dims(&self) -> Vec<usize> {
-        let l = self.setup.config.fanouts.num_hops();
-        let mut dims = vec![self.setup.dataset.features.dim()];
-        dims.extend(std::iter::repeat_n(self.config.hidden_dim, l - 1));
-        dims.push(self.setup.dataset.num_classes);
-        dims
-    }
-
     /// Runs the full training loop; returns the report and the final
     /// model (identical on all machines; machine 0's copy is returned).
     // spp-det(runtime.engine_train)
     pub fn train(&self) -> (DistributedTrainReport, GnnModel) {
         let k = self.setup.num_machines();
-        let dims = self.dims();
+        let dims = self.setup.model_dims(self.config.hidden_dim);
         let rounds_per_epoch = self.setup.rounds_per_epoch();
         let grads_x = AllToAll::<Payload>::new(k);
         let setup = self.setup;

@@ -10,10 +10,15 @@
 //!   accesses.
 //! - [`cost`] — the machine cost model (CPU sampling, feature slicing,
 //!   PCIe transfers, GPU compute, NIC) used by timing simulations.
-//! - [`systems`] — per-epoch time estimation via discrete-event simulation
-//!   for the paper's system ladder: SALIENT full replication → partitioned
-//!   features → pipelined communication → VIP caching (Table 1, Figures
-//!   4–9), plus a DistDGL-like synchronous baseline (Table 4).
+//! - [`stages`] — the one stage graph of the timing model: a stage
+//!   table (label, resource, cost, dependencies per row) and the round
+//!   interpreter that wires it onto the discrete-event engine.
+//! - [`systems`] — per-epoch time estimation for the paper's system
+//!   ladder over the coarse stage table: SALIENT full replication →
+//!   partitioned features → pipelined communication → VIP caching (Table
+//!   1, Figures 4–9), plus a DistDGL-like synchronous baseline (Table 4).
+//! - [`pipeline`] — the same interpreter over the explicit Appendix-D
+//!   10-stage table.
 //! - [`engine`] — correctness-grade distributed training on real threads
 //!   with all-to-all feature exchange and gradient averaging; verifies
 //!   that partitioned+cached execution matches single-machine training.
@@ -42,6 +47,7 @@ pub mod engine;
 pub mod pipeline;
 pub mod pool;
 pub mod setup;
+pub mod stages;
 pub mod systems;
 pub mod telemetry;
 pub mod volume;
@@ -49,8 +55,9 @@ pub mod workload;
 
 pub use cost::CostModel;
 pub use engine::{DistTrainConfig, DistributedTrainReport, DistributedTrainer};
-pub use pipeline::{PipelineEpoch, PipelineSim, StageBusy};
+pub use pipeline::{PipelineEpoch, PipelineSim};
 pub use pool::WorkerPool;
 pub use setup::{DistributedSetup, SetupConfig};
+pub use stages::{StageBusy, StageGraph};
 pub use systems::{EpochSim, EpochTime, SystemSpec};
 pub use volume::{AccessCounts, CommVolume};

@@ -1,76 +1,18 @@
 //! The explicit 10-stage SALIENT++ pipeline (Appendix D).
 //!
 //! [`crate::systems`] models batch preparation with five coarse stages;
-//! this module wires the paper's full stage list onto the DES so the
-//! per-stage structure (metadata round trips, the masked-selection
-//! background thread, GPU-side slicing, the final permute) is visible:
-//!
-//! 1. obtain the next sampled minibatch (CPU sampler pool);
-//! 2. all-to-all of send/receive *counts* (NIC, metadata);
-//! 3. metadata transfer to the CPU to size tensors (copy engine);
-//! 4. all-to-all of requested-node lists (NIC, 4 B/vertex);
-//! 5. map global→local ids and device-to-host the request lists (copy);
-//! 6. background CPU thread: masked selection + CPU-side slicing of
-//!    requested + local + cached features (CPU);
-//! 7. host-to-device of the stage-6 output (copy);
-//! 8. GPU-side slicing of GPU-resident features and combine (GPU);
-//! 9. all-to-all of the feature payloads (NIC);
-//! 10. combine received features and permute to MFG order (GPU);
-//!
-//! then the training computation and gradient all-reduce follow.
+//! this module runs the paper's full stage list — the table documented
+//! on, and built by, [`StageGraph::appendix_d`] — through the same round
+//! interpreter ([`crate::stages::simulate`]), so the per-stage structure
+//! (metadata round trips on their own NCCL channel, the masked-selection
+//! background thread, GPU-side slicing, the final permute) is visible in
+//! the busy sums and on the trace timeline. Training and the gradient
+//! all-reduce follow stage 10.
 
 use crate::cost::CostModel;
 use crate::setup::DistributedSetup;
-use crate::workload::{measure_epoch, BatchStats};
-use spp_comm::{DesEngine, TaskId};
-use spp_telemetry::stage::PipelineStage;
-
-/// Per-stage busy time (seconds, summed over machines), covering the ten
-/// Appendix-D stages plus training and the gradient all-reduce.
-///
-/// Stage identity comes from [`PipelineStage`] — the same enum that names
-/// telemetry spans and DES task labels — so simulator accounting, trace
-/// output, and metrics can never drift apart.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct StageBusy {
-    busy: [f64; PipelineStage::COUNT],
-}
-
-impl StageBusy {
-    /// Adds `seconds` of busy time to `stage`.
-    pub fn add(&mut self, stage: PipelineStage, seconds: f64) {
-        self.busy[stage.index()] += seconds;
-    }
-
-    /// Busy seconds of `stage`.
-    pub fn get(&self, stage: PipelineStage) -> f64 {
-        self.busy[stage.index()]
-    }
-
-    /// Busy seconds of Appendix-D stage `appendix` (1-based, `1..=10`);
-    /// zero for indices outside that range.
-    pub fn stage(&self, appendix: usize) -> f64 {
-        PipelineStage::ALL
-            .iter()
-            .find(|s| s.appendix_stage() == Some(appendix))
-            .map_or(0.0, |s| self.get(*s))
-    }
-
-    /// GPU training compute busy seconds.
-    pub fn train(&self) -> f64 {
-        self.get(PipelineStage::Train)
-    }
-
-    /// Gradient all-reduce busy seconds.
-    pub fn allreduce(&self) -> f64 {
-        self.get(PipelineStage::AllReduce)
-    }
-
-    /// Total busy seconds.
-    pub fn total(&self) -> f64 {
-        self.busy.iter().sum()
-    }
-}
+use crate::stages::{simulate, SimOpts, StageBusy, StageGraph};
+use crate::workload::measure_epoch;
 
 /// Result of a detailed pipeline simulation.
 #[derive(Clone, Debug)]
@@ -108,9 +50,7 @@ pub struct PipelineEpoch {
 /// ```
 pub struct PipelineSim<'a> {
     setup: &'a DistributedSetup,
-    cost: CostModel,
-    hidden_dim: usize,
-    depth: usize,
+    opts: SimOpts,
 }
 
 impl<'a> PipelineSim<'a> {
@@ -126,20 +66,14 @@ impl<'a> PipelineSim<'a> {
         depth: usize,
     ) -> Self {
         assert!(depth > 0, "pipeline depth must be positive");
-        Self {
-            setup,
+        let opts = SimOpts {
             cost,
             hidden_dim,
             depth,
-        }
-    }
-
-    fn dims(&self) -> Vec<usize> {
-        let l = self.setup.config.fanouts.num_hops();
-        let mut dims = vec![self.setup.dataset.features.dim()];
-        dims.extend(std::iter::repeat_n(self.hidden_dim, l - 1));
-        dims.push(self.setup.dataset.num_classes);
-        dims
+            inference: false,
+            trace: false,
+        };
+        Self { setup, opts }
     }
 
     /// Runs the simulation for one epoch.
@@ -152,239 +86,20 @@ impl<'a> PipelineSim<'a> {
     /// cannot perturb the computed epoch.
     pub fn simulate_epoch(&self, epoch: u64) -> PipelineEpoch {
         let _span = spp_telemetry::span!("runtime.pipeline.simulate_epoch");
-        let k = self.setup.num_machines();
-        let stats: Vec<Vec<BatchStats>> = measure_epoch(self.setup, false, epoch);
-        let rounds = stats.iter().map(Vec::len).max().unwrap_or(0);
-        let dims = self.dims();
-        let d = self.setup.dataset.features.dim();
-        let fb = 4.0 * d as f64;
-        let grad_bytes = {
-            let mut params = 0usize;
-            for l in 0..dims.len() - 1 {
-                params += 2 * dims[l] * dims[l + 1] + dims[l + 1];
-            }
-            params as f64 * 4.0 * (self.setup.config.batch_size as f64 / 1024.0).min(1.0)
+        let stats = measure_epoch(self.setup, false, epoch);
+        let opts = SimOpts {
+            trace: spp_telemetry::enabled(),
+            ..self.opts
         };
-
-        let mut des = DesEngine::new();
-        let emit_trace = spp_telemetry::enabled();
-        if emit_trace {
-            des.enable_trace();
+        let result = simulate(&StageGraph::appendix_d(), self.setup, &stats, &opts);
+        for (resource, label, start, end) in result.trace {
+            let track = spp_telemetry::sim_track(&resource);
+            spp_telemetry::record_sim_span(track, label, start, end - start);
         }
-        let cpu: Vec<_> = (0..k)
-            .map(|m| des.add_resource(&format!("cpu{m}")))
-            .collect();
-        let gpu: Vec<_> = (0..k)
-            .map(|m| des.add_resource(&format!("gpu{m}")))
-            .collect();
-        let copy: Vec<_> = (0..k)
-            .map(|m| des.add_resource(&format!("copy{m}")))
-            .collect();
-        let nic: Vec<_> = (0..k)
-            .map(|m| des.add_resource(&format!("nic{m}")))
-            .collect();
-        let nic_grad: Vec<_> = (0..k)
-            .map(|m| des.add_resource(&format!("nic-grad{m}")))
-            .collect();
-        // Metadata all-to-alls (stages 2 and 4) ride their own NCCL
-        // channel; serializing them behind the payload transfers on one
-        // NIC resource would triple-count the per-message latency.
-        let nic_ctl: Vec<_> = (0..k)
-            .map(|m| des.add_resource(&format!("nic-ctl{m}")))
-            .collect();
-
-        // GPU-side memory ops run ~20x faster than PCIe.
-        let gpu_mem_rate = self.cost.pcie_bytes_per_sec * 20.0;
-        let meta = |c: &CostModel| c.network.latency + c.comm_software_overhead;
-
-        let mut busy = StageBusy::default();
-        let mut done: Vec<Vec<TaskId>> = Vec::with_capacity(rounds);
-
-        for r in 0..rounds {
-            let served: Vec<usize> = (0..k)
-                .map(|owner| {
-                    (0..k)
-                        .filter(|&j| j != owner)
-                        .filter_map(|j| stats[j].get(r))
-                        .map(|s| s.remote_per_owner[owner])
-                        .sum()
-                })
-                .collect();
-
-            // Stage 1: sampling, gated by pipeline depth.
-            let mut s1: Vec<Option<TaskId>> = vec![None; k];
-            for m in 0..k {
-                let Some(s) = stats[m].get(r) else { continue };
-                let mut deps = Vec::new();
-                if r >= self.depth {
-                    deps.push(done[r - self.depth][m]);
-                }
-                let dur = self.cost.sample_time(s.edges);
-                busy.add(PipelineStage::Sample, dur);
-                s1[m] = Some(des.submit_labeled(cpu[m], dur, &deps, PipelineStage::Sample.short()));
-            }
-            let all_s1: Vec<TaskId> = s1.iter().flatten().copied().collect();
-
-            // Stage 2: all-to-all of counts (pure metadata; latency-bound).
-            // Stage 3: metadata to CPU (one small PCIe transfer).
-            // Stage 4: all-to-all of requested node lists.
-            // Stage 5: map ids + D2H of received request lists.
-            let mut s5: Vec<Option<TaskId>> = vec![None; k];
-            for m in 0..k {
-                let has_batch = stats[m].get(r).is_some();
-                if !has_batch && served[m] == 0 {
-                    continue;
-                }
-                let dur2 = meta(&self.cost);
-                busy.add(PipelineStage::CountExchange, dur2);
-                let deps2: Vec<TaskId> = match s1[m] {
-                    Some(t) if has_batch => vec![t],
-                    _ => all_s1.clone(),
-                };
-                let t2 = des.submit_labeled(
-                    nic_ctl[m],
-                    dur2,
-                    &deps2,
-                    PipelineStage::CountExchange.short(),
-                );
-                let dur3 = self.cost.pcie_time(64.0 * k as f64);
-                busy.add(PipelineStage::MetaToHost, dur3);
-                let t3 =
-                    des.submit_labeled(copy[m], dur3, &[t2], PipelineStage::MetaToHost.short());
-                let req_out = stats[m].get(r).map_or(0, |s| s.remote_total) as f64 * 4.0;
-                let req_in = served[m] as f64 * 4.0;
-                let dur4 = self.cost.exchange_time(req_out, req_in);
-                busy.add(PipelineStage::RequestExchange, dur4);
-                // Requests can only arrive once every peer has sampled.
-                let mut deps4 = vec![t3];
-                deps4.extend(&all_s1);
-                let t4 = des.submit_labeled(
-                    nic_ctl[m],
-                    dur4,
-                    &deps4,
-                    PipelineStage::RequestExchange.short(),
-                );
-                let dur5 = self.cost.pcie_time(req_in);
-                busy.add(PipelineStage::MapD2h, dur5);
-                s5[m] =
-                    Some(des.submit_labeled(copy[m], dur5, &[t4], PipelineStage::MapD2h.short()));
-            }
-
-            // Stage 6: background CPU thread — masked selection + CPU
-            // slicing of served + local-CPU + cached rows.
-            // Stage 7: H2D of the sliced host rows.
-            // Stage 8: GPU slicing of GPU-resident rows + combine.
-            // Stage 9: feature all-to-all.
-            // Stage 10: combine + permute into MFG order.
-            let mut s10: Vec<Option<TaskId>> = vec![None; k];
-            let mut s8_serve: Vec<Option<TaskId>> = vec![None; k];
-            for m in 0..k {
-                let s = stats[m].get(r);
-                if s.is_none() && served[m] == 0 {
-                    continue;
-                }
-                let local_cpu = s.map_or(0, |s| s.local_cpu);
-                let cached = s.map_or(0, |s| s.cached);
-                let slice_rows = served[m] + local_cpu + cached;
-                let dur6 = self.cost.slice_time(slice_rows, d) + 10e-6;
-                busy.add(PipelineStage::HostSlice, dur6);
-                let deps6: Vec<TaskId> = s5[m].into_iter().chain(s1[m]).collect();
-                let t6 = des.submit_labeled(cpu[m], dur6, &deps6, PipelineStage::HostSlice.short());
-
-                let h2d_rows = local_cpu + cached + served[m];
-                let dur7 = self.cost.pcie_time(h2d_rows as f64 * fb);
-                busy.add(PipelineStage::H2d, dur7);
-                let t7 = des.submit_labeled(copy[m], dur7, &[t6], PipelineStage::H2d.short());
-
-                let gpu_rows = s.map_or(0, |s| s.local_gpu);
-                let dur8 = (gpu_rows + served[m]) as f64 * fb / gpu_mem_rate + 5e-6;
-                busy.add(PipelineStage::GpuSlice, dur8);
-                let t8 = des.submit_labeled(gpu[m], dur8, &[t7], PipelineStage::GpuSlice.short());
-                s8_serve[m] = Some(t8);
-                let _ = &t8;
-                s10[m] = Some(t8); // placeholder; replaced after stage 9 below
-            }
-            // Stage 9 depends on every serving machine having staged its
-            // payload (stage 8 output).
-            let all_s8: Vec<TaskId> = s8_serve.iter().flatten().copied().collect();
-            let mut train_tasks: Vec<Option<TaskId>> = vec![None; k];
-            for m in 0..k {
-                let Some(s) = stats[m].get(r) else { continue };
-                let out = served[m] as f64 * fb;
-                let inb = s.remote_total as f64 * fb;
-                let t9 = if out > 0.0 || inb > 0.0 {
-                    let dur9 = self.cost.exchange_time(out, inb);
-                    busy.add(PipelineStage::FeatureExchange, dur9);
-                    let mut deps9 = all_s8.clone();
-                    deps9.extend(s10[m]);
-                    Some(des.submit_labeled(
-                        nic[m],
-                        dur9,
-                        &deps9,
-                        PipelineStage::FeatureExchange.short(),
-                    ))
-                } else {
-                    s10[m]
-                };
-                let total_rows = s.layer_rows[0];
-                let dur10 = total_rows as f64 * fb * 2.0 / gpu_mem_rate + 5e-6;
-                busy.add(PipelineStage::CombinePermute, dur10);
-                let deps10: Vec<TaskId> = t9.into_iter().collect();
-                let t10 = des.submit_labeled(
-                    gpu[m],
-                    dur10,
-                    &deps10,
-                    PipelineStage::CombinePermute.short(),
-                );
-
-                let dur_tr = self.cost.train_time(&s.layer_rows, &dims);
-                busy.add(PipelineStage::Train, dur_tr);
-                let mut deps_tr = vec![t10];
-                if r > 0 {
-                    deps_tr.push(done[r - 1][m]);
-                }
-                train_tasks[m] = Some(des.submit_labeled(
-                    gpu[m],
-                    dur_tr,
-                    &deps_tr,
-                    PipelineStage::Train.short(),
-                ));
-            }
-
-            // Gradient all-reduce + round completion.
-            let active: Vec<TaskId> = train_tasks.iter().flatten().copied().collect();
-            let mut round_done = Vec::with_capacity(k);
-            for m in 0..k {
-                let end = match train_tasks[m] {
-                    Some(_) if active.len() > 1 => {
-                        let dur = self.cost.allreduce_time(active.len(), grad_bytes);
-                        busy.add(PipelineStage::AllReduce, dur);
-                        des.submit_labeled(
-                            nic_grad[m],
-                            dur,
-                            &active,
-                            PipelineStage::AllReduce.short(),
-                        )
-                    }
-                    Some(t) => t,
-                    None => s8_serve[m].unwrap_or_else(|| des.join(&[])),
-                };
-                round_done.push(des.join(&[end]));
-            }
-            done.push(round_done);
-        }
-
-        if emit_trace {
-            for e in des.trace() {
-                let track = spp_telemetry::sim_track(des.resource_name(e.resource));
-                spp_telemetry::record_sim_span(track, e.label.clone(), e.start, e.end - e.start);
-            }
-        }
-
         PipelineEpoch {
-            makespan: des.makespan(),
-            rounds,
-            busy,
+            makespan: result.makespan,
+            rounds: result.rounds,
+            busy: result.busy,
         }
     }
 }
@@ -397,6 +112,7 @@ mod tests {
     use spp_core::policies::CachePolicy;
     use spp_graph::dataset::SyntheticSpec;
     use spp_sampler::Fanouts;
+    use spp_telemetry::stage::PipelineStage;
 
     fn setup(alpha: f64) -> DistributedSetup {
         let ds = SyntheticSpec::new("pipe", 3_000, 14.0, 32, 8)

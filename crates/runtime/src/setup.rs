@@ -267,6 +267,17 @@ impl DistributedSetup {
         self.config.num_machines
     }
 
+    /// Layer widths of the model trained on this deployment with the
+    /// given hidden width ([`spp_gnn::model_dims`]).
+    pub fn model_dims(&self, hidden_dim: usize) -> Vec<usize> {
+        spp_gnn::model_dims(
+            self.dataset.features.dim(),
+            hidden_dim,
+            self.config.fanouts.num_hops(),
+            self.dataset.num_classes,
+        )
+    }
+
     /// Rounds per epoch: the maximum per-machine batch count (machines
     /// with fewer batches idle in the tail rounds, as in the paper's
     /// partition-wise distributed minibatches).

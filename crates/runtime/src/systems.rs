@@ -1,26 +1,30 @@
 //! Per-epoch timing simulation of the paper's system ladder.
 //!
-//! Each system variant is wired as a task graph on a
-//! [`spp_comm::DesEngine`] with four serial resources per machine — CPU
-//! (sampling + slicing), GPU compute, a PCIe copy engine, and the NIC —
-//! reproducing the computation profiles of the paper's Figure 1:
+//! Every variant runs the same stage table — [`StageGraph::coarse`]:
+//! rpc? → sample → serve → slice → comm → h2d → train, on a CPU, a GPU,
+//! a PCIe copy engine and a NIC per machine, the four lanes of the
+//! paper's Figure 1 — through the one round interpreter
+//! [`crate::stages::simulate`]. A [`SystemSpec`] only chooses what the
+//! batches contain, how many rounds may be in flight, and three cost
+//! knobs:
 //!
-//! 1. **SALIENT (full replication)** — no feature communication; batch
-//!    prep overlaps training through the pipeline.
+//! 1. **SALIENT (full replication)** — batches have no remote rows, so
+//!    the serve and comm rows never run; batch prep overlaps training.
 //! 2. **+ Partitioned features** — per-batch all-to-all feature exchange,
-//!    one batch in flight (communication exposed).
+//!    one round in flight (communication exposed).
 //! 3. **+ Pipelined communication** — same costs, up to
-//!    [`SystemSpec::pipeline_depth`] batches in flight.
+//!    [`SystemSpec::pipeline_depth`] rounds in flight.
 //! 4. **+ Feature caching** — the setup's cache shrinks the exchanged
 //!    bytes; communication hides under compute.
 //!
-//! A DistDGL-like synchronous baseline (per-hop RPC sampling, no
-//! pipelining, no cache, heavyweight communication layer) provides the
-//! Table 4 comparison.
+//! A DistDGL-like synchronous baseline (the per-hop RPC row, no
+//! pipelining, no cache, heavyweight communication layer, slower
+//! sampler) provides the Table 4 comparison.
 
 use crate::cost::CostModel;
 use crate::setup::DistributedSetup;
-use spp_comm::{DesEngine, TaskId};
+use crate::stages::{simulate, SimOpts, StageBusy, StageGraph, Trace};
+use crate::workload::{measure_epoch, measure_streams, BatchStats};
 use spp_telemetry::stage::PipelineStage;
 
 /// Which system variant to simulate.
@@ -47,12 +51,7 @@ impl SystemSpec {
     pub fn salient(hidden_dim: usize) -> Self {
         Self {
             full_replication: true,
-            pipelined: true,
-            pipeline_depth: 10,
-            hidden_dim,
-            rpc_per_hop: 0.0,
-            comm_overhead: 0.0,
-            sample_slowdown: 1.0,
+            ..Self::pipelined(hidden_dim)
         }
     }
 
@@ -84,18 +83,16 @@ impl SystemSpec {
     /// communication layer, slower sampler.
     pub fn distdgl(hidden_dim: usize) -> Self {
         Self {
-            full_replication: false,
-            pipelined: false,
-            pipeline_depth: 1,
-            hidden_dim,
             rpc_per_hop: 1.5e-3,
             comm_overhead: 2e-3,
             sample_slowdown: 2.5,
+            ..Self::partitioned(hidden_dim)
         }
     }
 }
 
-/// Busy-time sums per stage category, across machines (seconds).
+/// Busy-time sums per stage category, across machines (seconds): the
+/// coarse graph's projection of the interpreter's [`StageBusy`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Breakdown {
     /// Neighborhood sampling (MFG construction).
@@ -112,6 +109,21 @@ pub struct Breakdown {
     pub train: f64,
     /// Gradient all-reduce.
     pub allreduce: f64,
+}
+
+impl From<&StageBusy> for Breakdown {
+    fn from(busy: &StageBusy) -> Self {
+        use PipelineStage as S;
+        Self {
+            sample: busy.get(S::Sample),
+            slice: busy.get(S::HostSlice),
+            serve: busy.serve(),
+            comm: busy.get(S::FeatureExchange),
+            h2d: busy.get(S::H2d),
+            train: busy.get(S::Train),
+            allreduce: busy.get(S::AllReduce),
+        }
+    }
 }
 
 impl Breakdown {
@@ -133,8 +145,6 @@ pub struct EpochTime {
     /// Per-category busy time summed over machines.
     pub breakdown: Breakdown,
 }
-
-use crate::workload::{measure_epoch, BatchStats};
 
 /// Simulates per-epoch time for a system variant over a deployment.
 ///
@@ -172,52 +182,49 @@ impl<'a> EpochSim<'a> {
         Self { setup, cost, spec }
     }
 
-    /// Model dims `[feature_dim, hidden…, classes]`.
-    fn dims(&self) -> Vec<usize> {
-        let l = self.setup.config.fanouts.num_hops();
-        let mut dims = vec![self.setup.dataset.features.dim()];
-        dims.extend(std::iter::repeat_n(self.spec.hidden_dim, l - 1));
-        dims.push(self.setup.dataset.num_classes);
-        dims
-    }
-
-    /// Gradient bytes for a GraphSAGE stack over `dims`, scaled by the
-    /// ratio of the simulated batch size to the paper's per-GPU batch
-    /// (1024). Model size does not shrink with the mini datasets, so
-    /// without this the per-batch gradient-traffic-to-compute ratio would
-    /// be inflated ~100x relative to the paper's testbed, making the
-    /// all-reduce a phantom bottleneck.
-    fn grad_bytes(&self, dims: &[usize]) -> f64 {
-        const PAPER_BATCH: f64 = 1024.0;
-        let mut params = 0usize;
-        for l in 0..dims.len() - 1 {
-            params += 2 * dims[l] * dims[l + 1] + dims[l + 1];
-        }
-        params as f64 * 4.0 * (self.setup.config.batch_size as f64 / PAPER_BATCH).min(1.0)
-    }
-
-    /// Samples the epoch's minibatch streams and measures workload
-    /// quantities for every machine and round.
-    fn measure(&self, epoch: u64) -> Vec<Vec<BatchStats>> {
-        measure_epoch(self.setup, self.spec.full_replication, epoch)
+    /// Runs the coarse stage table over measured batches and projects
+    /// the interpreter's result: the epoch's timing and its task trace
+    /// (empty unless `trace`).
+    fn run(&self, stats: &[Vec<BatchStats>], inference: bool, trace: bool) -> (EpochTime, Trace) {
+        let depth = if self.spec.pipelined {
+            self.spec.pipeline_depth.max(1)
+        } else {
+            1
+        };
+        let opts = SimOpts {
+            cost: self.cost,
+            hidden_dim: self.spec.hidden_dim,
+            depth,
+            inference,
+            trace,
+        };
+        let r = simulate(&StageGraph::coarse(&self.spec), self.setup, stats, &opts);
+        let time = EpochTime {
+            makespan: r.makespan,
+            rounds: r.rounds,
+            startup: r.startup,
+            breakdown: Breakdown::from(&r.busy),
+        };
+        (time, r.trace)
     }
 
     /// Simulates one epoch and returns its timing.
     pub fn simulate_epoch(&self, epoch: u64) -> EpochTime {
-        let stats = self.measure(epoch);
-        self.simulate_impl(stats, false, false).0
+        let stats = measure_epoch(self.setup, self.spec.full_replication, epoch);
+        self.run(&stats, false, false).0
     }
 
     /// Like [`EpochSim::simulate_epoch`] but also returns the task trace
     /// — `(machine resource name, stage label, start, end)` per task —
     /// for rendering Figure-1-style computation profiles.
-    pub fn simulate_epoch_traced(
-        &self,
-        epoch: u64,
-    ) -> (EpochTime, Vec<(String, String, f64, f64)>) {
-        let stats = self.measure(epoch);
-        let (time, trace) = self.simulate_impl(stats, false, true);
-        (time, trace)
+    ///
+    /// Ordering contract: the entries of one resource appear in the
+    /// order they ran on it (start order); how entries of *different*
+    /// resources interleave is unspecified, so group by resource name
+    /// before relying on order.
+    pub fn simulate_epoch_traced(&self, epoch: u64) -> (EpochTime, Trace) {
+        let stats = measure_epoch(self.setup, self.spec.full_replication, epoch);
+        self.run(&stats, false, true)
     }
 
     /// Simulates a minibatch-*inference* epoch over caller-supplied
@@ -229,225 +236,8 @@ impl<'a> EpochSim<'a> {
         streams: &[Vec<spp_graph::VertexId>],
         epoch: u64,
     ) -> EpochTime {
-        let stats = crate::workload::measure_streams(
-            self.setup,
-            self.spec.full_replication,
-            epoch,
-            streams,
-        );
-        self.simulate_impl(stats, true, false).0
-    }
-
-    fn simulate_impl(
-        &self,
-        stats: Vec<Vec<BatchStats>>,
-        inference: bool,
-        trace: bool,
-    ) -> (EpochTime, Vec<(String, String, f64, f64)>) {
-        let k = self.setup.num_machines();
-        let rounds = stats.iter().map(Vec::len).max().unwrap_or(0);
-        let dims = self.dims();
-        let d = self.setup.dataset.features.dim();
-        let fb = 4.0 * d as f64;
-        let grad_bytes = self.grad_bytes(&dims);
-        let l = self.setup.config.fanouts.num_hops();
-
-        let mut des = DesEngine::new();
-        if trace {
-            des.enable_trace();
-        }
-        let cpu: Vec<_> = (0..k)
-            .map(|m| des.add_resource(&format!("cpu{m}")))
-            .collect();
-        let gpu: Vec<_> = (0..k)
-            .map(|m| des.add_resource(&format!("gpu{m}")))
-            .collect();
-        let copy: Vec<_> = (0..k)
-            .map(|m| des.add_resource(&format!("copy{m}")))
-            .collect();
-        let nic: Vec<_> = (0..k)
-            .map(|m| des.add_resource(&format!("nic{m}")))
-            .collect();
-        // Gradient all-reduces ride a separate NCCL stream; modeling them
-        // on their own resource keeps a pending all-reduce (waiting on
-        // peers' GPUs) from falsely blocking the next round's feature
-        // exchange on the wire.
-        let nic_grad: Vec<_> = (0..k)
-            .map(|m| des.add_resource(&format!("nic-grad{m}")))
-            .collect();
-
-        let mut bd = Breakdown::default();
-        // done[r][m]: the synchronization task ending machine m's round r.
-        let mut done: Vec<Vec<TaskId>> = Vec::with_capacity(rounds);
-        let mut startup = 0.0f64;
-        let depth = if self.spec.pipelined {
-            self.spec.pipeline_depth.max(1)
-        } else {
-            1
-        };
-
-        for r in 0..rounds {
-            // Served rows per machine this round.
-            let served: Vec<usize> = (0..k)
-                .map(|owner| {
-                    (0..k)
-                        .filter(|&j| j != owner)
-                        .filter_map(|j| stats[j].get(r))
-                        .map(|s| s.remote_per_owner[owner])
-                        .sum()
-                })
-                .collect();
-
-            // Pass 1: sampling (plus DistDGL RPC) for every machine.
-            let mut sample_tasks: Vec<Option<TaskId>> = vec![None; k];
-            for m in 0..k {
-                let Some(s) = stats[m].get(r) else { continue };
-                let mut deps: Vec<TaskId> = Vec::new();
-                if r >= depth {
-                    deps.push(done[r - depth][m]);
-                }
-                if self.spec.rpc_per_hop > 0.0 {
-                    let rpc = des.submit(nic[m], self.spec.rpc_per_hop * l as f64, &deps);
-                    bd.comm += self.spec.rpc_per_hop * l as f64;
-                    deps.push(rpc);
-                }
-                let dur = self.cost.sample_time(s.edges) * self.spec.sample_slowdown;
-                bd.sample += dur;
-                sample_tasks[m] =
-                    Some(des.submit_labeled(cpu[m], dur, &deps, PipelineStage::Sample.short()));
-            }
-            let all_samples: Vec<TaskId> = sample_tasks.iter().flatten().copied().collect();
-
-            // Pass 2: serve, slice, comm, h2d, train.
-            let mut train_tasks: Vec<Option<TaskId>> = vec![None; k];
-            let mut serve_tasks: Vec<Option<TaskId>> = vec![None; k];
-            for m in 0..k {
-                if served[m] > 0 {
-                    let dur = self.cost.slice_time(served[m], d);
-                    bd.serve += dur;
-                    // "serve" is this coarse model's own subdivision of
-                    // Appendix-D stage 6 (slicing done on behalf of
-                    // peers); it has no PipelineStage variant on purpose.
-                    serve_tasks[m] = Some(des.submit_labeled(cpu[m], dur, &all_samples, "serve"));
-                }
-            }
-            for m in 0..k {
-                let Some(s) = stats[m].get(r) else { continue };
-                let Some(sample) = sample_tasks[m] else {
-                    debug_assert!(false, "machine with batch sampled");
-                    continue;
-                };
-                let slice_rows = s.local_cpu + s.cached;
-                let slice = if slice_rows > 0 {
-                    let dur = self.cost.slice_time(slice_rows, d);
-                    bd.slice += dur;
-                    Some(des.submit_labeled(
-                        cpu[m],
-                        dur,
-                        &[sample],
-                        PipelineStage::HostSlice.short(),
-                    ))
-                } else {
-                    None
-                };
-                let comm = if s.remote_total > 0 || served[m] > 0 {
-                    let out = served[m] as f64 * fb + s.remote_total as f64 * 4.0;
-                    let inb = s.remote_total as f64 * fb + served[m] as f64 * 4.0;
-                    let dur = self.cost.exchange_time(out, inb) + self.spec.comm_overhead;
-                    bd.comm += dur;
-                    let mut deps: Vec<TaskId> = vec![sample];
-                    deps.extend(serve_tasks.iter().flatten().copied());
-                    Some(des.submit_labeled(
-                        nic[m],
-                        dur,
-                        &deps,
-                        PipelineStage::FeatureExchange.short(),
-                    ))
-                } else {
-                    None
-                };
-                let h2d_rows = s.local_cpu + s.cached + s.remote_total;
-                let h2d = if h2d_rows > 0 {
-                    let dur = self.cost.pcie_time(h2d_rows as f64 * fb);
-                    bd.h2d += dur;
-                    let deps: Vec<TaskId> = [slice, comm].into_iter().flatten().collect();
-                    let deps = if deps.is_empty() { vec![sample] } else { deps };
-                    Some(des.submit_labeled(copy[m], dur, &deps, PipelineStage::H2d.short()))
-                } else {
-                    None
-                };
-                let dur = if inference {
-                    self.cost.infer_time(&s.layer_rows, &dims)
-                } else {
-                    self.cost.train_time(&s.layer_rows, &dims)
-                };
-                bd.train += dur;
-                let mut deps: Vec<TaskId> =
-                    [h2d.or(slice).or(comm)].into_iter().flatten().collect();
-                if deps.is_empty() {
-                    deps.push(sample);
-                }
-                if r > 0 && !inference {
-                    // Synchronous SGD: step r-1 must be applied first.
-                    deps.push(done[r - 1][m]);
-                }
-                train_tasks[m] =
-                    Some(des.submit_labeled(gpu[m], dur, &deps, PipelineStage::Train.short()));
-            }
-
-            // Pass 3: gradient all-reduce across the machines active this
-            // round, then per-machine round completion.
-            let active: Vec<TaskId> = train_tasks.iter().flatten().copied().collect();
-            let active_count = active.len();
-            let mut round_done: Vec<TaskId> = Vec::with_capacity(k);
-            for m in 0..k {
-                let end = match train_tasks[m] {
-                    Some(_) if active_count > 1 && !inference => {
-                        let dur = self.cost.allreduce_time(active_count, grad_bytes);
-                        bd.allreduce += dur;
-                        des.submit_labeled(
-                            nic_grad[m],
-                            dur,
-                            &active,
-                            PipelineStage::AllReduce.short(),
-                        )
-                    }
-                    Some(t) => t,
-                    // Idle machine: its round ends when it finishes serving.
-                    None => serve_tasks[m].unwrap_or_else(|| des.join(&[])),
-                };
-                round_done.push(des.join(&[end]));
-            }
-            if r == 0 {
-                startup = round_done
-                    .iter()
-                    .map(|&t| des.completion(t))
-                    .fold(0.0f64, f64::max);
-            }
-            done.push(round_done);
-        }
-
-        let trace_out: Vec<(String, String, f64, f64)> = des
-            .trace()
-            .iter()
-            .map(|e| {
-                (
-                    des.resource_name(e.resource).to_string(),
-                    e.label.clone(),
-                    e.start,
-                    e.end,
-                )
-            })
-            .collect();
-        (
-            EpochTime {
-                makespan: des.makespan(),
-                rounds,
-                startup,
-                breakdown: bd,
-            },
-            trace_out,
-        )
+        let stats = measure_streams(self.setup, self.spec.full_replication, epoch, streams);
+        self.run(&stats, true, false).0
     }
 
     /// Mean per-epoch time over `epochs` simulated epochs.

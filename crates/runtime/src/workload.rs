@@ -54,7 +54,6 @@ pub fn measure_streams(
     let k = setup.num_machines();
     let fanouts = &setup.config.fanouts;
     let graph = &setup.dataset.graph;
-    let l = fanouts.num_hops();
     let measure_machine = |m: usize| {
         let sampler = NodeWiseSampler::new(graph, fanouts.clone());
         let mut rng = StdRng::seed_from_u64(setup.config.seed ^ (m as u64) ^ (epoch << 17));
@@ -66,9 +65,7 @@ pub fn measure_streams(
         )
         .map(|batch| {
             let mfg = sampler.sample(&batch, &mut rng);
-            // Layer l (1-indexed) input rows = cumulative size at
-            // depth L - l + 1; its output rows = size at L - l.
-            let layer_rows: Vec<usize> = (1..=l).map(|layer| mfg.sizes[l - layer + 1]).collect();
+            let layer_rows = mfg.layer_rows();
             if full_replication {
                 let nodes = mfg.num_nodes();
                 let gpu = (nodes as f64 * setup.config.beta).round() as usize;

@@ -74,6 +74,14 @@ impl Mfg {
         self.hops.iter().map(HopAdj::num_edges).sum()
     }
 
+    /// Input rows feeding each GNN layer, layer 1 first: layer `ℓ` (of
+    /// `L`) reads the nodes within `L - ℓ + 1` hops and writes those
+    /// within `L - ℓ`.
+    pub fn layer_rows(&self) -> Vec<usize> {
+        let l = self.num_hops();
+        (1..=l).map(|layer| self.sizes[l - layer + 1]).collect()
+    }
+
     /// The seed vertex ids.
     pub fn seeds(&self) -> &[VertexId] {
         &self.nodes[..self.sizes[0]]

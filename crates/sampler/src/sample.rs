@@ -71,54 +71,73 @@ impl<'g> NodeWiseSampler<'g> {
     /// Panics if `seeds` contains duplicates (a minibatch is a set).
     // spp-hot(sampler.batch_prep)
     pub fn sample<R: Rng>(&self, seeds: &[VertexId], rng: &mut R) -> Mfg {
-        let cap = self.fanouts.max_expanded_size(seeds.len()).min(1 << 20);
-        let mut indexer = VertexIndexer::with_capacity(cap); // spp-hot: alloc(batch dedup indexer, sized once from the fanout bound)
-        for (i, &s) in seeds.iter().enumerate() {
-            indexer.insert(s);
-            assert_eq!(indexer.len(), i + 1, "duplicate seed {s} in minibatch");
-        }
-        let mut sizes = vec![seeds.len()]; // spp-hot: alloc(per-hop frontier sizes, num_hops+1 entries — MFG output)
-        let mut hops = Vec::with_capacity(self.fanouts.num_hops()); // spp-hot: alloc(hop adjacency list, one entry per hop — MFG output)
-        let mut scratch: Vec<VertexId> = Vec::new(); // spp-hot: alloc(neighbor scratch, reused across every vertex of the batch)
-
-        for h in 1..=self.fanouts.num_hops() {
-            let fanout = self.fanouts.hop(h);
-            let num_targets = sizes.last().copied().unwrap_or(0);
-            let mut row_ptr = Vec::with_capacity(num_targets + 1); // spp-hot: alloc(hop CSR row_ptr — MFG output, sized once per hop)
-            row_ptr.push(0usize); // spp-hot: alloc(hop CSR entry; capacity reserved above)
-            let mut col: Vec<u32> = Vec::with_capacity(num_targets * fanout); // spp-hot: alloc(hop CSR col — MFG output, sized once per hop)
-            for t in 0..num_targets {
-                let v = indexer.nodes()[t];
-                sample_neighbors(self.graph, v, fanout, rng, &mut scratch);
-                for &u in &scratch {
-                    col.push(indexer.insert(u)); // spp-hot: alloc(hop CSR entry; capacity reserved above)
-                }
-                row_ptr.push(col.len()); // spp-hot: alloc(hop CSR entry; capacity reserved above)
-            }
-            let num_sources = indexer.len();
-            let hop = HopAdj {
-                num_targets,
-                num_sources,
-                row_ptr,
-                col,
-            };
-            hops.push(hop); // spp-hot: alloc(hop record; capacity reserved above)
-            sizes.push(num_sources); // spp-hot: alloc(frontier-size entry, num_hops total)
-        }
-
-        let mfg = Mfg {
-            nodes: indexer.into_nodes(),
-            sizes,
-            hops,
-        };
-        if metrics::enabled() {
-            let m = sampler_metrics();
-            m.batches.inc();
-            m.nodes.add(mfg.num_nodes() as u64);
-            m.edges.add(mfg.num_edges() as u64);
-        }
-        mfg
+        expand(&self.fanouts, seeds, |v, fanout, out| {
+            sample_neighbors(self.graph, v, fanout, rng, out);
+        })
     }
+}
+
+/// The expansion every node-wise sampler shares: checks the seeds are
+/// distinct, then hop by hop asks `pick(v, fanout, out)` for the sampled
+/// neighbors of each vertex in the cumulative node set, in node order
+/// (which fixes both the RNG draw order and the MFG node order, §9),
+/// and records them as the hop's CSR.
+///
+/// # Panics
+///
+/// Panics if `seeds` contains duplicates (a minibatch is a set).
+pub(crate) fn expand(
+    fanouts: &Fanouts,
+    seeds: &[VertexId],
+    mut pick: impl FnMut(VertexId, usize, &mut Vec<VertexId>),
+) -> Mfg {
+    let cap = fanouts.max_expanded_size(seeds.len()).min(1 << 20);
+    let mut indexer = VertexIndexer::with_capacity(cap); // spp-hot: alloc(batch dedup indexer, sized once from the fanout bound)
+    for (i, &s) in seeds.iter().enumerate() {
+        indexer.insert(s);
+        assert_eq!(indexer.len(), i + 1, "duplicate seed {s} in minibatch");
+    }
+    let mut sizes = vec![seeds.len()]; // spp-hot: alloc(per-hop frontier sizes, num_hops+1 entries — MFG output)
+    let mut hops = Vec::with_capacity(fanouts.num_hops()); // spp-hot: alloc(hop adjacency list, one entry per hop — MFG output)
+    let mut scratch: Vec<VertexId> = Vec::new(); // spp-hot: alloc(neighbor scratch, reused across every vertex of the batch)
+
+    for h in 1..=fanouts.num_hops() {
+        let fanout = fanouts.hop(h);
+        let num_targets = sizes.last().copied().unwrap_or(0);
+        let mut row_ptr = Vec::with_capacity(num_targets + 1); // spp-hot: alloc(hop CSR row_ptr — MFG output, sized once per hop)
+        row_ptr.push(0usize); // spp-hot: alloc(hop CSR entry; capacity reserved above)
+        let mut col: Vec<u32> = Vec::with_capacity(num_targets * fanout); // spp-hot: alloc(hop CSR col — MFG output, sized once per hop)
+        for t in 0..num_targets {
+            let v = indexer.nodes()[t];
+            pick(v, fanout, &mut scratch);
+            for &u in &scratch {
+                col.push(indexer.insert(u)); // spp-hot: alloc(hop CSR entry; capacity reserved above)
+            }
+            row_ptr.push(col.len()); // spp-hot: alloc(hop CSR entry; capacity reserved above)
+        }
+        let num_sources = indexer.len();
+        let hop = HopAdj {
+            num_targets,
+            num_sources,
+            row_ptr,
+            col,
+        };
+        hops.push(hop); // spp-hot: alloc(hop record; capacity reserved above)
+        sizes.push(num_sources); // spp-hot: alloc(frontier-size entry, num_hops total)
+    }
+
+    let mfg = Mfg {
+        nodes: indexer.into_nodes(),
+        sizes,
+        hops,
+    };
+    if metrics::enabled() {
+        let m = sampler_metrics();
+        m.batches.inc();
+        m.nodes.add(mfg.num_nodes() as u64);
+        m.edges.add(mfg.num_edges() as u64);
+    }
+    mfg
 }
 
 /// Samples `min(fanout, degree(v))` distinct neighbors of `v` into `out`.

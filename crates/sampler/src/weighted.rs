@@ -8,7 +8,8 @@
 //! carries a weight, and every hop samples up to `fanout` *distinct*
 //! neighbors by successive weighted draws without replacement.
 
-use crate::{Fanouts, HopAdj, Mfg, VertexIndexer};
+use crate::sample::expand;
+use crate::{Fanouts, Mfg};
 use rand::Rng;
 use spp_graph::{CsrGraph, VertexId};
 
@@ -141,43 +142,9 @@ impl<'g> WeightedNodeWiseSampler<'g> {
     ///
     /// Panics on duplicate seeds.
     pub fn sample<R: Rng>(&self, seeds: &[VertexId], rng: &mut R) -> Mfg {
-        let mut indexer =
-            VertexIndexer::with_capacity(self.fanouts.max_expanded_size(seeds.len()).min(1 << 20));
-        for (i, &s) in seeds.iter().enumerate() {
-            indexer.insert(s);
-            assert_eq!(indexer.len(), i + 1, "duplicate seed {s} in minibatch");
-        }
-        let mut sizes = vec![seeds.len()];
-        let mut hops = Vec::with_capacity(self.fanouts.num_hops());
-        let mut scratch: Vec<VertexId> = Vec::new();
-
-        for h in 1..=self.fanouts.num_hops() {
-            let fanout = self.fanouts.hop(h);
-            let num_targets = sizes.last().copied().unwrap_or(0);
-            let mut row_ptr = vec![0usize];
-            let mut col: Vec<u32> = Vec::with_capacity(num_targets * fanout);
-            for t in 0..num_targets {
-                let v = indexer.nodes()[t];
-                self.sample_weighted(v, fanout, rng, &mut scratch);
-                for &u in &scratch {
-                    col.push(indexer.insert(u));
-                }
-                row_ptr.push(col.len());
-            }
-            let num_sources = indexer.len();
-            hops.push(HopAdj {
-                num_targets,
-                num_sources,
-                row_ptr,
-                col,
-            });
-            sizes.push(num_sources);
-        }
-        Mfg {
-            nodes: indexer.into_nodes(),
-            sizes,
-            hops,
-        }
+        expand(&self.fanouts, seeds, |v, fanout, out| {
+            self.sample_weighted(v, fanout, rng, out);
+        })
     }
 
     /// Weighted draws without replacement via repeated inverse-CDF over

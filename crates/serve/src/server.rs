@@ -782,8 +782,7 @@ impl<'a> InferenceServer<'a> {
         // close time) → remote fetch (NIC) → slice + host-to-device copy
         // (copy engine) → forward (GPU). Serial DES resources pipeline
         // consecutive batches exactly like the training simulator.
-        let l = mfg.num_hops();
-        let layer_rows: Vec<usize> = (1..=l).map(|layer| mfg.sizes[l - layer + 1]).collect();
+        let layer_rows = mfg.layer_rows();
         let cost = &self.cfg.cost;
         // Labels are only ever read back from the DES trace.
         let traced = self.des.tracing();

@@ -25,7 +25,7 @@
 //! or truncated store must never panic the reader (the SPPD contract
 //! from `spp_graph::io` extended to store artifacts).
 
-use spp_graph::quant::{decode_f16_slice, decode_i8_slice, f32_to_f16_bits};
+use spp_graph::quant::{decode_f16_slice, decode_i8_slice, f32_to_f16_bits, i8_code, i8_codebook};
 use spp_graph::QuantScheme;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -253,8 +253,9 @@ fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
 }
 
 /// Encodes one feature row into its on-disk byte layout. The `i8`
-/// arithmetic mirrors [`spp_graph::QuantizedFeatures::set_row`] exactly
-/// so disk and in-RAM tiers decode bit-identically.
+/// codebook and codes are [`spp_graph::quant::i8_codebook`] /
+/// [`spp_graph::quant::i8_code`] — the ones the in-RAM tier stores — so
+/// disk and in-RAM tiers decode bit-identically.
 ///
 /// # Panics
 ///
@@ -277,19 +278,11 @@ pub fn encode_row(scheme: QuantScheme, row: &[f32], out: &mut [u8]) {
             }
         }
         QuantScheme::I8 => {
-            let (lo, hi) = row
-                .iter()
-                .fold((f32::INFINITY, f32::NEG_INFINITY), |(l, h), &v| {
-                    (l.min(v), h.max(v))
-                });
-            let (lo, hi) = if lo > hi { (0.0, 0.0) } else { (lo, hi) };
-            let s = (hi - lo) / 255.0;
+            let (lo, s, inv) = i8_codebook(row);
             out[0..4].copy_from_slice(&lo.to_le_bytes());
             out[4..8].copy_from_slice(&s.to_le_bytes());
-            let inv = if s > 0.0 { 1.0 / s } else { 0.0 };
             for (o, &v) in out[8..].iter_mut().zip(row) {
-                let code = ((v - lo) * inv).round().clamp(0.0, 255.0) as i32 - 128;
-                *o = (code as i8) as u8;
+                *o = i8_code(v, lo, inv) as u8;
             }
         }
     }
@@ -339,10 +332,16 @@ mod tests {
             .collect()
     }
 
+    /// Disk codec ≡ in-RAM tier ≡ wire round trip, bit for bit — also
+    /// on a row with `NaN` / `±inf` elements (one i8 codebook, §14).
     #[test]
     fn codecs_match_in_ram_quantized_tiers_bitwise() {
-        for scheme in [QuantScheme::F32, QuantScheme::F16, QuantScheme::I8] {
-            let row = sample_row(37, 3);
+        let mut hostile = sample_row(37, 3);
+        (hostile[2], hostile[11], hostile[30]) = (f32::NAN, f32::INFINITY, f32::NEG_INFINITY);
+        let cases = [QuantScheme::F32, QuantScheme::F16, QuantScheme::I8]
+            .into_iter()
+            .flat_map(|scheme| [(scheme, sample_row(37, 3)), (scheme, hostile.clone())]);
+        for (scheme, row) in cases {
             let mut q = QuantizedFeatures::with_rows(1, 37, scheme);
             q.set_row(0, &row);
             let mut want = vec![0.0f32; 37];
@@ -352,9 +351,13 @@ mod tests {
             encode_row(scheme, &row, &mut bytes);
             let mut got = vec![0.0f32; 37];
             decode_row(scheme, &bytes, &mut got);
+            let mut wire = row.clone();
+            spp_graph::quant::wire_roundtrip(&mut wire, scheme);
             let a: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
             let b: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            let c: Vec<u32> = wire.iter().map(|v| v.to_bits()).collect();
             assert_eq!(a, b, "scheme {}", scheme.name());
+            assert_eq!(a, c, "wire, scheme {}", scheme.name());
         }
     }
 

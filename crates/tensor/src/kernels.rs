@@ -19,13 +19,8 @@
 //! and to mul-then-add elsewhere — the choice is a pure function of the
 //! build target, never of data or worker count.
 //!
-//! Two kernel families exist per product:
-//!
-//! * **dense** — branch-free register-blocked micro-kernels (this is the
-//!   default; zero entries cost one multiply-add like any other), and
-//! * **sparse** — the seed's zero-skipping row kernels, kept for
-//!   operands the *caller* declares sparse via [`crate::Sparsity`];
-//!   skipping is only a win when most of the declared operand is zero.
+//! The kernels are branch-free register-blocked micro-kernels: a zero
+//! entry costs one multiply-add like any other.
 
 /// SIMD lane width the register tiles are built from. Eight `f32`s is
 /// one SSE2/NEON register pair and half an AVX2 register; the
@@ -178,25 +173,6 @@ fn matmul_row_tail(a_row: &[f32], b: &[f32], n: usize, j0: usize, out_row: &mut 
     }
 }
 
-/// Sparse row kernel for `a @ b` (the seed kernel): skips zero entries
-/// of `a`, which pays off only when the caller knows `a` is mostly
-/// zeros. Accumulates into `chunk`, which must be pre-zeroed.
-// spp-hot(kernel.matmul_sparse)
-pub fn matmul_rows_sparse(a_rows: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32]) {
-    debug_assert_eq!(b.len(), k * n, "b shape mismatch");
-    for (a_row, out_row) in a_rows.chunks_exact(k.max(1)).zip(chunk.chunks_mut(n)) {
-        for (kk, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let b_row = &b[kk * n..kk * n + n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o = fmadd(av, bv, *o);
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // t_matmul: out[kk][j] = Σ_r a[r][kk] · b[r][j]
 // ---------------------------------------------------------------------
@@ -306,35 +282,6 @@ pub fn t_matmul_cols_dense(
             j += 1;
         }
         kt += 1;
-    }
-}
-
-/// Sparse column-chunk kernel for `aᵀ @ b` (the seed kernel): streams
-/// `b` rows and skips zero `a` entries. Accumulates into `chunk`, which
-/// must be pre-zeroed. Per element the sum runs over `r` ascending.
-// spp-hot(kernel.t_matmul_sparse)
-pub fn t_matmul_cols_sparse(
-    a: &[f32],
-    k: usize,
-    b: &[f32],
-    n: usize,
-    rows: usize,
-    k0: usize,
-    chunk: &mut [f32],
-) {
-    debug_assert_eq!(a.len(), rows * k, "a shape mismatch");
-    debug_assert_eq!(b.len(), rows * n, "b shape mismatch");
-    for r in 0..rows {
-        let b_row = &b[r * n..r * n + n];
-        for (ki, out_row) in chunk.chunks_mut(n.max(1)).enumerate() {
-            let av = a[r * k + k0 + ki];
-            if av == 0.0 {
-                continue;
-            }
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o = fmadd(av, bv, *o);
-            }
-        }
     }
 }
 
@@ -520,27 +467,6 @@ mod tests {
             }
             assert_eq!(pieced, whole, "split={split}");
         }
-    }
-
-    #[test]
-    fn sparse_kernels_match_dense_on_shared_support() {
-        // On inputs with no zeros (and no signed-zero/NaN corners) the
-        // skip branch never fires, so sparse must equal dense bitwise.
-        let (rows, k, n) = (6, 19, 23);
-        let a: Vec<f32> = fractious(rows * k, 7).iter().map(|v| v + 100.0).collect();
-        let b = fractious(k * n, 8);
-        let mut dense = vec![0.0f32; rows * n];
-        let mut sparse = vec![0.0f32; rows * n];
-        matmul_rows_dense(&a, k, &b, n, &mut dense);
-        matmul_rows_sparse(&a, k, &b, n, &mut sparse);
-        assert_eq!(dense, sparse);
-
-        let b2 = fractious(rows * n, 9);
-        let mut td = vec![0.0f32; k * n];
-        let mut ts = vec![0.0f32; k * n];
-        t_matmul_cols_dense(&a, k, &b2, n, rows, 0, &mut td);
-        t_matmul_cols_sparse(&a, k, &b2, n, rows, 0, &mut ts);
-        assert_eq!(td, ts);
     }
 
     #[test]

@@ -40,6 +40,6 @@ pub mod matrix;
 pub mod optim;
 pub mod tape;
 
-pub use matrix::{Matrix, Sparsity};
+pub use matrix::Matrix;
 pub use optim::{Adam, Optimizer, Param, Sgd};
 pub use tape::{NodeId, Tape};

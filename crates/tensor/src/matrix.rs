@@ -12,23 +12,6 @@
 use crate::kernels;
 use spp_pool::{even_ranges, WorkerPool};
 
-/// Caller-declared sparsity hint for the left/transposed operand of a
-/// product. [`Sparsity::Dense`] (the default everywhere) routes to the
-/// branch-free register-blocked kernels in [`crate::kernels`];
-/// [`Sparsity::Sparse`] keeps the zero-skipping row kernels, which only
-/// pay off when most entries of the declared operand are exact zeros
-/// (masked or one-hot operands). The two paths differ in FP terms only
-/// where skipping a `0.0 · x` term differs from adding it (signed
-/// zeros, non-finite values).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Sparsity {
-    /// Operand is dense (or dense enough): branch-free blocked kernel.
-    #[default]
-    Dense,
-    /// Operand is mostly exact zeros: zero-skipping kernel.
-    Sparse,
-}
-
 /// A row-major dense `f32` matrix.
 ///
 /// # Example
@@ -212,54 +195,24 @@ impl Matrix {
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul_into(&self, pool: WorkerPool, other: &Matrix, out: &mut Matrix) {
-        self.matmul_into_hinted(pool, other, out, Sparsity::Dense);
-    }
-
-    /// [`Matrix::matmul_into`] with a caller-declared [`Sparsity`] hint
-    /// for `self`: `Dense` uses the register-blocked kernel
-    /// ([`kernels::matmul_rows_dense`]), `Sparse` the zero-skipping one.
-    /// Either way the result is bit-identical across worker counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension mismatch.
-    pub fn matmul_into_hinted(
-        &self,
-        pool: WorkerPool,
-        other: &Matrix,
-        out: &mut Matrix,
-        sparsity: Sparsity,
-    ) {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         out.reset(self.rows, other.cols);
         let flops = (self.rows * self.cols * other.cols) as u64;
         let jobs = pool.jobs_for_cost(flops).min(self.rows.max(1));
-        let out_cols = other.cols;
+        let (k, n) = (self.cols, other.cols);
         if jobs <= 1 {
-            Self::matmul_rows(self, other, 0, &mut out.data, sparsity);
+            kernels::matmul_rows_dense(&self.data, k, &other.data, n, &mut out.data);
             return;
         }
+        // Each chunk is whole output rows; it reads the same rows of `self`.
         let cuts: Vec<usize> = even_ranges(self.rows, jobs)
             .iter()
-            .map(|r| r.end * out_cols)
+            .map(|r| r.end * n)
             .collect(); // spp-hot: alloc(job-cut table, one word per job; bounded by pool width)
         pool.par_chunks(&mut out.data, &cuts, |_, offset, chunk| {
-            Self::matmul_rows(self, other, offset / out_cols, chunk, sparsity);
+            let a_rows = &self.data[offset / n * k..(offset + chunk.len()) / n * k];
+            kernels::matmul_rows_dense(a_rows, k, &other.data, n, chunk);
         });
-    }
-
-    /// Computes output rows `row0..row0 + chunk.len()/other.cols` into
-    /// `chunk` (a row-major slice of the output), dispatching on the
-    /// sparsity hint.
-    fn matmul_rows(a: &Matrix, b: &Matrix, row0: usize, chunk: &mut [f32], sparsity: Sparsity) {
-        let k = a.cols;
-        let n = b.cols;
-        let rows = chunk.len().checked_div(n).unwrap_or(0);
-        let a_rows = &a.data[row0 * k..(row0 + rows) * k];
-        match sparsity {
-            Sparsity::Dense => kernels::matmul_rows_dense(a_rows, k, &b.data, n, chunk),
-            Sparsity::Sparse => kernels::matmul_rows_sparse(a_rows, k, &b.data, n, chunk),
-        }
     }
 
     /// `selfᵀ @ other` without materializing the transpose, on the
@@ -297,52 +250,24 @@ impl Matrix {
     ///
     /// Panics if `self.rows != other.rows`.
     pub fn t_matmul_into(&self, pool: WorkerPool, other: &Matrix, out: &mut Matrix) {
-        self.t_matmul_into_hinted(pool, other, out, Sparsity::Dense);
-    }
-
-    /// [`Matrix::t_matmul_into`] with a caller-declared [`Sparsity`]
-    /// hint for `self`. Serial and parallel paths run the *same* kernel
-    /// over column ranges, so any worker count is bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != other.rows`.
-    pub fn t_matmul_into_hinted(
-        &self,
-        pool: WorkerPool,
-        other: &Matrix,
-        out: &mut Matrix,
-        sparsity: Sparsity,
-    ) {
         assert_eq!(self.rows, other.rows, "t_matmul dimension mismatch");
         out.reset(self.cols, other.cols);
         let flops = (self.rows * self.cols * other.cols) as u64;
         let jobs = pool.jobs_for_cost(flops).min(self.cols.max(1));
-        let out_cols = other.cols;
+        let (a, b, k, n) = (&self.data, &other.data, self.cols, other.cols);
         if jobs <= 1 {
-            Self::t_matmul_cols(self, other, 0, &mut out.data, sparsity);
+            kernels::t_matmul_cols_dense(a, k, b, n, self.rows, 0, &mut out.data);
             return;
         }
+        // Serial and parallel paths run the same kernel over column
+        // ranges of `self`, so any worker count is bit-identical.
         let cuts: Vec<usize> = even_ranges(self.cols, jobs)
             .iter()
-            .map(|r| r.end * out_cols)
+            .map(|r| r.end * n)
             .collect(); // spp-hot: alloc(job-cut table, one word per job; bounded by pool width)
         pool.par_chunks(&mut out.data, &cuts, |_, offset, chunk| {
-            Self::t_matmul_cols(self, other, offset / out_cols, chunk, sparsity);
+            kernels::t_matmul_cols_dense(a, k, b, n, self.rows, offset / n, chunk);
         });
-    }
-
-    /// Computes output rows `k0..k0 + chunk.len()/other.cols` of
-    /// `selfᵀ @ other` into `chunk`, dispatching on the sparsity hint.
-    fn t_matmul_cols(a: &Matrix, b: &Matrix, k0: usize, chunk: &mut [f32], sparsity: Sparsity) {
-        match sparsity {
-            Sparsity::Dense => {
-                kernels::t_matmul_cols_dense(&a.data, a.cols, &b.data, b.cols, a.rows, k0, chunk)
-            }
-            Sparsity::Sparse => {
-                kernels::t_matmul_cols_sparse(&a.data, a.cols, &b.data, b.cols, a.rows, k0, chunk)
-            }
-        }
     }
 
     /// `self @ otherᵀ` without materializing the transpose, on the
@@ -502,55 +427,11 @@ mod tests {
         let c = 96usize;
         let a = Matrix::from_flat(r, k, (0..r * k).map(|i| (i % 13) as f32 - 6.0).collect());
         let b = Matrix::from_flat(k, c, (0..k * c).map(|i| (i % 7) as f32 - 3.0).collect());
-        let mut serial = Matrix::zeros(r, c);
-        Matrix::matmul_rows(&a, &b, 0, serial.as_flat_mut(), Sparsity::Dense);
+        let serial = a.matmul_with(WorkerPool::serial(), &b);
         for workers in [1usize, 2, 8] {
             let par = a.matmul_with(WorkerPool::new(workers), &b);
             assert_eq!(par, serial, "workers={workers}");
         }
-    }
-
-    #[test]
-    fn sparse_hint_bit_identical_across_pools_and_close_to_dense() {
-        // A mostly-zero left operand: the declared-sparse path must be
-        // deterministic across worker counts and agree with the dense
-        // kernel on values (identical sums, possibly different bits only
-        // for signed-zero corners, which this input avoids).
-        let r = 900usize;
-        let k = 64usize;
-        let c = 48usize;
-        let a = Matrix::from_flat(
-            r,
-            k,
-            (0..r * k)
-                .map(|i| {
-                    if i % 7 == 0 {
-                        (i % 13) as f32 / 3.0 + 1.0
-                    } else {
-                        0.0
-                    }
-                })
-                .collect(),
-        );
-        let b = fractious(k, c, 21);
-        let mut sparse_serial = Matrix::empty();
-        a.matmul_into_hinted(
-            WorkerPool::serial(),
-            &b,
-            &mut sparse_serial,
-            Sparsity::Sparse,
-        );
-        for workers in [2usize, 8] {
-            let mut par = Matrix::empty();
-            a.matmul_into_hinted(WorkerPool::new(workers), &b, &mut par, Sparsity::Sparse);
-            assert_eq!(par, sparse_serial, "workers={workers}");
-        }
-        assert_eq!(a.matmul(&b), sparse_serial);
-
-        let d = fractious(r, c, 22);
-        let mut t_sparse = Matrix::empty();
-        a.t_matmul_into_hinted(WorkerPool::new(4), &d, &mut t_sparse, Sparsity::Sparse);
-        assert_eq!(t_sparse, a.t_matmul(&d));
     }
 
     #[test]

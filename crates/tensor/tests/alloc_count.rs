@@ -153,8 +153,6 @@ fn into_kernels_stop_allocating_after_warmup() {
             kernels::matmul_rows_dense(&av, kk, &bv, n, &mut out_mm);
             kernels::t_matmul_cols_dense(&av, kk, &cv, n, rows, 0, &mut out_tm);
             kernels::matmul_t_rows_dense(&av, kk, &av, rows, &mut out_mt);
-            out_mm.fill(0.0);
-            kernels::matmul_rows_sparse(&av, kk, &bv, n, &mut out_mm);
             std::hint::black_box(kernels::dot_blocked(&av[..kk], &bv[..kk]));
         }
     });
