@@ -137,7 +137,8 @@ fn to_csr_adj_with_self(hop: &HopAdj) -> Arc<CsrAdj> {
 pub struct Forward {
     /// The autograd tape holding the whole forward computation.
     pub tape: Tape,
-    /// Leaf node holding the input features `x`.
+    /// Leaf node holding the input features `x` — a [`Tape::constant`]:
+    /// `backward` spends nothing on a feature gradient nobody reads.
     pub input: NodeId,
     /// Seed-vertex logits node.
     pub logits: NodeId,
@@ -307,7 +308,7 @@ impl GnnModel {
 
         let mut tape = Tape::new();
         let mut param_nodes = Vec::new();
-        let input = tape.input(x);
+        let input = tape.constant(x);
         let mut h = input;
         let num_layers = self.layers.len();
         for (li, layer) in self.layers.iter().enumerate() {

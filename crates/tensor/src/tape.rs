@@ -1,4 +1,30 @@
 //! Tape-based reverse-mode automatic differentiation.
+//!
+//! A [`Tape`] records every op's forward value as it is built;
+//! [`Tape::backward`] then walks the nodes in reverse and hands each
+//! node's gradient to its operands. Three rules keep that walk at the
+//! cost of its arithmetic:
+//!
+//! - **Only what needs a gradient gets one.** Leaves come in two kinds:
+//!   [`Tape::input`] (parameters, anything whose gradient is read
+//!   afterwards) and [`Tape::constant`] (data, e.g. a minibatch's feature
+//!   matrix). An op node needs a gradient iff one of its operands does —
+//!   recorded once, when the node is pushed — and `backward` computes an
+//!   operand's gradient only when that operand needs it, so nothing
+//!   feature-shaped is zero-filled, scattered into or multiplied out on
+//!   behalf of a constant.
+//! - **A gradient is final when its node's turn comes.** Operands always
+//!   precede the node that uses them, so by the time the reverse walk
+//!   reaches node *i* every consumer of *i* has already contributed. The
+//!   element-wise ops (`relu`, `leaky_relu`, `scale`, `dropout`,
+//!   `add_bias`, `add`) therefore transform that buffer in place and
+//!   *move* it to their operand instead of cloning it — the operand
+//!   receives exactly the values a copy would have held, so this is
+//!   exact, not approximate.
+//! - **Only leaves keep a gradient.** An interior node's buffer is
+//!   dropped (or moved on) after its turn; after `backward`,
+//!   [`Tape::grad`] is `Some` for `input` leaves that the output depends
+//!   on and `None` for everything else.
 
 use crate::Matrix;
 use rand::Rng;
@@ -87,11 +113,15 @@ struct Node {
     op: Op,
     value: Matrix,
     grad: Option<Matrix>,
+    /// Whether `backward` must produce a gradient for this node: true for
+    /// `input` leaves and for ops with at least one such operand.
+    needs_grad: bool,
 }
 
-/// A computation tape: build the forward graph with the op methods, then
-/// call [`Tape::backward`] on a scalar node and read gradients with
-/// [`Tape::grad`].
+/// A computation tape: register leaves with [`Tape::input`] (gradient
+/// wanted) or [`Tape::constant`] (data only), build the forward graph
+/// with the op methods, then call [`Tape::backward`] on a scalar node and
+/// read the `input` leaves' gradients with [`Tape::grad`].
 ///
 /// # Example
 ///
@@ -116,18 +146,38 @@ impl Tape {
         Self { nodes: Vec::new() }
     }
 
-    fn push(&mut self, op: Op, value: Matrix) -> NodeId {
+    fn push_node(&mut self, op: Op, value: Matrix, needs_grad: bool) -> NodeId {
         self.nodes.push(Node {
             op,
             value,
             grad: None,
+            needs_grad,
         });
         NodeId(self.nodes.len() - 1)
     }
 
-    /// Registers a leaf input (data or parameter) and returns its handle.
+    /// Records an op node over `operands`; it needs a gradient iff one of
+    /// them does.
+    fn push(&mut self, op: Op, operands: &[NodeId], value: Matrix) -> NodeId {
+        let needs_grad = operands.iter().any(|&o| self.needs_grad(o));
+        self.push_node(op, value, needs_grad)
+    }
+
+    fn needs_grad(&self, id: NodeId) -> bool {
+        self.nodes[id.0].needs_grad
+    }
+
+    /// Registers a differentiable leaf (a parameter, or any value whose
+    /// gradient is read with [`Tape::grad`]) and returns its handle.
     pub fn input(&mut self, value: Matrix) -> NodeId {
-        self.push(Op::Leaf, value)
+        self.push_node(Op::Leaf, value, true)
+    }
+
+    /// Registers a leaf that never receives a gradient (data: features,
+    /// fixed masks). [`Tape::backward`] does no work on its behalf and
+    /// [`Tape::grad`] of it stays `None`.
+    pub fn constant(&mut self, value: Matrix) -> NodeId {
+        self.push_node(Op::Leaf, value, false)
     }
 
     /// The forward value of a node.
@@ -143,7 +193,9 @@ impl Tape {
         std::mem::replace(&mut self.nodes[id.0].value, Matrix::empty())
     }
 
-    /// The gradient of a node after [`Tape::backward`], if it received one.
+    /// The gradient of an [`Tape::input`] leaf after [`Tape::backward`], if
+    /// the differentiated output depends on it. `None` for constants and
+    /// for op nodes, whose gradients are consumed as `backward` passes them.
     pub fn grad(&self, id: NodeId) -> Option<&Matrix> {
         self.nodes[id.0].grad.as_ref()
     }
@@ -161,7 +213,7 @@ impl Tape {
     /// Matrix product.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let v = self.value(a).matmul(self.value(b));
-        self.push(Op::MatMul(a, b), v)
+        self.push(Op::MatMul(a, b), &[a, b], v)
     }
 
     /// Element-wise sum (same shape).
@@ -172,7 +224,7 @@ impl Tape {
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let mut v = self.value(a).clone();
         v.add_assign(self.value(b));
-        self.push(Op::Add(a, b), v)
+        self.push(Op::Add(a, b), &[a, b], v)
     }
 
     /// Adds a `1×c` bias row to every row of `x`.
@@ -190,7 +242,7 @@ impl Tape {
                 *o += bb;
             }
         }
-        self.push(Op::AddBias(x, bias), v)
+        self.push(Op::AddBias(x, bias), &[x, bias], v)
     }
 
     /// Rectified linear unit.
@@ -201,7 +253,7 @@ impl Tape {
                 *a = 0.0;
             }
         }
-        self.push(Op::Relu(x), v)
+        self.push(Op::Relu(x), &[x], v)
     }
 
     /// Leaky ReLU with the given negative slope.
@@ -212,14 +264,14 @@ impl Tape {
                 *a *= slope;
             }
         }
-        self.push(Op::LeakyRelu(x, slope), v)
+        self.push(Op::LeakyRelu(x, slope), &[x], v)
     }
 
     /// Multiplies by a constant.
     pub fn scale(&mut self, x: NodeId, s: f32) -> NodeId {
         let mut v = self.value(x).clone();
         v.scale_assign(s);
-        self.push(Op::Scale(x, s), v)
+        self.push(Op::Scale(x, s), &[x], v)
     }
 
     /// Column-wise concatenation `[a | b]`.
@@ -236,7 +288,7 @@ impl Tape {
             v.row_mut(i)[..ca].copy_from_slice(self.nodes[a.0].value.row(i));
             v.row_mut(i)[ca..].copy_from_slice(self.nodes[b.0].value.row(i));
         }
-        self.push(Op::ConcatCols(a, b), v)
+        self.push(Op::ConcatCols(a, b), &[a, b], v)
     }
 
     /// Takes the first `n` rows (targets are a prefix of sources in MFGs).
@@ -246,7 +298,7 @@ impl Tape {
     /// Panics if `n` exceeds the row count.
     pub fn head_rows(&mut self, x: NodeId, n: usize) -> NodeId {
         let v = self.value(x).head_rows(n);
-        self.push(Op::HeadRows(x), v)
+        self.push(Op::HeadRows(x), &[x], v)
     }
 
     /// Inverted dropout with keep probability `1 - p`, scaling kept
@@ -271,7 +323,7 @@ impl Tape {
         for (a, &m) in v.as_flat_mut().iter_mut().zip(&mask) {
             *a *= m;
         }
-        self.push(Op::Dropout(x, mask), v)
+        self.push(Op::Dropout(x, mask), &[x], v)
     }
 
     /// Neighborhood aggregation over a sampled adjacency: row `t` of the
@@ -324,7 +376,7 @@ impl Tape {
                 }
             }
         }
-        self.push(Op::SparseAgg { x, adj, mode }, v)
+        self.push(Op::SparseAgg { x, adj, mode }, &[x], v)
     }
 
     /// Per-edge attention logits `e_k = target_score[t_k] + source_score[s_k]`
@@ -362,6 +414,7 @@ impl Tape {
                 source,
                 adj,
             },
+            &[target, source],
             v,
         )
     }
@@ -398,7 +451,7 @@ impl Tape {
                 v.set(k, 0, p);
             }
         }
-        self.push(Op::EdgeSoftmax { e, adj }, v)
+        self.push(Op::EdgeSoftmax { e, adj }, &[e], v)
     }
 
     /// Attention-weighted aggregation: `out[t] = Σ_k w[k] · x[s_k]` over
@@ -424,7 +477,7 @@ impl Tape {
                 k += 1;
             }
         }
-        self.push(Op::WeightedAgg { w, x, adj }, v)
+        self.push(Op::WeightedAgg { w, x, adj }, &[w, x], v)
     }
 
     /// Mean of all entries, producing a `1×1` scalar node.
@@ -432,7 +485,7 @@ impl Tape {
         let v = self.value(x);
         let n = v.as_flat().len().max(1);
         let m = Matrix::from_flat(1, 1, vec![v.sum() / n as f32]);
-        self.push(Op::MeanAll(x), m)
+        self.push(Op::MeanAll(x), &[x], m)
     }
 
     /// Mean softmax cross-entropy of `logits` against integer `labels`,
@@ -473,13 +526,15 @@ impl Tape {
                 labels,
                 probs,
             },
+            &[logits],
             m,
         )
     }
 
     /// Runs reverse-mode differentiation from `output`, which must be a
-    /// `1×1` scalar node. Gradients accumulate into every node reachable
-    /// backward from it.
+    /// `1×1` scalar node. Gradients flow to every node reachable backward
+    /// from it that needs one (see the module docs) and are left on the
+    /// [`Tape::input`] leaves for [`Tape::grad`].
     ///
     /// # Panics
     ///
@@ -493,46 +548,60 @@ impl Tape {
         for n in &mut self.nodes {
             n.grad = None;
         }
+        if !self.needs_grad(output) {
+            return;
+        }
         self.nodes[output.0].grad = Some(Matrix::from_flat(1, 1, vec![1.0]));
 
         for i in (0..=output.0).rev() {
-            let Some(g) = self.nodes[i].grad.take() else {
+            // A node only ever receives a gradient if it needs one, and by
+            // its turn that gradient is final: each arm owns `g` and either
+            // moves it on to an operand or lets it drop.
+            let Some(mut g) = self.nodes[i].grad.take() else {
                 continue;
             };
-            // Borrow-splitting: gather what we need from node i immutably,
-            // then write into input grads. `g` is re-inserted after the
-            // match so callers can read it; arms that only read the
-            // upstream gradient borrow it instead of cloning.
+            // Borrow-splitting: copy the operand ids out of node i, then
+            // write into the operands' grads. A unary op's operand needs a
+            // gradient whenever the op does; binary ops ask per operand.
             match &self.nodes[i].op {
-                Op::Leaf => {}
+                Op::Leaf => self.nodes[i].grad = Some(g),
                 Op::MatMul(a, b) => {
                     let (a, b) = (*a, *b);
-                    let ga = g.matmul_t(&self.nodes[b.0].value);
-                    let gb = self.nodes[a.0].value.t_matmul(&g);
-                    self.accumulate(a, ga);
-                    self.accumulate(b, gb);
+                    if self.needs_grad(a) {
+                        let ga = g.matmul_t(&self.nodes[b.0].value);
+                        self.accumulate(a, ga);
+                    }
+                    if self.needs_grad(b) {
+                        let gb = self.nodes[a.0].value.t_matmul(&g);
+                        self.accumulate(b, gb);
+                    }
                 }
                 Op::Add(a, b) => {
                     let (a, b) = (*a, *b);
-                    self.accumulate(a, g.clone());
-                    self.accumulate(b, g.clone());
+                    // `a` before `b`, and a copy only when both want one.
+                    let (need_a, need_b) = (self.needs_grad(a), self.needs_grad(b));
+                    if need_a && need_b {
+                        self.accumulate(a, g.clone());
+                    }
+                    self.accumulate(if need_b { b } else { a }, g);
                 }
                 Op::AddBias(x, bias) => {
                     let (x, bias) = (*x, *bias);
-                    let cols = g.cols();
-                    let mut gb = Matrix::zeros(1, cols);
-                    for r in 0..g.rows() {
-                        for (o, &v) in gb.row_mut(0).iter_mut().zip(g.row(r)) {
-                            *o += v;
+                    let gb = self.needs_grad(bias).then(|| {
+                        let mut gb = Matrix::zeros(1, g.cols());
+                        for r in 0..g.rows() {
+                            for (o, &v) in gb.row_mut(0).iter_mut().zip(g.row(r)) {
+                                *o += v;
+                            }
                         }
-                    }
-                    self.accumulate(x, g.clone());
+                        gb
+                    });
+                    self.accumulate(x, self.needs_grad(x).then_some(g));
                     self.accumulate(bias, gb);
                 }
                 Op::Relu(x) => {
                     let x = *x;
-                    let mut gx = g.clone();
-                    for (gv, &xv) in gx
+                    for (gv, &xv) in g
                         .as_flat_mut()
                         .iter_mut()
                         .zip(self.nodes[x.0].value.as_flat())
@@ -541,12 +610,11 @@ impl Tape {
                             *gv = 0.0;
                         }
                     }
-                    self.accumulate(x, gx);
+                    self.accumulate(x, g);
                 }
                 Op::LeakyRelu(x, slope) => {
                     let (x, slope) = (*x, *slope);
-                    let mut gx = g.clone();
-                    for (gv, &xv) in gx
+                    for (gv, &xv) in g
                         .as_flat_mut()
                         .iter_mut()
                         .zip(self.nodes[x.0].value.as_flat())
@@ -555,27 +623,31 @@ impl Tape {
                             *gv *= slope;
                         }
                     }
-                    self.accumulate(x, gx);
+                    self.accumulate(x, g);
                 }
                 Op::Scale(x, s) => {
                     let (x, s) = (*x, *s);
-                    let mut gx = g.clone();
-                    gx.scale_assign(s);
-                    self.accumulate(x, gx);
+                    g.scale_assign(s);
+                    self.accumulate(x, g);
                 }
                 Op::ConcatCols(a, b) => {
                     let (a, b) = (*a, *b);
                     let ca = self.nodes[a.0].value.cols();
-                    let cb = self.nodes[b.0].value.cols();
                     let rows = g.rows();
-                    let mut ga = Matrix::zeros(rows, ca);
-                    let mut gb = Matrix::zeros(rows, cb);
-                    for r in 0..rows {
-                        ga.row_mut(r).copy_from_slice(&g.row(r)[..ca]);
-                        gb.row_mut(r).copy_from_slice(&g.row(r)[ca..]);
+                    if self.needs_grad(a) {
+                        let mut ga = Matrix::zeros(rows, ca);
+                        for r in 0..rows {
+                            ga.row_mut(r).copy_from_slice(&g.row(r)[..ca]);
+                        }
+                        self.accumulate(a, ga);
                     }
-                    self.accumulate(a, ga);
-                    self.accumulate(b, gb);
+                    if self.needs_grad(b) {
+                        let mut gb = Matrix::zeros(rows, g.cols() - ca);
+                        for r in 0..rows {
+                            gb.row_mut(r).copy_from_slice(&g.row(r)[ca..]);
+                        }
+                        self.accumulate(b, gb);
+                    }
                 }
                 Op::HeadRows(x) => {
                     let x = *x;
@@ -588,11 +660,10 @@ impl Tape {
                 }
                 Op::Dropout(x, mask) => {
                     let x = *x;
-                    let mut gx = g.clone();
-                    for (gv, &m) in gx.as_flat_mut().iter_mut().zip(mask) {
+                    for (gv, &m) in g.as_flat_mut().iter_mut().zip(mask) {
                         *gv *= m;
                     }
-                    self.accumulate(x, gx);
+                    self.accumulate(x, g);
                 }
                 Op::SparseAgg { x, adj, mode } => {
                     let x = *x;
@@ -645,14 +716,22 @@ impl Tape {
                 } => {
                     let (target, source) = (*target, *source);
                     let adj = Arc::clone(adj);
-                    let mut gt = Matrix::zeros(self.nodes[target.0].value.rows(), 1);
-                    let mut gs = Matrix::zeros(self.nodes[source.0].value.rows(), 1);
+                    let mut gt = self
+                        .needs_grad(target)
+                        .then(|| Matrix::zeros(self.nodes[target.0].value.rows(), 1));
+                    let mut gs = self
+                        .needs_grad(source)
+                        .then(|| Matrix::zeros(self.nodes[source.0].value.rows(), 1));
                     let mut k = 0usize;
                     for t in 0..adj.num_targets {
                         for &s in &adj.col[adj.row_ptr[t]..adj.row_ptr[t + 1]] {
                             let gv = g.get(k, 0);
-                            gt.set(t, 0, gt.get(t, 0) + gv);
-                            gs.set(s as usize, 0, gs.get(s as usize, 0) + gv);
+                            if let Some(gt) = &mut gt {
+                                gt.set(t, 0, gt.get(t, 0) + gv);
+                            }
+                            if let Some(gs) = &mut gs {
+                                gs.set(s as usize, 0, gs.get(s as usize, 0) + gv);
+                            }
                             k += 1;
                         }
                     }
@@ -677,21 +756,28 @@ impl Tape {
                     let (w, x) = (*w, *x);
                     let adj = Arc::clone(adj);
                     let (rx, d) = self.nodes[x.0].value.shape();
-                    let mut gw = Matrix::zeros(adj.num_edges(), 1);
-                    let mut gx = Matrix::zeros(rx, d);
+                    let mut gw = self
+                        .needs_grad(w)
+                        .then(|| Matrix::zeros(adj.num_edges(), 1));
+                    let mut gx = self.needs_grad(x).then(|| Matrix::zeros(rx, d));
                     let mut k = 0usize;
                     for t in 0..adj.num_targets {
                         let gt = g.row(t);
                         for &s in &adj.col[adj.row_ptr[t]..adj.row_ptr[t + 1]] {
-                            let wv = self.nodes[w.0].value.get(k, 0);
-                            let xs = self.nodes[x.0].value.row(s as usize);
-                            let mut acc = 0.0f32;
-                            for ((o, &gv), &xv) in gx.row_mut(s as usize).iter_mut().zip(gt).zip(xs)
-                            {
-                                *o += wv * gv;
-                                acc += gv * xv;
+                            if let Some(gx) = &mut gx {
+                                let wv = self.nodes[w.0].value.get(k, 0);
+                                for (o, &gv) in gx.row_mut(s as usize).iter_mut().zip(gt) {
+                                    *o += wv * gv;
+                                }
                             }
-                            gw.set(k, 0, acc);
+                            if let Some(gw) = &mut gw {
+                                let xs = self.nodes[x.0].value.row(s as usize);
+                                let mut acc = 0.0f32;
+                                for (&gv, &xv) in gt.iter().zip(xs) {
+                                    acc += gv * xv;
+                                }
+                                gw.set(k, 0, acc);
+                            }
                             k += 1;
                         }
                     }
@@ -724,12 +810,13 @@ impl Tape {
                     self.accumulate(logits, gx);
                 }
             }
-            // Re-insert so callers can read it afterwards.
-            self.nodes[i].grad = Some(g);
         }
     }
 
-    fn accumulate(&mut self, id: NodeId, g: Matrix) {
+    /// Adds `g` into `id`'s gradient; `None` (an operand whose gradient
+    /// was pruned) is a no-op.
+    fn accumulate(&mut self, id: NodeId, g: impl Into<Option<Matrix>>) {
+        let Some(g) = g.into() else { return };
         match &mut self.nodes[id.0].grad {
             Some(existing) => existing.add_assign(&g),
             slot @ None => *slot = Some(g),

@@ -3,16 +3,20 @@
 //! scratch-reuse refactor: once the output buffer has been sized by a
 //! warm-up call, repeated `matmul_into` steps over the same shapes
 //! allocate nothing beyond the bounded per-call job-cut table, while
-//! each `matmul_with` call pays a fresh output buffer.
+//! each `matmul_with` call pays a fresh output buffer. The same counter
+//! pins `Tape::backward` to allocating nothing feature-shaped when the
+//! features are a `Tape::constant`.
 //!
 //! The counter is process-global, so every assertion lives in one test
 //! function — Rust runs integration-test functions on separate threads
 //! and a second test would race the counter.
 
 use spp_pool::WorkerPool;
-use spp_tensor::{kernels, Matrix};
+use spp_tensor::tape::{AggMode, CsrAdj};
+use spp_tensor::{kernels, Matrix, Tape};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 struct CountingAlloc;
 
@@ -160,5 +164,41 @@ fn into_kernels_stop_allocating_after_warmup() {
         (kernel_allocs, kernel_bytes),
         (0, 0),
         "blocked kernels must not touch the heap"
+    );
+
+    // `Tape::backward` does nothing on behalf of a `constant`: a SAGE
+    // layer over a 4096×64 feature matrix with 16 targets and hidden 8
+    // must not allocate anything feature-shaped. (Registered as an
+    // `input` the same features cost two such matrices: the `head_rows`
+    // zero-fill and the `sparse_agg` scatter target.)
+    let (sources, dim, targets, hidden) = (4096usize, 64usize, 16usize, 8usize);
+    let adj = Arc::new(CsrAdj {
+        num_targets: targets,
+        num_sources: sources,
+        row_ptr: (0..=targets).map(|t| t * 8).collect(),
+        col: (0..targets as u32 * 8)
+            .map(|e| e * 31 % sources as u32)
+            .collect(),
+    });
+    let mut tape = Tape::new();
+    let x = tape.constant(filled(sources, dim, 4));
+    let w_self = tape.input(filled(dim, hidden, 5));
+    let w_neigh = tape.input(filled(dim, hidden, 6));
+    let bias = tape.input(filled(1, hidden, 7));
+    let neigh = tape.sparse_agg(x, Arc::clone(&adj), AggMode::Mean);
+    let own = tape.head_rows(x, targets);
+    let a = tape.matmul(own, w_self);
+    let b = tape.matmul(neigh, w_neigh);
+    let s = tape.add(a, b);
+    let sb = tape.add_bias(s, bias);
+    let r = tape.relu(sb);
+    let labels = Arc::new((0..targets as u32).map(|t| t % hidden as u32).collect());
+    let loss = tape.softmax_cross_entropy(r, labels);
+    let (_, backward_bytes, ()) = counted(|| tape.backward(loss));
+    assert!(tape.grad(w_neigh).is_some() && tape.grad(x).is_none());
+    let feature_bytes = (sources * dim * std::mem::size_of::<f32>()) as u64;
+    assert!(
+        backward_bytes < feature_bytes,
+        "backward allocated {backward_bytes} B against a {feature_bytes} B constant feature matrix"
     );
 }
