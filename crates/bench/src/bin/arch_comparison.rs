@@ -64,6 +64,10 @@ fn main() {
                 ..TrainConfig::default()
             },
         );
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "bench harness: reports wall time by trade"
+        )]
         let start = Instant::now();
         let report = trainer.train();
         let dt = start.elapsed();

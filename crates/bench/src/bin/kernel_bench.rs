@@ -154,6 +154,10 @@ fn seed_matmul_t(a: &[f32], m: usize, k: usize, b: &[f32], b_rows: usize, out: &
 }
 
 /// Best-of-`reps` wall time of `f`, in seconds.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "bench harness: reports wall time by trade"
+)]
 fn time_best<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps {

@@ -25,6 +25,10 @@ use spp_runtime::{DistributedSetup, SetupConfig};
 use spp_sampler::Fanouts;
 use std::time::Instant;
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "bench harness: reports wall time by trade"
+)]
 fn main() {
     let cli = Cli::parse();
     let k = 8usize;

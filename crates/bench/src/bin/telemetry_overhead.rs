@@ -35,6 +35,10 @@ const SYNC_DELTA_BUDGET_NS: f64 = 0.1;
 /// Best-of-`reps` per-iteration nanoseconds for `f` run `iters` times.
 /// Best-of (not mean) because scheduler noise only ever adds time; the
 /// minimum is the closest observable to the true cost of the loop body.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "bench harness: reports wall time by trade"
+)]
 fn time_per_event(iters: u64, reps: usize, mut f: impl FnMut(u64)) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
@@ -82,6 +86,10 @@ fn main() {
     // wraps, same loop body. Best-of timing makes the comparison
     // noise-floor-stable; any real delta means the zero-cost
     // passthrough claim regressed.
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the raw std atomic is the baseline the spp-sync passthrough is measured against"
+    )]
     let raw = std::sync::atomic::AtomicU64::new(0);
     let wrapped = spp_sync::AtomicU64::new(0);
     let raw_ns = time_per_event(iters, reps, |i| {

@@ -49,6 +49,10 @@ const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// One timed sweep: best-of-`repeats` wall-clock plus the hop vectors
 /// (for the bit-identity check).
+#[allow(
+    clippy::disallowed_methods,
+    reason = "bench harness: reports wall time by trade"
+)]
 fn time_sweep(
     model: &VipModel,
     graph: &CsrGraph,
@@ -70,6 +74,10 @@ fn time_sweep(
 
 /// Like [`time_sweep`] but for the K-partition sweep
 /// ([`VipModel::partition_scores_with`]).
+#[allow(
+    clippy::disallowed_methods,
+    reason = "bench harness: reports wall time by trade"
+)]
 fn time_partition_sweep(
     model: &VipModel,
     graph: &CsrGraph,

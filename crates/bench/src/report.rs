@@ -3,6 +3,7 @@
 
 use spp_core::SweepStrategy;
 use spp_runtime::pool::WorkerPool;
+use spp_telemetry::export::json_escape;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -242,25 +243,6 @@ fn git_commit() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Formats seconds as a human-friendly duration string.

@@ -103,6 +103,10 @@ mod tests {
             for &total in shape {
                 match d.next(total) {
                     Ok(c) => path.push(c),
+                    #[allow(
+                        clippy::unreachable,
+                        reason = "test helper: the shape is fixed, so replay cannot diverge"
+                    )]
                     Err(_) => unreachable!("fixed shape cannot diverge"),
                 }
             }

@@ -63,7 +63,10 @@ impl Sim {
             .drain(..)
             .enumerate()
             .map(|(i, body)| {
-                // spp-lint: allow(l4-unbounded): model threads must be real OS threads the scheduler parks; the set is bounded by the scenario (2-3)
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "model threads must be real OS threads the scheduler parks; the set is bounded by the scenario (2-3)"
+                )]
                 std::thread::spawn(move || {
                     runtime::set_tid(Some(i));
                     let res = std::panic::catch_unwind(AssertUnwindSafe(body));

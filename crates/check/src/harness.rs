@@ -21,7 +21,8 @@
 //!
 //! Mutant modules carry a seeded bug and are expected to be **caught**
 //! within the schedule bound — they prove the checker can actually see
-//! the failure modes the lint gates (L7/L8) exist to prevent:
+//! the failure modes the raw-atomics ban (clippy.toml) and lint L8 exist
+//! to prevent:
 //!
 //! - `mutant-weak-order` — the publish pattern with the release/acquire
 //!   pair weakened to relaxed: the reader observes the flag but stale

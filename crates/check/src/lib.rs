@@ -5,8 +5,8 @@
 //! scenarios ("modules") over the `spp-sync` instrumented primitives,
 //! asserting production invariants on every explored schedule. See
 //! DESIGN.md §12 for how this fits the workspace's memory-ordering
-//! discipline (lint rules L7/L8), and `crates/sync` for the
-//! instrumentation layer itself.
+//! discipline (clippy.toml's raw-atomics ban, lint L8), and
+//! `crates/sync` for the instrumentation layer itself.
 //!
 //! Two build modes:
 //!
@@ -25,6 +25,10 @@
 //! renders per-module results as text or JSON.
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![allow(
+    clippy::disallowed_types,
+    reason = "spp-check implements the model checker the spp-sync wrappers report to: its scheduler state and mirrored cells are raw atomics, and instrumenting the instrumentation would recurse"
+)]
 
 pub mod decision;
 mod explore;

@@ -156,23 +156,9 @@ impl ModuleReport {
     }
 }
 
-/// Minimal JSON string escaping (control chars, quote, backslash).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// `s` as a quoted JSON string literal.
+fn json_str(s: &str) -> String {
+    format!("\"{}\"", spp_telemetry::export::json_escape(s))
 }
 
 #[cfg(test)]

@@ -208,7 +208,11 @@ impl LocState {
     fn latest_val(&self) -> u64 {
         match self.entries.back() {
             Some(e) => e.val,
-            None => unreachable!("location history is never empty"), // spp-lint: allow(l1-no-panic): checker-internal invariant; aborting the exploration is the correct failure mode
+            #[allow(
+                clippy::unreachable,
+                reason = "checker-internal invariant; aborting the exploration is the correct failure mode"
+            )]
+            None => unreachable!("location history is never empty"),
         }
     }
 }
@@ -646,7 +650,11 @@ impl Runtime {
             PendingOp::Atomic { addr, op } => {
                 let cell = match cell {
                     Some(c) => c,
-                    None => unreachable!("atomic ops always carry their cell"), // spp-lint: allow(l1-no-panic): checker-internal invariant; aborting the exploration is the correct failure mode
+                    #[allow(
+                        clippy::unreachable,
+                        reason = "checker-internal invariant; aborting the exploration is the correct failure mode"
+                    )]
+                    None => unreachable!("atomic ops always carry their cell"),
                 };
                 self.exec_atomic(st, me, addr, cell, op)
             }
@@ -709,7 +717,11 @@ impl Runtime {
                 m.held = true;
                 m.vis.clone()
             }
-            None => unreachable!("mutex registered at announce"), // spp-lint: allow(l1-no-panic): checker-internal invariant; aborting the exploration is the correct failure mode
+            #[allow(
+                clippy::unreachable,
+                reason = "checker-internal invariant; aborting the exploration is the correct failure mode"
+            )]
+            None => unreachable!("mutex registered at announce"),
         };
         if let Some(vis) = vis {
             join_seen(&mut st.threads[me].seen, &vis);

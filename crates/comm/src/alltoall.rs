@@ -75,11 +75,13 @@ impl<T> AllToAll<T> {
             }
         }
         self.deposit.wait();
-        #[allow(clippy::expect_used)]
+        #[allow(
+            clippy::expect_used,
+            reason = "the barrier above guarantees every peer deposited; an empty slot is unreachable protocol state"
+        )]
         let incoming: Vec<T> = {
             let mut slots = self.slots.lock();
             (0..self.k)
-                // spp-lint: allow(l1-no-panic): the barrier above guarantees every peer deposited; an empty slot is unreachable protocol state
                 .map(|sender| slots[sender][rank].take().expect("peer did not deposit"))
                 .collect()
         };
@@ -96,6 +98,10 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let mut out: Vec<Option<T>> = (0..k).map(|_| None).collect();
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "ranks synchronize through barriers every exchange, so they must all run concurrently: one scoped thread per rank, where a pooled schedule would deadlock"
+    )]
     crossbeam::thread::scope(|s| {
         let handles: Vec<_> = (0..k)
             .map(|rank| {

@@ -70,7 +70,7 @@ impl CacheBuilder {
 ///
 /// Membership is a sorted `(vertex, slot)` array probed by binary search
 /// — fully ordered, so every traversal of the structure is
-/// deterministic by construction (§9 / DESIGN §17).
+/// deterministic by construction (§9 / DESIGN §8).
 #[derive(Clone, Debug, Default)]
 pub struct StaticCache {
     /// `(vertex, slot)` pairs sorted by vertex id.

@@ -4,7 +4,7 @@
 //! so the 1/2/8-worker sweep uses explicit pools — the exact code path the
 //! env knob selects — and asserts the full VIP → ranking → cache pipeline
 //! is bit-identical at every width. This is the dynamic counterpart of the
-//! static `cargo xtask audit-determinism` gate (DESIGN §17).
+//! static `cargo xtask audit-determinism` gate (DESIGN §8).
 
 // Tests assert by panicking; the workspace panic-family denies apply
 // to library code only (see [workspace.lints] in Cargo.toml).

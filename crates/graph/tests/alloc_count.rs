@@ -12,6 +12,11 @@
 //! function — Rust runs integration-test functions on separate threads
 //! and a second test would race the counter.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "process-global counters bumped inside the allocator hook: raw std atomics keep the hook clear of spp-sync's model-check dispatch"
+)]
+
 use spp_graph::{quant, FeatureMatrix, QuantScheme, QuantizedFeatures};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -7,8 +7,8 @@
 //!
 //! 1. **Bounded concurrency.** A parallel region runs on at most
 //!    [`WorkerPool::workers`] OS threads, forked and joined inside the
-//!    call (structured fork-join — threads cannot leak, the L4 lint
-//!    invariant). Nested regions share the budget via
+//!    call (structured fork-join — threads cannot leak; clippy.toml bans
+//!    `std::thread::spawn`). Nested regions share the budget via
 //!    [`WorkerPool::split`].
 //! 2. **Deterministic decomposition.** Chunk boundaries are a pure
 //!    function of input sizes and weights ([`even_ranges`] /

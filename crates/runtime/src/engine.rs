@@ -100,11 +100,13 @@ impl<'a> FeatureExchange<'a> {
         let mut received = self.channel.exchange(rank, served);
 
         let (mfg, plan) = (mfg?, plan?);
-        #[allow(clippy::panic)]
+        #[allow(
+            clippy::panic,
+            reason = "the exchange deposits one response per owner in the batch plan; a missing one is a protocol bug, not a runtime condition"
+        )]
         let x = store.gather_planned(&mfg.nodes, &plan, |owner, _| {
             match std::mem::replace(&mut received[owner as usize], Payload::Empty) {
                 Payload::Feats(f) => f,
-                // spp-lint: allow(l1-no-panic): the exchange deposits one response per owner in the batch plan; a missing one is a protocol bug, not a runtime condition
                 _ => panic!("missing response from owner {owner}"),
             }
         });

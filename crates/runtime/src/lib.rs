@@ -60,4 +60,4 @@ pub use pool::WorkerPool;
 pub use setup::{DistributedSetup, SetupConfig};
 pub use stages::{StageBusy, StageGraph};
 pub use systems::{EpochSim, EpochTime, SystemSpec};
-pub use volume::{AccessCounts, CommVolume};
+pub use volume::AccessCounts;

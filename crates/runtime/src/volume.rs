@@ -133,28 +133,6 @@ impl AccessCounts {
     }
 }
 
-/// A labelled communication-volume result (one Figure 2 data point).
-#[derive(Clone, Debug)]
-pub struct CommVolume {
-    /// Policy label.
-    pub policy: &'static str,
-    /// Replication factor α.
-    pub alpha: f64,
-    /// Average per-epoch communication volume in vertices.
-    pub vertices_per_epoch: f64,
-}
-
-impl CommVolume {
-    /// Improvement factor relative to a no-caching volume.
-    pub fn improvement_over(&self, no_cache: f64) -> f64 {
-        if self.vertices_per_epoch <= 0.0 {
-            f64::INFINITY
-        } else {
-            no_cache / self.vertices_per_epoch
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,15 +211,5 @@ mod tests {
         let v4 = a4.no_cache_volume(&p);
         // Averages should be comparable (within 30%), not 4× apart.
         assert!(v4 < v1 * 1.3 && v4 > v1 * 0.7, "v1={v1} v4={v4}");
-    }
-
-    #[test]
-    fn improvement_factor() {
-        let cv = CommVolume {
-            policy: "VIP",
-            alpha: 0.1,
-            vertices_per_epoch: 50.0,
-        };
-        assert_eq!(cv.improvement_over(200.0), 4.0);
     }
 }

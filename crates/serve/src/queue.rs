@@ -6,8 +6,8 @@
 //! batches still in flight through the pipeline — never exceeds the
 //! configured capacity. Requests beyond it are rejected immediately with
 //! an explicit [`RejectReason`]; nothing is silently dropped and no
-//! internal buffer can grow without bound (the workspace L4 invariant,
-//! applied to the serving ingress).
+//! internal buffer can grow without bound (the workspace's bounded-queue
+//! invariant, applied to the serving ingress).
 
 use spp_graph::VertexId;
 use std::collections::VecDeque;

@@ -141,6 +141,10 @@ proptest! {
                 match overlay.insert(v, &[v as f32, -(v as f32)]) {
                     InsertOutcome::Evicted(old) => evicted.push(old),
                     InsertOutcome::Refreshed | InsertOutcome::Inserted => {}
+                    #[allow(
+                        clippy::unreachable,
+                        reason = "the strategy draws capacity >= 1, so the overlay is never disabled"
+                    )]
                     InsertOutcome::Disabled => unreachable!("capacity >= 1"),
                 }
             }

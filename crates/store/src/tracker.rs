@@ -224,6 +224,10 @@ mod tests {
     fn concurrent_first_touch_counts_one_fault() {
         use std::sync::Arc;
         let t = Arc::new(tracker(1));
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the test races eight free-running threads on one page; pool workers would serialize the first touch"
+        )]
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let t = Arc::clone(&t);

@@ -7,6 +7,10 @@
 // Tests assert by panicking; the workspace panic-family denies apply
 // to library code only (see [workspace.lints] in Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "process-global counters bumped inside the allocator hook: raw std atomics keep the hook clear of spp-sync's model-check dispatch"
+)]
 
 use spp_graph::{FeatureMatrix, Permutation, QuantScheme};
 use spp_store::{FeatureStore, InRamStore, MmapStore, PermutedStore, StoreBuilder};

@@ -9,6 +9,10 @@
     clippy::panic,
     clippy::float_cmp
 )]
+#![allow(
+    clippy::disallowed_types,
+    reason = "DIR_SEQ hands every proptest case its own temp dir: a test-only tally that publishes nothing"
+)]
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;

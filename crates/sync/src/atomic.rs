@@ -2,10 +2,10 @@
 //!
 //! There is no `Ordering` parameter: each ordering is a distinct method
 //! (`load_relaxed`, `store_release`, ...), so the declared ordering is
-//! part of the call-site text. That is what makes the workspace lints
-//! enforceable — L7 bans raw `std::sync::atomic` use outside this crate,
-//! and L8 requires every `*_relaxed(` call site to carry a
-//! `// spp-sync: relaxed(reason)` annotation.
+//! part of the call-site text. That is what makes the workspace gates
+//! enforceable — clippy.toml bans raw `std::sync::atomic` types outside
+//! this crate, and lint L8 requires every `*_relaxed(` call site to
+//! carry a `// spp-sync: relaxed(reason)` annotation.
 //!
 //! All three logical types store a `u64` cell so the model checker sees
 //! one uniform value domain; `bool`/`usize` convert at the API edge. In

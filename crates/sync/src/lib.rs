@@ -2,8 +2,8 @@
 //!
 //! Every atomic, mutex, and condvar the workspace's concurrent hot
 //! paths use comes from this crate instead of `std::sync` directly
-//! (lint L7). The wrappers are transparent in normal builds — each
-//! method is an `#[inline(always)]` passthrough to the identical
+//! (clippy.toml bans the raw atomics). The wrappers are transparent in
+//! normal builds — each method is an `#[inline(always)]` passthrough to the identical
 //! `std::sync` operation, benchmarked at zero measurable overhead by
 //! `spp-bench/bin/telemetry_overhead --quick` (`sync_overhead` case).
 //!
@@ -13,8 +13,8 @@
 //! bounded preemptions and (in weak-memory mode) serves loads stale
 //! values the declared ordering permits, so `Relaxed` misuse shows up as
 //! a concrete failing schedule instead of a latent production bug. See
-//! DESIGN.md §12 for the memory-ordering discipline and the L7/L8 lint
-//! rules that keep call sites honest.
+//! DESIGN.md §12 for the memory-ordering discipline and the two gates —
+//! clippy's raw-atomics ban and lint L8 — that keep call sites honest.
 //!
 //! Ordering is part of the method name (`load_acquire`,
 //! `fetch_add_relaxed`, ...) rather than a parameter, which is what
@@ -24,6 +24,10 @@
 // Test modules assert by panicking; the workspace panic-family denies
 // (see [workspace.lints] in Cargo.toml) apply to library code only.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![allow(
+    clippy::disallowed_types,
+    reason = "spp-sync owns the raw atomics: it is the wrapper layer clippy.toml sends every other crate to"
+)]
 
 pub mod hook;
 
@@ -85,6 +89,10 @@ mod tests {
 
         let pair = Arc::new((Mutex::new(false), Condvar::new()));
         let pair2 = Arc::clone(&pair);
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the test needs a real OS thread blocked in Condvar::wait, which a pool worker cannot be"
+        )]
         let waiter = std::thread::spawn(move || {
             let (m, cv) = &*pair2;
             let mut ready = m.lock();

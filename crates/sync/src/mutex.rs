@@ -90,7 +90,11 @@ impl<T> Deref for MutexGuard<'_, T> {
     fn deref(&self) -> &T {
         match self.inner.as_deref() {
             Some(t) => t,
-            None => unreachable!("live guard always holds the inner lock"), // spp-lint: allow(l1-no-panic): guard invariant by construction; the Option exists only for the model-check drop protocol
+            #[allow(
+                clippy::unreachable,
+                reason = "guard invariant by construction; the Option exists only for the model-check drop protocol"
+            )]
+            None => unreachable!("live guard always holds the inner lock"),
         }
     }
 }
@@ -99,7 +103,11 @@ impl<T> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         match self.inner.as_deref_mut() {
             Some(t) => t,
-            None => unreachable!("live guard always holds the inner lock"), // spp-lint: allow(l1-no-panic): guard invariant by construction; the Option exists only for the model-check drop protocol
+            #[allow(
+                clippy::unreachable,
+                reason = "guard invariant by construction; the Option exists only for the model-check drop protocol"
+            )]
+            None => unreachable!("live guard always holds the inner lock"),
         }
     }
 }
@@ -166,7 +174,11 @@ impl Condvar {
         }
         let std_guard = match guard.inner.take() {
             Some(g) => g,
-            None => unreachable!("live guard always holds the inner lock"), // spp-lint: allow(l1-no-panic): guard invariant by construction; the Option exists only for the model-check drop protocol
+            #[allow(
+                clippy::unreachable,
+                reason = "guard invariant by construction; the Option exists only for the model-check drop protocol"
+            )]
+            None => unreachable!("live guard always holds the inner lock"),
         };
         #[cfg(spp_model_check)]
         {

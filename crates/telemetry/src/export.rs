@@ -38,8 +38,9 @@ pub fn init_from_env() -> bool {
     on
 }
 
-/// Escapes `s` for inclusion in a JSON string literal.
-fn esc(s: &str) -> String {
+/// Escapes `s` for inclusion in a JSON string literal (the workspace's
+/// one escaper: bench, check and xtask reports call it too).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -115,7 +116,7 @@ fn push_chrome_event(out: &mut String, ev: &Event) {
         out,
         "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\
          \"ts\":{ts:.3},\"dur\":{dur:.3},\"args\":{{\"depth\":{}}}}}",
-        esc(&ev.name),
+        json_escape(&ev.name),
         if ev.sim { "sim" } else { "wall" },
         ev.tid,
         ev.depth
@@ -143,7 +144,7 @@ pub fn chrome_trace_json() -> String {
             out,
             "{{\"name\":\"{name}\",\"ph\":\"M\",\"pid\":{pid}{tid_field},\
              \"args\":{{\"name\":\"{}\"}}}}",
-            esc(value)
+            json_escape(value)
         );
     };
     meta(&mut out, &mut first, "process_name", 1, None, "wall clock");
@@ -190,7 +191,7 @@ pub fn events_jsonl() -> String {
                 out,
                 "{{\"name\":\"{}\",\"sim\":{},\"tid\":{},\"start_ns\":{},\
                  \"dur_ns\":{},\"depth\":{}}}",
-                esc(&ev.name),
+                json_escape(&ev.name),
                 ev.sim,
                 ev.tid,
                 ev.start_ns,

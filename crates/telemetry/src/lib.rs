@@ -14,7 +14,7 @@
 //!    shards in registration index order, so enabling telemetry cannot
 //!    perturb the bit-identity contract of DESIGN.md §9.
 //! 3. **One clock.** [`span::clock_ns`] is the workspace's only wall
-//!    clock outside `spp-bench` and the DES virtual clock (lint L6);
+//!    clock outside `spp-bench` and the DES virtual clock (clippy.toml);
 //!    simulated (virtual-time) spans are recorded through
 //!    [`span::record_sim_span`] and exported on their own trace process.
 //!

@@ -13,7 +13,7 @@
 //!
 //! Capacity overflow (more names than the fixed tables hold) degrades to
 //! dead no-op handles instead of failing — telemetry must never take the
-//! computation down (lint L1).
+//! computation down (the workspace's no-panic denies).
 
 use spp_sync::{AtomicBool, AtomicU64, Mutex};
 use std::sync::{Arc, OnceLock};

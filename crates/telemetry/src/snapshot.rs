@@ -114,7 +114,10 @@ pub fn start_snapshotter(period_secs: f64) -> bool {
     // A detached observer is the point: it must outlive no one and own
     // nothing. Bounded to one thread by the STARTED flag above, it only
     // reads (snapshot + render + eprint) and exits with the process.
-    // spp-lint: allow(l4-unbounded): one read-only observer thread gated by the STARTED flag; not a data-parallel fan-out, so the pool's worker budget does not apply
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "one read-only observer thread gated by the STARTED flag; not a data-parallel fan-out, so the pool's worker budget does not apply"
+    )]
     std::thread::spawn(move || {
         let mut prev: Option<MetricsSnapshot> = None;
         let mut last_ns = crate::span::clock_ns();

@@ -11,7 +11,7 @@
 //! All wall-clock reads go through [`clock_ns`] — nanoseconds since a
 //! process-wide anchor — which is the workspace's single sanctioned
 //! `Instant` site outside `spp-bench` and the DES virtual clock
-//! (lint L6).
+//! (clippy.toml bans `Instant::now`).
 //!
 //! Simulated time: the DES pipeline models run in *virtual* seconds.
 //! [`record_sim_span`] records those on named sim tracks; exporters
@@ -33,8 +33,13 @@ pub const EVENT_CAPACITY: usize = 1 << 16;
 static ANCHOR: OnceLock<Instant> = OnceLock::new();
 
 /// Monotonic nanoseconds since the first telemetry clock read of the
-/// process. The workspace's single wall-clock entry point (lint L6).
+/// process. The workspace's single wall-clock entry point (clippy.toml
+/// bans `Instant::now` everywhere else).
 #[inline]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "this is the process clock clippy.toml sends every other crate to: the one anchor all span timestamps share"
+)]
 pub fn clock_ns() -> u64 {
     ANCHOR.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }

@@ -11,6 +11,11 @@
 //! function — Rust runs integration-test functions on separate threads
 //! and a second test would race the counter.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "process-global counters bumped inside the allocator hook: raw std atomics keep the hook clear of spp-sync's model-check dispatch"
+)]
+
 use spp_pool::WorkerPool;
 use spp_tensor::tape::{AggMode, CsrAdj};
 use spp_tensor::{kernels, Matrix, Tape};

@@ -1,21 +1,23 @@
-//! Rendering and summarization for the two call-graph audits,
-//! `cargo xtask audit-hotpaths` and `cargo xtask audit-determinism`.
+//! Rendering and summarization for the three static gates,
+//! `cargo xtask lint`, `audit-hotpaths` and `audit-determinism`.
 //!
 //! The `--json` document is the committed baseline format
-//! (`results/hotpath_baseline.json` / `results/determinism_baseline.json`):
-//! root inventory with reachable-set size and call-graph depth, the
-//! escape-site inventory, cold boundaries, findings, and the
-//! `unannotated_escapes` counter that benches trend (ISSUE 6). The two
-//! passes differ only in what [`AuditKind`] names — the key prefix
-//! (`hot_roots` / `det_roots`), the rule-id table and which stop
-//! annotation bounds traversal — so [`crate::baseline`] diffs both with
-//! one key extractor. JSON is hand-rolled like [`crate::report`] — the
-//! offline workspace carries no serde.
+//! (`results/{lint,hotpath,determinism}_baseline.json`): root inventory
+//! with reachable-set size and call-graph depth, the escape-site
+//! inventory, cold boundaries, findings, and the `unannotated_escapes`
+//! counter that benches trend (ISSUE 6). The passes differ only in what
+//! [`AuditKind`] names — the key prefix (`hot_roots` / `det_roots` /
+//! `lint_roots`), the rule ids and which stop annotation bounds
+//! traversal — so [`crate::baseline`] diffs all three with one key
+//! extractor. The lint family is scoped by path, not reachability: its
+//! root and stop sections are always empty and its escape inventory is
+//! the `spp-lint` pragmas plus every annotated `*_relaxed(` call. JSON
+//! is hand-rolled — the offline workspace carries no serde.
 
 use crate::callgraph::{CallGraph, Reached};
-use crate::hotrules::HotReport;
 use crate::items::{AuditKind, FileItems};
-use crate::report::json_escape;
+use crate::rules::{rule_ids, Report};
+use spp_telemetry::export::json_escape;
 use std::collections::BTreeMap;
 
 /// One declared root with its reachability summary.
@@ -52,7 +54,7 @@ pub struct AuditOutput {
     pub roots: Vec<RootSummary>,
     pub stops: Vec<StopSite>,
     pub reachable_functions: usize,
-    pub report: HotReport,
+    pub report: Report,
     pub files_scanned: usize,
 }
 
@@ -66,7 +68,7 @@ pub fn summarize(
     root_nodes: &[usize],
     reach: &[Reached],
     files_scanned: usize,
-    report: HotReport,
+    report: Report,
 ) -> AuditOutput {
     let mut per_root: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
     for r in reach {
@@ -175,7 +177,7 @@ pub fn render_json(out: &AuditOutput) -> String {
         .collect();
     let prefix = out.kind.prefix();
     let annotation_rule = format!("{prefix}-annotation");
-    let mut counts: BTreeMap<&str, usize> = out.kind.rule_ids().iter().map(|&r| (r, 0)).collect();
+    let mut counts: BTreeMap<&str, usize> = rule_ids(out.kind).map(|r| (r, 0)).collect();
     counts.insert(&annotation_rule, 0);
     for f in &out.report.findings {
         *counts.entry(f.rule.as_str()).or_insert(0) += 1;
@@ -248,7 +250,7 @@ pub fn render_json(out: &AuditOutput) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hotrules::{EscapeSite, HotFinding};
+    use crate::rules::{EscapeSite, Finding};
 
     fn sample(kind: AuditKind, rule: &str) -> AuditOutput {
         AuditOutput {
@@ -267,8 +269,8 @@ mod tests {
                 reason: "one-time registration".to_string(),
             }],
             reachable_functions: 3,
-            report: HotReport {
-                findings: vec![HotFinding {
+            report: Report {
+                findings: vec![Finding {
                     path: "crates/a/src/lib.rs".to_string(),
                     line: 4,
                     rule: rule.to_string(),
@@ -323,5 +325,10 @@ mod tests {
         assert!(j.contains("\"det-annotation\": 0"));
         assert!(!j.contains("h1-alloc"));
         assert!(crate::json::parse(&j).is_ok());
+        let j = render_json(&sample(AuditKind::Lint, "l5-prob-clamp"));
+        assert!(j.contains("\"lint_roots\": ["));
+        assert!(j.contains("\"l5-prob-clamp\": 1"));
+        assert!(j.contains("\"l8-relaxed-note\": 0"));
+        assert!(j.contains("\"lint-annotation\": 0"));
     }
 }

@@ -1,4 +1,4 @@
-//! Committed-baseline comparison for the analysis gates.
+//! Committed-baseline comparison for the static gates.
 //!
 //! `results/lint_baseline.json` (from `lint --json`),
 //! `results/hotpath_baseline.json` (from `audit-hotpaths --json`), and
@@ -12,14 +12,11 @@
 //!   longer fires — the snapshot lies about the code and must be
 //!   refreshed.
 //!
-//! `--refresh-baseline` rewrites the snapshot after review, replacing
-//! the manual redirect-and-commit dance.
+//! `--refresh-baseline` rewrites the snapshot after review.
 //!
-//! Lint entries compare exactly (file, line, rule, message) — the same
-//! sensitivity as the verbatim `diff -u` CI has always run. Hot-path
-//! and determinism entries compare *without* line numbers (roots by
-//! name/fn, escapes by file/rules/reason, stops by file/fn/reason), so
-//! unrelated edits that shift lines don't churn the baseline.
+//! Entries compare *without* line numbers (roots by name/fn, escapes by
+//! file/rules/reason, stops by file/fn/reason), so unrelated edits that
+//! shift lines don't churn the baseline.
 
 use crate::items::AuditKind;
 use crate::json::{self, Json};
@@ -38,16 +35,12 @@ pub enum BaselineStatus {
     Drift(Vec<String>),
 }
 
-/// Baseline path for the lint gate.
-pub fn lint_baseline_path(root: &Path) -> PathBuf {
-    root.join("results/lint_baseline.json")
-}
-
-/// Baseline path for a call-graph audit gate.
-pub fn audit_baseline_path(root: &Path, kind: AuditKind) -> PathBuf {
+/// Baseline path of a gate.
+pub fn baseline_path(root: &Path, kind: AuditKind) -> PathBuf {
     root.join(match kind {
         AuditKind::Hot => "results/hotpath_baseline.json",
         AuditKind::Det => "results/determinism_baseline.json",
+        AuditKind::Lint => "results/lint_baseline.json",
     })
 }
 
@@ -82,10 +75,6 @@ fn s(v: &Json, key: &str) -> String {
     v.get(key).and_then(Json::as_str).unwrap_or("").to_string()
 }
 
-fn n(v: &Json, key: &str) -> i64 {
-    v.get(key).and_then(Json::as_num).unwrap_or(0.0) as i64
-}
-
 /// Parses a baseline file; `Ok(None)` when the file does not exist.
 fn load(path: &Path) -> Result<Option<Json>, String> {
     if !path.is_file() {
@@ -97,56 +86,9 @@ fn load(path: &Path) -> Result<Option<Json>, String> {
         .map_err(|e| format!("{}: not valid JSON: {e}", path.display()))
 }
 
-/// Lint entry keys: exact, including line numbers.
-fn lint_keys(doc: &Json) -> (Vec<String>, Vec<String>) {
-    let findings = arr(doc, "findings")
-        .into_iter()
-        .map(|f| {
-            format!(
-                "[{}] {}:{} {}",
-                s(f, "rule"),
-                s(f, "file"),
-                n(f, "line"),
-                s(f, "message")
-            )
-        })
-        .collect();
-    let relaxed = arr(doc, "relaxed_sites")
-        .into_iter()
-        .map(|r| {
-            format!(
-                "{}:{} relaxed({})",
-                s(r, "file"),
-                n(r, "line"),
-                s(r, "reason")
-            )
-        })
-        .collect();
-    (findings, relaxed)
-}
-
-/// Compares current `lint --json` output against the committed
-/// baseline under `root`.
-pub fn check_lint_baseline(root: &Path, current_json: &str) -> Result<BaselineStatus, String> {
-    let Some(base) = load(&lint_baseline_path(root))? else {
-        return Ok(BaselineStatus::Missing);
-    };
-    let cur = json::parse(current_json).map_err(|e| format!("current output: {e}"))?;
-    let (bf, br) = lint_keys(&base);
-    let (cf, cr) = lint_keys(&cur);
-    let mut diffs = Vec::new();
-    diff_multiset("finding", &bf, &cf, &mut diffs);
-    diff_multiset("relaxed site", &br, &cr, &mut diffs);
-    if diffs.is_empty() {
-        Ok(BaselineStatus::Clean)
-    } else {
-        Ok(BaselineStatus::Drift(diffs))
-    }
-}
-
-/// Call-graph audit entry keys: line-insensitive. `roots_key` selects
-/// the root-inventory array (`hot_roots` / `det_roots`); the rest of
-/// the document shape is shared between the two passes.
+/// Entry keys: line-insensitive. `roots_key` selects the
+/// root-inventory array (`hot_roots` / `det_roots` / `lint_roots`); the
+/// rest of the document shape is shared between the passes.
 fn graph_audit_keys(
     doc: &Json,
     roots_key: &str,
@@ -178,14 +120,14 @@ fn graph_audit_keys(
     (roots, escapes, stops, findings)
 }
 
-/// Compares current `audit-hotpaths --json` / `audit-determinism
-/// --json` output against the committed baseline under `root`.
+/// Compares a gate's current `--json` output against its committed
+/// baseline under `root`.
 pub fn check_audit_baseline(
     root: &Path,
     kind: AuditKind,
     current_json: &str,
 ) -> Result<BaselineStatus, String> {
-    let Some(base) = load(&audit_baseline_path(root, kind))? else {
+    let Some(base) = load(&baseline_path(root, kind))? else {
         return Ok(BaselineStatus::Missing);
     };
     let cur = json::parse(current_json).map_err(|e| format!("current output: {e}"))?;
@@ -216,51 +158,34 @@ pub fn refresh(path: &Path, contents: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    const LINT_A: &str = r#"{
-  "findings": [{"rule": "l1-no-panic", "file": "a.rs", "line": 3, "message": "m"}],
-  "relaxed_sites": [{"file": "b.rs", "line": 9, "reason": "tally"}]
-}"#;
-
-    #[test]
-    fn identical_lint_docs_are_clean() {
-        let dir = std::env::temp_dir().join("spp-baseline-test-clean");
-        std::fs::create_dir_all(dir.join("results")).unwrap();
-        std::fs::write(dir.join("results/lint_baseline.json"), LINT_A).unwrap();
-        assert_eq!(
-            check_lint_baseline(&dir, LINT_A).unwrap(),
-            BaselineStatus::Clean
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     #[test]
     fn missing_baseline_skips_comparison() {
         let dir = std::env::temp_dir().join("spp-baseline-test-missing");
         std::fs::create_dir_all(&dir).unwrap();
         assert_eq!(
-            check_lint_baseline(&dir, LINT_A).unwrap(),
+            check_audit_baseline(&dir, AuditKind::Lint, "{}").unwrap(),
             BaselineStatus::Missing
         );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn stale_and_new_lint_entries_are_reported() {
-        let dir = std::env::temp_dir().join("spp-baseline-test-drift");
+    fn stale_and_new_lint_escapes_are_reported() {
+        let dir = std::env::temp_dir().join("spp-baseline-test-lint");
         std::fs::create_dir_all(dir.join("results")).unwrap();
-        std::fs::write(dir.join("results/lint_baseline.json"), LINT_A).unwrap();
-        let current = r#"{
+        let base = r#"{
   "findings": [],
-  "relaxed_sites": [
-    {"file": "b.rs", "line": 9, "reason": "tally"},
-    {"file": "c.rs", "line": 2, "reason": "fresh"}
-  ]
+  "escapes": [{"file": "b.rs", "line": 9, "rules": "l8-relaxed-note", "reason": "tally"}]
 }"#;
-        let BaselineStatus::Drift(diffs) = check_lint_baseline(&dir, current).unwrap() else {
+        std::fs::write(dir.join("results/lint_baseline.json"), base).unwrap();
+        let current = base.replace("b.rs", "c.rs");
+        let BaselineStatus::Drift(diffs) =
+            check_audit_baseline(&dir, AuditKind::Lint, &current).unwrap()
+        else {
             panic!("expected drift");
         };
-        assert!(diffs.iter().any(|d| d.contains("stale finding")));
-        assert!(diffs.iter().any(|d| d.contains("new relaxed site")));
+        assert!(diffs.iter().any(|d| d.contains("stale escape")));
+        assert!(diffs.iter().any(|d| d.contains("new escape")));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -18,6 +18,7 @@
 //! renders those bundles (`--snapshot`).
 
 use crate::json::{self, Json};
+use spp_telemetry::export::json_escape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -473,7 +474,7 @@ pub fn render_value(v: &Json, indent: usize) -> String {
         Json::Null => "null".to_string(),
         Json::Bool(b) => b.to_string(),
         Json::Num(n) => fmt_num(*n),
-        Json::Str(s) => format!("\"{}\"", escape(s)),
+        Json::Str(s) => format!("\"{}\"", json_escape(s)),
         Json::Arr(items) => {
             if items.is_empty() {
                 return "[]".to_string();
@@ -490,7 +491,7 @@ pub fn render_value(v: &Json, indent: usize) -> String {
                 let _ = write!(
                     out,
                     "{pad}  \"{}\": {}",
-                    escape(k),
+                    json_escape(k),
                     render_value(val, indent + 1)
                 );
                 out.push_str(if i + 1 < map.len() { ",\n" } else { "\n" });
@@ -501,30 +502,17 @@ pub fn render_value(v: &Json, indent: usize) -> String {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a bench set as a baseline bundle document.
 #[must_use]
 pub fn render_bundle(set: &BTreeMap<String, Json>) -> String {
     let mut out = String::from("{\n  \"schema_version\": 1,\n  \"benches\": {\n");
     for (i, (name, doc)) in set.iter().enumerate() {
-        let _ = write!(out, "    \"{}\": {}", escape(name), render_value(doc, 2));
+        let _ = write!(
+            out,
+            "    \"{}\": {}",
+            json_escape(name),
+            render_value(doc, 2)
+        );
         out.push_str(if i + 1 < set.len() { ",\n" } else { "\n" });
     }
     out.push_str("  }\n}\n");

@@ -441,7 +441,7 @@ mod tests {
         // stops.
         let fs = files(&[(
             "crates/a/src/lib.rs",
-            "// spp-det(a.det_root)\nfn droot() {\n    mid();\n}\nfn mid() {\n    deep();\n}\n// spp-det: stop(cold for det only)\nfn deep() {\n    deepest();\n}\nfn deepest() {}\n// spp-hot(a.hot_root)\nfn hroot() {\n    deep();\n}\n",
+            "// spp-det(a.det)\nfn droot() {\n    mid();\n}\nfn mid() {\n    deep();\n}\n// spp-det: stop(cold for det only)\nfn deep() {\n    deepest();\n}\nfn deepest() {}\n// spp-hot(a.hot)\nfn hroot() {\n    deep();\n}\n",
         )]);
         let g = CallGraph::build(&fs);
         assert_eq!(g.roots_for(AuditKind::Hot).len(), 1);
@@ -453,7 +453,7 @@ mod tests {
             .collect();
         // det stop on `deep` is honored: recorded, not expanded.
         assert_eq!(det_names, ["droot", "mid", "deep"]);
-        assert!(det.iter().all(|r| r.root == "a.det_root"));
+        assert!(det.iter().all(|r| r.root == "a.det"));
         // The hot traversal ignores the det stop and descends through
         // `deep` into `deepest`.
         let hot = g.reach_for(&g.roots_for(AuditKind::Hot), AuditKind::Hot);

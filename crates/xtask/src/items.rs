@@ -8,12 +8,13 @@
 //! classifying each opened brace as a `fn` body, an `impl` block, or
 //! an uninteresting block. That is sufficient for call-graph
 //! construction, where over-approximation is acceptable (DESIGN.md
-//! §13).
+//! §8).
 //!
-//! Two annotation families share one grammar, read from the *raw*
+//! Three annotation families share one grammar, read from the *raw*
 //! lines (the cleaning pass blanks comments): `spp-hot` for the
-//! hot-path pass (H1–H4, DESIGN.md §13) and `spp-det` for the
-//! determinism pass (D1–D5, DESIGN.md §17):
+//! hot-path rules (H1–H4), `spp-det` for the determinism rules (D1–D5)
+//! and `spp-lint` for the path-scoped line rules (L2, L3, L5, L8); see
+//! DESIGN.md "Static gates".
 //!
 //! - `// spp-hot(<name>)` / `// spp-det(<name>)` — declares the next
 //!   `fn` item (or the item whose signature shares the line) as a root
@@ -21,36 +22,26 @@
 //! - `// spp-hot: stop(<reason>)` / `// spp-det: stop(<reason>)` —
 //!   marks the next `fn` as a cold boundary: traversal records it but
 //!   does not check its body or descend into its callees;
-//! - `// spp-hot: alloc(<reason>)` — escape shorthand for `h1-alloc`
-//!   on this line (trailing) or the next line (standalone comment;
-//!   hot family only);
-//! - `// spp-hot: allow(<rule>[, <rule>]): <reason>` /
-//!   `// spp-det: allow(<rule>[, <rule>]): <reason>` — general escape
-//!   for the listed rules, same line placement rules.
+//! - `// spp-hot: allow(<rule>[, <rule>]): <reason>` (and the `spp-det`
+//!   / `spp-lint` equivalents) — escape for the listed rules on this
+//!   line (trailing) or the next line (standalone comment);
+//! - `// spp-hot: alloc(<reason>)` / `// spp-sync: relaxed(<reason>)` —
+//!   escape shorthand for `h1-alloc` / `l8-relaxed-note`, same line
+//!   placement rules.
+//!
+//! The lint family has no roots or stops: its rules are scoped by path.
 
 use crate::scan::SourceFile;
 use std::collections::BTreeSet;
 
-/// All hot-path rule ids, for annotation validation and `--json`
-/// counts.
-pub const HOT_RULE_IDS: [&str; 4] = ["h1-alloc", "h2-panic", "h3-lock", "h4-float-order"];
-
-/// All determinism rule ids (DESIGN.md §17), for annotation validation
-/// and `--json` counts.
-pub const DET_RULE_IDS: [&str; 5] = [
-    "d1-unordered-iter",
-    "d2-unseeded-rng",
-    "d3-ambient-read",
-    "d4-worker-leak",
-    "d5-float-order",
-];
-
-/// Which annotation family a traversal follows: the hot-path pass
-/// (`spp-hot` roots/stops) or the determinism pass (`spp-det`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which rule family a gate runs: the hot-path pass (`spp-hot`
+/// roots/stops), the determinism pass (`spp-det`), or the path-scoped
+/// line rules (`spp-lint`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AuditKind {
     Hot,
     Det,
+    Lint,
 }
 
 impl AuditKind {
@@ -60,6 +51,7 @@ impl AuditKind {
         match self {
             AuditKind::Hot => "hot",
             AuditKind::Det => "det",
+            AuditKind::Lint => "lint",
         }
     }
 
@@ -68,14 +60,7 @@ impl AuditKind {
         match self {
             AuditKind::Hot => "audit-hotpaths",
             AuditKind::Det => "audit-determinism",
-        }
-    }
-
-    /// Rule ids of the pass, in report order.
-    pub fn rule_ids(self) -> &'static [&'static str] {
-        match self {
-            AuditKind::Hot => &HOT_RULE_IDS,
-            AuditKind::Det => &DET_RULE_IDS,
+            AuditKind::Lint => "lint",
         }
     }
 }
@@ -111,14 +96,11 @@ pub struct FnItem {
     /// True when the signature takes `self` (method); used to restrict
     /// `.name(..)` resolution to methods.
     pub has_self: bool,
-    /// Hot-root name from `// spp-hot(<name>)`.
-    pub hot_root: Option<String>,
-    /// Cold-boundary reason from `// spp-hot: stop(<reason>)`.
-    pub stop: Option<String>,
-    /// Determinism-root name from `// spp-det(<name>)`.
-    pub det_root: Option<String>,
-    /// Cold-boundary reason from `// spp-det: stop(<reason>)`.
-    pub det_stop: Option<String>,
+    /// Root names from `// spp-<family>(<name>)`, indexed by family.
+    roots: [Option<String>; 3],
+    /// Cold-boundary reasons from `// spp-<family>: stop(<reason>)`,
+    /// indexed by family.
+    stops: [Option<String>; 3],
     /// Call sites extracted from the body (innermost-item attribution:
     /// lines of a nested `fn` belong to the nested item only).
     pub calls: Vec<CallSite>,
@@ -127,25 +109,20 @@ pub struct FnItem {
 impl FnItem {
     /// The root name this item declares for `kind`, if any.
     pub fn root_for(&self, kind: AuditKind) -> Option<&str> {
-        match kind {
-            AuditKind::Hot => self.hot_root.as_deref(),
-            AuditKind::Det => self.det_root.as_deref(),
-        }
+        self.roots[kind as usize].as_deref()
     }
 
     /// The cold-boundary reason this item declares for `kind`, if any.
     pub fn stop_for(&self, kind: AuditKind) -> Option<&str> {
-        match kind {
-            AuditKind::Hot => self.stop.as_deref(),
-            AuditKind::Det => self.det_stop.as_deref(),
-        }
+        self.stops[kind as usize].as_deref()
     }
 }
 
-/// One `// spp-hot: alloc(..)` / `allow(..): ..` (or the `spp-det`
-/// equivalent) escape annotation.
+/// One escape annotation: `allow(..): ..` or a family's shorthand.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct HotEscape {
+pub struct Escape {
+    /// Family whose rules the escape may name.
+    pub kind: AuditKind,
     /// 1-based line the escape applies to.
     pub line: usize,
     /// Rule ids this escape covers.
@@ -161,32 +138,10 @@ pub struct FileItems {
     pub rel_path: String,
     /// Items in source order.
     pub fns: Vec<FnItem>,
-    /// `spp-hot` escape annotations keyed by target line.
-    pub escapes: Vec<HotEscape>,
-    /// Malformed `spp-hot` annotations: (1-based line, message).
-    pub bad: Vec<(usize, String)>,
-    /// `spp-det` escape annotations keyed by target line.
-    pub det_escapes: Vec<HotEscape>,
-    /// Malformed `spp-det` annotations: (1-based line, message).
-    pub det_bad: Vec<(usize, String)>,
-}
-
-impl FileItems {
-    /// The escape annotations of the given family.
-    pub fn escapes_for(&self, kind: AuditKind) -> &[HotEscape] {
-        match kind {
-            AuditKind::Hot => &self.escapes,
-            AuditKind::Det => &self.det_escapes,
-        }
-    }
-
-    /// The malformed-annotation findings of the given family.
-    pub fn bad_for(&self, kind: AuditKind) -> &[(usize, String)] {
-        match kind {
-            AuditKind::Hot => &self.bad,
-            AuditKind::Det => &self.det_bad,
-        }
-    }
+    /// Escape annotations of all three families.
+    pub escapes: Vec<Escape>,
+    /// Malformed annotations: (family, 1-based line, message).
+    pub bad: Vec<(AuditKind, usize, String)>,
 }
 
 /// Keywords and binding forms that look like calls lexically
@@ -283,73 +238,110 @@ enum Ctx {
     Other,
 }
 
-/// Parameters distinguishing the `spp-hot` and `spp-det` annotation
-/// families; the grammar is otherwise identical.
+/// Parameters distinguishing the annotation families; the grammar is
+/// otherwise identical.
 struct MarkerSpec {
-    /// Comment marker, e.g. `spp-hot`.
-    marker: &'static str,
-    /// Rule ids `allow(..)` lists may reference.
-    rule_ids: &'static [&'static str],
-    /// Whether the `alloc(<reason>)` shorthand (== `allow(h1-alloc)`)
-    /// is part of this family's grammar.
-    alloc_shorthand: bool,
+    kind: AuditKind,
+    /// Whether the family walks the call graph, i.e. whether the root
+    /// and `stop(..)` forms are part of its grammar.
+    graph: bool,
+    /// `(marker, form, rule)`: `// <marker>: <form>(<reason>)` is
+    /// shorthand for `allow(<rule>)`.
+    shorthand: Option<(&'static str, &'static str, &'static str)>,
 }
 
-const HOT_SPEC: MarkerSpec = MarkerSpec {
-    marker: "spp-hot",
-    rule_ids: &HOT_RULE_IDS,
-    alloc_shorthand: true,
-};
+const SPECS: [MarkerSpec; 3] = [
+    MarkerSpec {
+        kind: AuditKind::Hot,
+        graph: true,
+        shorthand: Some(("spp-hot", "alloc", "h1-alloc")),
+    },
+    MarkerSpec {
+        kind: AuditKind::Det,
+        graph: true,
+        shorthand: None,
+    },
+    MarkerSpec {
+        kind: AuditKind::Lint,
+        graph: false,
+        shorthand: Some(("spp-sync", "relaxed", "l8-relaxed-note")),
+    },
+];
 
-const DET_SPEC: MarkerSpec = MarkerSpec {
-    marker: "spp-det",
-    rule_ids: &DET_RULE_IDS,
-    alloc_shorthand: false,
-};
+/// Text following `<marker>:` on `raw`, if the line carries it.
+fn after_colon<'a>(raw: &'a str, marker: &str) -> Option<&'a str> {
+    let rest = &raw[raw.find(marker)? + marker.len()..];
+    rest.strip_prefix(':').map(str::trim_start)
+}
 
-/// Parses one annotation family from the raw lines.
+/// A root or stop annotation awaiting its fn: `(0-based line, payload)`.
+type Mark = (usize, String);
+
+/// Parses one annotation family from the raw lines into the file's
+/// escape and malformed-annotation lists.
 ///
-/// Returns `(roots, stops, escapes, bad)` where roots/stops are
-/// `(0-based line, payload)` pairs attached to items later.
-#[allow(clippy::type_complexity)]
+/// Returns `(roots, stops)`, attached to items later.
 fn parse_marker_annotations(
     raw_lines: &[&str],
     spec: &MarkerSpec,
-) -> (
-    Vec<(usize, String)>,
-    Vec<(usize, String)>,
-    Vec<HotEscape>,
-    Vec<(usize, String)>,
-) {
+    escapes: &mut Vec<Escape>,
+    bad: &mut Vec<(AuditKind, usize, String)>,
+) -> (Vec<Mark>, Vec<Mark>) {
     let mut roots = Vec::new();
     let mut stops = Vec::new();
-    let mut escapes = Vec::new();
-    let mut bad = Vec::new();
-    let m = spec.marker;
+    let kind = spec.kind;
+    let m = format!("spp-{}", kind.prefix());
+    let mut forms = Vec::new();
+    if spec.graph {
+        forms.push(format!("`{m}(<name>)`"));
+        forms.push(format!("`{m}: stop(<reason>)`"));
+    }
+    if let Some((sm, form, _)) = spec.shorthand {
+        forms.push(format!("`{sm}: {form}(<reason>)`"));
+    }
+    forms.push(format!("`{m}: allow(<rule>[, <rule>]): <reason>`"));
+    let expected = forms.join(", ");
     for (idx, raw) in raw_lines.iter().enumerate() {
-        let Some(pos) = raw.find(m) else {
+        let mut malformed = |msg: &str| {
+            bad.push((
+                kind,
+                idx + 1,
+                format!("malformed {m} annotation: {msg}; expected {expected}"),
+            ));
+        };
+        // Line escapes: trailing applies to this line, standalone
+        // comment applies to the next.
+        let target = if raw.trim_start().starts_with("//") {
+            idx + 2
+        } else {
+            idx + 1
+        };
+        if let Some((sm, form, rule)) = spec.shorthand {
+            let body = after_colon(raw, sm)
+                .and_then(|r| r.strip_prefix(form))
+                .and_then(|r| r.strip_prefix('('));
+            if let Some(body) = body {
+                match body.rfind(')').map(|close| body[..close].trim()) {
+                    None => malformed(&format!("unclosed {form} reason")),
+                    Some("") => malformed(&format!("{form} requires a reason")),
+                    Some(reason) => escapes.push(Escape {
+                        kind,
+                        line: target,
+                        rules: [rule.to_string()].into_iter().collect(),
+                        reason: reason.to_string(),
+                    }),
+                }
+                continue;
+            }
+        }
+        let Some(pos) = raw.find(&m) else {
             continue;
         };
         let after = &raw[pos + m.len()..];
-        let malformed = |msg: &str| {
-            let alloc_form = if spec.alloc_shorthand {
-                format!("`{m}: alloc(<reason>)`, or ")
-            } else {
-                String::new()
-            };
-            (
-                idx + 1,
-                format!(
-                    "malformed {m} annotation: {msg}; expected `{m}(<name>)`, \
-                     `{m}: stop(<reason>)`, {alloc_form}\
-                     `{m}: allow(<rule>[, <rule>]): <reason>`"
-                ),
-            )
-        };
-        if let Some(body) = after.strip_prefix('(') {
+        if let Some(body) = after.strip_prefix('(').filter(|_| spec.graph) {
             // <marker>(<name>): root declaration.
             let Some(close) = body.find(')') else {
-                bad.push(malformed("unclosed root name"));
+                malformed("unclosed root name");
                 continue;
             };
             let name = body[..close].trim();
@@ -358,59 +350,33 @@ fn parse_marker_annotations(
                     .chars()
                     .all(|c| is_ident_char(c) || c == '-' || c == '.')
             {
-                bad.push(malformed("root name must be a dotted identifier"));
+                malformed("root name must be a dotted identifier");
                 continue;
             }
             roots.push((idx, name.to_string()));
             continue;
         }
         let Some(rest) = after.strip_prefix(':') else {
-            bad.push(malformed(&format!("missing `(` or `:` after {m}")));
+            malformed(&format!("missing `(` or `:` after {m}"));
             continue;
         };
         let rest = rest.trim_start();
-        if let Some(body) = rest.strip_prefix("stop(") {
+        if let Some(body) = rest.strip_prefix("stop(").filter(|_| spec.graph) {
             let Some(close) = body.rfind(')') else {
-                bad.push(malformed("unclosed stop reason"));
+                malformed("unclosed stop reason");
                 continue;
             };
             let reason = body[..close].trim();
             if reason.is_empty() {
-                bad.push(malformed("stop requires a reason"));
+                malformed("stop requires a reason");
                 continue;
             }
             stops.push((idx, reason.to_string()));
             continue;
         }
-        // Line escapes: trailing applies to this line, standalone
-        // comment applies to the next (same convention as spp-lint).
-        let target = if raw.trim_start().starts_with("//") {
-            idx + 2
-        } else {
-            idx + 1
-        };
-        if spec.alloc_shorthand {
-            if let Some(body) = rest.strip_prefix("alloc(") {
-                let Some(close) = body.rfind(')') else {
-                    bad.push(malformed("unclosed alloc reason"));
-                    continue;
-                };
-                let reason = body[..close].trim();
-                if reason.is_empty() {
-                    bad.push(malformed("alloc requires a reason"));
-                    continue;
-                }
-                escapes.push(HotEscape {
-                    line: target,
-                    rules: ["h1-alloc".to_string()].into_iter().collect(),
-                    reason: reason.to_string(),
-                });
-                continue;
-            }
-        }
         if let Some(body) = rest.strip_prefix("allow(") {
             let Some(close) = body.find(')') else {
-                bad.push(malformed("unclosed allow rule list"));
+                malformed("unclosed allow rule list");
                 continue;
             };
             let mut rules = BTreeSet::new();
@@ -420,32 +386,32 @@ fn parse_marker_annotations(
                 if r.is_empty() {
                     continue;
                 }
-                if !spec.rule_ids.contains(&r.as_str()) {
+                if !crate::rules::rule_ids(kind).any(|id| id == r) {
                     unknown = Some(r.clone());
                 }
                 rules.insert(r);
             }
             if let Some(u) = unknown {
-                let label = m.strip_prefix("spp-").unwrap_or(m);
-                bad.push(malformed(&format!("unknown {label} rule `{u}`")));
+                malformed(&format!("unknown {} rule `{u}`", kind.prefix()));
                 continue;
             }
             let tail = body[close + 1..].trim();
             let reason = tail.strip_prefix(':').map(str::trim).unwrap_or("");
             if rules.is_empty() || reason.is_empty() {
-                bad.push(malformed("allow requires a rule list and a `: <reason>`"));
+                malformed("allow requires a rule list and a `: <reason>`");
                 continue;
             }
-            escapes.push(HotEscape {
+            escapes.push(Escape {
+                kind,
                 line: target,
                 rules,
                 reason: reason.to_string(),
             });
             continue;
         }
-        bad.push(malformed(&format!("unknown {m} form")));
+        malformed(&format!("unknown {m} form"));
     }
-    (roots, stops, escapes, bad)
+    (roots, stops)
 }
 
 /// Extracts call sites from one cleaned line into `out`.
@@ -489,14 +455,11 @@ fn calls_on_line(cleaned: &str, lineno: usize, out: &mut Vec<CallSite>) {
     }
 }
 
-/// Parses function items, call sites, and both annotation families
+/// Parses function items, call sites, and all annotation families
 /// from a scanned file. `src` is the raw source (for comment
 /// annotations).
 pub fn parse_items(file: &SourceFile, src: &str) -> FileItems {
     let raw_lines: Vec<&str> = src.split('\n').collect();
-    let (root_marks, stop_marks, escapes, bad) = parse_marker_annotations(&raw_lines, &HOT_SPEC);
-    let (det_root_marks, det_stop_marks, det_escapes, det_bad) =
-        parse_marker_annotations(&raw_lines, &DET_SPEC);
 
     let mut fns: Vec<FnItem> = Vec::new();
     let mut stack: Vec<Ctx> = Vec::new();
@@ -530,10 +493,8 @@ pub fn parse_items(file: &SourceFile, src: &str) -> FileItems {
                             end: idx,
                             in_test: file.lines.get(sig_line).is_some_and(|l| l.in_test),
                             has_self,
-                            hot_root: None,
-                            stop: None,
-                            det_root: None,
-                            det_stop: None,
+                            roots: Default::default(),
+                            stops: Default::default(),
                             calls: Vec::new(),
                         });
                         Ctx::Fn(fns.len() - 1)
@@ -574,42 +535,30 @@ pub fn parse_items(file: &SourceFile, src: &str) -> FileItems {
     // Attach root/stop annotations: each mark binds to the first item
     // whose signature line is >= the mark's line (i.e. the annotation
     // sits directly above the fn or trails its signature).
-    let mut bad = bad;
-    for (mark_line, name) in root_marks {
-        match fns.iter_mut().find(|f| f.start >= mark_line) {
-            Some(f) => f.hot_root = Some(name),
-            None => bad.push((
-                mark_line + 1,
-                format!("spp-hot({name}) does not precede any fn item"),
-            )),
+    let mut escapes = Vec::new();
+    let mut bad = Vec::new();
+    for spec in &SPECS {
+        let (kind, m) = (spec.kind, spec.kind.prefix());
+        let (roots, stops) = parse_marker_annotations(&raw_lines, spec, &mut escapes, &mut bad);
+        for (mark_line, name) in roots {
+            match fns.iter_mut().find(|f| f.start >= mark_line) {
+                Some(f) => f.roots[kind as usize] = Some(name),
+                None => bad.push((
+                    kind,
+                    mark_line + 1,
+                    format!("spp-{m}({name}) does not precede any fn item"),
+                )),
+            }
         }
-    }
-    for (mark_line, reason) in stop_marks {
-        match fns.iter_mut().find(|f| f.start >= mark_line) {
-            Some(f) => f.stop = Some(reason),
-            None => bad.push((
-                mark_line + 1,
-                "spp-hot: stop(..) does not precede any fn item".to_string(),
-            )),
-        }
-    }
-    let mut det_bad = det_bad;
-    for (mark_line, name) in det_root_marks {
-        match fns.iter_mut().find(|f| f.start >= mark_line) {
-            Some(f) => f.det_root = Some(name),
-            None => det_bad.push((
-                mark_line + 1,
-                format!("spp-det({name}) does not precede any fn item"),
-            )),
-        }
-    }
-    for (mark_line, reason) in det_stop_marks {
-        match fns.iter_mut().find(|f| f.start >= mark_line) {
-            Some(f) => f.det_stop = Some(reason),
-            None => det_bad.push((
-                mark_line + 1,
-                "spp-det: stop(..) does not precede any fn item".to_string(),
-            )),
+        for (mark_line, reason) in stops {
+            match fns.iter_mut().find(|f| f.start >= mark_line) {
+                Some(f) => f.stops[kind as usize] = Some(reason),
+                None => bad.push((
+                    kind,
+                    mark_line + 1,
+                    format!("spp-{m}: stop(..) does not precede any fn item"),
+                )),
+            }
         }
     }
 
@@ -641,8 +590,6 @@ pub fn parse_items(file: &SourceFile, src: &str) -> FileItems {
         fns,
         escapes,
         bad,
-        det_escapes,
-        det_bad,
     }
 }
 
@@ -721,12 +668,23 @@ mod tests {
         assert!(inner.calls.iter().any(|c| c.callee == "leak"));
     }
 
+    use AuditKind::{Det, Hot, Lint};
+
+    fn escapes(f: &FileItems, kind: AuditKind) -> Vec<&Escape> {
+        f.escapes.iter().filter(|e| e.kind == kind).collect()
+    }
+
+    fn bad(f: &FileItems, kind: AuditKind) -> Vec<&str> {
+        let of_kind = f.bad.iter().filter(|b| b.0 == kind);
+        of_kind.map(|b| b.2.as_str()).collect()
+    }
+
     #[test]
     fn hot_root_and_stop_attach_to_next_fn() {
         let src = "// spp-hot(core.hop)\n#[inline]\nfn hop() {}\n\n// spp-hot: stop(cold registration)\nfn metrics() {}\n";
         let f = parse(src);
-        assert_eq!(f.fns[0].hot_root.as_deref(), Some("core.hop"));
-        assert_eq!(f.fns[1].stop.as_deref(), Some("cold registration"));
+        assert_eq!(f.fns[0].root_for(Hot), Some("core.hop"));
+        assert_eq!(f.fns[1].stop_for(Hot), Some("cold registration"));
         assert!(f.bad.is_empty());
     }
 
@@ -748,42 +706,60 @@ mod tests {
         let src = "// spp-hot: allow(h9-bogus): nope\nfn f() {}\n// spp-hot: alloc()\nfn g() {}\n";
         let f = parse(src);
         assert_eq!(f.bad.len(), 2);
-        assert!(f.bad[0].1.contains("unknown hot rule"));
-        assert!(f.det_bad.is_empty());
+        assert!(bad(&f, Hot)[0].contains("unknown hot rule"), "{:?}", f.bad);
     }
 
     #[test]
     fn det_root_stop_and_escapes_parse_independently_of_hot() {
         let src = "// spp-det(core.vip_scores)\nfn scores() {}\n\n// spp-det: stop(report assembly)\nfn render() {}\n\nfn f() {\n    seed_env(); // spp-det: allow(d3-ambient-read): scheduling knob only\n}\n";
         let f = parse(src);
-        assert_eq!(f.fns[0].det_root.as_deref(), Some("core.vip_scores"));
-        assert!(f.fns[0].hot_root.is_none());
-        assert_eq!(f.fns[1].det_stop.as_deref(), Some("report assembly"));
-        assert!(f.fns[1].stop.is_none());
-        assert_eq!(f.det_escapes.len(), 1);
-        assert_eq!(f.det_escapes[0].line, 8);
-        assert!(f.det_escapes[0].rules.contains("d3-ambient-read"));
-        assert!(f.escapes.is_empty());
-        assert!(f.det_bad.is_empty() && f.bad.is_empty());
+        assert_eq!(f.fns[0].root_for(Det), Some("core.vip_scores"));
+        assert!(f.fns[0].root_for(Hot).is_none());
+        assert_eq!(f.fns[1].stop_for(Det), Some("report assembly"));
+        assert!(f.fns[1].stop_for(Hot).is_none());
+        assert_eq!(f.escapes.len(), 1);
+        assert_eq!((f.escapes[0].kind, f.escapes[0].line), (Det, 8));
+        assert!(f.escapes[0].rules.contains("d3-ambient-read"));
+        assert!(f.bad.is_empty());
     }
 
     #[test]
     fn det_family_rejects_alloc_shorthand_and_hot_rules() {
         let src = "// spp-det: alloc(nope)\nfn f() {}\n// spp-det: allow(h1-alloc): wrong family\nfn g() {}\n";
         let f = parse(src);
-        assert_eq!(f.det_bad.len(), 2);
-        assert!(f.det_bad[1].1.contains("unknown det rule"));
-        assert!(f.bad.is_empty());
+        assert_eq!(f.bad.len(), 2);
+        assert!(bad(&f, Det)[1].contains("unknown det rule"));
     }
 
     #[test]
     fn dual_hot_and_det_annotations_attach_to_one_fn() {
         let src = "// spp-hot(serve.classify)\n// spp-det(serve.classify)\nfn classify() {}\n";
         let f = parse(src);
-        assert_eq!(f.fns[0].hot_root.as_deref(), Some("serve.classify"));
-        assert_eq!(f.fns[0].det_root.as_deref(), Some("serve.classify"));
-        assert_eq!(f.fns[0].root_for(AuditKind::Hot), Some("serve.classify"));
-        assert_eq!(f.fns[0].root_for(AuditKind::Det), Some("serve.classify"));
+        assert_eq!(f.fns[0].root_for(Hot), Some("serve.classify"));
+        assert_eq!(f.fns[0].root_for(Det), Some("serve.classify"));
+    }
+
+    #[test]
+    fn lint_family_has_allow_and_the_relaxed_shorthand_but_no_roots() {
+        let src = "fn f() {\n    // spp-lint: allow(l2-csr-index, l5-prob-clamp): standalone covers the next line\n    a();\n    x.load_relaxed(); // spp-sync: relaxed(monotonic tally)\n}\n// the `spp-sync` crate name in prose is not an annotation\n// spp-lint(no.roots)\nfn g() {}\n";
+        let f = parse(src);
+        let e = escapes(&f, Lint);
+        assert_eq!(e.len(), 2, "{:?}", f.escapes);
+        assert_eq!((e[0].line, e[0].rules.len()), (3, 2));
+        assert_eq!((e[1].line, e[1].rules.len()), (4, 1));
+        assert!(e[1].rules.contains("l8-relaxed-note"));
+        assert_eq!(e[1].reason, "monotonic tally");
+        assert_eq!(bad(&f, Lint).len(), 1, "{:?}", f.bad);
+        assert!(f.fns[1].root_for(Lint).is_none());
+    }
+
+    #[test]
+    fn lint_pragma_without_reason_or_rules_and_empty_relaxed_note_are_malformed() {
+        let src = "a(); // spp-lint: allow(l2-csr-index)\nb(); // spp-lint: allow(): because\nc(); // spp-lint: allow(l9-bogus): no such rule\nx.load_relaxed(); // spp-sync: relaxed()\n";
+        let f = parse(src);
+        assert!(f.escapes.is_empty(), "{:?}", f.escapes);
+        assert_eq!(bad(&f, Lint).len(), 4, "{:?}", f.bad);
+        assert!(bad(&f, Lint)[2].contains("unknown lint rule `l9-bogus`"));
     }
 
     #[test]

@@ -8,31 +8,28 @@
 //! cargo xtask validate-trace <file> [--stages]
 //! ```
 //!
-//! `lint` runs the SALIENT++ invariant linter (rules L1–L8, see
-//! [`spp_xtask::rules`] and DESIGN.md § "Correctness gates") over every
-//! library source in the workspace and exits nonzero on findings or on
-//! drift against `results/lint_baseline.json` (stale entries included);
-//! `--refresh-baseline` rewrites the snapshot.
+//! `lint`, `audit-hotpaths` and `audit-determinism` are the three
+//! static gates (DESIGN.md "Static gates"); each runs one family of the
+//! rule table in [`spp_xtask::rules`] and exits nonzero on findings or
+//! on drift against its baseline under `results/` (stale entries
+//! included); `--refresh-baseline` rewrites the snapshot.
 //!
-//! `audit-hotpaths` runs the transitive hot-path analyzer (rules
-//! H1–H4, DESIGN.md §13): it parses fn items and call sites, builds the
-//! intra-workspace call graph, and checks every function reachable from
-//! a `// spp-hot(<name>)` root for allocation, panic, blocking, and
-//! float-ordering hazards. Exits nonzero on findings or on drift
-//! against `results/hotpath_baseline.json`. `--root <name>` restricts
-//! traversal to one declared root (baseline comparison is skipped for
-//! partial views); `--dir <dir>` overrides the workspace root (fixture
-//! trees in tests).
+//! `lint` runs the path-scoped line rules (L2, L3, L5, L8) over every
+//! non-test library line; `--root <dir>` overrides the workspace root
+//! (fixture trees in tests).
 //!
-//! `audit-determinism` runs the transitive determinism analyzer (rules
-//! D1–D5, DESIGN.md §17) over the same call graph from
-//! `// spp-det(<name>)` roots: every reachable function is checked for
-//! the source constructs that break the §9 bit-identity contract —
-//! unordered hash iteration, unseeded RNG, ambient reads, worker-count
-//! or thread-identity leaks, and order-sensitive float reductions.
-//! Exits nonzero on findings or on drift against
-//! `results/determinism_baseline.json`; `--root` / `--dir` /
-//! `--refresh-baseline` behave as for `audit-hotpaths`.
+//! `audit-hotpaths` (rules H1–H4) parses fn items and call sites,
+//! builds the intra-workspace call graph, and checks every function
+//! reachable from a `// spp-hot(<name>)` root for allocation, panic,
+//! blocking, and float-ordering hazards. `audit-determinism` (rules
+//! D1–D5) walks the same call graph from `// spp-det(<name>)` roots and
+//! checks every reachable function for the source constructs that break
+//! the §9 bit-identity contract — unordered hash iteration, unseeded
+//! RNG, ambient reads, worker-count or thread-identity leaks, and
+//! order-sensitive float reductions. For both, `--root <name>`
+//! restricts traversal to one declared root (baseline comparison is
+//! skipped for partial views) and `--dir <dir>` overrides the workspace
+//! root.
 //!
 //! Scope for all three: `src/**` of every `crates/*` member and
 //! `shims/*` shim plus the facade crate's `src/`, excluding binary
@@ -54,11 +51,8 @@
 
 use spp_xtask::baseline::{self, BaselineStatus};
 use spp_xtask::callgraph::CallGraph;
-use spp_xtask::items::{AuditKind, FileItems};
-use spp_xtask::scan::SourceFile;
-use spp_xtask::{
-    auditreport, benchdiff, detrules, hotrules, items, json, report, rules, scan, walk,
-};
+use spp_xtask::items::AuditKind;
+use spp_xtask::{auditreport, benchdiff, items, json, rules, scan, walk};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -67,8 +61,8 @@ fn usage() -> ExitCode {
         "usage: cargo xtask <command>\n\
          commands:\n\
            lint [--json] [--root <dir>] [--refresh-baseline]\n\
-                                               run the workspace invariant linter and\n\
-                                               diff results/lint_baseline.json\n\
+                                               run the path-scoped line rules (L2, L3,\n\
+                                               L5, L8) and diff results/lint_baseline.json\n\
            audit-hotpaths [--json] [--root <name>] [--dir <dir>] [--refresh-baseline]\n\
                                                run the transitive hot-path analyzer\n\
                                                (H1-H4) from declared spp-hot roots and\n\
@@ -116,78 +110,9 @@ fn report_drift(gate: &str, status: BaselineStatus, refresh_hint: &str) -> bool 
     }
 }
 
-fn run_lint(json_out: bool, root: Option<PathBuf>, refresh: bool) -> ExitCode {
-    let Some(root) = walk::workspace_root(root) else {
-        eprintln!("spp-lint: cannot determine workspace root");
-        return ExitCode::from(2);
-    };
-    let sources = match walk::read_targets(&root) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("spp-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut findings = Vec::new();
-    let mut relaxed = Vec::new();
-    let scanned = sources.len();
-    for (rel, src) in &sources {
-        let file = scan::scan_source(rel, src);
-        findings.extend(rules::check_file(&file));
-        relaxed.extend(rules::relaxed_sites(&file));
-    }
-    findings.sort();
-    relaxed.sort();
-    let rendered_json = report::render_json(&findings, scanned, &relaxed);
-    if json_out {
-        print!("{rendered_json}");
-    } else {
-        print!("{}", report::render_text(&findings, scanned, &relaxed));
-    }
-    if refresh {
-        if let Err(e) = baseline::refresh(&baseline::lint_baseline_path(&root), &rendered_json) {
-            eprintln!("spp-lint: refreshing baseline: {e}");
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "spp-lint: baseline refreshed at {}",
-            baseline::lint_baseline_path(&root).display()
-        );
-    }
-    let drift = if refresh {
-        false
-    } else {
-        match baseline::check_lint_baseline(&root, &rendered_json) {
-            Ok(status) => report_drift("spp-lint", status, "lint --refresh-baseline"),
-            Err(e) => {
-                eprintln!("spp-lint: baseline check: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    };
-    if findings.is_empty() && !drift {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// Scans and parses the whole workspace for the call-graph audits.
-fn parse_workspace(root: &Path) -> Result<(Vec<SourceFile>, Vec<FileItems>), String> {
-    let sources = walk::read_targets(root)?;
-    let mut scanned = Vec::with_capacity(sources.len());
-    let mut parsed = Vec::with_capacity(sources.len());
-    for (rel, src) in &sources {
-        let sf = scan::scan_source(rel, src);
-        parsed.push(items::parse_items(&sf, src));
-        scanned.push(sf);
-    }
-    Ok((scanned, parsed))
-}
-
-/// Runs one of the two call-graph audits (`audit-hotpaths` /
+/// Runs one of the three static gates (`lint` / `audit-hotpaths` /
 /// `audit-determinism`).
-fn run_audit(
+fn run_gate(
     kind: AuditKind,
     json_out: bool,
     root_filter: Option<String>,
@@ -199,13 +124,20 @@ fn run_audit(
         eprintln!("{cmd}: cannot determine workspace root");
         return ExitCode::from(2);
     };
-    let (scanned, parsed) = match parse_workspace(&root) {
-        Ok(v) => v,
+    let sources = match walk::read_targets(&root) {
+        Ok(s) => s,
         Err(e) => {
             eprintln!("{cmd}: {e}");
             return ExitCode::from(2);
         }
     };
+    let mut scanned = Vec::with_capacity(sources.len());
+    let mut parsed = Vec::with_capacity(sources.len());
+    for (rel, src) in &sources {
+        let sf = scan::scan_source(rel, src);
+        parsed.push(items::parse_items(&sf, src));
+        scanned.push(sf);
+    }
     let graph = CallGraph::build(&parsed);
     let mut roots = graph.roots_for(kind);
     if let Some(name) = &root_filter {
@@ -224,10 +156,7 @@ fn run_audit(
         }
     }
     let reach = graph.reach_for(&roots, kind);
-    let rep = match kind {
-        AuditKind::Hot => hotrules::check_reachable(&parsed, &scanned, &graph, &reach),
-        AuditKind::Det => detrules::check_reachable(&parsed, &scanned, &graph, &reach),
-    };
+    let rep = rules::check(kind, &parsed, &scanned, &graph, &reach);
     let out = auditreport::summarize(kind, &parsed, &graph, &roots, &reach, scanned.len(), rep);
     let rendered_json = auditreport::render_json(&out);
     if json_out {
@@ -241,7 +170,7 @@ fn run_audit(
     let drift = if root_filter.is_some() {
         false
     } else if refresh {
-        let path = baseline::audit_baseline_path(&root, kind);
+        let path = baseline::baseline_path(&root, kind);
         if let Err(e) = baseline::refresh(&path, &rendered_json) {
             eprintln!("{cmd}: refreshing baseline: {e}");
             return ExitCode::from(2);
@@ -706,29 +635,11 @@ fn main() -> ExitCode {
         return usage();
     };
     match cmd.as_str() {
-        "lint" => {
-            let mut json = false;
-            let mut root = None;
-            let mut refresh = false;
-            let mut it = args.iter().skip(1);
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--json" => json = true,
-                    "--refresh-baseline" => refresh = true,
-                    "--root" => match it.next() {
-                        Some(r) => root = Some(PathBuf::from(r)),
-                        None => return usage(),
-                    },
-                    _ => return usage(),
-                }
-            }
-            run_lint(json, root, refresh)
-        }
-        "audit-hotpaths" | "audit-determinism" => {
-            let kind = if cmd == "audit-hotpaths" {
-                AuditKind::Hot
-            } else {
-                AuditKind::Det
+        "lint" | "audit-hotpaths" | "audit-determinism" => {
+            let kind = match cmd.as_str() {
+                "lint" => AuditKind::Lint,
+                "audit-hotpaths" => AuditKind::Hot,
+                _ => AuditKind::Det,
             };
             let mut json = false;
             let mut root_filter = None;
@@ -736,21 +647,25 @@ fn main() -> ExitCode {
             let mut refresh = false;
             let mut it = args.iter().skip(1);
             while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--json" => json = true,
-                    "--refresh-baseline" => refresh = true,
-                    "--root" => match it.next() {
+                // `lint` has no roots to filter by: its `--root` is the
+                // tree to scan, what the audits call `--dir`.
+                match (a.as_str(), kind) {
+                    ("--json", _) => json = true,
+                    ("--refresh-baseline", _) => refresh = true,
+                    ("--root", AuditKind::Hot | AuditKind::Det) => match it.next() {
                         Some(r) => root_filter = Some(r.clone()),
                         None => return usage(),
                     },
-                    "--dir" => match it.next() {
-                        Some(d) => dir = Some(PathBuf::from(d)),
-                        None => return usage(),
-                    },
+                    ("--root", AuditKind::Lint) | ("--dir", AuditKind::Hot | AuditKind::Det) => {
+                        match it.next() {
+                            Some(d) => dir = Some(PathBuf::from(d)),
+                            None => return usage(),
+                        }
+                    }
                     _ => return usage(),
                 }
             }
-            run_audit(kind, json, root_filter, dir, refresh)
+            run_gate(kind, json, root_filter, dir, refresh)
         }
         "check-interleavings" => run_check_interleavings(&args[1..]),
         "validate-trace" => {

@@ -1,22 +1,19 @@
-//! Lexical source model for the invariant linter.
+//! Lexical source model for the static gates.
 //!
 //! The build environment has no crates.io access, so `syn` is not
-//! available; instead the linter works on a *cleaned* per-line view of
+//! available; instead the gates work on a *cleaned* per-line view of
 //! each source file produced by a small lexer that:
 //!
 //! - blanks out comments, string/char literal contents, and raw strings
 //!   (preserving line structure so diagnostics keep real line numbers);
 //! - records which lines fall inside `#[cfg(test)]` items (rules skip
-//!   them — tests are allowed to unwrap and panic);
-//! - extracts `// spp-lint: allow(<rules>): <justification>` pragmas,
-//!   which suppress findings on their own line, or on the next line when
-//!   the pragma stands alone.
+//!   them — tests are allowed to unwrap and panic).
 //!
 //! This is deliberately token-level, not a full parse: every rule the
-//! linter enforces (see [`crate::rules`]) is phrased so that a lexical
-//! match is sufficient, which keeps the linter dependency-free.
-
-use std::collections::BTreeSet;
+//! gates enforce (see [`crate::rules`]) is phrased so that a lexical
+//! match is sufficient, which keeps them dependency-free. Annotations
+//! live in comments, which this pass blanks; [`crate::items`] reads
+//! them from the raw lines.
 
 /// One analyzed source line.
 #[derive(Debug)]
@@ -25,13 +22,6 @@ pub struct LineInfo {
     pub cleaned: String,
     /// True if the line is inside a `#[cfg(test)]` item.
     pub in_test: bool,
-    /// Rule ids suppressed on this line via pragmas (normalized
-    /// lowercase).
-    pub allows: BTreeSet<String>,
-    /// Justification from a trailing `// spp-sync: relaxed(<reason>)`
-    /// annotation, if present (L8; empty string when the parentheses
-    /// are empty).
-    pub relaxed_note: Option<String>,
 }
 
 /// A scanned source file ready for rule checks.
@@ -41,9 +31,6 @@ pub struct SourceFile {
     pub rel_path: String,
     /// Lines, index 0 = line 1.
     pub lines: Vec<LineInfo>,
-    /// Pragmas that were malformed (missing justification or empty rule
-    /// list); reported as findings by the engine.
-    pub bad_pragmas: Vec<(usize, String)>,
 }
 
 /// Lexer state for the cleaning pass.
@@ -289,104 +276,22 @@ fn test_region_flags(cleaned_lines: &[&str]) -> Vec<bool> {
     flags
 }
 
-/// Parses a pragma comment body. Returns `(rules, ok)`; `ok` is false
-/// when the rule list is empty or the justification is missing.
-fn parse_pragma(after: &str) -> (BTreeSet<String>, bool) {
-    let mut rules = BTreeSet::new();
-    let Some(open) = after.find("allow(") else {
-        return (rules, false);
-    };
-    let rest = &after[open + 6..];
-    let Some(close) = rest.find(')') else {
-        return (rules, false);
-    };
-    for r in rest[..close].split(',') {
-        let r = r.trim().to_ascii_lowercase();
-        if !r.is_empty() {
-            rules.insert(r);
-        }
-    }
-    // Justification: non-empty text after "): ".
-    let tail = rest[close + 1..].trim();
-    let justified = tail
-        .strip_prefix(':')
-        .map(str::trim)
-        .is_some_and(|j| !j.is_empty());
-    let ok = !rules.is_empty() && justified;
-    (rules, ok)
-}
-
-/// Parses a `// spp-sync: relaxed(<reason>)` annotation from a raw
-/// source line (the cleaning pass blanks comments, so this reads the
-/// raw text). Returns the reason — possibly empty — when the marker is
-/// present; the L8 rule treats an empty reason as missing.
-fn parse_relaxed_note(raw: &str) -> Option<String> {
-    let pos = raw.find("spp-sync:")?;
-    let rest = raw[pos + 9..].trim_start();
-    let body = rest.strip_prefix("relaxed(")?;
-    let close = body.rfind(')')?;
-    Some(body[..close].trim().to_string())
-}
-
 /// Scans `src`, producing the per-line model used by all rules.
 pub fn scan_source(rel_path: &str, src: &str) -> SourceFile {
     let cleaned = clean_source(src);
     let cleaned_lines: Vec<&str> = cleaned.split('\n').collect();
-    let raw_lines: Vec<&str> = src.split('\n').collect();
     let flags = test_region_flags(&cleaned_lines);
-
-    let mut bad_pragmas = Vec::new();
-    let mut file_allows: BTreeSet<String> = BTreeSet::new();
-    // allows[i] applies to line i (0-based).
-    let mut allows: Vec<BTreeSet<String>> = vec![BTreeSet::new(); raw_lines.len()];
-    for (idx, raw) in raw_lines.iter().enumerate() {
-        let Some(pos) = raw.find("spp-lint:") else {
-            continue;
-        };
-        let (rules, ok) = parse_pragma(&raw[pos + 9..]);
-        if !ok {
-            bad_pragmas.push((
-                idx + 1,
-                "malformed spp-lint pragma: expected \
-                 `spp-lint: allow(<rule>[, <rule>]): <justification>`"
-                    .to_string(),
-            ));
-            continue;
-        }
-        let trimmed = raw.trim_start();
-        if trimmed.starts_with("//!") {
-            // Inner doc pragma: file scope.
-            file_allows.extend(rules);
-        } else if trimmed.starts_with("//") {
-            // Stand-alone pragma line: applies to the next line.
-            if let Some(slot) = allows.get_mut(idx + 1) {
-                slot.extend(rules);
-            }
-        } else {
-            // Trailing pragma: applies to its own line.
-            allows[idx].extend(rules);
-        }
-    }
-
     let lines = cleaned_lines
         .iter()
-        .enumerate()
-        .map(|(idx, cl)| {
-            let mut a = allows.get(idx).cloned().unwrap_or_default();
-            a.extend(file_allows.iter().cloned());
-            LineInfo {
-                cleaned: (*cl).to_string(),
-                in_test: flags.get(idx).copied().unwrap_or(false),
-                allows: a,
-                relaxed_note: raw_lines.get(idx).and_then(|r| parse_relaxed_note(r)),
-            }
+        .zip(flags)
+        .map(|(cl, in_test)| LineInfo {
+            cleaned: (*cl).to_string(),
+            in_test,
         })
         .collect();
-
     SourceFile {
         rel_path: rel_path.to_string(),
         lines,
-        bad_pragmas,
     }
 }
 
@@ -438,48 +343,5 @@ mod tests {
         let src = "#[cfg(test)]\nuse foo::bar;\nfn c() {}";
         let f = scan_source("x.rs", src);
         assert!(!f.lines[2].in_test);
-    }
-
-    #[test]
-    fn trailing_pragma_applies_to_line() {
-        let src = "x.unwrap(); // spp-lint: allow(l1-no-panic): fixture";
-        let f = scan_source("x.rs", src);
-        assert!(f.lines[0].allows.contains("l1-no-panic"));
-        assert!(f.bad_pragmas.is_empty());
-    }
-
-    #[test]
-    fn standalone_pragma_applies_to_next_line() {
-        let src = "// spp-lint: allow(l1-no-panic): fixture\nx.unwrap();";
-        let f = scan_source("x.rs", src);
-        assert!(!f.lines[0].allows.contains("l1-no-panic"));
-        assert!(f.lines[1].allows.contains("l1-no-panic"));
-    }
-
-    #[test]
-    fn file_level_pragma_via_inner_doc() {
-        let src = "//! spp-lint: allow(l2-csr-index): whole file justified\nfn a() {}\nfn b() {}";
-        let f = scan_source("x.rs", src);
-        assert!(f.lines.iter().all(|l| l.allows.contains("l2-csr-index")));
-    }
-
-    #[test]
-    fn relaxed_note_parsed_from_raw_line() {
-        let src = "x.load_relaxed(); // spp-sync: relaxed(tally; exact via RMW)\ny.load_relaxed();\nz.load_relaxed(); // spp-sync: relaxed()";
-        let f = scan_source("x.rs", src);
-        assert_eq!(
-            f.lines[0].relaxed_note.as_deref(),
-            Some("tally; exact via RMW")
-        );
-        assert_eq!(f.lines[1].relaxed_note, None);
-        assert_eq!(f.lines[2].relaxed_note.as_deref(), Some(""));
-    }
-
-    #[test]
-    fn pragma_without_justification_is_flagged() {
-        let src = "x.unwrap(); // spp-lint: allow(l1-no-panic)";
-        let f = scan_source("x.rs", src);
-        assert_eq!(f.bad_pragmas.len(), 1);
-        assert!(!f.lines[0].allows.contains("l1-no-panic"));
     }
 }

@@ -10,7 +10,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use spp_xtask::callgraph::CallGraph;
-use spp_xtask::items::parse_items;
+use spp_xtask::items::{parse_items, AuditKind};
 use spp_xtask::scan::scan_source;
 
 fn names(src: &str) -> Vec<String> {
@@ -31,7 +31,7 @@ fn raw_string_with_hashes_does_not_fake_annotations() {
     }
     let items = parse_items(&sf, src);
     assert_eq!(names(src), ["real"]);
-    assert!(items.fns[0].hot_root.is_none());
+    assert!(items.fns[0].root_for(AuditKind::Hot).is_none());
 }
 
 #[test]
@@ -95,10 +95,12 @@ fn standalone_pragma_attaches_to_the_immediate_next_line_only() {
     // The documented sharp edge: a standalone pragma does NOT skip
     // over other comment lines, so stacking two standalone pragmas
     // leaves the second line annotated and the code line bare.
-    let src = "// spp-lint: allow(l1-no-panic): first\n// second comment line\nx.unwrap();\n";
+    let src = "// spp-lint: allow(l2-csr-index): first\n// second comment line\nrow_ptr[0];\n";
     let sf = scan_source("crates/a/src/lib.rs", src);
-    assert!(sf.lines[1].allows.contains("l1-no-panic"));
-    assert!(!sf.lines[2].allows.contains("l1-no-panic"));
+    let items = parse_items(&sf, src);
+    assert_eq!(items.escapes.len(), 1);
+    assert_eq!(items.escapes[0].line, 2);
+    assert!(items.escapes[0].rules.contains("l2-csr-index"));
 }
 
 #[test]

@@ -67,6 +67,10 @@ pub mod thread {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the shim's own tests call the function clippy.toml bans for everyone else"
+)]
 mod tests {
     #[test]
     fn scope_joins_and_returns() {

@@ -137,9 +137,12 @@ pub mod strategy {
             }
             // Upstream proptest also aborts the test case here; a filter
             // that rejects every generated value is a test-author bug.
-            #[allow(clippy::panic)]
+            #[allow(
+                clippy::panic,
+                reason = "emulates upstream proptest, which aborts the test case here"
+            )]
             {
-                panic!("prop_filter exhausted retries: {}", self.whence); // spp-lint: allow(l1-no-panic): emulates upstream proptest, which aborts the test case here
+                panic!("prop_filter exhausted retries: {}", self.whence);
             }
         }
     }
@@ -370,7 +373,7 @@ macro_rules! proptest {
                     let __result: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
                         (|| { $body ::std::result::Result::Ok(()) })();
                     if let ::std::result::Result::Err(e) = __result {
-                        // spp-lint: allow(l1-no-panic): emulates upstream proptest's test-case abort
+                        // Emulates upstream proptest's test-case abort.
                         panic!(
                             "property `{}` failed at case {}/{}: {}",
                             stringify!($name), __case, cfg.cases, e
