@@ -8,12 +8,18 @@
 //! the tall shapes the training loop runs, together with VIP sweep and
 //! quantized feature-decode throughput, and the bytes-on-the-wire an
 //! epoch of distributed training moves under each wire codec
-//! (`f32`/`f16`/`i8`).
+//! (`f32`/`f16`/`i8`). At the two training shapes it also times the
+//! tape's memory-bound ops against what they replaced, at 1 and 2
+//! workers: a GraphSAGE layer as one `Tape::linear` vs the
+//! `head_rows`/`matmul`/`add`/`add_bias`/`relu` node chain, and
+//! `sparse_agg` forward / backward vs the serial per-target loop and
+//! zero-fill-and-scatter (reported, not gated).
 //!
 //! Hard assertions (exit 1 on failure): each blocked dense matmul
 //! kernel clears **2x** the seed scalar's GFLOP/s at the L2 shape, the
-//! blocked `t_matmul` clears **1.5x** at the tall training shape, and
-//! quantized wire codecs shrink epoch bytes by their nominal ratios.
+//! blocked `t_matmul` clears **1.5x** at the tall training shape, the
+//! tape ops are bit-equal to their references, and quantized wire codecs
+//! shrink epoch bytes by their nominal ratios.
 //! Emits `results/BENCH_kernels.json`.
 
 // Harness binaries may abort on setup errors; the workspace
@@ -31,10 +37,12 @@ use spp_bench::{BenchReport, Cli, Table};
 use spp_core::VipModel;
 use spp_graph::dataset::SyntheticSpec;
 use spp_graph::{FeatureMatrix, QuantScheme, QuantizedFeatures};
-use spp_runtime::{DistTrainConfig, DistributedSetup, DistributedTrainer, SetupConfig};
+use spp_runtime::{DistTrainConfig, DistributedSetup, DistributedTrainer, SetupConfig, WorkerPool};
 use spp_sampler::Fanouts;
-use spp_tensor::kernels;
+use spp_tensor::tape::{AggMode, CsrAdj};
+use spp_tensor::{kernels, Matrix, Tape};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A dense layer `m` rows, `k → n` columns, timed as its three products:
@@ -247,6 +255,183 @@ fn bench_shape(Shape { m, k, n }: Shape, reps: usize) -> [KernelResult; 3] {
     [matmul, t_matmul, matmul_t]
 }
 
+/// One tape op against the form it replaced, best-of-reps milliseconds.
+struct TapeResult {
+    key: String,
+    old_name: &'static str,
+    old_ms: f64,
+    new_name: &'static str,
+    new_ms: f64,
+}
+
+/// Best-of-`reps` milliseconds of `run` alone; `setup` builds each
+/// repetition's tape (operand copies and all) off the clock.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "bench harness: reports wall time by trade"
+)]
+fn time_on_tape<S>(reps: usize, setup: impl Fn() -> S, mut run: impl FnMut(&mut S)) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let mut state = setup();
+        let t0 = Instant::now();
+        run(&mut state);
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    best * 1e3
+}
+
+fn filled(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut m = Matrix::zeros(rows, cols);
+    fill(m.as_flat_mut(), seed);
+    m
+}
+
+/// The tape ops of one GraphSAGE layer at `shape` — `m` targets (a row
+/// prefix of `sources_per_target · m` sources), `k → n` columns, `deg`
+/// sampled neighbors per target — on `workers` workers: the layer's
+/// dense part fused vs as the node chain, and `sparse_agg` over the
+/// layer's `k`-wide input forward and backward (under `mean_all`, whose
+/// constant gradient the reference scatters) vs the serial loops.
+fn bench_tape_ops(
+    shape @ Shape { m, k, n }: Shape,
+    (sources_per_target, deg): (usize, usize),
+    workers: usize,
+    reps: usize,
+) -> [TapeResult; 3] {
+    let pool = WorkerPool::new(workers);
+    let sources = sources_per_target * m;
+    let x = filled(sources, k, 11);
+    let neigh = filled(m, k, 12);
+    let params = [filled(k, n, 13), filled(k, n, 14), filled(1, n, 15)];
+    let adj = Arc::new(CsrAdj {
+        num_targets: m,
+        num_sources: sources,
+        row_ptr: (0..=m).map(|t| t * deg).collect(),
+        col: (0..(m * deg) as u64)
+            .map(|e| (e.wrapping_mul(2_654_435_761) % sources as u64) as u32)
+            .collect(),
+    });
+    let key = |op: &str| format!("{op}_ms_{shape}_w{workers}");
+
+    // Dense part: x[..m]·Ws + neigh·Wn + b, ReLU.
+    let layer = || {
+        let mut t = Tape::with_pool(pool);
+        let ids = [
+            t.constant(x.clone()),
+            t.constant(neigh.clone()),
+            t.input(params[0].clone()),
+            t.input(params[1].clone()),
+            t.input(params[2].clone()),
+        ];
+        (t, ids)
+    };
+    let chain = |(t, [x, neigh, ws, wn, b]): &mut (Tape, [_; 5])| {
+        let own = t.head_rows(*x, m);
+        let p0 = t.matmul(own, *ws);
+        let p1 = t.matmul(*neigh, *wn);
+        let sum = t.add(p0, p1);
+        let biased = t.add_bias(sum, *b);
+        t.relu(biased)
+    };
+    let fused = |(t, [x, neigh, ws, wn, b]): &mut (Tape, [_; 5])| {
+        t.linear(m, &[(*x, *ws), (*neigh, *wn)], Some(*b), true)
+    };
+    {
+        let (mut a, mut b) = (layer(), layer());
+        let (ya, yb) = (chain(&mut a), fused(&mut b));
+        check(
+            a.0.value(ya) == b.0.value(yb),
+            &format!("linear == op chain at {shape}, {workers} worker(s)"),
+        );
+    }
+    let linear = TapeResult {
+        key: key("linear"),
+        old_name: "chain",
+        old_ms: time_on_tape(reps, layer, |s| {
+            black_box(chain(s));
+        }),
+        new_name: "fused",
+        new_ms: time_on_tape(reps, layer, |s| {
+            black_box(fused(s));
+        }),
+    };
+
+    // sparse_agg (Mean) over the layer input, and its input gradient:
+    // the loops the tape ran before, fresh zeroed output included.
+    let inv = 1.0 / deg as f32;
+    let ref_forward = || {
+        let mut out = Matrix::zeros(m, k);
+        for t in 0..m {
+            for &s in &adj.col[t * deg..(t + 1) * deg] {
+                for (o, &a) in out.row_mut(t).iter_mut().zip(x.row(s as usize)) {
+                    *o += a;
+                }
+            }
+            out.row_mut(t).iter_mut().for_each(|o| *o *= inv);
+        }
+        out
+    };
+    // `mean_all`'s gradient, which the tape's backward also builds.
+    let upstream = || Matrix::from_flat(m, k, vec![1.0 / (m * k) as f32; m * k]);
+    let ref_backward = || {
+        let g = upstream();
+        let mut gx = Matrix::zeros(sources, k);
+        for t in 0..m {
+            for &s in &adj.col[t * deg..(t + 1) * deg] {
+                for (o, &gv) in gx.row_mut(s as usize).iter_mut().zip(g.row(t)) {
+                    *o += inv * gv;
+                }
+            }
+        }
+        gx
+    };
+    let recorded = || {
+        let mut t = Tape::with_pool(pool);
+        let xi = t.input(x.clone());
+        let agg = t.sparse_agg(xi, Arc::clone(&adj), AggMode::Mean);
+        let loss = t.mean_all(agg);
+        (t, xi, agg, loss)
+    };
+    {
+        let (mut t, xi, agg, loss) = recorded();
+        t.backward(loss);
+        check(
+            t.value(agg) == &ref_forward() && t.grad(xi) == Some(&ref_backward()),
+            &format!("sparse_agg == serial loops at {shape}, {workers} worker(s)"),
+        );
+    }
+    let agg_fwd = TapeResult {
+        key: key("sparse_agg_fwd"),
+        old_name: "serial",
+        old_ms: time_best(reps, || {
+            black_box(ref_forward());
+        }) * 1e3,
+        new_name: "parallel",
+        new_ms: time_on_tape(
+            reps,
+            || {
+                let mut t = Tape::with_pool(pool);
+                let xi = t.input(x.clone());
+                (t, xi)
+            },
+            |(t, xi)| {
+                black_box(t.sparse_agg(*xi, Arc::clone(&adj), AggMode::Mean));
+            },
+        ),
+    };
+    let agg_bwd = TapeResult {
+        key: key("sparse_agg_bwd"),
+        old_name: "scatter",
+        old_ms: time_best(reps, || {
+            black_box(ref_backward());
+        }) * 1e3,
+        new_name: "gather",
+        new_ms: time_on_tape(reps, recorded, |(t, _, _, loss)| t.backward(*loss)),
+    };
+    [linear, agg_fwd, agg_bwd]
+}
+
 fn main() {
     let cli = Cli::parse();
     let reps = if cli.quick { 20 } else { 60 };
@@ -285,6 +470,31 @@ fn main() {
                 format!("{:.2}x", r.speedup()),
             ]);
         }
+    }
+    table.print();
+
+    // The tape's memory-bound ops at the training shapes. Layer 1 of
+    // `train_compute` draws 5 neighbors per target from ≈ 2 sources per
+    // target; layer 2 draws 10 from ≈ 6.
+    let mut tape_ops = Vec::new();
+    for (shape, hop) in [(TALL_SHAPE, (2, 5)), (MID_SHAPE, (6, 10))] {
+        for workers in [1usize, 2] {
+            tape_ops.extend(bench_tape_ops(shape, hop, workers, tall_reps));
+        }
+    }
+    let mut table = Table::new(
+        "tape ops vs the forms they replaced (best-of-reps, ms)",
+        &["op_shape_workers", "old", "ms", "new", "ms", "speedup"],
+    );
+    for r in &tape_ops {
+        table.row(vec![
+            r.key.clone(),
+            r.old_name.to_string(),
+            format!("{:.2}", r.old_ms),
+            r.new_name.to_string(),
+            format!("{:.2}", r.new_ms),
+            format!("{:.2}x", r.old_ms / r.new_ms),
+        ]);
     }
     table.print();
 
@@ -426,6 +636,19 @@ fn main() {
                 ),
             );
         }
+    }
+    for r in &tape_ops {
+        report.field(
+            &r.key,
+            format!(
+                "{{\"{}\": {:.3}, \"{}\": {:.3}, \"speedup\": {:.3}}}",
+                r.old_name,
+                r.old_ms,
+                r.new_name,
+                r.new_ms,
+                r.old_ms / r.new_ms
+            ),
+        );
     }
     for (scheme, melems) in &decode {
         report.field(

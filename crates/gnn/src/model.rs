@@ -313,6 +313,10 @@ impl GnnModel {
         let num_layers = self.layers.len();
         for (li, layer) in self.layers.iter().enumerate() {
             let hop = mfg.layer_adj(li + 1);
+            let targets = hop.num_targets;
+            // Hidden layers end in a ReLU; where the layer's last op is a
+            // `linear` it is that op's epilogue.
+            let act = li + 1 < num_layers;
             h = match layer {
                 Layer::Sage {
                     w_self,
@@ -325,11 +329,7 @@ impl GnnModel {
                     let bn = tape.input(bias.value.clone());
                     param_nodes.extend([wsn, wnn, bn]);
                     let neigh = tape.sparse_agg(h, adj, AggMode::Mean);
-                    let own = tape.head_rows(h, hop.num_targets);
-                    let a = tape.matmul(own, wsn);
-                    let b = tape.matmul(neigh, wnn);
-                    let s = tape.add(a, b);
-                    tape.add_bias(s, bn)
+                    tape.linear(targets, &[(h, wsn), (neigh, wnn)], Some(bn), act)
                 }
                 Layer::SagePool {
                     w_pool,
@@ -345,15 +345,10 @@ impl GnnModel {
                     let wnn = tape.input(w_neigh.value.clone());
                     let bn = tape.input(bias.value.clone());
                     param_nodes.extend([wpn, bpn, wsn, wnn, bn]);
-                    let pooled_lin = tape.matmul(h, wpn);
-                    let pooled_b = tape.add_bias(pooled_lin, bpn);
-                    let pooled = tape.relu(pooled_b);
+                    let sources = tape.value(h).rows();
+                    let pooled = tape.linear(sources, &[(h, wpn)], Some(bpn), true);
                     let neigh = tape.sparse_agg(pooled, adj, AggMode::Max);
-                    let own = tape.head_rows(h, hop.num_targets);
-                    let a = tape.matmul(own, wsn);
-                    let b = tape.matmul(neigh, wnn);
-                    let s = tape.add(a, b);
-                    tape.add_bias(s, bn)
+                    tape.linear(targets, &[(h, wsn), (neigh, wnn)], Some(bn), act)
                 }
                 Layer::Gin { w1, b1, w2, b2 } => {
                     let adj = to_csr_adj(hop);
@@ -363,13 +358,10 @@ impl GnnModel {
                     let b2n = tape.input(b2.value.clone());
                     param_nodes.extend([w1n, b1n, w2n, b2n]);
                     let agg = tape.sparse_agg(h, adj, AggMode::Sum);
-                    let own = tape.head_rows(h, hop.num_targets);
+                    let own = tape.head_rows(h, targets);
                     let s = tape.add(own, agg);
-                    let l1 = tape.matmul(s, w1n);
-                    let l1b = tape.add_bias(l1, b1n);
-                    let a = tape.relu(l1b);
-                    let l2 = tape.matmul(a, w2n);
-                    tape.add_bias(l2, b2n)
+                    let a = tape.linear(targets, &[(s, w1n)], Some(b1n), true);
+                    tape.linear(targets, &[(a, w2n)], Some(b2n), act)
                 }
                 Layer::GatMultiHead {
                     heads,
@@ -404,7 +396,12 @@ impl GnnModel {
                         }
                     }
                     param_nodes.push(bn);
-                    tape.add_bias(combined, bn)
+                    let out = tape.add_bias(combined, bn);
+                    if act {
+                        tape.relu(out)
+                    } else {
+                        out
+                    }
                 }
                 Layer::Gat {
                     w,
@@ -425,14 +422,16 @@ impl GnnModel {
                     let el = tape.leaky_relu(e, 0.2);
                     let alpha = tape.edge_softmax(el, Arc::clone(&adj));
                     let agg = tape.weighted_agg(alpha, wh, adj);
-                    tape.add_bias(agg, bn)
+                    let out = tape.add_bias(agg, bn);
+                    if act {
+                        tape.relu(out)
+                    } else {
+                        out
+                    }
                 }
             };
-            if li + 1 < num_layers {
-                h = tape.relu(h);
-                if train && self.dropout > 0.0 {
-                    h = tape.dropout(h, self.dropout, rng);
-                }
+            if act && train && self.dropout > 0.0 {
+                h = tape.dropout(h, self.dropout, rng);
             }
         }
 
@@ -454,8 +453,8 @@ impl GnnModel {
     /// Panics on the same shape mismatches as [`GnnModel::forward`].
     pub fn infer(&self, x: Matrix, mfg: &Mfg) -> Matrix {
         let mut rng = StdRng::seed_from_u64(0); // eval mode: rng unused
-        let fwd = self.forward(x, mfg, false, &mut rng);
-        fwd.logits_value().clone()
+        let mut fwd = self.forward(x, mfg, false, &mut rng);
+        fwd.tape.take_value(fwd.logits)
     }
 
     /// Full-batch (no-sampling) forward pass over an entire graph:
@@ -487,8 +486,8 @@ impl GnnModel {
             hops: vec![full; self.layers.len()],
         };
         let mut rng = StdRng::seed_from_u64(0); // eval mode: rng unused
-        let fwd = self.forward(x, &mfg, false, &mut rng);
-        fwd.logits_value().clone()
+        let mut fwd = self.forward(x, &mfg, false, &mut rng);
+        fwd.tape.take_value(fwd.logits)
     }
 
     /// Pulls gradients from a completed backward pass into the model's

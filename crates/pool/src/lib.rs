@@ -62,6 +62,11 @@
 
 use spp_sync::Mutex;
 use spp_telemetry::metrics::{self, Counter, Gauge, Histogram};
+
+/// The telemetry crate the pool's regions record into, re-exported so a
+/// kernel crate that schedules on the pool (`spp-tensor`) can open spans
+/// around its regions through the dependency it already has.
+pub use spp_telemetry as telemetry;
 use std::ops::Range;
 use std::sync::OnceLock;
 

@@ -85,12 +85,14 @@ pub fn fmadd(a: f32, b: f32, acc: f32) -> f32 {
 ///
 /// Per output element the sum runs over `k` ascending in a single
 /// accumulator, in every tile path — bit-identical to a scalar `ikj`
-/// loop without zero-skipping, for any row split and any `n`.
+/// loop without zero-skipping, for any row split and any `n`. Every
+/// element of `chunk` is overwritten, whatever it held.
 // spp-hot(kernel.matmul_dense)
 pub fn matmul_rows_dense(a_rows: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32]) {
     debug_assert_eq!(b.len(), k * n, "b shape mismatch");
     if n == 0 || k == 0 {
-        return; // empty sum: the (pre-zeroed) chunk is already correct
+        chunk.fill(0.0); // empty sum: no tile below would write it
+        return;
     }
     let rows = chunk.len() / n;
     let mut i = 0usize;
@@ -182,6 +184,80 @@ fn matmul_row_tail(a_row: &[f32], b: &[f32], n: usize, j0: usize, out_row: &mut 
 }
 
 // ---------------------------------------------------------------------
+// linear: out[i][j] = act(Σ_t Σ_k x_t[i][k] · w_t[k][j] + bias[j])
+// ---------------------------------------------------------------------
+
+/// One `x · w` term of [`linear_rows`]: `x` row-major with `k` columns
+/// (a row prefix of it is read), `k`, and `w` as `k × n` row-major.
+pub type LinearTerm<'a> = (&'a [f32], usize, &'a [f32]);
+
+/// Output elements per row block of [`linear_rows`]: 128 KiB of `f32`,
+/// so a block one term wrote is still in L2 when the next term, the
+/// bias and the ReLU pass over it — the output goes to memory once.
+pub const LINEAR_BLOCK_ELEMS: usize = 32 * 1024;
+
+/// Fused affine row kernel: output rows `r0 .. r0 + chunk.len() / n` of
+/// `act(Σ_t x_t · w_t + bias)` into `chunk`, overwriting it.
+///
+/// Per row block each product is fully accumulated by
+/// [`matmul_rows_dense`] — the first term straight into the output, a
+/// later one into a scratch block that is then added to it — so an
+/// element is `((p₀ + p₁) + p₂ …) + bias`, then clamped: exactly the
+/// association of separate `matmul`, `add`, `add_bias` and `relu`
+/// passes over whole matrices (an `f32` stored and reloaded is exact),
+/// with no intermediate matrix. The ReLU is `v < 0 → 0`, so `-0.0` and
+/// NaN pass through as they do there.
+// spp-hot(kernel.linear)
+pub fn linear_rows(
+    terms: &[LinearTerm<'_>],
+    bias: Option<&[f32]>,
+    relu: bool,
+    n: usize,
+    r0: usize,
+    chunk: &mut [f32],
+) {
+    let Some((&(x0, k0, w0), later)) = terms.split_first() else {
+        return;
+    };
+    if n == 0 {
+        return;
+    }
+    let block = (LINEAR_BLOCK_ELEMS / n).max(MM_I_TILE) / MM_I_TILE * MM_I_TILE * n;
+    let mut scratch = if later.is_empty() {
+        Vec::new() // spp-hot: alloc(capacity-0 Vec::new never touches the heap)
+    } else {
+        vec![0.0f32; block.min(chunk.len())] // spp-hot: alloc(one L2-sized scratch block per job, reused by every row block and term)
+    };
+    let mut lo = r0;
+    for out in chunk.chunks_mut(block) {
+        let hi = lo + out.len() / n;
+        matmul_rows_dense(&x0[lo * k0..hi * k0], k0, w0, n, out);
+        for &(x, k, w) in later {
+            let product = &mut scratch[..out.len()];
+            matmul_rows_dense(&x[lo * k..hi * k], k, w, n, product);
+            for (o, &p) in out.iter_mut().zip(product.iter()) {
+                *o += p;
+            }
+        }
+        if let Some(bias) = bias {
+            for row in out.chunks_exact_mut(n) {
+                for (o, &b) in row.iter_mut().zip(bias) {
+                    *o += b;
+                }
+            }
+        }
+        if relu {
+            for o in out.iter_mut() {
+                if *o < 0.0 {
+                    *o = 0.0;
+                }
+            }
+        }
+        lo = hi;
+    }
+}
+
+// ---------------------------------------------------------------------
 // t_matmul: out[kk][j] = Σ_r a[r][kk] · b[r][j]
 // ---------------------------------------------------------------------
 
@@ -191,13 +267,14 @@ fn matmul_row_tail(a_row: &[f32], b: &[f32], n: usize, j0: usize, out_row: &mut 
 /// `b` is `rows × n` row-major.
 ///
 /// The rows are walked in panels of [`TM_R_PANEL`]: within a panel every
-/// register tile reloads its accumulators from `chunk`, runs `r` over
-/// the panel and stores them back, so the panel's slices of `a` and `b`
-/// stay cache-resident across all tiles instead of both operands being
-/// streamed once per tile. Per output element the sum still runs over
-/// `r` ascending in a single accumulator in every tile path (an `f32`
-/// store/load between panels is exact), so any row count and any column
-/// split is bit-identical to the scalar `r`-ascending loop.
+/// register tile loads its accumulators (zeros in the first panel, from
+/// `chunk` after it), runs `r` over the panel and stores them back, so
+/// the panel's slices of `a` and `b` stay cache-resident across all
+/// tiles instead of both operands being streamed once per tile. Per
+/// output element the sum still runs over `r` ascending in a single
+/// accumulator in every tile path (an `f32` store/load between panels is
+/// exact), so any row count and any column split is bit-identical to the
+/// scalar `r`-ascending loop.
 // spp-hot(kernel.t_matmul_dense)
 pub fn t_matmul_cols_dense(
     a: &[f32],
@@ -210,22 +287,34 @@ pub fn t_matmul_cols_dense(
 ) {
     debug_assert_eq!(a.len(), rows * k, "a shape mismatch");
     debug_assert_eq!(b.len(), rows * n, "b shape mismatch");
-    chunk.fill(0.0);
+    if rows == 0 {
+        chunk.fill(0.0); // empty sum: no panel below would write it
+    }
     let mut r0 = 0usize;
     while r0 < rows {
         let r1 = (r0 + TM_R_PANEL).min(rows);
-        t_matmul_panel(&a[r0 * k..r1 * k], k, &b[r0 * n..r1 * n], n, k0, chunk);
+        let (ap, bp) = (&a[r0 * k..r1 * k], &b[r0 * n..r1 * n]);
+        t_matmul_panel(ap, k, bp, n, k0, r0 == 0, chunk);
         r0 = r1;
     }
 }
 
 /// One row panel of [`t_matmul_cols_dense`]: `chunk += aᵀ @ b` over the
-/// panel's rows of both operands, through the 4×16 outer-product
+/// panel's rows of both operands (`chunk = aᵀ @ b` for the `first`
+/// panel, which never reads `chunk`), through the 4×16 outer-product
 /// register tile (four consecutive `a` columns, contiguous within each
 /// `a` row, against a 16-wide `b` column slice), then 4×8, then scalar
 /// tails.
 #[inline]
-fn t_matmul_panel(a: &[f32], k: usize, b: &[f32], n: usize, k0: usize, chunk: &mut [f32]) {
+fn t_matmul_panel(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    k0: usize,
+    first: bool,
+    chunk: &mut [f32],
+) {
     let rows = b.len().checked_div(n).unwrap_or(0);
     let kn = chunk.len().checked_div(n).unwrap_or(0);
     let mut kt = 0usize;
@@ -233,11 +322,13 @@ fn t_matmul_panel(a: &[f32], k: usize, b: &[f32], n: usize, k0: usize, chunk: &m
         let mut j = 0usize;
         while j + 2 * LANES <= n {
             let mut acc = [[0.0f32; LANES]; 2 * TM_K_TILE];
-            for t in 0..TM_K_TILE {
-                acc[2 * t].copy_from_slice(&chunk[(kt + t) * n + j..(kt + t) * n + j + LANES]);
-                acc[2 * t + 1].copy_from_slice(
-                    &chunk[(kt + t) * n + j + LANES..(kt + t) * n + j + 2 * LANES],
-                );
+            if !first {
+                for t in 0..TM_K_TILE {
+                    acc[2 * t].copy_from_slice(&chunk[(kt + t) * n + j..(kt + t) * n + j + LANES]);
+                    acc[2 * t + 1].copy_from_slice(
+                        &chunk[(kt + t) * n + j + LANES..(kt + t) * n + j + 2 * LANES],
+                    );
+                }
             }
             for r in 0..rows {
                 let a4 = &a[r * k + k0 + kt..r * k + k0 + kt + TM_K_TILE];
@@ -261,8 +352,10 @@ fn t_matmul_panel(a: &[f32], k: usize, b: &[f32], n: usize, k0: usize, chunk: &m
         }
         while j + LANES <= n {
             let mut acc = [[0.0f32; LANES]; TM_K_TILE];
-            for (t, lane_acc) in acc.iter_mut().enumerate() {
-                lane_acc.copy_from_slice(&chunk[(kt + t) * n + j..(kt + t) * n + j + LANES]);
+            if !first {
+                for (t, lane_acc) in acc.iter_mut().enumerate() {
+                    lane_acc.copy_from_slice(&chunk[(kt + t) * n + j..(kt + t) * n + j + LANES]);
+                }
             }
             for r in 0..rows {
                 let a4 = &a[r * k + k0 + kt..r * k + k0 + kt + TM_K_TILE];
@@ -282,8 +375,10 @@ fn t_matmul_panel(a: &[f32], k: usize, b: &[f32], n: usize, k0: usize, chunk: &m
         // Scalar j tail for this 4-row band.
         while j < n {
             let mut acc = [0.0f32; TM_K_TILE];
-            for (t, v) in acc.iter_mut().enumerate() {
-                *v = chunk[(kt + t) * n + j];
+            if !first {
+                for (t, v) in acc.iter_mut().enumerate() {
+                    *v = chunk[(kt + t) * n + j];
+                }
             }
             for r in 0..rows {
                 let a4 = &a[r * k + k0 + kt..r * k + k0 + kt + TM_K_TILE];
@@ -304,7 +399,9 @@ fn t_matmul_panel(a: &[f32], k: usize, b: &[f32], n: usize, k0: usize, chunk: &m
         let mut j = 0usize;
         while j + LANES <= n {
             let mut acc = [0.0f32; LANES];
-            acc.copy_from_slice(&chunk[kt * n + j..kt * n + j + LANES]);
+            if !first {
+                acc.copy_from_slice(&chunk[kt * n + j..kt * n + j + LANES]);
+            }
             for r in 0..rows {
                 let av = a[r * k + k0 + kt];
                 let b8 = &b[r * n + j..r * n + j + LANES];
@@ -316,7 +413,7 @@ fn t_matmul_panel(a: &[f32], k: usize, b: &[f32], n: usize, k0: usize, chunk: &m
             j += LANES;
         }
         while j < n {
-            let mut acc = chunk[kt * n + j];
+            let mut acc = if first { 0.0 } else { chunk[kt * n + j] };
             for r in 0..rows {
                 acc = fmadd(a[r * k + k0 + kt], b[r * n + j], acc);
             }
@@ -334,15 +431,17 @@ fn t_matmul_panel(a: &[f32], k: usize, b: &[f32], n: usize, k0: usize, chunk: &m
 /// Dense row kernel for `a @ bᵀ`: computes `chunk.len() / b_rows`
 /// output rows into `chunk`, where `a_rows` holds the matching rows of
 /// `a` and `b` is `b_rows × k` row-major. Each element is a
-/// lane-partitioned dot product ([`dot_blocked`]).
+/// lane-partitioned dot product ([`dot_blocked`]); every element of
+/// `chunk` is overwritten.
 // spp-hot(kernel.matmul_t_dense)
 pub fn matmul_t_rows_dense(a_rows: &[f32], k: usize, b: &[f32], b_rows: usize, chunk: &mut [f32]) {
     debug_assert_eq!(b.len(), b_rows * k, "b shape mismatch");
+    if k == 0 {
+        chunk.fill(0.0); // empty dots: `a_rows` has no row to iterate
+        return;
+    }
     let kv = k - k % LANES;
-    for (a_row, out_row) in a_rows
-        .chunks_exact(k.max(1))
-        .zip(chunk.chunks_mut(b_rows.max(1)))
-    {
+    for (a_row, out_row) in a_rows.chunks_exact(k).zip(chunk.chunks_mut(b_rows.max(1))) {
         // Four dots at a time: the `a` row vector is loaded once per
         // 8-lane step and feeds four independent accumulator sets, each
         // of which reduces exactly like [`dot_blocked`] (same fixed
@@ -463,12 +562,54 @@ mod tests {
             (5, 16, 32),
             (3, 11, 45),
             (6, 1, 37),
+            // Empty sums are zeros the kernel itself must write.
+            (3, 0, 5),
         ] {
             let a = fractious(rows * k, 1);
             let b = fractious(k * n, 2);
-            let mut out = vec![0.0f32; rows * n];
+            // The kernel overwrites: garbage in `out` must not survive.
+            let mut out = vec![f32::NAN; rows * n];
             matmul_rows_dense(&a, k, &b, n, &mut out);
             assert_eq!(out, matmul_scalar(&a, rows, k, &b, n), "{rows}x{k}x{n}");
+        }
+    }
+
+    #[test]
+    fn linear_rows_matches_separate_passes_bitwise_across_blocks_and_splits() {
+        // n = 45 leaves every column-tile path a remainder; 800 rows of
+        // it span two row blocks, and the mid-block split below starts a
+        // job at a row that is not a multiple of the tile height.
+        let (rows, n) = (800usize, 45usize);
+        assert!(rows * n > LINEAR_BLOCK_ELEMS);
+        let ks = [7usize, 16, 0];
+        let xs: Vec<Vec<f32>> = (0..3).map(|t| fractious(rows * ks[t], t as u32)).collect();
+        let ws: Vec<Vec<f32>> = (0..3).map(|t| fractious(ks[t] * n, 7 + t as u32)).collect();
+        let bias = fractious(n, 20);
+        for terms in 1..=3usize {
+            for (with_bias, relu) in [(false, false), (true, false), (false, true), (true, true)] {
+                let mut want = matmul_scalar(&xs[0], rows, ks[0], &ws[0], n);
+                for t in 1..terms {
+                    let p = matmul_scalar(&xs[t], rows, ks[t], &ws[t], n);
+                    want.iter_mut().zip(&p).for_each(|(o, &v)| *o += v);
+                }
+                if with_bias {
+                    want.iter_mut()
+                        .enumerate()
+                        .for_each(|(i, o)| *o += bias[i % n]);
+                }
+                if relu {
+                    want.iter_mut().filter(|o| **o < 0.0).for_each(|o| *o = 0.0);
+                }
+                let table: Vec<LinearTerm<'_>> = (0..terms)
+                    .map(|t| (&xs[t][..], ks[t], &ws[t][..]))
+                    .collect();
+                let b = with_bias.then_some(&bias[..]);
+                let mut out = vec![f32::NAN; rows * n];
+                let (head, tail) = out.split_at_mut(301 * n);
+                linear_rows(&table, b, relu, n, 0, head);
+                linear_rows(&table, b, relu, n, 301, tail);
+                assert_eq!(out, want, "terms={terms} bias={with_bias} relu={relu}");
+            }
         }
     }
 
@@ -497,7 +638,15 @@ mod tests {
 
     #[test]
     fn dense_t_matmul_matches_r_ascending_scalar_bitwise() {
-        let small = [(9, 5, 3), (16, 4, 8), (21, 13, 19), (40, 1, 9), (7, 6, 1)];
+        // Zero rows: an empty sum the kernel itself must write.
+        let small = [
+            (9, 5, 3),
+            (16, 4, 8),
+            (21, 13, 19),
+            (40, 1, 9),
+            (7, 6, 1),
+            (0, 5, 3),
+        ];
         // (k, n) = (13, 27) reaches every tile path: 4×16, 4×8, the scalar
         // column tail, and the one-row band in both widths.
         let seams = PANEL_ROWS.map(|rows| (rows, 13, 27));
@@ -550,17 +699,19 @@ mod tests {
 
     #[test]
     fn matmul_t_rows_dense_matches_dot() {
-        let (rows, k, bn) = (5, 37, 9);
-        let a = fractious(rows * k, 12);
-        let b = fractious(bn * k, 13);
-        let mut out = vec![0.0f32; rows * bn];
-        matmul_t_rows_dense(&a, k, &b, bn, &mut out);
-        for i in 0..rows {
-            for j in 0..bn {
-                assert_eq!(
-                    out[i * bn + j],
-                    dot_blocked(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k])
-                );
+        // k = 0: empty dots are zeros the kernel itself must write.
+        for (rows, k, bn) in [(5, 37, 9), (5, 0, 9)] {
+            let a = fractious(rows * k, 12);
+            let b = fractious(bn * k, 13);
+            let mut out = vec![f32::NAN; rows * bn];
+            matmul_t_rows_dense(&a, k, &b, bn, &mut out);
+            for i in 0..rows {
+                for j in 0..bn {
+                    assert_eq!(
+                        out[i * bn + j],
+                        dot_blocked(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k])
+                    );
+                }
             }
         }
     }

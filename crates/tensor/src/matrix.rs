@@ -65,6 +65,21 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Reshapes `self` to `rows x cols` for a kernel that overwrites
+    /// every element: a buffer in use keeps whatever it held (only
+    /// growth is zero-filled) instead of being cleared and refilled, and
+    /// an empty one takes the allocator's zeroed pages rather than an
+    /// explicit fill.
+    fn resize_for_overwrite(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        if self.data.is_empty() {
+            self.data = vec![0.0; rows * cols]; // spp-hot: alloc(fresh output buffer; hot callers reuse one via the *_into kernels)
+        } else {
+            self.data.resize(rows * cols, 0.0);
+        }
+    }
+
     /// Identity matrix.
     pub fn eye(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
@@ -187,31 +202,69 @@ impl Matrix {
         out
     }
 
-    /// [`Matrix::matmul`] into a caller-provided scratch matrix, which
-    /// is reshaped with [`Matrix::reset`] (allocation-free once its
-    /// buffer has grown). Bit-identical to [`Matrix::matmul_with`].
+    /// [`Matrix::matmul`] into a caller-provided scratch matrix
+    /// (allocation-free once its buffer has grown). Bit-identical to
+    /// [`Matrix::matmul_with`]: the one-term case of
+    /// [`Matrix::linear_into`].
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul_into(&self, pool: WorkerPool, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
-        out.reset(self.rows, other.cols);
-        let flops = (self.rows * self.cols * other.cols) as u64;
-        let jobs = pool.jobs_for_cost(flops).min(self.rows.max(1));
-        let (k, n) = (self.cols, other.cols);
+        Matrix::linear_into(pool, self.rows, &[(self, other)], None, false, out);
+    }
+
+    /// The fused affine map `act(Σᵢ xᵢ[..rows] · wᵢ + bias)` over
+    /// `terms = [(xᵢ, wᵢ), …]` into `out`: each `xᵢ` contributes its
+    /// first `rows` rows, `bias` is `1 × n`, `act` is ReLU when `relu` is
+    /// set and the identity otherwise. One row-parallel region writes
+    /// the output once ([`kernels::linear_rows`]); the result is
+    /// bit-identical to `matmul`, element-wise sum left to right, bias
+    /// add and clamp as separate whole-matrix passes, for any worker
+    /// count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `terms` is empty, an `xᵢ` has fewer than `rows` rows or
+    /// its width differs from `wᵢ`'s height, the `wᵢ` widths differ, or
+    /// `bias` is not `1 × n`.
+    // spp-hot(tensor.linear)
+    pub fn linear_into(
+        pool: WorkerPool,
+        rows: usize,
+        terms: &[(&Matrix, &Matrix)],
+        bias: Option<&Matrix>,
+        relu: bool,
+        out: &mut Matrix,
+    ) {
+        assert!(!terms.is_empty(), "linear needs at least one term");
+        let n = terms[0].1.cols;
+        let mut flops = 0u64;
+        for (x, w) in terms {
+            assert!(x.rows >= rows, "linear operand has too few rows");
+            assert_eq!(x.cols, w.rows, "matmul dimension mismatch");
+            assert_eq!(w.cols, n, "linear term widths differ");
+            flops += (rows * x.cols * n) as u64;
+        }
+        if let Some(b) = bias {
+            assert_eq!(b.shape(), (1, n), "bias shape mismatch");
+        }
+        out.resize_for_overwrite(rows, n);
+        let slices: Vec<kernels::LinearTerm<'_>> = terms
+            .iter()
+            .map(|(x, w)| (&x.data[..rows * x.cols], x.cols, &w.data[..]))
+            .collect(); // spp-hot: alloc(operand table, three words per term)
+        let bias = bias.map(|b| &b.data[..]);
+        let jobs = pool.jobs_for_cost(flops).min(rows.max(1));
         if jobs <= 1 {
-            kernels::matmul_rows_dense(&self.data, k, &other.data, n, &mut out.data);
+            kernels::linear_rows(&slices, bias, relu, n, 0, &mut out.data);
             return;
         }
-        // Each chunk is whole output rows; it reads the same rows of `self`.
-        let cuts: Vec<usize> = even_ranges(self.rows, jobs)
-            .iter()
-            .map(|r| r.end * n)
-            .collect(); // spp-hot: alloc(job-cut table, one word per job; bounded by pool width)
+        // Each chunk is whole output rows; it reads the same rows of
+        // every operand.
+        let cuts: Vec<usize> = even_ranges(rows, jobs).iter().map(|r| r.end * n).collect(); // spp-hot: alloc(job-cut table, one word per job; bounded by pool width)
         pool.par_chunks(&mut out.data, &cuts, |_, offset, chunk| {
-            let a_rows = &self.data[offset / n * k..(offset + chunk.len()) / n * k];
-            kernels::matmul_rows_dense(a_rows, k, &other.data, n, chunk);
+            kernels::linear_rows(&slices, bias, relu, n, offset / n, chunk);
         });
     }
 
@@ -242,21 +295,37 @@ impl Matrix {
         out
     }
 
-    /// [`Matrix::t_matmul`] into a caller-provided scratch matrix
-    /// (reshaped via [`Matrix::reset`]); bit-identical to
-    /// [`Matrix::t_matmul_with`].
+    /// [`Matrix::t_matmul`] into a caller-provided scratch matrix;
+    /// bit-identical to [`Matrix::t_matmul_with`].
     ///
     /// # Panics
     ///
     /// Panics if `self.rows != other.rows`.
     pub fn t_matmul_into(&self, pool: WorkerPool, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "t_matmul dimension mismatch");
-        out.reset(self.cols, other.cols);
-        let flops = (self.rows * self.cols * other.cols) as u64;
+        self.head_t_matmul_into(pool, other, out);
+    }
+
+    /// `self[..other.rows]ᵀ @ other` into `out`: [`Matrix::t_matmul_into`]
+    /// over a row prefix of `self`, without copying the prefix out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` has fewer rows than `other`.
+    pub(crate) fn head_t_matmul_into(&self, pool: WorkerPool, other: &Matrix, out: &mut Matrix) {
+        let rows = other.rows;
+        assert!(self.rows >= rows, "t_matmul dimension mismatch");
+        out.resize_for_overwrite(self.cols, other.cols);
+        let flops = (rows * self.cols * other.cols) as u64;
         let jobs = pool.jobs_for_cost(flops).min(self.cols.max(1));
-        let (a, b, k, n) = (&self.data, &other.data, self.cols, other.cols);
+        let (a, b, k, n) = (
+            &self.data[..rows * self.cols],
+            &other.data,
+            self.cols,
+            other.cols,
+        );
         if jobs <= 1 {
-            kernels::t_matmul_cols_dense(a, k, b, n, self.rows, 0, &mut out.data);
+            kernels::t_matmul_cols_dense(a, k, b, n, rows, 0, &mut out.data);
             return;
         }
         // Serial and parallel paths run the same kernel over column
@@ -266,7 +335,7 @@ impl Matrix {
             .map(|r| r.end * n)
             .collect(); // spp-hot: alloc(job-cut table, one word per job; bounded by pool width)
         pool.par_chunks(&mut out.data, &cuts, |_, offset, chunk| {
-            kernels::t_matmul_cols_dense(a, k, b, n, self.rows, offset / n, chunk);
+            kernels::t_matmul_cols_dense(a, k, b, n, rows, offset / n, chunk);
         });
     }
 
@@ -294,16 +363,15 @@ impl Matrix {
         out
     }
 
-    /// [`Matrix::matmul_t`] into a caller-provided scratch matrix
-    /// (reshaped via [`Matrix::reset`]); bit-identical to
-    /// [`Matrix::matmul_t_with`].
+    /// [`Matrix::matmul_t`] into a caller-provided scratch matrix;
+    /// bit-identical to [`Matrix::matmul_t_with`].
     ///
     /// # Panics
     ///
     /// Panics if `self.cols != other.cols`.
     pub fn matmul_t_into(&self, pool: WorkerPool, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_t dimension mismatch");
-        out.reset(self.rows, other.rows);
+        out.resize_for_overwrite(self.rows, other.rows);
         if out.data.is_empty() {
             return;
         }
@@ -519,6 +587,53 @@ mod tests {
             assert_eq!(scratch, a.matmul_t_with(pool, &d));
             a.transpose_into(pool, &mut scratch);
             assert_eq!(scratch, a.transpose_with(pool));
+        }
+    }
+
+    #[test]
+    fn empty_sums_are_zeros_even_into_a_dirty_scratch() {
+        // The `*_into` kernels no longer clear their output first, so the
+        // shapes no tile writes must be zeroed by the kernels themselves.
+        let pool = WorkerPool::new(2);
+        let mut dirty = fractious(4, 6, 1);
+        Matrix::zeros(4, 0).matmul_into(pool, &Matrix::zeros(0, 6), &mut dirty);
+        assert_eq!(dirty, Matrix::zeros(4, 6));
+        let mut dirty = fractious(4, 6, 2);
+        Matrix::zeros(0, 4).t_matmul_into(pool, &Matrix::zeros(0, 6), &mut dirty);
+        assert_eq!(dirty, Matrix::zeros(4, 6));
+        let mut dirty = fractious(4, 6, 3);
+        Matrix::zeros(4, 0).matmul_t_into(pool, &Matrix::zeros(6, 0), &mut dirty);
+        assert_eq!(dirty, Matrix::zeros(4, 6));
+    }
+
+    #[test]
+    fn linear_matches_separate_passes_on_every_pool() {
+        // Big enough to split eight ways; 1203 rows and 100 columns keep
+        // job seams off the tile grid, and the operands are taller than
+        // the output (only their first 1203 rows are read).
+        let (rows, n) = (1203usize, 100usize);
+        let x0 = fractious(rows + 50, 70, 1);
+        let x1 = fractious(rows + 7, 33, 2);
+        let w0 = fractious(70, n, 3);
+        let w1 = fractious(33, n, 4);
+        let bias = fractious(1, n, 5);
+        let serial = WorkerPool::serial();
+        let mut want = x0.head_rows(rows).matmul_with(serial, &w0);
+        want.add_assign(&x1.head_rows(rows).matmul_with(serial, &w1));
+        for v in want.as_flat_mut().chunks_exact_mut(n) {
+            v.iter_mut().zip(bias.row(0)).for_each(|(o, &b)| *o += b);
+        }
+        want.as_flat_mut()
+            .iter_mut()
+            .filter(|v| **v < 0.0)
+            .for_each(|v| *v = 0.0);
+        // Dirty scratch: `linear_into` overwrites without clearing.
+        let mut out = fractious(3, 3, 6);
+        for workers in [1usize, 2, 8] {
+            let terms = [(&x0, &w0), (&x1, &w1)];
+            let pool = WorkerPool::new(workers);
+            Matrix::linear_into(pool, rows, &terms, Some(&bias), true, &mut out);
+            assert_eq!(out, want, "workers={workers}");
         }
     }
 

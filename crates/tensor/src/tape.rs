@@ -25,10 +25,26 @@
 //!   dropped (or moved on) after its turn; after `backward`,
 //!   [`Tape::grad`] is `Some` for `input` leaves that the output depends
 //!   on and `None` for everything else.
+//!
+//! Two ops carry a GNN layer's memory traffic and are built to write
+//! their output once (DESIGN.md §14): [`Tape::linear`], the fused affine
+//! map every dense layer goes through ([`Tape::matmul`] is its one-term
+//! case), and [`Tape::sparse_agg`], whose forward and Mean/Sum backward
+//! are both row-parallel *gathers*. An op that reads only a row prefix
+//! of an operand (`linear`, `head_rows`) hands back a gradient with just
+//! those rows; the rows it lacks count as `+0.0` wherever it is summed
+//! with another contribution, and are only materialized if nothing else
+//! arrives before the operand's turn.
+//!
+//! While telemetry is enabled every op records a span per kind and
+//! direction (`tensor.fwd.linear`, `tensor.bwd.sparse_agg`, …) and adds
+//! the bytes it wrote to the `tensor.op_bytes` counter; disabled, each
+//! of the two is one relaxed load of the on/off flag.
 
 use crate::Matrix;
 use rand::Rng;
-use std::sync::Arc;
+use spp_pool::{balanced_ranges, telemetry, WorkerPool};
+use std::sync::{Arc, OnceLock};
 
 /// Handle to a node in a [`Tape`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -55,6 +71,41 @@ impl CsrAdj {
     pub fn num_edges(&self) -> usize {
         self.col.len()
     }
+
+    /// The local source indices target `t` aggregates, in list order.
+    #[inline]
+    pub fn neighbors(&self, t: usize) -> &[u32] {
+        &self.col[self.row_ptr[t]..self.row_ptr[t + 1]] // spp-hot: allow(h2-panic): row_ptr bounds are the adjacency's CSR invariants
+    }
+
+    /// The edges grouped by source row, as a CSR over `rows ≥
+    /// num_sources` rows: `(src_ptr, targets)` with source `s`'s targets
+    /// at `targets[src_ptr[s]..src_ptr[s + 1]]`. A stable counting sort,
+    /// so each source lists its targets in edge order — the order a
+    /// target-major scatter reaches it, duplicates included.
+    fn by_source(&self, rows: usize) -> (Vec<usize>, Vec<u32>) {
+        let edges = &self.col[..self.row_ptr[self.num_targets]];
+        // Counts land two slots up, so after the prefix sum `ptr[s + 1]`
+        // is where `s` starts; used as the fill cursor it ends where `s`
+        // ends — where `s + 1` starts — leaving `ptr[..=rows]` the CSR.
+        let mut src_ptr = vec![0usize; rows + 2];
+        for &s in edges {
+            src_ptr[s as usize + 2] += 1;
+        }
+        for s in 2..rows + 2 {
+            src_ptr[s] += src_ptr[s - 1];
+        }
+        let mut targets = vec![0u32; edges.len()];
+        for t in 0..self.num_targets {
+            for &s in &edges[self.row_ptr[t]..self.row_ptr[t + 1]] {
+                let cursor = &mut src_ptr[s as usize + 1];
+                targets[*cursor] = t as u32;
+                *cursor += 1;
+            }
+        }
+        src_ptr.truncate(rows + 1);
+        (src_ptr, targets)
+    }
 }
 
 /// Aggregation mode for [`Tape::sparse_agg`].
@@ -73,7 +124,13 @@ pub enum AggMode {
 #[derive(Debug)]
 enum Op {
     Leaf,
-    MatMul(NodeId, NodeId),
+    /// `act(Σ x[..rows]·w + bias)` over `terms = [(x, w), …]`; `rows` is
+    /// the node value's row count.
+    Linear {
+        terms: Arc<[(NodeId, NodeId)]>,
+        bias: Option<NodeId>,
+        relu: bool,
+    },
     Add(NodeId, NodeId),
     AddBias(NodeId, NodeId),
     Relu(NodeId),
@@ -135,18 +192,37 @@ struct Node {
 /// t.backward(s);
 /// assert_eq!(t.grad(x).unwrap().as_flat(), &[0.0, 0.5]);
 /// ```
-#[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
+    /// Where the row-parallel ops fork; values and gradients are
+    /// bit-identical for any worker count.
+    pool: WorkerPool,
+}
+
+impl Default for Tape {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Tape {
-    /// Creates an empty tape.
+    /// Creates an empty tape on the global worker pool.
     pub fn new() -> Self {
-        Self { nodes: Vec::new() }
+        Self::with_pool(WorkerPool::global())
+    }
+
+    /// Creates an empty tape whose ops run on `pool`.
+    pub fn with_pool(pool: WorkerPool) -> Self {
+        Self {
+            nodes: Vec::new(),
+            pool,
+        }
     }
 
     fn push_node(&mut self, op: Op, value: Matrix, needs_grad: bool) -> NodeId {
+        if !matches!(op, Op::Leaf) {
+            record_bytes(&value);
+        }
         self.nodes.push(Node {
             op,
             value,
@@ -210,10 +286,55 @@ impl Tape {
         self.nodes.is_empty()
     }
 
-    /// Matrix product.
+    /// Matrix product: the one-term, bias-free [`Tape::linear`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on inner-dimension mismatch.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(a).matmul(self.value(b));
-        self.push(Op::MatMul(a, b), &[a, b], v)
+        let rows = self.value(a).rows();
+        self.linear(rows, &[(a, b)], None, false)
+    }
+
+    /// The fused affine map `act(Σᵢ xᵢ[..rows] · wᵢ + bias)` over
+    /// `terms = [(xᵢ, wᵢ), …]`: every dense layer as one node and one
+    /// pass over its output. Each `xᵢ` contributes its first `rows` rows
+    /// (an MFG's targets are a row prefix of its sources, so a layer
+    /// reads its own-features term straight out of the full activation),
+    /// `bias` is an optional `1 × n` row and `act` is ReLU when `relu` is
+    /// set. Value and every operand gradient are bit-identical to
+    /// `head_rows` → `matmul` → `add` (left to right) → `add_bias` →
+    /// `relu` recorded as separate nodes; see [`Matrix::linear_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `terms` is empty or on the shape mismatches
+    /// [`Matrix::linear_into`] lists.
+    pub fn linear(
+        &mut self,
+        rows: usize,
+        terms: &[(NodeId, NodeId)],
+        bias: Option<NodeId>,
+        relu: bool,
+    ) -> NodeId {
+        let _span = telemetry::span!("tensor.fwd.linear");
+        let operands: Vec<(&Matrix, &Matrix)> = terms
+            .iter()
+            .map(|&(x, w)| (self.value(x), self.value(w)))
+            .collect();
+        let bias_value = bias.map(|b| self.value(b));
+        let mut v = Matrix::empty();
+        Matrix::linear_into(self.pool, rows, &operands, bias_value, relu, &mut v);
+        let needs_grad = terms
+            .iter()
+            .any(|&(x, w)| self.needs_grad(x) || self.needs_grad(w))
+            || bias.is_some_and(|b| self.needs_grad(b));
+        let op = Op::Linear {
+            terms: terms.into(),
+            bias,
+            relu,
+        };
+        self.push_node(op, v, needs_grad)
     }
 
     /// Element-wise sum (same shape).
@@ -222,6 +343,7 @@ impl Tape {
     ///
     /// Panics on shape mismatch.
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        let _span = telemetry::span!("tensor.fwd.add");
         let mut v = self.value(a).clone();
         v.add_assign(self.value(b));
         self.push(Op::Add(a, b), &[a, b], v)
@@ -233,6 +355,7 @@ impl Tape {
     ///
     /// Panics if `bias` is not `1×c` with `c == x.cols()`.
     pub fn add_bias(&mut self, x: NodeId, bias: NodeId) -> NodeId {
+        let _span = telemetry::span!("tensor.fwd.add_bias");
         let (rows, cols) = self.value(x).shape();
         assert_eq!(self.value(bias).shape(), (1, cols), "bias shape mismatch");
         let mut v = self.value(x).clone();
@@ -247,6 +370,7 @@ impl Tape {
 
     /// Rectified linear unit.
     pub fn relu(&mut self, x: NodeId) -> NodeId {
+        let _span = telemetry::span!("tensor.fwd.relu");
         let mut v = self.value(x).clone();
         for a in v.as_flat_mut() {
             if *a < 0.0 {
@@ -258,6 +382,7 @@ impl Tape {
 
     /// Leaky ReLU with the given negative slope.
     pub fn leaky_relu(&mut self, x: NodeId, slope: f32) -> NodeId {
+        let _span = telemetry::span!("tensor.fwd.leaky_relu");
         let mut v = self.value(x).clone();
         for a in v.as_flat_mut() {
             if *a < 0.0 {
@@ -269,6 +394,7 @@ impl Tape {
 
     /// Multiplies by a constant.
     pub fn scale(&mut self, x: NodeId, s: f32) -> NodeId {
+        let _span = telemetry::span!("tensor.fwd.scale");
         let mut v = self.value(x).clone();
         v.scale_assign(s);
         self.push(Op::Scale(x, s), &[x], v)
@@ -280,6 +406,7 @@ impl Tape {
     ///
     /// Panics if row counts differ.
     pub fn concat_cols(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        let _span = telemetry::span!("tensor.fwd.concat_cols");
         let (ra, ca) = self.value(a).shape();
         let (rb, cb) = self.value(b).shape();
         assert_eq!(ra, rb, "concat_cols row mismatch");
@@ -297,6 +424,7 @@ impl Tape {
     ///
     /// Panics if `n` exceeds the row count.
     pub fn head_rows(&mut self, x: NodeId, n: usize) -> NodeId {
+        let _span = telemetry::span!("tensor.fwd.head_rows");
         let v = self.value(x).head_rows(n);
         self.push(Op::HeadRows(x), &[x], v)
     }
@@ -308,6 +436,7 @@ impl Tape {
     ///
     /// Panics unless `0 <= p < 1`.
     pub fn dropout<R: Rng>(&mut self, x: NodeId, p: f32, rng: &mut R) -> NodeId {
+        let _span = telemetry::span!("tensor.fwd.dropout");
         assert!((0.0..1.0).contains(&p), "dropout probability out of range");
         let keep = 1.0 - p;
         let mask: Vec<f32> = (0..self.value(x).as_flat().len())
@@ -327,12 +456,16 @@ impl Tape {
     }
 
     /// Neighborhood aggregation over a sampled adjacency: row `t` of the
-    /// output is the mean (or sum) of `x`'s rows listed in `adj` for `t`.
+    /// output is the mean (or sum, or element-wise max) of `x`'s rows
+    /// listed in `adj` for `t`. Target rows are disjoint, so the loop
+    /// runs as one row-parallel region balanced by edge count; each
+    /// element still sums its neighbors in list order.
     ///
     /// # Panics
     ///
     /// Panics if `x` has fewer rows than `adj.num_sources`.
     pub fn sparse_agg(&mut self, x: NodeId, adj: Arc<CsrAdj>, mode: AggMode) -> NodeId {
+        let _span = telemetry::span!("tensor.fwd.sparse_agg");
         let xv = self.value(x);
         assert!(
             xv.rows() >= adj.num_sources,
@@ -340,42 +473,13 @@ impl Tape {
             xv.rows(),
             adj.num_sources
         );
-        let d = xv.cols();
-        let mut v = Matrix::zeros(adj.num_targets, d);
-        for t in 0..adj.num_targets {
-            let (lo, hi) = (adj.row_ptr[t], adj.row_ptr[t + 1]);
-            if lo == hi {
-                continue;
-            }
-            if mode == AggMode::Max {
-                let out = v.row_mut(t);
-                for o in out.iter_mut() {
-                    *o = f32::NEG_INFINITY;
-                }
-                for &s in &adj.col[lo..hi] {
-                    let src = self.nodes[x.0].value.row(s as usize);
-                    for (o, &a) in v.row_mut(t).iter_mut().zip(src) {
-                        if a > *o {
-                            *o = a;
-                        }
-                    }
-                }
-                continue;
-            }
-            let out = v.row_mut(t);
-            for &s in &adj.col[lo..hi] {
-                let src = self.nodes[x.0].value.row(s as usize);
-                for (o, &a) in out.iter_mut().zip(src) {
-                    *o += a;
-                }
-            }
-            if mode == AggMode::Mean {
-                let inv = 1.0 / (hi - lo) as f32;
-                for o in v.row_mut(t) {
-                    *o *= inv;
-                }
-            }
-        }
+        let mut v = Matrix::zeros(adj.num_targets, xv.cols());
+        par_rows(
+            self.pool,
+            &mut v,
+            |t| adj.row_ptr[t] as u64,
+            |t0, chunk| agg_rows(xv, &adj, mode, t0, chunk),
+        );
         self.push(Op::SparseAgg { x, adj, mode }, &[x], v)
     }
 
@@ -386,6 +490,7 @@ impl Tape {
     ///
     /// Panics if the score vectors are not single-column with enough rows.
     pub fn edge_scores(&mut self, target: NodeId, source: NodeId, adj: Arc<CsrAdj>) -> NodeId {
+        let _span = telemetry::span!("tensor.fwd.edge_scores");
         assert_eq!(
             self.value(target).cols(),
             1,
@@ -425,6 +530,7 @@ impl Tape {
     ///
     /// Panics if `e` is not `(edges × 1)`.
     pub fn edge_softmax(&mut self, e: NodeId, adj: Arc<CsrAdj>) -> NodeId {
+        let _span = telemetry::span!("tensor.fwd.edge_softmax");
         assert_eq!(
             self.value(e).shape(),
             (adj.num_edges(), 1),
@@ -461,6 +567,7 @@ impl Tape {
     ///
     /// Panics on shape mismatches.
     pub fn weighted_agg(&mut self, w: NodeId, x: NodeId, adj: Arc<CsrAdj>) -> NodeId {
+        let _span = telemetry::span!("tensor.fwd.weighted_agg");
         assert_eq!(self.value(w).shape(), (adj.num_edges(), 1));
         assert!(self.value(x).rows() >= adj.num_sources);
         let d = self.value(x).cols();
@@ -482,6 +589,7 @@ impl Tape {
 
     /// Mean of all entries, producing a `1×1` scalar node.
     pub fn mean_all(&mut self, x: NodeId) -> NodeId {
+        let _span = telemetry::span!("tensor.fwd.mean_all");
         let v = self.value(x);
         let n = v.as_flat().len().max(1);
         let m = Matrix::from_flat(1, 1, vec![v.sum() / n as f32]);
@@ -496,6 +604,7 @@ impl Tape {
     /// Panics if `labels.len() != logits.rows()` or any label is out of
     /// class range.
     pub fn softmax_cross_entropy(&mut self, logits: NodeId, labels: Arc<Vec<u32>>) -> NodeId {
+        let _span = telemetry::span!("tensor.fwd.softmax_cross_entropy");
         let lv = self.value(logits);
         let (r, c) = lv.shape();
         assert_eq!(labels.len(), r, "label count mismatch");
@@ -560,20 +669,58 @@ impl Tape {
             let Some(mut g) = self.nodes[i].grad.take() else {
                 continue;
             };
+            let _span = telemetry::span!(self.nodes[i].op.backward_span());
+            // Only row-prefix contributions arrived: the rest are zeros.
+            g = pad_rows(g, self.nodes[i].value.rows());
             // Borrow-splitting: copy the operand ids out of node i, then
             // write into the operands' grads. A unary op's operand needs a
             // gradient whenever the op does; binary ops ask per operand.
             match &self.nodes[i].op {
                 Op::Leaf => self.nodes[i].grad = Some(g),
-                Op::MatMul(a, b) => {
-                    let (a, b) = (*a, *b);
-                    if self.needs_grad(a) {
-                        let ga = g.matmul_t(&self.nodes[b.0].value);
-                        self.accumulate(a, ga);
+                Op::Linear { terms, bias, relu } => {
+                    let (terms, bias, relu) = (Arc::clone(terms), *bias, *relu);
+                    // Through the ReLU, masked by the op's own output:
+                    // `out ≤ 0 ⇔ pre-activation ≤ 0`, -0.0 and NaN
+                    // included. The bias gradient — column sums of the
+                    // masked `g`, rows ascending — rides the same pass.
+                    let mut gb = bias
+                        .filter(|&b| self.needs_grad(b))
+                        .map(|_| Matrix::zeros(1, g.cols()));
+                    if relu || gb.is_some() {
+                        let out = &self.nodes[i].value;
+                        for r in 0..g.rows() {
+                            let g_row = g.row_mut(r);
+                            if relu {
+                                for (gv, &o) in g_row.iter_mut().zip(out.row(r)) {
+                                    if o <= 0.0 {
+                                        *gv = 0.0;
+                                    }
+                                }
+                            }
+                            if let Some(gb) = &mut gb {
+                                for (b, &gv) in gb.row_mut(0).iter_mut().zip(g_row.iter()) {
+                                    *b += gv;
+                                }
+                            }
+                        }
                     }
-                    if self.needs_grad(b) {
-                        let gb = self.nodes[a.0].value.t_matmul(&g);
-                        self.accumulate(b, gb);
+                    if let Some(bias) = bias {
+                        self.accumulate(bias, gb);
+                    }
+                    // Last term first, `x` before `w`: the order the
+                    // separate `matmul` nodes would have had their turns.
+                    for &(x, w) in terms.iter().rev() {
+                        if self.needs_grad(x) {
+                            let gx = g.matmul_t_with(self.pool, &self.nodes[w.0].value);
+                            self.accumulate(x, gx);
+                        }
+                        if self.needs_grad(w) {
+                            let mut gw = Matrix::empty();
+                            self.nodes[x.0]
+                                .value
+                                .head_t_matmul_into(self.pool, &g, &mut gw);
+                            self.accumulate(w, gw);
+                        }
                     }
                 }
                 Op::Add(a, b) => {
@@ -651,12 +798,7 @@ impl Tape {
                 }
                 Op::HeadRows(x) => {
                     let x = *x;
-                    let (rx, cx) = self.nodes[x.0].value.shape();
-                    let mut gx = Matrix::zeros(rx, cx);
-                    for r in 0..g.rows() {
-                        gx.row_mut(r).copy_from_slice(g.row(r));
-                    }
-                    self.accumulate(x, gx);
+                    self.accumulate(x, g);
                 }
                 Op::Dropout(x, mask) => {
                     let x = *x;
@@ -665,10 +807,32 @@ impl Tape {
                     }
                     self.accumulate(x, g);
                 }
-                Op::SparseAgg { x, adj, mode } => {
+                Op::SparseAgg { x, adj, mode } if *mode != AggMode::Max => {
+                    let (x, adj, mean) = (*x, Arc::clone(adj), *mode == AggMode::Mean);
+                    // Gather form: each source row sums its targets'
+                    // gradient rows in edge order — the order a
+                    // target-major scatter adds them — and is written
+                    // once, together with whatever `x` already holds.
+                    let (rx, d) = self.nodes[x.0].value.shape();
+                    let held = self.nodes[x.0].grad.take();
+                    let held_rows = held.as_ref().map_or(&[][..], |h| h.as_flat());
+                    let (src_ptr, targets) = adj.by_source(rx);
+                    let mut gx = Matrix::zeros(rx, d);
+                    par_rows(
+                        self.pool,
+                        &mut gx,
+                        |s| (src_ptr[s] + s) as u64,
+                        |s0, chunk| {
+                            let lists = (&src_ptr[..], &targets[..]);
+                            agg_grad_rows(&adj, mean, lists, &g, held_rows, s0, chunk);
+                        },
+                    );
+                    record_bytes(&gx);
+                    self.nodes[x.0].grad = Some(gx);
+                }
+                Op::SparseAgg { x, adj, .. } => {
                     let x = *x;
                     let adj = Arc::clone(adj);
-                    let mode = *mode;
                     let (rx, d) = self.nodes[x.0].value.shape();
                     let mut gx = Matrix::zeros(rx, d);
                     for t in 0..adj.num_targets {
@@ -676,35 +840,20 @@ impl Tape {
                         if lo == hi {
                             continue;
                         }
-                        if mode == AggMode::Max {
-                            // Route each column's gradient to the argmax
-                            // source (first winner on ties).
-                            for j in 0..d {
-                                let mut best_s = adj.col[lo] as usize;
-                                let mut best = self.nodes[x.0].value.get(best_s, j);
-                                for &s in &adj.col[lo + 1..hi] {
-                                    let v = self.nodes[x.0].value.get(s as usize, j);
-                                    if v > best {
-                                        best = v;
-                                        best_s = s as usize;
-                                    }
+                        // Route each column's gradient to the argmax
+                        // source (first winner on ties).
+                        for j in 0..d {
+                            let mut best_s = adj.col[lo] as usize;
+                            let mut best = self.nodes[x.0].value.get(best_s, j);
+                            for &s in &adj.col[lo + 1..hi] {
+                                let v = self.nodes[x.0].value.get(s as usize, j);
+                                if v > best {
+                                    best = v;
+                                    best_s = s as usize;
                                 }
-                                let gv = g.get(t, j);
-                                gx.set(best_s, j, gx.get(best_s, j) + gv);
                             }
-                            continue;
-                        }
-                        let w = match mode {
-                            AggMode::Mean => 1.0 / (hi - lo) as f32,
-                            // Max rows take the dedicated argmax path above
-                            // (`continue`); the arm exists only for the type.
-                            AggMode::Sum | AggMode::Max => 1.0,
-                        };
-                        let gt = g.row(t);
-                        for &s in &adj.col[lo..hi] {
-                            for (o, &gv) in gx.row_mut(s as usize).iter_mut().zip(gt) {
-                                *o += w * gv;
-                            }
+                            let gv = g.get(t, j);
+                            gx.set(best_s, j, gx.get(best_s, j) + gv);
                         }
                     }
                     self.accumulate(x, gx);
@@ -817,11 +966,183 @@ impl Tape {
     /// was pruned) is a no-op.
     fn accumulate(&mut self, id: NodeId, g: impl Into<Option<Matrix>>) {
         let Some(g) = g.into() else { return };
-        match &mut self.nodes[id.0].grad {
-            Some(existing) => existing.add_assign(&g),
-            slot @ None => *slot = Some(g),
+        record_bytes(&g);
+        let slot = &mut self.nodes[id.0].grad;
+        *slot = Some(match slot.take() {
+            Some(held) => sum_grads(held, g),
+            None => g,
+        });
+    }
+}
+
+impl Op {
+    /// The op kind's backward span name.
+    fn backward_span(&self) -> &'static str {
+        match self {
+            Op::Leaf => "tensor.bwd.leaf",
+            Op::Linear { .. } => "tensor.bwd.linear",
+            Op::Add(..) => "tensor.bwd.add",
+            Op::AddBias(..) => "tensor.bwd.add_bias",
+            Op::Relu(..) => "tensor.bwd.relu",
+            Op::LeakyRelu(..) => "tensor.bwd.leaky_relu",
+            Op::Scale(..) => "tensor.bwd.scale",
+            Op::ConcatCols(..) => "tensor.bwd.concat_cols",
+            Op::HeadRows(..) => "tensor.bwd.head_rows",
+            Op::Dropout(..) => "tensor.bwd.dropout",
+            Op::SparseAgg { .. } => "tensor.bwd.sparse_agg",
+            Op::EdgeScores { .. } => "tensor.bwd.edge_scores",
+            Op::EdgeSoftmax { .. } => "tensor.bwd.edge_softmax",
+            Op::WeightedAgg { .. } => "tensor.bwd.weighted_agg",
+            Op::MeanAll(..) => "tensor.bwd.mean_all",
+            Op::SoftmaxCrossEntropy { .. } => "tensor.bwd.softmax_cross_entropy",
         }
     }
+}
+
+/// Adds `m`'s size to the `tensor.op_bytes` counter (bytes the tape's
+/// ops wrote: forward values and gradient contributions) while
+/// telemetry is enabled.
+fn record_bytes(m: &Matrix) {
+    static OP_BYTES: OnceLock<telemetry::metrics::Counter> = OnceLock::new();
+    if telemetry::enabled() {
+        OP_BYTES
+            .get_or_init(|| telemetry::counter("tensor.op_bytes"))
+            .add(m.memory_bytes() as u64);
+    }
+}
+
+/// Runs `f(first_row, rows)` over disjoint row blocks of `out` as one
+/// parallel region on `pool`. `cum(i)` is the cost of rows `..i` per
+/// column; it sizes the region (`jobs_for_cost`) and places the cuts
+/// (`balanced_ranges`), so the split is a pure function of the input.
+fn par_rows(
+    pool: WorkerPool,
+    out: &mut Matrix,
+    cum: impl Fn(usize) -> u64,
+    f: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    let (rows, d) = out.shape();
+    if rows == 0 || d == 0 {
+        return;
+    }
+    let jobs = pool.jobs_for_cost(cum(rows) * d as u64).min(rows);
+    if jobs <= 1 {
+        f(0, out.as_flat_mut());
+        return;
+    }
+    let cuts: Vec<usize> = balanced_ranges(rows, jobs, cum)
+        .iter()
+        .map(|r| r.end * d)
+        .collect();
+    pool.par_chunks(out.as_flat_mut(), &cuts, |_, offset, chunk| {
+        f(offset / d, chunk);
+    });
+}
+
+/// Target rows `t0..` of [`Tape::sparse_agg`]'s forward into `chunk`,
+/// which arrives zeroed. Each element accumulates its neighbors in list
+/// order from `+0.0`.
+// spp-hot(tape.sparse_agg)
+fn agg_rows(x: &Matrix, adj: &CsrAdj, mode: AggMode, t0: usize, chunk: &mut [f32]) {
+    for (i, out) in chunk.chunks_exact_mut(x.cols()).enumerate() {
+        let neighbors = adj.neighbors(t0 + i);
+        if neighbors.is_empty() {
+            continue;
+        }
+        if mode == AggMode::Max {
+            out.fill(f32::NEG_INFINITY);
+            for &s in neighbors {
+                for (o, &a) in out.iter_mut().zip(x.row(s as usize)) {
+                    if a > *o {
+                        *o = a;
+                    }
+                }
+            }
+            continue;
+        }
+        for &s in neighbors {
+            for (o, &a) in out.iter_mut().zip(x.row(s as usize)) {
+                *o += a;
+            }
+        }
+        if mode == AggMode::Mean {
+            let inv = 1.0 / neighbors.len() as f32;
+            for o in out.iter_mut() {
+                *o *= inv;
+            }
+        }
+    }
+}
+
+/// Source rows `s0..` of [`Tape::sparse_agg`]'s Mean/Sum input gradient
+/// into `chunk`, which arrives zeroed: row `s` is `Σ w_t · g[t]` over its
+/// targets in `lists = (src_ptr, targets)` order (see
+/// [`CsrAdj::by_source`]), multiply then add from `+0.0` as a scatter
+/// into a zeroed buffer would, plus the row `held` already has for `s`,
+/// if it reaches that far (one `f32` add, as `accumulate` would do).
+// spp-hot(tape.sparse_agg_grad)
+fn agg_grad_rows(
+    adj: &CsrAdj,
+    mean: bool,
+    (src_ptr, targets): (&[usize], &[u32]),
+    g: &Matrix,
+    held: &[f32],
+    s0: usize,
+    chunk: &mut [f32],
+) {
+    let d = g.cols();
+    for (i, out) in chunk.chunks_exact_mut(d).enumerate() {
+        let s = s0 + i;
+        for &t in &targets[src_ptr[s]..src_ptr[s + 1]] {
+            let t = t as usize;
+            let w = if mean {
+                1.0 / adj.neighbors(t).len() as f32
+            } else {
+                1.0
+            };
+            for (o, &gv) in out.iter_mut().zip(g.row(t)) {
+                *o += w * gv;
+            }
+        }
+        if let Some(held) = held.get(s * d..(s + 1) * d) {
+            for (o, &h) in out.iter_mut().zip(held) {
+                *o += h;
+            }
+        }
+    }
+}
+
+/// `held + g` element by element, where either may cover only a row
+/// prefix of the other. The rows the shorter one lacks are `+0.0` and
+/// are added as such (`-0.0 + 0.0` is `+0.0`), so the bits equal a sum
+/// of zero-padded matrices; `f32` addition commutes, so the shorter is
+/// added into the larger's buffer.
+fn sum_grads(held: Matrix, g: Matrix) -> Matrix {
+    assert_eq!(held.cols(), g.cols(), "add shape mismatch");
+    let (mut sum, short) = if held.rows() >= g.rows() {
+        (held, g)
+    } else {
+        (g, held)
+    };
+    let (both, rest) = sum.as_flat_mut().split_at_mut(short.as_flat().len());
+    for (a, &b) in both.iter_mut().zip(short.as_flat()) {
+        *a += b;
+    }
+    for a in rest {
+        *a += 0.0;
+    }
+    sum
+}
+
+/// `g` extended with zero rows to `rows` (a no-op when it has them).
+fn pad_rows(g: Matrix, rows: usize) -> Matrix {
+    if g.rows() >= rows {
+        return g;
+    }
+    let cols = g.cols();
+    let mut data = g.into_flat();
+    data.resize(rows * cols, 0.0);
+    Matrix::from_flat(rows, cols, data)
 }
 
 #[cfg(test)]
@@ -882,6 +1203,28 @@ mod tests {
                 t.mean_all(y)
             },
             Matrix::from_rows(&[&[1.0, -2.0, 0.5], &[0.2, 0.8, -0.4]]),
+            1e-2,
+        );
+    }
+
+    #[test]
+    fn linear_grad() {
+        // Two terms over row prefixes of taller operands (the second is
+        // the checked input itself), bias and ReLU; the pre-activations
+        // sit away from the ReLU kink.
+        let w0 = Matrix::from_rows(&[&[0.5, -1.0], &[2.0, 0.3], &[0.1, 0.9]]);
+        let w1 = Matrix::from_rows(&[&[1.5, 0.2], &[-0.7, 0.4], &[0.3, -1.1]]);
+        let other = Matrix::from_rows(&[&[0.4, 1.0, -0.3], &[0.9, -0.2, 0.6], &[9.0, 9.0, 9.0]]);
+        grad_check(
+            move |t, x| {
+                let o = t.input(other.clone());
+                let w0 = t.input(w0.clone());
+                let w1 = t.input(w1.clone());
+                let b = t.input(Matrix::from_rows(&[&[0.25, -0.5]]));
+                let y = t.linear(2, &[(o, w0), (x, w1)], Some(b), true);
+                t.mean_all(y)
+            },
+            Matrix::from_rows(&[&[1.0, -2.0, 0.5], &[0.2, 0.8, -0.4], &[3.0, 1.0, 2.0]]),
             1e-2,
         );
     }

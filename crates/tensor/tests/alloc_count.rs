@@ -5,7 +5,8 @@
 //! allocate nothing beyond the bounded per-call job-cut table, while
 //! each `matmul_with` call pays a fresh output buffer. The same counter
 //! pins `Tape::backward` to allocating nothing feature-shaped when the
-//! features are a `Tape::constant`.
+//! features are a `Tape::constant`, and a two-layer GraphSAGE batch
+//! recorded through `Tape::linear` to the buffers it has a use for.
 //!
 //! The counter is process-global, so every assertion lives in one test
 //! function — Rust runs integration-test functions on separate threads
@@ -205,5 +206,73 @@ fn into_kernels_stop_allocating_after_warmup() {
     assert!(
         backward_bytes < feature_bytes,
         "backward allocated {backward_bytes} B against a {feature_bytes} B constant feature matrix"
+    );
+
+    // A steady-state two-layer GraphSAGE batch — layer 0 over constant
+    // features, layer 1 over its (interior) output, then the loss —
+    // forward and backward, recorded as `sparse_agg` + `linear`.
+    let (t0, t1, hidden, classes) = (1024usize, 256usize, 64usize, 16usize);
+    let hop = |targets: usize, sources: usize| {
+        Arc::new(CsrAdj {
+            num_targets: targets,
+            num_sources: sources,
+            row_ptr: (0..=targets).map(|t| t * 8).collect(),
+            col: (0..targets as u32 * 8)
+                .map(|e| e * 31 % sources as u32)
+                .collect(),
+        })
+    };
+    let (adj0, adj1) = (hop(t0, sources), hop(t1, t0));
+    let labels: Arc<Vec<u32>> = Arc::new((0..t1 as u32).map(|t| t % classes as u32).collect());
+    let shapes = [
+        (dim, hidden),
+        (dim, hidden),
+        (1, hidden),
+        (hidden, classes),
+        (hidden, classes),
+        (1, classes),
+    ];
+    let batch = || {
+        let mut tape = Tape::with_pool(pool);
+        let x = tape.constant(filled(sources, dim, 4));
+        let p: Vec<_> = (5..)
+            .zip(shapes)
+            .map(|(seed, (r, c))| tape.input(filled(r, c, seed)))
+            .collect();
+        counted(|| {
+            let neigh = tape.sparse_agg(x, Arc::clone(&adj0), AggMode::Mean);
+            let h = tape.linear(t0, &[(x, p[0]), (neigh, p[1])], Some(p[2]), true);
+            let neigh = tape.sparse_agg(h, Arc::clone(&adj1), AggMode::Mean);
+            let logits = tape.linear(t1, &[(h, p[3]), (neigh, p[4])], Some(p[5]), false);
+            let loss = tape.softmax_cross_entropy(logits, Arc::clone(&labels));
+            tape.backward(loss);
+        })
+    };
+    batch(); // warm-up
+    let (_, batch_bytes, ()) = batch();
+    // The same batch as `head_rows`/`matmul`/`add`/`add_bias`/`relu`
+    // nodes over zero-padded gradients, measured at commit 97d7c1f.
+    const CHAIN_BATCH_BYTES: u64 = 3_046_584;
+    assert!(
+        2 * batch_bytes <= CHAIN_BATCH_BYTES,
+        "fused batch allocated {batch_bytes} B, more than half the op chain's {CHAIN_BATCH_BYTES} B"
+    );
+    // Nothing activation-sized beyond what the batch has a use for: per
+    // layer the aggregate, the output and one scratch block; per
+    // operand that needs one, one gradient (`h` gets its prefix and its
+    // full-size gather, layer 1's aggregate its own; layer 0's operands
+    // are constants); the loss's probabilities and their gradient.
+    let f = std::mem::size_of::<f32>();
+    let wanted = [
+        2 * t0 * dim + kernels::LINEAR_BLOCK_ELEMS, // layer 0 forward
+        t1 * hidden + 2 * t1 * classes,             // layer 1 forward (+ its scratch)
+        2 * t1 * classes,                           // loss
+        2 * t1 * hidden + t0 * hidden,              // gradients for layer 1's operands
+    ];
+    let wanted_bytes = (wanted.iter().sum::<usize>() * f) as u64;
+    let small = (64 * 1024) as u64; // weight gradients, edge lists, job tables
+    assert!(
+        batch_bytes <= wanted_bytes + small,
+        "fused batch allocated {batch_bytes} B against {wanted_bytes} B of outputs and gradients"
     );
 }
