@@ -46,7 +46,6 @@ impl Table {
 
     /// Renders the table as aligned text.
     pub fn render(&self) -> String {
-        let cols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
@@ -72,7 +71,6 @@ impl Table {
         for row in &self.rows {
             let _ = writeln!(out, "{}", fmt_row(row, &widths));
         }
-        let _ = cols;
         out
     }
 
