@@ -18,7 +18,8 @@
 //! Hard assertions (exit 1 on failure): each blocked dense matmul
 //! kernel clears **2x** the seed scalar's GFLOP/s at the L2 shape, the
 //! blocked `t_matmul` clears **1.5x** at the tall training shape, the
-//! tape ops are bit-equal to their references, and quantized wire codecs
+//! tape ops are bit-equal to their references, the `f32` row decode
+//! clears **2x** the `f16` decode's Melem/s, and quantized wire codecs
 //! shrink epoch bytes by their nominal ratios.
 //! Emits `results/BENCH_kernels.json`.
 
@@ -92,6 +93,11 @@ const MIN_SPEEDUP: f64 = 2.0;
 /// register tile is *slower* than it here (0.24x before the row panel)
 /// while still clearing [`MIN_SPEEDUP`] at the L2 shape.
 const MIN_TALL_T_MATMUL_SPEEDUP: f64 = 1.5;
+/// The CI floor for the `f32` cache tier's row decode, which reads
+/// little-endian bytes: it must clear this multiple of the `f16`
+/// decode's Melem/s, so a byte decoder that stops vectorizing fails here
+/// instead of as a slower end-to-end run.
+const MIN_F32_OVER_F16_DECODE: f64 = 2.0;
 
 fn check(ok: bool, what: &str) {
     if ok {
@@ -601,6 +607,13 @@ fn main() {
             "t_matmul at {TALL_SHAPE}: blocked {:.2} GFLOP/s >= \
              {MIN_TALL_T_MATMUL_SPEEDUP}x seed scalar {:.2}",
             tall_tm.blocked_gflops, tall_tm.seed_gflops
+        ),
+    );
+    let (decode_f32, decode_f16) = (decode[0].1, decode[1].1);
+    check(
+        decode_f32 >= MIN_F32_OVER_F16_DECODE * decode_f16,
+        &format!(
+            "decode f32 {decode_f32:.0} Melem/s >= {MIN_F32_OVER_F16_DECODE}x f16 {decode_f16:.0}"
         ),
     );
     check(

@@ -1,7 +1,7 @@
 //! Bit-identity of training through the `FeatureStore` trait: routing
-//! batch gathers through an f32 paged store (in-RAM or mmap-backed)
-//! must reproduce the historical `&FeatureMatrix` path exactly — same
-//! loss curve to the last bit, same accuracies.
+//! batch gathers through an f32 paged store must reproduce the
+//! historical `&FeatureMatrix` path exactly — same loss curve to the
+//! last bit, same accuracies.
 
 // Tests assert by panicking; the workspace panic-family denies apply
 // to library code only (see [workspace.lints] in Cargo.toml).
@@ -19,7 +19,7 @@ use spp_gnn::{GnnModel, TrainConfig, TrainReport, Trainer, MODEL_STREAM_SALT};
 use spp_graph::dataset::SyntheticSpec;
 use spp_graph::{Dataset, QuantScheme, VertexId};
 use spp_sampler::{batch_stream_seed, Fanouts, MinibatchIter, NodeWiseSampler};
-use spp_store::{FeatureStore, InRamStore, MmapStore, StoreBuilder};
+use spp_store::{FeatureStore, MmapStore, StoreBuilder};
 use spp_tensor::{Adam, Optimizer};
 use std::sync::Arc;
 
@@ -63,26 +63,16 @@ fn assert_reports_identical(a: &TrainReport, b: &TrainReport, what: &str) {
     );
 }
 
-/// An f32 `InRamStore` is a lossless re-encoding of the feature matrix,
-/// so every gathered batch — and therefore every forward pass, loss,
-/// and accuracy — is bit-identical to training straight off the matrix.
-#[test]
-fn training_through_inram_store_is_bit_identical() {
-    let (ds, cfg) = fixture();
-    let baseline = Trainer::new(&ds, cfg.clone()).train();
-    assert!(!baseline.epochs.is_empty());
-
-    let store = InRamStore::from_matrix(&ds.features, QuantScheme::F32, 4096);
-    let through_store = Trainer::new(&ds, cfg).with_feature_store(&store).train();
-    assert_reports_identical(&baseline, &through_store, "inram/f32");
-}
-
-/// Same contract through the full on-disk path: pages written by
-/// `StoreBuilder`, read back via positioned reads (`MmapStore`).
+/// An f32 store is a lossless re-encoding of the feature matrix, so
+/// every gathered batch — and therefore every forward pass, loss, and
+/// accuracy — is bit-identical to training straight off the matrix,
+/// here through the full on-disk path: pages written by `StoreBuilder`,
+/// read back via positioned reads (`MmapStore`).
 #[test]
 fn training_through_mmap_store_is_bit_identical() {
     let (ds, cfg) = fixture();
     let baseline = Trainer::new(&ds, cfg.clone()).train();
+    assert!(!baseline.epochs.is_empty());
 
     let dir = std::env::temp_dir().join(format!("spp_gnn_store_train_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

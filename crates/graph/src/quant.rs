@@ -7,24 +7,27 @@
 //! and a quantized wire halves/quarters remote-fetch bytes in the
 //! DES-costed serving and training paths.
 //!
-//! Two codecs are provided:
+//! One row codec serves every tier. [`encode_row`] / [`decode_row`]
+//! define a row's little-endian byte layout, which the in-RAM tiers
+//! ([`QuantizedFeatures`]) hold and the paged store writes to disk:
 //!
-//! * [`QuantScheme::F16`] — IEEE 754 binary16 with round-to-nearest-even,
-//!   implemented as pure bit manipulation (no hardware half support is
-//!   assumed). Relative error for normal values is ≤ 2⁻¹¹.
-//! * [`QuantScheme::I8`] — per-row affine quantization: each row stores
-//!   `min` and `scale = (max − min)/255` as `f32` plus one `i8` code per
-//!   element; absolute error is ≤ `scale/2`. One codebook
-//!   ([`i8_codebook`]) and one code rounding ([`i8_code`]) serve the
-//!   in-RAM tier, the wire round trip and the paged store's row codec.
-//!   Non-finite elements are defined once, there: the range is taken
-//!   over the finite elements, `NaN`/`-inf` store as `min`, `+inf` as
-//!   `max`, and finite elements of such a row keep the error bound.
+//! * [`QuantScheme::F32`] — `dim` × 4 bytes, raw IEEE bits.
+//! * [`QuantScheme::F16`] — `dim` × 2 bytes, IEEE 754 binary16 with
+//!   round-to-nearest-even, implemented as pure bit manipulation (no
+//!   hardware half support is assumed). Relative error for normal
+//!   values is ≤ 2⁻¹¹.
+//! * [`QuantScheme::I8`] — `[min: f32][scale: f32][dim × i8]`: per-row
+//!   affine quantization with `scale = (max − min)/255`; absolute error
+//!   is ≤ `scale/2`. The codebook rides in the row, so a row is one
+//!   contiguous read. Non-finite elements are defined once, in the
+//!   codebook: the range is taken over the finite elements, `NaN`/`-inf`
+//!   store as `min`, `+inf` as `max`, and finite elements of such a row
+//!   keep the error bound. So is a finite row whose range overflows
+//!   `f32` (see [`decode_row`]).
 //!
-//! Both decode paths are branch-free slice loops ([`decode_f16_slice`],
-//! [`decode_i8_slice`] — shared with the paged store's row codec) writing
-//! into a caller-provided buffer ([`QuantizedFeatures::read_row_into`]),
-//! so cache gathers stay allocation-free (the H1 hot-path rule).
+//! [`wire_roundtrip`] applies the same codec element by element, and
+//! the decode loops are branch-free and write into a caller-provided
+//! buffer, so cache gathers stay allocation-free (the H1 hot-path rule).
 //!
 //! Determinism: encoding is a pure element-wise function of the input
 //! bits, and decoding a pure function of the stored code — no
@@ -145,53 +148,39 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
     f32::from_bits(bits | ((h as u32 & 0x8000) << 16))
 }
 
-/// Decodes binary16 codes into `out`, one element per code — the one
-/// f16 slice decoder behind both the in-RAM tier (`&[u16]` codes) and
-/// the paged store's little-endian row bytes.
-///
-/// # Panics
-///
-/// Panics if `codes` does not yield exactly `out.len()` items.
+/// The value a stored `i8` code byte stands for in a row with
+/// non-negative `scale`: `(code + 128) · scale + min`.
 #[inline]
-pub fn decode_f16_slice(codes: impl ExactSizeIterator<Item = u16>, out: &mut [f32]) {
-    assert_eq!(codes.len(), out.len(), "f16 decode length mismatch");
-    for (o, h) in out.iter_mut().zip(codes) {
-        *o = f16_bits_to_f32(h);
-    }
+fn i8_affine(code: u8, min: f32, scale: f32) -> f32 {
+    (code as i8 as i32 + 128) as f32 * scale + min
 }
 
-/// Decodes per-row affine `i8` codes (`(code + 128) · scale + min`)
-/// into `out` — shared by the in-RAM tier and the paged store, whose
-/// code bytes are the same `i8`s viewed as `u8`.
-///
-/// # Panics
-///
-/// Panics if `codes` does not yield exactly `out.len()` items.
+/// The value a stored `i8` code byte stands for in any row. A wide row
+/// (negative `scale`, see [`i8_codebook`]) uses the same affine map with
+/// step `|scale|`, formed in `f64` — its `f32` intermediate would
+/// overflow — and clamped to the finite `f32` range.
 #[inline]
-pub fn decode_i8_slice(
-    codes: impl ExactSizeIterator<Item = i8>,
-    min: f32,
-    scale: f32,
-    out: &mut [f32],
-) {
-    assert_eq!(codes.len(), out.len(), "i8 decode length mismatch");
-    for (o, c) in out.iter_mut().zip(codes) {
-        *o = i8_value(c, min, scale);
+fn i8_value(code: u8, min: f32, scale: f32) -> f32 {
+    if scale < 0.0 {
+        let k = f64::from(code as i8 as i32 + 128);
+        let v = f64::from(min) + k * f64::from(-scale);
+        return v.clamp(f64::from(f32::MIN), f64::from(f32::MAX)) as f32;
     }
-}
-
-/// The value a stored `i8` code stands for.
-#[inline]
-fn i8_value(code: i8, min: f32, scale: f32) -> f32 {
-    (code as i32 + 128) as f32 * scale + min
+    i8_affine(code, min, scale)
 }
 
 /// The per-row affine codebook `(lo, scale, inv)` every `i8` encoder
 /// uses: `lo`/`hi` are taken over the row's *finite* elements (`0, 0`
 /// when it has none), `scale = (hi − lo)/255`, and `inv = 1/scale` (`0`
-/// for a constant row).
+/// for a constant or wide row).
+///
+/// A finite row whose `hi − lo` overflows `f32` (`[-3e38, 3e38]`) would
+/// get `scale = inf` and decode to `NaN`. Such a *wide* row gets its step
+/// computed in `f64` and stored negated instead — no other row has a
+/// negative scale — and [`i8_code`] / [`i8_value`] take the `f64` path
+/// for it, so its elements decode finite and within half a step.
 #[inline]
-pub fn i8_codebook(row: &[f32]) -> (f32, f32, f32) {
+fn i8_codebook(row: &[f32]) -> (f32, f32, f32) {
     let (lo, hi) = row
         .iter()
         .filter(|v| v.is_finite())
@@ -200,18 +189,104 @@ pub fn i8_codebook(row: &[f32]) -> (f32, f32, f32) {
         });
     let (lo, hi) = if lo > hi { (0.0, 0.0) } else { (lo, hi) };
     let scale = (hi - lo) / 255.0;
+    if scale.is_infinite() {
+        let step = ((f64::from(hi) - f64::from(lo)) / 255.0) as f32;
+        return (lo, -step, 0.0);
+    }
     let inv = if scale > 0.0 { 1.0 / scale } else { 0.0 };
     (lo, scale, inv)
 }
 
-/// The stored code of `v` under [`i8_codebook`]'s `(lo, _, inv)`: codes
-/// `0..=255` shifted to `-128..=127`, rounded to nearest so a finite
-/// element decodes within `scale/2`. Non-finite input is defined too:
-/// `NaN` and `-inf` encode as `lo`, `+inf` as `hi` (the saturating
-/// float-to-int cast sends `NaN` to code 0).
+/// The stored code byte of `v` under [`i8_codebook`]'s `(lo, scale,
+/// inv)`: codes `0..=255` shifted to `-128..=127`, rounded to nearest so
+/// a finite element decodes within `scale/2`. Non-finite input is
+/// defined too: `NaN` and `-inf` encode as `lo`, `+inf` as `hi` (the
+/// saturating float-to-int cast sends `NaN` to code 0).
 #[inline]
-pub fn i8_code(v: f32, lo: f32, inv: f32) -> i8 {
-    (((v - lo) * inv).round().clamp(0.0, 255.0) as i32 - 128) as i8
+fn i8_code(v: f32, lo: f32, scale: f32, inv: f32) -> u8 {
+    let k = if scale < 0.0 {
+        let t = (f64::from(v) - f64::from(lo)) / f64::from(-scale);
+        t.round().clamp(0.0, 255.0) as i32
+    } else {
+        ((v - lo) * inv).round().clamp(0.0, 255.0) as i32
+    };
+    (k - 128) as i8 as u8
+}
+
+/// Encodes one feature row into its byte layout (module docs).
+///
+/// # Panics
+///
+/// Panics if `out.len() != scheme.row_bytes(row.len())`.
+pub fn encode_row(scheme: QuantScheme, row: &[f32], out: &mut [u8]) {
+    assert_eq!(
+        out.len(),
+        scheme.row_bytes(row.len()),
+        "encode buffer size mismatch"
+    );
+    match scheme {
+        QuantScheme::F32 => {
+            for (o, &v) in out.as_chunks_mut().0.iter_mut().zip(row) {
+                *o = v.to_le_bytes();
+            }
+        }
+        QuantScheme::F16 => {
+            for (o, &v) in out.as_chunks_mut().0.iter_mut().zip(row) {
+                *o = f32_to_f16_bits(v).to_le_bytes();
+            }
+        }
+        QuantScheme::I8 => {
+            let (lo, scale, inv) = i8_codebook(row);
+            out[0..4].copy_from_slice(&lo.to_le_bytes());
+            out[4..8].copy_from_slice(&scale.to_le_bytes());
+            for (o, &v) in out[8..].iter_mut().zip(row) {
+                *o = i8_code(v, lo, scale, inv);
+            }
+        }
+    }
+}
+
+/// Decodes one encoded row into `out` (allocation-free; every cache
+/// tier and paged read funnels here). An `i8` row with a negative stored
+/// scale is a *wide* row, one whose finite range overflows `f32`; it
+/// decodes through `f64`, finite and within half a step.
+///
+/// # Panics
+///
+/// Panics if `bytes.len() != scheme.row_bytes(out.len())`.
+#[inline]
+pub fn decode_row(scheme: QuantScheme, bytes: &[u8], out: &mut [f32]) {
+    assert_eq!(
+        bytes.len(),
+        scheme.row_bytes(out.len()),
+        "decode buffer size mismatch"
+    );
+    // Array chunks, not `chunks_exact`: the latter's slice iterator costs
+    // the f16 loop ~25 % of its throughput.
+    match scheme {
+        QuantScheme::F32 => {
+            for (o, &b) in out.iter_mut().zip(bytes.as_chunks().0) {
+                *o = f32::from_le_bytes(b);
+            }
+        }
+        QuantScheme::F16 => {
+            for (o, &b) in out.iter_mut().zip(bytes.as_chunks().0) {
+                *o = f16_bits_to_f32(u16::from_le_bytes(b));
+            }
+        }
+        QuantScheme::I8 => {
+            let lo = f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+            let scale = f32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
+            let codes = out.iter_mut().zip(&bytes[8..]);
+            // Branch once per row, so the common loop is branch-free and
+            // vectorizes.
+            if scale < 0.0 {
+                codes.for_each(|(o, &c)| *o = i8_value(c, lo, scale));
+            } else {
+                codes.for_each(|(o, &c)| *o = i8_affine(c, lo, scale));
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -219,42 +294,30 @@ pub fn i8_code(v: f32, lo: f32, inv: f32) -> i8 {
 // ---------------------------------------------------------------------
 
 /// Row-major quantized feature storage: the compressed drop-in for a
-/// [`FeatureMatrix`] inside cache tiers. Rows are written with
+/// [`FeatureMatrix`] inside cache tiers. Rows are held in the
+/// [`encode_row`] byte layout, written with
 /// [`QuantizedFeatures::set_row`] (encode) and read back with
 /// [`QuantizedFeatures::read_row_into`] (decode into a caller buffer,
 /// allocation-free).
 #[derive(Clone, Debug)]
 pub struct QuantizedFeatures {
+    scheme: QuantScheme,
     dim: usize,
     rows: usize,
-    storage: Storage,
-}
-
-#[derive(Clone, Debug)]
-enum Storage {
-    F32(Vec<f32>),
-    F16(Vec<u16>),
-    I8 {
-        codes: Vec<i8>,
-        /// Per-row `(min, scale)` codebook.
-        min: Vec<f32>,
-        scale: Vec<f32>,
-    },
+    /// `rows × scheme.row_bytes(dim)` bytes; slot `s` starts at
+    /// `s × row_bytes`.
+    bytes: Vec<u8>,
 }
 
 impl QuantizedFeatures {
     /// Zero-initialized storage for `rows × dim` features.
     pub fn with_rows(rows: usize, dim: usize, scheme: QuantScheme) -> Self {
-        let storage = match scheme {
-            QuantScheme::F32 => Storage::F32(vec![0.0; rows * dim]),
-            QuantScheme::F16 => Storage::F16(vec![0; rows * dim]),
-            QuantScheme::I8 => Storage::I8 {
-                codes: vec![-128; rows * dim],
-                min: vec![0.0; rows],
-                scale: vec![0.0; rows],
-            },
-        };
-        Self { dim, rows, storage }
+        Self {
+            scheme,
+            dim,
+            rows,
+            bytes: vec![0; rows * scheme.row_bytes(dim)],
+        }
     }
 
     /// Encodes every row of `features` under `scheme`.
@@ -268,11 +331,7 @@ impl QuantizedFeatures {
 
     /// Storage scheme of this tier.
     pub fn scheme(&self) -> QuantScheme {
-        match self.storage {
-            Storage::F32(_) => QuantScheme::F32,
-            Storage::F16(_) => QuantScheme::F16,
-            Storage::I8 { .. } => QuantScheme::I8,
-        }
+        self.scheme
     }
 
     /// Number of rows.
@@ -287,16 +346,19 @@ impl QuantizedFeatures {
 
     /// Bytes one stored row occupies.
     pub fn row_bytes(&self) -> usize {
-        self.scheme().row_bytes(self.dim)
+        self.scheme.row_bytes(self.dim)
     }
 
     /// Total storage bytes (codes plus codebook).
     pub fn memory_bytes(&self) -> usize {
-        match &self.storage {
-            Storage::F32(d) => d.len() * 4,
-            Storage::F16(d) => d.len() * 2,
-            Storage::I8 { codes, min, scale } => codes.len() + 4 * (min.len() + scale.len()),
-        }
+        self.bytes.len()
+    }
+
+    /// Byte range of slot `slot`.
+    fn slot(&self, slot: usize) -> std::ops::Range<usize> {
+        assert!(slot < self.rows, "row slot out of range");
+        let rb = self.row_bytes();
+        slot * rb..(slot + 1) * rb
     }
 
     /// Encodes `row` into slot `slot`.
@@ -305,25 +367,8 @@ impl QuantizedFeatures {
     ///
     /// Panics if `row.len() != dim` or `slot >= rows`.
     pub fn set_row(&mut self, slot: usize, row: &[f32]) {
-        assert_eq!(row.len(), self.dim, "row dimension mismatch");
-        assert!(slot < self.rows, "row slot out of range");
-        let dim = self.dim;
-        match &mut self.storage {
-            Storage::F32(d) => d[slot * dim..(slot + 1) * dim].copy_from_slice(row),
-            Storage::F16(d) => {
-                for (q, &v) in d[slot * dim..(slot + 1) * dim].iter_mut().zip(row) {
-                    *q = f32_to_f16_bits(v);
-                }
-            }
-            Storage::I8 { codes, min, scale } => {
-                let (lo, s, inv) = i8_codebook(row);
-                min[slot] = lo;
-                scale[slot] = s;
-                for (q, &v) in codes[slot * dim..(slot + 1) * dim].iter_mut().zip(row) {
-                    *q = i8_code(v, lo, inv);
-                }
-            }
-        }
+        let at = self.slot(slot);
+        encode_row(self.scheme, row, &mut self.bytes[at]);
     }
 
     /// Decodes slot `slot` into `out` (allocation-free).
@@ -333,37 +378,15 @@ impl QuantizedFeatures {
     /// Panics if `out.len() != dim` or `slot >= rows`.
     // spp-hot(quant.read_row)
     pub fn read_row_into(&self, slot: usize, out: &mut [f32]) {
-        assert_eq!(out.len(), self.dim, "output dimension mismatch");
-        assert!(slot < self.rows, "row slot out of range");
-        let dim = self.dim;
-        match &self.storage {
-            Storage::F32(d) => out.copy_from_slice(&d[slot * dim..(slot + 1) * dim]),
-            Storage::F16(d) => {
-                decode_f16_slice(d[slot * dim..(slot + 1) * dim].iter().copied(), out);
-            }
-            Storage::I8 { codes, min, scale } => decode_i8_slice(
-                codes[slot * dim..(slot + 1) * dim].iter().copied(),
-                min[slot],
-                scale[slot],
-                out,
-            ),
-        }
-    }
-
-    /// Decodes the whole tier back into a dense [`FeatureMatrix`].
-    pub fn dequantize(&self) -> FeatureMatrix {
-        let mut m = FeatureMatrix::zeros(self.rows, self.dim);
-        for r in 0..self.rows {
-            self.read_row_into(r, m.row_mut(r as crate::VertexId));
-        }
-        m
+        decode_row(self.scheme, &self.bytes[self.slot(slot)], out);
     }
 }
 
 /// Round-trips `row` through `scheme` in place: the lossy transform a
 /// quantized wire applies to fetched feature rows (`f32` is the
 /// identity). Encoding then decoding locally models
-/// serialize → transmit → deserialize without buffers.
+/// serialize → transmit → deserialize without buffers; the result is
+/// bit-identical to [`decode_row`] of [`encode_row`].
 pub fn wire_roundtrip(row: &mut [f32], scheme: QuantScheme) {
     match scheme {
         QuantScheme::F32 => {}
@@ -375,7 +398,7 @@ pub fn wire_roundtrip(row: &mut [f32], scheme: QuantScheme) {
         QuantScheme::I8 => {
             let (lo, scale, inv) = i8_codebook(row);
             for v in row.iter_mut() {
-                *v = i8_value(i8_code(*v, lo, inv), lo, scale);
+                *v = i8_value(i8_code(*v, lo, scale, inv), lo, scale);
             }
         }
     }
@@ -402,13 +425,24 @@ mod tests {
         f32::from_bits(bits | ((h as u32 & 0x8000) << 16))
     }
 
+    fn sample_row(dim: usize, salt: u64) -> Vec<f32> {
+        (0..dim)
+            .map(|i| ((i as f32 + salt as f32) * 0.37).sin() * 5.0 - 1.0)
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn select_form_decodes_all_65536_patterns_to_the_same_bits() {
         // Scalar and slice entry points, every pattern: NaN payloads,
         // ±0, subnormals, ±Inf included.
         let codes: Vec<u16> = (0..=u16::MAX).collect();
+        let bytes: Vec<u8> = codes.iter().flat_map(|h| h.to_le_bytes()).collect();
         let mut sliced = vec![0.0f32; codes.len()];
-        decode_f16_slice(codes.iter().copied(), &mut sliced);
+        decode_row(QuantScheme::F16, &bytes, &mut sliced);
         for (&h, &got) in codes.iter().zip(&sliced) {
             let want = f16_bits_to_f32_branching(h).to_bits();
             assert_eq!(f16_bits_to_f32(h).to_bits(), want, "scalar h={h:#06x}");
@@ -418,9 +452,11 @@ mod tests {
 
     #[test]
     fn i8_slice_decodes_every_code() {
-        let codes: Vec<i8> = (i8::MIN..=i8::MAX).collect();
+        let codebook = [(-1.5f32).to_le_bytes(), 0.25f32.to_le_bytes()];
+        let codes = (i8::MIN..=i8::MAX).map(|c| c as u8);
+        let bytes: Vec<u8> = codebook.into_iter().flatten().chain(codes).collect();
         let mut out = vec![0.0f32; 256];
-        decode_i8_slice(codes.iter().copied(), -1.5, 0.25, &mut out);
+        decode_row(QuantScheme::I8, &bytes, &mut out);
         for (k, &v) in out.iter().enumerate() {
             assert_eq!(v.to_bits(), (k as f32 * 0.25 + -1.5).to_bits(), "code {k}");
         }
@@ -501,6 +537,40 @@ mod tests {
         }
     }
 
+    /// A finite row whose range overflows `f32` used to decode to all
+    /// `NaN` (`scale = inf`, `0 · inf`); every element now decodes finite
+    /// and within half a code step, through the tier and the wire alike.
+    #[test]
+    fn i8_rows_whose_range_overflows_f32_decode_finite_within_half_a_step() {
+        let rows = [
+            vec![-3e38f32, 3e38, 0.0, 1.0],
+            vec![f32::MIN, f32::MAX, -1.0, 2.5e38, f32::NAN, f32::INFINITY],
+        ];
+        for row in rows {
+            let mut bytes = vec![0u8; QuantScheme::I8.row_bytes(row.len())];
+            encode_row(QuantScheme::I8, &row, &mut bytes);
+            let mut back = vec![0.0f32; row.len()];
+            decode_row(QuantScheme::I8, &bytes, &mut back);
+            let mut wire = row.clone();
+            wire_roundtrip(&mut wire, QuantScheme::I8);
+            assert_eq!(bits(&back), bits(&wire), "{row:?}");
+
+            let finite = row.iter().filter(|v| v.is_finite());
+            let lo = finite
+                .clone()
+                .fold(f64::INFINITY, |l, &v| l.min(f64::from(v)));
+            let hi = finite.fold(f64::NEG_INFINITY, |h, &v| h.max(f64::from(v)));
+            let half_step = (hi - lo) / 255.0 / 2.0 * 1.0001;
+            for (&v, &b) in row.iter().zip(&back) {
+                assert!(b.is_finite(), "{v} decoded to {b}");
+                if v.is_finite() {
+                    let err = (f64::from(v) - f64::from(b)).abs();
+                    assert!(err <= half_step, "{v} vs {b} (half step {half_step})");
+                }
+            }
+        }
+    }
+
     #[test]
     fn constant_rows_quantize_exactly_under_i8() {
         let row = vec![2.5f32; 16];
@@ -515,17 +585,25 @@ mod tests {
     fn f32_scheme_is_lossless_passthrough() {
         let m = FeatureMatrix::from_flat((0..12).map(|i| i as f32 / 3.0).collect(), 4);
         let q = QuantizedFeatures::from_matrix(&m, QuantScheme::F32);
-        assert_eq!(q.dequantize().as_flat(), m.as_flat());
+        let mut back = vec![0.0f32; 4];
+        for r in 0..3 {
+            q.read_row_into(r, &mut back);
+            assert_eq!(back, m.row(r as crate::VertexId));
+        }
         assert_eq!(q.memory_bytes(), 3 * 4 * 4);
     }
 
+    /// `memory_bytes` is what Figure 5's memory column sums over tiers.
     #[test]
     fn row_bytes_accounting() {
         assert_eq!(QuantScheme::F32.row_bytes(128), 512);
         assert_eq!(QuantScheme::F16.row_bytes(128), 256);
         assert_eq!(QuantScheme::I8.row_bytes(128), 136);
-        let q = QuantizedFeatures::with_rows(10, 128, QuantScheme::F16);
-        assert_eq!(q.memory_bytes(), 10 * 256);
+        for scheme in [QuantScheme::F32, QuantScheme::F16, QuantScheme::I8] {
+            let q = QuantizedFeatures::with_rows(10, 128, scheme);
+            assert_eq!(q.row_bytes(), scheme.row_bytes(128));
+            assert_eq!(q.memory_bytes(), 10 * scheme.row_bytes(128));
+        }
     }
 
     #[test]
@@ -537,6 +615,26 @@ mod tests {
         wire_roundtrip(&mut row, QuantScheme::F16);
         for (w, &o) in row.iter().zip(&orig) {
             assert_eq!(*w, f16_bits_to_f32(f32_to_f16_bits(o)));
+        }
+    }
+
+    /// Row codec ≡ wire round trip, bit for bit, for every scheme — also
+    /// on a row with `NaN` / `±inf` elements (one i8 codebook, §14).
+    #[test]
+    fn codec_matches_wire_roundtrip_bitwise() {
+        let mut hostile = sample_row(37, 3);
+        (hostile[2], hostile[11], hostile[30]) = (f32::NAN, f32::INFINITY, f32::NEG_INFINITY);
+        let cases = [QuantScheme::F32, QuantScheme::F16, QuantScheme::I8]
+            .into_iter()
+            .flat_map(|scheme| [(scheme, sample_row(37, 3)), (scheme, hostile.clone())]);
+        for (scheme, row) in cases {
+            let mut bytes = vec![0u8; scheme.row_bytes(37)];
+            encode_row(scheme, &row, &mut bytes);
+            let mut got = vec![0.0f32; 37];
+            decode_row(scheme, &bytes, &mut got);
+            let mut wire = row.clone();
+            wire_roundtrip(&mut wire, scheme);
+            assert_eq!(bits(&got), bits(&wire), "scheme {}", scheme.name());
         }
     }
 

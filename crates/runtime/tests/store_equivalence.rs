@@ -17,7 +17,7 @@ use spp_graph::dataset::SyntheticSpec;
 use spp_graph::{Dataset, QuantScheme, VertexId};
 use spp_runtime::{DistributedSetup, SetupConfig};
 use spp_sampler::Fanouts;
-use spp_store::{InRamStore, MmapStore, StoreBuilder};
+use spp_store::{MmapStore, StoreBuilder};
 
 fn fixture() -> (Dataset, SetupConfig) {
     let ds = SyntheticSpec::new("store-setup", 500, 8.0, 8, 4)
@@ -76,21 +76,12 @@ fn assert_setups_identical(a: &DistributedSetup, b: &DistributedSetup, what: &st
     }
 }
 
-/// An f32 `InRamStore` over the original-order feature matrix feeds
-/// `assemble` the same bits as the matrix itself, so the whole
-/// deployment — caches, quantized tiers, reordered dataset — matches.
-#[test]
-fn setup_through_inram_store_matches_build() {
-    let (ds, cfg) = fixture();
-    let baseline = DistributedSetup::build(&ds, cfg.clone());
-    let store = InRamStore::from_matrix(&ds.features, QuantScheme::F32, 4096);
-    let through = DistributedSetup::build_with_feature_store(&ds, cfg, &store);
-    assert_setups_identical(&baseline, &through, "inram/f32");
-}
-
-/// Same contract with the features living on disk: the store pages are
-/// written once by `StoreBuilder` and every cache fill reads through
-/// `MmapStore` positioned reads.
+/// An f32 store over the original-order feature matrix feeds `assemble`
+/// the same bits as the matrix itself, so the whole deployment —
+/// caches, quantized tiers, reordered dataset — matches, with the
+/// features living on disk: the store pages are written once by
+/// `StoreBuilder` and every cache fill reads through `MmapStore`
+/// positioned reads.
 #[test]
 fn setup_through_mmap_store_matches_build() {
     let (ds, cfg) = fixture();

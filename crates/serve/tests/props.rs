@@ -470,11 +470,16 @@ fn remote_store_fetch_is_bit_identical() {
     };
     let baseline = InferenceServer::new(&setup, &model, 0, cfg()).run(&trace);
 
-    let remote =
-        spp_store::InRamStore::from_matrix(&setup.dataset.features, QuantScheme::F32, 4096);
+    let dir = std::env::temp_dir().join(format!("spp_serve_remote_store_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    spp_store::StoreBuilder::new(QuantScheme::F32)
+        .build_from_matrix(&dir, &setup.dataset.features, None)
+        .unwrap();
+    let remote = spp_store::MmapStore::open(&dir).unwrap();
     let through = InferenceServer::new(&setup, &model, 0, cfg())
         .with_remote_store(&remote)
         .run(&trace);
+    std::fs::remove_dir_all(&dir).unwrap();
 
     assert!(!baseline.completions.is_empty());
     assert_eq!(baseline.completions, through.completions);

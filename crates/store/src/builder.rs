@@ -14,7 +14,8 @@
 //! store build at chunk size 1 and chunk size 10 000 produces
 //! byte-identical files — pinned by `builds_are_chunk_size_invariant`.
 
-use crate::format::{self, StoreError, StoreMeta, PAGES_FILE};
+use crate::format::{StoreError, StoreMeta, PAGES_FILE};
+use spp_graph::quant::encode_row;
 use spp_graph::{FeatureMatrix, Permutation, QuantScheme, VertexId};
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -92,7 +93,7 @@ impl StoreBuilder {
             fill(v, &mut row);
             let start = staged.len();
             staged.resize(start + row_bytes, 0);
-            format::encode_row(self.scheme, &row, &mut staged[start..]);
+            encode_row(self.scheme, &row, &mut staged[start..]);
             if staged.len() >= self.chunk_rows * row_bytes {
                 w.write_all(&staged)?;
                 staged.clear();
@@ -142,8 +143,7 @@ impl StoreBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inram::InRamStore;
-    use crate::FeatureStore;
+    use crate::{FeatureStore, MmapStore};
 
     fn matrix(rows: usize, dim: usize) -> FeatureMatrix {
         FeatureMatrix::from_flat(
@@ -192,7 +192,7 @@ mod tests {
             .page_bytes(128)
             .build_from_matrix(&dir, &m, None)
             .unwrap();
-        let s = InRamStore::open(&dir).unwrap();
+        let s = MmapStore::open(&dir).unwrap();
         let mut out = vec![0.0f32; 9];
         for v in 0..50u32 {
             s.read_row_into(v, &mut out);
@@ -210,7 +210,7 @@ mod tests {
             .page_bytes(64)
             .build_from_matrix(&dir, &m, Some(&perm))
             .unwrap();
-        let s = InRamStore::open(&dir).unwrap();
+        let s = MmapStore::open(&dir).unwrap();
         let mut out = vec![0.0f32; 3];
         for slot in 0..6u32 {
             s.read_row_into(slot, &mut out);
@@ -232,7 +232,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(meta.rows, 500);
-        let s = InRamStore::open(&dir).unwrap();
+        let s = MmapStore::open(&dir).unwrap();
         let mut out = vec![0.0f32; 4];
         s.read_row_into(499, &mut out);
         assert_eq!(out, [1996.0, 1997.0, 1998.0, 1999.0]);

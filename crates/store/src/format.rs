@@ -1,5 +1,4 @@
-//! The on-disk store format: versioned header, paged row layout, and
-//! the per-row byte codecs.
+//! The on-disk store format: versioned header and paged row layout.
 //!
 //! A store is a directory with two files:
 //!
@@ -11,21 +10,15 @@
 //!   `(v / page_rows) * page_bytes + (v % page_rows) * row_bytes`
 //!   `= v * row_bytes`.
 //!
-//! Row encodings are little-endian and reuse the exact arithmetic of
-//! [`spp_graph::QuantizedFeatures`] (DESIGN.md §14), so a store round
-//! trip is bit-identical to the in-RAM quantized tiers:
-//!
-//! * `f32` — `dim` × 4 bytes, raw IEEE bits.
-//! * `f16` — `dim` × 2 bytes, round-to-nearest-even binary16.
-//! * `i8`  — `[min: f32][scale: f32][dim × i8]` per-row affine codes
-//!   (the codebook rides in the row, unlike the in-RAM tier's parallel
-//!   arrays, so a row is one contiguous disk read).
+//! Each row is stored in the byte layout of the one row codec,
+//! [`spp_graph::quant::encode_row`] (DESIGN.md §14), the same bytes the
+//! in-RAM quantized tiers hold, so a store round trip is bit-identical
+//! to them.
 //!
 //! Everything validates on load and surfaces [`StoreError`] — a corrupt
 //! or truncated store must never panic the reader (the SPPD contract
 //! from `spp_graph::io` extended to store artifacts).
 
-use spp_graph::quant::{decode_f16_slice, decode_i8_slice, f32_to_f16_bits, i8_code, i8_codebook};
 use spp_graph::QuantScheme;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -252,120 +245,21 @@ fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
     Ok(u64::from_le_bytes(b))
 }
 
-/// Encodes one feature row into its on-disk byte layout. The `i8`
-/// codebook and codes are [`spp_graph::quant::i8_codebook`] /
-/// [`spp_graph::quant::i8_code`] — the ones the in-RAM tier stores — so
-/// disk and in-RAM tiers decode bit-identically.
-///
-/// # Panics
-///
-/// Panics if `out.len() != scheme.row_bytes(row.len())`.
-pub fn encode_row(scheme: QuantScheme, row: &[f32], out: &mut [u8]) {
-    assert_eq!(
-        out.len(),
-        scheme.row_bytes(row.len()),
-        "encode buffer size mismatch"
-    );
-    match scheme {
-        QuantScheme::F32 => {
-            for (o, &v) in out.chunks_exact_mut(4).zip(row) {
-                o.copy_from_slice(&v.to_le_bytes());
-            }
-        }
-        QuantScheme::F16 => {
-            for (o, &v) in out.chunks_exact_mut(2).zip(row) {
-                o.copy_from_slice(&f32_to_f16_bits(v).to_le_bytes());
-            }
-        }
-        QuantScheme::I8 => {
-            let (lo, s, inv) = i8_codebook(row);
-            out[0..4].copy_from_slice(&lo.to_le_bytes());
-            out[4..8].copy_from_slice(&s.to_le_bytes());
-            for (o, &v) in out[8..].iter_mut().zip(row) {
-                *o = i8_code(v, lo, inv) as u8;
-            }
-        }
-    }
-}
-
-/// Decodes one on-disk row into `out` (allocation-free; the paged-read
-/// hot path funnels here). The `i8`/`f16` arithmetic is the slice codec
-/// [`spp_graph::QuantizedFeatures::read_row_into`] decodes through.
-///
-/// # Panics
-///
-/// Panics if `bytes.len() != scheme.row_bytes(out.len())`.
-pub fn decode_row(scheme: QuantScheme, bytes: &[u8], out: &mut [f32]) {
-    assert_eq!(
-        bytes.len(),
-        scheme.row_bytes(out.len()),
-        "decode buffer size mismatch"
-    );
-    match scheme {
-        QuantScheme::F32 => {
-            for (o, b) in out.iter_mut().zip(bytes.chunks_exact(4)) {
-                *o = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-            }
-        }
-        QuantScheme::F16 => decode_f16_slice(
-            bytes
-                .chunks_exact(2)
-                .map(|b| u16::from_le_bytes([b[0], b[1]])),
-            out,
-        ),
-        QuantScheme::I8 => {
-            let lo = f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-            let s = f32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-            decode_i8_slice(bytes[8..].iter().map(|&b| b as i8), lo, s, out);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spp_graph::QuantizedFeatures;
+    use spp_graph::quant::{decode_row, encode_row};
 
-    fn sample_row(dim: usize, salt: u64) -> Vec<f32> {
-        (0..dim)
-            .map(|i| ((i as f32 + salt as f32) * 0.37).sin() * 5.0 - 1.0)
-            .collect()
-    }
-
-    /// Disk codec ≡ in-RAM tier ≡ wire round trip, bit for bit — also
-    /// on a row with `NaN` / `±inf` elements (one i8 codebook, §14).
-    #[test]
-    fn codecs_match_in_ram_quantized_tiers_bitwise() {
-        let mut hostile = sample_row(37, 3);
-        (hostile[2], hostile[11], hostile[30]) = (f32::NAN, f32::INFINITY, f32::NEG_INFINITY);
-        let cases = [QuantScheme::F32, QuantScheme::F16, QuantScheme::I8]
-            .into_iter()
-            .flat_map(|scheme| [(scheme, sample_row(37, 3)), (scheme, hostile.clone())]);
-        for (scheme, row) in cases {
-            let mut q = QuantizedFeatures::with_rows(1, 37, scheme);
-            q.set_row(0, &row);
-            let mut want = vec![0.0f32; 37];
-            q.read_row_into(0, &mut want);
-
-            let mut bytes = vec![0u8; scheme.row_bytes(37)];
-            encode_row(scheme, &row, &mut bytes);
-            let mut got = vec![0.0f32; 37];
-            decode_row(scheme, &bytes, &mut got);
-            let mut wire = row.clone();
-            spp_graph::quant::wire_roundtrip(&mut wire, scheme);
-            let a: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-            let c: Vec<u32> = wire.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b, "scheme {}", scheme.name());
-            assert_eq!(a, c, "wire, scheme {}", scheme.name());
-        }
-    }
-
+    /// An `f32` row on disk is its raw little-endian IEEE bits.
     #[test]
     fn f32_roundtrip_is_lossless() {
-        let row = sample_row(16, 0);
+        let row: Vec<f32> = (0..16)
+            .map(|i| (i as f32 * 0.37).sin() * 5.0 - 1.0)
+            .collect();
         let mut bytes = vec![0u8; QuantScheme::F32.row_bytes(16)];
         encode_row(QuantScheme::F32, &row, &mut bytes);
+        let raw: Vec<u8> = row.iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert_eq!(bytes, raw);
         let mut got = vec![0.0f32; 16];
         decode_row(QuantScheme::F32, &bytes, &mut got);
         assert_eq!(row, got);

@@ -10,16 +10,14 @@
 //!
 //! * `spp_graph::FeatureMatrix` — the resident f32 matrix, no paging,
 //!   no tracking; what every consumer reads by default.
-//! * [`InRamStore`] — pages held in one resident byte buffer (the
-//!   upper-bound baseline, and the reference for bit-identity tests).
 //! * [`MmapStore`] — pages read on demand from `pages.bin` via
 //!   positioned reads (`read_exact_at`), with an epoch-scoped
 //!   [`tracker::PageTracker`] modeling residency deterministically.
 //!
-//! Both paged backends decode through the same codecs ([`format::decode_row`]),
-//! so they are bitwise-identical per scheme by construction; tests pin
-//! it anyway. [`StoreBuilder`] writes stores deterministically —
-//! independent of chunk size and worker count — and
+//! Pages hold rows in the byte layout of the one row codec
+//! (`spp_graph::quant::{encode_row, decode_row}`), which the in-RAM
+//! quantized tiers hold too. [`StoreBuilder`] writes stores
+//! deterministically — independent of chunk size and worker count — and
 //! [`StreamingCsrBuilder`] assembles multi-million-vertex CSR graphs
 //! from edge streams in bounded memory (sorted spill runs + k-way
 //! merge), bitwise-equal to `spp_graph::GraphBuilder`.
@@ -42,15 +40,12 @@
 
 pub mod builder;
 pub mod format;
-pub mod inram;
 pub mod mmap;
-mod runs;
 pub mod stream;
 pub mod tracker;
 
 pub use builder::StoreBuilder;
 pub use format::{StoreError, StoreMeta};
-pub use inram::InRamStore;
 pub use mmap::MmapStore;
 pub use stream::StreamingCsrBuilder;
 
@@ -110,8 +105,7 @@ impl StoreStats {
 ///
 /// Implementations decode into caller buffers without allocating, so
 /// batch gathers can reuse one output slot (the hot-path contract pinned
-/// by the `store.read_row.*` / `store.gather.mmap` hot-path roots and
-/// the alloc-count test).
+/// by the `store.gather.*` hot-path roots and the alloc-count test).
 pub trait FeatureStore: Send + Sync {
     /// Number of feature rows.
     fn num_rows(&self) -> usize;
@@ -122,32 +116,28 @@ pub trait FeatureStore: Send + Sync {
     /// Row storage scheme.
     fn scheme(&self) -> QuantScheme;
 
-    /// Decodes row `v` into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range or `out.len() != self.dim()`.
-    fn read_row_into(&self, v: VertexId, out: &mut [f32]);
-
     /// Decodes rows `ids` into `out`, row `i` of `out` = row `ids[i]` —
-    /// the read primitive: every batch consumer (the default
-    /// [`FeatureStore::gather`], trainer batch preparation, `io_bench`)
-    /// goes through it, and this default body is the workspace's one
-    /// per-row gather loop. Paged backends override it with page-run
-    /// reads ([`MmapStore`]: one positioned read per run of adjacent
-    /// touched pages) whose [`StoreStats`] are exactly those of the
-    /// per-row loop. An empty `ids` is a no-op.
+    /// the one read a backend implements: every consumer (the provided
+    /// [`FeatureStore::read_row_into`] and [`FeatureStore::gather`],
+    /// trainer batch preparation, `io_bench`) goes through it.
+    /// `FeatureMatrix::gather_into` is the workspace's one per-row loop;
+    /// [`MmapStore`] reads page runs (one positioned read per run of
+    /// adjacent touched pages) whose [`StoreStats`] are exactly those of
+    /// per-row reads. An empty `ids` is a no-op.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != ids.len() × dim` ("gather output length
     /// mismatch") or any id is out of range.
-    fn gather_into(&self, ids: &[VertexId], out: &mut [f32]) {
-        let dim = self.dim();
-        assert_eq!(out.len(), ids.len() * dim, "gather output length mismatch");
-        for (&v, row) in ids.iter().zip(out.chunks_exact_mut(dim)) {
-            self.read_row_into(v, row);
-        }
+    fn gather_into(&self, ids: &[VertexId], out: &mut [f32]);
+
+    /// Decodes row `v` into `out`: the one-id gather.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range or `out.len() != self.dim()`.
+    fn read_row_into(&self, v: VertexId, out: &mut [f32]) {
+        self.gather_into(&[v], out);
     }
 
     /// Gathers `ids` into a dense matrix (row `i` = row `ids[i]`).
@@ -185,8 +175,12 @@ impl FeatureStore for FeatureMatrix {
         QuantScheme::F32
     }
 
-    fn read_row_into(&self, v: VertexId, out: &mut [f32]) {
-        out.copy_from_slice(self.row(v));
+    fn gather_into(&self, ids: &[VertexId], out: &mut [f32]) {
+        let dim = FeatureMatrix::dim(self);
+        assert_eq!(out.len(), ids.len() * dim, "gather output length mismatch");
+        for (&v, row) in ids.iter().zip(out.chunks_exact_mut(dim)) {
+            row.copy_from_slice(self.row(v));
+        }
     }
 }
 
@@ -195,7 +189,7 @@ impl FeatureStore for FeatureMatrix {
 ///
 /// A store built with a reordering permutation holds original row
 /// `perm.to_old(s)` at physical slot `s`. Wrapping it in
-/// `PermutedStore::new(store, perm)` makes `read_row_into(v)` fetch
+/// `PermutedStore::new(store, perm)` makes a read of row `v` fetch
 /// physical slot `perm.to_new(v)`, so
 /// callers keep using original ids while the on-disk layout carries the
 /// locality of the permuted order.
@@ -238,11 +232,6 @@ impl FeatureStore for PermutedStore<'_> {
 
     fn scheme(&self) -> QuantScheme {
         self.inner.scheme()
-    }
-
-    // spp-hot(store.read_row.permuted)
-    fn read_row_into(&self, v: VertexId, out: &mut [f32]) {
-        self.inner.read_row_into(self.perm.to_new(v), out);
     }
 
     /// Maps the whole id list once and forwards it, so a reordered

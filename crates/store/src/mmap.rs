@@ -9,21 +9,31 @@
 //! deterministic epoch tracker instead of the OS page cache (see
 //! [`crate::tracker`] for why).
 //!
-//! Reads are batch-granular: [`FeatureStore::gather_into`] hands the
-//! whole id list to the page-run walker ([`crate::runs`]), which issues
-//! **one positioned read per run of adjacent touched pages** (first to
-//! last requested row of the run) instead of one per row, and decodes
-//! every row from the run buffer straight into the caller's output. A
-//! sampled minibatch touches most pages of a hot region, so a batch of
-//! tens of thousands of rows costs a few hundred syscalls.
-//! `read_row_into` is the one-id case of the same walk. Tracker totals
-//! are exactly those of per-row reads (the walker's accounting
-//! invariant).
+//! Reads are batch-granular, through the *page-run walker* in
+//! [`FeatureStore::gather_into`]: a gather sorts its `(physical row,
+//! output index)` pairs by row and walks them in runs of adjacent
+//! touched pages, issuing **one positioned read per run** (first to last
+//! requested row of the run) instead of one per row, and decodes every
+//! row from the run buffer straight into the caller's output. A sampled
+//! minibatch touches most pages of a hot region, so a batch of tens of
+//! thousands of rows costs a few hundred syscalls. The trait's
+//! `read_row_into` is the one-id case of the same walk, so there is one
+//! decode path, not a per-row and a per-batch one.
 //!
-//! The walker's key and run buffers are thread-local and grown once per
-//! thread, so after warmup a gather performs zero heap allocations —
-//! pinned by the `alloc` integration test and the `store.gather.mmap` /
-//! `store.read_row.mmap` hot roots.
+//! Accounting invariant: the tracker is charged once per distinct page
+//! of a run with the number of requested rows on it
+//! ([`PageTracker::record_rows`]), which yields exactly the
+//! [`StoreStats`] that one [`PageTracker::record`] per row would —
+//! coalescing changes how bytes are fetched, never what the residency
+//! model reports.
+//!
+//! The sort is `sort_unstable` over keys that are unique by
+//! construction (the output index is part of the key), so the walk
+//! order — and with it every read and tracker call — is a pure function
+//! of the ids. The key and run buffers are thread-local and grown once
+//! per thread, so after warmup a gather performs zero heap allocations —
+//! pinned by the `alloc` integration test and the `store.gather.mmap`
+//! hot root.
 //!
 //! Unhappy path: the payload size is validated at `open`; if the file
 //! shrinks or becomes unreadable afterwards, the first affected run
@@ -31,27 +41,35 @@
 //! could not read.
 
 use crate::format::{self, StoreMeta};
-use crate::runs::{gather_runs, Payload};
 use crate::tracker::PageTracker;
 use crate::{FeatureStore, StoreStats};
+use spp_graph::quant::decode_row;
 use spp_graph::{QuantScheme, VertexId};
+use std::cell::RefCell;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
-impl Payload for File {
-    fn run_bytes<'a>(&'a self, off: usize, len: usize, buf: &'a mut Vec<u8>) -> &'a [u8] {
-        // Thread-local and only ever grown, so steady-state runs reuse it.
-        if buf.len() < len {
-            buf.resize(len, 0);
-        }
-        let read = self.read_exact_at(&mut buf[..len], off as u64);
-        assert!(
-            read.is_ok(),
-            "store payload read of {len} bytes at offset {off} failed: {read:?}"
-        );
-        &buf[..len]
-    }
+/// Upper bound on the bytes one run spans (64 default-size pages): long
+/// enough to amortize a positioned read, short enough that the run
+/// buffer stays cache-resident while its rows decode. A page larger
+/// than this is still read whole-run, one page at a time.
+const RUN_BYTES: usize = 256 << 10;
+
+struct Scratch {
+    /// `row << 32 | output index`, sorted per gather.
+    keys: Vec<u64>,
+    /// Encoded bytes of the current run.
+    run: Vec<u8>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = const {
+        RefCell::new(Scratch {
+            keys: Vec::new(),
+            run: Vec::new(),
+        })
+    };
 }
 
 /// Paged feature rows left on disk and fetched per read.
@@ -108,22 +126,76 @@ impl FeatureStore for MmapStore {
 
     /// # Panics
     ///
-    /// Panics if `v` is out of range, `out.len() != dim`, or the
-    /// positioned read fails (the payload size was validated at open,
-    /// so a failure here means the file changed underneath us).
-    // spp-hot(store.read_row.mmap)
-    fn read_row_into(&self, v: VertexId, out: &mut [f32]) {
-        self.gather_into(&[v], out);
-    }
-
-    /// # Panics
-    ///
-    /// Panics if any id is out of range or `out.len() != ids.len() × dim`
-    /// (both before any read is issued), or if a run's positioned read
-    /// fails.
+    /// Panics if any id is out of range ("row {v} out of range") or
+    /// `out.len() != ids.len() × dim` (both before any read is issued or
+    /// any page charged), or if a run's positioned read fails (the
+    /// payload size was validated at open, so a failure here means the
+    /// file changed underneath us).
     // spp-hot(store.gather.mmap)
     fn gather_into(&self, ids: &[VertexId], out: &mut [f32]) {
-        gather_runs(&self.meta, &self.tracker, &self.file, ids, out);
+        let meta = &self.meta;
+        let dim = meta.dim;
+        assert_eq!(out.len(), ids.len() * dim, "gather output length mismatch");
+        assert!(ids.len() <= u32::MAX as usize, "gather batch too large");
+        SCRATCH.with(|cell| {
+            let Scratch { keys, run } = &mut *cell.borrow_mut();
+            keys.clear();
+            let pairs = ids.iter().enumerate();
+            keys.extend(pairs.map(|(i, &v)| (u64::from(v) << 32) | i as u64)); // spp-hot: alloc(thread-local, grown once)
+            keys.sort_unstable();
+            if let Some(&last) = keys.last() {
+                let v = (last >> 32) as usize;
+                assert!(v < meta.rows, "row {v} out of range");
+            }
+            let row_bytes = meta.row_bytes();
+            let max_pages = (RUN_BYTES / meta.page_bytes()).max(1);
+            let mut rest = keys.as_slice();
+            while let Some(&first) = rest.first() {
+                let first_row = (first >> 32) as usize;
+                let first_page = meta.page_of(first_row);
+                // Extend the run while the next row sits on the current or
+                // the adjacent page, charging each page as it completes.
+                let (mut page, mut on_page, mut len) = (first_page, 0u64, 0usize);
+                for &k in rest {
+                    let p = meta.page_of((k >> 32) as usize);
+                    if p != page {
+                        if p > page + 1 || p - first_page >= max_pages {
+                            break;
+                        }
+                        self.tracker.record_rows(page, on_page);
+                        (page, on_page) = (p, 0);
+                    }
+                    on_page += 1;
+                    len += 1;
+                }
+                self.tracker.record_rows(page, on_page);
+                let (this, tail) = rest.split_at(len);
+                rest = tail;
+
+                let last_row = (this[len - 1] >> 32) as usize;
+                let off = meta.row_offset(first_row);
+                let span = meta.row_offset(last_row) + row_bytes - off;
+                // Only ever grown, so steady-state runs reuse it.
+                if run.len() < span {
+                    run.resize(span, 0);
+                }
+                let bytes = &mut run[..span];
+                let read = self.file.read_exact_at(bytes, off as u64);
+                assert!(
+                    read.is_ok(),
+                    "store payload read of {span} bytes at offset {off} failed: {read:?}"
+                );
+                for &k in this {
+                    let (row, i) = ((k >> 32) as usize, (k & 0xffff_ffff) as usize);
+                    let at = meta.row_offset(row) - off;
+                    decode_row(
+                        meta.scheme,
+                        &bytes[at..at + row_bytes],
+                        &mut out[i * dim..(i + 1) * dim],
+                    );
+                }
+            }
+        });
     }
 
     fn begin_epoch(&self) {
@@ -132,5 +204,39 @@ impl FeatureStore for MmapStore {
 
     fn stats(&self) -> StoreStats {
         self.tracker.stats()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::StoreBuilder;
+    use spp_graph::FeatureMatrix;
+
+    #[test]
+    fn tracking_counts_page_touches() {
+        // f32 row = 16 bytes; page 32 bytes → 2 rows/page.
+        let m = FeatureMatrix::from_flat((0..32).map(|i| i as f32 * 0.5).collect(), 4);
+        let dir = std::env::temp_dir().join(format!("spp_store_track_{}", std::process::id()));
+        StoreBuilder::new(QuantScheme::F32)
+            .page_bytes(32)
+            .build_from_matrix(&dir, &m, None)
+            .unwrap();
+        let s = MmapStore::open(&dir).unwrap();
+        assert_eq!(s.meta().page_rows, 2);
+        let mut out = vec![0.0f32; 4];
+        s.read_row_into(0, &mut out); // fault page 0
+        s.read_row_into(1, &mut out); // hit page 0
+        s.read_row_into(7, &mut out); // fault page 3
+        assert_eq!(out.as_slice(), m.row(7));
+        let st = s.stats();
+        assert_eq!(st.pages_read, 3);
+        assert_eq!(st.pages_faulted, 2);
+        assert_eq!(st.pages_hit, 1);
+        assert_eq!(st.bytes_read, 64);
+        s.begin_epoch();
+        s.read_row_into(0, &mut out); // re-fault after epoch
+        assert_eq!(s.stats().pages_faulted, 3);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

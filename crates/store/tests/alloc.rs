@@ -1,8 +1,8 @@
 //! Pins the paged-gather hot-path contract: after warmup, reading rows
 //! through any backend — one at a time or a batch per `gather_into` —
-//! performs zero heap allocations (the `spp-hot(store.read_row.*)` and
-//! `spp-hot(store.gather.mmap)` roots). A counting global allocator
-//! makes the claim a hard test instead of a code-review convention.
+//! performs zero heap allocations (the `spp-hot(store.gather.*)`
+//! roots). A counting global allocator makes the claim a hard test
+//! instead of a code-review convention.
 
 // Tests assert by panicking; the workspace panic-family denies apply
 // to library code only (see [workspace.lints] in Cargo.toml).
@@ -13,7 +13,7 @@
 )]
 
 use spp_graph::{FeatureMatrix, Permutation, QuantScheme};
-use spp_store::{FeatureStore, InRamStore, MmapStore, PermutedStore, StoreBuilder};
+use spp_store::{FeatureStore, MmapStore, PermutedStore, StoreBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -64,16 +64,11 @@ fn row_reads_do_not_allocate_after_warmup() {
             .page_bytes(1024)
             .build_from_matrix(&dir, &feats, None)
             .unwrap();
-        let inram = InRamStore::open(&dir).unwrap();
         let mmap = MmapStore::open(&dir).unwrap();
         let perm = Permutation::identity(rows);
         let permuted = PermutedStore::new(&mmap, &perm);
-        let stores: [(&str, &dyn FeatureStore); 4] = [
-            ("matrix", &feats),
-            ("inram", &inram),
-            ("mmap", &mmap),
-            ("permuted", &permuted),
-        ];
+        let stores: [(&str, &dyn FeatureStore); 3] =
+            [("matrix", &feats), ("mmap", &mmap), ("permuted", &permuted)];
         let mut out = vec![0.0f32; dim];
         // Unsorted with duplicates, spanning every page.
         let batch: Vec<u32> = (0..2 * rows as u32)

@@ -1,5 +1,6 @@
-//! Property tests for the out-of-core store: backend bit-identity and
-//! streaming-vs-in-RAM CSR builder equivalence.
+//! Property tests for the out-of-core store: gathers against an
+//! independent encode→decode reference, and streaming-vs-in-RAM CSR
+//! builder equivalence.
 
 // Tests assert by panicking; the workspace panic-family denies apply
 // to library code only (see [workspace.lints] in Cargo.toml).
@@ -19,12 +20,13 @@ use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spp_graph::generate::{citation_edges, citation_graph, GeneratorConfig};
+use spp_graph::quant::{decode_row, encode_row};
 use spp_graph::{CsrGraph, FeatureMatrix, Permutation, QuantScheme, VertexId};
-use spp_store::format::{decode_row, encode_row, PAGES_FILE};
+use spp_store::format::PAGES_FILE;
 use spp_store::tracker::PageTracker;
 use spp_store::{
-    FeatureStore, InRamStore, MmapStore, PermutedStore, StoreBuilder, StoreError, StoreMeta,
-    StoreStats, StreamingCsrBuilder,
+    FeatureStore, MmapStore, PermutedStore, StoreBuilder, StoreError, StoreMeta, StoreStats,
+    StreamingCsrBuilder,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -181,44 +183,12 @@ proptest! {
         }
     }
 
-    /// Mmap and InRam backends decode identical bits for every scheme:
-    /// the page file is the single source of truth, regardless of
-    /// whether it is resident or read through the file.
-    #[test]
-    fn mmap_and_inram_backends_are_bit_identical(
-        rows in 1usize..200,
-        dim in 1usize..17,
-        scheme_ix in 0usize..3,
-    ) {
-        let scheme = [QuantScheme::F32, QuantScheme::F16, QuantScheme::I8][scheme_ix];
-        let feats = feature_fixture(rows, dim);
-        let dir = tmp("backend");
-        StoreBuilder::new(scheme)
-            .page_bytes(512)
-            .build_from_matrix(&dir, &feats, None)
-            .unwrap();
-        let inram = InRamStore::open(&dir).unwrap();
-        let mmap = MmapStore::open(&dir).unwrap();
-        let mut a = vec![0.0f32; dim];
-        let mut b = vec![0.0f32; dim];
-        for v in 0..rows as u32 {
-            inram.read_row_into(v, &mut a);
-            mmap.read_row_into(v, &mut b);
-            prop_assert_eq!(
-                a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                b.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "row {} under {:?}", v, scheme
-            );
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// `gather_into` ≡ per-row `read_row_into`, bit for bit and stat for
-    /// stat, on every backend: the trait's default loop
-    /// (`FeatureMatrix`), the page-run walker (`InRamStore`,
-    /// `MmapStore`) and the id-mapping view (`PermutedStore`) — across
-    /// schemes, page sizes down to one row per page, a zero-padded last
-    /// page, and unsorted / duplicated / single-page id lists.
+    /// stat, on every backend: the per-row loop (`FeatureMatrix`), the
+    /// page-run walker (`MmapStore`) and the id-mapping view
+    /// (`PermutedStore`) — across schemes, page sizes down to one row
+    /// per page, a zero-padded last page, and unsorted / duplicated /
+    /// single-page id lists.
     #[test]
     fn gather_into_matches_per_row_reads(
         rows in 1usize..150,
@@ -248,8 +218,6 @@ proptest! {
         if scheme == QuantScheme::F32 {
             check_backend("matrix", &feats, &ids, &want, None)?;
         }
-        let inram = InRamStore::open(&plain_dir).unwrap();
-        check_backend("inram", &inram, &ids, &want, Some(model))?;
         let mmap = MmapStore::open(&plain_dir).unwrap();
         check_backend("mmap", &mmap, &ids, &want, Some(model))?;
         let laid_out = MmapStore::open(&perm_dir).unwrap();
@@ -313,20 +281,17 @@ fn runs_longer_than_the_cap_split_and_still_match() {
         ids.swap(i, (i * 7919 + 13) % n);
     }
     let want = expected_gather(&feats, QuantScheme::F32, &ids);
-    let inram = InRamStore::open(&dir).unwrap();
     let mmap = MmapStore::open(&dir).unwrap();
     let model = PageTracker::new(&meta);
     for epoch in 0..2 {
         for &v in &ids {
             model.record(meta.page_of(v as usize));
         }
-        for (what, store) in [("inram", &inram as &dyn FeatureStore), ("mmap", &mmap)] {
-            let mut got = vec![f32::NAN; want.len()];
-            store.gather_into(&ids, &mut got);
-            assert_eq!(bits(&got), bits(&want), "{what} epoch {epoch}");
-            assert_eq!(store.stats(), model.stats(), "{what} epoch {epoch}");
-            store.begin_epoch();
-        }
+        let mut got = vec![f32::NAN; want.len()];
+        mmap.gather_into(&ids, &mut got);
+        assert_eq!(bits(&got), bits(&want), "epoch {epoch}");
+        assert_eq!(mmap.stats(), model.stats(), "epoch {epoch}");
+        mmap.begin_epoch();
         model.begin_epoch();
     }
     std::fs::remove_dir_all(&dir).unwrap();
@@ -357,16 +322,11 @@ fn panic_message(r: std::thread::Result<()>) -> String {
 #[test]
 fn gather_into_edge_cases() {
     let (dir, feats) = small_store("edges");
-    let inram = InRamStore::open(&dir).unwrap();
     let mmap = MmapStore::open(&dir).unwrap();
     let perm = Permutation::identity(40);
     let view = PermutedStore::new(&mmap, &perm);
-    let stores: [(&str, &dyn FeatureStore); 4] = [
-        ("matrix", &feats),
-        ("inram", &inram),
-        ("mmap", &mmap),
-        ("permuted", &view),
-    ];
+    let stores: [(&str, &dyn FeatureStore); 3] =
+        [("matrix", &feats), ("mmap", &mmap), ("permuted", &view)];
     for (what, store) in stores {
         store.gather_into(&[], &mut []);
         assert_eq!(store.gather(&[]).num_rows(), 0, "{what}");
@@ -397,8 +357,8 @@ fn gather_into_edge_cases() {
 }
 
 /// ROADMAP 5a, the open side: a `pages.bin` shorter or longer than the
-/// header implies is a typed error from both backends, not a panic and
-/// not a store that reads zeros.
+/// header implies is a typed error at `open`, not a panic and not a
+/// store that reads zeros.
 #[test]
 fn open_rejects_short_and_over_long_payloads() {
     let (dir, _) = small_store("open_len");
@@ -413,11 +373,7 @@ fn open_rejects_short_and_over_long_payloads() {
         std::fs::write(&pages, bytes).unwrap();
         assert!(
             matches!(MmapStore::open(&dir), Err(StoreError::Corrupt(_))),
-            "mmap/{what}"
-        );
-        assert!(
-            matches!(InRamStore::open(&dir), Err(StoreError::Corrupt(_))),
-            "inram/{what}"
+            "{what}"
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();

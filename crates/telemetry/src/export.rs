@@ -15,23 +15,10 @@ use std::path::{Path, PathBuf};
 
 /// Reads the `SPP_TRACE` environment knob (set and not `"0"` ⇒ on) and
 /// enables recording accordingly. Returns whether tracing is on.
-///
-/// Also honours `SPP_SNAPSHOT=<secs>`: a positive number starts the
-/// live dashboard thread ([`crate::snapshot::start_snapshotter`]) that
-/// prints an `spp-top`-style view of the metrics registry to stderr
-/// every `<secs>` seconds. Snapshots imply metrics recording, so
-/// setting `SPP_SNAPSHOT` alone turns telemetry on too.
 pub fn init_from_env() -> bool {
-    let mut on = std::env::var("SPP_TRACE")
+    let on = std::env::var("SPP_TRACE")
         .map(|v| !v.is_empty() && v != "0")
         .unwrap_or(false);
-    if let Ok(v) = std::env::var("SPP_SNAPSHOT") {
-        if let Ok(secs) = v.trim().parse::<f64>() {
-            if secs > 0.0 && crate::snapshot::start_snapshotter(secs) {
-                on = true;
-            }
-        }
-    }
     if on {
         metrics::set_enabled(true);
     }

@@ -55,7 +55,6 @@ pub mod attrib;
 pub mod export;
 pub mod metrics;
 pub mod sketch;
-pub mod snapshot;
 pub mod span;
 pub mod stage;
 
@@ -66,7 +65,6 @@ pub use attrib::{
 pub use export::{init_from_env, summary, write_trace_files};
 pub use metrics::{counter, enabled, gauge, histogram, set_enabled, snapshot};
 pub use sketch::QuantileSketch;
-pub use snapshot::{render_dashboard, start_snapshotter};
 pub use span::{clock_ns, events_snapshot, record_sim_span, sim_track, Event, SpanGuard};
 pub use stage::PipelineStage;
 
