@@ -13,9 +13,11 @@
 //! - `span-ring` — the span event-ring kernel (bounded buffer under a
 //!   mutex + relaxed sequence counter, as in `telemetry::span::push`):
 //!   entries never tear, drops are accounted, per-thread order holds.
-//! - `pool-queue` — the worker-pool merge queue (mutex-guarded part
-//!   list + condvar completion handshake, as in `WorkerPool::run_jobs`):
-//!   all jobs arrive exactly once and sort into index order.
+//! - `pool-gate` — the real [`spp_pool::Gate`], the handoff between a
+//!   region's caller and the pool's parked helpers: over two generations
+//!   (the second narrower, so one helper sits it out) every job runs
+//!   exactly once, and the dispatcher returns only after its helpers
+//!   finished.
 //! - `publish-release` — release/acquire message passing: the control
 //!   showing the weak-memory model *admits* correctly ordered code.
 //!
@@ -29,6 +31,10 @@
 //!   data.
 //! - `mutant-double-count` — a load+store "increment": two threads race
 //!   and an update is lost.
+//! - `mutant-lost-wakeup` — a gate whose helper reads the generation
+//!   before taking the lock, then waits without re-checking it: a
+//!   publication that lands in between is never seen, and the dispatcher
+//!   and helper deadlock.
 //!
 //! Scenario closures re-run once per schedule and must be deterministic
 //! apart from instrumented operations: no wall-clock reads, and no
@@ -39,6 +45,7 @@
 use crate::explore::explore;
 use crate::report::{Expect, ModuleReport};
 use crate::runtime::Options;
+use spp_pool::Gate;
 use spp_sync::{AtomicU64, Condvar, Mutex};
 use std::sync::Arc;
 
@@ -76,9 +83,9 @@ pub const MODULES: &[Module] = &[
         runner: span_ring,
     },
     Module {
-        name: "pool-queue",
+        name: "pool-gate",
         expect: Expect::Clean,
-        runner: pool_queue,
+        runner: pool_gate,
     },
     Module {
         name: "publish-release",
@@ -94,6 +101,11 @@ pub const MODULES: &[Module] = &[
         name: "mutant-double-count",
         expect: Expect::Caught,
         runner: mutant_double_count,
+    },
+    Module {
+        name: "mutant-lost-wakeup",
+        expect: Expect::Caught,
+        runner: mutant_lost_wakeup,
     },
 ];
 
@@ -252,67 +264,69 @@ fn span_ring(opts: Options) -> ModuleReport {
     })
 }
 
-/// The worker-pool merge queue: workers push `(job_index, result)` parts
-/// under a mutex and signal completion on a condvar; the consumer waits
-/// for both workers, then the merged set must sort into exact index
-/// order — `WorkerPool::run_jobs`' determinism contract.
-struct Queue {
-    state: Mutex<QState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct QState {
-    parts: Vec<(usize, u64)>,
-    done_workers: usize,
-}
-
-impl Queue {
-    fn finish(&self, parts: &[(usize, u64)]) {
-        let mut g = self.state.lock();
-        g.parts.extend_from_slice(parts);
-        g.done_workers += 1;
-        drop(g);
-        self.cv.notify_all();
-    }
-}
-
-fn pool_queue(opts: Options) -> ModuleReport {
-    explore("pool-queue", Expect::Clean, opts, |sim| {
-        let q = Arc::new(Queue {
-            state: Mutex::new(QState::default()),
-            cv: Condvar::new(),
-        });
-        let w0 = Arc::clone(&q);
-        let w1 = Arc::clone(&q);
-        let consumer = Arc::clone(&q);
-        // Round-robin deal of 4 jobs across 2 workers, each delivering
-        // its parts in two batches, as run_jobs does per job.
+/// The real pool gate: one dispatcher (`t0`) and two helpers (`t1`,
+/// `t2`, each running one `Gate::help` turn per generation) over two
+/// generations — three jobs on three participants, then two jobs on two,
+/// which helper 2 sees and sits out. After each `dispatch` returns, every
+/// job of that generation has run exactly once; a dispatcher that
+/// returned before a helper finished would read a count of 0 (the helper
+/// publishes its count under the gate's mutex, so only a real join makes
+/// it visible).
+fn pool_gate(opts: Options) -> ModuleReport {
+    explore("pool-gate", Expect::Clean, opts, |sim| {
+        let gate = Arc::new(Gate::new(|_| true));
+        // Runs per job: generation 1 counts in slots 0..3, generation 2 in
+        // slots 3..5.
+        let runs: Arc<[AtomicU64; 5]> = Arc::new(std::array::from_fn(|_| AtomicU64::new(0)));
+        let job = |base: usize| {
+            let runs = Arc::clone(&runs);
+            Arc::new(move |i: usize| {
+                runs[base + i].fetch_add_relaxed(1); // spp-sync: relaxed(RMW; the gate's mutex publishes it to the dispatcher)
+            })
+        };
+        // The jobs outlive every model thread: an aborted execution may
+        // unwind the dispatcher while a helper still holds its job.
+        let (first, second) = (job(0), job(3));
+        let (g, r, j1, j2) = (
+            Arc::clone(&gate),
+            Arc::clone(&runs),
+            Arc::clone(&first),
+            Arc::clone(&second),
+        );
         sim.spawn(move || {
-            w0.finish(&[(0, 0)]);
-            w0.finish(&[(2, 20)]);
-        });
-        sim.spawn(move || {
-            w1.finish(&[(1, 10)]);
-            w1.finish(&[(3, 30)]);
-        });
-        sim.spawn(move || {
-            let mut g = consumer.state.lock();
-            while g.done_workers < 4 {
-                g = consumer.cv.wait(g);
-            }
-            let mut merged = g.parts.clone();
-            merged.sort_unstable_by_key(|&(i, _)| i);
+            let counts = |range: std::ops::Range<usize>| -> Vec<u64> {
+                r[range].iter().map(|c| c.load_relaxed()).collect() // spp-sync: relaxed(happens-after the helpers' counts via the gate's mutex)
+            };
+            assert!(!g.dispatch(3, 3, &*j1), "an idle gate ran inline");
             assert_eq!(
-                merged,
-                vec![(0, 0), (1, 10), (2, 20), (3, 30)],
-                "merge queue lost, duplicated, or reordered a job"
+                counts(0..3),
+                [1, 1, 1],
+                "generation 1 returned before its jobs ran once each"
+            );
+            assert!(!g.dispatch(2, 2, &*j2), "an idle gate ran inline");
+            assert_eq!(
+                counts(3..5),
+                [1, 1],
+                "generation 2 returned before its jobs ran once each"
+            );
+            assert_eq!(
+                counts(0..3),
+                [1, 1, 1],
+                "generation 2 re-ran a generation-1 job"
             );
         });
+        for w in 1..=2 {
+            let g = Arc::clone(&gate);
+            sim.spawn(move || {
+                let mut seen = 0;
+                g.help(w, &mut seen);
+                g.help(w, &mut seen);
+            });
+        }
         sim.run();
-        let g = q.state.lock();
-        assert_eq!(g.done_workers, 4);
-        assert_eq!(g.parts.len(), 4);
+        drop((first, second));
+        let total: u64 = runs.iter().map(|c| c.load_relaxed()).sum(); // spp-sync: relaxed(post-join read; model threads already exited)
+        assert_eq!(total, 5, "a job ran twice or not at all");
     })
 }
 
@@ -390,6 +404,55 @@ fn mutant_double_count(opts: Options) -> ModuleReport {
         sim.run();
         let total = c.load_relaxed(); // spp-sync: relaxed(post-join read; model threads already exited)
         assert_eq!(total, 2, "increment lost");
+    })
+}
+
+/// Seeded bug: the gate's helper reads the generation before taking the
+/// lock, then waits on the condvar without re-checking it. When the
+/// dispatcher publishes and notifies between the read and the wait, the
+/// helper sleeps through its only wakeup and the dispatcher waits on it
+/// forever — a deadlock the checker must report.
+struct LostWakeupGate {
+    /// Helpers yet to finish, under the gate lock.
+    remaining: Mutex<usize>,
+    /// The generation, published under the lock but readable without
+    /// it — the bug's door.
+    generation: AtomicU64,
+    start: Condvar,
+    done: Condvar,
+}
+
+fn mutant_lost_wakeup(opts: Options) -> ModuleReport {
+    explore("mutant-lost-wakeup", Expect::Caught, opts, |sim| {
+        let gate = Arc::new(LostWakeupGate {
+            remaining: Mutex::new(0),
+            generation: AtomicU64::new(0),
+            start: Condvar::new(),
+            done: Condvar::new(),
+        });
+        let (d, h) = (Arc::clone(&gate), Arc::clone(&gate));
+        sim.spawn(move || {
+            let mut remaining = d.remaining.lock();
+            *remaining = 1;
+            d.generation.store_release(1);
+            drop(remaining);
+            d.start.notify_all();
+            let mut remaining = d.remaining.lock();
+            while *remaining > 0 {
+                remaining = d.done.wait(remaining);
+            }
+        });
+        sim.spawn(move || {
+            let seen = h.generation.load_acquire(); // seeded bug: read outside the lock
+            let mut remaining = h.remaining.lock();
+            if seen == 0 {
+                remaining = h.start.wait(remaining); // seeded bug: no re-check under the lock
+            }
+            *remaining -= 1;
+            drop(remaining);
+            h.done.notify_one();
+        });
+        sim.run();
     })
 }
 

@@ -6,16 +6,25 @@
 //! The pool gives three guarantees:
 //!
 //! 1. **Bounded concurrency.** A parallel region runs on at most
-//!    [`WorkerPool::workers`] OS threads, forked and joined inside the
-//!    call (structured fork-join — threads cannot leak; clippy.toml bans
-//!    `std::thread::spawn`). Nested regions share the budget via
-//!    [`WorkerPool::split`].
+//!    [`WorkerPool::workers`] OS threads: its caller plus persistent
+//!    helper threads. Helpers are spawned lazily, up to the widest region
+//!    the process ever asks for, and park on a condvar between regions.
+//!    The caller opens a region by publishing it under a new generation
+//!    of the process-wide [`Gate`], runs its own share, and returns only
+//!    after every helper in the region has finished its share — the
+//!    generation join is the region barrier, so jobs may borrow the
+//!    caller's stack (the soundness argument is at the one `unsafe`
+//!    block, in [`Gate::dispatch`]). One region holds the helpers at a
+//!    time: a region opened while they are busy — nested inside a job, or
+//!    from another thread — runs inline on its caller. Nested regions
+//!    share the budget via [`WorkerPool::split`].
 //! 2. **Deterministic decomposition.** Chunk boundaries are a pure
 //!    function of input sizes and weights ([`even_ranges`] /
-//!    [`balanced_ranges`]) — never of timing — and results merge in index
-//!    order, so any computation whose per-item result is a function of
-//!    the item alone is *bit-identical* across worker counts, serial
-//!    execution included.
+//!    [`balanced_ranges`]) — never of timing — jobs are dealt to
+//!    participants by index, and results land in index-addressed slots,
+//!    so any computation whose per-item result is a function of the item
+//!    alone is *bit-identical* across worker counts, serial execution
+//!    included.
 //! 3. **One sizing policy.** [`WorkerPool::jobs_for_cost`] decides how
 //!    many jobs a region is worth, replacing per-call-site thread caps
 //!    and FLOP thresholds.
@@ -25,11 +34,11 @@
 //! once, at first use).
 //!
 //! Regions are instrumented with `spp-telemetry`: counters
-//! `pool.regions` / `pool.jobs` / `pool.threads_forked` / `pool.merges`,
-//! gauge `pool.queue_depth`, and histograms `pool.job_ns` /
-//! `pool.region_ns`. Recording is a no-op (one relaxed flag load) while
-//! telemetry is disabled, and metrics never feed back into scheduling,
-//! so determinism guarantee 2 holds with tracing on or off.
+//! `pool.regions` / `pool.jobs` / `pool.inline_regions`, gauge
+//! `pool.queue_depth`, and histograms `pool.job_ns` / `pool.region_ns`.
+//! Recording is a no-op (one relaxed flag load) while telemetry is
+//! disabled, and metrics never feed back into scheduling, so determinism
+//! guarantee 2 holds with tracing on or off.
 //!
 //! This crate sits below `spp-core`/`spp-tensor` in the dependency graph
 //! so their kernels can use it; `spp-runtime` re-exports it as
@@ -44,7 +53,7 @@
 //! let pool = WorkerPool::new(4);
 //! let squares = pool.run_jobs(8, |i| i * i);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-//! // Same values on any worker count — merges are index-ordered.
+//! // Same values on any worker count — results are index-addressed.
 //! assert_eq!(squares, WorkerPool::serial().run_jobs(8, |i| i * i));
 //! ```
 
@@ -60,14 +69,16 @@
     )
 )]
 
-use spp_sync::Mutex;
+use spp_sync::{Condvar, Mutex};
 use spp_telemetry::metrics::{self, Counter, Gauge, Histogram};
 
 /// The telemetry crate the pool's regions record into, re-exported so a
 /// kernel crate that schedules on the pool (`spp-tensor`) can open spans
 /// around its regions through the dependency it already has.
 pub use spp_telemetry as telemetry;
+use std::any::Any;
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 /// Cached telemetry handles for the pool hot paths. Registered on first
@@ -75,19 +86,18 @@ use std::sync::OnceLock;
 /// (`spp_telemetry::enabled()` gates the whole block, so the disabled
 /// cost is one relaxed load per region).
 struct PoolMetrics {
-    /// Parallel regions entered (`run_jobs` / `par_chunks`).
+    /// Parallel regions entered (`run_jobs` / `par_map` / `par_chunks`).
     regions: Counter,
     /// Jobs dealt across all regions.
     jobs: Counter,
-    /// Scoped threads forked (regions that stayed serial fork none).
-    threads_forked: Counter,
-    /// Index-ordered result merges (the tag+sort path of `run_jobs`).
-    merges: Counter,
+    /// Regions run inline on their caller because the helpers were busy:
+    /// nested inside a job, or opened while another thread's region ran.
+    inline_regions: Counter,
     /// Jobs queued in the most recent region (max = widest region).
     queue_depth: Gauge,
     /// Per-job latency, nanoseconds.
     job_ns: Histogram,
-    /// Whole-region latency (fork + work + merge), nanoseconds.
+    /// Whole-region latency (dispatch + work + join), nanoseconds.
     region_ns: Histogram,
 }
 
@@ -96,8 +106,7 @@ fn pool_metrics() -> &'static PoolMetrics {
     METRICS.get_or_init(|| PoolMetrics {
         regions: metrics::counter("pool.regions"),
         jobs: metrics::counter("pool.jobs"),
-        threads_forked: metrics::counter("pool.threads_forked"),
-        merges: metrics::counter("pool.merges"),
+        inline_regions: metrics::counter("pool.inline_regions"),
         queue_depth: metrics::gauge("pool.queue_depth"),
         job_ns: metrics::histogram("pool.job_ns"),
         region_ns: metrics::histogram("pool.region_ns"),
@@ -105,17 +114,205 @@ fn pool_metrics() -> &'static PoolMetrics {
 }
 
 /// Minimum per-job work (in abstract cost units — FLOPs, edges, bytes)
-/// below which forking another worker costs more than it saves. One
-/// constant for the whole workspace: ~1M scalar ops amortizes a scoped
-/// thread spawn by two to three orders of magnitude.
+/// below which dealing another job costs more than it saves. One
+/// constant for the whole workspace: ~1M scalar ops amortizes a region
+/// dispatch by two to three orders of magnitude.
 pub const MIN_COST_PER_JOB: u64 = 1 << 20;
 
-/// A bounded, deterministic fork-join worker pool.
+/// A region's body with its lifetime erased: `job(i)` runs job `i`.
+type ErasedJob = &'static (dyn Fn(usize) + Sync);
+
+/// The handoff between a parallel region's caller and parked helper
+/// threads.
+///
+/// The caller *dispatches*: it publishes the region's job under a new
+/// generation, runs participant 0's share itself, and waits until every
+/// helper in the region has run its share. A helper loops on
+/// [`Gate::help`], parked until a generation is published. Participant
+/// `w` of a `threads`-wide region runs the jobs `i ≡ w (mod threads)` —
+/// a fixed function of the job index, never of timing.
+///
+/// The global pool owns one gate whose helpers it spawns on demand. A
+/// standalone gate (the model checker's) is driven by helper threads its
+/// owner runs.
+pub struct Gate {
+    state: Mutex<GateState>,
+    /// Helpers park here until a new generation is published.
+    start: Condvar,
+    /// The dispatcher parks here until `remaining` reaches 0.
+    done: Condvar,
+    /// Starts helper `w`; see [`Gate::new`].
+    spawn: fn(usize) -> bool,
+}
+
+struct GateState {
+    /// Bumped once per published region.
+    generation: u64,
+    /// The published region's body; `None` between regions.
+    job: Option<ErasedJob>,
+    /// Participants of the published region, the dispatcher included.
+    threads: usize,
+    /// Jobs of the published region.
+    num_jobs: usize,
+    /// Helpers of the published region that have not finished its share.
+    remaining: usize,
+    /// The first panic a helper's share raised in the published region.
+    panic: Option<Box<dyn Any + Send>>,
+    /// A region holds the helpers: set at publication, cleared after its
+    /// join.
+    busy: bool,
+    /// Helpers started so far: participants `1..=helpers` exist.
+    helpers: usize,
+}
+
+impl Gate {
+    /// A gate with no helpers yet. The first region that needs
+    /// participant `w` calls `spawn(w)`, which must start a thread looping
+    /// `gate.help(w, &mut seen)` from `seen = 0` and return `true`, or
+    /// return `false` if no thread could be started (the region then runs
+    /// on fewer participants).
+    pub const fn new(spawn: fn(usize) -> bool) -> Self {
+        Self {
+            state: Mutex::new(GateState {
+                generation: 0,
+                job: None,
+                threads: 0,
+                num_jobs: 0,
+                remaining: 0,
+                panic: None,
+                busy: false,
+                helpers: 0,
+            }),
+            start: Condvar::new(),
+            done: Condvar::new(),
+            spawn,
+        }
+    }
+
+    /// Runs `job(i)` for every `i in 0..num_jobs` on up to `threads`
+    /// participants — this thread is participant 0 — and returns once all
+    /// of them have finished, re-raising the first panic any share hit.
+    ///
+    /// If another region holds the helpers (this call is nested inside a
+    /// job, or another thread's region is running), every job runs inline
+    /// on this thread instead, in index order, and the call returns
+    /// `true`.
+    pub fn dispatch(&self, threads: usize, num_jobs: usize, job: &(dyn Fn(usize) + Sync)) -> bool {
+        let mut st = self.state.lock(); // spp-hot: allow(h3-lock): region boundary — publishes the region to the parked helpers
+        if st.busy {
+            drop(st);
+            run_share(job, 0, 1, num_jobs);
+            return true;
+        }
+        while st.helpers + 1 < threads && (self.spawn)(st.helpers + 1) {
+            st.helpers += 1;
+        }
+        let threads = threads.clamp(1, st.helpers + 1);
+        // SAFETY: only the lifetime changes; the reference is the same fat
+        // pointer. The erased copy lives in `st.job`, where a helper reads
+        // it, and in the helpers running this generation's shares. Each of
+        // them stops using it before it decrements `remaining` (a share
+        // runs under `catch_unwind`, so a panicking job still decrements),
+        // and this function does not return — normally or by unwinding —
+        // before `remaining` is 0: our own share runs under
+        // `catch_unwind`, and `Mutex::lock` / `Condvar::wait` swallow
+        // poisoning rather than unwind. `st.job` is cleared before `busy`
+        // is released, so no later helper can read the stale reference.
+        // (Only the model checker's abort unwinds a lock, taking every
+        // model thread down with it; its harness keeps the job alive
+        // until all of them have exited.)
+        #[allow(
+            unsafe_code,
+            reason = "the one lifetime erasure that lets a persistent thread run a borrowed region body, as the standard library's scoped threads do internally"
+        )]
+        let erased = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), ErasedJob>(job) };
+        st.generation = st.generation.wrapping_add(1);
+        st.job = Some(erased);
+        st.threads = threads;
+        st.num_jobs = num_jobs;
+        st.remaining = threads - 1;
+        st.busy = true;
+        drop(st);
+        self.start.notify_all();
+        let ours = panic::catch_unwind(AssertUnwindSafe(|| run_share(job, 0, threads, num_jobs)));
+        let mut st = self.state.lock(); // spp-hot: allow(h3-lock): region barrier — the generation join
+        while st.remaining > 0 {
+            st = self.done.wait(st); // spp-hot: allow(h3-lock): region barrier — the generation join
+        }
+        st.job = None;
+        st.busy = false;
+        let theirs = st.panic.take();
+        drop(st);
+        if let Some(payload) = ours.err().or(theirs) {
+            panic::resume_unwind(payload);
+        }
+        false
+    }
+
+    /// One turn of helper `w`'s loop: parks until a generation newer than
+    /// `*seen` is published, records it in `*seen`, and runs `w`'s share
+    /// of the region if the region includes `w`.
+    pub fn help(&self, w: usize, seen: &mut u64) {
+        let mut st = self.state.lock();
+        while st.generation == *seen {
+            st = self.start.wait(st);
+        }
+        *seen = st.generation;
+        let (threads, num_jobs) = (st.threads, st.num_jobs);
+        let job = match st.job {
+            Some(job) if w < threads => job,
+            _ => return,
+        };
+        drop(st);
+        let result = panic::catch_unwind(AssertUnwindSafe(|| run_share(job, w, threads, num_jobs)));
+        let mut st = self.state.lock();
+        if let Err(payload) = result {
+            st.panic.get_or_insert(payload);
+        }
+        st.remaining -= 1;
+        let last = st.remaining == 0;
+        drop(st);
+        if last {
+            self.done.notify_one();
+        }
+    }
+}
+
+/// Participant `w`'s share of a `threads`-wide region: jobs `w`,
+/// `w + threads`, … below `num_jobs`.
+fn run_share(job: &(dyn Fn(usize) + Sync), w: usize, threads: usize, num_jobs: usize) {
+    for i in (w..num_jobs).step_by(threads) {
+        job(i);
+    }
+}
+
+/// The global pool's gate; its helpers are spawned on demand.
+static GATE: Gate = Gate::new(spawn_helper);
+
+/// Starts helper `w` of [`GATE`]. It parks between regions and lives for
+/// the rest of the process.
+fn spawn_helper(w: usize) -> bool {
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the pool's helpers are the workspace's sanctioned persistent threads: at most one per worker of the widest region, parked between regions"
+    )]
+    let spawned = std::thread::Builder::new()
+        .name(format!("spp-pool-{w}"))
+        .spawn(move || {
+            let mut seen = 0;
+            loop {
+                GATE.help(w, &mut seen);
+            }
+        });
+    spawned.is_ok()
+}
+
+/// A bounded, deterministic worker pool.
 ///
 /// The pool is a lightweight descriptor (`Copy`): it fixes the worker
-/// budget and the decomposition policy. Execution uses scoped threads
-/// forked per parallel region and joined before the region returns, so a
-/// `WorkerPool` can never leak threads or queues.
+/// budget and the decomposition policy. Execution runs on the caller and
+/// the process-wide persistent helpers, joined before each region
+/// returns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkerPool {
     workers: usize,
@@ -184,75 +381,31 @@ impl WorkerPool {
     }
 
     /// Runs `num_jobs` independent jobs, `f(i)` for `i in 0..num_jobs`,
-    /// on at most `workers` scoped threads (jobs are dealt round-robin
-    /// when they outnumber workers). Returns results in job-index order.
+    /// on at most `workers` threads (jobs are dealt round-robin when they
+    /// outnumber workers). Returns results in job-index order.
     ///
-    /// Determinism: which worker runs a job is timing-independent (the
-    /// deal is fixed), and the output order is the job order, so the
-    /// result is identical to the serial loop for any worker count.
+    /// Determinism: which participant runs a job is timing-independent
+    /// (the deal is fixed), and each result lands in its job's slot, so
+    /// the result is identical to the serial loop for any worker count.
     // spp-hot(pool.run_jobs)
     pub fn run_jobs<R, F>(&self, num_jobs: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        if num_jobs == 0 {
-            return Vec::new(); // spp-hot: alloc(empty-region result; Vec::new of len 0 never touches the heap)
-        }
-        let tm = metrics::enabled().then(pool_metrics);
-        if let Some(m) = tm {
-            m.regions.inc();
-            m.jobs.add(num_jobs as u64);
-            m.queue_depth.set(num_jobs as u64);
-        }
-        let _region = tm.map(|m| m.region_ns.time());
-        let run = |i: usize| {
-            let _t = tm.map(|m| m.job_ns.time());
-            f(i)
-        };
-        let threads = self.workers.min(num_jobs);
-        if threads <= 1 {
-            return (0..num_jobs).map(run).collect(); // spp-hot: alloc(region result buffer, one slot per job — the region's output)
-        }
-        if let Some(m) = tm {
-            m.threads_forked.add(threads as u64);
-        }
-        // Workers publish tagged parts into a shared merge queue; the
-        // queue is mutex-ordered (spp-sync instrumented — the pool-queue
-        // model-check harness explores this handoff) and the final sort
-        // restores job-index order regardless of completion order.
-        let merged: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(num_jobs)); // spp-hot: alloc(merge queue, one slot per job; lives for the region)
-        let run = &run;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let merged = &merged;
-                    s.spawn(move || {
-                        let mut part = Vec::with_capacity(num_jobs.div_ceil(threads)); // spp-hot: alloc(per-worker staging, sized once to its round-robin share)
-                        let mut i = w;
-                        while i < num_jobs {
-                            part.push((i, run(i))); // spp-hot: alloc(per-worker result slot; capacity reserved above)
-                            i += threads;
-                        }
-                        merged.lock().extend(part); // spp-hot: allow(h1-alloc, h3-lock): one publish per worker at region end — the merge IS the batch boundary
-                    })
-                })
-                .collect(); // spp-hot: alloc(scoped-thread handles, one per worker)
-            for h in handles {
-                h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)); // spp-hot: allow(h3-lock): region barrier — scoped join is the batch boundary
-            }
-        });
-        if let Some(m) = tm {
-            m.merges.inc();
-        }
-        let mut tagged = merged.into_inner();
-        tagged.sort_by_key(|&(i, _)| i);
-        tagged.into_iter().map(|(_, r)| r).collect() // spp-hot: alloc(index-ordered region result, one slot per job)
+        let mut slots: Vec<Option<R>> = (0..num_jobs).map(|_| None).collect(); // spp-hot: alloc(region result, one slot per job)
+        let pieces = slots
+            .chunks_mut(1)
+            .enumerate()
+            .map(|(i, slot)| (i, i, slot));
+        self.run_chunks(pieces, |i, _, slot| slot[0] = Some(f(i)));
+        // Every slot is filled; the collect reuses the slot buffer.
+        slots.into_iter().map_while(|r| r).collect() // spp-hot: alloc(in place over the slot buffer)
     }
 
     /// Maps `f(index, item)` over `items`, chunked into
-    /// `jobs_for_items(items.len(), min_per_job)` even ranges, merged in
-    /// index order.
+    /// `jobs_for_items(items.len(), min_per_job)` even ranges, each item's
+    /// result written to its own slot.
     // spp-hot(pool.par_map)
     pub fn par_map<T, R, F>(&self, items: &[T], min_per_job: usize, f: F) -> Vec<R>
     where
@@ -261,25 +414,22 @@ impl WorkerPool {
         F: Fn(usize, &T) -> R + Sync,
     {
         let jobs = self.jobs_for_items(items.len(), min_per_job);
-        let ranges = even_ranges(items.len(), jobs);
-        let parts = self.run_jobs(ranges.len(), |j| {
-            let r = ranges[j].clone(); // spp-hot: alloc(Range<usize> clone is a stack copy; lexical token match only)
-            let mut out = Vec::with_capacity(r.len()); // spp-hot: alloc(chunk output buffer, sized once per job)
-            for i in r {
-                out.push(f(i, &items[i])); // spp-hot: alloc(chunk output slot; capacity reserved above)
+        let cuts: Vec<usize> = even_ranges(items.len(), jobs)
+            .into_iter()
+            .map(|r| r.end)
+            .collect(); // spp-hot: alloc(in place over the range table)
+        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect(); // spp-hot: alloc(the map's result, one slot per item)
+        self.par_chunks(&mut slots, &cuts, |_, off, chunk| {
+            for (j, slot) in chunk.iter_mut().enumerate() {
+                *slot = Some(f(off + j, &items[off + j]));
             }
-            out
         });
-        let mut merged = Vec::with_capacity(items.len()); // spp-hot: alloc(final merged output, one slot per item — the map's result)
-        for p in parts {
-            merged.extend(p); // spp-hot: alloc(index-ordered splice of chunk outputs; capacity reserved above)
-        }
-        merged
+        slots.into_iter().map_while(|r| r).collect() // spp-hot: alloc(in place over the slot buffer)
     }
 
-    /// Splits `data` at the element offsets `cuts` (strictly ascending,
-    /// last cut = `data.len()`) and runs `f(chunk_index, start_offset,
-    /// chunk)` for every piece, at most `workers` at a time. The split is
+    /// Splits `data` at the element offsets `cuts` (ascending, last cut =
+    /// `data.len()`) and runs `f(chunk_index, start_offset, chunk)` for
+    /// every piece, at most `workers` at a time. The split is
     /// caller-chosen (see [`even_ranges`] / [`balanced_ranges`]), so the
     /// decomposition is a pure function of the input.
     ///
@@ -296,60 +446,64 @@ impl WorkerPool {
             data.len(),
             "last cut must equal data.len()"
         );
-        // Carve the slice into disjoint mutable chunks.
-        let mut pieces: Vec<(usize, usize, &mut [T])> = Vec::with_capacity(cuts.len()); // spp-hot: alloc(chunk table, one entry per cut)
+        assert!(
+            cuts.windows(2).all(|w| w[0] <= w[1]),
+            "cuts must be ascending"
+        );
+        // Carve the slice into disjoint mutable chunks, in cut order.
         let mut rest = data;
         let mut start = 0usize;
-        for (ci, &cut) in cuts.iter().enumerate() {
-            assert!(cut >= start, "cuts must be ascending");
-            let (head, tail) = rest.split_at_mut(cut - start);
-            pieces.push((ci, start, head)); // spp-hot: alloc(chunk table entry; capacity reserved above)
+        let pieces = cuts.iter().enumerate().map(move |(ci, &cut)| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(cut - start);
             rest = tail;
-            start = cut;
-        }
+            (ci, std::mem::replace(&mut start, cut), head)
+        });
+        self.run_chunks(pieces, f);
+    }
+
+    /// The one parallel body behind [`WorkerPool::par_chunks`] (and so
+    /// `run_jobs` / `par_map`, over one slot per job or item): runs
+    /// `f(chunk_index, start_offset, chunk)` for every piece, piece `i` on
+    /// participant `i mod threads` of a `min(workers, pieces)`-wide region.
+    fn run_chunks<'a, T, F>(
+        &self,
+        pieces: impl ExactSizeIterator<Item = (usize, usize, &'a mut [T])>,
+        f: F,
+    ) where
+        T: Send + 'a,
+        F: Fn(usize, usize, &mut [T]) + Sync,
+    {
+        let num_jobs = pieces.len();
         let tm = metrics::enabled().then(pool_metrics);
         if let Some(m) = tm {
             m.regions.inc();
-            m.jobs.add(pieces.len() as u64);
-            m.queue_depth.set(pieces.len() as u64);
+            m.jobs.add(num_jobs as u64);
+            m.queue_depth.set(num_jobs as u64);
         }
         let _region = tm.map(|m| m.region_ns.time());
-        let run = |ci: usize, off: usize, chunk: &mut [T]| {
+        let run = |(ci, off, chunk): (usize, usize, &mut [T])| {
             let _t = tm.map(|m| m.job_ns.time());
             f(ci, off, chunk);
         };
-        let threads = self.workers.min(pieces.len().max(1));
+        let threads = self.workers.min(num_jobs);
         if threads <= 1 {
-            for (ci, off, chunk) in pieces {
-                run(ci, off, chunk);
-            }
+            pieces.for_each(run);
             return;
         }
-        if let Some(m) = tm {
-            m.threads_forked.add(threads as u64);
-        }
-        // Deal chunks round-robin (timing-independent assignment).
-        let mut per_worker: Vec<Vec<(usize, usize, &mut [T])>> =
-            (0..threads).map(|_| Vec::new()).collect(); // spp-hot: alloc(round-robin deal lists, one per worker)
-        for (i, piece) in pieces.into_iter().enumerate() {
-            per_worker[i % threads].push(piece); // spp-hot: alloc(deal-list entry, bounded by the chunk count)
-        }
-        let run = &run;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = per_worker
-                .into_iter()
-                .map(|chunks| {
-                    s.spawn(move || {
-                        for (ci, off, chunk) in chunks {
-                            run(ci, off, chunk);
-                        }
-                    })
-                })
-                .collect(); // spp-hot: alloc(scoped-thread handles, one per worker)
-            for h in handles {
-                h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)); // spp-hot: allow(h3-lock): region barrier — scoped join is the batch boundary
+        // The deal table: piece `i` is taken exactly once, by the one
+        // participant it is dealt to, so its lock is never contended.
+        let deal: Vec<_> = pieces.map(|p| Mutex::new(Some(p))).collect(); // spp-hot: alloc(deal table, one slot per piece)
+        let job = |i: usize| {
+            let piece = deal[i].lock().take(); // spp-hot: allow(h3-lock): uncontended — only the participant dealt piece i takes it
+            if let Some(piece) = piece {
+                run(piece);
             }
-        });
+        };
+        if GATE.dispatch(threads, num_jobs, &job) {
+            if let Some(m) = tm {
+                m.inline_regions.inc();
+            }
+        }
     }
 }
 

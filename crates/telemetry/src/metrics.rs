@@ -519,6 +519,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "telemetry sits below spp-pool; the test needs threads of its own to merge shards from"
+    )]
     fn histogram_merges_across_threads() {
         let _g = test_lock();
         set_enabled(true);
@@ -542,6 +546,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the test needs short-lived threads that exit, which the pool's persistent helpers never do"
+    )]
     fn shard_indices_are_recycled() {
         let _g = test_lock();
         set_enabled(true);

@@ -16,6 +16,10 @@
     clippy::disallowed_types,
     reason = "process-global counters bumped inside the allocator hook: raw std atomics keep the hook clear of spp-sync's model-check dispatch"
 )]
+#![allow(
+    unsafe_code,
+    reason = "a counting global allocator implements the unsafe GlobalAlloc trait"
+)]
 
 use spp_pool::WorkerPool;
 use spp_tensor::tape::{AggMode, CsrAdj};

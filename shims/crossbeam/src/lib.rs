@@ -58,6 +58,10 @@ pub mod thread {
 
     /// Runs `f` with a scope in which borrowed threads can be spawned;
     /// all children are joined before this returns.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the shim implements crossbeam::thread::scope on std's; clippy.toml bans the crossbeam entry point at its callers"
+    )]
     pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn Any + Send + 'static>>
     where
         F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
