@@ -102,7 +102,7 @@ pub const ROWS: &[Row] = &[
         )
         .at_default_scale(
             "not a matter of scale: the row compares two draws of a partitioner whose edge cut \
-             varies 2-4x with the seed (ROADMAP item 11), so the verdict follows the draw — \
+             varies 2-4x with the seed (ROADMAP item 10), so the verdict follows the draw — \
              0.90x at --quick seed 0, 1.01-1.58x at --quick seeds 1-5; it is reported at \
              default scale, where drift, not shape, gates CI until that item lands",
         )],

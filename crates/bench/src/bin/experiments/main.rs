@@ -8,6 +8,9 @@
 //! `experiments --list`. The runner prints each table, writes
 //! `results/<csv>.csv`, prints PASS / FAIL per claim with the measured
 //! evidence, and exits 1 if any claim failed (2 on a usage error).
+//! Under `SPP_TRACE=1` it also writes the run's telemetry trace to
+//! `results/trace_experiments.{json,jsonl}` (`cargo xtask
+//! validate-trace`).
 
 // Harness binaries may abort on setup errors; the workspace
 // panic-family denies gate the library crates, not the harnesses
@@ -22,6 +25,7 @@
 mod ablations;
 mod ctx;
 mod curves;
+mod extensions;
 mod paper;
 mod shapes;
 #[cfg(test)]
@@ -32,6 +36,7 @@ use ctx::Ctx;
 use curves::Curves;
 use shapes::Shape;
 use spp_bench::{Cli, Table};
+use spp_telemetry as tel;
 use std::fmt::Write as _;
 
 /// One experiment.
@@ -45,9 +50,13 @@ pub struct Row {
     pub shapes: &'static [Shape],
 }
 
-/// The paper's tables and figures in paper order, then the ablations.
+/// The paper's tables and figures in paper order, then the ablations,
+/// then serving and the out-of-core store.
 fn table() -> impl Iterator<Item = &'static Row> + Clone {
-    paper::ROWS.iter().chain(ablations::ROWS)
+    paper::ROWS
+        .iter()
+        .chain(ablations::ROWS)
+        .chain(extensions::ROWS)
 }
 
 /// What running one row produced.
@@ -105,6 +114,7 @@ fn main() {
         }
         return;
     }
+    let traced = tel::init_from_env();
     let ctx = Ctx::new(cli);
     let mut failed = 0;
     for id in &ctx.cli.ids {
@@ -117,6 +127,19 @@ fn main() {
             t.write_csv(csv);
         }
         failed += outcome.failed;
+    }
+    if traced {
+        match tel::write_trace_files(std::path::Path::new("results"), "experiments") {
+            Ok(paths) => {
+                for p in &paths {
+                    println!("trace written: {}", p.display());
+                }
+            }
+            Err(e) => {
+                eprintln!("cannot write trace files: {e}");
+                std::process::exit(1);
+            }
+        }
     }
     if failed > 0 {
         eprintln!("{failed} shape claim(s) FAILED");

@@ -12,7 +12,8 @@ use std::collections::HashSet;
 /// for a cell the experiment does not run, `;` between cells because
 /// labels hold commas): curves on which every claim of the owning row
 /// holds. Times are the --quick run's, in ms;
-/// Figure 8's are default scale, where its last claim applies.
+/// Figure 8's are default scale, where its last claim applies, and so
+/// are the serving and out-of-core store blocks (those rows' goldens).
 const PASSING: &str = "\
 table1;K=1;K=2;K=4;K=8
 SALIENT (full replication);13.09;7.02;3.82;2.20
@@ -114,6 +115,25 @@ hierarchical 4x2;3489;18481;18830
 vip_partition_ablation;no cache;VIP cache a=0.16
 multilevel;20717;15754
 + VIP re-homing;20640;15681
+
+serving;requests;completed;rejected;req/s;p50 ms;p99 ms;p999 ms;makespan s
+static-only;2000;2000;0;19895.36;0.6226;1.2452;1.2452;0.100526
+two-tier;2000;2000;0;19895.20;0.6226;1.2452;1.2452;0.100527
+two-tier f16 (equal RAM);2000;2000;0;19897.77;0.5898;1.2452;1.2452;0.100514
+
+serving_cache;static rows;overlay rows;static hit;overlay hit;combined hit;evictions;bytes fetched;bytes/request
+static-only;51;0;0.2562;0.0000;0.2562;0;1168200;584.1
+two-tier;26;25;0.1556;0.1415;0.2971;5495;1104000;552.0
+two-tier f16 (equal RAM);51;50;0.2562;0.3149;0.5711;3318;336800;168.4
+
+serving_burstiness;p99 ms;combined hit
+0;1.2452;0.2477
+0.45;1.2452;0.2755
+0.9;1.1796;0.4224
+
+io_locality;bytes/epoch;pages faulted/epoch;pages read/epoch;fault rate;bytes vs vip
+vip;754806784;184279;655861;0.280973;1.0000
+random;937676800;228925;655861;0.349045;1.2423
 ";
 
 /// `row id;claim index;grid;row;column;value` — that one cell, set to
@@ -152,6 +172,11 @@ partition_ablation;0;partition_ablation;multilevel;no cache;40000.0
 partition_ablation;1;partition_ablation;LDG;VIP a=0.32;30000.0
 hierarchical;0;hierarchical;hierarchical 4x2;weighted comm cost;30000.0
 vip_partition_ablation;0;vip_partition_ablation;+ VIP re-homing;no cache;21000.0
+serving;0;serving;two-tier f16 (equal RAM);rejected;1.0
+serving;1;serving_cache;two-tier;combined hit;0.25
+serving;2;serving_cache;two-tier f16 (equal RAM);overlay rows;40.0
+serving;3;serving_burstiness;0.9;p99 ms;1.3
+io_locality;0;io_locality;vip;pages faulted/epoch;300000.0
 ";
 
 fn row(id: &str) -> &'static Row {

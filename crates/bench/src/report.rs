@@ -132,9 +132,8 @@ pub const BENCH_SCHEMA_VERSION: u32 = 1;
 /// Every harness that emits machine-readable results goes through this
 /// helper so all `BENCH_*` files share one header: `schema_version`,
 /// the bench name, the git commit the run came from, the worker-pool
-/// budget ([`WorkerPool::global`]), and the VIP sweep strategy in
-/// effect (the workspace default unless the harness pins one via
-/// [`BenchReport::sweep_strategy`]). Body fields are raw JSON fragments
+/// budget ([`WorkerPool::global`]), and the workspace's default VIP
+/// sweep strategy. Body fields are raw JSON fragments
 /// appended in insertion order — harnesses format numbers and nested
 /// objects themselves, which keeps this serde-free.
 #[derive(Clone, Debug)]
@@ -161,20 +160,6 @@ impl BenchReport {
             sweep_strategy_name(SweepStrategy::default()),
         );
         r
-    }
-
-    /// Overrides the stamped sweep strategy, for harnesses that pin one
-    /// instead of running the workspace default.
-    pub fn sweep_strategy(&mut self, s: SweepStrategy) -> &mut Self {
-        let v = format!("\"{}\"", sweep_strategy_name(s));
-        for (k, old) in &mut self.fields {
-            if k == "sweep_strategy" {
-                *old = v;
-                return self;
-            }
-        }
-        self.fields.push(("sweep_strategy".to_string(), v));
-        self
     }
 
     /// Appends a field whose value is a raw JSON fragment (number,
@@ -314,15 +299,6 @@ mod tests {
         // Last field: escaped string, no trailing comma.
         assert_eq!(lines[7], "  \"note\": \"a \\\"quoted\\\"\\nline\"");
         assert_eq!(*lines.last().unwrap(), "}");
-    }
-
-    #[test]
-    fn bench_report_strategy_override() {
-        let mut r = BenchReport::new("demo");
-        r.sweep_strategy(SweepStrategy::FrontierSparse);
-        let s = r.render();
-        assert!(s.contains("\"sweep_strategy\": \"frontier-sparse\""), "{s}");
-        assert!(!s.contains("\"auto\""), "{s}");
     }
 
     #[test]

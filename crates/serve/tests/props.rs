@@ -242,8 +242,8 @@ fn serve_with_scheme(
 }
 
 /// The §11 determinism contract: completions (latencies, labels, logits
-/// checksums), batch records, and cache accounting are identical at 1,
-/// 2, and 8 workers.
+/// checksums), batch records, cache accounting and the cache and comm
+/// attribution reports are identical at 1, 2, and 8 workers.
 #[test]
 fn serving_is_bit_identical_across_worker_counts() {
     let (ds, model) = fixture();
@@ -259,6 +259,13 @@ fn serving_is_bit_identical_across_worker_counts() {
     assert_eq!(one.cache, two.cache);
     assert_eq!(one.cache, eight.cache);
     assert_eq!(one.rejections, eight.rejections);
+    // The attribution reports, latency sketch included, byte for byte.
+    let reports = |r: &ServeReport| {
+        let cache = r.cache_report("det").to_json();
+        (cache, r.comm_report("det", 4).to_json())
+    };
+    assert_eq!(reports(&one), reports(&two));
+    assert_eq!(reports(&one), reports(&eight));
     // Tier accounting partitions lookups.
     let c = one.cache;
     assert_eq!(c.static_hits + c.overlay_hits + c.misses, c.lookups);

@@ -3,8 +3,8 @@
 //! [`StoreBuilder`] lays rows out page by page into a store directory
 //! (`header.bin` + `pages.bin`, see [`crate::format`]). Rows are pulled
 //! from a streaming `fill` callback so a build never needs the full
-//! matrix in RAM — this is what lets `io_bench` write multi-million-row
-//! stores in bounded memory.
+//! matrix in RAM — this is what lets `experiments io_locality` write
+//! multi-million-row stores in bounded memory.
 //!
 //! Determinism contract (§9 extended to disk artifacts): the bytes on
 //! disk are a pure function of `(scheme, page_bytes, rows, dim, fill)`.

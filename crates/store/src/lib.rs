@@ -25,8 +25,9 @@
 //! Page locality is where the source paper's VIP ordering pays off
 //! out-of-core: `spp_graph::PagedPermutation` reorders rows by VIP
 //! score at store-build time so hot vertices share hot pages, and the
-//! `io_bench` bin measures the resulting drop in pages-faulted and
-//! bytes-read per epoch versus a random order at equal page size.
+//! `experiments io_locality` row measures the resulting drop in
+//! pages-faulted and bytes-read per epoch versus a random order at equal
+//! page size.
 
 #![cfg_attr(
     test,
@@ -119,7 +120,7 @@ pub trait FeatureStore: Send + Sync {
     /// Decodes rows `ids` into `out`, row `i` of `out` = row `ids[i]` —
     /// the one read a backend implements: every consumer (the provided
     /// [`FeatureStore::read_row_into`] and [`FeatureStore::gather`],
-    /// trainer batch preparation, `io_bench`) goes through it.
+    /// trainer batch preparation, `experiments io_locality`) goes through it.
     /// `FeatureMatrix::gather_into` is the workspace's one per-row loop;
     /// [`MmapStore`] reads page runs (one positioned read per run of
     /// adjacent touched pages) whose [`StoreStats`] are exactly those of

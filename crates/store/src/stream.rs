@@ -2,7 +2,7 @@
 //!
 //! [`spp_graph::GraphBuilder`] keeps every pending edge in one `Vec`,
 //! which caps graph size at available RAM (the multi-million-vertex
-//! generators in `io_bench` would need gigabytes). The streaming builder
+//! generators of `experiments io_locality` would need gigabytes). The streaming builder
 //! is the classic external-sort pipeline instead:
 //!
 //! 1. edges accumulate in a bounded chunk buffer (`chunk_edges` pairs);

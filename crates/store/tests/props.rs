@@ -230,7 +230,7 @@ proptest! {
     }
 }
 
-/// `citation_graph` (the io_bench workload) streams bit-identically
+/// `citation_graph` (the `io_locality` experiment's graph) streams bit-identically
 /// too — its edge iterator replicates the builder-path RNG draws.
 #[test]
 fn citation_graph_streams_bit_identically() {

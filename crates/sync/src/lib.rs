@@ -4,8 +4,7 @@
 //! paths use comes from this crate instead of `std::sync` directly
 //! (clippy.toml bans the raw atomics). The wrappers are transparent in
 //! normal builds — each method is an `#[inline(always)]` passthrough to the identical
-//! `std::sync` operation, benchmarked at zero measurable overhead by
-//! `spp-bench/bin/telemetry_overhead --quick` (`sync_overhead` case).
+//! `std::sync` operation.
 //!
 //! Under `RUSTFLAGS="--cfg spp_model_check"` the same call sites route
 //! through [`hook::ModelHooks`], which the `spp-check` crate implements

@@ -5,9 +5,9 @@
 //!
 //! 1. **Free when disabled.** Every hot-path entry point — counter adds,
 //!    histogram observations, span creation — starts with one relaxed
-//!    load of a global flag and returns immediately when it is off. The
-//!    disabled path is benchmarked below 5 ns/event
-//!    (`spp-bench/bin/telemetry_overhead`).
+//!    load of a global flag and returns immediately when it is off.
+//!    `benchmark/` reports what the recorder costs when it is on as
+//!    `telemetry.on_overhead_ratio`.
 //! 2. **Deterministic-safe when enabled.** Recording writes to
 //!    thread-local shards of relaxed atomics and to an event ring buffer;
 //!    nothing is ever read back by the computation, and snapshots merge

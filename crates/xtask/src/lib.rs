@@ -38,7 +38,6 @@
 
 pub mod auditreport;
 pub mod baseline;
-pub mod benchdiff;
 pub mod callgraph;
 pub mod items;
 pub mod json;

@@ -5,7 +5,7 @@
 //! cargo xtask audit-hotpaths [--json] [--root <name>] [--dir <dir>] [--refresh-baseline]
 //! cargo xtask audit-determinism [--json] [--root <name>] [--dir <dir>] [--refresh-baseline]
 //! cargo xtask check-interleavings [--module <m>]... [--json] [--max-schedules <n>]
-//! cargo xtask validate-trace <file> [--stages]
+//! cargo xtask validate-trace <file> [--stages] [--attrib]
 //! ```
 //!
 //! `lint`, `audit-hotpaths` and `audit-determinism` are the three
@@ -52,7 +52,7 @@
 use spp_xtask::baseline::{self, BaselineStatus};
 use spp_xtask::callgraph::CallGraph;
 use spp_xtask::items::AuditKind;
-use spp_xtask::{auditreport, benchdiff, items, json, rules, scan, walk};
+use spp_xtask::{auditreport, items, json, rules, scan, walk};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -80,13 +80,7 @@ fn usage() -> ExitCode {
                                                the exporter schema (--stages: require\n\
                                                every Appendix-D pipeline stage;\n\
                                                --attrib: require cache/comm attribution\n\
-                                               sections; present ones are always checked)\n\
-           bench-diff <old> <new> [--json]     compare bench reports (files, dirs of\n\
-                                               BENCH_*.json, or baseline bundles) under\n\
-                                               noise-aware per-metric thresholds; exits\n\
-                                               nonzero on regression\n\
-           bench-diff --snapshot <dir> <out>   bundle a directory of BENCH_*.json into\n\
-                                               a baseline file (results/bench_baseline.json)"
+                                               sections; present ones are always checked)"
     );
     ExitCode::from(2)
 }
@@ -517,50 +511,6 @@ fn check_attrib(doc: &json::Json, require: bool) -> Result<usize, String> {
     Ok(caches.len() + comms.len() + stores.len())
 }
 
-fn run_bench_diff(old: &Path, new: &Path, json_out: bool) -> ExitCode {
-    let load =
-        |p: &Path| -> Result<_, String> { Ok(benchdiff::flatten_set(&benchdiff::load_set(p)?)) };
-    let (old_set, new_set) = match (load(old), load(new)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("bench-diff: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let rep = benchdiff::diff(&old_set, &new_set);
-    if json_out {
-        print!("{}", benchdiff::render_json(&rep));
-    } else {
-        print!("{}", benchdiff::render_text(&rep));
-    }
-    if rep.pass() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-fn run_bench_snapshot(dir: &Path, out: &Path) -> ExitCode {
-    let set = match benchdiff::load_set(dir) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("bench-diff: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let bundle = benchdiff::render_bundle(&set);
-    if let Err(e) = std::fs::write(out, &bundle) {
-        eprintln!("bench-diff: writing {}: {e}", out.display());
-        return ExitCode::from(2);
-    }
-    println!(
-        "bench-diff: wrote baseline bundle with {} bench(es) to {}",
-        set.len(),
-        out.display()
-    );
-    ExitCode::SUCCESS
-}
-
 fn run_validate_trace(path: &Path, require_stages: bool, require_attrib: bool) -> ExitCode {
     let src = match std::fs::read_to_string(path) {
         Ok(s) => s,
@@ -682,27 +632,6 @@ fn main() -> ExitCode {
             }
             let Some(file) = file else { return usage() };
             run_validate_trace(&file, stages, attrib)
-        }
-        "bench-diff" => {
-            let mut json_out = false;
-            let mut snapshot = false;
-            let mut paths: Vec<PathBuf> = Vec::new();
-            for a in args.iter().skip(1) {
-                match a.as_str() {
-                    "--json" => json_out = true,
-                    "--snapshot" => snapshot = true,
-                    _ if !a.starts_with('-') => paths.push(PathBuf::from(a)),
-                    _ => return usage(),
-                }
-            }
-            if paths.len() != 2 {
-                return usage();
-            }
-            if snapshot {
-                run_bench_snapshot(&paths[0], &paths[1])
-            } else {
-                run_bench_diff(&paths[0], &paths[1], json_out)
-            }
         }
         _ => usage(),
     }
