@@ -17,10 +17,20 @@
 //! completion's latency, label, and logits checksum. The load-bearing
 //! rules: batching triggers are pure functions of arrival times; each
 //! batch samples from its own [`batch_stream_seed`] stream; a batch is
-//! planned once, the overlay probe of the plan's remote residue runs on
-//! the worker pool but merges in node order, and all overlay mutation
-//! happens sequentially afterwards (touches in node order, admissions in
-//! fetch order, after the gather read every hit).
+//! planned once, its overlay probe and touches run in node order, and
+//! its admissions in fetch order after the gather read every hit.
+//!
+//! # Preparation overlaps the forward pass
+//!
+//! Everything that reads or writes server state — sampling, the plan, the
+//! overlay, the gather, the DES, the accounting and the batch's
+//! completion records with their `finish` — is *preparation*. The
+//! forward pass reads only the batch's own feature tensor and MFG and
+//! fills in each completion's label and checksum. So the server holds at
+//! most one prepared batch back: when batch *i + 1* closes, one two-piece
+//! region of [`ServeConfig::pool`] prepares it on the caller while a
+//! helper runs batch *i*'s forward pass. On a one-worker pool the pieces
+//! run inline, in that order, and give the same report.
 //!
 //! # One feature-row path
 //!
@@ -44,10 +54,11 @@ use spp_gnn::GnnModel;
 use spp_graph::{quant, QuantScheme, VertexId};
 use spp_pool::WorkerPool;
 use spp_runtime::{CostModel, DistributedSetup};
-use spp_sampler::{batch_stream_seed, Fanouts, NodeWiseSampler};
+use spp_sampler::{batch_stream_seed, Fanouts, Mfg, NodeWiseSampler};
 use spp_store::FeatureStore;
 use spp_telemetry as tel;
 use spp_telemetry::metrics::{Counter, Gauge, Histogram};
+use spp_tensor::Matrix;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::OnceLock;
 
@@ -73,7 +84,8 @@ pub struct ServeConfig {
     pub fanouts: Fanouts,
     /// Master seed for per-batch sampling streams.
     pub seed: u64,
-    /// Worker pool for the overlay probe of a batch's remote residue.
+    /// Worker pool on which the forward pass of one batch overlaps the
+    /// preparation of the next; with one worker they run back to back.
     pub pool: WorkerPool,
     /// Cost model driving the virtual-time pipeline.
     pub cost: CostModel,
@@ -336,8 +348,9 @@ pub struct ClosedLoopConfig {
 }
 
 /// Overlay lookup of one remote-residue entry `(position, owner,
-/// vertex)` — the per-entry kernel of the residue probe. Runs under
-/// [`WorkerPool::par_map`], so it must stay allocation- and lock-free.
+/// vertex)` — the per-entry kernel of the residue probe. Runs once per
+/// remote MFG node of every batch, so it must stay allocation- and
+/// lock-free.
 // spp-hot(serve.classify)
 // spp-det(serve.classify)
 #[inline]
@@ -401,6 +414,55 @@ fn argmax(row: &[f32]) -> usize {
     best
 }
 
+/// A batch that is prepared but has not had its forward pass. Its
+/// completions are recorded, with `finish` and `latency`; the forward
+/// pass fills in their `label` and `checksum`.
+struct Prepared {
+    /// Feature rows of the MFG's nodes.
+    x: Matrix,
+    mfg: Mfg,
+    /// Each request's row in the logits (seeds are deduplicated).
+    seed_row: Vec<usize>,
+    /// Index of the batch's first completion in the server's list.
+    first: usize,
+}
+
+/// A forward pass's logits and the completions they answer.
+struct Answered {
+    logits: Matrix,
+    seed_row: Vec<usize>,
+    first: usize,
+}
+
+impl Prepared {
+    fn run_model(self, model: &GnnModel) -> Answered {
+        Answered {
+            logits: model.infer(self.x, &self.mfg),
+            seed_row: self.seed_row,
+            first: self.first,
+        }
+    }
+}
+
+/// One piece of an overlap region; [`Piece::run`] turns its input
+/// variant into its output variant.
+enum Piece<'s, 'a> {
+    Prepare(&'s mut InferenceServer<'a>, &'s MicroBatch),
+    Forward(&'a GnnModel, Prepared),
+    Prepared(Prepared),
+    Answered(Answered),
+}
+
+impl Piece<'_, '_> {
+    fn run(self) -> Self {
+        match self {
+            Piece::Prepare(server, batch) => Piece::Prepared(server.prepare(batch)),
+            Piece::Forward(model, pending) => Piece::Answered(pending.run_model(model)),
+            done => done,
+        }
+    }
+}
+
 /// One machine's online inference server. Single-use: build, call one
 /// `run_*` method, read the report.
 pub struct InferenceServer<'a> {
@@ -432,6 +494,8 @@ pub struct InferenceServer<'a> {
     /// Overlay evictions already forwarded to telemetry.
     reported_evictions: u64,
     completions: Vec<Completion>,
+    /// The last prepared batch, waiting for its forward pass.
+    pending: Option<Prepared>,
     rejections: Vec<Rejection>,
     batches: Vec<BatchRecord>,
 }
@@ -496,6 +560,7 @@ impl<'a> InferenceServer<'a> {
             fetch_events: Vec::new(),
             reported_evictions: 0,
             completions: Vec::new(),
+            pending: None,
             rejections: Vec::new(),
             batches: Vec::new(),
         }
@@ -675,9 +740,44 @@ impl<'a> InferenceServer<'a> {
         self.inflight.iter().map(|&(_, n)| n).sum()
     }
 
-    /// Runs one micro-batch through sampling, the two-tier gather, the
-    /// virtual-time pipeline, and the forward pass.
+    /// Prepares `batch` and, in the same two-piece pool region, runs the
+    /// forward pass of the batch prepared before it: piece 0 on the
+    /// caller, piece 1 on a helper. `batch` then waits for its own
+    /// forward pass until the next batch closes or the run ends.
     fn process_batch(&mut self, batch: &MicroBatch) {
+        let Some(pending) = self.pending.take() else {
+            self.pending = Some(self.prepare(batch));
+            return;
+        };
+        let (model, pool) = (self.model, self.cfg.pool);
+        let mut pieces = [
+            Some(Piece::Prepare(self, batch)),
+            Some(Piece::Forward(model, pending)),
+        ];
+        pool.par_chunks(&mut pieces, &[1, 2], |_, _, piece| {
+            piece[0] = piece[0].take().map(Piece::run);
+        });
+        if let [Some(Piece::Prepared(next)), Some(Piece::Answered(done))] = pieces {
+            self.answer(done);
+            self.pending = Some(next);
+        }
+    }
+
+    /// Fills in the label and logits checksum of a forwarded batch's
+    /// completions.
+    fn answer(&mut self, done: Answered) {
+        let rows = self.completions.iter_mut().skip(done.first);
+        for (c, &row_idx) in rows.zip(&done.seed_row) {
+            let row = done.logits.row(row_idx);
+            c.label = argmax(row);
+            c.checksum = logits_checksum(row);
+        }
+    }
+
+    /// Runs one micro-batch through sampling, the two-tier gather and the
+    /// virtual-time pipeline, and records its completions; the forward
+    /// pass is left to the caller.
+    fn prepare(&mut self, batch: &MicroBatch) -> Prepared {
         // Deduplicate seeds (first-occurrence order): a minibatch is a
         // set, but two requests for one vertex still get two result rows.
         let mut seed_row: Vec<usize> = Vec::with_capacity(batch.requests.len());
@@ -696,12 +796,10 @@ impl<'a> InferenceServer<'a> {
 
         // Classify once: local rows, the static tier, and the remote
         // residue by owner. The overlay answers part of the residue, so
-        // probe it — read-only, on the worker pool, in node order (the
-        // hit/miss tallies are per-probe atomics, so the result does not
-        // depend on the worker count) — and give the plan back only the
-        // true misses. Hits become most-recently-used, sequentially and
-        // in node order: part of the eviction-order determinism
-        // contract.
+        // probe it in node order and give the plan back only the true
+        // misses. Hits become most-recently-used in the same order: part
+        // of the eviction-order determinism contract. A touch reorders
+        // recency only, so it cannot change a later probe's answer.
         let store = self.store;
         let mut plan = store.plan(&mfg.nodes);
         let mut residue: Vec<(u32, u32, VertexId)> = Vec::with_capacity(plan.num_remote());
@@ -709,14 +807,9 @@ impl<'a> InferenceServer<'a> {
             residue.extend(reqs.drain(..).map(|(pos, v)| (pos, owner as u32, v)));
         }
         residue.sort_unstable();
-        let overlay = &self.overlay;
-        let slots = self
-            .cfg
-            .pool
-            .par_map(&residue, 512, |_, entry| probe_entry(overlay, entry));
         let mut hits: Vec<(u32, u32)> = Vec::new();
-        for (&(pos, owner, v), slot) in residue.iter().zip(slots) {
-            match slot {
+        for entry @ &(pos, owner, v) in &residue {
+            match probe_entry(&self.overlay, entry) {
                 Some(slot) => {
                     self.overlay.touch(v);
                     hits.push((pos, slot));
@@ -828,11 +921,11 @@ impl<'a> InferenceServer<'a> {
         );
         self.inflight.push_back((finish, batch.requests.len()));
 
-        // Forward pass; map each request to its (deduplicated) seed row.
-        let logits = self.model.infer(x, &mfg);
-        for (req, &row_idx) in batch.requests.iter().zip(&seed_row) {
-            let row = logits.row(row_idx);
-            self.completions.push(Completion {
+        // Completions are recorded now, so closed-loop clients can wake
+        // at `finish`; the forward pass fills in label and checksum.
+        let first = self.completions.len();
+        self.completions
+            .extend(batch.requests.iter().map(|req| Completion {
                 id: req.id,
                 vertex: req.vertex,
                 batch_id: batch.id,
@@ -840,10 +933,9 @@ impl<'a> InferenceServer<'a> {
                 client: req.client,
                 finish,
                 latency: finish - req.arrival,
-                label: argmax(row),
-                checksum: logits_checksum(row),
-            });
-        }
+                label: 0,
+                checksum: 0,
+            }));
 
         // Accounting.
         self.local += n_local as u64;
@@ -874,6 +966,12 @@ impl<'a> InferenceServer<'a> {
                 m.latency_ns.observe(lat_ns);
             }
         }
+        Prepared {
+            x,
+            mfg,
+            seed_row,
+            first,
+        }
     }
 
     /// Closes and runs every remaining batch (end of trace).
@@ -883,8 +981,12 @@ impl<'a> InferenceServer<'a> {
         }
     }
 
-    /// Final accounting and (when telemetry is on) sim-span export.
-    fn finish(self) -> ServeReport {
+    /// The last forward pass, final accounting and (when telemetry is on)
+    /// sim-span export.
+    fn finish(mut self) -> ServeReport {
+        if let Some(last) = self.pending.take() {
+            self.answer(last.run_model(self.model));
+        }
         if tel::enabled() {
             for e in self.des.trace() {
                 let track = tel::sim_track(self.des.resource_name(e.resource));

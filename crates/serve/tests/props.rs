@@ -20,10 +20,10 @@ use spp_graph::dataset::SyntheticSpec;
 use spp_graph::{quant, Dataset, QuantScheme, VertexId};
 use spp_pool::WorkerPool;
 use spp_runtime::{DistributedSetup, SetupConfig};
-use spp_sampler::{Fanouts, NodeWiseSampler};
+use spp_sampler::{batch_stream_seed, Fanouts, NodeWiseSampler};
 use spp_serve::{
-    generate_open_loop, CacheStats, DynamicOverlay, InferenceServer, InsertOutcome, RejectReason,
-    ServeConfig, ServeReport, TraceConfig,
+    generate_open_loop, CacheStats, DynamicOverlay, InferenceRequest, InferenceServer,
+    InsertOutcome, RejectReason, ServeConfig, ServeReport, TraceConfig,
 };
 
 proptest! {
@@ -440,12 +440,114 @@ fn closed_loop_resolves_every_request_deterministically() {
         })
     };
     let a = run(1);
-    let b = run(4);
     assert_eq!(a.total_requests(), 200);
     assert!(a.rejections.is_empty(), "6 clients fit a 64-deep queue");
-    assert_eq!(a.completions, b.completions);
-    assert_eq!(a.batches, b.batches);
-    assert_eq!(a.cache, b.cache);
+    // Two workers is the width at which a forward pass overlaps the
+    // next batch's preparation.
+    for b in [run(2), run(4)] {
+        assert_eq!(a.completions, b.completions);
+        assert_eq!(a.batches, b.batches);
+        assert_eq!(a.cache, b.cache);
+    }
+}
+
+/// A one-batch-deep pipeline's ends: `batches` size-closed batches of 8
+/// requests, on `workers` workers, with f32 tiers.
+fn serve_batches(
+    setup: &DistributedSetup,
+    model: &GnnModel,
+    batches: usize,
+    workers: usize,
+) -> ServeReport {
+    let cfg = ServeConfig {
+        max_batch_size: 8,
+        max_delay: 0.01,
+        queue_capacity: 64,
+        overlay_capacity: 24,
+        fanouts: Fanouts::new(vec![4, 3]),
+        seed: 3,
+        pool: WorkerPool::new(workers),
+        ..ServeConfig::default()
+    };
+    let trace: Vec<InferenceRequest> = (0..8 * batches as u64)
+        .map(|i| InferenceRequest {
+            id: i,
+            vertex: (i * 37 % 400) as VertexId,
+            arrival: i as f64 * 1e-4,
+            client: 0,
+        })
+        .collect();
+    InferenceServer::new(setup, model, 0, cfg).run(&trace)
+}
+
+/// The first and the last batch are the ones a pipelined loop gets wrong:
+/// the first has no forward pass to overlap, the last is forwarded only
+/// when the run ends. Traces of 1, 2 and 3 batches report identically at
+/// 1 and 2 workers.
+#[test]
+fn pipeline_ends_are_identical_across_worker_counts() {
+    let (ds, model) = fixture();
+    let setup = deployment(&ds);
+    for batches in 1..=3 {
+        let one = serve_batches(&setup, &model, batches, 1);
+        let two = serve_batches(&setup, &model, batches, 2);
+        assert_eq!(one.batches.len(), batches);
+        assert_eq!(one.completions.len(), 8 * batches);
+        assert_eq!(one.completions, two.completions);
+        assert_eq!(one.batches, two.batches);
+        assert_eq!(one.cache, two.cache);
+        assert!(one.makespan == two.makespan, "makespan drifted");
+    }
+}
+
+/// The server's logits checksum: FNV-1a over the raw `f32` bits.
+fn logits_checksum(row: &[f32]) -> u64 {
+    row.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &x| {
+        (h ^ u64::from(x.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A one-request trace is one batch that never overlaps: its completion
+/// carries the label and checksum of a direct `GnnModel::infer` over the
+/// batch's own sampling stream and the deployment's feature rows (f32
+/// wire, cold overlay).
+#[test]
+fn one_request_answer_equals_direct_inference() {
+    let (ds, model) = fixture();
+    let setup = deployment(&ds);
+    let fanouts = Fanouts::new(vec![4, 3]);
+    let sampler = NodeWiseSampler::new(&setup.dataset.graph, fanouts.clone());
+    let seed = 3;
+    for v in [0, 57, 199, 398] {
+        let cfg = ServeConfig {
+            fanouts: fanouts.clone(),
+            seed,
+            pool: WorkerPool::new(2),
+            ..ServeConfig::default()
+        };
+        let req = InferenceRequest {
+            id: 0,
+            vertex: v,
+            arrival: 0.0,
+            client: 0,
+        };
+        let report = InferenceServer::new(&setup, &model, 0, cfg).run(&[req]);
+        assert_eq!(report.completions.len(), 1);
+
+        let mut rng = StdRng::seed_from_u64(batch_stream_seed(seed, 0, 0));
+        let mfg = sampler.sample(&[v], &mut rng);
+        let features = &setup.dataset.features;
+        let mut x = spp_tensor::Matrix::zeros(mfg.nodes.len(), features.dim());
+        for (i, &u) in mfg.nodes.iter().enumerate() {
+            x.row_mut(i).copy_from_slice(features.row(u));
+        }
+        let logits = model.infer(x, &mfg);
+        let row = logits.row(0);
+        let label = (0..row.len()).fold(0, |best, i| if row[i] > row[best] { i } else { best });
+        let c = report.completions[0];
+        assert_eq!((c.vertex, c.label), (v, label), "vertex {v}");
+        assert_eq!(c.checksum, logits_checksum(row), "vertex {v}");
+    }
 }
 
 /// Bit-identity of remote fetch through the `FeatureStore` trait: an
