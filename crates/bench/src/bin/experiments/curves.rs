@@ -18,6 +18,11 @@ pub fn count(x: f64) -> String {
     format!("{x:.0}")
 }
 
+/// `D` decimals (`fixed::<3>`: `0.963`).
+pub fn fixed<const D: usize>(x: f64) -> String {
+    format!("{x:.D$}")
+}
+
 /// A fraction as a percentage with one decimal (`8.8%`).
 pub fn percent(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)

@@ -7,7 +7,7 @@
 //! so their CSVs are goldens like every other row's.
 
 use crate::ctx::Ctx;
-use crate::curves::{count, Curves, Grid};
+use crate::curves::{count, fixed, Curves, Grid};
 use crate::shapes::{all, less, shape, verdict};
 use crate::Row;
 use rand::rngs::StdRng;
@@ -81,23 +81,6 @@ pub const ROWS: &[Row] = &[
         })],
     },
 ];
-
-/// Fixed-point printers matching the precision each number carries.
-fn fixed1(x: f64) -> String {
-    format!("{x:.1}")
-}
-
-fn fixed2(x: f64) -> String {
-    format!("{x:.2}")
-}
-
-fn fixed4(x: f64) -> String {
-    format!("{x:.4}")
-}
-
-fn fixed6(x: f64) -> String {
-    format!("{x:.6}")
-}
 
 /// Serving fanouts (2 hops — must match the model depth).
 const FANOUTS: [usize; 2] = [5, 3];
@@ -207,12 +190,12 @@ fn serving(ctx: &Ctx) -> Curves {
         "p999 ms",
         "makespan s",
     ];
-    let mut service = Grid::new("serving", &title, "config", &cols, fixed4)
+    let mut service = Grid::new("serving", &title, "config", &cols, fixed::<4>)
         .col_fmt("requests", count)
         .col_fmt("completed", count)
         .col_fmt("rejected", count)
-        .col_fmt("req/s", fixed2)
-        .col_fmt("makespan s", fixed6);
+        .col_fmt("req/s", fixed::<2>)
+        .col_fmt("makespan s", fixed::<6>);
     let title = format!(
         "Serving: cache tiers at equal RAM ({} f32 rows)",
         static_rows(&full)
@@ -227,12 +210,12 @@ fn serving(ctx: &Ctx) -> Curves {
         "bytes fetched",
         "bytes/request",
     ];
-    let mut cache = Grid::new("serving_cache", &title, "config", &cols, fixed4)
+    let mut cache = Grid::new("serving_cache", &title, "config", &cols, fixed::<4>)
         .col_fmt("static rows", count)
         .col_fmt("overlay rows", count)
         .col_fmt("evictions", count)
         .col_fmt("bytes fetched", count)
-        .col_fmt("bytes/request", fixed1);
+        .col_fmt("bytes/request", fixed::<1>);
     let ms = |r: &ServeReport, q: f64| r.latency_sketch.quantile_secs(q) * 1e3;
     for (label, setup, overlay_rows, scheme) in configs {
         let r = serve(setup, overlay_rows, scheme, &trace);
@@ -277,7 +260,7 @@ fn serving(ctx: &Ctx) -> Curves {
         title,
         "burstiness",
         &["p99 ms", "combined hit"],
-        fixed4,
+        fixed::<4>,
     );
     for b in BURSTINESS_SWEEP {
         let r = serve(&half, overlay, QuantScheme::F32, &stream(b));
@@ -385,8 +368,8 @@ fn io_locality(ctx: &Ctx) -> Curves {
         "bytes vs vip",
     ];
     let mut grid = Grid::new("io_locality", &title, "layout", &cols, count)
-        .col_fmt("fault rate", fixed6)
-        .col_fmt("bytes vs vip", fixed4);
+        .col_fmt("fault rate", fixed::<6>)
+        .col_fmt("bytes vs vip", fixed::<4>);
     let per_epoch = |x: u64| x as f64 / epochs as f64;
     for (((label, _), store), t) in layouts.iter().zip(&stores).zip(&totals) {
         grid.row(

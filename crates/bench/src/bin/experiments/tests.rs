@@ -12,9 +12,15 @@ use std::collections::HashSet;
 /// for a cell the experiment does not run, `;` between cells because
 /// labels hold commas): curves on which every claim of the owning row
 /// holds. Times are the --quick run's, in ms;
-/// Figure 8's are default scale, where its last claim applies, and so
-/// are the serving and out-of-core store blocks (those rows' goldens).
+/// Figures 1 and 8, the accuracy and architecture blocks are default
+/// scale, where their last claims apply, and so are the serving and
+/// out-of-core store blocks (those rows' goldens).
 const PASSING: &str = "\
+fig1;epoch;CPU (sample/slice);PCIe copy;NIC (features);NIC (gradients);GPU (train)
+partitioned (no pipeline, no cache);30.29;0.171;0.134;0.364;0.012;0.166
++ pipelining;12.99;0.325;0.272;1.000;0.028;0.323
++ VIP caching (SALIENT++);8.32;0.965;0.451;1.000;0.044;0.510
+
 table1;K=1;K=2;K=4;K=8
 SALIENT (full replication);13.09;7.02;3.82;2.20
 + Partitioned features;-;21.61;14.38;7.57
@@ -80,6 +86,11 @@ table4;time
 SALIENT++;2.91
 DistDGL-like;41.15
 
+accuracy;dist val;dist test;single-machine test;paper test
+products;1.000;1.000;1.000;0.785
+papers;0.999;1.000;1.000;0.646
+mag240;0.998;1.000;1.000;0.651
+
 inference;train epoch;inference epoch;infer comm busy
 no cache;12.69;16.87;13.09
 VIP a=0.32;10.54;13.69;10.54
@@ -116,6 +127,17 @@ vip_partition_ablation;no cache;VIP cache a=0.16
 multilevel;20717;15754
 + VIP re-homing;20640;15681
 
+arch_comparison;params;final loss;val acc;test acc
+GraphSAGE (mean);2600;0.002;0.996;0.999
+GraphSAGE (pool);4712;0.002;0.994;1.000
+GIN;2448;0.604;0.738;0.719
+GAT (1 head);1400;0.020;0.989;0.994
+GAT (4 heads);1400;0.035;0.986;0.990
+
+layerwise_vip;a=0.10;a=0.30;a=0.60
+empirical layer-wise (sim.);1827;1819;1819
+node-wise analytic VIP;1748;1557;1372
+
 serving;requests;completed;rejected;req/s;p50 ms;p99 ms;p999 ms;makespan s
 static-only;2000;2000;0;19895.36;0.6226;1.2452;1.2452;0.100526
 two-tier;2000;2000;0;19895.20;0.6226;1.2452;1.2452;0.100527
@@ -139,6 +161,9 @@ random;937676800;228925;655861;0.349045;1.2423
 /// `row id;claim index;grid;row;column;value` — that one cell, set to
 /// `value` in the row's passing curves, breaks that claim.
 const BREAKS: &str = "\
+fig1;0;fig1;+ pipelining;epoch;31.0
+fig1;1;fig1;+ VIP caching (SALIENT++);GPU (train);0.2
+fig1;2;fig1;+ VIP caching (SALIENT++);NIC (features);0.9
 table1;0;table1;+ Partitioned features;K=8;2.0
 table1;1;table1;+ Pipeline communication;K=8;7.6
 table1;2;table1;+ Feature caching;K=8;4.5
@@ -164,6 +189,8 @@ fig8;3;fig8;pipelining on a=0.32;batch prep (comm);9.0
 fig9;0;fig9;papers VIP (simulation);a=0.16;6.0
 fig9;1;fig9;mag240 VIP (analytic);a=0.64;6.5
 table4;0;table4;DistDGL-like;time;5.0
+accuracy;0;accuracy;products;dist test;0.537
+accuracy;1;accuracy;mag240;single-machine test;0.2
 inference;0;inference;VIP a=0.32;infer comm busy;14.0
 pipeline_depth;0;pipeline_depth;4;vs depth=10;1.2
 pipeline_stages;0;pipeline_stages;7 H2D sliced features (PCIe);a=0;3000.0
@@ -172,6 +199,10 @@ partition_ablation;0;partition_ablation;multilevel;no cache;40000.0
 partition_ablation;1;partition_ablation;LDG;VIP a=0.32;30000.0
 hierarchical;0;hierarchical;hierarchical 4x2;weighted comm cost;30000.0
 vip_partition_ablation;0;vip_partition_ablation;+ VIP re-homing;no cache;21000.0
+arch_comparison;0;arch_comparison;GAT (4 heads);test acc;0.7
+arch_comparison;1;arch_comparison;GAT (4 heads);test acc;0.97
+layerwise_vip;0;layerwise_vip;node-wise analytic VIP;a=0.10;1900.0
+layerwise_vip;1;layerwise_vip;empirical layer-wise (sim.);a=0.60;1500.0
 serving;0;serving;two-tier f16 (equal RAM);rejected;1.0
 serving;1;serving_cache;two-tier;combined hit;0.25
 serving;2;serving_cache;two-tier f16 (equal RAM);overlay rows;40.0

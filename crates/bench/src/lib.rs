@@ -1,13 +1,13 @@
 //! Shared infrastructure for the experiment harnesses.
 //!
-//! The paper's sweeps (Tables 1, 2 and 4, Figure 2, Figures 4–9 and the
-//! timing / volume ablations) are rows of one table-driven runner,
-//! `src/bin/experiments/` (`experiments fig7 --quick`, `experiments
-//! --all`, `experiments --list`), which writes each row's
-//! `results/*.csv` and asserts its paper-shape claims; the other
-//! binaries in `src/bin/` are what is not a sweep (see DESIGN.md §5 for
-//! the index and EXPERIMENTS.md for paper-vs-measured results). This
-//! library provides the text/CSV table formatter, the
+//! Every deterministic number — the paper's figures and tables, §5.3's
+//! accuracy, the ablations, serving and out-of-core page locality — is a
+//! row of one table-driven runner, `src/bin/experiments/` (`experiments
+//! fig7 --quick`, `experiments --all`, `experiments --list`), which
+//! writes each row's `results/*.csv` and asserts its paper-shape claims;
+//! the one other binary, `kernel_bench`, gates kernel throughput (see
+//! DESIGN.md §5 for the index and EXPERIMENTS.md for paper-vs-measured
+//! results). This library provides the text/CSV table formatter, the
 //! provenance-stamped `results/BENCH_*.json` writer
 //! ([`report::BenchReport`]), the standard experiment datasets and
 //! Table-3 workloads, and a tiny CLI parser.
@@ -33,5 +33,5 @@ pub mod datasets;
 pub mod report;
 
 pub use cli::Cli;
-pub use datasets::{mag240_sim, papers_sim, products_sim, Workload};
+pub use datasets::Workload;
 pub use report::{BenchReport, Table};

@@ -1,7 +1,6 @@
 //! Aligned text tables, CSV output, and provenance-stamped JSON
 //! reports for experiment results.
 
-use spp_core::SweepStrategy;
 use spp_runtime::pool::WorkerPool;
 use spp_telemetry::export::json_escape;
 use std::fmt::Write as _;
@@ -131,9 +130,9 @@ pub const BENCH_SCHEMA_VERSION: u32 = 1;
 ///
 /// Every harness that emits machine-readable results goes through this
 /// helper so all `BENCH_*` files share one header: `schema_version`,
-/// the bench name, the git commit the run came from, the worker-pool
-/// budget ([`WorkerPool::global`]), and the workspace's default VIP
-/// sweep strategy. Body fields are raw JSON fragments
+/// the bench name, the git commit the run came from, and the
+/// worker-pool budget ([`WorkerPool::global`]). Body fields are raw JSON
+/// fragments
 /// appended in insertion order — harnesses format numbers and nested
 /// objects themselves, which keeps this serde-free.
 #[derive(Clone, Debug)]
@@ -155,10 +154,6 @@ impl BenchReport {
         r.string("bench", name);
         r.string("git_commit", &git_commit());
         r.field("pool_workers", WorkerPool::global().workers().to_string());
-        r.string(
-            "sweep_strategy",
-            sweep_strategy_name(SweepStrategy::default()),
-        );
         r
     }
 
@@ -203,15 +198,6 @@ impl BenchReport {
                 None
             }
         }
-    }
-}
-
-/// The kebab-case name a sweep strategy is reported under.
-fn sweep_strategy_name(s: SweepStrategy) -> &'static str {
-    match s {
-        SweepStrategy::Auto => "auto",
-        SweepStrategy::Dense => "dense",
-        SweepStrategy::FrontierSparse => "frontier-sparse",
     }
 }
 
@@ -294,10 +280,9 @@ mod tests {
         assert_eq!(lines[2], "  \"bench\": \"demo\",");
         assert!(lines[3].starts_with("  \"git_commit\": \""), "{}", lines[3]);
         assert!(lines[4].starts_with("  \"pool_workers\": "), "{}", lines[4]);
-        assert_eq!(lines[5], "  \"sweep_strategy\": \"auto\",");
-        assert_eq!(lines[6], "  \"answer\": 42,");
+        assert_eq!(lines[5], "  \"answer\": 42,");
         // Last field: escaped string, no trailing comma.
-        assert_eq!(lines[7], "  \"note\": \"a \\\"quoted\\\"\\nline\"");
+        assert_eq!(lines[6], "  \"note\": \"a \\\"quoted\\\"\\nline\"");
         assert_eq!(*lines.last().unwrap(), "}");
     }
 
@@ -305,6 +290,10 @@ mod tests {
     fn bench_report_pool_workers_matches_global() {
         let want = WorkerPool::global().workers();
         let s = BenchReport::new("demo").render();
-        assert!(s.contains(&format!("\"pool_workers\": {want},")), "{s}");
+        let field = format!("\"pool_workers\": {want}");
+        assert!(
+            s.lines().any(|l| l.trim().trim_end_matches(',') == field),
+            "{s}"
+        );
     }
 }

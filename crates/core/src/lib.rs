@@ -71,4 +71,4 @@ pub fn clamp01(x: f64) -> f64 {
 pub use feature_store::{BatchPlan, FeatureLocation, PartitionedFeatureStore};
 pub use policies::{CachePolicy, PolicyContext};
 pub use reorder::ReorderedLayout;
-pub use vip::{SweepStrategy, VipModel};
+pub use vip::VipModel;

@@ -21,7 +21,8 @@
 //!
 //! The recurrence is evaluated by one shared per-vertex kernel
 //! ([`VipModel::hop_scores_with`]) under two interchangeable sweep
-//! strategies:
+//! strategies, chosen per hop from the previous hop's nonzero mass alone
+//! (so the choice depends on the data, never on timing):
 //!
 //! - **Dense** — every vertex every hop, `O(L(M+N))`, parallelized over
 //!   CSR-edge-balanced vertex chunks.
@@ -59,20 +60,6 @@ fn vip_metrics() -> &'static VipMetrics {
         hops_sparse: metrics::counter("core.vip.hops_sparse"),
         frontier_size: metrics::histogram("core.vip.frontier_size"),
     })
-}
-
-/// How [`VipModel::hop_scores_with`] evaluates each hop.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SweepStrategy {
-    /// Per-hop choice between dense and frontier-sparse, driven only by
-    /// the nonzero mass of the previous hop (deterministic: depends on
-    /// the data, never on timing).
-    #[default]
-    Auto,
-    /// Update every vertex every hop.
-    Dense,
-    /// Update only vertices with nonzero in-mass, via the transpose.
-    FrontierSparse,
 }
 
 /// Computes analytic vertex-inclusion probabilities.
@@ -130,34 +117,29 @@ impl VipModel {
     }
 
     /// Hop-wise VIP vectors `p[1..=L]` from arbitrary initial
-    /// probabilities (Proposition 1's recurrence), on the global pool
-    /// with automatic strategy selection.
+    /// probabilities (Proposition 1's recurrence), on the global pool.
     ///
     /// # Panics
     ///
     /// Panics if `p0.len() != graph.num_vertices()`.
     pub fn hop_scores(&self, graph: &CsrGraph, p0: &[f64]) -> Vec<Vec<f64>> {
-        self.hop_scores_with(WorkerPool::global(), graph, p0, SweepStrategy::Auto)
+        self.hop_scores_with(WorkerPool::global(), graph, p0)
     }
 
-    /// [`VipModel::hop_scores`] with an explicit pool and sweep
-    /// strategy. Results are bit-identical for every `(pool, strategy)`
-    /// combination — the strategy only changes which vertices are
-    /// *visited*, and the pool only changes which worker visits them.
+    /// [`VipModel::hop_scores`] with an explicit pool. Results are
+    /// bit-identical for every pool — the pool only changes which worker
+    /// visits a vertex.
     ///
     /// # Panics
     ///
     /// Panics if `p0.len() != graph.num_vertices()`.
-    pub fn hop_scores_with(
-        &self,
-        pool: WorkerPool,
-        graph: &CsrGraph,
-        p0: &[f64],
-        strategy: SweepStrategy,
-    ) -> Vec<Vec<f64>> {
-        self.hop_scores_impl(pool, graph, None, None, p0, strategy)
+    pub fn hop_scores_with(&self, pool: WorkerPool, graph: &CsrGraph, p0: &[f64]) -> Vec<Vec<f64>> {
+        self.hop_scores_impl(pool, graph, None, None, p0, None)
     }
 
+    /// The recurrence. `force_sparse` pins every hop to one sweep
+    /// (`Some(true)`: frontier-sparse) so tests can hold the two against
+    /// each other; `None` chooses per hop.
     fn hop_scores_impl(
         &self,
         pool: WorkerPool,
@@ -165,7 +147,7 @@ impl VipModel {
         shared_transpose: Option<&CsrGraph>,
         shared_inv_deg: Option<&[f64]>,
         p0: &[f64],
-        strategy: SweepStrategy,
+        force_sparse: Option<bool>,
     ) -> Vec<Vec<f64>> {
         assert_eq!(p0.len(), graph.num_vertices(), "p0 size mismatch");
         let n = graph.num_vertices();
@@ -190,17 +172,13 @@ impl VipModel {
             let support: Vec<VertexId> = (0..n as VertexId)
                 .filter(|&v| prev[v as usize] > 0.0)
                 .collect();
-            let sparse = match strategy {
-                SweepStrategy::Dense => false,
-                SweepStrategy::FrontierSparse => true,
-                // A sparse hop scans the support's in-edges twice (once
-                // to discover candidates, once inside the kernel via
-                // each candidate's full out-neighborhood); require the
-                // support to be a small fraction of the graph before
-                // paying for the transpose walk. Pure function of
-                // `prev`, so the choice is replica-deterministic.
-                SweepStrategy::Auto => support.len() * 8 <= n,
-            };
+            // A sparse hop scans the support's in-edges twice (once to
+            // discover candidates, once inside the kernel via each
+            // candidate's full out-neighborhood); require the support to
+            // be a small fraction of the graph before paying for the
+            // transpose walk. Pure function of `prev`, so the choice is
+            // replica-deterministic.
+            let sparse = force_sparse.unwrap_or(support.len() * 8 <= n);
             if metrics::enabled() {
                 let m = vip_metrics();
                 m.frontier_size.observe(support.len() as u64);
@@ -249,20 +227,13 @@ impl VipModel {
     /// End-to-end: VIP values for minibatches drawn from `train`.
     // spp-det(core.vip_scores)
     pub fn scores(&self, graph: &CsrGraph, train: &[VertexId]) -> Vec<f64> {
-        self.scores_with(WorkerPool::global(), graph, train, SweepStrategy::Auto)
+        self.scores_with(WorkerPool::global(), graph, train)
     }
 
-    /// [`VipModel::scores`] with an explicit pool and sweep strategy.
-    pub fn scores_with(
-        &self,
-        pool: WorkerPool,
-        graph: &CsrGraph,
-        train: &[VertexId],
-        strategy: SweepStrategy,
-    ) -> Vec<f64> {
+    /// [`VipModel::scores`] with an explicit pool.
+    pub fn scores_with(&self, pool: WorkerPool, graph: &CsrGraph, train: &[VertexId]) -> Vec<f64> {
         let p0 = self.initial_probabilities(graph.num_vertices(), train);
-        let hops = self.hop_scores_with(pool, graph, &p0, strategy);
-        Self::combine(&hops)
+        Self::combine(&self.hop_scores_with(pool, graph, &p0))
     }
 
     /// Per-partition VIP values: entry `k` holds `p_k(u)` for minibatches
@@ -274,26 +245,30 @@ impl VipModel {
         graph: &CsrGraph,
         train_of_part: &[Vec<VertexId>],
     ) -> Vec<Vec<f64>> {
-        self.partition_scores_with(
-            WorkerPool::global(),
-            graph,
-            train_of_part,
-            SweepStrategy::Auto,
-        )
+        self.partition_scores_with(WorkerPool::global(), graph, train_of_part)
     }
 
-    /// [`VipModel::partition_scores`] with an explicit pool and sweep
-    /// strategy. The K independent sweeps are scheduled as pool jobs
-    /// (never one unbounded thread per partition), each sweep
-    /// parallelizing internally on its share of the worker budget via
-    /// [`WorkerPool::split`]; the transposed graph is built once and
-    /// shared by every partition's frontier discovery.
+    /// [`VipModel::partition_scores`] with an explicit pool. The K
+    /// independent sweeps are scheduled as pool jobs (never one unbounded
+    /// thread per partition), each sweep parallelizing internally on its
+    /// share of the worker budget via [`WorkerPool::split`]; the
+    /// transposed graph is built once and shared by every partition's
+    /// frontier discovery.
     pub fn partition_scores_with(
         &self,
         pool: WorkerPool,
         graph: &CsrGraph,
         train_of_part: &[Vec<VertexId>],
-        strategy: SweepStrategy,
+    ) -> Vec<Vec<f64>> {
+        self.partition_scores_impl(pool, graph, train_of_part, None)
+    }
+
+    fn partition_scores_impl(
+        &self,
+        pool: WorkerPool,
+        graph: &CsrGraph,
+        train_of_part: &[Vec<VertexId>],
+        force_sparse: Option<bool>,
     ) -> Vec<Vec<f64>> {
         let k = train_of_part.len();
         if k == 0 {
@@ -303,10 +278,7 @@ impl VipModel {
         // frontier path is the expected one; pay for the transpose and
         // the reciprocal-degree table once up front instead of once per
         // partition job.
-        let transpose = match strategy {
-            SweepStrategy::Dense => None,
-            _ => Some(graph.transpose()),
-        };
+        let transpose = (force_sparse != Some(false)).then(|| graph.transpose());
         let inv_deg = inv_degrees(graph);
         let inner = pool.split(k);
         pool.run_jobs(k, |i| {
@@ -318,7 +290,7 @@ impl VipModel {
                 transpose.as_ref(),
                 Some(&inv_deg),
                 &p0,
-                strategy,
+                force_sparse,
             );
             Self::combine(&hops)
         })
@@ -473,6 +445,7 @@ fn frontier_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use spp_graph::generate::{complete, ring_with_chords, star, GeneratorConfig};
@@ -634,23 +607,37 @@ mod tests {
         }
     }
 
+    /// Every way to sweep a hop: the per-hop rule, then dense and
+    /// frontier-sparse forced.
+    const SWEEPS: [Option<bool>; 3] = [None, Some(false), Some(true)];
+
+    /// [`VipModel::scores_with`] with every hop forced to one sweep.
+    fn forced_scores(
+        model: &VipModel,
+        pool: WorkerPool,
+        g: &CsrGraph,
+        train: &[VertexId],
+        sparse: bool,
+    ) -> Vec<f64> {
+        let p0 = model.initial_probabilities(g.num_vertices(), train);
+        VipModel::combine(&model.hop_scores_impl(pool, g, None, None, &p0, Some(sparse)))
+    }
+
     #[test]
     fn hop_scores_bit_identical_across_pools_and_strategies() {
         let g = GeneratorConfig::rmat(1024, 8192).seed(7).build();
         let train: Vec<VertexId> = (0..64).collect();
         let model = VipModel::new(Fanouts::new(vec![7, 5, 3]), 16);
         let p0 = model.initial_probabilities(g.num_vertices(), &train);
-        let reference = model.hop_scores_with(WorkerPool::serial(), &g, &p0, SweepStrategy::Dense);
+        let reference =
+            model.hop_scores_impl(WorkerPool::serial(), &g, None, None, &p0, Some(false));
         for workers in [1usize, 2, 8] {
-            for strategy in [
-                SweepStrategy::Auto,
-                SweepStrategy::Dense,
-                SweepStrategy::FrontierSparse,
-            ] {
-                let got = model.hop_scores_with(WorkerPool::new(workers), &g, &p0, strategy);
+            for sweep in SWEEPS {
+                let got =
+                    model.hop_scores_impl(WorkerPool::new(workers), &g, None, None, &p0, sweep);
                 assert_eq!(got.len(), reference.len());
                 for (h, (a, b)) in reference.iter().zip(&got).enumerate() {
-                    assert_bits_eq(a, b, &format!("workers={workers} {strategy:?} hop {h}"));
+                    assert_bits_eq(a, b, &format!("workers={workers} sparse={sweep:?} hop {h}"));
                 }
             }
         }
@@ -661,15 +648,24 @@ mod tests {
         let g = GeneratorConfig::rmat(512, 4096).seed(11).build();
         let train: Vec<VertexId> = (100..140).collect();
         let model = VipModel::new(Fanouts::new(vec![4, 4]), 8);
-        let reference = model.scores_with(WorkerPool::serial(), &g, &train, SweepStrategy::Dense);
+        let reference = forced_scores(&model, WorkerPool::serial(), &g, &train, false);
         for workers in [2usize, 8] {
-            let got = model.scores_with(
-                WorkerPool::new(workers),
-                &g,
-                &train,
-                SweepStrategy::FrontierSparse,
-            );
+            let got = forced_scores(&model, WorkerPool::new(workers), &g, &train, true);
             assert_bits_eq(&reference, &got, &format!("scores workers={workers}"));
+        }
+    }
+
+    #[test]
+    fn frontier_sparse_and_dense_strategies_agree_at_every_width() {
+        let g = GeneratorConfig::erdos_renyi(200, 900).seed(5).build();
+        let train: Vec<VertexId> = (0..40).collect();
+        let model = VipModel::new(Fanouts::new(vec![6, 4]), 4);
+        let dense = forced_scores(&model, WorkerPool::new(1), &g, &train, false);
+        for workers in [1usize, 2, 8] {
+            for sparse in [false, true] {
+                let p = forced_scores(&model, WorkerPool::new(workers), &g, &train, sparse);
+                assert_bits_eq(&dense, &p, &format!("workers={workers} sparse={sparse}"));
+            }
         }
     }
 
@@ -682,15 +678,17 @@ mod tests {
             (400..420).collect(),
         ];
         let model = VipModel::new(Fanouts::new(vec![5, 5]), 8);
-        let reference =
-            model.partition_scores_with(WorkerPool::serial(), &g, &parts, SweepStrategy::Dense);
+        let reference = model.partition_scores_impl(WorkerPool::serial(), &g, &parts, Some(false));
         for workers in [1usize, 2, 8] {
-            for strategy in [SweepStrategy::Auto, SweepStrategy::FrontierSparse] {
-                let got =
-                    model.partition_scores_with(WorkerPool::new(workers), &g, &parts, strategy);
+            for sweep in [None, Some(true)] {
+                let got = model.partition_scores_impl(WorkerPool::new(workers), &g, &parts, sweep);
                 assert_eq!(got.len(), reference.len());
                 for (k, (a, b)) in reference.iter().zip(&got).enumerate() {
-                    assert_bits_eq(a, b, &format!("workers={workers} {strategy:?} part {k}"));
+                    assert_bits_eq(
+                        a,
+                        b,
+                        &format!("workers={workers} sparse={sweep:?} part {k}"),
+                    );
                 }
             }
         }
@@ -704,9 +702,44 @@ mod tests {
         let g = GeneratorConfig::rmat(2048, 6144).seed(17).build();
         let model = VipModel::new(Fanouts::new(vec![3, 3, 3]), 1);
         let pool = WorkerPool::new(4);
-        let dense = model.scores_with(pool, &g, &[5], SweepStrategy::Dense);
-        let sparse = model.scores_with(pool, &g, &[5], SweepStrategy::FrontierSparse);
+        let dense = forced_scores(&model, pool, &g, &[5], false);
+        let sparse = forced_scores(&model, pool, &g, &[5], true);
         assert_bits_eq(&dense, &sparse, "tiny train set");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The frontier-sparse sweep is an exact evaluation-order-preserving
+        /// subset of the dense sweep: for any graph, fanouts, train set, and
+        /// worker count, every hop vector matches the serial dense sweep
+        /// bit for bit.
+        #[test]
+        fn frontier_sparse_sweep_matches_dense_bitwise(
+            n in 8usize..160,
+            m in 1usize..600,
+            f1 in 1usize..8,
+            f2 in 1usize..8,
+            batch in 1usize..16,
+            train_len in 1usize..24,
+            workers in 1usize..8,
+            seed in 0u64..1000,
+        ) {
+            let g = GeneratorConfig::erdos_renyi(n, m).seed(seed).build();
+            let train: Vec<VertexId> = (0..train_len.min(n) as u32).collect();
+            let model = VipModel::new(Fanouts::new(vec![f1, f2]), batch);
+            let p0 = model.initial_probabilities(n, &train);
+            let dense = model.hop_scores_impl(
+                WorkerPool::serial(), &g, None, None, &p0, Some(false));
+            let sparse = model.hop_scores_impl(
+                WorkerPool::new(workers), &g, None, None, &p0, Some(true));
+            prop_assert_eq!(dense.len(), sparse.len());
+            for (a, b) in dense.iter().zip(&sparse) {
+                for (x, y) in a.iter().zip(b) {
+                    prop_assert_eq!(x.to_bits(), y.to_bits(), "{} vs {}", x, y);
+                }
+            }
+        }
     }
 
     #[test]

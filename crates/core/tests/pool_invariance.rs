@@ -10,7 +10,7 @@
 // to library code only (see [workspace.lints] in Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use spp_core::{CacheBuilder, SweepStrategy, VipModel};
+use spp_core::{CacheBuilder, VipModel};
 use spp_graph::generate::GeneratorConfig;
 use spp_graph::VertexId;
 use spp_pool::WorkerPool;
@@ -38,12 +38,12 @@ fn vip_ranking_and_cache_members_identical_across_worker_counts() {
     let model = VipModel::new(Fanouts::new(vec![10, 5]), 8);
     let builder = CacheBuilder::new(0.25, n, 4);
 
-    let base_scores = model.scores_with(WorkerPool::new(1), &g, &train, SweepStrategy::Auto);
+    let base_scores = model.scores_with(WorkerPool::new(1), &g, &train);
     let base_cache = builder.build(&ranking_of(&base_scores));
     assert!(!base_cache.is_empty(), "degenerate fixture: empty cache");
 
     for workers in [2usize, 8] {
-        let scores = model.scores_with(WorkerPool::new(workers), &g, &train, SweepStrategy::Auto);
+        let scores = model.scores_with(WorkerPool::new(workers), &g, &train);
         for (v, (a, b)) in base_scores.iter().zip(&scores).enumerate() {
             assert_eq!(
                 a.to_bits(),
@@ -59,23 +59,6 @@ fn vip_ranking_and_cache_members_identical_across_worker_counts() {
         );
         for v in 0..n as VertexId {
             assert_eq!(base_cache.slot_of(v), cache.slot_of(v), "slot of {v}");
-        }
-    }
-}
-
-#[test]
-fn frontier_sparse_and_dense_strategies_agree_at_every_width() {
-    let g = GeneratorConfig::erdos_renyi(200, 900).seed(5).build();
-    let train: Vec<VertexId> = (0..40).collect();
-    let model = VipModel::new(Fanouts::new(vec![6, 4]), 4);
-    let dense = model.scores_with(WorkerPool::new(1), &g, &train, SweepStrategy::Dense);
-    for workers in [1usize, 2, 8] {
-        for strategy in [SweepStrategy::Dense, SweepStrategy::FrontierSparse] {
-            let p = model.scores_with(WorkerPool::new(workers), &g, &train, strategy);
-            assert!(dense
-                .iter()
-                .zip(&p)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
 }

@@ -11,11 +11,10 @@
 
 use proptest::prelude::*;
 use spp_core::feature_store::{FeatureLocation, PartitionedFeatureStore};
-use spp_core::{CacheBuilder, ReorderedLayout, StaticCache, SweepStrategy, VipModel};
+use spp_core::{CacheBuilder, ReorderedLayout, StaticCache, VipModel};
 use spp_graph::generate::GeneratorConfig;
 use spp_graph::{FeatureMatrix, QuantScheme, VertexId};
 use spp_partition::simple::block_partition;
-use spp_pool::WorkerPool;
 use spp_sampler::Fanouts;
 
 proptest! {
@@ -213,41 +212,6 @@ proptest! {
         // Offsets consistent with part sizes.
         for p in 0..4u32 {
             prop_assert_eq!(layout.part_range(p).len(), part.members(p).len());
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The frontier-sparse sweep is an exact evaluation-order-preserving
-    /// subset of the dense sweep: for any graph, fanouts, train set, and
-    /// worker count, every hop vector matches the serial dense sweep
-    /// bit for bit.
-    #[test]
-    fn frontier_sparse_sweep_matches_dense_bitwise(
-        n in 8usize..160,
-        m in 1usize..600,
-        f1 in 1usize..8,
-        f2 in 1usize..8,
-        batch in 1usize..16,
-        train_len in 1usize..24,
-        workers in 1usize..8,
-        seed in 0u64..1000,
-    ) {
-        let g = GeneratorConfig::erdos_renyi(n, m).seed(seed).build();
-        let train: Vec<VertexId> = (0..train_len.min(n) as u32).collect();
-        let model = VipModel::new(Fanouts::new(vec![f1, f2]), batch);
-        let p0 = model.initial_probabilities(n, &train);
-        let dense = model.hop_scores_with(
-            WorkerPool::serial(), &g, &p0, SweepStrategy::Dense);
-        let sparse = model.hop_scores_with(
-            WorkerPool::new(workers), &g, &p0, SweepStrategy::FrontierSparse);
-        prop_assert_eq!(dense.len(), sparse.len());
-        for (a, b) in dense.iter().zip(&sparse) {
-            for (x, y) in a.iter().zip(b) {
-                prop_assert_eq!(x.to_bits(), y.to_bits(), "{} vs {}", x, y);
-            }
         }
     }
 }

@@ -20,12 +20,10 @@ pub enum Arch {
     /// Graph isomorphism network: sum aggregation + MLP update
     /// (Xu et al., 2019).
     Gin,
-    /// Single-head graph attention network (Veličković et al., 2018).
-    Gat,
-    /// Multi-head GAT: the layer output concatenates `N` attention heads
-    /// of width `out/N` each.
-    ///
-    /// Layer widths must be divisible by the head count.
+    /// Graph attention network with `N` heads (Veličković et al., 2018):
+    /// the layer output concatenates the heads, `out/N` wide each, or
+    /// averages full-width heads where `N` does not divide the width.
+    /// `GatMultiHead(1)` is single-head GAT.
     GatMultiHead(usize),
 }
 
@@ -49,12 +47,6 @@ enum Layer {
         b1: Param,
         w2: Param,
         b2: Param,
-    },
-    Gat {
-        w: Param,
-        a_target: Param,
-        a_source: Param,
-        bias: Param,
     },
     GatMultiHead {
         heads: Vec<(Param, Param, Param)>,
@@ -82,12 +74,6 @@ impl Layer {
                 bias,
             } => vec![w_pool, b_pool, w_self, w_neigh, bias],
             Layer::Gin { w1, b1, w2, b2 } => vec![w1, b1, w2, b2],
-            Layer::Gat {
-                w,
-                a_target,
-                a_source,
-                bias,
-            } => vec![w, a_target, a_source, bias],
             Layer::GatMultiHead { heads, bias, .. } => {
                 let mut ps: Vec<&mut Param> = Vec::with_capacity(heads.len() * 3 + 1);
                 for (w, at, asrc) in heads {
@@ -211,12 +197,6 @@ impl GnnModel {
                         b1: Param::new(init::zeros_bias(dout)),
                         w2: Param::new(init::glorot_uniform(dout, dout, &mut rng)),
                         b2: Param::new(init::zeros_bias(dout)),
-                    },
-                    Arch::Gat => Layer::Gat {
-                        w: Param::new(init::glorot_uniform(din, dout, &mut rng)),
-                        a_target: Param::new(init::glorot_uniform(dout, 1, &mut rng)),
-                        a_source: Param::new(init::glorot_uniform(dout, 1, &mut rng)),
-                        bias: Param::new(init::zeros_bias(dout)),
                     },
                     Arch::GatMultiHead(h) => {
                         assert!(h > 0, "need at least one attention head");
@@ -403,32 +383,6 @@ impl GnnModel {
                         out
                     }
                 }
-                Layer::Gat {
-                    w,
-                    a_target,
-                    a_source,
-                    bias,
-                } => {
-                    let adj = to_csr_adj_with_self(hop);
-                    let wn = tape.input(w.value.clone());
-                    let atn = tape.input(a_target.value.clone());
-                    let asn = tape.input(a_source.value.clone());
-                    let bn = tape.input(bias.value.clone());
-                    param_nodes.extend([wn, atn, asn, bn]);
-                    let wh = tape.matmul(h, wn);
-                    let tgt_scores = tape.matmul(wh, atn);
-                    let src_scores = tape.matmul(wh, asn);
-                    let e = tape.edge_scores(tgt_scores, src_scores, Arc::clone(&adj));
-                    let el = tape.leaky_relu(e, 0.2);
-                    let alpha = tape.edge_softmax(el, Arc::clone(&adj));
-                    let agg = tape.weighted_agg(alpha, wh, adj);
-                    let out = tape.add_bias(agg, bn);
-                    if act {
-                        tape.relu(out)
-                    } else {
-                        out
-                    }
-                }
             };
             if act && train && self.dropout > 0.0 {
                 h = tape.dropout(h, self.dropout, rng);
@@ -553,7 +507,7 @@ mod tests {
 
     #[test]
     fn gat_forward_shapes() {
-        let (model, mfg, x) = setup(Arch::Gat);
+        let (model, mfg, x) = setup(Arch::GatMultiHead(1));
         let mut rng = StdRng::seed_from_u64(4);
         let fwd = model.forward(x, &mfg, false, &mut rng);
         assert_eq!(fwd.logits_value().shape(), (4, 3));
@@ -588,7 +542,7 @@ mod tests {
             Arch::Sage,
             Arch::SagePool,
             Arch::Gin,
-            Arch::Gat,
+            Arch::GatMultiHead(1),
             Arch::GatMultiHead(2),
         ] {
             let (mut model, mfg, x) = setup(arch);

@@ -39,7 +39,7 @@ proptest! {
         seeds in 1usize..8,
         seed in 0u64..200,
     ) {
-        for arch in [Arch::Sage, Arch::SagePool, Arch::Gin, Arch::Gat, Arch::GatMultiHead(2)] {
+        for arch in [Arch::Sage, Arch::SagePool, Arch::Gin, Arch::GatMultiHead(1), Arch::GatMultiHead(2)] {
             let (r, c) = forward_shape_for(arch, n, m, seeds.min(n), seed);
             prop_assert_eq!(r, seeds.min(n));
             prop_assert_eq!(c, 4);

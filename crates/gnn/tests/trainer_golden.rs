@@ -31,8 +31,8 @@ const GOLDEN: &[(Arch, f32, [u64; 2], u32)] = &[
     (Arch::SagePool, 0.2, [0x3ffa565376666666, 0x3fc69bb6b999999a], 0xbbff6174),
     (Arch::Gin, 0.0, [0x402026dfc1333333, 0x3fdaa02d7999999a], 0x39153f1e),
     (Arch::Gin, 0.2, [0x401df95ee3333333, 0x3fdf6325cccccccd], 0x86b970d8),
-    (Arch::Gat, 0.0, [0x3ff61a3610000000, 0x3fdd6d0e4999999a], 0xb828a973),
-    (Arch::Gat, 0.2, [0x3ff65ea0c3333333, 0x3fdbe9cf0ccccccd], 0xb835c704),
+    (Arch::GatMultiHead(1), 0.0, [0x3ff61a3610000000, 0x3fdd6d0e4999999a], 0xb828a973),
+    (Arch::GatMultiHead(1), 0.2, [0x3ff65ea0c3333333, 0x3fdbe9cf0ccccccd], 0xb835c704),
     (Arch::GatMultiHead(2), 0.0, [0x3fe3d45880000000, 0x3fcb144eb6666666], 0xb1cd3111),
     (Arch::GatMultiHead(2), 0.2, [0x3fe44eb58999999a, 0x3fcd2f6b38000000], 0xbf46ca39),
 ];
@@ -63,7 +63,7 @@ fn two_epoch_training_matches_golden_bits_for_every_arch() {
         Arch::Sage,
         Arch::SagePool,
         Arch::Gin,
-        Arch::Gat,
+        Arch::GatMultiHead(1),
         Arch::GatMultiHead(2),
     ] {
         for dropout in [0.0f32, 0.2] {

@@ -86,7 +86,7 @@ use std::sync::OnceLock;
 /// (`spp_telemetry::enabled()` gates the whole block, so the disabled
 /// cost is one relaxed load per region).
 struct PoolMetrics {
-    /// Parallel regions entered (`run_jobs` / `par_map` / `par_chunks`).
+    /// Parallel regions entered (`run_jobs` / `par_chunks`).
     regions: Counter,
     /// Jobs dealt across all regions.
     jobs: Counter,
@@ -373,13 +373,6 @@ impl WorkerPool {
         (by_cost as usize).max(1)
     }
 
-    /// Like [`WorkerPool::jobs_for_cost`] for item counts with an
-    /// explicit minimum number of items per job.
-    pub fn jobs_for_items(&self, items: usize, min_per_job: usize) -> usize {
-        let by_items = (items / min_per_job.max(1)).min(self.workers);
-        by_items.max(1)
-    }
-
     /// Runs `num_jobs` independent jobs, `f(i)` for `i in 0..num_jobs`,
     /// on at most `workers` threads (jobs are dealt round-robin when they
     /// outnumber workers). Returns results in job-index order.
@@ -400,30 +393,6 @@ impl WorkerPool {
             .map(|(i, slot)| (i, i, slot));
         self.run_chunks(pieces, |i, _, slot| slot[0] = Some(f(i)));
         // Every slot is filled; the collect reuses the slot buffer.
-        slots.into_iter().map_while(|r| r).collect() // spp-hot: alloc(in place over the slot buffer)
-    }
-
-    /// Maps `f(index, item)` over `items`, chunked into
-    /// `jobs_for_items(items.len(), min_per_job)` even ranges, each item's
-    /// result written to its own slot.
-    // spp-hot(pool.par_map)
-    pub fn par_map<T, R, F>(&self, items: &[T], min_per_job: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let jobs = self.jobs_for_items(items.len(), min_per_job);
-        let cuts: Vec<usize> = even_ranges(items.len(), jobs)
-            .into_iter()
-            .map(|r| r.end)
-            .collect(); // spp-hot: alloc(in place over the range table)
-        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect(); // spp-hot: alloc(the map's result, one slot per item)
-        self.par_chunks(&mut slots, &cuts, |_, off, chunk| {
-            for (j, slot) in chunk.iter_mut().enumerate() {
-                *slot = Some(f(off + j, &items[off + j]));
-            }
-        });
         slots.into_iter().map_while(|r| r).collect() // spp-hot: alloc(in place over the slot buffer)
     }
 
@@ -462,7 +431,7 @@ impl WorkerPool {
     }
 
     /// The one parallel body behind [`WorkerPool::par_chunks`] (and so
-    /// `run_jobs` / `par_map`, over one slot per job or item): runs
+    /// `run_jobs`, over one slot per job): runs
     /// `f(chunk_index, start_offset, chunk)` for every piece, piece `i` on
     /// participant `i mod threads` of a `min(workers, pieces)`-wide region.
     fn run_chunks<'a, T, F>(
@@ -623,16 +592,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_matches_serial_map() {
-        let items: Vec<u64> = (0..100).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for workers in [1usize, 2, 8] {
-            let got = WorkerPool::new(workers).par_map(&items, 1, |_, &x| x * x);
-            assert_eq!(got, expect);
-        }
-    }
-
-    #[test]
     fn par_chunks_writes_every_chunk_once() {
         let mut data = vec![0u32; 20];
         let cuts = vec![5usize, 5, 12, 20]; // includes an empty chunk
@@ -665,8 +624,6 @@ mod tests {
         assert_eq!(pool.jobs_for_cost(MIN_COST_PER_JOB - 1), 1);
         assert_eq!(pool.jobs_for_cost(2 * MIN_COST_PER_JOB), 2);
         assert_eq!(pool.jobs_for_cost(100 * MIN_COST_PER_JOB), 4);
-        assert_eq!(pool.jobs_for_items(100, 10), 4);
-        assert_eq!(pool.jobs_for_items(15, 10), 1);
     }
 
     #[test]

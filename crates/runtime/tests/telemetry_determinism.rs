@@ -16,7 +16,7 @@
 )]
 
 use spp_core::policies::CachePolicy;
-use spp_core::{SweepStrategy, VipModel};
+use spp_core::VipModel;
 use spp_graph::dataset::{Dataset, SyntheticSpec};
 use spp_graph::VertexId;
 use spp_runtime::pool::WorkerPool;
@@ -49,7 +49,6 @@ fn vip_scores(ds: &Dataset) -> Vec<Vec<f64>> {
         WorkerPool::new(4),
         &ds.graph,
         &parts,
-        SweepStrategy::Auto,
     )
 }
 

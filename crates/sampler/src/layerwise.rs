@@ -5,8 +5,9 @@
 //! samples a fixed per-layer budget from the union. The paper's analytic
 //! VIP model does not cover this scheme ("The VIP model for node-wise
 //! sampling derived in this section does not apply to other sampling
-//! schemes"), but its empirical ("sim.") caching policy does — the
-//! `layerwise_vip` harness demonstrates exactly that.
+//! schemes"), while its empirical ("sim.") caching policy applies to any
+//! scheme — the `experiments layerwise_vip` row ranks caches both ways
+//! under this sampler.
 
 use crate::{HopAdj, Mfg, VertexIndexer};
 use rand::Rng;

@@ -22,6 +22,7 @@
 //! section — `cargo xtask validate-trace` checks both against this
 //! schema.
 
+use crate::export::json_escape;
 use crate::sketch::QuantileSketch;
 use spp_sync::Mutex;
 use std::fmt::Write as _;
@@ -59,7 +60,12 @@ impl TierStats {
         format!(
             "{{\"tier\": \"{}\", \"hits\": {}, \"misses\": {}, \"evictions\": {}, \
              \"insertions\": {}, \"bytes\": {}}}",
-            self.tier, self.hits, self.misses, self.evictions, self.insertions, self.bytes
+            json_escape(&self.tier),
+            self.hits,
+            self.misses,
+            self.evictions,
+            self.insertions,
+            self.bytes
         )
     }
 }
@@ -96,7 +102,10 @@ impl CacheReport {
             out,
             "{{\"label\": \"{}\", \"scheme\": \"{}\", \"lookups\": {}, \"local\": {}, \
              \"tiers\": [",
-            self.label, self.scheme, self.lookups, self.local
+            json_escape(&self.label),
+            json_escape(&self.scheme),
+            self.lookups,
+            self.local
         );
         for (i, t) in self.tiers.iter().enumerate() {
             if i > 0 {
@@ -188,14 +197,18 @@ impl CommReport {
         let _ = write!(
             out,
             "{{\"label\": \"{}\", \"machines\": {k}, \"total_bytes\": {}, \"windows\": [",
-            self.label,
+            json_escape(&self.label),
             self.total_bytes()
         );
         for (wi, w) in self.windows.iter().enumerate() {
             if wi > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(out, "{{\"label\": \"{}\", \"bytes\": [", w.label);
+            let _ = write!(
+                out,
+                "{{\"label\": \"{}\", \"bytes\": [",
+                json_escape(&w.label)
+            );
             for row in 0..k {
                 if row > 0 {
                     out.push_str(", ");
@@ -254,9 +267,9 @@ impl StoreReport {
             "{{\"label\": \"{}\", \"backend\": \"{}\", \"scheme\": \"{}\", \
              \"page_rows\": {}, \"page_bytes\": {}, \"pages_read\": {}, \
              \"pages_faulted\": {}, \"pages_hit\": {}, \"bytes_read\": {}}}",
-            self.label,
-            self.backend,
-            self.scheme,
+            json_escape(&self.label),
+            json_escape(&self.backend),
+            json_escape(&self.scheme),
             self.page_rows,
             self.page_bytes,
             self.pages_read,
@@ -424,6 +437,37 @@ mod tests {
         assert!(j.contains("\"backend\": \"mmap\""), "{j}");
         assert!(j.contains("\"pages_faulted\": 30"), "{j}");
         assert!(j.contains("\"bytes_read\": 122880"), "{j}");
+    }
+
+    #[test]
+    fn every_report_escapes_its_strings() {
+        // A quote or backslash spliced in raw would end the JSON string
+        // early and invalidate the trace's `attrib` section.
+        let raw = r#"q"b\s"#;
+        let esc = r#""q\"b\\s""#;
+        let mut tier = TierStats::named(raw);
+        tier.hits = 1;
+        let cache = CacheReport {
+            label: raw.into(),
+            scheme: raw.into(),
+            tiers: vec![tier],
+            ..CacheReport::default()
+        };
+        let comm = CommReport::with_windows(raw, 1, 1, |_| raw.into());
+        let store = StoreReport {
+            label: raw.into(),
+            backend: raw.into(),
+            scheme: raw.into(),
+            ..StoreReport::default()
+        };
+        for (j, strings) in [
+            (cache.to_json(), 3),
+            (comm.to_json(), 2),
+            (store.to_json(), 3),
+        ] {
+            assert_eq!(j.matches(esc).count(), strings, "{j}");
+            assert!(!j.contains(&format!("\"{raw}\"")), "{j}");
+        }
     }
 
     #[test]
