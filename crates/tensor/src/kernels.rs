@@ -3,17 +3,18 @@
 //! Every kernel here follows the same determinism discipline as the rest
 //! of the workspace (DESIGN.md §9 and §14): the blocking scheme is a
 //! *pure function of the operand shapes*, and each output element is
-//! accumulated into a single accumulator in a fixed index order (`k`
-//! ascending for `matmul`, `r` ascending for `t_matmul`, lane-partitioned
-//! with a fixed reduction tree for `matmul_t`). Worker-pool chunking
-//! splits these kernels along output rows/columns only, which never
-//! changes any element's accumulation order — so results are
-//! bit-identical for any worker count.
+//! accumulated in a fixed index order: one accumulator over `k`
+//! ascending for `matmul` and over `r` ascending for `t_matmul`; for
+//! `matmul_t`, [`dot_blocked`]'s eight lane accumulators, each over its
+//! lane's indices ascending, combined in a fixed tree, then the `k % 8`
+//! tail. Worker-pool chunking splits these kernels along output
+//! rows/columns only, which never changes any element's accumulation
+//! order — so results are bit-identical for any worker count.
 //!
 //! The register tiles are plain `[f32; 8]` arrays sized so LLVM's
-//! autovectorizer lowers the inner loops to 8-lane SIMD (one vector
-//! register per accumulator on SSE2/NEON, half a register on AVX2) with
-//! a scalar tail; no target-specific intrinsics are used. Every
+//! autovectorizer lowers the inner loops to 8-lane SIMD (one AVX2
+//! register per accumulator, two on SSE2/NEON) with a scalar tail; no
+//! target-specific intrinsics are used. Every
 //! accumulation step goes through [`fmadd`], which compiles to a fused
 //! multiply-add on targets with hardware FMA (see `.cargo/config.toml`)
 //! and to mul-then-add elsewhere — the choice is a pure function of the
@@ -23,7 +24,7 @@
 //! entry costs one multiply-add like any other.
 
 /// SIMD lane width the register tiles are built from. Eight `f32`s is
-/// one SSE2/NEON register pair and half an AVX2 register; the
+/// one AVX2 register and one SSE2/NEON register pair; the
 /// autovectorizer maps `[f32; LANES]` loops onto whichever is available.
 pub const LANES: usize = 8;
 
@@ -48,10 +49,6 @@ pub const TM_K_TILE: usize = 4;
 /// 24 000×64×256 training shape; 256 drops off, and a single pass over
 /// all rows (the pre-panel kernel) ran at 5.5.
 pub const TM_R_PANEL: usize = 64;
-
-/// Simultaneous dot products in the dense `matmul_t` micro-kernel:
-/// four `b` rows share each `a` load.
-pub const MT_J_TILE: usize = 4;
 
 /// The single accumulation step every kernel in this module is built
 /// from: `acc + a·b`. On targets with hardware FMA (x86-64-v3 builds —
@@ -119,42 +116,52 @@ pub fn matmul_rows_dense(a_rows: &[f32], k: usize, b: &[f32], n: usize, chunk: &
 }
 
 /// 4×16 register-tiled block: `MM_I_TILE` output rows over 16-wide
-/// column tiles. Eight accumulator vectors stay in registers across the
-/// whole `k` loop; every `b` load feeds all four rows.
+/// column tiles of [`tile`], then the 8-wide and scalar column tails.
 #[inline]
 fn matmul_block_dense(a4: &[f32], k: usize, b: &[f32], n: usize, out4: &mut [f32]) {
     let mut j = 0usize;
     while j + MM_J_TILE <= n {
-        let mut acc = [[0.0f32; LANES]; 2 * MM_I_TILE];
-        for kk in 0..k {
-            let b_tile = &b[kk * n + j..kk * n + j + MM_J_TILE];
-            for r in 0..MM_I_TILE {
-                let av = a4[r * k + kk];
-                for l in 0..LANES {
-                    acc[2 * r][l] = fmadd(av, b_tile[l], acc[2 * r][l]);
-                }
-                for l in 0..LANES {
-                    acc[2 * r + 1][l] = fmadd(av, b_tile[LANES + l], acc[2 * r + 1][l]);
-                }
-            }
-        }
-        for r in 0..MM_I_TILE {
-            out4[r * n + j..r * n + j + LANES].copy_from_slice(&acc[2 * r]);
-            out4[r * n + j + LANES..r * n + j + MM_J_TILE].copy_from_slice(&acc[2 * r + 1]);
+        let acc = tile::<MM_I_TILE>(a4, k, 1, k, &b[j..], n);
+        for (r, acc_r) in acc.iter().enumerate() {
+            out4[r * n + j..r * n + j + MM_J_TILE].copy_from_slice(acc_r.as_flattened());
         }
         j += MM_J_TILE;
     }
     if j < n {
         for r in 0..MM_I_TILE {
-            matmul_row_tail(
-                &a4[r * k..(r + 1) * k],
-                b,
-                n,
-                j,
-                &mut out4[r * n..(r + 1) * n],
-            );
+            matmul_row_tail(&a4[r * k..][..k], b, n, j, &mut out4[r * n..][..n]);
         }
     }
+}
+
+/// The `R`×16 register tile `matmul` and `matmul_t` are built from:
+/// `acc[r][h][l] = Σ_s a[r·lda + s·step] · b[s·ldb + 8h + l]`, one
+/// accumulator per element, summed over `s` ascending in `0..depth`
+/// from 0.0. At `R = 4` its eight accumulator vectors stay in registers
+/// across the whole loop, and every `b` load feeds all four rows.
+#[inline(always)]
+fn tile<const R: usize>(
+    a: &[f32],
+    lda: usize,
+    step: usize,
+    depth: usize,
+    b: &[f32],
+    ldb: usize,
+) -> [[[f32; LANES]; 2]; R] {
+    let mut acc = [[[0.0f32; LANES]; 2]; R];
+    for s in 0..depth {
+        let b16 = &b[s * ldb..s * ldb + MM_J_TILE];
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let av = a[r * lda + s * step];
+            for l in 0..LANES {
+                acc_r[0][l] = fmadd(av, b16[l], acc_r[0][l]);
+            }
+            for l in 0..LANES {
+                acc_r[1][l] = fmadd(av, b16[LANES + l], acc_r[1][l]);
+            }
+        }
+    }
+    acc
 }
 
 /// Columns `j0..n` of one output row: 8-wide tiles, then a scalar tail.
@@ -428,74 +435,97 @@ fn t_matmul_panel(
 // matmul_t: out[i][j] = dot(a_row_i, b_row_j)
 // ---------------------------------------------------------------------
 
-/// Dense row kernel for `a @ bᵀ`: computes `chunk.len() / b_rows`
-/// output rows into `chunk`, where `a_rows` holds the matching rows of
-/// `a` and `b` is `b_rows × k` row-major. Each element is a
-/// lane-partitioned dot product ([`dot_blocked`]); every element of
-/// `chunk` is overwritten.
-// spp-hot(kernel.matmul_t_dense)
-pub fn matmul_t_rows_dense(a_rows: &[f32], k: usize, b: &[f32], b_rows: usize, chunk: &mut [f32]) {
+/// Length of [`matmul_t_pack`]'s output for a `b_rows × k` operand.
+pub fn matmul_t_packed_len(b_rows: usize, k: usize) -> usize {
+    b_rows.div_ceil(MM_J_TILE) * MM_J_TILE * k
+}
+
+/// Packs `b` (`b_rows × k` row-major) into `packed`, reusing its
+/// capacity: one `k × 16` panel per 16 rows of `b` (the last
+/// zero-padded) holding them transposed, with the first `kv = k − k % 8`
+/// panel rows lane-major — panel row `l·(k/8) + q` is column `8q + l`.
+// spp-hot(kernel.matmul_t_pack)
+pub fn matmul_t_pack(b: &[f32], b_rows: usize, k: usize, packed: &mut Vec<f32>) {
     debug_assert_eq!(b.len(), b_rows * k, "b shape mismatch");
+    packed.clear();
+    packed.resize(matmul_t_packed_len(b_rows, k), 0.0);
     if k == 0 {
-        chunk.fill(0.0); // empty dots: `a_rows` has no row to iterate
-        return;
+        return; // no panel to fill
     }
-    let kv = k - k % LANES;
-    for (a_row, out_row) in a_rows.chunks_exact(k).zip(chunk.chunks_mut(b_rows.max(1))) {
-        // Four dots at a time: the `a` row vector is loaded once per
-        // 8-lane step and feeds four independent accumulator sets, each
-        // of which reduces exactly like [`dot_blocked`] (same fixed
-        // pairwise tree, same ascending tail) — bit-identical per
-        // element to the one-dot-at-a-time path below.
-        let mut j = 0usize;
-        while j + MT_J_TILE <= b_rows {
-            let mut acc = [[0.0f32; LANES]; MT_J_TILE];
-            matmul_t_tile(a_row, b, k, j, kv, &mut acc);
-            for (t, a8) in acc.iter().enumerate() {
-                let mut sum =
-                    ((a8[0] + a8[1]) + (a8[2] + a8[3])) + ((a8[4] + a8[5]) + (a8[6] + a8[7]));
-                for p in kv..k {
-                    sum = fmadd(a_row[p], b[(j + t) * k + p], sum);
-                }
-                out_row[j + t] = sum;
+    let (kq, kv, panel_len) = (k / LANES, k - k % LANES, MM_J_TILE * k);
+    for (panel, rows) in packed.chunks_exact_mut(panel_len).zip(b.chunks(panel_len)) {
+        for (c, row) in rows.chunks_exact(k).enumerate() {
+            for (s, &v) in row.iter().enumerate() {
+                let p = if s < kv {
+                    s % LANES * kq + s / LANES
+                } else {
+                    s
+                };
+                panel[p * MM_J_TILE + c] = v;
             }
-            j += MT_J_TILE;
-        }
-        while j < b_rows {
-            out_row[j] = dot_blocked(a_row, &b[j * k..j * k + k]);
-            j += 1;
         }
     }
 }
 
-/// Vector body of the `matmul_t` tile: accumulates the first `kv`
-/// (a multiple of `LANES`) elements of four dot products — `a_row`
-/// against `b` rows `j .. j + MT_J_TILE` — into `acc`, lane-partitioned
-/// exactly like [`dot_blocked`]. Deliberately *not* inlined: with the
-/// callers' horizontal reduction visible in the same function, the SLP
-/// vectorizer packs the accumulators across the `t` axis (a shuffle per
-/// step and a stack spill per accumulator); kept opaque, the lane loops
-/// lower to one vector FMA per dot with no shuffles, and the call cost
-/// is amortized over the whole `kv` loop.
-#[inline(never)]
-fn matmul_t_tile(
-    a_row: &[f32],
-    b: &[f32],
-    k: usize,
-    j: usize,
-    kv: usize,
-    acc: &mut [[f32; LANES]; MT_J_TILE],
-) {
-    let mut p = 0usize;
-    while p < kv {
-        let x8 = &a_row[p..p + LANES];
-        for t in 0..MT_J_TILE {
-            let y8 = &b[(j + t) * k + p..(j + t) * k + p + LANES];
-            for l in 0..LANES {
-                acc[t][l] = fmadd(x8[l], y8[l], acc[t][l]);
+/// Dense row kernel for `a @ bᵀ`: overwrites `chunk` with its
+/// `chunk.len() / b_rows` output rows, from the matching rows `a_rows`
+/// of `a` and the `b_rows × k` operand `b` packed by [`matmul_t_pack`].
+///
+/// Each element is bit-identical to [`dot_blocked`] of its two rows:
+/// that dot's lane-`l` partial, `Σ_q a[8q + l]·b[8q + l]` over `q`
+/// ascending from 0.0, is a `k/8`-deep `matmul` element of `a`'s lane-`l`
+/// columns against panel rows `l·(k/8)..`. So per 4×16 output tile
+/// [`tile`] runs once per lane, the partial tiles are combined in
+/// `dot_blocked`'s tree, and the `k % 8` tail is appended ascending.
+// spp-hot(kernel.matmul_t_dense)
+pub fn matmul_t_rows_dense(a_rows: &[f32], k: usize, b: &[f32], b_rows: usize, chunk: &mut [f32]) {
+    debug_assert_eq!(b.len(), matmul_t_packed_len(b_rows, k), "b not packed");
+    if k == 0 || b_rows == 0 {
+        chunk.fill(0.0); // empty dots: no panel below would write them
+        return;
+    }
+    let a4 = a_rows.chunks_exact(MM_I_TILE * k);
+    let a_tail = a4.remainder();
+    let mut out4 = chunk.chunks_exact_mut(MM_I_TILE * b_rows);
+    for (a, out) in a4.zip(&mut out4) {
+        matmul_t_block::<MM_I_TILE>(a, k, b, out);
+    }
+    let out_tail = out4.into_remainder().chunks_exact_mut(b_rows);
+    for (a, out) in a_tail.chunks_exact(k).zip(out_tail) {
+        matmul_t_block::<1>(a, k, b, out);
+    }
+}
+
+/// `R` output rows of [`matmul_t_rows_dense`], one 16-column panel at
+/// a time through an on-stack `[lane][R][16]` partial tile.
+#[inline]
+fn matmul_t_block<const R: usize>(a: &[f32], k: usize, b: &[f32], out: &mut [f32]) {
+    let (n, kq, kv) = (out.len() / R, k / LANES, k - k % LANES);
+    for (j, panel) in (0..n).step_by(MM_J_TILE).zip(b.chunks_exact(MM_J_TILE * k)) {
+        let mut part = [[[[0.0f32; LANES]; 2]; R]; LANES];
+        if kq > 0 {
+            for (l, p) in part.iter_mut().enumerate() {
+                let panel_l = &panel[l * kq * MM_J_TILE..];
+                *p = tile::<R>(&a[l..], k, LANES, kq, panel_l, MM_J_TILE);
             }
         }
-        p += LANES;
+        let w = MM_J_TILE.min(n - j);
+        for r in 0..R {
+            let mut sum = [[0.0f32; LANES]; 2];
+            for (h, sum_h) in sum.iter_mut().enumerate() {
+                for l in 0..LANES {
+                    let p = |t: usize| part[t][r][h][l];
+                    sum_h[l] = ((p(0) + p(1)) + (p(2) + p(3))) + ((p(4) + p(5)) + (p(6) + p(7)));
+                }
+                for s in kv..k {
+                    let (av, b8) = (a[r * k + s], &panel[s * MM_J_TILE + h * LANES..]);
+                    for l in 0..LANES {
+                        sum_h[l] = fmadd(av, b8[l], sum_h[l]);
+                    }
+                }
+            }
+            out[r * n + j..r * n + j + w].copy_from_slice(&sum.as_flattened()[..w]);
+        }
     }
 }
 
@@ -697,22 +727,106 @@ mod tests {
         }
     }
 
+    /// `a @ bᵀ` through the packed kernel, into a NaN-prefilled output.
+    fn matmul_t_packed(a: &[f32], rows: usize, k: usize, b: &[f32], n: usize) -> Vec<f32> {
+        let mut packed = vec![f32::NAN; 3]; // stale contents are overwritten
+        matmul_t_pack(b, n, k, &mut packed);
+        let mut out = vec![f32::NAN; rows * n];
+        matmul_t_rows_dense(a, k, &packed, n, &mut out);
+        out
+    }
+
+    /// `dot_blocked` per element: the order `matmul_t` is pinned to.
+    fn matmul_t_dots(a: &[f32], rows: usize, k: usize, b: &[f32], n: usize) -> Vec<f32> {
+        let row = |m: &[f32], i: usize| m[i * k..(i + 1) * k].to_vec();
+        (0..rows * n)
+            .map(|e| dot_blocked(&row(a, e / n), &row(b, e % n)))
+            .collect()
+    }
+
+    /// Bit equality, except that any NaN equals any NaN: which NaN
+    /// payload an `fmadd` over two NaN operands keeps is the hardware's.
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (e, (g, w)) in got.iter().zip(want).enumerate() {
+            let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+            assert!(
+                same,
+                "{what}: element {e} is {g:e}, dot_blocked gives {w:e}"
+            );
+        }
+    }
+
     #[test]
     fn matmul_t_rows_dense_matches_dot() {
-        // k = 0: empty dots are zeros the kernel itself must write.
-        for (rows, k, bn) in [(5, 37, 9), (5, 0, 9)] {
-            let a = fractious(rows * k, 12);
-            let b = fractious(bn * k, 13);
-            let mut out = vec![f32::NAN; rows * bn];
-            matmul_t_rows_dense(&a, k, &b, bn, &mut out);
-            for i in 0..rows {
-                for j in 0..bn {
-                    assert_eq!(
-                        out[i * bn + j],
-                        dot_blocked(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k])
+        // k = 0: empty dots are zeros the kernel itself must write. Every
+        // k below 8 runs no lane tile, n = 256 fills whole panels.
+        for k in (0..=17).chain([31, 32, 64, 100, 256]) {
+            for n in [1usize, 7, 15, 16, 17, 33, 256] {
+                let b = fractious(n * k, 13);
+                for rows in (1..=9).chain([130]) {
+                    let a = fractious(rows * k, 12);
+                    assert_same_bits(
+                        &matmul_t_packed(&a, rows, k, &b, n),
+                        &matmul_t_dots(&a, rows, k, &b, n),
+                        &format!("{rows}x{k}x{n}"),
                     );
                 }
             }
+        }
+    }
+
+    /// Rows of signed zeros, subnormals and sparse ±inf / NaN among
+    /// finite rows: row kind `i % 4`.
+    fn odd_values(rows: usize, k: usize, salt: u32) -> Vec<f32> {
+        const ODD: [f32; 6] = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -1e-45,
+        ];
+        let mut v = fractious(rows * k, salt);
+        for (i, row) in v.chunks_mut(k).enumerate() {
+            for (c, x) in row.iter_mut().enumerate() {
+                match i % 4 {
+                    0 => {}
+                    1 => *x = -0.0,
+                    2 => *x = if c % 2 == 0 { 1e-40 } else { -3e-39 },
+                    _ if c % 5 == i % 5 => *x = ODD[(c + i) % ODD.len()],
+                    _ => {}
+                }
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn matmul_t_matches_dot_blocked_on_zeros_infinities_nan_and_subnormals() {
+        for (rows, k, n) in [(8, 5, 9), (12, 8, 16), (9, 37, 33), (16, 64, 20)] {
+            let (a, b) = (odd_values(rows, k, 14), odd_values(n, k, 15));
+            let got = matmul_t_packed(&a, rows, k, &b, n);
+            assert_same_bits(&got, &matmul_t_dots(&a, rows, k, &b, n), "odd values");
+            // An all-(-0.0) row against finite rows is a sum of -0.0
+            // products from +0.0 accumulators: +0.0, not -0.0.
+            assert_eq!(got[n].to_bits(), 0.0f32.to_bits(), "{rows}x{k}x{n}");
+        }
+    }
+
+    #[test]
+    fn matmul_t_row_splits_are_bit_identical() {
+        let (rows, k, n) = (13usize, 37usize, 33usize);
+        let (a, b) = (fractious(rows * k, 16), fractious(n * k, 17));
+        let whole = matmul_t_packed(&a, rows, k, &b, n);
+        let mut packed = Vec::new();
+        matmul_t_pack(&b, n, k, &mut packed);
+        for cut in 0..=rows {
+            let mut pieced = vec![f32::NAN; rows * n];
+            let (head, tail) = pieced.split_at_mut(cut * n);
+            matmul_t_rows_dense(&a[..cut * k], k, &packed, n, head);
+            matmul_t_rows_dense(&a[cut * k..], k, &packed, n, tail);
+            assert_same_bits(&pieced, &whole, &format!("cut {cut}"));
         }
     }
 }
