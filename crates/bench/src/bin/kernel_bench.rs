@@ -4,8 +4,11 @@
 //! Measures GFLOP/s for the three matmul variants (`A·B`, `Aᵀ·B`,
 //! `A·Bᵀ`) in two forms — the seed's branchy zero-skip scalar loops
 //! (inlined here verbatim as the reference) and the blocked dense
-//! kernels in `spp_tensor::kernels` — at an L2-resident shape and at
-//! the tall shapes the training loop runs, together with VIP sweep and
+//! kernels in `spp_tensor::kernels`, each timed with the weight-panel
+//! packing it does inside — at an L2-resident shape and at the tall
+//! shapes the training loop runs, beside an in-run single-core FMA
+//! roofline (the share of it each blocked product reaches is
+//! reported), together with VIP sweep and
 //! quantized feature-decode throughput, and the bytes-on-the-wire an
 //! epoch of distributed training moves under each wire codec
 //! (`f32`/`f16`/`i8`). At the two training shapes it also times the
@@ -19,6 +22,7 @@
 //! kernel clears **2x** the seed scalar's GFLOP/s at the L2 shape, the
 //! blocked `t_matmul` clears **1.5x** at the tall training shape,
 //! `matmul_t` clears **0.6x** the same run's `matmul` at the layer-2
+//! shape, blocked `matmul` clears **0.5x** the roofline at the layer-2
 //! shape, the tape ops are bit-equal to their references, the `f32` row
 //! decode clears **2x** the `f16` decode's Melem/s, and quantized wire
 //! codecs shrink epoch bytes by their nominal ratios.
@@ -99,6 +103,16 @@ const MIN_TALL_T_MATMUL_SPEEDUP: f64 = 1.5;
 /// host load. The lane-split kernel runs the same 4×16 tile as
 /// `matmul`; the 4-dot kernel it replaced ran at 0.40.
 const MIN_MID_MATMUL_T_OVER_MATMUL: f64 = 0.6;
+/// The CI floor for blocked `matmul` at [`MID_SHAPE`], as a share of
+/// the same rounds' single-core FMA roofline ([`roofline_probe`]): a
+/// ratio within one run cancels host load. On a 2-core x86-64 host the
+/// 4×16 tile over a bounds-checked `b` ran at ≈ 0.4–0.55 of it, the
+/// check-free tile over stack-packed panels at ≈ 0.55–0.7.
+const MIN_MID_MATMUL_OVER_ROOFLINE: f64 = 0.5;
+/// Independent 8-lane FMA chains in [`roofline_probe`]: two FMA ports
+/// at four cycles' latency keep eight in flight, so twelve saturate
+/// them with room to spare.
+const ROOFLINE_CHAINS: usize = 12;
 /// The CI floor for the `f32` cache tier's row decode, which reads
 /// little-endian bytes: it must clear this multiple of the `f16`
 /// decode's Melem/s, so a byte decoder that stops vectorizing fails here
@@ -200,15 +214,38 @@ fn fill(data: &mut [f32], mut state: u64) {
     }
 }
 
+/// The single-core FMA roofline: [`ROOFLINE_CHAINS`] independent
+/// 8-lane `fmadd` chains of `steps` steps each, which do nothing but
+/// issue FMAs (`2 · 8 · ROOFLINE_CHAINS` FLOPs a step).
+#[inline(never)]
+fn roofline_probe(steps: usize) -> [[f32; 8]; ROOFLINE_CHAINS] {
+    let mut acc = [[0.0f32; 8]; ROOFLINE_CHAINS];
+    let (m, c) = (black_box(0.999_f32), black_box(1e-3_f32));
+    for _ in 0..steps {
+        for chain in acc.iter_mut() {
+            for v in chain.iter_mut() {
+                *v = kernels::fmadd(*v, m, c);
+            }
+        }
+    }
+    acc
+}
+
 struct KernelResult {
     name: &'static str,
     seed_gflops: f64,
     blocked_gflops: f64,
+    /// The roofline GFLOP/s of the same timing rounds.
+    roofline_gflops: f64,
 }
 
 impl KernelResult {
     fn speedup(&self) -> f64 {
         self.blocked_gflops / self.seed_gflops
+    }
+
+    fn roofline_share(&self) -> f64 {
+        self.blocked_gflops / self.roofline_gflops
     }
 }
 
@@ -226,8 +263,10 @@ fn time_best_each<const N: usize>(reps: usize, mut fs: [&mut dyn FnMut(); N]) ->
     best
 }
 
-/// Times the three products of one layer shape, seed scalar vs blocked:
-/// `[matmul, t_matmul, matmul_t]`.
+/// Times the three products of one layer shape, seed scalar vs blocked,
+/// and the roofline probe at the same FLOP count in the same rounds:
+/// `[matmul, t_matmul, matmul_t]`. Blocked `matmul` runs as
+/// `Matrix::matmul_into` runs it serially: the one-term `linear_rows`.
 fn bench_shape(Shape { m, k, n }: Shape, reps: usize) -> [KernelResult; 3] {
     let mut x = vec![0.0f32; m * k];
     let mut w = vec![0.0f32; k * n];
@@ -238,23 +277,21 @@ fn bench_shape(Shape { m, k, n }: Shape, reps: usize) -> [KernelResult; 3] {
     let [mut mm_seed, mut mm] = [0, 1].map(|_| vec![0.0f32; m * n]);
     let [mut tm_seed, mut tm] = [0, 1].map(|_| vec![0.0f32; k * n]);
     let [mut mt_seed, mut mt] = [0, 1].map(|_| vec![0.0f32; m * k]);
-    let mut packed = Vec::new();
     let (x, w, g) = (black_box(&x[..]), black_box(&w[..]), black_box(&g[..]));
     let times = time_best_each(
         reps,
         [
             // X·W — (m×k) @ (k×n).
             &mut || seed_matmul(x, m, k, w, n, black_box(&mut mm_seed)),
-            &mut || kernels::matmul_rows_dense(x, k, w, n, black_box(&mut mm)),
+            &mut || kernels::linear_rows(&[(x, k, w)], None, false, n, 0, black_box(&mut mm)),
             // Xᵀ·G over the full column range — (m×k)ᵀ @ (m×n).
             &mut || seed_t_matmul(x, m, k, g, n, black_box(&mut tm_seed)),
             &mut || kernels::t_matmul_cols_dense(x, k, g, n, m, 0, black_box(&mut tm)),
-            // G·Wᵀ — (m×n) @ (k×n)ᵀ; the blocked form packs W, as every
-            // `matmul_t_into` call does, and runs the lane-split tile.
+            // G·Wᵀ — (m×n) @ (k×n)ᵀ.
             &mut || seed_matmul_t(g, m, n, w, k, black_box(&mut mt_seed)),
+            &mut || kernels::matmul_t_rows_dense(g, n, w, k, black_box(&mut mt)),
             &mut || {
-                kernels::matmul_t_pack(w, k, n, &mut packed);
-                kernels::matmul_t_rows_dense(g, n, &packed, k, black_box(&mut mt));
+                black_box(roofline_probe(m * k * n / (8 * ROOFLINE_CHAINS)));
             },
         ],
     );
@@ -264,6 +301,7 @@ fn bench_shape(Shape { m, k, n }: Shape, reps: usize) -> [KernelResult; 3] {
         name: names[p],
         seed_gflops: gflop / times[2 * p],
         blocked_gflops: gflop / times[2 * p + 1],
+        roofline_gflops: gflop / times[6],
     })
 }
 
@@ -470,6 +508,7 @@ fn main() {
             "seed GFLOP/s",
             "blocked GFLOP/s",
             "speedup",
+            "of roofline",
         ],
     );
     for (shape, _, results) in &shapes {
@@ -480,10 +519,14 @@ fn main() {
                 format!("{:.2}", r.seed_gflops),
                 format!("{:.2}", r.blocked_gflops),
                 format!("{:.2}x", r.speedup()),
+                format!("{:.2}", r.roofline_share()),
             ]);
         }
     }
     table.print();
+    for (shape, _, [r, ..]) in &shapes {
+        println!("FMA roofline at {shape}: {:.2} GFLOP/s", r.roofline_gflops);
+    }
 
     // The tape's memory-bound ops at the training shapes. Layer 1 of
     // `train_compute` draws 5 neighbors per target from ≈ 2 sources per
@@ -624,6 +667,14 @@ fn main() {
             mid_mt.blocked_gflops, mid_mm.blocked_gflops
         ),
     );
+    check(
+        mid_mm.roofline_share() >= MIN_MID_MATMUL_OVER_ROOFLINE,
+        &format!(
+            "matmul at {MID_SHAPE}: {:.2} GFLOP/s >= {MIN_MID_MATMUL_OVER_ROOFLINE}x \
+             the FMA roofline {:.2}",
+            mid_mm.blocked_gflops, mid_mm.roofline_gflops
+        ),
+    );
     let (decode_f32, decode_f16) = (decode[0].1, decode[1].1);
     check(
         decode_f32 >= MIN_F32_OVER_F16_DECODE * decode_f16,
@@ -656,16 +707,26 @@ fn main() {
             "min_mid_matmul_t_over_matmul",
             format!("{MIN_MID_MATMUL_T_OVER_MATMUL}"),
         )
+        .field(
+            "min_mid_matmul_over_roofline",
+            format!("{MIN_MID_MATMUL_OVER_ROOFLINE}"),
+        )
         .field("vip_medge_visits_per_s", format!("{vip_medges:.1}"));
     for (_, suffix, results) in &shapes {
+        report.field(
+            &format!("roofline_gflops{suffix}"),
+            format!("{:.3}", results[0].roofline_gflops),
+        );
         for r in *results {
             report.field(
                 &format!("{}_gflops{suffix}", r.name),
                 format!(
-                    "{{\"seed\": {:.3}, \"blocked\": {:.3}, \"speedup\": {:.3}}}",
+                    "{{\"seed\": {:.3}, \"blocked\": {:.3}, \"speedup\": {:.3}, \
+                     \"roofline_share\": {:.3}}}",
                     r.seed_gflops,
                     r.blocked_gflops,
-                    r.speedup()
+                    r.speedup(),
+                    r.roofline_share()
                 ),
             );
         }

@@ -1,9 +1,9 @@
 //! Pins the removed per-row copies of the serving batch loop: a
 //! steady-state micro-batch allocates fewer times than it fetches rows,
-//! i.e. no heap allocation is made per fetched row (fetched rows are
-//! read with one `gather_into` per owner and admitted to the overlay
-//! straight from the gathered batch tensor). A counting global
-//! allocator makes the claim a hard test.
+//! i.e. no heap allocation is made per fetched row (each owner's rows
+//! are read with one `gather` into one staging matrix, copied into the
+//! batch tensor, and admitted to the overlay straight from that
+//! tensor). A counting global allocator makes the claim a hard test.
 
 // Tests assert by panicking; the workspace panic-family denies apply
 // to library code only (see [workspace.lints] in Cargo.toml).

@@ -11,44 +11,69 @@
 //! rows/columns only, which never changes any element's accumulation
 //! order — so results are bit-identical for any worker count.
 //!
-//! The register tiles are plain `[f32; 8]` arrays sized so LLVM's
-//! autovectorizer lowers the inner loops to 8-lane SIMD (one AVX2
-//! register per accumulator, two on SSE2/NEON) with a scalar tail; no
-//! target-specific intrinsics are used. Every
+//! All three products run one register tile, `tile`: `R` output rows
+//! (4, or 1 for the rows left over) by 16 columns, its right operand a
+//! panel of 16 columns packed on the stack (`[[f32; 16]; KC]`, 16 KiB,
+//! the last panel zero-padded so `n % 16` needs no tail path) and its
+//! left operand rows sliced to their exact span, so the FMA loop
+//! carries no bounds check. A product deeper than [`KC`] is blocked
+//! over `k`; a block stores its accumulators to the output and the next
+//! reloads them, and an `f32` stored and reloaded is exact. No product
+//! kernel touches the heap (only `linear_rows` keeps a scratch block).
+//!
+//! The tile's rows are `[f32; 16]` arrays that LLVM's autovectorizer
+//! lowers to two 8-lane FMA vectors each (AVX2 ymm registers; four
+//! SSE2/NEON registers); no target-specific intrinsics are used. Every
 //! accumulation step goes through [`fmadd`], which compiles to a fused
 //! multiply-add on targets with hardware FMA (see `.cargo/config.toml`)
 //! and to mul-then-add elsewhere — the choice is a pure function of the
-//! build target, never of data or worker count.
-//!
-//! The kernels are branch-free register-blocked micro-kernels: a zero
-//! entry costs one multiply-add like any other.
+//! build target, never of data or worker count. A zero entry costs one
+//! multiply-add like any other.
 
-/// SIMD lane width the register tiles are built from. Eight `f32`s is
-/// one AVX2 register and one SSE2/NEON register pair; the
-/// autovectorizer maps `[f32; LANES]` loops onto whichever is available.
+use std::array::from_fn;
+
+/// SIMD lane width of `dot_blocked`'s accumulators, and so of
+/// `matmul_t`'s lane split. Eight `f32`s is one AVX2 register.
 pub const LANES: usize = 8;
 
-/// Output-row tile height of the dense `matmul` micro-kernel: four
-/// output rows share each `b` load, quartering B-side bandwidth.
+/// Output-row tile height: four output rows share each panel load.
 pub const MM_I_TILE: usize = 4;
 
-/// Output-column tile width for the dense `matmul` micro-kernel: two
-/// 8-lane accumulators per output row — a 4×16 register tile (eight
-/// accumulator vectors), enough independent FMA chains to cover the
-/// FMA latency instead of serializing on one chain per lane.
+/// Output-column tile width: one packed panel row, two 8-lane vectors
+/// per output row — a 4×16 tile is eight accumulator vectors, enough
+/// independent FMA chains to cover the FMA latency.
 pub const MM_J_TILE: usize = 2 * LANES;
 
-/// Output-row (k-direction) tile height for the dense `t_matmul`
-/// micro-kernel: a 4×16 outer-product register tile.
-pub const TM_K_TILE: usize = 4;
+/// Depth of the on-stack weight panel: `KC` rows of 16 columns (16 KiB)
+/// stay in L1 while every row group of a block streams past them. Every
+/// layer of the benchmark workloads is at most this deep; a deeper
+/// product is blocked over `k` in steps of `KC`.
+pub const KC: usize = 256;
 
-/// Row-panel height of the dense `t_matmul` kernel: the reduction over
-/// `r` is walked in panels of this many rows so one panel of both
-/// operands (16 KB + 64 KB at `k = 64`, `n = 256`) stays in cache across
-/// every register tile. 16…128 all measured 38–51 GFLOP/s on the
-/// 24 000×64×256 training shape; 256 drops off, and a single pass over
-/// all rows (the pre-panel kernel) ran at 5.5.
+/// Row-panel height of `t_matmul`: the reduction over `r` is walked in
+/// panels of this many rows, so one panel of `a` and the packed panel of
+/// `b` (4 KiB) stay in cache across every register tile. 64, 128 and 256
+/// measured within host noise of each other on both training shapes.
 pub const TM_R_PANEL: usize = 64;
+
+/// Elements of `a` per row block of `matmul_t` (512 KiB): the block stays
+/// in L2 while every 16-row panel of `b` is packed, transposed, once for
+/// it. Without row blocks the 24 000-row `G·Wᵀ` streamed all of `a` from
+/// memory once per panel (23–31 GFLOP/s against 37–47 with them, on a
+/// 2-core x86-64 host).
+pub const MT_BLOCK_ELEMS: usize = 128 * 1024;
+
+/// One row of a packed panel: 16 columns of the right operand.
+type PanelRow = [f32; MM_J_TILE];
+
+/// A packed panel at full depth, the stack buffer every product packs into.
+type Panel = [PanelRow; KC];
+
+/// An `R`×16 register tile: one accumulator per output element.
+type Tile<const R: usize> = [PanelRow; R];
+
+/// The tile's left operand at one step: one value per output row.
+type Lhs<const R: usize> = [f32; R];
 
 /// The single accumulation step every kernel in this module is built
 /// from: `acc + a·b`. On targets with hardware FMA (x86-64-v3 builds —
@@ -72,6 +97,91 @@ pub fn fmadd(a: f32, b: f32, acc: f32) -> f32 {
     }
 }
 
+/// The `R`×16 register tile every product is built from: `acc[r][c] =
+/// fmadd(a_s[r], b[s][c], acc[r][c])` for `s` ascending over the panel
+/// `b`, `a_s` the `s`-th item of `a` — one accumulator per element,
+/// resumed from `acc`. At `R = 4` its eight accumulator vectors stay in
+/// registers across the loop, and every panel row feeds all four rows.
+#[inline(always)]
+fn tile<const R: usize>(
+    mut acc: Tile<R>,
+    b: &[PanelRow],
+    a: impl Iterator<Item = Lhs<R>>,
+) -> Tile<R> {
+    for (b16, av) in b.iter().zip(a) {
+        for (acc_r, x) in acc.iter_mut().zip(av) {
+            for (o, &y) in acc_r.iter_mut().zip(b16) {
+                *o = fmadd(x, y, *o);
+            }
+        }
+    }
+    acc
+}
+
+/// Packs columns `j..j + 16` of consecutive `ld`-wide rows of `src` into
+/// `panel`, zero-padding the columns past `ld`.
+#[inline]
+fn pack_panel(panel: &mut [PanelRow], src: &[f32], ld: usize, j: usize) {
+    let w = MM_J_TILE.min(ld - j);
+    for (p, row) in panel.iter_mut().zip(src.chunks_exact(ld)) {
+        let cols = &row[j..j + w];
+        *p = match cols.first_chunk() {
+            Some(cols) => *cols,
+            None => padded(cols),
+        };
+    }
+}
+
+/// Columns `j..j + 16` of `R` consecutive `n`-wide rows of `out` as a
+/// tile's accumulators when `resume` is set (the past-`n` columns zero),
+/// all zeros otherwise.
+#[inline(always)]
+fn load_tile<const R: usize>(out: &[f32], n: usize, j: usize, resume: bool) -> Tile<R> {
+    let mut acc = [[0.0f32; MM_J_TILE]; R];
+    if resume {
+        let w = MM_J_TILE.min(n - j);
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let src = &out[r * n + j..][..w];
+            *acc_r = match src.first_chunk() {
+                Some(src) => *src,
+                None => padded(src),
+            };
+        }
+    }
+    acc
+}
+
+/// Stores a tile's columns that fall inside the `n`-wide rows of `out`.
+/// A full-width row is one fixed-size store and the narrow last panel
+/// goes out of line, so the accumulators never pass through the stack.
+#[inline(always)]
+fn store_tile<const R: usize>(acc: Tile<R>, out: &mut [f32], n: usize, j: usize) {
+    let w = MM_J_TILE.min(n - j);
+    for (r, acc_r) in acc.into_iter().enumerate() {
+        let dst = &mut out[r * n + j..][..w];
+        match dst.first_chunk_mut() {
+            Some(dst) => *dst = acc_r,
+            None => store_narrow(dst, &acc_r),
+        }
+    }
+}
+
+/// `src` (at most 16 elements) zero-padded to a panel row.
+#[cold]
+#[inline(never)]
+fn padded(src: &[f32]) -> PanelRow {
+    let mut row = [0.0; MM_J_TILE];
+    row.iter_mut().zip(src).for_each(|(o, &v)| *o = v);
+    row
+}
+
+/// The first `dst.len()` (< 16) columns of a tile row.
+#[cold]
+#[inline(never)]
+fn store_narrow(dst: &mut [f32], row: &PanelRow) {
+    dst.iter_mut().zip(row).for_each(|(o, &v)| *o = v);
+}
+
 // ---------------------------------------------------------------------
 // matmul: out[i][j] = Σ_k a[i][k] · b[k][j]
 // ---------------------------------------------------------------------
@@ -80,114 +190,60 @@ pub fn fmadd(a: f32, b: f32, acc: f32) -> f32 {
 /// into `chunk`, where `a_rows` holds the matching rows of `a`
 /// (row-major, `k` columns) and `b` is `k × n` row-major.
 ///
-/// Per output element the sum runs over `k` ascending in a single
-/// accumulator, in every tile path — bit-identical to a scalar `ikj`
-/// loop without zero-skipping, for any row split and any `n`. Every
-/// element of `chunk` is overwritten, whatever it held.
+/// One 16-column panel of `b` at a time, one `KC`-deep block of it at a
+/// time, is packed on the stack and every row group of `chunk` runs the
+/// tile over it. Per output element the sum runs over `k` ascending in a
+/// single accumulator (stored and reloaded between blocks) —
+/// bit-identical to a scalar `ikj` loop without zero-skipping, for any
+/// row split and any `n`. Every element of `chunk` is overwritten,
+/// whatever it held.
 // spp-hot(kernel.matmul_dense)
 pub fn matmul_rows_dense(a_rows: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32]) {
     debug_assert_eq!(b.len(), k * n, "b shape mismatch");
-    if n == 0 || k == 0 {
+    if chunk.is_empty() {
+        return;
+    }
+    if k == 0 {
         chunk.fill(0.0); // empty sum: no tile below would write it
         return;
     }
-    let rows = chunk.len() / n;
-    let mut i = 0usize;
-    while i + MM_I_TILE <= rows {
-        matmul_block_dense(
-            &a_rows[i * k..(i + MM_I_TILE) * k],
-            k,
-            b,
-            n,
-            &mut chunk[i * n..(i + MM_I_TILE) * n],
-        );
-        i += MM_I_TILE;
-    }
-    while i < rows {
-        matmul_row_tail(
-            &a_rows[i * k..(i + 1) * k],
-            b,
-            n,
-            0,
-            &mut chunk[i * n..(i + 1) * n],
-        );
-        i += 1;
-    }
-}
-
-/// 4×16 register-tiled block: `MM_I_TILE` output rows over 16-wide
-/// column tiles of [`tile`], then the 8-wide and scalar column tails.
-#[inline]
-fn matmul_block_dense(a4: &[f32], k: usize, b: &[f32], n: usize, out4: &mut [f32]) {
-    let mut j = 0usize;
-    while j + MM_J_TILE <= n {
-        let acc = tile::<MM_I_TILE>(a4, k, 1, k, &b[j..], n);
-        for (r, acc_r) in acc.iter().enumerate() {
-            out4[r * n + j..r * n + j + MM_J_TILE].copy_from_slice(acc_r.as_flattened());
-        }
-        j += MM_J_TILE;
-    }
-    if j < n {
-        for r in 0..MM_I_TILE {
-            matmul_row_tail(&a4[r * k..][..k], b, n, j, &mut out4[r * n..][..n]);
+    let split = chunk.len() / n / MM_I_TILE * MM_I_TILE;
+    let (a4, a1) = a_rows.split_at(split * k);
+    let (out4, out1) = chunk.split_at_mut(split * n);
+    let mut panel: Panel = [[0.0; MM_J_TILE]; KC];
+    for j in (0..n).step_by(MM_J_TILE) {
+        for kb in (0..k).step_by(KC) {
+            let panel = &mut panel[..KC.min(k - kb)];
+            pack_panel(panel, &b[kb * n..], n, j);
+            let groups = a4
+                .chunks_exact(MM_I_TILE * k)
+                .zip(out4.chunks_exact_mut(MM_I_TILE * n));
+            for (a, out) in groups {
+                let steps = row_steps(a, k, kb, panel.len());
+                let acc: Tile<MM_I_TILE> = tile(load_tile(out, n, j, kb > 0), panel, steps);
+                store_tile(acc, out, n, j);
+            }
+            for (a, out) in a1.chunks_exact(k).zip(out1.chunks_exact_mut(n)) {
+                let steps = row_steps(a, k, kb, panel.len());
+                let acc: Tile<1> = tile(load_tile(out, n, j, kb > 0), panel, steps);
+                store_tile(acc, out, n, j);
+            }
         }
     }
 }
 
-/// The `R`×16 register tile `matmul` and `matmul_t` are built from:
-/// `acc[r][h][l] = Σ_s a[r·lda + s·step] · b[s·ldb + 8h + l]`, one
-/// accumulator per element, summed over `s` ascending in `0..depth`
-/// from 0.0. At `R = 4` its eight accumulator vectors stay in registers
-/// across the whole loop, and every `b` load feeds all four rows.
+/// The tile's left operand for `R` consecutive `k`-wide rows of `a`:
+/// step `s` is column `kb + s` of each, for `depth` steps. Each row is
+/// sliced to its exact span once, so no step checks a bound.
 #[inline(always)]
-fn tile<const R: usize>(
+fn row_steps<const R: usize>(
     a: &[f32],
-    lda: usize,
-    step: usize,
+    k: usize,
+    kb: usize,
     depth: usize,
-    b: &[f32],
-    ldb: usize,
-) -> [[[f32; LANES]; 2]; R] {
-    let mut acc = [[[0.0f32; LANES]; 2]; R];
-    for s in 0..depth {
-        let b16 = &b[s * ldb..s * ldb + MM_J_TILE];
-        for (r, acc_r) in acc.iter_mut().enumerate() {
-            let av = a[r * lda + s * step];
-            for l in 0..LANES {
-                acc_r[0][l] = fmadd(av, b16[l], acc_r[0][l]);
-            }
-            for l in 0..LANES {
-                acc_r[1][l] = fmadd(av, b16[LANES + l], acc_r[1][l]);
-            }
-        }
-    }
-    acc
-}
-
-/// Columns `j0..n` of one output row: 8-wide tiles, then a scalar tail.
-/// Same per-element `k`-ascending order as the 4×16 block path.
-#[inline]
-fn matmul_row_tail(a_row: &[f32], b: &[f32], n: usize, j0: usize, out_row: &mut [f32]) {
-    let mut j = j0;
-    while j + LANES <= n {
-        let mut acc = [0.0f32; LANES];
-        for (kk, &av) in a_row.iter().enumerate() {
-            let b_lane = &b[kk * n + j..kk * n + j + LANES];
-            for l in 0..LANES {
-                acc[l] = fmadd(av, b_lane[l], acc[l]);
-            }
-        }
-        out_row[j..j + LANES].copy_from_slice(&acc);
-        j += LANES;
-    }
-    while j < n {
-        let mut acc = 0.0f32;
-        for (kk, &av) in a_row.iter().enumerate() {
-            acc = fmadd(av, b[kk * n + j], acc);
-        }
-        out_row[j] = acc;
-        j += 1;
-    }
+) -> impl Iterator<Item = Lhs<R>> + '_ {
+    let rows: [&[f32]; R] = from_fn(|r| &a[r * k + kb..][..depth]);
+    (0..depth).map(move |s| rows.map(|row| row[s]))
 }
 
 // ---------------------------------------------------------------------
@@ -273,15 +329,14 @@ pub fn linear_rows(
 /// `chunk`, overwriting whatever it held. `a` is `rows × k` row-major,
 /// `b` is `rows × n` row-major.
 ///
-/// The rows are walked in panels of [`TM_R_PANEL`]: within a panel every
-/// register tile loads its accumulators (zeros in the first panel, from
-/// `chunk` after it), runs `r` over the panel and stores them back, so
-/// the panel's slices of `a` and `b` stay cache-resident across all
-/// tiles instead of both operands being streamed once per tile. Per
-/// output element the sum still runs over `r` ascending in a single
-/// accumulator in every tile path (an `f32` store/load between panels is
-/// exact), so any row count and any column split is bit-identical to the
-/// scalar `r`-ascending loop.
+/// The rows are walked in panels of [`TM_R_PANEL`]. Per panel, each
+/// 16-column slice of `b` is packed on the stack and every group of
+/// output rows runs the tile over it, reading `R` consecutive columns of
+/// each `a` row per step; the accumulators start at zero in the first
+/// panel and are reloaded from `chunk` after it. Per output element the
+/// sum runs over `r` ascending in a single accumulator (an `f32`
+/// store/load between panels is exact), so any row count and any column
+/// split is bit-identical to the scalar `r`-ascending loop.
 // spp-hot(kernel.t_matmul_dense)
 pub fn t_matmul_cols_dense(
     a: &[f32],
@@ -294,237 +349,155 @@ pub fn t_matmul_cols_dense(
 ) {
     debug_assert_eq!(a.len(), rows * k, "a shape mismatch");
     debug_assert_eq!(b.len(), rows * n, "b shape mismatch");
+    if chunk.is_empty() {
+        return;
+    }
     if rows == 0 {
         chunk.fill(0.0); // empty sum: no panel below would write it
+        return;
     }
-    let mut r0 = 0usize;
-    while r0 < rows {
+    let split = chunk.len() / n / MM_I_TILE * MM_I_TILE;
+    let (out4, out1) = chunk.split_at_mut(split * n);
+    let mut panel = [[0.0f32; MM_J_TILE]; TM_R_PANEL];
+    for r0 in (0..rows).step_by(TM_R_PANEL) {
         let r1 = (r0 + TM_R_PANEL).min(rows);
-        let (ap, bp) = (&a[r0 * k..r1 * k], &b[r0 * n..r1 * n]);
-        t_matmul_panel(ap, k, bp, n, k0, r0 == 0, chunk);
-        r0 = r1;
+        let (ap, panel) = (&a[r0 * k..r1 * k], &mut panel[..r1 - r0]);
+        for j in (0..n).step_by(MM_J_TILE) {
+            pack_panel(panel, &b[r0 * n..r1 * n], n, j);
+            for (g, out) in out4.chunks_exact_mut(MM_I_TILE * n).enumerate() {
+                let steps = col_steps(ap, k, k0 + g * MM_I_TILE);
+                let acc: Tile<MM_I_TILE> = tile(load_tile(out, n, j, r0 > 0), panel, steps);
+                store_tile(acc, out, n, j);
+            }
+            for (g, out) in out1.chunks_exact_mut(n).enumerate() {
+                let steps = col_steps(ap, k, k0 + split + g);
+                let acc: Tile<1> = tile(load_tile(out, n, j, r0 > 0), panel, steps);
+                store_tile(acc, out, n, j);
+            }
+        }
     }
 }
 
-/// One row panel of [`t_matmul_cols_dense`]: `chunk += aᵀ @ b` over the
-/// panel's rows of both operands (`chunk = aᵀ @ b` for the `first`
-/// panel, which never reads `chunk`), through the 4×16 outer-product
-/// register tile (four consecutive `a` columns, contiguous within each
-/// `a` row, against a 16-wide `b` column slice), then 4×8, then scalar
-/// tails.
-#[inline]
-fn t_matmul_panel(
-    a: &[f32],
-    k: usize,
-    b: &[f32],
-    n: usize,
-    k0: usize,
-    first: bool,
-    chunk: &mut [f32],
-) {
-    let rows = b.len().checked_div(n).unwrap_or(0);
-    let kn = chunk.len().checked_div(n).unwrap_or(0);
-    let mut kt = 0usize;
-    while kt + TM_K_TILE <= kn {
-        let mut j = 0usize;
-        while j + 2 * LANES <= n {
-            let mut acc = [[0.0f32; LANES]; 2 * TM_K_TILE];
-            if !first {
-                for t in 0..TM_K_TILE {
-                    acc[2 * t].copy_from_slice(&chunk[(kt + t) * n + j..(kt + t) * n + j + LANES]);
-                    acc[2 * t + 1].copy_from_slice(
-                        &chunk[(kt + t) * n + j + LANES..(kt + t) * n + j + 2 * LANES],
-                    );
-                }
-            }
-            for r in 0..rows {
-                let a4 = &a[r * k + k0 + kt..r * k + k0 + kt + TM_K_TILE];
-                let b16 = &b[r * n + j..r * n + j + 2 * LANES];
-                for t in 0..TM_K_TILE {
-                    let av = a4[t];
-                    for l in 0..LANES {
-                        acc[2 * t][l] = fmadd(av, b16[l], acc[2 * t][l]);
-                    }
-                    for l in 0..LANES {
-                        acc[2 * t + 1][l] = fmadd(av, b16[LANES + l], acc[2 * t + 1][l]);
-                    }
-                }
-            }
-            for t in 0..TM_K_TILE {
-                chunk[(kt + t) * n + j..(kt + t) * n + j + LANES].copy_from_slice(&acc[2 * t]);
-                chunk[(kt + t) * n + j + LANES..(kt + t) * n + j + 2 * LANES]
-                    .copy_from_slice(&acc[2 * t + 1]);
-            }
-            j += 2 * LANES;
-        }
-        while j + LANES <= n {
-            let mut acc = [[0.0f32; LANES]; TM_K_TILE];
-            if !first {
-                for (t, lane_acc) in acc.iter_mut().enumerate() {
-                    lane_acc.copy_from_slice(&chunk[(kt + t) * n + j..(kt + t) * n + j + LANES]);
-                }
-            }
-            for r in 0..rows {
-                let a4 = &a[r * k + k0 + kt..r * k + k0 + kt + TM_K_TILE];
-                let b8 = &b[r * n + j..r * n + j + LANES];
-                for (t, lane_acc) in acc.iter_mut().enumerate() {
-                    let av = a4[t];
-                    for l in 0..LANES {
-                        lane_acc[l] = fmadd(av, b8[l], lane_acc[l]);
-                    }
-                }
-            }
-            for (t, lane_acc) in acc.iter().enumerate() {
-                chunk[(kt + t) * n + j..(kt + t) * n + j + LANES].copy_from_slice(lane_acc);
-            }
-            j += LANES;
-        }
-        // Scalar j tail for this 4-row band.
-        while j < n {
-            let mut acc = [0.0f32; TM_K_TILE];
-            if !first {
-                for (t, v) in acc.iter_mut().enumerate() {
-                    *v = chunk[(kt + t) * n + j];
-                }
-            }
-            for r in 0..rows {
-                let a4 = &a[r * k + k0 + kt..r * k + k0 + kt + TM_K_TILE];
-                let bv = b[r * n + j];
-                for (t, &av) in a4.iter().enumerate() {
-                    acc[t] = fmadd(av, bv, acc[t]);
-                }
-            }
-            for (t, &v) in acc.iter().enumerate() {
-                chunk[(kt + t) * n + j] = v;
-            }
-            j += 1;
-        }
-        kt += TM_K_TILE;
-    }
-    // Remaining output rows, one at a time with 8-wide column tiles.
-    while kt < kn {
-        let mut j = 0usize;
-        while j + LANES <= n {
-            let mut acc = [0.0f32; LANES];
-            if !first {
-                acc.copy_from_slice(&chunk[kt * n + j..kt * n + j + LANES]);
-            }
-            for r in 0..rows {
-                let av = a[r * k + k0 + kt];
-                let b8 = &b[r * n + j..r * n + j + LANES];
-                for l in 0..LANES {
-                    acc[l] = fmadd(av, b8[l], acc[l]);
-                }
-            }
-            chunk[kt * n + j..kt * n + j + LANES].copy_from_slice(&acc);
-            j += LANES;
-        }
-        while j < n {
-            let mut acc = if first { 0.0 } else { chunk[kt * n + j] };
-            for r in 0..rows {
-                acc = fmadd(a[r * k + k0 + kt], b[r * n + j], acc);
-            }
-            chunk[kt * n + j] = acc;
-            j += 1;
-        }
-        kt += 1;
-    }
+/// The tile's left operand for output rows `c0 .. c0 + R` of
+/// `t_matmul`: step `r` is columns `c0 .. c0 + R` of `a` row `r`.
+#[inline(always)]
+fn col_steps<const R: usize>(a: &[f32], k: usize, c0: usize) -> impl Iterator<Item = Lhs<R>> + '_ {
+    a.chunks_exact(k).map(move |row| {
+        let cols = &row[c0..c0 + R];
+        from_fn(|r| cols[r])
+    })
 }
 
 // ---------------------------------------------------------------------
 // matmul_t: out[i][j] = dot(a_row_i, b_row_j)
 // ---------------------------------------------------------------------
 
-/// Length of [`matmul_t_pack`]'s output for a `b_rows × k` operand.
-pub fn matmul_t_packed_len(b_rows: usize, k: usize) -> usize {
-    b_rows.div_ceil(MM_J_TILE) * MM_J_TILE * k
-}
-
-/// Packs `b` (`b_rows × k` row-major) into `packed`, reusing its
-/// capacity: one `k × 16` panel per 16 rows of `b` (the last
-/// zero-padded) holding them transposed, with the first `kv = k − k % 8`
-/// panel rows lane-major — panel row `l·(k/8) + q` is column `8q + l`.
-// spp-hot(kernel.matmul_t_pack)
-pub fn matmul_t_pack(b: &[f32], b_rows: usize, k: usize, packed: &mut Vec<f32>) {
-    debug_assert_eq!(b.len(), b_rows * k, "b shape mismatch");
-    packed.clear();
-    packed.resize(matmul_t_packed_len(b_rows, k), 0.0);
-    if k == 0 {
-        return; // no panel to fill
-    }
-    let (kq, kv, panel_len) = (k / LANES, k - k % LANES, MM_J_TILE * k);
-    for (panel, rows) in packed.chunks_exact_mut(panel_len).zip(b.chunks(panel_len)) {
-        for (c, row) in rows.chunks_exact(k).enumerate() {
-            for (s, &v) in row.iter().enumerate() {
-                let p = if s < kv {
-                    s % LANES * kq + s / LANES
-                } else {
-                    s
-                };
-                panel[p * MM_J_TILE + c] = v;
-            }
-        }
-    }
-}
-
 /// Dense row kernel for `a @ bᵀ`: overwrites `chunk` with its
 /// `chunk.len() / b_rows` output rows, from the matching rows `a_rows`
-/// of `a` and the `b_rows × k` operand `b` packed by [`matmul_t_pack`].
+/// of `a` and the `b_rows × k` row-major operand `b`.
 ///
 /// Each element is bit-identical to [`dot_blocked`] of its two rows:
 /// that dot's lane-`l` partial, `Σ_q a[8q + l]·b[8q + l]` over `q`
 /// ascending from 0.0, is a `k/8`-deep `matmul` element of `a`'s lane-`l`
-/// columns against panel rows `l·(k/8)..`. So per 4×16 output tile
-/// [`tile`] runs once per lane, the partial tiles are combined in
-/// `dot_blocked`'s tree, and the `k % 8` tail is appended ascending.
+/// columns against `b`'s. So per 16 rows of `b` the kernel packs them
+/// transposed on the stack, lane-major (panel row `l·(k/8) + q` is column
+/// `8q + l`, the `k % 8` tail columns after them), runs `tile` once per
+/// lane into an on-stack `[lane][R][16]` partial tile, combines the
+/// partials in `dot_blocked`'s tree and runs the tile once more over the
+/// tail, from the combined sums. `a` is walked in row blocks of
+/// [`MT_BLOCK_ELEMS`] elements, each panel packed once per block. A `k` deeper
+/// than [`KC`] is blocked too, but the partials cannot be parked in the
+/// output, so each row group then repacks every block.
 // spp-hot(kernel.matmul_t_dense)
 pub fn matmul_t_rows_dense(a_rows: &[f32], k: usize, b: &[f32], b_rows: usize, chunk: &mut [f32]) {
-    debug_assert_eq!(b.len(), matmul_t_packed_len(b_rows, k), "b not packed");
-    if k == 0 || b_rows == 0 {
+    debug_assert_eq!(b.len(), b_rows * k, "b shape mismatch");
+    if chunk.is_empty() {
+        return;
+    }
+    if k == 0 {
         chunk.fill(0.0); // empty dots: no panel below would write them
         return;
     }
-    let a4 = a_rows.chunks_exact(MM_I_TILE * k);
-    let a_tail = a4.remainder();
-    let mut out4 = chunk.chunks_exact_mut(MM_I_TILE * b_rows);
-    for (a, out) in a4.zip(&mut out4) {
-        matmul_t_block::<MM_I_TILE>(a, k, b, out);
-    }
-    let out_tail = out4.into_remainder().chunks_exact_mut(b_rows);
-    for (a, out) in a_tail.chunks_exact(k).zip(out_tail) {
-        matmul_t_block::<1>(a, k, b, out);
+    let block = (MT_BLOCK_ELEMS / k).max(1).div_ceil(MM_I_TILE) * MM_I_TILE;
+    let mut panel: Panel = [[0.0; MM_J_TILE]; KC];
+    for (a_rows, chunk) in a_rows
+        .chunks(block * k)
+        .zip(chunk.chunks_mut(block * b_rows))
+    {
+        let split = chunk.len() / b_rows / MM_I_TILE * MM_I_TILE;
+        let (a4, a1) = a_rows.split_at(split * k);
+        let (out4, out1) = chunk.split_at_mut(split * b_rows);
+        for (j, bp) in (0..b_rows).step_by(MM_J_TILE).zip(b.chunks(MM_J_TILE * k)) {
+            let mut packed = None;
+            let groups = a4
+                .chunks_exact(MM_I_TILE * k)
+                .zip(out4.chunks_exact_mut(MM_I_TILE * b_rows));
+            for (a, out) in groups {
+                let sums: Tile<MM_I_TILE> = matmul_t_group(a, k, bp, &mut panel, &mut packed);
+                store_tile(sums, out, b_rows, j);
+            }
+            for (a, out) in a1.chunks_exact(k).zip(out1.chunks_exact_mut(b_rows)) {
+                let sums: Tile<1> = matmul_t_group(a, k, bp, &mut panel, &mut packed);
+                store_tile(sums, out, b_rows, j);
+            }
+        }
     }
 }
 
-/// `R` output rows of [`matmul_t_rows_dense`], one 16-column panel at
-/// a time through an on-stack `[lane][R][16]` partial tile.
-#[inline]
-fn matmul_t_block<const R: usize>(a: &[f32], k: usize, b: &[f32], out: &mut [f32]) {
-    let (n, kq, kv) = (out.len() / R, k / LANES, k - k % LANES);
-    for (j, panel) in (0..n).step_by(MM_J_TILE).zip(b.chunks_exact(MM_J_TILE * k)) {
-        let mut part = [[[[0.0f32; LANES]; 2]; R]; LANES];
-        if kq > 0 {
-            for (l, p) in part.iter_mut().enumerate() {
-                let panel_l = &panel[l * kq * MM_J_TILE..];
-                *p = tile::<R>(&a[l..], k, LANES, kq, panel_l, MM_J_TILE);
-            }
+/// The dots of `R` rows `a` with the (up to 16) rows `bp` of `b`, as a
+/// tile. `packed` names the `k` block `panel` holds, so a block is
+/// packed once for every row group that reads it in turn.
+#[inline(always)]
+fn matmul_t_group<const R: usize>(
+    a: &[f32],
+    k: usize,
+    bp: &[f32],
+    panel: &mut Panel,
+    packed: &mut Option<usize>,
+) -> Tile<R> {
+    let (tail, mut part) = (k % LANES, [[[0.0f32; MM_J_TILE]; R]; LANES]);
+    let mut tail_rows = 0..0;
+    for kb in (0..k).step_by(KC) {
+        let kc = KC.min(k - kb);
+        let qc = (kc - if kb + kc == k { tail } else { 0 }) / LANES;
+        if *packed != Some(kb) {
+            pack_lanes(&mut panel[..kc], bp, k, kb, qc);
+            *packed = Some(kb);
         }
-        let w = MM_J_TILE.min(n - j);
-        for r in 0..R {
-            let mut sum = [[0.0f32; LANES]; 2];
-            for (h, sum_h) in sum.iter_mut().enumerate() {
-                for l in 0..LANES {
-                    let p = |t: usize| part[t][r][h][l];
-                    sum_h[l] = ((p(0) + p(1)) + (p(2) + p(3))) + ((p(4) + p(5)) + (p(6) + p(7)));
-                }
-                for s in kv..k {
-                    let (av, b8) = (a[r * k + s], &panel[s * MM_J_TILE + h * LANES..]);
-                    for l in 0..LANES {
-                        sum_h[l] = fmadd(av, b8[l], sum_h[l]);
-                    }
-                }
-            }
-            out[r * n + j..r * n + j + w].copy_from_slice(&sum.as_flattened()[..w]);
+        let rows: [&[[f32; LANES]]; R] = from_fn(|r| &a[r * k + kb..].as_chunks().0[..qc]);
+        for (l, part_l) in part.iter_mut().enumerate() {
+            let steps = (0..qc).map(|q| rows.map(|row| row[q][l]));
+            *part_l = tile(*part_l, &panel[l * qc..][..qc], steps);
+        }
+        tail_rows = qc * LANES..kc;
+    }
+    let sum = from_fn(|r| {
+        from_fn(|c| {
+            let p = |l: usize| part[l][r][c];
+            ((p(0) + p(1)) + (p(2) + p(3))) + ((p(4) + p(5)) + (p(6) + p(7)))
+        })
+    });
+    let steps = (k - tail..k).map(|s| from_fn(|r| a[r * k + s]));
+    tile(sum, &panel[tail_rows], steps)
+}
+
+/// Packs columns `kb .. kb + panel.len()` of the (up to 16) `k`-wide
+/// rows `bp` into `panel` transposed: the first `8·qc` lane-major (panel
+/// row `l·qc + q` is column `kb + 8q + l`), the rest in order, and the
+/// columns past the last row of `bp` zero.
+#[inline]
+fn pack_lanes(panel: &mut [PanelRow], bp: &[f32], k: usize, kb: usize, qc: usize) {
+    if bp.len() < MM_J_TILE * k {
+        panel.fill([0.0; MM_J_TILE]);
+    }
+    for (c, row) in bp.chunks_exact(k).enumerate() {
+        for (s, &v) in row[kb..][..panel.len()].iter().enumerate() {
+            let p = if s < qc * LANES {
+                s % LANES * qc + s / LANES
+            } else {
+                s
+            };
+            panel[p][c] = v;
         }
     }
 }
@@ -583,30 +556,60 @@ mod tests {
             .collect()
     }
 
+    /// The depths every sweep covers: each `k` up to 17 (below, at and
+    /// past one lane chunk and one 16-column panel), wider layers, and
+    /// both sides of the `KC` block seam (`KC` = 256, the widest layer here).
+    fn sweep_k() -> impl Iterator<Item = usize> {
+        (0..=17).chain([31, 64, 100, KC, KC + 1, 2 * KC + 3])
+    }
+
+    /// Output widths around every panel seam.
+    const SWEEP_N: [usize; 7] = [1, 7, 15, 16, 17, 33, 256];
+
+    /// Row counts around the 4-row group and `TM_R_PANEL` seams. From
+    /// 64 deep the sweeps keep four of them, which still cross every
+    /// seam, at a fraction of an unoptimized test build's time.
+    fn sweep_rows(k: usize) -> Vec<usize> {
+        if k >= 64 {
+            return vec![1, 7, 8, 65];
+        }
+        (1..=9).chain([63, 64, 65, 130]).collect()
+    }
+
     #[test]
     fn dense_matmul_matches_scalar_bitwise_over_awkward_shapes() {
-        for (rows, k, n) in [
-            (3, 5, 1),
-            (4, 7, 8),
-            (2, 9, 31),
-            (5, 16, 32),
-            (3, 11, 45),
-            (6, 1, 37),
-            // Empty sums are zeros the kernel itself must write.
-            (3, 0, 5),
-        ] {
-            let a = fractious(rows * k, 1);
-            let b = fractious(k * n, 2);
-            // The kernel overwrites: garbage in `out` must not survive.
-            let mut out = vec![f32::NAN; rows * n];
-            matmul_rows_dense(&a, k, &b, n, &mut out);
-            assert_eq!(out, matmul_scalar(&a, rows, k, &b, n), "{rows}x{k}x{n}");
+        for k in sweep_k() {
+            for n in SWEEP_N {
+                let b = odd_values(k, n, 2);
+                for rows in sweep_rows(k) {
+                    let a = odd_values(rows, k, 1);
+                    // The kernel overwrites: garbage in `out` must not survive.
+                    let mut out = vec![f32::NAN; rows * n];
+                    matmul_rows_dense(&a, k, &b, n, &mut out);
+                    let want = matmul_scalar(&a, rows, k, &b, n);
+                    assert_same_bits(&out, &want, &format!("{rows}x{k}x{n}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_row_splits_are_bit_identical() {
+        let (rows, k, n) = (13usize, KC + 9, 33usize);
+        let (a, b) = (fractious(rows * k, 18), fractious(k * n, 19));
+        let whole = matmul_scalar(&a, rows, k, &b, n);
+        for cut in 0..=rows {
+            let mut pieced = vec![f32::NAN; rows * n];
+            let (head, tail) = pieced.split_at_mut(cut * n);
+            matmul_rows_dense(&a[..cut * k], k, &b, n, head);
+            matmul_rows_dense(&a[cut * k..], k, &b, n, tail);
+            assert_eq!(pieced, whole, "cut {cut}");
         }
     }
 
     #[test]
     fn linear_rows_matches_separate_passes_bitwise_across_blocks_and_splits() {
-        // n = 45 leaves every column-tile path a remainder; 800 rows of
+        // n = 45 ends in a narrow (13-column) panel; 800 rows of
         // it span two row blocks, and the mid-block split below starts a
         // job at a row that is not a multiple of the tile height.
         let (rows, n) = (800usize, 45usize);
@@ -643,15 +646,6 @@ mod tests {
         }
     }
 
-    /// Row counts on both sides of every panel seam, plus a multi-panel
-    /// count that ends mid-panel.
-    const PANEL_ROWS: [usize; 4] = [
-        TM_R_PANEL - 1,
-        TM_R_PANEL,
-        TM_R_PANEL + 1,
-        3 * TM_R_PANEL + 5,
-    ];
-
     /// The `r`-ascending scalar loop `t_matmul` is pinned against.
     fn t_matmul_scalar(a: &[f32], rows: usize, k: usize, b: &[f32], n: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; k * n];
@@ -668,45 +662,37 @@ mod tests {
 
     #[test]
     fn dense_t_matmul_matches_r_ascending_scalar_bitwise() {
-        // Zero rows: an empty sum the kernel itself must write.
-        let small = [
-            (9, 5, 3),
-            (16, 4, 8),
-            (21, 13, 19),
-            (40, 1, 9),
-            (7, 6, 1),
-            (0, 5, 3),
-        ];
-        // (k, n) = (13, 27) reaches every tile path: 4×16, 4×8, the scalar
-        // column tail, and the one-row band in both widths.
-        let seams = PANEL_ROWS.map(|rows| (rows, 13, 27));
-        for (rows, k, n) in small.into_iter().chain(seams) {
-            let a = fractious(rows * k, 3);
-            let b = fractious(rows * n, 4);
-            // The kernel overwrites: garbage in `chunk` must not leak into
-            // the first panel's accumulators.
-            let mut out = vec![f32::NAN; k * n];
-            t_matmul_cols_dense(&a, k, &b, n, rows, 0, &mut out);
-            assert_eq!(out, t_matmul_scalar(&a, rows, k, &b, n), "{rows}x{k}x{n}");
+        // `rows` is the reduction: zero rows is an empty sum the kernel
+        // itself must write, and 63…130 cross the row-panel seams.
+        for k in sweep_k() {
+            for n in SWEEP_N {
+                for rows in sweep_rows(k).into_iter().chain([0]) {
+                    let a = odd_values(rows, k, 3);
+                    let b = odd_values(rows, n, 4);
+                    // The kernel overwrites: garbage in `chunk` must not
+                    // leak into the first panel's accumulators.
+                    let mut out = vec![f32::NAN; k * n];
+                    t_matmul_cols_dense(&a, k, &b, n, rows, 0, &mut out);
+                    let want = t_matmul_scalar(&a, rows, k, &b, n);
+                    assert_same_bits(&out, &want, &format!("{rows}x{k}x{n}"));
+                }
+            }
         }
     }
 
     #[test]
     fn t_matmul_column_splits_are_bit_identical() {
         let (k, n) = (14, 10);
-        for rows in [33usize].into_iter().chain(PANEL_ROWS) {
+        for rows in [33usize, 63, 64, 65, 197] {
             let a = fractious(rows * k, 5);
             let b = fractious(rows * n, 6);
             let whole = t_matmul_scalar(&a, rows, k, &b, n);
-            for split in [1usize, 3, 5, 13, 14] {
+            for cut in 0..=k {
                 let mut pieced = vec![f32::NAN; k * n];
-                let mut k0 = 0usize;
-                while k0 < k {
-                    let kn = split.min(k - k0);
-                    t_matmul_cols_dense(&a, k, &b, n, rows, k0, &mut pieced[k0 * n..(k0 + kn) * n]);
-                    k0 += kn;
-                }
-                assert_eq!(pieced, whole, "rows={rows} split={split}");
+                let (head, tail) = pieced.split_at_mut(cut * n);
+                t_matmul_cols_dense(&a, k, &b, n, rows, 0, head);
+                t_matmul_cols_dense(&a, k, &b, n, rows, cut, tail);
+                assert_eq!(pieced, whole, "rows={rows} cut={cut}");
             }
         }
     }
@@ -727,12 +713,10 @@ mod tests {
         }
     }
 
-    /// `a @ bᵀ` through the packed kernel, into a NaN-prefilled output.
-    fn matmul_t_packed(a: &[f32], rows: usize, k: usize, b: &[f32], n: usize) -> Vec<f32> {
-        let mut packed = vec![f32::NAN; 3]; // stale contents are overwritten
-        matmul_t_pack(b, n, k, &mut packed);
+    /// `a @ bᵀ` through the kernel, into a NaN-prefilled output.
+    fn matmul_t_kernel(a: &[f32], rows: usize, k: usize, b: &[f32], n: usize) -> Vec<f32> {
         let mut out = vec![f32::NAN; rows * n];
-        matmul_t_rows_dense(a, k, &packed, n, &mut out);
+        matmul_t_rows_dense(a, k, b, n, &mut out);
         out
     }
 
@@ -752,7 +736,7 @@ mod tests {
             let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
             assert!(
                 same,
-                "{what}: element {e} is {g:e}, dot_blocked gives {w:e}"
+                "{what}: element {e} is {g:e}, the reference gives {w:e}"
             );
         }
     }
@@ -760,14 +744,15 @@ mod tests {
     #[test]
     fn matmul_t_rows_dense_matches_dot() {
         // k = 0: empty dots are zeros the kernel itself must write. Every
-        // k below 8 runs no lane tile, n = 256 fills whole panels.
-        for k in (0..=17).chain([31, 32, 64, 100, 256]) {
-            for n in [1usize, 7, 15, 16, 17, 33, 256] {
+        // k below 8 runs no lane tile, n = 256 fills whole panels, and
+        // past KC every row group repacks each block.
+        for k in sweep_k() {
+            for n in SWEEP_N {
                 let b = fractious(n * k, 13);
-                for rows in (1..=9).chain([130]) {
+                for rows in sweep_rows(k) {
                     let a = fractious(rows * k, 12);
                     assert_same_bits(
-                        &matmul_t_packed(&a, rows, k, &b, n),
+                        &matmul_t_kernel(&a, rows, k, &b, n),
                         &matmul_t_dots(&a, rows, k, &b, n),
                         &format!("{rows}x{k}x{n}"),
                     );
@@ -788,7 +773,7 @@ mod tests {
             -1e-45,
         ];
         let mut v = fractious(rows * k, salt);
-        for (i, row) in v.chunks_mut(k).enumerate() {
+        for (i, row) in v.chunks_mut(k.max(1)).enumerate() {
             for (c, x) in row.iter_mut().enumerate() {
                 match i % 4 {
                     0 => {}
@@ -804,9 +789,15 @@ mod tests {
 
     #[test]
     fn matmul_t_matches_dot_blocked_on_zeros_infinities_nan_and_subnormals() {
-        for (rows, k, n) in [(8, 5, 9), (12, 8, 16), (9, 37, 33), (16, 64, 20)] {
+        for (rows, k, n) in [
+            (8, 5, 9),
+            (12, 8, 16),
+            (9, 37, 33),
+            (16, 64, 20),
+            (8, KC + 11, 17),
+        ] {
             let (a, b) = (odd_values(rows, k, 14), odd_values(n, k, 15));
-            let got = matmul_t_packed(&a, rows, k, &b, n);
+            let got = matmul_t_kernel(&a, rows, k, &b, n);
             assert_same_bits(&got, &matmul_t_dots(&a, rows, k, &b, n), "odd values");
             // An all-(-0.0) row against finite rows is a sum of -0.0
             // products from +0.0 accumulators: +0.0, not -0.0.
@@ -816,16 +807,14 @@ mod tests {
 
     #[test]
     fn matmul_t_row_splits_are_bit_identical() {
-        let (rows, k, n) = (13usize, 37usize, 33usize);
+        let (rows, k, n) = (13usize, KC + 37, 33usize);
         let (a, b) = (fractious(rows * k, 16), fractious(n * k, 17));
-        let whole = matmul_t_packed(&a, rows, k, &b, n);
-        let mut packed = Vec::new();
-        matmul_t_pack(&b, n, k, &mut packed);
+        let whole = matmul_t_kernel(&a, rows, k, &b, n);
         for cut in 0..=rows {
             let mut pieced = vec![f32::NAN; rows * n];
             let (head, tail) = pieced.split_at_mut(cut * n);
-            matmul_t_rows_dense(&a[..cut * k], k, &packed, n, head);
-            matmul_t_rows_dense(&a[cut * k..], k, &packed, n, tail);
+            matmul_t_rows_dense(&a[..cut * k], k, &b, n, head);
+            matmul_t_rows_dense(&a[cut * k..], k, &b, n, tail);
             assert_same_bits(&pieced, &whole, &format!("cut {cut}"));
         }
     }

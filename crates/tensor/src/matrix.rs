@@ -11,21 +11,6 @@
 
 use crate::kernels;
 use spp_pool::{even_ranges, WorkerPool};
-use std::cell::Cell;
-
-thread_local! {
-    /// [`Matrix::matmul_t_into`]'s packed right operand, grown once per
-    /// calling thread and reused while its packs hold at most
-    /// [`MATMUL_T_PACK_KEEP`] elements.
-    static MATMUL_T_PACK: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
-}
-
-/// Largest pack buffer (64 KiB) a thread keeps between calls; a larger
-/// one is freed after its call. Kept, the 256 KiB `Wᵀ` of a 256×256
-/// layer pinned a block amid each batch's freed activations and raised
-/// `train_compute`'s peak RSS by 2 MiB on a 2-core x86-64 host, while
-/// allocating it per call is nothing beside a product that size.
-const MATMUL_T_PACK_KEEP: usize = 16 * 1024;
 
 /// A row-major dense `f32` matrix.
 ///
@@ -397,21 +382,12 @@ impl Matrix {
             .iter()
             .map(|r| r.end * out_cols)
             .collect(); // spp-hot: alloc(job-cut table, one word per job; bounded by pool width)
-
-        // `other` is packed once, on this thread, and every job reads it.
-        // The buffer is taken out of the cell for the call, so a nested
-        // call on this thread packs into one of its own.
-        let mut packed = MATMUL_T_PACK.take();
-        kernels::matmul_t_pack(&other.data, other.rows, self.cols, &mut packed);
         pool.par_chunks(&mut out.data, &cuts, |_, offset, chunk| {
             let i0 = offset / out_cols;
             let rows = chunk.len() / out_cols;
             let a_rows = &self.data[i0 * self.cols..(i0 + rows) * self.cols];
-            kernels::matmul_t_rows_dense(a_rows, self.cols, &packed, other.rows, chunk);
+            kernels::matmul_t_rows_dense(a_rows, self.cols, &other.data, other.rows, chunk);
         });
-        if packed.len() <= MATMUL_T_PACK_KEEP {
-            MATMUL_T_PACK.set(packed);
-        }
     }
 
     /// Materialized transpose, on the global worker pool.

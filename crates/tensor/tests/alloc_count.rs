@@ -151,9 +151,8 @@ fn into_kernels_stop_allocating_after_warmup() {
     );
 
     // The blocked micro-kernels themselves (DESIGN.md §14) are pure
-    // slice loops: register tiles and `matmul_t`'s per-lane partial
-    // tiles live on the stack, and packing `matmul_t`'s right operand
-    // into a buffer already grown to size reuses it. Zero allocations,
+    // slice loops: register tiles, packed weight panels and `matmul_t`'s
+    // per-lane partial tiles all live on the stack. Zero allocations,
     // not merely "bounded".
     let (rows, kk, n) = (96usize, 48, 32);
     let av = a.as_flat().to_vec();
@@ -162,14 +161,12 @@ fn into_kernels_stop_allocating_after_warmup() {
     let mut out_mm = vec![0.0f32; rows * n];
     let mut out_tm = vec![0.0f32; kk * n];
     let mut out_mt = vec![0.0f32; rows * rows];
-    let mut packed = Vec::with_capacity(kernels::matmul_t_packed_len(rows, kk));
     let (kernel_allocs, kernel_bytes, ()) = counted(|| {
         for _ in 0..4 {
             out_mm.fill(0.0);
             kernels::matmul_rows_dense(&av, kk, &bv, n, &mut out_mm);
             kernels::t_matmul_cols_dense(&av, kk, &cv, n, rows, 0, &mut out_tm);
-            kernels::matmul_t_pack(&av, rows, kk, &mut packed);
-            kernels::matmul_t_rows_dense(&av, kk, &packed, rows, &mut out_mt);
+            kernels::matmul_t_rows_dense(&av, kk, &av, rows, &mut out_mt);
             std::hint::black_box(kernels::dot_blocked(&av[..kk], &bv[..kk]));
         }
     });
