@@ -52,7 +52,6 @@ pub mod feature_store;
 pub mod policies;
 pub mod reorder;
 pub mod vip;
-pub mod vip_general;
 pub mod vip_partition;
 
 pub use cache::{CacheBuilder, StaticCache};
@@ -71,4 +70,4 @@ pub fn clamp01(x: f64) -> f64 {
 pub use feature_store::{BatchPlan, FeatureLocation, PartitionedFeatureStore};
 pub use policies::{CachePolicy, PolicyContext};
 pub use reorder::ReorderedLayout;
-pub use vip::VipModel;
+pub use vip::{TransitionLaw, VipModel};

@@ -9,8 +9,12 @@
 //! p[0](u) = B / |T|                          if u ∈ T, else 0
 //! p[h](u) = 1 - Π_{v ∈ N(u)} (1 - t_h(u,v) · p[h-1](v))
 //! p(u)    = 1 - Π_{h=1..L} (1 - p[h](u))
-//! t_h(u,v) = min(1, f_h / d(v))
+//! t_h(u,v) = min(1, f_h / d(v))               (uniform GraphSAGE law)
 //! ```
+//!
+//! The recurrence holds for any node-wise transition law (paper §3): a
+//! [`TransitionLaw`] supplies `t_h`, uniform by default, [`EdgeWeights`]
+//! for weighted sampling, statically dispatched into the same sweeps.
 //!
 //! Products over high-degree neighborhoods underflow `f64`, so the
 //! implementation accumulates `ln(1 - t·p)` with `ln_1p` and
@@ -19,9 +23,8 @@
 //!
 //! # Execution strategies
 //!
-//! The recurrence is evaluated by one shared per-vertex kernel
-//! ([`VipModel::hop_scores_with`]) under two interchangeable sweep
-//! strategies, chosen per hop from the previous hop's nonzero mass alone
+//! The recurrence is evaluated by one shared per-vertex kernel under two
+//! interchangeable sweep strategies, chosen per hop from the previous hop's nonzero mass alone
 //! (so the choice depends on the data, never on timing):
 //!
 //! - **Dense** — every vertex every hop, `O(L(M+N))`, parallelized over
@@ -39,6 +42,7 @@
 
 use spp_graph::{CsrGraph, VertexId};
 use spp_pool::{balanced_ranges, WorkerPool};
+use spp_sampler::weighted::EdgeWeights;
 use spp_sampler::Fanouts;
 use spp_telemetry::metrics::{self, Counter, Histogram};
 use std::sync::OnceLock;
@@ -60,6 +64,46 @@ fn vip_metrics() -> &'static VipMetrics {
         hops_sparse: metrics::counter("core.vip.hops_sparse"),
         frontier_size: metrics::histogram("core.vip.frontier_size"),
     })
+}
+
+/// A node-wise transition law `t_h(u, v)`: the probability that a vertex
+/// `v` in the hop-(h−1) set samples its neighbor `u` at fanout `f_h`.
+pub trait TransitionLaw: Sync {
+    /// `t_h(u, v)` for `u ∈ N(v)`; the sweeps only query true neighbors.
+    fn probability(&self, graph: &CsrGraph, fanout: usize, u: VertexId, v: VertexId) -> f64;
+}
+
+/// The uniform law `t_h(u, v) = min(1, f_h / d(v))`, evaluated as
+/// `f_h · (1/d(v))` over a reciprocal-degree table built once per call
+/// (`+inf` for isolated vertices, which makes `t` come out as 1 exactly
+/// like the division), so the kernel multiplies instead of dividing.
+struct Uniform {
+    inv_deg: Vec<f64>,
+}
+
+impl Uniform {
+    fn new(graph: &CsrGraph) -> Self {
+        let inv_deg = (0..graph.num_vertices() as VertexId)
+            .map(|v| 1.0 / graph.degree(v) as f64)
+            .collect();
+        Self { inv_deg }
+    }
+}
+
+impl TransitionLaw for Uniform {
+    #[inline]
+    fn probability(&self, _: &CsrGraph, fanout: usize, _: VertexId, v: VertexId) -> f64 {
+        (fanout as f64 * self.inv_deg[v as usize]).min(1.0)
+    }
+}
+
+/// The weighted law: `t_h(u, v)` is
+/// [`EdgeWeights::transition_probability`].
+impl TransitionLaw for EdgeWeights {
+    #[inline]
+    fn probability(&self, graph: &CsrGraph, fanout: usize, u: VertexId, v: VertexId) -> f64 {
+        self.transition_probability(graph, v, u, fanout)
+    }
 }
 
 /// Computes analytic vertex-inclusion probabilities.
@@ -134,40 +178,30 @@ impl VipModel {
     ///
     /// Panics if `p0.len() != graph.num_vertices()`.
     pub fn hop_scores_with(&self, pool: WorkerPool, graph: &CsrGraph, p0: &[f64]) -> Vec<Vec<f64>> {
-        self.hop_scores_impl(pool, graph, None, None, p0, None)
+        self.hop_scores_impl(pool, graph, &Uniform::new(graph), None, p0, None)
     }
 
-    /// The recurrence. `force_sparse` pins every hop to one sweep
-    /// (`Some(true)`: frontier-sparse) so tests can hold the two against
-    /// each other; `None` chooses per hop.
-    fn hop_scores_impl(
+    /// The recurrence under `law`. `force_sparse` pins every hop to one
+    /// sweep (`Some(true)`: frontier-sparse) so tests can hold the two
+    /// against each other; `None` chooses per hop.
+    fn hop_scores_impl<L: TransitionLaw>(
         &self,
         pool: WorkerPool,
         graph: &CsrGraph,
+        law: &L,
         shared_transpose: Option<&CsrGraph>,
-        shared_inv_deg: Option<&[f64]>,
         p0: &[f64],
         force_sparse: Option<bool>,
     ) -> Vec<Vec<f64>> {
         assert_eq!(p0.len(), graph.num_vertices(), "p0 size mismatch");
         let n = graph.num_vertices();
-        // Like the transpose, the reciprocal-degree table is shared by
-        // the K partition sweeps instead of being rebuilt per call.
-        let local_inv_deg: Vec<f64>;
-        let inv_deg: &[f64] = match shared_inv_deg {
-            Some(t) => t,
-            None => {
-                local_inv_deg = inv_degrees(graph);
-                &local_inv_deg
-            }
-        };
         // The transpose drives frontier discovery; build it at most once
         // per call (or borrow the caller's, in partition sweeps where all
         // K partitions share one).
         let mut local_transpose: Option<CsrGraph> = None;
         let mut hops: Vec<Vec<f64>> = Vec::with_capacity(self.fanouts.num_hops());
         for h in 1..=self.fanouts.num_hops() {
-            let f = self.fanouts.hop(h) as f64;
+            let f = self.fanouts.hop(h);
             let prev: &[f64] = hops.last().map_or(p0, Vec::as_slice);
             let support: Vec<VertexId> = (0..n as VertexId)
                 .filter(|&v| prev[v as usize] > 0.0)
@@ -197,8 +231,8 @@ impl VipModel {
                     None
                 };
             let cur = match transpose {
-                Some(tr) => frontier_sweep(pool, graph, tr, inv_deg, prev, &support, f),
-                None => dense_sweep(pool, graph, inv_deg, prev, f),
+                Some(tr) => frontier_sweep(pool, graph, tr, law, prev, &support, f),
+                None => dense_sweep(pool, graph, law, prev, f),
             };
             hops.push(cur);
         }
@@ -252,21 +286,34 @@ impl VipModel {
     /// independent sweeps are scheduled as pool jobs (never one unbounded
     /// thread per partition), each sweep parallelizing internally on its
     /// share of the worker budget via [`WorkerPool::split`]; the
-    /// transposed graph is built once and shared by every partition's
-    /// frontier discovery.
+    /// transposed graph and the law's reciprocal-degree table are built
+    /// once and shared by every partition's sweep.
     pub fn partition_scores_with(
         &self,
         pool: WorkerPool,
         graph: &CsrGraph,
         train_of_part: &[Vec<VertexId>],
     ) -> Vec<Vec<f64>> {
-        self.partition_scores_impl(pool, graph, train_of_part, None)
+        self.partition_scores_impl(pool, graph, &Uniform::new(graph), train_of_part, None)
     }
 
-    fn partition_scores_impl(
+    /// [`VipModel::partition_scores_with`] under an arbitrary transition
+    /// law, e.g. the [`EdgeWeights`] of a weighted sampler.
+    pub fn partition_scores_with_law<L: TransitionLaw>(
         &self,
         pool: WorkerPool,
         graph: &CsrGraph,
+        law: &L,
+        train_of_part: &[Vec<VertexId>],
+    ) -> Vec<Vec<f64>> {
+        self.partition_scores_impl(pool, graph, law, train_of_part, None)
+    }
+
+    fn partition_scores_impl<L: TransitionLaw>(
+        &self,
+        pool: WorkerPool,
+        graph: &CsrGraph,
+        law: &L,
         train_of_part: &[Vec<VertexId>],
         force_sparse: Option<bool>,
     ) -> Vec<Vec<f64>> {
@@ -275,36 +322,18 @@ impl VipModel {
             return Vec::new();
         }
         // Partition train sets are small by construction (|T|/K), so the
-        // frontier path is the expected one; pay for the transpose and
-        // the reciprocal-degree table once up front instead of once per
-        // partition job.
+        // frontier path is the expected one; pay for the transpose once
+        // up front instead of once per partition job.
         let transpose = (force_sparse != Some(false)).then(|| graph.transpose());
-        let inv_deg = inv_degrees(graph);
         let inner = pool.split(k);
         pool.run_jobs(k, |i| {
             let _sweep = spp_telemetry::span!("core.vip.partition_sweep");
             let p0 = self.initial_probabilities(graph.num_vertices(), &train_of_part[i]);
-            let hops = self.hop_scores_impl(
-                inner,
-                graph,
-                transpose.as_ref(),
-                Some(&inv_deg),
-                &p0,
-                force_sparse,
-            );
+            let hops =
+                self.hop_scores_impl(inner, graph, law, transpose.as_ref(), &p0, force_sparse);
             Self::combine(&hops)
         })
     }
-}
-
-/// Reciprocal out-degrees, `1/d(v)` (`+inf` for isolated vertices, which
-/// makes `t = min(1, f/d)` come out as 1 exactly like the direct
-/// division). Computed once per sweep so the inner kernel multiplies
-/// instead of dividing.
-fn inv_degrees(graph: &CsrGraph) -> Vec<f64> {
-    (0..graph.num_vertices() as VertexId)
-        .map(|v| 1.0 / graph.degree(v) as f64)
-        .collect()
 }
 
 /// Lane width of the blocked [`hop_update`] kernel (DESIGN.md §14).
@@ -312,11 +341,11 @@ const HOP_LANES: usize = 8;
 
 /// The shared inner kernel of Proposition 1's recurrence: one vertex's
 /// next-hop inclusion probability from its out-neighborhood. Every sweep
-/// (serial, dense-parallel, frontier-sparse) evaluates exactly this
-/// function, which is what makes them bit-identical.
+/// (serial, dense-parallel, frontier-sparse) under every law evaluates
+/// exactly this function, which is what makes them bit-identical.
 ///
 /// Blocked evaluation: neighbors are processed in 8-lane chunks. Each
-/// chunk gathers its `x = min(1, f/d(v)) · p(v)` terms branch-free into
+/// chunk gathers its `x = t_h(u, v) · p(v)` terms branch-free into
 /// a lane buffer (a `p(v) ≤ 0` neighbor becomes an exact-zero term,
 /// `ln_1p(-0) = -0`, a no-op on the accumulator — replacing the seed's
 /// skip branch), checks saturation for the whole chunk (`x ≥ 1` means
@@ -329,7 +358,13 @@ const HOP_LANES: usize = 8;
 /// chunking only splits *vertices*, never one vertex's neighbor list.
 // spp-hot(core.hop_update)
 #[inline]
-fn hop_update(graph: &CsrGraph, inv_deg: &[f64], prev: &[f64], f: f64, u: VertexId) -> f64 {
+fn hop_update<L: TransitionLaw>(
+    graph: &CsrGraph,
+    law: &L,
+    prev: &[f64],
+    f: usize,
+    u: VertexId,
+) -> f64 {
     let neighbors = graph.neighbors(u);
     let chunks = neighbors.chunks_exact(HOP_LANES);
     let tail = chunks.remainder();
@@ -338,7 +373,7 @@ fn hop_update(graph: &CsrGraph, inv_deg: &[f64], prev: &[f64], f: f64, u: Vertex
         let mut x = [0.0f64; HOP_LANES];
         for (l, &v) in c8.iter().enumerate() {
             let pv = prev[v as usize];
-            let t = (f * inv_deg[v as usize]).min(1.0);
+            let t = law.probability(graph, f, u, v);
             x[l] = (t * pv).max(0.0);
         }
         if x.iter().any(|&xi| xi >= 1.0) {
@@ -351,7 +386,7 @@ fn hop_update(graph: &CsrGraph, inv_deg: &[f64], prev: &[f64], f: f64, u: Vertex
     let mut log_miss = acc[0] + acc[1];
     for &v in tail {
         let pv = prev[v as usize];
-        let t = (f * inv_deg[v as usize]).min(1.0);
+        let t = law.probability(graph, f, u, v);
         let x = (t * pv).max(0.0);
         if x >= 1.0 {
             return 1.0;
@@ -364,12 +399,12 @@ fn hop_update(graph: &CsrGraph, inv_deg: &[f64], prev: &[f64], f: f64, u: Vertex
 /// One dense hop: every vertex updated, vertices chunked so each chunk
 /// carries an equal share of `N + M` work (CSR edge counts), chunk
 /// boundaries a pure function of the graph.
-fn dense_sweep(
+fn dense_sweep<L: TransitionLaw>(
     pool: WorkerPool,
     graph: &CsrGraph,
-    inv_deg: &[f64],
+    law: &L,
     prev: &[f64],
-    f: f64,
+    f: usize,
 ) -> Vec<f64> {
     let n = graph.num_vertices();
     let total = (n + graph.num_edges()) as u64;
@@ -386,7 +421,7 @@ fn dense_sweep(
     let mut cur = vec![0.0f64; n];
     pool.par_chunks(&mut cur, &cuts, |_, offset, chunk| {
         for (j, slot) in chunk.iter_mut().enumerate() {
-            *slot = hop_update(graph, inv_deg, prev, f, (offset + j) as VertexId);
+            *slot = hop_update(graph, law, prev, f, (offset + j) as VertexId);
         }
     });
     cur
@@ -398,14 +433,14 @@ fn dense_sweep(
 /// exact `+0.0` the dense sweep produces for it (`1 - exp(0) = +0.0`),
 /// so the result is bit-identical to [`dense_sweep`]. Active vertices
 /// are updated in chunks balanced by out-degree.
-fn frontier_sweep(
+fn frontier_sweep<L: TransitionLaw>(
     pool: WorkerPool,
     graph: &CsrGraph,
     transpose: &CsrGraph,
-    inv_deg: &[f64],
+    law: &L,
     prev: &[f64],
     support: &[VertexId],
-    f: f64,
+    f: usize,
 ) -> Vec<f64> {
     let n = graph.num_vertices();
     let mut on_frontier = vec![false; n];
@@ -430,7 +465,7 @@ fn frontier_sweep(
     let values = pool.run_jobs(ranges.len(), |j| {
         ranges[j]
             .clone()
-            .map(|i| hop_update(graph, inv_deg, prev, f, active[i]))
+            .map(|i| hop_update(graph, law, prev, f, active[i]))
             .collect::<Vec<f64>>()
     });
     let mut cur = vec![0.0f64; n];
@@ -620,27 +655,41 @@ mod tests {
         sparse: bool,
     ) -> Vec<f64> {
         let p0 = model.initial_probabilities(g.num_vertices(), train);
-        VipModel::combine(&model.hop_scores_impl(pool, g, None, None, &p0, Some(sparse)))
+        let law = Uniform::new(g);
+        VipModel::combine(&model.hop_scores_impl(pool, g, &law, None, &p0, Some(sparse)))
+    }
+
+    /// A weighted law skewed toward every fifth vertex.
+    fn skewed_weights(g: &CsrGraph) -> EdgeWeights {
+        let score: Vec<f32> = (0..g.num_vertices())
+            .map(|v| 1.0 + (v % 5) as f32)
+            .collect();
+        EdgeWeights::from_target_scores(g, &score)
     }
 
     #[test]
     fn hop_scores_bit_identical_across_pools_and_strategies() {
+        fn check<L: TransitionLaw>(model: &VipModel, g: &CsrGraph, law: &L, p0: &[f64]) {
+            let reference =
+                model.hop_scores_impl(WorkerPool::serial(), g, law, None, p0, Some(false));
+            for workers in [1usize, 2, 8] {
+                for sweep in SWEEPS {
+                    let got =
+                        model.hop_scores_impl(WorkerPool::new(workers), g, law, None, p0, sweep);
+                    assert_eq!(got.len(), reference.len());
+                    for (h, (a, b)) in reference.iter().zip(&got).enumerate() {
+                        let what = format!("workers={workers} sparse={sweep:?} hop {h}");
+                        assert_bits_eq(a, b, &what);
+                    }
+                }
+            }
+        }
         let g = GeneratorConfig::rmat(1024, 8192).seed(7).build();
         let train: Vec<VertexId> = (0..64).collect();
         let model = VipModel::new(Fanouts::new(vec![7, 5, 3]), 16);
         let p0 = model.initial_probabilities(g.num_vertices(), &train);
-        let reference =
-            model.hop_scores_impl(WorkerPool::serial(), &g, None, None, &p0, Some(false));
-        for workers in [1usize, 2, 8] {
-            for sweep in SWEEPS {
-                let got =
-                    model.hop_scores_impl(WorkerPool::new(workers), &g, None, None, &p0, sweep);
-                assert_eq!(got.len(), reference.len());
-                for (h, (a, b)) in reference.iter().zip(&got).enumerate() {
-                    assert_bits_eq(a, b, &format!("workers={workers} sparse={sweep:?} hop {h}"));
-                }
-            }
-        }
+        check(&model, &g, &Uniform::new(&g), &p0);
+        check(&model, &g, &skewed_weights(&g), &p0);
     }
 
     #[test]
@@ -678,10 +727,13 @@ mod tests {
             (400..420).collect(),
         ];
         let model = VipModel::new(Fanouts::new(vec![5, 5]), 8);
-        let reference = model.partition_scores_impl(WorkerPool::serial(), &g, &parts, Some(false));
+        let law = Uniform::new(&g);
+        let reference =
+            model.partition_scores_impl(WorkerPool::serial(), &g, &law, &parts, Some(false));
         for workers in [1usize, 2, 8] {
             for sweep in [None, Some(true)] {
-                let got = model.partition_scores_impl(WorkerPool::new(workers), &g, &parts, sweep);
+                let pool = WorkerPool::new(workers);
+                let got = model.partition_scores_impl(pool, &g, &law, &parts, sweep);
                 assert_eq!(got.len(), reference.len());
                 for (k, (a, b)) in reference.iter().zip(&got).enumerate() {
                     assert_bits_eq(
@@ -707,13 +759,29 @@ mod tests {
         assert_bits_eq(&dense, &sparse, "tiny train set");
     }
 
+    /// Hop vectors of the serial dense sweep and of the frontier-sparse
+    /// sweep on `workers` workers.
+    fn dense_and_sparse<L: TransitionLaw>(
+        model: &VipModel,
+        g: &CsrGraph,
+        law: &L,
+        p0: &[f64],
+        workers: usize,
+    ) -> [Vec<Vec<f64>>; 2] {
+        let sweep = |pool, sparse| model.hop_scores_impl(pool, g, law, None, p0, Some(sparse));
+        [
+            sweep(WorkerPool::serial(), false),
+            sweep(WorkerPool::new(workers), true),
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The frontier-sparse sweep is an exact evaluation-order-preserving
-        /// subset of the dense sweep: for any graph, fanouts, train set, and
-        /// worker count, every hop vector matches the serial dense sweep
-        /// bit for bit.
+        /// subset of the dense sweep: for any graph, fanouts, train set,
+        /// worker count and law, every hop vector matches the serial dense
+        /// sweep bit for bit.
         #[test]
         fn frontier_sparse_sweep_matches_dense_bitwise(
             n in 8usize..160,
@@ -724,15 +792,17 @@ mod tests {
             train_len in 1usize..24,
             workers in 1usize..8,
             seed in 0u64..1000,
+            weighted in any::<bool>(),
         ) {
             let g = GeneratorConfig::erdos_renyi(n, m).seed(seed).build();
             let train: Vec<VertexId> = (0..train_len.min(n) as u32).collect();
             let model = VipModel::new(Fanouts::new(vec![f1, f2]), batch);
             let p0 = model.initial_probabilities(n, &train);
-            let dense = model.hop_scores_impl(
-                WorkerPool::serial(), &g, None, None, &p0, Some(false));
-            let sparse = model.hop_scores_impl(
-                WorkerPool::new(workers), &g, None, None, &p0, Some(true));
+            let [dense, sparse] = if weighted {
+                dense_and_sparse(&model, &g, &skewed_weights(&g), &p0, workers)
+            } else {
+                dense_and_sparse(&model, &g, &Uniform::new(&g), &p0, workers)
+            };
             prop_assert_eq!(dense.len(), sparse.len());
             for (a, b) in dense.iter().zip(&sparse) {
                 for (x, y) in a.iter().zip(b) {
@@ -751,5 +821,74 @@ mod tests {
         assert!(p[0] > 0.99);
         // A random leaf is reached only via the center's fanout.
         assert!(p[40] < p[0]);
+    }
+
+    #[test]
+    fn weighted_transitions_shift_vip_mass() {
+        // Boost the attractiveness of vertex 1: its VIP under weighted
+        // sampling must exceed its uniform VIP; a deflated vertex's must
+        // drop.
+        let g = complete(20);
+        let train: Vec<VertexId> = (5..15).collect();
+        let model = VipModel::new(Fanouts::new(vec![2]), 4);
+        let mut score = vec![1.0f32; 20];
+        score[1] = 20.0;
+        score[2] = 0.05;
+        let w = EdgeWeights::from_target_scores(&g, &score);
+        let uni = model.scores(&g, &train);
+        let wtd = &model.partition_scores_with_law(WorkerPool::serial(), &g, &w, &[train])[0];
+        assert!(wtd[1] > uni[1] * 1.5, "boosted: {} vs {}", wtd[1], uni[1]);
+        assert!(wtd[2] < uni[2] * 0.5, "deflated: {} vs {}", wtd[2], uni[2]);
+    }
+
+    #[test]
+    fn weighted_vip_agrees_with_weighted_monte_carlo() {
+        // Frontier-process simulation with the weighted sampler vs the
+        // analytic model under the weighted law. Proposition 1 assumes
+        // independence across the product terms, which is accurate when
+        // per-term probabilities are small (the realistic regime: B << |T|
+        // and fanout << degree) — so the fixture keeps both small.
+        let g = complete(40);
+        let train: [Vec<VertexId>; 1] = [(0..40).collect()];
+        let fanouts = Fanouts::new(vec![3]);
+        let b = 2usize;
+        let mut score = vec![1.0f32; 40];
+        score[0] = 4.0;
+        let w = EdgeWeights::from_target_scores(&g, &score);
+        let model = VipModel::new(fanouts.clone(), b);
+        let analytic = &model.partition_scores_with_law(WorkerPool::new(2), &g, &w, &train)[0];
+
+        let sampler = spp_sampler::weighted::WeightedNodeWiseSampler::new(&g, &w, fanouts);
+        let mut rng = StdRng::seed_from_u64(9);
+        let trials = 3000;
+        let mut counts = vec![0usize; 40];
+        for _ in 0..trials {
+            let mut pool = train[0].clone();
+            for i in 0..b {
+                let j = rand::Rng::gen_range(&mut rng, i..pool.len());
+                pool.swap(i, j);
+            }
+            let mfg = sampler.sample(&pool[..b], &mut rng);
+            let mut included = [false; 40];
+            for t in 0..mfg.hops[0].num_targets {
+                for &local in mfg.hops[0].neighbors(t) {
+                    included[mfg.nodes[local as usize] as usize] = true;
+                }
+            }
+            for (v, &inc) in included.iter().enumerate() {
+                if inc {
+                    counts[v] += 1;
+                }
+            }
+        }
+        for v in 0..40 {
+            let emp = counts[v] as f64 / trials as f64;
+            let a = analytic[v];
+            let sigma = (a * (1.0 - a) / trials as f64).sqrt().max(1e-3);
+            assert!(
+                (emp - a).abs() < 5.0 * sigma + 0.04,
+                "vertex {v}: empirical {emp:.3} vs analytic {a:.3}"
+            );
+        }
     }
 }

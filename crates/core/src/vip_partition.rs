@@ -87,24 +87,14 @@ impl VipRefiner {
     /// The analytic expected remote volume of an assignment under
     /// per-partition VIP values and per-partition epoch weights
     /// (typically the number of minibatches each partition runs per
-    /// epoch).
+    /// epoch): [`VipRefiner::expected_volume_with_caches`] with no cache.
     pub fn expected_volume(
         partitioning: &Partitioning,
         vip: &[Vec<f64>],
         epoch_weight: &[f64],
     ) -> f64 {
-        let k = partitioning.num_parts();
-        assert_eq!(vip.len(), k, "one VIP vector per partition");
-        assert_eq!(epoch_weight.len(), k, "one weight per partition");
-        let mut total = 0.0;
-        for (p, pv) in vip.iter().enumerate() {
-            for v in 0..partitioning.num_vertices() {
-                if partitioning.part_of(v as VertexId) != p as u32 {
-                    total += epoch_weight[p] * pv[v];
-                }
-            }
-        }
-        total
+        let none = vec![StaticCache::empty(); partitioning.num_parts()];
+        Self::expected_volume_with_caches(partitioning, vip, epoch_weight, &none)
     }
 
     /// Refines `partitioning` by re-homing unprotected vertices toward
@@ -224,6 +214,8 @@ impl VipRefiner {
         caches: &[StaticCache],
     ) -> f64 {
         let k = partitioning.num_parts();
+        assert_eq!(vip.len(), k, "one VIP vector per partition");
+        assert_eq!(epoch_weight.len(), k, "one weight per partition");
         assert_eq!(caches.len(), k, "one cache per partition");
         let mut total = 0.0;
         for (p, pv) in vip.iter().enumerate() {

@@ -62,3 +62,38 @@ fn vip_ranking_and_cache_members_identical_across_worker_counts() {
         }
     }
 }
+
+/// FNV-1a over the bit patterns of a sequence of probability vectors.
+fn fingerprint<'a>(vectors: impl IntoIterator<Item = &'a Vec<f64>>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in vectors {
+        for x in v {
+            for byte in x.to_bits().to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// Pins the uniform-law VIP scores to the bit: the model compared with
+/// itself (above) cannot catch a change in how `t_h(u, v)` is evaluated,
+/// e.g. `f / d(v)` in place of `f * (1 / d(v))`, which moves the last ulp.
+#[test]
+fn uniform_vip_scores_pinned_to_the_bit() {
+    const EXPECTED: u64 = 0xd03a_eabf_32e1_6e6f;
+    let g = GeneratorConfig::rmat(4096, 40_000).seed(7).build();
+    let model = VipModel::new(Fanouts::new(vec![10, 5, 3]), 32);
+    let train: Vec<VertexId> = (0..4096).step_by(8).collect();
+    let parts: Vec<Vec<VertexId>> = (0..4u32)
+        .map(|k| (0..4096).filter(|v| v % 4 == k).step_by(16).collect())
+        .collect();
+    for workers in [1usize, 2] {
+        let pool = WorkerPool::new(workers);
+        let scores = model.scores_with(pool, &g, &train);
+        let per_part = model.partition_scores_with(pool, &g, &parts);
+        let got = fingerprint(std::iter::once(&scores).chain(&per_part));
+        assert_eq!(got, EXPECTED, "fingerprint {got:016x} at {workers} workers");
+    }
+}

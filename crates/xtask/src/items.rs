@@ -414,6 +414,27 @@ fn parse_marker_annotations(
     (roots, stops)
 }
 
+/// For a turbofish call `name::<..>(`, the offset where `::<` starts,
+/// given the offset of `(`; `None` unless `(` closes a `::<..>` list.
+fn turbofish_start(s: &str, paren: usize) -> Option<usize> {
+    let bytes = s.as_bytes();
+    let mut depth = 0usize;
+    for i in (0..paren).rev() {
+        match bytes[i] {
+            b'>' => depth += 1,
+            b'<' if depth > 0 => {
+                depth -= 1;
+                if depth == 0 {
+                    return s[..i].strip_suffix("::").map(str::len);
+                }
+            }
+            _ if depth == 0 => return None,
+            _ => {}
+        }
+    }
+    None
+}
+
 /// Extracts call sites from one cleaned line into `out`.
 fn calls_on_line(cleaned: &str, lineno: usize, out: &mut Vec<CallSite>) {
     let bytes = cleaned.as_bytes();
@@ -421,10 +442,12 @@ fn calls_on_line(cleaned: &str, lineno: usize, out: &mut Vec<CallSite>) {
         if b != b'(' {
             continue;
         }
-        let Some(name) = ident_before(cleaned, i) else {
+        // `name::<T>(..)` calls `name`: skip back over the turbofish.
+        let end = turbofish_start(cleaned, i).unwrap_or(i);
+        let Some(name) = ident_before(cleaned, end) else {
             continue;
         };
-        let start = i - name.len();
+        let start = end - name.len();
         // Macro invocations (`panic!(`) and raw identifiers are not
         // workspace calls; the H-rules catch macros lexically.
         let before = cleaned[..start].trim_end();
@@ -443,9 +466,6 @@ fn calls_on_line(cleaned: &str, lineno: usize, out: &mut Vec<CallSite>) {
         } else {
             None
         };
-        // `name::<T>(..)` turbofish: the ident before `(` is the type
-        // parameter, not the callee — skip (rare; over-approximation
-        // already covers the interesting cases).
         out.push(CallSite {
             callee: name.to_string(),
             recv,
@@ -464,9 +484,11 @@ pub fn parse_items(file: &SourceFile, src: &str) -> FileItems {
     let mut fns: Vec<FnItem> = Vec::new();
     let mut stack: Vec<Ctx> = Vec::new();
     // Accumulated header text since the last `{`/`}`/`;`, with a
-    // parallel per-byte line map so the `fn` token's line is exact.
+    // parallel per-byte line map so the `fn` token's line is exact. A
+    // `;` inside square brackets (`[T; N]` in a signature) ends nothing.
     let mut header = String::new();
     let mut header_lines: Vec<usize> = Vec::new();
+    let mut brackets = 0usize;
 
     for (idx, line) in file.lines.iter().enumerate() {
         for c in line.cleaned.chars() {
@@ -506,6 +528,7 @@ pub fn parse_items(file: &SourceFile, src: &str) -> FileItems {
                     stack.push(ctx);
                     header.clear();
                     header_lines.clear();
+                    brackets = 0;
                 }
                 '}' => {
                     if let Some(Ctx::Fn(i)) = stack.pop() {
@@ -515,12 +538,18 @@ pub fn parse_items(file: &SourceFile, src: &str) -> FileItems {
                     }
                     header.clear();
                     header_lines.clear();
+                    brackets = 0;
                 }
-                ';' => {
+                ';' if brackets == 0 => {
                     header.clear();
                     header_lines.clear();
                 }
                 c => {
+                    match c {
+                        '[' => brackets += 1,
+                        ']' => brackets = brackets.saturating_sub(1),
+                        _ => {}
+                    }
                     header.push(c);
                     for _ in 0..c.len_utf8() {
                         header_lines.push(idx);
@@ -633,7 +662,7 @@ mod tests {
 
     #[test]
     fn call_sites_free_method_and_qualified() {
-        let src = "fn f() {\n    helper(1);\n    x.probe(2);\n    Matrix::zeros(3);\n    Vec::new();\n    Some(4);\n    if (a) {}\n    panic!(\"no\");\n}\n";
+        let src = "fn f() {\n    helper(1);\n    x.probe(2);\n    Matrix::zeros(3);\n    Vec::new();\n    Some(4);\n    if (a) {}\n    panic!(\"no\");\n    pick::<4>(xs);\n    x.collect::<Vec<u32>>();\n}\n";
         let f = parse(src);
         let calls = &f.fns[0].calls;
         let names: Vec<&str> = calls.iter().map(|c| c.callee.as_str()).collect();
@@ -644,6 +673,9 @@ mod tests {
         assert!(!names.contains(&"if"));
         assert!(!names.contains(&"Some"));
         assert!(!names.contains(&"panic"));
+        // Turbofish calls are edges to the fn, not to the type argument.
+        assert!(names.contains(&"pick"));
+        assert!(calls.iter().any(|c| c.callee == "collect" && c.method));
         let probe = calls.iter().find(|c| c.callee == "probe").unwrap();
         assert!(probe.method && probe.recv.is_none());
         let zeros = calls.iter().find(|c| c.callee == "zeros").unwrap();

@@ -287,12 +287,11 @@ fn csr_clients(path: &str) -> bool {
 /// L3 scope: files whose outputs feed deterministic, replica-agreed
 /// rankings.
 fn order_sensitive(path: &str) -> bool {
-    const ORDER_SENSITIVE: [&str; 8] = [
+    const ORDER_SENSITIVE: [&str; 7] = [
         "crates/core/src/policies.rs",
         "crates/core/src/cache.rs",
         "crates/core/src/reorder.rs",
         "crates/core/src/vip.rs",
-        "crates/core/src/vip_general.rs",
         "crates/core/src/vip_partition.rs",
         "crates/core/src/feature_store.rs",
         "crates/partition/src/",
@@ -304,9 +303,7 @@ fn order_sensitive(path: &str) -> bool {
 fn vip_modules(path: &str) -> bool {
     matches!(
         path,
-        "crates/core/src/vip.rs"
-            | "crates/core/src/vip_general.rs"
-            | "crates/core/src/vip_partition.rs"
+        "crates/core/src/vip.rs" | "crates/core/src/vip_partition.rs"
     )
 }
 

@@ -169,3 +169,24 @@ fn clean_json_has_zero_unannotated_escapes() {
     assert!(json.contains("\"unannotated_escapes\": 0"), "{json}");
     assert!(json.contains("\"reachable_functions\": 4"), "{json}");
 }
+
+#[test]
+fn array_typed_and_turbofish_callees_are_audited() {
+    let out = audit(&fixture_root("hotpath_tree_blind"), &[]);
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(!out.status.success(), "seeded violations must fail");
+    assert!(
+        text.contains("root fixture.lanes = lanes (crates/core/src/lanes.rs:8): 3 reachable"),
+        "{text}"
+    );
+    // `widen(x: [f32; 4])` is an item despite the `;` in its signature.
+    assert!(
+        text.contains("crates/core/src/lanes.rs:15: [h1-alloc] in `widen` (via fixture.lanes)"),
+        "{text}"
+    );
+    // `pick::<4>(..)` is an edge to `pick`.
+    assert!(
+        text.contains("crates/core/src/lanes.rs:20: [h2-panic] in `pick` (via fixture.lanes)"),
+        "{text}"
+    );
+}

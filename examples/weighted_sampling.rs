@@ -1,9 +1,8 @@
 //! Beyond uniform GraphSAGE sampling: the paper's Proposition 1 applies
 //! to *any* node-wise transition probabilities. This example biases the
-//! sampler toward high-degree neighbors, feeds the matching transition
-//! matrix to the generalized VIP model, and shows that the resulting
-//! cache ranking outperforms the uniform-model ranking under the biased
-//! workload.
+//! sampler toward high-degree neighbors, runs the VIP model under the
+//! matching weighted transition law, and shows that the resulting cache
+//! ranking outperforms the uniform-law ranking under the biased workload.
 //!
 //! Run with: `cargo run --release --example weighted_sampling`
 
@@ -18,8 +17,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use salientpp::core::vip_general::{GeneralVipModel, UniformTransitions, WeightedTransitions};
 use salientpp::prelude::*;
+use salientpp::runtime::pool::WorkerPool;
 use spp_sampler::weighted::{EdgeWeights, WeightedNodeWiseSampler};
 
 fn main() {
@@ -60,10 +59,9 @@ fn main() {
         }
     }
 
-    // Rank remote vertices by (a) the uniform VIP model and (b) the
-    // generalized model with the true weighted transitions.
-    let general = GeneralVipModel::new(fanouts.num_hops());
-    let base = VipModel::new(fanouts.clone(), batch);
+    // Rank remote vertices by the VIP model under (a) the uniform law and
+    // (b) the true weighted transition law.
+    let model = VipModel::new(fanouts.clone(), batch);
     let volume = |rankings: &[Vec<VertexId>], alpha: f64| -> f64 {
         let builder = CacheBuilder::new(alpha, n, k);
         (0..k)
@@ -81,10 +79,11 @@ fn main() {
             })
             .sum()
     };
-    let rank_with = |scores_of: &dyn Fn(usize) -> Vec<f64>| -> Vec<Vec<VertexId>> {
-        (0..k)
-            .map(|m| {
-                let s = scores_of(m);
+    let rank = |scores: Vec<Vec<f64>>| -> Vec<Vec<VertexId>> {
+        scores
+            .iter()
+            .enumerate()
+            .map(|(m, s)| {
                 let mut remote: Vec<VertexId> = (0..n as u32)
                     .filter(|&v| part.part_of(v) != m as u32 && s[v as usize] > 0.0)
                     .collect();
@@ -99,18 +98,9 @@ fn main() {
             .collect()
     };
 
-    let uniform_ranks = rank_with(&|m| {
-        let p0 = base.initial_probabilities(n, &train[m]);
-        general.scores(&ds.graph, &UniformTransitions::new(fanouts.clone()), &p0)
-    });
-    let weighted_ranks = rank_with(&|m| {
-        let p0 = base.initial_probabilities(n, &train[m]);
-        general.scores(
-            &ds.graph,
-            &WeightedTransitions::new(&weights, fanouts.clone()),
-            &p0,
-        )
-    });
+    let uniform_ranks = rank(model.partition_scores(&ds.graph, &train));
+    let pool = WorkerPool::global();
+    let weighted_ranks = rank(model.partition_scores_with_law(pool, &ds.graph, &weights, &train));
 
     println!(
         "degree-biased sampling on {} ({} vertices, {k} machines)\n",
@@ -121,8 +111,8 @@ fn main() {
         "cache ranking model", "a=0.10", "a=0.30"
     );
     for (name, ranks) in [
-        ("uniform-model VIP", &uniform_ranks),
-        ("weighted-model VIP", &weighted_ranks),
+        ("uniform-law VIP", &uniform_ranks),
+        ("weighted-law VIP", &weighted_ranks),
     ] {
         println!(
             "{:<26} {:>12.0} {:>12.0}",
