@@ -46,4 +46,6 @@ pub mod model;
 pub mod trainer;
 
 pub use model::{model_dims, Arch, Forward, GnnModel};
-pub use trainer::{EpochStats, TrainConfig, TrainReport, Trainer, MODEL_STREAM_SALT};
+pub use trainer::{
+    seed_labels, train_step, EpochStats, TrainConfig, TrainReport, Trainer, MODEL_STREAM_SALT,
+};

@@ -557,15 +557,10 @@ mod tests {
                 fwd.tape.value(l).get(0, 0)
             };
             let before = loss_at(&model, &mut rng);
-            for _ in 0..20 {
-                let mut fwd = model.forward(x.clone(), &mfg, true, &mut rng);
-                let l = fwd
-                    .tape
-                    .softmax_cross_entropy(fwd.logits, StdArc::clone(&labels));
-                fwd.tape.backward(l);
-                model.accumulate_grads(&fwd);
-                let mut params = model.params_mut();
-                opt.step(&mut params);
+            for step in 0..20 {
+                let labels = StdArc::clone(&labels);
+                crate::train_step(&mut model, x.clone(), &mfg, labels, (6, 0, step));
+                opt.step(&mut model.params_mut());
             }
             let after = loss_at(&model, &mut rng);
             assert!(

@@ -16,9 +16,37 @@ use spp_tensor::{Adam, Matrix, Optimizer};
 use std::sync::Arc;
 
 /// Salt separating the model's dropout RNG stream from the sampler's
-/// stream for the same `(seed, epoch, batch)`. Shared with the
-/// distributed engine so both trainers derive streams identically.
+/// stream for the same `(seed, epoch, batch)`, applied by [`train_step`]
+/// for both trainers.
 pub const MODEL_STREAM_SALT: u64 = 0x6D6F_6465_6C5F_7267;
+
+/// The labels of `mfg`'s seed vertices, in seed order.
+pub fn seed_labels(labels: &[u32], mfg: &Mfg) -> Vec<u32> {
+    mfg.seeds().iter().map(|&v| labels[v as usize]).collect()
+}
+
+/// One minibatch's training compute, shared by [`Trainer`] and the
+/// distributed engine: a training-mode forward pass over `x` with
+/// dropout drawn from the model stream of batch `(seed, epoch, index)`,
+/// softmax cross-entropy against `labels`, backward, and the parameter
+/// gradients accumulated into `model`. Returns the loss and the input
+/// matrix, whose buffer can hold a later batch. The optimizer step is
+/// the caller's.
+pub fn train_step(
+    model: &mut GnnModel,
+    x: Matrix,
+    mfg: &Mfg,
+    labels: Arc<Vec<u32>>,
+    (seed, epoch, index): (u64, u64, u64),
+) -> (f64, Matrix) {
+    let stream = batch_stream_seed(seed ^ MODEL_STREAM_SALT, epoch, index);
+    let mut fwd = model.forward(x, mfg, true, &mut StdRng::seed_from_u64(stream));
+    let loss = fwd.tape.softmax_cross_entropy(fwd.logits, labels);
+    let value = fwd.tape.value(loss).get(0, 0) as f64;
+    fwd.tape.backward(loss);
+    model.accumulate_grads(&fwd);
+    (value, fwd.into_input())
+}
 
 /// Hyperparameters for one training run. Defaults mirror the paper's
 /// Table 3 (3-layer GraphSAGE, hidden 256, fanouts (15,10,5), batch 1024,
@@ -249,24 +277,22 @@ impl<'a> Trainer<'a> {
         let mut rng = StdRng::seed_from_u64(stream_seed);
         let mfg = sampler.sample(batch, &mut rng);
         let x = Self::gather_into_slot(feats, &mfg, slot);
-        let labels: Arc<Vec<u32>> =
-            Arc::new(mfg.seeds().iter().map(|&v| ds.labels[v as usize]).collect());
+        let labels = Arc::new(seed_labels(&ds.labels, &mfg));
         Batch { mfg, x, labels }
     }
 
     /// Runs one epoch of minibatch SGD; returns loss stats.
     ///
-    /// Batch preparation (sampling + feature gathering) runs on the
-    /// worker pool in waves while the model update for each batch stays
-    /// sequential — SALIENT's batch-preparation parallelism. The wave
-    /// decomposition is a pure function of the batch count, and each
-    /// batch's sampling and dropout RNG streams are derived from
-    /// `(seed, epoch, batch)`, so loss curves are identical for every
-    /// pool size.
+    /// Batch preparation (sampling + feature gathering) runs ahead on the
+    /// worker pool ([`WorkerPool::prepare_ahead`]) while the model update
+    /// for each batch stays sequential — SALIENT's batch-preparation
+    /// parallelism. Each lane's feature buffer is recycled into its next
+    /// batch, and each batch's sampling and dropout RNG streams are
+    /// derived from `(seed, epoch, batch)`, so loss curves are identical
+    /// for every pool size.
     // spp-det(gnn.train_epoch)
     pub fn train_epoch(&mut self, opt: &mut Adam, epoch: u64) -> EpochStats {
         let sampler = NodeWiseSampler::new(&self.ds.graph, self.cfg.fanouts.clone());
-        let pool = self.pool();
         let batch_list: Vec<Vec<VertexId>> = MinibatchIter::new(
             &self.ds.split.train,
             self.cfg.batch_size,
@@ -274,57 +300,32 @@ impl<'a> Trainer<'a> {
             epoch,
         )
         .collect();
-        let ds = self.ds;
-        let feats = self.feats;
+        let (ds, feats, seed, pool) = (self.ds, self.feats, self.cfg.seed, self.pool());
         feats.begin_epoch();
-        let seed = self.cfg.seed;
+        let model = &mut self.model;
         let mut total_loss = 0.0f64;
-        let mut batches = 0usize;
-        // Prepare one wave of batches ahead of the sequential model
-        // updates; wave size = worker budget keeps at most one wave of
-        // MFGs and gathered features resident. Lane `j` of every wave
-        // reuses lane `j`'s feature buffer from the wave before.
         let _epoch_span = spp_telemetry::span!("gnn.trainer.epoch");
         let batches_counter = spp_telemetry::metrics::counter("gnn.trainer.batches");
-        let width = pool.workers().max(1);
-        let mut lanes: Vec<Option<Batch>> = (0..width).map(|_| None).collect();
-        let cuts: Vec<usize> = (1..=width).collect();
-        for (wave_idx, wave) in batch_list.chunks(width).enumerate() {
-            let base = wave_idx * width;
-            let lanes = &mut lanes[..wave.len()];
-            {
-                let _prep = spp_telemetry::span!("gnn.trainer.wave_prep");
-                pool.par_chunks(lanes, &cuts[..wave.len()], |j, _, lane| {
-                    let slot = lane[0].take().map_or_else(Vec::new, |b| b.x.into_flat());
-                    let stream = batch_stream_seed(seed, epoch, (base + j) as u64);
-                    lane[0] = Some(Self::prepare_batch(
-                        ds, feats, &sampler, stream, &wave[j], slot,
-                    ));
-                });
-            }
-            let _update = spp_telemetry::span!("gnn.trainer.wave_update");
-            batches_counter.add(wave.len() as u64);
-            for (j, lane) in lanes.iter_mut().enumerate() {
-                let Some(batch) = lane else { continue };
-                let mut model_rng = StdRng::seed_from_u64(batch_stream_seed(
-                    seed ^ MODEL_STREAM_SALT,
-                    epoch,
-                    (base + j) as u64,
-                ));
+        pool.prepare_ahead(
+            batch_list.len(),
+            |b, prev: Option<Batch>| {
+                let _prep = spp_telemetry::span!("gnn.trainer.prepare");
+                let slot = prev.map_or_else(Vec::new, |p| p.x.into_flat());
+                let stream = batch_stream_seed(seed, epoch, b as u64);
+                Self::prepare_batch(ds, feats, &sampler, stream, &batch_list[b], slot)
+            },
+            |b, batch| {
+                let _update = spp_telemetry::span!("gnn.trainer.update");
+                batches_counter.inc();
                 let x = std::mem::replace(&mut batch.x, Matrix::empty());
-                let mut fwd = self.model.forward(x, &batch.mfg, true, &mut model_rng);
-                let loss = fwd
-                    .tape
-                    .softmax_cross_entropy(fwd.logits, Arc::clone(&batch.labels));
-                total_loss += fwd.tape.value(loss).get(0, 0) as f64;
-                fwd.tape.backward(loss);
-                self.model.accumulate_grads(&fwd);
-                let mut params = self.model.params_mut();
-                opt.step(&mut params);
-                batches += 1;
-                batch.x = fwd.into_input();
-            }
-        }
+                let labels = Arc::clone(&batch.labels);
+                let (loss, x) = train_step(model, x, &batch.mfg, labels, (seed, epoch, b as u64));
+                total_loss += loss;
+                opt.step(&mut model.params_mut());
+                batch.x = x;
+            },
+        );
+        let batches = batch_list.len();
         EpochStats {
             epoch: epoch as usize,
             loss: if batches > 0 {

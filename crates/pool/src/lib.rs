@@ -430,8 +430,37 @@ impl WorkerPool {
         self.run_chunks(pieces, f);
     }
 
+    /// Drives `n` items through a parallel `prepare` and a sequential
+    /// `step`: waves of up to `workers` items are prepared on the pool,
+    /// item `i` in lane `i mod workers`, which hands `prepare` the value
+    /// it held from the wave before (`None` in the first wave) so buffers
+    /// are recycled; then `step(i, &mut value)` runs on the caller, in
+    /// index order. At most `min(workers, n)` values are live at once.
+    pub fn prepare_ahead<B, P, S>(&self, n: usize, prepare: P, mut step: S)
+    where
+        B: Send,
+        P: Fn(usize, Option<B>) -> B + Sync,
+        S: FnMut(usize, &mut B),
+    {
+        let width = self.workers.min(n).max(1);
+        let mut lanes: Vec<Option<B>> = (0..width).map(|_| None).collect();
+        for base in (0..n).step_by(width) {
+            let lanes = &mut lanes[..width.min(n - base)];
+            let pieces = lanes.chunks_mut(1).enumerate();
+            self.run_chunks(pieces.map(|(j, lane)| (j, base + j, lane)), |_, i, lane| {
+                lane[0] = Some(prepare(i, lane[0].take()));
+            });
+            for (j, value) in lanes.iter_mut().enumerate() {
+                if let Some(value) = value {
+                    step(base + j, value);
+                }
+            }
+        }
+    }
+
     /// The one parallel body behind [`WorkerPool::par_chunks`] (and so
-    /// `run_jobs`, over one slot per job): runs
+    /// `run_jobs`, over one slot per job, and `prepare_ahead`, over one
+    /// lane per item): runs
     /// `f(chunk_index, start_offset, chunk)` for every piece, piece `i` on
     /// participant `i mod threads` of a `min(workers, pieces)`-wide region.
     fn run_chunks<'a, T, F>(

@@ -1,6 +1,7 @@
 //! The unhappy paths of a parallel region on the persistent helpers:
 //! panics on either side of the handoff, nested and concurrent
-//! dispatch, and many back-to-back regions borrowing the caller's stack.
+//! dispatch, and many back-to-back regions borrowing the caller's stack;
+//! and the contract of the `prepare_ahead` batch driver built on them.
 //!
 //! Every test takes [`serial`] first: the helpers are process-wide, and
 //! a test that asserts *where* a job ran needs them free of the other
@@ -151,4 +152,149 @@ fn ten_thousand_regions_borrowing_the_stack_at_8_workers() {
         });
         assert_eq!(cells, [round * 2; 8], "round {round}");
     }
+}
+
+/// A prepared value that counts how many of its kind are alive:
+/// `live` holds `(alive now, most ever alive at once)`.
+struct Tracked<'a> {
+    i: usize,
+    live: &'a Mutex<(usize, usize)>,
+}
+
+impl<'a> Tracked<'a> {
+    fn new(i: usize, live: &'a Mutex<(usize, usize)>) -> Self {
+        let mut l = live.lock().unwrap();
+        l.0 += 1;
+        l.1 = l.1.max(l.0);
+        Self { i, live }
+    }
+}
+
+impl Drop for Tracked<'_> {
+    fn drop(&mut self) {
+        self.live.lock().unwrap().0 -= 1;
+    }
+}
+
+/// What one `prepare_ahead` run over `n` items at `workers` observed.
+struct Drive {
+    /// `(index, value's index)` per `step` call, in call order.
+    steps: Vec<(usize, usize)>,
+    /// The index of the value each `prepare(i)` was handed back, by `i`.
+    recycled: Vec<Option<usize>>,
+    /// Most values alive at once.
+    peak_live: usize,
+}
+
+/// Callers sweep `n` over 0, below, at and above `workers`.
+fn drive(workers: usize, n: usize) -> Drive {
+    let live = Mutex::new((0, 0));
+    let recycled = Mutex::new(vec![None; n]);
+    let mut steps = Vec::new();
+    WorkerPool::new(workers).prepare_ahead(
+        n,
+        |i, prev: Option<Tracked<'_>>| {
+            recycled.lock().unwrap()[i] = prev.as_ref().map(|t| t.i);
+            drop(prev);
+            Tracked::new(i, &live)
+        },
+        |i, value| steps.push((i, value.i)),
+    );
+    let (alive, peak_live) = live.into_inner().unwrap();
+    assert_eq!(alive, 0, "the driver leaked values");
+    Drive {
+        steps,
+        recycled: recycled.into_inner().unwrap(),
+        peak_live,
+    }
+}
+
+#[test]
+fn prepare_ahead_steps_every_index_in_order() {
+    let _g = serial();
+    for workers in [1usize, 2, 3, 8] {
+        for n in [0usize, 1, 2, 5, 8, 17] {
+            let d = drive(workers, n);
+            let expect: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
+            assert_eq!(d.steps, expect, "workers={workers} n={n}");
+        }
+    }
+}
+
+#[test]
+fn prepare_ahead_hands_each_lane_its_previous_value() {
+    let _g = serial();
+    for workers in [1usize, 2, 3, 8] {
+        for n in [0usize, 2, 5, 17] {
+            let d = drive(workers, n);
+            let expect: Vec<Option<usize>> = (0..n).map(|i| i.checked_sub(workers)).collect();
+            assert_eq!(d.recycled, expect, "workers={workers} n={n}");
+        }
+    }
+}
+
+#[test]
+fn prepare_ahead_keeps_at_most_one_value_per_lane_alive() {
+    let _g = serial();
+    for workers in [1usize, 2, 3, 8] {
+        for n in [0usize, 1, 2, 5, 17, 40] {
+            let d = drive(workers, n);
+            assert_eq!(d.peak_live, workers.min(n), "workers={workers} n={n}");
+        }
+    }
+}
+
+#[test]
+fn prepare_ahead_step_sequence_is_identical_at_1_2_and_8_workers() {
+    let _g = serial();
+    let run = |workers: usize| {
+        let mut fold = 0u64;
+        let mut seen = Vec::new();
+        WorkerPool::new(workers).prepare_ahead(
+            23,
+            |i, prev: Option<Vec<u64>>| {
+                // Recycle the buffer; its old contents must not leak.
+                let mut buf = prev.unwrap_or_default();
+                buf.clear();
+                buf.extend((0..=i as u64).map(|j| j * j + 1));
+                buf
+            },
+            |i, buf| {
+                fold = fold.wrapping_mul(31).wrapping_add(buf.iter().sum::<u64>());
+                seen.push((i, fold));
+            },
+        );
+        seen
+    };
+    let reference = run(1);
+    assert_eq!(reference.len(), 23);
+    for workers in [2usize, 8] {
+        assert_eq!(run(workers), reference, "workers={workers}");
+    }
+}
+
+#[test]
+fn prepare_ahead_panic_in_prepare_reaches_the_caller() {
+    let _g = serial();
+    let pool = WorkerPool::new(2);
+    let mut steps = Vec::new();
+    let err = panic::catch_unwind(AssertUnwindSafe(|| {
+        pool.prepare_ahead(
+            5,
+            |i, _: Option<usize>| {
+                if i == 3 {
+                    panic::panic_any(Boom(i));
+                }
+                i
+            },
+            |i, _| steps.push(i),
+        );
+    }))
+    .unwrap_err();
+    assert_eq!(err.downcast_ref::<Boom>(), Some(&Boom(3)));
+    // Wave 0 (items 0, 1) was stepped; wave 1 failed before its steps.
+    assert_eq!(steps, [0, 1]);
+    // The gate recovered: the next region runs on both participants.
+    let ids = job_threads(pool);
+    assert_ne!(ids[0], ids[1]);
 }

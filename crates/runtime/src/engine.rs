@@ -14,10 +14,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spp_comm::{run_machines, AllToAll};
 use spp_gnn::metrics::{predictions, AccuracyMeter};
-use spp_gnn::{Arch, GnnModel, Trainer, MODEL_STREAM_SALT};
+use spp_gnn::{seed_labels, train_step, Arch, GnnModel, Trainer};
 use spp_graph::{quant, FeatureMatrix, QuantScheme, VertexId};
 use spp_sampler::{batch_stream_seed, Mfg, MinibatchIter, NodeWiseSampler};
-use spp_telemetry::metrics::{self, Counter};
+use spp_telemetry::metrics;
 use spp_tensor::{Adam, Matrix, Optimizer};
 use std::sync::Arc;
 
@@ -191,41 +191,26 @@ impl<'a> DistributedTrainer<'a> {
         let setup = self.setup;
         let cfg = &self.config;
         let exchange = FeatureExchange::new(setup, cfg.wire_scheme);
-        // Per-machine-pair byte counters (Figure 1's comm-volume view).
-        // Registered lazily only when telemetry is on, so disabled runs
-        // never touch the registry. `Counter` is a Copy index; the matrix
-        // is shared by reference across machine threads.
-        let comm_counters: Option<Vec<Vec<Counter>>> = metrics::enabled().then(|| {
-            (0..k)
-                .map(|i| {
-                    (0..k)
-                        .map(|j| metrics::counter(&format!("comm.bytes.m{i}_to_m{j}")))
-                        .collect()
-                })
-                .collect()
-        });
-        let comm_counters = &comm_counters;
 
         let mut results = run_machines(k, |rank| {
             let mut model = GnnModel::new(cfg.arch, &dims, cfg.seed);
             let mut opt = Adam::new(cfg.lr);
             let sampler = NodeWiseSampler::new(&setup.dataset.graph, setup.config.fanouts.clone());
             // Each machine thread gets an equal share of the global
-            // worker budget for its own prefetch fan-out (K machines
-            // already run concurrently).
+            // worker budget for sampling ahead (K machines already run
+            // concurrently); it holds at most that share's width of MFGs.
             let pool = WorkerPool::global().split(k);
             // Per-round RNG streams are derived from
             // (machine seed, epoch, round), never threaded across
             // rounds: sampling for round r is independent of rounds
-            // 0..r, which is what lets the epoch's MFGs be prefetched in
-            // parallel below with identical results.
+            // 0..r, which is what lets rounds be sampled ahead in
+            // parallel with identical results.
             let sample_seed = cfg.seed ^ ((rank as u64) << 32);
             let mut epoch_losses = Vec::with_capacity(cfg.epochs);
             let mut remote_fetches = 0usize;
             // Deterministic per-epoch send accounting for the comm
             // matrix: `sent[epoch * k + peer]` = bytes this machine sent
-            // to `peer` in `epoch`. Thread-local, merged after the join
-            // (never read from the racy telemetry counters).
+            // to `peer` in `epoch`. Thread-local, merged after the join.
             let mut sent = vec![0u64; cfg.epochs * k];
 
             for epoch in 0..cfg.epochs as u64 {
@@ -237,49 +222,31 @@ impl<'a> DistributedTrainer<'a> {
                     epoch,
                 )
                 .collect();
-                // Prefetch the whole epoch's MFGs on this machine's pool
-                // share (sampling is the CPU-bound half of a round).
-                let mut prefetched: std::vec::IntoIter<Mfg> = pool
-                    .run_jobs(batches.len(), |b| {
-                        let mut rng =
-                            StdRng::seed_from_u64(batch_stream_seed(sample_seed, epoch, b as u64));
-                        sampler.sample(&batches[b], &mut rng)
-                    })
-                    .into_iter();
+                let sent = &mut sent[epoch as usize * k..][..k];
                 let mut loss_sum = 0.0f64;
                 let mut loss_rounds = 0usize;
-                for round in 0..rounds_per_epoch {
-                    let mfg = prefetched.next();
-
+                // A machine with fewer batches than the epoch has rounds
+                // prepares `None` and still joins every collective.
+                let sample = |round: usize, prev: Option<Option<Mfg>>| {
+                    drop(prev);
+                    let batch = batches.get(round)?;
+                    let stream = batch_stream_seed(sample_seed, epoch, round as u64);
+                    Some(sampler.sample(batch, &mut StdRng::seed_from_u64(stream)))
+                };
+                pool.prepare_ahead(rounds_per_epoch, sample, |round, mfg| {
                     // Phases 1–2: request, serve and receive features.
                     let gathered = exchange.round(rank, mfg.as_ref(), |peer, bytes| {
-                        if let Some(cc) = comm_counters {
-                            cc[rank][peer].add(bytes);
-                        }
-                        sent[epoch as usize * k + peer] += bytes;
+                        sent[peer] += bytes;
                     });
 
                     // Local compute: forward/backward.
                     let mut grads: Option<Vec<f32>> = None;
                     let mut loss_val = 0.0f64;
-                    if let (Some(m), Some((x, fetched))) = (&mfg, gathered) {
+                    if let (Some(m), Some((x, fetched))) = (&*mfg, gathered) {
                         remote_fetches += fetched;
-                        let labels: Arc<Vec<u32>> = Arc::new(
-                            m.seeds()
-                                .iter()
-                                .map(|&v| setup.dataset.labels[v as usize])
-                                .collect(),
-                        );
-                        let mut model_rng = StdRng::seed_from_u64(batch_stream_seed(
-                            sample_seed ^ MODEL_STREAM_SALT,
-                            epoch,
-                            round as u64,
-                        ));
-                        let mut fwd = model.forward(x, m, true, &mut model_rng);
-                        let loss = fwd.tape.softmax_cross_entropy(fwd.logits, labels);
-                        loss_val = fwd.tape.value(loss).get(0, 0) as f64;
-                        fwd.tape.backward(loss);
-                        model.accumulate_grads(&fwd);
+                        let labels = Arc::new(seed_labels(&setup.dataset.labels, m));
+                        let index = (sample_seed, epoch, round as u64);
+                        (loss_val, _) = train_step(&mut model, x, m, labels, index);
                         let mut flat = Vec::new();
                         for p in model.params_mut() {
                             flat.extend_from_slice(p.grad.as_flat());
@@ -294,10 +261,7 @@ impl<'a> DistributedTrainer<'a> {
                         outgoing.push(match &grads {
                             Some(g) => {
                                 if peer != rank {
-                                    if let Some(cc) = comm_counters {
-                                        cc[rank][peer].add(4 * g.len() as u64);
-                                    }
-                                    sent[epoch as usize * k + peer] += 4 * g.len() as u64;
+                                    sent[peer] += 4 * g.len() as u64;
                                 }
                                 Payload::Grads(g.clone())
                             }
@@ -341,7 +305,7 @@ impl<'a> DistributedTrainer<'a> {
                             loss_rounds += 1;
                         }
                     }
-                }
+                });
                 epoch_losses.push(if loss_rounds > 0 {
                     loss_sum / loss_rounds as f64
                 } else {
@@ -368,6 +332,13 @@ impl<'a> DistributedTrainer<'a> {
             }
         }
         if metrics::enabled() {
+            // The per-pair counters are the report's totals, derived once.
+            for src in 0..k {
+                for dst in 0..k {
+                    let bytes = comm.windows.iter().map(|w| w.bytes[src * k + dst]).sum();
+                    metrics::counter(&format!("comm.bytes.m{src}_to_m{dst}")).add(bytes);
+                }
+            }
             spp_telemetry::publish_comm_report(comm.clone());
         }
         let (model, epoch_losses, _, _) = results.remove(0);
@@ -400,8 +371,7 @@ impl<'a> DistributedTrainer<'a> {
             let x = Trainer::gather_into_slot(&ds.features, &mfg, slot);
             let fwd = model.forward(x, &mfg, false, &mut rng);
             let preds = predictions(fwd.logits_value());
-            let labels: Vec<u32> = mfg.seeds().iter().map(|&v| ds.labels[v as usize]).collect();
-            meter.update(&preds, &labels);
+            meter.update(&preds, &seed_labels(&ds.labels, &mfg));
             slot = fwd.into_input().into_flat();
         }
         meter.value()

@@ -52,8 +52,9 @@ fn vip_scores(ds: &Dataset) -> Vec<Vec<f64>> {
     )
 }
 
-/// A short distributed-training run; returns per-epoch mean losses.
-fn train_losses(ds: &Dataset) -> Vec<f64> {
+/// A short distributed-training run; returns per-epoch mean losses and
+/// the run's communication matrix.
+fn train_run(ds: &Dataset) -> (Vec<f64>, tel::CommReport) {
     let setup = DistributedSetup::build(
         ds,
         SetupConfig {
@@ -75,7 +76,8 @@ fn train_losses(ds: &Dataset) -> Vec<f64> {
             ..DistTrainConfig::default()
         },
     );
-    trainer.train().0.epoch_losses
+    let report = trainer.train().0;
+    (report.epoch_losses, report.comm)
 }
 
 fn bits2(m: &[Vec<f64>]) -> Vec<Vec<u64>> {
@@ -90,22 +92,31 @@ fn tracing_on_and_off_are_bit_identical() {
 
     tel::set_enabled(false);
     let scores_off = vip_scores(&ds);
-    let losses_off = train_losses(&ds);
+    let (losses_off, comm_off) = train_run(&ds);
 
     tel::set_enabled(true);
     let scores_on = vip_scores(&ds);
-    let losses_on = train_losses(&ds);
+    let (losses_on, comm) = train_run(&ds);
     tel::set_enabled(false);
 
-    // The traced run actually recorded something — otherwise this test
-    // would pass vacuously with a broken recorder.
-    assert!(
-        tel::snapshot()
-            .counters
-            .iter()
-            .any(|(name, v)| name.starts_with("comm.bytes.") && *v > 0),
-        "traced run recorded no comm volume"
+    // The traced run recorded the comm volume, and each per-pair counter
+    // is derived from the report, not tallied a second time: it equals
+    // the report's total for that pair over every window.
+    assert_eq!(
+        comm_off, comm,
+        "comm matrix changed when tracing was enabled"
     );
+    assert!(comm.total_bytes() > 0, "traced run moved no bytes");
+    let k = comm.machines;
+    let counters = tel::snapshot().counters;
+    for src in 0..k {
+        for dst in 0..k {
+            let name = format!("comm.bytes.m{src}_to_m{dst}");
+            let counted = counters.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
+            let pair: u64 = comm.windows.iter().map(|w| w.bytes[src * k + dst]).sum();
+            assert_eq!(counted, Some(pair), "{name}");
+        }
+    }
 
     assert_eq!(
         bits2(&scores_off),
