@@ -45,6 +45,7 @@ use spp_graph::dataset::SyntheticSpec;
 use spp_graph::{FeatureMatrix, QuantScheme, QuantizedFeatures};
 use spp_runtime::{DistTrainConfig, DistributedSetup, DistributedTrainer, SetupConfig, WorkerPool};
 use spp_sampler::Fanouts;
+use spp_telemetry::json::Json;
 use spp_tensor::tape::{AggMode, CsrAdj};
 use spp_tensor::{kernels, Matrix, Tape};
 use std::hint::black_box;
@@ -693,68 +694,51 @@ fn main() {
 
     let mut report = BenchReport::new("kernels");
     report
-        .string("shape", &L2_SHAPE.to_string())
-        .field("reps", reps.to_string())
-        .field("min_speedup", format!("{MIN_SPEEDUP}"))
-        .string("tall_shape", &TALL_SHAPE.to_string())
-        .field("tall_reps", tall_reps.to_string())
-        .field(
-            "min_tall_t_matmul_speedup",
-            format!("{MIN_TALL_T_MATMUL_SPEEDUP}"),
-        )
-        .string("mid_shape", &MID_SHAPE.to_string())
-        .field(
-            "min_mid_matmul_t_over_matmul",
-            format!("{MIN_MID_MATMUL_T_OVER_MATMUL}"),
-        )
-        .field(
-            "min_mid_matmul_over_roofline",
-            format!("{MIN_MID_MATMUL_OVER_ROOFLINE}"),
-        )
-        .field("vip_medge_visits_per_s", format!("{vip_medges:.1}"));
+        .field("shape", L2_SHAPE.to_string())
+        .field("reps", reps)
+        .field("min_speedup", MIN_SPEEDUP)
+        .field("tall_shape", TALL_SHAPE.to_string())
+        .field("tall_reps", tall_reps)
+        .field("min_tall_t_matmul_speedup", MIN_TALL_T_MATMUL_SPEEDUP)
+        .field("mid_shape", MID_SHAPE.to_string())
+        .field("min_mid_matmul_t_over_matmul", MIN_MID_MATMUL_T_OVER_MATMUL)
+        .field("min_mid_matmul_over_roofline", MIN_MID_MATMUL_OVER_ROOFLINE)
+        .field("vip_medge_visits_per_s", Json::fixed(vip_medges, 1));
     for (_, suffix, results) in &shapes {
         report.field(
             &format!("roofline_gflops{suffix}"),
-            format!("{:.3}", results[0].roofline_gflops),
+            Json::fixed(results[0].roofline_gflops, 3),
         );
         for r in *results {
             report.field(
                 &format!("{}_gflops{suffix}", r.name),
-                format!(
-                    "{{\"seed\": {:.3}, \"blocked\": {:.3}, \"speedup\": {:.3}, \
-                     \"roofline_share\": {:.3}}}",
-                    r.seed_gflops,
-                    r.blocked_gflops,
-                    r.speedup(),
-                    r.roofline_share()
-                ),
+                Json::obj([
+                    ("seed", Json::fixed(r.seed_gflops, 3)),
+                    ("blocked", Json::fixed(r.blocked_gflops, 3)),
+                    ("speedup", Json::fixed(r.speedup(), 3)),
+                    ("roofline_share", Json::fixed(r.roofline_share(), 3)),
+                ]),
             );
         }
     }
     for r in &tape_ops {
         report.field(
             &r.key,
-            format!(
-                "{{\"{}\": {:.3}, \"{}\": {:.3}, \"speedup\": {:.3}}}",
-                r.old_name,
-                r.old_ms,
-                r.new_name,
-                r.new_ms,
-                r.old_ms / r.new_ms
-            ),
+            Json::obj([
+                (r.old_name, Json::fixed(r.old_ms, 3)),
+                (r.new_name, Json::fixed(r.new_ms, 3)),
+                ("speedup", Json::fixed(r.old_ms / r.new_ms, 3)),
+            ]),
         );
     }
     for (scheme, melems) in &decode {
         report.field(
             &format!("decode_{}_melems_per_s", scheme.name()),
-            format!("{melems:.0}"),
+            Json::fixed(*melems, 0),
         );
     }
     for (scheme, bytes) in &epoch_bytes {
-        report.field(
-            &format!("epoch_wire_bytes_{}", scheme.name()),
-            bytes.to_string(),
-        );
+        report.field(&format!("epoch_wire_bytes_{}", scheme.name()), *bytes);
     }
     if let Some(path) = report.write() {
         println!("wrote {}", path.display());

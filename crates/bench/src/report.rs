@@ -2,7 +2,7 @@
 //! reports for experiment results.
 
 use spp_runtime::pool::WorkerPool;
-use spp_telemetry::export::json_escape;
+use spp_telemetry::json::Json;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -131,14 +131,13 @@ pub const BENCH_SCHEMA_VERSION: u32 = 1;
 /// Every harness that emits machine-readable results goes through this
 /// helper so all `BENCH_*` files share one header: `schema_version`,
 /// the bench name, the git commit the run came from, and the
-/// worker-pool budget ([`WorkerPool::global`]). Body fields are raw JSON
-/// fragments
-/// appended in insertion order — harnesses format numbers and nested
-/// objects themselves, which keeps this serde-free.
+/// worker-pool budget ([`WorkerPool::global`]). Body fields are
+/// [`Json`] values appended in insertion order; harnesses pick each
+/// number's precision ([`Json::fixed`]).
 #[derive(Clone, Debug)]
 pub struct BenchReport {
     name: String,
-    fields: Vec<(String, String)>,
+    fields: Vec<(String, Json)>,
 }
 
 impl BenchReport {
@@ -150,35 +149,23 @@ impl BenchReport {
             name: name.to_string(),
             fields: Vec::new(),
         };
-        r.field("schema_version", BENCH_SCHEMA_VERSION.to_string());
-        r.string("bench", name);
-        r.string("git_commit", &git_commit());
-        r.field("pool_workers", WorkerPool::global().workers().to_string());
+        r.field("schema_version", BENCH_SCHEMA_VERSION)
+            .field("bench", name)
+            .field("git_commit", git_commit())
+            .field("pool_workers", WorkerPool::global().workers());
         r
     }
 
-    /// Appends a field whose value is a raw JSON fragment (number,
-    /// bool, or a pre-rendered array/object — possibly multi-line).
-    pub fn field(&mut self, key: &str, raw_json: impl Into<String>) -> &mut Self {
-        self.fields.push((key.to_string(), raw_json.into()));
+    /// Appends a field.
+    pub fn field(&mut self, key: &str, value: impl Into<Json>) -> &mut Self {
+        self.fields.push((key.to_string(), value.into()));
         self
-    }
-
-    /// Appends a string-valued field (escaped).
-    pub fn string(&mut self, key: &str, value: &str) -> &mut Self {
-        self.field(key, format!("\"{}\"", json_escape(value)))
     }
 
     /// Renders the report as a JSON object, one field per line in
     /// insertion order.
     pub fn render(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            let sep = if i + 1 < self.fields.len() { "," } else { "" };
-            let _ = writeln!(out, "  \"{}\": {v}{sep}", json_escape(k));
-        }
-        out.push_str("}\n");
-        out
+        Json::Obj(self.fields.clone()).pretty()
     }
 
     /// Writes `results/BENCH_<name>.json` (creating the directory),
@@ -272,7 +259,7 @@ mod tests {
     #[test]
     fn bench_report_stamps_header_in_order() {
         let mut r = BenchReport::new("demo");
-        r.field("answer", "42").string("note", "a \"quoted\"\nline");
+        r.field("answer", 42u64).field("note", "a \"quoted\"\nline");
         let s = r.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines[0], "{");

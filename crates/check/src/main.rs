@@ -9,7 +9,8 @@
 //! was missed; 2 = usage/build error.
 
 use spp_check::harness::MODULES;
-use spp_check::{Expect, Options};
+use spp_check::{Expect, ModuleReport, Options};
+use spp_telemetry::json::Json;
 use std::process::ExitCode;
 
 /// A full run must explore at least this many completed schedules
@@ -141,19 +142,18 @@ fn main() -> ExitCode {
     let floor_met = !full_run || clean_schedules >= MIN_TOTAL_SCHEDULES;
 
     if cli.json {
-        let mut out = String::from("{\"modules\":[");
-        for (i, r) in reports.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&r.render_json());
-        }
-        out.push_str(&format!(
-            "],\"clean_schedules\":{clean_schedules},\"schedule_floor\":{},\"floor_met\":{floor_met},\"pass\":{}}}",
-            if full_run { MIN_TOTAL_SCHEDULES } else { 0 },
-            all_pass && floor_met,
-        ));
-        println!("{out}");
+        let floor = if full_run { MIN_TOTAL_SCHEDULES } else { 0 };
+        let summary = Json::obj([
+            (
+                "modules",
+                reports.iter().map(ModuleReport::to_json).collect(),
+            ),
+            ("clean_schedules", clean_schedules.into()),
+            ("schedule_floor", floor.into()),
+            ("floor_met", floor_met.into()),
+            ("pass", (all_pass && floor_met).into()),
+        ]);
+        println!("{summary}");
     } else {
         for r in &reports {
             print!("{}", r.render_text());

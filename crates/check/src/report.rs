@@ -1,5 +1,7 @@
 //! Per-module exploration reports and their text/JSON rendering.
 
+use spp_telemetry::json::Json;
+
 /// One invariant violation, with the scheduler trace that led to it.
 #[derive(Clone, Debug)]
 pub struct Violation {
@@ -114,51 +116,32 @@ impl ModuleReport {
         out
     }
 
-    /// One JSON object (hand-rolled, matching the xtask report style —
-    /// no serde in the workspace).
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"name\":{},", json_str(&self.name)));
-        out.push_str(&format!(
-            "\"expect\":\"{}\",",
-            match self.expect {
-                Expect::Clean => "clean",
-                Expect::Caught => "caught",
-            }
-        ));
-        out.push_str(&format!("\"pass\":{},", self.pass()));
-        out.push_str(&format!("\"schedules\":{},", self.schedules));
-        out.push_str(&format!("\"pruned\":{},", self.pruned));
-        out.push_str(&format!("\"states\":{},", self.states));
-        out.push_str(&format!("\"max_depth\":{},", self.max_depth));
-        out.push_str(&format!("\"truncated\":{},", self.truncated));
-        out.push_str(&format!("\"violation_count\":{},", self.violation_count));
-        out.push_str("\"violations\":[");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"schedule\":{},\"message\":{},\"trace\":[",
-                v.schedule,
-                json_str(&v.message)
-            ));
-            for (j, s) in v.trace.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_str(s));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+    /// One JSON object.
+    pub fn to_json(&self) -> Json {
+        let violations = self.violations.iter().map(|v| {
+            Json::obj([
+                ("schedule", v.schedule.into()),
+                ("message", v.message.as_str().into()),
+                ("trace", v.trace.iter().map(|s| s.as_str().into()).collect()),
+            ])
+        });
+        let expect = match self.expect {
+            Expect::Clean => "clean",
+            Expect::Caught => "caught",
+        };
+        Json::obj([
+            ("name", self.name.as_str().into()),
+            ("expect", expect.into()),
+            ("pass", self.pass().into()),
+            ("schedules", self.schedules.into()),
+            ("pruned", self.pruned.into()),
+            ("states", self.states.into()),
+            ("max_depth", self.max_depth.into()),
+            ("truncated", self.truncated.into()),
+            ("violation_count", self.violation_count.into()),
+            ("violations", violations.collect()),
+        ])
     }
-}
-
-/// `s` as a quoted JSON string literal.
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", spp_telemetry::export::json_escape(s))
 }
 
 #[cfg(test)]
@@ -188,11 +171,12 @@ mod tests {
             schedule: 7,
         });
         r.violation_count = 1;
-        let j = r.render_json();
-        assert!(j.contains("\"name\":\"overlay-probe\""));
+        let j = r.to_json().to_string();
         assert!(j.contains("\\\"torn\\\"\\nline2"));
-        assert!(j.contains("\"pass\":false"));
-        assert!(j.contains("\"schedules\":12"));
+        let doc = spp_telemetry::json::parse(&j).unwrap();
+        assert_eq!(doc.str_field("name"), Ok("overlay-probe"));
+        assert_eq!(doc.field("pass"), Some(&Json::Bool(false)));
+        assert_eq!(doc.uint_field::<u64>("schedules"), Ok(12));
         // Text render shows the trace of the failing schedule.
         let t = r.render_text();
         assert!(t.contains("schedule 7"));

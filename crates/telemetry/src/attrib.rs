@@ -16,16 +16,18 @@
 //!
 //! Reports are built from *deterministic* per-run accounting (never
 //! from racy counter snapshots), so their canonical JSON renderings are
-//! bit-identical across runs and worker counts. Harnesses embed the
-//! JSON in `BENCH_*.json` and [`publish`] them into a global registry
-//! that the Chrome-trace exporter appends as a top-level `attrib`
-//! section — `cargo xtask validate-trace` checks both against this
-//! schema.
+//! bit-identical across runs and worker counts. Harnesses [`publish`]
+//! them into a global registry that the Chrome-trace exporter appends
+//! as a top-level `attrib` section. Each report owns both directions of
+//! its format: `to_json` writes it and `from_json` reads it back, and
+//! `check` states its invariant; `cargo xtask validate-trace` decodes
+//! the section with [`Attrib::from_json`].
+//!
+//! [`publish`]: publish_cache_report
 
-use crate::export::json_escape;
+use crate::json::Json;
 use crate::sketch::QuantileSketch;
 use spp_sync::Mutex;
-use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 /// Accounting for one cache tier.
@@ -56,27 +58,35 @@ impl TierStats {
         }
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"tier\": \"{}\", \"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-             \"insertions\": {}, \"bytes\": {}}}",
-            json_escape(&self.tier),
-            self.hits,
-            self.misses,
-            self.evictions,
-            self.insertions,
-            self.bytes
-        )
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("tier", self.tier.as_str().into()),
+            ("hits", self.hits.into()),
+            ("misses", self.misses.into()),
+            ("evictions", self.evictions.into()),
+            ("insertions", self.insertions.into()),
+            ("bytes", self.bytes.into()),
+        ])
+    }
+
+    fn from_json(v: &Json) -> Result<Self, String> {
+        Ok(Self {
+            tier: v.str_field("tier")?.to_string(),
+            hits: v.uint_field("hits")?,
+            misses: v.uint_field("misses")?,
+            evictions: v.uint_field("evictions")?,
+            insertions: v.uint_field("insertions")?,
+            bytes: v.uint_field("bytes")?,
+        })
     }
 }
 
 /// Per-tier cache accounting for one run/configuration.
 ///
-/// Invariant (checked by `cargo xtask validate-trace`): the tier hit
-/// counts partition the lookups — `Σ tiers[i].hits == lookups`. The
-/// `remote` tier counts every fetch as a hit (the network always
-/// answers), so the invariant holds for the usual
-/// static → overlay → remote probe order.
+/// Invariant ([`CacheReport::check`]): the tier hit counts partition
+/// the lookups — `Σ tiers[i].hits == lookups`. The `remote` tier counts
+/// every fetch as a hit (the network always answers), so the invariant
+/// holds for the usual static → overlay → remote probe order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheReport {
     /// Which run/configuration this report describes.
@@ -96,25 +106,49 @@ pub struct CacheReport {
 impl CacheReport {
     /// Canonical JSON rendering (single object, tiers in probe order).
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"label\": \"{}\", \"scheme\": \"{}\", \"lookups\": {}, \"local\": {}, \
-             \"tiers\": [",
-            json_escape(&self.label),
-            json_escape(&self.scheme),
-            self.lookups,
-            self.local
-        );
-        for (i, t) in self.tiers.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&t.to_json());
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("label", self.label.as_str().into()),
+            ("scheme", self.scheme.as_str().into()),
+            ("lookups", self.lookups.into()),
+            ("local", self.local.into()),
+            ("tiers", self.tiers.iter().map(TierStats::to_json).collect()),
+            ("latency_ns", self.latency_ns.to_json()),
+        ])
+    }
+
+    /// Reads back what [`Self::to_json`] wrote, which must pass
+    /// [`Self::check`].
+    pub fn from_json(v: &Json) -> Result<Self, String> {
+        let tiers = v
+            .arr_field("tiers")?
+            .iter()
+            .enumerate()
+            .map(|(t, tier)| TierStats::from_json(tier).map_err(|e| format!("tier {t}: {e}")))
+            .collect::<Result<_, _>>()?;
+        let sketch = v.field("latency_ns").ok_or("missing `latency_ns` sketch")?;
+        let r = Self {
+            label: v.str_field("label")?.to_string(),
+            scheme: v.str_field("scheme")?.to_string(),
+            lookups: v.uint_field("lookups")?,
+            local: v.uint_field("local")?,
+            tiers,
+            latency_ns: QuantileSketch::from_json(sketch)
+                .map_err(|e| format!("latency_ns: {e}"))?,
+        };
+        r.check().map(|()| r)
+    }
+
+    /// The tier hits partition the lookups.
+    pub fn check(&self) -> Result<(), String> {
+        let hits: u128 = self.tiers.iter().map(|t| u128::from(t.hits)).sum();
+        let lookups = self.lookups;
+        if hits == u128::from(lookups) {
+            return Ok(());
         }
-        let _ = write!(out, "], \"latency_ns\": {}}}", self.latency_ns.to_json());
-        out
+        Err(format!(
+            "tier hits sum to {hits} but lookups is {lookups} (must partition)"
+        ))
     }
 }
 
@@ -189,51 +223,81 @@ impl CommReport {
     }
 
     /// Canonical JSON rendering; each window's matrix is emitted as
-    /// `machines` rows of `machines` columns (square by construction).
+    /// `machines` rows of `machines` columns (square by construction),
+    /// after the `total_bytes` they sum to.
     #[must_use]
-    pub fn to_json(&self) -> String {
+    pub fn to_json(&self) -> Json {
         let k = self.machines;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"label\": \"{}\", \"machines\": {k}, \"total_bytes\": {}, \"windows\": [",
-            json_escape(&self.label),
-            self.total_bytes()
-        );
-        for (wi, w) in self.windows.iter().enumerate() {
-            if wi > 0 {
-                out.push_str(", ");
+        let cell = |w: &CommWindow, i: usize| w.bytes.get(i).copied().unwrap_or(0).into();
+        let window = |w: &CommWindow| {
+            let rows = (0..k).map(|r| (r * k..(r + 1) * k).map(|i| cell(w, i)).collect());
+            Json::obj([
+                ("label", w.label.as_str().into()),
+                ("bytes", rows.collect()),
+            ])
+        };
+        Json::obj([
+            ("label", self.label.as_str().into()),
+            ("machines", k.into()),
+            ("total_bytes", self.total_bytes().into()),
+            ("windows", self.windows.iter().map(window).collect()),
+        ])
+    }
+
+    /// Reads back what [`Self::to_json`] wrote: every window matrix
+    /// `machines × machines`, `total_bytes` their sum.
+    pub fn from_json(v: &Json) -> Result<Self, String> {
+        let k: usize = v.uint_field("machines")?;
+        let window = |(w, win): (usize, &Json)| -> Result<CommWindow, String> {
+            let rows = win.arr_field("bytes")?;
+            let row_cells = rows
+                .iter()
+                .filter_map(Json::as_arr)
+                .filter(|c| c.len() == k);
+            match row_cells
+                .flatten()
+                .map(Json::as_uint)
+                .collect::<Option<Vec<u64>>>()
+            {
+                Some(bytes) if rows.len() == k && bytes.len() == k * k => Ok(CommWindow {
+                    label: win.str_field("label")?.to_string(),
+                    bytes,
+                }),
+                _ => Err(format!(
+                    "window {w}: not a {k} × {k} integer matrix (must be square)"
+                )),
             }
-            let _ = write!(
-                out,
-                "{{\"label\": \"{}\", \"bytes\": [",
-                json_escape(&w.label)
-            );
-            for row in 0..k {
-                if row > 0 {
-                    out.push_str(", ");
-                }
-                out.push('[');
-                for col in 0..k {
-                    if col > 0 {
-                        out.push_str(", ");
-                    }
-                    let cell = w.bytes.get(row * k + col).copied().unwrap_or(0);
-                    let _ = write!(out, "{cell}");
-                }
-                out.push(']');
-            }
-            out.push_str("]}");
+        };
+        let windows: Vec<CommWindow> = v
+            .arr_field("windows")?
+            .iter()
+            .enumerate()
+            .map(window)
+            .collect::<Result<_, _>>()?;
+        let total: u64 = v.uint_field("total_bytes")?;
+        let sum: u128 = windows
+            .iter()
+            .flat_map(|w| &w.bytes)
+            .map(|&b| u128::from(b))
+            .sum();
+        if k == 0 {
+            return Err("`machines` must be positive".to_string());
         }
-        out.push_str("]}");
-        out
+        if u128::from(total) != sum {
+            return Err(format!("total_bytes {total} != matrix sum {sum}"));
+        }
+        Ok(Self {
+            label: v.str_field("label")?.to_string(),
+            machines: k,
+            windows,
+        })
     }
 }
 
 /// Page-level accounting for one out-of-core feature store
 /// (`spp-store`) over one run/configuration.
 ///
-/// Invariants (checked by `cargo xtask validate-trace`):
+/// Invariants ([`StoreReport::check`]): the page geometry is positive,
 /// `pages_read == pages_faulted + pages_hit` and
 /// `bytes_read == pages_faulted × page_bytes` — a fault loads exactly
 /// one page, a hit touches resident bytes only.
@@ -262,110 +326,166 @@ pub struct StoreReport {
 impl StoreReport {
     /// Canonical JSON rendering (single object).
     #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"label\": \"{}\", \"backend\": \"{}\", \"scheme\": \"{}\", \
-             \"page_rows\": {}, \"page_bytes\": {}, \"pages_read\": {}, \
-             \"pages_faulted\": {}, \"pages_hit\": {}, \"bytes_read\": {}}}",
-            json_escape(&self.label),
-            json_escape(&self.backend),
-            json_escape(&self.scheme),
-            self.page_rows,
-            self.page_bytes,
-            self.pages_read,
-            self.pages_faulted,
-            self.pages_hit,
-            self.bytes_read
-        )
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("label", self.label.as_str().into()),
+            ("backend", self.backend.as_str().into()),
+            ("scheme", self.scheme.as_str().into()),
+            ("page_rows", self.page_rows.into()),
+            ("page_bytes", self.page_bytes.into()),
+            ("pages_read", self.pages_read.into()),
+            ("pages_faulted", self.pages_faulted.into()),
+            ("pages_hit", self.pages_hit.into()),
+            ("bytes_read", self.bytes_read.into()),
+        ])
+    }
+
+    /// Reads back what [`Self::to_json`] wrote, which must pass
+    /// [`Self::check`].
+    pub fn from_json(v: &Json) -> Result<Self, String> {
+        let r = Self {
+            label: v.str_field("label")?.to_string(),
+            backend: v.str_field("backend")?.to_string(),
+            scheme: v.str_field("scheme")?.to_string(),
+            page_rows: v.uint_field("page_rows")?,
+            page_bytes: v.uint_field("page_bytes")?,
+            pages_read: v.uint_field("pages_read")?,
+            pages_faulted: v.uint_field("pages_faulted")?,
+            pages_hit: v.uint_field("pages_hit")?,
+            bytes_read: v.uint_field("bytes_read")?,
+        };
+        r.check().map(|()| r)
+    }
+
+    /// The invariants in the type's docs.
+    pub fn check(&self) -> Result<(), String> {
+        let (faulted, hit, read) = (self.pages_faulted, self.pages_hit, self.pages_read);
+        let (page, bytes) = (self.page_bytes, self.bytes_read);
+        if self.page_rows == 0 || page == 0 {
+            return Err("page geometry must be positive".to_string());
+        }
+        if u128::from(faulted) + u128::from(hit) != u128::from(read) {
+            return Err(format!(
+                "pages_faulted {faulted} + pages_hit {hit} != pages_read {read}"
+            ));
+        }
+        if u128::from(bytes) != u128::from(faulted) * u128::from(page) {
+            return Err(format!(
+                "bytes_read {bytes} != pages_faulted {faulted} × page_bytes {page}"
+            ));
+        }
+        Ok(())
     }
 }
 
-/// Published attribution reports awaiting export.
-#[derive(Default)]
-struct AttribRegistry {
-    caches: Vec<CacheReport>,
-    comms: Vec<CommReport>,
-    stores: Vec<StoreReport>,
+/// A trace's `attrib` section: the published reports of each kind, in
+/// publication order.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Attrib {
+    /// Cache reports.
+    pub cache: Vec<CacheReport>,
+    /// Communication-matrix reports.
+    pub comm: Vec<CommReport>,
+    /// Feature-store page reports.
+    pub store: Vec<StoreReport>,
 }
 
-fn registry() -> &'static Mutex<AttribRegistry> {
-    static REG: OnceLock<Mutex<AttribRegistry>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(AttribRegistry::default()))
+impl Attrib {
+    /// Reports in the section, all kinds together.
+    #[must_use]
+    pub fn report_count(&self) -> usize {
+        self.cache.len() + self.comm.len() + self.store.len()
+    }
+
+    /// The section's JSON: one array per report kind.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            (
+                "cache",
+                self.cache.iter().map(CacheReport::to_json).collect(),
+            ),
+            ("comm", self.comm.iter().map(CommReport::to_json).collect()),
+            (
+                "store",
+                self.store.iter().map(StoreReport::to_json).collect(),
+            ),
+        ])
+    }
+
+    /// Decodes a section, each report with its own `from_json`; errors
+    /// read `attrib.<kind>[<i>] (<label>): <reason>`.
+    pub fn from_json(v: &Json) -> Result<Self, String> {
+        fn each<T>(
+            v: &Json,
+            kind: &str,
+            decode: fn(&Json) -> Result<T, String>,
+        ) -> Result<Vec<T>, String> {
+            let items = match (v.arr_field(kind), kind) {
+                (Ok(items), _) => items,
+                // Traces from before store reports have no `store` array.
+                (Err(_), "store") => &[],
+                (Err(e), _) => return Err(format!("attrib: {e}")),
+            };
+            let decode_one = |(i, item): (usize, &Json)| {
+                decode(item).map_err(|e| {
+                    let label = item.str_field("label").unwrap_or("?");
+                    format!("attrib.{kind}[{i}] ({label}): {e}")
+                })
+            };
+            items.iter().enumerate().map(decode_one).collect()
+        }
+        Ok(Self {
+            cache: each(v, "cache", CacheReport::from_json)?,
+            comm: each(v, "comm", CommReport::from_json)?,
+            store: each(v, "store", StoreReport::from_json)?,
+        })
+    }
+}
+
+fn registry() -> &'static Mutex<Attrib> {
+    static REG: OnceLock<Mutex<Attrib>> = OnceLock::new();
+    REG.get_or_init(|| Mutex::new(Attrib::default()))
+}
+
+/// Puts `report` in the slot of the report labelled like it, or last.
+fn replace_by_label<T>(list: &mut Vec<T>, report: T, label: impl Fn(&T) -> &str) {
+    match list.iter_mut().find(|c| label(c) == label(&report)) {
+        Some(slot) => *slot = report,
+        None => list.push(report),
+    }
 }
 
 /// Publishes a cache report for the trace exporters. A later report
 /// with the same label replaces the earlier one (re-runs in one
 /// process export their final state once).
 pub fn publish_cache_report(report: CacheReport) {
-    let mut reg = registry().lock();
-    if let Some(slot) = reg.caches.iter_mut().find(|c| c.label == report.label) {
-        *slot = report;
-    } else {
-        reg.caches.push(report);
-    }
+    replace_by_label(&mut registry().lock().cache, report, |r| &r.label);
 }
 
 /// Publishes a comm report for the trace exporters (same replace-by-
 /// label semantics as [`publish_cache_report`]).
 pub fn publish_comm_report(report: CommReport) {
-    let mut reg = registry().lock();
-    if let Some(slot) = reg.comms.iter_mut().find(|c| c.label == report.label) {
-        *slot = report;
-    } else {
-        reg.comms.push(report);
-    }
+    replace_by_label(&mut registry().lock().comm, report, |r| &r.label);
 }
 
 /// Publishes a store report for the trace exporters (same replace-by-
 /// label semantics as [`publish_cache_report`]).
 pub fn publish_store_report(report: StoreReport) {
-    let mut reg = registry().lock();
-    if let Some(slot) = reg.stores.iter_mut().find(|c| c.label == report.label) {
-        *slot = report;
-    } else {
-        reg.stores.push(report);
-    }
+    replace_by_label(&mut registry().lock().store, report, |r| &r.label);
 }
 
 /// Clears every published report (tests and multi-run harnesses).
 pub fn reset_attrib() {
-    let mut reg = registry().lock();
-    reg.caches.clear();
-    reg.comms.clear();
-    reg.stores.clear();
+    *registry().lock() = Attrib::default();
 }
 
 /// Renders the published reports as the trace exporter's `attrib`
 /// section, or `None` when nothing was published.
 #[must_use]
-pub fn attrib_json() -> Option<String> {
+pub fn attrib_json() -> Option<Json> {
     let reg = registry().lock();
-    if reg.caches.is_empty() && reg.comms.is_empty() && reg.stores.is_empty() {
-        return None;
-    }
-    let mut out = String::from("{\"cache\": [");
-    for (i, c) in reg.caches.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&c.to_json());
-    }
-    out.push_str("], \"comm\": [");
-    for (i, c) in reg.comms.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&c.to_json());
-    }
-    out.push_str("], \"store\": [");
-    for (i, c) in reg.stores.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&c.to_json());
-    }
-    out.push_str("]}");
-    Some(out)
+    (reg.report_count() > 0).then(|| reg.to_json())
 }
 
 #[cfg(test)]
@@ -394,7 +514,7 @@ mod tests {
         r.latency_ns.observe(100);
         let total: u64 = r.tiers.iter().map(|t| t.hits).sum();
         assert_eq!(total, r.lookups);
-        let j = r.to_json();
+        let j = r.to_json().to_string();
         assert!(j.contains("\"scheme\": \"f16\""), "{j}");
         assert!(j.contains("\"tier\": \"overlay\""), "{j}");
         assert!(j.contains("\"latency_ns\": {\"count\": 1"), "{j}");
@@ -409,7 +529,7 @@ mod tests {
         r.record(5, 0, 0, 999); // out-of-range window: ignored
         r.record(0, 9, 0, 999); // out-of-range machine: ignored
         assert_eq!(r.total_bytes(), 127);
-        let j = r.to_json();
+        let j = r.to_json().to_string();
         assert!(j.contains("\"machines\": 3"), "{j}");
         assert!(
             j.contains("{\"label\": \"epoch0\", \"bytes\": [[0, 120, 0], [0, 0, 0], [0, 0, 0]]}"),
@@ -433,7 +553,7 @@ mod tests {
         };
         assert_eq!(r.pages_read, r.pages_faulted + r.pages_hit);
         assert_eq!(r.bytes_read, r.pages_faulted * r.page_bytes);
-        let j = r.to_json();
+        let j = r.to_json().to_string();
         assert!(j.contains("\"backend\": \"mmap\""), "{j}");
         assert!(j.contains("\"pages_faulted\": 30"), "{j}");
         assert!(j.contains("\"bytes_read\": 122880"), "{j}");
@@ -461,9 +581,9 @@ mod tests {
             ..StoreReport::default()
         };
         for (j, strings) in [
-            (cache.to_json(), 3),
-            (comm.to_json(), 2),
-            (store.to_json(), 3),
+            (cache.to_json().to_string(), 3),
+            (comm.to_json().to_string(), 2),
+            (store.to_json().to_string(), 3),
         ] {
             assert_eq!(j.matches(esc).count(), strings, "{j}");
             assert!(!j.contains(&format!("\"{raw}\"")), "{j}");
@@ -484,7 +604,7 @@ mod tests {
             pages_read: 5,
             ..StoreReport::default()
         });
-        let j = attrib_json().unwrap_or_default();
+        let j = attrib_json().map(|j| j.to_string()).unwrap_or_default();
         assert!(j.contains("\"store\": [{"), "{j}");
         assert!(j.contains("\"pages_read\": 5"), "{j}");
         assert!(!j.contains("\"pages_read\": 1"), "{j}");
@@ -510,11 +630,62 @@ mod tests {
             ..CacheReport::default()
         });
         publish_comm_report(CommReport::with_windows("c", 2, 1, |_| "w".into()));
-        let j = attrib_json().unwrap_or_default();
+        let j = attrib_json().map(|j| j.to_string()).unwrap_or_default();
         assert!(j.contains("\"lookups\": 2"), "{j}");
         assert!(!j.contains("\"lookups\": 1"), "{j}");
         assert!(j.contains("\"machines\": 2"), "{j}");
         reset_attrib();
         assert!(attrib_json().is_none());
+    }
+
+    #[test]
+    fn decoders_reject_what_check_and_the_format_forbid() {
+        let mut comm = CommReport::with_windows("c", 2, 1, |_| "w".into());
+        comm.record(0, 1, 0, 128);
+        let mut doc = comm.to_json();
+        assert_eq!(CommReport::from_json(&doc), Ok(comm));
+        if let Json::Obj(fields) = &mut doc {
+            fields[2].1 = Json::from(999u64);
+        }
+        assert_eq!(
+            CommReport::from_json(&doc),
+            Err("total_bytes 999 != matrix sum 128".to_string())
+        );
+
+        let mut store = StoreReport {
+            label: "s".into(),
+            page_rows: 64,
+            page_bytes: 4096,
+            pages_read: 100,
+            pages_faulted: 30,
+            pages_hit: 70,
+            bytes_read: 30 * 4096,
+            ..StoreReport::default()
+        };
+        assert_eq!(store.check(), Ok(()));
+        store.pages_hit = 69;
+        assert!(store.check().unwrap_err().contains("!= pages_read 100"));
+        store.pages_hit = 70;
+        store.bytes_read = 999;
+        assert!(store
+            .check()
+            .unwrap_err()
+            .contains("bytes_read 999 != pages_faulted 30"));
+
+        let cache = CacheReport {
+            lookups: 2,
+            tiers: vec![TierStats::named("static")],
+            ..CacheReport::default()
+        };
+        assert!(cache.check().unwrap_err().contains("must partition"));
+        let section = Attrib {
+            cache: vec![cache],
+            ..Attrib::default()
+        };
+        let err = Attrib::from_json(&section.to_json()).unwrap_err();
+        assert!(
+            err.starts_with("attrib.cache[0] (): tier hits sum to 0"),
+            "{err}"
+        );
     }
 }

@@ -4,10 +4,10 @@
 //! The Chrome trace places wall-clock spans on process 1 (one row per
 //! recording thread) and simulated-time spans on process 2 (one row per
 //! DES resource track), so real and virtual time never share a
-//! timeline. All JSON is built by hand — the workspace has no serde —
-//! with full string escaping; `cargo xtask validate-trace` checks the
-//! emitted files against this schema in CI.
+//! timeline. Both files render through [`crate::json`]; `cargo xtask
+//! validate-trace` checks them against this schema in CI.
 
+use crate::json::Json;
 use crate::metrics::{self, MetricsSnapshot};
 use crate::span::{self, Event};
 use std::fmt::Write as _;
@@ -23,26 +23,6 @@ pub fn init_from_env() -> bool {
         metrics::set_enabled(true);
     }
     on
-}
-
-/// Escapes `s` for inclusion in a JSON string literal (the workspace's
-/// one escaper: bench, check and xtask reports call it too).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders the human-readable end-of-run summary: every registered
@@ -95,78 +75,57 @@ pub fn summary() -> String {
     out
 }
 
-fn push_chrome_event(out: &mut String, ev: &Event) {
-    let pid = if ev.sim { 2 } else { 1 };
-    let ts = ev.start_ns as f64 / 1000.0;
-    let dur = ev.dur_ns as f64 / 1000.0;
-    let _ = write!(
-        out,
-        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\
-         \"ts\":{ts:.3},\"dur\":{dur:.3},\"args\":{{\"depth\":{}}}}}",
-        json_escape(&ev.name),
-        if ev.sim { "sim" } else { "wall" },
-        ev.tid,
-        ev.depth
-    );
+fn chrome_event(ev: &Event) -> Json {
+    Json::obj([
+        ("name", ev.name.as_ref().into()),
+        ("cat", if ev.sim { "sim" } else { "wall" }.into()),
+        ("ph", "X".into()),
+        ("pid", (if ev.sim { 2u64 } else { 1 }).into()),
+        ("tid", ev.tid.into()),
+        ("ts", Json::fixed(ev.start_ns as f64 / 1000.0, 3)),
+        ("dur", Json::fixed(ev.dur_ns as f64 / 1000.0, 3)),
+        ("args", Json::obj([("depth", u64::from(ev.depth).into())])),
+    ])
+}
+
+/// A metadata event naming process `pid` (or its thread `tid`).
+fn chrome_meta(name: &str, pid: u64, tid: Option<u64>, value: &str) -> Json {
+    let mut fields = vec![
+        ("name", name.into()),
+        ("ph", "M".into()),
+        ("pid", pid.into()),
+    ];
+    fields.extend(tid.map(|t| ("tid", t.into())));
+    fields.push(("args", Json::obj([("name", value.into())])));
+    Json::obj(fields)
 }
 
 /// Renders the event log as Chrome `trace_event` JSON. Wall spans live
 /// on pid 1 (µs since the clock anchor), simulated spans on pid 2 (µs
 /// of virtual time).
 pub fn chrome_trace_json() -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let meta = |out: &mut String,
-                first: &mut bool,
-                name: &str,
-                pid: u64,
-                tid: Option<u64>,
-                value: &str| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        let tid_field = tid.map(|t| format!(",\"tid\":{t}")).unwrap_or_default();
-        let _ = write!(
-            out,
-            "{{\"name\":\"{name}\",\"ph\":\"M\",\"pid\":{pid}{tid_field},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            json_escape(value)
-        );
-    };
-    meta(&mut out, &mut first, "process_name", 1, None, "wall clock");
-    meta(
-        &mut out,
-        &mut first,
-        "process_name",
-        2,
-        None,
-        "simulated (DES virtual time)",
-    );
+    let mut events = vec![
+        chrome_meta("process_name", 1, None, "wall clock"),
+        chrome_meta("process_name", 2, None, "simulated (DES virtual time)"),
+    ];
     span::with_log(|l| {
         for (tid, name) in &l.threads {
-            meta(&mut out, &mut first, "thread_name", 1, Some(*tid), name);
+            events.push(chrome_meta("thread_name", 1, Some(*tid), name));
         }
         for (i, name) in l.sim_tracks.iter().enumerate() {
-            meta(&mut out, &mut first, "thread_name", 2, Some(i as u64), name);
+            events.push(chrome_meta("thread_name", 2, Some(i as u64), name));
         }
-        for ev in &l.events {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            push_chrome_event(&mut out, ev);
-        }
+        events.extend(l.events.iter().map(chrome_event));
     });
-    out.push_str("],\"displayTimeUnit\":\"ms\"");
+    let mut fields = vec![
+        ("traceEvents", Json::Arr(events)),
+        ("displayTimeUnit", "ms".into()),
+    ];
     // Published attribution reports ride along as a top-level section
-    // (already canonical JSON; `cargo xtask validate-trace --attrib`
-    // checks it). Chrome/Perfetto ignore unknown top-level keys.
-    if let Some(attrib) = crate::attrib::attrib_json() {
-        let _ = write!(out, ",\"attrib\":{attrib}");
-    }
-    out.push('}');
-    out
+    // (`cargo xtask validate-trace --attrib` checks it). Chrome/Perfetto
+    // ignore unknown top-level keys.
+    fields.extend(crate::attrib::attrib_json().map(|a| ("attrib", a)));
+    Json::obj(fields).to_string()
 }
 
 /// Renders the event log as JSON Lines, one event object per line.
@@ -174,17 +133,15 @@ pub fn events_jsonl() -> String {
     let mut out = String::new();
     span::with_log(|l| {
         for ev in &l.events {
-            let _ = writeln!(
-                out,
-                "{{\"name\":\"{}\",\"sim\":{},\"tid\":{},\"start_ns\":{},\
-                 \"dur_ns\":{},\"depth\":{}}}",
-                json_escape(&ev.name),
-                ev.sim,
-                ev.tid,
-                ev.start_ns,
-                ev.dur_ns,
-                ev.depth
-            );
+            let line = Json::obj([
+                ("name", ev.name.as_ref().into()),
+                ("sim", ev.sim.into()),
+                ("tid", ev.tid.into()),
+                ("start_ns", ev.start_ns.into()),
+                ("dur_ns", ev.dur_ns.into()),
+                ("depth", u64::from(ev.depth).into()),
+            ]);
+            let _ = writeln!(out, "{line}");
         }
     });
     out
@@ -218,14 +175,17 @@ mod tests {
         }
         set_enabled(false);
         let json = chrome_trace_json();
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.contains("\"displayTimeUnit\":\"ms\""));
-        assert!(json.ends_with('}'));
-        assert!(json.contains("\\\"quoted\\\"\\nname"));
-        assert!(json.contains("\"ph\":\"M\""));
-        assert!(json.contains("export.test.wall"));
         // Raw control characters must never appear inside the JSON.
         assert!(!json.bytes().any(|b| b < 0x20));
+        let doc = crate::json::parse(&json).unwrap();
+        assert_eq!(doc.str_field("displayTimeUnit"), Ok("ms"));
+        let events = doc.arr_field("traceEvents").unwrap();
+        let named = |n: &str| events.iter().find(|e| e.str_field("name") == Ok(n));
+        let sim = named("export.\"quoted\"\nname").unwrap();
+        assert_eq!(sim.str_field("ph"), Ok("X"));
+        assert_eq!(sim.field("ts"), Some(&Json::Num("1000.000".into())));
+        assert!(named("export.test.wall").is_some());
+        assert!(events.iter().any(|e| e.str_field("ph") == Ok("M")));
     }
 
     #[test]
@@ -237,8 +197,9 @@ mod tests {
             ..crate::attrib::CacheReport::default()
         });
         let json = chrome_trace_json();
-        assert!(json.contains("\"attrib\":{\"cache\": ["), "{json}");
-        assert!(json.contains("\"label\": \"export-attrib-test\""), "{json}");
+        let doc = crate::json::parse(&json).unwrap();
+        let cache = doc.field("attrib").unwrap().arr_field("cache").unwrap();
+        assert_eq!(cache[0].str_field("label"), Ok("export-attrib-test"));
         crate::attrib::reset_attrib();
     }
 
@@ -267,9 +228,9 @@ mod tests {
         let text = events_jsonl();
         assert!(text.lines().count() >= 1);
         for line in text.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-            assert!(line.contains("\"name\":"));
-            assert!(line.contains("\"start_ns\":"));
+            let ev = crate::json::parse(line).unwrap();
+            assert!(ev.str_field("name").is_ok(), "{line}");
+            assert!(ev.uint_field::<u64>("start_ns").is_ok(), "{line}");
         }
     }
 }

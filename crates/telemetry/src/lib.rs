@@ -53,6 +53,7 @@
 
 pub mod attrib;
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod sketch;
 pub mod span;
@@ -60,7 +61,7 @@ pub mod stage;
 
 pub use attrib::{
     attrib_json, publish_cache_report, publish_comm_report, publish_store_report, reset_attrib,
-    CacheReport, CommReport, StoreReport, TierStats,
+    Attrib, CacheReport, CommReport, StoreReport, TierStats,
 };
 pub use export::{init_from_env, summary, write_trace_files};
 pub use metrics::{counter, enabled, gauge, histogram, set_enabled, snapshot};

@@ -28,7 +28,7 @@
 //! the true order statistic. `p50/p99/p999` in bench reports and the
 //! live snapshot dashboard all come from this type (DESIGN.md §15).
 
-use std::fmt::Write as _;
+use crate::json::Json;
 
 /// log2 of the number of linear sub-buckets per octave.
 pub const SUB_BITS: u32 = 4;
@@ -215,35 +215,61 @@ impl QuantileSketch {
             .collect()
     }
 
-    /// Canonical single-line JSON rendering: totals, the standard
-    /// p50/p90/p99/p999 quantiles, and the sparse bucket list in index
-    /// order. Equal sketches render byte-identical strings; the sum of
-    /// the bucket counts always equals `count` (checked by
-    /// `cargo xtask validate-trace`).
+    /// Canonical JSON rendering: totals, the standard p50/p90/p99/p999
+    /// quantiles, and the sparse bucket list in index order. Equal
+    /// sketches render byte-identical strings; the sum of the bucket
+    /// counts always equals `count`.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-             \"p50\": {}, \"p90\": {}, \"p99\": {}, \"p999\": {}, \"buckets\": [",
-            self.count,
-            self.sum,
-            self.min(),
-            self.max,
-            self.quantile(0.50),
-            self.quantile(0.90),
-            self.quantile(0.99),
-            self.quantile(0.999),
-        );
-        for (n, (i, c)) in self.nonzero_buckets().into_iter().enumerate() {
-            if n > 0 {
-                out.push_str(", ");
+    pub fn to_json(&self) -> Json {
+        let buckets = self.nonzero_buckets().into_iter();
+        Json::obj([
+            ("count", self.count.into()),
+            ("sum", self.sum.into()),
+            ("min", self.min().into()),
+            ("max", self.max.into()),
+            ("p50", self.quantile(0.50).into()),
+            ("p90", self.quantile(0.90).into()),
+            ("p99", self.quantile(0.99).into()),
+            ("p999", self.quantile(0.999).into()),
+            (
+                "buckets",
+                buckets
+                    .map(|(i, c)| Json::Arr(vec![i.into(), c.into()]))
+                    .collect(),
+            ),
+        ])
+    }
+
+    /// Reads back what [`Self::to_json`] wrote (the quantiles are
+    /// derived, so they are not read): bucket indices in range and
+    /// increasing, bucket counts summing to `count`.
+    pub fn from_json(v: &Json) -> Result<Self, String> {
+        let mut s = Self::new();
+        let mut next = 0;
+        for (b, pair) in v.arr_field("buckets")?.iter().enumerate() {
+            let (i, c) = match pair.as_arr() {
+                Some([i, c]) => i.as_uint::<usize>().zip(c.as_uint()),
+                _ => None,
             }
-            let _ = write!(out, "[{i}, {c}]");
+            .filter(|&(i, _)| (next..NUM_BUCKETS).contains(&i))
+            .ok_or(format!("bucket {b} is not an in-order [index, count] pair"))?;
+            s.counts[i] = c;
+            next = i + 1;
         }
-        out.push_str("]}");
-        out
+        s.count = v.uint_field("count")?;
+        let bucket_sum: u128 = s.counts.iter().map(|&c| u128::from(c)).sum();
+        if bucket_sum != u128::from(s.count) {
+            return Err(format!(
+                "bucket counts sum to {bucket_sum} but count is {}",
+                s.count
+            ));
+        }
+        s.sum = v.uint_field("sum")?;
+        s.max = v.uint_field("max")?;
+        if s.count > 0 {
+            s.min = v.uint_field("min")?;
+        }
+        Ok(s)
     }
 }
 
@@ -404,12 +430,13 @@ mod tests {
         for v in [3u64, 3, 90, 1 << 30] {
             s.observe(v);
         }
-        let j = s.to_json();
+        let j = s.to_json().to_string();
         assert!(j.starts_with("{\"count\": 4, "), "{j}");
         assert!(j.contains("\"buckets\": [[3, 2], "), "{j}");
         // Bucket counts sum to count (the validate-trace invariant).
         let total: u64 = s.nonzero_buckets().iter().map(|&(_, c)| c).sum();
         assert_eq!(total, s.count());
-        assert_eq!(s.clone().to_json(), j);
+        assert_eq!(s.clone().to_json().to_string(), j);
+        assert_eq!(QuantileSketch::from_json(&s.to_json()), Ok(s));
     }
 }

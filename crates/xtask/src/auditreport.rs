@@ -11,13 +11,13 @@
 //! traversal — so [`crate::baseline`] diffs all three with one key
 //! extractor. The lint family is scoped by path, not reachability: its
 //! root and stop sections are always empty and its escape inventory is
-//! the `spp-lint` pragmas plus every annotated `*_relaxed(` call. JSON
-//! is hand-rolled — the offline workspace carries no serde.
+//! the `spp-lint` pragmas plus every annotated `*_relaxed(` call. The
+//! document renders through `spp_telemetry::json`.
 
 use crate::callgraph::{CallGraph, Reached};
 use crate::items::{AuditKind, FileItems};
 use crate::rules::{rule_ids, Report};
-use spp_telemetry::export::json_escape;
+use spp_telemetry::json::Json;
 use std::collections::BTreeMap;
 
 /// One declared root with its reachability summary.
@@ -157,24 +157,10 @@ pub fn render_text(out: &AuditOutput) -> String {
     s
 }
 
-/// Stable machine-readable JSON document (the baseline format).
+/// Stable machine-readable JSON document (the baseline format). It
+/// carries no line numbers, so an edit that only moves code leaves it
+/// byte-identical; the text report keeps them.
 pub fn render_json(out: &AuditOutput) -> String {
-    let root_items: Vec<String> = out
-        .roots
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"name\": \"{}\", \"fn\": \"{}\", \"file\": \"{}\", \"line\": {}, \
-                 \"reachable\": {}, \"max_depth\": {}}}",
-                json_escape(&r.name),
-                json_escape(&r.func),
-                json_escape(&r.path),
-                r.line,
-                r.reachable,
-                r.max_depth
-            )
-        })
-        .collect();
     let prefix = out.kind.prefix();
     let annotation_rule = format!("{prefix}-annotation");
     let mut counts: BTreeMap<&str, usize> = rule_ids(out.kind).map(|r| (r, 0)).collect();
@@ -182,69 +168,55 @@ pub fn render_json(out: &AuditOutput) -> String {
     for f in &out.report.findings {
         *counts.entry(f.rule.as_str()).or_insert(0) += 1;
     }
-    let finding_items: Vec<String> = out
-        .report
-        .findings
-        .iter()
-        .map(|f| {
-            format!(
-                "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"fn\": \"{}\", \
-                 \"root\": \"{}\", \"message\": \"{}\"}}",
-                json_escape(&f.rule),
-                json_escape(&f.path),
-                f.line,
-                json_escape(&f.func),
-                json_escape(&f.root),
-                json_escape(&f.message)
-            )
-        })
-        .collect();
-    let count_items: Vec<String> = counts
-        .iter()
-        .map(|(r, n)| format!("    \"{}\": {}", json_escape(r), n))
-        .collect();
-    let escape_items: Vec<String> = out
-        .report
-        .escapes
-        .iter()
-        .map(|e| {
-            format!(
-                "    {{\"file\": \"{}\", \"line\": {}, \"rules\": \"{}\", \"reason\": \"{}\"}}",
-                json_escape(&e.path),
-                e.line,
-                json_escape(&e.rules),
-                json_escape(&e.reason)
-            )
-        })
-        .collect();
-    let stop_items: Vec<String> = out
-        .stops
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{\"file\": \"{}\", \"fn\": \"{}\", \"reason\": \"{}\"}}",
-                json_escape(&s.path),
-                json_escape(&s.func),
-                json_escape(&s.reason)
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"{prefix}_roots\": [\n{}\n  ],\n  \"{prefix}_root_count\": {},\n  \
-         \"reachable_functions\": {},\n  \"findings\": [\n{}\n  ],\n  \
-         \"counts\": {{\n{}\n  }},\n  \"escapes\": [\n{}\n  ],\n  \
-         \"stops\": [\n{}\n  ],\n  \"unannotated_escapes\": {},\n  \
-         \"files_scanned\": {}\n}}\n",
-        root_items.join(",\n"),
-        out.roots.len(),
-        out.reachable_functions,
-        finding_items.join(",\n"),
-        count_items.join(",\n"),
-        escape_items.join(",\n"),
-        stop_items.join(",\n"),
-        out.report.findings.len(),
-        out.files_scanned
-    )
+    let roots = out.roots.iter().map(|r| {
+        Json::obj([
+            ("name", r.name.as_str().into()),
+            ("fn", r.func.as_str().into()),
+            ("file", r.path.as_str().into()),
+            ("reachable", r.reachable.into()),
+            ("max_depth", r.max_depth.into()),
+        ])
+    });
+    let findings = out.report.findings.iter().map(|f| {
+        Json::obj([
+            ("rule", f.rule.as_str().into()),
+            ("file", f.path.as_str().into()),
+            ("fn", f.func.as_str().into()),
+            ("root", f.root.as_str().into()),
+            ("message", f.message.as_str().into()),
+        ])
+    });
+    let escapes = out.report.escapes.iter().map(|e| {
+        Json::obj([
+            ("file", e.path.as_str().into()),
+            ("rules", e.rules.as_str().into()),
+            ("reason", e.reason.as_str().into()),
+        ])
+    });
+    let stops = out.stops.iter().map(|s| {
+        Json::obj([
+            ("file", s.path.as_str().into()),
+            ("fn", s.func.as_str().into()),
+            ("reason", s.reason.as_str().into()),
+        ])
+    });
+    let roots_key = format!("{prefix}_roots");
+    let root_count_key = format!("{prefix}_root_count");
+    Json::obj([
+        (roots_key.as_str(), roots.collect()),
+        (root_count_key.as_str(), out.roots.len().into()),
+        ("reachable_functions", out.reachable_functions.into()),
+        ("findings", findings.collect()),
+        (
+            "counts",
+            Json::obj(counts.iter().map(|(r, n)| (*r, Json::from(*n)))),
+        ),
+        ("escapes", escapes.collect()),
+        ("stops", stops.collect()),
+        ("unannotated_escapes", out.report.findings.len().into()),
+        ("files_scanned", out.files_scanned.into()),
+    ])
+    .pretty()
 }
 
 #[cfg(test)]
@@ -312,7 +284,7 @@ mod tests {
         assert!(j.contains("\"hot-annotation\": 0"));
         assert!(j.contains("\"unannotated_escapes\": 1"));
         assert!(j.contains("\"files_scanned\": 5"));
-        assert!(crate::json::parse(&j).is_ok());
+        assert!(spp_telemetry::json::parse(&j).is_ok());
     }
 
     #[test]
@@ -324,7 +296,7 @@ mod tests {
         assert!(j.contains("\"d5-float-order\": 0"));
         assert!(j.contains("\"det-annotation\": 0"));
         assert!(!j.contains("h1-alloc"));
-        assert!(crate::json::parse(&j).is_ok());
+        assert!(spp_telemetry::json::parse(&j).is_ok());
         let j = render_json(&sample(AuditKind::Lint, "l5-prob-clamp"));
         assert!(j.contains("\"lint_roots\": ["));
         assert!(j.contains("\"l5-prob-clamp\": 1"));

@@ -14,12 +14,13 @@
 //!
 //! `--refresh-baseline` rewrites the snapshot after review.
 //!
-//! Entries compare *without* line numbers (roots by name/fn, escapes by
-//! file/rules/reason, stops by file/fn/reason), so unrelated edits that
-//! shift lines don't churn the baseline.
+//! The documents carry no line numbers, so moving code never churns
+//! them, and CI requires a refresh to leave them byte-identical. Here,
+//! entries compare by identity (roots by name/fn/file, escapes by
+//! file/rules/reason, stops by file/fn/reason).
 
 use crate::items::AuditKind;
-use crate::json::{self, Json};
+use spp_telemetry::json::{self, Json};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -64,15 +65,12 @@ fn diff_multiset(label: &str, baseline: &[String], current: &[String], out: &mut
     }
 }
 
-fn arr<'a>(doc: &'a Json, key: &str) -> Vec<&'a Json> {
-    doc.get(key)
-        .and_then(Json::as_arr)
-        .map(|a| a.iter().collect())
-        .unwrap_or_default()
+fn arr<'a>(doc: &'a Json, key: &str) -> &'a [Json] {
+    doc.arr_field(key).unwrap_or_default()
 }
 
-fn s(v: &Json, key: &str) -> String {
-    v.get(key).and_then(Json::as_str).unwrap_or("").to_string()
+fn s<'a>(v: &'a Json, key: &str) -> &'a str {
+    v.str_field(key).unwrap_or_default()
 }
 
 /// Parses a baseline file; `Ok(None)` when the file does not exist.
@@ -94,19 +92,19 @@ fn graph_audit_keys(
     roots_key: &str,
 ) -> (Vec<String>, Vec<String>, Vec<String>, Vec<String>) {
     let roots = arr(doc, roots_key)
-        .into_iter()
+        .iter()
         .map(|r| format!("{} = {} ({})", s(r, "name"), s(r, "fn"), s(r, "file")))
         .collect();
     let escapes = arr(doc, "escapes")
-        .into_iter()
+        .iter()
         .map(|e| format!("{} [{}] {}", s(e, "file"), s(e, "rules"), s(e, "reason")))
         .collect();
     let stops = arr(doc, "stops")
-        .into_iter()
+        .iter()
         .map(|st| format!("{} {} ({})", s(st, "file"), s(st, "fn"), s(st, "reason")))
         .collect();
     let findings = arr(doc, "findings")
-        .into_iter()
+        .iter()
         .map(|f| {
             format!(
                 "[{}] {} in {}: {}",

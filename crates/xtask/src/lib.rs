@@ -40,7 +40,6 @@ pub mod auditreport;
 pub mod baseline;
 pub mod callgraph;
 pub mod items;
-pub mod json;
 pub mod rules;
 pub mod scan;
 pub mod walk;

@@ -49,10 +49,12 @@
 //! additionally requires a span for every Appendix-D pipeline stage
 //! (the CI telemetry smoke job passes it).
 
+use spp_telemetry::json::{self, Json};
+use spp_telemetry::Attrib;
 use spp_xtask::baseline::{self, BaselineStatus};
 use spp_xtask::callgraph::CallGraph;
 use spp_xtask::items::AuditKind;
-use spp_xtask::{auditreport, items, json, rules, scan, walk};
+use spp_xtask::{auditreport, items, rules, scan, walk};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -231,44 +233,34 @@ fn run_check_interleavings(args: &[String]) -> ExitCode {
 
 /// Validates one Chrome `trace_event` document. Returns the set of
 /// complete-event ("X") names seen.
-fn check_chrome_trace(doc: &json::Json) -> Result<Vec<String>, String> {
+fn check_chrome_trace(doc: &Json) -> Result<Vec<String>, String> {
     let events = doc
-        .get("traceEvents")
-        .and_then(json::Json::as_arr)
-        .ok_or("top-level object must have a `traceEvents` array")?;
+        .arr_field("traceEvents")
+        .map_err(|_| "top-level object must have a `traceEvents` array")?;
     if events.is_empty() {
         return Err("traceEvents is empty — was the recorder enabled?".to_string());
     }
     let mut names = Vec::new();
     for (i, e) in events.iter().enumerate() {
-        let ph = e
-            .get("ph")
-            .and_then(json::Json::as_str)
-            .ok_or_else(|| format!("event {i}: missing string `ph`"))?;
-        let name = e
-            .get("name")
-            .and_then(json::Json::as_str)
-            .ok_or_else(|| format!("event {i}: missing string `name`"))?;
-        e.get("pid")
-            .and_then(json::Json::as_num)
-            .ok_or_else(|| format!("event {i} ({name}): missing numeric `pid`"))?;
-        match ph {
+        let name = e.str_field("name").map_err(|m| format!("event {i}: {m}"))?;
+        let ctx = |m: &str| format!("event {i} ({name}): {m}");
+        let num = |key: &str| match e.field(key) {
+            Some(Json::Num(n)) if n.starts_with('-') => Err(ctx(&format!("negative `{key}`"))),
+            Some(Json::Num(_)) => Ok(()),
+            _ => Err(ctx(&format!("missing numeric `{key}`"))),
+        };
+        num("pid")?;
+        match e.str_field("ph").map_err(|m| ctx(&m))? {
+            // Metadata events (process_name) may omit `tid`; real spans
+            // must carry one.
             "X" => {
-                // Metadata events (process_name) may omit `tid`; real
-                // spans must carry one.
                 for key in ["tid", "ts", "dur"] {
-                    let v = e
-                        .get(key)
-                        .and_then(json::Json::as_num)
-                        .ok_or_else(|| format!("event {i} ({name}): missing numeric `{key}`"))?;
-                    if v < 0.0 {
-                        return Err(format!("event {i} ({name}): negative `{key}`"));
-                    }
+                    num(key)?;
                 }
                 names.push(name.to_string());
             }
             "M" => {}
-            other => return Err(format!("event {i} ({name}): unknown phase `{other}`")),
+            other => return Err(ctx(&format!("unknown phase `{other}`"))),
         }
     }
     Ok(names)
@@ -282,233 +274,20 @@ fn check_jsonl_trace(src: &str) -> Result<Vec<String>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let name = v
-            .get("name")
-            .and_then(json::Json::as_str)
-            .ok_or_else(|| format!("line {}: missing string `name`", lineno + 1))?;
+        let ctx = |m: String| format!("line {}: {m}", lineno + 1);
+        let v = json::parse(line).map_err(ctx)?;
         for key in ["tid", "start_ns", "dur_ns", "depth"] {
-            v.get(key)
-                .and_then(json::Json::as_num)
-                .ok_or_else(|| format!("line {}: missing numeric `{key}`", lineno + 1))?;
+            v.uint_field::<u64>(key).map_err(ctx)?;
         }
-        if v.get("sim").is_none() {
-            return Err(format!("line {}: missing `sim` flag", lineno + 1));
+        if v.field("sim").is_none() {
+            return Err(ctx("missing `sim` flag".to_string()));
         }
-        names.push(name.to_string());
+        names.push(v.str_field("name").map_err(ctx)?.to_string());
     }
     if names.is_empty() {
         return Err("no events — was the recorder enabled?".to_string());
     }
     Ok(names)
-}
-
-/// Validates one `CacheReport` object of the trace's attribution
-/// section: tier counters present, tier hits partitioning `lookups`,
-/// and the latency sketch's bucket counts consistent with its total.
-fn check_cache_report(i: usize, c: &json::Json) -> Result<(), String> {
-    let label = c.get("label").and_then(json::Json::as_str).unwrap_or("?");
-    let ctx = |msg: &str| format!("attrib.cache[{i}] ({label}): {msg}");
-    let lookups = c
-        .get("lookups")
-        .and_then(json::Json::as_num)
-        .ok_or_else(|| ctx("missing numeric `lookups`"))?;
-    c.get("scheme")
-        .and_then(json::Json::as_str)
-        .ok_or_else(|| ctx("missing string `scheme`"))?;
-    let tiers = c
-        .get("tiers")
-        .and_then(json::Json::as_arr)
-        .ok_or_else(|| ctx("missing `tiers` array"))?;
-    let mut hit_sum = 0.0;
-    for (t, tier) in tiers.iter().enumerate() {
-        tier.get("tier")
-            .and_then(json::Json::as_str)
-            .ok_or_else(|| ctx(&format!("tier {t}: missing string `tier`")))?;
-        for key in ["hits", "misses", "evictions", "insertions", "bytes"] {
-            let v = tier
-                .get(key)
-                .and_then(json::Json::as_num)
-                .ok_or_else(|| ctx(&format!("tier {t}: missing numeric `{key}`")))?;
-            if v < 0.0 {
-                return Err(ctx(&format!("tier {t}: negative `{key}`")));
-            }
-        }
-        hit_sum += tier.get("hits").and_then(json::Json::as_num).unwrap_or(0.0);
-    }
-    // Counters are integers riding in f64 JSON numbers: compare exactly
-    // in the integer domain, not within a float margin.
-    if hit_sum as u64 != lookups as u64 {
-        return Err(ctx(&format!(
-            "tier hits sum to {hit_sum} but lookups is {lookups} (must partition)"
-        )));
-    }
-    let sketch = c
-        .get("latency_ns")
-        .ok_or_else(|| ctx("missing `latency_ns` sketch"))?;
-    let count = sketch
-        .get("count")
-        .and_then(json::Json::as_num)
-        .ok_or_else(|| ctx("latency_ns: missing numeric `count`"))?;
-    let buckets = sketch
-        .get("buckets")
-        .and_then(json::Json::as_arr)
-        .ok_or_else(|| ctx("latency_ns: missing `buckets` array"))?;
-    let mut bucket_sum = 0.0;
-    for (b, pair) in buckets.iter().enumerate() {
-        let pair = pair.as_arr().filter(|p| p.len() == 2).ok_or_else(|| {
-            ctx(&format!(
-                "latency_ns: bucket {b} is not an [index, count] pair"
-            ))
-        })?;
-        bucket_sum += pair[1]
-            .as_num()
-            .ok_or_else(|| ctx(&format!("latency_ns: bucket {b}: non-numeric count")))?;
-    }
-    if bucket_sum as u64 != count as u64 {
-        return Err(ctx(&format!(
-            "latency_ns: bucket counts sum to {bucket_sum} but count is {count}"
-        )));
-    }
-    Ok(())
-}
-
-/// Validates one `CommReport` object: every window's byte matrix must
-/// be square (`machines` rows of `machines` numeric columns).
-fn check_comm_report(i: usize, c: &json::Json) -> Result<(), String> {
-    let label = c.get("label").and_then(json::Json::as_str).unwrap_or("?");
-    let ctx = |msg: &str| format!("attrib.comm[{i}] ({label}): {msg}");
-    let machines = c
-        .get("machines")
-        .and_then(json::Json::as_num)
-        .ok_or_else(|| ctx("missing numeric `machines`"))?;
-    if machines < 1.0 || machines.fract() != 0.0 {
-        return Err(ctx("`machines` must be a positive integer"));
-    }
-    let k = machines as usize;
-    let windows = c
-        .get("windows")
-        .and_then(json::Json::as_arr)
-        .ok_or_else(|| ctx("missing `windows` array"))?;
-    for (w, win) in windows.iter().enumerate() {
-        let rows = win
-            .get("bytes")
-            .and_then(json::Json::as_arr)
-            .ok_or_else(|| ctx(&format!("window {w}: missing `bytes` matrix")))?;
-        if rows.len() != k {
-            return Err(ctx(&format!(
-                "window {w}: matrix has {} rows, expected {k} (must be square)",
-                rows.len()
-            )));
-        }
-        for (r, row) in rows.iter().enumerate() {
-            let cols = row
-                .as_arr()
-                .ok_or_else(|| ctx(&format!("window {w}: row {r} is not an array")))?;
-            if cols.len() != k {
-                return Err(ctx(&format!(
-                    "window {w}: row {r} has {} columns, expected {k} (must be square)",
-                    cols.len()
-                )));
-            }
-            for (cix, cell) in cols.iter().enumerate() {
-                let v = cell
-                    .as_num()
-                    .ok_or_else(|| ctx(&format!("window {w}: cell [{r}][{cix}] is not numeric")))?;
-                if v < 0.0 {
-                    return Err(ctx(&format!("window {w}: negative cell [{r}][{cix}]")));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Validates one `StoreReport` object: page counters present,
-/// `pages_read == pages_faulted + pages_hit`, and bytes consistent
-/// with the page size (`bytes_read == pages_faulted × page_bytes`).
-fn check_store_report(i: usize, c: &json::Json) -> Result<(), String> {
-    let label = c.get("label").and_then(json::Json::as_str).unwrap_or("?");
-    let ctx = |msg: &str| format!("attrib.store[{i}] ({label}): {msg}");
-    for key in ["backend", "scheme"] {
-        c.get(key)
-            .and_then(json::Json::as_str)
-            .ok_or_else(|| ctx(&format!("missing string `{key}`")))?;
-    }
-    let num = |key: &str| -> Result<u64, String> {
-        let v = c
-            .get(key)
-            .and_then(json::Json::as_num)
-            .ok_or_else(|| ctx(&format!("missing numeric `{key}`")))?;
-        if v < 0.0 || v.fract() != 0.0 {
-            return Err(ctx(&format!("`{key}` must be a non-negative integer")));
-        }
-        Ok(v as u64)
-    };
-    let page_rows = num("page_rows")?;
-    let page_bytes = num("page_bytes")?;
-    let pages_read = num("pages_read")?;
-    let pages_faulted = num("pages_faulted")?;
-    let pages_hit = num("pages_hit")?;
-    let bytes_read = num("bytes_read")?;
-    if page_rows == 0 || page_bytes == 0 {
-        return Err(ctx("page geometry must be positive"));
-    }
-    if pages_faulted > pages_read {
-        return Err(ctx(&format!(
-            "pages_faulted {pages_faulted} exceeds pages_read {pages_read}"
-        )));
-    }
-    if pages_faulted + pages_hit != pages_read {
-        return Err(ctx(&format!(
-            "pages_faulted {pages_faulted} + pages_hit {pages_hit} != pages_read {pages_read}"
-        )));
-    }
-    if bytes_read != pages_faulted * page_bytes {
-        return Err(ctx(&format!(
-            "bytes_read {bytes_read} != pages_faulted {pages_faulted} × page_bytes {page_bytes}"
-        )));
-    }
-    Ok(())
-}
-
-/// Validates the trace's top-level `attrib` section. With
-/// `require = true`, a missing section (or one with no cache reports)
-/// is an error; otherwise only a present section is checked.
-fn check_attrib(doc: &json::Json, require: bool) -> Result<usize, String> {
-    let Some(attrib) = doc.get("attrib") else {
-        if require {
-            return Err("missing top-level `attrib` section (was attribution published?)".into());
-        }
-        return Ok(0);
-    };
-    let caches = attrib
-        .get("cache")
-        .and_then(json::Json::as_arr)
-        .ok_or("attrib: missing `cache` array")?;
-    let comms = attrib
-        .get("comm")
-        .and_then(json::Json::as_arr)
-        .ok_or("attrib: missing `comm` array")?;
-    // `store` arrived after `cache`/`comm`; tolerate traces from older
-    // binaries that omit it.
-    let stores = attrib
-        .get("store")
-        .and_then(json::Json::as_arr)
-        .unwrap_or(&[]);
-    if require && caches.is_empty() && comms.is_empty() && stores.is_empty() {
-        return Err("attrib section is empty (was attribution published?)".into());
-    }
-    for (i, c) in caches.iter().enumerate() {
-        check_cache_report(i, c)?;
-    }
-    for (i, c) in comms.iter().enumerate() {
-        check_comm_report(i, c)?;
-    }
-    for (i, c) in stores.iter().enumerate() {
-        check_store_report(i, c)?;
-    }
-    Ok(caches.len() + comms.len() + stores.len())
 }
 
 fn run_validate_trace(path: &Path, require_stages: bool, require_attrib: bool) -> ExitCode {
@@ -535,7 +314,14 @@ fn run_validate_trace(path: &Path, require_stages: bool, require_attrib: bool) -
         json::parse(&src)
             .map_err(|e| format!("not valid JSON: {e}"))
             .and_then(|doc| {
-                attrib_reports = check_attrib(&doc, require_attrib)?;
+                // A present section is always decoded, which checks
+                // every report; --attrib also requires a non-empty one.
+                let section = doc.field("attrib").map(Attrib::from_json).transpose()?;
+                attrib_reports = section.as_ref().map_or(0, Attrib::report_count);
+                if require_attrib && attrib_reports == 0 {
+                    let what = section.map_or("missing top-level `attrib`", |_| "empty attrib");
+                    return Err(format!("{what} section (was attribution published?)"));
+                }
                 check_chrome_trace(&doc)
             })
     };

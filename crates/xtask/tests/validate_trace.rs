@@ -190,3 +190,16 @@ fn sketch_bucket_counts_must_match_total() {
         "stderr: {stderr}"
     );
 }
+
+#[test]
+fn comm_total_must_equal_matrix_sum() {
+    // The comm report states its bytes twice — `total_bytes` and the
+    // window matrices — and the decoder holds them equal.
+    let out = validate_attrib("trace_attrib_bad_total.json");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("total_bytes 999 != matrix sum 128"),
+        "stderr: {stderr}"
+    );
+}
