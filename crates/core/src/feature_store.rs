@@ -11,11 +11,15 @@
 //! This module is the one owner of "where does vertex `v`'s row live on
 //! this machine and how is it read". A batch is classified once
 //! ([`PartitionedFeatureStore::plan`]); the distributed engine uses the
-//! plan to build its requests and the server to probe its overlay, and
-//! both hand the same plan to [`PartitionedFeatureStore::gather_planned`]
-//! for the reads. Rows enter through one constructor from any
-//! `spp_store::FeatureStore` — the resident matrix and the paged
-//! out-of-core stores are backends of the same path.
+//! plan to build its requests and the server to probe its overlay. The
+//! reads come in two halves: [`PartitionedFeatureStore::read_resident`]
+//! (local rows and the static tier, immutable after build) and
+//! [`PartitionedFeatureStore::read_remote`] (each owner's fetch). The
+//! engine runs both through [`PartitionedFeatureStore::gather_planned`];
+//! the server runs the remote half while preparing a batch and the
+//! resident half beside its forward pass. Rows enter through one
+//! constructor from any `spp_store::FeatureStore` — the resident matrix
+//! and the paged out-of-core stores are backends of the same path.
 
 use crate::cache::StaticCache;
 use crate::reorder::ReorderedLayout;
@@ -191,6 +195,7 @@ impl PartitionedFeatureStore {
     }
 
     /// Classifies an MFG node list into the four storage groups.
+    // spp-hot(feature.plan)
     pub fn plan(&self, nodes: &[VertexId]) -> BatchPlan {
         let mut plan = BatchPlan {
             remote: vec![Vec::new(); self.layout.num_parts()], // spp-hot: alloc(per-owner request lists, one per partition; the plan IS the batch output)
@@ -232,36 +237,58 @@ impl PartitionedFeatureStore {
 
     /// Gathers the full feature tensor for an MFG node list: classifies
     /// it and hands the plan to
-    /// [`PartitionedFeatureStore::gather_planned`]. A caller that
-    /// already holds the batch's plan calls that directly.
-    // spp-hot(feature.gather)
+    /// [`PartitionedFeatureStore::gather_planned`] with a fresh slot. A
+    /// caller that already holds the batch's plan calls that directly.
     pub fn gather<F>(&self, nodes: &[VertexId], fetch: F) -> Matrix
     where
         F: FnMut(u32, &[VertexId]) -> FeatureMatrix,
     {
-        self.gather_planned(nodes, &self.plan(nodes), fetch)
+        self.gather_planned(nodes, &self.plan(nodes), Vec::new(), fetch)
     }
 
     /// Reads every row `plan` lists into a `nodes.len() × dim` tensor
-    /// whose rows align with `nodes`: local rows from the partition
-    /// slice, cache hits decoded from the static tier, and each owner's
-    /// remote rows through one `fetch(owner, ids) -> FeatureMatrix` call
-    /// (rows aligned with `ids`).
+    /// whose rows align with `nodes`, built on `slot` — a recycled buffer
+    /// of any length: [`PartitionedFeatureStore::read_resident`] reads the
+    /// local rows and static-tier hits, and
+    /// [`PartitionedFeatureStore::read_remote`] each owner's rows through
+    /// `fetch`.
     ///
     /// `plan` must be [`PartitionedFeatureStore::plan`] of `nodes`,
-    /// possibly with entries removed from `remote`: a position no bucket
-    /// lists is left zero for the caller to fill (the serving overlay
-    /// answers part of the remote residue itself).
+    /// possibly with entries removed from `remote`. The slot is not
+    /// zero-filled: a position no bucket lists keeps whatever `slot` held
+    /// there (zero where it had to grow), for the caller to fill — the
+    /// serving overlay answers part of the remote residue itself.
     ///
     /// # Panics
     ///
     /// Panics if a fetch response has the wrong row count or dimension.
-    pub fn gather_planned<F>(&self, nodes: &[VertexId], plan: &BatchPlan, mut fetch: F) -> Matrix
+    // spp-hot(feature.gather)
+    pub fn gather_planned<F>(
+        &self,
+        nodes: &[VertexId],
+        plan: &BatchPlan,
+        mut slot: Vec<f32>,
+        fetch: F,
+    ) -> Matrix
     where
         F: FnMut(u32, &[VertexId]) -> FeatureMatrix,
     {
         let d = self.dim();
-        let mut out = Matrix::zeros(nodes.len(), d);
+        slot.resize(nodes.len() * d, 0.0);
+        let mut out = Matrix::from_flat(nodes.len(), d, slot);
+        self.read_resident(nodes, plan, &mut out);
+        self.read_remote(plan, &mut out, fetch);
+        out
+    }
+
+    /// Reads the plan's resident rows into `out` (rows aligned with
+    /// `nodes`): local GPU/CPU rows from the partition slice and cache
+    /// hits decoded from the static tier. Both are fixed at build, so a
+    /// read needs only `&self` and may run beside anything that mutates
+    /// other state. Positions outside `local_gpu`, `local_cpu` and
+    /// `cached` are not touched.
+    // spp-hot(feature.read_resident)
+    pub fn read_resident(&self, nodes: &[VertexId], plan: &BatchPlan, out: &mut Matrix) {
         for &pos in plan.local_gpu.iter().chain(&plan.local_cpu) {
             let li = self.layout.local_index(nodes[pos as usize]);
             out.row_mut(pos as usize)
@@ -275,6 +302,21 @@ impl PartitionedFeatureStore {
             self.cache_feats
                 .read_row_into(slot as usize, out.row_mut(pos as usize));
         }
+    }
+
+    /// Reads the plan's remote rows into `out`: one `fetch(owner, ids) ->
+    /// FeatureMatrix` call (rows aligned with `ids`) per owner with a
+    /// non-empty bucket, in owner order. Positions outside `remote` are
+    /// not touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fetch response has the wrong row count or dimension.
+    // spp-hot(feature.read_remote)
+    pub fn read_remote<F>(&self, plan: &BatchPlan, out: &mut Matrix, mut fetch: F)
+    where
+        F: FnMut(u32, &[VertexId]) -> FeatureMatrix,
+    {
         for (owner, requests) in plan.remote.iter().enumerate() {
             if requests.is_empty() {
                 continue;
@@ -282,13 +324,12 @@ impl PartitionedFeatureStore {
             let ids: Vec<VertexId> = requests.iter().map(|&(_, v)| v).collect(); // spp-hot: alloc(remote fetch id list, one per off-partition owner touched)
             let feats = fetch(owner as u32, &ids);
             assert_eq!(feats.num_rows(), ids.len(), "fetch returned wrong rows");
-            assert_eq!(feats.dim(), d, "fetch returned wrong dim");
+            assert_eq!(feats.dim(), self.dim(), "fetch returned wrong dim");
             for (r, &(pos, _)) in requests.iter().enumerate() {
                 out.row_mut(pos as usize)
                     .copy_from_slice(feats.row(r as VertexId));
             }
         }
-        out
     }
 }
 
@@ -355,13 +396,45 @@ mod tests {
         let mut plan = store.plan(&nodes);
         // The caller answers vertex 5 from a tier of its own.
         plan.remote[1].retain(|&(_, v)| v != 5);
-        let out = store.gather_planned(&nodes, &plan, |owner, ids| {
+        let out = store.gather_planned(&nodes, &plan, Vec::new(), |owner, ids| {
             assert_eq!((owner, ids), (1, &[4][..]));
             feats.gather(ids)
         });
         assert_eq!(out.row(0), [0.0, 0.0]);
         assert_eq!(out.row(1), feats.row(0));
         assert_eq!(out.row(2), feats.row(4));
+    }
+
+    /// Bit patterns of a tensor, so NaN rows compare too.
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_flat().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn gather_planned_overwrites_a_stale_slot_under_a_full_plan() {
+        let (store, feats) = fixture(0.34, &[4]);
+        let nodes = vec![5, 0, 4, 1, 3];
+        let plan = store.plan(&nodes);
+        let fetch = |_: u32, ids: &[VertexId]| feats.gather(ids);
+        let fresh = store.gather_planned(&nodes, &plan, Vec::new(), fetch);
+        let stale = store.gather_planned(&nodes, &plan, vec![f32::NAN; 3 * 2 * 2], fetch);
+        assert_eq!(bits(&stale), bits(&fresh));
+    }
+
+    #[test]
+    fn resident_read_plus_remote_read_is_gather_planned() {
+        let (store, feats) = fixture(0.34, &[4]);
+        let nodes = vec![5, 0, 4, 1, 3, 2];
+        let plan = store.plan(&nodes);
+        let fetch = |_: u32, ids: &[VertexId]| feats.gather(ids);
+        let whole = store.gather_planned(&nodes, &plan, Vec::new(), fetch);
+        let mut halves = Matrix::from_flat(nodes.len(), 2, vec![f32::NAN; nodes.len() * 2]);
+        store.read_remote(&plan, &mut halves, fetch);
+        store.read_resident(&nodes, &plan, &mut halves);
+        assert_eq!(bits(&halves), bits(&whole));
+        for (i, &v) in nodes.iter().enumerate() {
+            assert_eq!(whole.row(i), feats.row(v), "row {i} mismatch");
+        }
     }
 
     #[test]

@@ -104,12 +104,14 @@ impl<'a> FeatureExchange<'a> {
             clippy::panic,
             reason = "the exchange deposits one response per owner in the batch plan; a missing one is a protocol bug, not a runtime condition"
         )]
-        let x = store.gather_planned(&mfg.nodes, &plan, |owner, _| {
-            match std::mem::replace(&mut received[owner as usize], Payload::Empty) {
+        let fetch = |owner: u32, _: &[VertexId]| {
+            let response = std::mem::replace(&mut received[owner as usize], Payload::Empty);
+            match response {
                 Payload::Feats(f) => f,
                 _ => panic!("missing response from owner {owner}"),
             }
-        });
+        };
+        let x = store.gather_planned(&mfg.nodes, &plan, Vec::new(), fetch);
         Some((x, plan.num_remote()))
     }
 }

@@ -4,6 +4,7 @@ use crate::{Fanouts, HopAdj, Mfg, VertexIndexer};
 use rand::Rng;
 use spp_graph::{CsrGraph, VertexId};
 use spp_telemetry::metrics::{self, Counter};
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
 /// Cached telemetry counters for minibatch expansion (no-ops while
@@ -140,6 +141,12 @@ pub(crate) fn expand(
     mfg
 }
 
+thread_local! {
+    /// The dense branch's index permutation, grown once per thread to
+    /// the largest degree it meets instead of built per vertex.
+    static PERM: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Samples `min(fanout, degree(v))` distinct neighbors of `v` into `out`.
 ///
 /// Uses full copy when the whole neighborhood fits, a partial
@@ -161,13 +168,17 @@ pub fn sample_neighbors<R: Rng>(
         return;
     }
     if fanout * 4 >= d {
-        // Partial Fisher–Yates on a scratch index array.
-        let mut idx: Vec<u32> = (0..d as u32).collect(); // spp-hot: alloc(index permutation scratch for the dense branch, fanout >= degree/4)
-        for i in 0..fanout {
-            let j = rng.gen_range(i..d);
-            idx.swap(i, j);
-            out.push(neigh[idx[i] as usize]); // spp-hot: alloc(writes caller-owned scratch; capacity amortizes across vertices)
-        }
+        // Partial Fisher–Yates on the thread's scratch index array.
+        PERM.with(|cell| {
+            let idx = &mut *cell.borrow_mut();
+            idx.clear();
+            idx.extend(0..d as u32); // spp-hot: alloc(thread-local, grown once)
+            for i in 0..fanout {
+                let j = rng.gen_range(i..d);
+                idx.swap(i, j);
+                out.push(neigh[idx[i] as usize]); // spp-hot: alloc(writes caller-owned scratch; capacity amortizes across vertices)
+            }
+        });
     } else {
         // Floyd's sampling: distinct indices without materializing 0..d.
         // For the tiny fanouts used here a linear scan beats a hash set.

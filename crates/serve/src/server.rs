@@ -23,14 +23,18 @@
 //! # Preparation overlaps the forward pass
 //!
 //! Everything that reads or writes server state — sampling, the plan, the
-//! overlay, the gather, the DES, the accounting and the batch's
+//! overlay, the remote fetch, the DES, the accounting and the batch's
 //! completion records with their `finish` — is *preparation*. The
-//! forward pass reads only the batch's own feature tensor and MFG and
-//! fills in each completion's label and checksum. So the server holds at
-//! most one prepared batch back: when batch *i + 1* closes, one two-piece
-//! region of [`ServeConfig::pool`] prepares it on the caller while a
-//! helper runs batch *i*'s forward pass. On a one-worker pool the pieces
-//! run inline, in that order, and give the same report.
+//! forward piece reads the batch's resident rows (local partition rows
+//! and the static tier, both immutable after build) into the batch's own
+//! tensor, runs the model on it and the MFG, and fills in each
+//! completion's label and checksum. So the server holds at most one
+//! prepared batch back: when batch *i + 1* closes, one two-piece region
+//! of [`ServeConfig::pool`] prepares it on the caller while a helper runs
+//! batch *i*'s forward piece. On a one-worker pool the pieces run inline,
+//! in that order, and give the same report. The two batch tensors
+//! alternate: the forward piece hands its input buffer back, and the
+//! batch after next is prepared into it.
 //!
 //! # One feature-row path
 //!
@@ -38,9 +42,10 @@
 //! `PartitionedFeatureStore::plan` alone (local GPU / local CPU / static
 //! tier / remote by owner). The server owns only the overlay: it probes
 //! the plan's remote residue, moves the hits out of the plan, lets
-//! `gather_planned` read everything the plan still lists — remote rows
-//! through the one `remote` [`FeatureStore`], the resident matrix by
-//! default — and fills the overlay hits into the same tensor.
+//! `read_remote` read the misses the plan still lists — through the one
+//! `remote` [`FeatureStore`], the resident matrix by default — and fills
+//! the overlay hits into the same tensor. The forward piece's
+//! `read_resident` reads the rest of the plan.
 
 use crate::batcher::{BatchPolicy, CloseTrigger, MicroBatch, MicroBatcher};
 use crate::loadgen::PopularitySampler;
@@ -49,12 +54,12 @@ use crate::queue::{AdmissionQueue, InferenceRequest, Rejection};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spp_comm::{DesEngine, ResourceId};
-use spp_core::PartitionedFeatureStore;
+use spp_core::{BatchPlan, PartitionedFeatureStore};
 use spp_gnn::GnnModel;
 use spp_graph::{quant, QuantScheme, VertexId};
 use spp_pool::WorkerPool;
 use spp_runtime::{CostModel, DistributedSetup};
-use spp_sampler::{batch_stream_seed, Fanouts, Mfg, NodeWiseSampler};
+use spp_sampler::{batch_stream_seed, Fanouts, Mfg, NodeWiseSampler, VertexIndexer};
 use spp_store::FeatureStore;
 use spp_telemetry as tel;
 use spp_telemetry::metrics::{Counter, Gauge, Histogram};
@@ -414,32 +419,77 @@ fn argmax(row: &[f32]) -> usize {
     best
 }
 
+/// Whether `plan`'s resident and remote buckets and the overlay `hits`
+/// together list each of the `n` node positions exactly once: the
+/// preparation and forward pieces write disjoint rows of the tensor and
+/// leave none unwritten. A debug-build check.
+fn partitions_nodes(n: usize, plan: &BatchPlan, hits: &[(u32, u32)]) -> bool {
+    let mut seen = vec![false; n];
+    let resident = plan
+        .local_gpu
+        .iter()
+        .chain(&plan.local_cpu)
+        .chain(&plan.cached);
+    let fetched = plan.remote.iter().flatten().map(|(pos, _)| pos);
+    let overlay = hits.iter().map(|(pos, _)| pos);
+    let mut listed = 0;
+    for &pos in resident.chain(fetched).chain(overlay) {
+        match seen.get_mut(pos as usize) {
+            Some(s) if !*s => *s = true,
+            _ => return false,
+        }
+        listed += 1;
+    }
+    listed == n
+}
+
 /// A batch that is prepared but has not had its forward pass. Its
 /// completions are recorded, with `finish` and `latency`; the forward
 /// pass fills in their `label` and `checksum`.
 struct Prepared {
-    /// Feature rows of the MFG's nodes.
+    /// Feature rows of the MFG's nodes. Preparation wrote the fetched
+    /// and overlay rows; the rows of `plan`'s resident buckets are read
+    /// by the forward piece.
     x: Matrix,
     mfg: Mfg,
+    /// The batch's plan; only its resident buckets (`local_gpu`,
+    /// `local_cpu`, `cached`) are read after preparation.
+    plan: BatchPlan,
     /// Each request's row in the logits (seeds are deduplicated).
     seed_row: Vec<usize>,
     /// Index of the batch's first completion in the server's list.
     first: usize,
 }
 
-/// A forward pass's logits and the completions they answer.
+/// A forward pass's logits, the completions they answer, and the input
+/// tensor's buffer for a later batch.
 struct Answered {
     logits: Matrix,
+    input: Vec<f32>,
     seed_row: Vec<usize>,
     first: usize,
 }
 
 impl Prepared {
-    fn run_model(self, model: &GnnModel) -> Answered {
+    /// Reads the batch's resident rows, then runs the forward pass. The
+    /// store's local rows and static tier never change after build, so
+    /// this piece reads nothing preparation writes.
+    fn run_model(self, model: &GnnModel, store: &PartitionedFeatureStore) -> Answered {
+        let Prepared {
+            mut x,
+            mfg,
+            plan,
+            seed_row,
+            first,
+        } = self;
+        store.read_resident(&mfg.nodes, &plan, &mut x);
+        // Evaluation mode, as `GnnModel::infer`: no dropout, no stream drawn.
+        let mut fwd = model.forward(x, &mfg, false, &mut StdRng::seed_from_u64(0));
         Answered {
-            logits: model.infer(self.x, &self.mfg),
-            seed_row: self.seed_row,
-            first: self.first,
+            logits: fwd.tape.take_value(fwd.logits),
+            input: fwd.into_input().into_flat(),
+            seed_row,
+            first,
         }
     }
 }
@@ -448,7 +498,7 @@ impl Prepared {
 /// variant into its output variant.
 enum Piece<'s, 'a> {
     Prepare(&'s mut InferenceServer<'a>, &'s MicroBatch),
-    Forward(&'a GnnModel, Prepared),
+    Forward(&'a GnnModel, &'a PartitionedFeatureStore, Prepared),
     Prepared(Prepared),
     Answered(Answered),
 }
@@ -457,7 +507,9 @@ impl Piece<'_, '_> {
     fn run(self) -> Self {
         match self {
             Piece::Prepare(server, batch) => Piece::Prepared(server.prepare(batch)),
-            Piece::Forward(model, pending) => Piece::Answered(pending.run_model(model)),
+            Piece::Forward(model, store, pending) => {
+                Piece::Answered(pending.run_model(model, store))
+            }
             done => done,
         }
     }
@@ -496,6 +548,11 @@ pub struct InferenceServer<'a> {
     completions: Vec<Completion>,
     /// The last prepared batch, waiting for its forward pass.
     pending: Option<Prepared>,
+    /// The feature buffer the next batch is prepared into: two tensors
+    /// alternate, one in the forward pass while the other is prepared.
+    spare: Vec<f32>,
+    /// Most MFG nodes of any batch so far; both tensors grow to it.
+    max_rows: usize,
     rejections: Vec<Rejection>,
     batches: Vec<BatchRecord>,
 }
@@ -561,6 +618,8 @@ impl<'a> InferenceServer<'a> {
             reported_evictions: 0,
             completions: Vec::new(),
             pending: None,
+            spare: Vec::new(),
+            max_rows: 0,
             rejections: Vec::new(),
             batches: Vec::new(),
         }
@@ -749,10 +808,10 @@ impl<'a> InferenceServer<'a> {
             self.pending = Some(self.prepare(batch));
             return;
         };
-        let (model, pool) = (self.model, self.cfg.pool);
+        let (model, store, pool) = (self.model, self.store, self.cfg.pool);
         let mut pieces = [
             Some(Piece::Prepare(self, batch)),
-            Some(Piece::Forward(model, pending)),
+            Some(Piece::Forward(model, store, pending)),
         ];
         pool.par_chunks(&mut pieces, &[1, 2], |_, _, piece| {
             piece[0] = piece[0].take().map(Piece::run);
@@ -764,8 +823,9 @@ impl<'a> InferenceServer<'a> {
     }
 
     /// Fills in the label and logits checksum of a forwarded batch's
-    /// completions.
+    /// completions, and keeps its input buffer for the next batch.
     fn answer(&mut self, done: Answered) {
+        self.spare = done.input;
         let rows = self.completions.iter_mut().skip(done.first);
         for (c, &row_idx) in rows.zip(&done.seed_row) {
             let row = done.logits.row(row_idx);
@@ -774,25 +834,21 @@ impl<'a> InferenceServer<'a> {
         }
     }
 
-    /// Runs one micro-batch through sampling, the two-tier gather and the
-    /// virtual-time pipeline, and records its completions; the forward
-    /// pass is left to the caller.
+    /// Runs one micro-batch through sampling, the two-tier gather of its
+    /// non-resident rows and the virtual-time pipeline, and records its
+    /// completions; the resident reads and the forward pass are left to
+    /// the caller.
     fn prepare(&mut self, batch: &MicroBatch) -> Prepared {
         // Deduplicate seeds (first-occurrence order): a minibatch is a
         // set, but two requests for one vertex still get two result rows.
-        let mut seed_row: Vec<usize> = Vec::with_capacity(batch.requests.len());
-        let mut seeds: Vec<VertexId> = Vec::with_capacity(batch.requests.len());
-        for req in &batch.requests {
-            match seeds.iter().position(|&s| s == req.vertex) {
-                Some(i) => seed_row.push(i),
-                None => {
-                    seed_row.push(seeds.len());
-                    seeds.push(req.vertex);
-                }
-            }
-        }
+        let mut dedup = VertexIndexer::with_capacity(batch.requests.len());
+        let seed_row: Vec<usize> = batch
+            .requests
+            .iter()
+            .map(|req| dedup.insert(req.vertex) as usize)
+            .collect();
         let mut rng = StdRng::seed_from_u64(batch_stream_seed(self.cfg.seed, 0, batch.id));
-        let mfg = self.sampler.sample(&seeds, &mut rng);
+        let mfg = self.sampler.sample(dedup.nodes(), &mut rng);
 
         // Classify once: local rows, the static tier, and the remote
         // residue by owner. The overlay answers part of the residue, so
@@ -818,15 +874,28 @@ impl<'a> InferenceServer<'a> {
             }
         }
 
-        // Gather the feature tensor: the store reads what the plan still
-        // lists, fetching each owner's misses with one read through
-        // `remote`; overlay hits are decoded by their probed slot.
+        debug_assert!(
+            partitions_nodes(mfg.num_nodes(), &plan, &hits),
+            "resident buckets, fetched rows and overlay hits must partition the nodes"
+        );
+
+        // Fill the batch tensor's non-resident rows: each owner's misses
+        // with one read through `remote`, and the overlay hits decoded by
+        // their probed slot. The resident rows are the forward piece's.
         // Admissions wait until every hit is read, so the overlay read
-        // here is exactly the overlay the probe saw.
+        // here is exactly the overlay the probe saw. The tensor reuses
+        // the buffer of the batch before last; every row is overwritten,
+        // so it is not cleared.
         let dim = store.dim();
         let remote = self.remote;
         let wire = self.cfg.wire_scheme;
-        let mut x = store.gather_planned(&mfg.nodes, &plan, |owner, ids| {
+        let rows = mfg.num_nodes();
+        self.max_rows = self.max_rows.max(rows);
+        let mut slot = std::mem::take(&mut self.spare);
+        slot.reserve_exact(self.max_rows * dim - slot.len());
+        slot.resize(rows * dim, 0.0);
+        let mut x = Matrix::from_flat(rows, dim, slot);
+        store.read_remote(&plan, &mut x, |owner, ids| {
             for &v in ids {
                 debug_assert_eq!(
                     store.layout().owner_of(v),
@@ -969,6 +1038,7 @@ impl<'a> InferenceServer<'a> {
         Prepared {
             x,
             mfg,
+            plan,
             seed_row,
             first,
         }
@@ -985,7 +1055,7 @@ impl<'a> InferenceServer<'a> {
     /// sim-span export.
     fn finish(mut self) -> ServeReport {
         if let Some(last) = self.pending.take() {
-            self.answer(last.run_model(self.model));
+            self.answer(last.run_model(self.model, self.store));
         }
         if tel::enabled() {
             for e in self.des.trace() {
@@ -1043,6 +1113,84 @@ impl<'a> InferenceServer<'a> {
             part: self.store.part(),
             machines: self.store.layout().num_parts(),
             fetch_events: self.fetch_events,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spp_gnn::Arch;
+    use spp_graph::dataset::SyntheticSpec;
+    use spp_runtime::SetupConfig;
+
+    #[test]
+    fn duplicate_requests_get_their_seed_rows_answer() {
+        let ds = SyntheticSpec::new("serve-dedup", 300, 8.0, 8, 4)
+            .split_fractions(0.3, 0.1, 0.1)
+            .seed(5)
+            .build();
+        let fanouts = Fanouts::new(vec![4, 3]);
+        let setup = DistributedSetup::build(
+            &ds,
+            SetupConfig {
+                num_machines: 2,
+                fanouts: fanouts.clone(),
+                alpha: 0.1,
+                ..SetupConfig::default()
+            },
+        );
+        let model = GnnModel::new(Arch::Sage, &[8, 16, 4], 5);
+        // Two size-closed batches, each naming some vertices twice or
+        // more; the first batch's forward pass overlaps the second's
+        // preparation.
+        let vertices: [VertexId; 12] = [7, 3, 7, 250, 3, 7, 11, 11, 11, 120, 4, 120];
+        let trace: Vec<InferenceRequest> = (0..vertices.len())
+            .map(|i| InferenceRequest {
+                id: i as u64,
+                vertex: vertices[i],
+                arrival: i as f64 * 1e-4,
+                client: 0,
+            })
+            .collect();
+        let seed = 9;
+        let cfg = ServeConfig {
+            max_batch_size: 6,
+            max_delay: 1.0,
+            fanouts: fanouts.clone(),
+            seed,
+            pool: WorkerPool::new(2),
+            ..ServeConfig::default()
+        };
+        let report = InferenceServer::new(&setup, &model, 0, cfg).run(&trace);
+        assert_eq!(report.batches.len(), 2);
+        assert_eq!(report.completions.len(), trace.len());
+
+        // Each batch's answers are a direct inference over its distinct
+        // vertices in first-occurrence order.
+        let sampler = NodeWiseSampler::new(&setup.dataset.graph, fanouts);
+        let features = &setup.dataset.features;
+        for (b, answers) in report.completions.chunks(6).enumerate() {
+            let mut seeds: Vec<VertexId> = Vec::new();
+            for c in answers {
+                if !seeds.contains(&c.vertex) {
+                    seeds.push(c.vertex);
+                }
+            }
+            let mut rng = StdRng::seed_from_u64(batch_stream_seed(seed, 0, b as u64));
+            let mfg = sampler.sample(&seeds, &mut rng);
+            let x = Matrix::from_flat(
+                mfg.num_nodes(),
+                features.dim(),
+                features.gather(&mfg.nodes).as_flat().to_vec(),
+            );
+            let logits = model.infer(x, &mfg);
+            for (c, &v) in answers.iter().zip(&vertices[b * 6..]) {
+                assert_eq!((c.batch_id, c.vertex), (b as u64, v));
+                let row = logits.row(seeds.iter().position(|&s| s == v).unwrap_or(0));
+                assert_eq!(c.label, argmax(row), "request {}", c.id);
+                assert_eq!(c.checksum, logits_checksum(row), "request {}", c.id);
+            }
         }
     }
 }

@@ -1,9 +1,15 @@
-//! Pins the removed per-row copies of the serving batch loop: a
-//! steady-state micro-batch allocates fewer times than it fetches rows,
-//! i.e. no heap allocation is made per fetched row (each owner's rows
-//! are read with one `gather` into one staging matrix, copied into the
-//! batch tensor, and admitted to the overlay straight from that
-//! tensor). A counting global allocator makes the claim a hard test.
+//! Pins the serving batch loop's allocations with a counting global
+//! allocator:
+//! - the removed per-row copies: a steady-state micro-batch allocates
+//!   fewer times than it fetches rows, i.e. no heap allocation is made
+//!   per fetched row (each owner's rows are read with one `gather` into
+//!   one staging matrix, copied into the batch tensor, and admitted to
+//!   the overlay straight from that tensor);
+//! - the recycled batch tensors: an allocation the size of a batch
+//!   tensor is made only when a batch has more MFG nodes than every
+//!   batch before it, not once per batch.
+//!
+//! The counters are process-global, so the tests take turns.
 
 // Tests assert by panicking; the workspace panic-family denies apply
 // to library code only (see [workspace.lints] in Cargo.toml).
@@ -25,8 +31,25 @@ use spp_sampler::Fanouts;
 use spp_serve::{generate_open_loop, InferenceServer, ServeConfig, TraceConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Allocations of at least [`BIG_AT`] bytes.
+static BIG: AtomicU64 = AtomicU64::new(0);
+static BIG_AT: AtomicU64 = AtomicU64::new(u64::MAX);
+
+/// Held by each test for its whole body.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    if bytes as u64 >= BIG_AT.load(Ordering::Relaxed) {
+        BIG.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 struct CountingAlloc;
 
@@ -34,7 +57,7 @@ struct CountingAlloc;
 // side effect with no influence on the returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -43,7 +66,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -53,6 +76,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_batch_allocates_less_than_once_per_fetched_row() {
+    let _serial = serial();
     let ds = SyntheticSpec::new("serve-alloc", 6000, 10.0, 16, 4)
         .split_fractions(0.3, 0.1, 0.1)
         .seed(23)
@@ -112,5 +136,82 @@ fn steady_state_batch_allocates_less_than_once_per_fetched_row() {
     assert!(
         allocs_per_batch < fetched_per_batch,
         "{allocs_per_batch} allocations per batch for {fetched_per_batch} fetched rows"
+    );
+}
+
+#[test]
+fn batch_tensors_grow_only_for_a_batch_larger_than_all_before() {
+    let _serial = serial();
+    let dim = 64;
+    let ds = SyntheticSpec::new("serve-recycle", 6000, 10.0, dim, 4)
+        .split_fractions(0.3, 0.1, 0.1)
+        .seed(31)
+        .build();
+    let fanouts = Fanouts::new(vec![10, 5]);
+    let setup = DistributedSetup::build(
+        &ds,
+        SetupConfig {
+            num_machines: 4,
+            fanouts: fanouts.clone(),
+            alpha: 0.02,
+            ..SetupConfig::default()
+        },
+    );
+    // A narrow hidden layer keeps every forward-pass buffer far below
+    // the input tensor, and four machines keep each owner's fetch
+    // staging matrix below it too.
+    let model = GnnModel::new(Arch::Sage, &[dim, 4, 4], 5);
+    let trace = generate_open_loop(&TraceConfig {
+        num_requests: 64 * 24,
+        num_vertices: 6000,
+        arrival_rate: 50_000.0,
+        skew: 0.05,
+        burstiness: 0.0,
+        seed: 37,
+    });
+    let run = || {
+        let cfg = ServeConfig {
+            max_batch_size: 64,
+            max_delay: 1.0,
+            queue_capacity: 4096,
+            overlay_capacity: 256,
+            fanouts: fanouts.clone(),
+            seed: 3,
+            pool: WorkerPool::new(2),
+            ..ServeConfig::default()
+        };
+        InferenceServer::new(&setup, &model, 0, cfg).run(&trace)
+    };
+    // A first run learns the batches' node counts; the second counts
+    // the allocations at least as large as the smallest batch tensor.
+    let nodes: Vec<usize> = run().batches.iter().map(|b| b.mfg_nodes).collect();
+    let smallest = nodes.iter().copied().min().unwrap();
+    BIG_AT.store((smallest * dim * 4) as u64, Ordering::Relaxed);
+    let before = BIG.load(Ordering::Relaxed);
+    let report = run();
+    let big = BIG.load(Ordering::Relaxed) - before;
+    BIG_AT.store(u64::MAX, Ordering::Relaxed);
+    assert_eq!(report.batches.len(), nodes.len());
+
+    // Batches with more nodes than every batch before them. Two tensors
+    // alternate (one in the forward pass while the next batch is
+    // prepared), so each such batch may grow both.
+    let mut records = 0u64;
+    let mut most = 0;
+    for &n in &nodes {
+        if n > most {
+            records += 1;
+            most = n;
+        }
+    }
+    assert!(
+        2 * records < nodes.len() as u64,
+        "fixture needs more batches than node-count records: {records} of {}",
+        nodes.len()
+    );
+    assert!(
+        big <= 2 * records,
+        "{big} batch-tensor-sized allocations over {} batches with {records} node-count records",
+        nodes.len()
     );
 }
