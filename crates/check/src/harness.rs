@@ -18,6 +18,11 @@
 //!   (the second narrower, so one helper sits it out) every job runs
 //!   exactly once, and the dispatcher returns only after its helpers
 //!   finished.
+//! - `pool-lane` — the real [`spp_pool::Lane`], the one-deep handoff of
+//!   a serving run between its producer and the helper that consumes:
+//!   three items submitted at depth 1 and a close are each consumed
+//!   exactly once, by whichever side took them out of the queue, every
+//!   result is delivered, and the consumer returns after the close.
 //! - `publish-release` — release/acquire message passing: the control
 //!   showing the weak-memory model *admits* correctly ordered code.
 //!
@@ -35,6 +40,9 @@
 //!   before taking the lock, then waits without re-checking it: a
 //!   publication that lands in between is never seen, and the dispatcher
 //!   and helper deadlock.
+//! - `mutant-silent-close` — a lane whose close sets the flag but does
+//!   not notify: a consumer parked on the empty queue never learns the
+//!   stream ended, and sleeps forever.
 //!
 //! Scenario closures re-run once per schedule and must be deterministic
 //! apart from instrumented operations: no wall-clock reads, and no
@@ -45,7 +53,7 @@
 use crate::explore::explore;
 use crate::report::{Expect, ModuleReport};
 use crate::runtime::Options;
-use spp_pool::Gate;
+use spp_pool::{Gate, Lane};
 use spp_sync::{AtomicU64, Condvar, Mutex};
 use std::sync::Arc;
 
@@ -88,6 +96,11 @@ pub const MODULES: &[Module] = &[
         runner: pool_gate,
     },
     Module {
+        name: "pool-lane",
+        expect: Expect::Clean,
+        runner: pool_lane,
+    },
+    Module {
         name: "publish-release",
         expect: Expect::Clean,
         runner: publish_release,
@@ -106,6 +119,11 @@ pub const MODULES: &[Module] = &[
         name: "mutant-lost-wakeup",
         expect: Expect::Caught,
         runner: mutant_lost_wakeup,
+    },
+    Module {
+        name: "mutant-silent-close",
+        expect: Expect::Caught,
+        runner: mutant_silent_close,
     },
 ];
 
@@ -330,6 +348,56 @@ fn pool_gate(opts: Options) -> ModuleReport {
     })
 }
 
+/// The real pool lane: a producer (`t0`) submits items 0, 1 and 2 at
+/// depth 1, taking whatever results are done after each submit, then
+/// closes the lane; a consumer (`t1`) runs
+/// [`Lane::consume_until_closed`]. On every interleaving each item is
+/// consumed exactly once — by the consumer, or by the submit that found
+/// it still queued — every result reaches the producer or is left in
+/// the lane for the caller, and the consumer returns after the close
+/// (one that stayed parked would be reported as a deadlock).
+fn pool_lane(opts: Options) -> ModuleReport {
+    explore("pool-lane", Expect::Clean, opts, |sim| {
+        // Per item: times consumed, times its result was delivered.
+        let consumed: Arc<[AtomicU64; 3]> = Arc::new(std::array::from_fn(|_| AtomicU64::new(0)));
+        let delivered: Arc<[AtomicU64; 3]> = Arc::new(std::array::from_fn(|_| AtomicU64::new(0)));
+        let c = Arc::clone(&consumed);
+        let lane = Arc::new(Lane::new(move |i: usize| {
+            c[i].fetch_add_relaxed(1); // spp-sync: relaxed(RMW; the lane's mutex publishes the result that follows it)
+            i
+        }));
+        let (p, d) = (Arc::clone(&lane), Arc::clone(&delivered));
+        sim.spawn(move || {
+            for i in 0..3 {
+                p.submit(i);
+                while let Some(r) = p.take_done() {
+                    d[r].fetch_add_relaxed(1); // spp-sync: relaxed(producer-side tally; read after the model threads exit)
+                }
+            }
+            p.close();
+        });
+        let h = Arc::clone(&lane);
+        sim.spawn(move || h.consume_until_closed());
+        sim.run();
+        while let Some(r) = lane.take_done() {
+            delivered[r].fetch_add_relaxed(1); // spp-sync: relaxed(post-join tally; model threads already exited)
+        }
+        let counts = |cells: &[AtomicU64; 3]| -> Vec<u64> {
+            cells.iter().map(|c| c.load_relaxed()).collect() // spp-sync: relaxed(post-join read; model threads already exited)
+        };
+        assert_eq!(
+            counts(&consumed),
+            [1, 1, 1],
+            "an item was consumed twice or never"
+        );
+        assert_eq!(
+            counts(&delivered),
+            [1, 1, 1],
+            "a result was lost or delivered twice"
+        );
+    })
+}
+
 /// Release/acquire message passing — the control proving the weak-memory
 /// model admits correctly ordered code: an acquire load that observes
 /// the release store also observes everything published before it.
@@ -451,6 +519,47 @@ fn mutant_lost_wakeup(opts: Options) -> ModuleReport {
             *remaining -= 1;
             drop(remaining);
             h.done.notify_one();
+        });
+        sim.run();
+    })
+}
+
+/// Seeded bug: a one-deep lane (the [`Lane`] protocol over one `u64`
+/// slot) whose close sets the flag without notifying. When the consumer
+/// has drained the queue and parked before the close, nothing wakes it:
+/// the producer exits and the consumer waits forever — a deadlock the
+/// checker must report.
+struct SilentCloseLane {
+    /// `(queued item, closed)`.
+    state: Mutex<(Option<u64>, bool)>,
+    ready: Condvar,
+}
+
+fn mutant_silent_close(opts: Options) -> ModuleReport {
+    explore("mutant-silent-close", Expect::Caught, opts, |sim| {
+        let lane = Arc::new(SilentCloseLane {
+            state: Mutex::new((None, false)),
+            ready: Condvar::new(),
+        });
+        let (p, c) = (Arc::clone(&lane), Arc::clone(&lane));
+        sim.spawn(move || {
+            // One submit (nothing queued before it, so nothing to take
+            // back), then the close.
+            p.state.lock().0 = Some(1);
+            p.ready.notify_one();
+            p.state.lock().1 = true; // seeded bug: no notify after the close
+        });
+        sim.spawn(move || {
+            let mut st = c.state.lock();
+            loop {
+                if st.0.take().is_some() {
+                    continue;
+                }
+                if st.1 {
+                    return;
+                }
+                st = c.ready.wait(st);
+            }
         });
         sim.run();
     })

@@ -47,8 +47,8 @@ pub struct BatchPlan {
     pub local_gpu: Vec<u32>,
     /// Positions of local CPU-resident vertices.
     pub local_cpu: Vec<u32>,
-    /// Positions of cache hits.
-    pub cached: Vec<u32>,
+    /// Cache hits as `(position, static-tier slot)`.
+    pub cached: Vec<(u32, u32)>,
     /// Per-owner lists of `(position, vertex)` that must be fetched.
     pub remote: Vec<Vec<(u32, VertexId)>>,
 }
@@ -181,16 +181,23 @@ impl PartitionedFeatureStore {
     /// Classifies a single (new-id) vertex.
     #[inline]
     pub fn locate(&self, v: VertexId) -> FeatureLocation {
+        self.locate_slot(v).0
+    }
+
+    /// [`Self::locate`], with the static-tier slot of a cached vertex (0
+    /// for the other classes) from the same search of the cache index.
+    #[inline]
+    fn locate_slot(&self, v: VertexId) -> (FeatureLocation, u32) {
         if self.layout.is_local(v, self.part) {
             if self.layout.local_index(v) < self.gpu_rows {
-                FeatureLocation::LocalGpu
+                (FeatureLocation::LocalGpu, 0)
             } else {
-                FeatureLocation::LocalCpu
+                (FeatureLocation::LocalCpu, 0)
             }
-        } else if self.cache.contains(v) {
-            FeatureLocation::Cached
+        } else if let Some(slot) = self.cache.slot_of(v) {
+            (FeatureLocation::Cached, slot)
         } else {
-            FeatureLocation::Remote(self.layout.owner_of(v))
+            (FeatureLocation::Remote(self.layout.owner_of(v)), 0)
         }
     }
 
@@ -202,10 +209,11 @@ impl PartitionedFeatureStore {
             ..BatchPlan::default()
         };
         for (i, &v) in nodes.iter().enumerate() {
-            match self.locate(v) {
+            let (location, slot) = self.locate_slot(v);
+            match location {
                 FeatureLocation::LocalGpu => plan.local_gpu.push(i as u32), // spp-hot: alloc(plan bucket, one u32 per batch node)
                 FeatureLocation::LocalCpu => plan.local_cpu.push(i as u32), // spp-hot: alloc(plan bucket, one u32 per batch node)
-                FeatureLocation::Cached => plan.cached.push(i as u32), // spp-hot: alloc(plan bucket, one u32 per batch node)
+                FeatureLocation::Cached => plan.cached.push((i as u32, slot)), // spp-hot: alloc(plan bucket, one (position, slot) pair per cached batch node)
                 FeatureLocation::Remote(owner) => {
                     // spp-hot: alloc(plan bucket, one entry per remote batch node)
                     plan.remote[owner as usize].push((i as u32, v));
@@ -294,11 +302,7 @@ impl PartitionedFeatureStore {
             out.row_mut(pos as usize)
                 .copy_from_slice(self.local.row(li as VertexId));
         }
-        for &pos in &plan.cached {
-            let Some(slot) = self.cache.slot_of(nodes[pos as usize]) else {
-                debug_assert!(false, "planned cache hit must be cached");
-                continue;
-            };
+        for &(pos, slot) in &plan.cached {
             self.cache_feats
                 .read_row_into(slot as usize, out.row_mut(pos as usize));
         }
@@ -369,7 +373,7 @@ mod tests {
         let plan = store.plan(&nodes);
         assert_eq!(plan.local_gpu, vec![0]);
         assert_eq!(plan.local_cpu, vec![1, 4]);
-        assert_eq!(plan.cached, vec![2]);
+        assert_eq!(plan.cached, vec![(2, 0)]);
         assert_eq!(plan.remote[1], vec![(3, 5), (5, 3)]);
         assert_eq!(plan.num_remote(), 2);
         assert_eq!(plan.num_vertices(), 6);

@@ -29,6 +29,11 @@
 //!    many jobs a region is worth, replacing per-call-site thread caps
 //!    and FLOP thresholds.
 //!
+//! Two batch loops run on the same regions: [`WorkerPool::prepare_ahead`]
+//! prepares waves of items on the pool and steps them in order on the
+//! caller, and [`WorkerPool::lane`] runs a serial producer on the caller
+//! that hands each item to one helper through a one-deep [`Lane`].
+//!
 //! The global pool is sized from `std::thread::available_parallelism`,
 //! overridable with the `SPP_POOL_WORKERS` environment variable (read
 //! once, at first use).
@@ -77,6 +82,7 @@ use spp_telemetry::metrics::{self, Counter, Gauge, Histogram};
 /// around its regions through the dependency it already has.
 pub use spp_telemetry as telemetry;
 use std::any::Any;
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::OnceLock;
@@ -86,7 +92,7 @@ use std::sync::OnceLock;
 /// (`spp_telemetry::enabled()` gates the whole block, so the disabled
 /// cost is one relaxed load per region).
 struct PoolMetrics {
-    /// Parallel regions entered (`run_jobs` / `par_chunks`).
+    /// Parallel regions entered (`run_jobs` / `par_chunks` / `lane`).
     regions: Counter,
     /// Jobs dealt across all regions.
     jobs: Counter,
@@ -458,6 +464,50 @@ impl WorkerPool {
         }
     }
 
+    /// Runs `produce` on the caller as the producer of a [`Lane`] whose
+    /// consumer, one helper, runs `consume` on each item `produce`
+    /// submits — one two-piece region for the whole stream. Returns the
+    /// results `produce` did not take.
+    ///
+    /// The lane is one deep and [`Lane::submit`] never blocks, so when the
+    /// region gets no helper — a one-worker pool, or a region nested in
+    /// another — the pieces run inline, producer first, and each submit
+    /// consumes the item before it: prepare, then forward, on one thread,
+    /// through the same code. The lane is closed when `produce` returns or
+    /// unwinds, so a panicking producer re-raises on the caller instead of
+    /// leaving the helper parked.
+    pub fn lane<T, R, C, P>(&self, consume: C, produce: P) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        C: Fn(T) -> R + Send + Sync,
+        P: FnOnce(&Lane<'_, T, R>) + Send,
+    {
+        let lane = Lane::new(consume);
+        let produce = Mutex::new(Some(produce));
+        let tm = region_metrics(2);
+        let _region = tm.map(|m| m.region_ns.time());
+        let piece = |i: usize| {
+            let _t = tm.map(|m| m.job_ns.time());
+            if i == 1 {
+                lane.consume_until_closed();
+                return;
+            }
+            let _close = CloseOnDrop(&lane);
+            let produce = produce.lock().take();
+            if let Some(produce) = produce {
+                produce(&lane);
+            }
+        };
+        if self.workers < 2 {
+            piece(0);
+            piece(1);
+        } else {
+            dispatch(tm, 2, 2, &piece);
+        }
+        lane.state.into_inner().done.into()
+    }
+
     /// The one parallel body behind [`WorkerPool::par_chunks`] (and so
     /// `run_jobs`, over one slot per job, and `prepare_ahead`, over one
     /// lane per item): runs
@@ -472,12 +522,7 @@ impl WorkerPool {
         F: Fn(usize, usize, &mut [T]) + Sync,
     {
         let num_jobs = pieces.len();
-        let tm = metrics::enabled().then(pool_metrics);
-        if let Some(m) = tm {
-            m.regions.inc();
-            m.jobs.add(num_jobs as u64);
-            m.queue_depth.set(num_jobs as u64);
-        }
+        let tm = region_metrics(num_jobs);
         let _region = tm.map(|m| m.region_ns.time());
         let run = |(ci, off, chunk): (usize, usize, &mut [T])| {
             let _t = tm.map(|m| m.job_ns.time());
@@ -497,11 +542,130 @@ impl WorkerPool {
                 run(piece);
             }
         };
-        if GATE.dispatch(threads, num_jobs, &job) {
-            if let Some(m) = tm {
-                m.inline_regions.inc();
+        dispatch(tm, threads, num_jobs, &job);
+    }
+}
+
+/// Records a region of `num_jobs` jobs; the handles while telemetry is
+/// on.
+fn region_metrics(num_jobs: usize) -> Option<&'static PoolMetrics> {
+    let tm = metrics::enabled().then(pool_metrics);
+    if let Some(m) = tm {
+        m.regions.inc();
+        m.jobs.add(num_jobs as u64);
+        m.queue_depth.set(num_jobs as u64);
+    }
+    tm
+}
+
+/// Runs a region on [`GATE`], counting it as inline if another region
+/// held the helpers.
+fn dispatch(
+    tm: Option<&'static PoolMetrics>,
+    threads: usize,
+    num_jobs: usize,
+    job: &(dyn Fn(usize) + Sync),
+) {
+    if GATE.dispatch(threads, num_jobs, job) {
+        if let Some(m) = tm {
+            m.inline_regions.inc();
+        }
+    }
+}
+
+/// The one-deep handoff of a [`WorkerPool::lane`] region between its
+/// producer, the caller, and its consumer, one helper.
+///
+/// The producer [`submit`](Lane::submit)s items and the consumer
+/// ([`Lane::consume_until_closed`]) runs `consume` on each one it finds
+/// queued. At most one item waits: a submit that finds one there takes
+/// it back and consumes it on the producer's thread, so every item is
+/// consumed exactly once, by whichever side took it out of the queue.
+/// Results of both sides come back oldest completion first through
+/// [`Lane::take_done`]. The model checker's `pool-lane` module drives a
+/// standalone lane with its own model threads.
+pub struct Lane<'c, T, R> {
+    consume: Box<dyn Fn(T) -> R + Send + Sync + 'c>,
+    state: Mutex<LaneState<T, R>>,
+    /// The consumer parks here until an item is queued or the lane
+    /// closes.
+    ready: Condvar,
+}
+
+struct LaneState<T, R> {
+    /// The submitted item no side has taken yet.
+    queued: Option<T>,
+    /// Results neither taken nor returned, in completion order.
+    done: VecDeque<R>,
+    /// No item will be submitted again.
+    closed: bool,
+}
+
+impl<'c, T, R> Lane<'c, T, R> {
+    /// An open lane that consumes items with `consume`.
+    pub fn new(consume: impl Fn(T) -> R + Send + Sync + 'c) -> Self {
+        Self {
+            consume: Box::new(consume),
+            state: Mutex::new(LaneState {
+                queued: None,
+                done: VecDeque::new(),
+                closed: false,
+            }),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// Queues `item` for the consumer. If the item submitted before it is
+    /// still queued, runs `consume` on that one here and returns `true`:
+    /// a submit never waits for the consumer.
+    pub fn submit(&self, item: T) -> bool {
+        let oldest = self.state.lock().queued.replace(item);
+        self.ready.notify_one();
+        let Some(oldest) = oldest else {
+            return false;
+        };
+        let result = (self.consume)(oldest);
+        self.state.lock().done.push_back(result);
+        true
+    }
+
+    /// The oldest result not yet taken, if any item has been consumed.
+    pub fn take_done(&self) -> Option<R> {
+        self.state.lock().done.pop_front()
+    }
+
+    /// Marks the end of the stream: the consumer finishes the queued item,
+    /// if any, and returns.
+    pub fn close(&self) {
+        self.state.lock().closed = true;
+        self.ready.notify_one();
+    }
+
+    /// The consumer's loop: runs `consume` on each queued item until the
+    /// lane is closed and empty.
+    pub fn consume_until_closed(&self) {
+        let mut st = self.state.lock();
+        loop {
+            if let Some(item) = st.queued.take() {
+                drop(st);
+                let result = (self.consume)(item);
+                st = self.state.lock();
+                st.done.push_back(result);
+            } else if st.closed {
+                return;
+            } else {
+                st = self.ready.wait(st);
             }
         }
+    }
+}
+
+/// Closes its lane when dropped — when the producer returns or unwinds.
+struct CloseOnDrop<'l, 'c, T, R>(&'l Lane<'c, T, R>);
+
+impl<T, R> Drop for CloseOnDrop<'_, '_, T, R> {
+    fn drop(&mut self) {
+        self.0.close();
     }
 }
 

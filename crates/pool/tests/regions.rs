@@ -1,7 +1,8 @@
 //! The unhappy paths of a parallel region on the persistent helpers:
 //! panics on either side of the handoff, nested and concurrent
 //! dispatch, and many back-to-back regions borrowing the caller's stack;
-//! and the contract of the `prepare_ahead` batch driver built on them.
+//! and the contracts of `prepare_ahead` and `lane`, the two batch loops
+//! built on them.
 //!
 //! Every test takes [`serial`] first: the helpers are process-wide, and
 //! a test that asserts *where* a job ran needs them free of the other
@@ -295,6 +296,137 @@ fn prepare_ahead_panic_in_prepare_reaches_the_caller() {
     // Wave 0 (items 0, 1) was stepped; wave 1 failed before its steps.
     assert_eq!(steps, [0, 1]);
     // The gate recovered: the next region runs on both participants.
+    let ids = job_threads(pool);
+    assert_ne!(ids[0], ids[1]);
+}
+
+/// What one `lane` run over `n` items observed: each item's result, in
+/// the order the producer took or was returned them, and the submits
+/// that ran the queued item on the caller.
+fn stream(pool: WorkerPool, n: u64) -> (Vec<(u64, ThreadId)>, usize) {
+    let mut taken = Vec::new();
+    let mut stolen = 0;
+    let rest = pool.lane(
+        |i: u64| (i, thread::current().id()),
+        |lane| {
+            for i in 0..n {
+                stolen += usize::from(lane.submit(i));
+                taken.extend(std::iter::from_fn(|| lane.take_done()));
+            }
+        },
+    );
+    taken.extend(rest);
+    (taken, stolen)
+}
+
+#[test]
+fn lane_consumes_every_item_exactly_once() {
+    let _g = serial();
+    for workers in [1usize, 2, 8] {
+        for n in [0u64, 1, 2, 3, 40] {
+            let (mut taken, _) = stream(WorkerPool::new(workers), n);
+            taken.sort_by_key(|&(i, _)| i);
+            let items: Vec<u64> = taken.iter().map(|&(i, _)| i).collect();
+            assert_eq!(items, (0..n).collect::<Vec<_>>(), "workers={workers} n={n}");
+        }
+    }
+}
+
+#[test]
+fn lane_without_a_helper_consumes_each_item_at_the_next_submit() {
+    let _g = serial();
+    let caller = thread::current().id();
+    let inline = |(taken, stolen): (Vec<(u64, ThreadId)>, usize)| {
+        assert!(taken.iter().all(|&(_, t)| t == caller), "{taken:?}");
+        let items: Vec<u64> = taken.iter().map(|&(i, _)| i).collect();
+        assert_eq!(items, (0..5).collect::<Vec<_>>());
+        // Every submit but the first took the item before it back.
+        assert_eq!(stolen, 4);
+    };
+    inline(stream(WorkerPool::serial(), 5));
+    // Nested in a region that holds the helpers, the lane runs inline.
+    let pool = WorkerPool::new(2);
+    let mut nested = pool.run_jobs(2, |j| (j == 0).then(|| stream(pool, 5)));
+    inline(nested.swap_remove(0).unwrap());
+}
+
+#[test]
+fn lane_runs_its_consumer_on_a_helper() {
+    let _g = serial();
+    let caller = thread::current().id();
+    let mut taken = Vec::new();
+    let rest = WorkerPool::new(2).lane(
+        |i: u64| (i, thread::current().id()),
+        |lane| {
+            for i in 0..5 {
+                // The queue is empty at every submit: the producer waits
+                // until the helper has answered the item before.
+                assert!(!lane.submit(i), "item {i} found its predecessor queued");
+                loop {
+                    if let Some(done) = lane.take_done() {
+                        taken.push(done);
+                        break;
+                    }
+                    thread::yield_now();
+                }
+            }
+        },
+    );
+    assert!(rest.is_empty());
+    assert_eq!(
+        taken.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+        [0, 1, 2, 3, 4]
+    );
+    assert!(taken.iter().all(|&(_, t)| t != caller), "{taken:?}");
+}
+
+#[test]
+fn lane_producer_panic_reaches_the_caller() {
+    let _g = serial();
+    let pool = WorkerPool::new(2);
+    for failing in [0u64, 1, 4] {
+        let err = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.lane(
+                |i: u64| i,
+                |lane| {
+                    for i in 0..6 {
+                        if i == failing {
+                            panic::panic_any(Boom(i as usize));
+                        }
+                        lane.submit(i);
+                    }
+                },
+            )
+        }))
+        .unwrap_err();
+        assert_eq!(err.downcast_ref::<Boom>(), Some(&Boom(failing as usize)));
+    }
+    // The gate recovered: the next region runs on both participants.
+    let ids = job_threads(pool);
+    assert_ne!(ids[0], ids[1]);
+}
+
+#[test]
+fn lane_consumer_panic_reaches_the_caller() {
+    let _g = serial();
+    let pool = WorkerPool::new(2);
+    let err = panic::catch_unwind(AssertUnwindSafe(|| {
+        pool.lane(
+            |i: usize| {
+                if i == 2 {
+                    panic::panic_any(Boom(i));
+                }
+                i
+            },
+            |lane| {
+                for i in 0..6 {
+                    lane.submit(i);
+                }
+            },
+        )
+    }))
+    .unwrap_err();
+    assert_eq!(err.downcast_ref::<Boom>(), Some(&Boom(2)));
     let ids = job_threads(pool);
     assert_ne!(ids[0], ids[1]);
 }

@@ -18,7 +18,8 @@
 //! - [`server`] — the event loop tying it together: per-batch L-hop
 //!   sampling (`spp-sampler`), two-tier feature gather with remote-byte
 //!   accounting, a virtual-time pipeline on the `spp-comm` DES (sample →
-//!   fetch → copy → infer), and the `spp-gnn` forward pass.
+//!   fetch → copy → infer), and the `spp-gnn` forward pass on the
+//!   helper of one pool lane per run.
 //! - [`loadgen`] — seeded Pareto-skewed trace generation (open loop)
 //!   and the popularity sampler the closed-loop driver reuses.
 //!
@@ -87,5 +88,5 @@ pub use overlay::{DynamicOverlay, InsertOutcome, OverlayCounters};
 pub use queue::{AdmissionQueue, InferenceRequest, RejectReason, Rejection};
 pub use server::{
     BatchRecord, CacheStats, ClosedLoopConfig, Completion, InferenceServer, ServeConfig,
-    ServeReport,
+    ServeReport, BATCH_TENSORS,
 };

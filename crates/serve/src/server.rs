@@ -25,16 +25,19 @@
 //! Everything that reads or writes server state — sampling, the plan, the
 //! overlay, the remote fetch, the DES, the accounting and the batch's
 //! completion records with their `finish` — is *preparation*. The
-//! forward piece reads the batch's resident rows (local partition rows
+//! forward pass reads the batch's resident rows (local partition rows
 //! and the static tier, both immutable after build) into the batch's own
-//! tensor, runs the model on it and the MFG, and fills in each
-//! completion's label and checksum. So the server holds at most one
-//! prepared batch back: when batch *i + 1* closes, one two-piece region
-//! of [`ServeConfig::pool`] prepares it on the caller while a helper runs
-//! batch *i*'s forward piece. On a one-worker pool the pieces run inline,
-//! in that order, and give the same report. The two batch tensors
-//! alternate: the forward piece hands its input buffer back, and the
-//! batch after next is prepared into it.
+//! tensor and runs the model on it and the MFG; its label and checksum
+//! are written into the batch's completions by index. So a run is one
+//! [`WorkerPool::lane`] region of [`ServeConfig::pool`]: the whole
+//! request loop runs on the caller and submits each prepared batch,
+//! while one helper runs the forward passes. The lane is one deep: a
+//! batch that finds the previous one still queued runs that one's
+//! forward pass on the caller, so preparation never waits. On a
+//! one-worker pool, or inside another region, the lane runs inline and
+//! gives the same report. The batch tensors are a ring of
+//! [`BATCH_TENSORS`] recycled buffers — one being prepared, one queued,
+//! one in a forward pass.
 //!
 //! # One feature-row path
 //!
@@ -57,7 +60,7 @@ use spp_comm::{DesEngine, ResourceId};
 use spp_core::{BatchPlan, PartitionedFeatureStore};
 use spp_gnn::GnnModel;
 use spp_graph::{quant, QuantScheme, VertexId};
-use spp_pool::WorkerPool;
+use spp_pool::{Lane, WorkerPool};
 use spp_runtime::{CostModel, DistributedSetup};
 use spp_sampler::{batch_stream_seed, Fanouts, Mfg, NodeWiseSampler, VertexIndexer};
 use spp_store::FeatureStore;
@@ -89,8 +92,9 @@ pub struct ServeConfig {
     pub fanouts: Fanouts,
     /// Master seed for per-batch sampling streams.
     pub seed: u64,
-    /// Worker pool on which the forward pass of one batch overlaps the
-    /// preparation of the next; with one worker they run back to back.
+    /// Worker pool whose lane region runs the forward passes beside the
+    /// preparation of later batches; with one worker they run back to
+    /// back.
     pub pool: WorkerPool,
     /// Cost model driving the virtual-time pipeline.
     pub cost: CostModel,
@@ -376,6 +380,11 @@ struct ServeMetrics {
     overlay_evictions: Counter,
     misses: Counter,
     net_bytes: Counter,
+    /// Forward passes the caller ran, taking its batch back from the lane.
+    caller_forwards: Counter,
+    /// Forward passes the lane's consumer ran (on the caller too when the
+    /// region ran inline).
+    helper_forwards: Counter,
 }
 
 fn serve_metrics() -> Option<&'static ServeMetrics> {
@@ -395,6 +404,8 @@ fn serve_metrics() -> Option<&'static ServeMetrics> {
         overlay_evictions: tel::counter("serve.cache.overlay_evictions"),
         misses: tel::counter("serve.cache.misses"),
         net_bytes: tel::counter("serve.net.bytes"),
+        caller_forwards: tel::counter("serve.lane.caller_forwards"),
+        helper_forwards: tel::counter("serve.lane.helper_forwards"),
     }))
 }
 
@@ -421,15 +432,12 @@ fn argmax(row: &[f32]) -> usize {
 
 /// Whether `plan`'s resident and remote buckets and the overlay `hits`
 /// together list each of the `n` node positions exactly once: the
-/// preparation and forward pieces write disjoint rows of the tensor and
-/// leave none unwritten. A debug-build check.
+/// preparation and the forward pass write disjoint rows of the tensor
+/// and leave none unwritten. A debug-build check.
 fn partitions_nodes(n: usize, plan: &BatchPlan, hits: &[(u32, u32)]) -> bool {
     let mut seen = vec![false; n];
-    let resident = plan
-        .local_gpu
-        .iter()
-        .chain(&plan.local_cpu)
-        .chain(&plan.cached);
+    let cached = plan.cached.iter().map(|(pos, _)| pos);
+    let resident = plan.local_gpu.iter().chain(&plan.local_cpu).chain(cached);
     let fetched = plan.remote.iter().flatten().map(|(pos, _)| pos);
     let overlay = hits.iter().map(|(pos, _)| pos);
     let mut listed = 0;
@@ -443,13 +451,20 @@ fn partitions_nodes(n: usize, plan: &BatchPlan, hits: &[(u32, u32)]) -> bool {
     listed == n
 }
 
+/// Batch tensors a run recycles: one being prepared, one queued in the
+/// lane, one in a forward pass.
+pub const BATCH_TENSORS: usize = 3;
+
+/// The lane of a serving run: prepared batches in, answered ones out.
+type ForwardLane<'l> = Lane<'l, Prepared, Answered>;
+
 /// A batch that is prepared but has not had its forward pass. Its
 /// completions are recorded, with `finish` and `latency`; the forward
 /// pass fills in their `label` and `checksum`.
 struct Prepared {
     /// Feature rows of the MFG's nodes. Preparation wrote the fetched
     /// and overlay rows; the rows of `plan`'s resident buckets are read
-    /// by the forward piece.
+    /// by the forward pass.
     x: Matrix,
     mfg: Mfg,
     /// The batch's plan; only its resident buckets (`local_gpu`,
@@ -473,7 +488,7 @@ struct Answered {
 impl Prepared {
     /// Reads the batch's resident rows, then runs the forward pass. The
     /// store's local rows and static tier never change after build, so
-    /// this piece reads nothing preparation writes.
+    /// this reads nothing preparation writes.
     fn run_model(self, model: &GnnModel, store: &PartitionedFeatureStore) -> Answered {
         let Prepared {
             mut x,
@@ -490,27 +505,6 @@ impl Prepared {
             input: fwd.into_input().into_flat(),
             seed_row,
             first,
-        }
-    }
-}
-
-/// One piece of an overlap region; [`Piece::run`] turns its input
-/// variant into its output variant.
-enum Piece<'s, 'a> {
-    Prepare(&'s mut InferenceServer<'a>, &'s MicroBatch),
-    Forward(&'a GnnModel, &'a PartitionedFeatureStore, Prepared),
-    Prepared(Prepared),
-    Answered(Answered),
-}
-
-impl Piece<'_, '_> {
-    fn run(self) -> Self {
-        match self {
-            Piece::Prepare(server, batch) => Piece::Prepared(server.prepare(batch)),
-            Piece::Forward(model, store, pending) => {
-                Piece::Answered(pending.run_model(model, store))
-            }
-            done => done,
         }
     }
 }
@@ -546,12 +540,10 @@ pub struct InferenceServer<'a> {
     /// Overlay evictions already forwarded to telemetry.
     reported_evictions: u64,
     completions: Vec<Completion>,
-    /// The last prepared batch, waiting for its forward pass.
-    pending: Option<Prepared>,
-    /// The feature buffer the next batch is prepared into: two tensors
-    /// alternate, one in the forward pass while the other is prepared.
-    spare: Vec<f32>,
-    /// Most MFG nodes of any batch so far; both tensors grow to it.
+    /// Batch tensors back from their forward pass, for the next batches
+    /// to be prepared into; at most [`BATCH_TENSORS`] exist.
+    free: Vec<Vec<f32>>,
+    /// Most MFG nodes of any batch so far; every tensor grows to it.
     max_rows: usize,
     rejections: Vec<Rejection>,
     batches: Vec<BatchRecord>,
@@ -617,8 +609,7 @@ impl<'a> InferenceServer<'a> {
             fetch_events: Vec::new(),
             reported_evictions: 0,
             completions: Vec::new(),
-            pending: None,
-            spare: Vec::new(),
+            free: Vec::with_capacity(BATCH_TENSORS),
             max_rows: 0,
             rejections: Vec::new(),
             batches: Vec::new(),
@@ -656,13 +647,15 @@ impl<'a> InferenceServer<'a> {
     ///
     /// Panics if the trace's arrival times are not non-decreasing.
     pub fn run(mut self, trace: &[InferenceRequest]) -> ServeReport {
-        let mut last = 0.0f64;
-        for req in trace {
-            assert!(req.arrival >= last, "trace must be time-ordered");
-            last = req.arrival;
-            self.handle_arrival(*req);
-        }
-        self.flush_all();
+        self.serve(|server, lane| {
+            let mut last = 0.0f64;
+            for req in trace {
+                assert!(req.arrival >= last, "trace must be time-ordered");
+                last = req.arrival;
+                server.handle_arrival(lane, *req);
+            }
+            server.flush_all(lane);
+        });
         self.finish()
     }
 
@@ -679,62 +672,86 @@ impl<'a> InferenceServer<'a> {
         assert!(cl.clients > 0, "closed loop needs at least one client");
         assert!(cl.think_time >= 0.0, "think time must be non-negative");
         let sampler = PopularitySampler::new(self.store.layout().num_vertices(), cl.skew, cl.seed);
-        let mut rng = StdRng::seed_from_u64(cl.seed);
-        let mut issued = 0u64;
-        // Min-heap of pending client wake-ups. Times are non-negative, so
-        // the `to_bits` order matches numeric order; client id breaks ties
-        // deterministically.
-        let mut wakeups: BinaryHeap<std::cmp::Reverse<(u64, u32)>> = (0..cl.clients as u32)
-            .map(|c| {
-                let t = cl.think_time * c as f64 / cl.clients as f64;
-                std::cmp::Reverse((t.to_bits(), c))
-            })
-            .collect();
-        loop {
-            while let Some(&std::cmp::Reverse((bits, client))) = wakeups.peek() {
-                let now = f64::from_bits(bits);
-                // A batch deadline before this wake-up fires first; its
-                // completions may schedule earlier wake-ups.
-                if self
-                    .batcher
-                    .deadline_for(&self.queue)
-                    .is_some_and(|d| d <= now)
-                {
-                    let from = self.completions.len();
-                    self.fire_deadlines_until(now);
-                    Self::requeue(&mut wakeups, &self.completions[from..], cl);
-                    continue;
+        self.serve(|server, lane| {
+            let mut rng = StdRng::seed_from_u64(cl.seed);
+            let mut issued = 0u64;
+            // Min-heap of pending client wake-ups. Times are non-negative,
+            // so the `to_bits` order matches numeric order; client id
+            // breaks ties deterministically.
+            let mut wakeups: BinaryHeap<std::cmp::Reverse<(u64, u32)>> = (0..cl.clients as u32)
+                .map(|c| {
+                    let t = cl.think_time * c as f64 / cl.clients as f64;
+                    std::cmp::Reverse((t.to_bits(), c))
+                })
+                .collect();
+            loop {
+                while let Some(&std::cmp::Reverse((bits, client))) = wakeups.peek() {
+                    let now = f64::from_bits(bits);
+                    // A batch deadline before this wake-up fires first; its
+                    // completions may schedule earlier wake-ups.
+                    if server
+                        .batcher
+                        .deadline_for(&server.queue)
+                        .is_some_and(|d| d <= now)
+                    {
+                        let from = server.completions.len();
+                        server.fire_deadlines_until(lane, now);
+                        Self::requeue(&mut wakeups, &server.completions[from..], cl);
+                        continue;
+                    }
+                    wakeups.pop();
+                    if issued >= cl.total_requests as u64 {
+                        continue; // client retires
+                    }
+                    let req = InferenceRequest {
+                        id: issued,
+                        vertex: sampler.sample(&mut rng),
+                        arrival: now,
+                        client,
+                    };
+                    issued += 1;
+                    let from = server.completions.len();
+                    let admitted = server.handle_arrival(lane, req);
+                    Self::requeue(&mut wakeups, &server.completions[from..], cl);
+                    if !admitted {
+                        // Rejected: the client backs off one think time.
+                        let t = now + cl.think_time;
+                        wakeups.push(std::cmp::Reverse((t.to_bits(), client)));
+                    }
                 }
-                wakeups.pop();
-                if issued >= cl.total_requests as u64 {
-                    continue; // client retires
+                if server.queue.depth() == 0 {
+                    break;
                 }
-                let req = InferenceRequest {
-                    id: issued,
-                    vertex: sampler.sample(&mut rng),
-                    arrival: now,
-                    client,
-                };
-                issued += 1;
-                let from = self.completions.len();
-                let admitted = self.handle_arrival(req);
-                Self::requeue(&mut wakeups, &self.completions[from..], cl);
-                if !admitted {
-                    // Rejected: the client backs off one think time.
-                    let t = now + cl.think_time;
-                    wakeups.push(std::cmp::Reverse((t.to_bits(), client)));
+                let from = server.completions.len();
+                if let Some(b) = server.batcher.flush(&mut server.queue) {
+                    server.process_batch(lane, &b);
                 }
+                Self::requeue(&mut wakeups, &server.completions[from..], cl);
             }
-            if self.queue.depth() == 0 {
-                break;
-            }
-            let from = self.completions.len();
-            if let Some(b) = self.batcher.flush(&mut self.queue) {
-                self.process_batch(&b);
-            }
-            Self::requeue(&mut wakeups, &self.completions[from..], cl);
-        }
+        });
         self.finish()
+    }
+
+    /// Runs `requests`, a whole request loop, as the producer of one lane
+    /// region of the pool: each batch it closes is prepared on the caller
+    /// and submitted, and its forward pass runs on the lane's helper, or
+    /// on the caller when the next batch takes it back from the queue.
+    /// Every batch is answered when this returns.
+    fn serve(&mut self, requests: impl FnOnce(&mut Self, &ForwardLane<'_>) + Send) {
+        let (model, store, pool) = (self.model, self.store, self.cfg.pool);
+        let rest = pool.lane(
+            |batch: Prepared| batch.run_model(model, store),
+            |lane| requests(self, lane),
+        );
+        for done in rest {
+            self.answer(done);
+        }
+        if let Some(m) = serve_metrics() {
+            if !self.batches.is_empty() {
+                // No batch came after the last one to take it back.
+                m.helper_forwards.inc();
+            }
+        }
     }
 
     /// Schedules the issuing clients of fresh completions to wake after
@@ -752,8 +769,8 @@ impl<'a> InferenceServer<'a> {
 
     /// Admits one arrival (after settling earlier deadlines and
     /// completions); returns whether it was admitted.
-    fn handle_arrival(&mut self, req: InferenceRequest) -> bool {
-        self.fire_deadlines_until(req.arrival);
+    fn handle_arrival(&mut self, lane: &ForwardLane<'_>, req: InferenceRequest) -> bool {
+        self.fire_deadlines_until(lane, req.arrival);
         self.drain_inflight(req.arrival);
         let inflight = self.inflight_requests();
         let admitted = match self.queue.offer(req, inflight) {
@@ -762,7 +779,7 @@ impl<'a> InferenceServer<'a> {
                     m.admitted.inc();
                 }
                 if let Some(b) = self.batcher.try_close_on_size(&mut self.queue, req.arrival) {
-                    self.process_batch(&b);
+                    self.process_batch(lane, &b);
                 }
                 true
             }
@@ -781,9 +798,9 @@ impl<'a> InferenceServer<'a> {
     }
 
     /// Fires every batch deadline at or before `now`, oldest first.
-    fn fire_deadlines_until(&mut self, now: f64) {
+    fn fire_deadlines_until(&mut self, lane: &ForwardLane<'_>, now: f64) {
         while let Some(b) = self.batcher.try_close_on_deadline(&mut self.queue, now) {
-            self.process_batch(&b);
+            self.process_batch(lane, &b);
         }
     }
 
@@ -799,33 +816,29 @@ impl<'a> InferenceServer<'a> {
         self.inflight.iter().map(|&(_, n)| n).sum()
     }
 
-    /// Prepares `batch` and, in the same two-piece pool region, runs the
-    /// forward pass of the batch prepared before it: piece 0 on the
-    /// caller, piece 1 on a helper. `batch` then waits for its own
-    /// forward pass until the next batch closes or the run ends.
-    fn process_batch(&mut self, batch: &MicroBatch) {
-        let Some(pending) = self.pending.take() else {
-            self.pending = Some(self.prepare(batch));
-            return;
-        };
-        let (model, store, pool) = (self.model, self.store, self.cfg.pool);
-        let mut pieces = [
-            Some(Piece::Prepare(self, batch)),
-            Some(Piece::Forward(model, store, pending)),
-        ];
-        pool.par_chunks(&mut pieces, &[1, 2], |_, _, piece| {
-            piece[0] = piece[0].take().map(Piece::run);
-        });
-        if let [Some(Piece::Prepared(next)), Some(Piece::Answered(done))] = pieces {
+    /// Answers every batch whose forward pass is done, so its tensor is
+    /// free again, then prepares `batch` and submits it to the lane.
+    fn process_batch(&mut self, lane: &ForwardLane<'_>, batch: &MicroBatch) {
+        while let Some(done) = lane.take_done() {
             self.answer(done);
-            self.pending = Some(next);
+        }
+        let prepared = self.prepare(batch);
+        let caller_ran_previous = lane.submit(prepared);
+        if let Some(m) = serve_metrics() {
+            // The batch before this one left the queue either here or by
+            // the helper.
+            if caller_ran_previous {
+                m.caller_forwards.inc();
+            } else if self.batches.len() > 1 {
+                m.helper_forwards.inc();
+            }
         }
     }
 
     /// Fills in the label and logits checksum of a forwarded batch's
-    /// completions, and keeps its input buffer for the next batch.
+    /// completions, and frees its input tensor for a later batch.
     fn answer(&mut self, done: Answered) {
-        self.spare = done.input;
+        self.free.push(done.input);
         let rows = self.completions.iter_mut().skip(done.first);
         for (c, &row_idx) in rows.zip(&done.seed_row) {
             let row = done.logits.row(row_idx);
@@ -837,7 +850,7 @@ impl<'a> InferenceServer<'a> {
     /// Runs one micro-batch through sampling, the two-tier gather of its
     /// non-resident rows and the virtual-time pipeline, and records its
     /// completions; the resident reads and the forward pass are left to
-    /// the caller.
+    /// the lane.
     fn prepare(&mut self, batch: &MicroBatch) -> Prepared {
         // Deduplicate seeds (first-occurrence order): a minibatch is a
         // set, but two requests for one vertex still get two result rows.
@@ -881,17 +894,17 @@ impl<'a> InferenceServer<'a> {
 
         // Fill the batch tensor's non-resident rows: each owner's misses
         // with one read through `remote`, and the overlay hits decoded by
-        // their probed slot. The resident rows are the forward piece's.
+        // their probed slot. The resident rows are the forward pass's.
         // Admissions wait until every hit is read, so the overlay read
-        // here is exactly the overlay the probe saw. The tensor reuses
-        // the buffer of the batch before last; every row is overwritten,
-        // so it is not cleared.
+        // here is exactly the overlay the probe saw. The tensor is a free
+        // one of the ring; every row is overwritten, so it is not
+        // cleared.
         let dim = store.dim();
         let remote = self.remote;
         let wire = self.cfg.wire_scheme;
         let rows = mfg.num_nodes();
         self.max_rows = self.max_rows.max(rows);
-        let mut slot = std::mem::take(&mut self.spare);
+        let mut slot = self.free.pop().unwrap_or_default();
         slot.reserve_exact(self.max_rows * dim - slot.len());
         slot.resize(rows * dim, 0.0);
         let mut x = Matrix::from_flat(rows, dim, slot);
@@ -1045,18 +1058,14 @@ impl<'a> InferenceServer<'a> {
     }
 
     /// Closes and runs every remaining batch (end of trace).
-    fn flush_all(&mut self) {
+    fn flush_all(&mut self, lane: &ForwardLane<'_>) {
         while let Some(b) = self.batcher.flush(&mut self.queue) {
-            self.process_batch(&b);
+            self.process_batch(lane, &b);
         }
     }
 
-    /// The last forward pass, final accounting and (when telemetry is on)
-    /// sim-span export.
-    fn finish(mut self) -> ServeReport {
-        if let Some(last) = self.pending.take() {
-            self.answer(last.run_model(self.model, self.store));
-        }
+    /// Final accounting and (when telemetry is on) sim-span export.
+    fn finish(self) -> ServeReport {
         if tel::enabled() {
             for e in self.des.trace() {
                 let track = tel::sim_track(self.des.resource_name(e.resource));
@@ -1142,7 +1151,7 @@ mod tests {
         );
         let model = GnnModel::new(Arch::Sage, &[8, 16, 4], 5);
         // Two size-closed batches, each naming some vertices twice or
-        // more; the first batch's forward pass overlaps the second's
+        // more; the first batch's forward pass may overlap the second's
         // preparation.
         let vertices: [VertexId; 12] = [7, 3, 7, 250, 3, 7, 11, 11, 11, 120, 4, 120];
         let trace: Vec<InferenceRequest> = (0..vertices.len())

@@ -7,7 +7,9 @@
 //!   the overlay straight from that tensor);
 //! - the recycled batch tensors: an allocation the size of a batch
 //!   tensor is made only when a batch has more MFG nodes than every
-//!   batch before it, not once per batch.
+//!   batch before it, not once per batch — at most once per tensor of
+//!   the server's ring of [`BATCH_TENSORS`], each of which grows to the
+//!   new record the next time it is prepared into.
 //!
 //! The counters are process-global, so the tests take turns.
 
@@ -28,7 +30,7 @@ use spp_graph::dataset::SyntheticSpec;
 use spp_pool::WorkerPool;
 use spp_runtime::{DistributedSetup, SetupConfig};
 use spp_sampler::Fanouts;
-use spp_serve::{generate_open_loop, InferenceServer, ServeConfig, TraceConfig};
+use spp_serve::{generate_open_loop, InferenceServer, ServeConfig, TraceConfig, BATCH_TENSORS};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -193,9 +195,10 @@ fn batch_tensors_grow_only_for_a_batch_larger_than_all_before() {
     BIG_AT.store(u64::MAX, Ordering::Relaxed);
     assert_eq!(report.batches.len(), nodes.len());
 
-    // Batches with more nodes than every batch before them. Two tensors
-    // alternate (one in the forward pass while the next batch is
-    // prepared), so each such batch may grow both.
+    // Batches with more nodes than every batch before them. The ring's
+    // tensors take turns (one prepared, one queued, one in a forward
+    // pass), so each such batch may grow every one of them.
+    let ring = BATCH_TENSORS as u64;
     let mut records = 0u64;
     let mut most = 0;
     for &n in &nodes {
@@ -205,12 +208,12 @@ fn batch_tensors_grow_only_for_a_batch_larger_than_all_before() {
         }
     }
     assert!(
-        2 * records < nodes.len() as u64,
+        ring * records < nodes.len() as u64,
         "fixture needs more batches than node-count records: {records} of {}",
         nodes.len()
     );
     assert!(
-        big <= 2 * records,
+        big <= ring * records,
         "{big} batch-tensor-sized allocations over {} batches with {records} node-count records",
         nodes.len()
     );

@@ -597,3 +597,121 @@ fn remote_store_fetch_is_bit_identical() {
     assert_eq!(baseline.rejections, through.rejections);
     assert!(baseline.makespan == through.makespan, "makespan drifted");
 }
+
+/// Where a run's lane region gets its helper: a 2-worker pool, the
+/// serial pool, or a 2-worker pool from inside an enclosing region that
+/// holds the helpers, so the lane runs inline.
+#[derive(Clone, Copy, Debug)]
+enum LaneMode {
+    Helper,
+    Serial,
+    Nested,
+}
+
+impl LaneMode {
+    fn pool(self) -> WorkerPool {
+        match self {
+            LaneMode::Serial => WorkerPool::serial(),
+            LaneMode::Helper | LaneMode::Nested => WorkerPool::new(2),
+        }
+    }
+
+    /// Runs `serve` in this mode.
+    fn run(self, serve: impl Fn() -> ServeReport + Sync) -> ServeReport {
+        match self {
+            LaneMode::Helper | LaneMode::Serial => serve(),
+            LaneMode::Nested => {
+                let mut reports = WorkerPool::new(2).run_jobs(2, |j| (j == 0).then(&serve));
+                reports.swap_remove(0).unwrap()
+            }
+        }
+    }
+}
+
+/// What must not depend on which thread ran a forward pass.
+fn answers(r: &ServeReport) -> (CacheStats, Vec<(u64, u64, usize, u64)>) {
+    let completions = r
+        .completions
+        .iter()
+        .map(|c| (c.id, c.finish.to_bits(), c.label, c.checksum))
+        .collect();
+    (r.cache, completions)
+}
+
+/// The lane's inline fallback is the same code path: with a helper, on
+/// the serial pool, and nested in another region, `run` and
+/// `run_closed_loop` give identical cache accounting and identical
+/// completions.
+#[test]
+fn lane_modes_answer_identically() {
+    let (ds, model) = fixture();
+    let setup = deployment(&ds);
+    let trace = generate_open_loop(&TraceConfig {
+        num_requests: 300,
+        num_vertices: 400,
+        arrival_rate: 2000.0,
+        skew: 3.0,
+        burstiness: 0.3,
+        seed: 17,
+    });
+    let cfg = |mode: LaneMode| ServeConfig {
+        max_batch_size: 8,
+        max_delay: 0.01,
+        queue_capacity: 64,
+        overlay_capacity: 24,
+        fanouts: Fanouts::new(vec![4, 3]),
+        seed: 3,
+        pool: mode.pool(),
+        ..ServeConfig::default()
+    };
+    let open = |mode: LaneMode| {
+        mode.run(|| InferenceServer::new(&setup, &model, 0, cfg(mode)).run(&trace))
+    };
+    let closed = |mode: LaneMode| {
+        mode.run(|| {
+            InferenceServer::new(&setup, &model, 0, cfg(mode)).run_closed_loop(
+                &spp_serve::ClosedLoopConfig {
+                    clients: 6,
+                    think_time: 0.001,
+                    total_requests: 200,
+                    skew: 2.5,
+                    seed: 21,
+                },
+            )
+        })
+    };
+    for serve in [&open as &dyn Fn(LaneMode) -> ServeReport, &closed] {
+        let reference = answers(&serve(LaneMode::Helper));
+        assert!(reference.1.len() >= 200);
+        assert!(reference.1.iter().any(|&(_, _, _, sum)| sum != 0));
+        for mode in [LaneMode::Serial, LaneMode::Nested] {
+            assert_eq!(answers(&serve(mode)), reference, "{mode:?}");
+        }
+    }
+}
+
+/// A producer that panics closes the lane: the helper parked on it
+/// exits, and the panic reaches the caller instead of hanging the run.
+#[test]
+#[should_panic(expected = "trace must be time-ordered")]
+fn out_of_order_trace_panics_on_a_two_worker_pool() {
+    let (ds, model) = fixture();
+    let setup = deployment(&ds);
+    let cfg = ServeConfig {
+        max_batch_size: 4,
+        fanouts: Fanouts::new(vec![4, 3]),
+        pool: WorkerPool::new(2),
+        ..ServeConfig::default()
+    };
+    // Three size-closed batches are submitted before time runs backwards.
+    let mut trace: Vec<InferenceRequest> = (0..14u64)
+        .map(|i| InferenceRequest {
+            id: i,
+            vertex: (i * 37 % 400) as VertexId,
+            arrival: i as f64 * 1e-4,
+            client: 0,
+        })
+        .collect();
+    trace[13].arrival = 0.0;
+    InferenceServer::new(&setup, &model, 0, cfg).run(&trace);
+}
