@@ -31,7 +31,6 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the cell count does not match the header count.
-    // spp-hot: stop(bench report assembly; linked to hot gathers only by name overlap with the matrix `row` accessors)
     pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
         assert_eq!(cells.len(), self.headers.len(), "cell count mismatch");
         self.rows.push(cells);

@@ -108,6 +108,7 @@ impl VipRefiner {
     /// # Panics
     ///
     /// Panics on shape mismatches.
+    // spp-det(core.vip_refine)
     pub fn refine(
         &self,
         partitioning: &Partitioning,

@@ -57,6 +57,7 @@ impl HierarchicalPartitioning {
 ///
 /// Panics if `machines` or `gpus_per_machine` is zero, or the graph has
 /// fewer vertices than total parts.
+// spp-det(partition.hierarchical)
 pub fn hierarchical_partition(
     graph: &CsrGraph,
     weights: &VertexWeights,

@@ -7,6 +7,7 @@ use rand::{Rng, SeedableRng};
 use spp_graph::{CsrGraph, VertexId};
 
 /// Assigns vertices to parts uniformly at random (seeded).
+// spp-det(partition.random)
 pub fn random_partition(n: usize, k: usize, seed: u64) -> Partitioning {
     assert!(k > 0, "need at least one part");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -15,6 +16,7 @@ pub fn random_partition(n: usize, k: usize, seed: u64) -> Partitioning {
 
 /// Assigns vertex `v` to part `hash(v) % k` — the stateless scheme many
 /// distributed systems default to.
+// spp-det(partition.hash)
 pub fn hash_partition(n: usize, k: usize) -> Partitioning {
     assert!(k > 0, "need at least one part");
     let h = |v: usize| ((v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % k;
@@ -24,6 +26,7 @@ pub fn hash_partition(n: usize, k: usize) -> Partitioning {
 /// Assigns contiguous id ranges to parts. With id-contiguous community
 /// structure (e.g. the planted-partition generator) this is a strong
 /// "oracle-structure" partitioner; on arbitrary orderings it is weak.
+// spp-det(partition.block)
 pub fn block_partition(n: usize, k: usize) -> Partitioning {
     assert!(k > 0, "need at least one part");
     Partitioning::new((0..n).map(|v| ((v * k) / n.max(1)) as u32).collect(), k)
@@ -32,6 +35,7 @@ pub fn block_partition(n: usize, k: usize) -> Partitioning {
 /// Streaming linear-deterministic-greedy (LDG) partitioner: processes
 /// vertices in id order, placing each in the part with the most neighbors
 /// already placed, damped by a capacity penalty `(1 - size/capacity)`.
+// spp-det(partition.ldg)
 pub fn ldg_partition(graph: &CsrGraph, k: usize, weights: &VertexWeights) -> Partitioning {
     assert!(k > 0, "need at least one part");
     let n = graph.num_vertices();

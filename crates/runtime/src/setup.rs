@@ -117,6 +117,7 @@ impl DistributedSetup {
     ///
     /// Panics if the store's shape disagrees with the dataset or if
     /// `config.policy` is [`CachePolicy::Oracle`].
+    // spp-det(runtime.setup_feature_store)
     pub fn build_with_feature_store(
         ds: &Dataset,
         config: SetupConfig,
@@ -168,6 +169,7 @@ impl DistributedSetup {
     /// Like [`DistributedSetup::build`] but with externally supplied
     /// per-machine cache rankings (original vertex ids) — used for the
     /// oracle policy and for policy-comparison experiments.
+    // spp-det(runtime.setup_rankings)
     pub fn build_with_rankings(
         ds: &Dataset,
         config: SetupConfig,

@@ -175,7 +175,6 @@ impl DynamicOverlay {
     /// The cached feature row in `slot`, decoded into a fresh buffer
     /// (test/debug convenience; hot paths use
     /// [`DynamicOverlay::read_row_into`]).
-    // spp-hot: stop(test/debug convenience; serving decodes via read_row_into, linked to hot gathers only by name overlap with the matrix `row` accessors)
     pub fn row(&self, slot: u32) -> Vec<f32> {
         let mut out = vec![0.0; self.feats.dim()];
         self.feats.read_row_into(slot as usize, &mut out);

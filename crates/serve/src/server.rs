@@ -231,11 +231,6 @@ pub struct ServeReport {
     /// order). Virtual time makes this bit-identical across runs and
     /// worker counts (§11).
     pub latency_sketch: tel::QuantileSketch,
-    /// Per-pipeline-stage duration sketches (`serve.sample`,
-    /// `serve.fetch`, `serve.copy`, `serve.infer`), folded from the DES
-    /// trace in stage-name order. Empty when telemetry was off at
-    /// server construction (the DES trace is not recorded then).
-    pub stage_sketches: Vec<(String, tel::QuantileSketch)>,
     /// Wire precision the run used (labels the cache report).
     pub wire_scheme: QuantScheme,
     /// Overlay storage precision (sizes the overlay tier's bytes).
@@ -1072,22 +1067,6 @@ impl<'a> InferenceServer<'a> {
                 tel::record_sim_span(track, e.label.clone(), e.start, e.end - e.start);
             }
         }
-        // Fold the virtual-time pipeline stages into per-stage duration
-        // sketches. Stage = the span label minus its ` b<id>` suffix;
-        // names are collected in first-appearance order then sorted, so
-        // the result is a pure function of the (deterministic) DES
-        // trace.
-        let mut stage_sketches: Vec<(String, tel::QuantileSketch)> = Vec::new();
-        for e in self.des.trace() {
-            let stage = e.label.split(" b").next().unwrap_or(&e.label);
-            if !stage_sketches.iter().any(|(n, _)| n == stage) {
-                stage_sketches.push((stage.to_string(), tel::QuantileSketch::new()));
-            }
-            if let Some((_, sk)) = stage_sketches.iter_mut().find(|(n, _)| n == stage) {
-                sk.observe_secs(e.end - e.start);
-            }
-        }
-        stage_sketches.sort_by(|a, b| a.0.cmp(&b.0));
         let mut latency_sketch = tel::QuantileSketch::new();
         for c in &self.completions {
             latency_sketch.observe_secs(c.latency);
@@ -1115,7 +1094,6 @@ impl<'a> InferenceServer<'a> {
             cache,
             makespan: self.des.makespan(),
             latency_sketch,
-            stage_sketches,
             wire_scheme: self.cfg.wire_scheme,
             overlay_scheme: self.cfg.overlay_scheme,
             feature_dim: self.store.dim(),

@@ -5,11 +5,11 @@
 //! (`results/{lint,hotpath,determinism}_baseline.json`): root inventory
 //! with reachable-set size and call-graph depth, the escape-site
 //! inventory, cold boundaries, findings, and the `unannotated_escapes`
-//! counter that benches trend (ISSUE 6). The passes differ only in what
+//! counter that benches trend. The passes differ only in what
 //! [`AuditKind`] names — the key prefix (`hot_roots` / `det_roots` /
 //! `lint_roots`), the rule ids and which stop annotation bounds
-//! traversal — so [`crate::baseline`] diffs all three with one key
-//! extractor. The lint family is scoped by path, not reachability: its
+//! traversal — so one renderer serves all three, and
+//! [`crate::baseline`] compares each document byte for byte. The lint family is scoped by path, not reachability: its
 //! root and stop sections are always empty and its escape inventory is
 //! the `spp-lint` pragmas plus every annotated `*_relaxed(` call. The
 //! document renders through `spp_telemetry::json`.

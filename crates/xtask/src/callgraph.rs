@@ -1,20 +1,31 @@
 //! Intra-workspace call graph and hot-root reachability.
 //!
 //! Nodes are the non-test `fn` items parsed by [`crate::items`]; edges
-//! come from lexical call sites, resolved by name with nearest-scope
-//! preference (same file, then same crate, then workspace-wide). The
-//! resolution deliberately over-approximates — a method call `.get(..)`
-//! links to every workspace `fn get(&self, ..)` its scope search
-//! reaches — because the analyzer's job is to *prove absence* of
-//! hazards on hot paths; spurious edges only make it stricter, and the
-//! escape grammar (`// spp-hot: allow(..)`) documents the survivors.
+//! come from lexical call sites, resolved by name within what the
+//! caller's crate can name: itself plus the closure of its
+//! `[dependencies]` ([`crate::walk::crate_deps`]). Within that set
+//! resolution over-approximates — a method call `.probe(..)` links to
+//! every `fn probe(&self, ..)` there — because the analyzer's job is
+//! to *prove absence* of hazards; spurious edges only make it stricter,
+//! and the escape grammar (`// spp-hot: allow(..)`) documents the
+//! survivors. The special cases:
 //!
-//! Qualified calls `Type::name(..)` resolve only to methods of a
-//! workspace type named `Type`; qualifiers naming std types (`Vec`,
-//! `Box`, ...) are external and produce no edge (the H1 token rules
-//! catch their allocations lexically).
+//! - method syntax also reaches `impl Trait for Type` methods in any
+//!   crate (`dyn` and generic dispatch), and `self.f()` is the
+//!   enclosing impl's `f` when that impl has one;
+//! - a bare `f()` reaches free fns only (a fn nested in a method is
+//!   free), never an associated `Type::f`;
+//! - `Type::f(..)` and `Type::<..>::f(..)` reach only methods of a type
+//!   named `Type`; std qualifiers (`Vec`, `Box`, ...) produce no edge
+//!   (the H1 token rules catch their allocations lexically);
+//!   `<Type as Trait>::f(..)` reaches every trait-impl `f`;
+//! - methods named like std APIs ([`STD_METHODS`]) stay in the caller's
+//!   crate;
+//! - a crate with no readable manifest (the fixture trees) can name
+//!   every crate.
 
 use crate::items::{AuditKind, FileItems, FnItem};
+use crate::walk::{crate_key, CrateDeps};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Std-library qualifiers whose associated calls never target
@@ -26,11 +37,10 @@ const STD_QUALIFIERS: [&str; 20] = [
 
 /// Method names that collide with std container / iterator / sync /
 /// thread APIs. A `.push(..)` in a crate with no `fn push` is almost
-/// certainly `Vec::push`, not some other crate's `Ring::push` — so for
-/// these names the workspace-wide fallback is disabled and resolution
-/// stays within the calling crate (where a workspace type can genuinely
-/// shadow std). Their effects are still checked lexically by the H1–H3
-/// token rules in the calling function.
+/// certainly `Vec::push`, not a dependency's `Ring::push` — so these
+/// names resolve only within the calling crate (where a workspace type
+/// can genuinely shadow std). Their effects are still checked lexically
+/// by the H1–H3 token rules in the calling function.
 const STD_METHODS: [&str; 49] = [
     "add",
     "push",
@@ -117,20 +127,30 @@ pub struct Reached {
     pub via: Option<usize>,
 }
 
-/// Crate key for scope resolution: the first two path components
-/// (`crates/tensor`, `shims/rand`) or `src` for the facade crate.
-fn crate_key(rel_path: &str) -> String {
-    let mut parts = rel_path.split('/');
-    match (parts.next(), parts.next()) {
-        (Some(a), Some(b)) if a == "crates" || a == "shims" => format!("{a}/{b}"),
-        (Some(a), _) => a.to_string(),
-        _ => String::new(),
+/// The crates `krate` can name: itself plus the closure of its
+/// dependencies; `None` (every crate) when its manifest is unknown.
+fn nameable(krate: &str, deps: &CrateDeps) -> Option<BTreeSet<String>> {
+    let mut seen = BTreeSet::from([krate.to_string()]);
+    let mut stack = vec![deps.get(krate)?];
+    while let Some(direct) = stack.pop() {
+        for d in direct {
+            if seen.insert(d.clone()) {
+                stack.extend(deps.get(d));
+            }
+        }
     }
+    Some(seen)
+}
+
+/// The nodes `map` files under `key`.
+fn of<'a>(map: &'a BTreeMap<&str, Vec<usize>>, key: &str) -> impl Iterator<Item = usize> + 'a {
+    map.get(key).into_iter().flatten().copied()
 }
 
 impl CallGraph {
-    /// Builds the graph over all non-test items in `files`.
-    pub fn build(files: &[FileItems]) -> CallGraph {
+    /// Builds the graph over all non-test items in `files`, resolving
+    /// calls within the crate closures of `deps`.
+    pub fn build(files: &[FileItems], deps: &CrateDeps) -> CallGraph {
         let mut nodes = Vec::new();
         for (fi, file) in files.iter().enumerate() {
             for item in &file.fns {
@@ -150,61 +170,53 @@ impl CallGraph {
             by_name.entry(&n.item.name).or_default().push(i);
             by_qual.entry(&n.item.qual).or_default().push(i);
         }
+        let crates: Vec<String> = nodes
+            .iter()
+            .map(|n| crate_key(&files[n.file].rel_path))
+            .collect();
         let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); nodes.len()];
         for (i, n) in nodes.iter().enumerate() {
-            let my_file = n.file;
-            let my_crate = crate_key(&files[my_file].rel_path);
+            let sees = nameable(&crates[i], deps);
+            let can_name = |j: &usize| sees.as_ref().is_none_or(|s| s.contains(&crates[*j]));
+            let own_type = n.item.qual.rsplit_once("::").map(|(t, _)| t);
             let mut out: Vec<Edge> = Vec::new();
             let mut seen: BTreeSet<usize> = BTreeSet::new();
             for call in &n.item.calls {
-                let candidates: Vec<usize> = if let Some(recv) = &call.recv {
-                    // `Self::f(..)` means the enclosing impl type.
-                    let recv: &str = if recv == "Self" && n.item.qual.contains("::") {
-                        n.item.qual.split("::").next().unwrap_or(recv)
-                    } else {
-                        recv
+                let method_of = |ty: &str| of(&by_qual, &format!("{ty}::{}", call.callee));
+                let candidates: Vec<usize> = if call.method {
+                    let methods = of(&by_name, &call.callee).filter(|&j| nodes[j].item.has_self);
+                    let own: Vec<usize> = match (call.recv.as_deref(), own_type) {
+                        (Some("self"), Some(ty)) => method_of(ty)
+                            .filter(|&j| nodes[j].item.has_self && crates[j] == crates[i])
+                            .collect(),
+                        _ => Vec::new(),
                     };
-                    if STD_QUALIFIERS.contains(&recv) {
+                    if !own.is_empty() {
+                        own
+                    } else if STD_METHODS.contains(&call.callee.as_str()) {
+                        methods.filter(|&j| crates[j] == crates[i]).collect()
+                    } else {
+                        methods
+                            .filter(|j| can_name(j) || nodes[*j].item.trait_impl)
+                            .collect()
+                    }
+                } else if let Some(recv) = &call.recv {
+                    // `Self::f(..)` means the enclosing impl type.
+                    let ty = match (recv.as_str(), own_type) {
+                        ("Self", Some(t)) => t,
+                        (r, _) => r,
+                    };
+                    if ty == "<" {
+                        let of_trait = of(&by_name, &call.callee);
+                        of_trait.filter(|&j| nodes[j].item.trait_impl).collect()
+                    } else if STD_QUALIFIERS.contains(&ty) {
                         Vec::new()
                     } else {
-                        let q = format!("{recv}::{}", call.callee);
-                        by_qual.get(q.as_str()).cloned().unwrap_or_default()
+                        method_of(ty).filter(can_name).collect()
                     }
                 } else {
-                    let all = by_name
-                        .get(call.callee.as_str())
-                        .cloned()
-                        .unwrap_or_default();
-                    // Method syntax only targets items taking `self`;
-                    // bare-name calls cannot invoke such methods.
-                    let all: Vec<usize> = all
-                        .into_iter()
-                        .filter(|&j| nodes[j].item.has_self == call.method)
-                        .collect();
-                    // Nearest scope wins: same file, else same crate,
-                    // else anywhere in the workspace — except for names
-                    // shadowing std APIs, which never leave the crate.
-                    let same_file: Vec<usize> = all
-                        .iter()
-                        .copied()
-                        .filter(|&j| nodes[j].file == my_file)
-                        .collect();
-                    if !same_file.is_empty() {
-                        same_file
-                    } else {
-                        let same_crate: Vec<usize> = all
-                            .iter()
-                            .copied()
-                            .filter(|&j| crate_key(&files[nodes[j].file].rel_path) == my_crate)
-                            .collect();
-                        if !same_crate.is_empty() {
-                            same_crate
-                        } else if call.method && STD_METHODS.contains(&call.callee.as_str()) {
-                            Vec::new()
-                        } else {
-                            all
-                        }
-                    }
+                    let free = of(&by_name, &call.callee).filter(|&j| nodes[j].item.free);
+                    free.filter(can_name).collect()
                 };
                 for c in candidates {
                     if c != i && seen.insert(c) {
@@ -303,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn same_file_resolution_beats_workspace() {
+    fn calls_resolve_within_the_dependency_closure() {
         let fs = files(&[
             (
                 "crates/a/src/lib.rs",
@@ -311,13 +323,15 @@ mod tests {
             ),
             ("crates/b/src/lib.rs", "fn helper() {}\n"),
         ]);
-        let g = CallGraph::build(&fs);
-        let roots = g.roots();
-        assert_eq!(roots.len(), 1);
-        let reach = g.reach(&roots);
+        // Without manifests crate a names every crate; with one that
+        // lists no dependencies it names only itself.
+        let g = CallGraph::build(&fs, &CrateDeps::new());
+        assert_eq!(g.reach(&g.roots()).len(), 3);
+        let deps = CrateDeps::from([("crates/a".to_string(), BTreeSet::new())]);
+        let g = CallGraph::build(&fs, &deps);
+        let reach = g.reach(&g.roots());
         assert_eq!(reach.len(), 2);
         assert_eq!(g.nodes[reach[1].node].file, 0);
-        assert_eq!(reach[1].depth, 1);
     }
 
     #[test]
@@ -326,7 +340,7 @@ mod tests {
             "crates/a/src/lib.rs",
             "// spp-hot(a.root)\nfn root() {\n    Widget::make();\n    Vec::new();\n}\nimpl Widget {\n    fn make() {}\n}\nfn new() {}\n",
         )]);
-        let g = CallGraph::build(&fs);
+        let g = CallGraph::build(&fs, &CrateDeps::new());
         let reach = g.reach(&g.roots());
         let names: Vec<&str> = reach
             .iter()
@@ -343,7 +357,7 @@ mod tests {
             "crates/a/src/lib.rs",
             "// spp-hot(a.root)\nfn root() {\n    cold();\n}\n// spp-hot: stop(registration)\nfn cold() {\n    deep();\n}\nfn deep() {}\n",
         )]);
-        let g = CallGraph::build(&fs);
+        let g = CallGraph::build(&fs, &CrateDeps::new());
         let reach = g.reach(&g.roots());
         let names: Vec<&str> = reach
             .iter()
@@ -359,7 +373,7 @@ mod tests {
             "crates/a/src/lib.rs",
             "// spp-hot(a.root)\nfn root(x: &W) {\n    x.work();\n}\nfn work() {}\nimpl W {\n    fn work(&self) {}\n}\n",
         )]);
-        let g = CallGraph::build(&fs);
+        let g = CallGraph::build(&fs, &CrateDeps::new());
         let reach = g.reach(&g.roots());
         let quals: Vec<&str> = reach
             .iter()
@@ -380,7 +394,7 @@ mod tests {
             ),
             ("crates/b/src/lib.rs", "impl Ring {\n    fn push(&mut self, x: u32) {}\n}\n"),
         ]);
-        let g = CallGraph::build(&fs);
+        let g = CallGraph::build(&fs, &CrateDeps::new());
         let reach = g.reach(&g.roots());
         assert_eq!(reach.len(), 1, "push must not leave crate a");
     }
@@ -391,7 +405,7 @@ mod tests {
             "crates/a/src/lib.rs",
             "// spp-hot(a.root)\nfn root(q: &mut Q) {\n    q.drain();\n}\nimpl Q {\n    fn drain(&mut self) {}\n}\n",
         )]);
-        let g = CallGraph::build(&fs);
+        let g = CallGraph::build(&fs, &CrateDeps::new());
         let reach = g.reach(&g.roots());
         let quals: Vec<&str> = reach
             .iter()
@@ -414,7 +428,7 @@ mod tests {
                 "impl Sim {\n    fn run(&self) {}\n}\n",
             ),
         ]);
-        let g = CallGraph::build(&fs);
+        let g = CallGraph::build(&fs, &CrateDeps::new());
         let reach = g.reach(&g.roots());
         assert_eq!(reach.len(), 1, "bare `run(..)` must not reach Sim::run");
     }
@@ -425,7 +439,7 @@ mod tests {
             "crates/a/src/lib.rs",
             "impl W {\n    // spp-hot(a.root)\n    fn root(&self) {\n        Self::helper();\n    }\n    fn helper() {}\n}\n",
         )]);
-        let g = CallGraph::build(&fs);
+        let g = CallGraph::build(&fs, &CrateDeps::new());
         let reach = g.reach(&g.roots());
         let quals: Vec<&str> = reach
             .iter()
@@ -443,7 +457,7 @@ mod tests {
             "crates/a/src/lib.rs",
             "// spp-det(a.det)\nfn droot() {\n    mid();\n}\nfn mid() {\n    deep();\n}\n// spp-det: stop(cold for det only)\nfn deep() {\n    deepest();\n}\nfn deepest() {}\n// spp-hot(a.hot)\nfn hroot() {\n    deep();\n}\n",
         )]);
-        let g = CallGraph::build(&fs);
+        let g = CallGraph::build(&fs, &CrateDeps::new());
         assert_eq!(g.roots_for(AuditKind::Hot).len(), 1);
         assert_eq!(g.roots_for(AuditKind::Det).len(), 1);
         let det = g.reach_for(&g.roots_for(AuditKind::Det), AuditKind::Det);
@@ -470,7 +484,7 @@ mod tests {
             "crates/a/src/lib.rs",
             "// spp-hot(a.root)\nfn root() {\n    helper();\n}\n#[cfg(test)]\nmod tests {\n    fn helper() {}\n}\n",
         )]);
-        let g = CallGraph::build(&fs);
+        let g = CallGraph::build(&fs, &CrateDeps::new());
         assert_eq!(g.nodes.len(), 1);
     }
 }

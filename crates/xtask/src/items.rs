@@ -13,7 +13,7 @@
 //! Three annotation families share one grammar, read from the *raw*
 //! lines (the cleaning pass blanks comments): `spp-hot` for the
 //! hot-path rules (H1–H4), `spp-det` for the determinism rules (D1–D5)
-//! and `spp-lint` for the path-scoped line rules (L2, L3, L5, L8); see
+//! and `spp-lint` for the path-scoped line rules (L2, L5, L8); see
 //! DESIGN.md "Static gates".
 //!
 //! - `// spp-hot(<name>)` / `// spp-det(<name>)` — declares the next
@@ -70,8 +70,9 @@ impl AuditKind {
 pub struct CallSite {
     /// Callee identifier (bare name, e.g. `hop_update` or `probe`).
     pub callee: String,
-    /// Path qualifier when the call was `Type::callee(..)`; `None` for
-    /// free and method calls.
+    /// Path qualifier when the call was `Type::callee(..)` or
+    /// `Type::<..>::callee(..)`; `<` for `<Type as Trait>::callee(..)`;
+    /// `self` for `self.callee(..)`; else `None`.
     pub recv: Option<String>,
     /// True for `.callee(..)` method syntax.
     pub method: bool,
@@ -96,6 +97,13 @@ pub struct FnItem {
     /// True when the signature takes `self` (method); used to restrict
     /// `.name(..)` resolution to methods.
     pub has_self: bool,
+    /// True unless the item sits directly in an `impl` block (a fn
+    /// nested in a method is free); bare `name(..)` calls reach only
+    /// free fns.
+    pub free: bool,
+    /// True for a method of an `impl Trait for Type` block, which
+    /// `dyn` and generic dispatch reach from any crate.
+    pub trait_impl: bool,
     /// Root names from `// spp-<family>(<name>)`, indexed by family.
     roots: [Option<String>; 3],
     /// Cold-boundary reasons from `// spp-<family>: stop(<reason>)`,
@@ -175,8 +183,9 @@ fn ident_before(s: &str, end: usize) -> Option<&str> {
 }
 
 /// Parses the impl target type from an accumulated header, e.g.
-/// `impl<T: Clone> fmt::Display for Matrix<T>` -> `Matrix`.
-fn impl_target(header: &str) -> Option<String> {
+/// `impl<T: Clone> fmt::Display for Matrix<T>` -> `(Matrix, true)`; the
+/// flag says whether the impl is of a trait.
+fn impl_target(header: &str) -> Option<(String, bool)> {
     let pos = *crate::rules::token_positions(header, "impl").first()?;
     let mut rest = header[pos + 4..].trim_start();
     // Skip the generic parameter list, tracking <> depth.
@@ -199,7 +208,8 @@ fn impl_target(header: &str) -> Option<String> {
         rest = stripped[cut.min(stripped.len())..].trim_start();
     }
     // `impl Trait for Type` -> take the type after `for`.
-    if let Some(p) = crate::rules::token_positions(rest, "for").first() {
+    let for_pos = crate::rules::token_positions(rest, "for").first().copied();
+    if let Some(p) = for_pos {
         rest = rest[p + 3..].trim_start();
     }
     // Last path segment of the leading path, stopping at `<`/`{`/space.
@@ -212,7 +222,7 @@ fn impl_target(header: &str) -> Option<String> {
     if seg.is_empty() {
         None
     } else {
-        Some(seg)
+        Some((seg, for_pos.is_some()))
     }
 }
 
@@ -234,7 +244,8 @@ fn fn_name(header: &str) -> Option<(String, usize)> {
 enum Ctx {
     /// Index into `fns`.
     Fn(usize),
-    Impl(String),
+    /// Target type, and whether the impl is of a trait.
+    Impl(String, bool),
     Other,
 }
 
@@ -461,14 +472,20 @@ fn calls_on_line(cleaned: &str, lineno: usize, out: &mut Vec<CallSite>) {
             continue;
         }
         let method = cleaned[..start].ends_with('.');
-        let recv = if cleaned[..start].ends_with("::") {
-            ident_before(cleaned, start - 2).map(str::to_string)
+        let recv = if method {
+            ident_before(cleaned, start - 1).filter(|r| *r == "self")
         } else {
-            None
+            // `Type::<..>::f(..)` names `Type`: skip back over the list.
+            let path = cleaned[..start].strip_suffix("::");
+            path.and_then(|p| match turbofish_start(p, p.len()) {
+                Some(end) => ident_before(p, end),
+                None if p.ends_with('>') => Some("<"),
+                None => ident_before(p, p.len()),
+            })
         };
         out.push(CallSite {
             callee: name.to_string(),
-            recv,
+            recv: recv.map(str::to_string),
             method,
             line: lineno,
         });
@@ -500,13 +517,17 @@ pub fn parse_items(file: &SourceFile, src: &str) -> FileItems {
                             .iter()
                             .rev()
                             .find_map(|c| match c {
-                                Ctx::Impl(t) => Some(format!("{t}::{name}")),
+                                Ctx::Impl(t, _) => Some(format!("{t}::{name}")),
                                 _ => None,
                             })
                             .unwrap_or_else(|| name.clone());
                         let has_self = crate::rules::token_positions(&header, "self")
                             .iter()
                             .any(|&p| p > fpos);
+                        let trait_impl = match stack.last() {
+                            Some(Ctx::Impl(_, t)) => Some(*t),
+                            _ => None,
+                        };
                         fns.push(FnItem {
                             name,
                             qual,
@@ -515,13 +536,15 @@ pub fn parse_items(file: &SourceFile, src: &str) -> FileItems {
                             end: idx,
                             in_test: file.lines.get(sig_line).is_some_and(|l| l.in_test),
                             has_self,
+                            free: trait_impl.is_none(),
+                            trait_impl: trait_impl == Some(true),
                             roots: Default::default(),
                             stops: Default::default(),
                             calls: Vec::new(),
                         });
                         Ctx::Fn(fns.len() - 1)
-                    } else if let Some(ty) = impl_target(&header) {
-                        Ctx::Impl(ty)
+                    } else if let Some((ty, of_trait)) = impl_target(&header) {
+                        Ctx::Impl(ty, of_trait)
                     } else {
                         Ctx::Other
                     };
@@ -642,6 +665,12 @@ mod tests {
         assert_eq!(f.fns[1].qual, "Gamma::beta");
         assert!(f.fns[1].has_self);
         assert_eq!((f.fns[1].start, f.fns[1].end), (5, 7));
+        assert!(f.fns[0].free && !f.fns[1].free && !f.fns[1].trait_impl);
+        let f = parse("impl G {\n    fn m(&self) {\n        fn helper() {}\n    }\n}\n");
+        assert!(
+            !f.fns[0].free && f.fns[1].free,
+            "a fn nested in a method is free"
+        );
     }
 
     #[test]
@@ -650,6 +679,7 @@ mod tests {
             "impl<T: Clone> fmt::Display for Matrix<T> {\n    fn fmt(&self) -> u32 { 0 }\n}\n";
         let f = parse(src);
         assert_eq!(f.fns[0].qual, "Matrix::fmt");
+        assert!(f.fns[0].trait_impl && !f.fns[0].free);
     }
 
     #[test]
@@ -662,7 +692,7 @@ mod tests {
 
     #[test]
     fn call_sites_free_method_and_qualified() {
-        let src = "fn f() {\n    helper(1);\n    x.probe(2);\n    Matrix::zeros(3);\n    Vec::new();\n    Some(4);\n    if (a) {}\n    panic!(\"no\");\n    pick::<4>(xs);\n    x.collect::<Vec<u32>>();\n}\n";
+        let src = "fn f() {\n    helper(1);\n    x.probe(2);\n    Matrix::zeros(3);\n    Vec::new();\n    Some(4);\n    if (a) {}\n    panic!(\"no\");\n    pick::<4>(xs);\n    x.collect::<Vec<u32>>();\n    self.settle(5);\n    Ring::<u32>::with_cap(6);\n    <u64 as Standard>::draw(7);\n}\n";
         let f = parse(src);
         let calls = &f.fns[0].calls;
         let names: Vec<&str> = calls.iter().map(|c| c.callee.as_str()).collect();
@@ -678,8 +708,18 @@ mod tests {
         assert!(calls.iter().any(|c| c.callee == "collect" && c.method));
         let probe = calls.iter().find(|c| c.callee == "probe").unwrap();
         assert!(probe.method && probe.recv.is_none());
-        let zeros = calls.iter().find(|c| c.callee == "zeros").unwrap();
-        assert_eq!(zeros.recv.as_deref(), Some("Matrix"));
+        let recv = |name: &str| {
+            calls
+                .iter()
+                .find(|c| c.callee == name)
+                .unwrap()
+                .recv
+                .as_deref()
+        };
+        assert_eq!(recv("zeros"), Some("Matrix"));
+        assert_eq!(recv("settle"), Some("self"));
+        assert_eq!(recv("with_cap"), Some("Ring"));
+        assert_eq!(recv("draw"), Some("<"));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! [`callgraph`], the rule table and its `check` in [`rules`], and the
 //! renderers in [`auditreport`] (DESIGN.md "Static gates"):
 //!
-//! - `cargo xtask lint` runs the path-scoped line rules (L2, L3, L5,
-//!   L8) over every non-test library line;
+//! - `cargo xtask lint` runs the path-scoped line rules (L2, L5, L8)
+//!   over every non-test library line;
 //! - `cargo xtask audit-hotpaths` checks every function reachable from
 //!   a declared `// spp-hot(<name>)` root for allocation, panic,
 //!   blocking, and float-ordering hazards (H1–H4);
@@ -21,8 +21,9 @@
 //! threads, clocks and atomics — is clippy's (`clippy.toml`,
 //! `[workspace.lints.clippy]`), not a rule here.
 //!
-//! All three gates diff their committed baseline under `results/` via
-//! [`baseline`]; `--refresh-baseline` rewrites the snapshot.
+//! Each gate compares its `--json` document with its committed baseline
+//! under `results/` byte for byte via [`baseline`]; `--refresh-baseline`
+//! rewrites the snapshot.
 
 // Test modules assert by panicking; the workspace panic-family denies
 // (see [workspace.lints] in Cargo.toml) apply to library code only.

@@ -1,7 +1,7 @@
 //! `cargo xtask` — workspace maintenance commands.
 //!
 //! ```text
-//! cargo xtask lint [--json] [--root <dir>] [--refresh-baseline]
+//! cargo xtask lint [--json] [--dir <dir>] [--refresh-baseline]
 //! cargo xtask audit-hotpaths [--json] [--root <name>] [--dir <dir>] [--refresh-baseline]
 //! cargo xtask audit-determinism [--json] [--root <name>] [--dir <dir>] [--refresh-baseline]
 //! cargo xtask check-interleavings [--module <m>]... [--json] [--max-schedules <n>]
@@ -11,12 +11,13 @@
 //! `lint`, `audit-hotpaths` and `audit-determinism` are the three
 //! static gates (DESIGN.md "Static gates"); each runs one family of the
 //! rule table in [`spp_xtask::rules`] and exits nonzero on findings or
-//! on drift against its baseline under `results/` (stale entries
-//! included); `--refresh-baseline` rewrites the snapshot.
+//! when its `--json` document differs by any byte from its baseline
+//! under `results/`; `--refresh-baseline` rewrites the snapshot. For
+//! all three, `--dir <dir>` overrides the workspace root (fixture trees
+//! in tests).
 //!
-//! `lint` runs the path-scoped line rules (L2, L3, L5, L8) over every
-//! non-test library line; `--root <dir>` overrides the workspace root
-//! (fixture trees in tests).
+//! `lint` runs the path-scoped line rules (L2, L5, L8) over every
+//! non-test library line.
 //!
 //! `audit-hotpaths` (rules H1–H4) parses fn items and call sites,
 //! builds the intra-workspace call graph, and checks every function
@@ -28,8 +29,7 @@
 //! RNG, ambient reads, worker-count or thread-identity leaks, and
 //! order-sensitive float reductions. For both, `--root <name>`
 //! restricts traversal to one declared root (baseline comparison is
-//! skipped for partial views) and `--dir <dir>` overrides the workspace
-//! root.
+//! skipped for partial views).
 //!
 //! Scope for all three: `src/**` of every `crates/*` member and
 //! `shims/*` shim plus the facade crate's `src/`, excluding binary
@@ -62,9 +62,9 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: cargo xtask <command>\n\
          commands:\n\
-           lint [--json] [--root <dir>] [--refresh-baseline]\n\
-                                               run the path-scoped line rules (L2, L3,\n\
-                                               L5, L8) and diff results/lint_baseline.json\n\
+           lint [--json] [--dir <dir>] [--refresh-baseline]\n\
+                                               run the path-scoped line rules (L2, L5,\n\
+                                               L8) and diff results/lint_baseline.json\n\
            audit-hotpaths [--json] [--root <name>] [--dir <dir>] [--refresh-baseline]\n\
                                                run the transitive hot-path analyzer\n\
                                                (H1-H4) from declared spp-hot roots and\n\
@@ -97,9 +97,8 @@ fn report_drift(gate: &str, status: BaselineStatus, refresh_hint: &str) -> bool 
                 eprintln!("{gate}: baseline drift: {d}");
             }
             eprintln!(
-                "{gate}: baseline out of date ({} difference(s)); review and run \
-                 `cargo xtask {refresh_hint}` to refresh",
-                diffs.len()
+                "{gate}: baseline out of date; review and run `cargo xtask {refresh_hint}` \
+                 to refresh"
             );
             true
         }
@@ -134,7 +133,7 @@ fn run_gate(
         parsed.push(items::parse_items(&sf, src));
         scanned.push(sf);
     }
-    let graph = CallGraph::build(&parsed);
+    let graph = CallGraph::build(&parsed, &walk::crate_deps(&root));
     let mut roots = graph.roots_for(kind);
     if let Some(name) = &root_filter {
         roots.retain(|&i| graph.nodes[i].item.root_for(kind) == Some(name.as_str()));
@@ -383,8 +382,7 @@ fn main() -> ExitCode {
             let mut refresh = false;
             let mut it = args.iter().skip(1);
             while let Some(a) = it.next() {
-                // `lint` has no roots to filter by: its `--root` is the
-                // tree to scan, what the audits call `--dir`.
+                // `lint` has no roots to filter by.
                 match (a.as_str(), kind) {
                     ("--json", _) => json = true,
                     ("--refresh-baseline", _) => refresh = true,
@@ -392,12 +390,10 @@ fn main() -> ExitCode {
                         Some(r) => root_filter = Some(r.clone()),
                         None => return usage(),
                     },
-                    ("--root", AuditKind::Lint) | ("--dir", AuditKind::Hot | AuditKind::Det) => {
-                        match it.next() {
-                            Some(d) => dir = Some(PathBuf::from(d)),
-                            None => return usage(),
-                        }
-                    }
+                    ("--dir", _) => match it.next() {
+                        Some(d) => dir = Some(PathBuf::from(d)),
+                        None => return usage(),
+                    },
                     _ => return usage(),
                 }
             }

@@ -11,7 +11,7 @@
 //!   reachable from a `// spp-hot(<name>)` / `// spp-det(<name>)` root
 //!   over the [`crate::callgraph`] (rules H1–H4, D1–D5);
 //! - `Paths(predicate)`: every non-test code line of the files the
-//!   predicate accepts (rules L2, L3, L5, L8 — the lint family).
+//!   predicate accepts (rules L2, L5, L8 — the lint family).
 //!
 //! [`check`] runs one family. A hit is suppressed by an escape
 //! annotation of that family on (or directly above) its line — grammar
@@ -40,10 +40,9 @@ pub enum Scope {
 pub enum Matcher {
     /// Any of the listed tokens (standalone, see [`token_positions`]).
     Tokens(&'static [&'static str]),
-    /// Order-observing iteration over a `HashMap`/`HashSet`; with
-    /// `Some(b)`, only where the enclosing fn's "accumulates floats"
-    /// flag equals `b`.
-    HashIteration(Option<bool>),
+    /// Order-observing iteration over a `HashMap`/`HashSet`, where the
+    /// enclosing fn's "accumulates floats" flag equals the value.
+    HashIteration(bool),
     Custom(fn(&LineCtx) -> Vec<String>),
 }
 
@@ -155,20 +154,13 @@ const WORKER_TOKENS: [&str; 3] = ["available_parallelism(", "thread::current(", 
 
 /// The rule table. Row order is report order within a line; findings
 /// are sorted before they are returned.
-pub const RULES: [Rule; 13] = [
+pub const RULES: [Rule; 12] = [
     Rule {
         id: "l2-csr-index",
         scope: Scope::Paths(csr_clients),
         matcher: Matcher::Custom(csr_index),
         message: "raw indexing into CSR array `{hit}`; use the checked CsrGraph \
                   accessors (neighbors/degree) instead",
-    },
-    Rule {
-        id: "l3-unordered-iter",
-        scope: Scope::Paths(order_sensitive),
-        matcher: Matcher::HashIteration(None),
-        message: "iteration over hash collection `{hit}` in ordering-sensitive code; \
-                  use BTreeMap/BTreeSet or sort explicitly so replicas rank identically",
     },
     Rule {
         id: "l5-prob-clamp",
@@ -216,7 +208,7 @@ pub const RULES: [Rule; 13] = [
     Rule {
         id: "h4-float-order",
         scope: Scope::Reachable(AuditKind::Hot),
-        matcher: Matcher::HashIteration(Some(true)),
+        matcher: Matcher::HashIteration(true),
         message: "iteration over hash collection `{hit}` in a float-accumulating fn \
                   (reached from root `{root}`); reductions on hot paths must be \
                   index-ordered so replicas agree bit-for-bit",
@@ -226,7 +218,7 @@ pub const RULES: [Rule; 13] = [
     Rule {
         id: "d1-unordered-iter",
         scope: Scope::Reachable(AuditKind::Det),
-        matcher: Matcher::HashIteration(Some(false)),
+        matcher: Matcher::HashIteration(false),
         message: "order-observing iteration over hash collection `{hit}` (reached from \
                   det root `{root}` at depth {depth}): RandomState order leaks into \
                   results — use an index vector, sorted drain, or BTreeMap",
@@ -258,7 +250,7 @@ pub const RULES: [Rule; 13] = [
     Rule {
         id: "d5-float-order",
         scope: Scope::Reachable(AuditKind::Det),
-        matcher: Matcher::HashIteration(Some(true)),
+        matcher: Matcher::HashIteration(true),
         message: "float accumulation over hash collection `{hit}` (reached from det \
                   root `{root}`): the reduction order is not a pure function of shapes — \
                   iterate an index-ordered view instead",
@@ -282,21 +274,6 @@ fn csr_clients(path: &str) -> bool {
             || path.starts_with("crates/sampler/src")
             || path.starts_with("crates/core/src")
             || path == "crates/store/src/stream.rs")
-}
-
-/// L3 scope: files whose outputs feed deterministic, replica-agreed
-/// rankings.
-fn order_sensitive(path: &str) -> bool {
-    const ORDER_SENSITIVE: [&str; 7] = [
-        "crates/core/src/policies.rs",
-        "crates/core/src/cache.rs",
-        "crates/core/src/reorder.rs",
-        "crates/core/src/vip.rs",
-        "crates/core/src/vip_partition.rs",
-        "crates/core/src/feature_store.rs",
-        "crates/partition/src/",
-    ];
-    ORDER_SENSITIVE.iter().any(|p| path.starts_with(p))
 }
 
 /// L5 scope: the VIP modules.
@@ -743,7 +720,7 @@ pub fn check(
                 }
                 let hits = match rule.matcher {
                     Matcher::Tokens(tokens) => token_hits(ctx.text, tokens),
-                    Matcher::HashIteration(when) if when.is_none_or(|w| w == accumulates) => {
+                    Matcher::HashIteration(when) if when == accumulates => {
                         hash_iteration(ctx.text, &hash_names[u.file])
                             .into_iter()
                             .collect()
@@ -832,7 +809,7 @@ mod tests {
     fn analyze(kind: AuditKind, path: &str, src: &str) -> Report {
         let scanned = vec![scan_source(path, src)];
         let files = vec![parse_items(&scanned[0], src)];
-        let graph = CallGraph::build(&files);
+        let graph = CallGraph::build(&files, &Default::default());
         let reach = graph.reach_for(&graph.roots_for(kind), kind);
         check(kind, &files, &scanned, &graph, &reach)
     }
@@ -846,18 +823,12 @@ mod tests {
     /// One firing and one clean case per table row: (rule, path, body
     /// that fires exactly that rule, body that fires nothing). For the
     /// reachability families the body is a root fn's.
-    const CASES: [(&str, &str, &str, &str); 13] = [
+    const CASES: [(&str, &str, &str, &str); 12] = [
         (
             "l2-csr-index",
             "crates/sampler/src/sample.rs",
             "fn f(g: &CsrGraph, v: usize) -> &[u32] {\n  &g.col()[g.row_ptr()[v]..g.row_ptr()[v + 1]]\n}",
             "fn f(g: &CsrGraph, v: usize) -> &[u32] {\n  g.neighbors(v)\n}",
-        ),
-        (
-            "l3-unordered-iter",
-            "crates/partition/src/simple.rs",
-            "fn f() {\n  let seen: HashSet<u32> = HashSet::new();\n  for v in &seen { g(v); }\n}",
-            "struct C { slots: HashMap<u32, u32> }\nimpl C {\n  fn slot_of(&self, v: u32) -> Option<u32> { self.slots.get(&v).copied() }\n}",
         ),
         (
             "l5-prob-clamp",
@@ -949,12 +920,11 @@ mod tests {
         assert!(!fires(0, "crates/graph/src/csr.rs"));
         assert!(!fires(0, "crates/comm/src/net.rs"));
         assert!(fires(0, "crates/store/src/stream.rs"));
-        // L3 and L5 name their files.
-        assert!(fires(1, "crates/core/src/policies.rs"));
-        assert!(!fires(1, "crates/comm/src/net.rs"));
-        assert!(!fires(2, "crates/core/src/cache.rs"));
+        // L5 names its files.
+        assert!(fires(1, "crates/core/src/vip_partition.rs"));
+        assert!(!fires(1, "crates/core/src/cache.rs"));
         // D3: telemetry may read the environment.
-        assert!(!fires(10, "crates/telemetry/src/export.rs"));
+        assert!(!fires(9, "crates/telemetry/src/export.rs"));
     }
 
     #[test]

@@ -205,7 +205,7 @@ fn hot_and_det_passes_resolve_identical_reachable_sets() {
         .iter()
         .map(|(rel, src)| items::parse_items(&scan::scan_source(rel, src), src))
         .collect();
-    let graph = CallGraph::build(&parsed);
+    let graph = CallGraph::build(&parsed, &Default::default());
 
     let hot_roots = graph.roots_for(AuditKind::Hot);
     let det_roots = graph.roots_for(AuditKind::Det);

@@ -1,6 +1,6 @@
 //! End-to-end tests for `cargo xtask lint` escape handling, driven
 //! through the compiled binary against checked-in fixture trees
-//! (`--root` points the walker at a miniature workspace).
+//! (`--dir` points the walker at a miniature workspace).
 
 // Tests assert by panicking; the workspace panic-family denies apply
 // to library code only (see [workspace.lints] in Cargo.toml).
@@ -19,7 +19,7 @@ fn fixture_root(name: &str) -> String {
 }
 
 fn lint(root: &str, json: bool) -> Output {
-    let mut args = vec!["lint", "--root", root];
+    let mut args = vec!["lint", "--dir", root];
     if json {
         args.push("--json");
     }

@@ -70,7 +70,7 @@ fn cfg_test_fns_never_enter_the_call_graph() {
     let items = parse_items(&sf, src);
     assert!(items.fns.iter().any(|f| f.name == "exercises" && f.in_test));
     let files = vec![items];
-    let graph = CallGraph::build(&files);
+    let graph = CallGraph::build(&files, &Default::default());
     assert!(graph.nodes.iter().all(|n| n.item.name != "exercises"));
     let reach = graph.reach(&graph.roots());
     assert_eq!(reach.len(), 2, "root + helper only");
