@@ -1,9 +1,9 @@
 //! Beyond the paper's figures: inference, pipeline depth and stages,
 //! partition quality, the §6 future-work proposals, and the paper's
-//! scope claims — other architectures, other sampling schemes.
+//! scope claim that VIP applies under other sampling schemes.
 
 use crate::ctx::{Ctx, Point};
-use crate::curves::{count, fixed, percent, times, Curves, Grid};
+use crate::curves::{count, percent, times, Curves, Grid};
 use crate::shapes::{all, falls_along, falls_down, less, shape, tops, verdict};
 use crate::volume::{train_by_part, Measured};
 use crate::Row;
@@ -14,8 +14,6 @@ use spp_bench::report::fmt_secs;
 use spp_core::policies::CachePolicy;
 use spp_core::vip_partition::VipRefiner;
 use spp_core::{CacheBuilder, VipModel};
-use spp_gnn::{Arch, GnnModel, TrainConfig, Trainer};
-use spp_graph::dataset::SyntheticSpec;
 use spp_graph::{Dataset, VertexId};
 use spp_partition::hierarchical::hierarchical_partition;
 use spp_partition::metrics::edge_cut_fraction;
@@ -123,31 +121,6 @@ pub const ROWS: &[Row] = &[
                 all(g.cols.iter().map(|(col, _)| falls_down(g, col)))
             },
         )],
-    },
-    Row {
-        id: "arch_comparison",
-        title: "GraphSAGE (mean, pool), GIN and GAT (1, 4 heads) trained on the same sampled minibatches",
-        csv: &["arch_comparison"],
-        run: arch_comparison,
-        shapes: &[
-            shape("GIN trails every other architecture in test accuracy", |c| {
-                let g = c.grid("arch_comparison");
-                let others = g.rows.iter().filter(|(arch, _)| arch != GIN);
-                all(others.map(|(arch, _)| less(g, (GIN, "test acc"), (arch.as_str(), "test acc"))))
-            }),
-            shape("every other architecture reaches 0.98 test accuracy", |c| {
-                let g = c.grid("arch_comparison");
-                let others = g.rows.iter().filter(|(arch, _)| arch != GIN);
-                all(others.map(|(arch, _)| {
-                    let acc = g.at(arch, "test acc");
-                    verdict(acc >= 0.98, format!("{arch} {}", fixed::<3>(acc)))
-                }))
-            })
-            .at_default_scale(
-                "--quick trains one epoch, which leaves the slower learners short: \
-                 GAT (4 heads) reads 0.591 and GraphSAGE (pool) 0.825",
-            ),
-        ],
     },
     Row {
         id: "layerwise_vip",
@@ -464,55 +437,6 @@ fn vip_partition_ablation(ctx: &Ctx) -> Curves {
         grids: vec![g],
         notes: vec![note],
     }
-}
-
-const GIN: &str = "GIN";
-
-/// Node-wise sampling underlies GraphSAGE, GIN and GAT alike (paper §2.1,
-/// §3), so the VIP analysis and the caches apply to each unchanged: every
-/// architecture trains on the same data set and sampled minibatches.
-fn arch_comparison(ctx: &Ctx) -> Curves {
-    let seed = ctx.cli.seed;
-    let n = ((8_000.0 * ctx.cli.scale) as usize).max(1_000);
-    let ds = SyntheticSpec::new("arch-cmp", n, 16.0, 32, 8)
-        .split_fractions(0.3, 0.1, 0.2)
-        .homophily(0.9)
-        .feature_signal(1.5)
-        .seed(seed)
-        .build();
-    let epochs = ctx.cli.epochs_or(6);
-    let title = format!("Architecture comparison on {} ({n} vertices)", ds.name);
-    let cols = ["params", "final loss", "val acc", "test acc"];
-    let mut g = Grid::new("arch_comparison", &title, "architecture", &cols, fixed::<3>)
-        .col_fmt("params", count);
-    for (name, arch) in [
-        ("GraphSAGE (mean)", Arch::Sage),
-        ("GraphSAGE (pool)", Arch::SagePool),
-        (GIN, Arch::Gin),
-        ("GAT (1 head)", Arch::GatMultiHead(1)),
-        ("GAT (4 heads)", Arch::GatMultiHead(4)),
-    ] {
-        let report = Trainer::new(
-            &ds,
-            TrainConfig {
-                arch,
-                hidden_dim: 32,
-                fanouts: Fanouts::new(vec![10, 5]),
-                eval_fanouts: Fanouts::new(vec![10, 5]),
-                batch_size: 64,
-                lr: 0.005,
-                epochs,
-                seed,
-                ..TrainConfig::default()
-            },
-        )
-        .train();
-        let params = GnnModel::new(arch, &[32, 32, 8], seed).num_parameters();
-        let loss = report.epochs.last().expect("at least one epoch").loss;
-        let cells = [loss, report.val_accuracy, report.test_accuracy].map(f64::from);
-        g.row(name, [params as f64].into_iter().chain(cells).collect());
-    }
-    Curves::of(vec![g])
 }
 
 const EMPIRICAL: &str = "empirical layer-wise (sim.)";

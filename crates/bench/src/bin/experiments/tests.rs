@@ -12,8 +12,7 @@ use std::collections::HashSet;
 /// for a cell the experiment does not run, `;` between cells because
 /// labels hold commas): curves on which every claim of the owning row
 /// holds. Times are the --quick run's, in ms;
-/// Figures 1 and 8, the accuracy and architecture blocks are default
-/// scale, where their last claims apply, and so are the serving and
+/// Figures 1 and 8 and the accuracy block are default scale, where their last claims apply, and so are the serving and
 /// out-of-core store blocks (those rows' goldens).
 const PASSING: &str = "\
 fig1;epoch;CPU (sample/slice);PCIe copy;NIC (features);NIC (gradients);GPU (train)
@@ -127,13 +126,6 @@ vip_partition_ablation;no cache;VIP cache a=0.16
 multilevel;20717;15754
 + VIP re-homing;20640;15681
 
-arch_comparison;params;final loss;val acc;test acc
-GraphSAGE (mean);2600;0.002;0.996;0.999
-GraphSAGE (pool);4712;0.002;0.994;1.000
-GIN;2448;0.604;0.738;0.719
-GAT (1 head);1400;0.020;0.989;0.994
-GAT (4 heads);1400;0.035;0.986;0.990
-
 layerwise_vip;a=0.10;a=0.30;a=0.60
 empirical layer-wise (sim.);1827;1819;1819
 node-wise analytic VIP;1748;1557;1372
@@ -199,8 +191,6 @@ partition_ablation;0;partition_ablation;multilevel;no cache;40000.0
 partition_ablation;1;partition_ablation;LDG;VIP a=0.32;30000.0
 hierarchical;0;hierarchical;hierarchical 4x2;weighted comm cost;30000.0
 vip_partition_ablation;0;vip_partition_ablation;+ VIP re-homing;no cache;21000.0
-arch_comparison;0;arch_comparison;GAT (4 heads);test acc;0.7
-arch_comparison;1;arch_comparison;GAT (4 heads);test acc;0.97
 layerwise_vip;0;layerwise_vip;node-wise analytic VIP;a=0.10;1900.0
 layerwise_vip;1;layerwise_vip;empirical layer-wise (sim.);a=0.60;1500.0
 serving;0;serving;two-tier f16 (equal RAM);rejected;1.0

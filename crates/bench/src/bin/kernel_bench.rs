@@ -46,7 +46,7 @@ use spp_graph::{FeatureMatrix, QuantScheme, QuantizedFeatures};
 use spp_runtime::{DistTrainConfig, DistributedSetup, DistributedTrainer, SetupConfig, WorkerPool};
 use spp_sampler::Fanouts;
 use spp_telemetry::json::Json;
-use spp_tensor::tape::{AggMode, CsrAdj};
+use spp_tensor::tape::CsrAdj;
 use spp_tensor::{kernels, Matrix, Tape};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -440,7 +440,7 @@ fn bench_tape_ops(
     let recorded = || {
         let mut t = Tape::with_pool(pool);
         let xi = t.input(x.clone());
-        let agg = t.sparse_agg(xi, Arc::clone(&adj), AggMode::Mean);
+        let agg = t.sparse_agg(xi, Arc::clone(&adj));
         let loss = t.mean_all(agg);
         (t, xi, agg, loss)
     };
@@ -467,7 +467,7 @@ fn bench_tape_ops(
                 (t, xi)
             },
             |(t, xi)| {
-                black_box(t.sparse_agg(*xi, Arc::clone(&adj), AggMode::Mean));
+                black_box(t.sparse_agg(*xi, Arc::clone(&adj)));
             },
         ),
     };

@@ -1,10 +1,8 @@
 //! GNN models and the local training loop.
 //!
-//! Implements the message-passing architectures the paper discusses
-//! (§2.1): GraphSAGE with mean aggregation (the evaluation architecture),
-//! GIN (sum aggregation + MLP update), and single-head GAT (additive
-//! attention), all on top of the [`spp_tensor`] autograd tape, consuming
-//! sampled [message-flow graphs](spp_sampler::Mfg).
+//! Implements the architecture the paper evaluates (§2.1): GraphSAGE
+//! with mean aggregation, on top of the [`spp_tensor`] autograd tape,
+//! consuming sampled [message-flow graphs](spp_sampler::Mfg).
 //!
 //! # Example
 //!

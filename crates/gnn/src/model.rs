@@ -1,91 +1,31 @@
-//! GNN architectures over message-flow graphs.
+//! The GraphSAGE model over message-flow graphs.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spp_sampler::{HopAdj, Mfg};
-use spp_tensor::tape::{AggMode, CsrAdj};
+use spp_tensor::tape::CsrAdj;
 use spp_tensor::{init, Matrix, NodeId, Param, Tape};
 use std::sync::Arc;
 
-/// Which message-passing architecture to instantiate.
+/// Which message-passing architecture to instantiate: GraphSAGE with
+/// mean aggregation (Hamilton et al., 2017), the paper's evaluation
+/// architecture and the only one. The enum stays while the benchmark's
+/// sources name `Arch::Sage` through [`GnnModel::new`] and the train
+/// configs; it goes when those replays do (ROADMAP item 13(b)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Arch {
-    /// GraphSAGE with mean aggregation and concatenation update
-    /// (Hamilton et al., 2017) — the paper's evaluation architecture.
+    /// GraphSAGE with mean aggregation and concatenation update.
     Sage,
-    /// GraphSAGE with the max-pooling aggregator: neighbors pass through
-    /// a learned transform + ReLU, then element-wise max (Hamilton et
-    /// al., 2017, §2.1 of the paper lists mean/LSTM/pooling variants).
-    SagePool,
-    /// Graph isomorphism network: sum aggregation + MLP update
-    /// (Xu et al., 2019).
-    Gin,
-    /// Graph attention network with `N` heads (Veličković et al., 2018):
-    /// the layer output concatenates the heads, `out/N` wide each, or
-    /// averages full-width heads where `N` does not divide the width.
-    /// `GatMultiHead(1)` is single-head GAT.
-    GatMultiHead(usize),
 }
 
-/// One GNN layer's parameters.
+/// One GraphSAGE layer's parameters: the layer computes
+/// `h[..targets]·w_self + mean_agg(h)·w_neigh + bias`, ReLU'd on hidden
+/// layers.
 #[derive(Debug)]
-enum Layer {
-    Sage {
-        w_self: Param,
-        w_neigh: Param,
-        bias: Param,
-    },
-    SagePool {
-        w_pool: Param,
-        b_pool: Param,
-        w_self: Param,
-        w_neigh: Param,
-        bias: Param,
-    },
-    Gin {
-        w1: Param,
-        b1: Param,
-        w2: Param,
-        b2: Param,
-    },
-    GatMultiHead {
-        heads: Vec<(Param, Param, Param)>,
-        bias: Param,
-        /// Average head outputs instead of concatenating (used when the
-        /// layer width is not divisible by the head count — standard GAT
-        /// practice for output layers).
-        average: bool,
-    },
-}
-
-impl Layer {
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        match self {
-            Layer::Sage {
-                w_self,
-                w_neigh,
-                bias,
-            } => vec![w_self, w_neigh, bias],
-            Layer::SagePool {
-                w_pool,
-                b_pool,
-                w_self,
-                w_neigh,
-                bias,
-            } => vec![w_pool, b_pool, w_self, w_neigh, bias],
-            Layer::Gin { w1, b1, w2, b2 } => vec![w1, b1, w2, b2],
-            Layer::GatMultiHead { heads, bias, .. } => {
-                let mut ps: Vec<&mut Param> = Vec::with_capacity(heads.len() * 3 + 1);
-                for (w, at, asrc) in heads {
-                    ps.push(w);
-                    ps.push(at);
-                    ps.push(asrc);
-                }
-                ps.push(bias);
-                ps
-            }
-        }
-    }
+struct Layer {
+    w_self: Param,
+    w_neigh: Param,
+    bias: Param,
 }
 
 /// Converts a sampled hop adjacency into the tape's CSR view.
@@ -95,25 +35,6 @@ fn to_csr_adj(hop: &HopAdj) -> Arc<CsrAdj> {
         num_sources: hop.num_sources,
         row_ptr: hop.row_ptr.clone(),
         col: hop.col.clone(),
-    })
-}
-
-/// Like [`to_csr_adj`] but with a self-loop prepended to every target's
-/// neighbor list (GAT attends over `{v} ∪ N(v)`).
-fn to_csr_adj_with_self(hop: &HopAdj) -> Arc<CsrAdj> {
-    let mut row_ptr = Vec::with_capacity(hop.num_targets + 1);
-    let mut col = Vec::with_capacity(hop.col.len() + hop.num_targets);
-    row_ptr.push(0usize);
-    for t in 0..hop.num_targets {
-        col.push(t as u32);
-        col.extend_from_slice(hop.neighbors(t));
-        row_ptr.push(col.len());
-    }
-    Arc::new(CsrAdj {
-        num_targets: hop.num_targets,
-        num_sources: hop.num_sources,
-        row_ptr,
-        col,
     })
 }
 
@@ -154,14 +75,13 @@ pub fn model_dims(feature_dim: usize, hidden: usize, hops: usize, classes: usize
     dims
 }
 
-/// A multi-layer GNN.
+/// A multi-layer GraphSAGE model.
 ///
 /// `dims` is `[input_dim, hidden..., num_classes]`; the number of layers
 /// is `dims.len() - 1` and must match the sampling fanout depth of the
 /// MFGs passed to [`GnnModel::forward`].
 #[derive(Debug)]
 pub struct GnnModel {
-    arch: Arch,
     layers: Vec<Layer>,
     dims: Vec<usize>,
     dropout: f32,
@@ -175,55 +95,19 @@ impl GnnModel {
     /// Panics if `dims` has fewer than two entries.
     pub fn new(arch: Arch, dims: &[usize], seed: u64) -> Self {
         assert!(dims.len() >= 2, "need at least input and output dims");
+        let Arch::Sage = arch;
         let mut rng = StdRng::seed_from_u64(seed);
         let layers = (0..dims.len() - 1)
             .map(|l| {
                 let (din, dout) = (dims[l], dims[l + 1]);
-                match arch {
-                    Arch::Sage => Layer::Sage {
-                        w_self: Param::new(init::glorot_uniform(din, dout, &mut rng)),
-                        w_neigh: Param::new(init::glorot_uniform(din, dout, &mut rng)),
-                        bias: Param::new(init::zeros_bias(dout)),
-                    },
-                    Arch::SagePool => Layer::SagePool {
-                        w_pool: Param::new(init::kaiming_uniform(din, din, &mut rng)),
-                        b_pool: Param::new(init::zeros_bias(din)),
-                        w_self: Param::new(init::glorot_uniform(din, dout, &mut rng)),
-                        w_neigh: Param::new(init::glorot_uniform(din, dout, &mut rng)),
-                        bias: Param::new(init::zeros_bias(dout)),
-                    },
-                    Arch::Gin => Layer::Gin {
-                        w1: Param::new(init::glorot_uniform(din, dout, &mut rng)),
-                        b1: Param::new(init::zeros_bias(dout)),
-                        w2: Param::new(init::glorot_uniform(dout, dout, &mut rng)),
-                        b2: Param::new(init::zeros_bias(dout)),
-                    },
-                    Arch::GatMultiHead(h) => {
-                        assert!(h > 0, "need at least one attention head");
-                        // Concatenate heads of width dout/h when the width
-                        // divides evenly; otherwise (typically the output
-                        // layer) average full-width heads, as in GAT.
-                        let average = dout % h != 0;
-                        let hd = if average { dout } else { dout / h };
-                        Layer::GatMultiHead {
-                            heads: (0..h)
-                                .map(|_| {
-                                    (
-                                        Param::new(init::glorot_uniform(din, hd, &mut rng)),
-                                        Param::new(init::glorot_uniform(hd, 1, &mut rng)),
-                                        Param::new(init::glorot_uniform(hd, 1, &mut rng)),
-                                    )
-                                })
-                                .collect(),
-                            bias: Param::new(init::zeros_bias(dout)),
-                            average,
-                        }
-                    }
+                Layer {
+                    w_self: Param::new(init::glorot_uniform(din, dout, &mut rng)),
+                    w_neigh: Param::new(init::glorot_uniform(din, dout, &mut rng)),
+                    bias: Param::new(init::zeros_bias(dout)),
                 }
             })
             .collect();
         Self {
-            arch,
             layers,
             dims: dims.to_vec(),
             dropout: 0.0,
@@ -234,11 +118,6 @@ impl GnnModel {
     pub fn with_dropout(mut self, p: f32) -> Self {
         self.dropout = p;
         self
-    }
-
-    /// The architecture.
-    pub fn arch(&self) -> Arch {
-        self.arch
     }
 
     /// Number of GNN layers.
@@ -255,7 +134,7 @@ impl GnnModel {
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         self.layers
             .iter_mut()
-            .flat_map(|l| l.params_mut())
+            .flat_map(|l| [&mut l.w_self, &mut l.w_neigh, &mut l.bias])
             .collect()
     }
 
@@ -294,96 +173,15 @@ impl GnnModel {
         for (li, layer) in self.layers.iter().enumerate() {
             let hop = mfg.layer_adj(li + 1);
             let targets = hop.num_targets;
-            // Hidden layers end in a ReLU; where the layer's last op is a
-            // `linear` it is that op's epilogue.
+            // Hidden layers end in a ReLU, the `linear`'s epilogue.
             let act = li + 1 < num_layers;
-            h = match layer {
-                Layer::Sage {
-                    w_self,
-                    w_neigh,
-                    bias,
-                } => {
-                    let adj = to_csr_adj(hop);
-                    let wsn = tape.input(w_self.value.clone());
-                    let wnn = tape.input(w_neigh.value.clone());
-                    let bn = tape.input(bias.value.clone());
-                    param_nodes.extend([wsn, wnn, bn]);
-                    let neigh = tape.sparse_agg(h, adj, AggMode::Mean);
-                    tape.linear(targets, &[(h, wsn), (neigh, wnn)], Some(bn), act)
-                }
-                Layer::SagePool {
-                    w_pool,
-                    b_pool,
-                    w_self,
-                    w_neigh,
-                    bias,
-                } => {
-                    let adj = to_csr_adj(hop);
-                    let wpn = tape.input(w_pool.value.clone());
-                    let bpn = tape.input(b_pool.value.clone());
-                    let wsn = tape.input(w_self.value.clone());
-                    let wnn = tape.input(w_neigh.value.clone());
-                    let bn = tape.input(bias.value.clone());
-                    param_nodes.extend([wpn, bpn, wsn, wnn, bn]);
-                    let sources = tape.value(h).rows();
-                    let pooled = tape.linear(sources, &[(h, wpn)], Some(bpn), true);
-                    let neigh = tape.sparse_agg(pooled, adj, AggMode::Max);
-                    tape.linear(targets, &[(h, wsn), (neigh, wnn)], Some(bn), act)
-                }
-                Layer::Gin { w1, b1, w2, b2 } => {
-                    let adj = to_csr_adj(hop);
-                    let w1n = tape.input(w1.value.clone());
-                    let b1n = tape.input(b1.value.clone());
-                    let w2n = tape.input(w2.value.clone());
-                    let b2n = tape.input(b2.value.clone());
-                    param_nodes.extend([w1n, b1n, w2n, b2n]);
-                    let agg = tape.sparse_agg(h, adj, AggMode::Sum);
-                    let own = tape.head_rows(h, targets);
-                    let s = tape.add(own, agg);
-                    let a = tape.linear(targets, &[(s, w1n)], Some(b1n), true);
-                    tape.linear(targets, &[(a, w2n)], Some(b2n), act)
-                }
-                Layer::GatMultiHead {
-                    heads,
-                    bias,
-                    average,
-                } => {
-                    let adj = to_csr_adj_with_self(hop);
-                    let mut head_outs = Vec::with_capacity(heads.len());
-                    for (w, a_target, a_source) in heads {
-                        let wn = tape.input(w.value.clone());
-                        let atn = tape.input(a_target.value.clone());
-                        let asn = tape.input(a_source.value.clone());
-                        param_nodes.extend([wn, atn, asn]);
-                        let wh = tape.matmul(h, wn);
-                        let tgt = tape.matmul(wh, atn);
-                        let src = tape.matmul(wh, asn);
-                        let e = tape.edge_scores(tgt, src, Arc::clone(&adj));
-                        let el = tape.leaky_relu(e, 0.2);
-                        let alpha = tape.edge_softmax(el, Arc::clone(&adj));
-                        head_outs.push(tape.weighted_agg(alpha, wh, Arc::clone(&adj)));
-                    }
-                    let bn = tape.input(bias.value.clone());
-                    let mut combined = head_outs[0];
-                    if *average {
-                        for &ho in &head_outs[1..] {
-                            combined = tape.add(combined, ho);
-                        }
-                        combined = tape.scale(combined, 1.0 / heads.len() as f32);
-                    } else {
-                        for &ho in &head_outs[1..] {
-                            combined = tape.concat_cols(combined, ho);
-                        }
-                    }
-                    param_nodes.push(bn);
-                    let out = tape.add_bias(combined, bn);
-                    if act {
-                        tape.relu(out)
-                    } else {
-                        out
-                    }
-                }
-            };
+            let adj = to_csr_adj(hop);
+            let wsn = tape.input(layer.w_self.value.clone());
+            let wnn = tape.input(layer.w_neigh.value.clone());
+            let bn = tape.input(layer.bias.value.clone());
+            param_nodes.extend([wsn, wnn, bn]);
+            let neigh = tape.sparse_agg(h, adj);
+            h = tape.linear(targets, &[(h, wsn), (neigh, wnn)], Some(bn), act);
             if act && train && self.dropout > 0.0 {
                 h = tape.dropout(h, self.dropout, rng);
             }
@@ -473,12 +271,12 @@ mod tests {
     use spp_tensor::{Adam, Optimizer};
     use std::sync::Arc as StdArc;
 
-    fn setup(arch: Arch) -> (GnnModel, Mfg, Matrix) {
+    fn setup() -> (GnnModel, Mfg, Matrix) {
         let g = ring_with_chords(64, 7);
         let sampler = NodeWiseSampler::new(&g, Fanouts::new(vec![4, 3]));
         let mut rng = StdRng::seed_from_u64(1);
         let mfg = sampler.sample(&[0, 5, 9, 13], &mut rng);
-        let model = GnnModel::new(arch, &[6, 8, 3], 2);
+        let model = GnnModel::new(Arch::Sage, &[6, 8, 3], 2);
         let mut x = Matrix::zeros(mfg.num_nodes(), 6);
         let mut r2 = StdRng::seed_from_u64(3);
         for v in x.as_flat_mut() {
@@ -489,7 +287,7 @@ mod tests {
 
     #[test]
     fn sage_forward_shapes() {
-        let (model, mfg, x) = setup(Arch::Sage);
+        let (model, mfg, x) = setup();
         let mut rng = StdRng::seed_from_u64(4);
         let fwd = model.forward(x, &mfg, false, &mut rng);
         assert_eq!(fwd.logits_value().shape(), (4, 3));
@@ -497,26 +295,8 @@ mod tests {
     }
 
     #[test]
-    fn gin_forward_shapes() {
-        let (model, mfg, x) = setup(Arch::Gin);
-        let mut rng = StdRng::seed_from_u64(4);
-        let fwd = model.forward(x, &mfg, false, &mut rng);
-        assert_eq!(fwd.logits_value().shape(), (4, 3));
-        assert_eq!(fwd.param_nodes.len(), 8);
-    }
-
-    #[test]
-    fn gat_forward_shapes() {
-        let (model, mfg, x) = setup(Arch::GatMultiHead(1));
-        let mut rng = StdRng::seed_from_u64(4);
-        let fwd = model.forward(x, &mfg, false, &mut rng);
-        assert_eq!(fwd.logits_value().shape(), (4, 3));
-        assert_eq!(fwd.param_nodes.len(), 8);
-    }
-
-    #[test]
     fn infer_matches_eval_forward() {
-        let (model, mfg, x) = setup(Arch::Sage);
+        let (model, mfg, x) = setup();
         let mut rng = StdRng::seed_from_u64(11);
         let fwd = model.forward(x.clone(), &mfg, false, &mut rng);
         let logits = model.infer(x.clone(), &mfg);
@@ -528,7 +308,7 @@ mod tests {
 
     #[test]
     fn forward_deterministic_in_eval_mode() {
-        let (model, mfg, x) = setup(Arch::Sage);
+        let (model, mfg, x) = setup();
         let mut r1 = StdRng::seed_from_u64(5);
         let mut r2 = StdRng::seed_from_u64(99);
         let f1 = model.forward(x.clone(), &mfg, false, &mut r1);
@@ -538,69 +318,55 @@ mod tests {
 
     #[test]
     fn training_step_reduces_loss() {
-        for arch in [
-            Arch::Sage,
-            Arch::SagePool,
-            Arch::Gin,
-            Arch::GatMultiHead(1),
-            Arch::GatMultiHead(2),
-        ] {
-            let (mut model, mfg, x) = setup(arch);
-            let labels = StdArc::new(vec![0u32, 1, 2, 0]);
-            let mut opt = Adam::new(0.05);
-            let mut rng = StdRng::seed_from_u64(6);
-            let loss_at = |model: &GnnModel, rng: &mut StdRng| {
-                let mut fwd = model.forward(x.clone(), &mfg, false, rng);
-                let l = fwd
-                    .tape
-                    .softmax_cross_entropy(fwd.logits, StdArc::clone(&labels));
-                fwd.tape.value(l).get(0, 0)
-            };
-            let before = loss_at(&model, &mut rng);
-            for step in 0..20 {
-                let labels = StdArc::clone(&labels);
-                crate::train_step(&mut model, x.clone(), &mfg, labels, (6, 0, step));
-                opt.step(&mut model.params_mut());
-            }
-            let after = loss_at(&model, &mut rng);
-            assert!(
-                after < before * 0.8,
-                "{arch:?}: loss {before} -> {after} did not drop"
+        let (mut model, mfg, x) = setup();
+        let labels = StdArc::new(vec![0u32, 1, 2, 0]);
+        let mut opt = Adam::new(0.05);
+        let mut rng = StdRng::seed_from_u64(6);
+        let loss_at = |model: &GnnModel, rng: &mut StdRng| {
+            let mut fwd = model.forward(x.clone(), &mfg, false, rng);
+            let l = fwd
+                .tape
+                .softmax_cross_entropy(fwd.logits, StdArc::clone(&labels));
+            fwd.tape.value(l).get(0, 0)
+        };
+        let before = loss_at(&model, &mut rng);
+        for step in 0..20 {
+            let labels = StdArc::clone(&labels);
+            crate::train_step(&mut model, x.clone(), &mfg, labels, (6, 0, step));
+            opt.step(&mut model.params_mut());
+        }
+        let after = loss_at(&model, &mut rng);
+        assert!(
+            after < before * 0.8,
+            "loss {before} -> {after} did not drop"
+        );
+    }
+
+    #[test]
+    fn tape_records_five_nodes_per_layer() {
+        // Per layer: three parameter leaves, `sparse_agg` and `linear`;
+        // one feature leaf ahead of them, and a dropout after every
+        // hidden layer in train mode.
+        let g = ring_with_chords(64, 7);
+        for layers in 1..=3 {
+            let sampler = NodeWiseSampler::new(&g, Fanouts::new(vec![3; layers]));
+            let mut rng = StdRng::seed_from_u64(1);
+            let mfg = sampler.sample(&[0, 5, 9], &mut rng);
+            let mut dims = vec![6; layers];
+            dims.push(3);
+            let model = GnnModel::new(Arch::Sage, &dims, 2).with_dropout(0.5);
+            let x = Matrix::zeros(mfg.num_nodes(), 6);
+            let eval = model.forward(x.clone(), &mfg, false, &mut rng);
+            assert_eq!(eval.tape.len(), 1 + 5 * layers, "{layers} layers, eval");
+            assert_eq!(eval.param_nodes.len(), 3 * layers);
+            let train = model.forward(x, &mfg, true, &mut rng);
+            let dropouts = layers - 1;
+            assert_eq!(
+                train.tape.len(),
+                1 + 5 * layers + dropouts,
+                "{layers} layers, train"
             );
         }
-    }
-
-    #[test]
-    fn sage_pool_forward_shapes() {
-        let (model, mfg, x) = setup(Arch::SagePool);
-        let mut rng = StdRng::seed_from_u64(4);
-        let fwd = model.forward(x, &mfg, false, &mut rng);
-        assert_eq!(fwd.logits_value().shape(), (4, 3));
-        assert_eq!(fwd.param_nodes.len(), 10); // 2 layers x 5 params
-    }
-
-    #[test]
-    fn multi_head_gat_forward_shapes() {
-        // dims [6, 8, 4] with 2 heads: both 8 and 4 divisible by 2.
-        let g = ring_with_chords(64, 7);
-        let sampler = NodeWiseSampler::new(&g, Fanouts::new(vec![4, 3]));
-        let mut rng = StdRng::seed_from_u64(1);
-        let mfg = sampler.sample(&[0, 5, 9, 13], &mut rng);
-        let model = GnnModel::new(Arch::GatMultiHead(2), &[6, 8, 4], 2);
-        let x = Matrix::zeros(mfg.num_nodes(), 6);
-        let fwd = model.forward(x, &mfg, false, &mut rng);
-        assert_eq!(fwd.logits_value().shape(), (4, 4));
-        // 2 layers x (2 heads x 3 + bias) = 14 params.
-        assert_eq!(fwd.param_nodes.len(), 14);
-    }
-
-    #[test]
-    fn multi_head_averages_on_indivisible_width() {
-        // Output width 3 with 2 heads: heads are full width, averaged.
-        let (model, mfg, x) = setup(Arch::GatMultiHead(2));
-        let mut rng = StdRng::seed_from_u64(4);
-        let fwd = model.forward(x, &mfg, false, &mut rng);
-        assert_eq!(fwd.logits_value().shape(), (4, 3));
     }
 
     #[test]
@@ -613,7 +379,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "MFG depth != layer count")]
     fn depth_mismatch_panics() {
-        let (model, mfg, x) = setup(Arch::Sage);
+        let (model, mfg, x) = setup();
         let deep = GnnModel::new(Arch::Sage, &[6, 8, 8, 3], 0);
         let mut rng = StdRng::seed_from_u64(0);
         drop(model);

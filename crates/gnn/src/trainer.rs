@@ -53,7 +53,7 @@ pub fn train_step(
 /// Adam at 0.001) scaled to the mini datasets.
 #[derive(Clone, Debug)]
 pub struct TrainConfig {
-    /// Architecture (the paper evaluates GraphSAGE).
+    /// Architecture; [`Arch::Sage`] is the only one.
     pub arch: Arch,
     /// Hidden-layer width.
     pub hidden_dim: usize,

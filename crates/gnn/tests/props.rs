@@ -17,13 +17,13 @@ use spp_graph::generate::GeneratorConfig;
 use spp_sampler::{Fanouts, NodeWiseSampler};
 use spp_tensor::Matrix;
 
-fn forward_shape_for(arch: Arch, n: usize, m: usize, seeds: usize, seed: u64) -> (usize, usize) {
+fn forward_shape_for(n: usize, m: usize, seeds: usize, seed: u64) -> (usize, usize) {
     let g = GeneratorConfig::erdos_renyi(n, m).seed(seed).build();
     let sampler = NodeWiseSampler::new(&g, Fanouts::new(vec![4, 3]));
     let ids: Vec<u32> = (0..seeds as u32).collect();
     let mut rng = StdRng::seed_from_u64(seed ^ 3);
     let mfg = sampler.sample(&ids, &mut rng);
-    let model = GnnModel::new(arch, &[5, 8, 4], seed);
+    let model = GnnModel::new(Arch::Sage, &[5, 8, 4], seed);
     let x = Matrix::zeros(mfg.num_nodes(), 5);
     let fwd = model.forward(x, &mfg, false, &mut rng);
     fwd.logits_value().shape()
@@ -39,11 +39,9 @@ proptest! {
         seeds in 1usize..8,
         seed in 0u64..200,
     ) {
-        for arch in [Arch::Sage, Arch::SagePool, Arch::Gin, Arch::GatMultiHead(1), Arch::GatMultiHead(2)] {
-            let (r, c) = forward_shape_for(arch, n, m, seeds.min(n), seed);
-            prop_assert_eq!(r, seeds.min(n));
-            prop_assert_eq!(c, 4);
-        }
+        let (r, c) = forward_shape_for(n, m, seeds.min(n), seed);
+        prop_assert_eq!(r, seeds.min(n));
+        prop_assert_eq!(c, 4);
     }
 
     #[test]

@@ -15,17 +15,6 @@ pub fn glorot_uniform<R: Rng>(fan_in: usize, fan_out: usize, rng: &mut R) -> Mat
     m
 }
 
-/// Kaiming/He uniform initialization for ReLU networks:
-/// `U(-a, a)` with `a = sqrt(6 / fan_in)`.
-pub fn kaiming_uniform<R: Rng>(fan_in: usize, fan_out: usize, rng: &mut R) -> Matrix {
-    let a = (6.0 / fan_in as f32).sqrt();
-    let mut m = Matrix::zeros(fan_in, fan_out);
-    for v in m.as_flat_mut() {
-        *v = rng.gen::<f32>() * 2.0 * a - a;
-    }
-    m
-}
-
 /// Zero-initialized `1×n` bias row.
 pub fn zeros_bias(n: usize) -> Matrix {
     Matrix::zeros(1, n)
@@ -45,14 +34,6 @@ mod tests {
         assert!(m.as_flat().iter().all(|&v| v.abs() <= a));
         // Not all zeros.
         assert!(m.norm() > 0.0);
-    }
-
-    #[test]
-    fn kaiming_scales_with_fan_in() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let m = kaiming_uniform(6, 10, &mut rng);
-        let a = 1.0f32; // sqrt(6/6)
-        assert!(m.as_flat().iter().all(|&v| v.abs() <= a));
     }
 
     #[test]

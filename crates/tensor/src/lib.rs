@@ -3,9 +3,8 @@
 //! The paper's system trains GNNs with PyTorch; this crate is the
 //! substitute substrate (DESIGN.md §2): row-major `f32` matrices
 //! ([`Matrix`]), a tape-based reverse-mode autograd graph ([`Tape`]) with
-//! the dense and sparse (CSR aggregation, edge softmax) operators that
-//! GraphSAGE/GIN/GAT require, weight [`init`]ializers, and [`optim`]izers
-//! (Adam, SGD).
+//! the dense and sparse (CSR mean aggregation) operators GraphSAGE
+//! requires, weight [`init`]ializers, and [`optim`]izers (Adam, SGD).
 //!
 //! # Example
 //!

@@ -16,11 +16,10 @@
 //! - **A gradient is final when its node's turn comes.** Operands always
 //!   precede the node that uses them, so by the time the reverse walk
 //!   reaches node *i* every consumer of *i* has already contributed. The
-//!   element-wise ops (`relu`, `leaky_relu`, `scale`, `dropout`,
-//!   `add_bias`, `add`) therefore transform that buffer in place and
-//!   *move* it to their operand instead of cloning it — the operand
-//!   receives exactly the values a copy would have held, so this is
-//!   exact, not approximate.
+//!   element-wise ops (`relu`, `dropout`, `add_bias`, `add`) therefore
+//!   transform that buffer in place and *move* it to their operand
+//!   instead of cloning it — the operand receives exactly the values a
+//!   copy would have held, so this is exact, not approximate.
 //! - **Only leaves keep a gradient.** An interior node's buffer is
 //!   dropped (or moved on) after its turn; after `backward`,
 //!   [`Tape::grad`] is `Some` for `input` leaves that the output depends
@@ -29,12 +28,12 @@
 //! Two ops carry a GNN layer's memory traffic and are built to write
 //! their output once (DESIGN.md §14): [`Tape::linear`], the fused affine
 //! map every dense layer goes through ([`Tape::matmul`] is its one-term
-//! case), and [`Tape::sparse_agg`], whose forward and Mean/Sum backward
-//! are both row-parallel *gathers*. An op that reads only a row prefix
-//! of an operand (`linear`, `head_rows`) hands back a gradient with just
-//! those rows; the rows it lacks count as `+0.0` wherever it is summed
-//! with another contribution, and are only materialized if nothing else
-//! arrives before the operand's turn.
+//! case), and [`Tape::sparse_agg`], the neighbor mean, whose forward and
+//! backward are both row-parallel *gathers*. An op that reads only a row
+//! prefix of an operand (`linear`, `head_rows`) hands back a gradient
+//! with just those rows; the rows it lacks count as `+0.0` wherever it
+//! is summed with another contribution, and are only materialized if
+//! nothing else arrives before the operand's turn.
 //!
 //! While telemetry is enabled every op records a span per kind and
 //! direction (`tensor.fwd.linear`, `tensor.bwd.sparse_agg`, …) and adds
@@ -67,11 +66,6 @@ pub struct CsrAdj {
 }
 
 impl CsrAdj {
-    /// Number of edges.
-    pub fn num_edges(&self) -> usize {
-        self.col.len()
-    }
-
     /// The local source indices target `t` aggregates, in list order.
     #[inline]
     pub fn neighbors(&self, t: usize) -> &[u32] {
@@ -108,19 +102,6 @@ impl CsrAdj {
     }
 }
 
-/// Aggregation mode for [`Tape::sparse_agg`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AggMode {
-    /// Mean over sampled neighbors (GraphSAGE). Targets with no sampled
-    /// neighbors produce a zero row.
-    Mean,
-    /// Sum over sampled neighbors (GIN).
-    Sum,
-    /// Element-wise max over sampled neighbors (GraphSAGE's pooling
-    /// aggregator). Targets with no sampled neighbors produce a zero row.
-    Max,
-}
-
 #[derive(Debug)]
 enum Op {
     Leaf,
@@ -134,27 +115,9 @@ enum Op {
     Add(NodeId, NodeId),
     AddBias(NodeId, NodeId),
     Relu(NodeId),
-    LeakyRelu(NodeId, f32),
-    Scale(NodeId, f32),
-    ConcatCols(NodeId, NodeId),
     HeadRows(NodeId),
     Dropout(NodeId, Vec<f32>),
     SparseAgg {
-        x: NodeId,
-        adj: Arc<CsrAdj>,
-        mode: AggMode,
-    },
-    EdgeScores {
-        target: NodeId,
-        source: NodeId,
-        adj: Arc<CsrAdj>,
-    },
-    EdgeSoftmax {
-        e: NodeId,
-        adj: Arc<CsrAdj>,
-    },
-    WeightedAgg {
-        w: NodeId,
         x: NodeId,
         adj: Arc<CsrAdj>,
     },
@@ -380,44 +343,6 @@ impl Tape {
         self.push(Op::Relu(x), &[x], v)
     }
 
-    /// Leaky ReLU with the given negative slope.
-    pub fn leaky_relu(&mut self, x: NodeId, slope: f32) -> NodeId {
-        let _span = telemetry::span!("tensor.fwd.leaky_relu");
-        let mut v = self.value(x).clone();
-        for a in v.as_flat_mut() {
-            if *a < 0.0 {
-                *a *= slope;
-            }
-        }
-        self.push(Op::LeakyRelu(x, slope), &[x], v)
-    }
-
-    /// Multiplies by a constant.
-    pub fn scale(&mut self, x: NodeId, s: f32) -> NodeId {
-        let _span = telemetry::span!("tensor.fwd.scale");
-        let mut v = self.value(x).clone();
-        v.scale_assign(s);
-        self.push(Op::Scale(x, s), &[x], v)
-    }
-
-    /// Column-wise concatenation `[a | b]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if row counts differ.
-    pub fn concat_cols(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let _span = telemetry::span!("tensor.fwd.concat_cols");
-        let (ra, ca) = self.value(a).shape();
-        let (rb, cb) = self.value(b).shape();
-        assert_eq!(ra, rb, "concat_cols row mismatch");
-        let mut v = Matrix::zeros(ra, ca + cb);
-        for i in 0..ra {
-            v.row_mut(i)[..ca].copy_from_slice(self.nodes[a.0].value.row(i));
-            v.row_mut(i)[ca..].copy_from_slice(self.nodes[b.0].value.row(i));
-        }
-        self.push(Op::ConcatCols(a, b), &[a, b], v)
-    }
-
     /// Takes the first `n` rows (targets are a prefix of sources in MFGs).
     ///
     /// # Panics
@@ -455,16 +380,16 @@ impl Tape {
         self.push(Op::Dropout(x, mask), &[x], v)
     }
 
-    /// Neighborhood aggregation over a sampled adjacency: row `t` of the
-    /// output is the mean (or sum, or element-wise max) of `x`'s rows
-    /// listed in `adj` for `t`. Target rows are disjoint, so the loop
-    /// runs as one row-parallel region balanced by edge count; each
-    /// element still sums its neighbors in list order.
+    /// Neighborhood mean over a sampled adjacency: row `t` of the output
+    /// is the mean of `x`'s rows listed in `adj` for `t` (a zero row when
+    /// the list is empty). Target rows are disjoint, so the loop runs as
+    /// one row-parallel region balanced by edge count; each element still
+    /// sums its neighbors in list order.
     ///
     /// # Panics
     ///
     /// Panics if `x` has fewer rows than `adj.num_sources`.
-    pub fn sparse_agg(&mut self, x: NodeId, adj: Arc<CsrAdj>, mode: AggMode) -> NodeId {
+    pub fn sparse_agg(&mut self, x: NodeId, adj: Arc<CsrAdj>) -> NodeId {
         let _span = telemetry::span!("tensor.fwd.sparse_agg");
         let xv = self.value(x);
         assert!(
@@ -478,113 +403,9 @@ impl Tape {
             self.pool,
             &mut v,
             |t| adj.row_ptr[t] as u64,
-            |t0, chunk| agg_rows(xv, &adj, mode, t0, chunk),
+            |t0, chunk| agg_rows(xv, &adj, t0, chunk),
         );
-        self.push(Op::SparseAgg { x, adj, mode }, &[x], v)
-    }
-
-    /// Per-edge attention logits `e_k = target_score[t_k] + source_score[s_k]`
-    /// (GAT's additive attention), producing an `(edges × 1)` node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the score vectors are not single-column with enough rows.
-    pub fn edge_scores(&mut self, target: NodeId, source: NodeId, adj: Arc<CsrAdj>) -> NodeId {
-        let _span = telemetry::span!("tensor.fwd.edge_scores");
-        assert_eq!(
-            self.value(target).cols(),
-            1,
-            "target scores must be a column"
-        );
-        assert_eq!(
-            self.value(source).cols(),
-            1,
-            "source scores must be a column"
-        );
-        assert!(self.value(target).rows() >= adj.num_targets);
-        assert!(self.value(source).rows() >= adj.num_sources);
-        let mut v = Matrix::zeros(adj.num_edges(), 1);
-        let mut k = 0usize;
-        for t in 0..adj.num_targets {
-            let ts = self.nodes[target.0].value.get(t, 0);
-            for &s in &adj.col[adj.row_ptr[t]..adj.row_ptr[t + 1]] {
-                let val = ts + self.nodes[source.0].value.get(s as usize, 0);
-                v.set(k, 0, val);
-                k += 1;
-            }
-        }
-        self.push(
-            Op::EdgeScores {
-                target,
-                source,
-                adj,
-            },
-            &[target, source],
-            v,
-        )
-    }
-
-    /// Softmax of per-edge logits within each target's edge group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is not `(edges × 1)`.
-    pub fn edge_softmax(&mut self, e: NodeId, adj: Arc<CsrAdj>) -> NodeId {
-        let _span = telemetry::span!("tensor.fwd.edge_softmax");
-        assert_eq!(
-            self.value(e).shape(),
-            (adj.num_edges(), 1),
-            "edge vector shape mismatch"
-        );
-        let mut v = self.value(e).clone();
-        for t in 0..adj.num_targets {
-            let (lo, hi) = (adj.row_ptr[t], adj.row_ptr[t + 1]);
-            if lo == hi {
-                continue;
-            }
-            let mut mx = f32::NEG_INFINITY;
-            for k in lo..hi {
-                mx = mx.max(v.get(k, 0));
-            }
-            let mut z = 0.0f32;
-            for k in lo..hi {
-                let p = (v.get(k, 0) - mx).exp();
-                v.set(k, 0, p);
-                z += p;
-            }
-            for k in lo..hi {
-                let p = v.get(k, 0) / z;
-                v.set(k, 0, p);
-            }
-        }
-        self.push(Op::EdgeSoftmax { e, adj }, &[e], v)
-    }
-
-    /// Attention-weighted aggregation: `out[t] = Σ_k w[k] · x[s_k]` over
-    /// target `t`'s edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches.
-    pub fn weighted_agg(&mut self, w: NodeId, x: NodeId, adj: Arc<CsrAdj>) -> NodeId {
-        let _span = telemetry::span!("tensor.fwd.weighted_agg");
-        assert_eq!(self.value(w).shape(), (adj.num_edges(), 1));
-        assert!(self.value(x).rows() >= adj.num_sources);
-        let d = self.value(x).cols();
-        let mut v = Matrix::zeros(adj.num_targets, d);
-        let mut k = 0usize;
-        for t in 0..adj.num_targets {
-            for &s in &adj.col[adj.row_ptr[t]..adj.row_ptr[t + 1]] {
-                let wv = self.nodes[w.0].value.get(k, 0);
-                let src = self.nodes[x.0].value.row(s as usize);
-                let out = v.row_mut(t);
-                for (o, &a) in out.iter_mut().zip(src) {
-                    *o += wv * a;
-                }
-                k += 1;
-            }
-        }
-        self.push(Op::WeightedAgg { w, x, adj }, &[w, x], v)
+        self.push(Op::SparseAgg { x, adj }, &[x], v)
     }
 
     /// Mean of all entries, producing a `1×1` scalar node.
@@ -759,43 +580,6 @@ impl Tape {
                     }
                     self.accumulate(x, g);
                 }
-                Op::LeakyRelu(x, slope) => {
-                    let (x, slope) = (*x, *slope);
-                    for (gv, &xv) in g
-                        .as_flat_mut()
-                        .iter_mut()
-                        .zip(self.nodes[x.0].value.as_flat())
-                    {
-                        if xv <= 0.0 {
-                            *gv *= slope;
-                        }
-                    }
-                    self.accumulate(x, g);
-                }
-                Op::Scale(x, s) => {
-                    let (x, s) = (*x, *s);
-                    g.scale_assign(s);
-                    self.accumulate(x, g);
-                }
-                Op::ConcatCols(a, b) => {
-                    let (a, b) = (*a, *b);
-                    let ca = self.nodes[a.0].value.cols();
-                    let rows = g.rows();
-                    if self.needs_grad(a) {
-                        let mut ga = Matrix::zeros(rows, ca);
-                        for r in 0..rows {
-                            ga.row_mut(r).copy_from_slice(&g.row(r)[..ca]);
-                        }
-                        self.accumulate(a, ga);
-                    }
-                    if self.needs_grad(b) {
-                        let mut gb = Matrix::zeros(rows, g.cols() - ca);
-                        for r in 0..rows {
-                            gb.row_mut(r).copy_from_slice(&g.row(r)[ca..]);
-                        }
-                        self.accumulate(b, gb);
-                    }
-                }
                 Op::HeadRows(x) => {
                     let x = *x;
                     self.accumulate(x, g);
@@ -807,8 +591,8 @@ impl Tape {
                     }
                     self.accumulate(x, g);
                 }
-                Op::SparseAgg { x, adj, mode } if *mode != AggMode::Max => {
-                    let (x, adj, mean) = (*x, Arc::clone(adj), *mode == AggMode::Mean);
+                Op::SparseAgg { x, adj } => {
+                    let (x, adj) = (*x, Arc::clone(adj));
                     // Gather form: each source row sums its targets'
                     // gradient rows in edge order — the order a
                     // target-major scatter adds them — and is written
@@ -824,114 +608,11 @@ impl Tape {
                         |s| (src_ptr[s] + s) as u64,
                         |s0, chunk| {
                             let lists = (&src_ptr[..], &targets[..]);
-                            agg_grad_rows(&adj, mean, lists, &g, held_rows, s0, chunk);
+                            agg_grad_rows(&adj, lists, &g, held_rows, s0, chunk);
                         },
                     );
                     record_bytes(&gx);
                     self.nodes[x.0].grad = Some(gx);
-                }
-                Op::SparseAgg { x, adj, .. } => {
-                    let x = *x;
-                    let adj = Arc::clone(adj);
-                    let (rx, d) = self.nodes[x.0].value.shape();
-                    let mut gx = Matrix::zeros(rx, d);
-                    for t in 0..adj.num_targets {
-                        let (lo, hi) = (adj.row_ptr[t], adj.row_ptr[t + 1]);
-                        if lo == hi {
-                            continue;
-                        }
-                        // Route each column's gradient to the argmax
-                        // source (first winner on ties).
-                        for j in 0..d {
-                            let mut best_s = adj.col[lo] as usize;
-                            let mut best = self.nodes[x.0].value.get(best_s, j);
-                            for &s in &adj.col[lo + 1..hi] {
-                                let v = self.nodes[x.0].value.get(s as usize, j);
-                                if v > best {
-                                    best = v;
-                                    best_s = s as usize;
-                                }
-                            }
-                            let gv = g.get(t, j);
-                            gx.set(best_s, j, gx.get(best_s, j) + gv);
-                        }
-                    }
-                    self.accumulate(x, gx);
-                }
-                Op::EdgeScores {
-                    target,
-                    source,
-                    adj,
-                } => {
-                    let (target, source) = (*target, *source);
-                    let adj = Arc::clone(adj);
-                    let mut gt = self
-                        .needs_grad(target)
-                        .then(|| Matrix::zeros(self.nodes[target.0].value.rows(), 1));
-                    let mut gs = self
-                        .needs_grad(source)
-                        .then(|| Matrix::zeros(self.nodes[source.0].value.rows(), 1));
-                    let mut k = 0usize;
-                    for t in 0..adj.num_targets {
-                        for &s in &adj.col[adj.row_ptr[t]..adj.row_ptr[t + 1]] {
-                            let gv = g.get(k, 0);
-                            if let Some(gt) = &mut gt {
-                                gt.set(t, 0, gt.get(t, 0) + gv);
-                            }
-                            if let Some(gs) = &mut gs {
-                                gs.set(s as usize, 0, gs.get(s as usize, 0) + gv);
-                            }
-                            k += 1;
-                        }
-                    }
-                    self.accumulate(target, gt);
-                    self.accumulate(source, gs);
-                }
-                Op::EdgeSoftmax { e, adj } => {
-                    let e = *e;
-                    let adj = Arc::clone(adj);
-                    let probs = &self.nodes[i].value;
-                    let mut ge = Matrix::zeros(adj.num_edges(), 1);
-                    for t in 0..adj.num_targets {
-                        let (lo, hi) = (adj.row_ptr[t], adj.row_ptr[t + 1]);
-                        let dot: f32 = (lo..hi).map(|k| probs.get(k, 0) * g.get(k, 0)).sum();
-                        for k in lo..hi {
-                            ge.set(k, 0, probs.get(k, 0) * (g.get(k, 0) - dot));
-                        }
-                    }
-                    self.accumulate(e, ge);
-                }
-                Op::WeightedAgg { w, x, adj } => {
-                    let (w, x) = (*w, *x);
-                    let adj = Arc::clone(adj);
-                    let (rx, d) = self.nodes[x.0].value.shape();
-                    let mut gw = self
-                        .needs_grad(w)
-                        .then(|| Matrix::zeros(adj.num_edges(), 1));
-                    let mut gx = self.needs_grad(x).then(|| Matrix::zeros(rx, d));
-                    let mut k = 0usize;
-                    for t in 0..adj.num_targets {
-                        let gt = g.row(t);
-                        for &s in &adj.col[adj.row_ptr[t]..adj.row_ptr[t + 1]] {
-                            if let Some(gx) = &mut gx {
-                                let wv = self.nodes[w.0].value.get(k, 0);
-                                for (o, &gv) in gx.row_mut(s as usize).iter_mut().zip(gt) {
-                                    *o += wv * gv;
-                                }
-                            }
-                            if let Some(gw) = &mut gw {
-                                let xs = self.nodes[x.0].value.row(s as usize);
-                                let mut acc = 0.0f32;
-                                for (&gv, &xv) in gt.iter().zip(xs) {
-                                    acc += gv * xv;
-                                }
-                                gw.set(k, 0, acc);
-                            }
-                            k += 1;
-                        }
-                    }
-                    self.accumulate(w, gw);
-                    self.accumulate(x, gx);
                 }
                 Op::MeanAll(x) => {
                     let x = *x;
@@ -984,15 +665,9 @@ impl Op {
             Op::Add(..) => "tensor.bwd.add",
             Op::AddBias(..) => "tensor.bwd.add_bias",
             Op::Relu(..) => "tensor.bwd.relu",
-            Op::LeakyRelu(..) => "tensor.bwd.leaky_relu",
-            Op::Scale(..) => "tensor.bwd.scale",
-            Op::ConcatCols(..) => "tensor.bwd.concat_cols",
             Op::HeadRows(..) => "tensor.bwd.head_rows",
             Op::Dropout(..) => "tensor.bwd.dropout",
             Op::SparseAgg { .. } => "tensor.bwd.sparse_agg",
-            Op::EdgeScores { .. } => "tensor.bwd.edge_scores",
-            Op::EdgeSoftmax { .. } => "tensor.bwd.edge_softmax",
-            Op::WeightedAgg { .. } => "tensor.bwd.weighted_agg",
             Op::MeanAll(..) => "tensor.bwd.mean_all",
             Op::SoftmaxCrossEntropy { .. } => "tensor.bwd.softmax_cross_entropy",
         }
@@ -1041,23 +716,12 @@ fn par_rows(
 
 /// Target rows `t0..` of [`Tape::sparse_agg`]'s forward into `chunk`,
 /// which arrives zeroed. Each element accumulates its neighbors in list
-/// order from `+0.0`.
+/// order from `+0.0`, then is multiplied by the reciprocal of the degree.
 // spp-hot(tape.sparse_agg)
-fn agg_rows(x: &Matrix, adj: &CsrAdj, mode: AggMode, t0: usize, chunk: &mut [f32]) {
+fn agg_rows(x: &Matrix, adj: &CsrAdj, t0: usize, chunk: &mut [f32]) {
     for (i, out) in chunk.chunks_exact_mut(x.cols()).enumerate() {
         let neighbors = adj.neighbors(t0 + i);
         if neighbors.is_empty() {
-            continue;
-        }
-        if mode == AggMode::Max {
-            out.fill(f32::NEG_INFINITY);
-            for &s in neighbors {
-                for (o, &a) in out.iter_mut().zip(x.row(s as usize)) {
-                    if a > *o {
-                        *o = a;
-                    }
-                }
-            }
             continue;
         }
         for &s in neighbors {
@@ -1065,25 +729,22 @@ fn agg_rows(x: &Matrix, adj: &CsrAdj, mode: AggMode, t0: usize, chunk: &mut [f32
                 *o += a;
             }
         }
-        if mode == AggMode::Mean {
-            let inv = 1.0 / neighbors.len() as f32;
-            for o in out.iter_mut() {
-                *o *= inv;
-            }
+        let inv = 1.0 / neighbors.len() as f32;
+        for o in out.iter_mut() {
+            *o *= inv;
         }
     }
 }
 
-/// Source rows `s0..` of [`Tape::sparse_agg`]'s Mean/Sum input gradient
-/// into `chunk`, which arrives zeroed: row `s` is `Σ w_t · g[t]` over its
-/// targets in `lists = (src_ptr, targets)` order (see
+/// Source rows `s0..` of [`Tape::sparse_agg`]'s input gradient into
+/// `chunk`, which arrives zeroed: row `s` is `Σ w_t · g[t]`, with `w_t`
+/// the reciprocal of target `t`'s degree, over its targets in `lists = (src_ptr, targets)` order (see
 /// [`CsrAdj::by_source`]), multiply then add from `+0.0` as a scatter
 /// into a zeroed buffer would, plus the row `held` already has for `s`,
 /// if it reaches that far (one `f32` add, as `accumulate` would do).
 // spp-hot(tape.sparse_agg_grad)
 fn agg_grad_rows(
     adj: &CsrAdj,
-    mean: bool,
     (src_ptr, targets): (&[usize], &[u32]),
     g: &Matrix,
     held: &[f32],
@@ -1095,11 +756,7 @@ fn agg_grad_rows(
         let s = s0 + i;
         for &t in &targets[src_ptr[s]..src_ptr[s + 1]] {
             let t = t as usize;
-            let w = if mean {
-                1.0 / adj.neighbors(t).len() as f32
-            } else {
-                1.0
-            };
+            let w = 1.0 / adj.neighbors(t).len() as f32;
             for (o, &gv) in out.iter_mut().zip(g.row(t)) {
                 *o += w * gv;
             }
@@ -1242,18 +899,6 @@ mod tests {
     }
 
     #[test]
-    fn leaky_relu_grad() {
-        grad_check(
-            |t, x| {
-                let y = t.leaky_relu(x, 0.2);
-                t.mean_all(y)
-            },
-            Matrix::from_rows(&[&[1.0, -2.0, 3.0, -0.5]]),
-            1e-3,
-        );
-    }
-
-    #[test]
     fn add_bias_grad() {
         grad_check(
             |t, x| {
@@ -1268,72 +913,17 @@ mod tests {
     }
 
     #[test]
-    fn concat_grad() {
-        grad_check(
-            |t, x| {
-                let y = t.concat_cols(x, x);
-                let z = t.relu(y);
-                t.mean_all(z)
-            },
-            Matrix::from_rows(&[&[1.0, -1.0], &[2.0, 0.5]]),
-            1e-3,
-        );
-    }
-
-    #[test]
     fn sparse_mean_grad() {
         let adj = test_adj();
         grad_check(
             move |t, x| {
-                let y = t.sparse_agg(x, Arc::clone(&adj), AggMode::Mean);
+                let y = t.sparse_agg(x, Arc::clone(&adj));
                 let z = t.relu(y);
                 t.mean_all(z)
             },
             Matrix::from_rows(&[&[1.0, 2.0], &[3.0, -1.0], &[0.5, 0.25]]),
             1e-3,
         );
-    }
-
-    #[test]
-    fn sparse_sum_grad() {
-        let adj = test_adj();
-        grad_check(
-            move |t, x| {
-                let y = t.sparse_agg(x, Arc::clone(&adj), AggMode::Sum);
-                t.mean_all(y)
-            },
-            Matrix::from_rows(&[&[1.0, 2.0], &[3.0, -1.0], &[0.5, 0.25]]),
-            1e-3,
-        );
-    }
-
-    #[test]
-    fn sparse_max_grad() {
-        let adj = test_adj();
-        grad_check(
-            move |t, x| {
-                let y = t.sparse_agg(x, Arc::clone(&adj), AggMode::Max);
-                t.mean_all(y)
-            },
-            // Distinct values so the argmax is stable under the probe eps.
-            Matrix::from_rows(&[&[1.0, 2.5], &[3.0, -1.0], &[0.5, 0.25]]),
-            1e-3,
-        );
-    }
-
-    #[test]
-    fn sparse_max_forward_values() {
-        let mut tape = Tape::new();
-        let x = tape.input(Matrix::from_rows(&[
-            &[1.0, -2.0],
-            &[3.0, 0.5],
-            &[-1.0, 4.0],
-        ]));
-        let adj = test_adj();
-        let y = tape.sparse_agg(x, adj, AggMode::Max);
-        // t0 <- max of rows {0,1,2} = [3.0, 4.0]; t1 <- row 2 = [-1.0, 4.0].
-        assert_eq!(tape.value(y).row(0), &[3.0, 4.0]);
-        assert_eq!(tape.value(y).row(1), &[-1.0, 4.0]);
     }
 
     #[test]
@@ -1354,28 +944,6 @@ mod tests {
         grad_check(
             move |t, x| t.softmax_cross_entropy(x, Arc::clone(&labels)),
             Matrix::from_rows(&[&[0.2, -0.4, 0.1], &[1.0, 0.3, -0.2]]),
-            1e-2,
-        );
-    }
-
-    #[test]
-    fn attention_pipeline_grad() {
-        // Gradient through edge_scores -> edge_softmax -> weighted_agg wrt
-        // the target score vector.
-        let adj = test_adj();
-        let feats = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
-        grad_check(
-            move |t, ts| {
-                let ss = t.input(Matrix::from_rows(&[&[0.1], &[0.2], &[-0.25]]));
-                let x = t.input(feats.clone());
-                let e = t.edge_scores(ts, ss, Arc::clone(&adj));
-                let lr = t.leaky_relu(e, 0.2);
-                let w = t.edge_softmax(lr, Arc::clone(&adj));
-                let y = t.weighted_agg(w, x, Arc::clone(&adj));
-                let z = t.relu(y);
-                t.mean_all(z)
-            },
-            Matrix::from_rows(&[&[0.3], &[-0.6]]),
             1e-2,
         );
     }

@@ -22,7 +22,7 @@
 )]
 
 use spp_pool::WorkerPool;
-use spp_tensor::tape::{AggMode, CsrAdj};
+use spp_tensor::tape::CsrAdj;
 use spp_tensor::{kernels, Matrix, Tape};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -195,7 +195,7 @@ fn into_kernels_stop_allocating_after_warmup() {
     let w_self = tape.input(filled(dim, hidden, 5));
     let w_neigh = tape.input(filled(dim, hidden, 6));
     let bias = tape.input(filled(1, hidden, 7));
-    let neigh = tape.sparse_agg(x, Arc::clone(&adj), AggMode::Mean);
+    let neigh = tape.sparse_agg(x, Arc::clone(&adj));
     let own = tape.head_rows(x, targets);
     let a = tape.matmul(own, w_self);
     let b = tape.matmul(neigh, w_neigh);
@@ -244,9 +244,9 @@ fn into_kernels_stop_allocating_after_warmup() {
             .map(|(seed, (r, c))| tape.input(filled(r, c, seed)))
             .collect();
         counted(|| {
-            let neigh = tape.sparse_agg(x, Arc::clone(&adj0), AggMode::Mean);
+            let neigh = tape.sparse_agg(x, Arc::clone(&adj0));
             let h = tape.linear(t0, &[(x, p[0]), (neigh, p[1])], Some(p[2]), true);
-            let neigh = tape.sparse_agg(h, Arc::clone(&adj1), AggMode::Mean);
+            let neigh = tape.sparse_agg(h, Arc::clone(&adj1));
             let logits = tape.linear(t1, &[(h, p[3]), (neigh, p[4])], Some(p[5]), false);
             let loss = tape.softmax_cross_entropy(logits, Arc::clone(&labels));
             tape.backward(loss);

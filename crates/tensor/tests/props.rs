@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spp_pool::WorkerPool;
-use spp_tensor::tape::{AggMode, CsrAdj};
+use spp_tensor::tape::CsrAdj;
 use spp_tensor::{Matrix, NodeId, Tape};
 use std::sync::Arc;
 
@@ -164,8 +164,9 @@ fn random_adj(targets: usize, sources: usize, max_deg: usize, rng: &mut StdRng) 
 
 /// The serial loops `sparse_agg` replaced, kept as the reference: the
 /// per-target forward, and the backward that zero-fills a source-shaped
-/// buffer and scatters `w · g[t]` into it, target by target.
-fn agg_reference(x: &Matrix, g: &Matrix, adj: &CsrAdj, mode: AggMode) -> (Matrix, Matrix) {
+/// buffer and scatters `w · g[t]` into it, target by target, with `w`
+/// the reciprocal of `t`'s degree.
+fn agg_reference(x: &Matrix, g: &Matrix, adj: &CsrAdj) -> (Matrix, Matrix) {
     let d = x.cols();
     let mut fwd = Matrix::zeros(adj.num_targets, d);
     let mut gx = Matrix::zeros(x.rows(), d);
@@ -174,32 +175,26 @@ fn agg_reference(x: &Matrix, g: &Matrix, adj: &CsrAdj, mode: AggMode) -> (Matrix
         if lo == hi {
             continue;
         }
-        let w = if mode == AggMode::Mean {
-            1.0 / (hi - lo) as f32
-        } else {
-            1.0
-        };
+        let w = 1.0 / (hi - lo) as f32;
         for &s in &adj.col[lo..hi] {
             for j in 0..d {
                 fwd.set(t, j, fwd.get(t, j) + x.get(s as usize, j));
                 gx.set(s as usize, j, gx.get(s as usize, j) + w * g.get(t, j));
             }
         }
-        if mode == AggMode::Mean {
-            fwd.row_mut(t).iter_mut().for_each(|o| *o *= w);
-        }
+        fwd.row_mut(t).iter_mut().for_each(|o| *o *= w);
     }
     (fwd, gx)
 }
 
 /// `sparse_agg` on `pool` against [`agg_reference`], value and input
 /// gradient, bit for bit. `with_prefix` makes `x` also receive a
-/// row-prefix gradient (through `head_rows`, arriving first, as in a GIN
-/// layer) and `with_third` a full-size one arriving last; the expected
-/// sum is built the way the zero-padding tape built it.
+/// row-prefix gradient (through `head_rows`, arriving first, as SAGE's
+/// self term does through `linear`) and `with_third` a full-size one
+/// arriving last; the expected sum is built the way the zero-padding
+/// tape built it.
 fn check_sparse_agg(
     (targets, sources, d, max_deg): (usize, usize, usize, usize),
-    mode: AggMode,
     (with_prefix, with_third): (bool, bool),
     pool: WorkerPool,
     seed: u64,
@@ -212,8 +207,8 @@ fn check_sparse_agg(
     let mut t = Tape::with_pool(pool);
     let x = t.input(xm.clone());
     let w = t.constant(wm.clone());
-    let third = with_third.then(|| t.scale(x, 0.75));
-    let agg = t.sparse_agg(x, Arc::clone(&adj), mode);
+    let third = with_third.then(|| t.mean_all(x));
+    let agg = t.sparse_agg(x, Arc::clone(&adj));
     let mut s = agg;
     if with_prefix {
         let own = t.head_rows(x, targets);
@@ -222,15 +217,14 @@ fn check_sparse_agg(
     let y = t.matmul(s, w);
     let mut loss = t.mean_all(y);
     if let Some(third) = third {
-        let l3 = t.mean_all(third);
-        loss = t.add(loss, l3);
+        loss = t.add(loss, third);
     }
     t.backward(loss);
 
     // Upstream of `s`: `mean_all`'s constant through `matmul`'s `g·Wᵀ`.
     let gy = Matrix::from_flat(targets, 3, vec![1.0 / (targets * 3) as f32; targets * 3]);
     let gs = gy.matmul_t(&wm);
-    let (fwd, scattered) = agg_reference(&xm, &gs, &adj, mode);
+    let (fwd, scattered) = agg_reference(&xm, &gs, &adj);
     assert_eq!(bits(t.value(agg)), bits(&fwd), "forward");
     let mut want = Matrix::zeros(sources, d);
     if with_prefix {
@@ -240,7 +234,7 @@ fn check_sparse_agg(
         want = scattered;
     }
     if with_third {
-        let g3 = 1.0 / (sources * d) as f32 * 0.75;
+        let g3 = 1.0 / (sources * d) as f32;
         want.add_assign(&Matrix::from_flat(sources, d, vec![g3; sources * d]));
     }
     assert_eq!(bits(t.grad(x).unwrap()), bits(&want), "input gradient");
@@ -288,7 +282,7 @@ fn sage_backward(
     let mut t = Tape::new();
     let x = leaf(&mut t, x.clone());
     let [w_self, w_neigh, bias, w_out] = params.clone().map(|p| t.input(p));
-    let neigh = t.sparse_agg(x, Arc::clone(adj), AggMode::Mean);
+    let neigh = t.sparse_agg(x, Arc::clone(adj));
     let own = t.head_rows(x, adj.num_targets);
     let a = t.matmul(own, w_self);
     let b = t.matmul(neigh, w_neigh);
@@ -324,9 +318,7 @@ fn fused_ops_are_bit_identical_to_their_references_when_the_regions_fork() {
             linear_vs_chain(&case, pool, true) == chain,
             "workers={workers}"
         );
-        for mode in [AggMode::Mean, AggMode::Sum] {
-            check_sparse_agg((1500, 4003, 150, 20), mode, (true, false), pool, 5);
-        }
+        check_sparse_agg((1500, 4003, 150, 20), (true, false), pool, 5);
     }
 }
 
@@ -348,17 +340,16 @@ proptest! {
         extra_sources in 0usize..9,
         d in 1usize..12,
         max_deg in 0usize..6,
-        flags in 0u8..8,
+        flags in 0u8..4,
         seed in any::<u64>(),
     ) {
-        let mode = if flags & 1 != 0 { AggMode::Mean } else { AggMode::Sum };
-        let (with_prefix, with_third) = (flags & 2 != 0, flags & 4 != 0);
+        let (with_prefix, with_third) = (flags & 1 != 0, flags & 2 != 0);
         // `random_adj` keeps ids below 7/8 of the sources: ≥ 8 of them
         // leave at least one source without an in-edge.
         let shape = (targets, targets + 8 + extra_sources, d, max_deg);
         for workers in POOLS {
             let pool = WorkerPool::new(workers);
-            check_sparse_agg(shape, mode, (with_prefix, with_third), pool, seed);
+            check_sparse_agg(shape, (with_prefix, with_third), pool, seed);
         }
     }
 
@@ -430,24 +421,6 @@ proptest! {
             if xv < 0.0 {
                 prop_assert_eq!(*gv, 0.0);
             }
-        }
-    }
-
-    #[test]
-    fn backward_is_linear_in_scale(a in arb_matrix(2, 3), s in 0.1f32..4.0) {
-        // d(mean(s*x))/dx = s * d(mean(x))/dx
-        let grad_of = |scale: f32| {
-            let mut tape = Tape::new();
-            let x = tape.input(a.clone());
-            let y = tape.scale(x, scale);
-            let m = tape.mean_all(y);
-            tape.backward(m);
-            tape.grad(x).unwrap().clone()
-        };
-        let g1 = grad_of(1.0);
-        let gs = grad_of(s);
-        for (x, y) in g1.as_flat().iter().zip(gs.as_flat()) {
-            prop_assert!((x * s - y).abs() < 1e-4);
         }
     }
 

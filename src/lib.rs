@@ -19,7 +19,7 @@
 //! | [`partition`] | `spp-partition` | multilevel edge-cut partitioning |
 //! | [`sampler`] | `spp-sampler` | node-wise sampling, MFGs |
 //! | [`tensor`] | `spp-tensor` | matrices, autograd, optimizers |
-//! | [`gnn`] | `spp-gnn` | GraphSAGE/GIN/GAT + training |
+//! | [`gnn`] | `spp-gnn` | GraphSAGE + training |
 //! | [`core`] | `spp-core` | VIP analysis, caching, reordering |
 //! | [`comm`] | `spp-comm` | DES engine, network models, all-to-all |
 //! | [`telemetry`] | `spp-telemetry` | metrics, spans, trace exporters |
