@@ -2,6 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use spp_pool::WorkerPool;
 use spp_sampler::{HopAdj, Mfg};
 use spp_tensor::tape::CsrAdj;
 use spp_tensor::{init, Matrix, NodeId, Param, Tape};
@@ -146,7 +147,8 @@ impl GnnModel {
             .sum()
     }
 
-    /// Runs the forward pass for one minibatch.
+    /// Runs the forward pass for one minibatch on the global worker
+    /// pool.
     ///
     /// `x` must have one row per MFG node (`mfg.num_nodes()` rows) in MFG
     /// local order, with `dims[0]` columns. Returns the tape, the
@@ -157,6 +159,23 @@ impl GnnModel {
     /// Panics if the MFG depth does not match the layer count or `x` has
     /// the wrong shape.
     pub fn forward<R: Rng>(&self, x: Matrix, mfg: &Mfg, train: bool, rng: &mut R) -> Forward {
+        self.forward_with(WorkerPool::global(), x, mfg, train, rng)
+    }
+
+    /// [`GnnModel::forward`] on a tape whose ops, and later its
+    /// `backward`, run on `pool`. Bit-identical for any worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same shape mismatches as [`GnnModel::forward`].
+    pub fn forward_with<R: Rng>(
+        &self,
+        pool: WorkerPool,
+        x: Matrix,
+        mfg: &Mfg,
+        train: bool,
+        rng: &mut R,
+    ) -> Forward {
         assert_eq!(
             mfg.num_hops(),
             self.layers.len(),
@@ -165,7 +184,7 @@ impl GnnModel {
         assert_eq!(x.rows(), mfg.num_nodes(), "feature row count mismatch");
         assert_eq!(x.cols(), self.dims[0], "feature dim mismatch");
 
-        let mut tape = Tape::new();
+        let mut tape = Tape::with_pool(pool);
         let mut param_nodes = Vec::new();
         let input = tape.constant(x);
         let mut h = input;
@@ -332,7 +351,8 @@ mod tests {
         let before = loss_at(&model, &mut rng);
         for step in 0..20 {
             let labels = StdArc::clone(&labels);
-            crate::train_step(&mut model, x.clone(), &mfg, labels, (6, 0, step));
+            let pool = WorkerPool::global();
+            crate::train_step(pool, &mut model, x.clone(), &mfg, labels, (6, 0, step));
             opt.step(&mut model.params_mut());
         }
         let after = loss_at(&model, &mut rng);

@@ -29,10 +29,11 @@ pub fn seed_labels(labels: &[u32], mfg: &Mfg) -> Vec<u32> {
 /// distributed engine: a training-mode forward pass over `x` with
 /// dropout drawn from the model stream of batch `(seed, epoch, index)`,
 /// softmax cross-entropy against `labels`, backward, and the parameter
-/// gradients accumulated into `model`. Returns the loss and the input
-/// matrix, whose buffer can hold a later batch. The optimizer step is
-/// the caller's.
+/// gradients accumulated into `model`, all on `pool`'s budget. Returns
+/// the loss and the input matrix, whose buffer can hold a later batch.
+/// The optimizer step is the caller's. Bit-identical for any pool.
 pub fn train_step(
+    pool: WorkerPool,
     model: &mut GnnModel,
     x: Matrix,
     mfg: &Mfg,
@@ -40,7 +41,8 @@ pub fn train_step(
     (seed, epoch, index): (u64, u64, u64),
 ) -> (f64, Matrix) {
     let stream = batch_stream_seed(seed ^ MODEL_STREAM_SALT, epoch, index);
-    let mut fwd = model.forward(x, mfg, true, &mut StdRng::seed_from_u64(stream));
+    let mut rng = StdRng::seed_from_u64(stream);
+    let mut fwd = model.forward_with(pool, x, mfg, true, &mut rng);
     let loss = fwd.tape.softmax_cross_entropy(fwd.logits, labels);
     let value = fwd.tape.value(loss).get(0, 0) as f64;
     fwd.tape.backward(loss);
@@ -71,9 +73,10 @@ pub struct TrainConfig {
     pub dropout: f32,
     /// Master seed for init, shuffling, and sampling.
     pub seed: u64,
-    /// Worker budget for minibatch preparation (`None` = the global
-    /// pool). Any value produces identical sampled batches and loss
-    /// curves — each batch's RNG stream is derived from
+    /// The trainer's whole worker budget (`None` = the global pool):
+    /// minibatch preparation, evaluation, and each step's forward and
+    /// backward run on it. Any value produces identical sampled batches
+    /// and loss curves — each batch's RNG stream is derived from
     /// `(seed, epoch, batch)`, never from which worker prepared it.
     pub workers: Option<usize>,
 }
@@ -253,7 +256,7 @@ impl<'a> Trainer<'a> {
         }
     }
 
-    /// The worker pool used for minibatch preparation.
+    /// The worker pool every region of this trainer runs on.
     fn pool(&self) -> WorkerPool {
         self.cfg
             .workers
@@ -319,7 +322,8 @@ impl<'a> Trainer<'a> {
                 batches_counter.inc();
                 let x = std::mem::replace(&mut batch.x, Matrix::empty());
                 let labels = Arc::clone(&batch.labels);
-                let (loss, x) = train_step(model, x, &batch.mfg, labels, (seed, epoch, b as u64));
+                let index = (seed, epoch, b as u64);
+                let (loss, x) = train_step(pool, model, x, &batch.mfg, labels, index);
                 total_loss += loss;
                 opt.step(&mut model.params_mut());
                 batch.x = x;
@@ -373,9 +377,11 @@ impl<'a> Trainer<'a> {
         let feats = self.feats;
         let model = &self.model;
         // One job per contiguous batch range, each recycling one feature
-        // slot across its batches; ranges merge back in batch order.
+        // slot across its batches and computing on its share of the
+        // budget; ranges merge back in batch order.
         let pool = self.pool();
         let ranges = even_ranges(batch_list.len(), pool.workers().min(batch_list.len()));
+        let share = pool.split(ranges.len());
         let per_range = pool.run_jobs(ranges.len(), |r| {
             let mut slot = Vec::new();
             let mut out = Vec::with_capacity(ranges[r].len());
@@ -384,7 +390,8 @@ impl<'a> Trainer<'a> {
                 let Batch { mfg, x, labels } =
                     Self::prepare_batch(ds, feats, &sampler, stream, &batch_list[b], slot);
                 // Evaluation mode: dropout is off, so no stream is drawn.
-                let fwd = model.forward(x, &mfg, false, &mut StdRng::seed_from_u64(0));
+                let mut rng = StdRng::seed_from_u64(0);
+                let fwd = model.forward_with(share, x, &mfg, false, &mut rng);
                 out.push((predictions(fwd.logits_value()), labels));
                 slot = fwd.into_input().into_flat();
             }
@@ -504,6 +511,39 @@ mod tests {
             assert_eq!(reference.epochs, got.epochs, "workers={workers}");
             assert_eq!(reference.val_accuracy, got.val_accuracy);
             assert_eq!(reference.test_accuracy, got.test_accuracy);
+        }
+    }
+
+    #[test]
+    fn train_step_bits_identical_across_pools() {
+        // Wide enough that the step's kernels split into several jobs, and
+        // dropout on, so the model stream is drawn.
+        let ds = SyntheticSpec::new("t", 3000, 12.0, 64, 4)
+            .split_fractions(0.5, 0.1, 0.1)
+            .seed(10)
+            .build();
+        let sampler = NodeWiseSampler::new(&ds.graph, Fanouts::new(vec![10, 10]));
+        let mfg = sampler.sample(&ds.split.train[..256], &mut StdRng::seed_from_u64(3));
+        let x = Trainer::gather_features(&ds, &mfg);
+        let labels = Arc::new(seed_labels(&ds.labels, &mfg));
+        let step = |pool: WorkerPool| {
+            let mut model = GnnModel::new(Arch::Sage, &[64, 64, 4], 7).with_dropout(0.3);
+            let (loss, _) =
+                train_step(pool, &mut model, x.clone(), &mfg, labels.clone(), (1, 0, 0));
+            let grads: Vec<Vec<u32>> = model
+                .params_mut()
+                .iter()
+                .map(|p| p.grad.as_flat().iter().map(|g| g.to_bits()).collect())
+                .collect();
+            (loss.to_bits(), grads)
+        };
+        let reference = step(WorkerPool::serial());
+        assert!(reference.1.iter().flatten().any(|&g| g != 0));
+        for workers in [2, 8] {
+            assert!(
+                step(WorkerPool::new(workers)) == reference,
+                "workers={workers}"
+            );
         }
     }
 

@@ -55,14 +55,16 @@ impl<'a> FeatureExchange<'a> {
     /// Machine `rank`'s side of one round. Classifies `mfg`'s nodes
     /// once, sends each owner the ids the plan lists for it, serves the
     /// peers' requests from the local store, and gathers the batch
-    /// tensor from the responses under the same plan. Returns the tensor
-    /// and the number of rows fetched, or `None` for a machine without a
-    /// batch this round — which still takes part in both barriers.
+    /// tensor from the responses under the same plan, on the buffer
+    /// taken from `slot`. Returns the tensor and the number of rows
+    /// fetched, or `None` for a machine without a batch this round —
+    /// which still takes part in both barriers and keeps its slot.
     /// `on_send(peer, bytes)` is told every payload this machine sends.
     fn round(
         &self,
         rank: usize,
         mfg: Option<&Mfg>,
+        slot: &mut Vec<f32>,
         mut on_send: impl FnMut(usize, u64),
     ) -> Option<(Matrix, usize)> {
         let store = &self.setup.stores[rank];
@@ -111,7 +113,14 @@ impl<'a> FeatureExchange<'a> {
                 _ => panic!("missing response from owner {owner}"),
             }
         };
-        let x = store.gather_planned(&mfg.nodes, &plan, Vec::new(), fetch);
+        // A slot too small for this batch is dropped, not grown: growing
+        // it would double its capacity, and it lives for the whole run.
+        let need = mfg.nodes.len() * store.dim();
+        let slot = match std::mem::take(slot) {
+            s if s.capacity() < need => Vec::new(),
+            s => s,
+        };
+        let x = store.gather_planned(&mfg.nodes, &plan, slot, fetch);
         Some((x, plan.num_remote()))
     }
 }
@@ -199,9 +208,12 @@ impl<'a> DistributedTrainer<'a> {
             let mut opt = Adam::new(cfg.lr);
             let sampler = NodeWiseSampler::new(&setup.dataset.graph, setup.config.fanouts.clone());
             // Each machine thread gets an equal share of the global
-            // worker budget for sampling ahead (K machines already run
-            // concurrently); it holds at most that share's width of MFGs.
+            // worker budget, as each process of a real run has its own
+            // cores: it samples ahead on the share, holding at most its
+            // width of MFGs, and runs its forward and backward on it.
             let pool = WorkerPool::global().split(k);
+            // The batch feature buffer, recycled from round to round.
+            let mut slot: Vec<f32> = Vec::new();
             // Per-round RNG streams are derived from
             // (machine seed, epoch, round), never threaded across
             // rounds: sampling for round r is independent of rounds
@@ -237,7 +249,7 @@ impl<'a> DistributedTrainer<'a> {
                 };
                 pool.prepare_ahead(rounds_per_epoch, sample, |round, mfg| {
                     // Phases 1–2: request, serve and receive features.
-                    let gathered = exchange.round(rank, mfg.as_ref(), |peer, bytes| {
+                    let gathered = exchange.round(rank, mfg.as_ref(), &mut slot, |peer, bytes| {
                         sent[peer] += bytes;
                     });
 
@@ -248,7 +260,8 @@ impl<'a> DistributedTrainer<'a> {
                         remote_fetches += fetched;
                         let labels = Arc::new(seed_labels(&setup.dataset.labels, m));
                         let index = (sample_seed, epoch, round as u64);
-                        (loss_val, _) = train_step(&mut model, x, m, labels, index);
+                        let (loss, x) = train_step(pool, &mut model, x, m, labels, index);
+                        (loss_val, slot) = (loss, x.into_flat());
                         let mut flat = Vec::new();
                         for p in model.params_mut() {
                             flat.extend_from_slice(p.grad.as_flat());
@@ -395,7 +408,7 @@ impl<'a> DistributedTrainer<'a> {
                 .copied()
                 .collect();
             let mfg = (!batch.is_empty()).then(|| sampler.sample(&batch, &mut rng));
-            let gathered = exchange.round(rank, mfg.as_ref(), |_, _| {});
+            let gathered = exchange.round(rank, mfg.as_ref(), &mut Vec::new(), |_, _| {});
             let (Some(m), Some((x, _))) = (&mfg, gathered) else {
                 return 0;
             };
