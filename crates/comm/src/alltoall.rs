@@ -52,11 +52,6 @@ impl<T> AllToAll<T> {
         }
     }
 
-    /// Number of participants.
-    pub fn num_participants(&self) -> usize {
-        self.k
-    }
-
     /// Performs one all-to-all round. `outgoing[p]` is sent to peer `p`;
     /// the return value's entry `p` is what peer `p` sent to this rank.
     /// All `k` participants must call this once per round.

@@ -20,7 +20,6 @@ pub struct TaskId(usize);
 struct TaskRecord {
     start: f64,
     completion: f64,
-    resource: Option<ResourceId>,
 }
 
 /// One traced task interval (only recorded when tracing is enabled).
@@ -162,11 +161,7 @@ impl DesEngine {
         let completion = start + duration;
         self.resource_free[resource.0] = completion;
         self.resource_busy[resource.0] += duration;
-        self.tasks.push(TaskRecord {
-            start,
-            completion,
-            resource: Some(resource),
-        });
+        self.tasks.push(TaskRecord { start, completion });
         TaskId(self.tasks.len() - 1)
     }
 
@@ -180,7 +175,6 @@ impl DesEngine {
         self.tasks.push(TaskRecord {
             start: deps_done,
             completion: deps_done,
-            resource: None,
         });
         TaskId(self.tasks.len() - 1)
     }
@@ -193,11 +187,6 @@ impl DesEngine {
     /// A task's completion time.
     pub fn completion(&self, task: TaskId) -> f64 {
         self.tasks[task.0].completion
-    }
-
-    /// The resource a task ran on (`None` for joins).
-    pub fn resource_of(&self, task: TaskId) -> Option<ResourceId> {
-        self.tasks[task.0].resource
     }
 
     /// Total busy time of a resource.
@@ -216,11 +205,6 @@ impl DesEngine {
             .iter()
             .map(|t| t.completion)
             .fold(0.0f64, f64::max)
-    }
-
-    /// Number of submitted tasks.
-    pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
     }
 
     /// Utilization of a resource relative to the makespan (0..1).
@@ -326,7 +310,6 @@ mod tests {
         let b = des.submit(r, 1.0, &[]);
         let j = des.join(&[a, b]);
         assert_eq!(des.completion(j), 3.0);
-        assert_eq!(des.resource_of(j), None);
     }
 
     #[test]

@@ -128,18 +128,6 @@ impl NetworkModel {
     pub fn transfer_time(&self, bytes: f64) -> f64 {
         self.latency + bytes / self.effective_rate()
     }
-
-    /// Time for a balanced all-to-all among `k` machines in which each
-    /// machine sends `bytes_out` in total, split across `k-1` peers: the
-    /// NIC serializes the machine's own traffic, and each peer message
-    /// pays the latency once (messages overlap, so latency counts once
-    /// plus serialization).
-    pub fn all_to_all_time(&self, k: usize, bytes_out: f64) -> f64 {
-        if k <= 1 || bytes_out <= 0.0 {
-            return 0.0;
-        }
-        self.latency + bytes_out / self.effective_rate()
-    }
 }
 
 #[cfg(test)]
@@ -165,12 +153,6 @@ mod tests {
     fn tbf_faster_than_line_rate_is_ignored() {
         let net = NetworkModel::new(1e6, 0.0).with_tbf_gbps(100.0);
         assert_eq!(net.effective_rate(), 1e6);
-    }
-
-    #[test]
-    fn all_to_all_zero_for_single_machine() {
-        let net = NetworkModel::aws_25gbps();
-        assert_eq!(net.all_to_all_time(1, 1e9), 0.0);
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl CacheBuilder {
         let cap = self.capacity().min(ranking.len());
         StaticCache::from_members(&ranking[..cap])
     }
-
-    /// Builds caches for all partitions.
-    pub fn build_all(&self, rankings: &[Vec<VertexId>]) -> Vec<StaticCache> {
-        rankings.iter().map(|r| self.build(r)).collect()
-    }
 }
 
 /// One machine's static cache of remote vertex features: a membership
@@ -192,10 +187,11 @@ mod tests {
 
     #[test]
     fn build_all_shapes() {
-        let b = CacheBuilder::new(0.2, 100, 2); // capacity 10
-        let caches = b.build_all(&[vec![1, 2], (10..40).collect()]);
-        assert_eq!(caches.len(), 2);
-        assert_eq!(caches[0].len(), 2);
-        assert_eq!(caches[1].len(), 10);
+        // Capacity 10: a shorter ranking is kept whole, a longer one is
+        // cut at it.
+        let b = CacheBuilder::new(0.2, 100, 2);
+        assert_eq!(b.build(&[1, 2]).len(), 2);
+        let long: Vec<VertexId> = (10..40).collect();
+        assert_eq!(b.build(&long).len(), 10);
     }
 }

@@ -59,12 +59,6 @@ impl BatchPlan {
         self.remote.iter().map(Vec::len).sum()
     }
 
-    /// Number of vertices needing a host-to-device copy (CPU-resident
-    /// locals plus received remote features staged through the host).
-    pub fn num_host_to_device(&self) -> usize {
-        self.local_cpu.len() + self.num_remote()
-    }
-
     /// Total classified vertices.
     pub fn num_vertices(&self) -> usize {
         self.local_gpu.len() + self.local_cpu.len() + self.cached.len() + self.num_remote()
@@ -265,7 +259,9 @@ impl PartitionedFeatureStore {
     /// possibly with entries removed from `remote`. The slot is not
     /// zero-filled: a position no bucket lists keeps whatever `slot` held
     /// there (zero where it had to grow), for the caller to fill — the
-    /// serving overlay answers part of the remote residue itself.
+    /// serving overlay answers part of the remote residue itself. A slot
+    /// too small for the batch is replaced, not grown
+    /// ([`Matrix::from_recycled`]).
     ///
     /// # Panics
     ///
@@ -275,15 +271,13 @@ impl PartitionedFeatureStore {
         &self,
         nodes: &[VertexId],
         plan: &BatchPlan,
-        mut slot: Vec<f32>,
+        slot: Vec<f32>,
         fetch: F,
     ) -> Matrix
     where
         F: FnMut(u32, &[VertexId]) -> FeatureMatrix,
     {
-        let d = self.dim();
-        slot.resize(nodes.len() * d, 0.0);
-        let mut out = Matrix::from_flat(nodes.len(), d, slot);
+        let mut out = Matrix::from_recycled(nodes.len(), self.dim(), slot);
         self.read_resident(nodes, plan, &mut out);
         self.read_remote(plan, &mut out, fetch);
         out
@@ -377,7 +371,6 @@ mod tests {
         assert_eq!(plan.remote[1], vec![(3, 5), (5, 3)]);
         assert_eq!(plan.num_remote(), 2);
         assert_eq!(plan.num_vertices(), 6);
-        assert_eq!(plan.num_host_to_device(), 4);
     }
 
     #[test]
@@ -423,6 +416,18 @@ mod tests {
         let fresh = store.gather_planned(&nodes, &plan, Vec::new(), fetch);
         let stale = store.gather_planned(&nodes, &plan, vec![f32::NAN; 3 * 2 * 2], fetch);
         assert_eq!(bits(&stale), bits(&fresh));
+    }
+
+    #[test]
+    fn slot_reused_for_a_larger_batch_fits_it_exactly() {
+        let (store, feats) = fixture(0.34, &[4]);
+        let fetch = |_: u32, ids: &[VertexId]| feats.gather(ids);
+        let (small, large) = (vec![0, 4, 5, 1], vec![5, 0, 4, 1, 3, 2]);
+        let slot = store
+            .gather_planned(&small, &store.plan(&small), Vec::new(), fetch)
+            .into_flat();
+        let out = store.gather_planned(&large, &store.plan(&large), slot, fetch);
+        assert_eq!(out.into_flat().capacity(), 6 * 2);
     }
 
     #[test]

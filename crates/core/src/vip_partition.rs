@@ -1,6 +1,6 @@
 //! VIP-aware partition refinement (the paper's §6 future work).
 //!
-//! The paper proposes "apply[ing] the access pattern analysis to improve
+//! The paper proposes "apply\[ing\] the access pattern analysis to improve
 //! the initial graph partitioning, with an aim of reducing the
 //! communication volume orthogonally to the use of caching". This module
 //! implements the feature-placement version of that idea: with

@@ -139,14 +139,6 @@ impl GnnModel {
             .collect()
     }
 
-    /// Total number of scalar parameters.
-    pub fn num_parameters(&mut self) -> usize {
-        self.params_mut()
-            .iter()
-            .map(|p| p.value.as_flat().len())
-            .sum()
-    }
-
     /// Runs the forward pass for one minibatch on the global worker
     /// pool.
     ///
@@ -225,39 +217,6 @@ impl GnnModel {
     pub fn infer(&self, x: Matrix, mfg: &Mfg) -> Matrix {
         let mut rng = StdRng::seed_from_u64(0); // eval mode: rng unused
         let mut fwd = self.forward(x, mfg, false, &mut rng);
-        fwd.tape.take_value(fwd.logits)
-    }
-
-    /// Full-batch (no-sampling) forward pass over an entire graph:
-    /// layer-by-layer propagation using every vertex's *full* neighbor
-    /// list, the alternative inference mode the paper contrasts with
-    /// minibatch inference (§2.4). Returns the logits for all vertices.
-    ///
-    /// Memory is `O(N × max(dims))`; intended for the mini-scale datasets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` does not have one row per graph vertex with
-    /// `dims[0]` columns.
-    pub fn forward_full_batch(&self, x: Matrix, graph: &spp_graph::CsrGraph) -> Matrix {
-        assert_eq!(x.rows(), graph.num_vertices(), "one row per vertex");
-        assert_eq!(x.cols(), self.dims[0], "feature dim mismatch");
-        // A full-graph "hop": every vertex aggregates all its neighbors.
-        let full = HopAdj {
-            num_targets: graph.num_vertices(),
-            num_sources: graph.num_vertices(),
-            row_ptr: graph.row_ptr().to_vec(),
-            col: graph.col().to_vec(),
-        };
-        // Reuse the sampled-forward machinery with an L-layer MFG whose
-        // every hop is the full adjacency.
-        let mfg = Mfg {
-            nodes: (0..graph.num_vertices() as u32).collect(),
-            sizes: vec![graph.num_vertices(); self.layers.len() + 1],
-            hops: vec![full; self.layers.len()],
-        };
-        let mut rng = StdRng::seed_from_u64(0); // eval mode: rng unused
-        let mut fwd = self.forward(x, &mfg, false, &mut rng);
         fwd.tape.take_value(fwd.logits)
     }
 
@@ -387,13 +346,6 @@ mod tests {
                 "{layers} layers, train"
             );
         }
-    }
-
-    #[test]
-    fn parameter_count_is_plausible() {
-        let mut m = GnnModel::new(Arch::Sage, &[10, 20, 5], 0);
-        // L1: 10*20*2 + 20 = 420; L2: 20*5*2 + 5 = 205.
-        assert_eq!(m.num_parameters(), 625);
     }
 
     #[test]

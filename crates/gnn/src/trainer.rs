@@ -161,8 +161,8 @@ pub struct Trainer<'a> {
     model: GnnModel,
     /// Where minibatch feature rows are read from: `ds.features` unless
     /// [`Trainer::with_feature_store`] replaced it. The dataset's matrix
-    /// remains the source of truth for dimensions and full-batch
-    /// inference. Any f32 store yields bit-identical training.
+    /// remains the source of truth for dimensions. Any f32 store yields
+    /// bit-identical training.
     feats: &'a dyn FeatureStore,
 }
 
@@ -229,14 +229,14 @@ impl<'a> Trainer<'a> {
     }
 
     /// Gathers the MFG's feature rows into `slot` — a recycled buffer
-    /// of any length and content; every element of the result is
+    /// of any length and content, replaced if too small
+    /// ([`Matrix::from_recycled`]); every element of the result is
     /// overwritten — and wraps it as the batch's input matrix. Take the
     /// buffer back with `Forward::into_input` + `Matrix::into_flat`.
-    pub fn gather_into_slot(feats: &dyn FeatureStore, mfg: &Mfg, mut slot: Vec<f32>) -> Matrix {
-        let dim = feats.dim();
-        slot.resize(mfg.num_nodes() * dim, 0.0);
-        feats.gather_into(&mfg.nodes, &mut slot);
-        Matrix::from_flat(mfg.num_nodes(), dim, slot)
+    pub fn gather_into_slot(feats: &dyn FeatureStore, mfg: &Mfg, slot: Vec<f32>) -> Matrix {
+        let mut x = Matrix::from_recycled(mfg.num_nodes(), feats.dim(), slot);
+        feats.gather_into(&mfg.nodes, x.as_flat_mut());
+        x
     }
 
     /// Runs the full training loop, then evaluates on val and test.
@@ -341,29 +341,6 @@ impl<'a> Trainer<'a> {
         }
     }
 
-    /// Full-batch (no-sampling) inference accuracy over `ids`: one
-    /// layer-wise forward pass over the whole graph, then argmax on the
-    /// requested vertices. Deterministic — the paper's §2.4 alternative
-    /// to sampled minibatch inference.
-    pub fn evaluate_full_batch(&self, ids: &[VertexId]) -> f64 {
-        if ids.is_empty() {
-            return 0.0;
-        }
-        let ds = self.ds;
-        let x = Matrix::from_flat(
-            ds.features.num_rows(),
-            ds.features.dim(),
-            ds.features.as_flat().to_vec(),
-        );
-        let logits = self.model.forward_full_batch(x, &ds.graph);
-        let preds = predictions(&logits);
-        let mut meter = AccuracyMeter::new();
-        let labels: Vec<u32> = ids.iter().map(|&v| ds.labels[v as usize]).collect();
-        let sel: Vec<u32> = ids.iter().map(|&v| preds[v as usize]).collect();
-        meter.update(&sel, &labels);
-        meter.value()
-    }
-
     /// Minibatch inference accuracy over `ids` using the eval fanouts.
     ///
     /// Inference batches are independent (no parameter updates), so the
@@ -454,27 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn full_batch_inference_agrees_with_sampled() {
-        // The paper (following SALIENT) argues sampled inference with
-        // reasonable fanouts matches full-batch accuracy.
-        let ds = SyntheticSpec::new("t", 500, 10.0, 12, 3)
-            .split_fractions(0.4, 0.2, 0.2)
-            .feature_signal(2.0)
-            .homophily(0.9)
-            .seed(6)
-            .build();
-        let mut t = Trainer::new(&ds, tiny_config(6));
-        let report = t.train();
-        let full = t.evaluate_full_batch(&ds.split.test);
-        assert!(
-            (full - report.test_accuracy).abs() < 0.08,
-            "full-batch {full:.3} vs sampled {:.3}",
-            report.test_accuracy
-        );
-        assert!(full > 0.8, "full-batch accuracy {full:.3}");
-    }
-
-    #[test]
     fn deterministic_training() {
         let ds = SyntheticSpec::new("t", 300, 8.0, 8, 3)
             .split_fractions(0.3, 0.2, 0.2)
@@ -562,6 +518,26 @@ mod tests {
         let fresh = Trainer::gather_features_from(&ds.features, &small);
         assert_eq!(reused.shape(), fresh.shape());
         assert_eq!(reused.as_flat(), fresh.as_flat());
+    }
+
+    #[test]
+    fn slot_reused_for_a_larger_batch_fits_it_exactly() {
+        // A slot grown in place would double its capacity and keep it
+        // for the rest of the run.
+        let ds = SyntheticSpec::new("t", 300, 8.0, 6, 3).seed(8).build();
+        let sampler = NodeWiseSampler::new(&ds.graph, Fanouts::new(vec![6, 6]));
+        let small = sampler.sample(&ds.split.train[..3], &mut StdRng::seed_from_u64(2));
+        let mut large = small.clone();
+        large
+            .nodes
+            .extend_from_slice(&small.nodes[..small.num_nodes() / 2]);
+        let slot = Trainer::gather_into_slot(&ds.features, &small, Vec::new()).into_flat();
+        let x = Trainer::gather_into_slot(&ds.features, &large, slot);
+        assert_eq!(x.as_flat(), Trainer::gather_features(&ds, &large).as_flat());
+        assert_eq!(
+            x.into_flat().capacity(),
+            large.num_nodes() * ds.features.dim()
+        );
     }
 
     #[test]

@@ -45,11 +45,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of (possibly duplicate) edges added so far.
-    pub fn num_pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds a directed edge `src -> dst`.
     ///
     /// # Panics
@@ -74,13 +69,6 @@ impl GraphBuilder {
         self.add_edge(b, a);
     }
 
-    /// Adds the reverse of every edge added so far, making the final graph
-    /// symmetric ("make undirected", the standard OGB preprocessing step).
-    pub fn symmetrize(&mut self) {
-        let rev: Vec<_> = self.edges.iter().map(|&(s, d)| (d, s)).collect();
-        self.edges.extend(rev);
-    }
-
     /// Builds the CSR graph, deduplicating edges, removing self-loops, and
     /// sorting neighbor lists.
     // spp-det(graph.csr_build)
@@ -103,26 +91,23 @@ impl GraphBuilder {
             col[cursor[s as usize]] = d;
             cursor[s as usize] += 1;
         }
-        // Sort and dedup each row, compacting in place.
+        // Sort and dedup each row, compacting in place: a row's kept
+        // entries land at `write <= lo`, behind everything still unread.
         let mut out_row_ptr = vec![0usize; n + 1];
         let mut write = 0usize;
         for v in 0..n {
             // spp-lint: allow(l2-csr-index): compaction over the offsets computed above, same construction pass
             let (lo, hi) = (row_ptr[v], row_ptr[v + 1]);
-            let row = &mut col[lo..hi];
-            row.sort_unstable();
+            col[lo..hi].sort_unstable();
             let mut prev: Option<VertexId> = None;
-            let mut kept = Vec::with_capacity(row.len());
-            for &u in row.iter() {
+            for i in lo..hi {
+                let u = col[i];
                 if prev != Some(u) {
-                    kept.push(u);
+                    col[write] = u;
+                    write += 1;
                     prev = Some(u);
                 }
             }
-            for (i, &u) in kept.iter().enumerate() {
-                col[write + i] = u;
-            }
-            write += kept.len();
             out_row_ptr[v + 1] = write;
         }
         col.truncate(write);
@@ -164,18 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn symmetrize_makes_symmetric() {
-        let mut b = GraphBuilder::new(5);
-        b.add_edge(0, 1);
-        b.add_edge(2, 3);
-        b.add_edge(4, 0);
-        b.symmetrize();
-        let g = b.build();
-        assert!(g.is_symmetric());
-        assert_eq!(g.num_edges(), 6);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range() {
         let mut b = GraphBuilder::new(2);
@@ -186,7 +159,6 @@ mod tests {
     fn extend_adds_edges() {
         let mut b = GraphBuilder::new(3);
         b.extend(vec![(0, 1), (1, 2)]);
-        assert_eq!(b.num_pending_edges(), 2);
         let g = b.build();
         assert_eq!(g.num_edges(), 2);
     }

@@ -181,25 +181,6 @@ impl CsrGraph {
             + self.col.len() * std::mem::size_of::<VertexId>()
     }
 
-    /// Breadth-first distances from `src`; `usize::MAX` for unreachable.
-    pub fn bfs_distances(&self, src: VertexId) -> Vec<usize> {
-        let n = self.num_vertices();
-        let mut dist = vec![usize::MAX; n];
-        let mut queue = std::collections::VecDeque::new();
-        dist[src as usize] = 0;
-        queue.push_back(src);
-        while let Some(v) = queue.pop_front() {
-            let dv = dist[v as usize];
-            for &u in self.neighbors(v) {
-                if dist[u as usize] == usize::MAX {
-                    dist[u as usize] = dv + 1;
-                    queue.push_back(u);
-                }
-            }
-        }
-        dist
-    }
-
     /// Number of connected components (treating edges as undirected).
     pub fn num_components(&self) -> usize {
         let n = self.num_vertices();
@@ -308,25 +289,6 @@ mod tests {
     fn symmetric_graph_equals_transpose() {
         let g = triangle();
         assert_eq!(g.transpose(), g);
-    }
-
-    #[test]
-    fn bfs_distances_path() {
-        let mut b = GraphBuilder::new(4);
-        b.add_undirected_edge(0, 1);
-        b.add_undirected_edge(1, 2);
-        b.add_undirected_edge(2, 3);
-        let g = b.build();
-        assert_eq!(g.bfs_distances(0), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn bfs_unreachable() {
-        let mut b = GraphBuilder::new(3);
-        b.add_undirected_edge(0, 1);
-        let g = b.build();
-        let d = g.bfs_distances(0);
-        assert_eq!(d[2], usize::MAX);
     }
 
     #[test]

@@ -97,19 +97,6 @@ impl FeatureMatrix {
     }
 }
 
-/// Which split a vertex belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SplitKind {
-    /// Training vertices (minibatch seeds during training).
-    Train,
-    /// Validation vertices.
-    Val,
-    /// Test vertices.
-    Test,
-    /// Vertices with no label (the bulk of papers100M/mag240c).
-    Unlabeled,
-}
-
 /// Train/validation/test vertex sets.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Split {
@@ -122,20 +109,6 @@ pub struct Split {
 }
 
 impl Split {
-    /// Classifies `v`, given the total vertex count, as train/val/test or
-    /// unlabeled. O(log n) binary searches over the sorted id lists.
-    pub fn kind_of(&self, v: VertexId) -> SplitKind {
-        if self.train.binary_search(&v).is_ok() {
-            SplitKind::Train
-        } else if self.val.binary_search(&v).is_ok() {
-            SplitKind::Val
-        } else if self.test.binary_search(&v).is_ok() {
-            SplitKind::Test
-        } else {
-            SplitKind::Unlabeled
-        }
-    }
-
     /// Relabels all split ids through a permutation and re-sorts.
     pub fn permuted(&self, perm: &Permutation) -> Split {
         let map = |ids: &[VertexId]| {
@@ -443,14 +416,19 @@ mod tests {
             .split_fractions(0.1, 0.1, 0.1)
             .seed(2)
             .build();
-        let mut counts = std::collections::HashMap::new();
+        // Each vertex is in at most one split, and some are in none.
+        let sets = [&ds.split.train, &ds.split.val, &ds.split.test];
+        let mut unlabeled = 0;
         for v in 0..300 {
-            *counts.entry(ds.split.kind_of(v)).or_insert(0usize) += 1;
+            match sets.iter().filter(|s| s.binary_search(&v).is_ok()).count() {
+                0 => unlabeled += 1,
+                1 => {}
+                n => panic!("vertex {v} is in {n} splits"),
+            }
         }
-        assert_eq!(counts[&SplitKind::Train], ds.split.train.len());
-        assert_eq!(counts[&SplitKind::Val], ds.split.val.len());
-        assert_eq!(counts[&SplitKind::Test], ds.split.test.len());
-        assert!(counts[&SplitKind::Unlabeled] > 0);
+        let labeled: usize = sets.iter().map(|s| s.len()).sum();
+        assert_eq!(labeled + unlabeled, 300);
+        assert!(unlabeled > 0);
     }
 
     #[test]
@@ -464,7 +442,13 @@ mod tests {
             assert_eq!(ds.features.row(old), pd.features.row(new));
             assert_eq!(ds.labels[old as usize], pd.labels[new as usize]);
             assert_eq!(ds.graph.degree(old), pd.graph.degree(new));
-            assert_eq!(ds.split.kind_of(old), pd.split.kind_of(new));
+            for (a, b) in [
+                (&ds.split.train, &pd.split.train),
+                (&ds.split.val, &pd.split.val),
+                (&ds.split.test, &pd.split.test),
+            ] {
+                assert_eq!(a.binary_search(&old).is_ok(), b.binary_search(&new).is_ok());
+            }
         }
     }
 

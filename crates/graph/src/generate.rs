@@ -420,108 +420,6 @@ impl Iterator for CitationEdges {
     }
 }
 
-/// Generates community-structured citation edges: each edge has a
-/// uniformly random source; with probability `homophily` its destination
-/// is drawn *within the source's block* with Zipf-like popularity weights
-/// `rank^(-gamma)` (fields concentrate citations on their top papers),
-/// otherwise the destination is uniform over the whole graph. Blocks are
-/// contiguous id ranges `v * blocks / n`, matching
-/// [`GeneratorConfig::planted_partition`]. The result is symmetric.
-pub fn citation_community(
-    n: usize,
-    target_edges: usize,
-    blocks: usize,
-    homophily: f64,
-    gamma: f64,
-    seed: u64,
-) -> CsrGraph {
-    assert!(blocks > 0, "need at least one block");
-    assert!(
-        (0.0..=1.0).contains(&homophily),
-        "homophily must be in [0,1]"
-    );
-    assert!(gamma >= 0.0, "gamma must be non-negative");
-    let mut rng = StdRng::seed_from_u64(seed);
-    // One CDF sized for the largest block; truncated per draw.
-    let max_block = n.div_ceil(blocks) + 1;
-    let mut cdf = Vec::with_capacity(max_block);
-    let mut acc = 0.0f64;
-    for j in 0..max_block {
-        acc += ((j + 1) as f64).powf(-gamma);
-        cdf.push(acc);
-    }
-    let mut b = GraphBuilder::with_capacity(n, target_edges * 2);
-    for _ in 0..target_edges {
-        let src = rng.gen_range(0..n);
-        let dst = if rng.gen::<f64>() < homophily {
-            let blk = src * blocks / n;
-            let lo = (blk * n).div_ceil(blocks);
-            let hi = ((blk + 1) * n).div_ceil(blocks).min(n);
-            let m = hi - lo;
-            let x = rng.gen::<f64>() * cdf[m - 1];
-            lo + cdf[..m].partition_point(|&c| c < x).min(m - 1)
-        } else {
-            rng.gen_range(0..n)
-        };
-        if src != dst {
-            b.add_undirected_edge(src as VertexId, dst as VertexId);
-        }
-    }
-    b.build()
-}
-
-/// Generates a "citation-style" preferential overlay: edge endpoints are
-/// drawn from power-law (Zipf-like) popularity distributions — sources
-/// with exponent `src_exponent`, destinations with exponent
-/// `dst_exponent`. Popularity ranks are shuffled onto vertex ids so
-/// hub-ness does not correlate with id-contiguous communities, but the
-/// *same* shuffle is used for both endpoints, giving the rich-club
-/// structure of citation graphs: popular papers cite popular papers, and
-/// long-range (cross-community) edges concentrate within the popular
-/// core. The returned graph is symmetric.
-pub fn preferential_overlay(
-    n: usize,
-    target_edges: usize,
-    src_exponent: f64,
-    dst_exponent: f64,
-    seed: u64,
-) -> CsrGraph {
-    assert!(src_exponent > 1.0, "source exponent must exceed 1");
-    assert!(dst_exponent > 1.0, "destination exponent must exceed 1");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let make_cdf = |exponent: f64| -> Vec<f64> {
-        let gamma = 1.0 / (exponent - 1.0);
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0f64;
-        for i in 0..n {
-            acc += ((i + 1) as f64).powf(-gamma);
-            cdf.push(acc);
-        }
-        cdf
-    };
-    let src_cdf = make_cdf(src_exponent);
-    let dst_cdf = make_cdf(dst_exponent);
-    // Shuffle popularity ranks onto vertex ids (shared by both ends).
-    let mut popular: Vec<VertexId> = (0..n as VertexId).collect();
-    for i in (1..n).rev() {
-        let j = rng.gen_range(0..=i);
-        popular.swap(i, j);
-    }
-    let draw = |rng: &mut StdRng, cdf: &[f64]| -> VertexId {
-        let x = rng.gen::<f64>() * cdf[n - 1];
-        popular[cdf.partition_point(|&c| c < x).min(n - 1)]
-    };
-    let mut b = GraphBuilder::with_capacity(n, target_edges * 2);
-    for _ in 0..target_edges {
-        let src = draw(&mut rng, &src_cdf);
-        let dst = draw(&mut rng, &dst_cdf);
-        if src != dst {
-            b.add_undirected_edge(src, dst);
-        }
-    }
-    b.build()
-}
-
 /// Convenience: a deterministic small-world test graph (ring + chords).
 /// Handy for unit tests that need predictable structure.
 pub fn ring_with_chords(n: usize, chord_stride: usize) -> CsrGraph {
@@ -656,26 +554,6 @@ mod tests {
     #[should_panic(expected = "Pareto shape must exceed 1")]
     fn citation_graph_validates_tail() {
         citation_graph(10, 20, 2, 0.5, 1.0, 0);
-    }
-
-    #[test]
-    fn citation_community_concentrates_on_block_heads() {
-        let g = citation_community(1000, 8_000, 4, 1.0, 1.0, 3);
-        // Within each block the first vertices (rank 1) should have much
-        // higher degree than the middle of the block.
-        let head = g.degree(0);
-        let mid = g.degree(125);
-        assert!(head > 3 * mid.max(1), "head {head} vs mid {mid}");
-        assert!(g.is_symmetric());
-    }
-
-    #[test]
-    fn preferential_overlay_has_hubs() {
-        let g = preferential_overlay(5_000, 20_000, 1.6, 2.0, 9);
-        assert!(g.is_symmetric());
-        let max = (0..5_000).map(|v| g.degree(v)).max().unwrap();
-        let mean = g.mean_degree();
-        assert!(max as f64 > 20.0 * mean, "max {max} vs mean {mean}");
     }
 
     #[test]

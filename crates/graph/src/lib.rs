@@ -44,7 +44,7 @@ pub mod stats;
 
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
-pub use dataset::{Dataset, FeatureMatrix, Split, SplitKind};
+pub use dataset::{Dataset, FeatureMatrix, Split};
 pub use io::{GraphIoError, LoadError};
 pub use perm::{PagedPermutation, Permutation};
 pub use quant::{QuantScheme, QuantizedFeatures};

@@ -181,16 +181,6 @@ impl PagedPermutation {
         }
     }
 
-    /// Wraps an existing permutation with a page geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page_rows` is zero.
-    pub fn from_permutation(perm: Permutation, page_rows: usize) -> Self {
-        assert!(page_rows > 0, "page_rows must be positive");
-        Self { perm, page_rows }
-    }
-
     /// The underlying ordering permutation (`to_new` maps an original id
     /// to its physical row slot).
     pub fn permutation(&self) -> &Permutation {

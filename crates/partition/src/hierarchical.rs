@@ -30,11 +30,6 @@ impl HierarchicalPartitioning {
         p / self.gpus_per_machine as u32
     }
 
-    /// The machine owning vertex `v`.
-    pub fn machine_of(&self, v: VertexId) -> u32 {
-        self.machine_of_part(self.flat.part_of(v))
-    }
-
     /// Classifies a (viewer part, target vertex) pair: 0 = same GPU,
     /// 1 = same machine (intra-machine link), 2 = different machine
     /// (network).
@@ -144,7 +139,7 @@ mod tests {
         assert_eq!(h.flat.num_parts(), 8);
         for v in 0..800u32 {
             let p = h.flat.part_of(v);
-            assert_eq!(h.machine_of(v), p / 2);
+            assert_eq!(h.machine_of_part(p), p / 2);
         }
         // All 8 parts populated.
         assert!(h.flat.sizes().iter().all(|&s| s > 0));

@@ -70,19 +70,6 @@ pub fn one_hop_halos(graph: &CsrGraph, part: &Partitioning) -> Vec<Vec<VertexId>
     halos
 }
 
-/// Number of vertices whose neighborhood crosses a boundary (boundary
-/// vertices), per part.
-pub fn boundary_counts(graph: &CsrGraph, part: &Partitioning) -> Vec<usize> {
-    let mut counts = vec![0usize; part.num_parts()];
-    for v in 0..graph.num_vertices() as VertexId {
-        let pv = part.part_of(v);
-        if graph.neighbors(v).iter().any(|&u| part.part_of(u) != pv) {
-            counts[pv as usize] += 1;
-        }
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,16 +121,5 @@ mod tests {
         let halos = one_hop_halos(&g, &p);
         assert_eq!(halos[0], vec![2]);
         assert_eq!(halos[1], vec![1]);
-    }
-
-    #[test]
-    fn boundary_counts_path() {
-        let mut b = GraphBuilder::new(4);
-        b.add_undirected_edge(0, 1);
-        b.add_undirected_edge(1, 2);
-        b.add_undirected_edge(2, 3);
-        let g = b.build();
-        let p = Partitioning::new(vec![0, 0, 1, 1], 2);
-        assert_eq!(boundary_counts(&g, &p), vec![1, 1]);
     }
 }

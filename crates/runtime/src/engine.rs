@@ -113,14 +113,7 @@ impl<'a> FeatureExchange<'a> {
                 _ => panic!("missing response from owner {owner}"),
             }
         };
-        // A slot too small for this batch is dropped, not grown: growing
-        // it would double its capacity, and it lives for the whole run.
-        let need = mfg.nodes.len() * store.dim();
-        let slot = match std::mem::take(slot) {
-            s if s.capacity() < need => Vec::new(),
-            s => s,
-        };
-        let x = store.gather_planned(&mfg.nodes, &plan, slot, fetch);
+        let x = store.gather_planned(&mfg.nodes, &plan, std::mem::take(slot), fetch);
         Some((x, plan.num_remote()))
     }
 }
@@ -430,7 +423,7 @@ mod tests {
     use super::*;
     use crate::setup::SetupConfig;
     use spp_core::policies::CachePolicy;
-    use spp_graph::dataset::SyntheticSpec;
+    use spp_graph::dataset::{Dataset, SyntheticSpec};
     use spp_sampler::Fanouts;
 
     fn setup(k: usize, alpha: f64) -> DistributedSetup {
@@ -440,11 +433,15 @@ mod tests {
             .homophily(0.9)
             .seed(11)
             .build();
+        setup_on(&ds, k, vec![5, 5], alpha)
+    }
+
+    fn setup_on(ds: &Dataset, k: usize, fanouts: Vec<usize>, alpha: f64) -> DistributedSetup {
         DistributedSetup::build(
-            &ds,
+            ds,
             SetupConfig {
                 num_machines: k,
-                fanouts: Fanouts::new(vec![5, 5]),
+                fanouts: Fanouts::new(fanouts),
                 batch_size: 32,
                 policy: if alpha > 0.0 {
                     CachePolicy::VipAnalytic
@@ -511,6 +508,30 @@ mod tests {
         assert_eq!(loss_bits, [4612668619112631501u64, 4603128347361280000]);
         assert_eq!(report.remote_fetches, 593);
         assert_eq!(report.comm.total_bytes(), 109_884);
+    }
+
+    /// Every region of the shape above is one job. This wider one
+    /// (hidden 128, 64-dim rows, fanouts (10, 10)) has regions of
+    /// several jobs, so run at several pool widths it checks that
+    /// splitting a region never changes a bit. Its fingerprint is the
+    /// one `tests/machine_budget.rs` pins on a 2-worker pool.
+    #[test]
+    fn wide_training_matches_golden_fingerprint() {
+        let ds = SyntheticSpec::new("w", 1200, 10.0, 64, 4)
+            .split_fractions(0.2, 0.05, 0.05)
+            .seed(13)
+            .build();
+        let cfg = DistTrainConfig {
+            hidden_dim: 128,
+            epochs: 1,
+            ..DistTrainConfig::default()
+        };
+        let s = setup_on(&ds, 2, vec![10, 10], 0.1);
+        let (report, _) = DistributedTrainer::new(&s, cfg).train();
+        let loss_bits: Vec<u64> = report.epoch_losses.iter().map(|l| l.to_bits()).collect();
+        assert_eq!(loss_bits, [4603609291666489344u64]);
+        assert_eq!(report.remote_fetches, 717);
+        assert_eq!(report.comm.total_bytes(), 747_700);
     }
 
     #[test]

@@ -32,9 +32,9 @@ use spp_telemetry::stage::PipelineStage;
 pub struct SystemSpec {
     /// Replicate all features on every machine (no feature communication).
     pub full_replication: bool,
-    /// Overlap batch preparation, communication, and training.
-    pub pipelined: bool,
-    /// Maximum batches in flight when pipelined (SALIENT++ uses 10).
+    /// Maximum batches in flight: 1 runs each batch's preparation,
+    /// communication and training in turn; more overlap them
+    /// (SALIENT++ uses 10).
     pub pipeline_depth: usize,
     /// Hidden-layer width (sets GPU FLOPs and gradient bytes).
     pub hidden_dim: usize,
@@ -59,7 +59,6 @@ impl SystemSpec {
     pub fn partitioned(hidden_dim: usize) -> Self {
         Self {
             full_replication: false,
-            pipelined: false,
             pipeline_depth: 1,
             hidden_dim,
             rpc_per_hop: 0.0,
@@ -72,7 +71,6 @@ impl SystemSpec {
     /// with a caching setup).
     pub fn pipelined(hidden_dim: usize) -> Self {
         Self {
-            pipelined: true,
             pipeline_depth: 10,
             ..Self::partitioned(hidden_dim)
         }
@@ -186,15 +184,10 @@ impl<'a> EpochSim<'a> {
     /// the interpreter's result: the epoch's timing and its task trace
     /// (empty unless `trace`).
     fn run(&self, stats: &[Vec<BatchStats>], inference: bool, trace: bool) -> (EpochTime, Trace) {
-        let depth = if self.spec.pipelined {
-            self.spec.pipeline_depth.max(1)
-        } else {
-            1
-        };
         let opts = SimOpts {
             cost: self.cost,
             hidden_dim: self.spec.hidden_dim,
-            depth,
+            depth: self.spec.pipeline_depth.max(1),
             inference,
             trace,
         };

@@ -66,11 +66,6 @@ impl MinibatchIter {
             pos: 0,
         }
     }
-
-    /// Number of batches this epoch will yield.
-    pub fn num_batches(&self) -> usize {
-        self.order.len().div_ceil(self.batch_size)
-    }
 }
 
 impl Iterator for MinibatchIter {
@@ -126,7 +121,6 @@ mod tests {
     fn num_batches_matches_iteration() {
         let ids: Vec<VertexId> = (0..25).collect();
         let it = MinibatchIter::new(&ids, 10, 0, 0);
-        assert_eq!(it.num_batches(), 3);
         assert_eq!(it.len(), 3);
         assert_eq!(it.count(), 3);
     }
@@ -134,7 +128,7 @@ mod tests {
     #[test]
     fn empty_ids_yield_nothing() {
         let it = MinibatchIter::new(&[], 4, 0, 0);
-        assert_eq!(it.num_batches(), 0);
+        assert_eq!(it.len(), 0);
         assert_eq!(it.count(), 0);
     }
 

@@ -27,21 +27,6 @@ impl EdgeWeights {
         }
     }
 
-    /// Builds from a weight per CSR edge slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length mismatches or any weight is not positive and
-    /// finite.
-    pub fn from_vec(graph: &CsrGraph, weights: Vec<f32>) -> Self {
-        assert_eq!(weights.len(), graph.num_edges(), "one weight per edge");
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w > 0.0),
-            "weights must be positive and finite"
-        );
-        Self { weights }
-    }
-
     /// Derives weights from a per-vertex attractiveness score: the weight
     /// of edge `(v, u)` is `score[u]`. Models samplers biased toward
     /// high-importance neighbors (e.g. degree- or VIP-biased sampling).
@@ -285,9 +270,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "weights must be positive")]
+    #[should_panic(expected = "scores must be positive")]
     fn rejects_nonpositive_weights() {
         let g = complete(3);
-        EdgeWeights::from_vec(&g, vec![1.0, 0.0, 1.0, 1.0, 1.0, 1.0]);
+        EdgeWeights::from_target_scores(&g, &[1.0, 0.0, 1.0]);
     }
 }

@@ -86,11 +86,6 @@ impl MicroBatcher {
         self.policy
     }
 
-    /// Batches closed so far.
-    pub fn batches_closed(&self) -> u64 {
-        self.next_id
-    }
-
     /// The deadline at which the current queue contents must close:
     /// oldest waiting arrival + `max_delay`. `None` when empty.
     pub fn deadline_for(&self, q: &AdmissionQueue) -> Option<f64> {
@@ -202,7 +197,7 @@ mod tests {
         let batch = b.flush(&mut q).unwrap();
         assert_eq!(batch.trigger, CloseTrigger::Flush);
         assert_eq!(batch.close_time, 3.25);
-        assert_eq!(b.batches_closed(), 1);
+        assert_eq!(batch.id, 0);
     }
 
     #[test]

@@ -67,11 +67,6 @@ impl PopularitySampler {
         self.perm.len()
     }
 
-    /// The `rank`-th most popular vertex.
-    pub fn vertex_at_rank(&self, rank: usize) -> VertexId {
-        self.perm[rank]
-    }
-
     /// Draws one vertex: rank `⌊n·u^shape⌋` for `u ~ U[0,1)`.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> VertexId {
         let u: f64 = rng.gen();
@@ -211,7 +206,7 @@ mod tests {
     fn rank_zero_is_hottest_under_skew() {
         let sampler = PopularitySampler::new(100, 4.0, 3);
         let mut rng = StdRng::seed_from_u64(11);
-        let hot = sampler.vertex_at_rank(0);
+        let hot = sampler.perm[0];
         let hits = (0..2000)
             .filter(|_| sampler.sample(&mut rng) == hot)
             .count();

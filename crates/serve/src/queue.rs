@@ -68,8 +68,6 @@ pub struct AdmissionQueue {
     pending: VecDeque<InferenceRequest>,
     capacity: usize,
     num_vertices: usize,
-    admitted: u64,
-    rejected: u64,
 }
 
 impl AdmissionQueue {
@@ -85,8 +83,6 @@ impl AdmissionQueue {
             pending: VecDeque::new(),
             capacity,
             num_vertices,
-            admitted: 0,
-            rejected: 0,
         }
     }
 
@@ -98,16 +94,6 @@ impl AdmissionQueue {
     /// Requests currently waiting to be batched.
     pub fn depth(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Total admitted so far.
-    pub fn total_admitted(&self) -> u64 {
-        self.admitted
-    }
-
-    /// Total rejected so far.
-    pub fn total_rejected(&self) -> u64 {
-        self.rejected
     }
 
     /// Admission decision for `req`, given `inflight` requests already
@@ -127,16 +113,12 @@ impl AdmissionQueue {
             None
         };
         match reason {
-            Some(reason) => {
-                self.rejected += 1;
-                Err(Box::new(Rejection {
-                    request: req,
-                    reason,
-                    time: req.arrival,
-                }))
-            }
+            Some(reason) => Err(Box::new(Rejection {
+                request: req,
+                reason,
+                time: req.arrival,
+            })),
             None => {
-                self.admitted += 1;
                 self.pending.push_back(req);
                 Ok(())
             }
@@ -180,8 +162,6 @@ mod tests {
         // Without the inflight load it fits.
         assert!(q.offer(req(3, 4, 0.3), 0).is_ok());
         assert_eq!(q.depth(), 3);
-        assert_eq!(q.total_admitted(), 3);
-        assert_eq!(q.total_rejected(), 1);
     }
 
     #[test]

@@ -262,25 +262,6 @@ impl ServeReport {
         }
     }
 
-    /// Latency quantile `q` in `[0,1]` (virtual seconds; 0 when empty).
-    pub fn latency_quantile(&self, q: f64) -> f64 {
-        if self.completions.is_empty() {
-            return 0.0;
-        }
-        let mut lat: Vec<f64> = self.completions.iter().map(|c| c.latency).collect();
-        lat.sort_by(f64::total_cmp);
-        let idx = ((lat.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        lat[idx]
-    }
-
-    /// Mean latency (virtual seconds; 0 when empty).
-    pub fn mean_latency(&self) -> f64 {
-        if self.completions.is_empty() {
-            return 0.0;
-        }
-        self.completions.iter().map(|c| c.latency).sum::<f64>() / self.completions.len() as f64
-    }
-
     /// Structured per-tier cache attribution for this run (DESIGN.md
     /// §15). Tier hit counts partition `lookups` (the `remote` tier
     /// counts every fetch as a hit — the network always answers), and

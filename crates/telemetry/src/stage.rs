@@ -67,11 +67,6 @@ impl PipelineStage {
         self as usize
     }
 
-    /// The stage at array index `i`.
-    pub fn from_index(i: usize) -> Option<PipelineStage> {
-        PipelineStage::ALL.get(i).copied()
-    }
-
     /// Appendix-D stage number (1..=10); `None` for train/all-reduce.
     pub fn appendix_stage(self) -> Option<usize> {
         match self {
@@ -125,9 +120,7 @@ mod tests {
     fn indices_are_dense_and_ordered() {
         for (i, s) in PipelineStage::ALL.iter().enumerate() {
             assert_eq!(s.index(), i);
-            assert_eq!(PipelineStage::from_index(i), Some(*s));
         }
-        assert_eq!(PipelineStage::from_index(PipelineStage::COUNT), None);
     }
 
     #[test]

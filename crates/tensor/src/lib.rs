@@ -4,7 +4,7 @@
 //! substitute substrate (DESIGN.md §2): row-major `f32` matrices
 //! ([`Matrix`]), a tape-based reverse-mode autograd graph ([`Tape`]) with
 //! the dense and sparse (CSR mean aggregation) operators GraphSAGE
-//! requires, weight [`init`]ializers, and [`optim`]izers (Adam, SGD).
+//! requires, weight [`init`]ializers, and the Adam [`optim`]izer.
 //!
 //! # Example
 //!
@@ -40,5 +40,5 @@ pub mod optim;
 pub mod tape;
 
 pub use matrix::Matrix;
-pub use optim::{Adam, Optimizer, Param, Sgd};
+pub use optim::{Adam, Optimizer, Param};
 pub use tape::{NodeId, Tape};

@@ -99,6 +99,26 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
+    /// Wraps `buf`, a recycled buffer of any length and content, as a
+    /// `rows × cols` matrix for a caller that overwrites the rows it
+    /// needs; elements past `buf`'s length start at zero. A buffer whose
+    /// capacity fits keeps its allocation; one too small grows to
+    /// exactly `rows × cols`. A plain `resize` would double the capacity
+    /// instead, so a long-lived slot would settle near twice the largest
+    /// batch it has seen. Growing (rather than replacing) keeps the
+    /// pages already touched: a freshly allocated multi-megabyte slot
+    /// page-faults all of them again.
+    pub fn from_recycled(rows: usize, cols: usize, mut buf: Vec<f32>) -> Self {
+        let len = rows * cols;
+        buf.reserve_exact(len.saturating_sub(buf.len()));
+        buf.resize(len, 0.0);
+        Self {
+            rows,
+            cols,
+            data: buf,
+        }
+    }
+
     /// Builds from row slices.
     ///
     /// # Panics
@@ -635,6 +655,19 @@ mod tests {
             Matrix::linear_into(pool, rows, &terms, Some(&bias), true, &mut out);
             assert_eq!(out, want, "workers={workers}");
         }
+    }
+
+    #[test]
+    fn from_recycled_keeps_a_fitting_buffer_and_grows_a_small_one_exactly() {
+        let buf = Vec::with_capacity(12);
+        let ptr = buf.as_ptr();
+        let m = Matrix::from_recycled(2, 3, buf);
+        assert_eq!(m.shape(), (2, 3));
+        let buf = m.into_flat();
+        assert_eq!((buf.as_ptr(), buf.capacity()), (ptr, 12));
+        let m = Matrix::from_recycled(5, 3, buf);
+        assert_eq!(m.shape(), (5, 3));
+        assert_eq!(m.into_flat().capacity(), 15);
     }
 
     #[test]

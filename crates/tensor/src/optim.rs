@@ -43,58 +43,6 @@ pub trait Optimizer {
     fn step(&mut self, params: &mut [&mut Param]);
 }
 
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Matrix>,
-}
-
-impl Sgd {
-    /// Plain SGD with learning rate `lr`.
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Adds momentum.
-    pub fn momentum(mut self, m: f32) -> Self {
-        self.momentum = m;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        if self.velocity.len() != params.len() {
-            self.velocity = params
-                .iter()
-                .map(|p| {
-                    let (r, c) = p.value.shape();
-                    Matrix::zeros(r, c)
-                })
-                .collect();
-        }
-        for (p, v) in params.iter_mut().zip(&mut self.velocity) {
-            for ((w, &g), vel) in p
-                .value
-                .as_flat_mut()
-                .iter_mut()
-                .zip(p.grad.as_flat())
-                .zip(v.as_flat_mut())
-            {
-                *vel = self.momentum * *vel + g;
-                *w -= self.lr * *vel;
-            }
-            p.zero_grad();
-        }
-    }
-}
-
 /// Adam (Kingma & Ba, 2015), the optimizer used by the paper's accuracy
 /// experiments (fixed learning rate 0.001).
 #[derive(Debug)]
@@ -173,18 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let w = converges(Sgd::new(0.1), 200);
-        assert!((w - 3.0).abs() < 1e-3, "w = {w}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let w = converges(Sgd::new(0.05).momentum(0.9), 300);
-        assert!((w - 3.0).abs() < 1e-2, "w = {w}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let w = converges(Adam::new(0.1), 500);
         assert!((w - 3.0).abs() < 1e-2, "w = {w}");
@@ -194,7 +130,7 @@ mod tests {
     fn step_zeroes_gradients() {
         let mut p = Param::new(Matrix::from_rows(&[&[1.0]]));
         p.grad = Matrix::from_rows(&[&[5.0]]);
-        Sgd::new(0.1).step(&mut [&mut p]);
+        Adam::new(0.1).step(&mut [&mut p]);
         assert_eq!(p.grad.get(0, 0), 0.0);
     }
 

@@ -19,7 +19,7 @@
 //!   named `Type`; std qualifiers (`Vec`, `Box`, ...) produce no edge
 //!   (the H1 token rules catch their allocations lexically);
 //!   `<Type as Trait>::f(..)` reaches every trait-impl `f`;
-//! - methods named like std APIs ([`STD_METHODS`]) stay in the caller's
+//! - methods named like std APIs (`STD_METHODS`) stay in the caller's
 //!   crate;
 //! - a crate with no readable manifest (the fixture trees) can name
 //!   every crate.

@@ -38,7 +38,7 @@ pub enum Scope {
 /// How a rule recognises a violation on one cleaned line. Each hit is
 /// the text substituted for `{hit}` in the rule's message.
 pub enum Matcher {
-    /// Any of the listed tokens (standalone, see [`token_positions`]).
+    /// Any of the listed tokens (standalone, see `token_positions`).
     Tokens(&'static [&'static str]),
     /// Order-observing iteration over a `HashMap`/`HashSet`, where the
     /// enclosing fn's "accumulates floats" flag equals the value.

@@ -239,7 +239,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use rand::Rng;
 
-    /// Length specifications accepted by [`vec`]: an exact `usize` or a
+    /// Length specifications accepted by [`vec()`]: an exact `usize` or a
     /// `Range<usize>`.
     pub trait IntoSizeRange {
         /// Picks a concrete length.

@@ -2,7 +2,7 @@
 //! uses.
 //!
 //! The build environment has no access to crates.io, so the workspace
-//! vendors a minimal, deterministic implementation instead: [`StdRng`] is
+//! vendors a minimal, deterministic implementation instead: [`StdRng`](rngs::StdRng) is
 //! a SplitMix64 generator (not ChaCha12 like upstream), which is more
 //! than adequate for synthetic-graph generation, neighbor sampling, and
 //! weight initialization in this reproduction, and keeps every stream
