@@ -20,7 +20,7 @@ use spp_partition::metrics::edge_cut_fraction;
 use spp_partition::multilevel::MultilevelPartitioner;
 use spp_partition::{simple, Partitioning, VertexWeights};
 use spp_runtime::telemetry::stage::PipelineStage;
-use spp_runtime::{AccessCounts, DistributedSetup, EpochSim, PipelineSim, SystemSpec};
+use spp_runtime::{AccessCounts, DistributedSetup, EpochSim, SystemSpec};
 use spp_sampler::layerwise::LayerWiseSampler;
 use spp_sampler::{Fanouts, MinibatchIter, NodeWiseSampler};
 
@@ -172,7 +172,7 @@ fn inference(ctx: &Ctx) -> Curves {
         let cells = vec![
             sim.simulate_epoch(0).makespan,
             infer.makespan,
-            infer.breakdown.comm / k as f64,
+            infer.busy.get(PipelineStage::FeatureExchange) / k as f64,
         ];
         g.row(label, cells);
     }
@@ -230,7 +230,8 @@ fn pipeline_stages(ctx: &Ctx) -> Curves {
     let k = 8usize;
     let epoch_at = |alpha: f64| {
         let setup = ctx.setup(Point::new(w, k, alpha, 0.5));
-        PipelineSim::new(&setup, ctx.cost, w.hidden, 10).simulate_epoch(0)
+        EpochSim::new(&setup, ctx.cost, SystemSpec::pipelined(w.hidden))
+            .simulate_appendix_d_epoch(0)
     };
     let (bare, cached) = (epoch_at(0.0), epoch_at(0.32));
     let title = "Appendix D pipeline: per-stage busy time per machine-epoch (papers, 8 GPUs)";

@@ -14,6 +14,7 @@ use spp_gnn::{TrainConfig, Trainer};
 use spp_graph::dataset::SyntheticSpec;
 use spp_graph::stats::GraphStats;
 use spp_partition::metrics::edge_cut_fraction;
+use spp_runtime::telemetry::stage::PipelineStage;
 use spp_runtime::{
     AccessCounts, DistTrainConfig, DistributedSetup, DistributedTrainer, EpochSim, SetupConfig,
     SystemSpec,
@@ -446,7 +447,7 @@ fn fig1(ctx: &Ctx) -> Curves {
         let alpha = if cached { w.alpha } else { 0.0 };
         let setup = ctx.setup(Point::new(w, w.machines, alpha, 0.5));
         let sim = EpochSim::new(&setup, ctx.cost, spec(w.hidden));
-        let (time, trace) = sim.simulate_epoch_traced(0);
+        let time = sim.simulate_epoch_traced(0);
         let window = (time.makespan * 0.4, time.makespan * 0.6);
         notes.push(format!(
             "== {system}: epoch {:.1} ms, window {:.1}-{:.1} ms ==",
@@ -456,7 +457,7 @@ fn fig1(ctx: &Ctx) -> Curves {
         ));
         let mut cells = vec![time.makespan];
         for (resource, label) in LANES {
-            let (busy, glyphs) = lane(&trace, resource, window);
+            let (busy, glyphs) = lane(&time.trace, resource, window);
             cells.push(busy);
             notes.push(format!("{label:>20} |{glyphs}|"));
         }
@@ -719,7 +720,7 @@ fn fig6(ctx: &Ctx) -> Curves {
                 for e in 0..epochs {
                     let et = sim.simulate_epoch(e as u64);
                     time += et.makespan;
-                    h2d += et.breakdown.h2d / 4.0;
+                    h2d += et.busy.get(PipelineStage::H2d) / 4.0;
                 }
                 (time / epochs as f64, h2d / epochs as f64)
             })
@@ -790,12 +791,12 @@ fn fig8(ctx: &Ctx) -> Curves {
             SystemSpec::partitioned
         };
         let e = EpochSim::new(&setup, ctx.cost, spec(w.hidden)).simulate_epoch(0);
-        let (b, kf) = (e.breakdown, k as f64);
+        let (b, kf) = (&e.busy, k as f64);
         let busy = vec![
-            (b.sample + b.slice + b.serve) / kf,
-            b.comm / kf,
-            b.train / kf,
-            b.allreduce / kf,
+            (b.get(PipelineStage::Sample) + b.get(PipelineStage::HostSlice) + b.serve()) / kf,
+            b.get(PipelineStage::FeatureExchange) / kf,
+            b.get(PipelineStage::Train) / kf,
+            b.get(PipelineStage::AllReduce) / kf,
             e.startup,
             e.makespan,
         ];

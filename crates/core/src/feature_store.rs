@@ -260,8 +260,8 @@ impl PartitionedFeatureStore {
     /// zero-filled: a position no bucket lists keeps whatever `slot` held
     /// there (zero where it had to grow), for the caller to fill — the
     /// serving overlay answers part of the remote residue itself. A slot
-    /// too small for the batch is replaced, not grown
-    /// ([`Matrix::from_recycled`]).
+    /// too small for the batch grows to exactly its size, keeping the
+    /// pages it already touched ([`Matrix::from_recycled`]).
     ///
     /// # Panics
     ///

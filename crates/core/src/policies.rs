@@ -66,6 +66,22 @@ impl CachePolicy {
     }
 }
 
+/// The one remote-ranking rule: the vertices outside `part` with a
+/// positive score, by descending score, ties by id. Zero-score vertices
+/// were never predicted (or measured) to be touched, so they are not
+/// ranked.
+pub fn rank_remote(partitioning: &Partitioning, part: u32, scores: &[f64]) -> Vec<VertexId> {
+    let mut remote: Vec<VertexId> = (0..scores.len() as VertexId)
+        .filter(|&v| partitioning.part_of(v) != part && scores[v as usize] > 0.0)
+        .collect();
+    remote.sort_by(|&a, &b| {
+        scores[b as usize]
+            .total_cmp(&scores[a as usize])
+            .then(a.cmp(&b))
+    });
+    remote
+}
+
 /// Everything a policy needs to rank one partition's remote vertices.
 ///
 /// # Example
@@ -139,23 +155,14 @@ impl PolicyContext<'_> {
         }
     }
 
-    /// Sorts remote vertices by score (descending, stable by id), dropping
-    /// zero-score vertices (they were never predicted to be touched).
+    /// [`rank_remote`] over this partition's remote vertices.
     pub fn rank_by_scores(&self, scores: &[f64]) -> Vec<VertexId> {
         assert_eq!(
             scores.len(),
             self.graph.num_vertices(),
             "score size mismatch"
         );
-        let mut remote: Vec<VertexId> = (0..self.graph.num_vertices() as VertexId)
-            .filter(|&v| self.partitioning.part_of(v) != self.part && scores[v as usize] > 0.0)
-            .collect();
-        remote.sort_by(|&a, &b| {
-            scores[b as usize]
-                .total_cmp(&scores[a as usize])
-                .then(a.cmp(&b))
-        });
-        remote
+        rank_remote(self.partitioning, self.part, scores)
     }
 
     /// Analytic VIP scores for this partition.

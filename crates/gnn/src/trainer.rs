@@ -229,8 +229,8 @@ impl<'a> Trainer<'a> {
     }
 
     /// Gathers the MFG's feature rows into `slot` — a recycled buffer
-    /// of any length and content, replaced if too small
-    /// ([`Matrix::from_recycled`]); every element of the result is
+    /// of any length and content, grown to exactly the batch if too
+    /// small ([`Matrix::from_recycled`]); every element of the result is
     /// overwritten — and wraps it as the batch's input matrix. Take the
     /// buffer back with `Forward::into_input` + `Matrix::into_flat`.
     pub fn gather_into_slot(feats: &dyn FeatureStore, mfg: &Mfg, slot: Vec<f32>) -> Matrix {

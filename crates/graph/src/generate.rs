@@ -107,12 +107,6 @@ impl GeneratorConfig {
         self
     }
 
-    /// Overrides the family.
-    pub fn family(mut self, family: GraphFamily) -> Self {
-        self.family = family;
-        self
-    }
-
     /// Generates the graph. The result is symmetric; the number of
     /// undirected edges is close to (at most) `target_edges` after removing
     /// duplicates and self-loops.

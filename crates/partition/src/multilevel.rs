@@ -44,6 +44,12 @@ impl Level {
     }
 }
 
+/// Per-constraint balance tolerance: a part may exceed its even share
+/// by 5%.
+const BALANCE_TOLERANCE: f64 = 1.05;
+/// Refinement passes per level (twice as many on the coarsest).
+const REFINE_PASSES: usize = 8;
+
 /// Configuration and entry point for multilevel partitioning.
 ///
 /// # Example
@@ -61,14 +67,12 @@ impl Level {
 pub struct MultilevelPartitioner {
     k: usize,
     seed: u64,
-    balance_tolerance: f64,
-    refine_passes: usize,
     coarsen_until: usize,
 }
 
 impl MultilevelPartitioner {
-    /// Creates a partitioner for `k` parts with default tuning
-    /// (5% balance tolerance, 8 refinement passes per level).
+    /// Creates a partitioner for `k` parts (5% balance tolerance, 8
+    /// refinement passes per level).
     ///
     /// # Panics
     ///
@@ -78,8 +82,6 @@ impl MultilevelPartitioner {
         Self {
             k,
             seed: 0,
-            balance_tolerance: 1.05,
-            refine_passes: 8,
             coarsen_until: (40 * k).max(256),
         }
     }
@@ -87,23 +89,6 @@ impl MultilevelPartitioner {
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the per-constraint balance tolerance (e.g. `1.05` = 5%).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tolerance is below 1.
-    pub fn balance_tolerance(mut self, tol: f64) -> Self {
-        assert!(tol >= 1.0, "tolerance must be >= 1");
-        self.balance_tolerance = tol;
-        self
-    }
-
-    /// Sets the number of refinement passes per level.
-    pub fn refine_passes(mut self, passes: usize) -> Self {
-        self.refine_passes = passes;
         self
     }
 
@@ -162,7 +147,7 @@ impl MultilevelPartitioner {
                 &mut cand,
                 self.k,
                 &limits,
-                self.refine_passes * 2,
+                REFINE_PASSES * 2,
                 &mut rng,
             );
             repair_balance(coarsest, &mut cand, self.k, &limits, &mut rng);
@@ -187,7 +172,7 @@ impl MultilevelPartitioner {
                 &mut assignment,
                 self.k,
                 &limits,
-                self.refine_passes,
+                REFINE_PASSES,
                 &mut rng,
             );
             repair_balance(finer, &mut assignment, self.k, &limits, &mut rng);
@@ -211,7 +196,7 @@ impl MultilevelPartitioner {
         for c in 0..NUM_CONSTRAINTS {
             if totals[c] > 0 {
                 let target = totals[c] as f64 / self.k as f64;
-                limits[c] = (target * self.balance_tolerance).ceil() as u64 + max_single[c];
+                limits[c] = (target * BALANCE_TOLERANCE).ceil() as u64 + max_single[c];
             }
         }
         limits

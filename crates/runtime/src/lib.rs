@@ -16,9 +16,9 @@
 //! - [`systems`] — per-epoch time estimation for the paper's system
 //!   ladder over the coarse stage table: SALIENT full replication →
 //!   partitioned features → pipelined communication → VIP caching (Table
-//!   1, Figures 4–9), plus a DistDGL-like synchronous baseline (Table 4).
-//! - [`pipeline`] — the same interpreter over the explicit Appendix-D
-//!   10-stage table.
+//!   1, Figures 4–9), plus a DistDGL-like synchronous baseline (Table 4),
+//!   and the explicit Appendix-D 10-stage table through the same
+//!   interpreter.
 //! - [`engine`] — correctness-grade distributed training on real threads
 //!   with all-to-all feature exchange and gradient averaging; verifies
 //!   that partitioned+cached execution matches single-machine training.
@@ -44,7 +44,6 @@
 
 pub mod cost;
 pub mod engine;
-pub mod pipeline;
 pub mod pool;
 pub mod setup;
 pub mod stages;
@@ -55,9 +54,8 @@ pub mod workload;
 
 pub use cost::CostModel;
 pub use engine::{DistTrainConfig, DistributedTrainReport, DistributedTrainer};
-pub use pipeline::{PipelineEpoch, PipelineSim};
 pub use pool::WorkerPool;
 pub use setup::{DistributedSetup, SetupConfig};
 pub use stages::{StageBusy, StageGraph};
-pub use systems::{EpochSim, EpochTime, SystemSpec};
+pub use systems::{EpochSim, SystemSpec};
 pub use volume::AccessCounts;

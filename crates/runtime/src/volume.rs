@@ -10,6 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use spp_core::policies::rank_remote;
 use spp_core::StaticCache;
 use spp_graph::{CsrGraph, VertexId};
 use spp_partition::Partitioning;
@@ -117,19 +118,13 @@ impl AccessCounts {
         self.total_volume(partitioning, &empty)
     }
 
-    /// The oracle ranking for machine `k`: remote vertices by descending
-    /// measured access count (ties by id). Prefix caches of this ranking
-    /// are communication-optimal for the measured run.
+    /// The oracle ranking for machine `k`: [`rank_remote`] by measured
+    /// access count. Prefix caches of this ranking are
+    /// communication-optimal for the measured run. Counts stay far below
+    /// 2⁵³, so their `f64` images order exactly as they do.
     pub fn oracle_ranking(&self, partitioning: &Partitioning, k: usize) -> Vec<VertexId> {
-        let mut remote: Vec<VertexId> = (0..self.counts[k].len() as VertexId)
-            .filter(|&v| partitioning.part_of(v) != k as u32 && self.counts[k][v as usize] > 0)
-            .collect();
-        remote.sort_by(|&a, &b| {
-            self.counts[k][b as usize]
-                .cmp(&self.counts[k][a as usize])
-                .then(a.cmp(&b))
-        });
-        remote
+        let scores: Vec<f64> = self.counts[k].iter().map(|&c| c as f64).collect();
+        rank_remote(partitioning, k as u32, &scores)
     }
 }
 

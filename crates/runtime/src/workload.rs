@@ -1,5 +1,5 @@
 //! Measured per-batch workload quantities shared by the timing
-//! simulations ([`crate::systems`] and [`crate::pipeline`]).
+//! simulations ([`crate::systems`]).
 
 use crate::setup::DistributedSetup;
 use rand::rngs::StdRng;
@@ -26,20 +26,11 @@ pub struct BatchStats {
     pub remote_per_owner: Vec<usize>,
 }
 
-/// Samples one epoch's minibatch streams for every machine and measures
-/// the per-batch quantities. With `full_replication` the plan is
-/// overridden: every vertex is local, split across GPU/CPU by the
-/// setup's β.
-pub fn measure_epoch(
-    setup: &DistributedSetup,
-    full_replication: bool,
-    epoch: u64,
-) -> Vec<Vec<BatchStats>> {
-    measure_streams(setup, full_replication, epoch, &setup.local_train)
-}
-
-/// Like [`measure_epoch`] but over caller-supplied per-machine seed
-/// streams (e.g. validation/test vertices for inference epochs).
+/// Samples one epoch of minibatches from each machine's seed stream —
+/// its training split, or e.g. validation/test vertices for inference
+/// epochs — and measures the per-batch quantities. With
+/// `full_replication` the plan is overridden: every vertex is local,
+/// split across GPU/CPU by the setup's β.
 pub fn measure_streams(
     setup: &DistributedSetup,
     full_replication: bool,
@@ -131,7 +122,7 @@ mod tests {
     #[test]
     fn partitioned_counts_are_consistent() {
         let s = setup();
-        let stats = measure_epoch(&s, false, 0);
+        let stats = measure_streams(&s, false, 0, &s.local_train);
         assert_eq!(stats.len(), 2);
         for machine in &stats {
             for b in machine {
@@ -147,7 +138,7 @@ mod tests {
     #[test]
     fn full_replication_has_no_remote() {
         let s = setup();
-        let stats = measure_epoch(&s, true, 0);
+        let stats = measure_streams(&s, true, 0, &s.local_train);
         for machine in &stats {
             for b in machine {
                 assert_eq!(b.remote_total, 0);
@@ -163,8 +154,8 @@ mod tests {
     #[test]
     fn deterministic_per_epoch() {
         let s = setup();
-        let a = measure_epoch(&s, false, 3);
-        let b = measure_epoch(&s, false, 3);
+        let a = measure_streams(&s, false, 3, &s.local_train);
+        let b = measure_streams(&s, false, 3, &s.local_train);
         assert_eq!(a.len(), b.len());
         for (ma, mb) in a.iter().zip(&b) {
             for (x, y) in ma.iter().zip(mb) {

@@ -22,9 +22,8 @@
 use spp_core::policies::CachePolicy;
 use spp_graph::dataset::SyntheticSpec;
 use spp_runtime::stages::{simulate, SimOpts, SimResult, StageGraph, RPC, SERVE};
-use spp_runtime::systems::Breakdown;
-use spp_runtime::workload::measure_epoch;
-use spp_runtime::{CostModel, DistributedSetup, EpochSim, PipelineSim, SetupConfig, SystemSpec};
+use spp_runtime::workload::measure_streams;
+use spp_runtime::{CostModel, DistributedSetup, EpochSim, SetupConfig, SystemSpec};
 use spp_sampler::Fanouts;
 use spp_telemetry::stage::PipelineStage;
 
@@ -85,18 +84,20 @@ fn trace_fingerprint(trace: &[(String, String, f64, f64)]) -> [u64; 2] {
     [trace.len() as u64, h]
 }
 
-fn epoch_fingerprint(e: &spp_runtime::EpochTime) -> Vec<u64> {
-    let b = e.breakdown;
+/// Makespan, startup, the coarse table's busy slots and the round count.
+fn epoch_fingerprint(e: &SimResult) -> Vec<u64> {
+    use PipelineStage as S;
+    let b = &e.busy;
     vec![
         e.makespan.to_bits(),
         e.startup.to_bits(),
-        b.sample.to_bits(),
-        b.slice.to_bits(),
-        b.serve.to_bits(),
-        b.comm.to_bits(),
-        b.h2d.to_bits(),
-        b.train.to_bits(),
-        b.allreduce.to_bits(),
+        b.get(S::Sample).to_bits(),
+        b.get(S::HostSlice).to_bits(),
+        b.serve().to_bits(),
+        b.get(S::FeatureExchange).to_bits(),
+        b.get(S::H2d).to_bits(),
+        b.get(S::Train).to_bits(),
+        b.get(S::AllReduce).to_bits(),
         e.rounds as u64,
     ]
 }
@@ -123,12 +124,16 @@ fn fingerprints(setup: &DistributedSetup) -> Vec<(&'static str, Vec<u64>)> {
     }
     let infer = sim.simulate_inference_epoch(&streams, 1);
     out.push(("inference", epoch_fingerprint(&infer)));
-    let (traced, trace) = sim.simulate_epoch_traced(0);
+    let traced = sim.simulate_epoch_traced(0);
     let mut t = epoch_fingerprint(&traced);
-    t.extend(trace_fingerprint(&trace));
+    t.extend(trace_fingerprint(&traced.trace));
     out.push(("traced", t));
-    for (name, depth) in [("pipeline_d1", 1), ("pipeline_d10", 10)] {
-        let e = PipelineSim::new(setup, cost, HIDDEN, depth).simulate_epoch(0);
+    for (name, pipeline_depth) in [("pipeline_d1", 1), ("pipeline_d10", 10)] {
+        let spec = SystemSpec {
+            pipeline_depth,
+            ..SystemSpec::pipelined(HIDDEN)
+        };
+        let e = EpochSim::new(setup, cost, spec).simulate_appendix_d_epoch(0);
         let mut v = vec![e.makespan.to_bits(), e.rounds as u64];
         v.extend(PipelineStage::ALL.iter().map(|s| e.busy.get(*s).to_bits()));
         out.push((name, v));
@@ -245,9 +250,12 @@ fn distdgl_trace_matches_parent_apart_from_rpc_entries() {
             CostModel::mini_calibrated(),
             SystemSpec::distdgl(HIDDEN),
         );
-        let (_, trace) = sim.simulate_epoch_traced(0);
+        let trace = sim.simulate_epoch_traced(0).trace;
         let (rpc, rest): (Vec<_>, Vec<_>) = trace.into_iter().partition(|t| t.1 == RPC);
-        let batches: usize = measure_epoch(&setup, false, 0).iter().map(Vec::len).sum();
+        let batches: usize = measure_streams(&setup, false, 0, &setup.local_train)
+            .iter()
+            .map(Vec::len)
+            .sum();
         assert_eq!(rpc.len(), batches, "k={k} alpha={alpha}: one rpc per batch");
         assert!(rpc.iter().all(|t| t.0.starts_with("nic")));
         assert_eq!(
@@ -280,7 +288,7 @@ fn fixture_has_uneven_streams() {
 /// one under the DistDGL-like spec so its `rpc` row runs too.
 fn both_graphs() -> Vec<(&'static str, StageGraph, SimResult)> {
     let setup = fixture(4, 0.3);
-    let stats = measure_epoch(&setup, false, 0);
+    let stats = measure_streams(&setup, false, 0, &setup.local_train);
     let opts = SimOpts {
         cost: CostModel::mini_calibrated(),
         hidden_dim: HIDDEN,
@@ -305,8 +313,7 @@ fn close(a: f64, b: f64) -> bool {
 }
 
 /// What the `submit` site billed is what the DES says its resources
-/// were busy for, no resource is busier than the epoch is long, and
-/// both public projections total to that same sum.
+/// were busy for, and no resource is busier than the epoch is long.
 #[test]
 fn busy_time_is_conserved() {
     for (name, _, r) in both_graphs() {
@@ -319,12 +326,6 @@ fn busy_time_is_conserved() {
         );
         for (res, b) in &r.resources {
             assert!(*b <= r.makespan, "{name}: {res} busy {b} > {}", r.makespan);
-        }
-        // `Breakdown` is the coarse table's projection; it has no
-        // field for the stages only the Appendix-D table has.
-        if name == "coarse" {
-            let total = Breakdown::from(&r.busy).total();
-            assert!(close(total, des_busy), "Breakdown total {total}");
         }
     }
 }

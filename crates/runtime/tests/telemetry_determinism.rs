@@ -3,8 +3,10 @@
 //! constraint 2). Recording only writes to metric shards and the event
 //! ring — nothing flows back into the computation — so VIP partition
 //! scores and trainer losses must be bit-identical with tracing on and
-//! off. `SPP_TRACE=1` routes through the same `set_enabled` switch this
-//! test toggles (`init_from_env`), so this pins the env-knob path too.
+//! off, and so must the Appendix-D epoch simulation, which replays its
+//! task trace into the event log only while telemetry is on.
+//! `SPP_TRACE=1` routes through the same `set_enabled` switch these
+//! tests toggle (`init_from_env`), so this pins the env-knob path too.
 
 // Tests assert by panicking; the workspace panic-family denies apply
 // to library code only (see [workspace.lints] in Cargo.toml).
@@ -20,9 +22,19 @@ use spp_core::VipModel;
 use spp_graph::dataset::{Dataset, SyntheticSpec};
 use spp_graph::VertexId;
 use spp_runtime::pool::WorkerPool;
-use spp_runtime::{DistTrainConfig, DistributedSetup, DistributedTrainer, SetupConfig};
+use spp_runtime::{
+    CostModel, DistTrainConfig, DistributedSetup, DistributedTrainer, EpochSim, SetupConfig,
+    SystemSpec,
+};
 use spp_sampler::Fanouts;
 use spp_telemetry as tel;
+use std::sync::{Mutex, MutexGuard};
+
+/// The recorder switch is process-wide: tests that toggle it take turns.
+fn telemetry_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn tiny_ds() -> Dataset {
     SyntheticSpec::new("t", 600, 10.0, 8, 4)
@@ -32,8 +44,7 @@ fn tiny_ds() -> Dataset {
 }
 
 /// Per-partition VIP scores over a 3-way split of the training set,
-/// on a multi-worker pool (the path `cargo xtask lint` rule L6 and the
-/// caching policy exercise).
+/// on a multi-worker pool (the path the caching policy exercises).
 fn vip_scores(ds: &Dataset) -> Vec<Vec<f64>> {
     let parts: Vec<Vec<VertexId>> = (0..3)
         .map(|m| {
@@ -52,10 +63,9 @@ fn vip_scores(ds: &Dataset) -> Vec<Vec<f64>> {
     )
 }
 
-/// A short distributed-training run; returns per-epoch mean losses and
-/// the run's communication matrix.
-fn train_run(ds: &Dataset) -> (Vec<f64>, tel::CommReport) {
-    let setup = DistributedSetup::build(
+/// A 3-machine cached deployment.
+fn setup(ds: &Dataset) -> DistributedSetup {
+    DistributedSetup::build(
         ds,
         SetupConfig {
             num_machines: 3,
@@ -66,7 +76,13 @@ fn train_run(ds: &Dataset) -> (Vec<f64>, tel::CommReport) {
             beta: 0.5,
             ..SetupConfig::default()
         },
-    );
+    )
+}
+
+/// A short distributed-training run; returns per-epoch mean losses and
+/// the run's communication matrix.
+fn train_run(ds: &Dataset) -> (Vec<f64>, tel::CommReport) {
+    let setup = setup(ds);
     let trainer = DistributedTrainer::new(
         &setup,
         DistTrainConfig {
@@ -88,6 +104,7 @@ fn bits2(m: &[Vec<f64>]) -> Vec<Vec<u64>> {
 
 #[test]
 fn tracing_on_and_off_are_bit_identical() {
+    let _lock = telemetry_lock();
     let ds = tiny_ds();
 
     tel::set_enabled(false);
@@ -126,4 +143,31 @@ fn tracing_on_and_off_are_bit_identical() {
     let off: Vec<u64> = losses_off.iter().map(|l| l.to_bits()).collect();
     let on: Vec<u64> = losses_on.iter().map(|l| l.to_bits()).collect();
     assert_eq!(off, on, "trainer losses changed when tracing was enabled");
+}
+
+#[test]
+fn appendix_d_replay_records_every_stage_and_changes_nothing() {
+    let _lock = telemetry_lock();
+    let setup = setup(&tiny_ds());
+    let cost = CostModel::mini_calibrated();
+    let sim = EpochSim::new(&setup, cost, SystemSpec::pipelined(8));
+    // Every field of the result: makespan, rounds, startup, busy,
+    // resources, and the (replayed, so empty) trace. `{:?}` prints each
+    // f64 in its shortest round-tripping form: equal text, equal bits.
+    tel::set_enabled(false);
+    let off = format!("{:?}", sim.simulate_appendix_d_epoch(0));
+    tel::set_enabled(true);
+    tel::span::reset_events();
+    let on = format!("{:?}", sim.simulate_appendix_d_epoch(0));
+    let events = tel::events_snapshot();
+    tel::set_enabled(false);
+
+    assert_eq!(off, on, "Appendix-D epoch changed when tracing was enabled");
+    assert_eq!(tel::span::dropped_events(), 0, "event ring overflowed");
+    let mut spans: Vec<&str> = events.iter().filter(|e| e.sim).map(|e| &*e.name).collect();
+    spans.sort_unstable();
+    spans.dedup();
+    let mut labels: Vec<&str> = tel::PipelineStage::ALL.iter().map(|s| s.short()).collect();
+    labels.sort_unstable();
+    assert_eq!(spans, labels, "one virtual-time span label per stage");
 }

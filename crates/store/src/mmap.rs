@@ -177,7 +177,7 @@ impl FeatureStore for MmapStore {
                 let span = meta.row_offset(last_row) + row_bytes - off;
                 // Only ever grown, so steady-state runs reuse it.
                 if run.len() < span {
-                    run.resize(span, 0);
+                    run.resize(span, 0); // spp-hot: alloc(thread-local, grown only past its longest run so far; a run spans at most max(RUN_BYTES, one page))
                 }
                 let bytes = &mut run[..span];
                 let read = self.file.read_exact_at(bytes, off as u64);

@@ -1,8 +1,8 @@
 //! The canonical stage-name enum for the SALIENT++ pipeline.
 //!
 //! Appendix D of the paper breaks distributed batch preparation into ten
-//! stages; training compute and the gradient all-reduce follow. Both DES
-//! models (`spp_runtime::pipeline`, `spp_runtime::systems`) and the
+//! stages; training compute and the gradient all-reduce follow. Both
+//! stage tables of the DES model (`spp_runtime::stages`) and the
 //! telemetry span names draw their labels from this one enum so the
 //! stage list cannot drift between the simulator, the traces, and the
 //! bench reports.

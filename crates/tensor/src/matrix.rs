@@ -76,7 +76,7 @@ impl Matrix {
         if self.data.is_empty() {
             self.data = vec![0.0; rows * cols]; // spp-hot: alloc(fresh output buffer; hot callers reuse one via the *_into kernels)
         } else {
-            self.data.resize(rows * cols, 0.0);
+            self.data.resize(rows * cols, 0.0); // spp-hot: alloc(reused output; reallocates only when rows × cols outgrows its capacity)
         }
     }
 
@@ -110,8 +110,8 @@ impl Matrix {
     /// page-faults all of them again.
     pub fn from_recycled(rows: usize, cols: usize, mut buf: Vec<f32>) -> Self {
         let len = rows * cols;
-        buf.reserve_exact(len.saturating_sub(buf.len()));
-        buf.resize(len, 0.0);
+        buf.reserve_exact(len.saturating_sub(buf.len())); // spp-hot: alloc(recycled slot; grows to exactly rows × cols only when the batch outgrows its capacity)
+        buf.resize(len, 0.0); // spp-hot: alloc(never reallocates: capacity reserved on the line above)
         Self {
             rows,
             cols,

@@ -41,7 +41,7 @@ const STD_QUALIFIERS: [&str; 20] = [
 /// names resolve only within the calling crate (where a workspace type
 /// can genuinely shadow std). Their effects are still checked lexically
 /// by the H1–H3 token rules in the calling function.
-const STD_METHODS: [&str; 49] = [
+const STD_METHODS: [&str; 52] = [
     "add",
     "push",
     "pop",
@@ -88,6 +88,9 @@ const STD_METHODS: [&str; 49] = [
     "values",
     "truncate",
     "resize",
+    "capacity",
+    "reserve",
+    "reserve_exact",
     "retain",
     "store",
     "load",

@@ -75,7 +75,7 @@ pub struct LineCtx<'a> {
 /// H1: allocation tokens. `Arc::clone(` is excluded (refcount bump,
 /// not a heap allocation); `.clone(` still matches `x.clone()` on an
 /// `Arc` field — annotate or restructure those.
-const ALLOC_TOKENS: [&str; 16] = [
+const ALLOC_TOKENS: [&str; 19] = [
     "Vec::new",
     "vec!",
     ".push(",
@@ -90,6 +90,10 @@ const ALLOC_TOKENS: [&str; 16] = [
     ".collect(",
     ".collect::<",
     ".extend(",
+    // Buffer growth: each may reallocate.
+    ".resize(",
+    ".reserve(",
+    ".reserve_exact(",
     // Call forms only — a bare `with_capacity(` would also match fn
     // definitions named `with_capacity`.
     "::with_capacity(",

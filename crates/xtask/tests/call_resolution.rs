@@ -27,7 +27,7 @@ fn the_root_reaches_exactly_the_resolved_callees() {
     // Stage::{settle, settle_into}.
     let text = audit();
     assert!(
-        text.contains("root fixture.resolve = step (crates/engine/src/lib.rs:20): 8 reachable"),
+        text.contains("root fixture.resolve = step (crates/engine/src/lib.rs:21): 8 reachable"),
         "{text}"
     );
     assert!(text.contains("2 finding(s)"), "{text}");
@@ -64,4 +64,9 @@ fn bare_call_reaches_the_free_fn_not_an_associated_one() {
 #[test]
 fn self_call_resolves_to_its_own_impl() {
     assert!(!audit().contains("`Log::settle_into`"));
+}
+
+#[test]
+fn std_container_method_stays_in_the_calling_crate() {
+    assert!(!audit().contains("`Store::capacity`"));
 }

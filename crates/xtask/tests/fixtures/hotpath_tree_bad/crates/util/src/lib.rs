@@ -2,10 +2,11 @@
 //! from `fixture.ingest` in crates/core via a bare-name call, proving
 //! the call graph follows workspace-wide edges.
 
-/// Appends without an allocation annotation: the seeded H1 violation,
-/// two calls below the root.
+/// Appends and pads without allocation annotations: the seeded H1
+/// violations, two calls below the root.
 pub fn grow(out: &mut Vec<f32>, v: f32) {
     out.push(v);
+    out.resize(out.len().next_power_of_two(), 0.0);
 }
 
 /// Never called from a root: hazards here must stay invisible.

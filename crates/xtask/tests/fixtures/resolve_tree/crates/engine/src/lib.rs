@@ -8,6 +8,7 @@ pub struct Busy {
 
 pub struct Stage {
     acc: f32,
+    spare: Vec<f32>,
 }
 
 pub struct Log {
@@ -23,7 +24,8 @@ pub fn step(store: &Store, src: &dyn Source, stage: &mut Stage, v: usize) -> f32
     let b = src.fetch(v);
     let c = store.serve(v);
     let d = load();
-    stage.settle(a + b + c + d)
+    let e = stage.spare.capacity() as f32;
+    stage.settle(a + b + c + d + e)
 }
 
 /// Case (d): what a bare `load()` means.

@@ -21,4 +21,10 @@ impl Store {
     pub fn serve(&self, v: usize) -> f32 {
         self.rows[self.index[v].unwrap()]
     }
+
+    /// Case (f): a `Vec`'s `.capacity()` in the engine is std's, not
+    /// this method's.
+    pub fn capacity(&self) -> usize {
+        self.rows.to_vec().len()
+    }
 }

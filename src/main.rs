@@ -13,6 +13,7 @@
 //! ```
 
 use salientpp::prelude::*;
+use salientpp::telemetry::PipelineStage as S;
 use spp_runtime::SystemSpec;
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -311,17 +312,17 @@ fn cmd_simulate(flags: &Flags) {
         t.rounds,
         t.startup * 1e3
     );
-    let b = t.breakdown;
+    let b = &t.busy;
     println!(
         "per-machine busy (ms): sample {:.2}, slice {:.2}, serve {:.2}, comm {:.2}, \
          h2d {:.2}, train {:.2}, allreduce {:.2}",
-        b.sample / k as f64 * 1e3,
-        b.slice / k as f64 * 1e3,
-        b.serve / k as f64 * 1e3,
-        b.comm / k as f64 * 1e3,
-        b.h2d / k as f64 * 1e3,
-        b.train / k as f64 * 1e3,
-        b.allreduce / k as f64 * 1e3
+        b.get(S::Sample) / k as f64 * 1e3,
+        b.get(S::HostSlice) / k as f64 * 1e3,
+        b.serve() / k as f64 * 1e3,
+        b.get(S::FeatureExchange) / k as f64 * 1e3,
+        b.get(S::H2d) / k as f64 * 1e3,
+        b.get(S::Train) / k as f64 * 1e3,
+        b.get(S::AllReduce) / k as f64 * 1e3
     );
 }
 

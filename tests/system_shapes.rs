@@ -11,6 +11,7 @@
 )]
 
 use salientpp::prelude::*;
+use salientpp::telemetry::PipelineStage;
 
 fn dataset(seed: u64) -> Dataset {
     SyntheticSpec::new("shape", 12_000, 16.0, 32, 16)
@@ -152,12 +153,12 @@ fn gpu_prefix_reduces_h2d_busy_time() {
     let hi = setup(&ds, 4, 0.2, 0.9);
     let h_lo = EpochSim::new(&lo, cost, SystemSpec::pipelined(64))
         .simulate_epoch(0)
-        .breakdown
-        .h2d;
+        .busy
+        .get(PipelineStage::H2d);
     let h_hi = EpochSim::new(&hi, cost, SystemSpec::pipelined(64))
         .simulate_epoch(0)
-        .breakdown
-        .h2d;
+        .busy
+        .get(PipelineStage::H2d);
     assert!(
         h_hi < h_lo * 0.8,
         "90% GPU residency must cut H2D: {h_lo} -> {h_hi}"
