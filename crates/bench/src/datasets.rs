@@ -1,7 +1,7 @@
 //! Standard experiment datasets and the Table-3 workloads built on them.
 //!
-//! The stand-ins (`papers_sim` etc.) keep the paper's train/val/test
-//! skew (papers100M is ~99% unlabeled) and serve both the
+//! The stand-ins ([`spp_graph::dataset::papers_sim`] etc.) keep the
+//! paper's train/val/test skew (papers100M is ~99% unlabeled) and serve both the
 //! communication-volume experiments (Figure 2) and the timing sweeps.
 //! At 1/1000 scale the paper's 1.1% train fraction with its batch size
 //! would leave ~4 distributed rounds per epoch — pipeline fill, not
@@ -9,44 +9,8 @@
 //! scaled down to keep ≥ 20 rounds per simulated epoch (recorded in
 //! EXPERIMENTS.md, Table 3).
 
-use spp_graph::dataset::SyntheticSpec;
+use spp_graph::dataset::{mag240_sim, papers_sim, products_sim};
 use spp_graph::Dataset;
-
-/// Scaled stand-in for `ogbn-products` (paper: 2.4M vertices, avg degree
-/// 51, 100 features, 8.2%/1.6%/90% split).
-pub fn products_sim(scale: f64, seed: u64) -> Dataset {
-    let n = ((24_000.0 * scale) as usize).max(512);
-    SyntheticSpec::new("products-sim", n, 51.0, 50, 16)
-        .split_fractions(0.082, 0.016, 0.9)
-        .homophily(0.9)
-        .degree_tail(1.3)
-        .seed(seed)
-        .build()
-}
-
-/// Scaled stand-in for `ogbn-papers100M` (paper: 111M vertices, avg
-/// degree 29, 128 features, 1.1%/0.11%/0.19% split).
-pub fn papers_sim(scale: f64, seed: u64) -> Dataset {
-    let n = ((110_000.0 * scale) as usize).max(512);
-    SyntheticSpec::new("papers-sim", n, 29.0, 64, 32)
-        .split_fractions(0.011, 0.0011, 0.0019)
-        .homophily(0.93)
-        .degree_tail(1.2)
-        .seed(seed)
-        .build()
-}
-
-/// Scaled stand-in for `mag240c` (paper: 121M vertices, avg degree 21.5,
-/// 768 features — 6× papers' dimension).
-pub fn mag240_sim(scale: f64, seed: u64) -> Dataset {
-    let n = ((60_000.0 * scale) as usize).max(512);
-    SyntheticSpec::new("mag240-sim", n, 21.5, 384, 32)
-        .split_fractions(0.009, 0.0011, 0.0007)
-        .homophily(0.93)
-        .degree_tail(1.2)
-        .seed(seed)
-        .build()
-}
 
 /// One benchmark of the paper's evaluation: a stand-in data set with the
 /// Table-3 architecture trained on it and the deployment Figure 4 runs
@@ -113,13 +77,11 @@ mod tests {
 
     #[test]
     fn dataset_shapes() {
-        let p = products_sim(0.05, 1);
-        assert_eq!(p.features.dim(), 50);
-        let q = papers_sim(0.02, 1);
-        assert_eq!(q.features.dim(), 64);
+        for (w, dim) in WORKLOADS.iter().zip([50, 64, 384]) {
+            assert_eq!((w.build)(0.02, 1).features.dim(), dim, "{}", w.name);
+        }
+        let q = (PAPERS.build)(0.02, 1);
         assert!(q.split.train.len() * 50 < q.num_vertices());
-        let m = mag240_sim(0.02, 1);
-        assert_eq!(m.features.dim(), 384);
     }
 
     #[test]

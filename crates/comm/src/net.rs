@@ -25,45 +25,6 @@ impl TokenBucket {
     }
 }
 
-/// Stateful token-bucket shaper: tracks the token level across transfers.
-#[derive(Clone, Copy, Debug)]
-pub struct TokenBucketState {
-    bucket: TokenBucket,
-    tokens: f64,
-    last_time: f64,
-}
-
-impl TokenBucketState {
-    /// Starts with a full bucket at time 0.
-    pub fn new(bucket: TokenBucket) -> Self {
-        Self {
-            bucket,
-            tokens: bucket.burst,
-            last_time: 0.0,
-        }
-    }
-
-    /// Returns the completion time of a transfer of `bytes` starting at
-    /// `start`, consuming tokens; earlier of burst capacity or line rate.
-    pub fn shape(&mut self, start: f64, bytes: f64) -> f64 {
-        // Refill.
-        let t = start.max(self.last_time);
-        self.tokens =
-            (self.tokens + (t - self.last_time) * self.bucket.rate).min(self.bucket.burst);
-        self.last_time = t;
-        if bytes <= self.tokens {
-            self.tokens -= bytes;
-            t
-        } else {
-            let deficit = bytes - self.tokens;
-            self.tokens = 0.0;
-            let done = t + deficit / self.bucket.rate;
-            self.last_time = done;
-            done
-        }
-    }
-}
-
 /// A point-to-point network model: per-message latency plus serialized
 /// bandwidth, optionally shaped by a token bucket.
 ///
@@ -153,19 +114,6 @@ mod tests {
     fn tbf_faster_than_line_rate_is_ignored() {
         let net = NetworkModel::new(1e6, 0.0).with_tbf_gbps(100.0);
         assert_eq!(net.effective_rate(), 1e6);
-    }
-
-    #[test]
-    fn stateful_bucket_burst_then_throttle() {
-        let mut s = TokenBucketState::new(TokenBucket::new(100.0, 50.0));
-        // First 50 bytes ride the burst: complete immediately.
-        assert_eq!(s.shape(0.0, 50.0), 0.0);
-        // Next 100 bytes must wait for refill: 1 second at rate 100.
-        let done = s.shape(0.0, 100.0);
-        assert!((done - 1.0).abs() < 1e-9);
-        // After a long idle period the bucket refills to burst.
-        let done2 = s.shape(100.0, 50.0);
-        assert_eq!(done2, 100.0);
     }
 
     #[test]

@@ -127,7 +127,7 @@ impl Split {
 /// A complete node-classification dataset.
 #[derive(Clone, Debug)]
 pub struct Dataset {
-    /// Human-readable name (e.g. `products-mini`).
+    /// Human-readable name (e.g. `products-sim`).
     pub name: String,
     /// The (symmetric) graph.
     pub graph: CsrGraph,
@@ -330,41 +330,38 @@ impl SyntheticSpec {
     }
 }
 
-/// Scaled-down stand-in for `ogbn-products`
-/// (paper: 2.4M vertices, 123M edges, 100 features, 197K/39K/2.2M split).
-///
-/// `scale = 1.0` gives 24k vertices at the paper's ~51 average degree with
-/// a 50-dim feature vector; smaller scales shrink proportionally (useful in
-/// tests). Split skew matches products: a small train set and a huge test set.
-pub fn products_mini(scale: f64, seed: u64) -> Dataset {
-    let n = ((24_000.0 * scale) as usize).max(64);
-    SyntheticSpec::new("products-mini", n, 51.0, 50, 16)
+/// Scaled stand-in for `ogbn-products` (paper: 2.4M vertices, avg degree
+/// 51, 100 features, 8.2%/1.6%/90% split).
+pub fn products_sim(scale: f64, seed: u64) -> Dataset {
+    let n = ((24_000.0 * scale) as usize).max(512);
+    SyntheticSpec::new("products-sim", n, 51.0, 50, 16)
         .split_fractions(0.082, 0.016, 0.9)
         .homophily(0.9)
+        .degree_tail(1.3)
         .seed(seed)
         .build()
 }
 
-/// Scaled-down stand-in for `ogbn-papers100M`
-/// (paper: 111M vertices, 3.2B edges, 128 features, 1.2M/125K/214K split —
-/// i.e. ~99% of vertices unlabeled).
-pub fn papers_mini(scale: f64, seed: u64) -> Dataset {
-    let n = ((110_000.0 * scale) as usize).max(64);
-    SyntheticSpec::new("papers-mini", n, 29.0, 64, 32)
+/// Scaled stand-in for `ogbn-papers100M` (paper: 111M vertices, avg
+/// degree 29, 128 features, 1.1%/0.11%/0.19% split).
+pub fn papers_sim(scale: f64, seed: u64) -> Dataset {
+    let n = ((110_000.0 * scale) as usize).max(512);
+    SyntheticSpec::new("papers-sim", n, 29.0, 64, 32)
         .split_fractions(0.011, 0.0011, 0.0019)
         .homophily(0.93)
+        .degree_tail(1.2)
         .seed(seed)
         .build()
 }
 
-/// Scaled-down stand-in for the `mag240c` papers-to-papers citation graph
-/// (paper: 121M vertices, 2.6B edges, 768 features — 6× papers' dimension —
-/// 1.1M/134K/88K split).
-pub fn mag240_mini(scale: f64, seed: u64) -> Dataset {
-    let n = ((60_000.0 * scale) as usize).max(64);
-    SyntheticSpec::new("mag240-mini", n, 21.5, 384, 32)
+/// Scaled stand-in for `mag240c` (paper: 121M vertices, avg degree 21.5,
+/// 768 features — 6× papers' dimension).
+pub fn mag240_sim(scale: f64, seed: u64) -> Dataset {
+    let n = ((60_000.0 * scale) as usize).max(512);
+    SyntheticSpec::new("mag240-sim", n, 21.5, 384, 32)
         .split_fractions(0.009, 0.0011, 0.0007)
         .homophily(0.93)
+        .degree_tail(1.2)
         .seed(seed)
         .build()
 }
@@ -454,15 +451,15 @@ mod tests {
 
     #[test]
     fn named_datasets_have_expected_shape() {
-        let p = products_mini(0.02, 1);
+        let p = products_sim(0.02, 1);
         assert_eq!(p.features.dim(), 50);
         assert!(p.split.test.len() > p.split.train.len());
-        let q = papers_mini(0.005, 1);
+        let q = papers_sim(0.005, 1);
         assert_eq!(q.features.dim(), 64);
         // papers is mostly unlabeled: train+val+test << n
         let labeled = q.split.train.len() + q.split.val.len() + q.split.test.len();
         assert!(labeled * 10 < q.num_vertices());
-        let m = mag240_mini(0.005, 1);
+        let m = mag240_sim(0.005, 1);
         assert_eq!(m.features.dim(), 384);
     }
 

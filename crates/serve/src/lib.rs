@@ -20,8 +20,8 @@
 //!   accounting, a virtual-time pipeline on the `spp-comm` DES (sample →
 //!   fetch → copy → infer), and the `spp-gnn` forward pass on the
 //!   helper of one pool lane per run.
-//! - [`loadgen`] — seeded Pareto-skewed trace generation (open loop)
-//!   and the popularity sampler the closed-loop driver reuses.
+//! - [`loadgen`] — seeded Pareto-skewed open-loop trace generation
+//!   over a popularity sampler.
 //!
 //! Determinism is a hard contract (DESIGN.md §11): given a trace and a
 //! config, batch composition, cache state, latencies, and output logits
@@ -87,6 +87,5 @@ pub use loadgen::{generate_open_loop, PopularitySampler, TraceConfig, BURST_WIND
 pub use overlay::{DynamicOverlay, InsertOutcome, OverlayCounters};
 pub use queue::{AdmissionQueue, InferenceRequest, RejectReason, Rejection};
 pub use server::{
-    BatchRecord, CacheStats, ClosedLoopConfig, Completion, InferenceServer, ServeConfig,
-    ServeReport, BATCH_TENSORS,
+    BatchRecord, CacheStats, Completion, InferenceServer, ServeConfig, ServeReport, BATCH_TENSORS,
 };

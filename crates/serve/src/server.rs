@@ -45,13 +45,14 @@
 //! `PartitionedFeatureStore::plan` alone (local GPU / local CPU / static
 //! tier / remote by owner). The server owns only the overlay: it probes
 //! the plan's remote residue, moves the hits out of the plan, lets
-//! `read_remote` read the misses the plan still lists — through the one
-//! `remote` [`FeatureStore`], the resident matrix by default — and fills
-//! the overlay hits into the same tensor. The forward piece's
-//! `read_resident` reads the rest of the plan.
+//! `read_remote` read the misses the plan still lists — each owner's
+//! with one `PartitionedFeatureStore::serve` on that owner's store, as
+//! the training engine fetches them — and fills the overlay hits into
+//! the same tensor. The forward piece's `read_resident` reads the rest
+//! of the plan. Every row a batch reads therefore comes from the
+//! deployment's partitioned stores, whatever backend filled them.
 
 use crate::batcher::{BatchPolicy, CloseTrigger, MicroBatch, MicroBatcher};
-use crate::loadgen::PopularitySampler;
 use crate::overlay::DynamicOverlay;
 use crate::queue::{AdmissionQueue, InferenceRequest, Rejection};
 use rand::rngs::StdRng;
@@ -63,11 +64,10 @@ use spp_graph::{quant, QuantScheme, VertexId};
 use spp_pool::{Lane, WorkerPool};
 use spp_runtime::{CostModel, DistributedSetup};
 use spp_sampler::{batch_stream_seed, Fanouts, Mfg, NodeWiseSampler, VertexIndexer};
-use spp_store::FeatureStore;
 use spp_telemetry as tel;
 use spp_telemetry::metrics::{Counter, Gauge, Histogram};
 use spp_tensor::Matrix;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 /// Server configuration.
@@ -315,23 +315,6 @@ impl ServeReport {
     }
 }
 
-/// Closed-loop load configuration for
-/// [`InferenceServer::run_closed_loop`].
-#[derive(Clone, Debug)]
-pub struct ClosedLoopConfig {
-    /// Concurrent clients.
-    pub clients: usize,
-    /// Virtual think time between a client's response and its next
-    /// request (also the retry delay after a rejection).
-    pub think_time: f64,
-    /// Total requests to issue across all clients.
-    pub total_requests: usize,
-    /// Popularity skew exponent (see [`PopularitySampler`]).
-    pub skew: f64,
-    /// Seed for vertex choices (independent of the server seed).
-    pub seed: u64,
-}
-
 /// Overlay lookup of one remote-residue entry `(position, owner,
 /// vertex)` — the per-entry kernel of the residue probe. Runs once per
 /// remote MFG node of every batch, so it must stay allocation- and
@@ -485,15 +468,14 @@ impl Prepared {
     }
 }
 
-/// One machine's online inference server. Single-use: build, call one
-/// `run_*` method, read the report.
+/// One machine's online inference server. Single-use: build, call
+/// [`InferenceServer::run`], read the report.
 pub struct InferenceServer<'a> {
     model: &'a GnnModel,
+    /// Every machine's store: remote rows are served by their owner's.
+    stores: &'a [PartitionedFeatureStore],
+    /// This machine's store.
     store: &'a PartitionedFeatureStore,
-    /// Where fetched rows are read (new-id addressed, standing in for
-    /// the owners): the deployment's resident matrix unless
-    /// [`InferenceServer::with_remote_store`] replaced it.
-    remote: &'a dyn FeatureStore,
     cfg: ServeConfig,
     overlay: DynamicOverlay,
     sampler: NodeWiseSampler<'a>,
@@ -519,8 +501,6 @@ pub struct InferenceServer<'a> {
     /// Batch tensors back from their forward pass, for the next batches
     /// to be prepared into; at most [`BATCH_TENSORS`] exist.
     free: Vec<Vec<f32>>,
-    /// Most MFG nodes of any batch so far; every tensor grows to it.
-    max_rows: usize,
     rejections: Vec<Rejection>,
     batches: Vec<BatchRecord>,
 }
@@ -562,8 +542,8 @@ impl<'a> InferenceServer<'a> {
         let res_gpu = des.add_resource("serve-gpu");
         Self {
             model,
+            stores: &setup.stores,
             store,
-            remote: &setup.dataset.features,
             overlay: DynamicOverlay::with_scheme(
                 cfg.overlay_capacity,
                 store.dim(),
@@ -586,138 +566,36 @@ impl<'a> InferenceServer<'a> {
             reported_evictions: 0,
             completions: Vec::new(),
             free: Vec::with_capacity(BATCH_TENSORS),
-            max_rows: 0,
             rejections: Vec::new(),
             batches: Vec::new(),
         }
     }
 
-    /// Reads fetched rows from `remote` (addressed by the deployment's
-    /// reordered ids) instead of the resident matrix — e.g. an
-    /// out-of-core store modeling owners that page features from disk
-    /// (DESIGN.md §16). Tier classification, wire-byte accounting, and
-    /// the DES timeline do not depend on the backend; an f32 store
-    /// serves bit-identical rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the store's shape disagrees with the deployment.
-    pub fn with_remote_store(mut self, remote: &'a dyn FeatureStore) -> Self {
-        assert_eq!(
-            remote.num_rows(),
-            self.store.layout().num_vertices(),
-            "remote store row count must match the deployment"
-        );
-        assert_eq!(
-            remote.dim(),
-            self.store.dim(),
-            "remote store dim must match the feature dim"
-        );
-        self.remote = remote;
-        self
-    }
-
-    /// Replays an open-loop trace (arrivals must be time-ordered).
+    /// Replays an open-loop trace (arrivals must be time-ordered) as the
+    /// producer of one lane region of the pool: each batch it closes is
+    /// prepared on the caller and submitted, and its forward pass runs on
+    /// the lane's helper, or on the caller when the next batch takes it
+    /// back from the queue. Every batch is answered when the report is
+    /// built.
     ///
     /// # Panics
     ///
     /// Panics if the trace's arrival times are not non-decreasing.
     pub fn run(mut self, trace: &[InferenceRequest]) -> ServeReport {
-        self.serve(|server, lane| {
-            let mut last = 0.0f64;
-            for req in trace {
-                assert!(req.arrival >= last, "trace must be time-ordered");
-                last = req.arrival;
-                server.handle_arrival(lane, *req);
-            }
-            server.flush_all(lane);
-        });
-        self.finish()
-    }
-
-    /// Runs a closed loop: `cl.clients` clients each issue a request,
-    /// wait for its response (or rejection), think, repeat — until
-    /// `cl.total_requests` have been issued. Offered load adapts to
-    /// service capacity, so rejections only occur when the queue bound is
-    /// tighter than the client count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cl.clients` is zero or `cl.think_time` is negative.
-    pub fn run_closed_loop(mut self, cl: &ClosedLoopConfig) -> ServeReport {
-        assert!(cl.clients > 0, "closed loop needs at least one client");
-        assert!(cl.think_time >= 0.0, "think time must be non-negative");
-        let sampler = PopularitySampler::new(self.store.layout().num_vertices(), cl.skew, cl.seed);
-        self.serve(|server, lane| {
-            let mut rng = StdRng::seed_from_u64(cl.seed);
-            let mut issued = 0u64;
-            // Min-heap of pending client wake-ups. Times are non-negative,
-            // so the `to_bits` order matches numeric order; client id
-            // breaks ties deterministically.
-            let mut wakeups: BinaryHeap<std::cmp::Reverse<(u64, u32)>> = (0..cl.clients as u32)
-                .map(|c| {
-                    let t = cl.think_time * c as f64 / cl.clients as f64;
-                    std::cmp::Reverse((t.to_bits(), c))
-                })
-                .collect();
-            loop {
-                while let Some(&std::cmp::Reverse((bits, client))) = wakeups.peek() {
-                    let now = f64::from_bits(bits);
-                    // A batch deadline before this wake-up fires first; its
-                    // completions may schedule earlier wake-ups.
-                    if server
-                        .batcher
-                        .deadline_for(&server.queue)
-                        .is_some_and(|d| d <= now)
-                    {
-                        let from = server.completions.len();
-                        server.fire_deadlines_until(lane, now);
-                        Self::requeue(&mut wakeups, &server.completions[from..], cl);
-                        continue;
-                    }
-                    wakeups.pop();
-                    if issued >= cl.total_requests as u64 {
-                        continue; // client retires
-                    }
-                    let req = InferenceRequest {
-                        id: issued,
-                        vertex: sampler.sample(&mut rng),
-                        arrival: now,
-                        client,
-                    };
-                    issued += 1;
-                    let from = server.completions.len();
-                    let admitted = server.handle_arrival(lane, req);
-                    Self::requeue(&mut wakeups, &server.completions[from..], cl);
-                    if !admitted {
-                        // Rejected: the client backs off one think time.
-                        let t = now + cl.think_time;
-                        wakeups.push(std::cmp::Reverse((t.to_bits(), client)));
-                    }
-                }
-                if server.queue.depth() == 0 {
-                    break;
-                }
-                let from = server.completions.len();
-                if let Some(b) = server.batcher.flush(&mut server.queue) {
-                    server.process_batch(lane, &b);
-                }
-                Self::requeue(&mut wakeups, &server.completions[from..], cl);
-            }
-        });
-        self.finish()
-    }
-
-    /// Runs `requests`, a whole request loop, as the producer of one lane
-    /// region of the pool: each batch it closes is prepared on the caller
-    /// and submitted, and its forward pass runs on the lane's helper, or
-    /// on the caller when the next batch takes it back from the queue.
-    /// Every batch is answered when this returns.
-    fn serve(&mut self, requests: impl FnOnce(&mut Self, &ForwardLane<'_>) + Send) {
         let (model, store, pool) = (self.model, self.store, self.cfg.pool);
         let rest = pool.lane(
             |batch: Prepared| batch.run_model(model, store),
-            |lane| requests(self, lane),
+            |lane| {
+                let mut last = 0.0f64;
+                for req in trace {
+                    assert!(req.arrival >= last, "trace must be time-ordered");
+                    last = req.arrival;
+                    self.handle_arrival(lane, *req);
+                }
+                while let Some(b) = self.batcher.flush(&mut self.queue) {
+                    self.process_batch(lane, &b);
+                }
+            },
         );
         for done in rest {
             self.answer(done);
@@ -728,28 +606,21 @@ impl<'a> InferenceServer<'a> {
                 m.helper_forwards.inc();
             }
         }
+        self.finish()
     }
 
-    /// Schedules the issuing clients of fresh completions to wake after
-    /// their think time.
-    fn requeue(
-        wakeups: &mut BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
-        fresh: &[Completion],
-        cl: &ClosedLoopConfig,
-    ) {
-        for c in fresh {
-            let t = c.finish + cl.think_time;
-            wakeups.push(std::cmp::Reverse((t.to_bits(), c.client)));
+    /// Admits or rejects one arrival, after running every batch whose
+    /// deadline fell at or before it and retiring the completed ones.
+    fn handle_arrival(&mut self, lane: &ForwardLane<'_>, req: InferenceRequest) {
+        while let Some(b) = self
+            .batcher
+            .try_close_on_deadline(&mut self.queue, req.arrival)
+        {
+            self.process_batch(lane, &b);
         }
-    }
-
-    /// Admits one arrival (after settling earlier deadlines and
-    /// completions); returns whether it was admitted.
-    fn handle_arrival(&mut self, lane: &ForwardLane<'_>, req: InferenceRequest) -> bool {
-        self.fire_deadlines_until(lane, req.arrival);
         self.drain_inflight(req.arrival);
         let inflight = self.inflight_requests();
-        let admitted = match self.queue.offer(req, inflight) {
+        match self.queue.offer(req, inflight) {
             Ok(()) => {
                 if let Some(m) = serve_metrics() {
                     m.admitted.inc();
@@ -757,26 +628,16 @@ impl<'a> InferenceServer<'a> {
                 if let Some(b) = self.batcher.try_close_on_size(&mut self.queue, req.arrival) {
                     self.process_batch(lane, &b);
                 }
-                true
             }
             Err(rej) => {
                 if let Some(m) = serve_metrics() {
                     m.rejected.inc();
                 }
                 self.rejections.push(*rej);
-                false
             }
-        };
+        }
         if let Some(m) = serve_metrics() {
             m.queue_depth.set(self.queue.depth() as u64);
-        }
-        admitted
-    }
-
-    /// Fires every batch deadline at or before `now`, oldest first.
-    fn fire_deadlines_until(&mut self, lane: &ForwardLane<'_>, now: f64) {
-        while let Some(b) = self.batcher.try_close_on_deadline(&mut self.queue, now) {
-            self.process_batch(lane, &b);
         }
     }
 
@@ -869,30 +730,19 @@ impl<'a> InferenceServer<'a> {
         );
 
         // Fill the batch tensor's non-resident rows: each owner's misses
-        // with one read through `remote`, and the overlay hits decoded by
-        // their probed slot. The resident rows are the forward pass's.
+        // with one `serve` on that owner's store, and the overlay hits
+        // decoded by their probed slot. The resident rows are the forward pass's.
         // Admissions wait until every hit is read, so the overlay read
         // here is exactly the overlay the probe saw. The tensor is a free
         // one of the ring; every row is overwritten, so it is not
         // cleared.
         let dim = store.dim();
-        let remote = self.remote;
+        let stores = self.stores;
         let wire = self.cfg.wire_scheme;
-        let rows = mfg.num_nodes();
-        self.max_rows = self.max_rows.max(rows);
-        let mut slot = self.free.pop().unwrap_or_default();
-        slot.reserve_exact(self.max_rows * dim - slot.len());
-        slot.resize(rows * dim, 0.0);
-        let mut x = Matrix::from_flat(rows, dim, slot);
+        let slot = self.free.pop().unwrap_or_default();
+        let mut x = Matrix::from_recycled(mfg.num_nodes(), dim, slot);
         store.read_remote(&plan, &mut x, |owner, ids| {
-            for &v in ids {
-                debug_assert_eq!(
-                    store.layout().owner_of(v),
-                    owner,
-                    "row {v} asked of a non-owner"
-                );
-            }
-            let mut rows = remote.gather(ids);
+            let mut rows = stores[owner as usize].serve(ids);
             // The wire codec is applied at the requester: the row the
             // model (and the overlay admission) sees is what survived
             // the quantized transfer.
@@ -979,8 +829,8 @@ impl<'a> InferenceServer<'a> {
         );
         self.inflight.push_back((finish, batch.requests.len()));
 
-        // Completions are recorded now, so closed-loop clients can wake
-        // at `finish`; the forward pass fills in label and checksum.
+        // Completions are recorded now, with their virtual `finish`; the
+        // forward pass fills in label and checksum.
         let first = self.completions.len();
         self.completions
             .extend(batch.requests.iter().map(|req| Completion {
@@ -1030,13 +880,6 @@ impl<'a> InferenceServer<'a> {
             plan,
             seed_row,
             first,
-        }
-    }
-
-    /// Closes and runs every remaining batch (end of trace).
-    fn flush_all(&mut self, lane: &ForwardLane<'_>) {
-        while let Some(b) = self.batcher.flush(&mut self.queue) {
-            self.process_batch(lane, &b);
         }
     }
 

@@ -413,44 +413,6 @@ fn overload_rejects_with_reason_and_loses_nothing() {
     assert_eq!(carried, report.completions.len());
 }
 
-/// Closed-loop driving: all issued requests resolve, load adapts to
-/// capacity (no rejections when clients fit the queue bound), and the
-/// run is deterministic across worker counts.
-#[test]
-fn closed_loop_resolves_every_request_deterministically() {
-    let (ds, model) = fixture();
-    let setup = deployment(&ds);
-    let run = |workers: usize| {
-        let cfg = ServeConfig {
-            max_batch_size: 8,
-            max_delay: 0.002,
-            queue_capacity: 64,
-            overlay_capacity: 16,
-            fanouts: Fanouts::new(vec![4, 3]),
-            seed: 2,
-            pool: WorkerPool::new(workers),
-            ..ServeConfig::default()
-        };
-        InferenceServer::new(&setup, &model, 0, cfg).run_closed_loop(&spp_serve::ClosedLoopConfig {
-            clients: 6,
-            think_time: 0.001,
-            total_requests: 200,
-            skew: 2.5,
-            seed: 21,
-        })
-    };
-    let a = run(1);
-    assert_eq!(a.total_requests(), 200);
-    assert!(a.rejections.is_empty(), "6 clients fit a 64-deep queue");
-    // Two workers is the width at which a forward pass overlaps the
-    // next batch's preparation.
-    for b in [run(2), run(4)] {
-        assert_eq!(a.completions, b.completions);
-        assert_eq!(a.batches, b.batches);
-        assert_eq!(a.cache, b.cache);
-    }
-}
-
 /// A one-batch-deep pipeline's ends: `batches` size-closed batches of 8
 /// requests, on `workers` workers, with f32 tiers.
 fn serve_batches(
@@ -550,23 +512,50 @@ fn one_request_answer_equals_direct_inference() {
     }
 }
 
-/// Bit-identity of remote fetch through the `FeatureStore` trait: an
-/// f32 store over the deployment's reordered features (new-id space)
-/// must serve every peer fetch with the same bits as the in-process
-/// `PartitionedFeatureStore::serve` path, so the entire report —
-/// completions, batches, cache accounting, makespan — is unchanged.
+/// Fetched rows come from the owners' stores, as the local and
+/// static-tier rows do: a deployment built from an f16 store answers
+/// exactly as one built from the f16-rounded matrix, down to every
+/// logits checksum.
 #[test]
-fn remote_store_fetch_is_bit_identical() {
+fn quantized_store_deployment_serves_its_own_rows() {
+    let (ds, model) = fixture();
+    let dir = std::env::temp_dir().join(format!("spp_serve_f16_store_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    spp_store::StoreBuilder::new(QuantScheme::F16)
+        .build_from_matrix(&dir, &ds.features, None)
+        .unwrap();
+    let store = spp_store::MmapStore::open(&dir).unwrap();
+    let cfg = SetupConfig {
+        num_machines: 2,
+        fanouts: Fanouts::new(vec![4, 3]),
+        alpha: 0.1,
+        ..SetupConfig::default()
+    };
+    let from_store = DistributedSetup::build_with_feature_store(&ds, cfg.clone(), &store);
+    std::fs::remove_dir_all(&dir).unwrap();
+    let mut rounded = ds.clone();
+    for v in 0..rounded.num_vertices() {
+        quant::wire_roundtrip(rounded.features.row_mut(v as VertexId), QuantScheme::F16);
+    }
+    let from_matrix = DistributedSetup::build(&rounded, cfg);
+
+    let a = serve_with_pool(&from_store, &model, 2);
+    let b = serve_with_pool(&from_matrix, &model, 2);
+    assert!(!a.completions.is_empty());
+    assert_eq!(a.completions, b.completions);
+    assert_eq!(a.batches, b.batches);
+    assert_eq!(a.cache, b.cache);
+    assert!(a.makespan == b.makespan, "makespan drifted");
+}
+
+/// Out-of-range vertex ids mixed into a trace are each rejected with
+/// `invalid_vertex` at admission, and leave no other trace: every
+/// request gets one outcome, and completions, batches and cache
+/// accounting equal those of the trace without them.
+#[test]
+fn invalid_vertices_are_rejected_without_touching_the_rest() {
     let (ds, model) = fixture();
     let setup = deployment(&ds);
-    let trace = generate_open_loop(&TraceConfig {
-        num_requests: 300,
-        num_vertices: 400,
-        arrival_rate: 2000.0,
-        skew: 3.0,
-        burstiness: 0.3,
-        seed: 17,
-    });
     let cfg = || ServeConfig {
         max_batch_size: 8,
         max_delay: 0.01,
@@ -577,25 +566,41 @@ fn remote_store_fetch_is_bit_identical() {
         pool: WorkerPool::new(2),
         ..ServeConfig::default()
     };
-    let baseline = InferenceServer::new(&setup, &model, 0, cfg()).run(&trace);
-
-    let dir = std::env::temp_dir().join(format!("spp_serve_remote_store_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    spp_store::StoreBuilder::new(QuantScheme::F32)
-        .build_from_matrix(&dir, &setup.dataset.features, None)
-        .unwrap();
-    let remote = spp_store::MmapStore::open(&dir).unwrap();
-    let through = InferenceServer::new(&setup, &model, 0, cfg())
-        .with_remote_store(&remote)
-        .run(&trace);
-    std::fs::remove_dir_all(&dir).unwrap();
-
-    assert!(!baseline.completions.is_empty());
-    assert_eq!(baseline.completions, through.completions);
-    assert_eq!(baseline.batches, through.batches);
-    assert_eq!(baseline.cache, through.cache);
-    assert_eq!(baseline.rejections, through.rejections);
-    assert!(baseline.makespan == through.makespan, "makespan drifted");
+    let valid = generate_open_loop(&TraceConfig {
+        num_requests: 300,
+        num_vertices: 400,
+        arrival_rate: 2000.0,
+        skew: 3.0,
+        burstiness: 0.3,
+        seed: 17,
+    });
+    // Before every seventh valid request, an invalid one arriving with
+    // it; the trace still ends on a valid request.
+    let mut mixed = Vec::new();
+    let mut invalid = 0u64;
+    for (i, req) in valid.iter().enumerate() {
+        if i % 7 == 3 {
+            mixed.push(InferenceRequest {
+                id: 1_000_000 + invalid,
+                vertex: 400 + (invalid as VertexId * 13) % 5000,
+                ..*req
+            });
+            invalid += 1;
+        }
+        mixed.push(*req);
+    }
+    let base = InferenceServer::new(&setup, &model, 0, cfg()).run(&valid);
+    let report = InferenceServer::new(&setup, &model, 0, cfg()).run(&mixed);
+    assert!(base.rejections.is_empty());
+    assert_eq!(report.total_requests(), mixed.len());
+    assert_eq!(report.rejections.len() as u64, invalid);
+    for r in &report.rejections {
+        assert_eq!(r.reason, RejectReason::InvalidVertex);
+        assert!(r.request.id >= 1_000_000 && r.request.vertex >= 400);
+    }
+    assert_eq!(report.completions, base.completions);
+    assert_eq!(report.batches, base.batches);
+    assert_eq!(report.cache, base.cache);
 }
 
 /// Where a run's lane region gets its helper: a 2-worker pool, the
@@ -639,9 +644,8 @@ fn answers(r: &ServeReport) -> (CacheStats, Vec<(u64, u64, usize, u64)>) {
 }
 
 /// The lane's inline fallback is the same code path: with a helper, on
-/// the serial pool, and nested in another region, `run` and
-/// `run_closed_loop` give identical cache accounting and identical
-/// completions.
+/// the serial pool, and nested in another region, `run` gives identical
+/// cache accounting and identical completions.
 #[test]
 fn lane_modes_answer_identically() {
     let (ds, model) = fixture();
@@ -667,26 +671,11 @@ fn lane_modes_answer_identically() {
     let open = |mode: LaneMode| {
         mode.run(|| InferenceServer::new(&setup, &model, 0, cfg(mode)).run(&trace))
     };
-    let closed = |mode: LaneMode| {
-        mode.run(|| {
-            InferenceServer::new(&setup, &model, 0, cfg(mode)).run_closed_loop(
-                &spp_serve::ClosedLoopConfig {
-                    clients: 6,
-                    think_time: 0.001,
-                    total_requests: 200,
-                    skew: 2.5,
-                    seed: 21,
-                },
-            )
-        })
-    };
-    for serve in [&open as &dyn Fn(LaneMode) -> ServeReport, &closed] {
-        let reference = answers(&serve(LaneMode::Helper));
-        assert!(reference.1.len() >= 200);
-        assert!(reference.1.iter().any(|&(_, _, _, sum)| sum != 0));
-        for mode in [LaneMode::Serial, LaneMode::Nested] {
-            assert_eq!(answers(&serve(mode)), reference, "{mode:?}");
-        }
+    let reference = answers(&open(LaneMode::Helper));
+    assert!(reference.1.len() >= 200);
+    assert!(reference.1.iter().any(|&(_, _, _, sum)| sum != 0));
+    for mode in [LaneMode::Serial, LaneMode::Nested] {
+        assert_eq!(answers(&open(mode)), reference, "{mode:?}");
     }
 }
 

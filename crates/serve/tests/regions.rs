@@ -1,7 +1,7 @@
 //! A serving run is one pool region: the whole request loop produces
-//! into one lane, so `pool.regions` grows by one per `run` or
-//! `run_closed_loop` call, not by one per batch. Telemetry is
-//! process-global, so this test owns its test binary.
+//! into one lane, so `pool.regions` grows by one per `run` call, not by
+//! one per batch. Telemetry is process-global, so this test owns its
+//! test binary.
 
 // Tests assert by panicking; the workspace panic-family denies apply
 // to library code only (see [workspace.lints] in Cargo.toml).
@@ -12,9 +12,7 @@ use spp_graph::dataset::SyntheticSpec;
 use spp_pool::WorkerPool;
 use spp_runtime::{DistributedSetup, SetupConfig};
 use spp_sampler::Fanouts;
-use spp_serve::{
-    generate_open_loop, ClosedLoopConfig, InferenceServer, ServeConfig, ServeReport, TraceConfig,
-};
+use spp_serve::{generate_open_loop, InferenceServer, ServeConfig, TraceConfig};
 use spp_telemetry as tel;
 
 #[test]
@@ -55,38 +53,20 @@ fn one_pool_region_per_serving_run() {
         };
         InferenceServer::new(&setup, &model, 0, cfg)
     };
-    let closed_loop = ClosedLoopConfig {
-        clients: 6,
-        think_time: 0.001,
-        total_requests: 200,
-        skew: 2.5,
-        seed: 21,
-    };
 
     tel::set_enabled(true);
     let regions = tel::counter("pool.regions");
     let caller = tel::counter("serve.lane.caller_forwards");
     let helper = tel::counter("serve.lane.helper_forwards");
-    // (regions opened, forwards counted, batches) of one serving run.
-    let count = |run: &dyn Fn() -> ServeReport| {
-        let before = (regions.value(), caller.value() + helper.value());
-        let report = run();
-        let forwards = caller.value() + helper.value() - before.1;
-        (
-            regions.value() - before.0,
-            forwards,
-            report.batches.len() as u64,
-        )
-    };
     for workers in [1, 2] {
-        let open = count(&|| server(workers).run(&trace));
-        let closed = count(&|| server(workers).run_closed_loop(&closed_loop));
-        for (opened, forwards, batches) in [open, closed] {
-            assert!(batches > 10, "{workers} workers: only {batches} batches");
-            assert_eq!(opened, 1, "{workers} workers: {batches} batches");
-            // Every batch's forward pass ran once, on one side of the lane.
-            assert_eq!(forwards, batches, "{workers} workers");
-        }
+        let before = (regions.value(), caller.value() + helper.value());
+        let batches = server(workers).run(&trace).batches.len() as u64;
+        let opened = regions.value() - before.0;
+        let forwards = caller.value() + helper.value() - before.1;
+        assert!(batches > 10, "{workers} workers: only {batches} batches");
+        assert_eq!(opened, 1, "{workers} workers: {batches} batches");
+        // Every batch's forward pass ran once, on one side of the lane.
+        assert_eq!(forwards, batches, "{workers} workers");
     }
     tel::set_enabled(false);
 }

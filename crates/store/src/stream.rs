@@ -17,8 +17,10 @@
 //! same edge multiset: both reduce to the globally `(src, dst)`-sorted,
 //! deduplicated, self-loop-free edge list (GraphBuilder gets there via
 //! counting sort by source + per-row sort/dedup). The equivalence is
-//! pinned across all four [`spp_graph::generate::GraphFamily`] variants
-//! and chunk sizes by proptest in `tests/stream_equiv.rs`.
+//! pinned in `crates/store/tests/props.rs`: across all four
+//! [`spp_graph::generate::GraphFamily`] variants and chunk sizes by the
+//! `streaming_csr_matches_in_ram_builder` proptest, and for the
+//! `io_locality` citation graph by `citation_graph_streams_bit_identically`.
 //!
 //! Peak memory is `chunk_edges × 8` bytes for the chunk buffer plus one
 //! small read buffer per run and the output CSR itself — independent of

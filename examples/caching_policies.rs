@@ -17,7 +17,7 @@ use salientpp::prelude::*;
 use spp_core::policies::PolicyContext;
 
 fn main() {
-    let ds = papers_mini(0.1, 3);
+    let ds = papers_sim(0.1, 3);
     let k = 4usize;
     let fanouts = Fanouts::new(vec![15, 10, 5]);
     let batch_size = 32usize;

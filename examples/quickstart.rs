@@ -18,7 +18,7 @@ use spp_gnn::TrainConfig;
 fn main() {
     // 1. A products-like synthetic dataset (scaled way down so this runs
     //    in seconds).
-    let ds = products_mini(0.1, 42);
+    let ds = products_sim(0.1, 42);
     println!(
         "dataset {}: {} vertices, {} edges, {} features, {} classes",
         ds.name,

@@ -18,7 +18,7 @@ use salientpp::comm::NetworkModel;
 use salientpp::prelude::*;
 
 fn main() {
-    let ds = mag240_mini(0.05, 8);
+    let ds = mag240_sim(0.05, 8);
     let k = 4usize;
     let fanouts = Fanouts::new(vec![15, 10]);
     let h = 64usize;

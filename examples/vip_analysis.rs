@@ -19,7 +19,7 @@ use rand::SeedableRng;
 use salientpp::prelude::*;
 
 fn main() {
-    let ds = papers_mini(0.1, 7);
+    let ds = papers_sim(0.1, 7);
     let n = ds.num_vertices();
     let fanouts = Fanouts::new(vec![15, 10, 5]);
     let batch = 8usize;

@@ -22,7 +22,7 @@ use salientpp::runtime::pool::WorkerPool;
 use spp_sampler::weighted::{EdgeWeights, WeightedNodeWiseSampler};
 
 fn main() {
-    let ds = papers_mini(0.2, 11);
+    let ds = papers_sim(0.2, 11);
     let n = ds.num_vertices();
     let fanouts = Fanouts::new(vec![10, 5]);
     let batch = 8usize;

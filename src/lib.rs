@@ -81,7 +81,7 @@ pub mod prelude {
         CacheBuilder, PartitionedFeatureStore, ReorderedLayout, StaticCache, VipModel,
     };
     pub use spp_gnn::{Arch, GnnModel, TrainConfig, Trainer};
-    pub use spp_graph::dataset::{mag240_mini, papers_mini, products_mini, SyntheticSpec};
+    pub use spp_graph::dataset::{mag240_sim, papers_sim, products_sim, SyntheticSpec};
     pub use spp_graph::generate::GeneratorConfig;
     pub use spp_graph::{CsrGraph, Dataset, FeatureMatrix, GraphBuilder, Permutation, VertexId};
     pub use spp_partition::multilevel::MultilevelPartitioner;

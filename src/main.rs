@@ -118,9 +118,9 @@ fn cmd_generate(flags: &Flags) {
     let seed: u64 = flags.num("seed", 0);
     let which = flags.required("dataset");
     let ds = match which {
-        "products" => products_mini(scale, seed),
-        "papers" => papers_mini(scale, seed),
-        "mag240" => mag240_mini(scale, seed),
+        "products" => products_sim(scale, seed),
+        "papers" => papers_sim(scale, seed),
+        "mag240" => mag240_sim(scale, seed),
         other => {
             eprintln!("unknown dataset {other} (products|papers|mag240)");
             std::process::exit(2);
