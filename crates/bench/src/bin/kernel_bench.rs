@@ -278,13 +278,18 @@ fn bench_shape(Shape { m, k, n }: Shape, reps: usize) -> [KernelResult; 3] {
     let [mut mm_seed, mut mm] = [0, 1].map(|_| vec![0.0f32; m * n]);
     let [mut tm_seed, mut tm] = [0, 1].map(|_| vec![0.0f32; k * n]);
     let [mut mt_seed, mut mt] = [0, 1].map(|_| vec![0.0f32; m * k]);
+    let (xm, wm) = (
+        Matrix::from_flat(m, k, x.clone()),
+        Matrix::from_flat(k, n, w.clone()),
+    );
     let (x, w, g) = (black_box(&x[..]), black_box(&w[..]), black_box(&g[..]));
+    let (xm, wm) = (black_box(&xm), black_box(&wm));
     let times = time_best_each(
         reps,
         [
             // X·W — (m×k) @ (k×n).
             &mut || seed_matmul(x, m, k, w, n, black_box(&mut mm_seed)),
-            &mut || kernels::linear_rows(&[(x, k, w)], None, false, n, 0, black_box(&mut mm)),
+            &mut || kernels::linear_rows(&[(xm, wm)], None, false, n, 0, black_box(&mut mm)),
             // Xᵀ·G over the full column range — (m×k)ᵀ @ (m×n).
             &mut || seed_t_matmul(x, m, k, g, n, black_box(&mut tm_seed)),
             &mut || kernels::t_matmul_cols_dense(x, k, g, n, m, 0, black_box(&mut tm)),

@@ -1,14 +1,18 @@
 //! GNN models and the local training loop.
 //!
 //! Implements the architecture the paper evaluates (§2.1): GraphSAGE
-//! with mean aggregation, on top of the [`spp_tensor`] autograd tape,
-//! consuming sampled [message-flow graphs](spp_sampler::Mfg).
+//! with mean aggregation over sampled
+//! [message-flow graphs](spp_sampler::Mfg). Training and inference run
+//! through a [`SageStep`], one per lane, whose backward reuses the
+//! forward's buffers; [`GnnModel::forward`] records the same pass on the
+//! [`spp_tensor`] autograd tape, bit for bit.
 //!
 //! # Example
 //!
 //! ```
-//! use spp_gnn::{Arch, GnnModel};
+//! use spp_gnn::{Arch, GnnModel, SageStep};
 //! use spp_graph::generate::ring_with_chords;
+//! use spp_pool::WorkerPool;
 //! use spp_sampler::{Fanouts, NodeWiseSampler};
 //! use spp_tensor::Matrix;
 //! use rand::SeedableRng;
@@ -17,10 +21,11 @@
 //! let sampler = NodeWiseSampler::new(&g, Fanouts::new(vec![3, 3]));
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 //! let mfg = sampler.sample(&[0, 1], &mut rng);
-//! let mut model = GnnModel::new(Arch::Sage, &[8, 16, 4], 0);
+//! let model = GnnModel::new(Arch::Sage, &[8, 16, 4], 0);
 //! let x = Matrix::zeros(mfg.num_nodes(), 8);
-//! let mut fwd = model.forward(x, &mfg, false, &mut rng);
-//! assert_eq!(fwd.logits_value().shape(), (2, 4));
+//! let mut step = SageStep::new(&model);
+//! let logits = step.infer(WorkerPool::global(), &model, &x, &mfg);
+//! assert_eq!(logits.shape(), (2, 4));
 //! ```
 
 // Test modules assert by panicking; the workspace panic-family denies
@@ -41,9 +46,9 @@
 
 pub mod metrics;
 pub mod model;
+pub mod step;
 pub mod trainer;
 
 pub use model::{model_dims, Arch, Forward, GnnModel};
-pub use trainer::{
-    seed_labels, train_step, EpochStats, TrainConfig, TrainReport, Trainer, MODEL_STREAM_SALT,
-};
+pub use step::{SageStep, MODEL_STREAM_SALT};
+pub use trainer::{seed_labels, train_step, EpochStats, TrainConfig, TrainReport, Trainer};

@@ -1,5 +1,6 @@
 //! The GraphSAGE model over message-flow graphs.
 
+use crate::SageStep;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spp_pool::WorkerPool;
@@ -23,10 +24,10 @@ pub enum Arch {
 /// `h[..targets]·w_self + mean_agg(h)·w_neigh + bias`, ReLU'd on hidden
 /// layers.
 #[derive(Debug)]
-struct Layer {
-    w_self: Param,
-    w_neigh: Param,
-    bias: Param,
+pub(crate) struct Layer {
+    pub(crate) w_self: Param,
+    pub(crate) w_neigh: Param,
+    pub(crate) bias: Param,
 }
 
 /// Converts a sampled hop adjacency into the tape's CSR view.
@@ -39,15 +40,16 @@ fn to_csr_adj(hop: &HopAdj) -> Arc<CsrAdj> {
     })
 }
 
-/// The result of one forward pass: the tape, the logits node, and the
-/// parameter leaf nodes (aligned with [`GnnModel::params_mut`]) so
-/// gradients can be pulled back into the model.
+/// The result of one forward pass recorded on a tape: the tape, the
+/// logits node, and the parameter leaf nodes (aligned with
+/// [`GnnModel::params_mut`]) so gradients can be pulled back into the
+/// model. The crates train and infer through [`crate::SageStep`]; the
+/// tape stays for the benchmark's traced replays, which time its ops.
 pub struct Forward {
-    /// The autograd tape holding the whole forward computation.
+    /// The autograd tape holding the whole forward computation; the
+    /// input features are a [`Tape::constant`], so `backward` spends
+    /// nothing on a feature gradient nobody reads.
     pub tape: Tape,
-    /// Leaf node holding the input features `x` — a [`Tape::constant`]:
-    /// `backward` spends nothing on a feature gradient nobody reads.
-    pub input: NodeId,
     /// Seed-vertex logits node.
     pub logits: NodeId,
     /// Leaf node per parameter, in [`GnnModel::params_mut`] order.
@@ -58,12 +60,6 @@ impl Forward {
     /// The logits matrix (`num_seeds × num_classes`).
     pub fn logits_value(&self) -> &Matrix {
         self.tape.value(self.logits)
-    }
-
-    /// Ends the pass and hands back the input feature matrix passed to
-    /// [`GnnModel::forward`], so its buffer can hold the next batch.
-    pub fn into_input(mut self) -> Matrix {
-        self.tape.take_value(self.input)
     }
 }
 
@@ -131,6 +127,21 @@ impl GnnModel {
         &self.dims
     }
 
+    /// The dropout probability applied between layers during training.
+    pub fn dropout_rate(&self) -> f32 {
+        self.dropout
+    }
+
+    /// The layers' parameters, first layer first.
+    pub(crate) fn layers(&self) -> &[Layer] {
+        &self.layers
+    }
+
+    /// Mutable access to the layers' parameters.
+    pub(crate) fn layers_mut(&mut self) -> &mut [Layer] {
+        &mut self.layers
+    }
+
     /// Mutable access to all parameters, layer by layer.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         self.layers
@@ -139,8 +150,8 @@ impl GnnModel {
             .collect()
     }
 
-    /// Runs the forward pass for one minibatch on the global worker
-    /// pool.
+    /// Records the forward pass for one minibatch on a [`Tape`] on the
+    /// global worker pool, bit-identical to [`crate::SageStep`]'s.
     ///
     /// `x` must have one row per MFG node (`mfg.num_nodes()` rows) in MFG
     /// local order, with `dims[0]` columns. Returns the tape, the
@@ -151,23 +162,6 @@ impl GnnModel {
     /// Panics if the MFG depth does not match the layer count or `x` has
     /// the wrong shape.
     pub fn forward<R: Rng>(&self, x: Matrix, mfg: &Mfg, train: bool, rng: &mut R) -> Forward {
-        self.forward_with(WorkerPool::global(), x, mfg, train, rng)
-    }
-
-    /// [`GnnModel::forward`] on a tape whose ops, and later its
-    /// `backward`, run on `pool`. Bit-identical for any worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same shape mismatches as [`GnnModel::forward`].
-    pub fn forward_with<R: Rng>(
-        &self,
-        pool: WorkerPool,
-        x: Matrix,
-        mfg: &Mfg,
-        train: bool,
-        rng: &mut R,
-    ) -> Forward {
         assert_eq!(
             mfg.num_hops(),
             self.layers.len(),
@@ -176,10 +170,9 @@ impl GnnModel {
         assert_eq!(x.rows(), mfg.num_nodes(), "feature row count mismatch");
         assert_eq!(x.cols(), self.dims[0], "feature dim mismatch");
 
-        let mut tape = Tape::with_pool(pool);
+        let mut tape = Tape::new();
         let mut param_nodes = Vec::new();
-        let input = tape.constant(x);
-        let mut h = input;
+        let mut h = tape.constant(x);
         let num_layers = self.layers.len();
         for (li, layer) in self.layers.iter().enumerate() {
             let hop = mfg.layer_adj(li + 1);
@@ -200,24 +193,23 @@ impl GnnModel {
 
         Forward {
             tape,
-            input,
             logits: h,
             param_nodes,
         }
     }
 
-    /// Inference forward pass over a sampled MFG: evaluation mode (no
-    /// dropout), so no RNG stream is consumed and the logits are a pure
-    /// function of `(x, mfg, parameters)` — the entry point the online
-    /// serving subsystem uses per micro-batch.
+    /// Inference forward pass over a sampled MFG on the global worker
+    /// pool: evaluation mode (no dropout), so the logits are a pure
+    /// function of `(x, mfg, parameters)`. Runs a [`crate::SageStep`]
+    /// of its own; a caller with many batches keeps one instead.
     ///
     /// # Panics
     ///
     /// Panics on the same shape mismatches as [`GnnModel::forward`].
     pub fn infer(&self, x: Matrix, mfg: &Mfg) -> Matrix {
-        let mut rng = StdRng::seed_from_u64(0); // eval mode: rng unused
-        let mut fwd = self.forward(x, mfg, false, &mut rng);
-        fwd.tape.take_value(fwd.logits)
+        let mut step = SageStep::new(self);
+        step.infer(WorkerPool::global(), self, &x, mfg);
+        step.into_logits()
     }
 
     /// Pulls gradients from a completed backward pass into the model's

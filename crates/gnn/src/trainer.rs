@@ -5,7 +5,7 @@
 //! gradients; integration tests compare against this implementation.
 
 use crate::metrics::{predictions, AccuracyMeter};
-use crate::{model_dims, Arch, GnnModel};
+use crate::{model_dims, Arch, GnnModel, SageStep};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spp_graph::{Dataset, VertexId};
@@ -15,39 +15,27 @@ use spp_store::FeatureStore;
 use spp_tensor::{Adam, Matrix, Optimizer};
 use std::sync::Arc;
 
-/// Salt separating the model's dropout RNG stream from the sampler's
-/// stream for the same `(seed, epoch, batch)`, applied by [`train_step`]
-/// for both trainers.
-pub const MODEL_STREAM_SALT: u64 = 0x6D6F_6465_6C5F_7267;
-
 /// The labels of `mfg`'s seed vertices, in seed order.
 pub fn seed_labels(labels: &[u32], mfg: &Mfg) -> Vec<u32> {
     mfg.seeds().iter().map(|&v| labels[v as usize]).collect()
 }
 
-/// One minibatch's training compute, shared by [`Trainer`] and the
-/// distributed engine: a training-mode forward pass over `x` with
-/// dropout drawn from the model stream of batch `(seed, epoch, index)`,
-/// softmax cross-entropy against `labels`, backward, and the parameter
-/// gradients accumulated into `model`, all on `pool`'s budget. Returns
-/// the loss and the input matrix, whose buffer can hold a later batch.
-/// The optimizer step is the caller's. Bit-identical for any pool.
+/// One minibatch's training compute on a step of its own:
+/// [`SageStep::train`] over `x` for batch `(seed, epoch, index)`, all
+/// on `pool`'s budget, with the parameter gradients accumulated into
+/// `model`. Returns the loss and `x`. The training loops keep one
+/// [`SageStep`] per lane instead, so its buffers carry over from batch
+/// to batch. Bit-identical for any pool.
 pub fn train_step(
     pool: WorkerPool,
     model: &mut GnnModel,
     x: Matrix,
     mfg: &Mfg,
     labels: Arc<Vec<u32>>,
-    (seed, epoch, index): (u64, u64, u64),
+    index: (u64, u64, u64),
 ) -> (f64, Matrix) {
-    let stream = batch_stream_seed(seed ^ MODEL_STREAM_SALT, epoch, index);
-    let mut rng = StdRng::seed_from_u64(stream);
-    let mut fwd = model.forward_with(pool, x, mfg, true, &mut rng);
-    let loss = fwd.tape.softmax_cross_entropy(fwd.logits, labels);
-    let value = fwd.tape.value(loss).get(0, 0) as f64;
-    fwd.tape.backward(loss);
-    model.accumulate_grads(&fwd);
-    (value, fwd.into_input())
+    let loss = SageStep::new(model).train(pool, model, &x, mfg, &labels, index);
+    (loss, x)
 }
 
 /// Hyperparameters for one training run. Defaults mirror the paper's
@@ -121,14 +109,13 @@ pub struct TrainReport {
 }
 
 /// One prepared minibatch. `x`'s storage is the batch's recycled slot:
-/// it travels into the tape as the model input and is taken back
-/// ([`crate::Forward::into_input`]) to hold a later batch, so the epoch
-/// and evaluate loops own at most one feature buffer per in-flight
-/// batch instead of allocating one per minibatch.
+/// the step only reads it, and it holds a later batch next, so the
+/// epoch and evaluate loops own at most one feature buffer per
+/// in-flight batch instead of allocating one per minibatch.
 struct Batch {
     mfg: Mfg,
     x: Matrix,
-    labels: Arc<Vec<u32>>,
+    labels: Vec<u32>,
 }
 
 /// Trains a [`GnnModel`] on a [`Dataset`] with node-wise sampling.
@@ -232,7 +219,7 @@ impl<'a> Trainer<'a> {
     /// of any length and content, grown to exactly the batch if too
     /// small ([`Matrix::from_recycled`]); every element of the result is
     /// overwritten — and wraps it as the batch's input matrix. Take the
-    /// buffer back with `Forward::into_input` + `Matrix::into_flat`.
+    /// buffer back with [`Matrix::into_flat`].
     pub fn gather_into_slot(feats: &dyn FeatureStore, mfg: &Mfg, slot: Vec<f32>) -> Matrix {
         let mut x = Matrix::from_recycled(mfg.num_nodes(), feats.dim(), slot);
         feats.gather_into(&mfg.nodes, x.as_flat_mut());
@@ -280,7 +267,7 @@ impl<'a> Trainer<'a> {
         let mut rng = StdRng::seed_from_u64(stream_seed);
         let mfg = sampler.sample(batch, &mut rng);
         let x = Self::gather_into_slot(feats, &mfg, slot);
-        let labels = Arc::new(seed_labels(&ds.labels, &mfg));
+        let labels = seed_labels(&ds.labels, &mfg);
         Batch { mfg, x, labels }
     }
 
@@ -306,6 +293,9 @@ impl<'a> Trainer<'a> {
         let (ds, feats, seed, pool) = (self.ds, self.feats, self.cfg.seed, self.pool());
         feats.begin_epoch();
         let model = &mut self.model;
+        // Released after each batch: the preparation running ahead
+        // allocates on this thread too.
+        let mut step = SageStep::new(model);
         let mut total_loss = 0.0f64;
         let _epoch_span = spp_telemetry::span!("gnn.trainer.epoch");
         let batches_counter = spp_telemetry::metrics::counter("gnn.trainer.batches");
@@ -320,13 +310,10 @@ impl<'a> Trainer<'a> {
             |b, batch| {
                 let _update = spp_telemetry::span!("gnn.trainer.update");
                 batches_counter.inc();
-                let x = std::mem::replace(&mut batch.x, Matrix::empty());
-                let labels = Arc::clone(&batch.labels);
                 let index = (seed, epoch, b as u64);
-                let (loss, x) = train_step(pool, model, x, &batch.mfg, labels, index);
-                total_loss += loss;
+                total_loss += step.train(pool, model, &batch.x, &batch.mfg, &batch.labels, index);
+                step.release();
                 opt.step(&mut model.params_mut());
-                batch.x = x;
             },
         );
         let batches = batch_list.len();
@@ -355,22 +342,21 @@ impl<'a> Trainer<'a> {
         let model = &self.model;
         // One job per contiguous batch range, each recycling one feature
         // slot across its batches and computing on its share of the
-        // budget; ranges merge back in batch order.
+        // budget; ranges merge back in batch order. A job samples and
+        // gathers its next batch itself, so its step is released first.
         let pool = self.pool();
         let ranges = even_ranges(batch_list.len(), pool.workers().min(batch_list.len()));
         let share = pool.split(ranges.len());
         let per_range = pool.run_jobs(ranges.len(), |r| {
-            let mut slot = Vec::new();
+            let (mut slot, mut step) = (Vec::new(), SageStep::new(model));
             let mut out = Vec::with_capacity(ranges[r].len());
             for b in ranges[r].clone() {
                 let stream = batch_stream_seed(seed, 0, b as u64);
                 let Batch { mfg, x, labels } =
                     Self::prepare_batch(ds, feats, &sampler, stream, &batch_list[b], slot);
-                // Evaluation mode: dropout is off, so no stream is drawn.
-                let mut rng = StdRng::seed_from_u64(0);
-                let fwd = model.forward_with(share, x, &mfg, false, &mut rng);
-                out.push((predictions(fwd.logits_value()), labels));
-                slot = fwd.into_input().into_flat();
+                out.push((predictions(step.infer(share, model, &x, &mfg)), labels));
+                step.release();
+                slot = x.into_flat();
             }
             out
         });

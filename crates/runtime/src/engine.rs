@@ -14,12 +14,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spp_comm::{run_machines, AllToAll};
 use spp_gnn::metrics::{predictions, AccuracyMeter};
-use spp_gnn::{seed_labels, train_step, Arch, GnnModel, Trainer};
+use spp_gnn::{seed_labels, Arch, GnnModel, SageStep, Trainer};
 use spp_graph::{quant, FeatureMatrix, QuantScheme, VertexId};
 use spp_sampler::{batch_stream_seed, Mfg, MinibatchIter, NodeWiseSampler};
 use spp_telemetry::metrics;
 use spp_tensor::{Adam, Matrix, Optimizer};
-use std::sync::Arc;
 
 /// One all-to-all payload.
 enum Payload {
@@ -205,8 +204,11 @@ impl<'a> DistributedTrainer<'a> {
             // cores: it samples ahead on the share, holding at most its
             // width of MFGs, and runs its forward and backward on it.
             let pool = WorkerPool::global().split(k);
-            // The batch feature buffer, recycled from round to round.
+            // The batch feature buffer, recycled from round to round,
+            // and the step, released after each round's compute: the
+            // exchanges that follow allocate on this thread.
             let mut slot: Vec<f32> = Vec::new();
+            let mut step = SageStep::new(&model);
             // Per-round RNG streams are derived from
             // (machine seed, epoch, round), never threaded across
             // rounds: sampling for round r is independent of rounds
@@ -251,10 +253,11 @@ impl<'a> DistributedTrainer<'a> {
                     let mut loss_val = 0.0f64;
                     if let (Some(m), Some((x, fetched))) = (&*mfg, gathered) {
                         remote_fetches += fetched;
-                        let labels = Arc::new(seed_labels(&setup.dataset.labels, m));
+                        let labels = seed_labels(&setup.dataset.labels, m);
                         let index = (sample_seed, epoch, round as u64);
-                        let (loss, x) = train_step(pool, &mut model, x, m, labels, index);
-                        (loss_val, slot) = (loss, x.into_flat());
+                        loss_val = step.train(pool, &mut model, &x, m, &labels, index);
+                        step.release();
+                        slot = x.into_flat();
                         let mut flat = Vec::new();
                         for p in model.params_mut() {
                             flat.extend_from_slice(p.grad.as_flat());
@@ -372,15 +375,16 @@ impl<'a> DistributedTrainer<'a> {
         let sampler = NodeWiseSampler::new(&ds.graph, self.setup.config.fanouts.clone());
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xe7a1);
         let mut meter = AccuracyMeter::new();
-        // One feature buffer, recycled from batch to batch.
-        let mut slot: Vec<f32> = Vec::new();
+        // One feature buffer, recycled from batch to batch, and one step,
+        // released before the next batch is sampled and gathered.
+        let (mut slot, mut step) = (Vec::new(), SageStep::new(model));
         for batch in MinibatchIter::new(ids, self.setup.config.batch_size.max(64), 1, 0) {
             let mfg = sampler.sample(&batch, &mut rng);
             let x = Trainer::gather_into_slot(&ds.features, &mfg, slot);
-            let fwd = model.forward(x, &mfg, false, &mut rng);
-            let preds = predictions(fwd.logits_value());
+            let preds = predictions(step.infer(WorkerPool::global(), model, &x, &mfg));
+            step.release();
             meter.update(&preds, &seed_labels(&ds.labels, &mfg));
-            slot = fwd.into_input().into_flat();
+            slot = x.into_flat();
         }
         meter.value()
     }

@@ -54,15 +54,18 @@ impl VertexIndexer {
     }
 
     /// Inserts `v` if absent; returns its dense local id either way.
+    /// The table grows only to take a new vertex past
+    /// [`VertexIndexer::capacity`].
     #[inline]
     pub fn insert(&mut self, v: VertexId) -> u32 {
-        if self.nodes.len() * 2 >= self.slots.len() {
-            self.grow();
-        }
         let mut i = Self::hash(v) & self.mask;
         loop {
             let s = self.slots[i];
             if s == EMPTY {
+                if self.nodes.len() >= self.capacity() {
+                    self.grow();
+                    return self.insert(v);
+                }
                 let local = self.nodes.len() as u32;
                 self.slots[i] = local + 1;
                 self.nodes.push(v); // spp-hot: alloc(appends the batch node list; capacity reserved at construction (amortized))
@@ -102,6 +105,12 @@ impl VertexIndexer {
             }
             self.slots[i] = local as u32 + 1;
         }
+    }
+
+    /// Distinct vertices the table holds before it grows (load factor
+    /// ≤ 0.5): at least the `expected` it was built with.
+    pub fn capacity(&self) -> usize {
+        self.slots.len() / 2
     }
 
     /// Number of distinct vertices inserted.
@@ -155,6 +164,23 @@ mod tests {
         for v in 0..1000u32 {
             assert_eq!(idx.get(v * 7), Some(v));
         }
+    }
+
+    #[test]
+    fn holds_its_expected_count_without_growing() {
+        // 64 is a power of two, so the table is exactly twice it: the
+        // 64th vertex fills it to the load bound, and looking any vertex
+        // up again must not grow it.
+        let mut idx = VertexIndexer::with_capacity(64);
+        let slots = idx.slots.len();
+        for round in 0..2 {
+            for v in 0..64u32 {
+                assert_eq!(idx.insert(v * 7919), v, "round {round}");
+            }
+        }
+        assert_eq!((idx.slots.len(), idx.capacity()), (slots, 64));
+        idx.insert(1);
+        assert_eq!(idx.slots.len(), 2 * slots, "the 65th vertex grows it");
     }
 
     #[test]

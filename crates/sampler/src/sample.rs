@@ -72,7 +72,8 @@ impl<'g> NodeWiseSampler<'g> {
     /// Panics if `seeds` contains duplicates (a minibatch is a set).
     // spp-hot(sampler.batch_prep)
     pub fn sample<R: Rng>(&self, seeds: &[VertexId], rng: &mut R) -> Mfg {
-        expand(&self.fanouts, seeds, |v, fanout, out| {
+        let n = self.graph.num_vertices();
+        expand(&self.fanouts, n, seeds, |v, fanout, out| {
             sample_neighbors(self.graph, v, fanout, rng, out);
         })
     }
@@ -82,17 +83,21 @@ impl<'g> NodeWiseSampler<'g> {
 /// distinct, then hop by hop asks `pick(v, fanout, out)` for the sampled
 /// neighbors of each vertex in the cumulative node set, in node order
 /// (which fixes both the RNG draw order and the MFG node order, §9),
-/// and records them as the hop's CSR.
+/// and records them as the hop's CSR. `num_vertices` is the graph's:
+/// no batch holds more distinct vertices, so the dedup table is sized
+/// for at most that many and never grows.
 ///
 /// # Panics
 ///
 /// Panics if `seeds` contains duplicates (a minibatch is a set).
 pub(crate) fn expand(
     fanouts: &Fanouts,
+    num_vertices: usize,
     seeds: &[VertexId],
     mut pick: impl FnMut(VertexId, usize, &mut Vec<VertexId>),
 ) -> Mfg {
-    let cap = fanouts.max_expanded_size(seeds.len()).min(1 << 20);
+    let bound = fanouts.max_expanded_size(seeds.len());
+    let cap = bound.min(num_vertices).min(1 << 20);
     let mut indexer = VertexIndexer::with_capacity(cap); // spp-hot: alloc(batch dedup indexer, sized once from the fanout bound)
     for (i, &s) in seeds.iter().enumerate() {
         indexer.insert(s);
@@ -209,6 +214,31 @@ mod tests {
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
+    }
+
+    #[test]
+    fn dedup_table_sized_by_the_graph_leaves_the_mfg_unchanged() {
+        // A bound far past the graph: 12 seeds at fanouts (10, 10, 10)
+        // could reach 13 332 vertices of a 40-vertex graph.
+        let g = complete(40);
+        let fanouts = Fanouts::new(vec![10, 10, 10]);
+        let seeds: Vec<VertexId> = (0..12).collect();
+        let run = |num_vertices: usize| {
+            let mut r = rng(3);
+            expand(&fanouts, num_vertices, &seeds, |v, fanout, out| {
+                sample_neighbors(&g, v, fanout, &mut r, out);
+            })
+        };
+        let capped = run(g.num_vertices());
+        assert_eq!(capped.num_nodes(), 40, "the batch reaches every vertex");
+        assert_eq!(capped, run(usize::MAX));
+        assert_eq!(
+            capped,
+            NodeWiseSampler::new(&g, fanouts.clone()).sample(&seeds, &mut rng(3))
+        );
+        // The table it sized holds the whole graph without growing.
+        let cap = fanouts.max_expanded_size(seeds.len()).min(40);
+        assert!(VertexIndexer::with_capacity(cap).capacity() >= 40);
     }
 
     #[test]

@@ -127,9 +127,14 @@ impl<'g> WeightedNodeWiseSampler<'g> {
     ///
     /// Panics on duplicate seeds.
     pub fn sample<R: Rng>(&self, seeds: &[VertexId], rng: &mut R) -> Mfg {
-        expand(&self.fanouts, seeds, |v, fanout, out| {
-            self.sample_weighted(v, fanout, rng, out);
-        })
+        expand(
+            &self.fanouts,
+            self.graph.num_vertices(),
+            seeds,
+            |v, fanout, out| {
+                self.sample_weighted(v, fanout, rng, out);
+            },
+        )
     }
 
     /// Weighted draws without replacement via repeated inverse-CDF over

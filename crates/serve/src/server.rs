@@ -59,7 +59,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spp_comm::{DesEngine, ResourceId};
 use spp_core::{BatchPlan, PartitionedFeatureStore};
-use spp_gnn::GnnModel;
+use spp_gnn::{GnnModel, SageStep};
 use spp_graph::{quant, QuantScheme, VertexId};
 use spp_pool::{Lane, WorkerPool};
 use spp_runtime::{CostModel, DistributedSetup};
@@ -445,9 +445,9 @@ struct Answered {
 }
 
 impl Prepared {
-    /// Reads the batch's resident rows, then runs the forward pass. The
-    /// store's local rows and static tier never change after build, so
-    /// this reads nothing preparation writes.
+    /// Reads the batch's resident rows, then runs the forward pass on
+    /// the global pool. The store's local rows and static tier never
+    /// change after build, so this reads nothing preparation writes.
     fn run_model(self, model: &GnnModel, store: &PartitionedFeatureStore) -> Answered {
         let Prepared {
             mut x,
@@ -457,11 +457,13 @@ impl Prepared {
             first,
         } = self;
         store.read_resident(&mfg.nodes, &plan, &mut x);
-        // Evaluation mode, as `GnnModel::infer`: no dropout, no stream drawn.
-        let mut fwd = model.forward(x, &mfg, false, &mut StdRng::seed_from_u64(0));
+        // A step of its own, as `GnnModel::infer`: kept in the ring
+        // instead, three steps' buffers would outlive their passes.
+        let mut step = SageStep::new(model);
+        step.infer(WorkerPool::global(), model, &x, &mfg);
         Answered {
-            logits: fwd.tape.take_value(fwd.logits),
-            input: fwd.into_input().into_flat(),
+            logits: step.into_logits(),
+            input: x.into_flat(),
             seed_row,
             first,
         }

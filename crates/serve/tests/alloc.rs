@@ -5,11 +5,14 @@
 //!   per fetched row (each owner's rows are read with one `gather` into
 //!   one staging matrix, copied into the batch tensor, and admitted to
 //!   the overlay straight from that tensor);
-//! - the recycled batch tensors: an allocation the size of a batch
-//!   tensor is made only when a batch has more MFG nodes than every
-//!   batch before it, not once per batch — at most once per tensor of
-//!   the server's ring of [`BATCH_TENSORS`], each of which grows to the
-//!   new record the next time it is prepared into.
+//! - the recycled batch tensors: the server's ring holds
+//!   [`BATCH_TENSORS`], and `Matrix::from_recycled` grows one only when
+//!   the batch prepared into it has more MFG nodes than its capacity,
+//!   and then to exactly that batch. So each tensor's allocations are
+//!   strictly increasing batch sizes: every batch-tensor-sized
+//!   allocation is exactly some batch's tensor, no size is allocated
+//!   more than once per tensor of the ring, and a batch no larger than
+//!   every tensor's capacity allocates nothing.
 //!
 //! The counters are process-global, so the tests take turns.
 
@@ -36,9 +39,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Allocations of at least [`BIG_AT`] bytes.
+/// Allocations of at least [`BIG_AT`] bytes, and the sizes of the
+/// first [`BIG_SIZES`] of them.
 static BIG: AtomicU64 = AtomicU64::new(0);
 static BIG_AT: AtomicU64 = AtomicU64::new(u64::MAX);
+const BIG_SIZES: usize = 256;
+static BIG_SIZE: [AtomicU64; BIG_SIZES] = [const { AtomicU64::new(0) }; BIG_SIZES];
 
 /// Held by each test for its whole body.
 fn serial() -> MutexGuard<'static, ()> {
@@ -49,7 +55,10 @@ fn serial() -> MutexGuard<'static, ()> {
 fn count(bytes: usize) {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
     if bytes as u64 >= BIG_AT.load(Ordering::Relaxed) {
-        BIG.fetch_add(1, Ordering::Relaxed);
+        let i = BIG.fetch_add(1, Ordering::Relaxed) as usize;
+        if let Some(size) = BIG_SIZE.get(i) {
+            size.store(bytes as u64, Ordering::Relaxed);
+        }
     }
 }
 
@@ -184,22 +193,29 @@ fn batch_tensors_grow_only_for_a_batch_larger_than_all_before() {
         };
         InferenceServer::new(&setup, &model, 0, cfg).run(&trace)
     };
-    // A first run learns the batches' node counts; the second counts
+    // A first run learns the batches' node counts; the second records
     // the allocations at least as large as the smallest batch tensor.
     let nodes: Vec<usize> = run().batches.iter().map(|b| b.mfg_nodes).collect();
+    let tensor_bytes = |n: usize| (n * dim * 4) as u64;
     let smallest = nodes.iter().copied().min().unwrap();
-    BIG_AT.store((smallest * dim * 4) as u64, Ordering::Relaxed);
-    let before = BIG.load(Ordering::Relaxed);
+    BIG.store(0, Ordering::Relaxed);
+    BIG_AT.store(tensor_bytes(smallest), Ordering::Relaxed);
     let report = run();
-    let big = BIG.load(Ordering::Relaxed) - before;
     BIG_AT.store(u64::MAX, Ordering::Relaxed);
+    let big = BIG.load(Ordering::Relaxed) as usize;
     assert_eq!(report.batches.len(), nodes.len());
+    assert!(
+        big <= BIG_SIZES,
+        "{big} big allocations overflow the record"
+    );
+    let sizes: Vec<u64> = BIG_SIZE[..big]
+        .iter()
+        .map(|s| s.load(Ordering::Relaxed))
+        .collect();
 
-    // Batches with more nodes than every batch before them. The ring's
-    // tensors take turns (one prepared, one queued, one in a forward
-    // pass), so each such batch may grow every one of them.
-    let ring = BATCH_TENSORS as u64;
-    let mut records = 0u64;
+    // Batches with more nodes than every batch before them: the run
+    // cannot avoid growing some tensor for each.
+    let mut records = 0;
     let mut most = 0;
     for &n in &nodes {
         if n > most {
@@ -208,13 +224,33 @@ fn batch_tensors_grow_only_for_a_batch_larger_than_all_before() {
         }
     }
     assert!(
-        ring * records < nodes.len() as u64,
+        BATCH_TENSORS * records < nodes.len(),
         "fixture needs more batches than node-count records: {records} of {}",
         nodes.len()
     );
+    // Growth is exact: every big allocation is one batch's tensor.
+    for &size in &sizes {
+        assert!(
+            nodes.iter().any(|&n| tensor_bytes(n) == size),
+            "a {size} B allocation is no batch's tensor (sizes {sizes:?})"
+        );
+    }
+    // A tensor's allocations strictly increase, so no size recurs more
+    // often than the ring has tensors, and there are at most as many
+    // allocations as the ring can make over the distinct sizes.
+    let mut distinct = sizes.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    for &size in &distinct {
+        let times = sizes.iter().filter(|&&s| s == size).count();
+        assert!(
+            times <= BATCH_TENSORS,
+            "{times} allocations of {size} B from a ring of {BATCH_TENSORS}"
+        );
+    }
     assert!(
-        big <= ring * records,
-        "{big} batch-tensor-sized allocations over {} batches with {records} node-count records",
+        big < nodes.len(),
+        "{big} batch-tensor-sized allocations over {} batches: one per batch",
         nodes.len()
     );
 }

@@ -30,6 +30,7 @@
 //! build target, never of data or worker count. A zero entry costs one
 //! multiply-add like any other.
 
+use crate::Matrix;
 use std::array::from_fn;
 
 /// SIMD lane width of `dot_blocked`'s accumulators, and so of
@@ -250,17 +251,15 @@ fn row_steps<const R: usize>(
 // linear: out[i][j] = act(Σ_t Σ_k x_t[i][k] · w_t[k][j] + bias[j])
 // ---------------------------------------------------------------------
 
-/// One `x · w` term of [`linear_rows`]: `x` row-major with `k` columns
-/// (a row prefix of it is read), `k`, and `w` as `k × n` row-major.
-pub type LinearTerm<'a> = (&'a [f32], usize, &'a [f32]);
-
 /// Output elements per row block of [`linear_rows`]: 128 KiB of `f32`,
 /// so a block one term wrote is still in L2 when the next term, the
 /// bias and the ReLU pass over it — the output goes to memory once.
 pub const LINEAR_BLOCK_ELEMS: usize = 32 * 1024;
 
 /// Fused affine row kernel: output rows `r0 .. r0 + chunk.len() / n` of
-/// `act(Σ_t x_t · w_t + bias)` into `chunk`, overwriting it.
+/// `act(Σ_t x_t · w_t + bias)` into `chunk`, overwriting it. Each term
+/// is `(x, w)` with `w` `k × n`; `x` has `k` columns and at least as
+/// many rows as the output, and only the rows of the chunk are read.
 ///
 /// Per row block each product is fully accumulated by
 /// [`matmul_rows_dense`] — the first term straight into the output, a
@@ -272,14 +271,14 @@ pub const LINEAR_BLOCK_ELEMS: usize = 32 * 1024;
 /// NaN pass through as they do there.
 // spp-hot(kernel.linear)
 pub fn linear_rows(
-    terms: &[LinearTerm<'_>],
+    terms: &[(&Matrix, &Matrix)],
     bias: Option<&[f32]>,
     relu: bool,
     n: usize,
     r0: usize,
     chunk: &mut [f32],
 ) {
-    let Some((&(x0, k0, w0), later)) = terms.split_first() else {
+    let Some((&(x0, w0), later)) = terms.split_first() else {
         return;
     };
     if n == 0 {
@@ -294,10 +293,11 @@ pub fn linear_rows(
     let mut lo = r0;
     for out in chunk.chunks_mut(block) {
         let hi = lo + out.len() / n;
-        matmul_rows_dense(&x0[lo * k0..hi * k0], k0, w0, n, out);
-        for &(x, k, w) in later {
-            let product = &mut scratch[..out.len()];
-            matmul_rows_dense(&x[lo * k..hi * k], k, w, n, product);
+        let k0 = x0.cols();
+        matmul_rows_dense(&x0.as_flat()[lo * k0..hi * k0], k0, w0.as_flat(), n, out);
+        for &(x, w) in later {
+            let (k, product) = (x.cols(), &mut scratch[..out.len()]);
+            matmul_rows_dense(&x.as_flat()[lo * k..hi * k], k, w.as_flat(), n, product);
             for (o, &p) in out.iter_mut().zip(product.iter()) {
                 *o += p;
             }
@@ -633,9 +633,13 @@ mod tests {
                 if relu {
                     want.iter_mut().filter(|o| **o < 0.0).for_each(|o| *o = 0.0);
                 }
-                let table: Vec<LinearTerm<'_>> = (0..terms)
-                    .map(|t| (&xs[t][..], ks[t], &ws[t][..]))
+                let xm: Vec<Matrix> = (0..terms)
+                    .map(|t| Matrix::from_flat(rows, ks[t], xs[t].clone()))
                     .collect();
+                let wm: Vec<Matrix> = (0..terms)
+                    .map(|t| Matrix::from_flat(ks[t], n, ws[t].clone()))
+                    .collect();
+                let table: Vec<(&Matrix, &Matrix)> = xm.iter().zip(&wm).collect();
                 let b = with_bias.then_some(&bias[..]);
                 let mut out = vec![f32::NAN; rows * n];
                 let (head, tail) = out.split_at_mut(301 * n);

@@ -37,6 +37,7 @@ pub mod init;
 pub mod kernels;
 pub mod matrix;
 pub mod optim;
+pub mod sage;
 pub mod tape;
 
 pub use matrix::Matrix;

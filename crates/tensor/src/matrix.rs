@@ -23,7 +23,7 @@ use spp_pool::{even_ranges, WorkerPool};
 /// let b = Matrix::eye(2);
 /// assert_eq!(a.matmul(&b), a);
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -41,10 +41,11 @@ impl Matrix {
         }
     }
 
-    /// A 0×0 matrix whose buffer is never allocated: the shape-only
-    /// constructor the `*_with` wrappers seed their output with, so the
-    /// single allocation happens inside [`Matrix::reset`] at the final
-    /// size (a `Vec::new` never touches the heap).
+    /// A 0×0 matrix whose buffer is never allocated (also its
+    /// `Default`): the shape-only constructor the `*_with` wrappers seed
+    /// their output with, so the single allocation happens inside
+    /// [`Matrix::reset`] at the final size (a `Vec::new` never touches
+    /// the heap).
     pub fn empty() -> Self {
         Self {
             rows: 0,
@@ -65,19 +66,15 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// Reshapes `self` to `rows x cols` for a kernel that overwrites
-    /// every element: a buffer in use keeps whatever it held (only
-    /// growth is zero-filled) instead of being cleared and refilled, and
-    /// an empty one takes the allocator's zeroed pages rather than an
-    /// explicit fill.
-    fn resize_for_overwrite(&mut self, rows: usize, cols: usize) {
+    /// Reshapes `self` to `rows × cols` for a caller that overwrites
+    /// every element it reads, by [`refit`]: a buffer whose capacity
+    /// fits keeps whatever it held (nothing is cleared or refilled), and
+    /// one too small is freed before a zeroed one of exactly `rows ×
+    /// cols` replaces it. The `*_into` kernels size their output so.
+    pub fn recycle(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
-        if self.data.is_empty() {
-            self.data = vec![0.0; rows * cols]; // spp-hot: alloc(fresh output buffer; hot callers reuse one via the *_into kernels)
-        } else {
-            self.data.resize(rows * cols, 0.0); // spp-hot: alloc(reused output; reallocates only when rows × cols outgrows its capacity)
-        }
+        refit(&mut self.data, rows * cols);
     }
 
     /// Identity matrix.
@@ -269,22 +266,13 @@ impl Matrix {
         if let Some(b) = bias {
             assert_eq!(b.shape(), (1, n), "bias shape mismatch");
         }
-        out.resize_for_overwrite(rows, n);
-        let slices: Vec<kernels::LinearTerm<'_>> = terms
-            .iter()
-            .map(|(x, w)| (&x.data[..rows * x.cols], x.cols, &w.data[..]))
-            .collect(); // spp-hot: alloc(operand table, three words per term)
+        out.recycle(rows, n);
         let bias = bias.map(|b| &b.data[..]);
         let jobs = pool.jobs_for_cost(flops).min(rows.max(1));
-        if jobs <= 1 {
-            kernels::linear_rows(&slices, bias, relu, n, 0, &mut out.data);
-            return;
-        }
-        // Each chunk is whole output rows; it reads the same rows of
+        // Each block is whole output rows; it reads the same rows of
         // every operand.
-        let cuts: Vec<usize> = even_ranges(rows, jobs).iter().map(|r| r.end * n).collect(); // spp-hot: alloc(job-cut table, one word per job; bounded by pool width)
-        pool.par_chunks(&mut out.data, &cuts, |_, offset, chunk| {
-            kernels::linear_rows(&slices, bias, relu, n, offset / n, chunk);
+        par_row_blocks(pool, &mut out.data, n, jobs, |r0, chunk| {
+            kernels::linear_rows(terms, bias, relu, n, r0, chunk);
         });
     }
 
@@ -327,15 +315,16 @@ impl Matrix {
     }
 
     /// `self[..other.rows]ᵀ @ other` into `out`: [`Matrix::t_matmul_into`]
-    /// over a row prefix of `self`, without copying the prefix out.
+    /// over a row prefix of `self`, without copying the prefix out (a
+    /// layer's weight gradient against its own-features term).
     ///
     /// # Panics
     ///
     /// Panics if `self` has fewer rows than `other`.
-    pub(crate) fn head_t_matmul_into(&self, pool: WorkerPool, other: &Matrix, out: &mut Matrix) {
+    pub fn head_t_matmul_into(&self, pool: WorkerPool, other: &Matrix, out: &mut Matrix) {
         let rows = other.rows;
         assert!(self.rows >= rows, "t_matmul dimension mismatch");
-        out.resize_for_overwrite(self.cols, other.cols);
+        out.recycle(self.cols, other.cols);
         let flops = (rows * self.cols * other.cols) as u64;
         let jobs = pool.jobs_for_cost(flops).min(self.cols.max(1));
         let (a, b, k, n) = (
@@ -344,18 +333,10 @@ impl Matrix {
             self.cols,
             other.cols,
         );
-        if jobs <= 1 {
-            kernels::t_matmul_cols_dense(a, k, b, n, rows, 0, &mut out.data);
-            return;
-        }
         // Serial and parallel paths run the same kernel over column
         // ranges of `self`, so any worker count is bit-identical.
-        let cuts: Vec<usize> = even_ranges(self.cols, jobs)
-            .iter()
-            .map(|r| r.end * n)
-            .collect(); // spp-hot: alloc(job-cut table, one word per job; bounded by pool width)
-        pool.par_chunks(&mut out.data, &cuts, |_, offset, chunk| {
-            kernels::t_matmul_cols_dense(a, k, b, n, rows, offset / n, chunk);
+        par_row_blocks(pool, &mut out.data, n, jobs, |k0, chunk| {
+            kernels::t_matmul_cols_dense(a, k, b, n, rows, k0, chunk);
         });
     }
 
@@ -391,19 +372,14 @@ impl Matrix {
     /// Panics if `self.cols != other.cols`.
     pub fn matmul_t_into(&self, pool: WorkerPool, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_t dimension mismatch");
-        out.resize_for_overwrite(self.rows, other.rows);
+        out.recycle(self.rows, other.rows);
         if out.data.is_empty() {
             return;
         }
         let flops = (self.rows * self.cols * other.rows) as u64;
         let jobs = pool.jobs_for_cost(flops).min(self.rows.max(1));
         let out_cols = other.rows;
-        let cuts: Vec<usize> = even_ranges(self.rows, jobs)
-            .iter()
-            .map(|r| r.end * out_cols)
-            .collect(); // spp-hot: alloc(job-cut table, one word per job; bounded by pool width)
-        pool.par_chunks(&mut out.data, &cuts, |_, offset, chunk| {
-            let i0 = offset / out_cols;
+        par_row_blocks(pool, &mut out.data, out_cols, jobs, |i0, chunk| {
             let rows = chunk.len() / out_cols;
             let a_rows = &self.data[i0 * self.cols..(i0 + rows) * self.cols];
             kernels::matmul_t_rows_dense(a_rows, self.cols, &other.data, other.rows, chunk);
@@ -437,16 +413,30 @@ impl Matrix {
             .jobs_for_cost(4 * (self.rows * self.cols) as u64)
             .min(self.cols.max(1));
         let out_cols = self.rows;
-        let cuts: Vec<usize> = even_ranges(self.cols, jobs)
-            .iter()
-            .map(|r| r.end * out_cols)
-            .collect(); // spp-hot: alloc(job-cut table, one word per job; bounded by pool width)
-        pool.par_chunks(&mut out.data, &cuts, |_, offset, chunk| {
-            let j0 = offset / out_cols;
+        par_row_blocks(pool, &mut out.data, out_cols, jobs, |j0, chunk| {
             for (ji, out_row) in chunk.chunks_mut(out_cols).enumerate() {
                 let j = j0 + ji;
                 for (i, o) in out_row.iter_mut().enumerate() {
                     *o = self.data[i * self.cols + j];
+                }
+            }
+        });
+    }
+
+    /// Column sums into `out`, reshaped to `1 × cols`: element `j` is
+    /// `Σ_r self[r][j]` over the rows ascending from `+0.0` (a bias row's
+    /// gradient). Split by columns, so any worker count is bit-identical.
+    pub fn col_sums_into(&self, pool: WorkerPool, out: &mut Matrix) {
+        out.recycle(1, self.cols);
+        if self.cols == 0 {
+            return;
+        }
+        let jobs = pool.jobs_for_cost(self.data.len() as u64).min(self.cols);
+        par_row_blocks(pool, &mut out.data, 1, jobs, |j0, sums| {
+            sums.fill(0.0);
+            for row in self.data.chunks_exact(self.cols) {
+                for (s, &v) in sums.iter_mut().zip(&row[j0..]) {
+                    *s += v;
                 }
             }
         });
@@ -495,6 +485,48 @@ impl Matrix {
     pub fn memory_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
     }
+}
+
+/// Resizes `buf`, a buffer kept from batch to batch, to `len` elements
+/// for a caller that overwrites every element it reads. One whose
+/// capacity fits keeps its allocation and whatever it held. One too
+/// small is freed first and replaced by `len` zeroed elements exactly
+/// (the allocator's zeroed pages where it has them): nothing is copied,
+/// and the two never coexist, as they would while a `Vec` growing in
+/// place copies into a new block: for a layer's activation, a
+/// transient as large as the buffer itself.
+pub fn refit<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
+    if buf.capacity() < len {
+        drop(std::mem::take(buf));
+        *buf = vec![T::default(); len]; // spp-hot: alloc(fresh output buffer; hot callers reuse one via the *_into kernels)
+    } else {
+        buf.resize(len, T::default()); // spp-hot: alloc(never reallocates: capacity checked on the line above)
+    }
+}
+
+/// Runs `f(first_row, block)` over `jobs` even blocks of whole rows of
+/// `data` (rows `width` wide) as one region on `pool`, or once over all
+/// of it on the caller when `jobs ≤ 1`. Blocks are a pure function of
+/// the shape and the job count, and every kernel that runs here writes
+/// each row independently of the split, so the result is the same for
+/// any worker count.
+pub(crate) fn par_row_blocks(
+    pool: WorkerPool,
+    data: &mut [f32],
+    width: usize,
+    jobs: usize,
+    f: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    let rows = data.len().checked_div(width).unwrap_or(0);
+    if jobs <= 1 || rows <= 1 {
+        f(0, data);
+        return;
+    }
+    let cuts: Vec<usize> = even_ranges(rows, jobs)
+        .iter()
+        .map(|r| r.end * width)
+        .collect(); // spp-hot: alloc(job-cut table, one word per job; bounded by pool width)
+    pool.par_chunks(data, &cuts, |_, offset, chunk| f(offset / width, chunk));
 }
 
 impl std::fmt::Display for Matrix {

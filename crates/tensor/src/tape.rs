@@ -40,9 +40,10 @@
 //! the bytes it wrote to the `tensor.op_bytes` counter; disabled, each
 //! of the two is one relaxed load of the on/off flag.
 
+use crate::sage::{self, HopView, Mask, SourceLists};
 use crate::Matrix;
 use rand::Rng;
-use spp_pool::{balanced_ranges, telemetry, WorkerPool};
+use spp_pool::{telemetry, WorkerPool};
 use std::sync::{Arc, OnceLock};
 
 /// Handle to a node in a [`Tape`].
@@ -66,39 +67,9 @@ pub struct CsrAdj {
 }
 
 impl CsrAdj {
-    /// The local source indices target `t` aggregates, in list order.
-    #[inline]
-    pub fn neighbors(&self, t: usize) -> &[u32] {
-        &self.col[self.row_ptr[t]..self.row_ptr[t + 1]] // spp-hot: allow(h2-panic): row_ptr bounds are the adjacency's CSR invariants
-    }
-
-    /// The edges grouped by source row, as a CSR over `rows ≥
-    /// num_sources` rows: `(src_ptr, targets)` with source `s`'s targets
-    /// at `targets[src_ptr[s]..src_ptr[s + 1]]`. A stable counting sort,
-    /// so each source lists its targets in edge order — the order a
-    /// target-major scatter reaches it, duplicates included.
-    fn by_source(&self, rows: usize) -> (Vec<usize>, Vec<u32>) {
-        let edges = &self.col[..self.row_ptr[self.num_targets]];
-        // Counts land two slots up, so after the prefix sum `ptr[s + 1]`
-        // is where `s` starts; used as the fill cursor it ends where `s`
-        // ends — where `s + 1` starts — leaving `ptr[..=rows]` the CSR.
-        let mut src_ptr = vec![0usize; rows + 2];
-        for &s in edges {
-            src_ptr[s as usize + 2] += 1;
-        }
-        for s in 2..rows + 2 {
-            src_ptr[s] += src_ptr[s - 1];
-        }
-        let mut targets = vec![0u32; edges.len()];
-        for t in 0..self.num_targets {
-            for &s in &edges[self.row_ptr[t]..self.row_ptr[t + 1]] {
-                let cursor = &mut src_ptr[s as usize + 1];
-                targets[*cursor] = t as u32;
-                *cursor += 1;
-            }
-        }
-        src_ptr.truncate(rows + 1);
-        (src_ptr, targets)
+    /// The adjacency as the borrowed hop the [`sage`] kernels read.
+    pub fn view(&self) -> HopView<'_> {
+        HopView::new(self.num_targets, &self.row_ptr, &self.col)
     }
 }
 
@@ -222,14 +193,6 @@ impl Tape {
     /// The forward value of a node.
     pub fn value(&self, id: NodeId) -> &Matrix {
         &self.nodes[id.0].value
-    }
-
-    /// Moves a node's forward value out of the tape, leaving an empty
-    /// matrix behind — for callers that lent the tape a large input
-    /// buffer and want the storage back once the pass is over. Ops
-    /// recorded or differentiated after this see the empty value.
-    pub fn take_value(&mut self, id: NodeId) -> Matrix {
-        std::mem::replace(&mut self.nodes[id.0].value, Matrix::empty())
     }
 
     /// The gradient of an [`Tape::input`] leaf after [`Tape::backward`], if
@@ -382,9 +345,8 @@ impl Tape {
 
     /// Neighborhood mean over a sampled adjacency: row `t` of the output
     /// is the mean of `x`'s rows listed in `adj` for `t` (a zero row when
-    /// the list is empty). Target rows are disjoint, so the loop runs as
-    /// one row-parallel region balanced by edge count; each element still
-    /// sums its neighbors in list order.
+    /// the list is empty): [`sage::agg_into`], whose input gradient
+    /// `backward` gathers with [`sage::agg_grad_into`].
     ///
     /// # Panics
     ///
@@ -398,13 +360,8 @@ impl Tape {
             xv.rows(),
             adj.num_sources
         );
-        let mut v = Matrix::zeros(adj.num_targets, xv.cols());
-        par_rows(
-            self.pool,
-            &mut v,
-            |t| adj.row_ptr[t] as u64,
-            |t0, chunk| agg_rows(xv, &adj, t0, chunk),
-        );
+        let mut v = Matrix::empty();
+        sage::agg_into(self.pool, xv, adj.view(), &mut v);
         self.push(Op::SparseAgg { x, adj }, &[x], v)
     }
 
@@ -526,21 +483,21 @@ impl Tape {
                         }
                     }
                     if let Some(bias) = bias {
-                        self.accumulate(bias, gb);
+                        self.add_to_grad(bias, gb);
                     }
                     // Last term first, `x` before `w`: the order the
                     // separate `matmul` nodes would have had their turns.
                     for &(x, w) in terms.iter().rev() {
                         if self.needs_grad(x) {
                             let gx = g.matmul_t_with(self.pool, &self.nodes[w.0].value);
-                            self.accumulate(x, gx);
+                            self.add_to_grad(x, gx);
                         }
                         if self.needs_grad(w) {
                             let mut gw = Matrix::empty();
                             self.nodes[x.0]
                                 .value
                                 .head_t_matmul_into(self.pool, &g, &mut gw);
-                            self.accumulate(w, gw);
+                            self.add_to_grad(w, gw);
                         }
                     }
                 }
@@ -549,9 +506,9 @@ impl Tape {
                     // `a` before `b`, and a copy only when both want one.
                     let (need_a, need_b) = (self.needs_grad(a), self.needs_grad(b));
                     if need_a && need_b {
-                        self.accumulate(a, g.clone());
+                        self.add_to_grad(a, g.clone());
                     }
-                    self.accumulate(if need_b { b } else { a }, g);
+                    self.add_to_grad(if need_b { b } else { a }, g);
                 }
                 Op::AddBias(x, bias) => {
                     let (x, bias) = (*x, *bias);
@@ -564,8 +521,8 @@ impl Tape {
                         }
                         gb
                     });
-                    self.accumulate(x, self.needs_grad(x).then_some(g));
-                    self.accumulate(bias, gb);
+                    self.add_to_grad(x, self.needs_grad(x).then_some(g));
+                    self.add_to_grad(bias, gb);
                 }
                 Op::Relu(x) => {
                     let x = *x;
@@ -578,18 +535,18 @@ impl Tape {
                             *gv = 0.0;
                         }
                     }
-                    self.accumulate(x, g);
+                    self.add_to_grad(x, g);
                 }
                 Op::HeadRows(x) => {
                     let x = *x;
-                    self.accumulate(x, g);
+                    self.add_to_grad(x, g);
                 }
                 Op::Dropout(x, mask) => {
                     let x = *x;
                     for (gv, &m) in g.as_flat_mut().iter_mut().zip(mask) {
                         *gv *= m;
                     }
-                    self.accumulate(x, g);
+                    self.add_to_grad(x, g);
                 }
                 Op::SparseAgg { x, adj } => {
                     let (x, adj) = (*x, Arc::clone(adj));
@@ -599,18 +556,11 @@ impl Tape {
                     // once, together with whatever `x` already holds.
                     let (rx, d) = self.nodes[x.0].value.shape();
                     let held = self.nodes[x.0].grad.take();
-                    let held_rows = held.as_ref().map_or(&[][..], |h| h.as_flat());
-                    let (src_ptr, targets) = adj.by_source(rx);
+                    let mut lists = SourceLists::default();
+                    lists.fill(adj.view(), rx);
                     let mut gx = Matrix::zeros(rx, d);
-                    par_rows(
-                        self.pool,
-                        &mut gx,
-                        |s| (src_ptr[s] + s) as u64,
-                        |s0, chunk| {
-                            let lists = (&src_ptr[..], &targets[..]);
-                            agg_grad_rows(&adj, lists, &g, held_rows, s0, chunk);
-                        },
-                    );
+                    let (view, held) = (adj.view(), held.as_ref());
+                    sage::agg_grad_into(self.pool, view, &lists, &g, held, Mask::None, &mut gx);
                     record_bytes(&gx);
                     self.nodes[x.0].grad = Some(gx);
                 }
@@ -620,7 +570,7 @@ impl Tape {
                     let n = (rx * cx).max(1) as f32;
                     let gv = g.get(0, 0) / n;
                     let gx = Matrix::from_flat(rx, cx, vec![gv; rx * cx]);
-                    self.accumulate(x, gx);
+                    self.add_to_grad(x, gx);
                 }
                 Op::SoftmaxCrossEntropy {
                     logits,
@@ -637,7 +587,7 @@ impl Tape {
                         gx.set(idx, l as usize, v);
                     }
                     gx.scale_assign(upstream / r);
-                    self.accumulate(logits, gx);
+                    self.add_to_grad(logits, gx);
                 }
             }
         }
@@ -645,7 +595,7 @@ impl Tape {
 
     /// Adds `g` into `id`'s gradient; `None` (an operand whose gradient
     /// was pruned) is a no-op.
-    fn accumulate(&mut self, id: NodeId, g: impl Into<Option<Matrix>>) {
+    fn add_to_grad(&mut self, id: NodeId, g: impl Into<Option<Matrix>>) {
         let Some(g) = g.into() else { return };
         record_bytes(&g);
         let slot = &mut self.nodes[id.0].grad;
@@ -683,89 +633,6 @@ fn record_bytes(m: &Matrix) {
         OP_BYTES
             .get_or_init(|| telemetry::counter("tensor.op_bytes"))
             .add(m.memory_bytes() as u64);
-    }
-}
-
-/// Runs `f(first_row, rows)` over disjoint row blocks of `out` as one
-/// parallel region on `pool`. `cum(i)` is the cost of rows `..i` per
-/// column; it sizes the region (`jobs_for_cost`) and places the cuts
-/// (`balanced_ranges`), so the split is a pure function of the input.
-fn par_rows(
-    pool: WorkerPool,
-    out: &mut Matrix,
-    cum: impl Fn(usize) -> u64,
-    f: impl Fn(usize, &mut [f32]) + Sync,
-) {
-    let (rows, d) = out.shape();
-    if rows == 0 || d == 0 {
-        return;
-    }
-    let jobs = pool.jobs_for_cost(cum(rows) * d as u64).min(rows);
-    if jobs <= 1 {
-        f(0, out.as_flat_mut());
-        return;
-    }
-    let cuts: Vec<usize> = balanced_ranges(rows, jobs, cum)
-        .iter()
-        .map(|r| r.end * d)
-        .collect();
-    pool.par_chunks(out.as_flat_mut(), &cuts, |_, offset, chunk| {
-        f(offset / d, chunk);
-    });
-}
-
-/// Target rows `t0..` of [`Tape::sparse_agg`]'s forward into `chunk`,
-/// which arrives zeroed. Each element accumulates its neighbors in list
-/// order from `+0.0`, then is multiplied by the reciprocal of the degree.
-// spp-hot(tape.sparse_agg)
-fn agg_rows(x: &Matrix, adj: &CsrAdj, t0: usize, chunk: &mut [f32]) {
-    for (i, out) in chunk.chunks_exact_mut(x.cols()).enumerate() {
-        let neighbors = adj.neighbors(t0 + i);
-        if neighbors.is_empty() {
-            continue;
-        }
-        for &s in neighbors {
-            for (o, &a) in out.iter_mut().zip(x.row(s as usize)) {
-                *o += a;
-            }
-        }
-        let inv = 1.0 / neighbors.len() as f32;
-        for o in out.iter_mut() {
-            *o *= inv;
-        }
-    }
-}
-
-/// Source rows `s0..` of [`Tape::sparse_agg`]'s input gradient into
-/// `chunk`, which arrives zeroed: row `s` is `Σ w_t · g[t]`, with `w_t`
-/// the reciprocal of target `t`'s degree, over its targets in `lists = (src_ptr, targets)` order (see
-/// [`CsrAdj::by_source`]), multiply then add from `+0.0` as a scatter
-/// into a zeroed buffer would, plus the row `held` already has for `s`,
-/// if it reaches that far (one `f32` add, as `accumulate` would do).
-// spp-hot(tape.sparse_agg_grad)
-fn agg_grad_rows(
-    adj: &CsrAdj,
-    (src_ptr, targets): (&[usize], &[u32]),
-    g: &Matrix,
-    held: &[f32],
-    s0: usize,
-    chunk: &mut [f32],
-) {
-    let d = g.cols();
-    for (i, out) in chunk.chunks_exact_mut(d).enumerate() {
-        let s = s0 + i;
-        for &t in &targets[src_ptr[s]..src_ptr[s + 1]] {
-            let t = t as usize;
-            let w = 1.0 / adj.neighbors(t).len() as f32;
-            for (o, &gv) in out.iter_mut().zip(g.row(t)) {
-                *o += w * gv;
-            }
-        }
-        if let Some(held) = held.get(s * d..(s + 1) * d) {
-            for (o, &h) in out.iter_mut().zip(held) {
-                *o += h;
-            }
-        }
     }
 }
 
