@@ -3,7 +3,7 @@
 //! Implements the architecture the paper evaluates (§2.1): GraphSAGE
 //! with mean aggregation over sampled
 //! [message-flow graphs](spp_sampler::Mfg). Training and inference run
-//! through a [`SageStep`], one per lane, whose backward reuses the
+//! through a [`SageStep`], one per batch, whose backward reuses the
 //! forward's buffers; [`GnnModel::forward`] records the same pass on the
 //! [`spp_tensor`] autograd tape, bit for bit.
 //!

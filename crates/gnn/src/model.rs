@@ -201,7 +201,7 @@ impl GnnModel {
     /// Inference forward pass over a sampled MFG on the global worker
     /// pool: evaluation mode (no dropout), so the logits are a pure
     /// function of `(x, mfg, parameters)`. Runs a [`crate::SageStep`]
-    /// of its own; a caller with many batches keeps one instead.
+    /// of its own.
     ///
     /// # Panics
     ///

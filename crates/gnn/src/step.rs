@@ -49,12 +49,14 @@ struct LayerBuffers {
     dropped: bool,
 }
 
-/// One lane's GraphSAGE step: the forward and backward of a
-/// [`GnnModel`] over a sampled MFG, with the buffers they need. Kept
-/// from batch to batch, a buffer keeps its allocation while batches fit
-/// it and is otherwise regrown to exactly the batch
-/// ([`spp_tensor::matrix::refit`]); the training and evaluation loops
-/// [`SageStep::release`] it after each batch instead (see there). The model's
+/// One batch's GraphSAGE step: the forward and backward of a
+/// [`GnnModel`] over a sampled MFG, with the buffers they need. Every
+/// loop builds one per batch and drops it after: a thread that prepares
+/// the next batches or exchanges features between steps then reuses the
+/// step's memory instead of adding to it (kept across batches, the
+/// buffers raised `train_compute`'s peak RSS by 8.5 MiB). Run again, a
+/// step keeps a buffer while the batch fits it and otherwise regrows it
+/// to exactly the batch ([`spp_tensor::matrix::refit`]). The model's
 /// parameters are borrowed, never copied, and the features are only
 /// read.
 ///
@@ -223,23 +225,6 @@ impl SageStep {
                 *dropped = true;
             }
         }
-    }
-
-    /// Frees every buffer; the next batch grows them again. A lane whose
-    /// thread allocates between steps — preparing the next batches,
-    /// exchanging features or gradients — releases the step after each
-    /// batch, so that work reuses the step's memory instead of adding
-    /// to it: kept across batches, the buffers raised `train_compute`'s
-    /// peak RSS by 8.5 MiB and `infer_gather`'s and `dist_exchange`'s
-    /// by 5–6.
-    pub fn release(&mut self) {
-        for l in &mut self.layers {
-            std::mem::take(l);
-        }
-        std::mem::take(&mut self.probs);
-        std::mem::take(&mut self.held);
-        std::mem::take(&mut self.grad);
-        std::mem::take(&mut self.lists);
     }
 
     /// Differentiates the mean softmax cross-entropy of the last

@@ -23,9 +23,7 @@ pub fn seed_labels(labels: &[u32], mfg: &Mfg) -> Vec<u32> {
 /// One minibatch's training compute on a step of its own:
 /// [`SageStep::train`] over `x` for batch `(seed, epoch, index)`, all
 /// on `pool`'s budget, with the parameter gradients accumulated into
-/// `model`. Returns the loss and `x`. The training loops keep one
-/// [`SageStep`] per lane instead, so its buffers carry over from batch
-/// to batch. Bit-identical for any pool.
+/// `model`. Returns the loss and `x`. Bit-identical for any pool.
 pub fn train_step(
     pool: WorkerPool,
     model: &mut GnnModel,
@@ -293,9 +291,6 @@ impl<'a> Trainer<'a> {
         let (ds, feats, seed, pool) = (self.ds, self.feats, self.cfg.seed, self.pool());
         feats.begin_epoch();
         let model = &mut self.model;
-        // Released after each batch: the preparation running ahead
-        // allocates on this thread too.
-        let mut step = SageStep::new(model);
         let mut total_loss = 0.0f64;
         let _epoch_span = spp_telemetry::span!("gnn.trainer.epoch");
         let batches_counter = spp_telemetry::metrics::counter("gnn.trainer.batches");
@@ -311,8 +306,8 @@ impl<'a> Trainer<'a> {
                 let _update = spp_telemetry::span!("gnn.trainer.update");
                 batches_counter.inc();
                 let index = (seed, epoch, b as u64);
-                total_loss += step.train(pool, model, &batch.x, &batch.mfg, &batch.labels, index);
-                step.release();
+                let (x, mfg, labels) = (&batch.x, &batch.mfg, &batch.labels);
+                total_loss += SageStep::new(model).train(pool, model, x, mfg, labels, index);
                 opt.step(&mut model.params_mut());
             },
         );
@@ -342,20 +337,19 @@ impl<'a> Trainer<'a> {
         let model = &self.model;
         // One job per contiguous batch range, each recycling one feature
         // slot across its batches and computing on its share of the
-        // budget; ranges merge back in batch order. A job samples and
-        // gathers its next batch itself, so its step is released first.
+        // budget; ranges merge back in batch order.
         let pool = self.pool();
         let ranges = even_ranges(batch_list.len(), pool.workers().min(batch_list.len()));
         let share = pool.split(ranges.len());
         let per_range = pool.run_jobs(ranges.len(), |r| {
-            let (mut slot, mut step) = (Vec::new(), SageStep::new(model));
+            let mut slot = Vec::new();
             let mut out = Vec::with_capacity(ranges[r].len());
             for b in ranges[r].clone() {
                 let stream = batch_stream_seed(seed, 0, b as u64);
                 let Batch { mfg, x, labels } =
                     Self::prepare_batch(ds, feats, &sampler, stream, &batch_list[b], slot);
-                out.push((predictions(step.infer(share, model, &x, &mfg)), labels));
-                step.release();
+                let preds = predictions(SageStep::new(model).infer(share, model, &x, &mfg));
+                out.push((preds, labels));
                 slot = x.into_flat();
             }
             out

@@ -1,14 +1,16 @@
 //! Pins [`SageStep`]'s memory plan with a counting global allocator
 //! that also tracks the live heap:
-//! - in the steady state (a step that has run a batch of this shape
-//!   before) its forward and its backward each make at most four
-//!   allocations on a one-worker pool: the buffers are recycled, not
-//!   made per batch;
 //! - the backward's live-heap high-water mark stays less than one
 //!   first-layer output above where the forward left it, both on the
-//!   first batch (nothing recycled yet) and in the steady state: the
-//!   gradient of the first layer's output overwrites that output
-//!   instead of taking a buffer of its own.
+//!   first batch of a fresh step — what every training, evaluation and
+//!   serving loop runs, one step per batch — and on a step run again:
+//!   the gradient of the first layer's output overwrites that output
+//!   instead of taking a buffer of its own;
+//! - a step run again on a batch of the same shape makes at most four
+//!   allocations in its forward and four in its backward on a
+//!   one-worker pool: its buffers are refitted, not remade. No loop
+//!   keeps a step across batches, so this count pins what `refit`
+//!   keeps, not a production path.
 //!
 //! The counters are process-global, so every assertion lives in one
 //! test function.
@@ -126,7 +128,7 @@ fn step_recycles_its_buffers_and_backward_reuses_the_forward_s() {
         (fwd, bwd)
     };
 
-    // The first batch allocates every buffer; its backward adds the
+    // A fresh step allocates every buffer; its backward adds the
     // self-term gradient, the source lists and a weight gradient, all
     // smaller than the first layer's output.
     let ((_, fwd_live, _, ()), (_, _, bwd_peak, loss)) = run(&mut step);
@@ -140,7 +142,7 @@ fn step_recycles_its_buffers_and_backward_reuses_the_forward_s() {
         "first backward rose {bwd_peak} B above the forward's end, not under one {out1_bytes} B layer output"
     );
 
-    // Steady state: the same shapes again.
+    // The same step on the same shapes again.
     let ((fwd_allocs, _, fwd_peak, ()), (bwd_allocs, _, bwd_peak, _)) = run(&mut step);
     assert!(
         fwd_allocs <= 4,

@@ -693,22 +693,30 @@ pub fn even_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
 /// only on the weights — never on timing. Ranges may be empty when
 /// single items dominate the weight.
 pub fn balanced_ranges(n: usize, parts: usize, cum: impl Fn(usize) -> u64) -> Vec<Range<usize>> {
+    let mut start = 0usize;
+    balanced_ends(n, parts, cum)
+        .map(|end| {
+            let range = start..end;
+            start = end;
+            range
+        })
+        .collect()
+}
+
+/// The ends of [`balanced_ranges`]' ranges, in order, computed as they
+/// are drawn: a caller that wants only the cuts builds no range table.
+pub fn balanced_ends(
+    n: usize,
+    parts: usize,
+    cum: impl Fn(usize) -> u64,
+) -> impl Iterator<Item = usize> {
     let parts = parts.max(1);
     let total = cum(n);
-    if parts == 1 || total == 0 {
-        let mut out = Vec::with_capacity(parts);
-        out.push(0..n);
-        out.extend((1..parts).map(|_| n..n));
-        return out;
-    }
-    let mut out = Vec::with_capacity(parts);
     let mut start = 0usize;
-    for k in 1..=parts {
-        let target =
-            total / parts as u64 * k as u64 + total % parts as u64 * k as u64 / parts as u64;
-        let end = if k == parts {
-            n
-        } else {
+    (1..=parts).map(move |k| {
+        if k < parts && total > 0 {
+            let target =
+                total / parts as u64 * k as u64 + total % parts as u64 * k as u64 / parts as u64;
             // Smallest i in [start, n] with cum(i) >= target.
             let (mut lo, mut hi) = (start, n);
             while lo < hi {
@@ -719,12 +727,12 @@ pub fn balanced_ranges(n: usize, parts: usize, cum: impl Fn(usize) -> u64) -> Ve
                     lo = mid + 1;
                 }
             }
-            lo
-        };
-        out.push(start..end);
-        start = end;
-    }
-    out
+            start = lo;
+        } else {
+            start = n;
+        }
+        start
+    })
 }
 
 #[cfg(test)]

@@ -204,11 +204,8 @@ impl<'a> DistributedTrainer<'a> {
             // cores: it samples ahead on the share, holding at most its
             // width of MFGs, and runs its forward and backward on it.
             let pool = WorkerPool::global().split(k);
-            // The batch feature buffer, recycled from round to round,
-            // and the step, released after each round's compute: the
-            // exchanges that follow allocate on this thread.
+            // The batch feature buffer, recycled from round to round.
             let mut slot: Vec<f32> = Vec::new();
-            let mut step = SageStep::new(&model);
             // Per-round RNG streams are derived from
             // (machine seed, epoch, round), never threaded across
             // rounds: sampling for round r is independent of rounds
@@ -255,8 +252,10 @@ impl<'a> DistributedTrainer<'a> {
                         remote_fetches += fetched;
                         let labels = seed_labels(&setup.dataset.labels, m);
                         let index = (sample_seed, epoch, round as u64);
-                        loss_val = step.train(pool, &mut model, &x, m, &labels, index);
-                        step.release();
+                        // A step of its own, freed before the gradient
+                        // exchange allocates.
+                        loss_val =
+                            SageStep::new(&model).train(pool, &mut model, &x, m, &labels, index);
                         slot = x.into_flat();
                         let mut flat = Vec::new();
                         for p in model.params_mut() {
@@ -375,14 +374,13 @@ impl<'a> DistributedTrainer<'a> {
         let sampler = NodeWiseSampler::new(&ds.graph, self.setup.config.fanouts.clone());
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xe7a1);
         let mut meter = AccuracyMeter::new();
-        // One feature buffer, recycled from batch to batch, and one step,
-        // released before the next batch is sampled and gathered.
-        let (mut slot, mut step) = (Vec::new(), SageStep::new(model));
+        // One feature buffer, recycled from batch to batch.
+        let mut slot = Vec::new();
         for batch in MinibatchIter::new(ids, self.setup.config.batch_size.max(64), 1, 0) {
             let mfg = sampler.sample(&batch, &mut rng);
             let x = Trainer::gather_into_slot(&ds.features, &mfg, slot);
-            let preds = predictions(step.infer(WorkerPool::global(), model, &x, &mfg));
-            step.release();
+            let preds =
+                predictions(SageStep::new(model).infer(WorkerPool::global(), model, &x, &mfg));
             meter.update(&preds, &seed_labels(&ds.labels, &mfg));
             slot = x.into_flat();
         }

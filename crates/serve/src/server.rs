@@ -457,8 +457,7 @@ impl Prepared {
             first,
         } = self;
         store.read_resident(&mfg.nodes, &plan, &mut x);
-        // A step of its own, as `GnnModel::infer`: kept in the ring
-        // instead, three steps' buffers would outlive their passes.
+        // A step of its own, as `GnnModel::infer`.
         let mut step = SageStep::new(model);
         step.infer(WorkerPool::global(), model, &x, &mfg);
         Answered {

@@ -10,7 +10,7 @@
 //! (`jobs_for_cost`), not per-call-site thresholds.
 
 use crate::kernels;
-use spp_pool::{even_ranges, WorkerPool};
+use spp_pool::{balanced_ends, WorkerPool};
 
 /// A row-major dense `f32` matrix.
 ///
@@ -487,7 +487,7 @@ impl Matrix {
     }
 }
 
-/// Resizes `buf`, a buffer kept from batch to batch, to `len` elements
+/// Resizes `buf`, a reused buffer, to `len` elements
 /// for a caller that overwrites every element it reads. One whose
 /// capacity fits keeps its allocation and whatever it held. One too
 /// small is freed first and replaced by `len` zeroed elements exactly
@@ -506,10 +506,8 @@ pub fn refit<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
 
 /// Runs `f(first_row, block)` over `jobs` even blocks of whole rows of
 /// `data` (rows `width` wide) as one region on `pool`, or once over all
-/// of it on the caller when `jobs ≤ 1`. Blocks are a pure function of
-/// the shape and the job count, and every kernel that runs here writes
-/// each row independently of the split, so the result is the same for
-/// any worker count.
+/// of it on the caller when `jobs ≤ 1`: [`par_row_blocks_by`] with every
+/// row costing the same.
 pub(crate) fn par_row_blocks(
     pool: WorkerPool,
     data: &mut [f32],
@@ -517,14 +515,31 @@ pub(crate) fn par_row_blocks(
     jobs: usize,
     f: impl Fn(usize, &mut [f32]) + Sync,
 ) {
+    par_row_blocks_by(pool, data, width, jobs, |i| i as u64, f);
+}
+
+/// [`par_row_blocks`] with the cuts placed by cost: `cum(i)` is the cost
+/// of rows `..i` ([`spp_pool::balanced_ranges`]), so rows whose work
+/// varies — a sparse row's edge count — still give each job an even
+/// share. Blocks
+/// are a pure function of the input and the job count, and every kernel
+/// that runs here writes each row independently of the split, so the
+/// result is the same for any worker count.
+pub(crate) fn par_row_blocks_by(
+    pool: WorkerPool,
+    data: &mut [f32],
+    width: usize,
+    jobs: usize,
+    cum: impl Fn(usize) -> u64,
+    f: impl Fn(usize, &mut [f32]) + Sync,
+) {
     let rows = data.len().checked_div(width).unwrap_or(0);
     if jobs <= 1 || rows <= 1 {
         f(0, data);
         return;
     }
-    let cuts: Vec<usize> = even_ranges(rows, jobs)
-        .iter()
-        .map(|r| r.end * width)
+    let cuts: Vec<usize> = balanced_ends(rows, jobs, cum)
+        .map(|end| end * width)
         .collect(); // spp-hot: alloc(job-cut table, one word per job; bounded by pool width)
     pool.par_chunks(data, &cuts, |_, offset, chunk| f(offset / width, chunk));
 }
@@ -538,6 +553,21 @@ impl std::fmt::Display for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn row_blocks_are_cut_by_cost() {
+        // Row 0 costs as much as the other 99 together: two jobs split
+        // after it, not at the middle row.
+        let mut data = vec![0.0f32; 100 * 3];
+        let cum = |i: usize| if i == 0 { 0 } else { 98 + i as u64 };
+        let firsts = std::sync::Mutex::new(Vec::new());
+        par_row_blocks_by(WorkerPool::new(2), &mut data, 3, 2, cum, |r0, chunk| {
+            firsts.lock().unwrap().push((r0, chunk.len() / 3));
+        });
+        let mut firsts = firsts.into_inner().unwrap();
+        firsts.sort_unstable();
+        assert_eq!(firsts, [(0, 1), (1, 99)]);
+    }
 
     #[test]
     fn matmul_parallel_matches_serial() {

@@ -11,7 +11,7 @@
 //! in neighbor-list order from `+0.0`, the gradient in target order
 //! ([`SourceLists`]), the order a target-major scatter adds it.
 
-use crate::matrix::{par_row_blocks, refit};
+use crate::matrix::{par_row_blocks_by, refit};
 use crate::Matrix;
 use rand::Rng;
 use spp_pool::WorkerPool;
@@ -135,8 +135,7 @@ const KEPT: u8 = 2;
 
 /// Inverted dropout over a ReLU output, applied in place, with one byte
 /// per element of what its backward needs: whether the ReLU zeroed the
-/// element's gradient, and else whether dropout did. Its buffer is
-/// recycled from batch to batch.
+/// element's gradient, and else whether dropout did.
 #[derive(Clone, Debug, Default)]
 pub struct DropMask {
     states: Vec<u8>,
@@ -180,8 +179,9 @@ impl DropMask {
 /// The neighbor mean into `out`, reshaped to `hop.num_targets() ×
 /// x.cols()` ([`Matrix::recycle`]): row `t` is the mean of `x`'s rows
 /// listed for `t`, a zero row when the list is empty. One row-parallel
-/// region; each element sums its neighbors in list order from `+0.0`,
-/// then is multiplied by the reciprocal of the degree.
+/// region, its jobs cut by edge count; each element sums its neighbors
+/// in list order from `+0.0`, then is multiplied by the reciprocal of
+/// the degree.
 ///
 /// # Panics
 ///
@@ -194,7 +194,8 @@ pub fn agg_into(pool: WorkerPool, x: &Matrix, hop: HopView<'_>, out: &mut Matrix
     let jobs = pool
         .jobs_for_cost((hop.num_edges() * d) as u64)
         .min(rows.max(1));
-    par_row_blocks(pool, out.as_flat_mut(), d, jobs, |t0, chunk| {
+    let cum = |t: usize| hop.row_ptr.get(t).map_or(0, |&e| e as u64);
+    par_row_blocks_by(pool, out.as_flat_mut(), d, jobs, cum, |t0, chunk| {
         agg_rows(x, hop, t0, chunk);
     });
 }
@@ -205,17 +206,22 @@ fn agg_rows(x: &Matrix, hop: HopView<'_>, t0: usize, chunk: &mut [f32]) {
         return;
     }
     for (i, out) in chunk.chunks_exact_mut(x.cols()).enumerate() {
-        out.fill(0.0);
-        let neighbors = hop.neighbors(t0 + i);
-        if neighbors.is_empty() {
+        let Some((&first, rest)) = hop.neighbors(t0 + i).split_first() else {
+            out.fill(0.0);
             continue;
+        };
+        // The first neighbor overwrites the row as it would add into a
+        // zeroed one (`+0.0 + a`, which turns `-0.0` into `+0.0`), so the
+        // row is written once instead of zeroed first.
+        for (o, &a) in out.iter_mut().zip(x.row(first as usize)) {
+            *o = 0.0 + a;
         }
-        for &s in neighbors {
+        for &s in rest {
             for (o, &a) in out.iter_mut().zip(x.row(s as usize)) {
                 *o += a;
             }
         }
-        let inv = 1.0 / neighbors.len() as f32;
+        let inv = 1.0 / (rest.len() + 1) as f32;
         for o in out.iter_mut() {
             *o *= inv;
         }
@@ -230,7 +236,8 @@ fn agg_rows(x: &Matrix, hop: HopView<'_>, t0: usize, chunk: &mut [f32]) {
 /// `held`'s row `s` if `held` reaches that far (one `f32` add, the
 /// tape's accumulation of a second contribution), then finished by
 /// `mask`. Under [`Mask::Relu`], `out` holds the activation, and each
-/// row reads its own mask from it just before it is overwritten.
+/// row reads its own mask from it just before it is overwritten. Jobs
+/// are cut by each source row's list length plus one.
 ///
 /// # Panics
 ///
@@ -255,7 +262,9 @@ pub fn agg_grad_into(
     let held = held.map_or(&[][..], Matrix::as_flat);
     let cost = (lists.targets.len() + rows) * d;
     let jobs = pool.jobs_for_cost(cost as u64).min(rows.max(1));
-    par_row_blocks(pool, out.as_flat_mut(), d, jobs, |s0, chunk| {
+    // A source row's work is its target list plus the `held` add.
+    let cum = |s: usize| lists.src_ptr.get(s).map_or(0, |&e| (e + s) as u64);
+    par_row_blocks_by(pool, out.as_flat_mut(), d, jobs, cum, |s0, chunk| {
         agg_grad_rows(hop, lists, g, held, mask, s0, chunk);
     });
 }
@@ -312,6 +321,40 @@ fn agg_grad_rows(
                     }
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn neighbor_mean_matches_a_sum_into_zeros_over_a_stale_buffer() {
+        // Target 0 averages two rows holding -0.0 (a sum from +0.0 gives
+        // +0.0), target 1 has no neighbors, target 2 repeats a source.
+        let x = Matrix::from_flat(3, 2, vec![-0.0, 1.5, -0.0, -2.0, 3.0, 0.25]);
+        let (row_ptr, col) = ([0usize, 2, 2, 5], [0u32, 1, 2, 0, 2]);
+        let hop = HopView::new(3, &row_ptr, &col);
+        let mut out = Matrix::from_flat(3, 2, vec![f32::NAN; 6]);
+        for workers in [1, 2] {
+            agg_into(WorkerPool::new(workers), &x, hop, &mut out);
+            let mut expect = Vec::new();
+            for t in 0..3 {
+                let n = hop.neighbors(t);
+                for j in 0..2 {
+                    let sum = n.iter().fold(0.0f32, |a, &s| a + x.get(s as usize, j));
+                    let inv = if n.is_empty() {
+                        1.0
+                    } else {
+                        1.0 / n.len() as f32
+                    };
+                    expect.push(sum * inv);
+                }
+            }
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(out.as_flat()), bits(&expect), "workers={workers}");
+            assert_eq!(out.get(0, 0).to_bits(), 0.0f32.to_bits());
         }
     }
 }
