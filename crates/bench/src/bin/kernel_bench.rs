@@ -11,11 +11,12 @@
 //! reported), together with VIP sweep and
 //! quantized feature-decode throughput, and the bytes-on-the-wire an
 //! epoch of distributed training moves under each wire codec
-//! (`f32`/`f16`/`i8`). At the two training shapes it also times the
-//! tape's memory-bound ops against what they replaced, at 1 and 2
-//! workers: a GraphSAGE layer as one `Tape::linear` vs the
-//! `head_rows`/`matmul`/`add`/`add_bias`/`relu` node chain, and
-//! `sparse_agg` forward / backward vs the serial per-target loop and
+//! (`f32`/`f16`/`i8`). At the two training shapes it also times a
+//! GraphSAGE layer's memory-bound kernels against what they replaced,
+//! at 1 and 2 workers: the dense part as one `Matrix::linear_into` vs
+//! the `head_rows`/`matmul`/`add`/bias/`relu` chain of whole-matrix
+//! passes, and the neighbor mean (`sage::agg_into`) and its gradient
+//! (`sage::agg_grad_into`) vs the serial per-target loop and
 //! zero-fill-and-scatter (reported, not gated).
 //!
 //! Hard assertions (exit 1 on failure): each blocked dense matmul
@@ -23,7 +24,7 @@
 //! blocked `t_matmul` clears **1.5x** at the tall training shape,
 //! `matmul_t` clears **0.6x** the same run's `matmul` at the layer-2
 //! shape, blocked `matmul` clears **0.5x** the roofline at the layer-2
-//! shape, the tape ops are bit-equal to their references, the `f32` row
+//! shape, the layer kernels are bit-equal to their references, the `f32` row
 //! decode clears **2x** the `f16` decode's Melem/s, and quantized wire
 //! codecs shrink epoch bytes by their nominal ratios.
 //! Emits `results/BENCH_kernels.json`.
@@ -46,10 +47,9 @@ use spp_graph::{FeatureMatrix, QuantScheme, QuantizedFeatures};
 use spp_runtime::{DistTrainConfig, DistributedSetup, DistributedTrainer, SetupConfig, WorkerPool};
 use spp_sampler::Fanouts;
 use spp_telemetry::json::Json;
-use spp_tensor::tape::CsrAdj;
-use spp_tensor::{kernels, Matrix, Tape};
+use spp_tensor::sage::{self, HopView, Mask, SourceLists};
+use spp_tensor::{kernels, Matrix};
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A dense layer `m` rows, `k → n` columns, timed as its three products:
@@ -311,8 +311,9 @@ fn bench_shape(Shape { m, k, n }: Shape, reps: usize) -> [KernelResult; 3] {
     })
 }
 
-/// One tape op against the form it replaced, best-of-reps milliseconds.
-struct TapeResult {
+/// One layer kernel against the form it replaced, best-of-reps
+/// milliseconds.
+struct OpResult {
     key: String,
     old_name: &'static str,
     old_ms: f64,
@@ -321,12 +322,12 @@ struct TapeResult {
 }
 
 /// Best-of-`reps` milliseconds of `run` alone; `setup` builds each
-/// repetition's tape (operand copies and all) off the clock.
+/// repetition's inputs off the clock.
 #[allow(
     clippy::disallowed_methods,
     reason = "bench harness: reports wall time by trade"
 )]
-fn time_on_tape<S>(reps: usize, setup: impl Fn() -> S, mut run: impl FnMut(&mut S)) -> f64 {
+fn time_with_setup<S>(reps: usize, setup: impl Fn() -> S, mut run: impl FnMut(&mut S)) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let mut state = setup();
@@ -337,89 +338,93 @@ fn time_on_tape<S>(reps: usize, setup: impl Fn() -> S, mut run: impl FnMut(&mut 
     best * 1e3
 }
 
+/// Whether `a` and `b` have the same shape and the same bits (`==` on
+/// `f32` would take `-0.0` for `+0.0`).
+fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+    let bits = |m: &Matrix| m.as_flat().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    a.shape() == b.shape() && bits(a) == bits(b)
+}
+
 fn filled(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut m = Matrix::zeros(rows, cols);
     fill(m.as_flat_mut(), seed);
     m
 }
 
-/// The tape ops of one GraphSAGE layer at `shape` — `m` targets (a row
+/// The kernels of one GraphSAGE layer at `shape` — `m` targets (a row
 /// prefix of `sources_per_target · m` sources), `k → n` columns, `deg`
 /// sampled neighbors per target — on `workers` workers: the layer's
-/// dense part fused vs as the node chain, and `sparse_agg` over the
-/// layer's `k`-wide input forward and backward (under `mean_all`, whose
-/// constant gradient the reference scatters) vs the serial loops.
-fn bench_tape_ops(
+/// dense part fused (`Matrix::linear_into`) vs the unfused chain of
+/// whole-matrix passes, and the neighbor mean over the layer's `k`-wide
+/// input (`sage::agg_into`) and its input gradient
+/// (`sage::agg_grad_into`, counting sort included) vs the serial
+/// per-target loop and zero-fill-and-scatter. Each new form writes a
+/// fresh output, as the old one did.
+fn bench_layer_ops(
     shape @ Shape { m, k, n }: Shape,
     (sources_per_target, deg): (usize, usize),
     workers: usize,
     reps: usize,
-) -> [TapeResult; 3] {
+) -> [OpResult; 3] {
     let pool = WorkerPool::new(workers);
     let sources = sources_per_target * m;
     let x = filled(sources, k, 11);
     let neigh = filled(m, k, 12);
-    let params = [filled(k, n, 13), filled(k, n, 14), filled(1, n, 15)];
-    let adj = Arc::new(CsrAdj {
-        num_targets: m,
-        num_sources: sources,
-        row_ptr: (0..=m).map(|t| t * deg).collect(),
-        col: (0..(m * deg) as u64)
-            .map(|e| (e.wrapping_mul(2_654_435_761) % sources as u64) as u32)
-            .collect(),
-    });
+    let [ws, wn, b] = [filled(k, n, 13), filled(k, n, 14), filled(1, n, 15)];
+    let row_ptr: Vec<usize> = (0..=m).map(|t| t * deg).collect();
+    let col: Vec<u32> = (0..(m * deg) as u64)
+        .map(|e| (e.wrapping_mul(2_654_435_761) % sources as u64) as u32)
+        .collect();
+    let hop = HopView::new(m, &row_ptr, &col);
     let key = |op: &str| format!("{op}_ms_{shape}_w{workers}");
 
     // Dense part: x[..m]·Ws + neigh·Wn + b, ReLU.
-    let layer = || {
-        let mut t = Tape::with_pool(pool);
-        let ids = [
-            t.constant(x.clone()),
-            t.constant(neigh.clone()),
-            t.input(params[0].clone()),
-            t.input(params[1].clone()),
-            t.input(params[2].clone()),
-        ];
-        (t, ids)
+    let chain = || {
+        let (mut y, mut p) = (Matrix::empty(), Matrix::empty());
+        x.head_rows(m).matmul_into(pool, &ws, &mut y);
+        neigh.matmul_into(pool, &wn, &mut p);
+        y.add_assign(&p);
+        for r in 0..m {
+            y.row_mut(r)
+                .iter_mut()
+                .zip(b.row(0))
+                .for_each(|(o, &b)| *o += b);
+        }
+        y.as_flat_mut()
+            .iter_mut()
+            .filter(|v| **v < 0.0)
+            .for_each(|v| *v = 0.0);
+        y
     };
-    let chain = |(t, [x, neigh, ws, wn, b]): &mut (Tape, [_; 5])| {
-        let own = t.head_rows(*x, m);
-        let p0 = t.matmul(own, *ws);
-        let p1 = t.matmul(*neigh, *wn);
-        let sum = t.add(p0, p1);
-        let biased = t.add_bias(sum, *b);
-        t.relu(biased)
+    let fused = || {
+        let mut y = Matrix::empty();
+        Matrix::linear_into(pool, m, &[(&x, &ws), (&neigh, &wn)], Some(&b), true, &mut y);
+        y
     };
-    let fused = |(t, [x, neigh, ws, wn, b]): &mut (Tape, [_; 5])| {
-        t.linear(m, &[(*x, *ws), (*neigh, *wn)], Some(*b), true)
-    };
-    {
-        let (mut a, mut b) = (layer(), layer());
-        let (ya, yb) = (chain(&mut a), fused(&mut b));
-        check(
-            a.0.value(ya) == b.0.value(yb),
-            &format!("linear == op chain at {shape}, {workers} worker(s)"),
-        );
-    }
-    let linear = TapeResult {
+    check(
+        same_bits(&chain(), &fused()),
+        &format!("linear == op chain at {shape}, {workers} worker(s)"),
+    );
+    let linear = OpResult {
         key: key("linear"),
         old_name: "chain",
-        old_ms: time_on_tape(reps, layer, |s| {
-            black_box(chain(s));
-        }),
+        old_ms: time_best(reps, || {
+            black_box(chain());
+        }) * 1e3,
         new_name: "fused",
-        new_ms: time_on_tape(reps, layer, |s| {
-            black_box(fused(s));
-        }),
+        new_ms: time_best(reps, || {
+            black_box(fused());
+        }) * 1e3,
     };
 
-    // sparse_agg (Mean) over the layer input, and its input gradient:
-    // the loops the tape ran before, fresh zeroed output included.
+    // The neighbor mean over the layer input, and its input gradient
+    // for a constant upstream gradient under an all-positive activation
+    // (a ReLU mask that keeps everything).
     let inv = 1.0 / deg as f32;
     let ref_forward = || {
         let mut out = Matrix::zeros(m, k);
         for t in 0..m {
-            for &s in &adj.col[t * deg..(t + 1) * deg] {
+            for &s in hop.neighbors(t) {
                 for (o, &a) in out.row_mut(t).iter_mut().zip(x.row(s as usize)) {
                     *o += a;
                 }
@@ -428,13 +433,11 @@ fn bench_tape_ops(
         }
         out
     };
-    // `mean_all`'s gradient, which the tape's backward also builds.
-    let upstream = || Matrix::from_flat(m, k, vec![1.0 / (m * k) as f32; m * k]);
+    let g = Matrix::from_flat(m, k, vec![1.0 / (m * k) as f32; m * k]);
     let ref_backward = || {
-        let g = upstream();
         let mut gx = Matrix::zeros(sources, k);
         for t in 0..m {
-            for &s in &adj.col[t * deg..(t + 1) * deg] {
+            for &s in hop.neighbors(t) {
                 for (o, &gv) in gx.row_mut(s as usize).iter_mut().zip(g.row(t)) {
                     *o += inv * gv;
                 }
@@ -442,48 +445,42 @@ fn bench_tape_ops(
         }
         gx
     };
-    let recorded = || {
-        let mut t = Tape::with_pool(pool);
-        let xi = t.input(x.clone());
-        let agg = t.sparse_agg(xi, Arc::clone(&adj));
-        let loss = t.mean_all(agg);
-        (t, xi, agg, loss)
+    let forward = || {
+        let mut out = Matrix::empty();
+        sage::agg_into(pool, &x, hop, &mut out);
+        out
     };
-    {
-        let (mut t, xi, agg, loss) = recorded();
-        t.backward(loss);
-        check(
-            t.value(agg) == &ref_forward() && t.grad(xi) == Some(&ref_backward()),
-            &format!("sparse_agg == serial loops at {shape}, {workers} worker(s)"),
-        );
-    }
-    let agg_fwd = TapeResult {
+    let activation = || Matrix::from_flat(sources, k, vec![1.0; sources * k]);
+    let backward = |out: &mut Matrix| {
+        let mut lists = SourceLists::default();
+        lists.fill(hop, sources);
+        sage::agg_grad_into(pool, hop, &lists, &g, None, Mask::Relu, out);
+    };
+    let mut gathered = activation();
+    backward(&mut gathered);
+    check(
+        same_bits(&forward(), &ref_forward()) && same_bits(&gathered, &ref_backward()),
+        &format!("sparse_agg == serial loops at {shape}, {workers} worker(s)"),
+    );
+    let agg_fwd = OpResult {
         key: key("sparse_agg_fwd"),
         old_name: "serial",
         old_ms: time_best(reps, || {
             black_box(ref_forward());
         }) * 1e3,
         new_name: "parallel",
-        new_ms: time_on_tape(
-            reps,
-            || {
-                let mut t = Tape::with_pool(pool);
-                let xi = t.input(x.clone());
-                (t, xi)
-            },
-            |(t, xi)| {
-                black_box(t.sparse_agg(*xi, Arc::clone(&adj)));
-            },
-        ),
+        new_ms: time_best(reps, || {
+            black_box(forward());
+        }) * 1e3,
     };
-    let agg_bwd = TapeResult {
+    let agg_bwd = OpResult {
         key: key("sparse_agg_bwd"),
         old_name: "scatter",
         old_ms: time_best(reps, || {
             black_box(ref_backward());
         }) * 1e3,
         new_name: "gather",
-        new_ms: time_on_tape(reps, recorded, |(t, _, _, loss)| t.backward(*loss)),
+        new_ms: time_with_setup(reps, activation, backward),
     };
     [linear, agg_fwd, agg_bwd]
 }
@@ -534,20 +531,20 @@ fn main() {
         println!("FMA roofline at {shape}: {:.2} GFLOP/s", r.roofline_gflops);
     }
 
-    // The tape's memory-bound ops at the training shapes. Layer 1 of
-    // `train_compute` draws 5 neighbors per target from ≈ 2 sources per
-    // target; layer 2 draws 10 from ≈ 6.
-    let mut tape_ops = Vec::new();
+    // The layer's memory-bound kernels at the training shapes. Layer 1
+    // of `train_compute` draws 5 neighbors per target from ≈ 2 sources
+    // per target; layer 2 draws 10 from ≈ 6.
+    let mut layer_ops = Vec::new();
     for (shape, hop) in [(TALL_SHAPE, (2, 5)), (MID_SHAPE, (6, 10))] {
         for workers in [1usize, 2] {
-            tape_ops.extend(bench_tape_ops(shape, hop, workers, tall_reps));
+            layer_ops.extend(bench_layer_ops(shape, hop, workers, tall_reps));
         }
     }
     let mut table = Table::new(
-        "tape ops vs the forms they replaced (best-of-reps, ms)",
+        "layer kernels vs the forms they replaced (best-of-reps, ms)",
         &["op_shape_workers", "old", "ms", "new", "ms", "speedup"],
     );
-    for r in &tape_ops {
+    for r in &layer_ops {
         table.row(vec![
             r.key.clone(),
             r.old_name.to_string(),
@@ -726,7 +723,7 @@ fn main() {
             );
         }
     }
-    for r in &tape_ops {
+    for r in &layer_ops {
         report.field(
             &r.key,
             Json::obj([

@@ -4,8 +4,8 @@
 //! with mean aggregation over sampled
 //! [message-flow graphs](spp_sampler::Mfg). Training and inference run
 //! through a [`SageStep`], one per batch, whose backward reuses the
-//! forward's buffers; [`GnnModel::forward`] records the same pass on the
-//! [`spp_tensor`] autograd tape, bit for bit.
+//! forward's buffers; [`GnnModel::forward`] records one for the
+//! benchmark's traced replays ([`Forward`]).
 //!
 //! # Example
 //!
@@ -49,6 +49,6 @@ pub mod model;
 pub mod step;
 pub mod trainer;
 
-pub use model::{model_dims, Arch, Forward, GnnModel};
-pub use step::{SageStep, MODEL_STREAM_SALT};
+pub use model::{model_dims, Arch, GnnModel};
+pub use step::{Forward, Recorded, SageStep, StepRecord, MODEL_STREAM_SALT};
 pub use trainer::{seed_labels, train_step, EpochStats, TrainConfig, TrainReport, Trainer};

@@ -1,17 +1,16 @@
 //! The GraphSAGE model over message-flow graphs.
 
-use crate::SageStep;
+use crate::{Forward, SageStep};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spp_pool::WorkerPool;
-use spp_sampler::{HopAdj, Mfg};
-use spp_tensor::tape::CsrAdj;
-use spp_tensor::{init, Matrix, NodeId, Param, Tape};
-use std::sync::Arc;
+use spp_sampler::Mfg;
+use spp_tensor::{init, Matrix, Param};
 
 /// Which message-passing architecture to instantiate: GraphSAGE with
 /// mean aggregation (Hamilton et al., 2017), the paper's evaluation
-/// architecture and the only one. The enum stays while the benchmark's
+/// architecture and the only one, whose forward and backward
+/// [`SageStep`] runs. The enum stays while the benchmark's
 /// sources name `Arch::Sage` through [`GnnModel::new`] and the train
 /// configs; it goes when those replays do (ROADMAP item 13(b)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,39 +27,6 @@ pub(crate) struct Layer {
     pub(crate) w_self: Param,
     pub(crate) w_neigh: Param,
     pub(crate) bias: Param,
-}
-
-/// Converts a sampled hop adjacency into the tape's CSR view.
-fn to_csr_adj(hop: &HopAdj) -> Arc<CsrAdj> {
-    Arc::new(CsrAdj {
-        num_targets: hop.num_targets,
-        num_sources: hop.num_sources,
-        row_ptr: hop.row_ptr.clone(),
-        col: hop.col.clone(),
-    })
-}
-
-/// The result of one forward pass recorded on a tape: the tape, the
-/// logits node, and the parameter leaf nodes (aligned with
-/// [`GnnModel::params_mut`]) so gradients can be pulled back into the
-/// model. The crates train and infer through [`crate::SageStep`]; the
-/// tape stays for the benchmark's traced replays, which time its ops.
-pub struct Forward {
-    /// The autograd tape holding the whole forward computation; the
-    /// input features are a [`Tape::constant`], so `backward` spends
-    /// nothing on a feature gradient nobody reads.
-    pub tape: Tape,
-    /// Seed-vertex logits node.
-    pub logits: NodeId,
-    /// Leaf node per parameter, in [`GnnModel::params_mut`] order.
-    pub param_nodes: Vec<NodeId>,
-}
-
-impl Forward {
-    /// The logits matrix (`num_seeds × num_classes`).
-    pub fn logits_value(&self) -> &Matrix {
-        self.tape.value(self.logits)
-    }
 }
 
 /// Layer widths `[feature_dim, hidden × (hops - 1), classes]` of the
@@ -142,7 +108,14 @@ impl GnnModel {
         &mut self.layers
     }
 
-    /// Mutable access to all parameters, layer by layer.
+    /// All parameters, layer by layer: `w_self`, `w_neigh`, `bias`.
+    pub fn params(&self) -> impl Iterator<Item = &Param> {
+        self.layers
+            .iter()
+            .flat_map(|l| [&l.w_self, &l.w_neigh, &l.bias])
+    }
+
+    /// Mutable access to all parameters, in [`GnnModel::params`] order.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         self.layers
             .iter_mut()
@@ -150,52 +123,31 @@ impl GnnModel {
             .collect()
     }
 
-    /// Records the forward pass for one minibatch on a [`Tape`] on the
-    /// global worker pool, bit-identical to [`crate::SageStep`]'s.
+    /// Runs one [`SageStep`] forward on the global worker pool —
+    /// training mode, with dropout drawn from `rng`, when `train` is set
+    /// — and records it ([`Forward`]).
     ///
     /// `x` must have one row per MFG node (`mfg.num_nodes()` rows) in MFG
-    /// local order, with `dims[0]` columns. Returns the tape, the
-    /// seed-logits node, and parameter leaf handles.
+    /// local order, with `dims[0]` columns.
     ///
     /// # Panics
     ///
     /// Panics if the MFG depth does not match the layer count or `x` has
     /// the wrong shape.
-    pub fn forward<R: Rng>(&self, x: Matrix, mfg: &Mfg, train: bool, rng: &mut R) -> Forward {
-        assert_eq!(
-            mfg.num_hops(),
-            self.layers.len(),
-            "MFG depth != layer count"
-        );
-        assert_eq!(x.rows(), mfg.num_nodes(), "feature row count mismatch");
-        assert_eq!(x.cols(), self.dims[0], "feature dim mismatch");
-
-        let mut tape = Tape::new();
-        let mut param_nodes = Vec::new();
-        let mut h = tape.constant(x);
-        let num_layers = self.layers.len();
-        for (li, layer) in self.layers.iter().enumerate() {
-            let hop = mfg.layer_adj(li + 1);
-            let targets = hop.num_targets;
-            // Hidden layers end in a ReLU, the `linear`'s epilogue.
-            let act = li + 1 < num_layers;
-            let adj = to_csr_adj(hop);
-            let wsn = tape.input(layer.w_self.value.clone());
-            let wnn = tape.input(layer.w_neigh.value.clone());
-            let bn = tape.input(layer.bias.value.clone());
-            param_nodes.extend([wsn, wnn, bn]);
-            let neigh = tape.sparse_agg(h, adj);
-            h = tape.linear(targets, &[(h, wsn), (neigh, wnn)], Some(bn), act);
-            if act && train && self.dropout > 0.0 {
-                h = tape.dropout(h, self.dropout, rng);
-            }
+    pub fn forward<'a, R: Rng>(
+        &self,
+        x: Matrix,
+        mfg: &'a Mfg,
+        train: bool,
+        rng: &mut R,
+    ) -> Forward<'a> {
+        let (pool, mut step) = (WorkerPool::global(), SageStep::new(self));
+        if train {
+            step.forward(pool, self, &x, mfg, rng);
+        } else {
+            step.infer(pool, self, &x, mfg);
         }
-
-        Forward {
-            tape,
-            logits: h,
-            param_nodes,
-        }
+        step.record(x, mfg)
     }
 
     /// Inference forward pass over a sampled MFG on the global worker
@@ -212,24 +164,17 @@ impl GnnModel {
         step.into_logits()
     }
 
-    /// Pulls gradients from a completed backward pass into the model's
-    /// parameter accumulators.
+    /// Runs the backward of `fwd`'s step from its loss on the global
+    /// worker pool, adding every parameter's gradient into the
+    /// accumulators. `fwd` must come from this model's
+    /// [`GnnModel::forward`], with the model unchanged since.
     ///
     /// # Panics
     ///
-    /// Panics if `fwd` did not come from this model's [`GnnModel::forward`].
-    pub fn accumulate_grads(&mut self, fwd: &Forward) {
-        let params = self.params_mut();
-        assert_eq!(
-            params.len(),
-            fwd.param_nodes.len(),
-            "forward/model mismatch"
-        );
-        for (p, &node) in params.into_iter().zip(&fwd.param_nodes) {
-            if let Some(g) = fwd.tape.grad(node) {
-                p.accumulate(g);
-            }
-        }
+    /// Panics unless `fwd` recorded a loss and was not differentiated
+    /// before.
+    pub fn accumulate_grads(&mut self, fwd: &Forward<'_>) {
+        fwd.tape.accumulate_into(WorkerPool::global(), self);
     }
 }
 
@@ -261,7 +206,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let fwd = model.forward(x, &mfg, false, &mut rng);
         assert_eq!(fwd.logits_value().shape(), (4, 3));
-        assert_eq!(fwd.param_nodes.len(), 6); // 2 layers × 3 params
+        assert_eq!(model.params().count(), 6); // 2 layers × 3 params
     }
 
     #[test]
@@ -316,8 +261,8 @@ mod tests {
     #[test]
     fn tape_records_five_nodes_per_layer() {
         // Per layer: three parameter leaves, `sparse_agg` and `linear`;
-        // one feature leaf ahead of them, and a dropout after every
-        // hidden layer in train mode.
+        // one feature leaf ahead of them, a dropout after every hidden
+        // layer in train mode, and the loss once recorded.
         let g = ring_with_chords(64, 7);
         for layers in 1..=3 {
             let sampler = NodeWiseSampler::new(&g, Fanouts::new(vec![3; layers]));
@@ -329,15 +274,44 @@ mod tests {
             let x = Matrix::zeros(mfg.num_nodes(), 6);
             let eval = model.forward(x.clone(), &mfg, false, &mut rng);
             assert_eq!(eval.tape.len(), 1 + 5 * layers, "{layers} layers, eval");
-            assert_eq!(eval.param_nodes.len(), 3 * layers);
-            let train = model.forward(x, &mfg, true, &mut rng);
+            let mut train = model.forward(x, &mfg, true, &mut rng);
             let dropouts = layers - 1;
             assert_eq!(
                 train.tape.len(),
                 1 + 5 * layers + dropouts,
                 "{layers} layers, train"
             );
+            let labels = StdArc::new(vec![0, 1, 2]);
+            train.tape.softmax_cross_entropy(train.logits, labels);
+            assert_eq!(train.tape.len(), 2 + 5 * layers + dropouts);
         }
+    }
+
+    #[test]
+    fn recorded_step_is_train_step_bit_for_bit() {
+        let (base, mfg, x) = setup();
+        let model = || GnnModel::new(Arch::Sage, base.dims(), 2).with_dropout(0.4);
+        let labels = StdArc::new(vec![0u32, 1, 2, 0]);
+        let bits = |m: &mut GnnModel| -> Vec<Vec<u32>> {
+            let p = m.params_mut();
+            p.iter()
+                .map(|p| p.grad.as_flat().iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        let mut stepped = model();
+        let pool = WorkerPool::global();
+        let labels2 = StdArc::clone(&labels);
+        let (want, _) = crate::train_step(pool, &mut stepped, x.clone(), &mfg, labels2, (6, 1, 2));
+
+        let mut recorded = model();
+        let stream = spp_sampler::batch_stream_seed(6 ^ crate::MODEL_STREAM_SALT, 1, 2);
+        let mut fwd = recorded.forward(x, &mfg, true, &mut StdRng::seed_from_u64(stream));
+        let loss = fwd.tape.softmax_cross_entropy(fwd.logits, labels);
+        let got = f64::from(fwd.tape.value(loss).get(0, 0));
+        fwd.tape.backward(loss);
+        recorded.accumulate_grads(&fwd);
+        assert_eq!(got.to_bits(), want.to_bits());
+        assert_eq!(bits(&mut recorded), bits(&mut stepped));
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! One GraphSAGE step over planned buffers.
 //!
 //! Every batch runs the same composite: per layer the neighbor mean
-//! (`sparse_agg`), the fused affine map with bias and — on hidden
-//! layers — ReLU (`linear`), and in training mode inverted dropout; then
-//! softmax cross-entropy. [`SageStep`] runs it with one buffer per
-//! activation and gradient, calling the kernels the tape's ops call in
-//! the order its reverse walk calls them, so every loss, logit and
-//! gradient bit equals [`GnnModel::forward`] + `Tape::backward`. Its
-//! backward writes each gradient into forward storage whose last reader
-//! is done (DESIGN.md §14 has the plan as a table):
+//! ([`sage::agg_into`]), the fused affine map with bias and — on hidden
+//! layers — ReLU ([`Matrix::linear_into`]), and in training mode
+//! inverted dropout; then softmax cross-entropy. [`SageStep`] runs it
+//! with one buffer per activation and gradient, and its backward is the
+//! workspace's only gradient code. The backward writes each gradient
+//! into forward storage whose last reader is done (DESIGN.md §14 has
+//! the plan as a table):
 //!
 //! - `dL/d logits` overwrites the softmax probabilities;
 //! - `dL/d neigh` overwrites a layer's aggregate once its weight
@@ -19,6 +18,9 @@
 //!   activation, adds the self-term prefix (`held`), and is stored —
 //!   after this layer's own-features weight gradient has read the
 //!   activation's prefix.
+//!
+//! [`Forward`] records one step behind the node-and-tape surface the
+//! benchmark's traced replays drive through [`GnnModel::forward`].
 
 use crate::model::Layer;
 use crate::GnnModel;
@@ -28,6 +30,8 @@ use spp_pool::WorkerPool;
 use spp_sampler::{batch_stream_seed, HopAdj, Mfg};
 use spp_tensor::sage::{self, DropMask, HopView, Mask, SourceLists};
 use spp_tensor::Matrix;
+use std::cell::RefCell;
+use std::sync::Arc;
 
 /// Salt separating the model's dropout RNG stream from the sampler's
 /// stream for the same `(seed, epoch, batch)`, applied by
@@ -153,7 +157,7 @@ impl SageStep {
     /// Training-mode forward pass over `x`, one row per MFG node in MFG
     /// local order with `dims[0]` columns: a hidden layer's output is
     /// dropped with the model's dropout probability, one draw from `rng`
-    /// per element, as [`GnnModel::forward`] draws them. Returns the
+    /// per element in row-major order ([`DropMask::apply`]). Returns the
     /// logits of `mfg`'s seeds.
     ///
     /// # Panics
@@ -245,9 +249,16 @@ impl SageStep {
         mfg: &Mfg,
         labels: &[u32],
     ) -> f64 {
-        let num_layers = self.layers.len();
-        let logits = &self.layers[num_layers - 1].out;
+        let logits = &self.layers[self.layers.len() - 1].out;
         let loss = softmax_cross_entropy(logits, labels, &mut self.probs);
+        self.backprop(pool, model, x, mfg);
+        f64::from(loss)
+    }
+
+    /// The backward from `dL/d logits`, which `probs` holds, down to
+    /// the first layer's weights; the last layer's output is not read.
+    fn backprop(&mut self, pool: WorkerPool, model: &mut GnnModel, x: &Matrix, mfg: &Mfg) {
+        let num_layers = self.layers.len();
         for li in (0..num_layers).rev() {
             let Layer {
                 w_self,
@@ -287,13 +298,146 @@ impl SageStep {
             let held = Some(&self.held);
             sage::agg_grad_into(pool, hop, &self.lists, neigh, held, mask, &mut prev.out);
         }
-        f64::from(loss)
+    }
+}
+
+/// A value a [`StepRecord`] hands out by name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Recorded {
+    /// The seed logits (`num_seeds × num_classes`).
+    Logits,
+    /// The mean softmax cross-entropy (`1 × 1`), once recorded.
+    Loss,
+}
+
+/// One [`SageStep`] recorded by [`GnnModel::forward`]: the surface the
+/// benchmark's traced replays drive (`tape.softmax_cross_entropy`,
+/// `tape.value`, `tape.backward`, `tape.len`, then
+/// [`GnnModel::accumulate_grads`]). It computes nothing of its own:
+/// the logits, the loss and every gradient are the step's. It goes
+/// with those replays (ROADMAP item 13(b)).
+#[derive(Debug)]
+pub struct Forward<'a> {
+    /// The recorded step.
+    pub tape: StepRecord<'a>,
+    /// The seed logits' name.
+    pub logits: Recorded,
+}
+
+impl Forward<'_> {
+    /// The logits matrix (`num_seeds × num_classes`).
+    pub fn logits_value(&self) -> &Matrix {
+        &self.tape.logits
+    }
+}
+
+/// A forward-run [`SageStep`] with the features it read and its logits
+/// moved out (the backward does not read them), so `value` can lend
+/// them while [`GnnModel::accumulate_grads`] runs the backward through
+/// a shared reference.
+#[derive(Debug)]
+pub struct StepRecord<'a> {
+    /// Taken by the one backward.
+    step: RefCell<Option<SageStep>>,
+    x: Matrix,
+    mfg: &'a Mfg,
+    logits: Matrix,
+    /// `1 × 1` once recorded, empty before.
+    loss: Matrix,
+    /// Nodes an op-per-node tape gave the forward: the features, per
+    /// layer three parameters, the mean and the affine map, and one per
+    /// dropped layer.
+    nodes: usize,
+}
+
+impl SageStep {
+    /// Records this step, forward-run over `x` and `mfg`.
+    pub(crate) fn record(mut self, x: Matrix, mfg: &Mfg) -> Forward<'_> {
+        let dropped = self.layers.iter().filter(|l| l.dropped).count();
+        let nodes = 1 + 5 * self.layers.len() + dropped;
+        let last = self.layers.len() - 1;
+        let logits = std::mem::take(&mut self.layers[last].out);
+        let tape = StepRecord {
+            step: RefCell::new(Some(self)),
+            x,
+            mfg,
+            logits,
+            loss: Matrix::empty(),
+            nodes,
+        };
+        Forward {
+            tape,
+            logits: Recorded::Logits,
+        }
+    }
+}
+
+impl StepRecord<'_> {
+    /// Records the mean softmax cross-entropy of the logits against
+    /// `labels`, one per seed, and names it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `logits` is not [`Recorded::Logits`], the step's
+    /// gradients were already taken, or on the label mismatches
+    /// [`SageStep::backward`] lists.
+    pub fn softmax_cross_entropy(&mut self, logits: Recorded, labels: Arc<Vec<u32>>) -> Recorded {
+        assert_eq!(logits, Recorded::Logits, "the loss is over the logits");
+        let step = self.step.get_mut().as_mut();
+        assert!(step.is_some(), "gradients already accumulated");
+        if let Some(step) = step {
+            let loss = softmax_cross_entropy(&self.logits, &labels, &mut step.probs);
+            self.loss = Matrix::from_flat(1, 1, vec![loss]);
+        }
+        Recorded::Loss
+    }
+
+    /// The named value; the loss is `0 × 0` until recorded.
+    pub fn value(&self, id: Recorded) -> &Matrix {
+        match id {
+            Recorded::Logits => &self.logits,
+            Recorded::Loss => &self.loss,
+        }
+    }
+
+    /// Checks that `output` is a recorded loss; the gradients are
+    /// computed by [`GnnModel::accumulate_grads`], which has the model.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `output` is a recorded loss.
+    pub fn backward(&mut self, output: Recorded) {
+        assert!(
+            output == Recorded::Loss && self.loss.shape() == (1, 1),
+            "backward starts at a recorded loss"
+        );
+    }
+
+    /// Node count of the same composite on an op-per-node tape.
+    #[allow(
+        clippy::len_without_is_empty,
+        reason = "a record always holds at least its features"
+    )]
+    pub fn len(&self) -> usize {
+        self.nodes + self.loss.rows()
+    }
+
+    /// Runs the step's backward from the recorded loss on `pool`,
+    /// adding every parameter's gradient into `model`'s accumulators.
+    pub(crate) fn accumulate_into(&self, pool: WorkerPool, model: &mut GnnModel) {
+        let step = self.step.take().filter(|_| self.loss.shape() == (1, 1));
+        assert!(step.is_some(), "accumulate_grads wants one recorded loss");
+        if let Some(mut step) = step {
+            step.backprop(pool, model, &self.x, self.mfg);
+        }
     }
 }
 
 /// Mean softmax cross-entropy of `logits` against `labels`, leaving its
-/// gradient with respect to the logits in `probs`: the arithmetic of
-/// `Tape::softmax_cross_entropy` and its backward, in place.
+/// gradient with respect to the logits in `probs`: per row the maximum
+/// is subtracted before `exp`, the loss adds `-ln p[label]` (`p`
+/// floored at `1e-30`), and the gradient `p - onehot` is scaled by
+/// `1 / rows` last.
 ///
 /// # Panics
 ///

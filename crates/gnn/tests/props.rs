@@ -1,5 +1,6 @@
 //! Property-based tests for GNN forward passes over random MFGs, and
-//! for [`SageStep`] against the tape it replaces, bit for bit.
+//! for [`SageStep`] against a plain serial reference, bit for bit, and
+//! against finite differences.
 
 // Tests assert by panicking; the workspace panic-family denies apply
 // to library code only (see [workspace.lints] in Cargo.toml).
@@ -12,13 +13,12 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use spp_gnn::{Arch, GnnModel, SageStep};
 use spp_graph::generate::GeneratorConfig;
 use spp_pool::WorkerPool;
 use spp_sampler::{Fanouts, Mfg, NodeWiseSampler};
 use spp_tensor::Matrix;
-use std::sync::Arc;
 
 fn forward_shape_for(n: usize, m: usize, seeds: usize, seed: u64) -> (usize, usize) {
     let g = GeneratorConfig::erdos_renyi(n, m).seed(seed).build();
@@ -76,22 +76,41 @@ proptest! {
         let sampler = NodeWiseSampler::new(&g, Fanouts::new(vec![3, 3]));
         let mut rng = StdRng::seed_from_u64(seed);
         let mfg = sampler.sample(&[0, 1, 2], &mut rng);
-        let model = GnnModel::new(Arch::Sage, &[4, 6, 3], seed);
+        let mut model = GnnModel::new(Arch::Sage, &[4, 6, 3], seed).with_dropout(0.3);
         let mut x = Matrix::zeros(mfg.num_nodes(), 4);
         for (i, v) in x.as_flat_mut().iter_mut().enumerate() {
             *v = (i % 7) as f32 - 3.0;
         }
-        let mut fwd = model.forward(x, &mfg, true, &mut rng);
-        let labels = std::sync::Arc::new(vec![0u32, 1, 2]);
-        let loss = fwd.tape.softmax_cross_entropy(fwd.logits, labels);
-        fwd.tape.backward(loss);
-        for &p in &fwd.param_nodes {
-            prop_assert!(fwd.tape.grad(p).is_some(), "parameter without gradient");
+        let mut step = SageStep::new(&model);
+        step.train(WorkerPool::serial(), &mut model, &x, &mfg, &[0, 1, 2], (seed, 0, 0));
+        for p in model.params_mut() {
+            prop_assert_eq!(p.grad.shape(), p.value.shape());
+            prop_assert!(p.grad.as_flat().iter().all(|v| v.is_finite()));
         }
     }
 
     #[test]
-    fn step_matches_the_tape_bit_for_bit(
+    fn softmax_cross_entropy_nonnegative(
+        n in 16usize..60,
+        scale in 0.01f32..40.0,
+        seed in any::<u64>(),
+    ) {
+        // One layer, so the logits are the affine map's unclamped output.
+        let g = GeneratorConfig::erdos_renyi(n, n * 3).seed(seed).build();
+        let sampler = NodeWiseSampler::new(&g, Fanouts::new(vec![4]));
+        let mfg = sampler.sample(&[0, 1, 2, 3], &mut StdRng::seed_from_u64(seed));
+        let mut model = GnnModel::new(Arch::Sage, &[5, 3], seed);
+        let mut x = awkward(mfg.num_nodes(), 5, seed);
+        x.scale_assign(scale);
+        let labels: Vec<u32> = (0..4).map(|i| (seed >> i) as u32 % 3).collect();
+        let pool = WorkerPool::serial();
+        let mut step = SageStep::new(&model);
+        step.infer(pool, &model, &x, &mfg);
+        prop_assert!(step.backward(pool, &mut model, &x, &mfg, &labels) >= 0.0);
+    }
+
+    #[test]
+    fn step_matches_the_reference_bit_for_bit(
         n in 24usize..120,
         fanouts in prop::collection::vec(1usize..6, 1..4usize),
         seeds in 1usize..9,
@@ -107,12 +126,12 @@ proptest! {
         dims.extend(std::iter::repeat_n(hidden, fanouts.len() - 1));
         dims.push(4);
         let x = awkward(mfg.num_nodes(), 7, seed);
-        step_matches_tape(&mfg, &x, &dims, mode, seed);
+        step_matches_reference(&mfg, &x, &dims, mode, seed);
     }
 }
 
 #[test]
-fn step_matches_the_tape_when_its_kernels_split() {
+fn step_matches_the_reference_when_its_kernels_split() {
     // Wide enough that every kernel of the step splits into several
     // jobs on the wider pools.
     let g = GeneratorConfig::erdos_renyi(3000, 36_000).seed(4).build();
@@ -121,32 +140,61 @@ fn step_matches_the_tape_when_its_kernels_split() {
     let mfg = sampler.sample(&ids, &mut StdRng::seed_from_u64(5));
     let x = awkward(mfg.num_nodes(), 64, 6);
     for mode in 0..3 {
-        step_matches_tape(&mfg, &x, &[64, 96, 5], mode, 7);
+        step_matches_reference(&mfg, &x, &[64, 96, 5], mode, 7);
     }
 }
 
-/// Runs `mfg` through the tape (`GnnModel::forward` + `Tape::backward`)
-/// and through one [`SageStep`] on pools of 1, 2 and 8 workers, and
-/// requires the logits, the loss and every parameter gradient to be
-/// equal bit for bit. Mode 0 is evaluation (the model's dropout of 0.3
-/// stays off), 1 training without dropout, 2 training with 0.3.
-fn step_matches_tape(mfg: &Mfg, x: &Matrix, dims: &[usize], mode: u8, seed: u64) {
+#[test]
+fn step_gradients_match_finite_differences() {
+    // Central differences of the loss, on a two-layer model in
+    // evaluation mode, against every gradient element the step returns.
+    let g = GeneratorConfig::erdos_renyi(40, 160).seed(3).build();
+    let sampler = NodeWiseSampler::new(&g, Fanouts::new(vec![3, 3]));
+    let mfg = sampler.sample(&[0, 1, 2], &mut StdRng::seed_from_u64(3));
+    let x = awkward(mfg.num_nodes(), 3, 11);
+    let labels = [0u32, 2, 1];
+    let pool = WorkerPool::serial();
+    let loss = |model: &mut GnnModel| {
+        let mut step = SageStep::new(model);
+        step.infer(pool, model, &x, &mfg);
+        step.backward(pool, model, &x, &mfg, &labels)
+    };
+    let mut model = GnnModel::new(Arch::Sage, &[3, 5, 3], 9);
+    loss(&mut model);
+    let analytic: Vec<Matrix> = model.params_mut().iter().map(|p| p.grad.clone()).collect();
+    let eps = 1e-2f32;
+    for (pi, want) in analytic.iter().enumerate() {
+        for i in 0..want.as_flat().len() {
+            let mut at = |delta: f32| {
+                model.params_mut()[pi].value.as_flat_mut()[i] += delta;
+                let l = loss(&mut model);
+                model.params_mut()[pi].value.as_flat_mut()[i] -= delta;
+                l
+            };
+            let numeric = ((at(eps) - at(-eps)) / f64::from(2.0 * eps)) as f32;
+            let a = want.as_flat()[i];
+            assert!(
+                (numeric - a).abs() <= 2e-3 + 2e-2 * a.abs(),
+                "parameter {pi} element {i}: numeric {numeric}, analytic {a}"
+            );
+        }
+    }
+}
+
+/// Runs `mfg` through [`reference`] and through one [`SageStep`] on
+/// pools of 1, 2 and 8 workers, and requires the logits, the loss and
+/// every parameter gradient to be equal bit for bit. Mode 0 is
+/// evaluation (the model's dropout of 0.3 stays off), 1 training
+/// without dropout, 2 training with 0.3.
+fn step_matches_reference(mfg: &Mfg, x: &Matrix, dims: &[usize], mode: u8, seed: u64) {
     let (train, p) = [(false, 0.3), (true, 0.0), (true, 0.3)][mode as usize];
     let classes = dims[dims.len() - 1] as u32;
     let labels: Vec<u32> = (0..mfg.seeds().len() as u32)
         .map(|i| (i * 3 + 1) % classes)
         .collect();
-
-    let mut model = GnnModel::new(Arch::Sage, dims, seed).with_dropout(p);
-    let mut fwd = model.forward(x.clone(), mfg, train, &mut StdRng::seed_from_u64(seed));
-    let logits = bits(fwd.logits_value());
-    let loss = fwd
-        .tape
-        .softmax_cross_entropy(fwd.logits, Arc::new(labels.clone()));
-    let loss_bits = f64::from(fwd.tape.value(loss).get(0, 0)).to_bits();
-    fwd.tape.backward(loss);
-    model.accumulate_grads(&fwd);
-    let want = (logits, loss_bits, grads(&mut model));
+    let model = GnnModel::new(Arch::Sage, dims, seed).with_dropout(p);
+    let rng = train.then(|| StdRng::seed_from_u64(seed));
+    let want = reference(&model, x, mfg, &labels, rng);
 
     // One step through every pool width: each run starts from the
     // buffers the run before it left behind.
@@ -166,6 +214,151 @@ fn step_matches_tape(mfg: &Mfg, x: &Matrix, dims: &[usize], mode: u8, seed: u64)
     }
 }
 
+/// The GraphSAGE composite as plain serial passes over the public
+/// kernels, one fresh matrix per value: per layer the neighbor mean,
+/// `h[..t]·W_self + neigh·W_neigh`, the bias and on hidden layers the
+/// ReLU as separate passes, then inverted dropout when `rng` is given
+/// (one draw per element, row-major); softmax cross-entropy; and the
+/// backward layer by layer from the last — through dropout and the ReLU
+/// mask, the bias, `W_neigh` and `W_self` gradients, `g·W_neighᵀ`
+/// scattered target by target into a zeroed buffer, plus `g·W_selfᵀ`
+/// over the target prefix. Returns the logits' bits, the loss's (as
+/// `f64`) and each parameter gradient's, as accumulated into zeros.
+fn reference(
+    model: &GnnModel,
+    x: &Matrix,
+    mfg: &Mfg,
+    labels: &[u32],
+    mut rng: Option<StdRng>,
+) -> (Vec<u32>, u64, Vec<Vec<u32>>) {
+    let pool = WorkerPool::serial();
+    let params: Vec<&Matrix> = model.params().map(|p| &p.value).collect();
+    let (layers, p) = (model.num_layers(), model.dropout_rate());
+    // Per layer: its input, neighbor mean, ReLU'd output, dropout factors.
+    let mut inputs = vec![x.clone()];
+    let (mut neighs, mut acts, mut factors) = (Vec::new(), Vec::new(), Vec::new());
+    for l in 0..layers {
+        let (hop, h) = (mfg.layer_adj(l + 1), &inputs[l]);
+        let (ws, wn, b) = (params[3 * l], params[3 * l + 1], params[3 * l + 2]);
+        let mut neigh = Matrix::zeros(hop.num_targets, h.cols());
+        for t in 0..hop.num_targets {
+            let nbrs = hop.neighbors(t);
+            let inv = 1.0 / nbrs.len().max(1) as f32;
+            for (j, o) in neigh.row_mut(t).iter_mut().enumerate() {
+                let sum = nbrs.iter().fold(0.0f32, |a, &s| a + h.get(s as usize, j));
+                *o = if nbrs.is_empty() { 0.0 } else { sum * inv };
+            }
+        }
+        let (mut y, mut yn) = (Matrix::empty(), Matrix::empty());
+        h.head_rows(hop.num_targets).matmul_into(pool, ws, &mut y);
+        neigh.matmul_into(pool, wn, &mut yn);
+        y.add_assign(&yn);
+        for r in 0..y.rows() {
+            y.row_mut(r)
+                .iter_mut()
+                .zip(b.row(0))
+                .for_each(|(o, &b)| *o += b);
+        }
+        let hidden = l + 1 < layers;
+        if hidden {
+            y.as_flat_mut()
+                .iter_mut()
+                .filter(|v| **v < 0.0)
+                .for_each(|v| *v = 0.0);
+        }
+        let keep = 1.0 - p;
+        let f: Option<Vec<f32>> = rng.as_mut().filter(|_| hidden && p > 0.0).map(|rng| {
+            let draw = |_| {
+                if rng.gen::<f32>() < keep {
+                    1.0 / keep
+                } else {
+                    0.0
+                }
+            };
+            (0..y.as_flat().len()).map(draw).collect()
+        });
+        let mut next = y.clone();
+        if let Some(f) = &f {
+            next.as_flat_mut()
+                .iter_mut()
+                .zip(f)
+                .for_each(|(a, &m)| *a *= m);
+        }
+        neighs.push(neigh);
+        acts.push(y);
+        factors.push(f);
+        inputs.push(next);
+    }
+    let logits = inputs.pop().unwrap();
+
+    // Softmax cross-entropy; `g` becomes `dL/d logits`.
+    let (rows, mut g) = (logits.rows(), logits.clone());
+    let mut loss = 0.0f32;
+    for (i, &label) in labels.iter().enumerate() {
+        let row = g.row_mut(i);
+        let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut z = 0.0f32;
+        for v in row.iter_mut() {
+            *v = (*v - mx).exp();
+            z += *v;
+        }
+        row.iter_mut().for_each(|v| *v /= z);
+        loss -= row[label as usize].max(1e-30).ln();
+        row[label as usize] -= 1.0;
+    }
+    g.scale_assign(1.0 / rows as f32);
+    let loss = f64::from(loss / rows as f32);
+
+    let mut grads = vec![Vec::new(); 3 * layers];
+    for l in (0..layers).rev() {
+        if l + 1 < layers {
+            // Through dropout, then the ReLU mask read off the activation.
+            if let Some(f) = &factors[l] {
+                g.as_flat_mut()
+                    .iter_mut()
+                    .zip(f)
+                    .for_each(|(a, &m)| *a *= m);
+            }
+            let act = acts[l].as_flat();
+            for (gv, &a) in g.as_flat_mut().iter_mut().zip(act) {
+                if a <= 0.0 {
+                    *gv = 0.0;
+                }
+            }
+        }
+        let (ws, wn) = (params[3 * l], params[3 * l + 1]);
+        let (mut gws, mut gwn, mut gb) = (Matrix::empty(), Matrix::empty(), Matrix::empty());
+        g.col_sums_into(pool, &mut gb);
+        neighs[l].t_matmul_into(pool, &g, &mut gwn);
+        inputs[l].head_t_matmul_into(pool, &g, &mut gws);
+        for (k, grad) in [gws, gwn, gb].iter().enumerate() {
+            let mut acc = Matrix::zeros(grad.rows(), grad.cols());
+            acc.add_assign(grad);
+            grads[3 * l + k] = bits(&acc);
+        }
+        if l == 0 {
+            break;
+        }
+        let (mut gn, mut held) = (Matrix::empty(), Matrix::empty());
+        g.matmul_t_into(pool, wn, &mut gn);
+        g.matmul_t_into(pool, ws, &mut held);
+        let hop = mfg.layer_adj(l + 1);
+        let mut gh = Matrix::zeros(inputs[l].rows(), inputs[l].cols());
+        for t in 0..hop.num_targets {
+            let w = 1.0 / hop.neighbors(t).len() as f32;
+            for &s in hop.neighbors(t) {
+                for (o, &v) in gh.row_mut(s as usize).iter_mut().zip(gn.row(t)) {
+                    *o += w * v;
+                }
+            }
+        }
+        for (a, &h) in gh.as_flat_mut().iter_mut().zip(held.as_flat()) {
+            *a += h;
+        }
+        g = gh;
+    }
+    (bits(&logits), loss.to_bits(), grads)
+}
 /// Features with every sign, exact zeros of both signs and values whose
 /// sums round, so any change in an accumulation order shows in the bits.
 fn awkward(rows: usize, cols: usize, seed: u64) -> Matrix {

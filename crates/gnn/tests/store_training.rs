@@ -15,9 +15,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spp_gnn::metrics::{predictions, AccuracyMeter};
-use spp_gnn::{GnnModel, TrainConfig, TrainReport, Trainer, MODEL_STREAM_SALT};
+use spp_gnn::{train_step, GnnModel, TrainConfig, TrainReport, Trainer};
 use spp_graph::dataset::SyntheticSpec;
 use spp_graph::{Dataset, QuantScheme, VertexId};
+use spp_pool::WorkerPool;
 use spp_sampler::{batch_stream_seed, Fanouts, MinibatchIter, NodeWiseSampler};
 use spp_store::{FeatureStore, MmapStore, StoreBuilder};
 use spp_tensor::{Adam, Optimizer};
@@ -95,8 +96,9 @@ fn training_through_mmap_store_is_bit_identical() {
 
 /// The batch loop as it was before batch slots were recycled, spelled
 /// out over public APIs: every minibatch gathers into a freshly
-/// allocated matrix (`Trainer::gather_features_from`) and the updates
-/// run strictly in batch order. Returns the epoch's mean loss.
+/// allocated matrix (`Trainer::gather_features_from`), runs one
+/// `train_step` on a serial pool, and the updates run strictly in batch
+/// order. Returns the epoch's mean loss.
 fn reference_epoch(
     ds: &Dataset,
     cfg: &TrainConfig,
@@ -115,13 +117,8 @@ fn reference_epoch(
         let mfg = sampler.sample(&batch, &mut rng);
         let x = Trainer::gather_features_from(feats, &mfg);
         let labels = Arc::new(mfg.seeds().iter().map(|&v| ds.labels[v as usize]).collect());
-        let mut model_rng =
-            StdRng::seed_from_u64(batch_stream_seed(cfg.seed ^ MODEL_STREAM_SALT, epoch, b));
-        let mut fwd = model.forward(x, &mfg, true, &mut model_rng);
-        let loss = fwd.tape.softmax_cross_entropy(fwd.logits, labels);
-        total += fwd.tape.value(loss).get(0, 0) as f64;
-        fwd.tape.backward(loss);
-        model.accumulate_grads(&fwd);
+        let pool = WorkerPool::serial();
+        total += train_step(pool, model, x, &mfg, labels, (cfg.seed, epoch, b)).0;
         opt.step(&mut model.params_mut());
         batches += 1;
     }
@@ -143,9 +140,8 @@ fn reference_evaluate(
         let mut rng = StdRng::seed_from_u64(batch_stream_seed(seed, 0, b as u64));
         let mfg = sampler.sample(&batch, &mut rng);
         let x = Trainer::gather_features_from(feats, &mfg);
-        let fwd = model.forward(x, &mfg, false, &mut rng);
         let labels: Vec<u32> = mfg.seeds().iter().map(|&v| ds.labels[v as usize]).collect();
-        meter.update(&predictions(fwd.logits_value()), &labels);
+        meter.update(&predictions(&model.infer(x, &mfg)), &labels);
     }
     meter.value()
 }

@@ -2,10 +2,10 @@
 //! GraphSAGE, with and without dropout, pinned to the bit — every
 //! epoch's mean loss and an XOR of every parameter's bits after the run.
 //!
-//! The values were captured at commit 97d7c1f, before `Tape::linear` and
-//! the gather-form `sparse_agg` existed, so they pin the old
-//! `matmul → add → add_bias → relu` chains and the scatter backward. A
-//! change to the tape, the kernels or `GnnModel::forward` that claims
+//! The values were captured at commit 97d7c1f, before the fused affine
+//! map and the gather-form neighbor-mean gradient existed, so they pin
+//! the old `matmul → add → add_bias → relu` chains and the scatter
+//! backward. A change to the kernels or `SageStep` that claims
 //! bit-identity must pass this file unedited; a deliberate numerical
 //! change re-captures it (the failure message prints the new table).
 //!
@@ -16,11 +16,9 @@
 // to library code only (see [workspace.lints] in Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use spp_gnn::{Arch, TrainConfig, Trainer};
 use spp_graph::dataset::SyntheticSpec;
-use spp_sampler::{Fanouts, NodeWiseSampler};
+use spp_sampler::Fanouts;
 
 /// `(arch, dropout, [epoch-0 loss bits, epoch-1 loss bits], parameter XOR)`.
 #[rustfmt::skip]
@@ -30,16 +28,11 @@ const GOLDEN: &[(Arch, f32, [u64; 2], u32)] = &[
 ];
 
 /// XOR of the bits of every parameter element, read through the public
-/// surface: `forward` registers each parameter's value as a tape leaf.
-fn param_xor(t: &Trainer<'_>, ds: &spp_graph::Dataset, fanouts: &Fanouts) -> u32 {
-    let sampler = NodeWiseSampler::new(&ds.graph, fanouts.clone());
-    let mut rng = StdRng::seed_from_u64(0);
-    let mfg = sampler.sample(&ds.split.train[..2], &mut rng);
-    let x = Trainer::gather_features(ds, &mfg);
-    let fwd = t.model().forward(x, &mfg, false, &mut rng);
-    fwd.param_nodes
-        .iter()
-        .flat_map(|&p| fwd.tape.value(p).as_flat())
+/// surface.
+fn param_xor(t: &Trainer<'_>) -> u32 {
+    t.model()
+        .params()
+        .flat_map(|p| p.value.as_flat())
         .fold(0u32, |acc, v| acc ^ v.to_bits())
 }
 
@@ -65,7 +58,6 @@ fn two_epoch_training_matches_golden_bits_for_every_arch() {
             seed: 7,
             workers: Some(2),
         };
-        let fanouts = cfg.fanouts.clone();
         let mut t = Trainer::new(&ds, cfg);
         let report = t.train();
         let losses = [
@@ -73,7 +65,7 @@ fn two_epoch_training_matches_golden_bits_for_every_arch() {
             report.epochs[1].loss.to_bits(),
         ];
         assert!(report.epochs.iter().all(|e| e.loss.is_finite()));
-        got.push((arch, dropout, losses, param_xor(&t, &ds, &fanouts)));
+        got.push((arch, dropout, losses, param_xor(&t)));
     }
     let table: String = got
         .iter()

@@ -1,24 +1,32 @@
-//! A small dense-tensor and autograd engine.
+//! Dense tensors, kernels and the optimizer GraphSAGE training runs on.
 //!
 //! The paper's system trains GNNs with PyTorch; this crate is the
 //! substitute substrate (DESIGN.md §2): row-major `f32` matrices
-//! ([`Matrix`]), a tape-based reverse-mode autograd graph ([`Tape`]) with
-//! the dense and sparse (CSR mean aggregation) operators GraphSAGE
-//! requires, weight [`init`]ializers, and the Adam [`optim`]izer.
+//! ([`Matrix`]) with their blocked dense [`kernels`], the sparse half of
+//! a GraphSAGE layer ([`sage`]: neighbor mean, its gradient as a
+//! gather, dropout), weight [`init`]ializers, and the Adam [`optim`]izer.
+//! There is no autograd graph: `spp_gnn::SageStep` composes these
+//! kernels into the one forward and backward the model needs.
 //!
 //! # Example
 //!
 //! ```
-//! use spp_tensor::{Matrix, Tape};
+//! use spp_pool::WorkerPool;
+//! use spp_tensor::Matrix;
 //!
-//! let mut tape = Tape::new();
-//! let x = tape.input(Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
-//! let w = tape.input(Matrix::from_rows(&[&[1.0], &[1.0]]));
-//! let y = tape.matmul(x, w);
-//! let loss = tape.mean_all(y);
-//! tape.backward(loss);
-//! let gw = tape.grad(w).unwrap();
-//! assert_eq!(gw.shape(), (2, 1));
+//! // One affine layer with ReLU, `relu(x·w + b)`, and the gradient of
+//! // `w` for an upstream gradient `g`: `xᵀ·g`.
+//! let pool = WorkerPool::serial();
+//! let x = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, -4.0]]);
+//! let w = Matrix::from_rows(&[&[1.0], &[1.0]]);
+//! let b = Matrix::from_rows(&[&[0.5]]);
+//! let mut y = Matrix::empty();
+//! Matrix::linear_into(pool, 2, &[(&x, &w)], Some(&b), true, &mut y);
+//! assert_eq!(y.as_flat(), &[3.5, 0.0]);
+//! let g = Matrix::from_rows(&[&[1.0], &[0.0]]);
+//! let mut gw = Matrix::empty();
+//! x.t_matmul_into(pool, &g, &mut gw);
+//! assert_eq!(gw.as_flat(), &[1.0, 2.0]);
 //! ```
 
 // Test modules assert by panicking; the workspace panic-family denies
@@ -38,8 +46,6 @@ pub mod kernels;
 pub mod matrix;
 pub mod optim;
 pub mod sage;
-pub mod tape;
 
 pub use matrix::Matrix;
 pub use optim::{Adam, Optimizer, Param};
-pub use tape::{NodeId, Tape};

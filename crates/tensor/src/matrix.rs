@@ -347,29 +347,19 @@ impl Matrix {
     ///
     /// Panics if `self.cols != other.cols`.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        self.matmul_t_with(WorkerPool::global(), other)
+        let mut out = Matrix::empty();
+        self.matmul_t_into(WorkerPool::global(), other, &mut out);
+        out
     }
 
-    /// [`Matrix::matmul_t`] on an explicit pool; output rows are
-    /// independent dot products, so any row split is bit-identical to
-    /// the serial loop.
+    /// [`Matrix::matmul_t`] into a caller-provided scratch matrix on an
+    /// explicit pool; output rows are independent dot products, so any
+    /// row split is bit-identical to the serial loop.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols != other.cols`.
     // spp-hot(tensor.matmul_t)
-    pub fn matmul_t_with(&self, pool: WorkerPool, other: &Matrix) -> Matrix {
-        let mut out = Matrix::empty();
-        self.matmul_t_into(pool, other, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul_t`] into a caller-provided scratch matrix;
-    /// bit-identical to [`Matrix::matmul_t_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.cols`.
     pub fn matmul_t_into(&self, pool: WorkerPool, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_t dimension mismatch");
         out.recycle(self.rows, other.rows);
@@ -479,11 +469,6 @@ impl Matrix {
     pub fn head_rows(&self, n: usize) -> Matrix {
         assert!(n <= self.rows, "head_rows out of range");
         Matrix::from_flat(n, self.cols, self.data[..n * self.cols].to_vec())
-    }
-
-    /// Memory footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f32>()
     }
 }
 
@@ -628,13 +613,12 @@ mod tests {
     fn matmul_t_bit_identical_across_pools() {
         let a = fractious(400, 90, 3);
         let b = fractious(320, 90, 4);
-        let serial = a.matmul_t_with(WorkerPool::serial(), &b);
+        let mut serial = Matrix::empty();
+        a.matmul_t_into(WorkerPool::serial(), &b, &mut serial);
         for workers in [2usize, 8] {
-            assert_eq!(
-                a.matmul_t_with(WorkerPool::new(workers), &b),
-                serial,
-                "workers={workers}"
-            );
+            let mut out = Matrix::empty();
+            a.matmul_t_into(WorkerPool::new(workers), &b, &mut out);
+            assert_eq!(out, serial, "workers={workers}");
         }
     }
 
@@ -666,7 +650,7 @@ mod tests {
             a.t_matmul_into(pool, &c, &mut scratch);
             assert_eq!(scratch, a.t_matmul_with(pool, &c));
             a.matmul_t_into(pool, &d, &mut scratch);
-            assert_eq!(scratch, a.matmul_t_with(pool, &d));
+            assert_eq!(scratch, a.matmul_t(&d));
             a.transpose_into(pool, &mut scratch);
             assert_eq!(scratch, a.transpose_with(pool));
         }

@@ -1,14 +1,14 @@
-//! The non-dense half of a GraphSAGE layer, shared by [`crate::Tape`]
-//! and `spp_gnn::SageStep`: the neighbor mean over a sampled hop, its
-//! input gradient as a row-parallel *gather* that can fuse the
-//! producing layer's ReLU (and dropout) mask into the row it writes,
-//! and inverted dropout over a ReLU output that records, one byte per
-//! element, everything that backward needs.
+//! The non-dense half of a GraphSAGE layer, as `spp_gnn::SageStep` runs
+//! it: the neighbor mean over a sampled hop, its input gradient as a
+//! row-parallel *gather* that fuses the producing layer's ReLU (and
+//! dropout) mask into the row it writes, and inverted dropout over a
+//! ReLU output that records, one byte per element, everything that
+//! backward needs.
 //!
 //! Every row is computed independently of how the rows are split into
 //! jobs, so values are bit-identical for any worker count, and each
-//! element sums in the order the tape's separate ops used: the forward
-//! in neighbor-list order from `+0.0`, the gradient in target order
+//! element sums in the order of the plain serial loops: the forward in
+//! neighbor-list order from `+0.0`, the gradient in target order
 //! ([`SourceLists`]), the order a target-major scatter adds it.
 
 use crate::matrix::{par_row_blocks_by, refit};
@@ -118,8 +118,6 @@ impl SourceLists {
 /// that produced the aggregated activation ended with.
 #[derive(Clone, Copy, Debug)]
 pub enum Mask<'a> {
-    /// Stored as summed.
-    None,
     /// A ReLU: zero where the element being overwritten — the
     /// activation itself — is `≤ 0` (`-0.0` and NaN as `relu`'s
     /// backward treats them).
@@ -146,8 +144,7 @@ pub struct DropMask {
 impl DropMask {
     /// Drops each element of `out` with probability `p` and scales the
     /// rest by `1/(1-p)`, drawing one `f32` per element in row-major
-    /// order — the draws and values of `Tape::dropout` over the same
-    /// matrix — and records each element's state.
+    /// order, and records each element's state.
     ///
     /// # Panics
     ///
@@ -233,11 +230,11 @@ fn agg_rows(x: &Matrix, hop: HopView<'_>, t0: usize, chunk: &mut [f32]) {
 /// `Σ w_t · g[t]` over the targets listing `s` in `lists` order, `w_t`
 /// the reciprocal of target `t`'s degree, multiply then add from `+0.0`
 /// — as a target-major scatter into a zeroed buffer would — plus
-/// `held`'s row `s` if `held` reaches that far (one `f32` add, the
-/// tape's accumulation of a second contribution), then finished by
-/// `mask`. Under [`Mask::Relu`], `out` holds the activation, and each
-/// row reads its own mask from it just before it is overwritten. Jobs
-/// are cut by each source row's list length plus one.
+/// `held`'s row `s` if `held` reaches that far (one `f32` add: a
+/// second contribution to the same input, the self term's), then
+/// finished by `mask`: `out` holds the activation, and each row reads
+/// its own mask from it just before it is overwritten. Jobs are cut by
+/// each source row's list length plus one.
 ///
 /// # Panics
 ///
@@ -304,7 +301,6 @@ fn agg_grad_rows(
             }
             let dst = &mut out[j0..j1];
             match mask {
-                Mask::None => dst.copy_from_slice(acc),
                 Mask::Relu => {
                     for (o, &a) in dst.iter_mut().zip(acc.iter()) {
                         *o = if *o <= 0.0 { 0.0 } else { a };

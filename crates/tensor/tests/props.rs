@@ -1,4 +1,4 @@
-//! Property-based tests for the tensor engine.
+//! Property-based tests for the dense and sparse tensor kernels.
 
 // Tests assert by panicking; the workspace panic-family denies apply
 // to library code only (see [workspace.lints] in Cargo.toml).
@@ -13,9 +13,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spp_pool::WorkerPool;
-use spp_tensor::tape::CsrAdj;
-use spp_tensor::{Matrix, NodeId, Tape};
-use std::sync::Arc;
+use spp_tensor::sage::{self, DropMask, HopView, Mask, SourceLists};
+use spp_tensor::Matrix;
 
 fn arb_matrix(r: usize, c: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-5.0f32..5.0, r * c).prop_map(move |data| Matrix::from_flat(r, c, data))
@@ -87,65 +86,64 @@ fn arb_linear_case() -> impl Strategy<Value = LinearCase> {
         })
 }
 
-/// Records `case` on `pool` — fused through [`Tape::linear`], or as the
-/// `head_rows → matmul → add → add_bias → relu` chain it replaces — under
-/// a classifier loss, runs `backward`, and returns the layer's value bits
-/// followed by every operand's gradient bits.
-fn linear_vs_chain(case: &LinearCase, pool: WorkerPool, fused: bool) -> Vec<Vec<u32>> {
+/// Runs `case` on `pool` — fused through [`Matrix::linear_into`] into a
+/// dirty scratch, or as the `head_rows → matmul → add → bias → relu`
+/// chain of whole-matrix passes it replaces — and returns the output's
+/// bits.
+fn linear_vs_chain(case: &LinearCase, pool: WorkerPool, fused: bool) -> Vec<u32> {
     let LinearCase {
         rows, n, nan, seed, ..
     } = *case;
-    let mut t = Tape::with_pool(pool);
-    let mut leaves = Vec::new();
-    let mut terms = Vec::new();
+    let mut operands: Vec<(Matrix, Matrix)> = Vec::new();
     for (i, &(extra, k)) in case.terms.iter().enumerate() {
         let k = if case.shared_x { case.terms[0].1 } else { k };
-        let x = match terms.first() {
-            Some(&(x0, _)) if case.shared_x => x0,
-            _ => {
-                let x = t.input(awkward(rows + extra, k, seed ^ (2 * i as u64), nan));
-                leaves.push(x);
-                x
-            }
+        let x = match operands.first() {
+            Some((x0, _)) if case.shared_x => x0.clone(),
+            _ => awkward(rows + extra, k, seed ^ (2 * i as u64), nan),
         };
-        let w = t.input(awkward(k, n, seed ^ (2 * i as u64 + 1), nan));
-        leaves.push(w);
-        terms.push((x, w));
+        operands.push((x, awkward(k, n, seed ^ (2 * i as u64 + 1), nan)));
     }
-    let bias = case.bias.then(|| t.input(awkward(1, n, seed ^ 99, nan)));
-    leaves.extend(bias);
-    let out = if fused {
-        t.linear(rows, &terms, bias, case.relu)
-    } else {
-        let mut sum = None;
-        for &(x, w) in &terms {
-            let own = t.head_rows(x, rows);
-            let p = t.matmul(own, w);
-            sum = Some(sum.map_or(p, |s| t.add(s, p)));
+    let bias = case.bias.then(|| awkward(1, n, seed ^ 99, nan));
+    if fused {
+        let terms: Vec<_> = operands.iter().map(|(x, w)| (x, w)).collect();
+        let mut out = awkward(2, 3, seed ^ 5, true);
+        Matrix::linear_into(pool, rows, &terms, bias.as_ref(), case.relu, &mut out);
+        return bits(&out);
+    }
+    let mut sum: Option<Matrix> = None;
+    for (x, w) in &operands {
+        let mut p = Matrix::empty();
+        x.head_rows(rows).matmul_into(pool, w, &mut p);
+        match &mut sum {
+            Some(s) => s.add_assign(&p),
+            None => sum = Some(p),
         }
-        let mut y = sum.unwrap();
-        if let Some(b) = bias {
-            y = t.add_bias(y, b);
+    }
+    let mut y = sum.unwrap();
+    if let Some(b) = &bias {
+        for r in 0..rows {
+            let row = y.row_mut(r);
+            row.iter_mut().zip(b.row(0)).for_each(|(o, &b)| *o += b);
         }
-        if case.relu {
-            y = t.relu(y);
-        }
-        y
-    };
-    let classes = t.constant(awkward(n, 3, seed ^ 7, false));
-    let logits = t.matmul(out, classes);
-    let labels = (0..rows as u32).map(|r| r % 3).collect();
-    let loss = t.softmax_cross_entropy(logits, Arc::new(labels));
-    t.backward(loss);
-    let mut got = vec![bits(t.value(out))];
-    got.extend(leaves.iter().map(|&l| bits(t.grad(l).unwrap())));
-    got
+    }
+    if case.relu {
+        y.as_flat_mut()
+            .iter_mut()
+            .filter(|v| **v < 0.0)
+            .for_each(|v| *v = 0.0);
+    }
+    bits(&y)
 }
 
-/// A random hop: per target a neighbor list that may be empty and may
-/// repeat a source; `sources` exceeds the largest id used, so the tail
-/// sources have no in-edge.
-fn random_adj(targets: usize, sources: usize, max_deg: usize, rng: &mut StdRng) -> Arc<CsrAdj> {
+/// A random hop as `(row_ptr, col)`: per target a neighbor list that
+/// may be empty and may repeat a source, ids below 7/8 of `sources`, so
+/// the tail sources have no in-edge.
+fn random_hop(
+    targets: usize,
+    sources: usize,
+    max_deg: usize,
+    rng: &mut StdRng,
+) -> (Vec<usize>, Vec<u32>) {
     let mut row_ptr = vec![0usize];
     let mut col = Vec::new();
     for _ in 0..targets {
@@ -154,29 +152,24 @@ fn random_adj(targets: usize, sources: usize, max_deg: usize, rng: &mut StdRng) 
         }
         row_ptr.push(col.len());
     }
-    Arc::new(CsrAdj {
-        num_targets: targets,
-        num_sources: sources,
-        row_ptr,
-        col,
-    })
+    (row_ptr, col)
 }
 
-/// The serial loops `sparse_agg` replaced, kept as the reference: the
-/// per-target forward, and the backward that zero-fills a source-shaped
-/// buffer and scatters `w · g[t]` into it, target by target, with `w`
-/// the reciprocal of `t`'s degree.
-fn agg_reference(x: &Matrix, g: &Matrix, adj: &CsrAdj) -> (Matrix, Matrix) {
+/// The serial loops the neighbor mean and its gradient replaced, kept
+/// as the reference: the per-target forward, and the backward that
+/// zero-fills a source-shaped buffer and scatters `w · g[t]` into it,
+/// target by target, with `w` the reciprocal of `t`'s degree.
+fn agg_reference(x: &Matrix, g: &Matrix, hop: HopView<'_>) -> (Matrix, Matrix) {
     let d = x.cols();
-    let mut fwd = Matrix::zeros(adj.num_targets, d);
+    let mut fwd = Matrix::zeros(hop.num_targets(), d);
     let mut gx = Matrix::zeros(x.rows(), d);
-    for t in 0..adj.num_targets {
-        let (lo, hi) = (adj.row_ptr[t], adj.row_ptr[t + 1]);
-        if lo == hi {
+    for t in 0..hop.num_targets() {
+        let nbrs = hop.neighbors(t);
+        if nbrs.is_empty() {
             continue;
         }
-        let w = 1.0 / (hi - lo) as f32;
-        for &s in &adj.col[lo..hi] {
+        let w = 1.0 / nbrs.len() as f32;
+        for &s in nbrs {
             for j in 0..d {
                 fwd.set(t, j, fwd.get(t, j) + x.get(s as usize, j));
                 gx.set(s as usize, j, gx.get(s as usize, j) + w * g.get(t, j));
@@ -187,113 +180,64 @@ fn agg_reference(x: &Matrix, g: &Matrix, adj: &CsrAdj) -> (Matrix, Matrix) {
     (fwd, gx)
 }
 
-/// `sparse_agg` on `pool` against [`agg_reference`], value and input
-/// gradient, bit for bit. `with_prefix` makes `x` also receive a
-/// row-prefix gradient (through `head_rows`, arriving first, as SAGE's
-/// self term does through `linear`) and `with_third` a full-size one
-/// arriving last; the expected sum is built the way the zero-padding
-/// tape built it.
+/// [`sage::agg_into`] and [`sage::agg_grad_into`] on `pool` against
+/// [`agg_reference`], bit for bit, both into dirty buffers. `held` adds
+/// a target-prefix contribution after the gathered sum (a layer's self
+/// term); the gradient is masked by a ReLU activation with zeros of
+/// both signs, negatives and NaNs, after inverted dropout when
+/// `dropped`.
 fn check_sparse_agg(
     (targets, sources, d, max_deg): (usize, usize, usize, usize),
-    (with_prefix, with_third): (bool, bool),
+    (held, dropped): (bool, bool),
     pool: WorkerPool,
     seed: u64,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let adj = random_adj(targets, sources, max_deg, &mut rng);
-    let xm = awkward(sources, d, seed ^ 1, false);
-    let wm = awkward(d, 3, seed ^ 2, false);
+    let (row_ptr, col) = random_hop(targets, sources, max_deg, &mut rng);
+    let hop = HopView::new(targets, &row_ptr, &col);
+    let x = awkward(sources, d, seed ^ 1, false);
+    let g = awkward(targets, d, seed ^ 2, false);
+    let prefix = held.then(|| awkward(targets, d, seed ^ 3, false));
 
-    let mut t = Tape::with_pool(pool);
-    let x = t.input(xm.clone());
-    let w = t.constant(wm.clone());
-    let third = with_third.then(|| t.mean_all(x));
-    let agg = t.sparse_agg(x, Arc::clone(&adj));
-    let mut s = agg;
-    if with_prefix {
-        let own = t.head_rows(x, targets);
-        s = t.add(own, agg);
-    }
-    let y = t.matmul(s, w);
-    let mut loss = t.mean_all(y);
-    if let Some(third) = third {
-        loss = t.add(loss, third);
-    }
-    t.backward(loss);
+    let mut agg = awkward(1, 1, seed, true);
+    sage::agg_into(pool, &x, hop, &mut agg);
+    let (fwd, mut want) = agg_reference(&x, &g, hop);
+    assert_eq!(bits(&agg), bits(&fwd), "forward");
 
-    // Upstream of `s`: `mean_all`'s constant through `matmul`'s `g·Wᵀ`.
-    let gy = Matrix::from_flat(targets, 3, vec![1.0 / (targets * 3) as f32; targets * 3]);
-    let gs = gy.matmul_t(&wm);
-    let (fwd, scattered) = agg_reference(&xm, &gs, &adj);
-    assert_eq!(bits(t.value(agg)), bits(&fwd), "forward");
-    let mut want = Matrix::zeros(sources, d);
-    if with_prefix {
-        want.as_flat_mut()[..targets * d].copy_from_slice(gs.as_flat());
-        want.add_assign(&scattered);
+    if let Some(h) = &prefix {
+        let rows = &mut want.as_flat_mut()[..targets * d];
+        rows.iter_mut().zip(h.as_flat()).for_each(|(a, &b)| *a += b);
+    }
+    // Dropout's factor, then the ReLU mask read off the activation.
+    let (p, act) = (0.3f32, awkward(sources, d, seed ^ 4, true));
+    let keep = 1.0 - p;
+    let mut draws = StdRng::seed_from_u64(seed ^ 5);
+    for (w, &a) in want.as_flat_mut().iter_mut().zip(act.as_flat()) {
+        if dropped {
+            *w *= if draws.gen::<f32>() < keep {
+                1.0 / keep
+            } else {
+                0.0
+            };
+        }
+        if a <= 0.0 {
+            *w = 0.0;
+        }
+    }
+    let mut out = act;
+    let mut drop = DropMask::default();
+    if dropped {
+        drop.apply(&mut out, p, &mut StdRng::seed_from_u64(seed ^ 5));
+    }
+    let mut lists = SourceLists::default();
+    lists.fill(hop, sources);
+    let mask = if dropped {
+        Mask::Dropout(&drop)
     } else {
-        want = scattered;
-    }
-    if with_third {
-        let g3 = 1.0 / (sources * d) as f32;
-        want.add_assign(&Matrix::from_flat(sources, d, vec![g3; sources * d]));
-    }
-    assert_eq!(bits(t.grad(x).unwrap()), bits(&want), "input gradient");
-}
-
-// MFG geometry of the SAGE-shaped tape below; the targets are a prefix
-// of the sources.
-const SOURCES: usize = 7;
-const TARGETS: usize = 3;
-const DIM: usize = 4;
-const HIDDEN: usize = 5;
-const CLASSES: usize = 3;
-
-/// Per-target neighbor lists (possibly empty) over the sources.
-fn arb_adj() -> impl Strategy<Value = Arc<CsrAdj>> {
-    prop::collection::vec(prop::collection::vec(0..SOURCES as u32, 0..5), TARGETS).prop_map(
-        |lists| {
-            let mut row_ptr = vec![0usize];
-            let mut col = Vec::new();
-            for l in &lists {
-                col.extend_from_slice(l);
-                row_ptr.push(col.len());
-            }
-            Arc::new(CsrAdj {
-                num_targets: TARGETS,
-                num_sources: SOURCES,
-                row_ptr,
-                col,
-            })
-        },
-    )
-}
-
-/// Records one GraphSAGE layer and a classifier — the op sequence
-/// `GnnModel::forward` records per layer — with the features registered
-/// by `leaf`, runs `backward`, and returns the tape, the feature node
-/// and the parameter nodes.
-fn sage_backward(
-    leaf: fn(&mut Tape, Matrix) -> NodeId,
-    x: &Matrix,
-    params: &[Matrix; 4],
-    adj: &Arc<CsrAdj>,
-    labels: &[u32],
-) -> (Tape, NodeId, [NodeId; 4]) {
-    let mut t = Tape::new();
-    let x = leaf(&mut t, x.clone());
-    let [w_self, w_neigh, bias, w_out] = params.clone().map(|p| t.input(p));
-    let neigh = t.sparse_agg(x, Arc::clone(adj));
-    let own = t.head_rows(x, adj.num_targets);
-    let a = t.matmul(own, w_self);
-    let b = t.matmul(neigh, w_neigh);
-    let s = t.add(a, b);
-    let sb = t.add_bias(s, bias);
-    let r = t.relu(sb);
-    let d = t.dropout(r, 0.5, &mut StdRng::seed_from_u64(9));
-    let logits = t.matmul(d, w_out);
-    let loss = t.softmax_cross_entropy(logits, Arc::new(labels.to_vec()));
-    t.backward(loss);
-    (t, x, [w_self, w_neigh, bias, w_out])
+        Mask::Relu
+    };
+    sage::agg_grad_into(pool, hop, &lists, &g, prefix.as_ref(), mask, &mut out);
+    assert_eq!(bits(&out), bits(&want), "input gradient");
 }
 
 /// Shapes big enough that the row-parallel regions really fork (a cost of
@@ -318,7 +262,7 @@ fn fused_ops_are_bit_identical_to_their_references_when_the_regions_fork() {
             linear_vs_chain(&case, pool, true) == chain,
             "workers={workers}"
         );
-        check_sparse_agg((1500, 4003, 150, 20), (true, false), pool, 5);
+        check_sparse_agg((1500, 4003, 150, 20), (true, true), pool, 5);
     }
 }
 
@@ -339,40 +283,17 @@ proptest! {
         targets in 1usize..9,
         extra_sources in 0usize..9,
         d in 1usize..12,
-        max_deg in 0usize..6,
+        max_deg in 0usize..16,
         flags in 0u8..4,
         seed in any::<u64>(),
     ) {
-        let (with_prefix, with_third) = (flags & 1 != 0, flags & 2 != 0);
-        // `random_adj` keeps ids below 7/8 of the sources: ≥ 8 of them
+        let (held, dropped) = (flags & 1 != 0, flags & 2 != 0);
+        // `random_hop` keeps ids below 7/8 of the sources: ≥ 8 of them
         // leave at least one source without an in-edge.
         let shape = (targets, targets + 8 + extra_sources, d, max_deg);
         for workers in POOLS {
             let pool = WorkerPool::new(workers);
-            check_sparse_agg(shape, (with_prefix, with_third), pool, seed);
-        }
-    }
-
-    #[test]
-    fn constant_features_leave_parameter_gradients_bit_identical(
-        x in arb_matrix(SOURCES, DIM),
-        w_self in arb_matrix(DIM, HIDDEN),
-        w_neigh in arb_matrix(DIM, HIDDEN),
-        bias in arb_matrix(1, HIDDEN),
-        w_out in arb_matrix(HIDDEN, CLASSES),
-        adj in arb_adj(),
-        labels in prop::collection::vec(0..CLASSES as u32, TARGETS),
-    ) {
-        let params = [w_self, w_neigh, bias, w_out];
-        let (ti, xi, pi) = sage_backward(Tape::input, &x, &params, &adj, &labels);
-        let (tc, xc, pc) = sage_backward(Tape::constant, &x, &params, &adj, &labels);
-        prop_assert!(ti.grad(xi).is_some());
-        prop_assert!(tc.grad(xc).is_none());
-        for (&ni, &nc) in pi.iter().zip(&pc) {
-            let bits = |t: &Tape, n| -> Vec<u32> {
-                t.grad(n).unwrap().as_flat().iter().map(|v| v.to_bits()).collect()
-            };
-            prop_assert_eq!(bits(&ti, ni), bits(&tc, nc));
+            check_sparse_agg(shape, (held, dropped), pool, seed);
         }
     }
 
@@ -409,29 +330,23 @@ proptest! {
     }
 
     #[test]
-    fn relu_output_nonnegative_and_sparse_grad(a in arb_matrix(3, 5)) {
-        let mut tape = Tape::new();
-        let x = tape.input(a.clone());
-        let y = tape.relu(x);
-        prop_assert!(tape.value(y).as_flat().iter().all(|&v| v >= 0.0));
-        let s = tape.mean_all(y);
-        tape.backward(s);
-        let g = tape.grad(x).unwrap();
-        for (gv, &xv) in g.as_flat().iter().zip(a.as_flat()) {
-            if xv < 0.0 {
-                prop_assert_eq!(*gv, 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn softmax_cross_entropy_nonnegative(
-        logits in arb_matrix(4, 3),
-        labels in prop::collection::vec(0u32..3, 4),
+    fn relu_output_nonnegative_and_sparse_grad(
+        a in arb_matrix(3, 5),
+        g in arb_matrix(3, 5),
     ) {
-        let mut tape = Tape::new();
-        let x = tape.input(logits);
-        let l = tape.softmax_cross_entropy(x, std::sync::Arc::new(labels));
-        prop_assert!(tape.value(l).get(0, 0) >= 0.0);
+        // `relu(a·I)` through the fused map, then a gradient gathered
+        // over the identity hop and masked by that output.
+        let pool = WorkerPool::serial();
+        let mut y = Matrix::empty();
+        Matrix::linear_into(pool, 3, &[(&a, &Matrix::eye(5))], None, true, &mut y);
+        prop_assert!(y.as_flat().iter().all(|&v| v >= 0.0));
+        let (row_ptr, col) = ([0usize, 1, 2, 3], [0u32, 1, 2]);
+        let hop = HopView::new(3, &row_ptr, &col);
+        let mut lists = SourceLists::default();
+        lists.fill(hop, 3);
+        sage::agg_grad_into(pool, hop, &lists, &g, None, Mask::Relu, &mut y);
+        for ((&gy, &gv), &av) in y.as_flat().iter().zip(g.as_flat()).zip(a.as_flat()) {
+            prop_assert_eq!(gy, if av <= 0.0 { 0.0 } else { gv });
+        }
     }
 }

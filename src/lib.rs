@@ -93,5 +93,5 @@ pub mod prelude {
     pub use spp_sampler::{Fanouts, Mfg, MinibatchIter, NodeWiseSampler};
     pub use spp_serve::{InferenceServer, ServeConfig, ServeReport};
     pub use spp_store::{FeatureStore, MmapStore, StoreBuilder, StreamingCsrBuilder};
-    pub use spp_tensor::{Adam, Matrix, Optimizer, Tape};
+    pub use spp_tensor::{Adam, Matrix, Optimizer};
 }
