@@ -17,14 +17,18 @@
 //! the `head_rows`/`matmul`/`add`/bias/`relu` chain of whole-matrix
 //! passes, and the neighbor mean (`sage::agg_into`) and its gradient
 //! (`sage::agg_grad_into`) vs the serial per-target loop and
-//! zero-fill-and-scatter (reported, not gated).
+//! zero-fill-and-scatter (reported, not gated). At `infer_gather`'s
+//! first-layer shape it times the mean over `f32` rows four rows per
+//! pass vs one, and over `f16` rows decoded where the mean reads them
+//! vs decoded into an `f32` matrix first.
 //!
 //! Hard assertions (exit 1 on failure): each blocked dense matmul
 //! kernel clears **2x** the seed scalar's GFLOP/s at the L2 shape, the
 //! blocked `t_matmul` clears **1.5x** at the tall training shape,
 //! `matmul_t` clears **0.6x** the same run's `matmul` at the layer-2
 //! shape, blocked `matmul` clears **0.5x** the roofline at the layer-2
-//! shape, the layer kernels are bit-equal to their references, the `f32` row
+//! shape, the layer kernels and both aggregation pairs are bit-equal to
+//! their references, the `f32` row
 //! decode clears **2x** the `f16` decode's Melem/s, and quantized wire
 //! codecs shrink epoch bytes by their nominal ratios.
 //! Emits `results/BENCH_kernels.json`.
@@ -42,8 +46,9 @@
 
 use spp_bench::{BenchReport, Cli, Table};
 use spp_core::VipModel;
+use spp_gnn::StepInput;
 use spp_graph::dataset::SyntheticSpec;
-use spp_graph::{FeatureMatrix, QuantScheme, QuantizedFeatures};
+use spp_graph::{quant, FeatureMatrix, QuantScheme, QuantizedFeatures};
 use spp_runtime::{DistTrainConfig, DistributedSetup, DistributedTrainer, SetupConfig, WorkerPool};
 use spp_sampler::Fanouts;
 use spp_telemetry::json::Json;
@@ -485,6 +490,143 @@ fn bench_layer_ops(
     [linear, agg_fwd, agg_bwd]
 }
 
+/// `infer_gather`'s first-layer neighbor mean: `targets` rows averaging
+/// `edges` sampled neighbors among the MFG's `sources` rows, `cols`
+/// wide.
+#[derive(Clone, Copy)]
+struct AggShape {
+    targets: usize,
+    sources: usize,
+    edges: usize,
+    cols: usize,
+}
+
+impl std::fmt::Display for AggShape {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let AggShape {
+            targets,
+            sources,
+            edges,
+            cols,
+        } = self;
+        write!(f, "{targets}x{sources}x{edges}x{cols}")
+    }
+}
+
+/// 3 800 targets, 65 600 edges and 384 columns, over the ≈ 34 100 rows
+/// an `infer_gather` MFG holds.
+const AGG_SHAPE: AggShape = AggShape {
+    targets: 3_800,
+    sources: 34_100,
+    edges: 65_600,
+    cols: 384,
+};
+
+/// The first layer's neighbor mean at [`AGG_SHAPE`] on one worker: over
+/// `f32` rows, adding one row per pass (the loop the kernel replaced)
+/// vs `sage::agg_into`'s four; and over `f16` rows, decoding them all
+/// into an `f32` matrix first (the gathered input tensor) vs decoding
+/// each element where the mean adds it (`StepInput::Encoded`). Both
+/// pairs must agree bit for bit: the four-row pass keeps the one-row
+/// order.
+fn bench_agg_reads(reps: usize) -> [OpResult; 2] {
+    let AggShape {
+        targets,
+        sources,
+        edges,
+        cols,
+    } = AGG_SHAPE;
+    let pool = WorkerPool::serial();
+    let x = filled(sources, cols, 21);
+    let row_ptr: Vec<usize> = (0..=targets).map(|t| t * edges / targets).collect();
+    let col: Vec<u32> = (0..edges as u64)
+        .map(|e| (e.wrapping_mul(2_654_435_761) % sources as u64) as u32)
+        .collect();
+    let hop = HopView::new(targets, &row_ptr, &col);
+    let key = |op: &str| format!("{op}_ms_{AGG_SHAPE}_w1");
+
+    let one_row = || {
+        let mut out = Matrix::zeros(targets, cols);
+        for t in 0..targets {
+            let Some((&first, rest)) = hop.neighbors(t).split_first() else {
+                continue;
+            };
+            let o = out.row_mut(t);
+            o.iter_mut()
+                .zip(x.row(first as usize))
+                .for_each(|(o, &a)| *o = 0.0 + a);
+            for &s in rest {
+                o.iter_mut()
+                    .zip(x.row(s as usize))
+                    .for_each(|(o, &a)| *o += a);
+            }
+            let inv = 1.0 / (rest.len() + 1) as f32;
+            o.iter_mut().for_each(|o| *o *= inv);
+        }
+        out
+    };
+    let mean = |x: &Matrix| {
+        let mut out = Matrix::empty();
+        sage::agg_into(pool, x, hop, &mut out);
+        out
+    };
+    check(
+        same_bits(&one_row(), &mean(&x)),
+        &format!("f32 neighbor mean: four rows per pass == one at {AGG_SHAPE}"),
+    );
+    let f32_mean = OpResult {
+        key: key("agg_f32"),
+        old_name: "one_row",
+        old_ms: time_best(reps, || {
+            black_box(one_row());
+        }) * 1e3,
+        new_name: "four_rows",
+        new_ms: time_best(reps, || {
+            black_box(mean(&x));
+        }) * 1e3,
+    };
+
+    let row_bytes = QuantScheme::F16.row_bytes(cols);
+    let mut bytes = vec![0u8; sources * row_bytes];
+    for (s, b) in bytes.chunks_exact_mut(row_bytes).enumerate() {
+        quant::encode_row(QuantScheme::F16, x.row(s), b);
+    }
+    let mut decoded = Matrix::zeros(sources, cols);
+    let mut decode_then_mean = || {
+        let rows = decoded.as_flat_mut().chunks_exact_mut(cols);
+        for (b, row) in bytes.chunks_exact(row_bytes).zip(rows) {
+            quant::decode_row(QuantScheme::F16, b, row);
+        }
+        mean(&decoded)
+    };
+    let encoded = StepInput::Encoded {
+        scheme: QuantScheme::F16,
+        dim: cols,
+        bytes: &bytes,
+    };
+    let on_read = || {
+        let mut out = Matrix::empty();
+        encoded.agg_into(pool, hop, &mut out);
+        out
+    };
+    check(
+        same_bits(&decode_then_mean(), &on_read()),
+        &format!("f16 neighbor mean: decoded on read == decoded first at {AGG_SHAPE}"),
+    );
+    let f16_mean = OpResult {
+        key: key("agg_f16"),
+        old_name: "decode_then_mean",
+        old_ms: time_best(reps, || {
+            black_box(decode_then_mean());
+        }) * 1e3,
+        new_name: "decode_on_read",
+        new_ms: time_best(reps, || {
+            black_box(on_read());
+        }) * 1e3,
+    };
+    [f32_mean, f16_mean]
+}
+
 fn main() {
     let cli = Cli::parse();
     let reps = if cli.quick { 20 } else { 60 };
@@ -540,6 +682,7 @@ fn main() {
             layer_ops.extend(bench_layer_ops(shape, hop, workers, tall_reps));
         }
     }
+    layer_ops.extend(bench_agg_reads(tall_reps));
     let mut table = Table::new(
         "layer kernels vs the forms they replaced (best-of-reps, ms)",
         &["op_shape_workers", "old", "ms", "new", "ms", "speedup"],

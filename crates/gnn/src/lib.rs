@@ -44,11 +44,13 @@
 // obscure which array drives the bound.
 #![allow(clippy::needless_range_loop)]
 
+pub mod input;
 pub mod metrics;
 pub mod model;
 pub mod step;
 pub mod trainer;
 
+pub use input::StepInput;
 pub use model::{model_dims, Arch, GnnModel};
 pub use step::{Forward, Recorded, SageStep, StepRecord, MODEL_STREAM_SALT};
 pub use trainer::{seed_labels, train_step, EpochStats, TrainConfig, TrainReport, Trainer};

@@ -23,7 +23,7 @@
 //! benchmark's traced replays drive through [`GnnModel::forward`].
 
 use crate::model::Layer;
-use crate::GnnModel;
+use crate::{GnnModel, StepInput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spp_pool::WorkerPool;
@@ -88,6 +88,9 @@ struct LayerBuffers {
 #[derive(Debug)]
 pub struct SageStep {
     layers: Vec<LayerBuffers>,
+    /// The first layer's self term, the input's first `targets` rows,
+    /// when the input is no gathered matrix ([`StepInput::head`]).
+    head: Matrix,
     /// Softmax of the logits, then `dL/d logits`.
     probs: Matrix,
     /// `dL/d h[..targets]` of the layer being differentiated: the
@@ -112,6 +115,7 @@ impl SageStep {
             layers: (0..model.num_layers())
                 .map(|_| LayerBuffers::default())
                 .collect(),
+            head: Matrix::empty(),
             probs: Matrix::empty(),
             held: Matrix::empty(),
             grad: Matrix::empty(),
@@ -129,15 +133,16 @@ impl SageStep {
     /// Panics on the shape mismatches [`SageStep::forward`] and
     /// [`SageStep::backward`] list.
     // spp-hot(gnn.sage_step)
-    pub fn train(
+    pub fn train<'x>(
         &mut self,
         pool: WorkerPool,
         model: &mut GnnModel,
-        x: &Matrix,
+        x: impl Into<StepInput<'x>>,
         mfg: &Mfg,
         labels: &[u32],
         (seed, epoch, index): (u64, u64, u64),
     ) -> f64 {
+        let x = x.into();
         let stream = batch_stream_seed(seed ^ MODEL_STREAM_SALT, epoch, index);
         self.forward(pool, model, x, mfg, &mut StdRng::seed_from_u64(stream));
         self.backward(pool, model, x, mfg, labels)
@@ -149,13 +154,20 @@ impl SageStep {
     /// # Panics
     ///
     /// Panics on the shape mismatches [`SageStep::forward`] lists.
-    pub fn infer(&mut self, pool: WorkerPool, model: &GnnModel, x: &Matrix, mfg: &Mfg) -> &Matrix {
-        self.run_forward(pool, model, x, mfg, None::<&mut StdRng>);
+    pub fn infer<'x>(
+        &mut self,
+        pool: WorkerPool,
+        model: &GnnModel,
+        x: impl Into<StepInput<'x>>,
+        mfg: &Mfg,
+    ) -> &Matrix {
+        self.run_forward(pool, model, x.into(), mfg, None::<&mut StdRng>);
         self.logits()
     }
 
     /// Training-mode forward pass over `x`, one row per MFG node in MFG
-    /// local order with `dims[0]` columns: a hidden layer's output is
+    /// local order with `dims[0]` columns — a gathered matrix, or rows
+    /// read where a store keeps them ([`StepInput`]): a hidden layer's output is
     /// dropped with the model's dropout probability, one draw from `rng`
     /// per element in row-major order ([`DropMask::apply`]). Returns the
     /// logits of `mfg`'s seeds.
@@ -165,15 +177,15 @@ impl SageStep {
     /// Panics if the MFG depth does not match the layer count, `x` has
     /// the wrong shape, or the step was built for a model of another
     /// depth.
-    pub fn forward<R: Rng>(
+    pub fn forward<'x, R: Rng>(
         &mut self,
         pool: WorkerPool,
         model: &GnnModel,
-        x: &Matrix,
+        x: impl Into<StepInput<'x>>,
         mfg: &Mfg,
         rng: &mut R,
     ) -> &Matrix {
-        self.run_forward(pool, model, x, mfg, Some(rng));
+        self.run_forward(pool, model, x.into(), mfg, Some(rng));
         self.logits()
     }
 
@@ -191,7 +203,7 @@ impl SageStep {
         &mut self,
         pool: WorkerPool,
         model: &GnnModel,
-        x: &Matrix,
+        x: StepInput<'_>,
         mfg: &Mfg,
         mut rng: Option<&mut R>,
     ) {
@@ -207,7 +219,6 @@ impl SageStep {
         let p = model.dropout_rate();
         for (li, layer) in model.layers().iter().enumerate() {
             let (done, rest) = self.layers.split_at_mut(li);
-            let input = done.last().map_or(x, |l| &l.out);
             let LayerBuffers {
                 neigh,
                 out,
@@ -215,7 +226,14 @@ impl SageStep {
                 dropped,
             } = &mut rest[0];
             let hop = mfg.layer_adj(li + 1);
-            sage::agg_into(pool, input, hop_view(hop), neigh);
+            // The self term reads the input's first `targets` rows.
+            let input = if let Some(prev) = done.last() {
+                sage::agg_into(pool, &prev.out, hop_view(hop), neigh);
+                &prev.out
+            } else {
+                x.agg_into(pool, hop_view(hop), neigh);
+                x.head(hop.num_targets, &mut self.head)
+            };
             let hidden = li + 1 < num_layers;
             let terms = [
                 (input, &layer.w_self.value),
@@ -241,23 +259,23 @@ impl SageStep {
     ///
     /// Panics if the label count differs from the seed count or a
     /// label is out of class range.
-    pub fn backward(
+    pub fn backward<'x>(
         &mut self,
         pool: WorkerPool,
         model: &mut GnnModel,
-        x: &Matrix,
+        x: impl Into<StepInput<'x>>,
         mfg: &Mfg,
         labels: &[u32],
     ) -> f64 {
         let logits = &self.layers[self.layers.len() - 1].out;
         let loss = softmax_cross_entropy(logits, labels, &mut self.probs);
-        self.backprop(pool, model, x, mfg);
+        self.backprop(pool, model, x.into(), mfg);
         f64::from(loss)
     }
 
     /// The backward from `dL/d logits`, which `probs` holds, down to
     /// the first layer's weights; the last layer's output is not read.
-    fn backprop(&mut self, pool: WorkerPool, model: &mut GnnModel, x: &Matrix, mfg: &Mfg) {
+    fn backprop(&mut self, pool: WorkerPool, model: &mut GnnModel, x: StepInput<'_>, mfg: &Mfg) {
         let num_layers = self.layers.len();
         for li in (0..num_layers).rev() {
             let Layer {
@@ -280,7 +298,8 @@ impl SageStep {
             let Some(prev) = done.last_mut() else {
                 // The first layer's operands are the features: only its
                 // weights want a gradient.
-                x.head_t_matmul_into(pool, g, &mut self.grad);
+                let head = x.head_again(&self.head);
+                head.head_t_matmul_into(pool, g, &mut self.grad);
                 w_self.accumulate(&self.grad);
                 break;
             };
@@ -428,7 +447,7 @@ impl StepRecord<'_> {
         let step = self.step.take().filter(|_| self.loss.shape() == (1, 1));
         assert!(step.is_some(), "accumulate_grads wants one recorded loss");
         if let Some(mut step) = step {
-            step.backprop(pool, model, &self.x, self.mfg);
+            step.backprop(pool, model, StepInput::Gathered(&self.x), self.mfg);
         }
     }
 }

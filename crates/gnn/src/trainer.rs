@@ -5,7 +5,7 @@
 //! gradients; integration tests compare against this implementation.
 
 use crate::metrics::{predictions, AccuracyMeter};
-use crate::{model_dims, Arch, GnnModel, SageStep};
+use crate::{model_dims, Arch, GnnModel, SageStep, StepInput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spp_graph::{Dataset, VertexId};
@@ -106,14 +106,21 @@ pub struct TrainReport {
     pub test_accuracy: f64,
 }
 
-/// One prepared minibatch. `x`'s storage is the batch's recycled slot:
-/// the step only reads it, and it holds a later batch next, so the
-/// epoch and evaluate loops own at most one feature buffer per
-/// in-flight batch instead of allocating one per minibatch.
+/// One prepared minibatch: its MFG, its labels and — when the store is
+/// not in RAM — its rows' stored bytes in MFG order, in the batch's
+/// recycled lane buffer. The step reads the rows where they are
+/// ([`StepInput`]), so no batch holds a decoded `f32` input tensor.
 struct Batch {
     mfg: Mfg,
-    x: Matrix,
+    rows: Vec<u8>,
     labels: Vec<u32>,
+}
+
+impl Batch {
+    /// The step's first-layer input for this batch.
+    fn input<'a>(&'a self, feats: &'a dyn FeatureStore) -> StepInput<'a> {
+        StepInput::of_store(feats, &self.mfg.nodes, &self.rows)
+    }
 }
 
 /// Trains a [`GnnModel`] on a [`Dataset`] with node-wise sampling.
@@ -248,25 +255,48 @@ impl<'a> Trainer<'a> {
             .map_or_else(WorkerPool::global, WorkerPool::new)
     }
 
-    /// Samples one minibatch's MFG and gathers its features (into the
-    /// recycled `slot`) and labels — the preparation work that runs
-    /// concurrently across batches. `stream_seed` is the batch's
+    /// The most rows one of this trainer's MFGs under `fanouts` can
+    /// hold: every store row, or a batch's full expansion, whichever is
+    /// fewer.
+    fn max_mfg_rows(&self, fanouts: &Fanouts) -> usize {
+        let expanded = fanouts.max_expanded_size(self.cfg.batch_size);
+        self.feats.num_rows().min(expanded)
+    }
+
+    /// Samples one minibatch's MFG, its labels and — for a store that is
+    /// not in RAM — its rows' stored bytes into the recycled lane buffer
+    /// `rows`: the preparation work that runs concurrently across
+    /// batches. An empty lane buffer reserves room for `max_rows` rows at
+    /// once, so it is never regrown: one reservation that large is
+    /// mapped, not carved from the heap, and only the bytes a batch
+    /// writes become resident. `stream_seed` is the batch's
     /// [`batch_stream_seed`], a pure function of `(seed, epoch, batch)`,
     /// so the output does not depend on which worker runs this, when, or
-    /// what the slot held before.
+    /// what the buffer held before.
     fn prepare_batch(
         ds: &Dataset,
         feats: &dyn FeatureStore,
         sampler: &NodeWiseSampler<'_>,
         stream_seed: u64,
         batch: &[VertexId],
-        slot: Vec<f32>,
+        mut rows: Vec<u8>,
+        max_rows: usize,
     ) -> Batch {
         let mut rng = StdRng::seed_from_u64(stream_seed);
         let mfg = sampler.sample(batch, &mut rng);
-        let x = Self::gather_into_slot(feats, &mfg, slot);
+        if feats.in_ram().is_none() {
+            let row_bytes = feats.scheme().row_bytes(feats.dim());
+            if rows.capacity() == 0 {
+                rows.reserve_exact(max_rows * row_bytes);
+            }
+            // Only bytes past the last batch's are zero-filled; the
+            // gather overwrites every byte.
+            rows.truncate(mfg.num_nodes() * row_bytes);
+            rows.resize(mfg.num_nodes() * row_bytes, 0);
+            feats.gather_encoded_into(&mfg.nodes, &mut rows);
+        }
         let labels = seed_labels(&ds.labels, &mfg);
-        Batch { mfg, x, labels }
+        Batch { mfg, rows, labels }
     }
 
     /// Runs one epoch of minibatch SGD; returns loss stats.
@@ -274,7 +304,7 @@ impl<'a> Trainer<'a> {
     /// Batch preparation (sampling + feature gathering) runs ahead on the
     /// worker pool ([`WorkerPool::prepare_ahead`]) while the model update
     /// for each batch stays sequential — SALIENT's batch-preparation
-    /// parallelism. Each lane's feature buffer is recycled into its next
+    /// parallelism. Each lane's row buffer is recycled into its next
     /// batch, and each batch's sampling and dropout RNG streams are
     /// derived from `(seed, epoch, batch)`, so loss curves are identical
     /// for every pool size.
@@ -289,6 +319,7 @@ impl<'a> Trainer<'a> {
         )
         .collect();
         let (ds, feats, seed, pool) = (self.ds, self.feats, self.cfg.seed, self.pool());
+        let max_rows = self.max_mfg_rows(&self.cfg.fanouts);
         feats.begin_epoch();
         let model = &mut self.model;
         let mut total_loss = 0.0f64;
@@ -298,15 +329,15 @@ impl<'a> Trainer<'a> {
             batch_list.len(),
             |b, prev: Option<Batch>| {
                 let _prep = spp_telemetry::span!("gnn.trainer.prepare");
-                let slot = prev.map_or_else(Vec::new, |p| p.x.into_flat());
+                let rows = prev.map_or_else(Vec::new, |p| p.rows);
                 let stream = batch_stream_seed(seed, epoch, b as u64);
-                Self::prepare_batch(ds, feats, &sampler, stream, &batch_list[b], slot)
+                Self::prepare_batch(ds, feats, &sampler, stream, &batch_list[b], rows, max_rows)
             },
             |b, batch| {
                 let _update = spp_telemetry::span!("gnn.trainer.update");
                 batches_counter.inc();
                 let index = (seed, epoch, b as u64);
-                let (x, mfg, labels) = (&batch.x, &batch.mfg, &batch.labels);
+                let (x, mfg, labels) = (batch.input(feats), &batch.mfg, &batch.labels);
                 total_loss += SageStep::new(model).train(pool, model, x, mfg, labels, index);
                 opt.step(&mut model.params_mut());
             },
@@ -335,22 +366,31 @@ impl<'a> Trainer<'a> {
         let ds = self.ds;
         let feats = self.feats;
         let model = &self.model;
-        // One job per contiguous batch range, each recycling one feature
-        // slot across its batches and computing on its share of the
+        let max_rows = self.max_mfg_rows(&self.cfg.eval_fanouts);
+        // One job per contiguous batch range, each recycling one row
+        // buffer across its batches and computing on its share of the
         // budget; ranges merge back in batch order.
         let pool = self.pool();
         let ranges = even_ranges(batch_list.len(), pool.workers().min(batch_list.len()));
         let share = pool.split(ranges.len());
         let per_range = pool.run_jobs(ranges.len(), |r| {
-            let mut slot = Vec::new();
+            let mut rows = Vec::new();
             let mut out = Vec::with_capacity(ranges[r].len());
             for b in ranges[r].clone() {
                 let stream = batch_stream_seed(seed, 0, b as u64);
-                let Batch { mfg, x, labels } =
-                    Self::prepare_batch(ds, feats, &sampler, stream, &batch_list[b], slot);
-                let preds = predictions(SageStep::new(model).infer(share, model, &x, &mfg));
-                out.push((preds, labels));
-                slot = x.into_flat();
+                let batch = Self::prepare_batch(
+                    ds,
+                    feats,
+                    &sampler,
+                    stream,
+                    &batch_list[b],
+                    rows,
+                    max_rows,
+                );
+                let mut step = SageStep::new(model);
+                let preds = predictions(step.infer(share, model, batch.input(feats), &batch.mfg));
+                out.push((preds, batch.labels));
+                rows = batch.rows;
             }
             out
         });

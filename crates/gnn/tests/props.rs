@@ -14,10 +14,12 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spp_gnn::{Arch, GnnModel, SageStep};
+use spp_gnn::{Arch, GnnModel, SageStep, StepInput, Trainer};
 use spp_graph::generate::GeneratorConfig;
+use spp_graph::{CsrGraph, FeatureMatrix, GraphBuilder, Permutation, QuantScheme};
 use spp_pool::WorkerPool;
 use spp_sampler::{Fanouts, Mfg, NodeWiseSampler};
+use spp_store::{FeatureStore, MmapStore, PermutedStore, StoreBuilder};
 use spp_tensor::Matrix;
 
 fn forward_shape_for(n: usize, m: usize, seeds: usize, seed: u64) -> (usize, usize) {
@@ -181,12 +183,100 @@ fn step_gradients_match_finite_differences() {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The step reading its first-layer rows where a store keeps them —
+    /// in place in an in-RAM matrix, or as the stored bytes of an `f32`,
+    /// `f16` or `i8` paged store, with and without a reordering view —
+    /// gives the logits, loss and gradients of the step fed the same
+    /// rows gathered into an `f32` matrix, and of the serial reference,
+    /// bit for bit.
+    #[test]
+    fn step_reads_rows_where_the_store_keeps_them(
+        dim in 1usize..24,
+        mode in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        let g = ladder_graph(160);
+        let sampler = NodeWiseSampler::new(&g, Fanouts::new(vec![9, 9]));
+        let ids: Vec<u32> = (0..12).map(|i| i * 13 + 7).collect();
+        let mfg = sampler.sample(&ids, &mut StdRng::seed_from_u64(seed));
+        // Every list length 0..=9, so every four-row pass count and
+        // every remainder shows up in the first layer's mean.
+        let hop = mfg.layer_adj(1);
+        for len in 0..=9 {
+            prop_assert!(
+                (0..hop.num_targets).any(|t| hop.neighbors(t).len() == len),
+                "no list of length {}", len
+            );
+        }
+        let feats = FeatureMatrix::from_flat(awkward(160, dim, seed).into_flat(), dim);
+        let dims = [dim, 11, 4];
+        let x = Trainer::gather_features_from(&feats, &mfg);
+        let in_place = StepInput::of_store(&feats, &mfg.nodes, &[]);
+        step_inputs_match_reference(&mfg, &x, &[in_place], &dims, mode, seed);
+
+        let order: Vec<u32> = (0..160u32).map(|v| (v * 37 + 11) % 160).collect();
+        let perm = Permutation::from_order(order);
+        for scheme in [QuantScheme::F32, QuantScheme::F16, QuantScheme::I8] {
+            let dir = std::env::temp_dir().join(format!(
+                "spp_gnn_rows_{}_{}_{seed}",
+                std::process::id(),
+                scheme.name()
+            ));
+            let builder = StoreBuilder::new(scheme).page_bytes(256);
+            builder.build_from_matrix(&dir.join("plain"), &feats, None).unwrap();
+            builder.build_from_matrix(&dir.join("perm"), &feats, Some(&perm)).unwrap();
+            let plain = MmapStore::open(&dir.join("plain")).unwrap();
+            let laid_out = MmapStore::open(&dir.join("perm")).unwrap();
+            let permuted = PermutedStore::new(&laid_out, &perm);
+            for store in [&plain as &dyn FeatureStore, &permuted] {
+                let x = Trainer::gather_features_from(store, &mfg);
+                let mut bytes = vec![0u8; mfg.num_nodes() * scheme.row_bytes(dim)];
+                store.gather_encoded_into(&mfg.nodes, &mut bytes);
+                let encoded = StepInput::of_store(store, &mfg.nodes, &bytes);
+                prop_assert!(matches!(encoded, StepInput::Encoded { .. }));
+                step_inputs_match_reference(&mfg, &x, &[encoded], &dims, mode, seed);
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+}
+
+/// A graph whose vertex `v` has `v % 12` out-neighbors, spread by a
+/// multiplicative hash: sampled at fanout 9, its neighbor lists take
+/// every length from 0 to 9.
+fn ladder_graph(n: u32) -> CsrGraph {
+    let mut b = GraphBuilder::new(n as usize);
+    for v in 0..n {
+        for k in 0..v % 12 {
+            b.add_edge(v, (v * 31 + k * 17 + 1) % n);
+        }
+    }
+    b.build()
+}
+
 /// Runs `mfg` through [`reference`] and through one [`SageStep`] on
 /// pools of 1, 2 and 8 workers, and requires the logits, the loss and
 /// every parameter gradient to be equal bit for bit. Mode 0 is
 /// evaluation (the model's dropout of 0.3 stays off), 1 training
 /// without dropout, 2 training with 0.3.
 fn step_matches_reference(mfg: &Mfg, x: &Matrix, dims: &[usize], mode: u8, seed: u64) {
+    step_inputs_match_reference(mfg, x, &[], dims, mode, seed);
+}
+
+/// [`step_matches_reference`] for the step fed `x` and then each of
+/// `inputs` (the same rows read elsewhere), all against the reference
+/// over `x`.
+fn step_inputs_match_reference(
+    mfg: &Mfg,
+    x: &Matrix,
+    inputs: &[StepInput<'_>],
+    dims: &[usize],
+    mode: u8,
+    seed: u64,
+) {
     let (train, p) = [(false, 0.3), (true, 0.0), (true, 0.3)][mode as usize];
     let classes = dims[dims.len() - 1] as u32;
     let labels: Vec<u32> = (0..mfg.seeds().len() as u32)
@@ -196,21 +286,29 @@ fn step_matches_reference(mfg: &Mfg, x: &Matrix, dims: &[usize], mode: u8, seed:
     let rng = train.then(|| StdRng::seed_from_u64(seed));
     let want = reference(&model, x, mfg, &labels, rng);
 
-    // One step through every pool width: each run starts from the
-    // buffers the run before it left behind.
-    let mut step = SageStep::new(&model);
-    for workers in [1usize, 2, 8] {
-        let pool = WorkerPool::new(workers);
-        let mut model = GnnModel::new(Arch::Sage, dims, seed).with_dropout(p);
-        let rng = &mut StdRng::seed_from_u64(seed);
-        let logits = if train {
-            bits(step.forward(pool, &model, x, mfg, rng))
-        } else {
-            bits(step.infer(pool, &model, x, mfg))
-        };
-        let loss = step.backward(pool, &mut model, x, mfg, &labels).to_bits();
-        let got = (logits, loss, grads(&mut model));
-        assert!(got == want, "workers={workers} dims={dims:?} mode={mode}");
+    // One step per input through every pool width: each run starts
+    // from the buffers the run before it left behind.
+    for (i, &x) in std::iter::once(&StepInput::Gathered(x))
+        .chain(inputs)
+        .enumerate()
+    {
+        let mut step = SageStep::new(&model);
+        for workers in [1usize, 2, 8] {
+            let pool = WorkerPool::new(workers);
+            let mut model = GnnModel::new(Arch::Sage, dims, seed).with_dropout(p);
+            let rng = &mut StdRng::seed_from_u64(seed);
+            let logits = if train {
+                bits(step.forward(pool, &model, x, mfg, rng))
+            } else {
+                bits(step.infer(pool, &model, x, mfg))
+            };
+            let loss = step.backward(pool, &mut model, x, mfg, &labels).to_bits();
+            let got = (logits, loss, grads(&mut model));
+            assert!(
+                got == want,
+                "input {i} workers={workers} dims={dims:?} mode={mode}"
+            );
+        }
     }
 }
 

@@ -194,12 +194,13 @@ fn i8_affine(code: u8, min: f32, scale: f32) -> f32 {
     (code as i8 as i32 + 128) as f32 * scale + min
 }
 
-/// The value a stored `i8` code byte stands for in any row. A wide row
-/// (negative `scale`, see [`i8_codebook`]) uses the same affine map with
-/// step `|scale|`, formed in `f64` — its `f32` intermediate would
-/// overflow — and clamped to the finite `f32` range.
+/// The value a stored `i8` code byte stands for in any row whose
+/// codebook is `(min, scale)` ([`i8_row`]). A wide row (negative
+/// `scale`, see the encoder's `i8_codebook`) uses the same affine map with step
+/// `|scale|`, formed in `f64` — its `f32` intermediate would overflow —
+/// and clamped to the finite `f32` range.
 #[inline]
-fn i8_value(code: u8, min: f32, scale: f32) -> f32 {
+pub fn i8_value(code: u8, min: f32, scale: f32) -> f32 {
     if scale < 0.0 {
         let k = f64::from(code as i8 as i32 + 128);
         let v = f64::from(min) + k * f64::from(-scale);
@@ -314,9 +315,8 @@ pub fn decode_row(scheme: QuantScheme, bytes: &[u8], out: &mut [f32]) {
             }
         }
         QuantScheme::I8 => {
-            let lo = f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-            let scale = f32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-            let codes = out.iter_mut().zip(&bytes[8..]);
+            let ((lo, scale), codes) = i8_row(bytes);
+            let codes = out.iter_mut().zip(codes);
             // Branch once per row, so the common loop is branch-free and
             // vectorizes.
             if scale < 0.0 {
@@ -326,6 +326,20 @@ pub fn decode_row(scheme: QuantScheme, bytes: &[u8], out: &mut [f32]) {
             }
         }
     }
+}
+
+/// Splits one encoded `i8` row into its codebook `(min, scale)` and its
+/// code bytes, each of which [`i8_value`] decodes.
+///
+/// # Panics
+///
+/// Panics if `bytes` is shorter than the 8-byte codebook.
+#[inline]
+pub fn i8_row(bytes: &[u8]) -> ((f32, f32), &[u8]) {
+    let (book, codes) = bytes.split_at(8);
+    let lo = f32::from_le_bytes([book[0], book[1], book[2], book[3]]);
+    let scale = f32::from_le_bytes([book[4], book[5], book[6], book[7]]);
+    ((lo, scale), codes)
 }
 
 // ---------------------------------------------------------------------

@@ -50,6 +50,7 @@ pub use format::{StoreError, StoreMeta};
 pub use mmap::MmapStore;
 pub use stream::StreamingCsrBuilder;
 
+use spp_graph::quant::encode_row;
 use spp_graph::{FeatureMatrix, Permutation, QuantScheme, VertexId};
 use std::cell::RefCell;
 
@@ -118,9 +119,10 @@ pub trait FeatureStore: Send + Sync {
     fn scheme(&self) -> QuantScheme;
 
     /// Decodes rows `ids` into `out`, row `i` of `out` = row `ids[i]` —
-    /// the one read a backend implements: every consumer (the provided
-    /// [`FeatureStore::read_row_into`] and [`FeatureStore::gather`],
-    /// trainer batch preparation, `experiments io_locality`) goes through it.
+    /// the one decoding read a backend implements: every consumer that
+    /// wants `f32` rows (the provided [`FeatureStore::read_row_into`] and
+    /// [`FeatureStore::gather`], the engine's and server's stores,
+    /// `experiments io_locality`) goes through it.
     /// `FeatureMatrix::gather_into` is the workspace's one per-row loop;
     /// [`MmapStore`] reads page runs (one positioned read per run of
     /// adjacent touched pages) whose [`StoreStats`] are exactly those of
@@ -131,6 +133,27 @@ pub trait FeatureStore: Send + Sync {
     /// Panics if `out.len() != ids.len() × dim` ("gather output length
     /// mismatch") or any id is out of range.
     fn gather_into(&self, ids: &[VertexId], out: &mut [f32]);
+
+    /// Copies rows `ids`' stored bytes, undecoded, into `out`: row `i`
+    /// of `out` is row `ids[i]` in [`FeatureStore::scheme`]'s byte
+    /// layout (`spp_graph::quant::encode_row`), `scheme().row_bytes(dim)`
+    /// bytes each. The same reads, page runs and [`StoreStats`] as
+    /// [`FeatureStore::gather_into`]: a caller that decodes the rows
+    /// where it reads them holds half (`f16`) or a quarter (`i8`) of the
+    /// decoded bytes meanwhile. An empty `ids` is a no-op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != ids.len() × row_bytes` ("encoded gather
+    /// output length mismatch") or any id is out of range.
+    fn gather_encoded_into(&self, ids: &[VertexId], out: &mut [u8]);
+
+    /// The resident `f32` matrix this store reads its rows from, when it
+    /// is one: a reader may then take rows in place, by vertex id,
+    /// instead of gathering copies.
+    fn in_ram(&self) -> Option<&FeatureMatrix> {
+        None
+    }
 
     /// Decodes row `v` into `out`: the one-id gather.
     ///
@@ -183,6 +206,25 @@ impl FeatureStore for FeatureMatrix {
             row.copy_from_slice(self.row(v));
         }
     }
+
+    fn gather_encoded_into(&self, ids: &[VertexId], out: &mut [u8]) {
+        let row_bytes = QuantScheme::F32.row_bytes(FeatureMatrix::dim(self));
+        assert_eq!(
+            out.len(),
+            ids.len() * row_bytes,
+            "encoded gather output length mismatch"
+        );
+        if row_bytes == 0 {
+            return;
+        }
+        for (&v, bytes) in ids.iter().zip(out.chunks_exact_mut(row_bytes)) {
+            encode_row(QuantScheme::F32, self.row(v), bytes);
+        }
+    }
+
+    fn in_ram(&self) -> Option<&FeatureMatrix> {
+        Some(self)
+    }
 }
 
 /// View of a store whose rows were written in a permuted order,
@@ -220,6 +262,22 @@ impl<'a> PermutedStore<'a> {
         );
         Self { inner, perm }
     }
+
+    /// Runs `gather_slots` on the physical slots of `ids`.
+    fn with_physical(&self, ids: &[VertexId], gather_slots: impl FnOnce(&[VertexId])) {
+        // Taken out of the cell while in use, so a nested view's gather
+        // on this thread finds an (empty) buffer instead of a live borrow.
+        let mut mapped = MAPPED_IDS.take();
+        mapped.clear();
+        let rows = self.perm.len();
+        let physical = ids.iter().map(|&v| {
+            assert!((v as usize) < rows, "row {v} out of range");
+            self.perm.to_new(v)
+        });
+        mapped.extend(physical); // spp-hot: alloc(thread-local, grown once)
+        gather_slots(&mapped);
+        MAPPED_IDS.set(mapped);
+    }
 }
 
 impl FeatureStore for PermutedStore<'_> {
@@ -239,18 +297,15 @@ impl FeatureStore for PermutedStore<'_> {
     /// paged store keeps its page-run reads.
     // spp-hot(store.gather.permuted)
     fn gather_into(&self, ids: &[VertexId], out: &mut [f32]) {
-        // Taken out of the cell while in use, so a nested view's gather
-        // on this thread finds an (empty) buffer instead of a live borrow.
-        let mut mapped = MAPPED_IDS.take();
-        mapped.clear();
-        let rows = self.perm.len();
-        let physical = ids.iter().map(|&v| {
-            assert!((v as usize) < rows, "row {v} out of range");
-            self.perm.to_new(v)
+        self.with_physical(ids, |physical| self.inner.gather_into(physical, out));
+    }
+
+    /// Maps the id list as [`FeatureStore::gather_into`] does.
+    // spp-hot(store.gather.permuted)
+    fn gather_encoded_into(&self, ids: &[VertexId], out: &mut [u8]) {
+        self.with_physical(ids, |physical| {
+            self.inner.gather_encoded_into(physical, out);
         });
-        mapped.extend(physical); // spp-hot: alloc(thread-local, grown once)
-        self.inner.gather_into(&mapped, out);
-        MAPPED_IDS.set(mapped);
     }
 
     fn begin_epoch(&self) {

@@ -9,16 +9,19 @@
 //! deterministic epoch tracker instead of the OS page cache (see
 //! [`crate::tracker`] for why).
 //!
-//! Reads are batch-granular, through the *page-run walker* in
-//! [`FeatureStore::gather_into`]: a gather sorts its `(physical row,
-//! output index)` pairs by row and walks them in runs of adjacent
-//! touched pages, issuing **one positioned read per run** (first to last
-//! requested row of the run) instead of one per row, and decodes every
-//! row from the run buffer straight into the caller's output. A sampled
-//! minibatch touches most pages of a hot region, so a batch of tens of
-//! thousands of rows costs a few hundred syscalls. The trait's
-//! `read_row_into` is the one-id case of the same walk, so there is one
-//! decode path, not a per-row and a per-batch one.
+//! Reads are batch-granular, through one *page-run walker*: a gather
+//! sorts its `(physical row, output index)` pairs by row and walks them
+//! in runs of adjacent touched pages, issuing **one positioned read per
+//! run** (first to last requested row of the run) instead of one per
+//! row, and hands every row's bytes from the run buffer to a sink. A
+//! sampled minibatch touches most pages of a hot region, so a batch of
+//! tens of thousands of rows costs a few hundred syscalls. One walker,
+//! two sinks: [`FeatureStore::gather_into`] decodes each row straight
+//! into the caller's output, and [`FeatureStore::gather_encoded_into`]
+//! copies its stored bytes for a reader that decodes them where it uses
+//! them — the same reads and the same [`StoreStats`]. The trait's
+//! `read_row_into` is the one-id case of the decoding walk, so there is
+//! no per-row path beside the per-batch one.
 //!
 //! Accounting invariant: the tracker is charged once per distinct page
 //! of a run with the number of requested rows on it
@@ -31,9 +34,9 @@
 //! construction (the output index is part of the key), so the walk
 //! order — and with it every read and tracker call — is a pure function
 //! of the ids. The key and run buffers are thread-local and grown once
-//! per thread, so after warmup a gather performs zero heap allocations —
-//! pinned by the `alloc` integration test and the `store.gather.mmap`
-//! hot root.
+//! per thread, so after warmup a gather of either kind performs zero
+//! heap allocations — pinned by the `alloc` integration test and the
+//! `store.gather.mmap` hot roots.
 //!
 //! Unhappy path: the payload size is validated at `open`; if the file
 //! shrinks or becomes unreadable afterwards, the first affected run
@@ -109,33 +112,17 @@ impl MmapStore {
     pub fn meta(&self) -> &StoreMeta {
         &self.meta
     }
-}
 
-impl FeatureStore for MmapStore {
-    fn num_rows(&self) -> usize {
-        self.meta.rows
-    }
-
-    fn dim(&self) -> usize {
-        self.meta.dim
-    }
-
-    fn scheme(&self) -> QuantScheme {
-        self.meta.scheme
-    }
-
+    /// The page-run walker: reads the rows `ids` names (module docs)
+    /// and hands each one's stored bytes to `sink` with its index in
+    /// `ids`, charging the tracker per page as each run is cut.
+    ///
     /// # Panics
     ///
-    /// Panics if any id is out of range ("row {v} out of range") or
-    /// `out.len() != ids.len() × dim` (both before any read is issued or
-    /// any page charged), or if a run's positioned read fails (the
-    /// payload size was validated at open, so a failure here means the
-    /// file changed underneath us).
-    // spp-hot(store.gather.mmap)
-    fn gather_into(&self, ids: &[VertexId], out: &mut [f32]) {
+    /// Panics if an id is out of range (before any read or charge) or a
+    /// run's positioned read fails.
+    fn walk(&self, ids: &[VertexId], mut sink: impl FnMut(usize, &[u8])) {
         let meta = &self.meta;
-        let dim = meta.dim;
-        assert_eq!(out.len(), ids.len() * dim, "gather output length mismatch");
         assert!(ids.len() <= u32::MAX as usize, "gather batch too large");
         SCRATCH.with(|cell| {
             let Scratch { keys, run } = &mut *cell.borrow_mut();
@@ -188,13 +175,61 @@ impl FeatureStore for MmapStore {
                 for &k in this {
                     let (row, i) = ((k >> 32) as usize, (k & 0xffff_ffff) as usize);
                     let at = meta.row_offset(row) - off;
-                    decode_row(
-                        meta.scheme,
-                        &bytes[at..at + row_bytes],
-                        &mut out[i * dim..(i + 1) * dim],
-                    );
+                    sink(i, &bytes[at..at + row_bytes]);
                 }
             }
+        });
+    }
+}
+
+impl FeatureStore for MmapStore {
+    fn num_rows(&self) -> usize {
+        self.meta.rows
+    }
+
+    fn dim(&self) -> usize {
+        self.meta.dim
+    }
+
+    fn scheme(&self) -> QuantScheme {
+        self.meta.scheme
+    }
+
+    /// # Panics
+    ///
+    /// Panics if any id is out of range ("row {v} out of range") or
+    /// `out.len() != ids.len() × dim` (both before any read is issued or
+    /// any page charged), or if a run's positioned read fails (the
+    /// payload size was validated at open, so a failure here means the
+    /// file changed underneath us).
+    // spp-hot(store.gather.mmap)
+    fn gather_into(&self, ids: &[VertexId], out: &mut [f32]) {
+        let (scheme, dim) = (self.meta.scheme, self.meta.dim);
+        assert_eq!(out.len(), ids.len() * dim, "gather output length mismatch");
+        self.walk(ids, |i, bytes| {
+            decode_row(scheme, bytes, &mut out[i * dim..(i + 1) * dim]);
+        });
+    }
+
+    /// The same page-run walk as [`FeatureStore::gather_into`], with the
+    /// same reads and [`StoreStats`], copying each row's bytes instead
+    /// of decoding them.
+    ///
+    /// # Panics
+    ///
+    /// As [`FeatureStore::gather_into`], with `out.len() != ids.len() ×
+    /// row_bytes` the length mismatch ("encoded gather output length
+    /// mismatch").
+    // spp-hot(store.gather.mmap)
+    fn gather_encoded_into(&self, ids: &[VertexId], out: &mut [u8]) {
+        let row_bytes = self.meta.row_bytes();
+        assert_eq!(
+            out.len(),
+            ids.len() * row_bytes,
+            "encoded gather output length mismatch"
+        );
+        self.walk(ids, |i, bytes| {
+            out[i * row_bytes..(i + 1) * row_bytes].copy_from_slice(bytes);
         });
     }
 

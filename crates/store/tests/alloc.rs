@@ -1,6 +1,7 @@
 //! Pins the paged-gather hot-path contract: after warmup, reading rows
-//! through any backend — one at a time or a batch per `gather_into` —
-//! performs zero heap allocations (the `spp-hot(store.gather.*)`
+//! through any backend — one at a time, a batch per `gather_into`, or a
+//! batch of stored bytes per `gather_encoded_into` — performs zero heap
+//! allocations (the `spp-hot(store.gather.*)`
 //! roots). A counting global allocator makes the claim a hard test
 //! instead of a code-review convention.
 
@@ -108,6 +109,21 @@ fn row_reads_do_not_allocate_after_warmup() {
                 allocs() - before,
                 0,
                 "{name}/{scheme:?}: gather_into allocated after warmup"
+            );
+
+            // The encoded gather walks the same pages through the same
+            // scratch.
+            let row_bytes = store.scheme().row_bytes(dim);
+            let mut encoded = vec![0u8; batch.len() * row_bytes];
+            let before = allocs();
+            for round in 0..4 {
+                let ids = &batch[round * 7..];
+                store.gather_encoded_into(ids, &mut encoded[..ids.len() * row_bytes]);
+            }
+            assert_eq!(
+                allocs() - before,
+                0,
+                "{name}/{scheme:?}: gather_encoded_into allocated after warmup"
             );
         }
     }

@@ -118,6 +118,17 @@ fn expected_gather(feats: &FeatureMatrix, scheme: QuantScheme, ids: &[VertexId])
     out
 }
 
+/// What an encoded gather of `ids` must produce: each original row's
+/// stored bytes, in `ids` order.
+fn expected_bytes(feats: &FeatureMatrix, scheme: QuantScheme, ids: &[VertexId]) -> Vec<u8> {
+    let row_bytes = scheme.row_bytes(feats.dim());
+    let mut out = vec![0u8; ids.len() * row_bytes];
+    for (&v, row) in ids.iter().zip(out.chunks_exact_mut(row_bytes)) {
+        encode_row(scheme, feats.row(v), row);
+    }
+    out
+}
+
 /// The per-row accounting model: one `record` per requested row.
 fn per_row_stats(meta: &StoreMeta, physical_ids: impl Iterator<Item = VertexId>) -> StoreStats {
     let t = PageTracker::new(meta);
@@ -139,12 +150,13 @@ fn read_rows(store: &dyn FeatureStore, ids: &[VertexId]) -> Vec<f32> {
 
 /// Checks one backend: a batched `gather_into` returns the expected
 /// bits, equals its own row-by-row reads, and (for tracked backends)
-/// charges exactly the per-row accounting model.
+/// charges exactly the per-row accounting model; `gather_encoded_into`
+/// returns the rows' stored bytes and charges the same.
 fn check_backend(
     what: &str,
     store: &dyn FeatureStore,
     ids: &[VertexId],
-    want: &[f32],
+    (want, want_bytes): (&[f32], &[u8]),
     model: Option<StoreStats>,
 ) -> Result<(), TestCaseError> {
     let before = store.stats();
@@ -153,6 +165,19 @@ fn check_backend(
     let charged = store.stats().since(&before);
     prop_assert_eq!(bits(&got), bits(want), "{}: gather_into bits", what);
     prop_assert_eq!(charged, model.unwrap_or_default(), "{}: stats", what);
+    // A fresh epoch, so the same reads fault the same pages again.
+    store.begin_epoch();
+    let before = store.stats();
+    let mut bytes = vec![0xa5u8; want_bytes.len()];
+    store.gather_encoded_into(ids, &mut bytes);
+    let charged = store.stats().since(&before);
+    prop_assert!(bytes == want_bytes, "{}: gather_encoded_into bytes", what);
+    prop_assert_eq!(
+        charged,
+        model.unwrap_or_default(),
+        "{}: encoded stats",
+        what
+    );
     prop_assert_eq!(
         bits(&read_rows(store, ids)),
         bits(want),
@@ -184,7 +209,8 @@ proptest! {
     }
 
     /// `gather_into` ≡ per-row `read_row_into`, bit for bit and stat for
-    /// stat, on every backend: the per-row loop (`FeatureMatrix`), the
+    /// stat, and `gather_encoded_into` returns the stored bytes at the
+    /// same stats, on every backend: the per-row loop (`FeatureMatrix`), the
     /// page-run walker (`MmapStore`) and the id-mapping view
     /// (`PermutedStore`) — across schemes, page sizes down to one row
     /// per page, a zero-padded last page, and unsorted / duplicated /
@@ -213,17 +239,18 @@ proptest! {
         builder.build_from_matrix(&perm_dir, &feats, Some(&perm)).unwrap();
         let ids = id_pattern(pattern, seed, len, rows, meta.page_rows);
         let want = expected_gather(&feats, scheme, &ids);
+        let want = (&want[..], &expected_bytes(&feats, scheme, &ids)[..]);
         let model = per_row_stats(&meta, ids.iter().copied());
 
         if scheme == QuantScheme::F32 {
-            check_backend("matrix", &feats, &ids, &want, None)?;
+            check_backend("matrix", &feats, &ids, want, None)?;
         }
         let mmap = MmapStore::open(&plain_dir).unwrap();
-        check_backend("mmap", &mmap, &ids, &want, Some(model))?;
+        check_backend("mmap", &mmap, &ids, want, Some(model))?;
         let laid_out = MmapStore::open(&perm_dir).unwrap();
         let view = PermutedStore::new(&laid_out, &perm);
         let physical = per_row_stats(&meta, ids.iter().map(|&v| perm.to_new(v)));
-        check_backend("permuted", &view, &ids, &want, Some(physical))?;
+        check_backend("permuted", &view, &ids, want, Some(physical))?;
 
         std::fs::remove_dir_all(&plain_dir).unwrap();
         std::fs::remove_dir_all(&perm_dir).unwrap();
@@ -318,7 +345,7 @@ fn panic_message(r: std::thread::Result<()>) -> String {
 
 /// Empty id lists are a no-op; a wrong-sized output or an out-of-range
 /// id panics with the documented message before anything is read or
-/// charged.
+/// charged, in the decoding and the encoded gather alike.
 #[test]
 fn gather_into_edge_cases() {
     let (dir, feats) = small_store("edges");
@@ -329,6 +356,7 @@ fn gather_into_edge_cases() {
         [("matrix", &feats), ("mmap", &mmap), ("permuted", &view)];
     for (what, store) in stores {
         store.gather_into(&[], &mut []);
+        store.gather_encoded_into(&[], &mut []);
         assert_eq!(store.gather(&[]).num_rows(), 0, "{what}");
 
         let mut short = vec![0.0f32; 2 * 6 - 1];
@@ -339,11 +367,25 @@ fn gather_into_edge_cases() {
             msg.contains("gather output length mismatch"),
             "{what}: {msg}"
         );
+        let row_bytes = store.scheme().row_bytes(6);
+        let mut short = vec![0u8; 2 * row_bytes + 1];
+        let msg = panic_message(catch_unwind(AssertUnwindSafe(|| {
+            store.gather_encoded_into(&[1, 2], &mut short);
+        })));
+        assert!(
+            msg.contains("encoded gather output length mismatch"),
+            "{what}: {msg}"
+        );
 
         if what != "matrix" {
             let mut out = vec![0.0f32; 3 * 6];
             let msg = panic_message(catch_unwind(AssertUnwindSafe(|| {
                 store.gather_into(&[0, 40, 1], &mut out);
+            })));
+            assert!(msg.contains("row 40 out of range"), "{what}: {msg}");
+            let mut out = vec![0u8; 3 * row_bytes];
+            let msg = panic_message(catch_unwind(AssertUnwindSafe(|| {
+                store.gather_encoded_into(&[0, 40, 1], &mut out);
             })));
             assert!(msg.contains("row 40 out of range"), "{what}: {msg}");
         }

@@ -19,9 +19,13 @@ use spp_pool::{balanced_ends, WorkerPool};
 /// ```
 /// use spp_tensor::Matrix;
 ///
+/// use spp_pool::WorkerPool;
+///
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-/// let b = Matrix::eye(2);
-/// assert_eq!(a.matmul(&b), a);
+/// let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
+/// let mut c = Matrix::empty();
+/// a.matmul_into(WorkerPool::serial(), &b, &mut c);
+/// assert_eq!(c, a);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Matrix {
@@ -42,10 +46,9 @@ impl Matrix {
     }
 
     /// A 0×0 matrix whose buffer is never allocated (also its
-    /// `Default`): the shape-only constructor the `*_with` wrappers seed
-    /// their output with, so the single allocation happens inside
-    /// [`Matrix::reset`] at the final size (a `Vec::new` never touches
-    /// the heap).
+    /// `Default`): the scratch a `*_into` kernel's first call sizes, so
+    /// the single allocation happens at the final size (a `Vec::new`
+    /// never touches the heap).
     pub fn empty() -> Self {
         Self {
             rows: 0,
@@ -75,15 +78,6 @@ impl Matrix {
         self.rows = rows;
         self.cols = cols;
         refit(&mut self.data, rows * cols);
-    }
-
-    /// Identity matrix.
-    pub fn eye(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
     }
 
     /// Builds from a flat row-major buffer.
@@ -194,39 +188,15 @@ impl Matrix {
         self.data
     }
 
-    /// Matrix product `self @ other` with an ikj loop order (streams the
-    /// output row, cache-friendly for row-major data), on the global
-    /// worker pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension mismatch.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        self.matmul_with(WorkerPool::global(), other)
-    }
-
-    /// [`Matrix::matmul`] on an explicit pool. Output row blocks are a
-    /// pure function of the shapes and the result is bit-identical to
-    /// the serial kernel for any worker count.
+    /// Matrix product `self @ other` into a caller-provided scratch
+    /// matrix (allocation-free once its buffer has grown): the one-term
+    /// case of [`Matrix::linear_into`], bit-identical to the serial
+    /// kernel for any worker count.
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
     // spp-hot(tensor.matmul)
-    pub fn matmul_with(&self, pool: WorkerPool, other: &Matrix) -> Matrix {
-        let mut out = Matrix::empty();
-        self.matmul_into(pool, other, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul`] into a caller-provided scratch matrix
-    /// (allocation-free once its buffer has grown). Bit-identical to
-    /// [`Matrix::matmul_with`]: the one-term case of
-    /// [`Matrix::linear_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension mismatch.
     pub fn matmul_into(&self, pool: WorkerPool, other: &Matrix, out: &mut Matrix) {
         Matrix::linear_into(pool, self.rows, &[(self, other)], None, false, out);
     }
@@ -276,39 +246,16 @@ impl Matrix {
         });
     }
 
-    /// `selfᵀ @ other` without materializing the transpose, on the
-    /// global worker pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != other.rows`.
-    pub fn t_matmul(&self, other: &Matrix) -> Matrix {
-        self.t_matmul_with(WorkerPool::global(), other)
-    }
-
-    /// [`Matrix::t_matmul`] on an explicit pool.
-    ///
-    /// Every output element `out[k][j] = Σ_r self[r][k]·other[r][j]`
-    /// accumulates over `r` ascending in both the serial (r-outer,
-    /// streaming) and parallel (k-outer, per-output-row) loop orders, so
-    /// the two are bit-identical.
+    /// `selfᵀ @ other` into a caller-provided scratch matrix, without
+    /// materializing the transpose. Every output element `out[k][j] =
+    /// Σ_r self[r][k]·other[r][j]` accumulates over `r` ascending, and
+    /// jobs split the output by rows, so any worker count is
+    /// bit-identical.
     ///
     /// # Panics
     ///
     /// Panics if `self.rows != other.rows`.
     // spp-hot(tensor.t_matmul)
-    pub fn t_matmul_with(&self, pool: WorkerPool, other: &Matrix) -> Matrix {
-        let mut out = Matrix::empty();
-        self.t_matmul_into(pool, other, &mut out);
-        out
-    }
-
-    /// [`Matrix::t_matmul`] into a caller-provided scratch matrix;
-    /// bit-identical to [`Matrix::t_matmul_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != other.rows`.
     pub fn t_matmul_into(&self, pool: WorkerPool, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "t_matmul dimension mismatch");
         self.head_t_matmul_into(pool, other, out);
@@ -340,21 +287,9 @@ impl Matrix {
         });
     }
 
-    /// `self @ otherᵀ` without materializing the transpose, on the
-    /// global worker pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.cols`.
-    pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::empty();
-        self.matmul_t_into(WorkerPool::global(), other, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul_t`] into a caller-provided scratch matrix on an
-    /// explicit pool; output rows are independent dot products, so any
-    /// row split is bit-identical to the serial loop.
+    /// `self @ otherᵀ` into a caller-provided scratch matrix, without
+    /// materializing the transpose; output rows are independent dot
+    /// products, so any row split is bit-identical to the serial loop.
     ///
     /// # Panics
     ///
@@ -373,43 +308,6 @@ impl Matrix {
             let rows = chunk.len() / out_cols;
             let a_rows = &self.data[i0 * self.cols..(i0 + rows) * self.cols];
             kernels::matmul_t_rows_dense(a_rows, self.cols, &other.data, other.rows, chunk);
-        });
-    }
-
-    /// Materialized transpose, on the global worker pool.
-    pub fn transpose(&self) -> Matrix {
-        self.transpose_with(WorkerPool::global())
-    }
-
-    /// [`Matrix::transpose`] on an explicit pool; a pure permutation,
-    /// split by output rows.
-    pub fn transpose_with(&self, pool: WorkerPool) -> Matrix {
-        let mut out = Matrix::empty();
-        self.transpose_into(pool, &mut out);
-        out
-    }
-
-    /// [`Matrix::transpose`] into a caller-provided scratch matrix
-    /// (reshaped via [`Matrix::reset`]); bit-identical to
-    /// [`Matrix::transpose_with`].
-    pub fn transpose_into(&self, pool: WorkerPool, out: &mut Matrix) {
-        out.reset(self.cols, self.rows);
-        if out.data.is_empty() {
-            return;
-        }
-        // Memory-bound: count ~4 units per element moved so transposes
-        // parallelize at roughly the same byte volume as products.
-        let jobs = pool
-            .jobs_for_cost(4 * (self.rows * self.cols) as u64)
-            .min(self.cols.max(1));
-        let out_cols = self.rows;
-        par_row_blocks(pool, &mut out.data, out_cols, jobs, |j0, chunk| {
-            for (ji, out_row) in chunk.chunks_mut(out_cols).enumerate() {
-                let j = j0 + ji;
-                for (i, o) in out_row.iter_mut().enumerate() {
-                    *o = self.data[i * self.cols + j];
-                }
-            }
         });
     }
 
@@ -539,6 +437,45 @@ impl std::fmt::Display for Matrix {
 mod tests {
     use super::*;
 
+    /// `a · b` on `pool`, into a fresh matrix.
+    fn mm(pool: WorkerPool, a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::empty();
+        a.matmul_into(pool, b, &mut out);
+        out
+    }
+
+    /// `aᵀ · b` on `pool`, into a fresh matrix.
+    fn tmm(pool: WorkerPool, a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::empty();
+        a.t_matmul_into(pool, b, &mut out);
+        out
+    }
+
+    /// `a · bᵀ` on `pool`, into a fresh matrix.
+    fn mmt(pool: WorkerPool, a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::empty();
+        a.matmul_t_into(pool, b, &mut out);
+        out
+    }
+
+    /// The materialized transpose: the reference the transpose-free
+    /// products are checked against.
+    fn transpose(a: &Matrix) -> Matrix {
+        let mut t = Matrix::zeros(a.cols, a.rows);
+        for i in 0..a.rows {
+            for j in 0..a.cols {
+                t.set(j, i, a.get(i, j));
+            }
+        }
+        t
+    }
+
+    fn eye(n: usize) -> Matrix {
+        let mut m = Matrix::zeros(n, n);
+        (0..n).for_each(|i| m.set(i, i, 1.0));
+        m
+    }
+
     #[test]
     fn row_blocks_are_cut_by_cost() {
         // Row 0 costs as much as the other 99 together: two jobs split
@@ -562,9 +499,9 @@ mod tests {
         let c = 96usize;
         let a = Matrix::from_flat(r, k, (0..r * k).map(|i| (i % 13) as f32 - 6.0).collect());
         let b = Matrix::from_flat(k, c, (0..k * c).map(|i| (i % 7) as f32 - 3.0).collect());
-        let serial = a.matmul_with(WorkerPool::serial(), &b);
+        let serial = mm(WorkerPool::serial(), &a, &b);
         for workers in [1usize, 2, 8] {
-            let par = a.matmul_with(WorkerPool::new(workers), &b);
+            let par = mm(WorkerPool::new(workers), &a, &b);
             assert_eq!(par, serial, "workers={workers}");
         }
     }
@@ -599,10 +536,10 @@ mod tests {
     fn t_matmul_bit_identical_across_pools() {
         let a = fractious(600, 70, 1);
         let b = fractious(600, 50, 2);
-        let serial = a.t_matmul_with(WorkerPool::serial(), &b);
+        let serial = tmm(WorkerPool::serial(), &a, &b);
         for workers in [2usize, 8] {
             assert_eq!(
-                a.t_matmul_with(WorkerPool::new(workers), &b),
+                tmm(WorkerPool::new(workers), &a, &b),
                 serial,
                 "workers={workers}"
             );
@@ -623,17 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_bit_identical_across_pools() {
-        let a = fractious(700, 450, 5);
-        let serial = a.transpose_with(WorkerPool::serial());
-        assert_eq!(serial.shape(), (450, 700));
-        for workers in [2usize, 8] {
-            assert_eq!(a.transpose_with(WorkerPool::new(workers)), serial);
-        }
-        assert_eq!(serial.transpose(), a);
-    }
-
-    #[test]
     fn into_variants_reuse_scratch_bit_identically() {
         let a = fractious(600, 70, 6);
         let b = fractious(70, 50, 7);
@@ -642,17 +568,15 @@ mod tests {
         let pool = WorkerPool::new(4);
         let mut scratch = Matrix::zeros(1, 1);
         // Run each kernel twice through the same scratch: the second
-        // pass must be bit-identical to the allocating variant even
-        // though the buffer is dirty from the first.
+        // pass must be bit-identical to a fresh output even though the
+        // buffer is dirty from the first.
         for _ in 0..2 {
             a.matmul_into(pool, &b, &mut scratch);
-            assert_eq!(scratch, a.matmul_with(pool, &b));
+            assert_eq!(scratch, mm(pool, &a, &b));
             a.t_matmul_into(pool, &c, &mut scratch);
-            assert_eq!(scratch, a.t_matmul_with(pool, &c));
+            assert_eq!(scratch, tmm(pool, &a, &c));
             a.matmul_t_into(pool, &d, &mut scratch);
-            assert_eq!(scratch, a.matmul_t(&d));
-            a.transpose_into(pool, &mut scratch);
-            assert_eq!(scratch, a.transpose_with(pool));
+            assert_eq!(scratch, mmt(pool, &a, &d));
         }
     }
 
@@ -684,8 +608,8 @@ mod tests {
         let w1 = fractious(33, n, 4);
         let bias = fractious(1, n, 5);
         let serial = WorkerPool::serial();
-        let mut want = x0.head_rows(rows).matmul_with(serial, &w0);
-        want.add_assign(&x1.head_rows(rows).matmul_with(serial, &w1));
+        let mut want = mm(serial, &x0.head_rows(rows), &w0);
+        want.add_assign(&mm(serial, &x1.head_rows(rows), &w1));
         for v in want.as_flat_mut().chunks_exact_mut(n) {
             v.iter_mut().zip(bias.row(0)).for_each(|(o, &b)| *o += b);
         }
@@ -732,16 +656,16 @@ mod tests {
     fn zero_dimension_products_stay_empty() {
         let a = Matrix::zeros(0, 5);
         let b = Matrix::zeros(0, 5);
-        assert_eq!(a.t_matmul(&b).shape(), (5, 5));
-        assert_eq!(a.matmul_t(&b).shape(), (0, 0));
-        assert_eq!(Matrix::zeros(4, 0).transpose().shape(), (0, 4));
+        let pool = WorkerPool::serial();
+        assert_eq!(tmm(pool, &a, &b).shape(), (5, 5));
+        assert_eq!(mmt(pool, &a, &b).shape(), (0, 0));
     }
 
     #[test]
     fn matmul_small() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.matmul(&b);
+        let c = mm(WorkerPool::serial(), &a, &b);
         assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
     }
 
@@ -749,27 +673,34 @@ mod tests {
     fn t_matmul_matches_explicit_transpose() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        assert_eq!(a.t_matmul(&b), a.transpose().matmul(&b));
+        let pool = WorkerPool::serial();
+        assert_eq!(tmm(pool, &a, &b), mm(pool, &transpose(&a), &b));
     }
 
     #[test]
     fn matmul_t_matches_explicit_transpose() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        assert_eq!(a.matmul_t(&b), a.matmul(&b.transpose()));
+        let pool = WorkerPool::serial();
+        assert_eq!(mmt(pool, &a, &b), mm(pool, &a, &transpose(&b)));
     }
 
     #[test]
     #[should_panic(expected = "matmul dimension mismatch")]
     fn matmul_checks_dims() {
-        Matrix::zeros(2, 3).matmul(&Matrix::zeros(2, 3));
+        mm(
+            WorkerPool::serial(),
+            &Matrix::zeros(2, 3),
+            &Matrix::zeros(2, 3),
+        );
     }
 
     #[test]
     fn identity_is_neutral() {
         let a = Matrix::from_rows(&[&[1.5, -2.0], &[0.0, 3.0]]);
-        assert_eq!(a.matmul(&Matrix::eye(2)), a);
-        assert_eq!(Matrix::eye(2).matmul(&a), a);
+        let pool = WorkerPool::serial();
+        assert_eq!(mm(pool, &a, &eye(2)), a);
+        assert_eq!(mm(pool, &eye(2), &a), a);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The non-dense half of a GraphSAGE layer, as `spp_gnn::SageStep` runs
-//! it: the neighbor mean over a sampled hop, its input gradient as a
+//! it: the neighbor mean over a sampled hop, reading its source rows
+//! wherever a [`RowSource`] keeps them, its input gradient as a
 //! row-parallel *gather* that fuses the producing layer's ReLU (and
 //! dropout) mask into the row it writes, and inverted dropout over a
 //! ReLU output that records, one byte per element, everything that
@@ -173,6 +174,70 @@ impl DropMask {
     }
 }
 
+/// Rows a neighbor mean reads: a [`Matrix`]'s, or rows kept elsewhere
+/// — in place in a larger matrix, or in a store's encoded bytes — each
+/// element decoded as it is read. Decoding must be a pure function of
+/// the stored element and its row's codec, so every source of the same
+/// values gives the same sums, bit for bit.
+pub trait RowSource: Sync {
+    /// One stored element.
+    type Elem: Copy;
+    /// What decodes a row's elements: `()` for self-describing ones,
+    /// an `i8` row's codebook.
+    type Codec: Copy;
+    /// Number of rows.
+    fn num_rows(&self) -> usize;
+    /// Row width in elements.
+    fn cols(&self) -> usize;
+    /// Row `s`: its codec and its `cols` elements.
+    fn row(&self, s: usize) -> (Self::Codec, &[Self::Elem]);
+    /// The value of element `e` of a row whose codec is `c`.
+    fn value(c: Self::Codec, e: Self::Elem) -> f32;
+}
+
+impl RowSource for Matrix {
+    type Elem = f32;
+    type Codec = ();
+
+    fn num_rows(&self) -> usize {
+        self.rows()
+    }
+
+    fn cols(&self) -> usize {
+        Matrix::cols(self)
+    }
+
+    #[inline]
+    fn row(&self, s: usize) -> ((), &[f32]) {
+        ((), Matrix::row(self, s))
+    }
+
+    #[inline(always)]
+    fn value((): (), e: f32) -> f32 {
+        e
+    }
+}
+
+/// Rows `..n` of `x`, decoded into `out` (reshaped to `n × x.cols()`):
+/// the self term a first layer reads of a source that is no matrix.
+///
+/// # Panics
+///
+/// Panics if `x` has fewer than `n` rows.
+pub fn head_into<S: RowSource>(x: &S, n: usize, out: &mut Matrix) {
+    assert!(x.num_rows() >= n, "head longer than its source");
+    out.recycle(n, x.cols());
+    if x.cols() == 0 {
+        return;
+    }
+    for (s, o) in out.as_flat_mut().chunks_exact_mut(x.cols()).enumerate() {
+        let (c, row) = x.row(s);
+        for (o, &e) in o.iter_mut().zip(row) {
+            *o = S::value(c, e);
+        }
+    }
+}
+
 /// The neighbor mean into `out`, reshaped to `hop.num_targets() ×
 /// x.cols()` ([`Matrix::recycle`]): row `t` is the mean of `x`'s rows
 /// listed for `t`, a zero row when the list is empty. One row-parallel
@@ -184,7 +249,7 @@ impl DropMask {
 ///
 /// Panics if a listed source is not a row of `x`.
 // spp-hot(sage.agg)
-pub fn agg_into(pool: WorkerPool, x: &Matrix, hop: HopView<'_>, out: &mut Matrix) {
+pub fn agg_into<S: RowSource>(pool: WorkerPool, x: &S, hop: HopView<'_>, out: &mut Matrix) {
     let d = x.cols();
     let rows = hop.num_targets();
     out.recycle(rows, d);
@@ -197,30 +262,74 @@ pub fn agg_into(pool: WorkerPool, x: &Matrix, hop: HopView<'_>, out: &mut Matrix
     });
 }
 
-/// Target rows `t0..` of [`agg_into`] into `chunk`, overwriting it.
-fn agg_rows(x: &Matrix, hop: HopView<'_>, t0: usize, chunk: &mut [f32]) {
-    if x.cols() == 0 {
+/// Target rows `t0..` of [`agg_into`] into `chunk`, overwriting it. A
+/// row adds its neighbors four per pass, `(((o + a) + b) + c) + d` per
+/// element, and the last `len % 4` one per pass: the order of adding
+/// them one by one (each `f32` add rounds alike in a register or in
+/// memory), with four rows streaming at once. The first pass starts
+/// from `+0.0` instead of reading the row (`+0.0 + a` turns `-0.0` into
+/// `+0.0`, as a sum into a zeroed row would), so each row is written
+/// once before its passes add into it.
+fn agg_rows<S: RowSource>(x: &S, hop: HopView<'_>, t0: usize, chunk: &mut [f32]) {
+    let d = x.cols();
+    if d == 0 {
         return;
     }
-    for (i, out) in chunk.chunks_exact_mut(x.cols()).enumerate() {
-        let Some((&first, rest)) = hop.neighbors(t0 + i).split_first() else {
+    for (i, out) in chunk.chunks_exact_mut(d).enumerate() {
+        let list = hop.neighbors(t0 + i);
+        if list.is_empty() {
             out.fill(0.0);
             continue;
-        };
-        // The first neighbor overwrites the row as it would add into a
-        // zeroed one (`+0.0 + a`, which turns `-0.0` into `+0.0`), so the
-        // row is written once instead of zeroed first.
-        for (o, &a) in out.iter_mut().zip(x.row(first as usize)) {
-            *o = 0.0 + a;
+        }
+        let (fours, rest) = list.as_chunks::<4>();
+        let mut fresh = true;
+        for &four in fours {
+            add4(x, four, fresh, out);
+            fresh = false;
         }
         for &s in rest {
-            for (o, &a) in out.iter_mut().zip(x.row(s as usize)) {
-                *o += a;
-            }
+            add1(x, s, fresh, out);
+            fresh = false;
         }
-        let inv = 1.0 / (rest.len() + 1) as f32;
+        let inv = 1.0 / list.len() as f32;
         for o in out.iter_mut() {
             *o *= inv;
+        }
+    }
+}
+
+/// `out = (((o + a) + b) + c) + d` per element over source rows `[a, b,
+/// c, d]`, with `o = +0.0` when `fresh` and `out`'s value otherwise.
+#[inline(always)]
+fn add4<S: RowSource>(x: &S, [a, b, c, d]: [u32; 4], fresh: bool, out: &mut [f32]) {
+    let (ca, ra) = x.row(a as usize);
+    let (cb, rb) = x.row(b as usize);
+    let (cc, rc) = x.row(c as usize);
+    let (cd, rd) = x.row(d as usize);
+    let v = S::value;
+    let rows = out.iter_mut().zip(ra).zip(rb).zip(rc).zip(rd);
+    if fresh {
+        for ((((o, &a), &b), &c), &d) in rows {
+            *o = (((0.0 + v(ca, a)) + v(cb, b)) + v(cc, c)) + v(cd, d);
+        }
+    } else {
+        for ((((o, &a), &b), &c), &d) in rows {
+            *o = (((*o + v(ca, a)) + v(cb, b)) + v(cc, c)) + v(cd, d);
+        }
+    }
+}
+
+/// `out = o + a` per element over source row `a`, `o` as in [`add4`].
+#[inline(always)]
+fn add1<S: RowSource>(x: &S, a: u32, fresh: bool, out: &mut [f32]) {
+    let (ca, ra) = x.row(a as usize);
+    if fresh {
+        for (o, &a) in out.iter_mut().zip(ra) {
+            *o = 0.0 + S::value(ca, a);
+        }
+    } else {
+        for (o, &a) in out.iter_mut().zip(ra) {
+            *o += S::value(ca, a);
         }
     }
 }

@@ -51,6 +51,25 @@ fn bits(m: &Matrix) -> Vec<u32> {
     m.as_flat().iter().map(canon).collect()
 }
 
+/// `a · b` into a fresh matrix.
+fn mm(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::empty();
+    a.matmul_into(WorkerPool::serial(), b, &mut out);
+    out
+}
+
+/// The materialized transpose: the reference `t_matmul_into` is checked
+/// against.
+fn transpose(a: &Matrix) -> Matrix {
+    let mut t = Matrix::zeros(a.cols(), a.rows());
+    for i in 0..a.rows() {
+        for j in 0..a.cols() {
+            t.set(j, i, a.get(i, j));
+        }
+    }
+    t
+}
+
 /// What a [`linear_vs_chain`] case is made of.
 #[derive(Clone, Debug)]
 struct LinearCase {
@@ -305,9 +324,9 @@ proptest! {
     ) {
         let mut bc = b.clone();
         bc.add_assign(&c);
-        let lhs = a.matmul(&bc);
-        let mut rhs = a.matmul(&b);
-        rhs.add_assign(&a.matmul(&c));
+        let lhs = mm(&a, &bc);
+        let mut rhs = mm(&a, &b);
+        rhs.add_assign(&mm(&a, &c));
         for (x, y) in lhs.as_flat().iter().zip(rhs.as_flat()) {
             prop_assert!((x - y).abs() < 1e-3, "{x} vs {y}");
         }
@@ -316,14 +335,15 @@ proptest! {
     #[test]
     fn transpose_identities(a in arb_matrix(4, 3), b in arb_matrix(3, 5)) {
         // (AB)^T == B^T A^T
-        let lhs = a.matmul(&b).transpose();
-        let rhs = b.transpose().matmul(&a.transpose());
+        let lhs = transpose(&mm(&a, &b));
+        let rhs = mm(&transpose(&b), &transpose(&a));
         for (x, y) in lhs.as_flat().iter().zip(rhs.as_flat()) {
             prop_assert!((x - y).abs() < 1e-3);
         }
-        // t_matmul / matmul_t agree with explicit transposes.
-        let tm = a.t_matmul(&a);
-        let tm_ref = a.transpose().matmul(&a);
+        // t_matmul agrees with an explicit transpose.
+        let mut tm = Matrix::empty();
+        a.t_matmul_into(WorkerPool::serial(), &a, &mut tm);
+        let tm_ref = mm(&transpose(&a), &a);
         for (x, y) in tm.as_flat().iter().zip(tm_ref.as_flat()) {
             prop_assert!((x - y).abs() < 1e-3);
         }
@@ -337,8 +357,10 @@ proptest! {
         // `relu(a·I)` through the fused map, then a gradient gathered
         // over the identity hop and masked by that output.
         let pool = WorkerPool::serial();
+        let mut eye = Matrix::zeros(5, 5);
+        (0..5).for_each(|i| eye.set(i, i, 1.0));
         let mut y = Matrix::empty();
-        Matrix::linear_into(pool, 3, &[(&a, &Matrix::eye(5))], None, true, &mut y);
+        Matrix::linear_into(pool, 3, &[(&a, &eye)], None, true, &mut y);
         prop_assert!(y.as_flat().iter().all(|&v| v >= 0.0));
         let (row_ptr, col) = ([0usize, 1, 2, 3], [0u32, 1, 2]);
         let hop = HopView::new(3, &row_ptr, &col);
