@@ -20,15 +20,19 @@
 //! zero-fill-and-scatter (reported, not gated). At `infer_gather`'s
 //! first-layer shape it times the mean over `f32` rows four rows per
 //! pass vs one, and over `f16` rows decoded where the mean reads them
-//! vs decoded into an `f32` matrix first.
+//! vs decoded into an `f32` matrix first. At the tall training shape it
+//! times the first layer's self term (`Matrix::linear_into`) and its
+//! weight gradient (`RowView::head_t_matmul_into`) with the left operand
+//! a contiguous matrix vs a table of the same rows borrowed from a
+//! larger, shuffled one (`RowTable`, the engine's and server's input).
 //!
 //! Hard assertions (exit 1 on failure): each blocked dense matmul
 //! kernel clears **2x** the seed scalar's GFLOP/s at the L2 shape, the
 //! blocked `t_matmul` clears **1.5x** at the tall training shape,
 //! `matmul_t` clears **0.6x** the same run's `matmul` at the layer-2
 //! shape, blocked `matmul` clears **0.5x** the roofline at the layer-2
-//! shape, the layer kernels and both aggregation pairs are bit-equal to
-//! their references, the `f32` row
+//! shape, the layer kernels, both aggregation pairs and both row-table
+//! products are bit-equal to their references, the `f32` row
 //! decode clears **2x** the `f16` decode's Melem/s, and quantized wire
 //! codecs shrink epoch bytes by their nominal ratios.
 //! Emits `results/BENCH_kernels.json`.
@@ -53,7 +57,7 @@ use spp_runtime::{DistTrainConfig, DistributedSetup, DistributedTrainer, SetupCo
 use spp_sampler::Fanouts;
 use spp_telemetry::json::Json;
 use spp_tensor::sage::{self, HopView, Mask, SourceLists};
-use spp_tensor::{kernels, Matrix};
+use spp_tensor::{kernels, Matrix, RowTable, RowView};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -294,7 +298,10 @@ fn bench_shape(Shape { m, k, n }: Shape, reps: usize) -> [KernelResult; 3] {
         [
             // X·W — (m×k) @ (k×n).
             &mut || seed_matmul(x, m, k, w, n, black_box(&mut mm_seed)),
-            &mut || kernels::linear_rows(&[(xm, wm)], None, false, n, 0, black_box(&mut mm)),
+            &mut || {
+                let terms = [(RowView::Dense(xm), wm)];
+                kernels::linear_rows(&terms, None, false, n, 0, black_box(&mut mm));
+            },
             // Xᵀ·G over the full column range — (m×k)ᵀ @ (m×n).
             &mut || seed_t_matmul(x, m, k, g, n, black_box(&mut tm_seed)),
             &mut || kernels::t_matmul_cols_dense(x, k, g, n, m, 0, black_box(&mut tm)),
@@ -403,7 +410,8 @@ fn bench_layer_ops(
     };
     let fused = || {
         let mut y = Matrix::empty();
-        Matrix::linear_into(pool, m, &[(&x, &ws), (&neigh, &wn)], Some(&b), true, &mut y);
+        let terms = [(RowView::Dense(&x), &ws), (RowView::Dense(&neigh), &wn)];
+        Matrix::linear_into(pool, m, &terms, Some(&b), true, &mut y);
         y
     };
     check(
@@ -627,6 +635,81 @@ fn bench_agg_reads(reps: usize) -> [OpResult; 2] {
     [f32_mean, f16_mean]
 }
 
+/// The first layer's dense products at [`TALL_SHAPE`] on one worker,
+/// their left operand `m` rows of `k`: the self term `X·W`
+/// (`Matrix::linear_into`) and its weight gradient `Xᵀ·G`
+/// (`RowView::head_t_matmul_into`), with `X` a contiguous matrix vs a
+/// [`RowTable`] of the same rows borrowed in shuffled order from a
+/// matrix twice as tall, as a batch's rows sit in the partition slice,
+/// the static tier and the responses. Both pairs must agree bit for
+/// bit.
+fn bench_row_table(reps: usize) -> [OpResult; 2] {
+    let Shape { m, k, n } = TALL_SHAPE;
+    let pool = WorkerPool::serial();
+    let source = filled(2 * m, k, 31);
+    let rows: Vec<&[f32]> = (0..m as u64)
+        .map(|i| source.row((i.wrapping_mul(2_654_435_761) % (2 * m) as u64) as usize))
+        .collect();
+    let mut dense = Matrix::zeros(m, k);
+    for (i, row) in rows.iter().enumerate() {
+        dense.row_mut(i).copy_from_slice(row);
+    }
+    let table = RowView::Table(RowTable::new(k, &rows));
+    let [w, g] = [filled(k, n, 32), filled(m, n, 33)];
+    let key = |op: &str| format!("{op}_rows_ms_{TALL_SHAPE}_w1");
+    let linear = |x: RowView<'_>| {
+        let mut y = Matrix::empty();
+        Matrix::linear_into(pool, m, &[(x, &w)], None, false, &mut y);
+        y
+    };
+    let grad = |x: RowView<'_>| {
+        let mut gw = Matrix::empty();
+        x.head_t_matmul_into(pool, &g, &mut gw);
+        gw
+    };
+    check(
+        same_bits(&linear(table), &linear(RowView::Dense(&dense))),
+        &format!("linear over a row table == over contiguous rows at {TALL_SHAPE}"),
+    );
+    check(
+        same_bits(&grad(table), &grad(RowView::Dense(&dense))),
+        &format!("head_t_matmul over a row table == over contiguous rows at {TALL_SHAPE}"),
+    );
+    let [linear_dense, linear_table, grad_dense, grad_table] = time_best_each(
+        reps,
+        [
+            &mut || {
+                black_box(linear(RowView::Dense(&dense)));
+            },
+            &mut || {
+                black_box(linear(table));
+            },
+            &mut || {
+                black_box(grad(RowView::Dense(&dense)));
+            },
+            &mut || {
+                black_box(grad(table));
+            },
+        ],
+    );
+    [
+        OpResult {
+            key: key("linear"),
+            old_name: "contiguous",
+            old_ms: linear_dense * 1e3,
+            new_name: "table",
+            new_ms: linear_table * 1e3,
+        },
+        OpResult {
+            key: key("head_t_matmul"),
+            old_name: "contiguous",
+            old_ms: grad_dense * 1e3,
+            new_name: "table",
+            new_ms: grad_table * 1e3,
+        },
+    ]
+}
+
 fn main() {
     let cli = Cli::parse();
     let reps = if cli.quick { 20 } else { 60 };
@@ -683,6 +766,7 @@ fn main() {
         }
     }
     layer_ops.extend(bench_agg_reads(tall_reps));
+    layer_ops.extend(bench_row_table(tall_reps));
     let mut table = Table::new(
         "layer kernels vs the forms they replaced (best-of-reps, ms)",
         &["op_shape_workers", "old", "ms", "new", "ms", "speedup"],

@@ -5,27 +5,37 @@
 //! a static cache of remote features. Given a sampled MFG's node list the
 //! store classifies every vertex into local-GPU / local-CPU / cached /
 //! remote-by-owner — exactly the split SALIENT++'s batch-preparation
-//! pipeline performs right after sampling — and gathers the full feature
-//! tensor given a remote-fetch callback.
+//! pipeline performs right after sampling.
 //!
 //! This module is the one owner of "where does vertex `v`'s row live on
 //! this machine and how is it read". A batch is classified once
 //! ([`PartitionedFeatureStore::plan`]); the distributed engine uses the
-//! plan to build its requests and the server to probe its overlay. The
-//! reads come in two halves: [`PartitionedFeatureStore::read_resident`]
-//! (local rows and the static tier, immutable after build) and
-//! [`PartitionedFeatureStore::read_remote`] (each owner's fetch). The
-//! engine runs both through [`PartitionedFeatureStore::gather_planned`];
-//! the server runs the remote half while preparing a batch and the
-//! resident half beside its forward pass. Rows enter through one
-//! constructor from any `spp_store::FeatureStore` — the resident matrix
-//! and the paged out-of-core stores are backends of the same path.
+//! plan to build its requests and the server to probe its overlay. No
+//! batch copies its rows into an input tensor: its row table
+//! ([`PartitionedFeatureStore::row_table`]) borrows every row where it
+//! lives — local rows and an `f32` static tier in place, each owner's
+//! fetched rows in the response that carried them — and only a
+//! quantized static tier's hits are decoded, into a small per-batch
+//! matrix ([`PartitionedFeatureStore::decode_cached`]). The model's
+//! first layer reads the table ([`spp_tensor::RowTable`]);
+//! [`PartitionedFeatureStore::gather`] copies it into one matrix for
+//! callers that want one. Rows enter through one constructor from any
+//! `spp_store::FeatureStore` — the resident matrix and the paged
+//! out-of-core stores are backends of the same path.
 
 use crate::cache::StaticCache;
 use crate::reorder::ReorderedLayout;
 use spp_graph::{FeatureMatrix, QuantScheme, QuantizedFeatures, VertexId};
 use spp_store::FeatureStore;
 use spp_tensor::Matrix;
+
+/// The static tier's rows: `f32` rows are kept as a matrix, so a batch
+/// reads them in place; quantized ones as their encoded bytes.
+#[derive(Clone, Debug)]
+enum StaticRows {
+    F32(FeatureMatrix),
+    Coded(QuantizedFeatures),
+}
 
 /// Where a vertex's features live relative to one machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -79,7 +89,7 @@ pub struct PartitionedFeatureStore {
     /// Cached feature rows, aligned with `cache` slots; optionally
     /// quantized (DESIGN.md §14) so the same RAM holds ~2× (`f16`) or
     /// ~4× (`i8`) the entries.
-    cache_feats: QuantizedFeatures,
+    cache_feats: StaticRows,
 }
 
 impl PartitionedFeatureStore {
@@ -93,9 +103,9 @@ impl PartitionedFeatureStore {
     /// deployment where each machine materializes only its slice.
     ///
     /// `cache_scheme` is the storage scheme of the static cache tier:
-    /// `F32` keeps rows bit-for-bit; `F16`/`I8` store compressed rows
-    /// that are dequantized on every cached-row gather
-    /// (allocation-free).
+    /// `F32` keeps rows bit-for-bit, read in place; `F16`/`I8` store
+    /// compressed rows that every batch that hits them decodes
+    /// ([`PartitionedFeatureStore::decode_cached`]).
     ///
     /// # Panics
     ///
@@ -124,8 +134,11 @@ impl PartitionedFeatureStore {
                 "cache must not contain local vertex {v}"
             );
         }
-        let cache_feats =
-            QuantizedFeatures::from_matrix(&feats.gather(cache.members()), cache_scheme);
+        let cached = feats.gather(cache.members());
+        let cache_feats = match cache_scheme {
+            QuantScheme::F32 => StaticRows::F32(cached),
+            scheme => StaticRows::Coded(QuantizedFeatures::from_matrix(&cached, scheme)),
+        };
         Self {
             part,
             layout: layout.clone(),
@@ -153,7 +166,10 @@ impl PartitionedFeatureStore {
 
     /// Storage scheme of the static cache tier.
     pub fn cache_scheme(&self) -> QuantScheme {
-        self.cache_feats.scheme()
+        match &self.cache_feats {
+            StaticRows::F32(_) => QuantScheme::F32,
+            StaticRows::Coded(q) => q.scheme(),
+        }
     }
 
     /// Feature dimension.
@@ -169,7 +185,11 @@ impl PartitionedFeatureStore {
     /// Total feature bytes stored by this machine (local + cached) — the
     /// quantity Figure 5's memory plot sums over machines.
     pub fn memory_bytes(&self) -> usize {
-        self.local.memory_bytes() + self.cache_feats.memory_bytes()
+        let cached = match &self.cache_feats {
+            StaticRows::F32(m) => m.memory_bytes(),
+            StaticRows::Coded(q) => q.memory_bytes(),
+        };
+        self.local.memory_bytes() + cached
     }
 
     /// Classifies a single (new-id) vertex.
@@ -239,95 +259,126 @@ impl PartitionedFeatureStore {
 
     /// Gathers the full feature tensor for an MFG node list: classifies
     /// it and hands the plan to
-    /// [`PartitionedFeatureStore::gather_planned`] with a fresh slot. A
-    /// caller that already holds the batch's plan calls that directly.
+    /// [`PartitionedFeatureStore::gather_planned`]. A caller that already
+    /// holds the batch's plan calls that directly.
     pub fn gather<F>(&self, nodes: &[VertexId], fetch: F) -> Matrix
     where
         F: FnMut(u32, &[VertexId]) -> FeatureMatrix,
     {
-        self.gather_planned(nodes, &self.plan(nodes), Vec::new(), fetch)
+        self.gather_planned(nodes, &self.plan(nodes), fetch)
     }
 
-    /// Reads every row `plan` lists into a `nodes.len() × dim` tensor
-    /// whose rows align with `nodes`, built on `slot` — a recycled buffer
-    /// of any length: [`PartitionedFeatureStore::read_resident`] reads the
-    /// local rows and static-tier hits, and
-    /// [`PartitionedFeatureStore::read_remote`] each owner's rows through
-    /// `fetch`.
+    /// Copies every row `plan` lists into a fresh `nodes.len() × dim`
+    /// tensor whose rows align with `nodes`: the batch's
+    /// [`PartitionedFeatureStore::row_table`], each owner's rows fetched
+    /// with one `fetch(owner, ids) -> FeatureMatrix` call (rows aligned
+    /// with `ids`) per owner with a non-empty bucket, in owner order.
     ///
     /// `plan` must be [`PartitionedFeatureStore::plan`] of `nodes`,
-    /// possibly with entries removed from `remote`. The slot is not
-    /// zero-filled: a position no bucket lists keeps whatever `slot` held
-    /// there (zero where it had to grow), for the caller to fill — the
-    /// serving overlay answers part of the remote residue itself. A slot
-    /// too small for the batch grows to exactly its size, keeping the
-    /// pages it already touched ([`Matrix::from_recycled`]).
+    /// possibly with entries removed from `remote`; a position no bucket
+    /// lists stays zero.
     ///
     /// # Panics
     ///
     /// Panics if a fetch response has the wrong row count or dimension.
-    // spp-hot(feature.gather)
-    pub fn gather_planned<F>(
-        &self,
-        nodes: &[VertexId],
-        plan: &BatchPlan,
-        slot: Vec<f32>,
-        fetch: F,
-    ) -> Matrix
+    pub fn gather_planned<F>(&self, nodes: &[VertexId], plan: &BatchPlan, mut fetch: F) -> Matrix
     where
         F: FnMut(u32, &[VertexId]) -> FeatureMatrix,
     {
-        let mut out = Matrix::from_recycled(nodes.len(), self.dim(), slot);
-        self.read_resident(nodes, plan, &mut out);
-        self.read_remote(plan, &mut out, fetch);
+        let remote: Vec<FeatureMatrix> = plan
+            .remote
+            .iter()
+            .enumerate()
+            .map(|(owner, requests)| {
+                if requests.is_empty() {
+                    return FeatureMatrix::zeros(0, self.dim());
+                }
+                let ids: Vec<VertexId> = requests.iter().map(|&(_, v)| v).collect();
+                fetch(owner as u32, &ids)
+            })
+            .collect();
+        let mut cached = Matrix::empty();
+        self.decode_cached(plan, &mut cached);
+        let table = self.row_table(nodes, plan, &remote, &cached);
+        let mut out = Matrix::zeros(nodes.len(), self.dim());
+        for (i, row) in table.iter().enumerate() {
+            if !row.is_empty() {
+                out.row_mut(i).copy_from_slice(row);
+            }
+        }
         out
     }
 
-    /// Reads the plan's resident rows into `out` (rows aligned with
-    /// `nodes`): local GPU/CPU rows from the partition slice and cache
-    /// hits decoded from the static tier. Both are fixed at build, so a
-    /// read needs only `&self` and may run beside anything that mutates
-    /// other state. Positions outside `local_gpu`, `local_cpu` and
-    /// `cached` are not touched.
-    // spp-hot(feature.read_resident)
-    pub fn read_resident(&self, nodes: &[VertexId], plan: &BatchPlan, out: &mut Matrix) {
-        for &pos in plan.local_gpu.iter().chain(&plan.local_cpu) {
-            let li = self.layout.local_index(nodes[pos as usize]);
-            out.row_mut(pos as usize)
-                .copy_from_slice(self.local.row(li as VertexId));
-        }
-        for &(pos, slot) in &plan.cached {
-            self.cache_feats
-                .read_row_into(slot as usize, out.row_mut(pos as usize));
+    /// Decodes the plan's static-tier hits into `out`, one row per
+    /// `plan.cached` entry in that order, when the tier is quantized:
+    /// the rows [`PartitionedFeatureStore::row_table`] reads there. An
+    /// `f32` tier is read in place, and `out` is left `0 × 0`. `out` is
+    /// reshaped as [`Matrix::recycle`] does.
+    // spp-hot(feature.decode_cached)
+    pub fn decode_cached(&self, plan: &BatchPlan, out: &mut Matrix) {
+        let StaticRows::Coded(tier) = &self.cache_feats else {
+            out.recycle(0, 0);
+            return;
+        };
+        out.recycle(plan.cached.len(), self.dim());
+        for (i, &(_, slot)) in plan.cached.iter().enumerate() {
+            tier.read_row_into(slot as usize, out.row_mut(i));
         }
     }
 
-    /// Reads the plan's remote rows into `out`: one `fetch(owner, ids) ->
-    /// FeatureMatrix` call (rows aligned with `ids`) per owner with a
-    /// non-empty bucket, in owner order. Positions outside `remote` are
-    /// not touched.
+    /// The batch's row table: entry `i` borrows `nodes[i]`'s row where it
+    /// lives. Local rows are read in place in the partition slice, static
+    /// tier hits in place in an `f32` tier or else in `cached` (what
+    /// [`PartitionedFeatureStore::decode_cached`] wrote for `plan`), and
+    /// each remote row in its owner's response, `remote[owner]` (rows
+    /// aligned with that owner's bucket). Nothing is copied. A position
+    /// no bucket lists gets an empty row, for the caller to point at a
+    /// row of its own (the serving overlay answers part of the remote
+    /// residue).
     ///
     /// # Panics
     ///
-    /// Panics if a fetch response has the wrong row count or dimension.
-    // spp-hot(feature.read_remote)
-    pub fn read_remote<F>(&self, plan: &BatchPlan, out: &mut Matrix, mut fetch: F)
-    where
-        F: FnMut(u32, &[VertexId]) -> FeatureMatrix,
-    {
+    /// Panics, naming the owner, if an owner's response is missing or has
+    /// the wrong row count or dimension.
+    // spp-hot(feature.row_table)
+    pub fn row_table<'r>(
+        &'r self,
+        nodes: &[VertexId],
+        plan: &BatchPlan,
+        remote: &'r [FeatureMatrix],
+        cached: &'r Matrix,
+    ) -> Vec<&'r [f32]> {
+        let mut table: Vec<&[f32]> = vec![&[]; nodes.len()]; // spp-hot: alloc(the batch's row table, one borrowed row per MFG node in place of a copied f32 row)
+        for &pos in plan.local_gpu.iter().chain(&plan.local_cpu) {
+            let li = self.layout.local_index(nodes[pos as usize]);
+            table[pos as usize] = self.local.row(li as VertexId);
+        }
+        for (i, &(pos, slot)) in plan.cached.iter().enumerate() {
+            table[pos as usize] = match &self.cache_feats {
+                StaticRows::F32(rows) => rows.row(slot),
+                StaticRows::Coded(_) => cached.row(i),
+            };
+        }
         for (owner, requests) in plan.remote.iter().enumerate() {
             if requests.is_empty() {
                 continue;
             }
-            let ids: Vec<VertexId> = requests.iter().map(|&(_, v)| v).collect(); // spp-hot: alloc(remote fetch id list, one per off-partition owner touched)
-            let feats = fetch(owner as u32, &ids);
-            assert_eq!(feats.num_rows(), ids.len(), "fetch returned wrong rows");
-            assert_eq!(feats.dim(), self.dim(), "fetch returned wrong dim");
+            let rows = remote.get(owner).filter(|f| f.num_rows() == requests.len());
+            assert!(
+                rows.is_some(),
+                "fetch returned wrong rows from owner {owner}"
+            );
+            let Some(rows) = rows else { continue };
+            assert_eq!(
+                rows.dim(),
+                self.dim(),
+                "fetch returned wrong dim from owner {owner}"
+            );
             for (r, &(pos, _)) in requests.iter().enumerate() {
-                out.row_mut(pos as usize)
-                    .copy_from_slice(feats.row(r as VertexId));
+                table[pos as usize] = rows.row(r as VertexId);
             }
         }
+        table
     }
 }
 
@@ -339,6 +390,15 @@ mod tests {
     /// 6 vertices, 2 parts: p0 = {0,1,2}, p1 = {3,4,5} (identity layout).
     /// Features: row v = [v, v].
     fn fixture(beta: f64, cache_members: &[VertexId]) -> (PartitionedFeatureStore, FeatureMatrix) {
+        fixture_with(beta, cache_members, QuantScheme::F32)
+    }
+
+    /// [`fixture`] with its static tier stored under `scheme`.
+    fn fixture_with(
+        beta: f64,
+        cache_members: &[VertexId],
+        scheme: QuantScheme,
+    ) -> (PartitionedFeatureStore, FeatureMatrix) {
         let part = Partitioning::new(vec![0, 0, 0, 1, 1, 1], 2);
         let layout = ReorderedLayout::build(&part, None);
         let mut feats = FeatureMatrix::zeros(6, 2);
@@ -346,8 +406,7 @@ mod tests {
             feats.row_mut(v).copy_from_slice(&[v as f32, v as f32]);
         }
         let cache = StaticCache::from_members(cache_members);
-        let store =
-            PartitionedFeatureStore::build(0, &layout, &feats, beta, cache, QuantScheme::F32);
+        let store = PartitionedFeatureStore::build(0, &layout, &feats, beta, cache, scheme);
         (store, feats)
     }
 
@@ -393,7 +452,7 @@ mod tests {
         let mut plan = store.plan(&nodes);
         // The caller answers vertex 5 from a tier of its own.
         plan.remote[1].retain(|&(_, v)| v != 5);
-        let out = store.gather_planned(&nodes, &plan, Vec::new(), |owner, ids| {
+        let out = store.gather_planned(&nodes, &plan, |owner, ids| {
             assert_eq!((owner, ids), (1, &[4][..]));
             feats.gather(ids)
         });
@@ -402,47 +461,31 @@ mod tests {
         assert_eq!(out.row(2), feats.row(4));
     }
 
-    /// Bit patterns of a tensor, so NaN rows compare too.
-    fn bits(m: &Matrix) -> Vec<u32> {
-        m.as_flat().iter().map(|x| x.to_bits()).collect()
-    }
-
-    #[test]
-    fn gather_planned_overwrites_a_stale_slot_under_a_full_plan() {
-        let (store, feats) = fixture(0.34, &[4]);
-        let nodes = vec![5, 0, 4, 1, 3];
-        let plan = store.plan(&nodes);
-        let fetch = |_: u32, ids: &[VertexId]| feats.gather(ids);
-        let fresh = store.gather_planned(&nodes, &plan, Vec::new(), fetch);
-        let stale = store.gather_planned(&nodes, &plan, vec![f32::NAN; 3 * 2 * 2], fetch);
-        assert_eq!(bits(&stale), bits(&fresh));
-    }
-
-    #[test]
-    fn slot_reused_for_a_larger_batch_fits_it_exactly() {
-        let (store, feats) = fixture(0.34, &[4]);
-        let fetch = |_: u32, ids: &[VertexId]| feats.gather(ids);
-        let (small, large) = (vec![0, 4, 5, 1], vec![5, 0, 4, 1, 3, 2]);
-        let slot = store
-            .gather_planned(&small, &store.plan(&small), Vec::new(), fetch)
-            .into_flat();
-        let out = store.gather_planned(&large, &store.plan(&large), slot, fetch);
-        assert_eq!(out.into_flat().capacity(), 6 * 2);
-    }
-
     #[test]
     fn resident_read_plus_remote_read_is_gather_planned() {
-        let (store, feats) = fixture(0.34, &[4]);
-        let nodes = vec![5, 0, 4, 1, 3, 2];
-        let plan = store.plan(&nodes);
-        let fetch = |_: u32, ids: &[VertexId]| feats.gather(ids);
-        let whole = store.gather_planned(&nodes, &plan, Vec::new(), fetch);
-        let mut halves = Matrix::from_flat(nodes.len(), 2, vec![f32::NAN; nodes.len() * 2]);
-        store.read_remote(&plan, &mut halves, fetch);
-        store.read_resident(&nodes, &plan, &mut halves);
-        assert_eq!(bits(&halves), bits(&whole));
-        for (i, &v) in nodes.iter().enumerate() {
-            assert_eq!(whole.row(i), feats.row(v), "row {i} mismatch");
+        // The row table reads the resident rows in place and each remote
+        // row in its owner's response: the rows `gather_planned` copies.
+        for scheme in [QuantScheme::F32, QuantScheme::F16] {
+            let (store, feats) = fixture_with(0.34, &[4], scheme);
+            let nodes = vec![5, 0, 4, 1, 3, 2];
+            let plan = store.plan(&nodes);
+            let fetch = |_: u32, ids: &[VertexId]| feats.gather(ids);
+            let whole = store.gather_planned(&nodes, &plan, fetch);
+            let remote = vec![FeatureMatrix::zeros(0, 2), feats.gather(&[5, 3])];
+            let mut cached = Matrix::empty();
+            store.decode_cached(&plan, &mut cached);
+            assert_eq!(cached.rows(), usize::from(scheme != QuantScheme::F32));
+            let table = store.row_table(&nodes, &plan, &remote, &cached);
+            for (i, &v) in nodes.iter().enumerate() {
+                assert_eq!(table[i], whole.row(i), "row {i} mismatch");
+                assert_eq!(whole.row(i), feats.row(v), "row {i} mismatch");
+            }
+            // Local rows and an f32 static tier are borrowed, not copied.
+            assert!(std::ptr::eq(table[1], store.local.row(0)));
+            assert!(std::ptr::eq(table[0], remote[1].row(0)));
+            if let StaticRows::F32(rows) = &store.cache_feats {
+                assert!(std::ptr::eq(table[2], rows.row(0)));
+            }
         }
     }
 
@@ -476,16 +519,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fetch returned wrong rows")]
+    #[should_panic(expected = "fetch returned wrong rows from owner 1")]
     fn gather_rejects_short_fetch_response() {
         // Failure injection: a peer answering with too few rows must be
-        // detected, not silently corrupt the batch tensor.
+        // detected, not silently corrupt the batch.
         let (store, _) = fixture(0.0, &[]);
         store.gather(&[5], |_, _| FeatureMatrix::zeros(0, 2));
     }
 
     #[test]
-    #[should_panic(expected = "fetch returned wrong dim")]
+    #[should_panic(expected = "fetch returned wrong dim from owner 1")]
     fn gather_rejects_wrong_dim_response() {
         let (store, _) = fixture(0.0, &[]);
         store.gather(&[5], |_, _| FeatureMatrix::zeros(1, 7));

@@ -3,30 +3,33 @@
 //! The first layer reads its input in two places only: the neighbor
 //! mean over the outermost hop, and the self term's first `targets`
 //! rows. Neither needs the rows gathered into an `f32` matrix first, so
-//! a [`StepInput`] names them where they are — a gathered matrix, an
-//! in-RAM matrix read in place by vertex id, or a store's encoded bytes
-//! in MFG order — and the mean reads them through one
-//! [`RowSource`]-generic kernel ([`sage::agg_into`]), each encoded
-//! element decoded by `spp_graph::quant`'s element decoders as it is
-//! added. Only the self-term prefix becomes an `f32` matrix, which the
-//! step owns. Every source of the same values gives the same sums, bit
-//! for bit.
+//! a [`StepInput`] names them where they are — a gathered matrix, a
+//! table of rows borrowed where each tier keeps them, an in-RAM matrix
+//! read in place by vertex id, or a store's encoded bytes in MFG order
+//! — and the mean reads them through one [`RowSource`]-generic kernel
+//! ([`sage::agg_into`]), each encoded element decoded by
+//! `spp_graph::quant`'s element decoders as it is added. The self term
+//! and its weight gradient read `f32` rows where they are too, through
+//! a [`RowView`]; only encoded rows' prefix is decoded into an `f32`
+//! matrix, which the step owns. Every source of the same values gives
+//! the same sums, bit for bit.
 
 use spp_graph::quant::{f16_bits_to_f32, i8_row, i8_value};
 use spp_graph::{FeatureMatrix, QuantScheme, VertexId};
 use spp_pool::WorkerPool;
 use spp_store::FeatureStore;
 use spp_tensor::sage::{self, HopView, RowSource};
-use spp_tensor::Matrix;
+use spp_tensor::{Matrix, RowTable, RowView};
 use std::marker::PhantomData;
 
 /// Evaluates `$body` with `$x` bound to `$input`'s rows as a
-/// [`RowSource`]: the gathered matrix, the in-place rows, or the
-/// encoded rows under their scheme.
+/// [`RowSource`]: the gathered matrix, the row table, the in-place
+/// rows, or the encoded rows under their scheme.
 macro_rules! with_source {
     ($input:expr, $x:ident => $body:expr) => {
         match $input {
             StepInput::Gathered($x) => $body,
+            StepInput::Table(ref $x) => $body,
             StepInput::InPlace { feats, nodes } => {
                 let $x = &InPlace { feats, nodes };
                 $body
@@ -55,6 +58,9 @@ macro_rules! with_source {
 pub enum StepInput<'a> {
     /// A gathered `f32` matrix.
     Gathered(&'a Matrix),
+    /// `f32` rows borrowed where each is kept, row `i` MFG node `i`'s
+    /// (`spp_core::PartitionedFeatureStore::row_table`).
+    Table(RowTable<'a>),
     /// Rows of an in-RAM matrix, read in place: node `i` is row
     /// `nodes[i]`.
     InPlace {
@@ -100,6 +106,7 @@ impl<'a> StepInput<'a> {
     pub(crate) fn rows(&self) -> usize {
         match *self {
             StepInput::Gathered(x) => x.rows(),
+            StepInput::Table(t) => t.len(),
             StepInput::InPlace { nodes, .. } => nodes.len(),
             StepInput::Encoded { scheme, dim, bytes } => {
                 bytes.len().checked_div(scheme.row_bytes(dim)).unwrap_or(0)
@@ -111,6 +118,7 @@ impl<'a> StepInput<'a> {
     pub(crate) fn cols(&self) -> usize {
         match *self {
             StepInput::Gathered(x) => x.cols(),
+            StepInput::Table(t) => t.cols(),
             StepInput::InPlace { feats, .. } => feats.dim(),
             StepInput::Encoded { dim, .. } => dim,
         }
@@ -122,22 +130,50 @@ impl<'a> StepInput<'a> {
         with_source!(*self, x => sage::agg_into(pool, x, hop, out));
     }
 
-    /// The first `n` rows as a matrix: a gathered one itself, else
-    /// decoded into `buf` ([`sage::head_into`]).
-    pub(crate) fn head<'s>(&'s self, n: usize, buf: &'s mut Matrix) -> &'s Matrix {
-        if let StepInput::Gathered(x) = *self {
-            return x;
+    /// Decodes the first `n` rows into `buf` ([`sage::head_into`]) if
+    /// they are encoded: the one source whose self term is not read
+    /// where it lives ([`StepInput::head`]).
+    pub(crate) fn decode_head(&self, n: usize, buf: &mut Matrix) {
+        if let StepInput::Encoded { .. } = *self {
+            with_source!(*self, x => sage::head_into(x, n, buf));
         }
-        with_source!(*self, x => sage::head_into(x, n, buf));
-        buf
     }
 
-    /// The matrix [`StepInput::head`] returned, once `buf` holds what it
-    /// decoded there.
-    pub(crate) fn head_again<'s>(&'s self, buf: &'s Matrix) -> &'s Matrix {
+    /// The self term's rows, the first `n`, where they are: a gathered
+    /// matrix itself, a prefix of the row table, in-RAM rows through a
+    /// table of them, or encoded rows as `decoded` holds them
+    /// ([`StepInput::decode_head`]).
+    pub(crate) fn head<'s>(&self, n: usize, decoded: &'s Matrix) -> Head<'s>
+    where
+        'a: 's,
+    {
         match *self {
-            StepInput::Gathered(x) => x,
-            _ => buf,
+            StepInput::Gathered(x) => Head::View(RowView::Dense(x)),
+            StepInput::Table(t) => Head::View(RowView::Table(t.head(n))),
+            StepInput::InPlace { feats, nodes } => {
+                let rows = nodes[..n].iter().map(|&v| feats.row(v));
+                // spp-hot: alloc(one borrowed-row table per step phase, 16 B per self-term row where the copied prefix took a whole f32 row)
+                Head::Rows(feats.dim(), rows.collect())
+            }
+            StepInput::Encoded { .. } => Head::View(RowView::Dense(decoded)),
+        }
+    }
+}
+
+/// A first layer's self-term rows, as [`StepInput::head`] finds them.
+pub(crate) enum Head<'s> {
+    /// Rows a view already reaches.
+    View(RowView<'s>),
+    /// A table of rows of the given width, built for the step phase.
+    Rows(usize, Vec<&'s [f32]>),
+}
+
+impl Head<'_> {
+    /// The rows as a product's left operand.
+    pub(crate) fn view(&self) -> RowView<'_> {
+        match self {
+            Head::View(v) => *v,
+            Head::Rows(cols, rows) => RowView::Table(RowTable::new(*cols, rows)),
         }
     }
 }

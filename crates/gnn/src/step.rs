@@ -29,7 +29,7 @@ use rand::{Rng, SeedableRng};
 use spp_pool::WorkerPool;
 use spp_sampler::{batch_stream_seed, HopAdj, Mfg};
 use spp_tensor::sage::{self, DropMask, HopView, Mask, SourceLists};
-use spp_tensor::Matrix;
+use spp_tensor::{Matrix, RowView};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -88,8 +88,9 @@ struct LayerBuffers {
 #[derive(Debug)]
 pub struct SageStep {
     layers: Vec<LayerBuffers>,
-    /// The first layer's self term, the input's first `targets` rows,
-    /// when the input is no gathered matrix ([`StepInput::head`]).
+    /// The first layer's self term, the input's first `targets` rows
+    /// decoded, when the input is encoded ([`StepInput::decode_head`]);
+    /// every other input's rows are read where they are.
     head: Matrix,
     /// Softmax of the logits, then `dL/d logits`.
     probs: Matrix,
@@ -217,6 +218,7 @@ impl SageStep {
             "step built for another depth"
         );
         let p = model.dropout_rate();
+        x.decode_head(mfg.layer_adj(1).num_targets, &mut self.head);
         for (li, layer) in model.layers().iter().enumerate() {
             let (done, rest) = self.layers.split_at_mut(li);
             let LayerBuffers {
@@ -227,17 +229,19 @@ impl SageStep {
             } = &mut rest[0];
             let hop = mfg.layer_adj(li + 1);
             // The self term reads the input's first `targets` rows.
+            let head;
             let input = if let Some(prev) = done.last() {
                 sage::agg_into(pool, &prev.out, hop_view(hop), neigh);
-                &prev.out
+                RowView::Dense(&prev.out)
             } else {
                 x.agg_into(pool, hop_view(hop), neigh);
-                x.head(hop.num_targets, &mut self.head)
+                head = x.head(hop.num_targets, &self.head);
+                head.view()
             };
             let hidden = li + 1 < num_layers;
             let terms = [
                 (input, &layer.w_self.value),
-                (&*neigh, &layer.w_neigh.value),
+                (RowView::Dense(neigh), &layer.w_neigh.value),
             ];
             let bias = Some(&layer.bias.value);
             Matrix::linear_into(pool, hop.num_targets, &terms, bias, hidden, out);
@@ -298,13 +302,13 @@ impl SageStep {
             let Some(prev) = done.last_mut() else {
                 // The first layer's operands are the features: only its
                 // weights want a gradient.
-                let head = x.head_again(&self.head);
-                head.head_t_matmul_into(pool, g, &mut self.grad);
+                let head = x.head(g.rows(), &self.head);
+                head.view().head_t_matmul_into(pool, g, &mut self.grad);
                 w_self.accumulate(&self.grad);
                 break;
             };
             g.matmul_t_into(pool, &w_neigh.value, neigh);
-            prev.out.head_t_matmul_into(pool, g, &mut self.grad);
+            RowView::Dense(&prev.out).head_t_matmul_into(pool, g, &mut self.grad);
             w_self.accumulate(&self.grad);
             g.matmul_t_into(pool, &w_self.value, &mut self.held);
             let hop = hop_view(mfg.layer_adj(li + 1));

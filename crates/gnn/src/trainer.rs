@@ -215,18 +215,10 @@ impl<'a> Trainer<'a> {
 
     /// [`Trainer::gather_features`] reading rows through any
     /// [`FeatureStore`]. Allocates the result; the training and
-    /// evaluation loops recycle batch slots instead.
+    /// evaluation loops read the rows where the store keeps them
+    /// instead ([`StepInput`]).
     pub fn gather_features_from(feats: &dyn FeatureStore, mfg: &Mfg) -> Matrix {
-        Self::gather_into_slot(feats, mfg, vec![0.0f32; mfg.num_nodes() * feats.dim()])
-    }
-
-    /// Gathers the MFG's feature rows into `slot` — a recycled buffer
-    /// of any length and content, grown to exactly the batch if too
-    /// small ([`Matrix::from_recycled`]); every element of the result is
-    /// overwritten — and wraps it as the batch's input matrix. Take the
-    /// buffer back with [`Matrix::into_flat`].
-    pub fn gather_into_slot(feats: &dyn FeatureStore, mfg: &Mfg, slot: Vec<f32>) -> Matrix {
-        let mut x = Matrix::from_recycled(mfg.num_nodes(), feats.dim(), slot);
+        let mut x = Matrix::zeros(mfg.num_nodes(), feats.dim());
         feats.gather_into(&mfg.nodes, x.as_flat_mut());
         x
     }
@@ -521,43 +513,6 @@ mod tests {
                 "workers={workers}"
             );
         }
-    }
-
-    #[test]
-    fn recycled_slot_never_shows_stale_rows() {
-        // A slot that held a large batch (and NaN garbage beyond it) is
-        // handed to a small batch: the result must equal a fresh gather.
-        let ds = SyntheticSpec::new("t", 300, 8.0, 6, 3).seed(8).build();
-        let sampler = NodeWiseSampler::new(&ds.graph, Fanouts::new(vec![6, 6]));
-        let large = sampler.sample(&ds.split.train[..20], &mut StdRng::seed_from_u64(1));
-        let small = sampler.sample(&ds.split.train[..3], &mut StdRng::seed_from_u64(2));
-        assert!(small.num_nodes() < large.num_nodes());
-        let mut slot = Trainer::gather_into_slot(&ds.features, &large, Vec::new()).into_flat();
-        slot.extend([f32::NAN; 64]);
-        let reused = Trainer::gather_into_slot(&ds.features, &small, slot);
-        let fresh = Trainer::gather_features_from(&ds.features, &small);
-        assert_eq!(reused.shape(), fresh.shape());
-        assert_eq!(reused.as_flat(), fresh.as_flat());
-    }
-
-    #[test]
-    fn slot_reused_for_a_larger_batch_fits_it_exactly() {
-        // A slot grown in place would double its capacity and keep it
-        // for the rest of the run.
-        let ds = SyntheticSpec::new("t", 300, 8.0, 6, 3).seed(8).build();
-        let sampler = NodeWiseSampler::new(&ds.graph, Fanouts::new(vec![6, 6]));
-        let small = sampler.sample(&ds.split.train[..3], &mut StdRng::seed_from_u64(2));
-        let mut large = small.clone();
-        large
-            .nodes
-            .extend_from_slice(&small.nodes[..small.num_nodes() / 2]);
-        let slot = Trainer::gather_into_slot(&ds.features, &small, Vec::new()).into_flat();
-        let x = Trainer::gather_into_slot(&ds.features, &large, slot);
-        assert_eq!(x.as_flat(), Trainer::gather_features(&ds, &large).as_flat());
-        assert_eq!(
-            x.into_flat().capacity(),
-            large.num_nodes() * ds.features.dim()
-        );
     }
 
     #[test]

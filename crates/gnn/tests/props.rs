@@ -20,7 +20,7 @@ use spp_graph::{CsrGraph, FeatureMatrix, GraphBuilder, Permutation, QuantScheme}
 use spp_pool::WorkerPool;
 use spp_sampler::{Fanouts, Mfg, NodeWiseSampler};
 use spp_store::{FeatureStore, MmapStore, PermutedStore, StoreBuilder};
-use spp_tensor::Matrix;
+use spp_tensor::{Matrix, RowTable, RowView};
 
 fn forward_shape_for(n: usize, m: usize, seeds: usize, seed: u64) -> (usize, usize) {
     let g = GeneratorConfig::erdos_renyi(n, m).seed(seed).build();
@@ -187,9 +187,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The step reading its first-layer rows where a store keeps them —
-    /// in place in an in-RAM matrix, or as the stored bytes of an `f32`,
-    /// `f16` or `i8` paged store, with and without a reordering view —
-    /// gives the logits, loss and gradients of the step fed the same
+    /// in place in an in-RAM matrix, through a table of rows borrowed
+    /// from it, or as the stored bytes of an `f32`, `f16` or `i8` paged
+    /// store, with and without a reordering view — gives the logits, loss and gradients of the step fed the same
     /// rows gathered into an `f32` matrix, and of the serial reference,
     /// bit for bit.
     #[test]
@@ -215,7 +215,9 @@ proptest! {
         let dims = [dim, 11, 4];
         let x = Trainer::gather_features_from(&feats, &mfg);
         let in_place = StepInput::of_store(&feats, &mfg.nodes, &[]);
-        step_inputs_match_reference(&mfg, &x, &[in_place], &dims, mode, seed);
+        let rows: Vec<&[f32]> = mfg.nodes.iter().map(|&v| feats.row(v)).collect();
+        let table = StepInput::Table(RowTable::new(dim, &rows));
+        step_inputs_match_reference(&mfg, &x, &[in_place, table], &dims, mode, seed);
 
         let order: Vec<u32> = (0..160u32).map(|v| (v * 37 + 11) % 160).collect();
         let perm = Permutation::from_order(order);
@@ -428,7 +430,7 @@ fn reference(
         let (mut gws, mut gwn, mut gb) = (Matrix::empty(), Matrix::empty(), Matrix::empty());
         g.col_sums_into(pool, &mut gb);
         neighs[l].t_matmul_into(pool, &g, &mut gwn);
-        inputs[l].head_t_matmul_into(pool, &g, &mut gws);
+        RowView::Dense(&inputs[l]).head_t_matmul_into(pool, &g, &mut gws);
         for (k, grad) in [gws, gwn, gb].iter().enumerate() {
             let mut acc = Matrix::zeros(grad.rows(), grad.cols());
             acc.add_assign(grad);

@@ -13,12 +13,13 @@ use crate::setup::DistributedSetup;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spp_comm::{run_machines, AllToAll};
+use spp_core::{BatchPlan, PartitionedFeatureStore};
 use spp_gnn::metrics::{predictions, AccuracyMeter};
-use spp_gnn::{seed_labels, Arch, GnnModel, SageStep, Trainer};
+use spp_gnn::{seed_labels, Arch, GnnModel, SageStep, StepInput};
 use spp_graph::{quant, FeatureMatrix, QuantScheme, VertexId};
 use spp_sampler::{batch_stream_seed, Mfg, MinibatchIter, NodeWiseSampler};
 use spp_telemetry::metrics;
-use spp_tensor::{Adam, Matrix, Optimizer};
+use spp_tensor::{Adam, Matrix, Optimizer, RowTable};
 
 /// One all-to-all payload.
 enum Payload {
@@ -53,19 +54,17 @@ impl<'a> FeatureExchange<'a> {
 
     /// Machine `rank`'s side of one round. Classifies `mfg`'s nodes
     /// once, sends each owner the ids the plan lists for it, serves the
-    /// peers' requests from the local store, and gathers the batch
-    /// tensor from the responses under the same plan, on the buffer
-    /// taken from `slot`. Returns the tensor and the number of rows
-    /// fetched, or `None` for a machine without a batch this round —
-    /// which still takes part in both barriers and keeps its slot.
+    /// peers' requests from the local store, and keeps the responses as
+    /// they arrived: the batch's rows, read where they live through
+    /// [`RoundRows::table`]. Returns `None` for a machine without a
+    /// batch this round, which still takes part in both barriers.
     /// `on_send(peer, bytes)` is told every payload this machine sends.
     fn round(
         &self,
         rank: usize,
         mfg: Option<&Mfg>,
-        slot: &mut Vec<f32>,
         mut on_send: impl FnMut(usize, u64),
-    ) -> Option<(Matrix, usize)> {
+    ) -> Option<RoundRows> {
         let store = &self.setup.stores[rank];
         let plan = mfg.map(|m| store.plan(&m.nodes));
         let mut outgoing: Vec<Payload> = (0..self.setup.num_machines())
@@ -98,22 +97,47 @@ impl<'a> FeatureExchange<'a> {
                 _ => Payload::Empty,
             })
             .collect();
-        let mut received = self.channel.exchange(rank, served);
+        let received = self.channel.exchange(rank, served);
 
-        let (mfg, plan) = (mfg?, plan?);
-        #[allow(
-            clippy::panic,
-            reason = "the exchange deposits one response per owner in the batch plan; a missing one is a protocol bug, not a runtime condition"
-        )]
-        let fetch = |owner: u32, _: &[VertexId]| {
-            let response = std::mem::replace(&mut received[owner as usize], Payload::Empty);
-            match response {
+        let plan = plan?;
+        // An owner asked for nothing answers with nothing; one that was
+        // asked and did not answer leaves an empty response, which the
+        // row table rejects naming it.
+        let remote = received
+            .into_iter()
+            .map(|msg| match msg {
                 Payload::Feats(f) => f,
-                _ => panic!("missing response from owner {owner}"),
-            }
-        };
-        let x = store.gather_planned(&mfg.nodes, &plan, std::mem::take(slot), fetch);
-        Some((x, plan.num_remote()))
+                _ => FeatureMatrix::zeros(0, 0),
+            })
+            .collect();
+        let mut cached = Matrix::empty();
+        store.decode_cached(&plan, &mut cached);
+        Some(RoundRows {
+            plan,
+            remote,
+            cached,
+        })
+    }
+}
+
+/// One machine's rows of one round: the batch's plan, each owner's
+/// response (indexed by owner), and the static-tier hits decoded when
+/// the tier is quantized. Nothing is copied into an input tensor.
+struct RoundRows {
+    plan: BatchPlan,
+    remote: Vec<FeatureMatrix>,
+    cached: Matrix,
+}
+
+impl RoundRows {
+    /// The batch's row table over `nodes` on `store`, the machine's own
+    /// ([`PartitionedFeatureStore::row_table`]).
+    fn table<'r>(
+        &'r self,
+        store: &'r PartitionedFeatureStore,
+        nodes: &[VertexId],
+    ) -> Vec<&'r [f32]> {
+        store.row_table(nodes, &self.plan, &self.remote, &self.cached)
     }
 }
 
@@ -204,8 +228,7 @@ impl<'a> DistributedTrainer<'a> {
             // cores: it samples ahead on the share, holding at most its
             // width of MFGs, and runs its forward and backward on it.
             let pool = WorkerPool::global().split(k);
-            // The batch feature buffer, recycled from round to round.
-            let mut slot: Vec<f32> = Vec::new();
+            let store = &setup.stores[rank];
             // Per-round RNG streams are derived from
             // (machine seed, epoch, round), never threaded across
             // rounds: sampling for round r is independent of rounds
@@ -241,22 +264,25 @@ impl<'a> DistributedTrainer<'a> {
                 };
                 pool.prepare_ahead(rounds_per_epoch, sample, |round, mfg| {
                     // Phases 1–2: request, serve and receive features.
-                    let gathered = exchange.round(rank, mfg.as_ref(), &mut slot, |peer, bytes| {
+                    let gathered = exchange.round(rank, mfg.as_ref(), |peer, bytes| {
                         sent[peer] += bytes;
                     });
 
                     // Local compute: forward/backward.
                     let mut grads: Option<Vec<f32>> = None;
                     let mut loss_val = 0.0f64;
-                    if let (Some(m), Some((x, fetched))) = (&*mfg, gathered) {
-                        remote_fetches += fetched;
+                    if let (Some(m), Some(rows)) = (&*mfg, gathered) {
+                        remote_fetches += rows.plan.num_remote();
                         let labels = seed_labels(&setup.dataset.labels, m);
                         let index = (sample_seed, epoch, round as u64);
-                        // A step of its own, freed before the gradient
-                        // exchange allocates.
-                        loss_val =
-                            SageStep::new(&model).train(pool, &mut model, &x, m, &labels, index);
-                        slot = x.into_flat();
+                        // A step of its own, freed with the round's rows
+                        // before the gradient exchange allocates.
+                        loss_val = {
+                            let table = rows.table(store, &m.nodes);
+                            let x = StepInput::Table(RowTable::new(store.dim(), &table));
+                            SageStep::new(&model).train(pool, &mut model, x, m, &labels, index)
+                        };
+                        drop(rows);
                         let mut flat = Vec::new();
                         for p in model.params_mut() {
                             flat.extend_from_slice(p.grad.as_flat());
@@ -374,22 +400,24 @@ impl<'a> DistributedTrainer<'a> {
         let sampler = NodeWiseSampler::new(&ds.graph, self.setup.config.fanouts.clone());
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xe7a1);
         let mut meter = AccuracyMeter::new();
-        // One feature buffer, recycled from batch to batch.
-        let mut slot = Vec::new();
         for batch in MinibatchIter::new(ids, self.setup.config.batch_size.max(64), 1, 0) {
             let mfg = sampler.sample(&batch, &mut rng);
-            let x = Trainer::gather_into_slot(&ds.features, &mfg, slot);
+            // The dataset's rows, read in place.
+            let x = StepInput::InPlace {
+                feats: &ds.features,
+                nodes: &mfg.nodes,
+            };
             let preds =
-                predictions(SageStep::new(model).infer(WorkerPool::global(), model, &x, &mfg));
+                predictions(SageStep::new(model).infer(WorkerPool::global(), model, x, &mfg));
             meter.update(&preds, &seed_labels(&ds.labels, &mfg));
-            slot = x.into_flat();
         }
         meter.value()
     }
 
     /// Verifies that the distributed gather path (stores + caches +
     /// all-to-all) reproduces the global feature matrix exactly for one
-    /// sampled batch per machine. Returns the number of vertices checked.
+    /// sampled batch per machine: every row of each batch's row table.
+    /// Returns the number of vertices checked.
     pub fn verify_gather(&self, seed: u64) -> usize {
         let k = self.setup.num_machines();
         let setup = self.setup;
@@ -403,13 +431,14 @@ impl<'a> DistributedTrainer<'a> {
                 .copied()
                 .collect();
             let mfg = (!batch.is_empty()).then(|| sampler.sample(&batch, &mut rng));
-            let gathered = exchange.round(rank, mfg.as_ref(), &mut Vec::new(), |_, _| {});
-            let (Some(m), Some((x, _))) = (&mfg, gathered) else {
+            let gathered = exchange.round(rank, mfg.as_ref(), |_, _| {});
+            let (Some(m), Some(rows)) = (&mfg, gathered) else {
                 return 0;
             };
+            let table = rows.table(&setup.stores[rank], &m.nodes);
             for (i, &v) in m.nodes.iter().enumerate() {
                 assert_eq!(
-                    x.row(i),
+                    table[i],
                     setup.dataset.features.row(v),
                     "machine {rank}: gathered features differ at vertex {v}"
                 );

@@ -86,6 +86,4 @@ pub use batcher::{BatchPolicy, CloseTrigger, MicroBatch, MicroBatcher};
 pub use loadgen::{generate_open_loop, PopularitySampler, TraceConfig, BURST_WINDOW};
 pub use overlay::{DynamicOverlay, InsertOutcome, OverlayCounters};
 pub use queue::{AdmissionQueue, InferenceRequest, RejectReason, Rejection};
-pub use server::{
-    BatchRecord, CacheStats, Completion, InferenceServer, ServeConfig, ServeReport, BATCH_TENSORS,
-};
+pub use server::{BatchRecord, CacheStats, Completion, InferenceServer, ServeConfig, ServeReport};

@@ -25,32 +25,36 @@
 //! Everything that reads or writes server state — sampling, the plan, the
 //! overlay, the remote fetch, the DES, the accounting and the batch's
 //! completion records with their `finish` — is *preparation*. The
-//! forward pass reads the batch's resident rows (local partition rows
-//! and the static tier, both immutable after build) into the batch's own
-//! tensor and runs the model on it and the MFG; its label and checksum
-//! are written into the batch's completions by index. So a run is one
+//! forward pass builds the batch's row table over its resident rows
+//! (local partition rows and the static tier, both immutable after
+//! build) and the rows preparation left it, and runs the model on the
+//! table and the MFG; its label and checksum are written into the
+//! batch's completions by index. So a run is one
 //! [`WorkerPool::lane`] region of [`ServeConfig::pool`]: the whole
 //! request loop runs on the caller and submits each prepared batch,
 //! while one helper runs the forward passes. The lane is one deep: a
 //! batch that finds the previous one still queued runs that one's
 //! forward pass on the caller, so preparation never waits. On a
 //! one-worker pool, or inside another region, the lane runs inline and
-//! gives the same report. The batch tensors are a ring of
-//! [`BATCH_TENSORS`] recycled buffers — one being prepared, one queued,
-//! one in a forward pass.
+//! gives the same report. No batch has an input tensor: each row is
+//! read where it lives.
 //!
 //! # One feature-row path
 //!
 //! Where a vertex's row lives on this machine is decided by
 //! `PartitionedFeatureStore::plan` alone (local GPU / local CPU / static
 //! tier / remote by owner). The server owns only the overlay: it probes
-//! the plan's remote residue, moves the hits out of the plan, lets
-//! `read_remote` read the misses the plan still lists — each owner's
-//! with one `PartitionedFeatureStore::serve` on that owner's store, as
-//! the training engine fetches them — and fills the overlay hits into
-//! the same tensor. The forward piece's `read_resident` reads the rest
-//! of the plan. Every row a batch reads therefore comes from the
-//! deployment's partitioned stores, whatever backend filled them.
+//! the plan's remote residue, moves the hits out of the plan, fetches
+//! the misses the plan still lists — each owner's with one
+//! `PartitionedFeatureStore::serve` on that owner's store, as the
+//! training engine fetches them — and decodes the overlay hits into a
+//! small per-batch matrix while preparing, since later admissions
+//! change the overlay. The forward piece's
+//! `PartitionedFeatureStore::row_table` reads the resident rows in
+//! place and each fetched row in its owner's response, and points the
+//! overlay hits' entries at their decoded rows. Every row a batch reads
+//! therefore comes from the deployment's partitioned stores, whatever
+//! backend filled them.
 
 use crate::batcher::{BatchPolicy, CloseTrigger, MicroBatch, MicroBatcher};
 use crate::overlay::DynamicOverlay;
@@ -59,14 +63,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spp_comm::{DesEngine, ResourceId};
 use spp_core::{BatchPlan, PartitionedFeatureStore};
-use spp_gnn::{GnnModel, SageStep};
-use spp_graph::{quant, QuantScheme, VertexId};
+use spp_gnn::{GnnModel, SageStep, StepInput};
+use spp_graph::{quant, FeatureMatrix, QuantScheme, VertexId};
 use spp_pool::{Lane, WorkerPool};
 use spp_runtime::{CostModel, DistributedSetup};
 use spp_sampler::{batch_stream_seed, Fanouts, Mfg, NodeWiseSampler, VertexIndexer};
 use spp_telemetry as tel;
 use spp_telemetry::metrics::{Counter, Gauge, Histogram};
-use spp_tensor::Matrix;
+use spp_tensor::{Matrix, RowTable};
 use std::collections::VecDeque;
 use std::sync::OnceLock;
 
@@ -390,9 +394,9 @@ fn argmax(row: &[f32]) -> usize {
 }
 
 /// Whether `plan`'s resident and remote buckets and the overlay `hits`
-/// together list each of the `n` node positions exactly once: the
-/// preparation and the forward pass write disjoint rows of the tensor
-/// and leave none unwritten. A debug-build check.
+/// together list each of the `n` node positions exactly once: every
+/// entry of the batch's row table is pointed at exactly one row. A
+/// debug-build check.
 fn partitions_nodes(n: usize, plan: &BatchPlan, hits: &[(u32, u32)]) -> bool {
     let mut seen = vec![false; n];
     let cached = plan.cached.iter().map(|(pos, _)| pos);
@@ -410,10 +414,6 @@ fn partitions_nodes(n: usize, plan: &BatchPlan, hits: &[(u32, u32)]) -> bool {
     listed == n
 }
 
-/// Batch tensors a run recycles: one being prepared, one queued in the
-/// lane, one in a forward pass.
-pub const BATCH_TENSORS: usize = 3;
-
 /// The lane of a serving run: prepared batches in, answered ones out.
 type ForwardLane<'l> = Lane<'l, Prepared, Answered>;
 
@@ -421,48 +421,55 @@ type ForwardLane<'l> = Lane<'l, Prepared, Answered>;
 /// completions are recorded, with `finish` and `latency`; the forward
 /// pass fills in their `label` and `checksum`.
 struct Prepared {
-    /// Feature rows of the MFG's nodes. Preparation wrote the fetched
-    /// and overlay rows; the rows of `plan`'s resident buckets are read
-    /// by the forward pass.
-    x: Matrix,
     mfg: Mfg,
-    /// The batch's plan; only its resident buckets (`local_gpu`,
-    /// `local_cpu`, `cached`) are read after preparation.
+    /// The batch's plan, with the overlay hits moved out of its remote
+    /// buckets.
     plan: BatchPlan,
+    /// Each owner's fetched rows, aligned with its bucket in `plan`.
+    remote: Vec<FeatureMatrix>,
+    /// Overlay hits as `(position, slot)`, and their rows decoded while
+    /// preparing, in that order.
+    hits: Vec<(u32, u32)>,
+    hit_rows: Matrix,
     /// Each request's row in the logits (seeds are deduplicated).
     seed_row: Vec<usize>,
     /// Index of the batch's first completion in the server's list.
     first: usize,
 }
 
-/// A forward pass's logits, the completions they answer, and the input
-/// tensor's buffer for a later batch.
+/// A forward pass's logits and the completions they answer.
 struct Answered {
     logits: Matrix,
-    input: Vec<f32>,
     seed_row: Vec<usize>,
     first: usize,
 }
 
 impl Prepared {
-    /// Reads the batch's resident rows, then runs the forward pass on
-    /// the global pool. The store's local rows and static tier never
-    /// change after build, so this reads nothing preparation writes.
+    /// Builds the batch's row table and runs the forward pass on the
+    /// global pool. The store's local rows and static tier never change
+    /// after build, so this reads nothing preparation writes.
     fn run_model(self, model: &GnnModel, store: &PartitionedFeatureStore) -> Answered {
         let Prepared {
-            mut x,
             mfg,
             plan,
+            remote,
+            hits,
+            hit_rows,
             seed_row,
             first,
         } = self;
-        store.read_resident(&mfg.nodes, &plan, &mut x);
+        let mut cached = Matrix::empty();
+        store.decode_cached(&plan, &mut cached);
+        let mut table = store.row_table(&mfg.nodes, &plan, &remote, &cached);
+        for (i, &(pos, _)) in hits.iter().enumerate() {
+            table[pos as usize] = hit_rows.row(i);
+        }
+        let x = StepInput::Table(RowTable::new(store.dim(), &table));
         // A step of its own, as `GnnModel::infer`.
         let mut step = SageStep::new(model);
-        step.infer(WorkerPool::global(), model, &x, &mfg);
+        step.infer(WorkerPool::global(), model, x, &mfg);
         Answered {
             logits: step.into_logits(),
-            input: x.into_flat(),
             seed_row,
             first,
         }
@@ -499,9 +506,6 @@ pub struct InferenceServer<'a> {
     /// Overlay evictions already forwarded to telemetry.
     reported_evictions: u64,
     completions: Vec<Completion>,
-    /// Batch tensors back from their forward pass, for the next batches
-    /// to be prepared into; at most [`BATCH_TENSORS`] exist.
-    free: Vec<Vec<f32>>,
     rejections: Vec<Rejection>,
     batches: Vec<BatchRecord>,
 }
@@ -566,7 +570,6 @@ impl<'a> InferenceServer<'a> {
             fetch_events: Vec::new(),
             reported_evictions: 0,
             completions: Vec::new(),
-            free: Vec::with_capacity(BATCH_TENSORS),
             rejections: Vec::new(),
             batches: Vec::new(),
         }
@@ -654,8 +657,8 @@ impl<'a> InferenceServer<'a> {
         self.inflight.iter().map(|&(_, n)| n).sum()
     }
 
-    /// Answers every batch whose forward pass is done, so its tensor is
-    /// free again, then prepares `batch` and submits it to the lane.
+    /// Answers every batch whose forward pass is done, then prepares
+    /// `batch` and submits it to the lane.
     fn process_batch(&mut self, lane: &ForwardLane<'_>, batch: &MicroBatch) {
         while let Some(done) = lane.take_done() {
             self.answer(done);
@@ -674,9 +677,8 @@ impl<'a> InferenceServer<'a> {
     }
 
     /// Fills in the label and logits checksum of a forwarded batch's
-    /// completions, and frees its input tensor for a later batch.
+    /// completions.
     fn answer(&mut self, done: Answered) {
-        self.free.push(done.input);
         let rows = self.completions.iter_mut().skip(done.first);
         for (c, &row_idx) in rows.zip(&done.seed_row) {
             let row = done.logits.row(row_idx);
@@ -730,30 +732,37 @@ impl<'a> InferenceServer<'a> {
             "resident buckets, fetched rows and overlay hits must partition the nodes"
         );
 
-        // Fill the batch tensor's non-resident rows: each owner's misses
-        // with one `serve` on that owner's store, and the overlay hits
-        // decoded by their probed slot. The resident rows are the forward pass's.
-        // Admissions wait until every hit is read, so the overlay read
-        // here is exactly the overlay the probe saw. The tensor is a free
-        // one of the ring; every row is overwritten, so it is not
-        // cleared.
+        // Read the batch's non-resident rows: each owner's misses with
+        // one `serve` on that owner's store, kept in its response, and
+        // the overlay hits decoded by their probed slot. The resident
+        // rows are the forward pass's. Admissions wait until every hit
+        // is read, so the overlay read here is exactly the overlay the
+        // probe saw.
         let dim = store.dim();
         let stores = self.stores;
         let wire = self.cfg.wire_scheme;
-        let slot = self.free.pop().unwrap_or_default();
-        let mut x = Matrix::from_recycled(mfg.num_nodes(), dim, slot);
-        store.read_remote(&plan, &mut x, |owner, ids| {
-            let mut rows = stores[owner as usize].serve(ids);
-            // The wire codec is applied at the requester: the row the
-            // model (and the overlay admission) sees is what survived
-            // the quantized transfer.
-            for r in 0..ids.len() {
-                quant::wire_roundtrip(rows.row_mut(r as VertexId), wire);
-            }
-            rows
-        });
-        for &(pos, slot) in &hits {
-            self.overlay.read_row_into(slot, x.row_mut(pos as usize));
+        let remote: Vec<FeatureMatrix> = plan
+            .remote
+            .iter()
+            .enumerate()
+            .map(|(owner, reqs)| {
+                if reqs.is_empty() {
+                    return FeatureMatrix::zeros(0, dim);
+                }
+                let ids: Vec<VertexId> = reqs.iter().map(|&(_, v)| v).collect();
+                let mut rows = stores[owner].serve(&ids);
+                // The wire codec is applied at the requester: the row the
+                // model (and the overlay admission) sees is what survived
+                // the quantized transfer.
+                for r in 0..ids.len() {
+                    quant::wire_roundtrip(rows.row_mut(r as VertexId), wire);
+                }
+                rows
+            })
+            .collect();
+        let mut hit_rows = Matrix::zeros(hits.len(), dim);
+        for (i, &(_, slot)) in hits.iter().enumerate() {
+            self.overlay.read_row_into(slot, hit_rows.row_mut(i));
         }
         // Fetched wire bytes, computed once: the comm events, the DES
         // network leg, `bytes_fetched` and the `serve.net.bytes` counter
@@ -768,8 +777,8 @@ impl<'a> InferenceServer<'a> {
             self.fetch_events
                 .push((batch.close_time, owner as u32, bytes));
             fetched_bytes += bytes;
-            for &(pos, v) in reqs {
-                self.overlay.insert(v, x.row(pos as usize));
+            for (r, &(_, v)) in reqs.iter().enumerate() {
+                self.overlay.insert(v, remote[owner].row(r as VertexId));
             }
         }
         let (n_cpu, n_static) = (plan.local_cpu.len(), plan.cached.len());
@@ -876,9 +885,11 @@ impl<'a> InferenceServer<'a> {
             }
         }
         Prepared {
-            x,
             mfg,
             plan,
+            remote,
+            hits,
+            hit_rows,
             seed_row,
             first,
         }

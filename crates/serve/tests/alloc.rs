@@ -3,16 +3,12 @@
 //! - the removed per-row copies: a steady-state micro-batch allocates
 //!   fewer times than it fetches rows, i.e. no heap allocation is made
 //!   per fetched row (each owner's rows are read with one `gather` into
-//!   one staging matrix, copied into the batch tensor, and admitted to
-//!   the overlay straight from that tensor);
-//! - the recycled batch tensors: the server's ring holds
-//!   [`BATCH_TENSORS`], and `Matrix::from_recycled` grows one only when
-//!   the batch prepared into it has more MFG nodes than its capacity,
-//!   and then to exactly that batch. So each tensor's allocations are
-//!   strictly increasing batch sizes: every batch-tensor-sized
-//!   allocation is exactly some batch's tensor, no size is allocated
-//!   more than once per tensor of the ring, and a batch no larger than
-//!   every tensor's capacity allocates nothing.
+//!   one response matrix, which the row table and the overlay
+//!   admissions read in place);
+//! - no input tensor: a batch's first layer reads its rows through a
+//!   row table (local rows and the static tier in place, fetched rows
+//!   in their owner's response, overlay hits in a matrix of their own),
+//!   so none of a batch's allocations reaches `nodes × dim` `f32`s.
 //!
 //! The counters are process-global, so the tests take turns.
 
@@ -33,7 +29,7 @@ use spp_graph::dataset::SyntheticSpec;
 use spp_pool::WorkerPool;
 use spp_runtime::{DistributedSetup, SetupConfig};
 use spp_sampler::Fanouts;
-use spp_serve::{generate_open_loop, InferenceServer, ServeConfig, TraceConfig, BATCH_TENSORS};
+use spp_serve::{generate_open_loop, InferenceServer, ServeConfig, TraceConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -151,10 +147,10 @@ fn steady_state_batch_allocates_less_than_once_per_fetched_row() {
 }
 
 #[test]
-fn batch_tensors_grow_only_for_a_batch_larger_than_all_before() {
+fn no_batch_allocates_an_input_tensor() {
     let _serial = serial();
     let dim = 64;
-    let ds = SyntheticSpec::new("serve-recycle", 6000, 10.0, dim, 4)
+    let ds = SyntheticSpec::new("serve-rows", 6000, 10.0, dim, 4)
         .split_fractions(0.3, 0.1, 0.1)
         .seed(31)
         .build();
@@ -169,8 +165,8 @@ fn batch_tensors_grow_only_for_a_batch_larger_than_all_before() {
         },
     );
     // A narrow hidden layer keeps every forward-pass buffer far below
-    // the input tensor, and four machines keep each owner's fetch
-    // staging matrix below it too.
+    // an input tensor, and four machines keep each owner's response
+    // below it too.
     let model = GnnModel::new(Arch::Sage, &[dim, 4, 4], 5);
     let trace = generate_open_loop(&TraceConfig {
         num_requests: 64 * 24,
@@ -194,63 +190,25 @@ fn batch_tensors_grow_only_for_a_batch_larger_than_all_before() {
         InferenceServer::new(&setup, &model, 0, cfg).run(&trace)
     };
     // A first run learns the batches' node counts; the second records
-    // the allocations at least as large as the smallest batch tensor.
+    // every allocation at least as large as the smallest batch's input
+    // tensor would be.
     let nodes: Vec<usize> = run().batches.iter().map(|b| b.mfg_nodes).collect();
-    let tensor_bytes = |n: usize| (n * dim * 4) as u64;
     let smallest = nodes.iter().copied().min().unwrap();
+    assert!(nodes.len() >= 16, "too few batches: {}", nodes.len());
     BIG.store(0, Ordering::Relaxed);
-    BIG_AT.store(tensor_bytes(smallest), Ordering::Relaxed);
+    BIG_AT.store((smallest * dim * 4) as u64, Ordering::Relaxed);
     let report = run();
     BIG_AT.store(u64::MAX, Ordering::Relaxed);
     let big = BIG.load(Ordering::Relaxed) as usize;
     assert_eq!(report.batches.len(), nodes.len());
-    assert!(
-        big <= BIG_SIZES,
-        "{big} big allocations overflow the record"
-    );
-    let sizes: Vec<u64> = BIG_SIZE[..big]
+    let sizes: Vec<u64> = BIG_SIZE[..big.min(BIG_SIZES)]
         .iter()
         .map(|s| s.load(Ordering::Relaxed))
         .collect();
-
-    // Batches with more nodes than every batch before them: the run
-    // cannot avoid growing some tensor for each.
-    let mut records = 0;
-    let mut most = 0;
-    for &n in &nodes {
-        if n > most {
-            records += 1;
-            most = n;
-        }
-    }
-    assert!(
-        BATCH_TENSORS * records < nodes.len(),
-        "fixture needs more batches than node-count records: {records} of {}",
-        nodes.len()
-    );
-    // Growth is exact: every big allocation is one batch's tensor.
-    for &size in &sizes {
-        assert!(
-            nodes.iter().any(|&n| tensor_bytes(n) == size),
-            "a {size} B allocation is no batch's tensor (sizes {sizes:?})"
-        );
-    }
-    // A tensor's allocations strictly increase, so no size recurs more
-    // often than the ring has tensors, and there are at most as many
-    // allocations as the ring can make over the distinct sizes.
-    let mut distinct = sizes.clone();
-    distinct.sort_unstable();
-    distinct.dedup();
-    for &size in &distinct {
-        let times = sizes.iter().filter(|&&s| s == size).count();
-        assert!(
-            times <= BATCH_TENSORS,
-            "{times} allocations of {size} B from a ring of {BATCH_TENSORS}"
-        );
-    }
-    assert!(
-        big < nodes.len(),
-        "{big} batch-tensor-sized allocations over {} batches: one per batch",
+    assert_eq!(
+        big,
+        0,
+        "{big} allocations of at least {smallest} × {dim} × 4 B over {} batches (sizes {sizes:?})",
         nodes.len()
     );
 }

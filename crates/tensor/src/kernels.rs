@@ -16,10 +16,14 @@
 //! panel of 16 columns packed on the stack (`[[f32; 16]; KC]`, 16 KiB,
 //! the last panel zero-padded so `n % 16` needs no tail path) and its
 //! left operand rows sliced to their exact span, so the FMA loop
-//! carries no bounds check. A product deeper than [`KC`] is blocked
-//! over `k`; a block stores its accumulators to the output and the next
-//! reloads them, and an `f32` stored and reloaded is exact. No product
-//! kernel touches the heap (only `linear_rows` keeps a scratch block).
+//! carries no bounds check. A left operand given as a table of rows
+//! borrowed where they live ([`crate::RowView`]) is packed side by
+//! side a block at a time first, so `matmul` and `t_matmul` give the
+//! same bits for it as for a contiguous matrix. A product deeper than
+//! [`KC`] is blocked over `k`; a block stores its accumulators to the
+//! output and the next reloads them, and an `f32` stored and reloaded
+//! is exact. No product kernel touches the heap (only `linear_rows`
+//! keeps a scratch block).
 //!
 //! The tile's rows are `[f32; 16]` arrays that LLVM's autovectorizer
 //! lowers to two 8-lane FMA vectors each (AVX2 ymm registers; four
@@ -30,7 +34,7 @@
 //! build target, never of data or worker count. A zero entry costs one
 //! multiply-add like any other.
 
-use crate::Matrix;
+use crate::{Matrix, RowView};
 use std::array::from_fn;
 
 /// SIMD lane width of `dot_blocked`'s accumulators, and so of
@@ -259,7 +263,8 @@ pub const LINEAR_BLOCK_ELEMS: usize = 32 * 1024;
 /// Fused affine row kernel: output rows `r0 .. r0 + chunk.len() / n` of
 /// `act(Σ_t x_t · w_t + bias)` into `chunk`, overwriting it. Each term
 /// is `(x, w)` with `w` `k × n`; `x` has `k` columns and at least as
-/// many rows as the output, and only the rows of the chunk are read.
+/// many rows as the output, and only the rows of the chunk are read,
+/// from a matrix or a table of rows alike ([`RowView`]).
 ///
 /// Per row block each product is fully accumulated by
 /// [`matmul_rows_dense`] — the first term straight into the output, a
@@ -268,10 +273,14 @@ pub const LINEAR_BLOCK_ELEMS: usize = 32 * 1024;
 /// association of separate `matmul`, `add`, `add_bias` and `relu`
 /// passes over whole matrices (an `f32` stored and reloaded is exact),
 /// with no intermediate matrix. The ReLU is `v < 0 → 0`, so `-0.0` and
-/// NaN pass through as they do there.
+/// NaN pass through as they do there. A table's rows of the block are
+/// first packed side by side into the scratch, as a blocked product
+/// packs its operands: every 16-column panel re-reads the block, and
+/// rows scattered over memory would miss the cache on the first of
+/// those reads (0.72× the contiguous speed at 24 000×64×256, unpacked).
 // spp-hot(kernel.linear)
 pub fn linear_rows(
-    terms: &[(&Matrix, &Matrix)],
+    terms: &[(RowView<'_>, &Matrix)],
     bias: Option<&[f32]>,
     relu: bool,
     n: usize,
@@ -285,19 +294,29 @@ pub fn linear_rows(
         return;
     }
     let block = (LINEAR_BLOCK_ELEMS / n).max(MM_I_TILE) / MM_I_TILE * MM_I_TILE * n;
-    let mut scratch = if later.is_empty() {
+    let products = if later.is_empty() {
+        0
+    } else {
+        block.min(chunk.len())
+    };
+    let table_k = terms.iter().map(|(x, _)| match x {
+        RowView::Dense(_) => 0,
+        RowView::Table(t) => t.cols(),
+    });
+    let packed = block.min(chunk.len()) / n * table_k.max().unwrap_or(0);
+    let mut scratch = if products + packed == 0 {
         Vec::new() // spp-hot: alloc(capacity-0 Vec::new never touches the heap)
     } else {
-        vec![0.0f32; block.min(chunk.len())] // spp-hot: alloc(one L2-sized scratch block per job, reused by every row block and term)
+        vec![0.0f32; products + packed] // spp-hot: alloc(one L2-sized scratch block per job, reused by every row block and term)
     };
+    let (product, pack) = scratch.split_at_mut(products);
     let mut lo = r0;
     for out in chunk.chunks_mut(block) {
         let hi = lo + out.len() / n;
-        let k0 = x0.cols();
-        matmul_rows_dense(&x0.as_flat()[lo * k0..hi * k0], k0, w0.as_flat(), n, out);
+        view_rows(x0, lo..hi, w0, n, out, pack);
         for &(x, w) in later {
-            let (k, product) = (x.cols(), &mut scratch[..out.len()]);
-            matmul_rows_dense(&x.as_flat()[lo * k..hi * k], k, w.as_flat(), n, product);
+            let product = &mut product[..out.len()];
+            view_rows(x, lo..hi, w, n, product, pack);
             for (o, &p) in out.iter_mut().zip(product.iter()) {
                 *o += p;
             }
@@ -318,6 +337,31 @@ pub fn linear_rows(
         }
         lo = hi;
     }
+}
+
+/// Rows `rows` of `x · w` into `out`, wherever `x`'s rows live: a
+/// table's are packed into `pack` first.
+#[inline]
+fn view_rows(
+    x: RowView<'_>,
+    rows: std::ops::Range<usize>,
+    w: &Matrix,
+    n: usize,
+    out: &mut [f32],
+    pack: &mut [f32],
+) {
+    let k = x.cols();
+    let a = match x {
+        RowView::Dense(m) => &m.as_flat()[rows.start * k..rows.end * k],
+        RowView::Table(t) => {
+            let pack = &mut pack[..rows.len() * k];
+            for (p, row) in pack.chunks_exact_mut(k.max(1)).zip(&t.rows()[rows]) {
+                p.copy_from_slice(row);
+            }
+            pack
+        }
+    };
+    matmul_rows_dense(a, k, w.as_flat(), n, out);
 }
 
 // ---------------------------------------------------------------------
@@ -348,6 +392,72 @@ pub fn t_matmul_cols_dense(
     chunk: &mut [f32],
 ) {
     debug_assert_eq!(a.len(), rows * k, "a shape mismatch");
+    t_matmul_panels(a, k, b, n, rows, k0, chunk, false);
+}
+
+/// Columns of `a` per block of [`t_matmul_cols_table`]: one block of a
+/// row panel, [`TM_R_PANEL`] × 64 `f32`s (16 KiB), packed on the stack.
+pub(crate) const TM_TABLE_COLS: usize = 64;
+
+/// [`t_matmul_cols_dense`] with `a`'s rows borrowed one by one, each
+/// `k` wide ([`crate::RowTable`]). Per row panel and block of at most
+/// [`TM_TABLE_COLS`] of the chunk's columns, the rows' columns are
+/// packed side by side on the stack and the dense kernel runs over the
+/// pack, resuming the accumulators the panel before stored: every
+/// element still sums over `r` ascending in one accumulator, so the
+/// bits are the dense kernel's. Read in place, rows scattered over
+/// memory would miss the cache where the kernel walks the panel again
+/// for each 16-column slice of `b`.
+pub(crate) fn t_matmul_cols_table(
+    a: &[&[f32]],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    k0: usize,
+    chunk: &mut [f32],
+) {
+    let rows = a.len();
+    debug_assert_eq!(b.len(), rows * n, "b shape mismatch");
+    if chunk.is_empty() {
+        return;
+    }
+    if rows == 0 {
+        chunk.fill(0.0); // empty sum: no panel below would write it
+        return;
+    }
+    let mut pack = [0.0f32; TM_R_PANEL * TM_TABLE_COLS];
+    for r0 in (0..rows).step_by(TM_R_PANEL) {
+        let r1 = (r0 + TM_R_PANEL).min(rows);
+        for (cb, out) in chunk.chunks_mut(TM_TABLE_COLS * n).enumerate() {
+            let (c0, w) = (k0 + cb * TM_TABLE_COLS, out.len() / n);
+            let pack = &mut pack[..(r1 - r0) * w];
+            for (p, row) in pack.chunks_exact_mut(w).zip(&a[r0..r1]) {
+                p.copy_from_slice(&row[..k][c0..c0 + w]);
+            }
+            t_matmul_panels(pack, w, &b[r0 * n..r1 * n], n, r1 - r0, 0, out, r0 > 0);
+        }
+    }
+}
+
+/// The one body of [`t_matmul_cols_dense`] and [`t_matmul_cols_table`]:
+/// the rows are walked in panels of [`TM_R_PANEL`], and the first
+/// panel's accumulators start at zero unless `resume`, when they are
+/// reloaded from `chunk` as every later panel's are.
+#[inline(always)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the dense kernel's seven shape arguments plus the resume flag its table form sets"
+)]
+fn t_matmul_panels(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    rows: usize,
+    k0: usize,
+    chunk: &mut [f32],
+    resume: bool,
+) {
     debug_assert_eq!(b.len(), rows * n, "b shape mismatch");
     if chunk.is_empty() {
         return;
@@ -362,16 +472,17 @@ pub fn t_matmul_cols_dense(
     for r0 in (0..rows).step_by(TM_R_PANEL) {
         let r1 = (r0 + TM_R_PANEL).min(rows);
         let (ap, panel) = (&a[r0 * k..r1 * k], &mut panel[..r1 - r0]);
+        let resume = resume || r0 > 0;
         for j in (0..n).step_by(MM_J_TILE) {
             pack_panel(panel, &b[r0 * n..r1 * n], n, j);
             for (g, out) in out4.chunks_exact_mut(MM_I_TILE * n).enumerate() {
                 let steps = col_steps(ap, k, k0 + g * MM_I_TILE);
-                let acc: Tile<MM_I_TILE> = tile(load_tile(out, n, j, r0 > 0), panel, steps);
+                let acc: Tile<MM_I_TILE> = tile(load_tile(out, n, j, resume), panel, steps);
                 store_tile(acc, out, n, j);
             }
             for (g, out) in out1.chunks_exact_mut(n).enumerate() {
                 let steps = col_steps(ap, k, k0 + split + g);
-                let acc: Tile<1> = tile(load_tile(out, n, j, r0 > 0), panel, steps);
+                let acc: Tile<1> = tile(load_tile(out, n, j, resume), panel, steps);
                 store_tile(acc, out, n, j);
             }
         }
@@ -639,7 +750,8 @@ mod tests {
                 let wm: Vec<Matrix> = (0..terms)
                     .map(|t| Matrix::from_flat(ks[t], n, ws[t].clone()))
                     .collect();
-                let table: Vec<(&Matrix, &Matrix)> = xm.iter().zip(&wm).collect();
+                let table: Vec<(RowView, &Matrix)> =
+                    xm.iter().map(RowView::Dense).zip(&wm).collect();
                 let b = with_bias.then_some(&bias[..]);
                 let mut out = vec![f32::NAN; rows * n];
                 let (head, tail) = out.split_at_mut(301 * n);

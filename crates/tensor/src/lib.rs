@@ -2,7 +2,9 @@
 //!
 //! The paper's system trains GNNs with PyTorch; this crate is the
 //! substitute substrate (DESIGN.md §2): row-major `f32` matrices
-//! ([`Matrix`]) with their blocked dense [`kernels`], the sparse half of
+//! ([`Matrix`]) with their blocked dense [`kernels`], whose left operand
+//! may also be a table of rows borrowed where they live ([`RowView`]),
+//! the sparse half of
 //! a GraphSAGE layer ([`sage`]: neighbor mean, its gradient as a
 //! gather, dropout), weight [`init`]ializers, and the Adam [`optim`]izer.
 //! There is no autograd graph: `spp_gnn::SageStep` composes these
@@ -12,7 +14,7 @@
 //!
 //! ```
 //! use spp_pool::WorkerPool;
-//! use spp_tensor::Matrix;
+//! use spp_tensor::{Matrix, RowView};
 //!
 //! // One affine layer with ReLU, `relu(x·w + b)`, and the gradient of
 //! // `w` for an upstream gradient `g`: `xᵀ·g`.
@@ -21,7 +23,7 @@
 //! let w = Matrix::from_rows(&[&[1.0], &[1.0]]);
 //! let b = Matrix::from_rows(&[&[0.5]]);
 //! let mut y = Matrix::empty();
-//! Matrix::linear_into(pool, 2, &[(&x, &w)], Some(&b), true, &mut y);
+//! Matrix::linear_into(pool, 2, &[(RowView::Dense(&x), &w)], Some(&b), true, &mut y);
 //! assert_eq!(y.as_flat(), &[3.5, 0.0]);
 //! let g = Matrix::from_rows(&[&[1.0], &[0.0]]);
 //! let mut gw = Matrix::empty();
@@ -47,5 +49,5 @@ pub mod matrix;
 pub mod optim;
 pub mod sage;
 
-pub use matrix::Matrix;
+pub use matrix::{Matrix, RowTable, RowView};
 pub use optim::{Adam, Optimizer, Param};

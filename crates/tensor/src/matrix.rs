@@ -90,26 +90,6 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Wraps `buf`, a recycled buffer of any length and content, as a
-    /// `rows × cols` matrix for a caller that overwrites the rows it
-    /// needs; elements past `buf`'s length start at zero. A buffer whose
-    /// capacity fits keeps its allocation; one too small grows to
-    /// exactly `rows × cols`. A plain `resize` would double the capacity
-    /// instead, so a long-lived slot would settle near twice the largest
-    /// batch it has seen. Growing (rather than replacing) keeps the
-    /// pages already touched: a freshly allocated multi-megabyte slot
-    /// page-faults all of them again.
-    pub fn from_recycled(rows: usize, cols: usize, mut buf: Vec<f32>) -> Self {
-        let len = rows * cols;
-        buf.reserve_exact(len.saturating_sub(buf.len())); // spp-hot: alloc(recycled slot; grows to exactly rows × cols only when the batch outgrows its capacity)
-        buf.resize(len, 0.0); // spp-hot: alloc(never reallocates: capacity reserved on the line above)
-        Self {
-            rows,
-            cols,
-            data: buf,
-        }
-    }
-
     /// Builds from row slices.
     ///
     /// # Panics
@@ -198,17 +178,25 @@ impl Matrix {
     /// Panics on inner-dimension mismatch.
     // spp-hot(tensor.matmul)
     pub fn matmul_into(&self, pool: WorkerPool, other: &Matrix, out: &mut Matrix) {
-        Matrix::linear_into(pool, self.rows, &[(self, other)], None, false, out);
+        Matrix::linear_into(
+            pool,
+            self.rows,
+            &[(RowView::Dense(self), other)],
+            None,
+            false,
+            out,
+        );
     }
 
     /// The fused affine map `act(Σᵢ xᵢ[..rows] · wᵢ + bias)` over
     /// `terms = [(xᵢ, wᵢ), …]` into `out`: each `xᵢ` contributes its
-    /// first `rows` rows, `bias` is `1 × n`, `act` is ReLU when `relu` is
-    /// set and the identity otherwise. One row-parallel region writes
-    /// the output once ([`kernels::linear_rows`]); the result is
-    /// bit-identical to `matmul`, element-wise sum left to right, bias
-    /// add and clamp as separate whole-matrix passes, for any worker
-    /// count.
+    /// first `rows` rows, read where they live ([`RowView`]), `bias` is
+    /// `1 × n`, `act` is ReLU when `relu` is set and the identity
+    /// otherwise. One row-parallel region writes the output once
+    /// ([`kernels::linear_rows`]); the result is bit-identical to
+    /// `matmul`, element-wise sum left to right, bias add and clamp as
+    /// separate whole-matrix passes, for any worker count and whether
+    /// an `xᵢ` is a matrix or a table of its rows.
     ///
     /// # Panics
     ///
@@ -219,7 +207,7 @@ impl Matrix {
     pub fn linear_into(
         pool: WorkerPool,
         rows: usize,
-        terms: &[(&Matrix, &Matrix)],
+        terms: &[(RowView<'_>, &Matrix)],
         bias: Option<&Matrix>,
         relu: bool,
         out: &mut Matrix,
@@ -228,10 +216,10 @@ impl Matrix {
         let n = terms[0].1.cols;
         let mut flops = 0u64;
         for (x, w) in terms {
-            assert!(x.rows >= rows, "linear operand has too few rows");
-            assert_eq!(x.cols, w.rows, "matmul dimension mismatch");
+            assert!(x.rows() >= rows, "linear operand has too few rows");
+            assert_eq!(x.cols(), w.rows, "matmul dimension mismatch");
             assert_eq!(w.cols, n, "linear term widths differ");
-            flops += (rows * x.cols * n) as u64;
+            flops += (rows * x.cols() * n) as u64;
         }
         if let Some(b) = bias {
             assert_eq!(b.shape(), (1, n), "bias shape mismatch");
@@ -247,10 +235,8 @@ impl Matrix {
     }
 
     /// `selfᵀ @ other` into a caller-provided scratch matrix, without
-    /// materializing the transpose. Every output element `out[k][j] =
-    /// Σ_r self[r][k]·other[r][j]` accumulates over `r` ascending, and
-    /// jobs split the output by rows, so any worker count is
-    /// bit-identical.
+    /// materializing the transpose ([`RowView::head_t_matmul_into`] over
+    /// all of `self`).
     ///
     /// # Panics
     ///
@@ -258,33 +244,7 @@ impl Matrix {
     // spp-hot(tensor.t_matmul)
     pub fn t_matmul_into(&self, pool: WorkerPool, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "t_matmul dimension mismatch");
-        self.head_t_matmul_into(pool, other, out);
-    }
-
-    /// `self[..other.rows]ᵀ @ other` into `out`: [`Matrix::t_matmul_into`]
-    /// over a row prefix of `self`, without copying the prefix out (a
-    /// layer's weight gradient against its own-features term).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` has fewer rows than `other`.
-    pub fn head_t_matmul_into(&self, pool: WorkerPool, other: &Matrix, out: &mut Matrix) {
-        let rows = other.rows;
-        assert!(self.rows >= rows, "t_matmul dimension mismatch");
-        out.recycle(self.cols, other.cols);
-        let flops = (rows * self.cols * other.cols) as u64;
-        let jobs = pool.jobs_for_cost(flops).min(self.cols.max(1));
-        let (a, b, k, n) = (
-            &self.data[..rows * self.cols],
-            &other.data,
-            self.cols,
-            other.cols,
-        );
-        // Serial and parallel paths run the same kernel over column
-        // ranges of `self`, so any worker count is bit-identical.
-        par_row_blocks(pool, &mut out.data, n, jobs, |k0, chunk| {
-            kernels::t_matmul_cols_dense(a, k, b, n, rows, k0, chunk);
-        });
+        RowView::Dense(self).head_t_matmul_into(pool, other, out);
     }
 
     /// `self @ otherᵀ` into a caller-provided scratch matrix, without
@@ -367,6 +327,127 @@ impl Matrix {
     pub fn head_rows(&self, n: usize) -> Matrix {
         assert!(n <= self.rows, "head_rows out of range");
         Matrix::from_flat(n, self.cols, self.data[..n * self.cols].to_vec())
+    }
+}
+
+/// The left operand of [`Matrix::linear_into`] and
+/// [`RowView::head_t_matmul_into`]: `f32` rows where they already live,
+/// a row-major matrix or a [`RowTable`] of rows borrowed one by one.
+/// The product kernels slice their left rows one at a time, so each
+/// element sums the same products in the same order either way, bit for
+/// bit.
+#[derive(Clone, Copy, Debug)]
+pub enum RowView<'a> {
+    /// A row-major matrix's rows.
+    Dense(&'a Matrix),
+    /// Rows borrowed from wherever they are kept.
+    Table(RowTable<'a>),
+}
+
+impl RowView<'_> {
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        match self {
+            RowView::Dense(m) => m.rows,
+            RowView::Table(t) => t.len(),
+        }
+    }
+
+    /// Row width.
+    pub fn cols(&self) -> usize {
+        match self {
+            RowView::Dense(m) => m.cols,
+            RowView::Table(t) => t.cols(),
+        }
+    }
+
+    /// `self[..other.rows]ᵀ @ other` into a caller-provided scratch
+    /// matrix, without materializing the transpose or copying the rows
+    /// out (a layer's weight gradient against its own-features term).
+    /// Every output element `out[k][j] = Σ_r self[r][k]·other[r][j]`
+    /// accumulates over `r` ascending, and jobs split the output by
+    /// rows, so any worker count and either view is bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` has fewer rows than `other`.
+    pub fn head_t_matmul_into(self, pool: WorkerPool, other: &Matrix, out: &mut Matrix) {
+        let rows = other.rows;
+        assert!(self.rows() >= rows, "t_matmul dimension mismatch");
+        let (k, b, n) = (self.cols(), &other.data[..], other.cols);
+        out.recycle(k, n);
+        let flops = (rows * k * n) as u64;
+        let jobs = pool.jobs_for_cost(flops).min(k.max(1));
+        // Serial and parallel paths run the same kernel over column
+        // ranges of `self`, so any worker count is bit-identical.
+        match self {
+            RowView::Dense(m) => {
+                let a = &m.data[..rows * k];
+                par_row_blocks(pool, &mut out.data, n, jobs, |k0, chunk| {
+                    kernels::t_matmul_cols_dense(a, k, b, n, rows, k0, chunk);
+                });
+            }
+            RowView::Table(t) => {
+                let a = &t.rows()[..rows];
+                par_row_blocks(pool, &mut out.data, n, jobs, |k0, chunk| {
+                    kernels::t_matmul_cols_table(a, k, b, n, k0, chunk);
+                });
+            }
+        }
+    }
+}
+
+/// Borrowed `f32` rows of one width, in the order a product reads
+/// them: a batch's input rows read where each tier keeps them.
+#[derive(Clone, Copy, Debug)]
+pub struct RowTable<'a> {
+    cols: usize,
+    rows: &'a [&'a [f32]],
+}
+
+impl<'a> RowTable<'a> {
+    /// A table of `rows`, each `cols` wide.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is not `cols` wide.
+    pub fn new(cols: usize, rows: &'a [&'a [f32]]) -> Self {
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(row.len(), cols, "row table entry {i} has the wrong width");
+        }
+        Self { cols, rows }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the table has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Row width.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The rows.
+    pub fn rows(&self) -> &'a [&'a [f32]] {
+        self.rows
+    }
+
+    /// The first `n` rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has fewer than `n` rows.
+    pub fn head(self, n: usize) -> Self {
+        Self {
+            cols: self.cols,
+            rows: &self.rows[..n],
+        }
     }
 }
 
@@ -620,24 +701,11 @@ mod tests {
         // Dirty scratch: `linear_into` overwrites without clearing.
         let mut out = fractious(3, 3, 6);
         for workers in [1usize, 2, 8] {
-            let terms = [(&x0, &w0), (&x1, &w1)];
+            let terms = [(RowView::Dense(&x0), &w0), (RowView::Dense(&x1), &w1)];
             let pool = WorkerPool::new(workers);
             Matrix::linear_into(pool, rows, &terms, Some(&bias), true, &mut out);
             assert_eq!(out, want, "workers={workers}");
         }
-    }
-
-    #[test]
-    fn from_recycled_keeps_a_fitting_buffer_and_grows_a_small_one_exactly() {
-        let buf = Vec::with_capacity(12);
-        let ptr = buf.as_ptr();
-        let m = Matrix::from_recycled(2, 3, buf);
-        assert_eq!(m.shape(), (2, 3));
-        let buf = m.into_flat();
-        assert_eq!((buf.as_ptr(), buf.capacity()), (ptr, 12));
-        let m = Matrix::from_recycled(5, 3, buf);
-        assert_eq!(m.shape(), (5, 3));
-        assert_eq!(m.into_flat().capacity(), 15);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! ([`SourceLists`]), the order a target-major scatter adds it.
 
 use crate::matrix::{par_row_blocks_by, refit};
-use crate::Matrix;
+use crate::{Matrix, RowTable};
 use rand::Rng;
 use spp_pool::WorkerPool;
 
@@ -175,7 +175,8 @@ impl DropMask {
 }
 
 /// Rows a neighbor mean reads: a [`Matrix`]'s, or rows kept elsewhere
-/// — in place in a larger matrix, or in a store's encoded bytes — each
+/// — a [`RowTable`] of rows borrowed where they live, rows in place in
+/// a larger matrix, or a store's encoded bytes — each
 /// element decoded as it is read. Decoding must be a pure function of
 /// the stored element and its row's codec, so every source of the same
 /// values gives the same sums, bit for bit.
@@ -210,6 +211,29 @@ impl RowSource for Matrix {
     #[inline]
     fn row(&self, s: usize) -> ((), &[f32]) {
         ((), Matrix::row(self, s))
+    }
+
+    #[inline(always)]
+    fn value((): (), e: f32) -> f32 {
+        e
+    }
+}
+
+impl RowSource for RowTable<'_> {
+    type Elem = f32;
+    type Codec = ();
+
+    fn num_rows(&self) -> usize {
+        self.len()
+    }
+
+    fn cols(&self) -> usize {
+        RowTable::cols(self)
+    }
+
+    #[inline]
+    fn row(&self, s: usize) -> ((), &[f32]) {
+        ((), self.rows()[s])
     }
 
     #[inline(always)]

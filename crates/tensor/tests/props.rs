@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spp_pool::WorkerPool;
 use spp_tensor::sage::{self, DropMask, HopView, Mask, SourceLists};
-use spp_tensor::Matrix;
+use spp_tensor::{Matrix, RowTable, RowView};
 
 fn arb_matrix(r: usize, c: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-5.0f32..5.0, r * c).prop_map(move |data| Matrix::from_flat(r, c, data))
@@ -124,7 +124,10 @@ fn linear_vs_chain(case: &LinearCase, pool: WorkerPool, fused: bool) -> Vec<u32>
     }
     let bias = case.bias.then(|| awkward(1, n, seed ^ 99, nan));
     if fused {
-        let terms: Vec<_> = operands.iter().map(|(x, w)| (x, w)).collect();
+        let terms: Vec<_> = operands
+            .iter()
+            .map(|(x, w)| (RowView::Dense(x), w))
+            .collect();
         let mut out = awkward(2, 3, seed ^ 5, true);
         Matrix::linear_into(pool, rows, &terms, bias.as_ref(), case.relu, &mut out);
         return bits(&out);
@@ -285,6 +288,60 @@ fn fused_ops_are_bit_identical_to_their_references_when_the_regions_fork() {
     }
 }
 
+/// Checks that [`Matrix::linear_into`] and
+/// [`RowView::head_t_matmul_into`] over a [`RowTable`] of a shuffled
+/// matrix's rows give the bits they give over the same rows gathered
+/// into one contiguous matrix, on every pool: the self term of a first
+/// layer whose input rows stay where they live. The table has `extra`
+/// rows past the `rows` both products read; `k` and `n` off the tile
+/// grid make the ragged tile edges.
+fn check_row_table(rows: usize, extra: usize, k: usize, n: usize, seed: u64) {
+    let source = awkward(2 * (rows + extra) + 3, k, seed, true);
+    let mut order: Vec<usize> = (0..source.rows()).collect();
+    let mut rng = StdRng::seed_from_u64(seed ^ 7);
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.gen_range(0..=i));
+    }
+    order.truncate(rows + extra);
+    let table: Vec<&[f32]> = order.iter().map(|&r| source.row(r)).collect();
+    let mut dense = Matrix::zeros(order.len(), k);
+    for (i, row) in table.iter().enumerate() {
+        dense.row_mut(i).copy_from_slice(row);
+    }
+    let table = RowView::Table(RowTable::new(k, &table));
+    let w = awkward(k, n, seed ^ 1, true);
+    let (neigh, w_neigh) = (
+        awkward(rows, 9, seed ^ 2, false),
+        awkward(9, n, seed ^ 3, false),
+    );
+    let bias = awkward(1, n, seed ^ 4, false);
+    let g = awkward(rows, n, seed ^ 5, true);
+    for workers in POOLS {
+        let pool = WorkerPool::new(workers);
+        let mut want = Matrix::empty();
+        let mut got = awkward(3, 2, seed ^ 6, true);
+        for relu in [false, true] {
+            let linear = |x: RowView<'_>, out: &mut Matrix| {
+                let terms = [(x, &w), (RowView::Dense(&neigh), &w_neigh)];
+                Matrix::linear_into(pool, rows, &terms, Some(&bias), relu, out);
+            };
+            linear(RowView::Dense(&dense), &mut want);
+            linear(table, &mut got);
+            assert_eq!(bits(&got), bits(&want), "linear, workers={workers}");
+        }
+        RowView::Dense(&dense).head_t_matmul_into(pool, &g, &mut want);
+        table.head_t_matmul_into(pool, &g, &mut got);
+        assert_eq!(bits(&got), bits(&want), "head_t_matmul, workers={workers}");
+    }
+}
+
+/// Shapes big enough that both products fork into several jobs.
+#[test]
+fn row_table_operands_are_bit_identical_to_contiguous_ones() {
+    check_row_table(1203, 40, 70, 45, 3);
+    check_row_table(901, 0, 33, 17, 4);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -295,6 +352,17 @@ proptest! {
             let fused = linear_vs_chain(&case, WorkerPool::new(workers), true);
             prop_assert_eq!(&fused, &chain, "workers={}", workers);
         }
+    }
+
+    #[test]
+    fn row_table_is_the_contiguous_operand_bit_for_bit(
+        rows in 1usize..14,
+        extra in 0usize..4,
+        k in 1usize..20,
+        n in 1usize..22,
+        seed in any::<u64>(),
+    ) {
+        check_row_table(rows, extra, k, n, seed);
     }
 
     #[test]
@@ -360,7 +428,7 @@ proptest! {
         let mut eye = Matrix::zeros(5, 5);
         (0..5).for_each(|i| eye.set(i, i, 1.0));
         let mut y = Matrix::empty();
-        Matrix::linear_into(pool, 3, &[(&a, &eye)], None, true, &mut y);
+        Matrix::linear_into(pool, 3, &[(RowView::Dense(&a), &eye)], None, true, &mut y);
         prop_assert!(y.as_flat().iter().all(|&v| v >= 0.0));
         let (row_ptr, col) = ([0usize, 1, 2, 3], [0u32, 1, 2]);
         let hop = HopView::new(3, &row_ptr, &col);

@@ -110,8 +110,14 @@ pub struct FnItem {
     /// indexed by family.
     stops: [Option<String>; 3],
     /// Call sites extracted from the body (innermost-item attribution:
-    /// lines of a nested `fn` belong to the nested item only).
+    /// lines of a nested `fn` belong to the nested item only). A bare
+    /// call of one of the fn's parameters, or of a closure parameter
+    /// bound on or above its line, is a call of that value and is left
+    /// out: no item of its name is what it calls.
     pub calls: Vec<CallSite>,
+    /// The signature's parameter names, then each closure parameter as
+    /// the body binds it.
+    params: Vec<String>,
 }
 
 impl FnItem {
@@ -224,6 +230,97 @@ fn impl_target(header: &str) -> Option<(String, bool)> {
     } else {
         Some((seg, for_pos.is_some()))
     }
+}
+
+/// The identifiers a parameter list binds: per top-level `,`-separated
+/// entry, every identifier of the pattern before its top-level `:`
+/// (`mut x`, `&(a, b)`), bar `self`, `_` and binding keywords.
+fn pattern_idents(list: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut depth = 0i32;
+    let mut in_pattern = true;
+    let mut ident = String::new();
+    let mut prev = ' ';
+    for c in list.chars().chain([',']) {
+        if is_ident_char(c) && in_pattern {
+            ident.push(c);
+            continue;
+        }
+        let starts_with_digit = ident.chars().next().is_some_and(|c| c.is_numeric());
+        if !ident.is_empty()
+            && !starts_with_digit
+            && !["self", "_", "mut", "ref"].contains(&ident.as_str())
+        {
+            names.push(std::mem::take(&mut ident));
+        }
+        ident.clear();
+        match c {
+            '(' | '[' | '<' => depth += 1,
+            '>' if prev == '-' => {}
+            ')' | ']' | '>' => depth -= 1,
+            ':' if depth == 0 => in_pattern = false,
+            ',' if depth == 0 => in_pattern = true,
+            _ => {}
+        }
+        prev = c;
+    }
+    names
+}
+
+/// The parameter names of the fn whose header starts at its `fn`
+/// token: the pattern identifiers of the first parenthesized list
+/// outside the generic parameters.
+fn fn_params(header: &str) -> Vec<String> {
+    let mut angle = 0i32;
+    let mut prev = ' ';
+    for (i, c) in header.char_indices() {
+        match c {
+            '<' => angle += 1,
+            '>' if prev != '-' => angle -= 1,
+            '(' if angle == 0 => {
+                let mut depth = 0i32;
+                for (j, d) in header[i..].char_indices() {
+                    match d {
+                        '(' => depth += 1,
+                        ')' => {
+                            depth -= 1;
+                            if depth == 0 {
+                                return pattern_idents(&header[i + 1..i + j]);
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                return Vec::new();
+            }
+            _ => {}
+        }
+        prev = c;
+    }
+    Vec::new()
+}
+
+/// The parameter names of the closures a line opens: a `|` that follows
+/// `(`, `,`, `=`, `{` or `move` (not an operand, so no bitwise or) and
+/// the next `|` delimit a parameter list.
+fn closure_params(line: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut rest = line;
+    while let Some(open) = rest.find('|') {
+        let before = rest[..open].trim_end();
+        let opens = before.ends_with(['(', ',', '=', '{']) || before.ends_with("move");
+        let after = &rest[open + 1..];
+        let Some(close) = after.find('|') else {
+            break;
+        };
+        if opens {
+            names.extend(pattern_idents(&after[..close]));
+            rest = &after[close + 1..];
+        } else {
+            rest = after;
+        }
+    }
+    names
 }
 
 /// Extracts `fn <name>` from a header; returns `(name, byte_offset)` of
@@ -541,6 +638,7 @@ pub fn parse_items(file: &SourceFile, src: &str) -> FileItems {
                             roots: Default::default(),
                             stops: Default::default(),
                             calls: Vec::new(),
+                            params: fn_params(&header[fpos..]),
                         });
                         Ctx::Fn(fns.len() - 1)
                     } else if let Some((ty, of_trait)) = impl_target(&header) {
@@ -626,8 +724,12 @@ pub fn parse_items(file: &SourceFile, src: &str) -> FileItems {
         let Some(owner) = owner else { continue };
         let mut sites = Vec::new();
         if let Some(line) = file.lines.get(idx) {
+            let bound = closure_params(&line.cleaned);
+            fns[owner].params.extend(bound);
             calls_on_line(&line.cleaned, idx + 1, &mut sites);
         }
+        let params = &fns[owner].params;
+        sites.retain(|s| s.method || s.recv.is_some() || !params.contains(&s.callee));
         // Drop the self-reference the signature line produces
         // (`fn name(..)` looks like a call to `name`).
         if idx == fns[owner].start {
@@ -727,6 +829,14 @@ mod tests {
         let src = "fn fanout(fanout: u32) {\n    other();\n}\n";
         let f = parse(src);
         assert!(f.fns[0].calls.iter().all(|c| c.callee != "fanout"));
+    }
+
+    #[test]
+    fn calls_of_parameters_are_no_call_sites() {
+        let src = "fn f<T: Fn(u32) -> u32>(mut a: T, (b, c): (u8, u8), read: impl Fn() -> u8) {\n    a(1);\n    b(2);\n    c(3);\n    read();\n    let g = move |x: fn() -> u8, (y, z)| x() + y(z);\n    free(4);\n    x.read();\n}\n";
+        let f = parse(src);
+        let names: Vec<&str> = f.fns[0].calls.iter().map(|c| c.callee.as_str()).collect();
+        assert_eq!(names, ["free", "read"]);
     }
 
     #[test]

@@ -70,3 +70,10 @@ fn self_call_resolves_to_its_own_impl() {
 fn std_container_method_stays_in_the_calling_crate() {
     assert!(!audit().contains("`Store::capacity`"));
 }
+
+#[test]
+fn a_call_of_a_parameter_reaches_no_fn_of_its_name() {
+    let text = audit();
+    assert!(!text.contains("`weigh`"), "{text}");
+    assert!(!text.contains("`tally`"), "{text}");
+}

@@ -18,14 +18,32 @@ pub struct Log {
 pub struct Meta;
 
 // spp-hot(fixture.resolve)
-pub fn step(store: &Store, src: &dyn Source, stage: &mut Stage, v: usize) -> f32 {
+pub fn step(
+    store: &Store,
+    src: &dyn Source,
+    stage: &mut Stage,
+    v: usize,
+    weigh: impl Fn(f32) -> f32,
+) -> f32 {
     let local = store;
     let a = local.row(v);
     let b = src.fetch(v);
     let c = store.serve(v);
     let d = load();
     let e = stage.spare.capacity() as f32;
-    stage.settle(a + b + c + d + e)
+    let f = weigh(a);
+    let each = |tally: &dyn Fn(f32) -> f32| tally(b);
+    stage.settle(a + b + c + d + e + f + each(&weigh))
+}
+
+/// Case (g): a bare `weigh(..)` in `step` calls its parameter, not this.
+pub fn weigh(x: f32) -> f32 {
+    vec![x].len() as f32
+}
+
+/// Case (g): a bare `tally(..)` in a closure calls its parameter.
+pub fn tally(x: f32) -> f32 {
+    vec![x].len() as f32
 }
 
 /// Case (d): what a bare `load()` means.
