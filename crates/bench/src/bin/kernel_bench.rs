@@ -24,15 +24,18 @@
 //! times the first layer's self term (`Matrix::linear_into`) and its
 //! weight gradient (`RowView::head_t_matmul_into`) with the left operand
 //! a contiguous matrix vs a table of the same rows borrowed from a
-//! larger, shuffled one (`RowTable`, the engine's and server's input).
+//! larger, shuffled one (`RowTable`, the engine's and server's input),
+//! and at `infer_gather`'s first-layer shape the same two products over
+//! `f16` rows decoded as they are packed (`StepInput::Encoded`) vs over
+//! the matrix they decode to.
 //!
 //! Hard assertions (exit 1 on failure): each blocked dense matmul
 //! kernel clears **2x** the seed scalar's GFLOP/s at the L2 shape, the
 //! blocked `t_matmul` clears **1.5x** at the tall training shape,
 //! `matmul_t` clears **0.6x** the same run's `matmul` at the layer-2
 //! shape, blocked `matmul` clears **0.5x** the roofline at the layer-2
-//! shape, the layer kernels, both aggregation pairs and both row-table
-//! products are bit-equal to their references, the `f32` row
+//! shape, the layer kernels, both aggregation pairs and the row-table
+//! and `f16` products are bit-equal to their references, the `f32` row
 //! decode clears **2x** the `f16` decode's Melem/s, and quantized wire
 //! codecs shrink epoch bytes by their nominal ratios.
 //! Emits `results/BENCH_kernels.json`.
@@ -654,7 +657,8 @@ fn bench_row_table(reps: usize) -> [OpResult; 2] {
     for (i, row) in rows.iter().enumerate() {
         dense.row_mut(i).copy_from_slice(row);
     }
-    let table = RowView::Table(RowTable::new(k, &rows));
+    let table = RowTable::new(k, &rows);
+    let table = RowView::Rows(&table);
     let [w, g] = [filled(k, n, 32), filled(m, n, 33)];
     let key = |op: &str| format!("{op}_rows_ms_{TALL_SHAPE}_w1");
     let linear = |x: RowView<'_>| {
@@ -706,6 +710,90 @@ fn bench_row_table(reps: usize) -> [OpResult; 2] {
             old_ms: grad_dense * 1e3,
             new_name: "table",
             new_ms: grad_table * 1e3,
+        },
+    ]
+}
+
+/// `infer_gather`'s first layer, dense half: 3 800 targets' rows of
+/// 384 columns, which its paged store keeps as `f16`, into 32 hidden.
+const F16_SHAPE: Shape = Shape {
+    m: 3_800,
+    k: 384,
+    n: 32,
+};
+
+/// The first layer's dense products at [`F16_SHAPE`] on one worker,
+/// their left operand the rows' `f16` bytes (`StepInput::Encoded`),
+/// decoded as each block is packed, vs the matrix those rows decode to,
+/// already decoded. Both pairs must agree bit for bit.
+fn bench_f16_rows(reps: usize) -> [OpResult; 2] {
+    let Shape { m, k, n } = F16_SHAPE;
+    let pool = WorkerPool::serial();
+    let x = filled(m, k, 41);
+    let row_bytes = QuantScheme::F16.row_bytes(k);
+    let mut bytes = vec![0u8; m * row_bytes];
+    let mut decoded = Matrix::zeros(m, k);
+    for (r, b) in bytes.chunks_exact_mut(row_bytes).enumerate() {
+        quant::encode_row(QuantScheme::F16, x.row(r), b);
+        quant::decode_row(QuantScheme::F16, b, decoded.row_mut(r));
+    }
+    let encoded = StepInput::Encoded {
+        scheme: QuantScheme::F16,
+        dim: k,
+        bytes: &bytes,
+    };
+    let [w, g] = [filled(k, n, 42), filled(m, n, 43)];
+    let key = |op: &str| format!("{op}_f16_rows_ms_{F16_SHAPE}_w1");
+    let linear = |x: RowView<'_>| {
+        let mut y = Matrix::empty();
+        Matrix::linear_into(pool, m, &[(x, &w)], None, false, &mut y);
+        y
+    };
+    let grad = |x: RowView<'_>| {
+        let mut gw = Matrix::empty();
+        x.head_t_matmul_into(pool, &g, &mut gw);
+        gw
+    };
+    let dense = RowView::Dense(&decoded);
+    check(
+        same_bits(&encoded.with_view(linear), &linear(dense)),
+        &format!("linear over f16 rows == over the decoded matrix at {F16_SHAPE}"),
+    );
+    check(
+        same_bits(&encoded.with_view(grad), &grad(dense)),
+        &format!("head_t_matmul over f16 rows == over the decoded matrix at {F16_SHAPE}"),
+    );
+    let [linear_dense, linear_f16, grad_dense, grad_f16] = time_best_each(
+        reps,
+        [
+            &mut || {
+                black_box(linear(dense));
+            },
+            &mut || {
+                black_box(encoded.with_view(linear));
+            },
+            &mut || {
+                black_box(grad(dense));
+            },
+            &mut || {
+                black_box(encoded.with_view(grad));
+            },
+        ],
+    );
+    [
+        OpResult {
+            key: key("linear"),
+            old_name: "decoded",
+            old_ms: linear_dense * 1e3,
+            new_name: "f16",
+            new_ms: linear_f16 * 1e3,
+        },
+        OpResult {
+            key: key("head_t_matmul"),
+            old_name: "decoded",
+            old_ms: grad_dense * 1e3,
+            new_name: "f16",
+            new_ms: grad_f16 * 1e3,
         },
     ]
 }
@@ -767,6 +855,7 @@ fn main() {
     }
     layer_ops.extend(bench_agg_reads(tall_reps));
     layer_ops.extend(bench_row_table(tall_reps));
+    layer_ops.extend(bench_f16_rows(reps));
     let mut table = Table::new(
         "layer kernels vs the forms they replaced (best-of-reps, ms)",
         &["op_shape_workers", "old", "ms", "new", "ms", "speedup"],

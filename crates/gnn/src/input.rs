@@ -1,18 +1,18 @@
 //! Where a step's first layer reads its input rows.
 //!
-//! The first layer reads its input in two places only: the neighbor
-//! mean over the outermost hop, and the self term's first `targets`
-//! rows. Neither needs the rows gathered into an `f32` matrix first, so
-//! a [`StepInput`] names them where they are — a gathered matrix, a
-//! table of rows borrowed where each tier keeps them, an in-RAM matrix
-//! read in place by vertex id, or a store's encoded bytes in MFG order
-//! — and the mean reads them through one [`RowSource`]-generic kernel
-//! ([`sage::agg_into`]), each encoded element decoded by
-//! `spp_graph::quant`'s element decoders as it is added. The self term
-//! and its weight gradient read `f32` rows where they are too, through
-//! a [`RowView`]; only encoded rows' prefix is decoded into an `f32`
-//! matrix, which the step owns. Every source of the same values gives
-//! the same sums, bit for bit.
+//! The first layer reads its input in three places: the neighbor mean
+//! over the outermost hop, the self term's first `targets` rows, and
+//! the self term's weight gradient over the same rows. None needs the
+//! rows gathered into an `f32` matrix first, so a [`StepInput`] names
+//! them where they are — a gathered matrix, a table of rows borrowed
+//! where each tier keeps them, an in-RAM matrix read in place by vertex
+//! id, or a store's encoded bytes in MFG order — and `with_source!`,
+//! the one place that names the four, hands each read one
+//! [`RowSource`]: the mean ([`sage::agg_into`]) decodes each element as
+//! it adds it, and the dense products pack a block of decoded rows as
+//! they reach it ([`RowView::Rows`]), reading a gathered matrix in
+//! place. Every source of the same values gives the same sums, bit for
+//! bit.
 
 use spp_graph::quant::{f16_bits_to_f32, i8_row, i8_value};
 use spp_graph::{FeatureMatrix, QuantScheme, VertexId};
@@ -104,24 +104,12 @@ impl<'a> StepInput<'a> {
 
     /// Number of rows.
     pub(crate) fn rows(&self) -> usize {
-        match *self {
-            StepInput::Gathered(x) => x.rows(),
-            StepInput::Table(t) => t.len(),
-            StepInput::InPlace { nodes, .. } => nodes.len(),
-            StepInput::Encoded { scheme, dim, bytes } => {
-                bytes.len().checked_div(scheme.row_bytes(dim)).unwrap_or(0)
-            }
-        }
+        with_source!(*self, x => x.num_rows())
     }
 
     /// Row width.
     pub(crate) fn cols(&self) -> usize {
-        match *self {
-            StepInput::Gathered(x) => x.cols(),
-            StepInput::Table(t) => t.cols(),
-            StepInput::InPlace { feats, .. } => feats.dim(),
-            StepInput::Encoded { dim, .. } => dim,
-        }
+        with_source!(*self, x => x.cols())
     }
 
     /// The neighbor mean over `hop` into `out` ([`sage::agg_into`]),
@@ -130,51 +118,12 @@ impl<'a> StepInput<'a> {
         with_source!(*self, x => sage::agg_into(pool, x, hop, out));
     }
 
-    /// Decodes the first `n` rows into `buf` ([`sage::head_into`]) if
-    /// they are encoded: the one source whose self term is not read
-    /// where it lives ([`StepInput::head`]).
-    pub(crate) fn decode_head(&self, n: usize, buf: &mut Matrix) {
-        if let StepInput::Encoded { .. } = *self {
-            with_source!(*self, x => sage::head_into(x, n, buf));
-        }
-    }
-
-    /// The self term's rows, the first `n`, where they are: a gathered
-    /// matrix itself, a prefix of the row table, in-RAM rows through a
-    /// table of them, or encoded rows as `decoded` holds them
-    /// ([`StepInput::decode_head`]).
-    pub(crate) fn head<'s>(&self, n: usize, decoded: &'s Matrix) -> Head<'s>
-    where
-        'a: 's,
-    {
-        match *self {
-            StepInput::Gathered(x) => Head::View(RowView::Dense(x)),
-            StepInput::Table(t) => Head::View(RowView::Table(t.head(n))),
-            StepInput::InPlace { feats, nodes } => {
-                let rows = nodes[..n].iter().map(|&v| feats.row(v));
-                // spp-hot: alloc(one borrowed-row table per step phase, 16 B per self-term row where the copied prefix took a whole f32 row)
-                Head::Rows(feats.dim(), rows.collect())
-            }
-            StepInput::Encoded { .. } => Head::View(RowView::Dense(decoded)),
-        }
-    }
-}
-
-/// A first layer's self-term rows, as [`StepInput::head`] finds them.
-pub(crate) enum Head<'s> {
-    /// Rows a view already reaches.
-    View(RowView<'s>),
-    /// A table of rows of the given width, built for the step phase.
-    Rows(usize, Vec<&'s [f32]>),
-}
-
-impl Head<'_> {
-    /// The rows as a product's left operand.
-    pub(crate) fn view(&self) -> RowView<'_> {
-        match self {
-            Head::View(v) => *v,
-            Head::Rows(cols, rows) => RowView::Table(RowTable::new(*cols, rows)),
-        }
+    /// `f` over the rows as a dense product's left operand
+    /// ([`RowSource::lhs`]): a gathered matrix read in place, any other
+    /// source's rows decoded and packed as the kernel reaches them. The
+    /// first layer's self term and its weight gradient read them so.
+    pub fn with_view<T>(&self, f: impl FnOnce(RowView<'_>) -> T) -> T {
+        with_source!(*self, x => f(x.lhs()))
     }
 }
 

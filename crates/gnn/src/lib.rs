@@ -53,4 +53,4 @@ pub mod trainer;
 pub use input::StepInput;
 pub use model::{model_dims, Arch, GnnModel};
 pub use step::{Forward, Recorded, SageStep, StepRecord, MODEL_STREAM_SALT};
-pub use trainer::{seed_labels, train_step, EpochStats, TrainConfig, TrainReport, Trainer};
+pub use trainer::{seed_labels, EpochStats, TrainConfig, TrainReport, Trainer};

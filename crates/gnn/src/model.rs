@@ -246,9 +246,8 @@ mod tests {
         };
         let before = loss_at(&model, &mut rng);
         for step in 0..20 {
-            let labels = StdArc::clone(&labels);
             let pool = WorkerPool::global();
-            crate::train_step(pool, &mut model, x.clone(), &mfg, labels, (6, 0, step));
+            crate::SageStep::new(&model).train(pool, &mut model, &x, &mfg, &labels, (6, 0, step));
             opt.step(&mut model.params_mut());
         }
         let after = loss_at(&model, &mut rng);
@@ -300,8 +299,8 @@ mod tests {
         };
         let mut stepped = model();
         let pool = WorkerPool::global();
-        let labels2 = StdArc::clone(&labels);
-        let (want, _) = crate::train_step(pool, &mut stepped, x.clone(), &mfg, labels2, (6, 1, 2));
+        let want =
+            crate::SageStep::new(&stepped).train(pool, &mut stepped, &x, &mfg, &labels, (6, 1, 2));
 
         let mut recorded = model();
         let stream = spp_sampler::batch_stream_seed(6 ^ crate::MODEL_STREAM_SALT, 1, 2);

@@ -88,10 +88,6 @@ struct LayerBuffers {
 #[derive(Debug)]
 pub struct SageStep {
     layers: Vec<LayerBuffers>,
-    /// The first layer's self term, the input's first `targets` rows
-    /// decoded, when the input is encoded ([`StepInput::decode_head`]);
-    /// every other input's rows are read where they are.
-    head: Matrix,
     /// Softmax of the logits, then `dL/d logits`.
     probs: Matrix,
     /// `dL/d h[..targets]` of the layer being differentiated: the
@@ -116,7 +112,6 @@ impl SageStep {
             layers: (0..model.num_layers())
                 .map(|_| LayerBuffers::default())
                 .collect(),
-            head: Matrix::empty(),
             probs: Matrix::empty(),
             held: Matrix::empty(),
             grad: Matrix::empty(),
@@ -218,7 +213,6 @@ impl SageStep {
             "step built for another depth"
         );
         let p = model.dropout_rate();
-        x.decode_head(mfg.layer_adj(1).num_targets, &mut self.head);
         for (li, layer) in model.layers().iter().enumerate() {
             let (done, rest) = self.layers.split_at_mut(li);
             let LayerBuffers {
@@ -228,23 +222,23 @@ impl SageStep {
                 dropped,
             } = &mut rest[0];
             let hop = mfg.layer_adj(li + 1);
+            let hidden = li + 1 < num_layers;
             // The self term reads the input's first `targets` rows.
-            let head;
-            let input = if let Some(prev) = done.last() {
+            let linear = |input: RowView<'_>, neigh: &Matrix, out: &mut Matrix| {
+                let terms = [
+                    (input, &layer.w_self.value),
+                    (RowView::Dense(neigh), &layer.w_neigh.value),
+                ];
+                let bias = Some(&layer.bias.value);
+                Matrix::linear_into(pool, hop.num_targets, &terms, bias, hidden, out);
+            };
+            if let Some(prev) = done.last() {
                 sage::agg_into(pool, &prev.out, hop_view(hop), neigh);
-                RowView::Dense(&prev.out)
+                linear(RowView::Dense(&prev.out), neigh, out);
             } else {
                 x.agg_into(pool, hop_view(hop), neigh);
-                head = x.head(hop.num_targets, &self.head);
-                head.view()
-            };
-            let hidden = li + 1 < num_layers;
-            let terms = [
-                (input, &layer.w_self.value),
-                (RowView::Dense(neigh), &layer.w_neigh.value),
-            ];
-            let bias = Some(&layer.bias.value);
-            Matrix::linear_into(pool, hop.num_targets, &terms, bias, hidden, out);
+                x.with_view(|input| linear(input, neigh, out));
+            }
             *dropped = false;
             if let Some(rng) = rng.as_deref_mut().filter(|_| hidden && p > 0.0) {
                 drop.apply(out, p, rng);
@@ -302,8 +296,7 @@ impl SageStep {
             let Some(prev) = done.last_mut() else {
                 // The first layer's operands are the features: only its
                 // weights want a gradient.
-                let head = x.head(g.rows(), &self.head);
-                head.view().head_t_matmul_into(pool, g, &mut self.grad);
+                x.with_view(|input| input.head_t_matmul_into(pool, g, &mut self.grad));
                 w_self.accumulate(&self.grad);
                 break;
             };

@@ -13,27 +13,10 @@ use spp_pool::{even_ranges, WorkerPool};
 use spp_sampler::{batch_stream_seed, Fanouts, Mfg, MinibatchIter, NodeWiseSampler};
 use spp_store::FeatureStore;
 use spp_tensor::{Adam, Matrix, Optimizer};
-use std::sync::Arc;
 
 /// The labels of `mfg`'s seed vertices, in seed order.
 pub fn seed_labels(labels: &[u32], mfg: &Mfg) -> Vec<u32> {
     mfg.seeds().iter().map(|&v| labels[v as usize]).collect()
-}
-
-/// One minibatch's training compute on a step of its own:
-/// [`SageStep::train`] over `x` for batch `(seed, epoch, index)`, all
-/// on `pool`'s budget, with the parameter gradients accumulated into
-/// `model`. Returns the loss and `x`. Bit-identical for any pool.
-pub fn train_step(
-    pool: WorkerPool,
-    model: &mut GnnModel,
-    x: Matrix,
-    mfg: &Mfg,
-    labels: Arc<Vec<u32>>,
-    index: (u64, u64, u64),
-) -> (f64, Matrix) {
-    let loss = SageStep::new(model).train(pool, model, &x, mfg, &labels, index);
-    (loss, x)
 }
 
 /// Hyperparameters for one training run. Defaults mirror the paper's
@@ -493,11 +476,10 @@ mod tests {
         let sampler = NodeWiseSampler::new(&ds.graph, Fanouts::new(vec![10, 10]));
         let mfg = sampler.sample(&ds.split.train[..256], &mut StdRng::seed_from_u64(3));
         let x = Trainer::gather_features(&ds, &mfg);
-        let labels = Arc::new(seed_labels(&ds.labels, &mfg));
+        let labels = seed_labels(&ds.labels, &mfg);
         let step = |pool: WorkerPool| {
             let mut model = GnnModel::new(Arch::Sage, &[64, 64, 4], 7).with_dropout(0.3);
-            let (loss, _) =
-                train_step(pool, &mut model, x.clone(), &mfg, labels.clone(), (1, 0, 0));
+            let loss = SageStep::new(&model).train(pool, &mut model, &x, &mfg, &labels, (1, 0, 0));
             let grads: Vec<Vec<u32>> = model
                 .params_mut()
                 .iter()

@@ -15,14 +15,13 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spp_gnn::metrics::{predictions, AccuracyMeter};
-use spp_gnn::{train_step, GnnModel, TrainConfig, TrainReport, Trainer};
+use spp_gnn::{GnnModel, SageStep, TrainConfig, TrainReport, Trainer};
 use spp_graph::dataset::SyntheticSpec;
 use spp_graph::{Dataset, QuantScheme, VertexId};
 use spp_pool::WorkerPool;
 use spp_sampler::{batch_stream_seed, Fanouts, MinibatchIter, NodeWiseSampler};
 use spp_store::{FeatureStore, MmapStore, StoreBuilder};
 use spp_tensor::{Adam, Optimizer};
-use std::sync::Arc;
 
 fn fixture() -> (Dataset, TrainConfig) {
     let ds = SyntheticSpec::new("store-train", 400, 10.0, 8, 4)
@@ -97,7 +96,7 @@ fn training_through_mmap_store_is_bit_identical() {
 /// The batch loop as it was before batch slots were recycled, spelled
 /// out over public APIs: every minibatch gathers into a freshly
 /// allocated matrix (`Trainer::gather_features_from`), runs one
-/// `train_step` on a serial pool, and the updates run strictly in batch
+/// `SageStep::train` on a serial pool, and the updates run strictly in batch
 /// order. Returns the epoch's mean loss.
 fn reference_epoch(
     ds: &Dataset,
@@ -116,9 +115,9 @@ fn reference_epoch(
         let mut rng = StdRng::seed_from_u64(batch_stream_seed(cfg.seed, epoch, b));
         let mfg = sampler.sample(&batch, &mut rng);
         let x = Trainer::gather_features_from(feats, &mfg);
-        let labels = Arc::new(mfg.seeds().iter().map(|&v| ds.labels[v as usize]).collect());
+        let labels: Vec<u32> = mfg.seeds().iter().map(|&v| ds.labels[v as usize]).collect();
         let pool = WorkerPool::serial();
-        total += train_step(pool, model, x, &mfg, labels, (cfg.seed, epoch, b)).0;
+        total += SageStep::new(model).train(pool, model, &x, &mfg, &labels, (cfg.seed, epoch, b));
         opt.step(&mut model.params_mut());
         batches += 1;
     }

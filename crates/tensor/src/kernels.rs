@@ -16,10 +16,10 @@
 //! panel of 16 columns packed on the stack (`[[f32; 16]; KC]`, 16 KiB,
 //! the last panel zero-padded so `n % 16` needs no tail path) and its
 //! left operand rows sliced to their exact span, so the FMA loop
-//! carries no bounds check. A left operand given as a table of rows
-//! borrowed where they live ([`crate::RowView`]) is packed side by
-//! side a block at a time first, so `matmul` and `t_matmul` give the
-//! same bits for it as for a contiguous matrix. A product deeper than
+//! carries no bounds check. A left operand whose rows are no matrix's
+//! ([`crate::RowView::Rows`]) is decoded and packed side by side a
+//! block at a time first, so `matmul` and `t_matmul` give the same bits
+//! for it as for a contiguous matrix. A product deeper than
 //! [`KC`] is blocked over `k`; a block stores its accumulators to the
 //! output and the next reloads them, and an `f32` stored and reloaded
 //! is exact. No product kernel touches the heap (only `linear_rows`
@@ -34,6 +34,7 @@
 //! build target, never of data or worker count. A zero entry costs one
 //! multiply-add like any other.
 
+use crate::sage::PackRows;
 use crate::{Matrix, RowView};
 use std::array::from_fn;
 
@@ -264,7 +265,7 @@ pub const LINEAR_BLOCK_ELEMS: usize = 32 * 1024;
 /// `act(Σ_t x_t · w_t + bias)` into `chunk`, overwriting it. Each term
 /// is `(x, w)` with `w` `k × n`; `x` has `k` columns and at least as
 /// many rows as the output, and only the rows of the chunk are read,
-/// from a matrix or a table of rows alike ([`RowView`]).
+/// from a matrix or any other row source alike ([`RowView`]).
 ///
 /// Per row block each product is fully accumulated by
 /// [`matmul_rows_dense`] — the first term straight into the output, a
@@ -273,11 +274,12 @@ pub const LINEAR_BLOCK_ELEMS: usize = 32 * 1024;
 /// association of separate `matmul`, `add`, `add_bias` and `relu`
 /// passes over whole matrices (an `f32` stored and reloaded is exact),
 /// with no intermediate matrix. The ReLU is `v < 0 → 0`, so `-0.0` and
-/// NaN pass through as they do there. A table's rows of the block are
-/// first packed side by side into the scratch, as a blocked product
-/// packs its operands: every 16-column panel re-reads the block, and
-/// rows scattered over memory would miss the cache on the first of
-/// those reads (0.72× the contiguous speed at 24 000×64×256, unpacked).
+/// NaN pass through as they do there. A [`RowView::Rows`] operand's
+/// rows of the block are first decoded and packed side by side into the
+/// scratch, as a blocked product packs its operands: every 16-column
+/// panel re-reads the block, and rows scattered over memory would miss
+/// the cache on the first of those reads (0.72× the contiguous speed at
+/// 24 000×64×256, unpacked).
 // spp-hot(kernel.linear)
 pub fn linear_rows(
     terms: &[(RowView<'_>, &Matrix)],
@@ -299,11 +301,11 @@ pub fn linear_rows(
     } else {
         block.min(chunk.len())
     };
-    let table_k = terms.iter().map(|(x, _)| match x {
+    let packed_k = terms.iter().map(|(x, _)| match x {
         RowView::Dense(_) => 0,
-        RowView::Table(t) => t.cols(),
+        RowView::Rows(_) => x.cols(),
     });
-    let packed = block.min(chunk.len()) / n * table_k.max().unwrap_or(0);
+    let packed = block.min(chunk.len()) / n * packed_k.max().unwrap_or(0);
     let mut scratch = if products + packed == 0 {
         Vec::new() // spp-hot: alloc(capacity-0 Vec::new never touches the heap)
     } else {
@@ -340,7 +342,7 @@ pub fn linear_rows(
 }
 
 /// Rows `rows` of `x · w` into `out`, wherever `x`'s rows live: a
-/// table's are packed into `pack` first.
+/// [`RowView::Rows`] operand's are packed into `pack` first.
 #[inline]
 fn view_rows(
     x: RowView<'_>,
@@ -353,11 +355,9 @@ fn view_rows(
     let k = x.cols();
     let a = match x {
         RowView::Dense(m) => &m.as_flat()[rows.start * k..rows.end * k],
-        RowView::Table(t) => {
+        RowView::Rows(s) => {
             let pack = &mut pack[..rows.len() * k];
-            for (p, row) in pack.chunks_exact_mut(k.max(1)).zip(&t.rows()[rows]) {
-                p.copy_from_slice(row);
-            }
+            s.pack_rows(rows, 0..k, pack);
             pack
         }
     };
@@ -395,28 +395,28 @@ pub fn t_matmul_cols_dense(
     t_matmul_panels(a, k, b, n, rows, k0, chunk, false);
 }
 
-/// Columns of `a` per block of [`t_matmul_cols_table`]: one block of a
+/// Columns of `a` per block of [`t_matmul_cols_packed`]: one block of a
 /// row panel, [`TM_R_PANEL`] × 64 `f32`s (16 KiB), packed on the stack.
-pub(crate) const TM_TABLE_COLS: usize = 64;
+pub(crate) const TM_PACK_COLS: usize = 64;
 
-/// [`t_matmul_cols_dense`] with `a`'s rows borrowed one by one, each
-/// `k` wide ([`crate::RowTable`]). Per row panel and block of at most
-/// [`TM_TABLE_COLS`] of the chunk's columns, the rows' columns are
-/// packed side by side on the stack and the dense kernel runs over the
-/// pack, resuming the accumulators the panel before stored: every
-/// element still sums over `r` ascending in one accumulator, so the
-/// bits are the dense kernel's. Read in place, rows scattered over
-/// memory would miss the cache where the kernel walks the panel again
-/// for each 16-column slice of `b`.
-pub(crate) fn t_matmul_cols_table(
-    a: &[&[f32]],
-    k: usize,
+/// [`t_matmul_cols_dense`] over the first `rows` rows of a source that
+/// is no matrix ([`crate::RowView::Rows`]). Per row panel and block of
+/// at most [`TM_PACK_COLS`] of the chunk's columns, the rows' columns
+/// are decoded and packed side by side on the stack
+/// ([`PackRows::pack_rows`]) and the dense kernel runs over the pack,
+/// resuming the accumulators the panel before stored: every element
+/// still sums over `r` ascending in one accumulator, so the bits are
+/// the dense kernel's. Read in place, rows scattered over memory would
+/// miss the cache where the kernel walks the panel again for each
+/// 16-column slice of `b`.
+pub(crate) fn t_matmul_cols_packed(
+    a: &dyn PackRows,
+    rows: usize,
     b: &[f32],
     n: usize,
     k0: usize,
     chunk: &mut [f32],
 ) {
-    let rows = a.len();
     debug_assert_eq!(b.len(), rows * n, "b shape mismatch");
     if chunk.is_empty() {
         return;
@@ -425,28 +425,26 @@ pub(crate) fn t_matmul_cols_table(
         chunk.fill(0.0); // empty sum: no panel below would write it
         return;
     }
-    let mut pack = [0.0f32; TM_R_PANEL * TM_TABLE_COLS];
+    let mut pack = [0.0f32; TM_R_PANEL * TM_PACK_COLS];
     for r0 in (0..rows).step_by(TM_R_PANEL) {
         let r1 = (r0 + TM_R_PANEL).min(rows);
-        for (cb, out) in chunk.chunks_mut(TM_TABLE_COLS * n).enumerate() {
-            let (c0, w) = (k0 + cb * TM_TABLE_COLS, out.len() / n);
+        for (cb, out) in chunk.chunks_mut(TM_PACK_COLS * n).enumerate() {
+            let (c0, w) = (k0 + cb * TM_PACK_COLS, out.len() / n);
             let pack = &mut pack[..(r1 - r0) * w];
-            for (p, row) in pack.chunks_exact_mut(w).zip(&a[r0..r1]) {
-                p.copy_from_slice(&row[..k][c0..c0 + w]);
-            }
+            a.pack_rows(r0..r1, c0..c0 + w, pack);
             t_matmul_panels(pack, w, &b[r0 * n..r1 * n], n, r1 - r0, 0, out, r0 > 0);
         }
     }
 }
 
-/// The one body of [`t_matmul_cols_dense`] and [`t_matmul_cols_table`]:
+/// The one body of [`t_matmul_cols_dense`] and [`t_matmul_cols_packed`]:
 /// the rows are walked in panels of [`TM_R_PANEL`], and the first
 /// panel's accumulators start at zero unless `resume`, when they are
 /// reloaded from `chunk` as every later panel's are.
 #[inline(always)]
 #[allow(
     clippy::too_many_arguments,
-    reason = "the dense kernel's seven shape arguments plus the resume flag its table form sets"
+    reason = "the dense kernel's seven shape arguments plus the resume flag its packed form sets"
 )]
 fn t_matmul_panels(
     a: &[f32],

@@ -3,10 +3,10 @@
 //! The paper's system trains GNNs with PyTorch; this crate is the
 //! substitute substrate (DESIGN.md §2): row-major `f32` matrices
 //! ([`Matrix`]) with their blocked dense [`kernels`], whose left operand
-//! may also be a table of rows borrowed where they live ([`RowView`]),
-//! the sparse half of
-//! a GraphSAGE layer ([`sage`]: neighbor mean, its gradient as a
-//! gather, dropout), weight [`init`]ializers, and the Adam [`optim`]izer.
+//! may also be rows kept anywhere else, packed as they are read
+//! ([`RowView`]), the sparse half of a GraphSAGE layer ([`sage`]:
+//! neighbor mean, its gradient as a gather, dropout), weight
+//! [`init`]ializers, and the Adam [`optim`]izer.
 //! There is no autograd graph: `spp_gnn::SageStep` composes these
 //! kernels into the one forward and backward the model needs.
 //!

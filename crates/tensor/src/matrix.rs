@@ -10,6 +10,7 @@
 //! (`jobs_for_cost`), not per-call-site thresholds.
 
 use crate::kernels;
+use crate::sage::PackRows;
 use spp_pool::{balanced_ends, WorkerPool};
 
 /// A row-major dense `f32` matrix.
@@ -196,7 +197,7 @@ impl Matrix {
     /// ([`kernels::linear_rows`]); the result is bit-identical to
     /// `matmul`, element-wise sum left to right, bias add and clamp as
     /// separate whole-matrix passes, for any worker count and whether
-    /// an `xᵢ` is a matrix or a table of its rows.
+    /// an `xᵢ` is a matrix or rows packed from another source.
     ///
     /// # Panics
     ///
@@ -331,17 +332,18 @@ impl Matrix {
 }
 
 /// The left operand of [`Matrix::linear_into`] and
-/// [`RowView::head_t_matmul_into`]: `f32` rows where they already live,
-/// a row-major matrix or a [`RowTable`] of rows borrowed one by one.
-/// The product kernels slice their left rows one at a time, so each
-/// element sums the same products in the same order either way, bit for
-/// bit.
-#[derive(Clone, Copy, Debug)]
+/// [`RowView::head_t_matmul_into`]: a row-major matrix, read in place,
+/// or any other [`RowSource`](crate::sage::RowSource)'s rows, which the
+/// kernels decode and pack a block at a time as they reach them
+/// ([`PackRows`]). A packed block is laid out as the matrix is, so each
+/// element sums the same products in the same order either way, bit
+/// for bit.
+#[derive(Clone, Copy)]
 pub enum RowView<'a> {
     /// A row-major matrix's rows.
     Dense(&'a Matrix),
-    /// Rows borrowed from wherever they are kept.
-    Table(RowTable<'a>),
+    /// Rows kept anywhere else, packed as they are read.
+    Rows(&'a dyn PackRows),
 }
 
 impl RowView<'_> {
@@ -349,7 +351,7 @@ impl RowView<'_> {
     pub fn rows(&self) -> usize {
         match self {
             RowView::Dense(m) => m.rows,
-            RowView::Table(t) => t.len(),
+            RowView::Rows(s) => s.pack_shape().0,
         }
     }
 
@@ -357,7 +359,7 @@ impl RowView<'_> {
     pub fn cols(&self) -> usize {
         match self {
             RowView::Dense(m) => m.cols,
-            RowView::Table(t) => t.cols(),
+            RowView::Rows(s) => s.pack_shape().1,
         }
     }
 
@@ -380,20 +382,13 @@ impl RowView<'_> {
         let jobs = pool.jobs_for_cost(flops).min(k.max(1));
         // Serial and parallel paths run the same kernel over column
         // ranges of `self`, so any worker count is bit-identical.
-        match self {
+        par_row_blocks(pool, &mut out.data, n, jobs, |k0, chunk| match self {
             RowView::Dense(m) => {
                 let a = &m.data[..rows * k];
-                par_row_blocks(pool, &mut out.data, n, jobs, |k0, chunk| {
-                    kernels::t_matmul_cols_dense(a, k, b, n, rows, k0, chunk);
-                });
+                kernels::t_matmul_cols_dense(a, k, b, n, rows, k0, chunk);
             }
-            RowView::Table(t) => {
-                let a = &t.rows()[..rows];
-                par_row_blocks(pool, &mut out.data, n, jobs, |k0, chunk| {
-                    kernels::t_matmul_cols_table(a, k, b, n, k0, chunk);
-                });
-            }
-        }
+            RowView::Rows(s) => kernels::t_matmul_cols_packed(s, rows, b, n, k0, chunk),
+        });
     }
 }
 
@@ -436,18 +431,6 @@ impl<'a> RowTable<'a> {
     /// The rows.
     pub fn rows(&self) -> &'a [&'a [f32]] {
         self.rows
-    }
-
-    /// The first `n` rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table has fewer than `n` rows.
-    pub fn head(self, n: usize) -> Self {
-        Self {
-            cols: self.cols,
-            rows: &self.rows[..n],
-        }
     }
 }
 

@@ -13,9 +13,10 @@
 //! ([`SourceLists`]), the order a target-major scatter adds it.
 
 use crate::matrix::{par_row_blocks_by, refit};
-use crate::{Matrix, RowTable};
+use crate::{Matrix, RowTable, RowView};
 use rand::Rng;
 use spp_pool::WorkerPool;
+use std::ops::Range;
 
 /// Columns of a gradient row that the gather accumulates at once, on
 /// the stack: a row of any width is walked in blocks of this many, each
@@ -174,12 +175,13 @@ impl DropMask {
     }
 }
 
-/// Rows a neighbor mean reads: a [`Matrix`]'s, or rows kept elsewhere
-/// — a [`RowTable`] of rows borrowed where they live, rows in place in
-/// a larger matrix, or a store's encoded bytes — each
-/// element decoded as it is read. Decoding must be a pure function of
-/// the stored element and its row's codec, so every source of the same
-/// values gives the same sums, bit for bit.
+/// Rows a first layer reads: a [`Matrix`]'s, or rows kept elsewhere —
+/// a [`RowTable`] of rows borrowed where they live, rows in place in a
+/// larger matrix, or a store's encoded bytes — each element decoded as
+/// it is read, by the neighbor mean ([`agg_into`]) and by a dense
+/// product packing them ([`PackRows`]). Decoding must be a pure
+/// function of the stored element and its row's codec, so every source
+/// of the same values gives the same sums, bit for bit.
 pub trait RowSource: Sync {
     /// One stored element.
     type Elem: Copy;
@@ -194,6 +196,45 @@ pub trait RowSource: Sync {
     fn row(&self, s: usize) -> (Self::Codec, &[Self::Elem]);
     /// The value of element `e` of a row whose codec is `c`.
     fn value(c: Self::Codec, e: Self::Elem) -> f32;
+
+    /// The rows as a dense product's left operand: packed block by
+    /// block as the kernel reads them, except a matrix's, which are
+    /// read in place.
+    fn lhs(&self) -> RowView<'_>
+    where
+        Self: Sized,
+    {
+        RowView::Rows(self)
+    }
+}
+
+/// A [`RowSource`] as the dense kernels read it: a block of its rows
+/// and columns, decoded and packed side by side. Every source is one,
+/// so [`RowView::Rows`] takes any of them behind one pointer.
+pub trait PackRows: Sync {
+    /// Number of rows and row width.
+    fn pack_shape(&self) -> (usize, usize);
+    /// Columns `cols` of rows `rows`, decoded into `out` row-major,
+    /// `cols.len()` wide.
+    fn pack_rows(&self, rows: Range<usize>, cols: Range<usize>, out: &mut [f32]);
+}
+
+impl<S: RowSource> PackRows for S {
+    fn pack_shape(&self) -> (usize, usize) {
+        (self.num_rows(), self.cols())
+    }
+
+    fn pack_rows(&self, rows: Range<usize>, cols: Range<usize>, out: &mut [f32]) {
+        if cols.is_empty() {
+            return;
+        }
+        for (o, s) in out.chunks_exact_mut(cols.len()).zip(rows) {
+            let (c, row) = self.row(s);
+            for (o, &e) in o.iter_mut().zip(&row[cols.start..cols.end]) {
+                *o = S::value(c, e);
+            }
+        }
+    }
 }
 
 impl RowSource for Matrix {
@@ -217,6 +258,10 @@ impl RowSource for Matrix {
     fn value((): (), e: f32) -> f32 {
         e
     }
+
+    fn lhs(&self) -> RowView<'_> {
+        RowView::Dense(self)
+    }
 }
 
 impl RowSource for RowTable<'_> {
@@ -239,26 +284,6 @@ impl RowSource for RowTable<'_> {
     #[inline(always)]
     fn value((): (), e: f32) -> f32 {
         e
-    }
-}
-
-/// Rows `..n` of `x`, decoded into `out` (reshaped to `n × x.cols()`):
-/// the self term a first layer reads of a source that is no matrix.
-///
-/// # Panics
-///
-/// Panics if `x` has fewer than `n` rows.
-pub fn head_into<S: RowSource>(x: &S, n: usize, out: &mut Matrix) {
-    assert!(x.num_rows() >= n, "head longer than its source");
-    out.recycle(n, x.cols());
-    if x.cols() == 0 {
-        return;
-    }
-    for (s, o) in out.as_flat_mut().chunks_exact_mut(x.cols()).enumerate() {
-        let (c, row) = x.row(s);
-        for (o, &e) in o.iter_mut().zip(row) {
-            *o = S::value(c, e);
-        }
     }
 }
 

@@ -12,8 +12,9 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use spp_graph::{quant, QuantScheme};
 use spp_pool::WorkerPool;
-use spp_tensor::sage::{self, DropMask, HopView, Mask, SourceLists};
+use spp_tensor::sage::{self, DropMask, HopView, Mask, RowSource, SourceLists};
 use spp_tensor::{Matrix, RowTable, RowView};
 
 fn arb_matrix(r: usize, c: usize) -> impl Strategy<Value = Matrix> {
@@ -288,15 +289,89 @@ fn fused_ops_are_bit_identical_to_their_references_when_the_regions_fork() {
     }
 }
 
+/// `f16` rows as `spp_graph::quant` stores them, each element decoded
+/// as it is read: a store's encoded rows as a step reads them.
+struct F16Rows {
+    dim: usize,
+    bytes: Vec<u8>,
+}
+
+impl RowSource for F16Rows {
+    type Elem = [u8; 2];
+    type Codec = ();
+
+    fn num_rows(&self) -> usize {
+        self.bytes.len() / (2 * self.dim)
+    }
+
+    fn cols(&self) -> usize {
+        self.dim
+    }
+
+    fn row(&self, s: usize) -> ((), &[[u8; 2]]) {
+        let b = 2 * self.dim;
+        ((), self.bytes[s * b..(s + 1) * b].as_chunks().0)
+    }
+
+    fn value((): (), e: [u8; 2]) -> f32 {
+        quant::f16_bits_to_f32(u16::from_le_bytes(e))
+    }
+}
+
+/// `i8` rows as `spp_graph::quant` stores them, each element decoded
+/// through its row's codebook as it is read.
+struct I8Rows {
+    dim: usize,
+    bytes: Vec<u8>,
+}
+
+impl RowSource for I8Rows {
+    type Elem = u8;
+    type Codec = (f32, f32);
+
+    fn num_rows(&self) -> usize {
+        self.bytes.len() / QuantScheme::I8.row_bytes(self.dim)
+    }
+
+    fn cols(&self) -> usize {
+        self.dim
+    }
+
+    fn row(&self, s: usize) -> ((f32, f32), &[u8]) {
+        let b = QuantScheme::I8.row_bytes(self.dim);
+        quant::i8_row(&self.bytes[s * b..(s + 1) * b])
+    }
+
+    fn value((lo, scale): (f32, f32), e: u8) -> f32 {
+        quant::i8_value(e, lo, scale)
+    }
+}
+
+/// `m`'s rows encoded under `scheme`, and the matrix they decode to.
+fn encoded(m: &Matrix, scheme: QuantScheme) -> (Vec<u8>, Matrix) {
+    let b = scheme.row_bytes(m.cols());
+    let mut bytes = vec![0u8; m.rows() * b];
+    let mut decoded = Matrix::zeros(m.rows(), m.cols());
+    for (r, row) in bytes.chunks_exact_mut(b).enumerate() {
+        quant::encode_row(scheme, m.row(r), row);
+        quant::decode_row(scheme, row, decoded.row_mut(r));
+    }
+    (bytes, decoded)
+}
+
 /// Checks that [`Matrix::linear_into`] and
-/// [`RowView::head_t_matmul_into`] over a [`RowTable`] of a shuffled
-/// matrix's rows give the bits they give over the same rows gathered
-/// into one contiguous matrix, on every pool: the self term of a first
-/// layer whose input rows stay where they live. The table has `extra`
-/// rows past the `rows` both products read; `k` and `n` off the tile
-/// grid make the ragged tile edges.
-fn check_row_table(rows: usize, extra: usize, k: usize, n: usize, seed: u64) {
-    let source = awkward(2 * (rows + extra) + 3, k, seed, true);
+/// [`RowView::head_t_matmul_into`] over rows packed from a source that
+/// is no matrix give the bits they give over the same values in one
+/// contiguous matrix, on every pool: the self term of a first layer
+/// whose input rows stay where they live. The sources are a
+/// [`RowTable`] of a shuffled matrix's rows and those rows stored as
+/// `f16` and as `i8` bytes, each against the matrix its rows decode
+/// to. The sources have `extra` rows past the `rows` both products
+/// read; `k` and `n` off the tile grid make the ragged tile edges.
+/// With `nan`, the rows and the weights hold NaNs too; a tall product's
+/// every output then sums one, so only small shapes are told apart.
+fn check_row_table(rows: usize, extra: usize, k: usize, n: usize, seed: u64, nan: bool) {
+    let source = awkward(2 * (rows + extra) + 3, k, seed, nan);
     let mut order: Vec<usize> = (0..source.rows()).collect();
     let mut rng = StdRng::seed_from_u64(seed ^ 7);
     for i in (1..order.len()).rev() {
@@ -308,14 +383,27 @@ fn check_row_table(rows: usize, extra: usize, k: usize, n: usize, seed: u64) {
     for (i, row) in table.iter().enumerate() {
         dense.row_mut(i).copy_from_slice(row);
     }
-    let table = RowView::Table(RowTable::new(k, &table));
-    let w = awkward(k, n, seed ^ 1, true);
+    let check = |packed: RowView<'_>, dense: &Matrix| {
+        check_packed(packed, dense, rows, n, seed, nan);
+    };
+    check(RowView::Rows(&RowTable::new(k, &table)), &dense);
+    let (bytes, decoded) = encoded(&dense, QuantScheme::F16);
+    check(RowView::Rows(&F16Rows { dim: k, bytes }), &decoded);
+    let (bytes, decoded) = encoded(&dense, QuantScheme::I8);
+    check(RowView::Rows(&I8Rows { dim: k, bytes }), &decoded);
+}
+
+/// [`check_row_table`]'s comparison of `packed` against `dense`, which
+/// holds the values `packed`'s rows decode to.
+fn check_packed(packed: RowView<'_>, dense: &Matrix, rows: usize, n: usize, seed: u64, nan: bool) {
+    let k = dense.cols();
+    let w = awkward(k, n, seed ^ 1, nan);
     let (neigh, w_neigh) = (
         awkward(rows, 9, seed ^ 2, false),
         awkward(9, n, seed ^ 3, false),
     );
     let bias = awkward(1, n, seed ^ 4, false);
-    let g = awkward(rows, n, seed ^ 5, true);
+    let g = awkward(rows, n, seed ^ 5, nan);
     for workers in POOLS {
         let pool = WorkerPool::new(workers);
         let mut want = Matrix::empty();
@@ -325,12 +413,12 @@ fn check_row_table(rows: usize, extra: usize, k: usize, n: usize, seed: u64) {
                 let terms = [(x, &w), (RowView::Dense(&neigh), &w_neigh)];
                 Matrix::linear_into(pool, rows, &terms, Some(&bias), relu, out);
             };
-            linear(RowView::Dense(&dense), &mut want);
-            linear(table, &mut got);
+            linear(RowView::Dense(dense), &mut want);
+            linear(packed, &mut got);
             assert_eq!(bits(&got), bits(&want), "linear, workers={workers}");
         }
-        RowView::Dense(&dense).head_t_matmul_into(pool, &g, &mut want);
-        table.head_t_matmul_into(pool, &g, &mut got);
+        RowView::Dense(dense).head_t_matmul_into(pool, &g, &mut want);
+        packed.head_t_matmul_into(pool, &g, &mut got);
         assert_eq!(bits(&got), bits(&want), "head_t_matmul, workers={workers}");
     }
 }
@@ -338,8 +426,10 @@ fn check_row_table(rows: usize, extra: usize, k: usize, n: usize, seed: u64) {
 /// Shapes big enough that both products fork into several jobs.
 #[test]
 fn row_table_operands_are_bit_identical_to_contiguous_ones() {
-    check_row_table(1203, 40, 70, 45, 3);
-    check_row_table(901, 0, 33, 17, 4);
+    for nan in [false, true] {
+        check_row_table(1203, 40, 70, 45, 3, nan);
+        check_row_table(901, 0, 33, 17, 4, nan);
+    }
 }
 
 proptest! {
@@ -361,8 +451,9 @@ proptest! {
         k in 1usize..20,
         n in 1usize..22,
         seed in any::<u64>(),
+        nan in any::<bool>(),
     ) {
-        check_row_table(rows, extra, k, n, seed);
+        check_row_table(rows, extra, k, n, seed, nan);
     }
 
     #[test]

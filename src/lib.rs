@@ -5,7 +5,7 @@
 //! Caching"* (Kaler, Iliopoulos, Murzynowski, Schardl, Leiserson, Chen —
 //! MLSys 2023), including every substrate the paper depends on: graphs
 //! and synthetic datasets, a multilevel graph partitioner, a node-wise
-//! neighborhood sampler, a tensor/autograd engine with GNN models, the
+//! neighborhood sampler, dense tensor kernels with a GraphSAGE model, the
 //! VIP (vertex inclusion probability) analysis and caching policies that
 //! are the paper's core contribution, and both a correctness-grade
 //! distributed runtime and a discrete-event timing simulator for the
@@ -18,7 +18,7 @@
 //! | [`graph`] | `spp-graph` | CSR graphs, generators, datasets |
 //! | [`partition`] | `spp-partition` | multilevel edge-cut partitioning |
 //! | [`sampler`] | `spp-sampler` | node-wise sampling, MFGs |
-//! | [`tensor`] | `spp-tensor` | matrices, autograd, optimizers |
+//! | [`tensor`] | `spp-tensor` | matrices, layer kernels, optimizers |
 //! | [`gnn`] | `spp-gnn` | GraphSAGE + training |
 //! | [`core`] | `spp-core` | VIP analysis, caching, reordering |
 //! | [`comm`] | `spp-comm` | DES engine, network models, all-to-all |
