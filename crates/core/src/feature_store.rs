@@ -10,14 +10,12 @@
 //! This module is the one owner of "where does vertex `v`'s row live on
 //! this machine and how is it read". A batch is classified once
 //! ([`PartitionedFeatureStore::plan`]); the distributed engine uses the
-//! plan to build its requests and the server to probe its overlay. No
-//! batch copies its rows into an input tensor: its row table
-//! ([`PartitionedFeatureStore::row_table`]) borrows every row where it
-//! lives — local rows and an `f32` static tier in place, each owner's
-//! fetched rows in the response that carried them — and only a
-//! quantized static tier's hits are decoded, into a small per-batch
-//! matrix ([`PartitionedFeatureStore::decode_cached`]). The model's
-//! first layer reads the table ([`spp_tensor::RowTable`]);
+//! plan to build its requests and the server to probe its overlay. Its
+//! rows are one [`BatchRows`], which decodes once each row it cannot
+//! borrow in place (a quantized static tier's hit, a fetched or an
+//! overlay row). No batch copies its rows into an input tensor: the row
+//! table ([`BatchRows::table`]) borrows every row where it is kept, and
+//! the model's first layer reads it ([`spp_tensor::RowTable`]);
 //! [`PartitionedFeatureStore::gather`] copies it into one matrix for
 //! callers that want one. Rows enter through one constructor from any
 //! `spp_store::FeatureStore` — the resident matrix and the paged
@@ -25,7 +23,7 @@
 
 use crate::cache::StaticCache;
 use crate::reorder::ReorderedLayout;
-use spp_graph::{FeatureMatrix, QuantScheme, QuantizedFeatures, VertexId};
+use spp_graph::{quant, FeatureMatrix, QuantScheme, QuantizedFeatures, VertexId};
 use spp_store::FeatureStore;
 use spp_tensor::Matrix;
 
@@ -69,6 +67,12 @@ impl BatchPlan {
         self.remote.iter().map(Vec::len).sum()
     }
 
+    /// The vertex ids of `owner`'s bucket, in order: the request sent to
+    /// `owner`.
+    pub fn owner_ids(&self, owner: usize) -> Vec<VertexId> {
+        self.remote[owner].iter().map(|&(_, v)| v).collect()
+    }
+
     /// Total classified vertices.
     pub fn num_vertices(&self) -> usize {
         self.local_gpu.len() + self.local_cpu.len() + self.cached.len() + self.num_remote()
@@ -105,7 +109,7 @@ impl PartitionedFeatureStore {
     /// `cache_scheme` is the storage scheme of the static cache tier:
     /// `F32` keeps rows bit-for-bit, read in place; `F16`/`I8` store
     /// compressed rows that every batch that hits them decodes
-    /// ([`PartitionedFeatureStore::decode_cached`]).
+    /// ([`BatchRows::new`]).
     ///
     /// # Panics
     ///
@@ -243,141 +247,187 @@ impl PartitionedFeatureStore {
     ///
     /// Panics if any requested vertex is not local to this machine.
     pub fn serve(&self, ids: &[VertexId]) -> FeatureMatrix {
-        let local_ids: Vec<VertexId> = ids
-            .iter()
-            .map(|&v| {
-                assert!(
-                    self.layout.is_local(v, self.part),
-                    "vertex {v} not local to partition {}",
-                    self.part
-                );
-                self.layout.local_index(v) as VertexId
-            })
-            .collect();
-        self.local.gather(&local_ids)
+        let (mut out, part) = (Vec::with_capacity(ids.len() * self.dim()), self.part);
+        for &v in ids {
+            assert!(
+                self.layout.is_local(v, part),
+                "vertex {v} not local to partition {part}"
+            );
+            out.extend_from_slice(self.local.row(self.layout.local_index(v) as VertexId));
+        }
+        FeatureMatrix::from_flat(out, self.dim())
     }
 
-    /// Gathers the full feature tensor for an MFG node list: classifies
-    /// it and hands the plan to
-    /// [`PartitionedFeatureStore::gather_planned`]. A caller that already
-    /// holds the batch's plan calls that directly.
-    pub fn gather<F>(&self, nodes: &[VertexId], fetch: F) -> Matrix
-    where
-        F: FnMut(u32, &[VertexId]) -> FeatureMatrix,
-    {
-        self.gather_planned(nodes, &self.plan(nodes), fetch)
-    }
-
-    /// Copies every row `plan` lists into a fresh `nodes.len() × dim`
-    /// tensor whose rows align with `nodes`: the batch's
-    /// [`PartitionedFeatureStore::row_table`], each owner's rows fetched
-    /// with one `fetch(owner, ids) -> FeatureMatrix` call (rows aligned
-    /// with `ids`) per owner with a non-empty bucket, in owner order.
-    ///
-    /// `plan` must be [`PartitionedFeatureStore::plan`] of `nodes`,
-    /// possibly with entries removed from `remote`; a position no bucket
-    /// lists stays zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a fetch response has the wrong row count or dimension.
-    pub fn gather_planned<F>(&self, nodes: &[VertexId], plan: &BatchPlan, mut fetch: F) -> Matrix
-    where
-        F: FnMut(u32, &[VertexId]) -> FeatureMatrix,
-    {
-        let remote: Vec<FeatureMatrix> = plan
-            .remote
-            .iter()
-            .enumerate()
-            .map(|(owner, requests)| {
-                if requests.is_empty() {
-                    return FeatureMatrix::zeros(0, self.dim());
-                }
-                let ids: Vec<VertexId> = requests.iter().map(|&(_, v)| v).collect();
-                fetch(owner as u32, &ids)
-            })
-            .collect();
-        let mut cached = Matrix::empty();
-        self.decode_cached(plan, &mut cached);
-        let table = self.row_table(nodes, plan, &remote, &cached);
-        let mut out = Matrix::zeros(nodes.len(), self.dim());
-        for (i, row) in table.iter().enumerate() {
-            if !row.is_empty() {
-                out.row_mut(i).copy_from_slice(row);
-            }
+    /// [`Self::serve`] as it goes on the wire: each row encoded under
+    /// `scheme` ([`quant::encode_row`]), for [`BatchRows::decode_owner`].
+    /// Panics as `serve`.
+    pub fn serve_encoded(&self, ids: &[VertexId], scheme: QuantScheme) -> Vec<u8> {
+        // Gathered first: encoded in place, serving took ~15 % more CPU.
+        let rows = self.serve(ids);
+        let row_bytes = scheme.row_bytes(self.dim());
+        let mut out = Vec::with_capacity(ids.len() * row_bytes);
+        for r in 0..ids.len() {
+            out.resize((r + 1) * row_bytes, 0);
+            quant::encode_row(scheme, rows.row(r as VertexId), &mut out[r * row_bytes..]);
         }
         out
     }
 
-    /// Decodes the plan's static-tier hits into `out`, one row per
-    /// `plan.cached` entry in that order, when the tier is quantized:
-    /// the rows [`PartitionedFeatureStore::row_table`] reads there. An
-    /// `f32` tier is read in place, and `out` is left `0 × 0`. `out` is
-    /// reshaped as [`Matrix::recycle`] does.
-    // spp-hot(feature.decode_cached)
-    pub fn decode_cached(&self, plan: &BatchPlan, out: &mut Matrix) {
-        let StaticRows::Coded(tier) = &self.cache_feats else {
-            out.recycle(0, 0);
-            return;
-        };
-        out.recycle(plan.cached.len(), self.dim());
-        for (i, &(_, slot)) in plan.cached.iter().enumerate() {
-            tier.read_row_into(slot as usize, out.row_mut(i));
-        }
-    }
-
-    /// The batch's row table: entry `i` borrows `nodes[i]`'s row where it
-    /// lives. Local rows are read in place in the partition slice, static
-    /// tier hits in place in an `f32` tier or else in `cached` (what
-    /// [`PartitionedFeatureStore::decode_cached`] wrote for `plan`), and
-    /// each remote row in its owner's response, `remote[owner]` (rows
-    /// aligned with that owner's bucket). Nothing is copied. A position
-    /// no bucket lists gets an empty row, for the caller to point at a
-    /// row of its own (the serving overlay answers part of the remote
-    /// residue).
+    /// Gathers the full feature tensor for an MFG node list: its
+    /// [`BatchRows`], each owner's rows fetched with one `fetch(owner,
+    /// ids)` call (rows aligned with `ids`) per owner with a non-empty
+    /// bucket, in owner order, and its table copied into one matrix.
     ///
     /// # Panics
     ///
-    /// Panics, naming the owner, if an owner's response is missing or has
-    /// the wrong row count or dimension.
+    /// Panics, naming the owner, if a response has the wrong row count
+    /// or dimension.
+    pub fn gather<F>(&self, nodes: &[VertexId], mut fetch: F) -> Matrix
+    where
+        F: FnMut(u32, &[VertexId]) -> FeatureMatrix,
+    {
+        let mut rows = BatchRows::new(self, self.plan(nodes), Vec::new());
+        for (owner, reqs) in rows.plan.remote.iter().enumerate() {
+            if !reqs.is_empty() {
+                let response = fetch(owner as u32, &rows.plan.owner_ids(owner));
+                let ok = response.num_rows() == reqs.len();
+                assert!(ok, "fetch returned wrong rows from owner {owner}");
+                let ok = response.dim() == self.dim();
+                assert!(ok, "fetch returned wrong dim from owner {owner}");
+                let flat = response.as_flat().to_vec();
+                rows.fetched[owner] = Matrix::from_flat(reqs.len(), self.dim(), flat);
+            }
+        }
+        Matrix::from_flat(nodes.len(), self.dim(), rows.table(self, nodes).concat())
+    }
+}
+
+/// One batch's first-layer rows: its [`BatchPlan`], and each row the
+/// batch cannot borrow in place from the store decoded once — a
+/// quantized static tier's hits, each owner's response from its wire
+/// bytes, and the rows of `held` positions no bucket lists, which the
+/// caller reads in by its own key (the serving overlay's hits by slot,
+/// copied while the batch is prepared because later admissions change
+/// the overlay). Each owner's rows are a matrix of their own, so no
+/// allocation grows with the whole remote residue.
+#[derive(Clone, Debug)]
+pub struct BatchRows {
+    plan: BatchPlan,
+    /// `(position, key)` of each held row.
+    held: Vec<(u32, u32)>,
+    /// The static-tier hits if the tier is quantized (`plan.cached`
+    /// order), then the held rows.
+    rows: Matrix,
+    /// Each owner's rows, aligned with its bucket.
+    fetched: Vec<Matrix>,
+}
+
+impl BatchRows {
+    /// The rows of a batch planned on `store`, with the `held` positions
+    /// moved out of `plan`'s buckets. Decodes the static-tier hits of a
+    /// quantized tier; each owner's rows are its decoded response, and
+    /// the held rows zero until read in.
+    // spp-hot(feature.decode_cached)
+    pub fn new(store: &PartitionedFeatureStore, plan: BatchPlan, held: Vec<(u32, u32)>) -> Self {
+        let dim = store.dim();
+        let coded = match &store.cache_feats {
+            StaticRows::Coded(tier) => Some(tier),
+            StaticRows::F32(_) => None,
+        };
+        let mut rows = Matrix::zeros(coded.map_or(0, |_| plan.cached.len()) + held.len(), dim);
+        if let Some(tier) = coded {
+            for (i, &(_, slot)) in plan.cached.iter().enumerate() {
+                tier.read_row_into(slot as usize, rows.row_mut(i));
+            }
+        }
+        let buckets = plan.remote.iter();
+        let fetched = buckets.map(|_| Matrix::empty()).collect(); // spp-hot: alloc(one matrix per owner's response, the rows the batch reads there)
+        Self {
+            plan,
+            held,
+            rows,
+            fetched,
+        }
+    }
+
+    /// The batch's plan.
+    pub fn plan(&self) -> &BatchPlan {
+        &self.plan
+    }
+
+    /// Decodes `owner`'s response, `scheme.row_bytes(dim)` bytes per row
+    /// of its bucket ([`quant::decode_row`]; none for an empty bucket).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the owner, if `bytes` is not one row per entry.
+    pub fn decode_owner(&mut self, owner: usize, scheme: QuantScheme, bytes: &[u8]) {
+        let (len, dim) = (self.plan.remote[owner].len(), self.rows.cols());
+        let row_bytes = scheme.row_bytes(dim);
+        let ok = bytes.len() == len * row_bytes;
+        assert!(ok, "fetch returned wrong rows from owner {owner}");
+        // Decoded row by row into a fresh buffer: nothing is zeroed first.
+        let mut data = Vec::with_capacity(len * dim);
+        for (r, row) in (0..len).map(|r| (r, &bytes[r * row_bytes..(r + 1) * row_bytes])) {
+            data.resize((r + 1) * dim, 0.0);
+            quant::decode_row(scheme, row, &mut data[r * dim..]);
+        }
+        self.fetched[owner] = Matrix::from_flat(len, dim, data);
+    }
+
+    /// `owner`'s fetched vertices with their rows, in bucket order.
+    pub fn fetched(&self, owner: usize) -> impl Iterator<Item = (VertexId, &[f32])> {
+        let (reqs, rows) = (&self.plan.remote[owner], &self.fetched[owner]);
+        (0..rows.rows()).map(move |r| (reqs[r].1, rows.row(r)))
+    }
+
+    /// Reads each held row in with `read(key, row)`.
+    pub fn read_held(&mut self, mut read: impl FnMut(u32, &mut [f32])) {
+        let at = self.rows.rows() - self.held.len();
+        for (i, &(_, key)) in self.held.iter().enumerate() {
+            read(key, self.rows.row_mut(at + i));
+        }
+    }
+
+    /// The batch's row table over `nodes` on `store`, the one it was
+    /// planned on: entry `i` borrows `nodes[i]`'s row, a local or `f32`
+    /// static-tier row in place and every other row in this batch's
+    /// matrices. In debug builds, checks that the buckets and the held
+    /// positions fill every position exactly once.
     // spp-hot(feature.row_table)
-    pub fn row_table<'r>(
+    pub fn table<'r>(
         &'r self,
+        store: &'r PartitionedFeatureStore,
         nodes: &[VertexId],
-        plan: &BatchPlan,
-        remote: &'r [FeatureMatrix],
-        cached: &'r Matrix,
     ) -> Vec<&'r [f32]> {
         let mut table: Vec<&[f32]> = vec![&[]; nodes.len()]; // spp-hot: alloc(the batch's row table, one borrowed row per MFG node in place of a copied f32 row)
-        for &pos in plan.local_gpu.iter().chain(&plan.local_cpu) {
-            let li = self.layout.local_index(nodes[pos as usize]);
-            table[pos as usize] = self.local.row(li as VertexId);
+        let mut fill = |pos: u32, row: &'r [f32]| {
+            let entry = &mut table[pos as usize];
+            debug_assert!(entry.is_empty(), "row table position {pos} is filled twice");
+            *entry = row;
+        };
+        for &pos in self.plan.local_gpu.iter().chain(&self.plan.local_cpu) {
+            let li = store.layout.local_index(nodes[pos as usize]);
+            fill(pos, store.local.row(li as VertexId));
         }
-        for (i, &(pos, slot)) in plan.cached.iter().enumerate() {
-            table[pos as usize] = match &self.cache_feats {
-                StaticRows::F32(rows) => rows.row(slot),
-                StaticRows::Coded(_) => cached.row(i),
+        for (i, &(pos, slot)) in self.plan.cached.iter().enumerate() {
+            let row = match &store.cache_feats {
+                StaticRows::F32(tier) => tier.row(slot),
+                StaticRows::Coded(_) => self.rows.row(i),
             };
+            fill(pos, row);
         }
-        for (owner, requests) in plan.remote.iter().enumerate() {
-            if requests.is_empty() {
-                continue;
-            }
-            let rows = remote.get(owner).filter(|f| f.num_rows() == requests.len());
-            assert!(
-                rows.is_some(),
-                "fetch returned wrong rows from owner {owner}"
-            );
-            let Some(rows) = rows else { continue };
-            assert_eq!(
-                rows.dim(),
-                self.dim(),
-                "fetch returned wrong dim from owner {owner}"
-            );
-            for (r, &(pos, _)) in requests.iter().enumerate() {
-                table[pos as usize] = rows.row(r as VertexId);
+        for (bucket, rows) in self.plan.remote.iter().zip(&self.fetched) {
+            for (r, &(pos, _)) in bucket.iter().enumerate() {
+                fill(pos, rows.row(r));
             }
         }
+        let at = self.rows.rows() - self.held.len();
+        for (i, &(pos, _)) in self.held.iter().enumerate() {
+            fill(pos, self.rows.row(at + i));
+        }
+        let empty = |r: &&[f32]| r.is_empty() && store.dim() > 0;
+        debug_assert!(!table.iter().any(empty), "unfilled row table position");
         table
     }
 }
@@ -445,48 +495,78 @@ mod tests {
         }
     }
 
+    /// `nodes`' rows with owner 1's bucket answered from `feats`, vertex 5
+    /// moved out of it if `take_5`, and each held row filled with its key.
+    fn rows_with(
+        (store, feats): &(PartitionedFeatureStore, FeatureMatrix),
+        nodes: &[VertexId],
+        take_5: bool,
+        held: &[(u32, u32)],
+    ) -> BatchRows {
+        let mut plan = store.plan(nodes);
+        plan.remote[1].retain(|&(_, v)| v != 5 || !take_5);
+        let mut rows = BatchRows::new(store, plan, held.to_vec());
+        rows.read_held(|key, row| row.fill(key as f32));
+        let response = feats.gather(&rows.plan.owner_ids(1)).as_flat().to_vec();
+        rows.fetched[1] = Matrix::from_flat(response.len() / 2, 2, response);
+        rows
+    }
+
     #[test]
     fn gather_planned_fills_only_what_the_plan_lists() {
-        let (store, feats) = fixture(0.5, &[3]);
-        let nodes = vec![5, 0, 4];
-        let mut plan = store.plan(&nodes);
-        // The caller answers vertex 5 from a tier of its own.
-        plan.remote[1].retain(|&(_, v)| v != 5);
-        let out = store.gather_planned(&nodes, &plan, |owner, ids| {
-            assert_eq!((owner, ids), (1, &[4][..]));
-            feats.gather(ids)
-        });
-        assert_eq!(out.row(0), [0.0, 0.0]);
-        assert_eq!(out.row(1), feats.row(0));
-        assert_eq!(out.row(2), feats.row(4));
+        // A vertex taken out of its bucket is requested from no owner; its
+        // row is the one the caller reads in for its held position.
+        let fixture = fixture(0.5, &[3]);
+        let (store, feats) = &fixture;
+        let nodes = [5, 0, 4];
+        let rows = rows_with(&fixture, &nodes, true, &[(0, 50)]);
+        assert_eq!(rows.plan().owner_ids(1), [4]);
+        assert_eq!(rows.fetched(1).collect::<Vec<_>>(), [(4, feats.row(4))]);
+        let table = rows.table(store, &nodes);
+        assert_eq!(table[0], [50.0, 50.0]);
+        assert_eq!(table[1], feats.row(0));
+        assert_eq!(table[2], feats.row(4));
     }
 
     #[test]
     fn resident_read_plus_remote_read_is_gather_planned() {
         // The row table reads the resident rows in place and each remote
-        // row in its owner's response: the rows `gather_planned` copies.
-        for scheme in [QuantScheme::F32, QuantScheme::F16] {
-            let (store, feats) = fixture_with(0.34, &[4], scheme);
-            let nodes = vec![5, 0, 4, 1, 3, 2];
-            let plan = store.plan(&nodes);
-            let fetch = |_: u32, ids: &[VertexId]| feats.gather(ids);
-            let whole = store.gather_planned(&nodes, &plan, fetch);
-            let remote = vec![FeatureMatrix::zeros(0, 2), feats.gather(&[5, 3])];
-            let mut cached = Matrix::empty();
-            store.decode_cached(&plan, &mut cached);
-            assert_eq!(cached.rows(), usize::from(scheme != QuantScheme::F32));
-            let table = store.row_table(&nodes, &plan, &remote, &cached);
+        // row in its owner's response: the rows `gather` copies.
+        for scheme in [QuantScheme::F32, QuantScheme::F16, QuantScheme::I8] {
+            let fixture = fixture_with(0.34, &[4], scheme);
+            let (store, feats) = &fixture;
+            let nodes = [5, 0, 4, 1, 3, 2];
+            let rows = rows_with(&fixture, &nodes, false, &[]);
+            let table = rows.table(store, &nodes);
+            let whole = store.gather(&nodes, |_, ids| feats.gather(ids));
             for (i, &v) in nodes.iter().enumerate() {
+                // Small integers: every codec keeps them exactly.
                 assert_eq!(table[i], whole.row(i), "row {i} mismatch");
                 assert_eq!(whole.row(i), feats.row(v), "row {i} mismatch");
             }
             // Local rows and an f32 static tier are borrowed, not copied.
             assert!(std::ptr::eq(table[1], store.local.row(0)));
-            assert!(std::ptr::eq(table[0], remote[1].row(0)));
-            if let StaticRows::F32(rows) = &store.cache_feats {
-                assert!(std::ptr::eq(table[2], rows.row(0)));
+            assert!(std::ptr::eq(table[0], rows.fetched[1].row(0)));
+            if let StaticRows::F32(tier) = &store.cache_feats {
+                assert!(std::ptr::eq(table[2], tier.row(0)));
             }
         }
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "checks a debug assertion")]
+    #[should_panic(expected = "row table position 0 is filled twice")]
+    fn a_held_position_left_in_its_bucket_is_refused() {
+        let fixture = fixture(0.5, &[3]);
+        rows_with(&fixture, &[5, 0, 4], false, &[(0, 50)]).table(&fixture.0, &[5, 0, 4]);
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "checks a debug assertion")]
+    #[should_panic(expected = "unfilled row table position")]
+    fn a_position_no_bucket_lists_is_refused() {
+        let fixture = fixture(0.5, &[3]);
+        rows_with(&fixture, &[5, 0, 4], true, &[]).table(&fixture.0, &[5, 0, 4]);
     }
 
     #[test]

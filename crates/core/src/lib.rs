@@ -67,7 +67,7 @@ pub use cache::{CacheBuilder, StaticCache};
 pub fn clamp01(x: f64) -> f64 {
     x.clamp(0.0, 1.0)
 }
-pub use feature_store::{BatchPlan, FeatureLocation, PartitionedFeatureStore};
+pub use feature_store::{BatchPlan, BatchRows, FeatureLocation, PartitionedFeatureStore};
 pub use policies::{CachePolicy, PolicyContext};
 pub use reorder::ReorderedLayout;
 pub use vip::{TransitionLaw, VipModel};

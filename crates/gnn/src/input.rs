@@ -59,7 +59,7 @@ pub enum StepInput<'a> {
     /// A gathered `f32` matrix.
     Gathered(&'a Matrix),
     /// `f32` rows borrowed where each is kept, row `i` MFG node `i`'s
-    /// (`spp_core::PartitionedFeatureStore::row_table`).
+    /// (`spp_core::BatchRows::table`).
     Table(RowTable<'a>),
     /// Rows of an in-RAM matrix, read in place: node `i` is row
     /// `nodes[i]`.

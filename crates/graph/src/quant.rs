@@ -424,6 +424,22 @@ impl QuantizedFeatures {
         encode_row(self.scheme, row, &mut self.bytes[at]);
     }
 
+    /// [`Self::set_row`] of a `row` that may have arrived encoded, as
+    /// `wire = (scheme, bytes)`: the bytes are kept as they are when this
+    /// tier stores `scheme` rows and encoding `row` again gives them back
+    /// (`f32`, `f16`; an `i8` scale re-formed from decoded values is not
+    /// sure to round the same), so the row is not encoded twice. Panics
+    /// as `set_row`, or if `bytes` is not one row.
+    pub fn set_row_wire(&mut self, slot: usize, row: &[f32], wire: Option<(QuantScheme, &[u8])>) {
+        match wire {
+            Some((scheme, bytes)) if scheme == self.scheme && scheme != QuantScheme::I8 => {
+                let at = self.slot(slot);
+                self.bytes[at].copy_from_slice(bytes);
+            }
+            _ => self.set_row(slot, row),
+        }
+    }
+
     /// Decodes slot `slot` into `out` (allocation-free).
     ///
     /// # Panics

@@ -1,7 +1,7 @@
 //! Correctness-grade distributed training on real threads.
 //!
 //! Machines are threads; features move through barriered all-to-all
-//! exchanges (requests, then feature tensors), gradients are averaged by
+//! exchanges (requests, then encoded feature rows), gradients are averaged by
 //! an all-gather, and every machine applies identical optimizer steps to
 //! its model replica — data-parallel training exactly as SALIENT++ runs
 //! it over NCCL, minus the wire. Because real feature bytes flow through
@@ -13,20 +13,20 @@ use crate::setup::DistributedSetup;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spp_comm::{run_machines, AllToAll};
-use spp_core::{BatchPlan, PartitionedFeatureStore};
+use spp_core::BatchRows;
 use spp_gnn::metrics::{predictions, AccuracyMeter};
 use spp_gnn::{seed_labels, Arch, GnnModel, SageStep, StepInput};
-use spp_graph::{quant, FeatureMatrix, QuantScheme, VertexId};
+use spp_graph::{QuantScheme, VertexId};
 use spp_sampler::{batch_stream_seed, Mfg, MinibatchIter, NodeWiseSampler};
 use spp_telemetry::metrics;
-use spp_tensor::{Adam, Matrix, Optimizer, RowTable};
+use spp_tensor::{Adam, Optimizer, RowTable};
 
 /// One all-to-all payload.
 enum Payload {
     /// Feature requests: vertex ids owned by the receiver.
     Ids(Vec<VertexId>),
-    /// Feature rows answering the receiver's request.
-    Feats(FeatureMatrix),
+    /// Feature rows answering the receiver's request, as wire bytes.
+    Feats(Vec<u8>),
     /// Flattened local gradients (all parameters concatenated).
     Grads(Vec<f32>),
     /// Nothing (idle machine / empty request).
@@ -54,17 +54,17 @@ impl<'a> FeatureExchange<'a> {
 
     /// Machine `rank`'s side of one round. Classifies `mfg`'s nodes
     /// once, sends each owner the ids the plan lists for it, serves the
-    /// peers' requests from the local store, and keeps the responses as
-    /// they arrived: the batch's rows, read where they live through
-    /// [`RoundRows::table`]. Returns `None` for a machine without a
-    /// batch this round, which still takes part in both barriers.
-    /// `on_send(peer, bytes)` is told every payload this machine sends.
+    /// peers' requests from the local store, encoded for the wire, and
+    /// decodes each response into the batch's [`BatchRows`]. Returns
+    /// `None` for a machine without a batch this round, which still
+    /// takes part in both barriers. `on_send(peer, bytes)` is told the
+    /// length of every payload this machine sends.
     fn round(
         &self,
         rank: usize,
         mfg: Option<&Mfg>,
         mut on_send: impl FnMut(usize, u64),
-    ) -> Option<RoundRows> {
+    ) -> Option<BatchRows> {
         let store = &self.setup.stores[rank];
         let plan = mfg.map(|m| store.plan(&m.nodes));
         let mut outgoing: Vec<Payload> = (0..self.setup.num_machines())
@@ -83,61 +83,25 @@ impl<'a> FeatureExchange<'a> {
             .enumerate()
             .map(|(requester, msg)| match msg {
                 Payload::Ids(ids) => {
-                    let mut f = store.serve(&ids);
-                    // Encode/decode at the owner (a no-op for f32): every
-                    // requester receives identical decoded rows, keeping
-                    // replicas in lockstep.
-                    for r in 0..f.num_rows() {
-                        quant::wire_roundtrip(f.row_mut(r as VertexId), self.wire);
-                    }
-                    let bytes = f.num_rows() * self.wire.row_bytes(f.dim());
-                    on_send(requester, bytes as u64);
-                    Payload::Feats(f)
+                    let bytes = store.serve_encoded(&ids, self.wire);
+                    on_send(requester, bytes.len() as u64);
+                    Payload::Feats(bytes)
                 }
                 _ => Payload::Empty,
             })
             .collect();
         let received = self.channel.exchange(rank, served);
 
-        let plan = plan?;
+        let mut rows = BatchRows::new(store, plan?, Vec::new());
         // An owner asked for nothing answers with nothing; one that was
-        // asked and did not answer leaves an empty response, which the
-        // row table rejects naming it.
-        let remote = received
-            .into_iter()
-            .map(|msg| match msg {
-                Payload::Feats(f) => f,
-                _ => FeatureMatrix::zeros(0, 0),
-            })
-            .collect();
-        let mut cached = Matrix::empty();
-        store.decode_cached(&plan, &mut cached);
-        Some(RoundRows {
-            plan,
-            remote,
-            cached,
-        })
-    }
-}
-
-/// One machine's rows of one round: the batch's plan, each owner's
-/// response (indexed by owner), and the static-tier hits decoded when
-/// the tier is quantized. Nothing is copied into an input tensor.
-struct RoundRows {
-    plan: BatchPlan,
-    remote: Vec<FeatureMatrix>,
-    cached: Matrix,
-}
-
-impl RoundRows {
-    /// The batch's row table over `nodes` on `store`, the machine's own
-    /// ([`PartitionedFeatureStore::row_table`]).
-    fn table<'r>(
-        &'r self,
-        store: &'r PartitionedFeatureStore,
-        nodes: &[VertexId],
-    ) -> Vec<&'r [f32]> {
-        store.row_table(nodes, &self.plan, &self.remote, &self.cached)
+        // asked and did not answer is refused, naming it.
+        for (owner, msg) in received.into_iter().enumerate() {
+            match msg {
+                Payload::Feats(bytes) => rows.decode_owner(owner, self.wire, &bytes),
+                _ => rows.decode_owner(owner, self.wire, &[]),
+            }
+        }
+        Some(rows)
     }
 }
 
@@ -272,7 +236,7 @@ impl<'a> DistributedTrainer<'a> {
                     let mut grads: Option<Vec<f32>> = None;
                     let mut loss_val = 0.0f64;
                     if let (Some(m), Some(rows)) = (&*mfg, gathered) {
-                        remote_fetches += rows.plan.num_remote();
+                        remote_fetches += rows.plan().num_remote();
                         let labels = seed_labels(&setup.dataset.labels, m);
                         let index = (sample_seed, epoch, round as u64);
                         // A step of its own, freed with the round's rows
@@ -495,6 +459,34 @@ mod tests {
             let t = DistributedTrainer::new(&s, DistTrainConfig::default());
             let checked = t.verify_gather(99);
             assert!(checked > 100, "too few vertices verified: {checked}");
+        }
+    }
+
+    /// A round bills what it sends: 4 bytes per requested id and each
+    /// response's encoded length.
+    #[test]
+    fn billed_bytes_are_the_payloads_lengths() {
+        let s = setup(3, 0.1);
+        for wire in [QuantScheme::F16, QuantScheme::I8] {
+            let exchange = FeatureExchange::new(&s, wire);
+            let rounds = run_machines(3, |rank| {
+                let sampler = NodeWiseSampler::new(&s.dataset.graph, s.config.fanouts.clone());
+                let mut rng = StdRng::seed_from_u64(rank as u64);
+                let mfg = sampler.sample(&s.local_train[rank][..32], &mut rng);
+                let mut billed = 0;
+                let rows = exchange.round(rank, Some(&mfg), |_, bytes| billed += bytes);
+                (billed, rows.map(|r| r.plan().clone()))
+            });
+            let mut payloads = 0;
+            for plan in rounds.iter().filter_map(|(_, plan)| plan.as_ref()) {
+                for (owner, store) in s.stores.iter().enumerate() {
+                    let ids = plan.owner_ids(owner);
+                    payloads += 4 * ids.len() + store.serve_encoded(&ids, wire).len();
+                }
+            }
+            let billed: u64 = rounds.iter().map(|(b, _)| b).sum();
+            assert!(payloads > 0);
+            assert_eq!(billed, payloads as u64, "wire {wire:?}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! The engine's first layer reads a batch's rows through its row table
-//! (`PartitionedFeatureStore::row_table`): local rows and an `f32`
-//! static tier in place, a quantized tier's hits decoded, and each
-//! remote row in its owner's wire-rounded response. A training step fed
+//! (`spp_core::BatchRows::table`): local rows and an `f32` static tier
+//! in place, a quantized tier's hits decoded, and each remote row
+//! decoded from its owner's wire-encoded response. A training step fed
 //! that table must give the logits, the loss and every gradient of the
 //! same step fed the batch's rows as one matrix, bit for bit, for every
 //! deployment width, static-tier scheme, wire scheme and pool width.
@@ -17,10 +17,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spp_core::policies::CachePolicy;
-use spp_core::FeatureLocation;
+use spp_core::{BatchRows, FeatureLocation};
 use spp_gnn::{seed_labels, Arch, GnnModel, SageStep, StepInput};
 use spp_graph::dataset::{Dataset, SyntheticSpec};
-use spp_graph::{quant, FeatureMatrix, QuantScheme, VertexId};
+use spp_graph::{quant, FeatureMatrix, QuantScheme};
 use spp_runtime::pool::WorkerPool;
 use spp_runtime::{DistributedSetup, SetupConfig};
 use spp_sampler::{Fanouts, Mfg, NodeWiseSampler};
@@ -48,21 +48,6 @@ fn setup(ds: &Dataset, k: usize, cache_scheme: QuantScheme) -> DistributedSetup 
             seed: 4,
         },
     )
-}
-
-/// Each owner's rows as the engine receives them: served by the owner's
-/// store, then rounded through the wire codec.
-fn fetch(
-    setup: &DistributedSetup,
-    wire: QuantScheme,
-    owner: u32,
-    ids: &[VertexId],
-) -> FeatureMatrix {
-    let mut rows = setup.stores[owner as usize].serve(ids);
-    for r in 0..ids.len() {
-        quant::wire_roundtrip(rows.row_mut(r as VertexId), wire);
-    }
-    rows
 }
 
 /// The batch's rows as this test expects them: each node's dataset row,
@@ -129,22 +114,20 @@ fn a_step_over_the_row_table_is_the_step_over_the_gathered_matrix() {
                     !plan.cached.is_empty() && plan.num_remote() > 0,
                     "k={k} rank={rank}"
                 );
-                let mut cached = Matrix::empty();
-                store.decode_cached(&plan, &mut cached);
-                for wire in [QuantScheme::F32, QuantScheme::F16] {
-                    let remote: Vec<FeatureMatrix> = plan
-                        .remote
-                        .iter()
-                        .enumerate()
-                        .map(|(owner, reqs)| {
-                            let ids: Vec<VertexId> = reqs.iter().map(|&(_, v)| v).collect();
-                            fetch(&setup, wire, owner as u32, &ids)
-                        })
-                        .collect();
-                    let table = store.row_table(&mfg.nodes, &plan, &remote, &cached);
+                for wire in [QuantScheme::F32, QuantScheme::F16, QuantScheme::I8] {
+                    let mut rows = BatchRows::new(store, plan.clone(), Vec::new());
+                    for owner in 0..k {
+                        let ids = plan.owner_ids(owner);
+                        let bytes = setup.stores[owner].serve_encoded(&ids, wire);
+                        rows.decode_owner(owner, wire, &bytes);
+                    }
+                    let table = rows.table(store, &mfg.nodes);
                     let x = expected_rows(&setup, rank, wire, &mfg);
-                    let gathered =
-                        store.gather(&mfg.nodes, |owner, ids| fetch(&setup, wire, owner, ids));
+                    // Each owner answers with the rows the table decoded.
+                    let gathered = store.gather(&mfg.nodes, |owner, _| {
+                        let flat = rows.fetched(owner as usize).flat_map(|(_, r)| r.to_vec());
+                        FeatureMatrix::from_flat(flat.collect(), x.cols())
+                    });
                     let bits =
                         |m: &Matrix| m.as_flat().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                     assert!(bits(&gathered) == bits(&x), "gather: k={k} rank={rank}");
@@ -163,30 +146,30 @@ fn a_step_over_the_row_table_is_the_step_over_the_gathered_matrix() {
     }
 }
 
-/// The row table of machine 0's first batch on a two-machine
-/// deployment, with a response from machine 1 of width `dim`, one row
-/// short of its bucket if `short`, in place of the real one.
-fn table_with_response(short: bool, dim: usize) {
+/// Machine 0's first batch on a two-machine deployment gathered with a
+/// response from machine 1 of width `dim`, one row short of its bucket
+/// if `short`, in place of the real one.
+fn gather_with_response(short: bool, dim: usize) {
     let ds = dataset();
     let setup = setup(&ds, 2, QuantScheme::F32);
     let sampler = NodeWiseSampler::new(&setup.dataset.graph, setup.config.fanouts.clone());
     let mfg = sampler.sample(&setup.local_train[0][..48], &mut StdRng::seed_from_u64(0));
     let store = &setup.stores[0];
-    let plan = store.plan(&mfg.nodes);
-    assert!(!plan.remote[1].is_empty());
-    let rows = plan.remote[1].len() - usize::from(short);
-    let remote = vec![FeatureMatrix::zeros(0, 19), FeatureMatrix::zeros(rows, dim)];
-    store.row_table(&mfg.nodes, &plan, &remote, &Matrix::empty());
+    assert!(!store.plan(&mfg.nodes).remote[1].is_empty());
+    store.gather(&mfg.nodes, |owner, ids| {
+        assert_eq!(owner, 1);
+        FeatureMatrix::zeros(ids.len() - usize::from(short), dim)
+    });
 }
 
 #[test]
 #[should_panic(expected = "fetch returned wrong rows from owner 1")]
 fn a_short_response_is_refused_naming_its_owner() {
-    table_with_response(true, 19);
+    gather_with_response(true, 19);
 }
 
 #[test]
 #[should_panic(expected = "fetch returned wrong dim from owner 1")]
 fn a_wrong_width_response_is_refused_naming_its_owner() {
-    table_with_response(false, 7);
+    gather_with_response(false, 7);
 }

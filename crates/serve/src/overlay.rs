@@ -196,6 +196,18 @@ impl DynamicOverlay {
     ///
     /// Panics if `row` has the wrong dimension.
     pub fn insert(&mut self, v: VertexId, row: &[f32]) -> InsertOutcome {
+        self.insert_wire(v, row, None)
+    }
+
+    /// [`Self::insert`] of a `row` that may have arrived encoded, stored
+    /// as its wire bytes where that is the same row
+    /// ([`QuantizedFeatures::set_row_wire`]). Panics as `insert`.
+    pub fn insert_wire(
+        &mut self,
+        v: VertexId,
+        row: &[f32],
+        wire: Option<(QuantScheme, &[u8])>,
+    ) -> InsertOutcome {
         assert_eq!(row.len(), self.feats.dim(), "feature dim mismatch");
         if self.capacity == 0 {
             return InsertOutcome::Disabled;
@@ -224,7 +236,7 @@ impl DynamicOverlay {
             (slot, InsertOutcome::Evicted(old))
         };
         self.slot_of.insert(v, slot);
-        self.feats.set_row(slot as usize, row);
+        self.feats.set_row_wire(slot as usize, row, wire);
         self.push_front(slot);
         self.insertions += 1;
         outcome

@@ -44,15 +44,15 @@
 //! Where a vertex's row lives on this machine is decided by
 //! `PartitionedFeatureStore::plan` alone (local GPU / local CPU / static
 //! tier / remote by owner). The server owns only the overlay: it probes
-//! the plan's remote residue, moves the hits out of the plan, fetches
-//! the misses the plan still lists — each owner's with one
-//! `PartitionedFeatureStore::serve` on that owner's store, as the
-//! training engine fetches them — and decodes the overlay hits into a
-//! small per-batch matrix while preparing, since later admissions
-//! change the overlay. The forward piece's
-//! `PartitionedFeatureStore::row_table` reads the resident rows in
-//! place and each fetched row in its owner's response, and points the
-//! overlay hits' entries at their decoded rows. Every row a batch reads
+//! the plan's remote residue and moves the hits out of the plan into
+//! the batch's `spp_core::BatchRows` as held positions, whose rows it
+//! decodes from the overlay while preparing, since later admissions
+//! change the overlay. It fetches the misses the plan still lists —
+//! each owner's with one `PartitionedFeatureStore::serve_encoded` on
+//! that owner's store, as the training engine fetches them — and
+//! decodes each response's wire bytes into the same `BatchRows`. The
+//! forward piece's `BatchRows::table` reads the resident rows in place
+//! and every other row where it was decoded. Every row a batch reads
 //! therefore comes from the deployment's partitioned stores, whatever
 //! backend filled them.
 
@@ -62,9 +62,9 @@ use crate::queue::{AdmissionQueue, InferenceRequest, Rejection};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spp_comm::{DesEngine, ResourceId};
-use spp_core::{BatchPlan, PartitionedFeatureStore};
+use spp_core::{BatchRows, PartitionedFeatureStore};
 use spp_gnn::{GnnModel, SageStep, StepInput};
-use spp_graph::{quant, FeatureMatrix, QuantScheme, VertexId};
+use spp_graph::{QuantScheme, VertexId};
 use spp_pool::{Lane, WorkerPool};
 use spp_runtime::{CostModel, DistributedSetup};
 use spp_sampler::{batch_stream_seed, Fanouts, Mfg, NodeWiseSampler, VertexIndexer};
@@ -393,27 +393,6 @@ fn argmax(row: &[f32]) -> usize {
     best
 }
 
-/// Whether `plan`'s resident and remote buckets and the overlay `hits`
-/// together list each of the `n` node positions exactly once: every
-/// entry of the batch's row table is pointed at exactly one row. A
-/// debug-build check.
-fn partitions_nodes(n: usize, plan: &BatchPlan, hits: &[(u32, u32)]) -> bool {
-    let mut seen = vec![false; n];
-    let cached = plan.cached.iter().map(|(pos, _)| pos);
-    let resident = plan.local_gpu.iter().chain(&plan.local_cpu).chain(cached);
-    let fetched = plan.remote.iter().flatten().map(|(pos, _)| pos);
-    let overlay = hits.iter().map(|(pos, _)| pos);
-    let mut listed = 0;
-    for &pos in resident.chain(fetched).chain(overlay) {
-        match seen.get_mut(pos as usize) {
-            Some(s) if !*s => *s = true,
-            _ => return false,
-        }
-        listed += 1;
-    }
-    listed == n
-}
-
 /// The lane of a serving run: prepared batches in, answered ones out.
 type ForwardLane<'l> = Lane<'l, Prepared, Answered>;
 
@@ -422,15 +401,9 @@ type ForwardLane<'l> = Lane<'l, Prepared, Answered>;
 /// pass fills in their `label` and `checksum`.
 struct Prepared {
     mfg: Mfg,
-    /// The batch's plan, with the overlay hits moved out of its remote
-    /// buckets.
-    plan: BatchPlan,
-    /// Each owner's fetched rows, aligned with its bucket in `plan`.
-    remote: Vec<FeatureMatrix>,
-    /// Overlay hits as `(position, slot)`, and their rows decoded while
-    /// preparing, in that order.
-    hits: Vec<(u32, u32)>,
-    hit_rows: Matrix,
+    /// The batch's rows: its plan, with the overlay hits moved out of
+    /// its remote buckets and held, and every row not read in place.
+    rows: BatchRows,
     /// Each request's row in the logits (seeds are deduplicated).
     seed_row: Vec<usize>,
     /// Index of the batch's first completion in the server's list.
@@ -449,29 +422,15 @@ impl Prepared {
     /// global pool. The store's local rows and static tier never change
     /// after build, so this reads nothing preparation writes.
     fn run_model(self, model: &GnnModel, store: &PartitionedFeatureStore) -> Answered {
-        let Prepared {
-            mfg,
-            plan,
-            remote,
-            hits,
-            hit_rows,
-            seed_row,
-            first,
-        } = self;
-        let mut cached = Matrix::empty();
-        store.decode_cached(&plan, &mut cached);
-        let mut table = store.row_table(&mfg.nodes, &plan, &remote, &cached);
-        for (i, &(pos, _)) in hits.iter().enumerate() {
-            table[pos as usize] = hit_rows.row(i);
-        }
+        let table = self.rows.table(store, &self.mfg.nodes);
         let x = StepInput::Table(RowTable::new(store.dim(), &table));
         // A step of its own, as `GnnModel::infer`.
         let mut step = SageStep::new(model);
-        step.infer(WorkerPool::global(), model, x, &mfg);
+        step.infer(WorkerPool::global(), model, x, &self.mfg);
         Answered {
             logits: step.into_logits(),
-            seed_row,
-            first,
+            seed_row: self.seed_row,
+            first: self.first,
         }
     }
 }
@@ -727,63 +686,37 @@ impl<'a> InferenceServer<'a> {
             }
         }
 
-        debug_assert!(
-            partitions_nodes(mfg.num_nodes(), &plan, &hits),
-            "resident buckets, fetched rows and overlay hits must partition the nodes"
-        );
-
-        // Read the batch's non-resident rows: each owner's misses with
-        // one `serve` on that owner's store, kept in its response, and
-        // the overlay hits decoded by their probed slot. The resident
-        // rows are the forward pass's. Admissions wait until every hit
-        // is read, so the overlay read here is exactly the overlay the
-        // probe saw.
+        // Read the batch's non-resident rows: the overlay hits by their
+        // probed slot, then each owner's misses decoded from the wire
+        // bytes of one `serve_encoded` on its store and admitted as
+        // those bytes where the overlay keeps the same encoding. So the
+        // overlay read is the one the probe saw. The comm events, the
+        // DES network leg, `bytes_fetched` and `serve.net.bytes` bill
+        // the bytes' lengths.
         let dim = store.dim();
-        let stores = self.stores;
         let wire = self.cfg.wire_scheme;
-        let remote: Vec<FeatureMatrix> = plan
-            .remote
-            .iter()
-            .enumerate()
-            .map(|(owner, reqs)| {
-                if reqs.is_empty() {
-                    return FeatureMatrix::zeros(0, dim);
-                }
-                let ids: Vec<VertexId> = reqs.iter().map(|&(_, v)| v).collect();
-                let mut rows = stores[owner].serve(&ids);
-                // The wire codec is applied at the requester: the row the
-                // model (and the overlay admission) sees is what survived
-                // the quantized transfer.
-                for r in 0..ids.len() {
-                    quant::wire_roundtrip(rows.row_mut(r as VertexId), wire);
-                }
-                rows
-            })
-            .collect();
-        let mut hit_rows = Matrix::zeros(hits.len(), dim);
-        for (i, &(_, slot)) in hits.iter().enumerate() {
-            self.overlay.read_row_into(slot, hit_rows.row_mut(i));
-        }
-        // Fetched wire bytes, computed once: the comm events, the DES
-        // network leg, `bytes_fetched` and the `serve.net.bytes` counter
-        // all bill this.
-        let wire_row_bytes = wire.row_bytes(dim);
-        let mut fetched_bytes = 0u64;
-        for (owner, reqs) in plan.remote.iter().enumerate() {
-            if reqs.is_empty() {
+        let n_overlay = hits.len();
+        let mut rows = BatchRows::new(store, plan, hits);
+        rows.read_held(|slot, row| self.overlay.read_row_into(slot, row));
+        let (mut fetched_bytes, row_bytes) = (0u64, wire.row_bytes(dim));
+        for (owner, owner_store) in self.stores.iter().enumerate() {
+            if rows.plan().remote[owner].is_empty() {
                 continue;
             }
-            let bytes = (reqs.len() * wire_row_bytes) as u64;
+            let bytes = owner_store.serve_encoded(&rows.plan().owner_ids(owner), wire);
+            rows.decode_owner(owner, wire, &bytes);
             self.fetch_events
-                .push((batch.close_time, owner as u32, bytes));
-            fetched_bytes += bytes;
-            for (r, &(_, v)) in reqs.iter().enumerate() {
-                self.overlay.insert(v, remote[owner].row(r as VertexId));
+                .push((batch.close_time, owner as u32, bytes.len() as u64));
+            fetched_bytes += bytes.len() as u64;
+            for (r, (v, row)) in rows.fetched(owner).enumerate() {
+                let coded = &bytes[r * row_bytes..(r + 1) * row_bytes];
+                self.overlay.insert_wire(v, row, Some((wire, coded)));
             }
         }
+        let plan = rows.plan();
         let (n_cpu, n_static) = (plan.local_cpu.len(), plan.cached.len());
         let n_local = plan.local_gpu.len() + n_cpu;
-        let (n_overlay, n_fetch) = (hits.len(), plan.num_remote());
+        let n_fetch = plan.num_remote();
         // Rows staged through host RAM before the device copy: CPU-resident
         // locals, overlay rows (host memory), and freshly fetched rows.
         // Static-tier and GPU-resident rows are already on device.
@@ -886,10 +819,7 @@ impl<'a> InferenceServer<'a> {
         }
         Prepared {
             mfg,
-            plan,
-            remote,
-            hits,
-            hit_rows,
+            rows,
             seed_row,
             first,
         }
