@@ -371,7 +371,7 @@ pub const ROWS: &[Row] = &[
             )
             .at_default_scale(
                 "--quick trains one epoch, too few for the two trainers to converge to the \
-                 same model: products reads 0.537 distributed vs 0.963 single-machine",
+                 same model: products reads 0.542 distributed vs 0.963 single-machine",
             ),
             shape(
                 "both trainers learn: every test accuracy is at least twice chance (8 classes)",

@@ -52,6 +52,12 @@ impl AccuracyMeter {
         self.total += preds.len();
     }
 
+    /// Adds another meter's counts.
+    pub fn merge(&mut self, other: &Self) {
+        self.correct += other.correct;
+        self.total += other.total;
+    }
+
     /// Accuracy so far (0 if nothing recorded).
     pub fn value(&self) -> f64 {
         if self.total == 0 {

@@ -1,24 +1,25 @@
-//! Correctness-grade distributed training on real threads.
+//! Correctness-grade distributed training and inference on real threads.
 //!
 //! Machines are threads; features move through barriered all-to-all
-//! exchanges (requests, then encoded feature rows), gradients are averaged by
-//! an all-gather, and every machine applies identical optimizer steps to
-//! its model replica — data-parallel training exactly as SALIENT++ runs
-//! it over NCCL, minus the wire. Because real feature bytes flow through
-//! the partitioned stores and caches, this engine *verifies* that the
-//! paper's storage optimizations leave training semantics untouched.
+//! exchanges (requests, then encoded feature rows), gradients are averaged
+//! by an all-gather, and every machine applies identical optimizer steps
+//! to its replica — data-parallel training as SALIENT++ runs it over
+//! NCCL, minus the wire. Training, evaluation and the gather check run
+//! one per-machine loop, and rows come from the partitioned stores
+//! alone, so the engine *verifies* that the paper's storage
+//! optimizations leave training and inference semantics untouched.
 
 use crate::pool::WorkerPool;
 use crate::setup::DistributedSetup;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spp_comm::{run_machines, AllToAll};
-use spp_core::BatchRows;
+use spp_core::{BatchRows, FeatureLocation, PartitionedFeatureStore};
 use spp_gnn::metrics::{predictions, AccuracyMeter};
 use spp_gnn::{seed_labels, Arch, GnnModel, SageStep, StepInput};
-use spp_graph::{QuantScheme, VertexId};
+use spp_graph::{quant, QuantScheme, VertexId};
 use spp_sampler::{batch_stream_seed, Mfg, MinibatchIter, NodeWiseSampler};
-use spp_telemetry::metrics;
+use spp_telemetry::{metrics, CommReport};
 use spp_tensor::{Adam, Optimizer, RowTable};
 
 /// One all-to-all payload.
@@ -43,6 +44,24 @@ struct FeatureExchange<'a> {
     channel: AllToAll<Payload>,
 }
 
+/// A machine's batch in one round of a pass: the round's index, the
+/// machine's share of the worker budget, its store, the MFG and its rows.
+struct Round<'r> {
+    index: usize,
+    pool: WorkerPool,
+    store: &'r PartitionedFeatureStore,
+    mfg: &'r Mfg,
+    rows: BatchRows,
+}
+
+impl Round<'_> {
+    /// Runs `f` on the batch's first-layer input, its row table.
+    fn input<T>(&self, f: impl FnOnce(StepInput<'_>) -> T) -> T {
+        let table = self.rows.table(self.store, &self.mfg.nodes);
+        f(StepInput::Table(RowTable::new(self.store.dim(), &table)))
+    }
+}
+
 impl<'a> FeatureExchange<'a> {
     fn new(setup: &'a DistributedSetup, wire: QuantScheme) -> Self {
         Self {
@@ -52,13 +71,45 @@ impl<'a> FeatureExchange<'a> {
         }
     }
 
-    /// Machine `rank`'s side of one round. Classifies `mfg`'s nodes
-    /// once, sends each owner the ids the plan lists for it, serves the
-    /// peers' requests from the local store, encoded for the wire, and
-    /// decodes each response into the batch's [`BatchRows`]. Returns
-    /// `None` for a machine without a batch this round, which still
-    /// takes part in both barriers. `on_send(peer, bytes)` is told the
-    /// length of every payload this machine sends.
+    /// Machine `rank`'s side of a pass of `rounds` rounds, the loop every
+    /// engine pass runs: sample `batch(r)` (seeds, stream seed) ahead on
+    /// an equal share of the worker budget, as a real run's processes
+    /// each have their own cores; exchange, adding each payload's length
+    /// to `sent[peer]`; hand `step` the batch with its rows, or `None`.
+    fn pass<'b>(
+        &self,
+        rank: usize,
+        rounds: usize,
+        batch: impl Fn(usize) -> Option<(&'b [VertexId], u64)> + Sync,
+        sent: &mut [u64],
+        mut step: impl FnMut(Option<Round<'_>>, &mut [u64]),
+    ) {
+        let setup = self.setup;
+        let sampler = NodeWiseSampler::new(&setup.dataset.graph, setup.config.fanouts.clone());
+        let pool = WorkerPool::global().split(setup.num_machines());
+        let sample = |round: usize, prev: Option<Option<Mfg>>| {
+            drop(prev);
+            let (seeds, stream) = batch(round)?;
+            Some(sampler.sample(seeds, &mut StdRng::seed_from_u64(stream)))
+        };
+        pool.prepare_ahead(rounds, sample, |index, mfg| {
+            let rows = self.round(rank, mfg.as_ref(), |peer, bytes| sent[peer] += bytes);
+            let round = mfg.as_ref().zip(rows).map(|(mfg, rows)| Round {
+                index,
+                pool,
+                store: &setup.stores[rank],
+                mfg,
+                rows,
+            });
+            step(round, sent);
+        });
+    }
+
+    /// Machine `rank`'s side of one round: plans `mfg`'s nodes, asks each
+    /// owner for its bucket, serves the peers' requests encoded for the
+    /// wire, and decodes each response into the batch's [`BatchRows`]
+    /// (`None` without a batch; both barriers are still joined).
+    /// `on_send(peer, bytes)` is told the length of every payload sent.
     fn round(
         &self,
         rank: usize,
@@ -67,9 +118,7 @@ impl<'a> FeatureExchange<'a> {
     ) -> Option<BatchRows> {
         let store = &self.setup.stores[rank];
         let plan = mfg.map(|m| store.plan(&m.nodes));
-        let mut outgoing: Vec<Payload> = (0..self.setup.num_machines())
-            .map(|_| Payload::Empty)
-            .collect();
+        let mut outgoing: Vec<_> = self.setup.stores.iter().map(|_| Payload::Empty).collect();
         for (owner, reqs) in plan.iter().flat_map(|p| p.remote.iter().enumerate()) {
             if !reqs.is_empty() {
                 on_send(owner, 4 * reqs.len() as u64);
@@ -78,19 +127,15 @@ impl<'a> FeatureExchange<'a> {
         }
         let incoming = self.channel.exchange(rank, outgoing);
 
-        let served: Vec<Payload> = incoming
-            .into_iter()
-            .enumerate()
-            .map(|(requester, msg)| match msg {
-                Payload::Ids(ids) => {
-                    let bytes = store.serve_encoded(&ids, self.wire);
-                    on_send(requester, bytes.len() as u64);
-                    Payload::Feats(bytes)
-                }
-                _ => Payload::Empty,
-            })
-            .collect();
-        let received = self.channel.exchange(rank, served);
+        let served = incoming.into_iter().enumerate().map(|(requester, msg)| {
+            let Payload::Ids(ids) = msg else {
+                return Payload::Empty;
+            };
+            let bytes = store.serve_encoded(&ids, self.wire);
+            on_send(requester, bytes.len() as u64);
+            Payload::Feats(bytes)
+        });
+        let received = self.channel.exchange(rank, served.collect());
 
         let mut rows = BatchRows::new(store, plan?, Vec::new());
         // An owner asked for nothing answers with nothing; one that was
@@ -118,10 +163,10 @@ pub struct DistTrainConfig {
     pub epochs: usize,
     /// Model init / sampling seed.
     pub seed: u64,
-    /// Precision of feature rows on the wire. Non-`F32` schemes shrink
-    /// the per-pair comm counters and round every served remote row
-    /// through the codec before the forward pass — the same rows on
-    /// every machine, so replicas stay bit-identical to each other.
+    /// Precision of feature rows on the wire, in training and evaluation:
+    /// owners encode the rows they send under it, and each is decoded once
+    /// on arrival. Non-`F32` schemes shrink the comm counters; replicas
+    /// read the same rows, so they stay bit-identical to each other.
     pub wire_scheme: QuantScheme,
 }
 
@@ -143,20 +188,21 @@ impl Default for DistTrainConfig {
 pub struct DistributedTrainReport {
     /// Mean per-round loss for each epoch (averaged over machines).
     pub epoch_losses: Vec<f64>,
-    /// Validation accuracy of the final model (minibatch inference).
+    /// Validation accuracy of the final model, by minibatch inference
+    /// run partitioned ([`DistributedTrainer::evaluate`]).
     pub val_accuracy: f64,
-    /// Test accuracy of the final model.
+    /// Test accuracy of the final model, from the same pass.
     pub test_accuracy: f64,
-    /// Remote vertices fetched over the run (communication actually
-    /// performed, after the cache).
+    /// Remote vertices fetched while training (communication actually
+    /// performed, after the cache); evaluation's are not counted.
     pub remote_fetches: usize,
     /// Windowed communication matrix: one `machines × machines` window
     /// per epoch, `bytes[src][dst]` = bytes machine `src` sent to `dst`
-    /// (requests + feature rows + gradients). Accumulated thread-locally
-    /// per machine and merged after the join in rank order, so it is
-    /// bit-identical across runs and never reads the (racy) telemetry
-    /// counters.
-    pub comm: spp_telemetry::CommReport,
+    /// while training (requests + feature rows + gradients; evaluation's
+    /// traffic is not in it). Accumulated thread-locally per machine and
+    /// merged after the join in rank order, so it is bit-identical across
+    /// runs and never reads the (racy) telemetry counters.
+    pub comm: CommReport,
 }
 
 /// Runs data-parallel GNN training over a [`DistributedSetup`].
@@ -171,39 +217,25 @@ impl<'a> DistributedTrainer<'a> {
         Self { setup, config }
     }
 
-    /// Runs the full training loop; returns the report and the final
+    /// Runs the full training loop and evaluates the final model on the
+    /// validation and test sets in one pass; returns the report and the
     /// model (identical on all machines; machine 0's copy is returned).
     // spp-det(runtime.engine_train)
     pub fn train(&self) -> (DistributedTrainReport, GnnModel) {
-        let k = self.setup.num_machines();
-        let dims = self.setup.model_dims(self.config.hidden_dim);
-        let rounds_per_epoch = self.setup.rounds_per_epoch();
+        let (setup, cfg, k) = (self.setup, &self.config, self.setup.num_machines());
+        let (dims, rounds) = (setup.model_dims(cfg.hidden_dim), setup.rounds_per_epoch());
         let grads_x = AllToAll::<Payload>::new(k);
-        let setup = self.setup;
-        let cfg = &self.config;
         let exchange = FeatureExchange::new(setup, cfg.wire_scheme);
 
         let mut results = run_machines(k, |rank| {
-            let mut model = GnnModel::new(cfg.arch, &dims, cfg.seed);
-            let mut opt = Adam::new(cfg.lr);
-            let sampler = NodeWiseSampler::new(&setup.dataset.graph, setup.config.fanouts.clone());
-            // Each machine thread gets an equal share of the global
-            // worker budget, as each process of a real run has its own
-            // cores: it samples ahead on the share, holding at most its
-            // width of MFGs, and runs its forward and backward on it.
-            let pool = WorkerPool::global().split(k);
-            let store = &setup.stores[rank];
-            // Per-round RNG streams are derived from
-            // (machine seed, epoch, round), never threaded across
-            // rounds: sampling for round r is independent of rounds
-            // 0..r, which is what lets rounds be sampled ahead in
-            // parallel with identical results.
+            let (mut model, mut opt) =
+                (GnnModel::new(cfg.arch, &dims, cfg.seed), Adam::new(cfg.lr));
+            // Per-round RNG streams are derived from (machine seed, epoch,
+            // round), so rounds sample ahead with identical results.
             let sample_seed = cfg.seed ^ ((rank as u64) << 32);
-            let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-            let mut remote_fetches = 0usize;
-            // Deterministic per-epoch send accounting for the comm
-            // matrix: `sent[epoch * k + peer]` = bytes this machine sent
-            // to `peer` in `epoch`. Thread-local, merged after the join.
+            let (mut epoch_losses, mut remote_fetches) = (Vec::with_capacity(cfg.epochs), 0);
+            // `sent[epoch * k + peer]` = bytes this machine sent to `peer`
+            // in `epoch`: thread-local, merged after the join.
             let mut sent = vec![0u64; cfg.epochs * k];
 
             for epoch in 0..cfg.epochs as u64 {
@@ -215,199 +247,167 @@ impl<'a> DistributedTrainer<'a> {
                     epoch,
                 )
                 .collect();
-                let sent = &mut sent[epoch as usize * k..][..k];
-                let mut loss_sum = 0.0f64;
-                let mut loss_rounds = 0usize;
-                // A machine with fewer batches than the epoch has rounds
-                // prepares `None` and still joins every collective.
-                let sample = |round: usize, prev: Option<Option<Mfg>>| {
-                    drop(prev);
-                    let batch = batches.get(round)?;
+                let batch = |round: usize| {
                     let stream = batch_stream_seed(sample_seed, epoch, round as u64);
-                    Some(sampler.sample(batch, &mut StdRng::seed_from_u64(stream)))
+                    Some((&batches.get(round)?[..], stream))
                 };
-                pool.prepare_ahead(rounds_per_epoch, sample, |round, mfg| {
-                    // Phases 1–2: request, serve and receive features.
-                    let gathered = exchange.round(rank, mfg.as_ref(), |peer, bytes| {
-                        sent[peer] += bytes;
-                    });
-
-                    // Local compute: forward/backward.
-                    let mut grads: Option<Vec<f32>> = None;
-                    let mut loss_val = 0.0f64;
-                    if let (Some(m), Some(rows)) = (&*mfg, gathered) {
-                        remote_fetches += rows.plan().num_remote();
-                        let labels = seed_labels(&setup.dataset.labels, m);
-                        let index = (sample_seed, epoch, round as u64);
-                        // A step of its own, freed with the round's rows
-                        // before the gradient exchange allocates.
-                        loss_val = {
-                            let table = rows.table(store, &m.nodes);
-                            let x = StepInput::Table(RowTable::new(store.dim(), &table));
-                            SageStep::new(&model).train(pool, &mut model, x, m, &labels, index)
-                        };
-                        drop(rows);
+                let sent = &mut sent[epoch as usize * k..][..k];
+                let (mut loss_sum, mut loss_rounds) = (0.0f64, 0usize);
+                exchange.pass(rank, rounds, batch, sent, |round, sent| {
+                    let grads = round.map(|r| {
+                        remote_fetches += r.rows.plan().num_remote();
+                        let labels = seed_labels(&setup.dataset.labels, r.mfg);
+                        let index = (sample_seed, epoch, r.index as u64);
+                        // Step and rows go before the gradient exchange.
+                        loss_sum += r.input(|x| {
+                            SageStep::new(&model)
+                                .train(r.pool, &mut model, x, r.mfg, &labels, index)
+                        });
+                        loss_rounds += 1;
+                        drop(r);
                         let mut flat = Vec::new();
                         for p in model.params_mut() {
                             flat.extend_from_slice(p.grad.as_flat());
                             p.zero_grad();
                         }
-                        grads = Some(flat);
+                        flat
+                    });
+                    // Gradient all-gather + average + step.
+                    for peer in (0..k).filter(|&peer| peer != rank) {
+                        sent[peer] += 4 * grads.as_ref().map_or(0, Vec::len) as u64;
                     }
-
-                    // Phase 3: gradient all-gather + average + step.
-                    let mut outgoing: Vec<Payload> = Vec::with_capacity(k);
-                    for peer in 0..k {
-                        outgoing.push(match &grads {
-                            Some(g) => {
-                                if peer != rank {
-                                    sent[peer] += 4 * g.len() as u64;
-                                }
-                                Payload::Grads(g.clone())
-                            }
-                            None => Payload::Empty,
-                        });
-                    }
-                    let all_grads = grads_x.exchange(rank, outgoing);
-                    let mut sum: Option<Vec<f32>> = None;
-                    let mut contributors = 0usize;
-                    for g in all_grads {
-                        if let Payload::Grads(g) = g {
-                            contributors += 1;
-                            match &mut sum {
-                                Some(s) => {
-                                    for (a, b) in s.iter_mut().zip(&g) {
-                                        *a += b;
-                                    }
-                                }
-                                None => sum = Some(g),
-                            }
+                    let outgoing =
+                        (0..k).map(|_| grads.clone().map_or(Payload::Empty, Payload::Grads));
+                    let (mut sum, mut contributors): (Option<Vec<f32>>, usize) = (None, 0);
+                    for g in grads_x.exchange(rank, outgoing.collect()) {
+                        let Payload::Grads(g) = g else { continue };
+                        contributors += 1;
+                        match &mut sum {
+                            Some(s) => s.iter_mut().zip(&g).for_each(|(a, b)| *a += b),
+                            None => sum = Some(g),
                         }
                     }
-                    if let Some(mut s) = sum {
-                        let inv = 1.0 / contributors as f32;
-                        for v in &mut s {
-                            *v *= inv;
-                        }
-                        // Scatter the averaged gradient back into params.
-                        let mut offset = 0usize;
-                        let mut params = model.params_mut();
-                        for p in params.iter_mut() {
-                            let len = p.grad.as_flat().len();
-                            p.grad
-                                .as_flat_mut()
-                                .copy_from_slice(&s[offset..offset + len]);
-                            offset += len;
-                        }
-                        opt.step(&mut params);
-                        if mfg.is_some() {
-                            loss_sum += loss_val;
-                            loss_rounds += 1;
-                        }
+                    let Some(mut s) = sum else { return };
+                    let inv = 1.0 / contributors as f32;
+                    s.iter_mut().for_each(|v| *v *= inv);
+                    // Scatter the averaged gradient back into params.
+                    let (mut params, mut offset) = (model.params_mut(), 0);
+                    for p in params.iter_mut() {
+                        let len = p.grad.as_flat().len();
+                        p.grad.as_flat_mut().copy_from_slice(&s[offset..][..len]);
+                        offset += len;
                     }
+                    opt.step(&mut params);
                 });
-                epoch_losses.push(if loss_rounds > 0 {
-                    loss_sum / loss_rounds as f64
-                } else {
-                    0.0
-                });
+                epoch_losses.push(loss_sum / loss_rounds.max(1) as f64);
             }
             (model, epoch_losses, remote_fetches, sent)
         });
 
         let remote_fetches: usize = results.iter().map(|(_, _, f, _)| *f).sum();
-        // Merge the thread-local send tallies in rank order: one comm
-        // window per epoch, bit-identical across runs.
-        let mut comm = spp_telemetry::CommReport::with_windows("train", k, cfg.epochs, |e| {
-            format!("epoch{e}")
-        });
+        // Merge the send tallies in rank order, one window per epoch.
+        let mut comm = CommReport::with_windows("train", k, cfg.epochs, |e| format!("epoch{e}"));
         for (rank, (_, _, _, sent)) in results.iter().enumerate() {
-            for epoch in 0..cfg.epochs {
-                for peer in 0..k {
-                    let bytes = sent[epoch * k + peer];
-                    if bytes > 0 {
-                        comm.record(epoch, rank, peer, bytes);
-                    }
-                }
+            for (i, &bytes) in sent.iter().enumerate().filter(|&(_, &b)| b > 0) {
+                comm.record(i / k, rank, i % k, bytes);
             }
         }
         if metrics::enabled() {
             // The per-pair counters are the report's totals, derived once.
-            for src in 0..k {
-                for dst in 0..k {
-                    let bytes = comm.windows.iter().map(|w| w.bytes[src * k + dst]).sum();
-                    metrics::counter(&format!("comm.bytes.m{src}_to_m{dst}")).add(bytes);
-                }
+            for (src, dst) in (0..k).flat_map(|src| (0..k).map(move |dst| (src, dst))) {
+                let bytes = comm.windows.iter().map(|w| w.bytes[src * k + dst]).sum();
+                metrics::counter(&format!("comm.bytes.m{src}_to_m{dst}")).add(bytes);
             }
             spp_telemetry::publish_comm_report(comm.clone());
         }
         let (model, epoch_losses, _, _) = results.remove(0);
 
-        let val_accuracy = self.evaluate(&model, &self.setup.dataset.split.val);
-        let test_accuracy = self.evaluate(&model, &self.setup.dataset.split.test);
-        (
-            DistributedTrainReport {
-                epoch_losses,
-                val_accuracy,
-                test_accuracy,
-                remote_fetches,
-                comm,
-            },
-            model,
-        )
+        let split = &setup.dataset.split;
+        let [val_accuracy, test_accuracy] = self.accuracies(&model, [&split.val, &split.test]);
+        let report = DistributedTrainReport {
+            epoch_losses,
+            val_accuracy,
+            test_accuracy,
+            remote_fetches,
+            comm,
+        };
+        (report, model)
     }
 
-    /// Minibatch-inference accuracy of `model` over `ids` (new-id space),
-    /// evaluated centrally with the full reordered dataset.
+    /// Minibatch-inference accuracy of `model` over `ids` (new ids), run
+    /// partitioned: machine `m` takes batches `i ≡ m (mod K)` of `batch_size.max(64)`,
+    /// batch `i` sampled on stream `batch_stream_seed(seed ^ 0xe7a1, 0, i)`;
+    /// rows cross the wire under `wire_scheme`, and the traffic is billed nowhere.
     pub fn evaluate(&self, model: &GnnModel, ids: &[VertexId]) -> f64 {
-        let ds = &self.setup.dataset;
-        let sampler = NodeWiseSampler::new(&ds.graph, self.setup.config.fanouts.clone());
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xe7a1);
-        let mut meter = AccuracyMeter::new();
-        for batch in MinibatchIter::new(ids, self.setup.config.batch_size.max(64), 1, 0) {
-            let mfg = sampler.sample(&batch, &mut rng);
-            // The dataset's rows, read in place.
-            let x = StepInput::InPlace {
-                feats: &ds.features,
-                nodes: &mfg.nodes,
-            };
-            let preds =
-                predictions(SageStep::new(model).infer(WorkerPool::global(), model, x, &mfg));
-            meter.update(&preds, &seed_labels(&ds.labels, &mfg));
-        }
-        meter.value()
+        let [accuracy] = self.accuracies(model, [ids]);
+        accuracy
     }
 
-    /// Verifies that the distributed gather path (stores + caches +
-    /// all-to-all) reproduces the global feature matrix exactly for one
-    /// sampled batch per machine: every row of each batch's row table.
-    /// Returns the number of vertices checked.
+    /// [`Self::evaluate`] over each of `sets` in one forward-only pass, the
+    /// batches dealt round-robin and the counts merged in rank order.
+    fn accuracies<const N: usize>(&self, model: &GnnModel, sets: [&[VertexId]; N]) -> [f64; N] {
+        let (setup, k) = (self.setup, self.setup.num_machines());
+        let size = setup.config.batch_size.max(64);
+        let seed = self.config.seed ^ 0xe7a1;
+        // (set, stream seed, batch), the sets' batches in turn.
+        let batches: Vec<(usize, u64, Vec<VertexId>)> = (0..N)
+            .flat_map(|s| {
+                let set = MinibatchIter::new(sets[s], size, 1, 0).enumerate();
+                set.map(move |(i, b)| (s, batch_stream_seed(seed, 0, i as u64), b))
+            })
+            .collect();
+        let exchange = FeatureExchange::new(setup, self.config.wire_scheme);
+        let meters = run_machines(k, |rank| {
+            let mine = |round: usize| batches.get(round * k + rank);
+            let batch = |round| mine(round).map(|(_, stream, b)| (&b[..], *stream));
+            let mut meters = [AccuracyMeter::new(); N];
+            let rounds = batches.len().div_ceil(k);
+            exchange.pass(rank, rounds, batch, &mut vec![0; k], |round, _| {
+                let Some(r) = round else { return };
+                let preds =
+                    r.input(|x| predictions(SageStep::new(model).infer(r.pool, model, x, r.mfg)));
+                let set = mine(r.index).map_or(0, |&(s, _, _)| s);
+                meters[set].update(&preds, &seed_labels(&setup.dataset.labels, r.mfg));
+            });
+            meters
+        });
+        let mut merged = [AccuracyMeter::new(); N];
+        for (i, m) in meters.iter().flatten().enumerate() {
+            merged[i % N].merge(m);
+        }
+        merged.map(|m| m.value())
+    }
+
+    /// Verifies the distributed gather path (stores + caches + all-to-all)
+    /// over one sampled batch per machine: each row of its table equals
+    /// the owner's row ([`PartitionedFeatureStore::serve`]), a static-tier
+    /// hit's after the tier's codec. Returns the number of vertices checked.
     pub fn verify_gather(&self, seed: u64) -> usize {
-        let k = self.setup.num_machines();
-        let setup = self.setup;
+        let (setup, k) = (self.setup, self.setup.num_machines());
         let exchange = FeatureExchange::new(setup, QuantScheme::F32);
         let checked = run_machines(k, |rank| {
-            let sampler = NodeWiseSampler::new(&setup.dataset.graph, setup.config.fanouts.clone());
-            let mut rng = StdRng::seed_from_u64(seed ^ rank as u64);
-            let batch: Vec<VertexId> = setup.local_train[rank]
-                .iter()
-                .take(setup.config.batch_size)
-                .copied()
-                .collect();
-            let mfg = (!batch.is_empty()).then(|| sampler.sample(&batch, &mut rng));
-            let gathered = exchange.round(rank, mfg.as_ref(), |_, _| {});
-            let (Some(m), Some(rows)) = (&mfg, gathered) else {
-                return 0;
-            };
-            let table = rows.table(&setup.stores[rank], &m.nodes);
-            for (i, &v) in m.nodes.iter().enumerate() {
-                assert_eq!(
-                    table[i],
-                    setup.dataset.features.row(v),
-                    "machine {rank}: gathered features differ at vertex {v}"
-                );
-            }
-            m.nodes.len()
+            let train = &setup.local_train[rank];
+            let batch = &train[..train.len().min(setup.config.batch_size)];
+            let mut checked = 0;
+            let first = |_| (!batch.is_empty()).then_some((batch, seed ^ rank as u64));
+            exchange.pass(rank, 1, first, &mut vec![0; k], |round, _| {
+                let Some(r) = round else { return };
+                let table = r.rows.table(r.store, &r.mfg.nodes);
+                for (i, &v) in r.mfg.nodes.iter().enumerate() {
+                    let owner = setup.layout.owner_of(v) as usize;
+                    let mut want = setup.stores[owner].serve(&[v]);
+                    if r.store.locate(v) == FeatureLocation::Cached {
+                        quant::wire_roundtrip(want.row_mut(0), r.store.cache_scheme());
+                    }
+                    assert_eq!(
+                        table[i],
+                        want.row(0),
+                        "machine {rank}: gathered features differ at vertex {v}"
+                    );
+                }
+                checked = r.mfg.nodes.len();
+            });
+            checked
         });
         checked.into_iter().sum()
     }
@@ -573,5 +573,46 @@ mod tests {
             r1.remote_fetches,
             r0.remote_fetches
         );
+    }
+
+    /// Golden accuracies of partitioned evaluation, captured when it
+    /// replaced the central loop: one epoch (so nothing saturates) at
+    /// K = 2 over an `f16` wire and at K = 3 over an `i8` wire.
+    #[test]
+    fn evaluation_matches_golden_accuracies() {
+        let golden = [
+            (
+                2,
+                0.05,
+                QuantScheme::F16,
+                [4604142489051542323u64, 4604592849014279373],
+            ),
+            (
+                3,
+                0.25,
+                QuantScheme::I8,
+                [4603804719079489536, 4603692129088805274],
+            ),
+        ];
+        for (k, alpha, wire_scheme, want) in golden {
+            let s = setup(k, alpha);
+            let cfg = DistTrainConfig {
+                epochs: 1,
+                wire_scheme,
+                ..DistTrainConfig::default()
+            };
+            let t = DistributedTrainer::new(&s, cfg);
+            let (r, model) = t.train();
+            let got = [r.val_accuracy.to_bits(), r.test_accuracy.to_bits()];
+            assert_eq!(
+                got,
+                want,
+                "K = {k}: {:?}",
+                [r.val_accuracy, r.test_accuracy]
+            );
+            // Alone, the set's batches land on other machines: same bits.
+            let val = t.evaluate(&model, &s.dataset.split.val);
+            assert_eq!(val.to_bits(), want[0], "K = {k}: evaluate alone");
+        }
     }
 }

@@ -2,7 +2,9 @@
 //! trait: `DistributedSetup::build_with_feature_store` with a lossless
 //! f32 store (original-id order) must produce the same deployment as
 //! the historical `build` path — same layout, same caches, same served
-//! feature rows to the bit, same memory footprint.
+//! feature rows to the bit, same memory footprint. And a deployment
+//! whose stores hold other rows than the dataset's is trained, evaluated
+//! and gather-checked on its stores' rows alone.
 
 // Tests assert by panicking; the workspace panic-family denies apply
 // to library code only (see [workspace.lints] in Cargo.toml).
@@ -14,8 +16,10 @@
 )]
 
 use spp_graph::dataset::SyntheticSpec;
-use spp_graph::{Dataset, QuantScheme, VertexId};
-use spp_runtime::{DistributedSetup, SetupConfig};
+use spp_graph::{Dataset, FeatureMatrix, QuantScheme, VertexId};
+use spp_runtime::{
+    DistTrainConfig, DistributedSetup, DistributedTrainReport, DistributedTrainer, SetupConfig,
+};
 use spp_sampler::Fanouts;
 use spp_store::{MmapStore, StoreBuilder};
 
@@ -103,4 +107,84 @@ fn setup_through_mmap_store_matches_build() {
         stats.pages_read > 0,
         "assembly never read through the store"
     );
+}
+
+/// The gather check compares each row with where the deployment keeps
+/// it, not with the dataset's matrix: over an `f16` store, with the
+/// static tier `f16` or `i8`, every row differs from the dataset's and
+/// the check still passes.
+#[test]
+fn verify_gather_passes_on_a_quantized_deployment() {
+    let (ds, cfg) = fixture();
+    let dir = std::env::temp_dir().join(format!("spp_runtime_store_f16_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    StoreBuilder::new(QuantScheme::F16)
+        .page_bytes(2048)
+        .build_from_matrix(&dir, &ds.features, None)
+        .unwrap();
+    let store = MmapStore::open(&dir).unwrap();
+    for cache_scheme in [QuantScheme::F16, QuantScheme::I8] {
+        let cfg = SetupConfig {
+            cache_scheme,
+            ..cfg.clone()
+        };
+        let setup = DistributedSetup::build_with_feature_store(&ds, cfg, &store);
+        let trainer = DistributedTrainer::new(&setup, DistTrainConfig::default());
+        let checked = trainer.verify_gather(3);
+        assert!(checked > 100, "{cache_scheme:?}: {checked} rows checked");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// What must match between two runs: losses, traffic and accuracies.
+fn fingerprint(r: &DistributedTrainReport) -> (Vec<u64>, usize, u64, [u64; 2]) {
+    (
+        r.epoch_losses.iter().map(|l| l.to_bits()).collect(),
+        r.remote_fetches,
+        r.comm.total_bytes(),
+        [r.val_accuracy.to_bits(), r.test_accuracy.to_bits()],
+    )
+}
+
+/// Evaluation reads the rows training reads. A deployment built from
+/// the dataset's rows negated, through `build_with_feature_store`, runs
+/// as one built from a dataset that carries the negated rows: same
+/// losses, fetches, bytes and accuracies, to the bit.
+#[test]
+fn evaluation_reads_the_rows_training_reads() {
+    let ds = SyntheticSpec::new("negated", 800, 10.0, 12, 4)
+        .split_fractions(0.4, 0.1, 0.1)
+        .feature_signal(2.0)
+        .homophily(0.9)
+        .seed(11)
+        .build();
+    let cfg = SetupConfig {
+        num_machines: 2,
+        fanouts: Fanouts::new(vec![5, 5]),
+        alpha: 0.2,
+        ..SetupConfig::default()
+    };
+    let flat = ds.features.as_flat().iter().map(|x| -x).collect();
+    let negated = FeatureMatrix::from_flat(flat, ds.features.dim());
+    let through_store = DistributedSetup::build_with_feature_store(&ds, cfg.clone(), &negated);
+    let carried = DistributedSetup::build(
+        &Dataset {
+            features: negated,
+            ..ds.clone()
+        },
+        cfg,
+    );
+    let tcfg = DistTrainConfig {
+        epochs: 3,
+        lr: 0.01,
+        ..DistTrainConfig::default()
+    };
+    let (a, _) = DistributedTrainer::new(&through_store, tcfg.clone()).train();
+    let (b, _) = DistributedTrainer::new(&carried, tcfg).train();
+    assert!(
+        b.test_accuracy > 0.7,
+        "the fixture learns: {}",
+        b.test_accuracy
+    );
+    assert_eq!(fingerprint(&a), fingerprint(&b));
 }

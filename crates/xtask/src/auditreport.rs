@@ -31,10 +31,11 @@ pub struct RootSummary {
     pub path: String,
     /// 1-based signature line.
     pub line: usize,
-    /// Functions attributed to this root by the multi-source BFS
-    /// (first-reacher wins, so overlapping regions count once).
+    /// Functions this root reaches on its own (its `--root` view), so
+    /// the count moves only with this root's reach, not with which
+    /// other root reaches a shared fn first.
     pub reachable: usize,
-    /// Deepest call chain attributed to this root.
+    /// Deepest shortest call chain from this root.
     pub max_depth: usize,
 }
 
@@ -61,6 +62,9 @@ pub struct AuditOutput {
 /// Summarizes the reachability pass per root. `root_nodes` is the set
 /// traversal actually started from (a subset of the declared roots when
 /// `--root` filters), so partial views report only what they audited.
+/// Each root's count and depth are its own reach
+/// ([`CallGraph::reach_for`] from it alone); `reach`, the union, gives
+/// the stops and the total.
 pub fn summarize(
     kind: AuditKind,
     files: &[FileItems],
@@ -70,17 +74,13 @@ pub fn summarize(
     files_scanned: usize,
     report: Report,
 ) -> AuditOutput {
-    let mut per_root: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
-    for r in reach {
-        let e = per_root.entry(r.root.as_str()).or_insert((0, 0));
-        e.0 += 1;
-        e.1 = e.1.max(r.depth);
-    }
     let mut roots = Vec::new();
     for &ri in root_nodes {
         let n = &graph.nodes[ri];
         let name = n.item.root_for(kind).unwrap_or_default().to_string();
-        let (reachable, max_depth) = per_root.get(name.as_str()).copied().unwrap_or((0, 0));
+        // The root's own reach, whatever the other roots reach first.
+        let own = graph.reach_for(&[ri], kind);
+        let (reachable, max_depth) = (own.len(), own.iter().map(|r| r.depth).max().unwrap_or(0));
         roots.push(RootSummary {
             name,
             func: n.item.qual.clone(),

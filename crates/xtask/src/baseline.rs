@@ -7,8 +7,11 @@
 //! rendered document with the committed file byte for byte, so any
 //! drift fails it: a new or vanished root, escape, stop or finding, and
 //! a moved reach count or `files_scanned` alike. The documents carry no
-//! line numbers, so moving code never churns them. `--refresh-baseline`
-//! rewrites the snapshot after review.
+//! line numbers, so moving code never churns them, and a root's reach
+//! count is its own reach (what its `--root` view reaches), so it moves
+//! only with that root's callees, never with which other root reaches a
+//! shared fn first. `--refresh-baseline` rewrites the snapshot after
+//! review.
 
 use crate::items::AuditKind;
 use std::path::{Path, PathBuf};

@@ -260,10 +260,12 @@ impl CallGraph {
     /// Multi-source BFS from `roots`, following the stop boundaries of
     /// the given annotation family. Each reached node is attributed to
     /// the first root that reaches it (breadth-first, roots in the
-    /// given order). Nodes with a `stop` annotation are recorded but
-    /// not expanded. The traversal itself is family-independent: both
-    /// passes walk the same edges, so identical root/stop placement
-    /// yields identical reachable sets (pinned by the cross-pass test).
+    /// given order); a root's own reach is this BFS from it alone
+    /// (`reach_for(&[root], kind)`). Nodes with a `stop` annotation are
+    /// recorded but not expanded. The traversal itself is
+    /// family-independent: both passes walk the same edges, so identical
+    /// root/stop placement yields identical reachable sets (pinned by the
+    /// cross-pass test).
     pub fn reach_for(&self, roots: &[usize], kind: AuditKind) -> Vec<Reached> {
         let mut order: Vec<Reached> = Vec::new();
         let mut visited: BTreeSet<usize> = BTreeSet::new();
