@@ -17,10 +17,11 @@
 //! the `head_rows`/`matmul`/`add`/bias/`relu` chain of whole-matrix
 //! passes, and the neighbor mean (`sage::agg_into`) and its gradient
 //! (`sage::agg_grad_into`) vs the serial per-target loop and
-//! zero-fill-and-scatter (reported, not gated). At `infer_gather`'s
-//! first-layer shape it times the mean over `f32` rows four rows per
-//! pass vs one, and over `f16` rows decoded where the mean reads them
-//! vs decoded into an `f32` matrix first. At the tall training shape it
+//! zero-fill-and-scatter (reported, not gated). Over the first hop of a
+//! batch sampled on a graph built like `infer_gather`'s it times the
+//! mean over `f32` rows four rows per pass vs one, and over `f16` rows
+//! decoded where the mean reads them vs decoded into an `f32` matrix
+//! first. At the tall training shape it
 //! times the first layer's self term (`Matrix::linear_into`) and its
 //! weight gradient (`RowView::head_t_matmul_into`) with the left operand
 //! a contiguous matrix vs a table of the same rows borrowed from a
@@ -51,13 +52,15 @@
     clippy::needless_range_loop
 )]
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use spp_bench::{BenchReport, Cli, Table};
 use spp_core::VipModel;
 use spp_gnn::StepInput;
 use spp_graph::dataset::SyntheticSpec;
 use spp_graph::{quant, FeatureMatrix, QuantScheme, QuantizedFeatures};
 use spp_runtime::{DistTrainConfig, DistributedSetup, DistributedTrainer, SetupConfig, WorkerPool};
-use spp_sampler::Fanouts;
+use spp_sampler::{batch_stream_seed, Fanouts, HopAdj, MinibatchIter, NodeWiseSampler};
 use spp_telemetry::json::Json;
 use spp_tensor::sage::{self, HopView, Mask, SourceLists};
 use spp_tensor::{kernels, Matrix, RowTable, RowView};
@@ -524,37 +527,60 @@ impl std::fmt::Display for AggShape {
     }
 }
 
-/// 3 800 targets, 65 600 edges and 384 columns, over the ≈ 34 100 rows
-/// an `infer_gather` MFG holds.
-const AGG_SHAPE: AggShape = AggShape {
-    targets: 3_800,
-    sources: 34_100,
-    edges: 65_600,
-    cols: 384,
-};
+/// The first layer's hop of a 256-seed test batch sampled (fanouts 20,
+/// 20) on a graph built like `infer_gather`'s: mag240-shaped, 60 k
+/// vertices, average degree 21.5, the same degree tail and homophily,
+/// timed over 384 columns. It is not one of that workload's batches:
+/// the dataset here has 1 feature column, so its split and test seeds
+/// differ, and the batch is drawn on stream seed 0. Its source lists
+/// are a real first hop's: about half of a target's sources were found
+/// in discovery order just after it, so the mean reads rows the way the
+/// model does, not at hashed random positions, which made it
+/// latency-bound.
+fn first_hop() -> (AggShape, HopAdj) {
+    let ds = SyntheticSpec::new("mag240-shaped", 60_000, 21.5, 1, 32)
+        .split_fractions(0.009, 0.0011, 0.1)
+        .homophily(0.93)
+        .degree_tail(2.0)
+        .seed(0)
+        .build();
+    let seeds = MinibatchIter::new(&ds.split.test, 256, 0, 0)
+        .next()
+        .unwrap();
+    let sampler = NodeWiseSampler::new(&ds.graph, Fanouts::new(vec![20, 20]));
+    let mfg = sampler.sample(
+        &seeds,
+        &mut StdRng::seed_from_u64(batch_stream_seed(0, 0, 0)),
+    );
+    let hop = mfg.layer_adj(1).clone();
+    let shape = AggShape {
+        targets: hop.num_targets,
+        sources: hop.num_sources,
+        edges: hop.num_edges(),
+        cols: 384,
+    };
+    (shape, hop)
+}
 
-/// The first layer's neighbor mean at [`AGG_SHAPE`] on one worker: over
-/// `f32` rows, adding one row per pass (the loop the kernel replaced)
-/// vs `sage::agg_into`'s four; and over `f16` rows, decoding them all
-/// into an `f32` matrix first (the gathered input tensor) vs decoding
-/// each element where the mean adds it (`StepInput::Encoded`). Both
-/// pairs must agree bit for bit: the four-row pass keeps the one-row
-/// order.
+/// The first layer's neighbor mean over [`first_hop`] on one worker:
+/// over `f32` rows, adding one row per pass (the loop the kernel
+/// replaced) vs `sage::agg_into`'s four; and over `f16` rows, decoding
+/// them all into an `f32` matrix first (the gathered input tensor) vs
+/// decoding each element where the mean adds it (`StepInput::Encoded`).
+/// Both pairs must agree bit for bit: the four-row pass keeps the
+/// one-row order.
 fn bench_agg_reads(reps: usize) -> [OpResult; 2] {
+    let (shape, adj) = first_hop();
     let AggShape {
         targets,
         sources,
-        edges,
         cols,
-    } = AGG_SHAPE;
+        ..
+    } = shape;
     let pool = WorkerPool::serial();
     let x = filled(sources, cols, 21);
-    let row_ptr: Vec<usize> = (0..=targets).map(|t| t * edges / targets).collect();
-    let col: Vec<u32> = (0..edges as u64)
-        .map(|e| (e.wrapping_mul(2_654_435_761) % sources as u64) as u32)
-        .collect();
-    let hop = HopView::new(targets, &row_ptr, &col);
-    let key = |op: &str| format!("{op}_ms_{AGG_SHAPE}_w1");
+    let hop = HopView::new(targets, &adj.row_ptr, &adj.col);
+    let key = |op: &str| format!("{op}_ms_{shape}_w1");
 
     let one_row = || {
         let mut out = Matrix::zeros(targets, cols);
@@ -583,7 +609,7 @@ fn bench_agg_reads(reps: usize) -> [OpResult; 2] {
     };
     check(
         same_bits(&one_row(), &mean(&x)),
-        &format!("f32 neighbor mean: four rows per pass == one at {AGG_SHAPE}"),
+        &format!("f32 neighbor mean: four rows per pass == one at {shape}"),
     );
     let f32_mean = OpResult {
         key: key("agg_f32"),
@@ -622,7 +648,7 @@ fn bench_agg_reads(reps: usize) -> [OpResult; 2] {
     };
     check(
         same_bits(&decode_then_mean(), &on_read()),
-        &format!("f16 neighbor mean: decoded on read == decoded first at {AGG_SHAPE}"),
+        &format!("f16 neighbor mean: decoded on read == decoded first at {shape}"),
     );
     let f16_mean = OpResult {
         key: key("agg_f16"),

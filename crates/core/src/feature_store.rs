@@ -103,8 +103,11 @@ impl PartitionedFeatureStore {
     /// vertices: the resident reordered matrix, or an out-of-core store
     /// (DESIGN.md §16; one built in original-id order wants a
     /// `spp_store::PermutedStore` wrapper). Only the machine's own rows
-    /// and its cache members are read and copied out, mirroring a real
-    /// deployment where each machine materializes only its slice.
+    /// and its cache members are read, mirroring a real deployment where
+    /// each machine materializes only its slice. A resident matrix
+    /// ([`FeatureStore::in_ram`]) lends the partition's rows as a shared
+    /// row range ([`FeatureMatrix::row_range`]); any other store's are
+    /// copied out. The cache members' rows are always copied.
     ///
     /// `cache_scheme` is the storage scheme of the static cache tier:
     /// `F32` keeps rows bit-for-bit, read in place; `F16`/`I8` store
@@ -129,8 +132,12 @@ impl PartitionedFeatureStore {
             "feature store must cover all vertices"
         );
         let range = layout.part_range(part);
-        let ids: Vec<VertexId> = (range.start as VertexId..range.end as VertexId).collect();
-        let local = feats.gather(&ids);
+        let local = match feats.in_ram() {
+            Some(matrix) => matrix.row_range(range),
+            None => {
+                feats.gather(&(range.start as VertexId..range.end as VertexId).collect::<Vec<_>>())
+            }
+        };
         let gpu_rows = layout.gpu_rows(part, beta);
         for &v in cache.members() {
             assert!(

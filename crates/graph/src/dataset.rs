@@ -10,8 +10,17 @@
 use crate::{CsrGraph, Permutation, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Row-major dense `f32` vertex-feature matrix.
+///
+/// Its rows live behind an [`Arc`], so a clone or a row range
+/// ([`FeatureMatrix::row_range`]) is O(1) and shares them: each
+/// machine's partition is a range of the one reordered matrix. A write
+/// to a shared matrix first copies its own rows
+/// ([`FeatureMatrix::row_mut`]).
 ///
 /// # Example
 ///
@@ -21,20 +30,22 @@ use rand::{Rng, SeedableRng};
 /// let f = FeatureMatrix::zeros(3, 4);
 /// assert_eq!(f.row(1).len(), 4);
 /// assert_eq!(f.memory_bytes(), 3 * 4 * 4);
+/// let tail = f.row_range(1..3);
+/// assert!(std::ptr::eq(tail.row(0), f.row(1)));
+/// assert_eq!(tail.memory_bytes(), 2 * 4 * 4);
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone)]
 pub struct FeatureMatrix {
-    data: Vec<f32>,
+    data: Arc<Vec<f32>>,
+    /// This matrix's elements within `data`.
+    span: Range<usize>,
     dim: usize,
 }
 
 impl FeatureMatrix {
     /// All-zero matrix with `rows` rows of dimension `dim`.
     pub fn zeros(rows: usize, dim: usize) -> Self {
-        Self {
-            data: vec![0.0; rows * dim],
-            dim,
-        }
+        Self::from_vec(vec![0.0; rows * dim], dim)
     }
 
     /// Builds from a flat row-major buffer.
@@ -45,13 +56,21 @@ impl FeatureMatrix {
     pub fn from_flat(data: Vec<f32>, dim: usize) -> Self {
         assert!(dim > 0, "feature dimension must be positive");
         assert_eq!(data.len() % dim, 0, "flat buffer not a multiple of dim");
-        Self { data, dim }
+        Self::from_vec(data, dim)
+    }
+
+    fn from_vec(data: Vec<f32>, dim: usize) -> Self {
+        Self {
+            span: 0..data.len(),
+            data: Arc::new(data),
+            dim,
+        }
     }
 
     /// Number of rows (vertices).
     #[inline]
     pub fn num_rows(&self) -> usize {
-        self.data.len().checked_div(self.dim).unwrap_or(0)
+        self.span.len().checked_div(self.dim).unwrap_or(0)
     }
 
     /// Feature dimension.
@@ -64,19 +83,49 @@ impl FeatureMatrix {
     #[inline]
     pub fn row(&self, v: VertexId) -> &[f32] {
         let v = v as usize;
-        &self.data[v * self.dim..(v + 1) * self.dim]
+        &self.as_flat()[v * self.dim..(v + 1) * self.dim]
     }
 
-    /// Mutably borrow one row.
+    /// Mutably borrow one row. A matrix whose rows another one shares (a
+    /// clone, a row range or the matrix it ranges over, still alive)
+    /// first copies its own rows into a buffer of its own, so no other
+    /// matrix sees the write and [`FeatureMatrix::memory_bytes`] stays
+    /// what it holds. An unshared one writes in place.
     #[inline]
     pub fn row_mut(&mut self, v: VertexId) -> &mut [f32] {
-        let v = v as usize;
-        &mut self.data[v * self.dim..(v + 1) * self.dim]
+        if Arc::get_mut(&mut self.data).is_none() {
+            *self = Self::from_vec(self.as_flat().to_vec(), self.dim); // spp-hot: alloc(copy-on-write of a shared matrix's own rows; no hot path writes a shared matrix)
+        }
+        let (v, dim) = (v as usize, self.dim);
+        let (start, end) = (self.span.start, self.span.end);
+        let rows = &mut Arc::make_mut(&mut self.data)[start..end];
+        &mut rows[v * dim..(v + 1) * dim]
     }
 
     /// The flat row-major buffer.
+    #[inline]
     pub fn as_flat(&self) -> &[f32] {
-        &self.data
+        &self.data[self.span.start..self.span.end]
+    }
+
+    /// Rows `rows` as a matrix of their own that shares this one's rows:
+    /// O(1), no row is copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` reaches past the last row.
+    pub fn row_range(&self, rows: Range<usize>) -> FeatureMatrix {
+        assert!(
+            rows.start <= rows.end && rows.end <= self.num_rows(),
+            "row range {rows:?} outside {} rows",
+            self.num_rows()
+        );
+        let start = self.span.start + rows.start * self.dim;
+        FeatureMatrix {
+            data: Arc::clone(&self.data),
+            span: start..start + rows.len() * self.dim,
+            dim: self.dim,
+        }
     }
 
     /// Copies the rows `ids` into a new contiguous matrix ("tensor slicing").
@@ -85,15 +134,30 @@ impl FeatureMatrix {
         for &v in ids {
             out.extend_from_slice(self.row(v));
         }
-        FeatureMatrix {
-            data: out,
-            dim: self.dim,
-        }
+        Self::from_vec(out, self.dim)
     }
 
-    /// Memory footprint in bytes.
+    /// Memory footprint in bytes: this matrix's own rows, whether or
+    /// not it shares them.
     pub fn memory_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f32>()
+        self.span.len() * std::mem::size_of::<f32>()
+    }
+}
+
+/// Matrices are equal when their rows are.
+impl PartialEq for FeatureMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.dim == other.dim && self.as_flat() == other.as_flat()
+    }
+}
+
+impl fmt::Debug for FeatureMatrix {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FeatureMatrix")
+            .field("rows", &self.num_rows())
+            .field("dim", &self.dim)
+            .field("data", &self.as_flat())
+            .finish()
     }
 }
 
@@ -151,16 +215,15 @@ impl Dataset {
     pub fn permuted(&self, perm: &Permutation) -> Dataset {
         let n = self.num_vertices();
         let dim = self.features.dim();
-        let mut feats = FeatureMatrix::zeros(n, dim);
+        let mut feats = vec![0.0; n * dim];
         for old in 0..n as VertexId {
-            feats
-                .row_mut(perm.to_new(old))
-                .copy_from_slice(self.features.row(old));
+            let new = perm.to_new(old) as usize;
+            feats[new * dim..(new + 1) * dim].copy_from_slice(self.features.row(old));
         }
         Dataset {
             name: self.name.clone(),
             graph: perm.apply_to_graph(&self.graph),
-            features: feats,
+            features: FeatureMatrix::from_vec(feats, dim),
             labels: perm.apply_to_values(&self.labels),
             num_classes: self.num_classes,
             split: self.split.permuted(perm),
@@ -377,6 +440,64 @@ mod tests {
         assert_eq!(f.row(0), &[0.0, 0.0, 0.0]);
         assert_eq!(f.row(1), &[1.0, 2.0, 3.0]);
         assert_eq!(f.num_rows(), 2);
+    }
+
+    #[test]
+    fn row_ranges_share_rows_and_writes_copy_first() {
+        let mut f = FeatureMatrix::from_flat((0..8).map(|x| x as f32).collect(), 2);
+        let mut tail = f.row_range(1..4);
+        assert_eq!(tail.num_rows(), 3);
+        assert_eq!(tail.memory_bytes(), 3 * 2 * 4);
+        assert!(std::ptr::eq(tail.row(0), f.row(1)));
+        assert_eq!(
+            tail,
+            FeatureMatrix::from_flat(vec![2.0, 3.0, 4.0, 5.0, 6.0, 7.0], 2)
+        );
+        assert_eq!(f.row_range(2..2).num_rows(), 0);
+        // A shared range copies its own rows, and only those, before it
+        // writes.
+        tail.row_mut(0).fill(-1.0);
+        assert_eq!(f.row(1), [2.0, 3.0]);
+        assert_eq!(tail.row(0), [-1.0, -1.0]);
+        assert_eq!(tail.row(2), [6.0, 7.0]);
+        assert_eq!(tail.memory_bytes(), 3 * 2 * 4);
+        assert_eq!(tail.data.len(), 3 * 2);
+        // Once unshared, the matrix writes where its rows are.
+        let before = f.row(0).as_ptr();
+        f.row_mut(0).fill(9.0);
+        assert_eq!(f.row(0).as_ptr(), before);
+        // A clone written row by row leaves the original as it was.
+        let original = f.clone();
+        let mut copy = f.clone();
+        for v in 0..4 {
+            copy.row_mut(v).fill(0.5);
+        }
+        assert_eq!(f, original);
+        assert_eq!(f.row(2), [4.0, 5.0]);
+        assert!(copy.as_flat().iter().all(|&x| x == 0.5));
+    }
+
+    #[test]
+    fn rounding_a_cloned_dataset_leaves_the_original() {
+        // The serving tests' pattern: clone a dataset, then round every
+        // row of the clone in place.
+        let ds = SyntheticSpec::new("t", 50, 4.0, 8, 2).seed(6).build();
+        let before = ds.features.as_flat().to_vec();
+        let mut rounded = ds.clone();
+        for v in 0..rounded.num_vertices() {
+            crate::quant::wire_roundtrip(
+                rounded.features.row_mut(v as VertexId),
+                crate::QuantScheme::F16,
+            );
+        }
+        assert_eq!(ds.features.as_flat(), before);
+        assert_ne!(rounded.features, ds.features);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 2 rows")]
+    fn row_ranges_stay_inside_the_matrix() {
+        FeatureMatrix::zeros(2, 3).row_range(1..3);
     }
 
     #[test]

@@ -17,30 +17,37 @@ use crate::{Partitioning, VertexWeights};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spp_graph::CsrGraph;
+use std::borrow::Cow;
 
-/// A weighted graph level in the multilevel hierarchy.
-#[derive(Clone, Debug)]
-struct Level {
-    row_ptr: Vec<usize>,
-    col: Vec<u32>,
-    ew: Vec<u64>,
-    vw: Vec<[u64; NUM_CONSTRAINTS]>,
+/// A weighted graph level in the multilevel hierarchy: 8 B per edge
+/// (`u32` targets and weights). The finest level borrows the input
+/// graph's CSR and vertex weights, its edges weighing 1 each.
+#[derive(Debug)]
+struct Level<'g> {
+    row_ptr: Cow<'g, [usize]>,
+    col: Cow<'g, [u32]>,
+    /// Edge weights aligned with `col`, each the number of input edges
+    /// it stands for; empty on the finest level.
+    ew: Vec<u32>,
+    vw: Cow<'g, [[u64; NUM_CONSTRAINTS]]>,
     /// Map from the *finer* level's vertices to this level's vertices
     /// (empty for the finest level).
     coarse_of_fine: Vec<u32>,
 }
 
-impl Level {
+impl Level<'_> {
     fn n(&self) -> usize {
         self.vw.len()
     }
 
     fn neighbors(&self, v: u32) -> impl Iterator<Item = (u32, u64)> + '_ {
         let v = v as usize;
-        self.col[self.row_ptr[v]..self.row_ptr[v + 1]] // spp-hot: allow(h2-panic): row_ptr bounds are Level-construction CSR invariants (this is the level's checked accessor)
+        let (lo, hi) = (self.row_ptr[v], self.row_ptr[v + 1]); // spp-hot: allow(h2-panic): row_ptr bounds are Level-construction CSR invariants (this is the level's checked accessor)
+        let ew = self.ew.get(lo..hi).unwrap_or_default();
+        self.col[lo..hi]
             .iter()
-            .zip(&self.ew[self.row_ptr[v]..self.row_ptr[v + 1]]) // spp-hot: allow(h2-panic): row_ptr bounds are Level-construction CSR invariants (this is the level's checked accessor)
-            .map(|(&c, &w)| (c, w))
+            .enumerate()
+            .map(move |(i, &c)| (c, ew.get(i).map_or(1, |&w| u64::from(w))))
     }
 }
 
@@ -96,8 +103,9 @@ impl MultilevelPartitioner {
     ///
     /// # Panics
     ///
-    /// Panics if `weights.len() != graph.num_vertices()` or the graph has
-    /// fewer vertices than parts.
+    /// Panics if `weights.len() != graph.num_vertices()`, the graph has
+    /// fewer vertices than parts, or it has more than `u32::MAX` edges
+    /// (a coarse edge's weight counts the input edges it stands for).
     pub fn partition(&self, graph: &CsrGraph, weights: &VertexWeights) -> Partitioning {
         assert_eq!(
             weights.len(),
@@ -105,14 +113,18 @@ impl MultilevelPartitioner {
             "weights/graph size mismatch"
         );
         assert!(graph.num_vertices() >= self.k, "fewer vertices than parts");
+        assert!(
+            u32::try_from(graph.num_edges()).is_ok(),
+            "more than u32::MAX edges"
+        );
         let mut rng = StdRng::seed_from_u64(self.seed);
 
-        // Finest level from the input graph.
+        // Finest level: the input graph itself, borrowed.
         let mut levels = vec![Level {
-            row_ptr: graph.row_ptr().to_vec(),
-            col: graph.col().to_vec(),
-            ew: vec![1; graph.num_edges()],
-            vw: weights.as_slice().to_vec(),
+            row_ptr: Cow::Borrowed(graph.row_ptr()),
+            col: Cow::Borrowed(graph.col()),
+            ew: Vec::new(),
+            vw: Cow::Borrowed(weights.as_slice()),
             coarse_of_fine: Vec::new(),
         }];
 
@@ -204,7 +216,7 @@ impl MultilevelPartitioner {
 }
 
 /// Heavy-edge matching + contraction, producing the next coarser level.
-fn coarsen(fine: &Level, rng: &mut StdRng) -> Level {
+fn coarsen(fine: &Level<'_>, rng: &mut StdRng) -> Level<'static> {
     let n = fine.n();
     let mut order: Vec<u32> = (0..n as u32).collect();
     for i in (1..n).rev() {
@@ -252,11 +264,6 @@ fn coarsen(fine: &Level, rng: &mut StdRng) -> Level {
             vw[c][i] += fine.vw[v][i];
         }
     }
-    // Edge accumulation: bucket by coarse source, merge with a scratch map
-    // keyed by coarse target (timestamped to avoid clearing).
-    let mut row_ptr = vec![0usize; nc + 1];
-    let mut col: Vec<u32> = Vec::with_capacity(fine.col.len());
-    let mut ew: Vec<u64> = Vec::with_capacity(fine.col.len());
     // Fine vertices grouped by coarse id.
     let mut members_ptr = vec![0usize; nc + 1];
     for v in 0..n {
@@ -272,35 +279,59 @@ fn coarsen(fine: &Level, rng: &mut StdRng) -> Level {
         members[cursor[c]] = v;
         cursor[c] += 1;
     }
+    let members_of = |c: u32| &members[members_ptr[c as usize]..members_ptr[c as usize + 1]];
+    // Edge accumulation, merged with a scratch map keyed by coarse target
+    // (timestamped to avoid clearing). A first pass counts each coarse
+    // vertex's distinct neighbours, so the arrays hold this level's own
+    // edges and no more.
     let mut stamp = vec![u32::MAX; nc];
+    let mut row_ptr = vec![0usize; nc + 1];
+    for c in 0..nc as u32 {
+        let mut degree = 0;
+        for &v in members_of(c) {
+            for (u, _) in fine.neighbors(v) {
+                let cu = coarse_of_fine[u as usize];
+                if cu != c && stamp[cu as usize] != c {
+                    stamp[cu as usize] = c;
+                    degree += 1;
+                }
+            }
+        }
+        row_ptr[c as usize + 1] = row_ptr[c as usize] + degree;
+    }
+    let mut col = vec![0u32; row_ptr[nc]];
+    let mut ew = vec![0u32; row_ptr[nc]];
+    stamp.fill(u32::MAX);
     let mut slot = vec![0usize; nc];
     for c in 0..nc as u32 {
-        let start = col.len();
-        for &v in &members[members_ptr[c as usize]..members_ptr[c as usize + 1]] {
+        let mut next = row_ptr[c as usize];
+        for &v in members_of(c) {
             for (u, w) in fine.neighbors(v) {
                 let cu = coarse_of_fine[u as usize];
                 if cu == c {
                     continue; // contracted self-loop
                 }
+                // Weights sum input edges, so they stay at most
+                // `graph.num_edges()`, which `partition` bounds by `u32::MAX`.
+                let w = w as u32;
                 if stamp[cu as usize] == c {
                     ew[slot[cu as usize]] += w;
                 } else {
                     stamp[cu as usize] = c;
-                    slot[cu as usize] = col.len();
-                    col.push(cu);
-                    ew.push(w);
+                    slot[cu as usize] = next;
+                    col[next] = cu;
+                    ew[next] = w;
+                    next += 1;
                 }
             }
         }
-        row_ptr[c as usize + 1] = col.len();
-        let _ = start;
     }
 
     Level {
-        row_ptr,
-        col,
+        row_ptr: Cow::Owned(row_ptr),
+        col: Cow::Owned(col),
         ew,
-        vw,
+        vw: Cow::Owned(vw),
         coarse_of_fine,
     }
 }
@@ -311,7 +342,7 @@ fn coarsen(fine: &Level, rng: &mut StdRng) -> Level {
 /// reaches its share of total constraint-0 weight. Connectivity-driven
 /// growth keeps regions cohesive even on hub-heavy graphs where plain BFS
 /// floods across communities.
-fn greedy_growing(level: &Level, k: usize, rng: &mut StdRng) -> Vec<u32> {
+fn greedy_growing(level: &Level<'_>, k: usize, rng: &mut StdRng) -> Vec<u32> {
     use std::collections::BinaryHeap;
     let n = level.n();
     let total0: u64 = level.vw.iter().map(|w| w[0]).sum();
@@ -375,7 +406,7 @@ fn greedy_growing(level: &Level, k: usize, rng: &mut StdRng) -> Vec<u32> {
 
 /// Total weighted cut of an assignment (each undirected edge counted
 /// twice, which is fine for comparisons).
-fn weighted_cut(level: &Level, assignment: &[u32]) -> u64 {
+fn weighted_cut(level: &Level<'_>, assignment: &[u32]) -> u64 {
     let mut cut = 0u64;
     for v in 0..level.n() as u32 {
         for (u, w) in level.neighbors(v) {
@@ -392,7 +423,7 @@ fn weighted_cut(level: &Level, assignment: &[u32]) -> u64 {
 /// headroom, preferring moves with the least cut damage. Caps the number
 /// of moves to stay linear.
 fn repair_balance(
-    level: &Level,
+    level: &Level<'_>,
     assignment: &mut [u32],
     k: usize,
     limits: &[u64; NUM_CONSTRAINTS],
@@ -456,7 +487,7 @@ fn repair_balance(
 /// Boundary FM-style refinement: move boundary vertices to the neighboring
 /// part with the highest positive cut gain, subject to balance limits.
 fn refine(
-    level: &Level,
+    level: &Level<'_>,
     assignment: &mut [u32],
     k: usize,
     limits: &[u64; NUM_CONSTRAINTS],

@@ -95,22 +95,25 @@ pub struct DistributedSetup {
 }
 
 impl DistributedSetup {
-    /// Partitions, analyzes, reorders, and caches, filling each
-    /// machine's feature slices from the dataset's resident matrix.
+    /// Partitions, analyzes, reorders, and caches. Each machine's
+    /// partition is a row range of the reordered matrix
+    /// (`dataset.features`), shared, not copied, so the deployment holds
+    /// (1 + α)·N·d feature values: the matrix and the static caches.
     ///
     /// # Panics
     ///
     /// Panics if `config.policy` is [`CachePolicy::Oracle`] (the oracle
     /// needs measured access counts — use [`DistributedSetup::build_with_rankings`]).
     pub fn build(ds: &Dataset, config: SetupConfig) -> Self {
-        Self::build_with_feature_store(ds, config, &ds.features)
+        Self::build_from(ds, config, None)
     }
 
     /// [`DistributedSetup::build`] filling each machine's feature slices
     /// (local partition rows and static-cache rows) from any
     /// [`FeatureStore`] addressed by *original* vertex ids — e.g. an
     /// out-of-core store (DESIGN.md §16). Each machine touches only its
-    /// own pages; an f32 store yields a deployment bit-identical to the
+    /// own pages and copies its rows out, since they may differ from the
+    /// dataset's; an f32 store yields a deployment bit-identical to the
     /// resident matrix's.
     ///
     /// # Panics
@@ -123,10 +126,6 @@ impl DistributedSetup {
         config: SetupConfig,
         store: &dyn FeatureStore,
     ) -> Self {
-        assert!(
-            config.policy != CachePolicy::Oracle,
-            "oracle policy needs measured counts; use build_with_rankings"
-        );
         assert_eq!(
             store.num_rows(),
             ds.num_vertices(),
@@ -136,6 +135,16 @@ impl DistributedSetup {
             store.dim(),
             ds.features.dim(),
             "feature store dim must match the dataset"
+        );
+        Self::build_from(ds, config, Some(store))
+    }
+
+    /// Builds with the machines' rows read from `store` (original ids),
+    /// or from the reordered matrix itself when there is none.
+    fn build_from(ds: &Dataset, config: SetupConfig, store: Option<&dyn FeatureStore>) -> Self {
+        assert!(
+            config.policy != CachePolicy::Oracle,
+            "oracle policy needs measured counts; use build_with_rankings"
         );
         let (partitioning, train_of_part) = Self::partition(ds, &config);
         let rankings = Self::policy_rankings(ds, &config, &partitioning, &train_of_part);
@@ -176,14 +185,7 @@ impl DistributedSetup {
         rankings: Vec<Vec<VertexId>>,
     ) -> Self {
         let (partitioning, train_of_part) = Self::partition(ds, &config);
-        Self::assemble(
-            ds,
-            config,
-            partitioning,
-            train_of_part,
-            rankings,
-            &ds.features,
-        )
+        Self::assemble(ds, config, partitioning, train_of_part, rankings, None)
     }
 
     /// Partitions the original dataset and splits its training set by part.
@@ -199,14 +201,15 @@ impl DistributedSetup {
         (partitioning, train_of_part)
     }
 
-    /// `feats` holds the feature rows, addressed by original ids.
+    /// `store` holds the feature rows, addressed by original ids; with
+    /// none, the machines read the reordered matrix.
     fn assemble(
         ds: &Dataset,
         config: SetupConfig,
         partitioning: Partitioning,
         train_of_part: Vec<Vec<VertexId>>,
         rankings: Vec<Vec<VertexId>>,
-        feats: &dyn FeatureStore,
+        store: Option<&dyn FeatureStore>,
     ) -> Self {
         // Local ordering scores: each partition ranks its own vertices by
         // its local VIP values.
@@ -220,10 +223,19 @@ impl DistributedSetup {
 
         let dataset = ds.permuted(layout.perm());
 
-        // Machine builds address rows by new ids; `feats` is in
-        // original-id order: view.read(new) = feats.read(to_old(new)).
-        let inv = layout.perm().inverse();
-        let view = PermutedStore::new(feats, &inv);
+        // Machine builds address rows by new ids. The reordered matrix is
+        // in that order, and lends each machine its partition's rows;
+        // `store` is in original-id order: view.read(new) =
+        // store.read(to_old(new)), each machine's rows copied out.
+        let (inv, view);
+        let feats: &dyn FeatureStore = match store {
+            None => &dataset.features,
+            Some(store) => {
+                inv = layout.perm().inverse();
+                view = PermutedStore::new(store, &inv);
+                &view
+            }
+        };
 
         let cache_builder = CacheBuilder::new(config.alpha, ds.num_vertices(), config.num_machines);
         let stores: Vec<PartitionedFeatureStore> = (0..config.num_machines as u32)
@@ -235,7 +247,7 @@ impl DistributedSetup {
                 PartitionedFeatureStore::build(
                     p,
                     &layout,
-                    &view,
+                    feats,
                     config.beta,
                     cache,
                     config.cache_scheme,

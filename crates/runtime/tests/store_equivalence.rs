@@ -15,6 +15,7 @@
     clippy::float_cmp
 )]
 
+use spp_core::BatchRows;
 use spp_graph::dataset::SyntheticSpec;
 use spp_graph::{Dataset, FeatureMatrix, QuantScheme, VertexId};
 use spp_runtime::{
@@ -107,6 +108,50 @@ fn setup_through_mmap_store_matches_build() {
         stats.pages_read > 0,
         "assembly never read through the store"
     );
+}
+
+/// A resident build's machines read their partitions where the
+/// reordered matrix keeps them: every local row of a batch's row table
+/// is the matrix's row, by address. A build through an `f16` store
+/// copies its decoded rows out, and both count the same bytes per
+/// machine as before the rows were shared.
+#[test]
+fn resident_partitions_share_the_reordered_matrix_and_stores_copy() {
+    let (ds, cfg) = fixture();
+    let resident = DistributedSetup::build(&ds, cfg.clone());
+    let dir = std::env::temp_dir().join(format!("spp_runtime_store_share_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    StoreBuilder::new(QuantScheme::F16)
+        .page_bytes(2048)
+        .build_from_matrix(&dir, &ds.features, None)
+        .unwrap();
+    let store = MmapStore::open(&dir).unwrap();
+    let copied = DistributedSetup::build_with_feature_store(&ds, cfg, &store);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let dim = ds.features.dim();
+    for (setup, shared) in [(&resident, true), (&copied, false)] {
+        let mut rows = 0;
+        for (p, s) in setup.stores.iter().enumerate() {
+            let range = setup.layout.part_range(p as u32);
+            let nodes: Vec<VertexId> = range.clone().map(|v| v as VertexId).collect();
+            let batch = BatchRows::new(s, s.plan(&nodes), Vec::new());
+            for (&v, local) in nodes.iter().zip(batch.table(s, &nodes)) {
+                let global = setup.dataset.features.row(v);
+                assert_eq!(std::ptr::eq(local, global), shared, "machine {p} row {v}");
+                if !shared {
+                    // The store's rows: the dataset's, rounded to f16.
+                    let mut want = global.to_vec();
+                    spp_graph::quant::wire_roundtrip(&mut want, QuantScheme::F16);
+                    assert_eq!(local, want, "machine {p} row {v}");
+                }
+            }
+            assert_eq!(s.memory_bytes(), (range.len() + s.cache().len()) * dim * 4);
+            rows += range.len() + s.cache().len();
+        }
+        assert!(setup.memory_multiple() == rows as f64 / ds.num_vertices() as f64);
+    }
+    assert!(resident.memory_multiple() == copied.memory_multiple());
 }
 
 /// The gather check compares each row with where the deployment keeps
